@@ -5,7 +5,22 @@ cd "$(dirname "$0")"
 
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
-cargo test -q
+cargo test -q --workspace
+
+# Paper tables, figures and the soak are byte-pinned: a data-plane or
+# host-speed change may not move a simulated dollar, second, answer or
+# trace line. Regenerate them with the release binaries and compare with
+# the committed canonical files (the soak is the full one: that is what
+# results/ holds, and it takes seconds).
+for bin in table1 table2 figure1 figure2 serve_soak; do
+  AIDA_RESULTS_DIR=target/ci-results \
+    cargo run -q --release -p aida-bench --bin "$bin" >/dev/null
+done
+for f in BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.json \
+  table1.txt table1.json table2.txt table2.json figure1.txt figure2.txt \
+  BENCH_serve_soak.json BENCH_semcache.json serve_soak.txt health.jsonl; do
+  cmp "target/ci-results/$f" "results/$f"
+done
 
 # Static analysis: the workspace must stay clean above the checked-in
 # baseline (lint.toml), and the lint report itself must be
@@ -127,3 +142,9 @@ CHECKPOINT_BENCH_SMOKE=1 AIDA_RESULTS_DIR=target/ci-ckpt-a \
 CHECKPOINT_BENCH_SMOKE=1 AIDA_RESULTS_DIR=target/ci-ckpt-b \
   cargo run -q --release -p aida-bench --bin checkpoint_bench >/dev/null
 cmp target/ci-ckpt-a/BENCH_checkpoint.json target/ci-ckpt-b/BENCH_checkpoint.json
+
+# Host-clock benchmark package: its own fmt/clippy/unit tests, the
+# BENCHMARK.json manifest check and a smoke run of every workload. It
+# proves the benchmark still builds against the crates unchanged; speed
+# is judged by before/after runs (perf/README.md), never here.
+perf/check.sh

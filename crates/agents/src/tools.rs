@@ -16,7 +16,7 @@ use aida_llm::{LlmTask, ModelId};
 use aida_script::{ScriptError, ScriptValue};
 use aida_semops::ExecEnv;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A shared slot the `final_answer` tool writes into.
 #[derive(Debug, Clone, Default)]
@@ -50,77 +50,115 @@ impl AnswerCell {
     }
 }
 
-/// Builds the three standard lake tools.
-pub fn lake_tools(lake: &DataLake) -> Vec<Arc<dyn Tool>> {
-    let names: Vec<String> = lake.names().iter().map(|s| s.to_string()).collect();
-    let list_lake = names.clone();
-    let list_files: Arc<dyn Tool> = Arc::new(FnTool::new(
-        ToolSpec::new(
-            "list_files",
-            "list_files() -> list[str]",
-            "returns the names of every file in the data lake",
-        ),
-        move |_args| {
-            Ok(ScriptValue::list(
-                list_lake
-                    .iter()
-                    .map(|n| ScriptValue::str(n.clone()))
-                    .collect(),
-            ))
-        },
-    ));
+/// The three standard lake tools (`list_files`, `read_file`,
+/// `search_keywords`) and the BM25 index behind the last one. The index is
+/// an access path of the lake, not of any one operator: it is built on the
+/// first `search_keywords` call and shared by every clone.
+#[derive(Clone)]
+pub struct LakeTools {
+    tools: Vec<Arc<dyn Tool>>,
+    index: Arc<OnceLock<KeywordIndex>>,
+}
 
-    let read_lake = lake.clone();
-    let read_file: Arc<dyn Tool> = Arc::new(FnTool::new(
-        ToolSpec::new(
-            "read_file",
-            "read_file(name: str) -> str",
-            "returns the full text content of a file",
-        ),
-        move |args| {
-            let name = args
-                .first()
-                .ok_or_else(|| ScriptError::host("read_file needs a file name"))?
-                .as_str()?;
-            let doc = read_lake
-                .get(name)
-                .ok_or_else(|| ScriptError::host(format!("no such file: {name}")))?;
-            Ok(ScriptValue::str(doc.text()))
-        },
-    ));
+impl LakeTools {
+    /// Builds the tools over `lake`; indexes nothing yet.
+    pub fn new(lake: &DataLake) -> Self {
+        let list_lake = lake.clone();
+        let list_files: Arc<dyn Tool> = Arc::new(FnTool::new(
+            ToolSpec::new(
+                "list_files",
+                "list_files() -> list[str]",
+                "returns the names of every file in the data lake",
+            ),
+            move |_args| {
+                Ok(ScriptValue::list(
+                    list_lake
+                        .docs()
+                        .iter()
+                        .map(|d| ScriptValue::str(d.name.as_str()))
+                        .collect(),
+                ))
+            },
+        ));
 
+        let read_lake = lake.clone();
+        let read_file: Arc<dyn Tool> = Arc::new(FnTool::new(
+            ToolSpec::new(
+                "read_file",
+                "read_file(name: str) -> str",
+                "returns the full text content of a file",
+            ),
+            move |args| {
+                let name = args
+                    .first()
+                    .ok_or_else(|| ScriptError::host("read_file needs a file name"))?
+                    .as_str()?;
+                let doc = read_lake
+                    .get(name)
+                    .ok_or_else(|| ScriptError::host(format!("no such file: {name}")))?;
+                Ok(ScriptValue::str(&**doc.shared_text()))
+            },
+        ));
+
+        let index = Arc::new(OnceLock::new());
+        let (search_lake, search_index) = (lake.clone(), Arc::clone(&index));
+        let search_keywords: Arc<dyn Tool> = Arc::new(FnTool::new(
+            ToolSpec::new(
+                "search_keywords",
+                "search_keywords(query: str, k: int) -> list[str]",
+                "BM25 keyword search over the lake; returns the top-k file names",
+            ),
+            move |args| {
+                let query = args
+                    .first()
+                    .ok_or_else(|| ScriptError::host("search_keywords needs a query"))?
+                    .as_str()?;
+                let k = args
+                    .get(1)
+                    .map(|v| v.as_int())
+                    .transpose()?
+                    .unwrap_or(5)
+                    .max(1) as usize;
+                let index = search_index.get_or_init(|| keyword_index(&search_lake));
+                Ok(ScriptValue::list(
+                    index
+                        .search(query, k)
+                        .into_iter()
+                        .map(|hit| ScriptValue::str(hit.id))
+                        .collect(),
+                ))
+            },
+        ));
+
+        LakeTools {
+            tools: vec![list_files, read_file, search_keywords],
+            index,
+        }
+    }
+
+    /// The tools, in registration order.
+    pub fn tools(&self) -> &[Arc<dyn Tool>] {
+        &self.tools
+    }
+
+    /// The keyword index, once a `search_keywords` call has built it.
+    pub fn keyword_index(&self) -> Option<&KeywordIndex> {
+        self.index.get()
+    }
+}
+
+/// BM25 index over the visible text of every document in `lake`.
+pub fn keyword_index(lake: &DataLake) -> KeywordIndex {
     let mut index = KeywordIndex::new();
     for doc in lake.docs() {
-        index.add(&doc.name, &doc.text());
+        index.add(&doc.name, doc.shared_text());
     }
-    let search_keywords: Arc<dyn Tool> = Arc::new(FnTool::new(
-        ToolSpec::new(
-            "search_keywords",
-            "search_keywords(query: str, k: int) -> list[str]",
-            "BM25 keyword search over the lake; returns the top-k file names",
-        ),
-        move |args| {
-            let query = args
-                .first()
-                .ok_or_else(|| ScriptError::host("search_keywords needs a query"))?
-                .as_str()?;
-            let k = args
-                .get(1)
-                .map(|v| v.as_int())
-                .transpose()?
-                .unwrap_or(5)
-                .max(1) as usize;
-            Ok(ScriptValue::list(
-                index
-                    .search(query, k)
-                    .into_iter()
-                    .map(|hit| ScriptValue::str(hit.id))
-                    .collect(),
-            ))
-        },
-    ));
+    index
+}
 
-    vec![list_files, read_file, search_keywords]
+/// Builds the three standard lake tools (see [`LakeTools`]).
+pub fn lake_tools(lake: &DataLake) -> Vec<Arc<dyn Tool>> {
+    LakeTools::new(lake).tools
 }
 
 /// Builds the `final_answer` tool writing into `cell`.

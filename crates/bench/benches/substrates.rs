@@ -85,8 +85,11 @@ fn bench_vector_index(c: &mut Criterion) {
 fn bench_script(c: &mut Criterion) {
     let src =
         "def fib(n):\n    if n < 2:\n        return n\n    return fib(n - 1) + fib(n - 2)\nfib(15)";
+    // Production runs compiled bytecode on the VM; the tree-walker
+    // (`Interpreter::run`) is only the differential oracle.
+    let compiled = aida_script::compile_source(src).unwrap();
     c.bench_function("script/fib_15", |b| {
-        b.iter(|| black_box(Interpreter::new().run(src).unwrap()))
+        b.iter(|| black_box(Interpreter::new().run_compiled(&compiled).unwrap()))
     });
 }
 

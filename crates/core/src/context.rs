@@ -7,7 +7,7 @@
 //! user-registered tools.
 
 use crate::runtime::Runtime;
-use aida_agents::{Tool, ToolRegistry};
+use aida_agents::{tools::LakeTools, Tool, ToolRegistry};
 use aida_data::{DataLake, Table};
 use aida_index::{FlatIndex, IvfIndex, KeyIndex, VectorIndex};
 use aida_semops::Dataset;
@@ -24,6 +24,7 @@ pub struct Context {
     lake: DataLake,
     key_index: Arc<KeyIndex>,
     vector_index: Option<Arc<dyn VectorIndex>>,
+    lake_tools: LakeTools,
     tools: ToolRegistry,
     /// Structured findings attached by a `search`/`compute` execution.
     pub findings: Option<Arc<Table>>,
@@ -80,6 +81,13 @@ impl Context {
         }
     }
 
+    /// The lake's standard tools and the keyword index behind
+    /// `search_keywords` — built on that tool's first call, then shared by
+    /// every clone and un-narrowed materialization of this context.
+    pub fn lake_tools(&self) -> &LakeTools {
+        &self.lake_tools
+    }
+
     /// User-registered tools.
     pub fn tools(&self) -> &ToolRegistry {
         &self.tools
@@ -96,11 +104,16 @@ impl Context {
         findings: Option<Table>,
     ) -> Context {
         let narrowed = lake.is_some();
+        // Access paths describe the original lake: a narrowed lake starts
+        // fresh ones, an unchanged lake shares them.
+        let lake_tools = match &lake {
+            Some(lake) => LakeTools::new(lake),
+            None => self.lake_tools.clone(),
+        };
         Context {
             id: id.into(),
             description,
             lake: lake.unwrap_or_else(|| self.lake.clone()),
-            // Indexes describe the original lake; drop them when narrowed.
             key_index: if narrowed {
                 Arc::new(KeyIndex::new())
             } else {
@@ -111,6 +124,7 @@ impl Context {
             } else {
                 self.vector_index.clone()
             },
+            lake_tools,
             tools: self.tools.clone(),
             findings: findings.map(Arc::new),
         }
@@ -218,6 +232,7 @@ impl ContextBuilder {
         Context {
             id: self.id,
             description: self.description,
+            lake_tools: LakeTools::new(&self.lake),
             lake: self.lake,
             key_index: Arc::new(key_index),
             vector_index,
@@ -231,8 +246,12 @@ impl ContextBuilder {
 /// bounded work.
 fn embed_lake(lake: &DataLake, runtime: &Runtime, index: &mut dyn VectorIndex) {
     for doc in lake.docs() {
-        let text: String = doc.text().chars().take(2_000).collect();
-        index.add(&doc.name, runtime.env().embedder.embed(&text));
+        let text = doc.shared_text();
+        let end = text
+            .char_indices()
+            .nth(2_000)
+            .map_or(text.len(), |(i, _)| i);
+        index.add(&doc.name, runtime.env().embedder.embed(&text[..end]));
     }
 }
 
@@ -308,6 +327,47 @@ mod tests {
     }
 
     #[test]
+    fn keyword_index_is_built_once_on_first_search_and_shared() {
+        let rt = Runtime::builder().build();
+        let ctx = Context::builder("lake", lake()).build(&rt);
+        let clone = ctx.clone();
+        let same = ctx.materialize("lake/1", "enriched".into(), None, None);
+        let narrow = DataLake::from_arcs([Arc::clone(lake().get("gas.txt").unwrap())]);
+        let narrowed = ctx.materialize("lake/2", "narrowed".into(), Some(narrow), None);
+        assert!(ctx.lake_tools().keyword_index().is_none());
+
+        let search = |c: &Context| {
+            let tools = c.lake_tools().tools();
+            let tool = tools.iter().find(|t| t.spec().name == "search_keywords");
+            let args = [ScriptValue::str("identity theft"), ScriptValue::Int(2)];
+            tool.unwrap().call(&args).unwrap().to_string()
+        };
+        let hits = search(&clone);
+        let built = ctx.lake_tools().keyword_index().expect("first call builds");
+        // The lazily built index answers as an eagerly built one does.
+        let eager = aida_agents::tools::keyword_index(ctx.lake());
+        let eager_hits: Vec<String> = eager
+            .search("identity theft", 2)
+            .into_iter()
+            .map(|h| format!("'{}'", h.id))
+            .collect();
+        assert_eq!(hits, format!("[{}]", eager_hits.join(", ")));
+        assert_eq!(hits, "['theft_2024.csv']");
+        // One index: later calls, clones and un-narrowed materializations
+        // all see the same allocation; a narrowed lake starts its own.
+        assert_eq!(search(&same), hits);
+        for c in [&ctx, &clone, &same] {
+            assert!(std::ptr::eq(c.lake_tools().keyword_index().unwrap(), built));
+        }
+        assert!(narrowed.lake_tools().keyword_index().is_none());
+        assert_eq!(search(&narrowed), "[]");
+        assert!(!std::ptr::eq(
+            narrowed.lake_tools().keyword_index().unwrap(),
+            built
+        ));
+    }
+
+    #[test]
     fn custom_tools_attach() {
         let rt = Runtime::builder().build();
         let tool = Arc::new(FnTool::new(
@@ -324,7 +384,7 @@ mod tests {
         let ctx = Context::builder("lake", lake())
             .with_vector_index()
             .build(&rt);
-        let narrow = DataLake::from_docs([lake().get("theft_2024.csv").unwrap().as_ref().clone()]);
+        let narrow = DataLake::from_arcs([Arc::clone(lake().get("theft_2024.csv").unwrap())]);
         let derived = ctx.materialize(
             "lake/1",
             "FINDINGS: thefts in 2024".into(),

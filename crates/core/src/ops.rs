@@ -20,8 +20,7 @@ use crate::program::{self, ProgramRun, ProgramTrace};
 use crate::runtime::Runtime;
 use aida_agents::policy::{task_years, PolicyAction, PolicyContext};
 use aida_agents::{
-    tools::lake_tools, AgentConfig, AgentPolicy, AgentRuntime, CodeAgent, FnTool, ToolRegistry,
-    ToolSpec,
+    AgentConfig, AgentPolicy, AgentRuntime, CodeAgent, FnTool, ToolRegistry, ToolSpec,
 };
 use aida_data::{DataLake, Value};
 use aida_llm::noise;
@@ -283,8 +282,8 @@ fn run_op(
     // Assemble the toolbox: Context access methods + program synthesis.
     let program_trace = ProgramTrace::new();
     let mut registry = ToolRegistry::new();
-    for tool in lake_tools(ctx.lake()) {
-        registry.register(tool);
+    for tool in ctx.lake_tools().tools() {
+        registry.register(Arc::clone(tool));
     }
     for tool in context_access_tools(runtime, &ctx) {
         registry.register(tool);
@@ -382,16 +381,8 @@ fn narrowed_lake(lake: &DataLake, records: &[aida_data::Record]) -> Option<DataL
     let mut names: Vec<&str> = records.iter().map(|r| r.source.as_str()).collect();
     names.sort_unstable();
     names.dedup();
-    let docs: Vec<_> = names
-        .iter()
-        .filter_map(|name| lake.get(name))
-        .map(|d| d.as_ref().clone())
-        .collect();
-    if docs.is_empty() {
-        None
-    } else {
-        Some(DataLake::from_docs(docs))
-    }
+    let narrowed = DataLake::from_arcs(names.iter().filter_map(|name| lake.get(name)).cloned());
+    (!narrowed.is_empty()).then_some(narrowed)
 }
 
 fn findings_summary(instruction: &str, records: &[aida_data::Record]) -> String {
@@ -631,6 +622,28 @@ mod tests {
         assert!(!search_trace.programs.is_empty());
         assert!(outcome.context.description.contains("FINDINGS"));
         assert!(outcome.context.len() < 132);
+        // Narrowing shares the surviving documents (and their memoized
+        // text, token counts and hashes) instead of copying them.
+        for doc in outcome.context.lake().docs() {
+            assert!(Arc::ptr_eq(doc, ctx.lake().get(&doc.name).unwrap()));
+        }
+    }
+
+    #[test]
+    fn operators_build_no_keyword_index() {
+        // Neither operator's policy calls `search_keywords` on a Context
+        // with a vector index, so no query may pay for a BM25 build —
+        // not on the input Context, not on what it materializes.
+        let (rt, ctx) = legal_runtime(13);
+        assert_eq!(ctx.len(), 132);
+        let computed = rt.query(&ctx).compute(legal::QUERY).run();
+        let search = "look for information on identity theft reports";
+        let searched = rt.query(&ctx).search(search).compute(legal::QUERY).run();
+        let narrowed = rt.manager().find_similar(search).unwrap().0.context;
+        assert!(narrowed.len() < ctx.len());
+        for c in [&ctx, &computed.context, &searched.context, &narrowed] {
+            assert!(c.lake_tools().keyword_index().is_none(), "{c:?}");
+        }
     }
 
     #[test]

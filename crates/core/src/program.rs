@@ -253,7 +253,7 @@ pub fn findings_table(records: &[Record]) -> aida_data::Table {
         .iter()
         .map(|rec| {
             let mut out = Record::new(rec.source.clone());
-            out.set("source", Value::Str(rec.source.clone()));
+            out.set("source", Value::Str(rec.source.as_str().into()));
             for (name, value) in rec.iter() {
                 if name != "contents" {
                     out.set(name, value.clone());

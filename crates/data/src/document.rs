@@ -5,6 +5,7 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::{csv, DataError};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 /// The format of a document's content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,7 +42,12 @@ impl DocKind {
 /// generators — they are **never** exposed to agents or semantic operators
 /// directly; only the simulated-LLM oracle (which stands in for a model
 /// actually reading the text) consults them.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The content is shared, and what is a pure function of it — the visible
+/// text, its token count and its hash — is computed on first use and kept
+/// (nothing is computed at load), so `content` and `kind` must not be
+/// reassigned once the text has been read.
+#[derive(Debug, Clone)]
 pub struct Document {
     /// Stable identifier, unique within a lake.
     pub id: String,
@@ -50,9 +56,29 @@ pub struct Document {
     /// Content format.
     pub kind: DocKind,
     /// Raw file content.
-    pub content: String,
+    pub content: Arc<str>,
     /// Hidden ground-truth labels (oracle-only).
     pub labels: BTreeMap<String, Value>,
+    memo: TextMemo,
+}
+
+/// Per-document memo of the pure functions of `content`; each slot is
+/// filled the first time it is asked for.
+#[derive(Debug, Clone, Default)]
+struct TextMemo {
+    stripped: OnceLock<Arc<str>>,
+    tokens: OnceLock<usize>,
+    hash: OnceLock<u64>,
+}
+
+impl PartialEq for Document {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.name == other.name
+            && self.kind == other.kind
+            && self.content == other.content
+            && self.labels == other.labels
+    }
 }
 
 impl Document {
@@ -63,8 +89,9 @@ impl Document {
             id: name.clone(),
             kind: DocKind::from_name(&name),
             name,
-            content: content.into(),
+            content: content.into().into(),
             labels: BTreeMap::new(),
+            memo: TextMemo::default(),
         }
     }
 
@@ -79,13 +106,36 @@ impl Document {
         self.labels.get(key)
     }
 
-    /// Returns the document's visible text: HTML is stripped, other kinds
-    /// pass through unchanged.
-    pub fn text(&self) -> String {
+    /// The document's visible text, shared: HTML is stripped once, on
+    /// first use; other kinds are the content itself. Borrow it as `&str`
+    /// or clone the `Arc` — neither copies the text.
+    pub fn shared_text(&self) -> &Arc<str> {
         match self.kind {
-            DocKind::Html => html::to_text(&self.content),
-            _ => self.content.clone(),
+            DocKind::Html => self
+                .memo
+                .stripped
+                .get_or_init(|| html::to_text(&self.content).into()),
+            _ => &self.content,
         }
+    }
+
+    /// An owned copy of [`Document::shared_text`].
+    pub fn text(&self) -> String {
+        self.shared_text().to_string()
+    }
+
+    /// `count(shared_text())`, computed on the first call and kept. The
+    /// tokenizer lives above this crate (`aida_llm::tokens::count`); every
+    /// caller must pass the same function.
+    pub fn text_tokens(&self, count: fn(&str) -> usize) -> usize {
+        *self.memo.tokens.get_or_init(|| count(self.shared_text()))
+    }
+
+    /// `hash(shared_text())`, computed on the first call and kept; the
+    /// counterpart of [`Document::text_tokens`] for
+    /// `aida_llm::noise::hash_str`.
+    pub fn text_hash(&self, hash: fn(&str) -> u64) -> u64 {
+        *self.memo.hash.get_or_init(|| hash(self.shared_text()))
     }
 
     /// Parses structured tables out of the document (CSV body or HTML

@@ -10,8 +10,15 @@ use std::sync::Arc;
 ///
 /// Documents are stored in insertion order (list tools return a stable
 /// ordering) behind `Arc` so scans can share them without cloning content.
+/// The lake itself is shared too: cloning one is O(1), and a clone that is
+/// then added to copies the name table first.
 #[derive(Debug, Clone, Default)]
 pub struct DataLake {
+    inner: Arc<Inner>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Inner {
     docs: Vec<Arc<Document>>,
     by_name: HashMap<String, usize>,
 }
@@ -24,42 +31,56 @@ impl DataLake {
 
     /// Builds a lake from documents.
     pub fn from_docs(docs: impl IntoIterator<Item = Document>) -> Self {
+        Self::from_arcs(docs.into_iter().map(Arc::new))
+    }
+
+    /// Builds a lake that shares already-loaded documents (and whatever
+    /// they have memoized) instead of copying them.
+    pub fn from_arcs(docs: impl IntoIterator<Item = Arc<Document>>) -> Self {
         let mut lake = DataLake::new();
         for doc in docs {
-            lake.add(doc);
+            lake.add_arc(doc);
         }
         lake
     }
 
     /// Adds a document; a document with the same name replaces the old one.
     pub fn add(&mut self, doc: Document) {
-        match self.by_name.get(&doc.name) {
-            Some(&idx) => self.docs[idx] = Arc::new(doc),
+        self.add_arc(Arc::new(doc));
+    }
+
+    fn add_arc(&mut self, doc: Arc<Document>) {
+        let inner = Arc::make_mut(&mut self.inner);
+        match inner.by_name.get(&doc.name) {
+            Some(&idx) => inner.docs[idx] = doc,
             None => {
-                self.by_name.insert(doc.name.clone(), self.docs.len());
-                self.docs.push(Arc::new(doc));
+                inner.by_name.insert(doc.name.clone(), inner.docs.len());
+                inner.docs.push(doc);
             }
         }
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.inner.docs.len()
     }
 
     /// True when the lake holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.docs.is_empty()
+        self.inner.docs.is_empty()
     }
 
     /// All documents in insertion order.
     pub fn docs(&self) -> &[Arc<Document>] {
-        &self.docs
+        &self.inner.docs
     }
 
     /// Lookup by file name.
     pub fn get(&self, name: &str) -> Option<&Arc<Document>> {
-        self.by_name.get(name).map(|&idx| &self.docs[idx])
+        self.inner
+            .by_name
+            .get(name)
+            .map(|&idx| &self.inner.docs[idx])
     }
 
     /// Lookup by file name, failing with [`DataError::UnknownDocument`].
@@ -70,13 +91,14 @@ impl DataLake {
 
     /// File names in insertion order.
     pub fn names(&self) -> Vec<&str> {
-        self.docs.iter().map(|d| d.name.as_str()).collect()
+        self.inner.docs.iter().map(|d| d.name.as_str()).collect()
     }
 
     /// Documents whose names contain `pattern` (case-insensitive).
     pub fn glob(&self, pattern: &str) -> Vec<&Arc<Document>> {
         let needle = pattern.to_ascii_lowercase();
-        self.docs
+        self.inner
+            .docs
             .iter()
             .filter(|d| d.name.to_ascii_lowercase().contains(&needle))
             .collect()
@@ -103,15 +125,15 @@ impl DataLake {
     /// persisted — they are simulation-side ground truth, not file content.
     pub fn save_dir(&self, dir: &Path) -> Result<(), DataError> {
         std::fs::create_dir_all(dir)?;
-        for doc in &self.docs {
-            std::fs::write(dir.join(&doc.name), &doc.content)?;
+        for doc in &self.inner.docs {
+            std::fs::write(dir.join(&doc.name), doc.content.as_bytes())?;
         }
         Ok(())
     }
 
     /// Total content bytes across all documents.
     pub fn total_bytes(&self) -> usize {
-        self.docs.iter().map(|d| d.size()).sum()
+        self.inner.docs.iter().map(|d| d.size()).sum()
     }
 }
 
@@ -134,6 +156,21 @@ mod tests {
         assert!(lake.get("missing.csv").is_none());
         assert!(lake.require("missing.csv").is_err());
         assert_eq!(lake.len(), 3);
+    }
+
+    #[test]
+    fn from_arcs_shares_documents_and_clones_copy_on_write() {
+        let lake = lake();
+        let narrowed = DataLake::from_arcs(lake.glob("csv").into_iter().cloned());
+        assert_eq!(narrowed.names(), vec!["national.csv", "alabama.csv"]);
+        for doc in narrowed.docs() {
+            assert!(Arc::ptr_eq(doc, lake.get(&doc.name).unwrap()));
+        }
+        // Adding to a clone leaves the original untouched.
+        let mut grown = lake.clone();
+        grown.add(Document::new("new.txt", "x"));
+        assert_eq!((lake.len(), grown.len()), (3, 4));
+        assert!(lake.get("new.txt").is_none());
     }
 
     #[test]

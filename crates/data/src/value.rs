@@ -9,6 +9,7 @@
 use crate::error::DataError;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A dynamically-typed value.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,8 +22,9 @@ pub enum Value {
     Int(i64),
     /// A 64-bit float.
     Float(f64),
-    /// A UTF-8 string.
-    Str(String),
+    /// A UTF-8 string, shared: cloning a value (or a record carrying a
+    /// document's text) never copies the bytes.
+    Str(Arc<str>),
     /// An ordered list of values.
     List(Vec<Value>),
 }
@@ -127,7 +129,7 @@ impl Value {
         match trimmed.to_ascii_lowercase().as_str() {
             "true" => Value::Bool(true),
             "false" => Value::Bool(false),
-            _ => Value::Str(trimmed.to_string()),
+            _ => Value::Str(trimmed.into()),
         }
     }
 
@@ -230,11 +232,16 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::Str(s.into())
+    }
+}
+impl From<Arc<str>> for Value {
+    fn from(s: Arc<str>) -> Self {
         Value::Str(s)
     }
 }
@@ -277,7 +284,7 @@ mod tests {
         assert!(!Value::Null.truthy());
         assert!(!Value::Int(0).truthy());
         assert!(Value::Int(-1).truthy());
-        assert!(!Value::Str(String::new()).truthy());
+        assert!(!Value::Str("".into()).truthy());
         assert!(Value::Str("x".into()).truthy());
         assert!(!Value::List(vec![]).truthy());
     }

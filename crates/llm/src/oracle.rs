@@ -14,6 +14,7 @@
 //! model tier and the subject's difficulty, which is what makes cheap models
 //! cheap.
 
+use crate::{noise, tokens};
 use aida_data::{Document, Record, Value};
 use parking_lot::RwLock;
 use std::borrow::Cow;
@@ -29,6 +30,26 @@ pub struct Subject<'a> {
     pub text: Cow<'a, str>,
     /// Hidden ground-truth labels (set by workload generators).
     pub labels: Option<&'a BTreeMap<String, Value>>,
+    /// Set when `text` *is* this document's shared text: its memoized
+    /// token count and hash then replace re-walking the text per call.
+    memo: Option<&'a Document>,
+}
+
+/// The raw document contents a scanned record still carries, if any.
+fn contents(record: &Record) -> Option<&Arc<str>> {
+    match record.get("contents") {
+        Some(Value::Str(contents)) => Some(contents),
+        _ => None,
+    }
+}
+
+/// The text a model "reads" for a record: the raw document contents when
+/// the record still carries them, otherwise the rendered fields.
+pub fn subject_text(record: &Record) -> Cow<'_, str> {
+    match contents(record) {
+        Some(contents) => Cow::Borrowed(contents),
+        None => Cow::Owned(record.render()),
+    }
 }
 
 impl<'a> Subject<'a> {
@@ -36,18 +57,23 @@ impl<'a> Subject<'a> {
     pub fn doc(doc: &'a Document) -> Subject<'a> {
         Subject {
             name: Cow::Borrowed(doc.name.as_str()),
-            text: Cow::Owned(doc.text()),
+            text: Cow::Borrowed(doc.shared_text()),
             labels: Some(&doc.labels),
+            memo: Some(doc),
         }
     }
 
-    /// A subject backed by a record, optionally linked to the document it
-    /// was scanned from (which carries the ground-truth labels).
+    /// A subject backed by a record (see [`subject_text`]), optionally
+    /// linked to the document it was scanned from (which carries the
+    /// ground-truth labels).
     pub fn record(record: &'a Record, origin: Option<&'a Document>) -> Subject<'a> {
+        let shares_text =
+            |doc: &&Document| contents(record).is_some_and(|c| Arc::ptr_eq(c, doc.shared_text()));
         Subject {
             name: Cow::Borrowed(record.source.as_str()),
-            text: Cow::Owned(record.render()),
+            text: subject_text(record),
             labels: origin.map(|d| &d.labels),
+            memo: origin.filter(shares_text),
         }
     }
 
@@ -57,6 +83,23 @@ impl<'a> Subject<'a> {
             name: Cow::Borrowed(name),
             text: Cow::Borrowed(text),
             labels: None,
+            memo: None,
+        }
+    }
+
+    /// `tokens::count(text)`, from the document's memo when it has one.
+    pub fn text_tokens(&self) -> usize {
+        match self.memo {
+            Some(doc) => doc.text_tokens(tokens::count),
+            None => tokens::count(&self.text),
+        }
+    }
+
+    /// `noise::hash_str(text)`, from the document's memo when it has one.
+    pub fn text_hash(&self) -> u64 {
+        match self.memo {
+            Some(doc) => doc.text_hash(noise::hash_str),
+            None => noise::hash_str(&self.text),
         }
     }
 
@@ -144,7 +187,7 @@ impl OracleRule for LabelRule {
         }
         match subject.label(&self.label)? {
             Value::Bool(b) => Some(OracleAnswer::Bool(*b)),
-            Value::Str(s) => Some(OracleAnswer::Text(s.clone())),
+            Value::Str(s) => Some(OracleAnswer::Text(s.to_string())),
             other => Some(OracleAnswer::Value(other.clone())),
         }
     }
@@ -249,6 +292,23 @@ mod tests {
             Some(OracleAnswer::Bool(true))
         );
         assert_eq!(rule.answer("firsthand accounts only", &subject), None);
+    }
+
+    #[test]
+    fn subjects_borrow_text_and_use_the_memo_only_for_the_documents_own_text() {
+        let doc = Document::new("r.html", "<p>Total &amp; breakdown</p>");
+        let of_doc = Subject::doc(&doc);
+        assert!(matches!(of_doc.text, Cow::Borrowed(_)) && of_doc.memo.is_some());
+        let shared = Record::new("r.html").with("contents", Arc::clone(doc.shared_text()));
+        let of_shared = Subject::record(&shared, Some(&doc));
+        assert!(matches!(of_shared.text, Cow::Borrowed(_)) && of_shared.memo.is_some());
+        // Equal bytes in another allocation, or no contents at all: no memo.
+        let copy = Record::new("r.html").with("contents", doc.text());
+        assert!(Subject::record(&copy, Some(&doc)).memo.is_none());
+        let slim = Record::new("r.html").with("value", 7i64);
+        let of_slim = Subject::record(&slim, Some(&doc));
+        assert!(of_slim.memo.is_none() && of_slim.text == "value=7");
+        assert_eq!(of_slim.labels, Some(&doc.labels));
     }
 
     #[test]

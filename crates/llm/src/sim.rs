@@ -215,7 +215,7 @@ impl SimLlm {
         let mut parts: Vec<u64> = vec![self.seed, noise::hash_str(model.name())];
         let push_subject = |parts: &mut Vec<u64>, subject: &Subject<'_>| {
             parts.push(noise::hash_str(&subject.name));
-            parts.push(noise::hash_str(&subject.text));
+            parts.push(subject.text_hash());
             if let Some(labels) = subject.labels {
                 for (name, value) in labels {
                     parts.push(noise::hash_str(name));
@@ -437,7 +437,7 @@ impl SimLlm {
         let err = self.catalog.spec(model).error_at(difficulty);
         let corrupted = noise::decide(key, err);
         let answer = if corrupted { !truth } else { truth };
-        let input = tokens::count_parts(&[FILTER_PREAMBLE, instruction, &subject.text]);
+        let input = tokens::count_parts(&[FILTER_PREAMBLE, instruction]) + part_tokens(subject);
         let (input_tokens, output_tokens, latency_s) = self.bill(model, input, 4, key);
         LlmResponse {
             value: Value::Bool(answer),
@@ -470,7 +470,7 @@ impl SimLlm {
                 difficulty = d.clamp(0.0, 1.0);
                 Value::Bool(b)
             }
-            Some(OracleAnswer::Text(t)) => Value::Str(t),
+            Some(OracleAnswer::Text(t)) => Value::Str(t.into()),
             None => generic_extract(instruction, field, field_desc, &subject.text),
         };
         let key = self.call_key(model, &oracle_query, &subject.name);
@@ -481,13 +481,8 @@ impl SimLlm {
         } else {
             truth
         };
-        let prompt = tokens::count_parts(&[
-            EXTRACT_PREAMBLE,
-            instruction,
-            field,
-            field_desc,
-            &subject.text,
-        ]);
+        let prompt = tokens::count_parts(&[EXTRACT_PREAMBLE, instruction, field, field_desc])
+            + part_tokens(subject);
         let out = tokens::count(&value.to_string()).max(4) + 6;
         let (input_tokens, output_tokens, latency_s) = self.bill(model, prompt, out, key);
         LlmResponse {
@@ -529,11 +524,11 @@ impl SimLlm {
         } else {
             truth
         };
-        let prompt = tokens::count_parts(&[MAP_PREAMBLE, instruction, &subject.text]);
+        let prompt = tokens::count_parts(&[MAP_PREAMBLE, instruction]) + part_tokens(subject);
         let out = tokens::count(&text).clamp(1, target_tokens.max(8));
         let (input_tokens, output_tokens, latency_s) = self.bill(model, prompt, out, key);
         LlmResponse {
-            value: Value::Str(text.clone()),
+            value: Value::Str(text.as_str().into()),
             text,
             input_tokens,
             output_tokens,
@@ -581,7 +576,7 @@ impl SimLlm {
         let key = self.call_key(model, prompt, "freeform");
         let (input_tokens, output_tokens, latency_s) = self.bill(model, input, out, key);
         LlmResponse {
-            value: Value::Str(response.to_string()),
+            value: Value::Str(response.into()),
             text: response.to_string(),
             input_tokens,
             output_tokens,
@@ -589,6 +584,12 @@ impl SimLlm {
             corrupted: false,
         }
     }
+}
+
+/// The subject text's share of a prompt, as [`tokens::count_parts`] would
+/// count it: the text's tokens plus the per-part framing.
+fn part_tokens(subject: &Subject<'_>) -> usize {
+    subject.text_tokens() + tokens::PART_FRAMING
 }
 
 const FILTER_PREAMBLE: &str = "You are a precise data analyst. Answer true or false: does the \
@@ -733,7 +734,7 @@ pub fn table_extract(instruction: &str, field: &str, text: &str) -> Option<Value
             if let Ok(f) = cleaned.parse::<f64>() {
                 return Some(Value::Float(f));
             }
-            return Some(Value::Str(raw.to_string()));
+            return Some(Value::Str(raw.into()));
         }
     }
     None
@@ -774,7 +775,7 @@ pub fn generic_extract(instruction: &str, field: &str, field_desc: &str, text: &
     };
     match first_number(line, want_year) {
         Some(v) => v,
-        None => Value::Str(line.trim().to_string()),
+        None => Value::Str(line.trim().into()),
     }
 }
 
@@ -1129,7 +1130,7 @@ mod tests {
             let mut latency = 0.0;
             for i in 0..200 {
                 let name = format!("d{i}");
-                let d = Document::new(name, doc.content.clone());
+                let d = Document::new(name, &*doc.content);
                 let resp = llm.invoke(
                     ModelId::Mini,
                     &LlmTask::Filter {
@@ -1389,5 +1390,85 @@ mod tests {
             }
         }
         assert!(observed_difference);
+    }
+
+    mod properties {
+        use super::*;
+        use aida_data::Record;
+        use proptest::prelude::*;
+
+        // Documents of every kind, with markup, entities, Unicode and odd
+        // whitespace in their content.
+        fn document() -> impl Strategy<Value = Document> {
+            let content = prop::collection::vec(
+                prop_oneof![
+                    Just("<p>".to_string()),
+                    Just("</p><script>x &lt; 1</script>".to_string()),
+                    Just("&amp; ".to_string()),
+                    Just("\n\n".to_string()),
+                    Just("é日本“ ".to_string()),
+                    "[a-zA-Z0-9 .,:_-]{0,12}",
+                    ".{0,8}",
+                ],
+                0..12,
+            )
+            .prop_map(|parts| parts.concat());
+            let name = prop_oneof![Just("d.html"), Just("d.eml"), Just("d.csv"), Just("d")];
+            (name, content).prop_map(|(name, content)| {
+                Document::new(name, content).with_label("difficulty", 0.4)
+            })
+        }
+
+        fn tasks_over<'a>(instruction: &'a str, subject: Subject<'a>) -> [LlmTask<'a>; 3] {
+            [
+                LlmTask::Filter {
+                    instruction,
+                    subject: subject.clone(),
+                },
+                LlmTask::Extract {
+                    instruction,
+                    field: "value",
+                    field_desc: "the value",
+                    subject: subject.clone(),
+                },
+                LlmTask::Map {
+                    instruction,
+                    subject,
+                    target_tokens: 20,
+                },
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn document_memo_changes_no_key_and_no_bill(doc in document(), seed in 0u64..8) {
+                prop_assert_eq!(doc.text_tokens(tokens::count), tokens::count(&doc.text()));
+                prop_assert_eq!(doc.text_hash(noise::hash_str), noise::hash_str(&doc.text()));
+
+                // The same subject twice: once reading the document's own
+                // text (memoized count and hash), once reading a copy of it
+                // carried by a record (counted and hashed per call).
+                let copy = Record::new(doc.name.clone()).with("contents", doc.text());
+                let shared = Record::new(doc.name.clone())
+                    .with("contents", Arc::clone(doc.shared_text()));
+                let llm = SimLlm::new(seed);
+                for instruction in ["mentions identity theft", "summarize the item"] {
+                    let tasks = |subject| tasks_over(instruction, subject);
+                    let plain = tasks(Subject::record(&copy, Some(&doc)));
+                    for memoized in [Subject::doc(&doc), Subject::record(&shared, Some(&doc))] {
+                        for (with, without) in tasks(memoized).iter().zip(&plain) {
+                            prop_assert_eq!(
+                                llm.content_key(ModelId::Mini, with),
+                                llm.content_key(ModelId::Mini, without)
+                            );
+                            prop_assert_eq!(
+                                llm.invoke(ModelId::Mini, with),
+                                llm.invoke(ModelId::Mini, without)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

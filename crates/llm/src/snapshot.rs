@@ -221,7 +221,7 @@ impl ValueParser<'_> {
                     .map(|bits| Value::Float(f64::from_bits(bits)))
                     .map_err(|_| SnapshotError::Format("bad float bits".into()))
             }
-            's' => Ok(Value::Str(self.read_str()?)),
+            's' => Ok(Value::Str(self.read_str()?.into())),
             'l' => {
                 if self.chars.next() != Some('[') {
                     return Self::fail("list missing [");

@@ -46,10 +46,13 @@ fn word_tokens(word: &str) -> usize {
     tokens.max(1)
 }
 
-/// Counts tokens for a prompt assembled from multiple parts, adding a small
-/// per-part framing overhead (role headers, separators).
+/// Tokens of framing (role headers, separators) billed per prompt part.
+pub const PART_FRAMING: usize = 4;
+
+/// Counts tokens for a prompt assembled from multiple parts, adding the
+/// per-part framing overhead.
 pub fn count_parts(parts: &[&str]) -> usize {
-    parts.iter().map(|p| count(p) + 4).sum()
+    parts.iter().map(|p| count(p) + PART_FRAMING).sum()
 }
 
 #[cfg(test)]

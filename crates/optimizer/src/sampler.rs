@@ -9,11 +9,10 @@
 
 use crate::bandit::Ucb1;
 use aida_data::{Record, Value};
-use aida_llm::oracle::Subject;
 use aida_llm::{LlmTask, ModelId};
+use aida_semops::exec::{scan_record, subject_of};
 use aida_semops::plan::{LogicalOp, LogicalPlan};
-use aida_semops::{exec::subject_text, ExecEnv};
-use std::borrow::Cow;
+use aida_semops::ExecEnv;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -116,12 +115,7 @@ impl<'a> Sampler<'a> {
                 let k = self.config.sample_records.clamp(1, n);
                 let stride = n / k;
                 (0..k)
-                    .map(|i| {
-                        let doc = &lake.docs()[(i * stride).min(n - 1)];
-                        Record::new(doc.name.clone())
-                            .with("filename", doc.name.clone())
-                            .with("contents", doc.text())
-                    })
+                    .map(|i| scan_record(&lake.docs()[(i * stride).min(n - 1)]))
                     .collect()
             }
             _ => Vec::new(),
@@ -132,7 +126,7 @@ impl<'a> Sampler<'a> {
         } else {
             sample
                 .iter()
-                .map(|r| aida_llm::tokens::count(&subject_text(r)) as f64)
+                .map(|r| subject_of(r, lake.as_deref()).text_tokens() as f64)
                 .sum::<f64>()
                 / sample.len() as f64
         };
@@ -285,12 +279,7 @@ impl<'a> Sampler<'a> {
         lake: Option<&aida_data::DataLake>,
         model: ModelId,
     ) -> ReferenceObs {
-        let origin = lake.and_then(|l| l.get(&rec.source)).map(Arc::as_ref);
-        let subject = Subject {
-            name: Cow::Borrowed(rec.source.as_str()),
-            text: Cow::Owned(subject_text(rec)),
-            labels: origin.map(|d| &d.labels),
-        };
+        let subject = subject_of(rec, lake);
         let resp = match op {
             LogicalOp::SemFilter { instruction } => self.env.llm.invoke(
                 model,

@@ -159,7 +159,7 @@ impl ScriptValue {
             ScriptValue::Bool(b) => DataValue::Bool(*b),
             ScriptValue::Int(i) => DataValue::Int(*i),
             ScriptValue::Float(f) => DataValue::Float(*f),
-            ScriptValue::Str(s) => DataValue::Str(s.as_str().to_string()),
+            ScriptValue::Str(s) => DataValue::Str(s.as_str().into()),
             ScriptValue::List(items) => DataValue::List(
                 items
                     .borrow()
@@ -173,7 +173,7 @@ impl ScriptValue {
                     .iter()
                     .map(|(k, v)| {
                         Ok(DataValue::List(vec![
-                            DataValue::Str(k.clone()),
+                            DataValue::Str(k.as_str().into()),
                             v.to_data()?,
                         ]))
                     })
@@ -195,7 +195,7 @@ impl ScriptValue {
             DataValue::Bool(b) => ScriptValue::Bool(*b),
             DataValue::Int(i) => ScriptValue::Int(*i),
             DataValue::Float(f) => ScriptValue::Float(*f),
-            DataValue::Str(s) => ScriptValue::str(s.clone()),
+            DataValue::Str(s) => ScriptValue::str(&**s),
             DataValue::List(items) => {
                 ScriptValue::list(items.iter().map(ScriptValue::from_data).collect())
             }

@@ -9,11 +9,11 @@
 use crate::physical::{PhysicalPlan, PhysicalStep};
 use crate::plan::LogicalOp;
 use crate::stats::{OperatorStats, PlanStats};
-use aida_data::{DataLake, Record, Value};
+use aida_data::{DataLake, Document, Record, Value};
+pub use aida_llm::oracle::subject_text;
 use aida_llm::oracle::Subject;
 use aida_llm::{Embedder, LlmTask, SimClock, SimLlm};
 use aida_obs::{Recorder, SpanKind};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Shared execution environment.
@@ -173,15 +173,7 @@ impl<'a> Executor<'a> {
                     source.len().max(1),
                     parallelism,
                 );
-                source
-                    .docs()
-                    .iter()
-                    .map(|doc| {
-                        Record::new(doc.name.clone())
-                            .with("filename", doc.name.clone())
-                            .with("contents", doc.text())
-                    })
-                    .collect()
+                source.docs().iter().map(|doc| scan_record(doc)).collect()
             }
             LogicalOp::SemFilter { instruction } => {
                 let verdicts =
@@ -356,7 +348,7 @@ impl<'a> Executor<'a> {
                     .advance_parallel(total_latency, k, parallelism);
                 let mut out = records;
                 for (rec, a) in out.iter_mut().zip(assignments) {
-                    rec.set("group", Value::Str(labels[a].clone()));
+                    rec.set("group", labels[a].as_str());
                 }
                 out
             }
@@ -431,21 +423,12 @@ impl<'a> Executor<'a> {
         F: Fn(&SimLlm, Subject<'_>) -> aida_llm::LlmResponse + Sync,
     {
         let llm = &self.env.llm;
-        let texts: Vec<String> = records.iter().map(subject_text).collect();
-        let subject_of = |i: usize| {
-            let rec = &records[i];
-            let origin = lake.and_then(|l| l.get(&rec.source)).map(Arc::as_ref);
-            Subject {
-                name: Cow::Borrowed(rec.source.as_str()),
-                text: Cow::Borrowed(texts[i].as_str()),
-                labels: origin.map(|d| &d.labels),
-            }
-        };
+        let subjects: Vec<Subject<'_>> = records.iter().map(|rec| subject_of(rec, lake)).collect();
         let responses = self.coalesced_parallel(
             records.len(),
-            |i| (records[i].source.as_str(), texts[i].as_str()),
+            |i| (records[i].source.as_str(), subjects[i].text_hash()),
             parallelism,
-            |i| call(llm, subject_of(i)),
+            |i| call(llm, subjects[i].clone()),
         );
         let total_latency: f64 = responses.iter().map(|r| r.latency_s).sum();
         self.env
@@ -522,13 +505,19 @@ fn dedup_indices<K: Eq + std::hash::Hash>(
     (rep, uniques)
 }
 
-/// The text a model "reads" for a record: the raw document contents when
-/// the record still carries them, otherwise the rendered fields.
-pub fn subject_text(rec: &Record) -> String {
-    match rec.get("contents") {
-        Some(Value::Str(contents)) => contents.clone(),
-        _ => rec.render(),
-    }
+/// The record a scan emits for a document: its name and its text, shared
+/// with the document rather than copied.
+pub fn scan_record(doc: &Document) -> Record {
+    Record::new(doc.name.clone())
+        .with("filename", doc.name.clone())
+        .with("contents", Arc::clone(doc.shared_text()))
+}
+
+/// A record as an LLM subject, linked to the document of `lake` it was
+/// scanned from (which carries the labels and the memoized text).
+pub fn subject_of<'a>(rec: &'a Record, lake: Option<&'a DataLake>) -> Subject<'a> {
+    let origin = lake.and_then(|l| l.get(&rec.source)).map(Arc::as_ref);
+    Subject::record(rec, origin)
 }
 
 fn floor_char_boundary(s: &str, mut idx: usize) -> usize {

@@ -531,7 +531,9 @@ fn binary(op: SqlBinOp, l: &Value, r: &Value) -> Result<Value, SqlError> {
                         .map(Value::Int)
                         .ok_or_else(|| SqlError::Eval("integer overflow".into()))
                 }
-                (Value::Str(a), Value::Str(b)) if op == Add => Ok(Value::Str(format!("{a}{b}"))),
+                (Value::Str(a), Value::Str(b)) if op == Add => {
+                    Ok(Value::Str(format!("{a}{b}").into()))
+                }
                 _ => {
                     let a = l.as_float().map_err(|_| type_mismatch(op, l, r))?;
                     let b = r.as_float().map_err(|_| type_mismatch(op, l, r))?;
@@ -661,7 +663,7 @@ fn scalar_func(name: &str, args: &[Value]) -> Result<Value, SqlError> {
         "LOWER" => {
             arity(1)?;
             Ok(match &args[0] {
-                Value::Str(s) => Value::Str(s.to_lowercase()),
+                Value::Str(s) => Value::Str(s.to_lowercase().into()),
                 Value::Null => Value::Null,
                 other => return Err(SqlError::Eval(format!("LOWER of {}", other.type_name()))),
             })
@@ -669,7 +671,7 @@ fn scalar_func(name: &str, args: &[Value]) -> Result<Value, SqlError> {
         "UPPER" => {
             arity(1)?;
             Ok(match &args[0] {
-                Value::Str(s) => Value::Str(s.to_uppercase()),
+                Value::Str(s) => Value::Str(s.to_uppercase().into()),
                 Value::Null => Value::Null,
                 other => return Err(SqlError::Eval(format!("UPPER of {}", other.type_name()))),
             })

@@ -136,7 +136,7 @@ pub fn execute_statement(sql: &str, catalog: &mut Catalog) -> Result<StatementRe
         let mut table = Table::new(aida_data::Schema::of(["plan"]));
         for line in exec::explain(&query) {
             table
-                .push_row(vec![aida_data::Value::Str(line)])
+                .push_row(vec![aida_data::Value::Str(line.into())])
                 .map_err(|e| SqlError::Eval(e.to_string()))?;
         }
         return Ok(StatementResult::Rows(table));

@@ -372,7 +372,7 @@ impl Parser {
         match self.advance() {
             SqlTok::Int(v) => Ok(Expr::Literal(Value::Int(v))),
             SqlTok::Float(v) => Ok(Expr::Literal(Value::Float(v))),
-            SqlTok::Str(s) => Ok(Expr::Literal(Value::Str(s))),
+            SqlTok::Str(s) => Ok(Expr::Literal(Value::Str(s.into()))),
             SqlTok::LParen => {
                 let inner = self.expr()?;
                 self.expect_tok(SqlTok::RParen, "')'")?;
