@@ -11,7 +11,9 @@ cargo test -q --workspace
 # host-speed change may not move a simulated dollar, second, answer or
 # trace line. Regenerate them with the release binaries and compare with
 # the committed canonical files (the soak is the full one: that is what
-# results/ holds, and it takes seconds).
+# results/ holds, and it takes seconds). None of the fourteen carries a
+# byte count of the state files, so a change to the on-disk format of
+# durable state leaves them alone.
 for bin in table1 table2 figure1 figure2 serve_soak; do
   AIDA_RESULTS_DIR=target/ci-results \
     cargo run -q --release -p aida-bench --bin "$bin" >/dev/null
@@ -21,6 +23,16 @@ for f in BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.js
   BENCH_serve_soak.json BENCH_semcache.json serve_soak.txt health.jsonl; do
   cmp "target/ci-results/$f" "results/$f"
 done
+
+# The soak's durable Context store writes each document once (the pool),
+# not once per Context that holds it: 1246 document references over 35
+# distinct documents are ~0.6 MB. The per-Context copy was 12.36 MB.
+state_bytes=$(wc -c <target/ci-results/serve_soak_durable/state.bin)
+if [ "$state_bytes" -gt 1048576 ]; then
+  echo "serve_soak_durable/state.bin is $state_bytes bytes (> 1 MiB):" \
+    "documents are being written per Context again" >&2
+  exit 1
+fi
 
 # Static analysis: the workspace must stay clean above the checked-in
 # baseline (lint.toml), and the lint report itself must be
@@ -134,9 +146,12 @@ SERVE_SOAK_SMOKE=1 AIDA_RESULTS_DIR=target/ci-kill9 \
 
 # Checkpoint scaling: the bench itself asserts delta-mode bytes per
 # checkpoint stay within 2x between the 1x and 10x store (smoke rungs)
-# while full rewrites grow with the store, and that group commit cuts
-# ledger fsyncs >= 5x (exit nonzero otherwise). Its canonical JSON
-# carries only deterministic metrics — two runs must be byte-identical.
+# while full rewrites grow with the store — by per-Context metadata
+# only: Contexts narrowed from one lake leave each document in a
+# snapshot once, and an insert frame over known documents defines none
+# — and that group commit cuts ledger fsyncs >= 5x (exit nonzero
+# otherwise). Its canonical JSON carries only deterministic metrics —
+# two runs must be byte-identical.
 CHECKPOINT_BENCH_SMOKE=1 AIDA_RESULTS_DIR=target/ci-ckpt-a \
   cargo run -q --release -p aida-bench --bin checkpoint_bench >/dev/null
 CHECKPOINT_BENCH_SMOKE=1 AIDA_RESULTS_DIR=target/ci-ckpt-b \

@@ -11,6 +11,14 @@
 //!   since the previous checkpoint; bytes written per checkpoint stay
 //!   flat regardless of store size.
 //!
+//! Contexts are materialized the way the service materializes them:
+//! every one is a narrowing of ONE shared lake and holds three of its
+//! eight documents by `Arc`. A state file writes a document once (the
+//! pool), so a full snapshot costs the distinct documents plus
+//! per-Context metadata — not Contexts × documents — and a delta frame
+//! that inserts a Context over already-written documents carries
+//! indices, not text.
+//!
 //! Bytes are measured from the files themselves (state-file size per
 //! full rewrite, delta-chain growth per frame), so the canonical
 //! metrics in `results/BENCH_checkpoint.json` are byte-identical across
@@ -19,10 +27,13 @@
 //! per-record vs group-committed and reports the fsync collapse.
 //!
 //! Self-asserts (the paper's scaling claim): delta bytes/checkpoint at
-//! the largest scale stay within 2× of the smallest, full-rewrite
-//! bytes/checkpoint grow with the store, and group commit cuts fsyncs
-//! per append by at least 5×. `CHECKPOINT_BENCH_SMOKE=1` drops the 100×
-//! rung for CI.
+//! the largest scale stay within 2× of the smallest; full-rewrite
+//! bytes/checkpoint grow with the store, but by metadata only — every
+//! snapshot holds each document at most once, and a Context added to
+//! the store adds less than half of ONE document's bytes although it
+//! holds three; an insert frame over known documents defines none; and
+//! group commit cuts fsyncs per append by at least 5×.
+//! `CHECKPOINT_BENCH_SMOKE=1` drops the 100× rung for CI.
 
 use aida_bench::BenchResult;
 use aida_core::{Context, Runtime};
@@ -30,17 +41,38 @@ use aida_data::{DataLake, Document};
 use aida_llm::WallStopwatch;
 use aida_serve::{LedgerRecord, LedgerWal};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Checkpoint cycles measured per mode (after the seeding full save).
 const CYCLES: usize = 8;
 
-fn context(rt: &Runtime, name: &str) -> Context {
-    let lake = DataLake::from_docs([Document::new(
-        format!("{name}.txt"),
-        format!("{name}: synthetic checkpoint-bench document body"),
-    )]);
-    Context::builder(name, lake)
-        .description(format!("checkpoint bench context {name}"))
+/// Documents in the shared lake, and how many of them a Context holds.
+const LAKE_DOCS: usize = 8;
+const DOCS_PER_CONTEXT: usize = 3;
+
+/// The marker each lake document's body starts with (and holds once).
+fn doc_marker(k: usize) -> String {
+    format!("lake document {k} body:")
+}
+
+/// The one lake every Context of a run is narrowed from: ~1 KiB per
+/// document, so text and metadata are easy to tell apart in the bytes.
+fn shared_lake() -> DataLake {
+    DataLake::from_docs((0..LAKE_DOCS).map(|k| {
+        let line = format!(" synthetic checkpoint-bench sentence of document {k};");
+        Document::new(
+            format!("lake{k}.txt"),
+            format!("{}{}", doc_marker(k), line.repeat(20)),
+        )
+    }))
+}
+
+/// Context `i`: documents `i..i+3` (mod 8) of the shared lake, held by
+/// `Arc` exactly as `search`/`compute` narrow a lake.
+fn context(rt: &Runtime, lake: &DataLake, i: usize) -> Context {
+    let docs = (0..DOCS_PER_CONTEXT).map(|j| Arc::clone(&lake.docs()[(i + j) % LAKE_DOCS]));
+    Context::builder(format!("seed{i}"), DataLake::from_arcs(docs))
+        .description(format!("checkpoint bench context seed{i}"))
         .build(rt)
 }
 
@@ -52,6 +84,11 @@ struct ModeRun {
     bytes_per_ckpt: f64,
     frames: u64,
     wall_s: f64,
+    /// Pool lines in the state file of the seeding full snapshot.
+    pool_docs: usize,
+    /// Delta mode: bytes of one more frame that inserts a Context over
+    /// documents the chain already holds.
+    insert_frame_bytes: u64,
 }
 
 /// Seeds `scale` contexts, full-saves once, then runs `CYCLES` cycles of
@@ -70,12 +107,27 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
         builder = builder.delta_checkpoints(true).full_snapshot_every(1 << 20);
     }
     let rt = builder.build();
+    let lake = shared_lake();
     for i in 0..scale {
-        let ctx = context(&rt, &format!("seed{i}"));
+        let ctx = context(&rt, &lake, i);
         rt.manager()
             .register(&format!("seed instruction {i}"), ctx, 1.0);
     }
     assert!(rt.save_state().expect("seeding checkpoint"), "seed save");
+
+    // The pool: however many Contexts hold a document, the snapshot
+    // writes it once.
+    let seeded = std::fs::read_to_string(&state).expect("seeded state file");
+    let pool_docs = seeded.lines().filter(|l| l.starts_with("P\t")).count();
+    let distinct = LAKE_DOCS.min(scale + DOCS_PER_CONTEXT - 1);
+    assert_eq!(
+        pool_docs, distinct,
+        "scale {scale}: one pool line per distinct document"
+    );
+    for k in 0..LAKE_DOCS {
+        let copies = seeded.matches(&doc_marker(k)).count();
+        assert!(copies <= 1, "scale {scale}: document {k} written {copies}x");
+    }
 
     let delta_path = if delta { rt.delta_path() } else { None };
     let mut bytes_written = 0u64;
@@ -100,6 +152,27 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
     }
     let wall_s = watch.elapsed_s();
 
+    // One more frame, this time an insert: the new Context holds three
+    // documents, and the frame names them by index.
+    let mut insert_frame_bytes = 0;
+    if let Some(path) = delta_path.as_deref() {
+        let newcomer = (0..LAKE_DOCS)
+            .find(|i| distinct == LAKE_DOCS || i + DOCS_PER_CONTEXT <= distinct)
+            .expect("some window of the lake is already in the pool");
+        rt.manager().register(
+            "a late arrival over known documents",
+            context(&rt, &lake, newcomer),
+            1.0,
+        );
+        assert!(rt.save_state().expect("insert checkpoint"), "insert save");
+        insert_frame_bytes = file_len(path) - last_delta_len;
+        let chain = std::fs::read_to_string(path).expect("delta chain");
+        assert!(
+            !chain.contains("\tP\t"),
+            "scale {scale}: a frame over known documents defines none"
+        );
+    }
+
     // The chain must replay to exactly the live store before we credit
     // the bytes saved.
     let rebuilt = Runtime::builder()
@@ -118,6 +191,8 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
         bytes_per_ckpt: bytes_written as f64 / CYCLES as f64,
         frames,
         wall_s,
+        pool_docs,
+        insert_frame_bytes,
     }
 }
 
@@ -161,6 +236,8 @@ fn main() {
     let mut bench = BenchResult::new("checkpoint", seed);
     let mut full_rates = Vec::new();
     let mut delta_rates = Vec::new();
+    let mut insert_frames = Vec::new();
+    let mut pool_docs = Vec::new();
     for &scale in scales {
         let full = run_mode(&scratch, scale, false);
         let delta = run_mode(&scratch, scale, true);
@@ -174,7 +251,15 @@ fn main() {
                 format!("delta_{scale}x/bytes_per_ckpt"),
                 delta.bytes_per_ckpt,
             )
-            .metric(format!("delta_{scale}x/frames"), delta.frames as f64);
+            .metric(format!("full_{scale}x/pool_docs"), full.pool_docs as f64)
+            .metric(format!("delta_{scale}x/frames"), delta.frames as f64)
+            .metric(
+                format!("delta_{scale}x/insert_frame_bytes"),
+                delta.insert_frame_bytes as f64,
+            );
+        assert_eq!(full.pool_docs, delta.pool_docs, "both modes seed alike");
+        pool_docs.push(full.pool_docs);
+        insert_frames.push(delta.insert_frame_bytes as f64);
         full_rates.push(full.bytes_per_ckpt);
         delta_rates.push(delta.bytes_per_ckpt);
     }
@@ -185,9 +270,22 @@ fn main() {
     println!(
         "scaling {top}x/1x: full-rewrite {full_growth:.1}x more bytes per checkpoint, delta {delta_flatness:.2}x"
     );
+    // A snapshot is its distinct documents plus per-Context metadata:
+    // what one more Context adds once the documents new to the pool are
+    // taken out, against what one of the three documents it holds weighs.
+    let doc_bytes = shared_lake().total_bytes() as f64 / LAKE_DOCS as f64;
+    let new_docs = (pool_docs.last().unwrap() - pool_docs[0]) as f64;
+    let per_context = (full_rates.last().unwrap() - full_rates[0] - new_docs * doc_bytes)
+        / (*top as f64 - scales[0] as f64);
+    println!(
+        "full snapshot: +{per_context:.0} B per Context holding {DOCS_PER_CONTEXT} documents of {doc_bytes:.0} B; insert frame {:.0} B",
+        insert_frames.last().unwrap()
+    );
     bench = bench
         .metric("full_growth_x", full_growth)
-        .metric("delta_flatness_x", delta_flatness);
+        .metric("delta_flatness_x", delta_flatness)
+        .metric("full_bytes_per_added_context", per_context)
+        .metric("lake_doc_bytes", doc_bytes);
 
     let records = if smoke { 32 } else { 256 };
     let (plain_rate, grouped_rate) = fsync_rates(&scratch, records);
@@ -209,11 +307,18 @@ fn main() {
         eprintln!("FAIL: delta bytes/checkpoint grew {delta_flatness:.2}x at {top}x scale (> 2x)");
         std::process::exit(1);
     }
-    let floor = *top as f64 / 2.0;
-    if full_growth < floor {
+    if full_growth < 2.0 * delta_flatness.max(1.0) {
+        eprintln!("FAIL: full-rewrite bytes grew only {full_growth:.1}x at {top}x scale");
+        std::process::exit(1);
+    }
+    if per_context > doc_bytes / 2.0 {
         eprintln!(
-            "FAIL: full-rewrite bytes grew only {full_growth:.1}x at {top}x scale (< {floor:.0}x)"
+            "FAIL: a Context adds {per_context:.0} B to a full snapshot; its documents ({doc_bytes:.0} B each) are being copied per Context"
         );
+        std::process::exit(1);
+    }
+    if *insert_frames.last().unwrap() > doc_bytes / 2.0 {
+        eprintln!("FAIL: an insert frame over known documents carries their text");
         std::process::exit(1);
     }
     if reduction < 5.0 {

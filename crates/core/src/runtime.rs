@@ -1,6 +1,6 @@
 //! The runtime: shared services every query uses.
 
-use crate::manager::ContextManager;
+use crate::manager::{encode_delta_frame, ContextManager, DocPool};
 use aida_data::{DataLake, Table};
 use aida_llm::snapshot::{self, FailPlan, SnapshotError};
 use aida_llm::{ModelId, SimLlm, UsageSnapshot};
@@ -112,12 +112,17 @@ impl Default for RuntimeConfig {
 /// extends; frames are stamped with it so a stale chain (from a crash
 /// between a full-snapshot commit and the chain reset) can never be
 /// applied to the wrong base. `None` forces the next save to write a
-/// full snapshot.
-#[derive(Debug, Default)]
+/// full snapshot. The checkpointer owns the chain: `frames` is also the
+/// next frame's sequence number, `chain_len` the bytes of the chain file
+/// it has made durable, and `pool` the documents the base snapshot and
+/// those frames defined — a frame's documents join it only once the
+/// frame's `fsync` has returned.
+#[derive(Default)]
 struct DeltaState {
-    next_seq: u64,
     frames: u64,
     base_sum: Option<u64>,
+    chain_len: u64,
+    pool: DocPool,
 }
 
 /// The shared runtime: simulated LLM + clock, context manager, and the SQL
@@ -238,13 +243,13 @@ impl Runtime {
         }
         let full_every = self.config.full_snapshot_every.max(1);
         let mut delta = self.delta.lock();
-        if delta.base_sum.is_none() || delta.frames >= full_every {
+        let Some(base) = delta.base_sum.filter(|_| delta.frames < full_every) else {
             // Full rewrite: the journal's mutations are folded into the
             // snapshot, so the chain (and the journal) reset. The chain
             // file is removed only after the snapshot commits — a crash
             // in between leaves a stale chain whose base stamp no longer
             // matches, which recovery discards.
-            let text = self.manager.encode_snapshot();
+            let (text, pool) = self.manager.encode_snapshot_pooled();
             snapshot::commit_atomic(path, &text, plan)?;
             let _ = self.manager.drain_journal();
             match std::fs::remove_file(delta_path_for(path)) {
@@ -252,38 +257,41 @@ impl Runtime {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e),
             }
-            delta.base_sum = Some(snapshot::fnv64(text.as_bytes()));
-            delta.frames = 0;
-            delta.next_seq = 0;
+            *delta = DeltaState {
+                base_sum: Some(snapshot::fnv64(text.as_bytes())),
+                pool,
+                ..DeltaState::default()
+            };
             self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
             self.recorder()
                 .counter_add(registry::CHECKPOINT_BYTES, text.len() as u64);
             return Ok(true);
-        }
-        let records = self.manager.drain_journal();
-        if records.is_empty() {
+        };
+        let ops = self.manager.drain_journal();
+        if ops.is_empty() {
             // Nothing changed since the last frame: the checkpoint is a
             // durable no-op, not an error.
             return Ok(true);
         }
-        let base = delta.base_sum.expect("checked above");
-        let payload = encode_delta_frame(base, &records);
-        let seq = delta.next_seq;
-        if let Err(e) = snapshot::delta_append(&delta_path_for(path), seq, &payload, plan) {
-            // The mutations are not durable yet: put them back so the
-            // next (retried) frame still carries them.
-            self.manager.restore_journal(records);
-            return Err(e);
-        }
-        delta.next_seq += 1;
+        let defined = delta.pool.defined();
+        let payload = encode_delta_frame(base, &ops, &mut delta.pool);
+        let chain = delta_path_for(path);
+        let appended =
+            snapshot::delta_append(&chain, delta.chain_len, delta.frames, &payload, plan);
+        // Nothing of a failed frame is durable: its documents leave the
+        // pool and its mutations go back to the journal, so the retried
+        // frame defines and carries them again.
+        let bytes = appended.inspect_err(|_| {
+            delta.pool.truncate(defined);
+            self.manager.restore_journal(ops);
+        })?;
+        delta.chain_len += bytes;
         delta.frames += 1;
         self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
         self.recorder()
             .counter_add(registry::CHECKPOINT_DELTA_FRAMES, 1);
-        self.recorder().counter_add(
-            registry::CHECKPOINT_BYTES,
-            snapshot::wal_record_line(seq, &payload).len() as u64,
-        );
+        self.recorder()
+            .counter_add(registry::CHECKPOINT_BYTES, bytes);
         Ok(true)
     }
 
@@ -307,42 +315,30 @@ impl Runtime {
                 .description(desc)
                 .build(self)
         };
-        let mut n = self.manager.load_snapshot(&text, &rebuild)?;
-        if self.config.delta_checkpoints {
-            // Replay the delta chain on top of the snapshot. Frames are
-            // trusted up to the first violation — torn tail, bad
-            // checksum, out-of-order seq (all caught by the WAL replay),
-            // a base stamp that doesn't match this snapshot, or a record
-            // the store rejects — exactly the suffix-truncation
-            // semantics of the ledger WAL. After a restore, the next
-            // save rewrites a full snapshot, so the chain on disk is
-            // never extended against a base it didn't come from.
-            let base_sum = snapshot::fnv64(text.as_bytes());
-            let replay = snapshot::wal_replay(&delta_path_for(path)).map_err(SnapshotError::Io)?;
-            let mut frames = 0u64;
-            'frames: for (_, payload) in &replay.records {
-                let Some(records) = decode_delta_frame(base_sum, payload) else {
-                    break 'frames;
-                };
-                for record in &records {
-                    if self.manager.apply_delta(record, &rebuild).is_err() {
-                        break 'frames;
-                    }
-                }
-                frames += 1;
-            }
-            if frames > 0 {
-                self.recorder().flight(
-                    "core.state",
-                    "delta_replayed",
-                    format!("{frames} delta frames on top of the snapshot"),
-                );
-            }
-            self.manager.trim_to_capacity();
-            n = self.manager.len();
-            let mut delta = self.delta.lock();
-            *delta = DeltaState::default();
+        // In delta mode, replay the chain on top of the snapshot. Frames
+        // are trusted up to the first violation — torn tail, bad
+        // checksum, out-of-order seq (all caught by the WAL replay), a
+        // stamp that doesn't match this snapshot and pool, or a record
+        // the store rejects — exactly the suffix-truncation semantics of
+        // the ledger WAL. After a restore, the next save rewrites a full
+        // snapshot, so the chain on disk is never extended against a
+        // base it didn't come from.
+        let chain = if self.config.delta_checkpoints {
+            snapshot::wal_replay(&delta_path_for(path))
+                .map_err(SnapshotError::Io)?
+                .records
+        } else {
+            Vec::new()
+        };
+        let (n, frames) = self.manager.load_chain(&text, &chain, &rebuild)?;
+        if frames > 0 {
+            self.recorder().flight(
+                "core.state",
+                "delta_replayed",
+                format!("{frames} delta frames on top of the snapshot"),
+            );
         }
+        *self.delta.lock() = DeltaState::default();
         self.recorder()
             .counter_add(registry::STATE_RESTORED_CONTEXTS, n as u64);
         if n > 0 {
@@ -501,34 +497,6 @@ fn delta_path_for(path: &std::path::Path) -> std::path::PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(".delta");
     std::path::PathBuf::from(os)
-}
-
-/// Encodes one delta frame: the base-snapshot stamp, then each journal
-/// record re-escaped so the frame stays a single newline-free,
-/// tab-separated WAL payload (records themselves contain real tabs).
-fn encode_delta_frame(base_sum: u64, records: &[String]) -> String {
-    let mut payload = format!("{base_sum:016x}");
-    for record in records {
-        payload.push('\t');
-        snapshot::esc(record, &mut payload);
-    }
-    payload
-}
-
-/// Decodes a delta frame, returning its journal records — or `None`
-/// when the frame is malformed or stamped against a different base
-/// snapshot (a stale or cross-generation chain).
-fn decode_delta_frame(base_sum: u64, payload: &str) -> Option<Vec<String>> {
-    let mut fields = payload.split('\t');
-    let stamped = u64::from_str_radix(fields.next()?, 16).ok()?;
-    if stamped != base_sum {
-        return None;
-    }
-    let mut records = Vec::new();
-    for field in fields {
-        records.push(snapshot::unesc(field).ok()?);
-    }
-    Some(records)
 }
 
 /// Builder for [`Runtime`].

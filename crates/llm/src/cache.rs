@@ -489,7 +489,7 @@ fn decode_entry(line: &str) -> Result<(CacheKey, LlmResponse), SnapshotError> {
         key,
         LlmResponse {
             value: decode_value(fields[6])?,
-            text: unesc(fields[7])?,
+            text: unesc(fields[7])?.into_owned(),
             input_tokens,
             output_tokens,
             latency_s,

@@ -29,8 +29,9 @@
 //! `recover(crash(S)) ∈ {S_pre, S_committed}` at every point.
 
 use aida_data::Value;
-use std::fmt;
-use std::io::{self, Write};
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
@@ -78,52 +79,91 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 // escape the structural `,` `[` `]` so the recursive decoder can split
 // on them. Floats round-trip via `f64::to_bits`.
 
-/// Escapes a string for a tab-separated snapshot field.
-pub fn esc(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
+/// The escape for a byte [`esc`] may not emit raw, if it is one.
+fn text_escape(byte: u8) -> Option<&'static str> {
+    match byte {
+        b'\\' => Some("\\\\"),
+        b'\t' => Some("\\t"),
+        b'\n' => Some("\\n"),
+        b'\r' => Some("\\r"),
+        _ => None,
+    }
+}
+
+/// Copies `s` to `out` a run at a time: everything up to the next byte
+/// `escape` names is one `push_str`. Every escaped byte is ASCII, so
+/// the cuts always fall on character boundaries.
+fn esc_with(s: &str, out: &mut String, escape: impl Fn(u8) -> Option<&'static str>) {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if let Some(escaped) = escape(byte) {
+            out.push_str(&s[run..i]);
+            out.push_str(escaped);
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
+}
+
+/// Escapes a string for a tab-separated snapshot field.
+pub fn esc(s: &str, out: &mut String) {
+    esc_with(s, out, text_escape);
 }
 
 fn esc_value_str(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            ',' => out.push_str("\\c"),
-            '[' => out.push_str("\\o"),
-            ']' => out.push_str("\\e"),
-            _ => out.push(c),
-        }
+    esc_with(s, out, |byte| match byte {
+        b',' => Some("\\c"),
+        b'[' => Some("\\o"),
+        b']' => Some("\\e"),
+        _ => text_escape(byte),
+    });
+}
+
+/// Unescapes the front of `*rest` a run at a time and advances `*rest`
+/// past what it read: the whole field for text, up to the first
+/// unescaped `,` or `]` inside a value payload. Borrowed when the run
+/// holds no backslash.
+fn unesc_run<'a>(rest: &mut &'a str, in_value: bool) -> Result<Cow<'a, str>, SnapshotError> {
+    let mut out = String::new();
+    loop {
+        let stop = rest
+            .bytes()
+            .position(|b| b == b'\\' || (in_value && (b == b',' || b == b']')))
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(stop);
+        let Some(escape) = tail.strip_prefix('\\') else {
+            *rest = tail;
+            // Every escape pushes a character: empty means none was seen.
+            return Ok(if out.is_empty() {
+                Cow::Borrowed(run)
+            } else {
+                out.push_str(run);
+                Cow::Owned(out)
+            });
+        };
+        out.reserve(rest.len());
+        out.push_str(run);
+        let mut chars = escape.chars();
+        out.push(match (chars.next(), in_value) {
+            (Some('\\'), _) => '\\',
+            (Some('t'), _) => '\t',
+            (Some('n'), _) => '\n',
+            (Some('r'), _) => '\r',
+            (Some('c'), true) => ',',
+            (Some('o'), true) => '[',
+            (Some('e'), true) => ']',
+            (None, true) => return ValueParser::fail("dangling escape"),
+            (_, true) => return ValueParser::fail("unknown escape"),
+            (_, false) => return ValueParser::fail("bad text escape"),
+        });
+        *rest = chars.as_str();
     }
 }
 
-/// Reverses [`esc`]. Any malformed escape is a format error.
-pub fn unesc(raw: &str) -> Result<String, SnapshotError> {
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        out.push(match chars.next() {
-            Some('\\') => '\\',
-            Some('t') => '\t',
-            Some('n') => '\n',
-            Some('r') => '\r',
-            _ => return Err(SnapshotError::Format("bad text escape".into())),
-        });
-    }
-    Ok(out)
+/// Reverses [`esc`]; borrows `raw` when it holds no escape. Any
+/// malformed escape is a format error.
+pub fn unesc(mut raw: &str) -> Result<Cow<'_, str>, SnapshotError> {
+    unesc_run(&mut raw, false)
 }
 
 /// Appends the tagged encoding of a [`Value`] (`n`, `b0`/`b1`, `i…`,
@@ -158,53 +198,34 @@ pub fn encode_value(value: &Value, out: &mut String) {
 }
 
 struct ValueParser<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    rest: &'a str,
 }
 
-impl ValueParser<'_> {
+impl<'a> ValueParser<'a> {
     fn fail<T>(msg: &str) -> Result<T, SnapshotError> {
         Err(SnapshotError::Format(msg.to_string()))
     }
 
-    /// Reads characters until an unescaped structural delimiter (`,` or
-    /// `]`) or end of input, unescaping as it goes.
-    fn read_str(&mut self) -> Result<String, SnapshotError> {
-        let mut out = String::new();
-        while let Some(&c) = self.chars.peek() {
-            match c {
-                ',' | ']' => break,
-                '\\' => {
-                    self.chars.next();
-                    let Some(esc) = self.chars.next() else {
-                        return Self::fail("dangling escape");
-                    };
-                    out.push(match esc {
-                        '\\' => '\\',
-                        't' => '\t',
-                        'n' => '\n',
-                        'r' => '\r',
-                        'c' => ',',
-                        'o' => '[',
-                        'e' => ']',
-                        _ => return Self::fail("unknown escape"),
-                    });
-                }
-                _ => {
-                    self.chars.next();
-                    out.push(c);
-                }
-            }
-        }
-        Ok(out)
+    fn next(&mut self) -> Option<char> {
+        let mut chars = self.rest.chars();
+        let c = chars.next();
+        self.rest = chars.as_str();
+        c
+    }
+
+    /// Reads up to an unescaped structural delimiter (`,` or `]`) or end
+    /// of input, unescaping as it goes.
+    fn read_str(&mut self) -> Result<Cow<'a, str>, SnapshotError> {
+        unesc_run(&mut self.rest, true)
     }
 
     fn parse(&mut self) -> Result<Value, SnapshotError> {
-        let Some(tag) = self.chars.next() else {
+        let Some(tag) = self.next() else {
             return Self::fail("empty value");
         };
         match tag {
             'n' => Ok(Value::Null),
-            'b' => match self.chars.next() {
+            'b' => match self.next() {
                 Some('1') => Ok(Value::Bool(true)),
                 Some('0') => Ok(Value::Bool(false)),
                 _ => Self::fail("bad bool"),
@@ -221,19 +242,21 @@ impl ValueParser<'_> {
                     .map(|bits| Value::Float(f64::from_bits(bits)))
                     .map_err(|_| SnapshotError::Format("bad float bits".into()))
             }
-            's' => Ok(Value::Str(self.read_str()?.into())),
+            // Straight from the (usually borrowed) run into the `Arc`:
+            // one copy of the text, not two.
+            's' => Ok(Value::Str(self.read_str()?.as_ref().into())),
             'l' => {
-                if self.chars.next() != Some('[') {
+                if self.next() != Some('[') {
                     return Self::fail("list missing [");
                 }
                 let mut items = Vec::new();
-                if self.chars.peek() == Some(&']') {
-                    self.chars.next();
+                if let Some(rest) = self.rest.strip_prefix(']') {
+                    self.rest = rest;
                     return Ok(Value::List(items));
                 }
                 loop {
                     items.push(self.parse()?);
-                    match self.chars.next() {
+                    match self.next() {
                         Some(',') => continue,
                         Some(']') => break,
                         _ => return Self::fail("unterminated list"),
@@ -248,11 +271,9 @@ impl ValueParser<'_> {
 
 /// Reverses [`encode_value`]; trailing bytes are a format error.
 pub fn decode_value(raw: &str) -> Result<Value, SnapshotError> {
-    let mut parser = ValueParser {
-        chars: raw.chars().peekable(),
-    };
+    let mut parser = ValueParser { rest: raw };
     let value = parser.parse()?;
-    if parser.chars.next().is_some() {
+    if !parser.rest.is_empty() {
         return Err(SnapshotError::Format("trailing value bytes".into()));
     }
     Ok(value)
@@ -554,8 +575,12 @@ pub fn wal_record_line(seq: u64, payload: &str) -> String {
         !payload.contains('\n'),
         "WAL payloads must be newline-free (escape fields with esc)"
     );
-    let head = format!("{seq:016x}\t{payload}");
-    format!("{head}\t{:016x}\n", fnv64(head.as_bytes()))
+    let mut line = String::with_capacity(payload.len() + 35);
+    let _ = write!(line, "{seq:016x}\t");
+    line.push_str(payload);
+    let sum = fnv64(line.as_bytes());
+    let _ = writeln!(line, "\t{sum:016x}");
+    line
 }
 
 /// Appends one checksummed record to the WAL at `path`, creating the
@@ -668,17 +693,22 @@ pub fn wal_seal_segment(path: &Path, sealed: &Path, plan: Option<&FailPlan>) -> 
     Ok(())
 }
 
-/// Appends one checksummed delta frame to the chain at `path`. Same
-/// record codec and fsync discipline as [`wal_append`], but with its
-/// own torn-write crash point ([`CrashPoint::DeltaTornAppend`]) so the
-/// durability suite can kill a checkpoint's delta emission
-/// independently of the ledger WAL.
+/// Writes one checksummed delta frame to the chain at `path`, at byte
+/// `durable_len` — the length the writer has made durable so far, which
+/// it owns. Whatever lies beyond it is the residue of a failed append
+/// and is cut off first, so a retried frame never lands mid-line.
+/// Returns the bytes the frame takes on disk. Same record codec and
+/// fsync discipline as [`wal_append`], but with its own torn-write
+/// crash point ([`CrashPoint::DeltaTornAppend`]) so the durability
+/// suite can kill a checkpoint's delta emission independently of the
+/// ledger WAL.
 pub fn delta_append(
     path: &Path,
+    durable_len: u64,
     seq: u64,
     payload: &str,
     plan: Option<&FailPlan>,
-) -> io::Result<()> {
+) -> io::Result<u64> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
@@ -688,8 +718,11 @@ pub fn delta_append(
     let created = !path.exists();
     let mut file = std::fs::OpenOptions::new()
         .create(true)
-        .append(true)
+        .truncate(false)
+        .write(true)
         .open(path)?;
+    file.set_len(durable_len)?;
+    file.seek(io::SeekFrom::Start(durable_len))?;
     if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::DeltaTornAppend)) {
         let bytes = line.as_bytes();
         file.write_all(&bytes[..keep.min(bytes.len())])?;
@@ -703,7 +736,7 @@ pub fn delta_append(
     if created {
         sync_parent_dir(path)?;
     }
-    Ok(())
+    Ok(line.len() as u64)
 }
 
 /// What [`wal_replay`] recovered.
@@ -1019,14 +1052,270 @@ mod tests {
     fn delta_append_tears_like_a_wal_record() {
         let d = dir("delta");
         let path = d.join("state.delta");
-        delta_append(&path, 0, "I\tctx-one", None).unwrap();
+        let len = delta_append(&path, 0, 0, "I\tctx-one", None).unwrap();
+        assert_eq!(len, wal_record_line(0, "I\tctx-one").len() as u64);
         let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(4);
-        let err = delta_append(&path, 1, "E\tctx-one", Some(&plan)).unwrap_err();
+        let err = delta_append(&path, len, 1, "E\tctx-one", Some(&plan)).unwrap_err();
         assert!(FailPlan::is_crash(&err));
         let replay = wal_replay(&path).unwrap();
         assert!(replay.dropped_tail);
         assert_eq!(replay.records, vec![(0, "I\tctx-one".to_string())]);
+        // The writer owns the durable length: the retried frame first
+        // cuts the torn bytes off, so it is not lost with them.
+        delta_append(&path, len, 1, "E\tctx-one", None).unwrap();
+        let replay = wal_replay(&path).unwrap();
+        assert!(!replay.dropped_tail);
+        assert_eq!(replay.records.len(), 2);
         let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// The codec as it was before it copied a run at a time: one
+    /// character per step. Kept as the reference the run-wise functions
+    /// must agree with byte for byte and error for error.
+    mod charwise {
+        use super::super::SnapshotError;
+        use aida_data::Value;
+
+        pub fn esc(s: &str, out: &mut String) {
+            for c in s.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '\t' => out.push_str("\\t"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    _ => out.push(c),
+                }
+            }
+        }
+
+        pub fn esc_value_str(s: &str, out: &mut String) {
+            for c in s.chars() {
+                match c {
+                    '\\' => out.push_str("\\\\"),
+                    '\t' => out.push_str("\\t"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    ',' => out.push_str("\\c"),
+                    '[' => out.push_str("\\o"),
+                    ']' => out.push_str("\\e"),
+                    _ => out.push(c),
+                }
+            }
+        }
+
+        pub fn unesc(raw: &str) -> Result<String, SnapshotError> {
+            let mut out = String::with_capacity(raw.len());
+            let mut chars = raw.chars();
+            while let Some(c) = chars.next() {
+                if c != '\\' {
+                    out.push(c);
+                    continue;
+                }
+                out.push(match chars.next() {
+                    Some('\\') => '\\',
+                    Some('t') => '\t',
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    _ => return Err(SnapshotError::Format("bad text escape".into())),
+                });
+            }
+            Ok(out)
+        }
+
+        struct ValueParser<'a> {
+            chars: std::iter::Peekable<std::str::Chars<'a>>,
+        }
+
+        impl ValueParser<'_> {
+            fn fail<T>(msg: &str) -> Result<T, SnapshotError> {
+                Err(SnapshotError::Format(msg.to_string()))
+            }
+
+            fn read_str(&mut self) -> Result<String, SnapshotError> {
+                let mut out = String::new();
+                while let Some(&c) = self.chars.peek() {
+                    match c {
+                        ',' | ']' => break,
+                        '\\' => {
+                            self.chars.next();
+                            let Some(esc) = self.chars.next() else {
+                                return Self::fail("dangling escape");
+                            };
+                            out.push(match esc {
+                                '\\' => '\\',
+                                't' => '\t',
+                                'n' => '\n',
+                                'r' => '\r',
+                                'c' => ',',
+                                'o' => '[',
+                                'e' => ']',
+                                _ => return Self::fail("unknown escape"),
+                            });
+                        }
+                        _ => {
+                            self.chars.next();
+                            out.push(c);
+                        }
+                    }
+                }
+                Ok(out)
+            }
+
+            fn parse(&mut self) -> Result<Value, SnapshotError> {
+                let Some(tag) = self.chars.next() else {
+                    return Self::fail("empty value");
+                };
+                match tag {
+                    'n' => Ok(Value::Null),
+                    'b' => match self.chars.next() {
+                        Some('1') => Ok(Value::Bool(true)),
+                        Some('0') => Ok(Value::Bool(false)),
+                        _ => Self::fail("bad bool"),
+                    },
+                    'i' => {
+                        let raw = self.read_str()?;
+                        raw.parse::<i64>()
+                            .map(Value::Int)
+                            .map_err(|_| SnapshotError::Format("bad int".into()))
+                    }
+                    'f' => {
+                        let raw = self.read_str()?;
+                        u64::from_str_radix(&raw, 16)
+                            .map(|bits| Value::Float(f64::from_bits(bits)))
+                            .map_err(|_| SnapshotError::Format("bad float bits".into()))
+                    }
+                    's' => Ok(Value::Str(self.read_str()?.into())),
+                    'l' => {
+                        if self.chars.next() != Some('[') {
+                            return Self::fail("list missing [");
+                        }
+                        let mut items = Vec::new();
+                        if self.chars.peek() == Some(&']') {
+                            self.chars.next();
+                            return Ok(Value::List(items));
+                        }
+                        loop {
+                            items.push(self.parse()?);
+                            match self.chars.next() {
+                                Some(',') => continue,
+                                Some(']') => break,
+                                _ => return Self::fail("unterminated list"),
+                            }
+                        }
+                        Ok(Value::List(items))
+                    }
+                    _ => Self::fail("unknown value tag"),
+                }
+            }
+        }
+
+        pub fn decode_value(raw: &str) -> Result<Value, SnapshotError> {
+            let mut parser = ValueParser {
+                chars: raw.chars().peekable(),
+            };
+            let value = parser.parse()?;
+            if parser.chars.next().is_some() {
+                return Err(SnapshotError::Format("trailing value bytes".into()));
+            }
+            Ok(value)
+        }
+    }
+
+    #[test]
+    fn unesc_borrows_a_field_without_escapes() {
+        assert!(matches!(
+            unesc("plain é text"),
+            Ok(Cow::Borrowed("plain é text"))
+        ));
+        assert!(matches!(unesc(""), Ok(Cow::Borrowed(""))));
+        assert!(matches!(unesc("a\\tb"), Ok(Cow::Owned(s)) if s == "a\tb"));
+        // A lone backslash, a trailing one, and an escape the text codec
+        // does not know are all the same format error.
+        for bad in ["\\", "ab\\", "a\\cb", "\\é"] {
+            assert!(matches!(unesc(bad), Err(SnapshotError::Format(m)) if m == "bad text escape"));
+        }
+    }
+
+    #[test]
+    fn wal_record_line_keeps_its_bytes() {
+        // The line is built in one buffer now; this is the layout the
+        // two `format!` copies used to produce.
+        for (seq, payload) in [(0u64, ""), (7, "spend\tacme\t42"), (u64::MAX, "é\\t")] {
+            let head = format!("{seq:016x}\t{payload}");
+            let expected = format!("{head}\t{:016x}\n", fnv64(head.as_bytes()));
+            assert_eq!(wal_record_line(seq, payload), expected);
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Every escape letter, every byte the codecs treat specially,
+        /// lone backslashes, and multi-byte characters on both sides of
+        /// them.
+        const ALPHABET: [char; 20] = [
+            '\\', '\t', '\n', '\r', ',', '[', ']', 't', 'n', 'r', 'c', 'o', 'e', 'a', ' ', 'é',
+            'ß', '語', '😀', '\u{0}',
+        ];
+
+        fn text() -> impl Strategy<Value = String> {
+            prop::collection::vec(0usize..ALPHABET.len(), 0..24)
+                .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+        }
+
+        /// Value payloads, well-formed or not: the tags and digits too.
+        fn value_text() -> impl Strategy<Value = String> {
+            const EXTRA: [char; 8] = ['s', 'l', 'i', 'f', 'b', '0', '1', '-'];
+            prop::collection::vec(0usize..ALPHABET.len() + EXTRA.len(), 0..16).prop_map(|picks| {
+                picks
+                    .into_iter()
+                    .map(|i| *ALPHABET.get(i).unwrap_or(&EXTRA[i % EXTRA.len()]))
+                    .collect()
+            })
+        }
+
+        fn outcome<T: std::fmt::Debug>(r: Result<T, SnapshotError>) -> String {
+            format!("{r:?}")
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn esc_matches_the_charwise_reference(s in text()) {
+                let (mut new, mut old) = (String::from("x"), String::from("x"));
+                esc(&s, &mut new);
+                charwise::esc(&s, &mut old);
+                prop_assert_eq!(&new, &old);
+                prop_assert_eq!(unesc(&new[1..]).unwrap(), s.as_str());
+                let (mut new, mut old) = (String::new(), String::new());
+                esc_value_str(&s, &mut new);
+                charwise::esc_value_str(&s, &mut old);
+                prop_assert_eq!(new, old);
+            }
+
+            /// Arbitrary (mostly malformed) input: same text or the same
+            /// error.
+            #[test]
+            fn unesc_matches_the_charwise_reference(raw in text()) {
+                let new = unesc(&raw).map(Cow::into_owned);
+                prop_assert_eq!(outcome(new), outcome(charwise::unesc(&raw)));
+            }
+
+            #[test]
+            fn decode_value_matches_the_charwise_reference(raw in value_text(), s in text()) {
+                prop_assert_eq!(
+                    outcome(decode_value(&raw)),
+                    outcome(charwise::decode_value(&raw))
+                );
+                let value = Value::List(vec![Value::Str(s.as_str().into()), Value::Int(-3)]);
+                let mut encoded = String::new();
+                encode_value(&value, &mut encoded);
+                prop_assert_eq!(decode_value(&encoded).unwrap(), value.clone());
+                prop_assert_eq!(charwise::decode_value(&encoded).unwrap(), value);
+            }
+        }
     }
 
     #[test]

@@ -732,9 +732,11 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
                 u64::from_str_radix(v, 16)
                     .map_err(|_| bad_artifact(format!("bad float const {v:?}")))?,
             )),
-            Some(("s", v)) => {
-                Const::Str(unesc(v).map_err(|e| bad_artifact(format!("bad string const: {e:?}")))?)
-            }
+            Some(("s", v)) => Const::Str(
+                unesc(v)
+                    .map_err(|e| bad_artifact(format!("bad string const: {e:?}")))?
+                    .into(),
+            ),
             Some(("b", v)) => Const::Bool(v == "1"),
             None if rest == "n" => Const::None,
             _ => return Err(bad_artifact(format!("bad const line {line:?}"))),
@@ -747,8 +749,11 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
         let raw = line
             .strip_prefix("n ")
             .ok_or_else(|| bad_artifact(format!("bad name line {line:?}")))?;
-        p.names
-            .push(unesc(raw).map_err(|e| bad_artifact(format!("bad name: {e:?}")))?);
+        p.names.push(
+            unesc(raw)
+                .map_err(|e| bad_artifact(format!("bad name: {e:?}")))?
+                .into_owned(),
+        );
     }
     let n = counted(next("vars")?, "vars")?;
     for _ in 0..n {
@@ -792,14 +797,19 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
         let nregs = num("nregs")? as u16;
         let ncode = num("code count")?;
         let name = unesc(it.next().unwrap_or(""))
-            .map_err(|e| bad_artifact(format!("bad func name: {e:?}")))?;
+            .map_err(|e| bad_artifact(format!("bad func name: {e:?}")))?
+            .into_owned();
         let mut locals = Vec::with_capacity(nlocals);
         for _ in 0..nlocals {
             let line = next("local")?;
             let raw = line
                 .strip_prefix("l ")
                 .ok_or_else(|| bad_artifact(format!("bad local line {line:?}")))?;
-            locals.push(unesc(raw).map_err(|e| bad_artifact(format!("bad local: {e:?}")))?);
+            locals.push(
+                unesc(raw)
+                    .map_err(|e| bad_artifact(format!("bad local: {e:?}")))?
+                    .into_owned(),
+            );
         }
         let mut code = Vec::with_capacity(ncode);
         for _ in 0..ncode {
@@ -882,7 +892,9 @@ fn decode_bound<'a>(
         let (b, raw) = rest
             .split_once(' ')
             .ok_or_else(|| bad_artifact(format!("bad bound call line {line:?}")))?;
-        let name = unesc(raw).map_err(|e| bad_artifact(format!("bad bound call name: {e:?}")))?;
+        let name = unesc(raw)
+            .map_err(|e| bad_artifact(format!("bad bound call name: {e:?}")))?
+            .into_owned();
         calls.insert(name, parse_bound_token(b)?);
     }
     let n = count(next("busd")?, "busd")?;

@@ -13,7 +13,7 @@
 
 use aida::core::{Context, Runtime};
 use aida::data::{DataLake, Document};
-use aida::llm::snapshot::{CrashPoint, FailPlan};
+use aida::llm::snapshot::{self, CrashPoint, FailPlan, SnapshotError};
 use aida::serve::{
     open_loop, LedgerRecord, LedgerWal, QueryService, ServeConfig, TenantConfig, TenantId,
     TenantLedger, TenantLoad,
@@ -280,7 +280,10 @@ fn log_structured_crashes_lose_batches_whole_and_seals_lose_nothing() {
 
 /// Crash the delta-frame append: a torn frame rolls the restored
 /// manager back to the previous checkpoint — never to a half-applied
-/// store.
+/// store. In the process that survives the failed append, the journal
+/// and the chain's document pool are as they were before it, so the
+/// retried frame carries the mutation again and defines its document
+/// again — after cutting the torn bytes off the chain.
 #[test]
 fn torn_delta_frame_recovers_the_previous_checkpoint() {
     let dir = TestDir::new("delta-torn");
@@ -306,12 +309,22 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     rt.manager().register("beta instruction", mk("beta"), 2.0);
     assert!(rt.save_state().unwrap()); // delta frame 1
     let committed = rt.manager().encode_snapshot();
+    let delta = rt.delta_path().expect("delta mode has a chain path");
+    let intact = fs::read(&delta).unwrap();
 
     rt.manager().register("gamma instruction", mk("gamma"), 3.0);
+    assert_eq!(rt.manager().journal_len(), 1);
     let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(9);
     let err = rt.save_state_with(Some(&plan)).unwrap_err();
     assert!(FailPlan::is_crash(&err));
     assert!(plan.tripped());
+    assert_eq!(
+        rt.manager().journal_len(),
+        1,
+        "the failed frame's mutation is back in the journal"
+    );
+    let torn = fs::read(&delta).unwrap();
+    assert_eq!(torn.len(), intact.len() + 9, "a torn prefix is on disk");
 
     // Restart: the torn frame is dropped, the intact chain replays.
     let rt2 = build();
@@ -320,13 +333,40 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
         committed,
         "recovery lands on the last intact frame, gamma is lost in full"
     );
+    drop(rt2);
+
+    // No restart: the surviving process retries. The frame lands where
+    // the durable chain ends, not behind the torn bytes, and defines
+    // gamma's document itself — the failed attempt left nothing in the
+    // chain's pool for it to refer to.
+    assert!(rt.save_state().unwrap());
+    assert_eq!(rt.manager().journal_len(), 0);
+    let retried = fs::read_to_string(&delta).unwrap();
+    assert!(retried.as_bytes().starts_with(&intact));
+    let frame = &retried[intact.len()..];
+    // Seq 1 again, and a pool of two before it — alpha (snapshot) and
+    // beta (frame 1) — to which it adds gamma.
+    assert!(frame.starts_with("0000000000000001\t"), "{frame}");
+    assert!(
+        frame.contains("\t2\tP\tgamma.txt\tgamma doc\t0\tC\tgamma instruction\t"),
+        "{frame}"
+    );
+    let rt3 = build();
+    assert_eq!(
+        rt3.manager().encode_snapshot(),
+        rt.manager().encode_snapshot(),
+        "the retried frame replays: nothing acknowledged is lost"
+    );
 }
 
 // ---- tentpole: delta-chain prefix consistency --------------------------
 
 /// Truncating the delta chain at *every* byte recovers a state that is
 /// exactly some frame prefix of the chain — never a blend, never a
-/// half-applied frame. Byte flips behave the same way.
+/// half-applied frame. Byte flips behave the same way. Frames 2–4 hold
+/// a document only by reference to its definition in frame 1, so a
+/// prefix is also the only thing that *can* be recovered: a frame
+/// replayed without the frames before it would refer to nothing.
 #[test]
 fn delta_chain_damage_recovers_an_exact_frame_prefix() {
     let dir = TestDir::new("delta-prefix");
@@ -339,26 +379,42 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
             .build()
     };
     let rt = build();
-    let mk = |name: &str| {
-        Context::builder(
-            name,
-            DataLake::from_docs([Document::new(format!("{name}.txt"), format!("{name} doc"))]),
-        )
-        .description(name)
-        .build(&rt)
+    let shared = Arc::new(Document::new(
+        "shared.txt",
+        "the shared document\tdefined once, in frame 1",
+    ));
+    let mk = |name: &str, with_shared: bool| {
+        let own = Arc::new(Document::new(format!("{name}.txt"), format!("{name} doc")));
+        let docs = with_shared.then(|| Arc::clone(&shared)).into_iter();
+        Context::builder(name, DataLake::from_arcs(docs.chain([own])))
+            .description(name)
+            .build(&rt)
     };
-    rt.manager().register("base instruction", mk("base"), 1.0);
+    rt.manager()
+        .register("base instruction", mk("base", false), 1.0);
     assert!(rt.save_state().unwrap()); // full snapshot
+    let snapshot_text = fs::read_to_string(&state).unwrap();
     let mut frame_states = vec![rt.manager().encode_snapshot()];
     for i in 0..4 {
-        rt.manager()
-            .register(&format!("ctx{i} instruction"), mk(&format!("c{i}")), 2.0);
+        rt.manager().register(
+            &format!("ctx{i} instruction"),
+            mk(&format!("c{i}"), true),
+            2.0,
+        );
         assert!(rt.save_state().unwrap()); // one delta frame each
         frame_states.push(rt.manager().encode_snapshot());
     }
     let delta = rt.delta_path().expect("delta mode has a chain path");
     let clean = fs::read(&delta).unwrap();
-    assert!(!clean.is_empty(), "four delta frames on disk");
+    let text = String::from_utf8(clean.clone()).unwrap();
+    let frames: Vec<&str> = text.split_inclusive('\n').collect();
+    assert_eq!(frames.len(), 4, "four delta frames on disk");
+    assert!(frames[0].contains("\tP\tshared.txt\t"));
+    assert_eq!(
+        text.matches("the shared document").count(),
+        1,
+        "frames 2-4 refer back to frame 1's definition"
+    );
 
     for cut in 0..=clean.len() {
         fs::write(&delta, &clean[..cut]).unwrap();
@@ -381,6 +437,94 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
             "flip at byte {index}: damage truncates the chain, never corrupts it"
         );
     }
+
+    // Frames that pass their checksum but not the chain's rules: each
+    // is rejected together with everything after it, without a panic.
+    let base_sum = snapshot::fnv64(snapshot_text.as_bytes());
+    let recovered = |chain: String| {
+        fs::write(&delta, chain).unwrap();
+        build().manager().encode_snapshot()
+    };
+    // Frame 1 gone: frame 2 says the pool holds three documents, this
+    // replay has one.
+    assert_eq!(recovered(frames[1..].concat()), frame_states[0]);
+    // Frame 2 gone: frame 3 extends a pool that frame 2 had grown.
+    let skipped = [frames[0], frames[2], frames[3]].concat();
+    assert_eq!(recovered(skipped), frame_states[1]);
+    // After frame 1 the pool holds base, shared and c0 (indices 0-2): a
+    // reference to index 3 points past it, and so does a reference to a
+    // document the same frame only defines afterwards.
+    let entry = "C\trogue instruction\t4000000000000000\t9\trogue\trogue\t0\t1";
+    let define = "P\tlate.txt\tlate\t0";
+    for payload in [
+        format!("{base_sum:016x}\t3\t{entry}\t3"),
+        format!("{base_sum:016x}\t3\t{entry}\t3\t{define}"),
+        format!("{base_sum:016x}\t3\t{entry}\t18446744073709551615"),
+        format!("{base_sum:016x}\t3\t{entry}\t-1"),
+    ] {
+        let rogue = snapshot::wal_record_line(1, &payload);
+        let chain = [frames[0], &rogue, frames[1]].concat();
+        assert_eq!(recovered(chain), frame_states[1], "{payload:?}");
+    }
+    // The same entry with a backward reference is a frame like any other.
+    let fine = snapshot::wal_record_line(1, &format!("{base_sum:016x}\t3\t{entry}\t1"));
+    let got = recovered([frames[0], &fine].concat());
+    assert!(got.contains("rogue instruction") && !frame_states.contains(&got));
+}
+
+/// State written by the previous format is refused, not migrated and
+/// never half-read: a `v1` snapshot is a typed format error and the
+/// runtime starts cold, and a `v1`-shaped frame (an `I` record where
+/// the pool length belongs) under a matching stamp ends the chain.
+#[test]
+fn v1_state_is_rejected_and_the_runtime_starts_cold() {
+    let dir = TestDir::new("v1-state");
+    let state = dir.file("state.bin");
+    let build = || {
+        Runtime::builder()
+            .seed(7)
+            .state_path(&state)
+            .delta_checkpoints(true)
+            .build()
+    };
+    let rt = build();
+    let ctx = Context::builder("lake", lake())
+        .description("FTC identity theft reports by year")
+        .build(&rt);
+    rt.manager().register("count the reports", ctx, 1.0);
+    assert!(rt.save_state().unwrap());
+    let v2 = fs::read_to_string(&state).unwrap();
+    assert!(v2.starts_with("aida-ctxstore v2\n"));
+    drop(rt);
+
+    // The same body under the old magic (one `D` line per Context's
+    // document would sit where the pool lines are; the reader does not
+    // get that far).
+    let body = v2.splitn(4, '\n').nth(3).unwrap();
+    fs::write(&state, snapshot::encode_file("aida-ctxstore v1", body)).unwrap();
+    let cold = build();
+    assert!(
+        cold.manager().is_empty(),
+        "a v1 file starts the runtime cold"
+    );
+    assert!(matches!(
+        cold.load_state(),
+        Err(SnapshotError::Format(msg)) if msg.contains("bad magic")
+    ));
+    assert!(
+        cold.manager().is_empty(),
+        "and a rejected load changes nothing"
+    );
+
+    // A v2 snapshot with a chain whose frame is stamped for it but laid
+    // out the old way: `<base_sum> \t <escaped I record>`.
+    fs::write(&state, &v2).unwrap();
+    let base_sum = snapshot::fnv64(v2.as_bytes());
+    let v1_frame = format!("{base_sum:016x}\tI\\tC\\\\tother\\\\t3ff0000000000000");
+    let delta = cold.delta_path().unwrap();
+    fs::write(&delta, snapshot::wal_record_line(0, &v1_frame)).unwrap();
+    let warm = build();
+    assert_eq!(warm.manager().encode_snapshot(), v2, "the snapshot alone");
 }
 
 /// A Context evicted between full snapshots must not resurrect through
