@@ -14,15 +14,36 @@ cargo test -q --workspace
 # results/ holds, and it takes seconds). None of the fourteen carries a
 # byte count of the state files, so a change to the on-disk format of
 # durable state leaves them alone.
-for bin in table1 table2 figure1 figure2 serve_soak; do
+pinned_bins=(table1 table2 figure1 figure2 serve_soak)
+pinned_files=(BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.json
+  table1.txt table1.json table2.txt table2.json figure1.txt figure2.txt
+  BENCH_serve_soak.json BENCH_semcache.json serve_soak.txt health.jsonl)
+for bin in "${pinned_bins[@]}"; do
   AIDA_RESULTS_DIR=target/ci-results \
     cargo run -q --release -p aida-bench --bin "$bin" >/dev/null
 done
-for f in BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.json \
-  table1.txt table1.json table2.txt table2.json figure1.txt figure2.txt \
-  BENCH_serve_soak.json BENCH_semcache.json serve_soak.txt health.jsonl; do
+for f in "${pinned_files[@]}"; do
   cmp "target/ci-results/$f" "results/$f"
 done
+
+# Fork-join: `parallel_map` runs a batch on as many host threads as the
+# process has CPUs, and inline on one. The same fourteen files must come
+# out of a run pinned to one CPU, so both paths produce the same bytes.
+# On a one-CPU host both runs are inline; only the fork-join unit test
+# (at 2 and 8 threads) then covers the threaded path.
+if [ "$(nproc)" -le 1 ]; then
+  echo "ci.sh: one CPU; the threaded parallel_map path was not compared with results/" >&2
+fi
+if command -v taskset >/dev/null; then
+  for bin in "${pinned_bins[@]}"; do
+    AIDA_RESULTS_DIR=target/ci-results-1cpu taskset -c 0 "./target/release/$bin" >/dev/null
+  done
+  for f in "${pinned_files[@]}"; do
+    cmp "target/ci-results-1cpu/$f" "results/$f"
+  done
+else
+  echo "ci.sh: taskset not found; skipping the one-CPU regeneration" >&2
+fi
 
 # The soak's durable Context store writes each document once (the pool),
 # not once per Context that holds it: 1246 document references over 35

@@ -26,11 +26,13 @@
 
 pub mod policy;
 pub mod runtime;
+mod step_cache;
 pub mod tool;
 pub mod tools;
 
 pub use policy::{AgentPolicy, DeepResearchPolicy, PolicyAction, PolicyContext};
 pub use runtime::{AgentOutcome, AgentRuntime, StepTrace};
+pub use step_cache::StepCache;
 pub use tool::{FnTool, Tool, ToolRegistry, ToolSpec};
 
 use aida_llm::ModelId;

@@ -4,15 +4,19 @@
 //! the code is statically checked, flow-sensitively typechecked against
 //! the tool registry, and compiled to bytecode — all *before* the planning
 //! call is billed, so a provably bad generation costs $0.00 and zero
-//! virtual seconds; then the step is billed to the simulated LLM as a call
-//! whose prompt is the task + tool manifest + observation tail and whose
-//! completion is the code; the compiled program runs on the register VM
-//! (or the tree-walking interpreter, via [`AgentRuntime::with_tree_walker`]
-//! or `AIDA_PYRITE_TREEWALK=1`) with the tools bound; printed output
-//! becomes the next observation. The loop ends when `final_answer` fires
-//! or the step budget runs out.
+//! virtual seconds. That verdict comes from the runtime's [`StepCache`]
+//! when the same source already met the same tools and globals, so a
+//! repeated step runs none of those passes. Then the step is billed to the
+//! simulated LLM as a call whose prompt is the task + tool manifest +
+//! observation tail and whose completion is the code, cache-keyed by the
+//! compiled plan's content hash; the compiled program runs on the
+//! register VM (or the tree-walking interpreter, the differential oracle,
+//! via [`AgentRuntime::with_tree_walker`]) with the tools bound; printed
+//! output becomes the next observation. The loop ends when `final_answer`
+//! fires or the step budget runs out.
 
 use crate::policy::{PolicyAction, PolicyContext};
+use crate::step_cache::{StepCache, StepKey, StepVerdict};
 use crate::tool::ToolRegistry;
 use crate::tools::AnswerCell;
 use crate::CodeAgent;
@@ -22,6 +26,7 @@ use aida_llm::LlmTask;
 use aida_obs::SpanKind;
 use aida_script::Interpreter;
 use aida_semops::ExecEnv;
+use std::sync::Arc;
 
 /// One executed agent step.
 #[derive(Debug, Clone)]
@@ -80,8 +85,10 @@ pub struct AgentRuntime<'a> {
     registry: ToolRegistry,
     lake: Option<DataLake>,
     /// Execute steps on the tree-walking interpreter instead of the
-    /// bytecode VM (fallback escape hatch; also the differential oracle).
+    /// bytecode VM (the differential oracle).
     tree_walk: bool,
+    /// Compiled-step verdicts, shared with every agent of one runtime.
+    steps: StepCache,
 }
 
 /// Maximum observation characters fed back into the next planning prompt.
@@ -92,21 +99,30 @@ const PROMPT_OBS_CAP: usize = 18_000;
 impl<'a> AgentRuntime<'a> {
     /// Creates a runtime. `lake` enables the policy's manual-judgement
     /// helper to resolve ground-truth labels, mirroring an agent actually
-    /// reading a document in context.
+    /// reading a document in context. The runtime starts its own
+    /// [`StepCache`]; [`AgentRuntime::with_step_cache`] shares one.
     pub fn new(env: &'a ExecEnv, registry: ToolRegistry, lake: Option<DataLake>) -> Self {
         AgentRuntime {
             env,
             registry,
             lake,
-            tree_walk: std::env::var("AIDA_PYRITE_TREEWALK").is_ok_and(|v| v == "1"),
+            tree_walk: false,
+            steps: StepCache::new(),
         }
+    }
+
+    /// Compiles steps through `steps` (a clone shares its store), so a
+    /// program another agent already compiled in the same environment
+    /// goes straight to the VM.
+    pub fn with_step_cache(mut self, steps: StepCache) -> Self {
+        self.steps = steps;
+        self
     }
 
     /// Forces step execution onto the tree-walking interpreter instead of
     /// the bytecode VM. The two are differential twins (identical values,
-    /// tool-call sequences, and fuel charges), so this is an escape hatch
-    /// and a test oracle, not a behavior switch. Also settable with the
-    /// environment variable `AIDA_PYRITE_TREEWALK=1`.
+    /// tool-call sequences, and fuel charges), so this is a test oracle,
+    /// not a behavior switch.
     pub fn with_tree_walker(mut self, tree_walk: bool) -> Self {
         self.tree_walk = tree_walk;
         self
@@ -160,6 +176,31 @@ impl<'a> AgentRuntime<'a> {
                 .typecheck_and_compile(registry, interp, code)
                 .map_err(|err| ("typecheck", err.to_string())),
         }
+    }
+
+    /// The front-end verdict for `code` in this environment: served from
+    /// the step cache when the same source already met the same tool
+    /// signatures and global names, computed (and cached) otherwise.
+    fn compile_step(
+        &self,
+        registry: &ToolRegistry,
+        interp: &Interpreter,
+        code: &str,
+    ) -> StepVerdict {
+        let key = StepKey {
+            source: code.to_string(),
+            tools: registry
+                .specs()
+                .into_iter()
+                .map(|spec| (spec.name.clone(), spec.signature.clone()))
+                .collect(),
+            globals: interp.check_env().globals,
+        };
+        self.steps.get_or_compile(key, || {
+            let program = self.check_and_compile(registry, interp, code)?;
+            let hash = program.content_hash();
+            Ok((Arc::new(program), hash))
+        })
     }
 
     /// Step-rejection bookkeeping shared by the static-check and
@@ -232,8 +273,8 @@ impl<'a> AgentRuntime<'a> {
             };
             step_span.attr("code", aida_obs::clip(&code, 80));
 
-            let compiled = match self.check_and_compile(&registry, &interp, &code) {
-                Ok(compiled) => compiled,
+            let (compiled, plan_hash) = match self.compile_step(&registry, &interp, &code) {
+                Ok(verdict) => verdict,
                 Err((pass, err)) => {
                     step_span.attr("rejected", pass);
                     let texts = (err.clone(), format!("ERROR: {err}"));
@@ -264,12 +305,13 @@ impl<'a> AgentRuntime<'a> {
                 &LlmTask::Freeform {
                     prompt: &prompt,
                     response: &code,
+                    plan_hash,
                 },
             );
             self.env.clock.advance(resp.latency_s);
 
             // Execute the code — on the bytecode VM by default; the
-            // tree-walker is the differential oracle and the fallback.
+            // tree-walker is the differential oracle.
             let run_result = if self.tree_walk {
                 interp.run(&code)
             } else {
@@ -575,9 +617,7 @@ mod tests {
         // (whitespace and line-number differences vanish in the canonical
         // encoding) must share one semantic-cache entry: the second
         // planning call is a plan-keyed hit and bills nothing.
-        let llm = SimLlm::new(3)
-            .with_cache(SemanticCache::new(CacheConfig::default()))
-            .with_plan_hasher(aida_script::plan_content_hash);
+        let llm = SimLlm::new(3).with_cache(SemanticCache::new(CacheConfig::default()));
         let env = ExecEnv::new(llm);
         let lake = lake();
         let rt = AgentRuntime::new(&env, registry(&lake), None);
@@ -596,6 +636,101 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.plan_hits, 1, "the hit is plan-keyed");
         assert_eq!(stats.misses, 2);
+    }
+
+    /// The interpreter and registry a step of `rt.run` sees before any
+    /// step has bound a global.
+    fn step_env(rt: &AgentRuntime<'_>) -> (ToolRegistry, Interpreter) {
+        let mut registry = rt.registry().clone();
+        registry.register(crate::tools::final_answer_tool(&AnswerCell::new()));
+        let mut interp = Interpreter::new();
+        registry.bind_into(&mut interp);
+        (registry, interp)
+    }
+
+    #[test]
+    fn repeated_steps_reuse_the_compiled_program_and_its_cache_key() {
+        use aida_llm::{CacheConfig, SemanticCache};
+        let llm = SimLlm::new(3).with_cache(SemanticCache::new(CacheConfig::default()));
+        let env = ExecEnv::new(llm);
+        let lake = lake();
+        let rt = AgentRuntime::new(&env, registry(&lake), None);
+        let code = "c = read_file('data.csv')\nprint(len(c))";
+        let (tools, interp) = step_env(&rt);
+        let (first, hash) = rt.compile_step(&tools, &interp, code).expect("compiles");
+        let (again, again_hash) = rt.compile_step(&tools, &interp, code).expect("compiles");
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "a repeated step is not recompiled"
+        );
+        let uncached = aida_script::compile_source(code).expect("compiles");
+        assert_eq!(hash, uncached.content_hash());
+        assert_eq!(again_hash, hash);
+        assert_eq!(*first, uncached);
+        // Billing: a runtime with its own, cold step cache compiles the
+        // step afresh and must land on the semantic-cache entry the
+        // cached verdict billed.
+        let run = |rt: &AgentRuntime<'_>| {
+            let agent =
+                CodeAgent::with_policy(AgentConfig::default(), Box::new(FixedPolicy(vec![code])));
+            rt.run(&agent, "same task").cost_usd
+        };
+        assert!(run(&rt) > 0.0, "first plan is billed");
+        assert_eq!(run(&rt), 0.0, "cached verdict hits the semantic cache");
+        let cold = AgentRuntime::new(&env, registry(&lake), None);
+        assert_eq!(run(&cold), 0.0, "uncached compile keys the same entry");
+        let stats = env.llm.cache().expect("cache attached").stats();
+        assert_eq!((stats.misses, stats.plan_hits), (1, 2));
+    }
+
+    #[test]
+    fn a_verdict_is_never_served_across_environments() {
+        let env = runtime_env();
+        let lake = lake();
+        let rt = AgentRuntime::new(&env, registry(&lake), None);
+        // `print(n)` before any step binds `n` is rejected; the same source
+        // after `n = 3` ran must be judged again, and runs.
+        let agent = CodeAgent::with_policy(
+            AgentConfig::default(),
+            Box::new(FixedPolicy(vec!["print(n)", "n = 3", "print(n)"])),
+        );
+        for _ in 0..2 {
+            let outcome = rt.run(&agent, "bind n late");
+            assert!(
+                outcome.steps[0].observation.starts_with("ERROR:"),
+                "{}",
+                outcome.steps[0].observation
+            );
+            assert!(outcome.steps[0].bound.is_none());
+            assert_eq!(outcome.steps[2].observation, "3");
+        }
+    }
+
+    #[test]
+    fn cached_rejections_cost_nothing_and_leave_a_flight_note() {
+        let recorder = aida_obs::Recorder::new();
+        let env = ExecEnv::new(SimLlm::new(3)).with_recorder(recorder.clone());
+        let lake = lake();
+        let rt = AgentRuntime::new(&env, registry(&lake), None);
+        let agent = CodeAgent::with_policy(
+            AgentConfig::default(),
+            Box::new(FixedPolicy(vec!["serch_files()", "c = read_file(7)"])),
+        );
+        let first = rt.run(&agent, "reject me");
+        let cached = rt.run(&agent, "reject me");
+        for outcome in [&first, &cached] {
+            assert_eq!(outcome.cost_usd, 0.0, "rejected steps must not bill");
+            assert_eq!(outcome.time_s, 0.0, "rejected steps must not take time");
+        }
+        for (a, b) in first.steps.iter().zip(&cached.steps) {
+            assert_eq!(a.observation, b.observation, "step {}", a.step);
+        }
+        let notes = recorder
+            .flight_records()
+            .iter()
+            .filter(|r| r.source == "agents.step" && r.kind == "step_rejected")
+            .count();
+        assert_eq!(notes, 4, "every rejection, cached or not, is noted");
     }
 
     #[test]

@@ -322,7 +322,8 @@ fn run_op(
             mode,
         }),
     );
-    let agent_runtime = AgentRuntime::new(runtime.env(), registry, Some(ctx.lake().clone()));
+    let agent_runtime = AgentRuntime::new(runtime.env(), registry, Some(ctx.lake().clone()))
+        .with_step_cache(runtime.step_cache().clone());
     let outcome = agent_runtime.run(&agent, &instruction);
 
     // Materialize: narrowed lake + enriched description + findings table.
@@ -767,5 +768,26 @@ mod tests {
             .compute("find the number of identity theft reports in 2024")
             .run();
         assert!(second.trace.iter().all(|t| !t.reused));
+    }
+
+    #[test]
+    fn agentic_operators_share_the_runtimes_step_cache() {
+        let rt = Runtime::builder().seed(17).context_reuse(false).build();
+        let w = legal::generate(17);
+        w.install_oracle(&rt.env().llm);
+        let ctx = Context::builder("legal", w.lake.clone())
+            .description(w.description.clone())
+            .build(&rt);
+        let first = rt.query(&ctx).compute(legal::QUERY).run();
+        let compiled = rt.step_cache().len();
+        assert!(
+            compiled > 0,
+            "the operator's agent compiled through the cache"
+        );
+        // A clone is the same runtime: the repeated question's agent finds
+        // every step compiled and adds nothing.
+        let second = rt.clone().query(&ctx).compute(legal::QUERY).run();
+        assert_eq!(rt.step_cache().len(), compiled);
+        assert_eq!(first.answer, second.answer);
     }
 }

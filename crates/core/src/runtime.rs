@@ -1,6 +1,7 @@
 //! The runtime: shared services every query uses.
 
 use crate::manager::{encode_delta_frame, ContextManager, DocPool};
+use aida_agents::StepCache;
 use aida_data::{DataLake, Table};
 use aida_llm::snapshot::{self, FailPlan, SnapshotError};
 use aida_llm::{ModelId, SimLlm, UsageSnapshot};
@@ -137,6 +138,8 @@ pub struct Runtime {
     ops_done: Arc<AtomicU64>,
     /// Incremental-checkpoint chain position (delta mode only).
     delta: Arc<Mutex<DeltaState>>,
+    /// Compiled agent steps, shared by every agentic operator's agents.
+    steps: StepCache,
 }
 
 impl Runtime {
@@ -158,6 +161,13 @@ impl Runtime {
     /// The materialized-context manager.
     pub fn manager(&self) -> &ContextManager {
         &self.manager
+    }
+
+    /// The compiled-step cache the agents of every agentic operator
+    /// share: a program any of them compiled in the same environment
+    /// goes straight to the VM.
+    pub(crate) fn step_cache(&self) -> &StepCache {
+        &self.steps
     }
 
     /// The trace recorder (disabled unless the runtime was built with
@@ -633,12 +643,7 @@ impl RuntimeBuilder {
 
     /// Builds the runtime.
     pub fn build(self) -> Runtime {
-        let mut llm = SimLlm::new(self.config.seed)
-            .with_fault_rate(self.config.fault_rate)
-            // Agent planning calls are cache-keyed by the compiled plan's
-            // bytecode hash: two textually different programs that lower
-            // to the same bytecode share one semantic-cache entry.
-            .with_plan_hasher(aida_script::plan_content_hash);
+        let mut llm = SimLlm::new(self.config.seed).with_fault_rate(self.config.fault_rate);
         if self.config.semantic_cache > 0 {
             let cache = aida_llm::SemanticCache::new(aida_llm::cache::CacheConfig {
                 capacity: self.config.semantic_cache,
@@ -671,6 +676,7 @@ impl RuntimeBuilder {
             config: self.config,
             ops_done: Arc::new(AtomicU64::new(0)),
             delta: Arc::new(Mutex::new(DeltaState::default())),
+            steps: StepCache::new(),
         };
         if runtime.config.delta_checkpoints {
             // The journal must observe every mutation from the start,

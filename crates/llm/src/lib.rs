@@ -37,6 +37,6 @@ pub use clock::{ScheduledSlot, SimClock, Timeline, WallStopwatch};
 pub use embed::Embedder;
 pub use models::{ModelCatalog, ModelId, ModelSpec};
 pub use oracle::{Oracle, OracleAnswer, OracleRule, Subject};
-pub use sim::{LlmResponse, LlmTask, PlanHasher, SimLlm};
+pub use sim::{LlmResponse, LlmTask, SimLlm};
 pub use snapshot::{CrashPoint, FailPlan};
 pub use usage::{Usage, UsageMeter, UsageSnapshot};

@@ -63,6 +63,11 @@ pub enum LlmTask<'a> {
         prompt: &'a str,
         /// Completion text (billed as output, returned verbatim).
         response: &'a str,
+        /// The content hash of the completion's compiled plan. The call
+        /// is cache-keyed by it instead of the raw text, so two textually
+        /// different plans that lower to identical bytecode share one
+        /// entry; hits count as [`crate::cache::CacheStats::plan_hits`].
+        plan_hash: (u64, u64),
     },
 }
 
@@ -83,13 +88,6 @@ pub struct LlmResponse {
     pub corrupted: bool,
 }
 
-/// Hashes a freeform completion into a stable plan identity, when the
-/// completion is a compilable program. Installed by layers that know the
-/// program language (the script crate's bytecode compiler) without this
-/// crate depending on them. Returning `None` means "not a program" and
-/// the raw text is hashed instead.
-pub type PlanHasher = fn(&str) -> Option<(u64, u64)>;
-
 /// The simulated LLM service.
 #[derive(Debug, Clone)]
 pub struct SimLlm {
@@ -100,7 +98,6 @@ pub struct SimLlm {
     fault_rate: f64,
     recorder: Recorder,
     cache: Option<SemanticCache>,
-    plan_hasher: Option<PlanHasher>,
 }
 
 impl SimLlm {
@@ -114,7 +111,6 @@ impl SimLlm {
             fault_rate: 0.0,
             recorder: Recorder::disabled(),
             cache: None,
-            plan_hasher: None,
         }
     }
 
@@ -189,17 +185,6 @@ impl SimLlm {
         self.cache.as_ref()
     }
 
-    /// Installs a plan hasher: freeform completions it can hash (i.e.
-    /// compilable agent programs) are cache-keyed by their compiled
-    /// bytecode's content hash instead of their raw text, so two
-    /// textually different plans that lower to identical bytecode share
-    /// one cache entry. Hits on such keys are counted separately as
-    /// [`crate::cache::CacheStats::plan_hits`].
-    pub fn with_plan_hasher(mut self, hasher: PlanHasher) -> Self {
-        self.plan_hasher = Some(hasher);
-        self
-    }
-
     /// The content-addressed cache key for a call: every determinant of
     /// the simulated response (seed, model, task kind and fields, and
     /// the subject's name, text, and oracle labels) is hashed, so equal
@@ -211,7 +196,6 @@ impl SimLlm {
     /// The content key plus whether it was derived from a compiled plan's
     /// bytecode hash (drives the `plan_hits` stat class on hits).
     fn keyed(&self, model: ModelId, task: &LlmTask<'_>) -> (CacheKey, bool) {
-        let mut plan_keyed = false;
         let mut parts: Vec<u64> = vec![self.seed, noise::hash_str(model.name())];
         let push_subject = |parts: &mut Vec<u64>, subject: &Subject<'_>| {
             parts.push(noise::hash_str(&subject.name));
@@ -265,23 +249,21 @@ impl SimLlm {
                 parts.extend(options.iter().map(|o| noise::hash_str(o)));
                 parts.push(correct.map(|i| i as u64 + 1).unwrap_or(0));
             }
-            LlmTask::Freeform { prompt, response } => {
+            LlmTask::Freeform {
+                prompt,
+                plan_hash: (hi, lo),
+                ..
+            } => {
+                // The inner tag 6 marks the plan-hash part; it is part of
+                // every stored key, so it stays.
                 parts.push(5);
                 parts.push(noise::hash_str(prompt));
-                match self.plan_hasher.and_then(|hash| hash(response)) {
-                    Some((hi, lo)) => {
-                        // Inner discriminator: a plan-keyed entry can
-                        // never collide with a text-keyed one even if
-                        // the bytecode hash equals some text hash.
-                        parts.push(6);
-                        parts.push(hi);
-                        parts.push(lo);
-                        plan_keyed = true;
-                    }
-                    None => parts.push(noise::hash_str(response)),
-                }
+                parts.push(6);
+                parts.push(*hi);
+                parts.push(*lo);
             }
         }
+        let plan_keyed = matches!(task, LlmTask::Freeform { .. });
         (CacheKey::from_parts(&parts), plan_keyed)
     }
 
@@ -352,7 +334,9 @@ impl SimLlm {
                 options,
                 correct,
             } => self.run_choose(model, question, options, *correct),
-            LlmTask::Freeform { prompt, response } => self.run_freeform(model, prompt, response),
+            LlmTask::Freeform {
+                prompt, response, ..
+            } => self.run_freeform(model, prompt, response),
         }
     }
 
@@ -1205,6 +1189,7 @@ mod tests {
         let task = LlmTask::Freeform {
             prompt: "plan the next step",
             response: "files = list_files()",
+            plan_hash: (1, 1),
         };
         let resp = llm.invoke(ModelId::Flagship, &task);
         assert_eq!(resp.text, "files = list_files()");
@@ -1289,59 +1274,37 @@ mod tests {
     }
 
     #[test]
-    fn plan_hasher_keys_freeform_calls_by_plan_identity() {
+    fn plan_hash_keys_freeform_calls_by_plan_identity() {
         use crate::cache::{CacheConfig, SemanticCache};
-        // Stand-in for a real program hasher: identifies a "plan" by its
-        // whitespace-stripped text, and declines non-plans (empty text).
-        fn by_shape(s: &str) -> Option<(u64, u64)> {
-            let canon: String = s.chars().filter(|c| !c.is_whitespace()).collect();
-            if canon.is_empty() {
-                return None;
-            }
-            Some((noise::hash_str(&canon), canon.len() as u64))
-        }
-        let llm = SimLlm::new(7)
-            .with_cache(SemanticCache::new(CacheConfig::default()))
-            .with_plan_hasher(by_shape);
-        let call = |resp: &str| {
+        let llm = SimLlm::new(7).with_cache(SemanticCache::new(CacheConfig::default()));
+        let call = |response: &str, plan_hash: (u64, u64)| {
             llm.invoke(
                 ModelId::Nano,
                 &LlmTask::Freeform {
                     prompt: "task",
-                    response: resp,
+                    response,
+                    plan_hash,
                 },
             )
         };
-        call("x = 1");
-        call("x  =  1"); // same plan identity → plan-keyed hit
-        call("x = 2"); // different plan → miss
+        call("x = 1", (1, 1));
+        call("x  =  1", (1, 1)); // same plan identity → plan-keyed hit
+        call("x = 2", (1, 2)); // different plan → miss
         let stats = llm.cache().unwrap().stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
         assert_eq!(stats.plan_hits, 1);
-        // A hasher that declines falls back to raw-text keying, and such
-        // hits are not counted as plan hits.
-        call("   ");
-        call("   ");
-        let stats = llm.cache().unwrap().stats();
-        assert_eq!((stats.hits, stats.misses), (2, 3));
-        assert_eq!(stats.plan_hits, 1, "text-keyed hit is not a plan hit");
-        // Without a hasher the same two responses key differently.
-        let plain = SimLlm::new(7).with_cache(SemanticCache::new(CacheConfig::default()));
-        let ka = plain.content_key(
-            ModelId::Nano,
-            &LlmTask::Freeform {
-                prompt: "task",
-                response: "x = 1",
-            },
-        );
-        let kb = plain.content_key(
-            ModelId::Nano,
-            &LlmTask::Freeform {
-                prompt: "task",
-                response: "x  =  1",
-            },
-        );
-        assert_ne!(ka, kb);
+        let key = |plan_hash: (u64, u64)| {
+            llm.content_key(
+                ModelId::Nano,
+                &LlmTask::Freeform {
+                    prompt: "task",
+                    response: "x = 1",
+                    plan_hash,
+                },
+            )
+        };
+        assert_ne!(key((1, 1)), key((1, 2)));
+        assert_ne!(key((1, 1)), key((2, 1)));
     }
 
     #[test]

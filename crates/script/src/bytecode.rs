@@ -945,14 +945,6 @@ pub fn compile_source(source: &str) -> Result<CompiledProgram, ScriptError> {
     compile(&parse(source)?)
 }
 
-/// The canonical plan hash of a source text, when it parses and
-/// compiles: the content-hash digest pair of its bytecode. The semantic
-/// call cache uses this to key planning calls by *plan identity* rather
-/// than plan text.
-pub fn plan_content_hash(source: &str) -> Option<(u64, u64)> {
-    compile_source(source).ok().map(|p| p.content_hash())
-}
-
 #[derive(Default)]
 struct Compiler {
     consts: Vec<Const>,
@@ -1960,15 +1952,5 @@ mod tests {
         // Different instructions hash differently.
         let c = compiled("x = 1\nx + 3");
         assert_ne!(a.content_hash(), c.content_hash());
-    }
-
-    #[test]
-    fn plan_hash_is_none_for_invalid_source() {
-        assert!(plan_content_hash("x = ").is_none());
-        assert!(plan_content_hash("x = 1").is_some());
-        assert_eq!(
-            plan_content_hash("x = 1"),
-            plan_content_hash("x = 1  # same plan")
-        );
     }
 }

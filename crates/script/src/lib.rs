@@ -58,7 +58,7 @@ pub use bounds::{
     analyze, Bound, CostBound, BUILTIN_NAMES, TOOL_CALL_MAX_INPUT_TOKENS,
     TOOL_CALL_MAX_OUTPUT_TOKENS,
 };
-pub use bytecode::{compile, compile_source, plan_content_hash, CompiledProgram};
+pub use bytecode::{compile, compile_source, CompiledProgram};
 pub use check::{CheckEnv, CheckIssue, CheckSeverity};
 pub use error::ScriptError;
 pub use interp::Interpreter;

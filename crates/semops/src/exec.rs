@@ -1,10 +1,11 @@
 //! The semantic-operator execution engine.
 //!
 //! Iterator semantics with batched parallelism: every operator consumes its
-//! full input batch, fanning LLM calls across `parallelism` workers. Wall
-//! time is accounted on the shared virtual clock as the batch's critical
-//! path (`ceil(n / parallelism)` waves); dollars flow through the shared
-//! usage meter, snapshotted per operator.
+//! full input batch, fanning LLM calls across `parallelism` virtual
+//! workers (run on at most one host thread per CPU: [`parallel_map`]).
+//! Wall time is accounted on the shared virtual clock as the batch's
+//! critical path (`ceil(n / parallelism)` waves); dollars flow through the
+//! shared usage meter, snapshotted per operator.
 
 use crate::physical::{PhysicalPlan, PhysicalStep};
 use crate::plan::LogicalOp;
@@ -27,12 +28,16 @@ pub struct ExecEnv {
     pub embedder: Embedder,
     /// Trace recorder (disabled unless opted in via [`ExecEnv::with_recorder`]).
     pub recorder: Recorder,
-    /// Ceiling on per-plan worker parallelism (plans request a level;
-    /// the environment caps it at what the host should fan out).
+    /// Ceiling on per-plan *virtual* fan-out: plans request a level, the
+    /// environment caps it, and the virtual clock charges a batch as
+    /// `ceil(n / parallelism)` waves. Host threads are a separate, smaller
+    /// number — [`parallel_map`] never runs more of them than the CPUs the
+    /// process may use — so no simulated second or dollar depends on the
+    /// machine.
     pub max_parallelism: usize,
 }
 
-/// Default ceiling on batched-call worker threads.
+/// Default ceiling on batched-call virtual workers.
 pub const DEFAULT_MAX_PARALLELISM: usize = 32;
 
 impl ExecEnv {
@@ -437,7 +442,7 @@ impl<'a> Executor<'a> {
         responses.into_iter().map(|r| r.value).collect()
     }
 
-    /// Fans `call` over `0..n` on worker threads. With the semantic
+    /// Fans `call` over `0..n` with [`parallel_map`]. With the semantic
     /// cache enabled, duplicate calls inside one virtually-simultaneous
     /// batch are deduplicated *before* dispatch: whether a record is the
     /// computing miss or a coalesced duplicate must not depend on thread
@@ -581,50 +586,65 @@ fn kmeans_assign(vectors: &[Vec<f32>], k: usize) -> Vec<usize> {
     assignments
 }
 
-/// Deterministic fork-join map: splits `items` into `parallelism` chunks,
-/// processes them on scoped threads, and returns results in input order.
-/// The ceiling on `parallelism` is the caller's job — the execution
-/// engine clamps plan parallelism to [`ExecEnv::max_parallelism`].
+/// Deterministic fork-join map: applies `f` to every item and returns the
+/// results in input order, on at most `min(parallelism, host CPUs)` host
+/// threads. `parallelism` is the plan's *virtual* fan-out (the executor
+/// clamps it to [`ExecEnv::max_parallelism`] and charges the clock for
+/// it); host threads past the CPUs the process may use could only take
+/// turns, so they are never spawned.
 pub fn parallel_map<T, R, F>(items: &[T], parallelism: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let p = parallelism.max(1);
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if p == 1 || items.len() == 1 {
+    fork_join(items, parallelism.min(host_cpus()), f)
+}
+
+/// The CPUs this process may run on — its affinity mask and cgroup CPU
+/// quota, as `std::thread::available_parallelism` reads them — taken once
+/// per process.
+fn host_cpus() -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// [`parallel_map`] on exactly `min(threads, items.len())` host threads,
+/// one contiguous chunk each. The calling thread works the first chunk
+/// instead of idling in the join; one thread runs inline.
+fn fork_join<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
         return items.iter().map(&f).collect();
     }
-    let chunk = items.len().div_ceil(p);
+    let chunk = items.len().div_ceil(threads);
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
-    let mut slots: &mut [Option<R>] = &mut results;
-    std::thread::scope(|scope| {
-        let mut offset = 0usize;
-        let mut handles = Vec::new();
-        while offset < items.len() {
-            let end = (offset + chunk).min(items.len());
-            let (head, tail) = slots.split_at_mut(end - offset);
-            slots = tail;
-            let batch = &items[offset..end];
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                for (slot, item) in head.iter_mut().zip(batch) {
-                    *slot = Some(f(item));
-                }
-            }));
-            offset = end;
+    let fill = |slots: &mut [Option<R>], batch: &[T]| {
+        for (slot, item) in slots.iter_mut().zip(batch) {
+            *slot = Some(f(item));
         }
-        for h in handles {
-            h.join().expect("worker panicked");
+    };
+    let mut chunks = results.chunks_mut(chunk).zip(items.chunks(chunk));
+    let first = chunks.next();
+    // The scope joins every spawned thread and re-raises a worker's panic.
+    std::thread::scope(|scope| {
+        let fill = &fill;
+        for (slots, batch) in chunks {
+            scope.spawn(move || fill(slots, batch));
+        }
+        if let Some((slots, batch)) = first {
+            fill(slots, batch);
         }
     });
     results
         .into_iter()
-        .map(|r| r.expect("all slots filled"))
+        .map(|r| r.expect("every chunk fills its slots"))
         .collect()
 }
 
@@ -980,16 +1000,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_order_stable_with_excess_parallelism() {
-        // More workers than items: every chunk holds one item.
-        let items: Vec<usize> = (0..5).collect();
-        let out = parallel_map(&items, 64, |x| x + 1);
-        assert_eq!(out, vec![1, 2, 3, 4, 5]);
-        // Empty input with huge parallelism spawns nothing.
-        let empty: Vec<usize> = vec![];
-        assert!(parallel_map(&empty, 1000, |x| *x).is_empty());
-        // Single item short-circuits to the sequential path.
-        assert_eq!(parallel_map(&[9usize], 64, |x| x * 3), vec![27]);
+    fn fork_join_is_order_stable_at_every_thread_count() {
+        // Host threads are capped by the CPUs the process may use, so on a
+        // one-CPU machine `parallel_map` never leaves the inline path: the
+        // threaded path is driven here at fixed thread counts instead.
+        for threads in [1, 2, 8] {
+            for n in [0usize, 1, 2, 5, 8, 9, 100] {
+                let items: Vec<usize> = (0..n).collect();
+                let out = fork_join(&items, threads, |x| x * 3 + 1);
+                let want: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
+                assert_eq!(out, want, "{threads} threads, {n} items");
+            }
+        }
     }
 
     #[test]
