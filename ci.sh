@@ -71,23 +71,29 @@ cargo test -q --release -p aida-script --test differential
 # Pyrite VM performance + determinism: the bench binary asserts the
 # warm VM is >=2x the tree-walker (exit nonzero otherwise), and its
 # canonical JSON carries only deterministic metrics — two runs must be
-# byte-identical.
+# byte-identical, and equal to the committed one. (`pyrite_vm.txt`
+# carries wall-clock timings and is not pinned.)
 AIDA_RESULTS_DIR=target/ci-pyrite-a \
   cargo run -q --release -p aida-bench --bin pyrite_bench >/dev/null
 AIDA_RESULTS_DIR=target/ci-pyrite-b \
   cargo run -q --release -p aida-bench --bin pyrite_bench >/dev/null
 cmp target/ci-pyrite-a/BENCH_pyrite_vm.json target/ci-pyrite-b/BENCH_pyrite_vm.json
+cmp target/ci-pyrite-a/BENCH_pyrite_vm.json results/BENCH_pyrite_vm.json
 
 # Static cost bounds: the analyzer snapshot over the fixed corpus must
 # be deterministic — two runs byte-identical on both the canonical JSON
-# and the per-program JSONL — and the binary itself asserts every bound
-# survives the plan-cache artifact round-trip (exit nonzero otherwise).
+# and the per-program JSONL, both equal to the committed files — and the
+# binary itself asserts every bound survives the plan-cache artifact
+# round-trip (exit nonzero otherwise). `bounds.txt` carries wall-clock
+# timings and is not pinned.
 AIDA_RESULTS_DIR=target/ci-bounds-a \
   cargo run -q --release -p aida-bench --bin bounds_bench >/dev/null
 AIDA_RESULTS_DIR=target/ci-bounds-b \
   cargo run -q --release -p aida-bench --bin bounds_bench >/dev/null
-cmp target/ci-bounds-a/BENCH_bounds.json target/ci-bounds-b/BENCH_bounds.json
-cmp target/ci-bounds-a/bounds.jsonl target/ci-bounds-b/bounds.jsonl
+for f in BENCH_bounds.json bounds.jsonl; do
+  cmp "target/ci-bounds-a/$f" "target/ci-bounds-b/$f"
+  cmp "target/ci-bounds-a/$f" "results/$f"
+done
 
 # Serving layer: the concurrency stress test wants optimized atomics and
 # real thread pressure, and the soak smoke proves the service binary

@@ -1,19 +1,19 @@
 //! The CodeAgent execution loop.
 //!
 //! Each step: the policy (standing in for the planning LLM) produces code;
-//! the code is statically checked, flow-sensitively typechecked against
-//! the tool registry, and compiled to bytecode — all *before* the planning
-//! call is billed, so a provably bad generation costs $0.00 and zero
-//! virtual seconds. That verdict comes from the runtime's [`StepCache`]
-//! when the same source already met the same tools and globals, so a
-//! repeated step runs none of those passes. Then the step is billed to the
-//! simulated LLM as a call whose prompt is the task + tool manifest +
-//! observation tail and whose completion is the code, cache-keyed by the
-//! compiled plan's content hash; the compiled program runs on the
-//! register VM (or the tree-walking interpreter, the differential oracle,
-//! via [`AgentRuntime::with_tree_walker`]) with the tools bound; printed
-//! output becomes the next observation. The loop ends when `final_answer`
-//! fires or the step budget runs out.
+//! the code is parsed once, judged by the front-end pass (names, loops and
+//! flow-sensitive types against the tool registry) and compiled to
+//! bytecode — all *before* the planning call is billed, so a provably bad
+//! generation costs $0.00 and zero virtual seconds. That verdict comes
+//! from the runtime's [`StepCache`] when the same source already met the
+//! same tools and globals, so a repeated step runs none of those stages.
+//! Then the step is billed to the simulated LLM as a call whose prompt is
+//! the task + tool manifest + observation tail and whose completion is the
+//! code, cache-keyed by the compiled plan's content hash; the compiled
+//! program runs on the register VM (or the tree-walking interpreter, the
+//! differential oracle, via [`AgentRuntime::with_tree_walker`]) with the
+//! tools bound; printed output becomes the next observation. The loop ends
+//! when `final_answer` fires or the step budget runs out.
 
 use crate::policy::{PolicyAction, PolicyContext};
 use crate::step_cache::{StepCache, StepKey, StepVerdict};
@@ -133,51 +133,6 @@ impl<'a> AgentRuntime<'a> {
         &self.registry
     }
 
-    /// Typechecks `code` against the tool registry and the interpreter's
-    /// live globals, then lowers it to bytecode. Runs *before* the
-    /// planning call is billed: a program the flow-sensitive typechecker
-    /// can prove wrong on every path (tool arity or argument types,
-    /// use-before-assign) is rejected at zero cost, and a well-typed
-    /// program is compiled once for the VM.
-    fn typecheck_and_compile(
-        &self,
-        registry: &ToolRegistry,
-        interp: &Interpreter,
-        code: &str,
-    ) -> Result<aida_script::CompiledProgram, aida_script::ScriptError> {
-        let program = aida_script::parser::parse(code)?;
-        let mut tenv = aida_script::TypeEnv::new();
-        for spec in registry.specs() {
-            tenv.add_tool_signature(&spec.name, &spec.signature);
-        }
-        // Globals carried from earlier steps are live bindings of
-        // unknown type.
-        for name in interp.check_env().globals {
-            tenv.bind_global(&name, aida_script::Ty::Any);
-        }
-        aida_script::typecheck(&program, &tenv)?;
-        aida_script::compile(&program)
-    }
-
-    /// Static check first: a program the checker can prove malformed
-    /// (unknown tool, name defined nowhere, `while True` with no exit)
-    /// is rejected *before* the planning call is billed, so a bad
-    /// generation costs $0 and zero virtual latency. `Err` names the
-    /// pass that rejected the program.
-    fn check_and_compile(
-        &self,
-        registry: &ToolRegistry,
-        interp: &Interpreter,
-        code: &str,
-    ) -> Result<aida_script::CompiledProgram, (&'static str, String)> {
-        match aida_script::check::first_error(&interp.check_source(code)) {
-            Some(err) => Err(("static-check", err.to_string())),
-            None => self
-                .typecheck_and_compile(registry, interp, code)
-                .map_err(|err| ("typecheck", err.to_string())),
-        }
-    }
-
     /// The front-end verdict for `code` in this environment: served from
     /// the step cache when the same source already met the same tool
     /// signatures and global names, computed (and cached) otherwise.
@@ -194,13 +149,9 @@ impl<'a> AgentRuntime<'a> {
                 .into_iter()
                 .map(|spec| (spec.name.clone(), spec.signature.clone()))
                 .collect(),
-            globals: interp.check_env().globals,
+            globals: interp.global_names(),
         };
-        self.steps.get_or_compile(key, || {
-            let program = self.check_and_compile(registry, interp, code)?;
-            let hash = program.content_hash();
-            Ok((Arc::new(program), hash))
-        })
+        self.steps.get_or_compile(key, front_end)
     }
 
     /// Step-rejection bookkeeping shared by the static-check and
@@ -358,6 +309,40 @@ impl<'a> AgentRuntime<'a> {
     }
 }
 
+/// Parses the step's source once, judges it in the front-end pass against
+/// the key's tool signatures and globals (live bindings of unknown type),
+/// and compiles it. Runs *before* the planning call is billed, so a
+/// program the pass can prove malformed or ill-typed costs $0.00 and zero
+/// virtual seconds. A rejection names its pass by the error's class:
+/// `typecheck` for a type error, `static-check` for everything else (lex,
+/// parse, undefined name, unknown call, unbounded loop).
+fn front_end(key: &StepKey) -> StepVerdict {
+    let compiled = aida_script::parser::parse(&key.source).and_then(|program| {
+        let mut env = aida_script::TypeEnv::new();
+        for (name, signature) in &key.tools {
+            env.add_tool_signature(name, signature);
+        }
+        for name in &key.globals {
+            env.bind_global(name, aida_script::Ty::Any);
+        }
+        aida_script::typecheck(&program, &env)?;
+        aida_script::compile(&program)
+    });
+    match compiled {
+        Ok(program) => {
+            let hash = program.content_hash();
+            Ok((Arc::new(program), hash))
+        }
+        Err(err) => {
+            let pass = match err {
+                aida_script::ScriptError::Type { .. } => "typecheck",
+                _ => "static-check",
+            };
+            Err((pass, err.to_string()))
+        }
+    }
+}
+
 /// The per-step cost ceiling: `Some((flight_detail, observation))` when
 /// the step's statically proven worst case (priced at this agent's
 /// model) exceeds the configured ceiling. Unbounded plans pass — the
@@ -479,13 +464,14 @@ mod tests {
 
     #[test]
     fn statically_rejected_programs_cost_nothing() {
-        let env = runtime_env();
+        let recorder = aida_obs::Recorder::new();
+        let env = ExecEnv::new(SimLlm::new(3)).with_recorder(recorder.clone());
         let lake = lake();
         let rt = AgentRuntime::new(&env, registry(&lake), None);
-        // Every program is malformed in a way the static checker can
-        // prove: an unknown tool, a name defined nowhere, an unbounded
-        // loop, and a syntax error. None of them may bill a planning
-        // call or advance the virtual clock.
+        // Every program is malformed in a way the front end can prove
+        // without types: an unknown tool, a name defined nowhere, an
+        // unbounded loop, and a syntax error. None of them may bill a
+        // planning call or advance the virtual clock.
         let agent = CodeAgent::with_policy(
             AgentConfig::default(),
             Box::new(FixedPolicy(vec![
@@ -497,14 +483,29 @@ mod tests {
         );
         let outcome = rt.run(&agent, "do something");
         assert_eq!(outcome.steps.len(), 4);
-        for step in &outcome.steps {
+        for step in &outcome.steps[..3] {
             assert!(
-                step.observation.starts_with("ERROR:"),
+                step.observation.starts_with("ERROR: static error"),
                 "step {}: {}",
                 step.step,
                 step.observation
             );
         }
+        // A syntax error is reported as itself, not wrapped in a static
+        // error.
+        assert_eq!(
+            outcome.steps[3].observation,
+            "ERROR: lex error (line 1): unclosed bracket"
+        );
+        let rejected: Vec<String> = recorder
+            .trace()
+            .spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::AgentStep)
+            .flat_map(|s| s.attrs.iter().filter(|(k, _)| k == "rejected"))
+            .map(|(_, pass)| pass.clone())
+            .collect();
+        assert_eq!(rejected, ["static-check"; 4]);
         assert_eq!(outcome.cost_usd, 0.0, "rejected steps must not bill");
         assert_eq!(outcome.time_s, 0.0, "rejected steps must not take time");
     }
@@ -514,10 +515,10 @@ mod tests {
         let env = runtime_env();
         let lake = lake();
         let rt = AgentRuntime::new(&env, registry(&lake), None);
-        // Every program passes the name/structure checker (tools exist,
-        // every name is assigned somewhere) but the flow-sensitive
-        // typechecker proves it wrong on all paths: bad tool arity, a
-        // tool argument of the wrong type, and a use before the (only)
+        // Every program names only tools that exist and variables that
+        // are assigned somewhere, but the front end's flow-sensitive
+        // types prove it wrong on all paths: bad tool arity, a tool
+        // argument of the wrong type, and a use before the (only)
         // assignment. None may bill a planning call or advance the clock.
         let agent = CodeAgent::with_policy(
             AgentConfig::default(),

@@ -1,10 +1,10 @@
 //! The compiled-step cache: an agent step's front-end verdict, computed
 //! once per distinct program and environment.
 //!
-//! Before a step is billed, its program is parsed, statically checked,
-//! typechecked, compiled and bounded, and a serving runtime sees the same
-//! few dozen programs thousands of times. Those passes read exactly three
-//! things — the source text, the tool registry's `(name, signature)`
+//! Before a step is billed, its program is parsed, judged by the
+//! front-end pass, compiled and bounded, and a serving runtime sees the
+//! same few dozen programs thousands of times. Those stages read exactly
+//! three things — the source text, the tool registry's `(name, signature)`
 //! pairs and the interpreter's global names (live bindings left by earlier
 //! steps) — so their verdict is memoized on all three. A key that differs
 //! in any of them is a different entry: a verdict is never served across
@@ -57,19 +57,19 @@ impl StepCache {
         self.len() == 0
     }
 
-    /// The cached verdict for `key`, or `compile`'s, which is then cached.
-    /// `compile` runs outside the lock, so agents on other threads keep
-    /// stepping; two threads missing on one key both compile and the
-    /// later insert wins (the verdicts are equal).
+    /// The cached verdict for `key`, or `compile`'s verdict on it, which
+    /// is then cached. `compile` runs outside the lock, so agents on other
+    /// threads keep stepping; two threads missing on one key both compile
+    /// and the later insert wins (the verdicts are equal).
     pub(crate) fn get_or_compile(
         &self,
         key: StepKey,
-        compile: impl FnOnce() -> StepVerdict,
+        compile: impl FnOnce(&StepKey) -> StepVerdict,
     ) -> StepVerdict {
         if let Some(verdict) = self.inner.lock().get(&key) {
             return verdict.clone();
         }
-        let verdict = compile();
+        let verdict = compile(&key);
         let mut entries = self.inner.lock();
         if entries.len() >= CAPACITY && !entries.contains_key(&key) {
             entries.clear();
@@ -91,7 +91,7 @@ mod tests {
             globals: BTreeSet::new(),
         };
         let mut missed = false;
-        let verdict = cache.get_or_compile(key, || {
+        let verdict = cache.get_or_compile(key, |_| {
             missed = true;
             let program = aida_script::compile_source(source).expect("test program compiles");
             let hash = program.content_hash();

@@ -53,6 +53,7 @@
 
 use crate::ast::BinOp;
 use crate::bytecode::{Chunk, CompiledProgram, Const, Insn, NO_REG};
+use crate::types::builtin;
 use aida_llm::models::{ModelCatalog, ModelId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -63,32 +64,6 @@ pub const TOOL_CALL_MAX_INPUT_TOKENS: usize = 4096;
 
 /// Per-tool-call billing envelope: output tokens.
 pub const TOOL_CALL_MAX_OUTPUT_TOKENS: usize = 1024;
-
-/// Builtin names (sorted). Calls to these are counted in
-/// `calls_per_tool` (a host function may legally shadow one) but are
-/// not billable, and their result shapes are modeled precisely under
-/// the no-shadowing assumption.
-pub const BUILTIN_NAMES: &[&str] = &[
-    "abs",
-    "bool",
-    "enumerate",
-    "float",
-    "int",
-    "len",
-    "max",
-    "min",
-    "print",
-    "range",
-    "round",
-    "sorted",
-    "str",
-    "sum",
-];
-
-/// True when `name` is a Pyrite builtin.
-pub fn is_builtin(name: &str) -> bool {
-    BUILTIN_NAMES.binary_search(&name).is_ok()
-}
 
 /// The maximum dollars one billable tool call can cost at `tier`,
 /// under the token envelope above.
@@ -256,7 +231,9 @@ impl CostBound {
             let per_call = usd_per_tool_call(&catalog, tier);
             let mut total = 0.0_f64;
             for (name, bound) in &calls {
-                if is_builtin(name) {
+                // Builtin calls are counted (a host function may legally
+                // shadow one) but never billed.
+                if builtin(name).is_some() {
                     continue;
                 }
                 match bound {
@@ -1104,7 +1081,7 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
             match classify_callee(&b) {
                 CallKind::External => {
                     let name_str = cx.name(*name);
-                    if is_builtin(name_str) {
+                    if builtin(name_str).is_some() {
                         let args: Vec<AbsVal> = (0..*argc)
                             .map(|i| st.regs[(*base + i) as usize].clone())
                             .collect();

@@ -4,7 +4,7 @@ use crate::ast::*;
 use crate::error::ScriptError;
 use crate::parser::parse;
 use crate::value::{ScriptValue, UserFn};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 /// A host function (tool) callable from scripts.
@@ -92,41 +92,29 @@ impl Interpreter {
         self.fuel
     }
 
-    /// The static-check environment this interpreter provides: its
-    /// current globals and bound host functions (tools).
-    pub fn check_env(&self) -> crate::check::CheckEnv {
-        crate::check::CheckEnv {
-            globals: self.globals.keys().cloned().collect(),
-            tools: self.host_fns.keys().cloned().collect(),
-        }
+    /// The names of the current globals: the bindings earlier programs
+    /// left, which a front-end verdict on the next one depends on.
+    pub fn global_names(&self) -> BTreeSet<String> {
+        self.globals.keys().cloned().collect()
     }
 
-    /// Statically checks `source` against this interpreter's environment
-    /// without executing anything. Parse failures surface as a single
-    /// parse-error issue so callers see one uniform issue list.
-    pub fn check_source(&self, source: &str) -> Vec<crate::check::CheckIssue> {
-        match parse(source) {
-            Ok(program) => crate::check::check(&program, &self.check_env()),
-            Err(e) => vec![crate::check::CheckIssue {
-                code: "parse-error",
-                severity: crate::check::CheckSeverity::Error,
-                line: e.line().unwrap_or(0),
-                message: e.to_string(),
-            }],
+    /// Parses `source` and runs the front-end pass ([`crate::typecheck`])
+    /// against this interpreter's globals and host functions, executing
+    /// nothing: the lex, parse, static or type error that rejects the
+    /// program, if any. Host functions carry no signatures here, so calls
+    /// to them are not arity- or type-checked.
+    pub fn check_source(&self, source: &str) -> Option<ScriptError> {
+        let mut env = crate::TypeEnv::new();
+        for name in self.host_fns.keys() {
+            // An empty signature registers an unchecked tool.
+            env.add_tool_signature(name, "");
         }
-    }
-
-    /// Like [`Interpreter::run`], but rejects the program with
-    /// [`ScriptError::Static`] (or the parse error) before executing —
-    /// and before the caller spends any budget on — a program the
-    /// checker can prove malformed. Warnings do not block execution.
-    pub fn run_checked(&mut self, source: &str) -> Result<ScriptValue, ScriptError> {
-        let program = parse(source)?;
-        let issues = crate::check::check(&program, &self.check_env());
-        if let Some(err) = crate::check::first_error(&issues) {
-            return Err(err);
+        for name in self.globals.keys() {
+            env.bind_global(name, crate::Ty::Any);
         }
-        self.run(source)
+        parse(source)
+            .and_then(|program| crate::typecheck(&program, &env))
+            .err()
     }
 
     /// Parses and executes a program, returning the value of its final

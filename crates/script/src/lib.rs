@@ -16,10 +16,13 @@
 //!   `run_semantic_program`, …) appear as ordinary callables, and
 //! * **fuel limits** so a runaway agent program terminates deterministically
 //!   instead of hanging an experiment, and
-//! * a **static checker** ([`check`]) run before interpretation
-//!   ([`Interpreter::run_checked`]) that rejects provably malformed
-//!   programs — undefined names, unknown tools, `while True` with no
-//!   exit — before the caller spends any simulated budget on them.
+//! * a **front-end pass** ([`typecheck`], one flow-sensitive walk over
+//!   the AST) that rejects provably malformed programs — undefined names,
+//!   unknown tools, `while True` with no exit, use before assignment,
+//!   wrong tool arity or argument types, definite operator misuse —
+//!   before the caller spends any simulated budget on them
+//!   ([`Interpreter::check_source`] runs it against an interpreter's
+//!   globals and host functions).
 //!
 //! The supported subset is what the simulated planners emit: assignments,
 //! `if`/`elif`/`else`, `while`, `for … in`, `def`, `return`, arithmetic,
@@ -45,7 +48,6 @@
 pub mod ast;
 pub mod bounds;
 pub mod bytecode;
-pub mod check;
 pub mod error;
 pub mod interp;
 pub mod lexer;
@@ -55,14 +57,12 @@ pub mod value;
 pub mod vm;
 
 pub use bounds::{
-    analyze, Bound, CostBound, BUILTIN_NAMES, TOOL_CALL_MAX_INPUT_TOKENS,
-    TOOL_CALL_MAX_OUTPUT_TOKENS,
+    analyze, Bound, CostBound, TOOL_CALL_MAX_INPUT_TOKENS, TOOL_CALL_MAX_OUTPUT_TOKENS,
 };
 pub use bytecode::{compile, compile_source, CompiledProgram};
-pub use check::{CheckEnv, CheckIssue, CheckSeverity};
 pub use error::ScriptError;
 pub use interp::Interpreter;
-pub use types::{typecheck, ToolSig, Ty, TypeEnv};
+pub use types::{typecheck, ToolSig, Ty, TypeEnv, BUILTIN_NAMES};
 pub use value::ScriptValue;
 
 /// Crate-wide result alias.

@@ -1,15 +1,27 @@
-//! Flow-sensitive typechecker for Pyrite.
+//! The Pyrite front-end pass: one flow-sensitive walk over the AST that
+//! decides whether a program may run.
 //!
-//! Runs between parsing and execution (and before any simulated spend in
-//! `aida-agents`): a program this pass rejects costs $0.00 and zero
-//! virtual seconds. It complements the structural checker in
-//! [`crate::check`] with the dataflow facts that checker cannot see:
+//! Runs between parsing and compilation (and before any simulated spend
+//! in `aida-agents`): a program this pass rejects costs $0.00 and zero
+//! virtual seconds. It reports the first error in program order:
 //!
-//! * **Use before assignment** — a variable read on a path where no
-//!   earlier statement can have assigned it (the structural checker only
-//!   knows whether a name is assigned *somewhere*).
+//! * **Undefined names** ([`ScriptError::Static`]) — Pyrite resolves
+//!   names late, Python-style (a function body may call a helper defined
+//!   after it), so a name is undefined only when no assignment, loop or
+//!   comprehension variable, parameter, `def`, global, tool, or builtin
+//!   anywhere in the program or its environment introduces it. A call to
+//!   such a name is an unknown call, and its message lists the tools and
+//!   builtins so a planner can self-correct.
+//! * **Unbounded loops** ([`ScriptError::Static`]) — `while` on an
+//!   always-true literal whose body never breaks or returns.
+//! * **Use before assignment** ([`ScriptError::Type`], like every check
+//!   below) — a variable read on a path where no earlier statement can
+//!   have assigned it, although something in the program assigns it.
 //! * **Tool arity and argument types** — calls to registered host tools
 //!   are checked against their parsed signatures ([`ToolSig`]).
+//! * **Operators, iteration, indexing, and calls** — misuse every
+//!   runtime path would raise (`'a' - 1`, iterating an int, calling a
+//!   list, a non-string dict key).
 //! * **Branch-join typing** — a variable assigned `int` in one arm and
 //!   `str` in another joins to [`Ty::Any`]; only *definite* misuse is
 //!   reported downstream.
@@ -21,11 +33,11 @@
 //! every runtime path through the expression would raise it — mirroring
 //! the interpreter's own `binary`/`index`/`call` rejections — and types
 //! it cannot prove stay [`Ty::Any`]. Conservatism is what lets the agent
-//! runtime treat a type error as a hard pre-billing reject.
+//! runtime treat a rejection as a hard pre-billing reject.
 
 use crate::ast::*;
-use crate::check::BUILTINS;
 use crate::error::ScriptError;
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 /// A static type. `Any` is the unknown/top type; joins of unequal types
@@ -91,6 +103,36 @@ impl Ty {
             (a, b) => a == b,
         }
     }
+}
+
+/// The builtin functions, sorted by name, with the return type this pass
+/// assumes for each (`Any` unless it is certain). The interpreter
+/// resolves them without registration (`Interpreter::call_builtin`; a
+/// unit test calls every one), and the bounds analysis counts their calls
+/// without billing them.
+pub const BUILTIN_NAMES: &[(&str, Ty)] = &[
+    ("abs", Ty::Any),
+    ("bool", Ty::Bool),
+    ("enumerate", Ty::List),
+    ("float", Ty::Float),
+    ("int", Ty::Any),
+    ("len", Ty::Any),
+    ("max", Ty::Any),
+    ("min", Ty::Any),
+    ("print", Ty::None),
+    ("range", Ty::List),
+    ("round", Ty::Any),
+    ("sorted", Ty::List),
+    ("str", Ty::Str),
+    ("sum", Ty::Any),
+];
+
+/// The return type of builtin `name`; `None` when `name` is no builtin.
+pub(crate) fn builtin(name: &str) -> Option<Ty> {
+    BUILTIN_NAMES
+        .binary_search_by_key(&name, |&(n, _)| n)
+        .ok()
+        .map(|i| BUILTIN_NAMES[i].1)
 }
 
 /// A parsed tool signature, e.g. `search_keywords(query: str, k: int) ->
@@ -315,153 +357,161 @@ impl Flow {
     }
 }
 
-/// Typechecks a program against an environment, returning the first
-/// definite error (reported as [`ScriptError::Type`]).
+/// Checks a program against an environment, returning the first error
+/// in program order: [`ScriptError::Static`] for an undefined name, an
+/// unknown call or an unbounded loop, [`ScriptError::Type`] for the
+/// flow-sensitive checks.
 pub fn typecheck(program: &Program, env: &TypeEnv) -> Result<(), ScriptError> {
-    let mut assigned_anywhere = HashSet::new();
-    collect_assigned_names(&program.body, &mut assigned_anywhere);
+    let mut defined = HashSet::new();
+    collect_defined(&program.body, true, &mut defined);
     let tc = Tc {
         env,
-        assigned_anywhere,
+        defined,
+        current: Cell::new(None),
     };
     let mut flow = Flow::start();
     for (name, ty) in &env.globals {
-        flow.vars.insert(
-            name.clone(),
-            Binding {
-                ty: *ty,
-                definite: true,
-            },
-        );
+        flow.assign(name, *ty);
     }
-    tc.block(&program.body, &mut flow, None)?;
-    Ok(())
+    tc.block(&program.body, &mut flow, None)
 }
 
-/// Every name any statement in the program can assign (including inside
-/// function bodies — their `def` runs against the same late-binding
-/// globals rules).
-fn collect_assigned_names(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match &s.kind {
+/// Adds every name a statement in `body` can bind: assignment targets,
+/// loop and comprehension variables, and `def` names. With `into_defs`
+/// it also descends into `def` bodies and adds their parameters (every
+/// name the program defines anywhere); without it, it collects the
+/// locals of one function body.
+fn collect_defined(body: &[Stmt], into_defs: bool, out: &mut HashSet<String>) {
+    for stmt in body {
+        match &stmt.kind {
             StmtKind::Assign(Target::Name(n), _) | StmtKind::AugAssign(Target::Name(n), _, _) => {
                 out.insert(n.clone());
             }
-            StmtKind::Assign(_, _) | StmtKind::AugAssign(_, _, _) => {}
             StmtKind::If(arms, else_body) => {
-                for (_, body) in arms {
-                    collect_assigned_names(body, out);
+                for (_, arm) in arms {
+                    collect_defined(arm, into_defs, out);
                 }
-                if let Some(body) = else_body {
-                    collect_assigned_names(body, out);
+                if let Some(arm) = else_body {
+                    collect_defined(arm, into_defs, out);
                 }
             }
-            StmtKind::While(_, body) => collect_assigned_names(body, out),
-            StmtKind::For(vars, _, body) => {
-                for v in vars {
-                    out.insert(v.clone());
-                }
-                collect_assigned_names(body, out);
+            StmtKind::While(_, inner) => collect_defined(inner, into_defs, out),
+            StmtKind::For(vars, _, inner) => {
+                out.extend(vars.iter().cloned());
+                collect_defined(inner, into_defs, out);
             }
-            StmtKind::Def(name, params, body) => {
+            StmtKind::Def(name, params, inner) => {
                 out.insert(name.clone());
-                for p in params {
-                    out.insert(p.clone());
+                if into_defs {
+                    out.extend(params.iter().cloned());
+                    collect_defined(inner, into_defs, out);
                 }
-                collect_assigned_names(body, out);
             }
             _ => {}
         }
-    }
-    for s in stmts {
-        comp_var_names(s, out);
+        // Comprehension variables leak into the enclosing scope.
+        visit_exprs(stmt, &mut |e| {
+            if let ExprKind::ListComp { vars, .. } = &e.kind {
+                out.extend(vars.iter().cloned());
+            }
+        });
     }
 }
 
-fn comp_var_names(stmt: &Stmt, out: &mut HashSet<String>) {
-    fn walk(e: &Expr, out: &mut HashSet<String>) {
+/// Calls `f` on every expression of `stmt` itself (not of its nested
+/// bodies), parents before children.
+fn visit_exprs(stmt: &Stmt, f: &mut dyn FnMut(&Expr)) {
+    fn walk(e: &Expr, f: &mut dyn FnMut(&Expr)) {
+        f(e);
         match &e.kind {
-            ExprKind::ListComp {
-                element,
-                vars,
-                iterable,
-                condition,
-            } => {
-                for v in vars {
-                    out.insert(v.clone());
-                }
-                walk(element, out);
-                walk(iterable, out);
-                if let Some(c) = condition {
-                    walk(c, out);
+            ExprKind::List(items) => items.iter().for_each(|e| walk(e, f)),
+            ExprKind::Dict(pairs) => {
+                for (k, v) in pairs {
+                    walk(k, f);
+                    walk(v, f);
                 }
             }
             ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
-                walk(a, out);
-                walk(b, out);
+                walk(a, f);
+                walk(b, f);
             }
-            ExprKind::Unary(_, a) => walk(a, out),
-            ExprKind::Call(f, args) => {
-                walk(f, out);
-                for a in args {
-                    walk(a, out);
-                }
+            ExprKind::Unary(_, a) => walk(a, f),
+            ExprKind::Call(obj, args) | ExprKind::MethodCall(obj, _, args) => {
+                walk(obj, f);
+                args.iter().for_each(|e| walk(e, f));
             }
-            ExprKind::MethodCall(o, _, args) => {
-                walk(o, out);
-                for a in args {
-                    walk(a, out);
-                }
+            ExprKind::ListComp {
+                element,
+                iterable,
+                condition,
+                ..
+            } => {
+                walk(element, f);
+                walk(iterable, f);
+                condition.iter().for_each(|c| walk(c, f));
             }
-            ExprKind::Slice(o, lo, hi) => {
-                walk(o, out);
-                if let Some(b) = lo {
-                    walk(b, out);
-                }
-                if let Some(b) = hi {
-                    walk(b, out);
-                }
-            }
-            ExprKind::List(items) => {
-                for i in items {
-                    walk(i, out);
-                }
-            }
-            ExprKind::Dict(pairs) => {
-                for (k, v) in pairs {
-                    walk(k, out);
-                    walk(v, out);
-                }
+            ExprKind::Slice(obj, lo, hi) => {
+                walk(obj, f);
+                lo.iter().chain(hi).for_each(|b| walk(b, f));
             }
             _ => {}
         }
     }
     match &stmt.kind {
-        StmtKind::Expr(e) | StmtKind::Return(Some(e)) | StmtKind::While(e, _) => walk(e, out),
+        StmtKind::Expr(e)
+        | StmtKind::Return(Some(e))
+        | StmtKind::While(e, _)
+        | StmtKind::For(_, e, _) => walk(e, f),
         StmtKind::Assign(t, e) | StmtKind::AugAssign(t, _, e) => {
-            if let Target::Index(o, k) = t {
-                walk(o, out);
-                walk(k, out);
+            if let Target::Index(obj, key) = t {
+                walk(obj, f);
+                walk(key, f);
             }
-            walk(e, out);
+            walk(e, f);
         }
-        StmtKind::If(arms, _) => {
-            for (c, _) in arms {
-                walk(c, out);
-            }
-        }
-        StmtKind::For(_, e, _) => walk(e, out),
+        StmtKind::If(arms, _) => arms.iter().for_each(|(cond, _)| walk(cond, f)),
         _ => {}
     }
 }
 
+/// Whether `e` is a literal that is always truthy.
+fn always_true(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Bool(b) => *b,
+        ExprKind::Int(i) => *i != 0,
+        ExprKind::Float(x) => *x != 0.0,
+        ExprKind::Str(s) => !s.is_empty(),
+        _ => false,
+    }
+}
+
+/// Whether any statement in `body` (recursively, but not inside nested
+/// `def`s) is `break` or `return`.
+fn has_exit(body: &[Stmt]) -> bool {
+    body.iter().any(|s| match &s.kind {
+        StmtKind::Break | StmtKind::Return(_) => true,
+        StmtKind::If(arms, els) => {
+            arms.iter().any(|(_, b)| has_exit(b)) || els.as_ref().is_some_and(|b| has_exit(b))
+        }
+        // A nested loop's own break exits *that* loop, not this one —
+        // but a return inside it still exits. Keeping the recursion
+        // here over-approximates exits, which only ever suppresses a
+        // finding (sound for a rejection gate).
+        StmtKind::While(_, b) | StmtKind::For(_, _, b) => has_exit(b),
+        _ => false,
+    })
+}
+
 struct Tc<'a> {
     env: &'a TypeEnv,
-    /// Names assigned anywhere in the program (late-binding fallback for
-    /// function bodies and forward references the flow pass must not
-    /// flag as unknown — only as unassigned when used at top level
-    /// before any possible assignment).
-    assigned_anywhere: HashSet<String>,
+    /// Every name the program defines anywhere. A name outside it and
+    /// the environment is undefined; one inside it may still be
+    /// unassigned on the path that reads it, and a tool or builtin name
+    /// inside it may be shadowed by call time.
+    defined: HashSet<String>,
+    /// The statement being checked: whether it calls an undefined name
+    /// decides how that name is reported.
+    current: Cell<Option<&'a Stmt>>,
 }
 
 /// Context for checking inside a function body: its local names.
@@ -476,26 +526,33 @@ impl<'a> Tc<'a> {
 
     fn block(
         &self,
-        body: &[Stmt],
+        body: &'a [Stmt],
         flow: &mut Flow,
         fctx: Option<&FnCtx>,
     ) -> Result<(), ScriptError> {
         for stmt in body {
-            if !flow.live {
+            let outer = self.current.replace(Some(stmt));
+            if flow.live {
+                self.stmt(stmt, flow, fctx)?;
+            } else {
                 // Unreachable code: still check it against a fresh copy
                 // of the facts so obvious errors surface, but do not let
                 // its assignments revive the path.
                 let mut dead = flow.clone();
                 dead.live = true;
                 self.stmt(stmt, &mut dead, fctx)?;
-                continue;
             }
-            self.stmt(stmt, flow, fctx)?;
+            self.current.set(outer);
         }
         Ok(())
     }
 
-    fn stmt(&self, stmt: &Stmt, flow: &mut Flow, fctx: Option<&FnCtx>) -> Result<(), ScriptError> {
+    fn stmt(
+        &self,
+        stmt: &'a Stmt,
+        flow: &mut Flow,
+        fctx: Option<&FnCtx>,
+    ) -> Result<(), ScriptError> {
         let line = stmt.line;
         match &stmt.kind {
             StmtKind::Expr(e) => {
@@ -506,10 +563,9 @@ impl<'a> Tc<'a> {
                 flow.assign(name, ty);
             }
             StmtKind::Assign(Target::Index(obj, key), value) => {
-                let vt = self.expr(value, flow, fctx)?;
+                self.expr(value, flow, fctx)?;
                 let ot = self.expr(obj, flow, fctx)?;
                 let kt = self.expr(key, flow, fctx)?;
-                let _ = vt;
                 self.check_index_store(ot, kt, line)?;
             }
             StmtKind::AugAssign(Target::Name(name), op, value) => {
@@ -545,13 +601,17 @@ impl<'a> Tc<'a> {
                 *flow = joined;
             }
             StmtKind::While(cond, body) => {
+                if always_true(cond) && !has_exit(body) {
+                    return Err(ScriptError::Static {
+                        line,
+                        message: "`while` loop condition is always true and the body never \
+                                  breaks or returns; the program cannot terminate"
+                            .into(),
+                    });
+                }
                 // Loop-carried names: visible inside and after the body
                 // as possibly-unassigned.
-                let mut carried = HashSet::new();
-                collect_assigned_names(std::slice::from_ref(stmt), &mut carried);
-                for name in &carried {
-                    flow.weaken(name, Ty::Any);
-                }
+                self.carry(stmt, flow);
                 self.expr(cond, flow, fctx)?;
                 let mut body_flow = flow.clone();
                 self.block(body, &mut body_flow, fctx)?;
@@ -563,11 +623,7 @@ impl<'a> Tc<'a> {
                 if !matches!(it, Ty::Any | Ty::List | Ty::Str | Ty::Dict) {
                     return Err(self.err(line, format!("{} is not iterable", it.name())));
                 }
-                let mut carried = HashSet::new();
-                collect_assigned_names(std::slice::from_ref(stmt), &mut carried);
-                for name in &carried {
-                    flow.weaken(name, Ty::Any);
-                }
+                self.carry(stmt, flow);
                 let mut body_flow = flow.clone();
                 let elem = if it == Ty::Str || it == Ty::Dict {
                     Ty::Str
@@ -587,9 +643,7 @@ impl<'a> Tc<'a> {
             }
             StmtKind::Def(name, params, body) => {
                 let mut locals: HashSet<String> = params.iter().cloned().collect();
-                let mut body_assigned = HashSet::new();
-                collect_local_assigned(body, &mut body_assigned);
-                locals.extend(body_assigned);
+                collect_defined(body, false, &mut locals);
                 let ctx = FnCtx { locals };
                 let mut fn_flow = Flow::start();
                 for p in params {
@@ -612,6 +666,16 @@ impl<'a> Tc<'a> {
         Ok(())
     }
 
+    /// Weakens every name the loop `stmt` can bind (nested `def`s
+    /// included) into `flow` as possibly-unassigned.
+    fn carry(&self, stmt: &Stmt, flow: &mut Flow) {
+        let mut carried = HashSet::new();
+        collect_defined(std::slice::from_ref(stmt), true, &mut carried);
+        for name in &carried {
+            flow.weaken(name, Ty::Any);
+        }
+    }
+
     /// Resolves a name use, enforcing use-before-assign at the top level
     /// and the late-binding rules inside functions.
     fn use_name(
@@ -624,39 +688,67 @@ impl<'a> Tc<'a> {
         if let Some(b) = flow.vars.get(name) {
             return Ok(b.ty);
         }
-        if let Some(ctx) = fctx {
+        if !self.known_global(name) {
+            return Err(self.undefined(name, line));
+        }
+        match fctx {
             // Inside a function an unseen name may still resolve at call
             // time: a global assigned before the call, a tool, or a
             // builtin. Only names that are locals of this function (and
             // thus shadow everything) are definitely unassigned here.
-            if ctx.locals.contains(name) {
-                return Err(self.err(
-                    line,
-                    format!("local variable '{name}' used before assignment"),
-                ));
-            }
-            if self.known_global(name) {
-                return Ok(Ty::Any);
-            }
-            return Err(self.err(line, format!("name '{name}' is not defined")));
+            Some(ctx) if ctx.locals.contains(name) => Err(self.err(
+                line,
+                format!("local variable '{name}' used before assignment"),
+            )),
+            Some(_) => Ok(Ty::Any),
+            // Reading a tool or builtin as a value is not something the
+            // interpreter supports (they are not first-class), but no
+            // runtime path is sure to reach the read.
+            None if self.env.tools.contains_key(name) || builtin(name).is_some() => Ok(Ty::Any),
+            None => Err(self.err(line, format!("variable '{name}' used before assignment"))),
         }
-        if self.env.tools.contains_key(name) || BUILTINS.contains(&name) {
-            // Reading a tool/builtin as a value is not something the
-            // interpreter supports (they are not first-class), but the
-            // structural checker owns that diagnostic.
-            return Ok(Ty::Any);
-        }
-        if self.assigned_anywhere.contains(name) {
-            return Err(self.err(line, format!("variable '{name}' used before assignment")));
-        }
-        Err(self.err(line, format!("name '{name}' is not defined")))
     }
 
     fn known_global(&self, name: &str) -> bool {
-        self.assigned_anywhere.contains(name)
+        self.defined.contains(name)
             || self.env.globals.contains_key(name)
             || self.env.tools.contains_key(name)
-            || BUILTINS.contains(&name)
+            || builtin(name).is_some()
+    }
+
+    /// The error for a read of `name`, which nothing defines: an unknown
+    /// call, at its first call site, when the current statement calls it;
+    /// an undefined name at `line` otherwise.
+    fn undefined(&self, name: &str, line: usize) -> ScriptError {
+        let mut call_line: Option<usize> = None;
+        if let Some(stmt) = self.current.get() {
+            visit_exprs(stmt, &mut |e| {
+                if let ExprKind::Call(callee, _) = &e.kind {
+                    if matches!(&callee.kind, ExprKind::Name(n) if n == name) {
+                        call_line = Some(call_line.map_or(callee.line, |l| l.min(callee.line)));
+                    }
+                }
+            });
+        }
+        match call_line {
+            None => ScriptError::Static {
+                line,
+                message: format!("'{name}' is never defined anywhere in the program"),
+            },
+            Some(call_line) => {
+                let mut known: Vec<&str> = (self.env.tools.keys().map(String::as_str))
+                    .chain(BUILTIN_NAMES.iter().map(|&(n, _)| n))
+                    .collect();
+                known.sort_unstable();
+                ScriptError::Static {
+                    line: call_line,
+                    message: format!(
+                        "call to unknown function or tool '{name}' (available: {})",
+                        known.join(", ")
+                    ),
+                }
+            }
+        }
     }
 
     fn expr(&self, e: &Expr, flow: &mut Flow, fctx: Option<&FnCtx>) -> Result<Ty, ScriptError> {
@@ -814,8 +906,7 @@ impl<'a> Tc<'a> {
         fctx: Option<&FnCtx>,
     ) -> Result<Ty, ScriptError> {
         if let ExprKind::Name(name) = &callee.kind {
-            let shadowable =
-                self.assigned_anywhere.contains(name) || self.env.globals.contains_key(name);
+            let shadowable = self.defined.contains(name) || self.env.globals.contains_key(name);
             if !shadowable {
                 if let Some(sig) = self.env.tools.get(name) {
                     if !self.env.unchecked.contains(name) {
@@ -849,8 +940,8 @@ impl<'a> Tc<'a> {
                     }
                     return Ok(sig.ret);
                 }
-                if BUILTINS.contains(&name.as_str()) {
-                    return Ok(builtin_ret(name));
+                if let Some(ret) = builtin(name) {
+                    return Ok(ret);
                 }
             }
             // A (possibly shadowed) variable callee: ensure it resolves.
@@ -983,54 +1074,6 @@ impl<'a> Tc<'a> {
     }
 }
 
-/// Return types for builtins (conservative; only the always-certain
-/// ones).
-fn builtin_ret(name: &str) -> Ty {
-    match name {
-        "len" | "int" | "abs" | "sum" => Ty::Any,
-        "str" => Ty::Str,
-        "float" => Ty::Float,
-        "bool" => Ty::Bool,
-        "range" | "sorted" | "enumerate" => Ty::List,
-        "print" => Ty::None,
-        _ => Ty::Any,
-    }
-}
-
-/// Collects names assigned by statements in a function body (its frame
-/// locals), without descending into nested `def` bodies.
-fn collect_local_assigned(stmts: &[Stmt], out: &mut HashSet<String>) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign(Target::Name(n), _) | StmtKind::AugAssign(Target::Name(n), _, _) => {
-                out.insert(n.clone());
-            }
-            StmtKind::If(arms, else_body) => {
-                for (_, body) in arms {
-                    collect_local_assigned(body, out);
-                }
-                if let Some(body) = else_body {
-                    collect_local_assigned(body, out);
-                }
-            }
-            StmtKind::While(_, body) => collect_local_assigned(body, out),
-            StmtKind::For(vars, _, body) => {
-                for v in vars {
-                    out.insert(v.clone());
-                }
-                collect_local_assigned(body, out);
-            }
-            StmtKind::Def(name, _, _) => {
-                out.insert(name.clone());
-            }
-            _ => {}
-        }
-    }
-    for s in stmts {
-        comp_var_names(s, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1053,7 +1096,204 @@ mod tests {
     }
 
     fn check_err(src: &str) -> String {
-        check(src).expect_err("should be ill-typed").to_string()
+        check(src).expect_err("should be rejected").to_string()
+    }
+
+    /// One program per diagnostic the pass raises, with the class, line
+    /// and full message it must report.
+    #[test]
+    fn every_diagnostic_is_exact() {
+        const TOOLS: &str = "abs, bool, enumerate, final_answer, float, int, len, list_files, \
+                             max, min, print, range, read_file, round, search_keywords, sorted, \
+                             str, sum";
+        let cases: &[(&str, bool, usize, String)] = &[
+            (
+                "serch_files()",
+                true,
+                1,
+                format!("call to unknown function or tool 'serch_files' (available: {TOOLS})"),
+            ),
+            (
+                "print(nope)",
+                true,
+                1,
+                "'nope' is never defined anywhere in the program".into(),
+            ),
+            (
+                "while True:\n    x = 1",
+                true,
+                1,
+                "`while` loop condition is always true and the body never breaks or returns; \
+                 the program cannot terminate"
+                    .into(),
+            ),
+            (
+                "print(x)\nx = 1",
+                false,
+                1,
+                "variable 'x' used before assignment".into(),
+            ),
+            (
+                "def f(n):\n    m = q\n    q = n\n    return m\nf(1)",
+                false,
+                2,
+                "local variable 'q' used before assignment".into(),
+            ),
+            (
+                "read_file('a.txt', 'extra')",
+                false,
+                1,
+                "read_file() takes 1 argument but 2 were given".into(),
+            ),
+            (
+                "read_file(42)",
+                false,
+                1,
+                "read_file() argument 'name' expects str, got int".into(),
+            ),
+            ("x = 'a' + 1", false, 1, "cannot add str and int".into()),
+            (
+                "x = {} - 1",
+                false,
+                1,
+                "unsupported operand types: dict and int".into(),
+            ),
+            (
+                "x = 'a' * 'b'",
+                false,
+                1,
+                "unsupported operand types: str and str".into(),
+            ),
+            ("x = 'a' / 2", false, 1, "cannot divide str by int".into()),
+            ("x = 'a' // 2", false, 1, "'//' needs numbers".into()),
+            ("x = 'a' % 2", false, 1, "'%' needs ints".into()),
+            ("x = 'a' < 1", false, 1, "cannot compare str and int".into()),
+            (
+                "x = 1 in 2",
+                false,
+                1,
+                "'in' not supported between int and int".into(),
+            ),
+            ("x = -'a'", false, 1, "cannot negate str".into()),
+            (
+                "n = 1\nx = n.upper()",
+                false,
+                2,
+                "int has no methods".into(),
+            ),
+            (
+                "for x in 5:\n    print(x)",
+                false,
+                1,
+                "int is not iterable".into(),
+            ),
+            (
+                "xs = [x for x in 5]",
+                false,
+                1,
+                "int is not iterable".into(),
+            ),
+            (
+                "x = 5\ny = x[0]",
+                false,
+                2,
+                "int is not subscriptable".into(),
+            ),
+            (
+                "xs = [1]\ny = xs['a']",
+                false,
+                2,
+                "list indices must be ints, not str".into(),
+            ),
+            ("x = 3\nx()", false, 2, "int is not callable".into()),
+            ("d = {1: 'x'}", false, 1, "dict keys must be strings".into()),
+            (
+                "d = {}\ny = d[1]",
+                false,
+                2,
+                "dict keys must be strings".into(),
+            ),
+            (
+                "xs = [1, 2]\nys = xs['a':2]",
+                false,
+                2,
+                "slice bounds must be ints".into(),
+            ),
+            ("x = 5\ny = x[1:2]", false, 2, "int cannot be sliced".into()),
+            (
+                "d = {}\nd[1] = 2",
+                false,
+                2,
+                "cannot assign into dict with int key".into(),
+            ),
+            (
+                "xs = []\nxs['a'] = 1",
+                false,
+                2,
+                "cannot assign into list with str key".into(),
+            ),
+            (
+                "s = 'ab'\ns[0] = 'c'",
+                false,
+                2,
+                "cannot assign into str with int key".into(),
+            ),
+        ];
+        for (src, is_static, line, message) in cases {
+            let err = check(src).expect_err(src);
+            let expected = if *is_static {
+                ScriptError::Static {
+                    line: *line,
+                    message: message.clone(),
+                }
+            } else {
+                ScriptError::Type {
+                    line: *line,
+                    message: message.clone(),
+                }
+            };
+            assert_eq!(err, expected, "{src}");
+        }
+    }
+
+    #[test]
+    fn the_first_error_in_program_order_wins() {
+        // A use-before-assign on line 1 is reported before the unknown
+        // call on line 3.
+        let msg = check_err("print(x)\nx = 1\nfoo()");
+        assert_eq!(
+            msg,
+            "type error (line 1): variable 'x' used before assignment"
+        );
+    }
+
+    #[test]
+    fn an_undefined_name_the_statement_calls_is_an_unknown_call() {
+        let err = check("x = foo + foo()").expect_err("foo is defined nowhere");
+        assert!(
+            matches!(&err, ScriptError::Static { line: 1, message }
+                if message.starts_with("call to unknown function or tool 'foo'")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn builtin_list_matches_interpreter() {
+        // The table is sorted (lookups binary-search it) and every name in
+        // it resolves when called.
+        assert!(BUILTIN_NAMES.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut interp = crate::Interpreter::new();
+        for (b, _) in BUILTIN_NAMES {
+            let src = match *b {
+                "print" => "print(1)".to_string(),
+                "range" => "range(1)".to_string(),
+                "enumerate" => "enumerate([1])".to_string(),
+                "sum" | "min" | "max" | "sorted" | "len" => format!("{b}([1])"),
+                _ => format!("{b}(1)"),
+            };
+            let res = interp.run(&src);
+            assert!(res.is_ok(), "builtin {b} failed: {res:?}");
+        }
     }
 
     #[test]
@@ -1064,6 +1304,8 @@ mod tests {
         check("total = 0\nfor n in range(10):\n    total += n\ntotal").unwrap();
         check("def rate(name):\n    text = read_file(name)\n    return len(text)\nrate('a.txt')")
             .unwrap();
+        // Constant conditions and names nothing reads are legal.
+        check("if False:\n    x = 1\nelse:\n    x = 2\nunused = x\n_tmp = 1").unwrap();
     }
 
     #[test]
@@ -1076,7 +1318,26 @@ mod tests {
     #[test]
     fn rejects_undefined_names() {
         let msg = check_err("print(nope)");
-        assert!(msg.contains("not defined"), "{msg}");
+        assert!(msg.contains("never defined anywhere"), "{msg}");
+        // Inside a function body too.
+        let msg = check_err("def f():\n    return nope\nf()");
+        assert_eq!(
+            msg,
+            "static error (line 2): 'nope' is never defined anywhere in the program"
+        );
+    }
+
+    #[test]
+    fn while_true_needs_an_exit() {
+        assert!(check("while True:\n    break\n").is_ok());
+        assert!(check("def f():\n    while 1:\n        return 2\nf()").is_ok());
+        // A non-literal condition is fine (the fuel budget guards it).
+        assert!(check("n = 3\nwhile n > 0:\n    n = n - 1\nn\n").is_ok());
+    }
+
+    #[test]
+    fn comprehension_vars_count_as_defined() {
+        check("xs = [1, 2, 3]\nys = [v * 2 for v in xs]\nys\nv").unwrap();
     }
 
     #[test]

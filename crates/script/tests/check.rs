@@ -1,4 +1,4 @@
-//! The static checker must reject every bad-program fixture *before*
+//! The front-end pass must reject every bad-program fixture *before*
 //! executing anything: a bound `probe()` tool records whether execution
 //! ever started, and rejection means it never fires. This is the
 //! crate-level half of the zero-spend guarantee the agents runtime
@@ -28,6 +28,14 @@ fn probed_interp() -> (Interpreter, Rc<Cell<u32>>) {
     (interp, calls)
 }
 
+/// Runs `source` only when the front end accepts it.
+fn checked_run(interp: &mut Interpreter, source: &str) -> Result<ScriptValue, ScriptError> {
+    match interp.check_source(source) {
+        Some(err) => Err(err),
+        None => interp.run(source),
+    }
+}
+
 #[test]
 fn every_bad_fixture_is_rejected_before_execution() {
     let fixtures = [
@@ -39,9 +47,7 @@ fn every_bad_fixture_is_rejected_before_execution() {
     for name in fixtures {
         let src = fixture(name);
         let (mut interp, calls) = probed_interp();
-        let err = interp
-            .run_checked(&src)
-            .expect_err(&format!("{name} must be rejected"));
+        let err = checked_run(&mut interp, &src).expect_err(&format!("{name} must be rejected"));
         assert!(
             matches!(
                 err,
@@ -60,9 +66,7 @@ fn every_bad_fixture_is_rejected_before_execution() {
 #[test]
 fn rejection_reports_a_line_and_reason() {
     let (mut interp, _) = probed_interp();
-    let err = interp
-        .run_checked(&fixture("unknown_tool.pyr"))
-        .expect_err("rejected");
+    let err = checked_run(&mut interp, &fixture("unknown_tool.pyr")).expect_err("rejected");
     let msg = err.to_string();
     assert!(msg.contains("line 2"), "{msg}");
     assert!(msg.contains("serch_docs"), "{msg}");
@@ -71,30 +75,31 @@ fn rejection_reports_a_line_and_reason() {
 }
 
 #[test]
-fn good_program_runs_through_run_checked() {
+fn good_program_passes_the_check_and_runs() {
     let (mut interp, calls) = probed_interp();
-    let value = interp
-        .run_checked("probe()\nxs = [1, 2, 3]\nsum(xs)")
-        .expect("clean program runs");
+    let value =
+        checked_run(&mut interp, "probe()\nxs = [1, 2, 3]\nsum(xs)").expect("clean program runs");
     assert_eq!(value, ScriptValue::Int(6));
     assert_eq!(calls.get(), 1);
 }
 
 #[test]
-fn warnings_do_not_block_execution() {
-    // Dead branch + unused variable: warnings only.
+fn globals_left_by_earlier_runs_are_defined() {
     let (mut interp, _) = probed_interp();
-    let src = "unused = 1\nif False:\n    probe()\n42";
-    let issues = interp.check_source(src);
-    assert!(!issues.is_empty(), "expected warnings");
-    let value = interp.run_checked(src).expect("warnings still run");
-    assert_eq!(value, ScriptValue::Int(42));
+    assert!(interp.check_source("n + 1").is_some());
+    interp.run("n = 41").expect("runs");
+    assert!(interp.check_source("n + 1").is_none());
+    assert_eq!(interp.global_names().into_iter().collect::<Vec<_>>(), ["n"]);
 }
 
 #[test]
-fn check_source_surfaces_parse_errors_as_issues() {
+fn check_source_reports_the_parse_error_itself() {
     let (interp, _) = probed_interp();
-    let issues = interp.check_source(&fixture("syntax_error.pyr"));
-    assert_eq!(issues.len(), 1);
-    assert_eq!(issues[0].code, "parse-error");
+    let err = interp
+        .check_source(&fixture("syntax_error.pyr"))
+        .expect("rejected");
+    assert!(
+        matches!(err, ScriptError::Lex { .. } | ScriptError::Parse { .. }),
+        "{err:?}"
+    );
 }

@@ -395,24 +395,28 @@ impl<'a> PayloadReader<'a> {
         Ok(slice)
     }
 
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self, field: &'static str) -> Result<[u8; N], WireError> {
+        let frame = self.frame;
+        self.take(N, field)?
+            .try_into()
+            .map_err(|_| WireError::Truncated { frame, field })
+    }
+
     fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
         Ok(self.take(1, field)?[0])
     }
 
     fn u64(&mut self, field: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, field)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array(field)?))
     }
 
     fn u128(&mut self, field: &'static str) -> Result<u128, WireError> {
-        Ok(u128::from_le_bytes(
-            self.take(16, field)?.try_into().expect("16 bytes"),
-        ))
+        Ok(u128::from_le_bytes(self.array(field)?))
     }
 
     fn f64_finite(&mut self, field: &'static str) -> Result<f64, WireError> {
-        let value = f64::from_le_bytes(self.take(8, field)?.try_into().expect("8 bytes"));
+        let value = f64::from_le_bytes(self.array(field)?);
         if !value.is_finite() {
             return Err(WireError::BadValue {
                 frame: self.frame,
@@ -423,12 +427,12 @@ impl<'a> PayloadReader<'a> {
     }
 
     fn str16(&mut self, field: &'static str) -> Result<String, WireError> {
-        let len = u16::from_le_bytes(self.take(2, field)?.try_into().expect("2 bytes")) as usize;
+        let len = u16::from_le_bytes(self.array(field)?) as usize;
         self.str_body(len, field)
     }
 
     fn str32(&mut self, field: &'static str) -> Result<String, WireError> {
-        let len = u32::from_le_bytes(self.take(4, field)?.try_into().expect("4 bytes")) as usize;
+        let len = u32::from_le_bytes(self.array(field)?) as usize;
         self.str_body(len, field)
     }
 
@@ -873,7 +877,9 @@ impl<F: Fabric> Listener<F> {
                     }
                     Ok(n) => {
                         self.stats.bytes_in += n as u64;
-                        let state = self.conns.get_mut(&token).expect("conn checked");
+                        let Some(state) = self.conns.get_mut(&token) else {
+                            break;
+                        };
                         state.reader.push(&buf[..n]);
                     }
                     Err(err) if err.kind() == io::ErrorKind::WouldBlock => break,
