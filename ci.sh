@@ -11,13 +11,17 @@ cargo test -q --workspace
 # host-speed change may not move a simulated dollar, second, answer or
 # trace line. Regenerate them with the release binaries and compare with
 # the committed canonical files (the soak is the full one: that is what
-# results/ holds, and it takes seconds). None of the fourteen carries a
-# byte count of the state files, so a change to the on-disk format of
+# results/ holds, and it takes seconds). None of the twenty-four carries
+# a byte count of the state files, so a change to the on-disk format of
 # durable state leaves them alone.
-pinned_bins=(table1 table2 figure1 figure2 serve_soak)
+pinned_bins=(table1 table2 figure1 figure2 serve_soak
+  ablation_reuse ablation_rewrite ablation_optimizer ablation_sampling ablation_access)
 pinned_files=(BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.json
   table1.txt table1.json table2.txt table2.json figure1.txt figure2.txt
-  BENCH_serve_soak.json BENCH_semcache.json serve_soak.txt health.jsonl)
+  BENCH_serve_soak.json BENCH_semcache.json serve_soak.txt health.jsonl
+  ablation_reuse.json ablation_reuse.txt ablation_rewrite.json ablation_rewrite.txt
+  ablation_optimizer.json ablation_optimizer.txt ablation_sampling.json ablation_sampling.txt
+  ablation_access.json ablation_access.txt)
 for bin in "${pinned_bins[@]}"; do
   AIDA_RESULTS_DIR=target/ci-results \
     cargo run -q --release -p aida-bench --bin "$bin" >/dev/null
@@ -27,7 +31,7 @@ for f in "${pinned_files[@]}"; do
 done
 
 # Fork-join: `parallel_map` runs a batch on as many host threads as the
-# process has CPUs, and inline on one. The same fourteen files must come
+# process has CPUs, and inline on one. The same twenty-four files must come
 # out of a run pinned to one CPU, so both paths produce the same bytes.
 # On a one-CPU host both runs are inline; only the fork-join unit test
 # (at 2 and 8 threads) then covers the threaded path.
@@ -95,18 +99,19 @@ for f in BENCH_bounds.json bounds.jsonl; do
   cmp "target/ci-bounds-a/$f" "results/$f"
 done
 
-# Serving layer: the concurrency stress test wants optimized atomics and
-# real thread pressure, and the soak smoke proves the service binary
-# runs end to end (SERVE_SOAK_SMOKE=1 shrinks the workload). The soak
-# itself asserts the shared semantic cache is strictly cheaper than the
-# cache-off baseline and exits nonzero otherwise.
+# Serving layer: the ContextManager stress test wants optimized atomics
+# and real thread pressure (eight threads share one manager; the service
+# itself runs every query on its one dispatch thread), and the soak
+# smoke proves the service binary runs end to end (SERVE_SOAK_SMOKE=1
+# shrinks the workload). The soak itself asserts the shared semantic
+# cache is strictly cheaper than the cache-off baseline and exits
+# nonzero otherwise.
 cargo test -q --release --test serve
 SERVE_SOAK_SMOKE=1 AIDA_RESULTS_DIR=target/ci-cache-a \
   cargo run -q --release -p aida-bench --bin serve_soak >/dev/null
 
 # Live front door: wire-protocol codec properties, listener soaks, and
-# closed-loop client/autoscaler behavior (release: the soaks drive real
-# worker threads).
+# closed-loop client/autoscaler behavior (release: the soaks are long).
 cargo test -q --release --test net
 
 # Listener smoke: the live phase drives a closed-loop fleet over the
@@ -122,6 +127,14 @@ SERVE_SOAK_SMOKE=1 SERVE_SOAK_LIVE=1 AIDA_RESULTS_DIR=target/ci-live-b \
 cmp target/ci-live-a/traces/serve_live.jsonl target/ci-live-b/traces/serve_live.jsonl
 cmp target/ci-live-a/health_live.jsonl target/ci-live-b/health_live.jsonl
 cmp target/ci-live-a/BENCH_serve_live.json target/ci-live-b/BENCH_serve_live.json
+
+# The full live soak (about five seconds) must also reproduce the
+# committed live files, not only agree with itself.
+SERVE_SOAK_LIVE=1 AIDA_RESULTS_DIR=target/ci-live-full \
+  cargo run -q --release -p aida-bench --bin serve_soak >/dev/null
+for f in BENCH_serve_live.json health_live.jsonl; do
+  cmp "target/ci-live-full/$f" "results/$f"
+done
 
 # Semantic cache: warm restarts, eviction interplay, and corrupted
 # snapshots (also covered in the debug `cargo test -q` above, but the

@@ -795,9 +795,9 @@ mod tests {
 
     #[test]
     fn runtime_is_shareable_across_scoped_threads() {
-        // The serving layer hands one Runtime to N workers by reference;
-        // this is a compile-time Send+Sync check plus a smoke of shared
-        // state across real threads.
+        // Clones share all state and a Runtime is Send + Sync, so threads
+        // may share one by reference; this is a compile-time check plus a
+        // smoke of shared state across real threads.
         let rt = Runtime::builder().build();
         std::thread::scope(|scope| {
             for i in 0..4 {

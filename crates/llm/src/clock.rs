@@ -124,36 +124,18 @@ impl Timeline {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The placement `schedule` would commit for a job ready at
-    /// `ready_s`, without committing it. Worker choice is independent of
-    /// the job's duration, so callers that must *run* a job to learn its
-    /// duration (the serving layer measures durations by executing) can
-    /// peek the worker/start first and commit after.
-    pub fn peek(&self, ready_s: f64) -> ScheduledSlot {
-        let worker = self.earliest_free_worker();
-        let start_s = ready_s.max(self.free_at[worker]);
-        ScheduledSlot {
-            worker,
-            start_s,
-            end_s: start_s,
-        }
-    }
-
-    fn earliest_free_worker(&self) -> usize {
+    /// Places a job that becomes ready at `ready_s` and runs for
+    /// `duration_s` onto the earliest-free worker; ties go to the lowest
+    /// worker index so placement is deterministic. The choice of worker
+    /// does not depend on `duration_s`, so a caller may run the job
+    /// first and schedule it once its duration is known.
+    pub fn schedule(&mut self, ready_s: f64, duration_s: f64) -> ScheduledSlot {
         let mut worker = 0;
         for i in 1..self.active {
             if self.free_at[i] < self.free_at[worker] {
                 worker = i;
             }
         }
-        worker
-    }
-
-    /// Places a job that becomes ready at `ready_s` and runs for
-    /// `duration_s` onto the earliest-free worker; ties go to the lowest
-    /// worker index so placement is deterministic.
-    pub fn schedule(&mut self, ready_s: f64, duration_s: f64) -> ScheduledSlot {
-        let worker = self.earliest_free_worker();
         let start_s = ready_s.max(self.free_at[worker]);
         let end_s = start_s + duration_s.max(0.0);
         self.free_at[worker] = end_s;
@@ -308,19 +290,6 @@ mod tests {
         // Negative durations are clamped to zero-length slots.
         let s = tl.schedule(0.0, -4.0);
         assert_eq!(s.start_s, s.end_s);
-    }
-
-    #[test]
-    fn timeline_peek_matches_schedule() {
-        let mut tl = Timeline::new(2);
-        tl.schedule(0.0, 5.0);
-        // Peeking does not commit: repeated peeks agree.
-        let peeked = tl.peek(1.0);
-        assert_eq!(tl.peek(1.0), peeked);
-        let committed = tl.schedule(1.0, 3.0);
-        assert_eq!(peeked.worker, committed.worker);
-        assert_eq!(peeked.start_s, committed.start_s);
-        assert_eq!((committed.worker, committed.end_s), (1, 4.0));
     }
 
     #[test]

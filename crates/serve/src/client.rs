@@ -352,11 +352,11 @@ impl LiveSource {
     fn step_to(&mut self, t: f64) {
         self.listener.fabric_mut().advance(t);
         let now = self.listener.fabric_mut().now();
-        while let Some((&key, _)) = self.actions.iter().next() {
-            if f64::from_bits(key.0) > now {
+        while let Some(entry) = self.actions.first_entry() {
+            if f64::from_bits(entry.key().0) > now {
                 break;
             }
-            match self.actions.remove(&key).expect("key just observed") {
+            match entry.remove() {
                 Action::Submit { client } => self.submit(client),
                 Action::Respond { conn, frame } => self.listener.respond(conn, &frame),
             }

@@ -6,14 +6,14 @@
 //! registered Contexts, a bounded [`AdmissionQueue`] applies
 //! backpressure and typed load-shedding, per-tenant quotas are enforced
 //! from metered spend, and a weighted-round-robin scheduler dispatches
-//! onto a worker pool. All tenants share one runtime — and therefore one
-//! ContextManager — so Contexts materialized for one tenant accelerate
-//! and cheapen every other tenant's queries.
+//! onto a virtual worker pool. All tenants share one runtime — and
+//! therefore one ContextManager — so Contexts materialized for one tenant
+//! accelerate and cheapen every other tenant's queries.
 //!
-//! Everything is deterministic on the virtual clock: the same seed and
-//! workload produce byte-identical [`ServiceReport`]s no matter how the
-//! host interleaves the real worker threads (see [`QueryService`] for
-//! how).
+//! Everything is deterministic on the virtual clock: queries execute one
+//! at a time on the dispatch thread, and concurrency exists only in the
+//! virtual schedule, so the same seed and workload produce byte-identical
+//! [`ServiceReport`]s (see [`QueryService`] for how).
 //!
 //! ```
 //! use aida_core::{Context, Runtime};

@@ -1,41 +1,39 @@
 //! The query service: one shared [`Runtime`] multiplexed across tenants
-//! by an admission-controlled worker pool.
+//! by admission control and a virtual worker pool.
 //!
-//! # Determinism under real threads
+//! # One dispatch thread, a virtual pool
 //!
-//! Queries execute on a pool of real `std::thread::scope` workers, but
-//! the scheduler dispatches **one query at a time** and blocks for its
-//! result before dispatching the next. All mutations of the shared
-//! runtime (clock, usage meter, ContextManager) therefore happen in a
-//! deterministic order regardless of how the host schedules threads.
-//! Concurrency is modeled in *virtual* time instead: a [`Timeline`]
-//! places each query on the earliest-free virtual worker, so queries
-//! overlap in the reported schedule exactly as they would on an
-//! `N`-worker pool. Two runs of the same workload produce byte-identical
-//! reports.
-//!
-//! Virtual-worker index `k` is pinned to real worker thread `k`, so the
-//! physical execution follows the virtual placement.
+//! Every query executes inline on the thread that calls
+//! [`QueryService::serve`], one at a time in dispatch order, so all
+//! mutations of the shared runtime (clock, usage meter, ContextManager)
+//! happen in a deterministic order. Concurrency is modeled in *virtual*
+//! time instead: a [`Timeline`] places each query on the earliest-free
+//! virtual worker, so queries overlap in the reported schedule exactly
+//! as they would on an `N`-worker pool. The pool size is a parameter of
+//! that model, never a count of host threads. Two runs of the same
+//! workload produce byte-identical reports.
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler};
 use crate::bounds::BoundGate;
 use crate::driver::{ReplaySource, RequestSource};
+use crate::net::NetStats;
 use crate::queue::AdmissionQueue;
-use crate::report::ServiceReport;
+use crate::report::{ServiceReport, TenantReport};
 use crate::request::{Completion, QueryRequest, RejectReason, Shed};
-use crate::tenant::{LedgerRecord, LedgerWal, TenantConfig, TenantLedger, WalRecovery};
+use crate::tenant::{LedgerRecord, LedgerWal, TenantConfig, TenantLedger, WalRecovery, WalStats};
 use crate::TenantId;
 use aida_core::{Context, Runtime};
 use aida_llm::snapshot::SnapshotError;
-use aida_llm::Timeline;
+use aida_llm::{CacheStats, ScheduledSlot, Timeline, UsageSnapshot};
 use aida_obs::{registry, Event, Recorder, SeriesStore, SloPolicy, WindowSnapshot};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 /// Service tunables.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker-pool size (virtual and real; minimum 1).
+    /// Virtual worker-pool size (minimum 1): how many queries may
+    /// overlap in virtual time. Queries still execute one at a time on
+    /// the dispatch thread.
     pub workers: usize,
     /// Admission-queue bound across all tenants (minimum 1).
     pub queue_capacity: usize,
@@ -58,8 +56,8 @@ pub struct ServeConfig {
     /// run here, off the per-query path; minimum 1).
     pub ops_interval: u64,
     /// Latency-targeted autoscaling of the virtual worker pool. When
-    /// set, the service provisions `autoscale.max_workers` threads and
-    /// lets the controller resize the *active* prefix between the
+    /// set, the virtual pool's capacity is `autoscale.max_workers` and
+    /// the controller resizes its *active* prefix between the
     /// configured bounds; `workers` becomes the initial pool size.
     /// `None` keeps the fixed pool.
     pub autoscale: Option<AutoscaleConfig>,
@@ -140,99 +138,6 @@ impl ServeConfig {
         self.cost_bounds = Some(tier);
         self
     }
-}
-
-/// One query's work order, shipped to a worker thread.
-struct Job {
-    ctx: Context,
-    instruction: String,
-}
-
-/// Marks the run WAL-failed and records the error. Dispatch stops after
-/// this — crash semantics: the durable log trails the in-memory ledger
-/// by at most one batch of records.
-fn wal_fatal(
-    report: &mut ServiceReport,
-    recorder: &Recorder,
-    counter: &'static str,
-    detail: String,
-) {
-    recorder.counter_add(counter, 1);
-    recorder.event(Event::Error {
-        counter: counter.to_string(),
-        detail,
-    });
-    report.wal_failed = true;
-}
-
-/// Records one rejection: the typed shed reaches the source (so a live
-/// client hears about it over the wire), the tenant's shed counter, and
-/// the report's rejection log.
-fn shed_request(
-    report: &mut ServiceReport,
-    source: &mut dyn RequestSource,
-    seq: u64,
-    tenant: TenantId,
-    at_s: f64,
-    reason: RejectReason,
-) {
-    *report
-        .tenants
-        .entry(tenant.clone())
-        .or_default()
-        .shed
-        .entry(reason.kind())
-        .or_insert(0) += 1;
-    let shed = Shed {
-        seq,
-        tenant,
-        at_s,
-        reason,
-    };
-    source.on_shed(&shed);
-    report.sheds.push(shed);
-}
-
-/// The admission check: known tenant, known Context, quota headroom,
-/// static cost bound, queue bound. `Ok` means the request is in the
-/// queue.
-fn admit(
-    tenants: &TenantLedger,
-    contexts: &BTreeMap<String, Context>,
-    queue: &mut AdmissionQueue,
-    gate: Option<&mut BoundGate>,
-    request: QueryRequest,
-) -> Result<(), RejectReason> {
-    if !tenants.knows(&request.tenant) {
-        Err(RejectReason::UnknownTenant)
-    } else if !contexts.contains_key(&request.context) {
-        Err(RejectReason::UnknownContext {
-            name: request.context.clone(),
-        })
-    } else if let Some(reason) = tenants.over_quota(&request.tenant) {
-        Err(reason)
-    } else if let Some(reason) = check_cost_bound(tenants, gate, &request) {
-        Err(reason)
-    } else {
-        queue.push(request)
-    }
-}
-
-/// The static-bound budget check, shared by admission and the
-/// dispatch-time re-check: sheds only when the analyzer *proves* the
-/// plan's worst case cannot fit the tenant's remaining dollars.
-fn check_cost_bound(
-    tenants: &TenantLedger,
-    gate: Option<&mut BoundGate>,
-    request: &QueryRequest,
-) -> Option<RejectReason> {
-    let gate = gate?;
-    let remaining = tenants.remaining_usd(&request.tenant);
-    let (usd_max, remaining_usd) = gate.over_budget(&request.instruction, remaining)?;
-    Some(RejectReason::CostBoundExceeded {
-        usd_max,
-        remaining_usd,
-    })
 }
 
 /// Group commit: the deterministic commit buffer. Records accumulate
@@ -386,7 +291,6 @@ impl PoolController {
         timeline: &mut Timeline,
         report: &mut ServiceReport,
         recorder: &Recorder,
-        trace_gauge: bool,
     ) {
         let Some((scaler, window)) = self.scaler.as_mut() else {
             return;
@@ -406,9 +310,7 @@ impl PoolController {
             },
             1,
         );
-        if trace_gauge {
-            recorder.gauge_set(registry::SERVE_WORKERS, event.at_s, event.to as f64);
-        }
+        recorder.gauge_set(registry::SERVE_WORKERS, event.at_s, event.to as f64);
         recorder.event(Event::Scale {
             at_s: event.at_s,
             from: event.from as u64,
@@ -431,6 +333,345 @@ impl PoolController {
     fn total_worker_seconds(&self, end_t: f64) -> f64 {
         self.worker_seconds + self.active as f64 * (end_t.max(self.last_t) - self.last_t)
     }
+}
+
+/// What the shared runtime's meters read at one instant: just before a
+/// query ran (settlement bills the difference to its tenant), or when
+/// the run began (the report's totals are differences from it).
+struct Probe {
+    clock_s: f64,
+    meter: UsageSnapshot,
+    reuse: (u64, u64),
+    cache: Option<CacheStats>,
+}
+
+impl Probe {
+    fn read(runtime: &Runtime) -> Probe {
+        Probe {
+            clock_s: runtime.clock().now(),
+            meter: runtime.meter().snapshot(),
+            reuse: runtime.reuse_stats(),
+            cache: runtime.cache_stats(),
+        }
+    }
+}
+
+/// One [`QueryService::serve`] call's state outside the scheduler: the
+/// service's borrowed halves (the runtime is shared, the ledger
+/// mutated), the commit pipeline, the bound gate, the report being
+/// built, and what the runtime's counters read when the run began.
+struct Dispatcher<'a> {
+    runtime: &'a Runtime,
+    contexts: &'a BTreeMap<String, Context>,
+    tenants: &'a mut TenantLedger,
+    wal: Option<WalPipeline<'a>>,
+    gate: Option<BoundGate>,
+    report: ServiceReport,
+    start: Probe,
+    evictions_before: u64,
+    wal_before: WalStats,
+}
+
+impl<'a> Dispatcher<'a> {
+    fn new(service: &'a mut QueryService, workers: usize) -> Dispatcher<'a> {
+        let mut report = ServiceReport {
+            workers,
+            wal_replayed: service.wal_recovery.map_or(0, |r| r.replayed),
+            ..ServiceReport::default()
+        };
+        for (tenant, _) in service.tenants.tenants() {
+            report.tenants.entry(tenant.clone()).or_default();
+        }
+        let runtime = &service.runtime;
+        let config = &service.config;
+        Dispatcher {
+            runtime,
+            contexts: &service.contexts,
+            tenants: &mut service.tenants,
+            wal_before: service.wal.as_ref().map(|w| w.stats()).unwrap_or_default(),
+            wal: (service.wal.as_mut())
+                .map(|w| WalPipeline::new(w, config.group_commit, config.ops_interval)),
+            gate: config.cost_bounds.map(BoundGate::new),
+            report,
+            start: Probe::read(runtime),
+            evictions_before: runtime.manager().evictions(),
+        }
+    }
+
+    fn sample_depth(&mut self, t: f64, depth: usize) {
+        self.report.queue_depth.set(t, depth as f64);
+        let recorder = self.runtime.recorder();
+        recorder.gauge_set(registry::SERVE_QUEUE_DEPTH, t, depth as f64);
+    }
+
+    fn row(&mut self, tenant: &TenantId) -> &mut TenantReport {
+        self.report.tenants.entry(tenant.clone()).or_default()
+    }
+
+    /// Marks the run WAL-failed and records the error. Dispatch stops
+    /// after this — crash semantics: the durable log trails the
+    /// in-memory ledger by at most one batch of records.
+    fn wal_fatal(&mut self, counter: &'static str, detail: String) {
+        let recorder = self.runtime.recorder();
+        recorder.counter_add(counter, 1);
+        recorder.event(Event::Error {
+            counter: counter.to_string(),
+            detail,
+        });
+        self.report.wal_failed = true;
+    }
+
+    /// Records one rejection: the typed shed reaches the source (so a
+    /// live client hears about it over the wire), the tenant's shed
+    /// counter, and the report's rejection log.
+    fn shed(
+        &mut self,
+        source: &mut dyn RequestSource,
+        seq: u64,
+        tenant: TenantId,
+        at_s: f64,
+        reason: RejectReason,
+    ) {
+        *self.row(&tenant).shed.entry(reason.kind()).or_insert(0) += 1;
+        let shed = Shed {
+            seq,
+            tenant,
+            at_s,
+            reason,
+        };
+        source.on_shed(&shed);
+        self.report.sheds.push(shed);
+    }
+
+    /// The budget checks shared by admission and dispatch: quota
+    /// headroom, then the static cost bound, which sheds only when the
+    /// analyzer *proves* the plan's worst case cannot fit the tenant's
+    /// remaining dollars.
+    fn budget_check(&mut self, request: &QueryRequest) -> Option<RejectReason> {
+        if let Some(reason) = self.tenants.over_quota(&request.tenant) {
+            return Some(reason);
+        }
+        let gate = self.gate.as_mut()?;
+        let remaining = self.tenants.remaining_usd(&request.tenant);
+        let (usd_max, remaining_usd) = gate.over_budget(&request.instruction, remaining)?;
+        Some(RejectReason::CostBoundExceeded {
+            usd_max,
+            remaining_usd,
+        })
+    }
+
+    /// The admission check: known tenant, known Context, quota headroom,
+    /// static cost bound, queue bound. `Ok` means the request is in the
+    /// queue.
+    fn admission(
+        &mut self,
+        queue: &mut AdmissionQueue,
+        request: QueryRequest,
+    ) -> Result<(), RejectReason> {
+        if !self.tenants.knows(&request.tenant) {
+            Err(RejectReason::UnknownTenant)
+        } else if !self.contexts.contains_key(&request.context) {
+            Err(RejectReason::UnknownContext {
+                name: request.context.clone(),
+            })
+        } else if let Some(reason) = self.budget_check(&request) {
+            Err(reason)
+        } else {
+            queue.push(request)
+        }
+    }
+
+    /// Admits one arrival into the queue (logging its admit record) or
+    /// sheds it, then samples the queue depth at its arrival instant.
+    /// `false` means the WAL failed and dispatch must stop.
+    fn admit_or_shed(
+        &mut self,
+        source: &mut dyn RequestSource,
+        queue: &mut AdmissionQueue,
+        request: QueryRequest,
+    ) -> bool {
+        let at_s = request.arrival_s;
+        let tenant = request.tenant.clone();
+        let seq = request.seq;
+        self.row(&tenant).submitted += 1;
+        match self.admission(queue, request) {
+            Ok(()) => {
+                self.row(&tenant).admitted += 1;
+                source.on_admitted(seq, &tenant, at_s);
+                if let Some(p) = self.wal.as_mut() {
+                    let record = LedgerRecord::Admit {
+                        tenant: tenant.clone(),
+                    };
+                    if let Err(e) = p.log(&mut self.report, self.runtime.recorder(), record) {
+                        let detail = format!("admit record for tenant {tenant} failed: {e}");
+                        self.wal_fatal(registry::WAL_APPEND_ERRORS, detail);
+                        return false;
+                    }
+                }
+            }
+            Err(reason) => self.shed(source, seq, tenant, at_s, reason),
+        }
+        self.sample_depth(at_s, queue.depth());
+        true
+    }
+
+    /// The dispatch-time re-checks, in order: the queue wait may have
+    /// blown the deadline; earlier dispatches may have exhausted the
+    /// tenant's quota, or shrunk its headroom below the plan's static
+    /// bound (re-proved against the *current* remaining dollars, cached
+    /// by plan hash — no recompile). `Ok` is the Context to run on
+    /// (admission already found it; were it missing, the request would
+    /// be shed, not the loop aborted).
+    fn dispatch_check(
+        &mut self,
+        request: &QueryRequest,
+        dispatch_t: f64,
+    ) -> Result<&'a Context, RejectReason> {
+        let waited_s = dispatch_t - request.arrival_s;
+        if let Some(deadline_s) = request.deadline_s.filter(|d| waited_s > *d) {
+            return Err(RejectReason::DeadlineExpired {
+                waited_s,
+                deadline_s,
+            });
+        }
+        if let Some(reason) = self.budget_check(request) {
+            return Err(reason);
+        }
+        self.contexts
+            .get(&request.context)
+            .ok_or_else(|| RejectReason::UnknownContext {
+                name: request.context.clone(),
+            })
+    }
+
+    /// Settles one executed query against the readings taken before it
+    /// ran: charges the meter and cache deltas to its tenant, logs one
+    /// combined spend record (the charge and its cache credit land
+    /// atomically or not at all, so recovery never sees a half-applied
+    /// spend), and builds the completion. `None` means the WAL failed
+    /// and dispatch must stop.
+    fn settle_query(
+        &mut self,
+        request: &QueryRequest,
+        probe: &Probe,
+        slot: ScheduledSlot,
+        answered: bool,
+    ) -> Option<Completion> {
+        let runtime = self.runtime;
+        let delta = runtime.meter().snapshot().delta_since(&probe.meter);
+        let cost_usd = delta.cost(runtime.env().llm.catalog());
+        let tokens = delta.total_tokens();
+        let llm_calls = delta.total_calls();
+        let (hits, misses) = runtime.reuse_stats();
+        let cache = match (&probe.cache, runtime.cache_stats()) {
+            (Some(before), Some(after)) => after.delta_since(before),
+            _ => CacheStats::default(),
+        };
+        let tenant = &request.tenant;
+        self.tenants.charge(tenant, cost_usd, tokens, llm_calls);
+        self.tenants
+            .credit_cache(tenant, cache.hits, cache.coalesced);
+        if let Some(p) = self.wal.as_mut() {
+            let record = LedgerRecord::Spend {
+                tenant: tenant.clone(),
+                usd: cost_usd,
+                tokens,
+                calls: llm_calls,
+                cache_hits: cache.hits,
+                cache_coalesced: cache.coalesced,
+            };
+            let recorder = runtime.recorder();
+            let failed = p.settle_spend(&mut self.report, recorder, self.tenants, tenant, record);
+            if let Some((counter, detail)) = failed {
+                self.wal_fatal(counter, detail);
+                return None;
+            }
+        }
+        Some(Completion {
+            seq: request.seq,
+            tenant: tenant.clone(),
+            worker: slot.worker,
+            submitted_s: request.submitted_s,
+            arrival_s: request.arrival_s,
+            // Admission happened at the arrival instant (the admission
+            // sweep runs every arrival up to the dispatch cursor at its
+            // own arrival time).
+            admit_s: request.arrival_s,
+            start_s: slot.start_s,
+            end_s: slot.end_s,
+            cost_usd,
+            tokens,
+            llm_calls,
+            reuse_hits: hits - probe.reuse.0,
+            reuse_misses: misses - probe.reuse.1,
+            cache_hits: cache.hits,
+            cache_coalesced: cache.coalesced,
+            cache_misses: cache.misses,
+            answered,
+        })
+    }
+
+    /// Ends the run: drains the commit buffer so every acknowledged
+    /// record is durable before the report is trusted, then fills in
+    /// the run's bound-gate, reuse, cache and WAL totals and mirrors
+    /// them into the registry.
+    fn settle_run(mut self) -> ServiceReport {
+        let (runtime, recorder) = (self.runtime, self.runtime.recorder());
+        if let Some(p) = self.wal.as_mut().filter(|_| !self.report.wal_failed) {
+            if let Err(e) = p.flush(&mut self.report, recorder) {
+                let detail = format!("end-of-run group flush failed: {e}");
+                self.wal_fatal(registry::WAL_APPEND_ERRORS, detail);
+            }
+        }
+        let report = &mut self.report;
+        if let Some(gate) = &self.gate {
+            report.bounds_gated = true;
+            report.bounds_checked = gate.checked;
+            report.bounds_unbounded = gate.unbounded;
+            report.bounds_cache_hits = gate.cache_hits;
+            recorder.counter_add(registry::BOUNDS_CHECKED, gate.checked);
+            recorder.counter_add(registry::BOUNDS_UNBOUNDED, gate.unbounded);
+            recorder.counter_add(registry::BOUNDS_CACHE_HITS, gate.cache_hits);
+            recorder.counter_add(registry::BOUNDS_REJECTS, report.bounds_rejects());
+        }
+        let (hits, misses) = runtime.reuse_stats();
+        report.reuse_hits = hits - self.start.reuse.0;
+        report.reuse_misses = misses - self.start.reuse.1;
+        report.evictions = runtime.manager().evictions() - self.evictions_before;
+        if let Some(after) = runtime.cache_stats() {
+            let delta = match &self.start.cache {
+                Some(before) => after.delta_since(before),
+                None => after,
+            };
+            report.cache_hits = delta.hits;
+            report.cache_coalesced = delta.coalesced;
+            report.cache_misses = delta.misses;
+            report.cache_bytes = Some(after.bytes);
+        }
+        if let Some(p) = &self.wal {
+            let (stats, before) = (p.wal.stats(), &self.wal_before);
+            report.wal_fsyncs = stats.fsyncs - before.fsyncs;
+            report.wal_group_flushes = stats.group_flushes - before.group_flushes;
+            report.wal_segments_sealed = stats.segments_sealed - before.segments_sealed;
+            report.wal_batch_bound = p.group_commit.max(1) as u64;
+            recorder.counter_add(registry::WAL_FSYNCS, report.wal_fsyncs);
+            recorder.counter_add(registry::WAL_GROUP_FLUSHES, report.wal_group_flushes);
+            recorder.counter_add(registry::WAL_SEGMENTS_SEALED, report.wal_segments_sealed);
+        }
+        self.report
+    }
+}
+
+/// Mirrors the front door's wire counters into the registry.
+fn mirror_net_counters(recorder: &Recorder, stats: &NetStats) {
+    recorder.counter_add(registry::NET_CONNS_OPENED, stats.conns_opened);
+    recorder.counter_add(registry::NET_CONNS_CLOSED, stats.conns_closed);
+    recorder.counter_add(registry::NET_FRAMES_IN, stats.frames_in);
+    recorder.counter_add(registry::NET_FRAMES_OUT, stats.frames_out);
+    recorder.counter_add(registry::NET_BYTES_IN, stats.bytes_in);
+    recorder.counter_add(registry::NET_BYTES_OUT, stats.bytes_out);
+    recorder.counter_add(registry::NET_PLAN_HASH_HITS, stats.plan_hash_hits);
+    recorder.counter_add(registry::NET_WIRE_ERRORS, stats.wire_error_total());
 }
 
 /// A multi-tenant query service over one shared [`Runtime`].
@@ -531,8 +772,9 @@ impl QueryService {
     /// Requests are replayed open-loop by virtual arrival instant. Each
     /// is admission-checked (known tenant, known Context, quota, queue
     /// bound), queued, dispatched under weighted round-robin with
-    /// per-tenant priorities, re-checked (deadline, quota) at dispatch,
-    /// and executed on the worker pool.
+    /// per-tenant priorities, re-checked (deadline, quota, cost bound)
+    /// at dispatch, executed inline, and placed on the virtual worker
+    /// pool.
     pub fn run(&mut self, requests: Vec<QueryRequest>) -> ServiceReport {
         let mut source = ReplaySource::new(requests);
         self.serve(&mut source)
@@ -547,7 +789,7 @@ impl QueryService {
     pub fn serve(&mut self, source: &mut dyn RequestSource) -> ServiceReport {
         let initial_workers = self.config.workers.max(1);
         let autoscale_cfg = self.config.autoscale.clone();
-        // With an autoscaler the thread pool is provisioned at the max
+        // With an autoscaler the virtual pool's capacity is the max
         // bound and the controller resizes the *active* prefix of the
         // timeline; without one, active == capacity == `workers`.
         let (capacity, initial_active) = match &autoscale_cfg {
@@ -564,313 +806,60 @@ impl QueryService {
         for (tenant, config) in self.tenants.tenants() {
             queue.set_weight(tenant.clone(), config);
         }
+        let mut run = Dispatcher::new(self, capacity);
 
-        let mut report = ServiceReport {
-            workers: capacity,
-            ..ServiceReport::default()
-        };
-        for (tenant, _) in self.tenants.tenants() {
-            report.tenants.entry(tenant.clone()).or_default();
-        }
-
-        if let Some(recovery) = self.wal_recovery {
-            report.wal_replayed = recovery.replayed;
-        }
-
-        let (hits_before, misses_before) = self.runtime.reuse_stats();
-        let evictions_before = self.runtime.manager().evictions();
-        let cache_before = self.runtime.cache_stats();
-
-        // Split the borrows: workers share a clone of the runtime (clones
-        // share all state) while the scheduler mutates the ledger.
-        let runtime = self.runtime.clone();
-        let contexts = &self.contexts;
-        let tenants = &mut self.tenants;
-        let wal_stats_before = self.wal.as_ref().map(|w| w.stats()).unwrap_or_default();
-        let group_commit = self.config.group_commit;
-        let ops_interval = self.config.ops_interval;
-        let mut wal = self
-            .wal
-            .as_mut()
-            .map(|w| WalPipeline::new(w, group_commit, ops_interval));
-        let mut bound_gate = self.config.cost_bounds.map(BoundGate::new);
-        let trace_gauge = runtime.recorder().is_enabled();
-
-        std::thread::scope(|scope| {
-            let (done_tx, done_rx) = mpsc::channel();
-            let mut job_tx: Vec<mpsc::Sender<Job>> = Vec::with_capacity(capacity);
-            for _ in 0..capacity {
-                let (tx, rx) = mpsc::channel::<Job>();
-                job_tx.push(tx);
-                let done = done_tx.clone();
-                let rt = &runtime;
-                scope.spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let outcome = rt.query(&job.ctx).compute(&job.instruction).run();
-                        if done.send(outcome).is_err() {
-                            break;
-                        }
-                    }
-                });
+        // The scheduler's virtual cursor: monotone, so admission and
+        // dispatch instants never run backwards.
+        let mut now = 0.0_f64;
+        'dispatch: loop {
+            if queue.is_empty() {
+                match source.next_arrival() {
+                    Some(next) => now = now.max(next),
+                    None => break,
+                }
             }
-            drop(done_tx);
-
-            let sample_depth = |report: &mut ServiceReport, t: f64, depth: usize| {
-                report.queue_depth.set(t, depth as f64);
-                if trace_gauge {
-                    runtime
-                        .recorder()
-                        .gauge_set(registry::SERVE_QUEUE_DEPTH, t, depth as f64);
+            // The controller evaluates at dispatch instants — the only
+            // points virtual time moves — on the live latency window and
+            // current queue depth.
+            let (depth, recorder) = (queue.depth(), run.runtime.recorder());
+            pool.observe(now, depth, &mut timeline, &mut run.report, recorder);
+            // With a backlog, the next dispatch happens when a worker
+            // frees up; arrivals up to that instant compete in the same
+            // WRR round (arrivals at exactly the dispatch instant are
+            // admitted before the pop).
+            let dispatch_t = now.max(timeline.next_free());
+            while let Some(request) = source.pop(dispatch_t) {
+                if !run.admit_or_shed(source, &mut queue, request) {
+                    break 'dispatch;
+                }
+            }
+            now = dispatch_t;
+            let Some(request) = queue.pop() else {
+                continue;
+            };
+            run.sample_depth(dispatch_t, queue.depth());
+            let ctx = match run.dispatch_check(&request, dispatch_t) {
+                Ok(ctx) => ctx,
+                Err(reason) => {
+                    run.shed(source, request.seq, request.tenant, dispatch_t, reason);
+                    continue;
                 }
             };
-
-            // The scheduler's virtual cursor: monotone, so admission and
-            // dispatch instants never run backwards.
-            let mut now = 0.0_f64;
-            'dispatch: loop {
-                if queue.is_empty() {
-                    match source.next_arrival() {
-                        Some(next) => now = now.max(next),
-                        None => break,
-                    }
-                }
-                // The controller evaluates at dispatch instants — the
-                // only points virtual time moves — on the live latency
-                // window and current queue depth.
-                pool.observe(
-                    now,
-                    queue.depth(),
-                    &mut timeline,
-                    &mut report,
-                    runtime.recorder(),
-                    trace_gauge,
-                );
-                // With a backlog, the next dispatch happens when a worker
-                // frees up; arrivals up to that instant compete in the
-                // same WRR round (arrivals at exactly the dispatch
-                // instant are admitted before the pop).
-                let dispatch_t = now.max(timeline.next_free());
-                while let Some(request) = source.pop(dispatch_t) {
-                    let at_s = request.arrival_s;
-                    let tenant = request.tenant.clone();
-                    let seq = request.seq;
-                    report.tenants.entry(tenant.clone()).or_default().submitted += 1;
-                    match admit(tenants, contexts, &mut queue, bound_gate.as_mut(), request) {
-                        Ok(()) => {
-                            report.tenants.entry(tenant.clone()).or_default().admitted += 1;
-                            source.on_admitted(seq, &tenant, at_s);
-                            if let Some(p) = wal.as_mut() {
-                                let record = LedgerRecord::Admit {
-                                    tenant: tenant.clone(),
-                                };
-                                if let Err(e) = p.log(&mut report, runtime.recorder(), record) {
-                                    wal_fatal(
-                                        &mut report,
-                                        runtime.recorder(),
-                                        registry::WAL_APPEND_ERRORS,
-                                        format!("admit record for tenant {tenant} failed: {e}"),
-                                    );
-                                    break 'dispatch;
-                                }
-                            }
-                        }
-                        Err(reason) => shed_request(&mut report, source, seq, tenant, at_s, reason),
-                    }
-                    sample_depth(&mut report, at_s, queue.depth());
-                }
-                now = dispatch_t;
-                let Some(request) = queue.pop() else {
-                    continue;
-                };
-                sample_depth(&mut report, dispatch_t, queue.depth());
-
-                // Dispatch-time re-checks: the queue wait may have blown
-                // the deadline, and earlier dispatches may have exhausted
-                // the tenant's quota since admission.
-                if let Some(deadline_s) = request.deadline_s {
-                    let waited_s = dispatch_t - request.arrival_s;
-                    if waited_s > deadline_s {
-                        shed_request(
-                            &mut report,
-                            source,
-                            request.seq,
-                            request.tenant,
-                            dispatch_t,
-                            RejectReason::DeadlineExpired {
-                                waited_s,
-                                deadline_s,
-                            },
-                        );
-                        continue;
-                    }
-                }
-                if let Some(reason) = tenants.over_quota(&request.tenant) {
-                    shed_request(
-                        &mut report,
-                        source,
-                        request.seq,
-                        request.tenant,
-                        dispatch_t,
-                        reason,
-                    );
-                    continue;
-                }
-                // Earlier dispatches shrank the tenant's headroom, so a
-                // plan that fit at admission may no longer: re-prove the
-                // static bound against the *current* remaining dollars
-                // (cached by plan hash — no recompile).
-                if let Some(reason) = check_cost_bound(tenants, bound_gate.as_mut(), &request) {
-                    shed_request(
-                        &mut report,
-                        source,
-                        request.seq,
-                        request.tenant,
-                        dispatch_t,
-                        reason,
-                    );
-                    continue;
-                }
-
-                let ctx = contexts
-                    .get(&request.context)
-                    .expect("admission checked the context")
-                    .clone();
-                // Worker choice is duration-independent, so peek the
-                // placement, execute to learn the duration, then commit.
-                let placement = timeline.peek(dispatch_t);
-                let clock_before = runtime.clock().now();
-                let meter_before = runtime.meter().snapshot();
-                let (hits0, misses0) = runtime.reuse_stats();
-                let cache0 = runtime.cache_stats();
-                job_tx[placement.worker]
-                    .send(Job {
-                        ctx,
-                        instruction: request.instruction.clone(),
-                    })
-                    .expect("worker thread alive");
-                let outcome = done_rx.recv().expect("worker thread returned a result");
-                let duration_s = (runtime.clock().now() - clock_before).max(0.0);
-                let slot = timeline.schedule(dispatch_t, duration_s);
-                debug_assert_eq!(slot.worker, placement.worker);
-
-                let delta = runtime.meter().snapshot().delta_since(&meter_before);
-                let cost_usd = delta.cost(runtime.env().llm.catalog());
-                let tokens = delta.total_tokens();
-                let llm_calls = delta.total_calls();
-                let (hits1, misses1) = runtime.reuse_stats();
-                let cache_delta = match (&cache0, runtime.cache_stats()) {
-                    (Some(before), Some(after)) => after.delta_since(before),
-                    _ => aida_llm::CacheStats::default(),
-                };
-                tenants.charge(&request.tenant, cost_usd, tokens, llm_calls);
-                tenants.credit_cache(&request.tenant, cache_delta.hits, cache_delta.coalesced);
-                // One combined record per completion: the charge and its
-                // cache credit land atomically or not at all, so recovery
-                // never sees a half-applied spend.
-                if let Some(p) = wal.as_mut() {
-                    let record = LedgerRecord::Spend {
-                        tenant: request.tenant.clone(),
-                        usd: cost_usd,
-                        tokens,
-                        calls: llm_calls,
-                        cache_hits: cache_delta.hits,
-                        cache_coalesced: cache_delta.coalesced,
-                    };
-                    if let Some((counter, detail)) = p.settle_spend(
-                        &mut report,
-                        runtime.recorder(),
-                        tenants,
-                        &request.tenant,
-                        record,
-                    ) {
-                        wal_fatal(&mut report, runtime.recorder(), counter, detail);
-                        break 'dispatch;
-                    }
-                }
-
-                let completion = Completion {
-                    seq: request.seq,
-                    tenant: request.tenant.clone(),
-                    worker: slot.worker,
-                    submitted_s: request.submitted_s,
-                    arrival_s: request.arrival_s,
-                    // Admission happened at the arrival instant (the
-                    // admission sweep runs every arrival up to the
-                    // dispatch cursor at its own arrival time).
-                    admit_s: request.arrival_s,
-                    start_s: slot.start_s,
-                    end_s: slot.end_s,
-                    cost_usd,
-                    tokens,
-                    llm_calls,
-                    reuse_hits: hits1 - hits0,
-                    reuse_misses: misses1 - misses0,
-                    cache_hits: cache_delta.hits,
-                    cache_coalesced: cache_delta.coalesced,
-                    cache_misses: cache_delta.misses,
-                    answered: outcome.answer.is_some(),
-                };
-                pool.record_latency(completion.end_s, completion.latency_s());
-                source.on_completion(&completion);
-                report.settle(completion);
-            }
-            // End of run: drain the commit buffer so every acknowledged
-            // record is durable before the report is trusted.
-            if let Some(p) = wal.as_mut() {
-                if !report.wal_failed {
-                    if let Err(e) = p.flush(&mut report, runtime.recorder()) {
-                        wal_fatal(
-                            &mut report,
-                            runtime.recorder(),
-                            registry::WAL_APPEND_ERRORS,
-                            format!("end-of-run group flush failed: {e}"),
-                        );
-                    }
-                }
-            }
-            drop(job_tx);
-        });
-        // The pipeline's borrow of the WAL must end before we read its
-        // end-of-run stats.
-        drop(wal);
-
-        if let Some(gate) = &bound_gate {
-            report.bounds_gated = true;
-            report.bounds_checked = gate.checked;
-            report.bounds_unbounded = gate.unbounded;
-            report.bounds_cache_hits = gate.cache_hits;
-            let recorder = self.runtime.recorder();
-            recorder.counter_add(registry::BOUNDS_CHECKED, gate.checked);
-            recorder.counter_add(registry::BOUNDS_UNBOUNDED, gate.unbounded);
-            recorder.counter_add(registry::BOUNDS_CACHE_HITS, gate.cache_hits);
-            recorder.counter_add(registry::BOUNDS_REJECTS, report.bounds_rejects());
-        }
-
-        let (hits_after, misses_after) = self.runtime.reuse_stats();
-        report.reuse_hits = hits_after - hits_before;
-        report.reuse_misses = misses_after - misses_before;
-        report.evictions = self.runtime.manager().evictions() - evictions_before;
-        if let Some(after) = self.runtime.cache_stats() {
-            let delta = match &cache_before {
-                Some(before) => after.delta_since(before),
-                None => after,
+            // Execute first, then place: worker choice does not depend
+            // on the duration, which only executing reveals.
+            let probe = Probe::read(run.runtime);
+            let outcome = run.runtime.query(ctx).compute(&request.instruction).run();
+            let duration_s = (run.runtime.clock().now() - probe.clock_s).max(0.0);
+            let slot = timeline.schedule(dispatch_t, duration_s);
+            let answered = outcome.answer.is_some();
+            let Some(completion) = run.settle_query(&request, &probe, slot, answered) else {
+                break;
             };
-            report.cache_hits = delta.hits;
-            report.cache_coalesced = delta.coalesced;
-            report.cache_misses = delta.misses;
-            report.cache_bytes = Some(after.bytes);
+            pool.record_latency(completion.end_s, completion.latency_s());
+            source.on_completion(&completion);
+            run.report.settle(completion);
         }
-        if let Some(w) = &self.wal {
-            let stats = w.stats();
-            report.wal_fsyncs = stats.fsyncs - wal_stats_before.fsyncs;
-            report.wal_group_flushes = stats.group_flushes - wal_stats_before.group_flushes;
-            report.wal_segments_sealed = stats.segments_sealed - wal_stats_before.segments_sealed;
-            report.wal_batch_bound = self.config.group_commit.max(1) as u64;
-            let recorder = self.runtime.recorder();
-            recorder.counter_add(registry::WAL_FSYNCS, report.wal_fsyncs);
-            recorder.counter_add(registry::WAL_GROUP_FLUSHES, report.wal_group_flushes);
-            recorder.counter_add(registry::WAL_SEGMENTS_SEALED, report.wal_segments_sealed);
-        }
+        let mut report = run.settle_run();
         report.makespan_s = timeline.makespan();
         report.worker_seconds = pool.total_worker_seconds(report.makespan_s);
         report.total_cost_usd = report.tenants.values().map(|t| t.cost_usd).sum();
@@ -880,15 +869,7 @@ impl QueryService {
         // wire counters into the registry.
         source.finish(&mut report);
         if let Some(net) = &report.net {
-            let recorder = self.runtime.recorder();
-            recorder.counter_add(registry::NET_CONNS_OPENED, net.stats.conns_opened);
-            recorder.counter_add(registry::NET_CONNS_CLOSED, net.stats.conns_closed);
-            recorder.counter_add(registry::NET_FRAMES_IN, net.stats.frames_in);
-            recorder.counter_add(registry::NET_FRAMES_OUT, net.stats.frames_out);
-            recorder.counter_add(registry::NET_BYTES_IN, net.stats.bytes_in);
-            recorder.counter_add(registry::NET_BYTES_OUT, net.stats.bytes_out);
-            recorder.counter_add(registry::NET_PLAN_HASH_HITS, net.stats.plan_hash_hits);
-            recorder.counter_add(registry::NET_WIRE_ERRORS, net.stats.wire_error_total());
+            mirror_net_counters(self.runtime.recorder(), &net.stats);
         }
         report
     }
@@ -1091,6 +1072,26 @@ mod tests {
         assert!(svc.tenants().spend(&"bolt".into()).usd > 0.0);
         // The dashboard renders.
         assert!(report.render().contains("acme"));
+    }
+
+    #[test]
+    fn the_worker_pool_is_virtual_not_a_thread_count() {
+        // A pool no host could back with threads: `workers` sizes the
+        // virtual timeline only, and both queries still overlap on it.
+        let mut svc = service(100_000, 8);
+        svc.register_tenant("acme", TenantConfig::default());
+        let requests: Vec<QueryRequest> = (0..2)
+            .map(|i| {
+                let mut r = QueryRequest::new("acme", "reports", format!("count theft in 200{i}"));
+                r.seq = i;
+                r
+            })
+            .collect();
+        let report = svc.run(requests);
+        assert_eq!(report.workers, 100_000);
+        let workers: Vec<usize> = report.completions.iter().map(|c| c.worker).collect();
+        assert_eq!(workers, [0, 1]);
+        assert_eq!(report.completions[1].start_s, 0.0);
     }
 
     #[test]

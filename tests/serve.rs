@@ -86,9 +86,9 @@ fn build_service(seed: u64) -> QueryService {
     svc
 }
 
-/// The full service — driver, admission, WRR dispatch, real worker
-/// threads — replays byte-identically at the same seed, including the
-/// per-tenant dollar attribution.
+/// The full service — driver, admission, WRR dispatch, the virtual
+/// worker pool — replays byte-identically at the same seed, including
+/// the per-tenant dollar attribution.
 #[test]
 fn service_replay_is_byte_identical() {
     let run = || {
