@@ -14,6 +14,13 @@
 //! batch replay. All client timers, wire delays, and readiness
 //! shuffles draw from seeded RNGs on the virtual clock, so a full soak
 //! replays byte-identically at the same seed.
+//!
+//! A step of the source costs what is due, not what is connected: the
+//! fabric's event index finds the next instant, the arrivals and the
+//! readable connections, the listener flushes only connections with
+//! bytes still buffered, and only clients whose pipe has delivered
+//! bytes are pumped. A fleet of a thousand mostly-thinking clients
+//! costs per step about what the one or two active ones do.
 
 use crate::driver::RequestSource;
 use crate::net::{
@@ -420,9 +427,20 @@ impl LiveSource {
     }
 
     /// Drains delivered server->client bytes and runs every client's
-    /// reaction to the frames inside.
+    /// reaction to the frames inside. Only clients the fabric reports
+    /// ready are visited, in client order: a reaction schedules actions
+    /// whose insertion ids order same-instant actions, and it never
+    /// changes what another client's pipe holds.
     fn pump_clients(&mut self) {
-        for index in 0..self.clients.len() {
+        let mut ready: Vec<usize> = self
+            .listener
+            .fabric_mut()
+            .client_ready()
+            .into_iter()
+            .filter_map(|conn| self.conn_client.get(&conn).copied())
+            .collect();
+        ready.sort_unstable();
+        for index in ready {
             let conn = self.clients[index].conn;
             let bytes = self.listener.fabric_mut().client_recv(conn);
             if bytes.is_empty() {

@@ -29,6 +29,8 @@
 //! or [`TcpFabric`] — non-blocking `std::net` — for real sockets. All
 //! scheduling lives in the fabric, so the reactor itself has no clock
 //! and no randomness: byte-identical replay is the fabric's seed's job.
+//! A turn's writable pass visits only connections whose responses
+//! outlived a flush, so an idle connection costs a turn nothing.
 
 use crate::request::Priority;
 use aida_llm::noise::splitmix64;
@@ -806,6 +808,9 @@ struct ConnState {
     /// Close once the out-buffer drains (set after a wire error or
     /// peer EOF).
     closing: bool,
+    /// Listed on [`Listener::pending`]: `out` still held bytes after a
+    /// flush.
+    pending: bool,
 }
 
 /// The readiness loop: accepts fabric connections, feeds delivered
@@ -817,6 +822,9 @@ struct ConnState {
 pub struct Listener<F: Fabric> {
     fabric: F,
     conns: BTreeMap<usize, ConnState>,
+    /// Connections whose responses outlived a flush (a short or blocked
+    /// write): the only ones the writable pass visits.
+    pending: Vec<usize>,
     plans: BTreeMap<u128, String>,
     stats: NetStats,
 }
@@ -827,6 +835,7 @@ impl<F: Fabric> Listener<F> {
         Listener {
             fabric,
             conns: BTreeMap::new(),
+            pending: Vec::new(),
             plans: BTreeMap::new(),
             stats: NetStats::default(),
         }
@@ -856,9 +865,16 @@ impl<F: Fabric> Listener<F> {
             self.stats.conns_peak = self.stats.conns_peak.max(self.conns.len() as u64);
         }
 
-        // Writable pass: drain buffered responses, retire closing conns.
-        let flushable: Vec<usize> = self.conns.keys().copied().collect();
-        for token in flushable {
+        // Writable pass: drain buffered responses in token order, retire
+        // closing conns. A connection with nothing buffered is skipped: its
+        // flush would write nothing (and a closing one was retired when its
+        // buffer emptied).
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable();
+        for token in pending {
+            if let Some(state) = self.conns.get_mut(&token) {
+                state.pending = false;
+            }
             self.flush(token);
         }
 
@@ -1012,8 +1028,13 @@ impl<F: Fabric> Listener<F> {
                 }
             }
         }
-        if state.closing && state.out.is_empty() {
-            self.retire(token);
+        if state.out.is_empty() {
+            if state.closing {
+                self.retire(token);
+            }
+        } else if !state.pending {
+            state.pending = true;
+            self.pending.push(token);
         }
     }
 
@@ -1331,6 +1352,106 @@ mod tests {
             other => panic!("expected error frame, got {other:?}"),
         }
         assert_eq!(listener.open_conns(), 0);
+    }
+
+    /// `NetSim` with a congested send side: one `write` per turn, then
+    /// `WouldBlock`, so a response outlives the `respond` that queued it.
+    struct OneWritePerTurn {
+        sim: NetSim,
+        wrote: bool,
+    }
+
+    impl Fabric for OneWritePerTurn {
+        fn accept(&mut self) -> Vec<usize> {
+            // `accept` opens every turn: the congestion clears.
+            self.wrote = false;
+            self.sim.accept()
+        }
+
+        fn poll(&mut self) -> Vec<usize> {
+            self.sim.poll()
+        }
+
+        fn read(&mut self, token: usize, buf: &mut [u8]) -> io::Result<usize> {
+            self.sim.read(token, buf)
+        }
+
+        fn write(&mut self, token: usize, bytes: &[u8]) -> io::Result<usize> {
+            if std::mem::replace(&mut self.wrote, true) {
+                return Err(io::Error::from(io::ErrorKind::WouldBlock));
+            }
+            self.sim.write(token, bytes)
+        }
+
+        fn close(&mut self, token: usize) {
+            self.sim.close(token)
+        }
+    }
+
+    #[test]
+    fn listener_flushes_responses_that_outlive_respond() {
+        let sim = NetSim::new(aida_testkit::NetSimConfig {
+            seed: 8,
+            max_write: 3,
+            ..aida_testkit::NetSimConfig::default()
+        });
+        let mut listener = Listener::new(OneWritePerTurn { sim, wrote: false });
+        let tokens: Vec<usize> = (0..200)
+            .map(|_| listener.fabric_mut().sim.connect(0.0))
+            .collect();
+        listener.fabric_mut().sim.advance(0.0);
+        assert!(listener.turn().is_empty());
+        assert_eq!(listener.open_conns(), 200);
+
+        // Turns with no further `respond` deliver the whole frame, three
+        // bytes per turn, to that client and to no other.
+        let frame = Frame::Accepted {
+            client_seq: 5,
+            seq: 9,
+        };
+        let wire = encode_frame(&frame);
+        let target = tokens[117];
+        listener.respond(target, &frame);
+        let mut got = Vec::new();
+        let mut now = 0.0;
+        for _ in 0..wire.len() {
+            now += 1.0;
+            listener.fabric_mut().sim.advance(now);
+            listener.turn();
+            got.extend(listener.fabric_mut().sim.client_recv(target));
+        }
+        assert_eq!(got, wire);
+        assert_eq!(
+            listener.fabric_mut().sim.client_ready(),
+            Vec::<usize>::new()
+        );
+        assert_eq!(listener.stats().bytes_out, wire.len() as u64);
+
+        // A connection failed with bytes still pending closes only after
+        // its flush, and then it is gone.
+        let victim = tokens[42];
+        listener.respond(victim, &frame);
+        let err = WireError::BadMagic { got: 0 };
+        let notice = encode_frame(&Frame::Error {
+            code: err.kind().to_string(),
+            detail: err.to_string(),
+        });
+        listener.fail_conn(victim, err);
+        assert_eq!(listener.open_conns(), 200, "closes after its flush");
+        let mut got = Vec::new();
+        while listener.open_conns() == 200 {
+            now += 1.0;
+            listener.fabric_mut().sim.advance(now);
+            listener.turn();
+            got.extend(listener.fabric_mut().sim.client_recv(victim));
+        }
+        assert_eq!(listener.open_conns(), 199);
+        assert_eq!(listener.stats().conns_closed, 1);
+        assert!(listener.fabric_mut().sim.server_closed(victim));
+        now += 1.0;
+        listener.fabric_mut().sim.advance(now);
+        got.extend(listener.fabric_mut().sim.client_recv(victim));
+        assert_eq!(got, [wire, notice].concat());
     }
 
     #[test]

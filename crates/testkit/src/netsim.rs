@@ -17,9 +17,28 @@
 //! Everything is keyed off one [`KeyedRng`] advanced only by the
 //! single-threaded simulation loop, so the whole fabric replays exactly
 //! at the same seed.
+//!
+//! ## Cost follows what is due, not what is open
+//!
+//! The fabric is event-indexed. A min-heap holds the future instants
+//! that can change anything: each unaccepted connect, the *front*
+//! segment of each pipe, and each client FIN. [`NetSim::advance`] moves
+//! the entries it passes onto three "may be due" lists (arrivals,
+//! server-readable, client-readable), and [`NetSim::accept`],
+//! [`NetSim::poll`] and [`NetSim::client_ready`] re-check only those
+//! lists with the same predicates a full scan would use. A list entry
+//! is re-armed whenever a connection can turn ready without time
+//! passing: a send or a read exposes a front already due, a close sets
+//! a FIN already due, an abort, an accept. Heap entries an abort or a
+//! read made stale are dropped when they reach the top. So a step costs
+//! O(due · log n) in the connections with something due, whatever the
+//! number open, and returns exactly what the scan did: the same event
+//! instants, the same token sets in ascending order before the seeded
+//! shuffle, hence the same RNG draws.
 
 use aida_llm::noise::KeyedRng;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io;
 
 /// Tuning knobs for the simulated fabric. Shrinking `max_chunk` /
@@ -66,10 +85,12 @@ struct Pipe {
 }
 
 impl Pipe {
+    fn front_s(&self) -> Option<f64> {
+        self.segments.front().map(|seg| seg.deliver_s)
+    }
+
     fn readable_at(&self, now_s: f64) -> bool {
-        self.segments
-            .front()
-            .is_some_and(|seg| seg.deliver_s <= now_s)
+        self.front_s().is_some_and(|at| at <= now_s)
     }
 
     fn eof_at(&self, now_s: f64) -> bool {
@@ -86,6 +107,35 @@ struct Conn {
     server_closed: bool,
     to_server: Pipe,
     to_client: Pipe,
+    /// Listed on [`NetSim::server_due`].
+    server_due: bool,
+    /// Listed on [`NetSim::client_due`].
+    client_due: bool,
+}
+
+impl Conn {
+    /// What [`NetSim::poll`] reports: accepted, server-open, and with
+    /// delivered bytes, a reachable EOF, or an abort.
+    fn poll_ready(&self, now_s: f64) -> bool {
+        self.accepted
+            && !self.server_closed
+            && (self.to_server.readable_at(now_s)
+                || self.to_server.eof_at(now_s)
+                || self.abort_s.is_some_and(|at| at <= now_s))
+    }
+}
+
+/// The instants the timer heap tracks, one per kind of change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Event {
+    /// An unaccepted connection becomes acceptable.
+    Connect,
+    /// The client->server pipe's front segment delivers.
+    ToServer,
+    /// The client's FIN reaches the server.
+    Fin,
+    /// The server->client pipe's front segment delivers.
+    ToClient,
 }
 
 /// The simulated fabric: both ends of every connection, one virtual
@@ -96,9 +146,20 @@ struct Conn {
 pub struct NetSim {
     cfg: NetSimConfig,
     rng: KeyedRng,
-    conns: BTreeMap<usize, Conn>,
-    next_token: usize,
+    /// Every connection ever opened, at its token: tokens are dense and
+    /// never reused.
+    conns: Vec<Conn>,
     now_s: f64,
+    /// Future instants as `(instant bits, token, event)`, earliest on
+    /// top (instants here are positive, so the bits order like the
+    /// floats). Every entry lies strictly after `now_s`.
+    timers: BinaryHeap<Reverse<(u64, usize, Event)>>,
+    /// Connections whose connect instant has passed.
+    arrivals: Vec<usize>,
+    /// A superset of the connections [`NetSim::poll`] would report.
+    server_due: Vec<usize>,
+    /// A superset of the connections with delivered server->client bytes.
+    client_due: Vec<usize>,
 }
 
 impl NetSim {
@@ -108,9 +169,12 @@ impl NetSim {
         NetSim {
             cfg,
             rng,
-            conns: BTreeMap::new(),
-            next_token: 0,
+            conns: Vec::new(),
             now_s: 0.0,
+            timers: BinaryHeap::new(),
+            arrivals: Vec::new(),
+            server_due: Vec::new(),
+            client_due: Vec::new(),
         }
     }
 
@@ -132,31 +196,73 @@ impl NetSim {
         if now_s > self.now_s {
             self.now_s = now_s;
         }
+        while let Some(&Reverse((bits, token, event))) = self.timers.peek() {
+            if f64::from_bits(bits) > self.now_s {
+                break;
+            }
+            self.timers.pop();
+            self.wake(token, event);
+        }
     }
 
     /// The next instant at which anything changes: a pending connect, a
-    /// segment delivery, or a queued FIN. `None` when fully quiescent.
-    pub fn next_event_s(&self) -> Option<f64> {
-        let mut next = f64::INFINITY;
-        let mut fold = |t: f64| {
-            if t > self.now_s && t < next {
-                next = t;
+    /// pipe's front segment delivering, or a queued FIN. `None` when
+    /// fully quiescent.
+    pub fn next_event_s(&mut self) -> Option<f64> {
+        while let Some(&Reverse((bits, token, event))) = self.timers.peek() {
+            let at = f64::from_bits(bits);
+            if self.instant(token, event) == Some(at) {
+                return at.is_finite().then_some(at);
             }
-        };
-        for conn in self.conns.values() {
-            if !conn.accepted {
-                fold(conn.connect_s);
-            }
-            for pipe in [&conn.to_server, &conn.to_client] {
-                if let Some(seg) = pipe.segments.front() {
-                    fold(seg.deliver_s);
-                }
-                if let Some(fin) = pipe.fin_s {
-                    fold(fin);
+            self.timers.pop();
+        }
+        None
+    }
+
+    /// The instant `event` of `token` stands for now, if any.
+    fn instant(&self, token: usize, event: Event) -> Option<f64> {
+        let conn = self.conns.get(token)?;
+        match event {
+            Event::Connect => (!conn.accepted).then_some(conn.connect_s),
+            Event::ToServer => conn.to_server.front_s(),
+            Event::Fin => conn.to_server.fin_s,
+            Event::ToClient => conn.to_client.front_s(),
+        }
+    }
+
+    /// Files `event` of `token` under its current instant: on the timer
+    /// heap if that lies ahead, on its due list at once otherwise.
+    fn arm(&mut self, token: usize, event: Event) {
+        match self.instant(token, event) {
+            Some(at) if at > self.now_s => self.timers.push(Reverse((at.to_bits(), token, event))),
+            Some(_) => self.wake(token, event),
+            None => {}
+        }
+    }
+
+    /// Lists `token` on the due list `event` feeds.
+    fn wake(&mut self, token: usize, event: Event) {
+        match event {
+            Event::Connect => self.arrivals.push(token),
+            Event::ToServer | Event::Fin => self.wake_server(token),
+            Event::ToClient => {
+                if let Some(conn) = self.conns.get_mut(token) {
+                    if !conn.client_due {
+                        conn.client_due = true;
+                        self.client_due.push(token);
+                    }
                 }
             }
         }
-        next.is_finite().then_some(next)
+    }
+
+    fn wake_server(&mut self, token: usize) {
+        if let Some(conn) = self.conns.get_mut(token) {
+            if !conn.server_due {
+                conn.server_due = true;
+                self.server_due.push(token);
+            }
+        }
     }
 
     fn transmit(rng: &mut KeyedRng, cfg: &NetSimConfig, pipe: &mut Pipe, now_s: f64, bytes: &[u8]) {
@@ -187,19 +293,18 @@ impl NetSim {
     /// Opens a connection that the server can accept from `at_s` on.
     /// Returns the connection token shared by both ends.
     pub fn connect(&mut self, at_s: f64) -> usize {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.conns.insert(
-            token,
-            Conn {
-                connect_s: at_s.max(self.now_s),
-                accepted: false,
-                abort_s: None,
-                server_closed: false,
-                to_server: Pipe::default(),
-                to_client: Pipe::default(),
-            },
-        );
+        let token = self.conns.len();
+        self.conns.push(Conn {
+            connect_s: at_s.max(self.now_s),
+            accepted: false,
+            abort_s: None,
+            server_closed: false,
+            to_server: Pipe::default(),
+            to_client: Pipe::default(),
+            server_due: false,
+            client_due: false,
+        });
+        self.arm(token, Event::Connect);
         token
     }
 
@@ -208,13 +313,16 @@ impl NetSim {
     /// like packets after a RST.
     pub fn client_send(&mut self, token: usize, bytes: &[u8]) {
         let now = self.now_s;
-        let mut rng = self.rng.clone();
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if conn.abort_s.is_some() || conn.to_server.fin_s.is_some() {
-                return;
-            }
-            Self::transmit(&mut rng, &self.cfg, &mut conn.to_server, now, bytes);
-            self.rng = rng;
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        if conn.abort_s.is_some() || conn.to_server.fin_s.is_some() {
+            return;
+        }
+        let fresh_front = conn.to_server.segments.is_empty();
+        Self::transmit(&mut self.rng, &self.cfg, &mut conn.to_server, now, bytes);
+        if fresh_front {
+            self.arm(token, Event::ToServer);
         }
     }
 
@@ -222,11 +330,19 @@ impl NetSim {
     pub fn client_recv(&mut self, token: usize) -> Vec<u8> {
         let now = self.now_s;
         let mut out = Vec::new();
-        if let Some(conn) = self.conns.get_mut(&token) {
-            while conn.to_client.readable_at(now) {
-                let seg = conn.to_client.segments.pop_front().expect("front checked");
-                out.extend_from_slice(&seg.bytes[seg.offset..]);
-            }
+        let Some(conn) = self.conns.get_mut(token) else {
+            return out;
+        };
+        let mut popped = false;
+        while conn.to_client.readable_at(now) {
+            let Some(seg) = conn.to_client.segments.pop_front() else {
+                break;
+            };
+            out.extend_from_slice(&seg.bytes[seg.offset..]);
+            popped = true;
+        }
+        if popped {
+            self.arm(token, Event::ToClient);
         }
         out
     }
@@ -234,17 +350,34 @@ impl NetSim {
     /// Whether the client end has delivered bytes waiting.
     pub fn client_readable(&self, token: usize) -> bool {
         self.conns
-            .get(&token)
+            .get(token)
             .is_some_and(|conn| conn.to_client.readable_at(self.now_s))
+    }
+
+    /// Every connection whose client end has delivered bytes waiting
+    /// ([`NetSim::client_readable`]), in ascending token order.
+    pub fn client_ready(&mut self) -> Vec<usize> {
+        let now = self.now_s;
+        let conns = &mut self.conns;
+        self.client_due.retain(|&token| {
+            conns.get_mut(token).is_some_and(|conn| {
+                conn.client_due = conn.to_client.readable_at(now);
+                conn.client_due
+            })
+        });
+        let mut ready = self.client_due.clone();
+        ready.sort_unstable();
+        ready
     }
 
     /// Cleanly closes the client end: queued bytes still deliver, then
     /// the server reads EOF.
     pub fn client_close(&mut self, token: usize) {
         let now = self.now_s;
-        if let Some(conn) = self.conns.get_mut(&token) {
+        if let Some(conn) = self.conns.get_mut(token) {
             if conn.to_server.fin_s.is_none() {
                 conn.to_server.fin_s = Some(conn.to_server.last_deliver_s.max(now));
+                self.arm(token, Event::Fin);
             }
         }
     }
@@ -255,12 +388,13 @@ impl NetSim {
     /// server writes fail with `BrokenPipe` immediately.
     pub fn client_abort(&mut self, token: usize) {
         let now = self.now_s;
-        if let Some(conn) = self.conns.get_mut(&token) {
+        if let Some(conn) = self.conns.get_mut(token) {
             if conn.abort_s.is_none() {
                 conn.abort_s = Some(now);
                 conn.to_server.segments.retain(|seg| seg.deliver_s <= now);
                 conn.to_client.segments.clear();
                 conn.to_server.fin_s = None;
+                self.wake_server(token);
             }
         }
     }
@@ -271,15 +405,20 @@ impl NetSim {
     /// seeded order.
     pub fn accept(&mut self) -> Vec<usize> {
         let now = self.now_s;
-        let fresh: Vec<usize> = self
-            .conns
-            .iter_mut()
-            .filter(|(_, conn)| !conn.accepted && conn.connect_s <= now)
-            .map(|(token, conn)| {
-                conn.accepted = true;
-                *token
-            })
-            .collect();
+        let mut fresh = Vec::new();
+        for token in std::mem::take(&mut self.arrivals) {
+            if let Some(conn) = self.conns.get_mut(token) {
+                if !conn.accepted && conn.connect_s <= now {
+                    conn.accepted = true;
+                    fresh.push(token);
+                }
+            }
+        }
+        fresh.sort_unstable();
+        // Bytes, a FIN or an abort may have arrived before the accept.
+        for &token in &fresh {
+            self.wake_server(token);
+        }
         self.shuffled(fresh)
     }
 
@@ -287,18 +426,15 @@ impl NetSim {
     /// delivered bytes, a reachable EOF, or an abort. Seeded order.
     pub fn poll(&mut self) -> Vec<usize> {
         let now = self.now_s;
-        let ready: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, conn)| {
-                conn.accepted
-                    && !conn.server_closed
-                    && (conn.to_server.readable_at(now)
-                        || conn.to_server.eof_at(now)
-                        || conn.abort_s.is_some_and(|at| at <= now))
+        let conns = &mut self.conns;
+        self.server_due.retain(|&token| {
+            conns.get_mut(token).is_some_and(|conn| {
+                conn.server_due = conn.poll_ready(now);
+                conn.server_due
             })
-            .map(|(token, _)| *token)
-            .collect();
+        });
+        let mut ready = self.server_due.clone();
+        ready.sort_unstable();
         self.shuffled(ready)
     }
 
@@ -310,16 +446,21 @@ impl NetSim {
         let now = self.now_s;
         let conn = self
             .conns
-            .get_mut(&token)
+            .get_mut(token)
             .filter(|conn| conn.accepted && !conn.server_closed)
             .ok_or_else(|| io::Error::from(io::ErrorKind::NotConnected))?;
-        if conn.to_server.readable_at(now) {
-            let seg = conn.to_server.segments.front_mut().expect("front checked");
+        if let Some(seg) = conn
+            .to_server
+            .segments
+            .front_mut()
+            .filter(|seg| seg.deliver_s <= now)
+        {
             let n = buf.len().min(seg.bytes.len() - seg.offset);
             buf[..n].copy_from_slice(&seg.bytes[seg.offset..seg.offset + n]);
             seg.offset += n;
             if seg.offset == seg.bytes.len() {
                 conn.to_server.segments.pop_front();
+                self.arm(token, Event::ToServer);
             }
             return Ok(n);
         }
@@ -337,11 +478,9 @@ impl NetSim {
     /// out-buffer), queues them toward the client with seeded delays.
     pub fn write(&mut self, token: usize, bytes: &[u8]) -> io::Result<usize> {
         let now = self.now_s;
-        let mut rng = self.rng.clone();
-        let cfg = self.cfg.clone();
         let conn = self
             .conns
-            .get_mut(&token)
+            .get_mut(token)
             .filter(|conn| conn.accepted && !conn.server_closed)
             .ok_or_else(|| io::Error::from(io::ErrorKind::NotConnected))?;
         if conn.abort_s.is_some_and(|at| at <= now) {
@@ -350,22 +489,31 @@ impl NetSim {
         if bytes.is_empty() {
             return Ok(0);
         }
-        let n = bytes.len().min(cfg.max_write.max(1));
-        Self::transmit(&mut rng, &cfg, &mut conn.to_client, now, &bytes[..n]);
-        self.rng = rng;
+        let n = bytes.len().min(self.cfg.max_write.max(1));
+        let fresh_front = conn.to_client.segments.is_empty();
+        Self::transmit(
+            &mut self.rng,
+            &self.cfg,
+            &mut conn.to_client,
+            now,
+            &bytes[..n],
+        );
+        if fresh_front {
+            self.arm(token, Event::ToClient);
+        }
         Ok(n)
     }
 
     /// Closes the server end; further server reads/writes fail.
     pub fn close(&mut self, token: usize) {
-        if let Some(conn) = self.conns.get_mut(&token) {
+        if let Some(conn) = self.conns.get_mut(token) {
             conn.server_closed = true;
         }
     }
 
     /// Whether the server has closed its end of `token`.
     pub fn server_closed(&self, token: usize) -> bool {
-        self.conns.get(&token).is_none_or(|conn| conn.server_closed)
+        self.conns.get(token).is_none_or(|conn| conn.server_closed)
     }
 }
 
@@ -540,5 +688,309 @@ mod tests {
         assert_eq!(sim.accept().len(), 1);
         sim.advance(5.0);
         assert_eq!(sim.accept().len(), 1);
+    }
+
+    /// The fabric's queries as they were before the event index: each
+    /// one scans every connection ever opened. Kept as the reference the
+    /// indexed `next_event_s`, `accept`, `poll` and `client_ready` must
+    /// agree with, value for value and RNG draw for RNG draw.
+    mod scan {
+        use super::super::NetSim;
+
+        pub fn next_event_s(sim: &NetSim) -> Option<f64> {
+            let mut next = f64::INFINITY;
+            let mut fold = |t: f64| {
+                if t > sim.now_s && t < next {
+                    next = t;
+                }
+            };
+            for conn in sim.conns.iter() {
+                if !conn.accepted {
+                    fold(conn.connect_s);
+                }
+                for pipe in [&conn.to_server, &conn.to_client] {
+                    if let Some(seg) = pipe.segments.front() {
+                        fold(seg.deliver_s);
+                    }
+                    if let Some(fin) = pipe.fin_s {
+                        fold(fin);
+                    }
+                }
+            }
+            next.is_finite().then_some(next)
+        }
+
+        pub fn accept(sim: &mut NetSim) -> Vec<usize> {
+            let now = sim.now_s;
+            let fresh: Vec<usize> = sim
+                .conns
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, conn)| !conn.accepted && conn.connect_s <= now)
+                .map(|(token, conn)| {
+                    conn.accepted = true;
+                    token
+                })
+                .collect();
+            sim.shuffled(fresh)
+        }
+
+        pub fn poll(sim: &mut NetSim) -> Vec<usize> {
+            let now = sim.now_s;
+            let ready: Vec<usize> = sim
+                .conns
+                .iter()
+                .enumerate()
+                .filter(|(_, conn)| {
+                    conn.accepted
+                        && !conn.server_closed
+                        && (conn.to_server.readable_at(now)
+                            || conn.to_server.eof_at(now)
+                            || conn.abort_s.is_some_and(|at| at <= now))
+                })
+                .map(|(token, _)| token)
+                .collect();
+            sim.shuffled(ready)
+        }
+
+        pub fn client_ready(sim: &NetSim) -> Vec<usize> {
+            (0..sim.conns.len())
+                .filter(|&token| sim.client_readable(token))
+                .collect()
+        }
+    }
+
+    /// One call's observable result.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Token(usize),
+        Tokens(Vec<usize>),
+        /// Per ready token: the bytes read and the read that stopped.
+        Drained(Vec<(usize, Vec<u8>, Result<usize, io::ErrorKind>)>),
+        Instant(Option<f64>),
+        Bytes(Vec<u8>),
+        Io(Result<usize, io::ErrorKind>),
+        Flag(bool),
+        Done,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Connect `delay` after now (zero: at once).
+        Connect(f64),
+        Send(usize, Vec<u8>),
+        Advance(f64),
+        /// Jump to `next_event_s`, landing exactly on an instant.
+        AdvanceToNext,
+        NextEvent,
+        Accept,
+        Poll,
+        /// Poll, then read every ready token dry, as the listener does.
+        PollAndDrain(usize),
+        Read(usize, usize),
+        Write(usize, Vec<u8>),
+        Recv(usize),
+        Ready,
+        Readable(usize),
+        ClientClose(usize),
+        ClientAbort(usize),
+        Close(usize),
+    }
+
+    fn random_op(rng: &mut KeyedRng, conns: usize) -> Op {
+        // One past the last token exercises the unknown-token paths.
+        let token = rng.below(conns + 1);
+        let bytes = |rng: &mut KeyedRng| -> Vec<u8> { (0..rng.below(25) as u8).collect() };
+        match rng.below(24) {
+            0 | 1 => Op::Connect(if rng.chance(0.5) {
+                0.0
+            } else {
+                rng.range_f64(0.0, 0.05)
+            }),
+            2..=4 => Op::Send(token, bytes(rng)),
+            5 => Op::Advance(rng.range_f64(0.0, 0.02)),
+            6..=8 => Op::AdvanceToNext,
+            9 => Op::NextEvent,
+            10 => Op::Accept,
+            11 => Op::Poll,
+            12 | 13 => Op::PollAndDrain(1 + rng.below(16)),
+            14 => Op::Read(token, 1 + rng.below(16)),
+            15 | 16 => Op::Write(token, bytes(rng)),
+            17 => Op::Recv(token),
+            18 | 19 => Op::Ready,
+            20 => Op::Readable(token),
+            21 => Op::ClientClose(token),
+            22 => Op::ClientAbort(token),
+            _ => Op::Close(token),
+        }
+    }
+
+    fn io_seen(result: io::Result<usize>) -> Seen {
+        Seen::Io(result.map_err(|err| err.kind()))
+    }
+
+    /// Applies `op` through the indexed queries, or through the scans
+    /// when `reference` is set; every other call is shared code.
+    fn apply(sim: &mut NetSim, op: &Op, reference: bool) -> Seen {
+        let next = |sim: &mut NetSim| {
+            if reference {
+                scan::next_event_s(sim)
+            } else {
+                sim.next_event_s()
+            }
+        };
+        let poll = |sim: &mut NetSim| {
+            if reference {
+                scan::poll(sim)
+            } else {
+                sim.poll()
+            }
+        };
+        match op {
+            Op::Connect(delay) => Seen::Token(sim.connect(sim.now() + delay)),
+            Op::Send(token, bytes) => {
+                sim.client_send(*token, bytes);
+                Seen::Done
+            }
+            Op::Advance(dt) => {
+                sim.advance(sim.now() + dt);
+                Seen::Done
+            }
+            Op::AdvanceToNext => {
+                let at = next(sim);
+                if let Some(at) = at {
+                    sim.advance(at);
+                }
+                Seen::Instant(at)
+            }
+            Op::NextEvent => Seen::Instant(next(sim)),
+            Op::Accept => Seen::Tokens(if reference {
+                scan::accept(sim)
+            } else {
+                sim.accept()
+            }),
+            Op::Poll => Seen::Tokens(poll(sim)),
+            Op::PollAndDrain(cap) => {
+                let mut drained = Vec::new();
+                for token in poll(sim) {
+                    let mut bytes = Vec::new();
+                    let mut buf = vec![0u8; *cap];
+                    let last = loop {
+                        match sim.read(token, &mut buf) {
+                            Ok(n) if n > 0 => bytes.extend_from_slice(&buf[..n]),
+                            other => break other.map_err(|err| err.kind()),
+                        }
+                    };
+                    drained.push((token, bytes, last));
+                }
+                Seen::Drained(drained)
+            }
+            Op::Read(token, cap) => io_seen(sim.read(*token, &mut vec![0u8; *cap])),
+            Op::Write(token, bytes) => io_seen(sim.write(*token, bytes)),
+            Op::Recv(token) => Seen::Bytes(sim.client_recv(*token)),
+            Op::Ready => Seen::Tokens(if reference {
+                scan::client_ready(sim)
+            } else {
+                sim.client_ready()
+            }),
+            Op::Readable(token) => Seen::Flag(sim.client_readable(*token)),
+            Op::ClientClose(token) => {
+                sim.client_close(*token);
+                Seen::Done
+            }
+            Op::ClientAbort(token) => {
+                sim.client_abort(*token);
+                Seen::Done
+            }
+            Op::Close(token) => {
+                sim.close(*token);
+                Seen::Flag(sim.server_closed(*token))
+            }
+        }
+    }
+
+    fn differential_case(cfg: NetSimConfig, case: u64, steps: usize) {
+        let mut indexed = NetSim::new(cfg.clone());
+        let mut reference = NetSim::new(cfg.clone());
+        let mut rng = KeyedRng::new(aida_llm::noise::combine(&[0x6E65_7464, case]));
+        for step in 0..steps {
+            let op = random_op(&mut rng, indexed.conns.len());
+            let got = apply(&mut indexed, &op, false);
+            let want = apply(&mut reference, &op, true);
+            assert_eq!(got, want, "case {case} ({cfg:?}) step {step}: {op:?}");
+            assert_eq!(indexed.now().to_bits(), reference.now().to_bits());
+            if let Op::Ready = op {
+                assert_eq!(got, Seen::Tokens(scan::client_ready(&indexed)));
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_queries_match_the_full_scans() {
+        for case in 0..240u64 {
+            let mut knobs = KeyedRng::new(case);
+            let cfg = match case % 4 {
+                0 => NetSimConfig::default(),
+                1 => NetSimConfig {
+                    max_chunk: 1 + knobs.below(8),
+                    ..NetSimConfig::default()
+                },
+                2 => NetSimConfig {
+                    max_write: 1 + knobs.below(4),
+                    ..NetSimConfig::default()
+                },
+                _ => NetSimConfig {
+                    mean_delay_s: 0.0,
+                    max_chunk: 1 + knobs.below(8),
+                    max_write: 1 + knobs.below(4),
+                    ..NetSimConfig::default()
+                },
+            };
+            differential_case(NetSimConfig { seed: case, ..cfg }, case, 400);
+        }
+    }
+
+    #[test]
+    fn client_ready_lists_clients_with_delivered_bytes_in_token_order() {
+        let mut sim = NetSim::seeded(21);
+        let tokens: Vec<usize> = (0..5).map(|_| sim.connect(0.0)).collect();
+        sim.advance(0.0);
+        assert_eq!(sim.accept().len(), 5);
+        for &token in tokens.iter().rev().step_by(2) {
+            sim.write(token, b"reply").unwrap();
+        }
+        assert!(sim.client_ready().is_empty(), "nothing delivered yet");
+        sim.advance(1e9);
+        assert_eq!(sim.client_ready(), vec![0, 2, 4]);
+        // Level-triggered: still ready until drained.
+        assert_eq!(sim.client_ready(), vec![0, 2, 4]);
+        assert_eq!(sim.client_recv(2), b"reply");
+        assert_eq!(sim.client_ready(), vec![0, 4]);
+        // An abort drops the undelivered and the delivered alike.
+        sim.client_abort(4);
+        assert_eq!(sim.client_ready(), vec![0]);
+    }
+
+    #[test]
+    fn zero_delay_sends_are_due_at_once() {
+        let mut sim = NetSim::new(NetSimConfig {
+            seed: 4,
+            mean_delay_s: 0.0,
+            ..NetSimConfig::default()
+        });
+        let token = sim.connect(0.0);
+        // Bytes land before the accept; the accept must still surface them.
+        sim.client_send(token, b"early");
+        assert_eq!(sim.next_event_s(), None);
+        assert!(sim.poll().is_empty(), "not accepted yet");
+        assert_eq!(sim.accept(), vec![token]);
+        assert_eq!(sim.poll(), vec![token]);
+        assert_eq!(drain(&mut sim, token), b"early");
+        sim.write(token, b"late").unwrap();
+        assert_eq!(sim.client_ready(), vec![token]);
+        sim.client_close(token);
+        assert_eq!(sim.poll(), vec![token]);
+        let mut buf = [0u8; 4];
+        assert_eq!(sim.read(token, &mut buf).unwrap(), 0);
     }
 }
