@@ -67,16 +67,17 @@ AIDA_RESULTS_DIR=target/ci-lint-b cargo run -q -p aida-lint -- --deny-new
 cmp target/ci-lint-a/lint_report.jsonl target/ci-lint-b/lint_report.jsonl
 
 # Pyrite VM parity: the differential suite (fixture corpus, error
-# fixtures, fuel sweeps, generated program matrix) must hold — the
-# tree-walker is the VM's oracle. Release build so the property matrix
-# runs at full size quickly.
+# fixtures, agent step programs, multi-program sessions, fuel sweeps,
+# generated program matrices) must hold against the test-only oracle
+# in crates/script/tests/common/oracle.rs, an AST walker with its own
+# values and kernels. Release build so the property matrices run at
+# full size quickly.
 cargo test -q --release -p aida-script --test differential
 
-# Pyrite VM performance + determinism: the bench binary asserts the
-# warm VM is >=2x the tree-walker (exit nonzero otherwise), and its
-# canonical JSON carries only deterministic metrics — two runs must be
-# byte-identical, and equal to the committed one. (`pyrite_vm.txt`
-# carries wall-clock timings and is not pinned.)
+# Pyrite VM determinism: the bench's canonical JSON carries only
+# deterministic metrics — two runs must be byte-identical, and equal to
+# the committed one. (`pyrite_vm.txt` carries wall-clock timings and is
+# not pinned; nothing here gates on host speed.)
 AIDA_RESULTS_DIR=target/ci-pyrite-a \
   cargo run -q --release -p aida-bench --bin pyrite_bench >/dev/null
 AIDA_RESULTS_DIR=target/ci-pyrite-b \

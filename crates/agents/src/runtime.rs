@@ -10,9 +10,9 @@
 //! Then the step is billed to the simulated LLM as a call whose prompt is
 //! the task + tool manifest + observation tail and whose completion is the
 //! code, cache-keyed by the compiled plan's content hash; the compiled
-//! program runs on the register VM (or the tree-walking interpreter, the
-//! differential oracle, via [`AgentRuntime::with_tree_walker`]) with the
-//! tools bound; printed output becomes the next observation. The loop ends
+//! program runs on the register VM with the tools bound, on one
+//! interpreter per run, so a function one step defines is callable from
+//! the next; printed output becomes the next observation. The loop ends
 //! when `final_answer` fires or the step budget runs out.
 
 use crate::policy::{PolicyAction, PolicyContext};
@@ -84,9 +84,6 @@ pub struct AgentRuntime<'a> {
     env: &'a ExecEnv,
     registry: ToolRegistry,
     lake: Option<DataLake>,
-    /// Execute steps on the tree-walking interpreter instead of the
-    /// bytecode VM (the differential oracle).
-    tree_walk: bool,
     /// Compiled-step verdicts, shared with every agent of one runtime.
     steps: StepCache,
 }
@@ -106,7 +103,6 @@ impl<'a> AgentRuntime<'a> {
             env,
             registry,
             lake,
-            tree_walk: false,
             steps: StepCache::new(),
         }
     }
@@ -116,15 +112,6 @@ impl<'a> AgentRuntime<'a> {
     /// goes straight to the VM.
     pub fn with_step_cache(mut self, steps: StepCache) -> Self {
         self.steps = steps;
-        self
-    }
-
-    /// Forces step execution onto the tree-walking interpreter instead of
-    /// the bytecode VM. The two are differential twins (identical values,
-    /// tool-call sequences, and fuel charges), so this is a test oracle,
-    /// not a behavior switch.
-    pub fn with_tree_walker(mut self, tree_walk: bool) -> Self {
-        self.tree_walk = tree_walk;
         self
     }
 
@@ -261,14 +248,7 @@ impl<'a> AgentRuntime<'a> {
             );
             self.env.clock.advance(resp.latency_s);
 
-            // Execute the code — on the bytecode VM by default; the
-            // tree-walker is the differential oracle.
-            let run_result = if self.tree_walk {
-                interp.run(&code)
-            } else {
-                interp.run_compiled(&compiled)
-            };
-            let observation = match run_result {
+            let observation = match interp.run_compiled(&compiled) {
                 Ok(value) => {
                     let mut printed = interp.take_output().join("\n");
                     if printed.is_empty() {
@@ -558,38 +538,6 @@ mod tests {
         );
         assert_eq!(outcome.cost_usd, 0.0, "ill-typed steps must not bill");
         assert_eq!(outcome.time_s, 0.0, "ill-typed steps must not take time");
-    }
-
-    #[test]
-    fn vm_and_tree_walker_agree_on_agent_runs() {
-        // The same multi-step agent, once on the bytecode VM (default)
-        // and once on the tree-walking interpreter, must produce the
-        // same answer, observations, spend, and virtual time.
-        let steps = vec![
-            "files = list_files()\nprint(files)",
-            "c = read_file('data.csv')\nrows = c.splitlines()\ntotal = 0\nfor r in rows[1:]:\n    total += int(r.split(',')[1])\nprint(total)",
-            "final_answer(total)",
-        ];
-        let run = |tree_walk: bool| {
-            let env = runtime_env();
-            let lake = lake();
-            let rt = AgentRuntime::new(&env, registry(&lake), None).with_tree_walker(tree_walk);
-            let agent = CodeAgent::with_policy(
-                AgentConfig::default(),
-                Box::new(FixedPolicy(steps.clone())),
-            );
-            rt.run(&agent, "sum the n column")
-        };
-        let vm = run(false);
-        let walker = run(true);
-        assert_eq!(vm.answer, Some(Value::Int(140)));
-        assert_eq!(vm.answer, walker.answer);
-        assert_eq!(vm.steps.len(), walker.steps.len());
-        for (a, b) in vm.steps.iter().zip(&walker.steps) {
-            assert_eq!(a.observation, b.observation, "step {}", a.step);
-        }
-        assert_eq!(vm.cost_usd, walker.cost_usd);
-        assert_eq!(vm.time_s, walker.time_s);
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Pyrite execution micro-benchmark: tree-walking interpreter vs the
-//! bytecode VM on a policy-shaped program corpus.
+//! Pyrite execution micro-benchmark: the bytecode VM on a policy-shaped
+//! program corpus.
 //!
-//! Three measured configurations, matching the real agent paths:
+//! Two measured configurations, matching the real agent paths:
 //!
-//! * **tree-walk** — `Interpreter::run(source)` per iteration: parse +
-//!   AST walk, exactly what the agent loop did before the VM landed.
 //! * **cold VM** — parse + typecheck + compile + execute per iteration:
 //!   the first execution of a freshly planned step.
 //! * **warm VM** — compile once, `run_compiled` per iteration: repeated
@@ -17,9 +15,7 @@
 //! carries exclusively deterministic metrics (programs, iterations,
 //! instruction counts, fuel burned, an output checksum), so two runs of
 //! this binary produce byte-identical JSON; `ci.sh` runs it twice and
-//! `cmp`s. The binary also cross-checks every program's value, printed
-//! output, and remaining fuel between the tree-walker and the VM, and
-//! aborts on any divergence — a third leg of the differential oracle.
+//! `cmp`s.
 
 use aida_bench::{emit_bench, emit_text, BenchResult};
 use aida_llm::WallStopwatch;
@@ -124,21 +120,11 @@ fn fresh_interp() -> Interpreter {
     interp
 }
 
-/// One program's cross-checked run under both engines.
+/// What one run of a corpus program produced.
 struct Outcome {
     value: ScriptValue,
     output: Vec<String>,
     fuel_used: u64,
-}
-
-fn run_tree(source: &str) -> Outcome {
-    let mut interp = fresh_interp();
-    let value = interp.run(source).expect("corpus program must run");
-    Outcome {
-        value,
-        output: interp.take_output(),
-        fuel_used: FUEL - interp.fuel_remaining(),
-    }
 }
 
 fn run_vm(program: &CompiledProgram) -> Outcome {
@@ -177,33 +163,19 @@ fn main() {
     let mut outcomes = Vec::new();
     let mut total_insns = 0u64;
     let mut total_fuel = 0u64;
-    let mut tree_total = 0.0f64;
-    let mut warm_total = 0.0f64;
 
     report.push_str(&format!(
         "pyrite_vm: {} programs x {ITERS} iterations per configuration\n\n",
         CORPUS.len()
     ));
     report.push_str(&format!(
-        "{:<16} {:>10} {:>12} {:>12} {:>12} {:>9}\n",
-        "program", "insns", "tree_ms", "cold_vm_ms", "warm_vm_ms", "speedup"
+        "{:<16} {:>10} {:>12} {:>12}\n",
+        "program", "insns", "cold_vm_ms", "warm_vm_ms"
     ));
 
     for (name, source) in CORPUS {
         let compiled = compile_source(source).expect("corpus program must compile");
-
-        // Differential cross-check before timing anything.
-        let tree = run_tree(source);
-        let vm = run_vm(&compiled);
-        assert_eq!(tree.value, vm.value, "{name}: value diverged");
-        assert_eq!(tree.output, vm.output, "{name}: output diverged");
-        assert_eq!(tree.fuel_used, vm.fuel_used, "{name}: fuel diverged");
-
-        let sw = WallStopwatch::start();
-        for _ in 0..ITERS {
-            let _ = run_tree(source);
-        }
-        let tree_s = sw.elapsed_s();
+        let outcome = run_vm(&compiled);
 
         let sw = WallStopwatch::start();
         for _ in 0..ITERS {
@@ -219,27 +191,17 @@ fn main() {
         let warm_s = sw.elapsed_s();
 
         report.push_str(&format!(
-            "{name:<16} {:>10} {:>12.2} {:>12.2} {:>12.2} {:>8.2}x\n",
+            "{name:<16} {:>10} {:>12.2} {:>12.2}\n",
             compiled.insn_count(),
-            tree_s * 1e3,
             cold_s * 1e3,
             warm_s * 1e3,
-            tree_s / warm_s,
         ));
 
         total_insns += compiled.insn_count() as u64;
-        total_fuel += tree.fuel_used;
-        tree_total += tree_s;
-        warm_total += warm_s;
-        outcomes.push(tree);
+        total_fuel += outcome.fuel_used;
+        outcomes.push(outcome);
     }
 
-    let speedup = tree_total / warm_total;
-    report.push_str(&format!(
-        "\noverall: tree-walk {:.1} ms vs warm VM {:.1} ms -> {speedup:.2}x\n",
-        tree_total * 1e3,
-        warm_total * 1e3,
-    ));
     emit_text("pyrite_vm", &report);
 
     // Canonical JSON: deterministic metrics only — no wall-clock values,
@@ -252,10 +214,4 @@ fn main() {
             .metric("fuel_used", total_fuel as f64)
             .metric("output_checksum", f64::from(checksum(&outcomes))),
     );
-
-    assert!(
-        speedup >= 2.0,
-        "warm VM must be >=2x the tree-walker, got {speedup:.2}x"
-    );
-    println!("warm VM speedup {speedup:.2}x (>=2x required): ok");
 }

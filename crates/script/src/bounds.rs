@@ -716,7 +716,7 @@ struct ChunkCx<'p> {
 
 impl<'p> ChunkCx<'p> {
     fn name(&self, ix: u16) -> &str {
-        &self.program.names[ix as usize]
+        &self.program.pools.names[ix as usize]
     }
 
     /// The global binding visible at this point.
@@ -972,7 +972,7 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
         | Insn::Halt => {}
         Insn::LoopMisuse { .. } => st.live = false,
         Insn::Const { dst, idx } => {
-            st.regs[*dst as usize] = abs_const(&cx.program.consts[*idx as usize]);
+            st.regs[*dst as usize] = abs_const(&cx.program.pools.consts[*idx as usize]);
         }
         Insn::Load {
             dst, name, slot, ..
@@ -1051,7 +1051,7 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
             st.regs[*dst as usize] = Top;
         }
         Insn::Bind { vars, .. } => {
-            for &(name, slot) in &cx.program.var_lists[*vars as usize] {
+            for &(name, slot) in &cx.program.pools.var_lists[*vars as usize] {
                 if slot != NO_REG && !cx.is_main {
                     st.locals[slot as usize] = Binding::set(Top);
                 } else {
@@ -1228,8 +1228,8 @@ fn block_usage(
                             usage.add_call(*name, Bound::Finite(1));
                         }
                         if !funcs.is_empty() {
-                            // The interpreter burns one fuel resolving
-                            // the callee value before dispatch.
+                            // The VM burns one fuel resolving the
+                            // callee value before dispatch.
                             usage.add_fuel(1);
                             usage.add(&callee_usage(&funcs, summaries));
                         }
@@ -1311,7 +1311,7 @@ fn scan_block_syms(cx: &ChunkCx, entry: &State, block: &Block, code: &[Insn]) ->
                 syms.insert(*dst, Sym::LoadOf(var_key(cx, *name, *slot)));
             }
             Insn::Const { dst, idx } => {
-                let sym = match &cx.program.consts[*idx as usize] {
+                let sym = match &cx.program.pools.consts[*idx as usize] {
                     Const::Int(v) => Sym::ConstInt(*v as i128),
                     _ => Sym::Other,
                 };
@@ -1493,7 +1493,7 @@ impl<'p> ChunkFlow<'p> {
                         }
                     }
                     Insn::Bind { vars, .. } => {
-                        for &(name, slot) in &self.cx.program.var_lists[*vars as usize] {
+                        for &(name, slot) in &self.cx.program.pools.var_lists[*vars as usize] {
                             if var_key(&self.cx, name, slot) == var {
                                 has_store = true;
                                 all_increments = false;
@@ -1506,7 +1506,7 @@ impl<'p> ChunkFlow<'p> {
                         syms.insert(*dst, Sym::LoadOf(var_key(&self.cx, *name, *slot)));
                     }
                     Insn::Const { dst, idx } => {
-                        let sym = match &self.cx.program.consts[*idx as usize] {
+                        let sym = match &self.cx.program.pools.consts[*idx as usize] {
                             Const::Int(v) => Sym::ConstInt(*v as i128),
                             _ => Sym::Other,
                         };
@@ -1715,7 +1715,7 @@ fn analyze_chunk<'p>(
                 .collect()
         },
         globals: if is_main {
-            vec![Binding::unset(); program.names.len()]
+            vec![Binding::unset(); program.pools.names.len()]
         } else {
             Vec::new()
         },
@@ -1931,7 +1931,7 @@ fn topo_order(nodes: &BTreeSet<usize>, edges: &[(usize, usize)]) -> Vec<usize> {
 /// main ever stores per name, with list/dict lengths pre-havocked (a
 /// callee may observe them mid-mutation at any time).
 fn main_global_summary(program: &CompiledProgram, main_flow: &ChunkFlow) -> Vec<Binding> {
-    let mut genv: Vec<Binding> = vec![Binding::unset(); program.names.len()];
+    let mut genv: Vec<Binding> = vec![Binding::unset(); program.pools.names.len()];
     for (b, blk) in main_flow.blocks.iter().enumerate() {
         let Some(entry) = main_flow.entry[b].as_ref() else {
             continue;
@@ -1945,7 +1945,7 @@ fn main_global_summary(program: &CompiledProgram, main_flow: &ChunkFlow) -> Vec<
                         genv[*name as usize] = genv[*name as usize].join(&stored);
                     }
                     Insn::Bind { vars, .. } => {
-                        for &(name, _) in &program.var_lists[*vars as usize] {
+                        for &(name, _) in &program.pools.var_lists[*vars as usize] {
                             genv[name as usize] = genv[name as usize].join(&Binding::set(Top));
                         }
                     }
@@ -1972,12 +1972,12 @@ pub fn analyze(program: &CompiledProgram) -> CostBound {
     // global store from a function chunk would break the entry-summary
     // construction, so bail to unbounded rather than risk a wrong
     // number.
-    for f in &program.funcs {
+    for f in &program.pools.funcs {
         for insn in &f.chunk.code {
             match insn {
                 Insn::Store { slot, .. } if *slot == NO_REG => return CostBound::unbounded_all(),
                 Insn::Bind { vars, .. }
-                    if program.var_lists[*vars as usize]
+                    if program.pools.var_lists[*vars as usize]
                         .iter()
                         .any(|&(_, slot)| slot == NO_REG) =>
                 {
@@ -1996,8 +1996,8 @@ pub fn analyze(program: &CompiledProgram) -> CostBound {
     let genv = main_global_summary(program, &main_flow);
 
     // Per-function dataflow.
-    let mut fn_flows: Vec<Option<ChunkFlow>> = Vec::with_capacity(program.funcs.len());
-    for f in &program.funcs {
+    let mut fn_flows: Vec<Option<ChunkFlow>> = Vec::with_capacity(program.pools.funcs.len());
+    for f in &program.pools.funcs {
         fn_flows.push(analyze_chunk(
             program,
             &f.chunk,
@@ -2047,7 +2047,7 @@ pub fn analyze(program: &CompiledProgram) -> CostBound {
     // Bottom-up summaries: repeatedly summarize functions whose
     // callees are done; anything left is (mutually) recursive and
     // stays unbounded.
-    let nfuncs = program.funcs.len();
+    let nfuncs = program.pools.funcs.len();
     let mut summaries: Summaries = vec![None; nfuncs];
     loop {
         let mut progressed = false;
@@ -2079,7 +2079,7 @@ pub fn analyze(program: &CompiledProgram) -> CostBound {
     let calls: BTreeMap<String, Bound> = usage
         .calls
         .iter()
-        .map(|(&ix, &b)| (program.names[ix as usize].clone(), b))
+        .map(|(&ix, &b)| (program.pools.names[ix as usize].clone(), b))
         .collect();
     CostBound::finish(usage.fuel_bound(), calls, usage.open)
 }

@@ -1,7 +1,7 @@
 //! Compiler from the checked Pyrite AST to a compact register bytecode.
 //!
-//! The tree-walking interpreter ([`crate::interp`]) stays the semantic
-//! oracle; this module gives the hot agent-step path a flat, re-runnable
+//! Every Pyrite program runs as bytecode on the register VM
+//! ([`crate::vm`]); this module gives it a flat, re-runnable
 //! representation:
 //!
 //! * **Register chunks.** Every function (and the top-level program) is a
@@ -12,15 +12,16 @@
 //!   globals) because Pyrite is late-bound — a call site can resolve to a
 //!   local, a global, a host tool, or a builtin depending on runtime
 //!   state.
-//! * **Exact fuel parity.** The interpreter charges one fuel per
+//! * **Fuel defined on the AST.** A program is charged one fuel per
 //!   statement entered and one per expression node evaluated (plus one
-//!   per list-comprehension iteration). The compiler emits explicit
-//!   [`Insn::Burn`] instructions at exactly those points — pre-order,
-//!   before child evaluation — so the VM exhausts its budget at the same
-//!   instant, with the same observable side effects, as the tree-walker.
-//!   Adjacent burns with no intervening effect are merged into one
-//!   `Burn { n }` whose all-or-nothing semantics leave the fuel counter
-//!   bit-identical on both the success and exhaustion paths.
+//!   per list-comprehension iteration); `docs/PYRITE.md` states the whole
+//!   rule. The compiler emits explicit [`Insn::Burn`] instructions at
+//!   exactly those points — pre-order, before child evaluation — so the
+//!   budget runs out at the instant the rule says, with the same
+//!   observable side effects. Adjacent burns with no intervening effect
+//!   are merged into one `Burn { n }` whose all-or-nothing semantics
+//!   leave the fuel counter bit-identical on both the success and
+//!   exhaustion paths.
 //! * **Durable artifacts.** [`CompiledProgram::encode`] frames the whole
 //!   program through the checksummed snapshot codec
 //!   ([`aida_llm::snapshot::encode_file`]), so compiled plans are
@@ -38,6 +39,7 @@ use aida_llm::models::ModelId;
 use aida_llm::snapshot::{decode_file, encode_file, esc, fnv64, unesc};
 use aida_llm::CacheKey;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Register operand sentinel meaning "absent" (open slice bound, bare
 /// `return`, callee name with no local slot).
@@ -67,8 +69,7 @@ pub enum Const {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Insn {
     /// Charge `n` fuel (all-or-nothing: on shortfall the counter drops
-    /// to zero and execution fails, matching `n` single interpreter
-    /// burns).
+    /// to zero and execution fails, matching `n` single charges).
     Burn { n: u32, line: u32 },
     /// `regs[dst] = consts[idx]`.
     Const { dst: u16, idx: u16 },
@@ -132,9 +133,9 @@ pub enum Insn {
         hi: u16,
         line: u32,
     },
-    /// Call a named callee with the interpreter's resolution order:
-    /// shadowing local/global first (burning one fuel for the callee
-    /// lookup), then host functions, then builtins. `cline` is the
+    /// Call a named callee: a name bound as a local or global is called
+    /// as a value (burning one fuel for the callee lookup); an unbound
+    /// name dispatches to a host function, else a builtin. `cline` is the
     /// callee token's own line (name-error diagnostics).
     CallName {
         dst: u16,
@@ -182,7 +183,7 @@ pub enum Insn {
     /// Return from the current frame (`NO_REG` = `None`); from the main
     /// frame this ends the program with the value.
     Ret { src: u16 },
-    /// Raise the interpreter's "'break'/'continue' outside loop" error
+    /// Raise the "'break'/'continue' outside loop" error
     /// attributed to the enclosing frame-top statement at `line`.
     LoopMisuse { line: u32 },
     /// End of the main chunk; the program result is the last recorded
@@ -210,16 +211,14 @@ pub struct CompiledFn {
     pub locals: Vec<String>,
     /// The function body.
     pub chunk: Chunk,
-    /// Original AST body, kept so `def` sites materialize the same
-    /// [`crate::value::UserFn`] values the interpreter builds (decoded
-    /// artifacts carry an empty body; their functions still execute via
-    /// `chunk`, but escape only as stubs).
-    pub body_ast: Vec<Stmt>,
 }
 
-/// A whole compiled program: shared pools plus the main chunk.
+/// What a program's functions share: the pools their instructions index
+/// and every compiled function. A function value holds an `Arc` of them
+/// ([`crate::value::UserFn`]), so it runs on the VM from any later
+/// program on the same interpreter, a decoded artifact's included.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct CompiledProgram {
+pub struct Pools {
     /// Constant pool.
     pub consts: Vec<Const>,
     /// Interned identifier table (variables, callees, methods).
@@ -228,6 +227,14 @@ pub struct CompiledProgram {
     pub var_lists: Vec<Vec<(u16, u16)>>,
     /// Compiled user functions.
     pub funcs: Vec<CompiledFn>,
+}
+
+/// A whole compiled program: shared pools plus the main chunk.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CompiledProgram {
+    /// Pools and functions, shared with every function value the
+    /// program makes.
+    pub pools: Arc<Pools>,
     /// Top-level code.
     pub main: Chunk,
     /// Static cost bound (see [`crate::bounds`]). Computed by
@@ -244,8 +251,7 @@ impl CompiledProgram {
     }
 
     /// Decodes a serialized artifact, verifying magic, line count, and
-    /// checksum. Functions decode with empty AST bodies (see
-    /// [`CompiledFn::body_ast`]).
+    /// checksum.
     pub fn decode(text: &str) -> Result<CompiledProgram, ScriptError> {
         let body = decode_file(BYTECODE_MAGIC, text)
             .map_err(|e| bad_artifact(format!("bad frame: {e:?}")))?;
@@ -269,14 +275,16 @@ impl CompiledProgram {
 
     /// Total instruction count across the main chunk and every function.
     pub fn insn_count(&self) -> usize {
-        self.main.code.len() + self.funcs.iter().map(|f| f.chunk.code.len()).sum::<usize>()
+        let funcs = self.pools.funcs.iter().map(|f| f.chunk.code.len());
+        self.main.code.len() + funcs.sum::<usize>()
     }
 
     fn body_text(&self, canonical: bool) -> String {
+        let pools = &self.pools;
         let mut out = String::new();
         out.push_str("version 2\n");
-        out.push_str(&format!("consts {}\n", self.consts.len()));
-        for c in &self.consts {
+        out.push_str(&format!("consts {}\n", pools.consts.len()));
+        for c in &pools.consts {
             match c {
                 Const::Int(v) => out.push_str(&format!("c i {v}\n")),
                 Const::Float(v) => out.push_str(&format!("c f {:016x}\n", v.to_bits())),
@@ -289,22 +297,22 @@ impl CompiledProgram {
                 Const::None => out.push_str("c n\n"),
             }
         }
-        out.push_str(&format!("names {}\n", self.names.len()));
-        for n in &self.names {
+        out.push_str(&format!("names {}\n", pools.names.len()));
+        for n in &pools.names {
             out.push_str("n ");
             esc(n, &mut out);
             out.push('\n');
         }
-        out.push_str(&format!("vars {}\n", self.var_lists.len()));
-        for list in &self.var_lists {
+        out.push_str(&format!("vars {}\n", pools.var_lists.len()));
+        for list in &pools.var_lists {
             out.push_str(&format!("v {}", list.len()));
             for (name, slot) in list {
                 out.push_str(&format!(" {name} {slot}"));
             }
             out.push('\n');
         }
-        out.push_str(&format!("funcs {}\n", self.funcs.len()));
-        for f in &self.funcs {
+        out.push_str(&format!("funcs {}\n", pools.funcs.len()));
+        for f in &pools.funcs {
             out.push_str(&format!(
                 "func {} {} {} {} ",
                 f.params.len(),
@@ -716,7 +724,7 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| bad_artifact(format!("bad {key} header: {line:?}")))
     }
-    let mut p = CompiledProgram::default();
+    let mut p = Pools::default();
     let n = counted(next("consts")?, "consts")?;
     for _ in 0..n {
         let line = next("const")?;
@@ -811,16 +819,14 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
                     .into_owned(),
             );
         }
-        let mut code = Vec::with_capacity(ncode);
-        for _ in 0..ncode {
-            code.push(parse_insn(next("instruction")?)?);
-        }
+        let code = (0..ncode)
+            .map(|_| parse_insn(next("instruction")?))
+            .collect::<Result<_, _>>()?;
         p.funcs.push(CompiledFn {
             name,
             params: locals[..nparams.min(locals.len())].to_vec(),
             locals,
             chunk: Chunk { code, nregs },
-            body_ast: Vec::new(),
         });
     }
     let header = next("main header")?;
@@ -831,16 +837,19 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
         .split_once(' ')
         .and_then(|(a, b)| Some((a.parse::<u16>().ok()?, b.parse::<usize>().ok()?)))
         .ok_or_else(|| bad_artifact(format!("bad main header {header:?}")))?;
-    let mut code = Vec::with_capacity(ncode);
-    for _ in 0..ncode {
-        code.push(parse_insn(next("instruction")?)?);
-    }
-    p.main = Chunk { code, nregs };
-    if has_bound_section {
-        p.bound = decode_bound(&mut next)?;
+    let code = (0..ncode)
+        .map(|_| parse_insn(next("instruction")?))
+        .collect::<Result<_, _>>()?;
+    let mut p = CompiledProgram {
+        pools: Arc::new(p),
+        main: Chunk { code, nregs },
+        bound: CostBound::unbounded_all(),
+    };
+    p.bound = if has_bound_section {
+        decode_bound(&mut next)?
     } else {
-        p.bound = bounds::analyze(&p);
-    }
+        bounds::analyze(&p)
+    };
     Ok(p)
 }
 
@@ -929,10 +938,12 @@ pub fn compile(program: &Program) -> Result<CompiledProgram, ScriptError> {
     let mut c = Compiler::default();
     let main = c.compile_chunk(&program.body, None)?;
     let mut p = CompiledProgram {
-        consts: c.consts,
-        names: c.names,
-        var_lists: c.var_lists,
-        funcs: c.funcs,
+        pools: Arc::new(Pools {
+            consts: c.consts,
+            names: c.names,
+            var_lists: c.var_lists,
+            funcs: c.funcs,
+        }),
         main,
         bound: CostBound::unbounded_all(),
     };
@@ -964,7 +975,7 @@ struct ChunkCtx {
     locals: Option<HashMap<String, u16>>,
     loops: Vec<LoopCtx>,
     /// Line of the current frame-top statement (stray `break`/`continue`
-    /// diagnostics attribute to it, as the interpreter does).
+    /// diagnostics attribute to it).
     top_line: u32,
     /// Index of a trailing mergeable `Burn`, cleared at labels and by
     /// every other instruction.
@@ -1150,7 +1161,6 @@ impl Compiler {
             params: params.to_vec(),
             locals,
             chunk,
-            body_ast: body.to_vec(),
         });
         Ok((self.funcs.len() - 1) as u16)
     }
@@ -1627,7 +1637,7 @@ impl Compiler {
     }
 
     /// Compiles a list comprehension: iterate, bind, filter, push — with
-    /// the same per-item burn the interpreter charges.
+    /// one burn per item.
     fn compile_listcomp(
         &mut self,
         c: &mut ChunkCtx,
@@ -1744,8 +1754,7 @@ fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>) {
 }
 
 /// Collects comprehension variables from every sub-expression (they bind
-/// in the enclosing frame, Python-2 style, exactly as the interpreter's
-/// `bind_loop_vars` does).
+/// in the enclosing frame, Python-2 style).
 fn comp_vars(e: &Expr, out: &mut Vec<String>) {
     match &e.kind {
         ExprKind::ListComp {
@@ -1863,8 +1872,8 @@ mod tests {
     #[test]
     fn functions_get_local_slots() {
         let p = compiled("def f(a, b):\n    c = a + b\n    return c\nf(1, 2)");
-        assert_eq!(p.funcs.len(), 1);
-        let f = &p.funcs[0];
+        assert_eq!(p.pools.funcs.len(), 1);
+        let f = &p.pools.funcs[0];
         assert_eq!(f.params, vec!["a", "b"]);
         assert_eq!(f.locals, vec!["a", "b", "c"]);
         assert!(f
@@ -1877,7 +1886,7 @@ mod tests {
     #[test]
     fn listcomp_vars_are_frame_locals() {
         let p = compiled("def f(xs):\n    ys = [x * 2 for x in xs]\n    return ys");
-        assert_eq!(p.funcs[0].locals, vec!["xs", "ys", "x"]);
+        assert_eq!(p.pools.funcs[0].locals, vec!["xs", "ys", "x"]);
     }
 
     #[test]
@@ -1886,15 +1895,8 @@ mod tests {
         let p = compiled(src);
         let encoded = p.encode();
         let back = CompiledProgram::decode(&encoded).expect("decodes");
-        assert_eq!(back.consts, p.consts);
-        assert_eq!(back.names, p.names);
-        assert_eq!(back.var_lists, p.var_lists);
+        assert_eq!(back.pools, p.pools);
         assert_eq!(back.main, p.main);
-        assert_eq!(back.funcs.len(), p.funcs.len());
-        for (a, b) in back.funcs.iter().zip(&p.funcs) {
-            assert_eq!(a.chunk, b.chunk);
-            assert_eq!(a.locals, b.locals);
-        }
         // The static cost bound round-trips exactly.
         assert_eq!(back.bound, p.bound);
     }

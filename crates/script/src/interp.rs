@@ -1,22 +1,17 @@
-//! Tree-walking interpreter with host-function binding and fuel limits.
+//! The interpreter: the state every Pyrite program runs against —
+//! globals, host functions, fuel, recursion depth, captured `print`
+//! output — and the semantic kernels the VM ([`crate::vm`]) calls for
+//! operators, indexing, slicing, iteration, builtins and methods.
 
-use crate::ast::*;
+use crate::ast::BinOp;
 use crate::error::ScriptError;
 use crate::parser::parse;
-use crate::value::{ScriptValue, UserFn};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use crate::value::ScriptValue;
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
 /// A host function (tool) callable from scripts.
 pub type HostFn = Rc<dyn Fn(&[ScriptValue]) -> Result<ScriptValue, ScriptError>>;
-
-/// Control flow signals threaded through statement execution.
-enum Flow {
-    Normal,
-    Break,
-    Continue,
-    Return(ScriptValue),
-}
 
 /// The Pyrite interpreter.
 ///
@@ -24,7 +19,11 @@ enum Flow {
 /// `print` output. An interpreter can run multiple programs in sequence
 /// (agent steps share one interpreter so variables persist between steps).
 pub struct Interpreter {
-    pub(crate) globals: HashMap<String, ScriptValue>,
+    /// Global name → index into `globals`. A run resolves its program's
+    /// names here once, so the VM reads and writes globals by slot.
+    pub(crate) global_slots: HashMap<String, usize>,
+    /// Global values by slot; `None` until the name is first assigned.
+    pub(crate) globals: Vec<Option<ScriptValue>>,
     pub(crate) host_fns: HashMap<String, HostFn>,
     pub(crate) fuel: u64,
     pub(crate) fuel_limit: u64,
@@ -45,7 +44,8 @@ impl Interpreter {
     /// Creates an interpreter with the default fuel budget.
     pub fn new() -> Self {
         Interpreter {
-            globals: HashMap::new(),
+            global_slots: HashMap::new(),
+            globals: Vec::new(),
             host_fns: HashMap::new(),
             fuel: DEFAULT_FUEL,
             fuel_limit: DEFAULT_FUEL,
@@ -70,14 +70,21 @@ impl Interpreter {
         self.host_fns.insert(name.to_string(), Rc::new(func));
     }
 
-    /// Sets a global variable.
-    pub fn set_global(&mut self, name: &str, value: ScriptValue) {
-        self.globals.insert(name.to_string(), value);
-    }
-
     /// Reads a global variable.
     pub fn get_global(&self, name: &str) -> Option<&ScriptValue> {
-        self.globals.get(name)
+        let slot = *self.global_slots.get(name)?;
+        self.globals[slot].as_ref()
+    }
+
+    /// The slot of global `name`, allocated (unassigned) on first use.
+    pub(crate) fn global_slot(&mut self, name: &str) -> usize {
+        if let Some(&slot) = self.global_slots.get(name) {
+            return slot;
+        }
+        self.globals.push(None);
+        self.global_slots
+            .insert(name.to_string(), self.globals.len() - 1);
+        self.globals.len() - 1
     }
 
     /// Drains captured `print` output.
@@ -86,8 +93,7 @@ impl Interpreter {
     }
 
     /// Fuel remaining after the most recent `run`/`run_compiled` (the
-    /// budget minus every step charged). Differential tests compare this
-    /// between the tree-walker and the VM.
+    /// budget minus every step charged).
     pub fn fuel_remaining(&self) -> u64 {
         self.fuel
     }
@@ -95,7 +101,11 @@ impl Interpreter {
     /// The names of the current globals: the bindings earlier programs
     /// left, which a front-end verdict on the next one depends on.
     pub fn global_names(&self) -> BTreeSet<String> {
-        self.globals.keys().cloned().collect()
+        self.global_slots
+            .iter()
+            .filter(|&(_, &slot)| self.globals[slot].is_some())
+            .map(|(name, _)| name.clone())
+            .collect()
     }
 
     /// Parses `source` and runs the front-end pass ([`crate::typecheck`])
@@ -109,267 +119,20 @@ impl Interpreter {
             // An empty signature registers an unchecked tool.
             env.add_tool_signature(name, "");
         }
-        for name in self.globals.keys() {
-            env.bind_global(name, crate::Ty::Any);
+        for name in self.global_names() {
+            env.bind_global(&name, crate::Ty::Any);
         }
         parse(source)
             .and_then(|program| crate::typecheck(&program, &env))
             .err()
     }
 
-    /// Parses and executes a program, returning the value of its final
-    /// expression statement (`None` if the program ends with a non-
-    /// expression statement). Globals persist across calls.
+    /// Parses, compiles and runs a program on the VM, returning the value
+    /// of its final expression statement (`None` if the program ends with
+    /// a non-expression statement). Globals persist across calls.
     pub fn run(&mut self, source: &str) -> Result<ScriptValue, ScriptError> {
-        let program = parse(source)?;
-        self.fuel = self.fuel_limit;
-        let mut last = ScriptValue::None;
-        for stmt in &program.body {
-            match self.exec_with_result(stmt, &mut None)? {
-                (Flow::Normal, value) => {
-                    if let Some(v) = value {
-                        last = v;
-                    }
-                }
-                (Flow::Return(v), _) => return Ok(v),
-                (Flow::Break, _) | (Flow::Continue, _) => {
-                    return Err(ScriptError::Parse {
-                        line: stmt.line,
-                        col: 0,
-                        message: "'break'/'continue' outside loop".into(),
-                    })
-                }
-            }
-        }
-        Ok(last)
-    }
-
-    fn burn(&mut self, line: usize) -> Result<(), ScriptError> {
-        let _ = line;
-        if self.fuel == 0 {
-            return Err(ScriptError::FuelExhausted);
-        }
-        self.fuel -= 1;
-        Ok(())
-    }
-
-    /// Executes a statement, also reporting the value when it was an
-    /// expression statement (so the program result can be its last
-    /// expression).
-    fn exec_with_result(
-        &mut self,
-        stmt: &Stmt,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-    ) -> Result<(Flow, Option<ScriptValue>), ScriptError> {
-        if let StmtKind::Expr(expr) = &stmt.kind {
-            self.burn(stmt.line)?;
-            let value = self.eval(expr, locals)?;
-            return Ok((Flow::Normal, Some(value)));
-        }
-        let flow = self.exec(stmt, locals)?;
-        Ok((flow, None))
-    }
-
-    fn exec(
-        &mut self,
-        stmt: &Stmt,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-    ) -> Result<Flow, ScriptError> {
-        self.burn(stmt.line)?;
-        match &stmt.kind {
-            StmtKind::Expr(expr) => {
-                self.eval(expr, locals)?;
-                Ok(Flow::Normal)
-            }
-            StmtKind::Assign(target, value) => {
-                let value = self.eval(value, locals)?;
-                self.assign(target, value, locals, stmt.line)?;
-                Ok(Flow::Normal)
-            }
-            StmtKind::AugAssign(target, op, value) => {
-                let rhs = self.eval(value, locals)?;
-                match target {
-                    Target::Name(name) => {
-                        let current = self.lookup(name, locals, stmt.line)?;
-                        let updated = self.binary(*op, current, rhs, stmt.line)?;
-                        self.bind(name, updated, locals);
-                    }
-                    Target::Index(obj, key) => {
-                        // Evaluate the object and key exactly once
-                        // (Python semantics: `d[key()] += 1` calls key()
-                        // a single time).
-                        let obj_v = self.eval(obj, locals)?;
-                        let key_v = self.eval(key, locals)?;
-                        let current = self.index(&obj_v, &key_v, stmt.line)?;
-                        let updated = self.binary(*op, current, rhs, stmt.line)?;
-                        self.store_index(&obj_v, &key_v, updated, stmt.line)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::If(arms, else_body) => {
-                for (cond, body) in arms {
-                    if self.eval(cond, locals)?.truthy() {
-                        return self.exec_block(body, locals);
-                    }
-                }
-                if let Some(body) = else_body {
-                    return self.exec_block(body, locals);
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::While(cond, body) => {
-                while self.eval(cond, locals)?.truthy() {
-                    match self.exec_block(body, locals)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::For(vars, iterable, body) => {
-                let items = self.iterate(iterable, locals, stmt.line)?;
-                for item in items {
-                    self.bind_loop_vars(vars, item, locals, stmt.line)?;
-                    match self.exec_block(body, locals)? {
-                        Flow::Break => break,
-                        Flow::Return(v) => return Ok(Flow::Return(v)),
-                        Flow::Normal | Flow::Continue => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            StmtKind::Def(name, params, body) => {
-                let func = ScriptValue::Func(Rc::new(UserFn {
-                    name: name.clone(),
-                    params: params.clone(),
-                    body: body.clone(),
-                }));
-                self.bind(name, func, locals);
-                Ok(Flow::Normal)
-            }
-            StmtKind::Return(value) => {
-                let v = match value {
-                    Some(expr) => self.eval(expr, locals)?,
-                    None => ScriptValue::None,
-                };
-                Ok(Flow::Return(v))
-            }
-            StmtKind::Break => Ok(Flow::Break),
-            StmtKind::Continue => Ok(Flow::Continue),
-            StmtKind::Pass => Ok(Flow::Normal),
-        }
-    }
-
-    fn exec_block(
-        &mut self,
-        body: &[Stmt],
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-    ) -> Result<Flow, ScriptError> {
-        for stmt in body {
-            match self.exec(stmt, locals)? {
-                Flow::Normal => {}
-                other => return Ok(other),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    /// Binds loop targets: one name takes the element; several names
-    /// unpack a list element of matching length.
-    pub(crate) fn bind_loop_vars(
-        &mut self,
-        vars: &[String],
-        item: ScriptValue,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-        line: usize,
-    ) -> Result<(), ScriptError> {
-        if vars.len() == 1 {
-            self.bind(&vars[0], item, locals);
-            return Ok(());
-        }
-        let ScriptValue::List(items) = &item else {
-            return Err(ScriptError::Type {
-                line,
-                message: format!(
-                    "cannot unpack {} into {} names",
-                    item.type_name(),
-                    vars.len()
-                ),
-            });
-        };
-        let items = items.borrow().clone();
-        if items.len() != vars.len() {
-            return Err(ScriptError::Type {
-                line,
-                message: format!(
-                    "cannot unpack {} values into {} names",
-                    items.len(),
-                    vars.len()
-                ),
-            });
-        }
-        for (name, value) in vars.iter().zip(items) {
-            self.bind(name, value, locals);
-        }
-        Ok(())
-    }
-
-    fn bind(
-        &mut self,
-        name: &str,
-        value: ScriptValue,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-    ) {
-        match locals {
-            Some(frame) => {
-                frame.insert(name.to_string(), value);
-            }
-            None => {
-                self.globals.insert(name.to_string(), value);
-            }
-        }
-    }
-
-    pub(crate) fn lookup(
-        &self,
-        name: &str,
-        locals: &Option<&mut HashMap<String, ScriptValue>>,
-        line: usize,
-    ) -> Result<ScriptValue, ScriptError> {
-        if let Some(frame) = locals {
-            if let Some(v) = frame.get(name) {
-                return Ok(v.clone());
-            }
-        }
-        if let Some(v) = self.globals.get(name) {
-            return Ok(v.clone());
-        }
-        Err(ScriptError::Name {
-            line,
-            name: name.to_string(),
-        })
-    }
-
-    fn assign(
-        &mut self,
-        target: &Target,
-        value: ScriptValue,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-        line: usize,
-    ) -> Result<(), ScriptError> {
-        match target {
-            Target::Name(name) => {
-                self.bind(name, value, locals);
-                Ok(())
-            }
-            Target::Index(obj, key) => {
-                let obj_v = self.eval(obj, locals)?;
-                let key_v = self.eval(key, locals)?;
-                self.store_index(&obj_v, &key_v, value, line)
-            }
-        }
+        let program = crate::bytecode::compile_source(source)?;
+        self.run_compiled(&program)
     }
 
     /// Stores into an already-evaluated container/key pair.
@@ -401,19 +164,7 @@ impl Interpreter {
         }
     }
 
-    fn iterate(
-        &mut self,
-        iterable: &Expr,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-        line: usize,
-    ) -> Result<Vec<ScriptValue>, ScriptError> {
-        let value = self.eval(iterable, locals)?;
-        self.iter_value(value, line)
-    }
-
-    /// Materializes an already-evaluated value as an iteration vector
-    /// (shared by the tree-walker and the bytecode VM so `for` semantics
-    /// cannot drift).
+    /// Materializes an already-evaluated value as an iteration vector.
     pub(crate) fn iter_value(
         &self,
         value: ScriptValue,
@@ -432,213 +183,6 @@ impl Interpreter {
                 message: format!("{} is not iterable", other.type_name()),
             }),
         }
-    }
-
-    fn eval(
-        &mut self,
-        expr: &Expr,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-    ) -> Result<ScriptValue, ScriptError> {
-        self.burn(expr.line)?;
-        match &expr.kind {
-            ExprKind::Int(v) => Ok(ScriptValue::Int(*v)),
-            ExprKind::Float(v) => Ok(ScriptValue::Float(*v)),
-            ExprKind::Str(s) => Ok(ScriptValue::str(s.clone())),
-            ExprKind::Bool(b) => Ok(ScriptValue::Bool(*b)),
-            ExprKind::None => Ok(ScriptValue::None),
-            ExprKind::Name(name) => self.lookup(name, locals, expr.line),
-            ExprKind::List(items) => {
-                let values = items
-                    .iter()
-                    .map(|e| self.eval(e, locals))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(ScriptValue::list(values))
-            }
-            ExprKind::Dict(pairs) => {
-                let mut map = BTreeMap::new();
-                for (k, v) in pairs {
-                    let key = self.eval(k, locals)?;
-                    let key = key.as_str().map_err(|_| ScriptError::Type {
-                        line: expr.line,
-                        message: "dict keys must be strings".into(),
-                    })?;
-                    let value = self.eval(v, locals)?;
-                    map.insert(key.to_string(), value);
-                }
-                Ok(ScriptValue::dict(map))
-            }
-            ExprKind::Binary(BinOp::And, lhs, rhs) => {
-                let l = self.eval(lhs, locals)?;
-                if !l.truthy() {
-                    return Ok(l);
-                }
-                self.eval(rhs, locals)
-            }
-            ExprKind::Binary(BinOp::Or, lhs, rhs) => {
-                let l = self.eval(lhs, locals)?;
-                if l.truthy() {
-                    return Ok(l);
-                }
-                self.eval(rhs, locals)
-            }
-            ExprKind::Binary(op, lhs, rhs) => {
-                let l = self.eval(lhs, locals)?;
-                let r = self.eval(rhs, locals)?;
-                self.binary(*op, l, r, expr.line)
-            }
-            ExprKind::Unary(UnaryOp::Neg, operand) => match self.eval(operand, locals)? {
-                ScriptValue::Int(i) => Ok(ScriptValue::Int(-i)),
-                ScriptValue::Float(f) => Ok(ScriptValue::Float(-f)),
-                other => Err(ScriptError::Type {
-                    line: expr.line,
-                    message: format!("cannot negate {}", other.type_name()),
-                }),
-            },
-            ExprKind::Unary(UnaryOp::Not, operand) => {
-                Ok(ScriptValue::Bool(!self.eval(operand, locals)?.truthy()))
-            }
-            ExprKind::Call(callee, args) => {
-                let arg_values = args
-                    .iter()
-                    .map(|a| self.eval(a, locals))
-                    .collect::<Result<Vec<_>, _>>()?;
-                // Named callees may resolve to builtins or host functions.
-                if let ExprKind::Name(name) = &callee.kind {
-                    let locally_shadowed = locals
-                        .as_ref()
-                        .is_some_and(|f| f.contains_key(name.as_str()))
-                        || self.globals.contains_key(name.as_str());
-                    if !locally_shadowed {
-                        if let Some(host) = self.host_fns.get(name.as_str()).cloned() {
-                            return host(&arg_values);
-                        }
-                        if let Some(result) = self.call_builtin(name, &arg_values, expr.line)? {
-                            return Ok(result);
-                        }
-                    }
-                }
-                let func = self.eval(callee, locals)?;
-                self.call_value(func, &arg_values, expr.line)
-            }
-            ExprKind::MethodCall(obj, method, args) => {
-                let obj_v = self.eval(obj, locals)?;
-                let arg_values = args
-                    .iter()
-                    .map(|a| self.eval(a, locals))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.call_method(&obj_v, method, &arg_values, expr.line)
-            }
-            ExprKind::Index(obj, key) => {
-                let obj_v = self.eval(obj, locals)?;
-                let key_v = self.eval(key, locals)?;
-                self.index(&obj_v, &key_v, expr.line)
-            }
-            ExprKind::ListComp {
-                element,
-                vars,
-                iterable,
-                condition,
-            } => {
-                let items = self.iterate(iterable, locals, expr.line)?;
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    self.burn(expr.line)?;
-                    self.bind_loop_vars(vars, item, locals, expr.line)?;
-                    if let Some(cond) = condition {
-                        if !self.eval(cond, locals)?.truthy() {
-                            continue;
-                        }
-                    }
-                    out.push(self.eval(element, locals)?);
-                }
-                Ok(ScriptValue::list(out))
-            }
-            ExprKind::Slice(obj, lo, hi) => {
-                let obj_v = self.eval(obj, locals)?;
-                let lo_v = self.slice_bound(lo, locals, expr.line)?;
-                let hi_v = self.slice_bound(hi, locals, expr.line)?;
-                self.slice(&obj_v, lo_v, hi_v, expr.line)
-            }
-        }
-    }
-
-    /// Evaluates an optional slice bound to an int (`None` bound stays
-    /// `None`; a non-int bound is a type error).
-    fn slice_bound(
-        &mut self,
-        bound: &Option<Box<Expr>>,
-        locals: &mut Option<&mut HashMap<String, ScriptValue>>,
-        line: usize,
-    ) -> Result<Option<i64>, ScriptError> {
-        match bound {
-            Some(e) => Ok(Some(self.eval(e, locals)?.as_int().map_err(|_| {
-                ScriptError::Type {
-                    line,
-                    message: "slice bounds must be ints".into(),
-                }
-            })?)),
-            None => Ok(None),
-        }
-    }
-
-    pub(crate) fn call_value(
-        &mut self,
-        func: ScriptValue,
-        args: &[ScriptValue],
-        line: usize,
-    ) -> Result<ScriptValue, ScriptError> {
-        let ScriptValue::Func(user) = func else {
-            return Err(ScriptError::Type {
-                line,
-                message: format!("{} is not callable", func.type_name()),
-            });
-        };
-        if user.params.len() != args.len() {
-            return Err(ScriptError::Type {
-                line,
-                message: format!(
-                    "{}() takes {} arguments but {} were given",
-                    user.name,
-                    user.params.len(),
-                    args.len()
-                ),
-            });
-        }
-        if self.depth >= MAX_DEPTH {
-            return Err(ScriptError::RecursionLimit);
-        }
-        self.depth += 1;
-        let mut frame: HashMap<String, ScriptValue> = user
-            .params
-            .iter()
-            .cloned()
-            .zip(args.iter().cloned())
-            .collect();
-        let mut frame_opt = Some(&mut frame);
-        let mut result = ScriptValue::None;
-        for stmt in &user.body {
-            match self.exec(stmt, &mut frame_opt) {
-                Ok(Flow::Return(v)) => {
-                    result = v;
-                    break;
-                }
-                Ok(Flow::Break) | Ok(Flow::Continue) => {
-                    self.depth -= 1;
-                    return Err(ScriptError::Parse {
-                        line: stmt.line,
-                        col: 0,
-                        message: "'break'/'continue' outside loop".into(),
-                    });
-                }
-                Ok(Flow::Normal) => {}
-                Err(e) => {
-                    self.depth -= 1;
-                    return Err(e);
-                }
-            }
-        }
-        self.depth -= 1;
-        Ok(result)
     }
 
     pub(crate) fn list_index(
@@ -854,7 +398,7 @@ impl Interpreter {
                 };
                 Ok(V::Bool(contains == (op == BinOp::In)))
             }
-            BinOp::And | BinOp::Or => unreachable!("short-circuit handled in eval"),
+            BinOp::And | BinOp::Or => unreachable!("and/or compile to jumps"),
         }
     }
 

@@ -9,9 +9,11 @@
 //! * a Python-style indentation-sensitive **lexer** ([`lexer`]),
 //! * a recursive-descent **parser** ([`parser`]) producing a small AST
 //!   ([`ast`]),
-//! * a tree-walking **interpreter** ([`interp`]) with mutable lists/dicts,
-//!   user functions, bound string/list/dict methods, and a useful builtin
-//!   library (`len`, `range`, `sorted`, `sum`, `print`, …),
+//! * a **compiler** to register bytecode ([`bytecode`]) and the register
+//!   **VM** that runs every program ([`vm`]), over the **interpreter**
+//!   state and kernels ([`interp`]): mutable lists/dicts, user functions,
+//!   bound string/list/dict methods, and a useful builtin library (`len`,
+//!   `range`, `sorted`, `sum`, `print`, …),
 //! * **host-function binding** so agent tools (`list_files`, `read_file`,
 //!   `run_semantic_program`, …) appear as ordinary callables, and
 //! * **fuel limits** so a runaway agent program terminates deterministically
@@ -67,10 +69,3 @@ pub use value::ScriptValue;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ScriptError>;
-
-/// Parses and executes a source program in a fresh interpreter with no
-/// host functions, returning the value of the final expression statement
-/// (or `None`).
-pub fn eval(source: &str) -> Result<ScriptValue> {
-    Interpreter::new().run(source)
-}

@@ -5,23 +5,30 @@
 //! to/from [`aida_data::Value`] bridges the script world and the data
 //! world at the host-function boundary.
 
-use crate::ast::Stmt;
+use crate::bytecode::{CompiledFn, Pools};
 use crate::error::ScriptError;
 use aida_data::Value as DataValue;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
-/// A user-defined function.
-#[derive(Debug, Clone, PartialEq)]
+/// A user-defined function: compiled function `idx` of the program whose
+/// pools it shares, so it runs on the VM from any later program.
+#[derive(Debug, Clone)]
 pub struct UserFn {
-    /// Function name (diagnostics).
-    pub name: String,
-    /// Parameter names.
-    pub params: Vec<String>,
-    /// Body statements.
-    pub body: Vec<Stmt>,
+    /// The defining program's pools.
+    pub pools: Arc<Pools>,
+    /// Index into `pools.funcs`.
+    pub idx: usize,
+}
+
+impl UserFn {
+    /// The compiled function.
+    pub fn compiled(&self) -> &CompiledFn {
+        &self.pools.funcs[self.idx]
+    }
 }
 
 /// A Pyrite runtime value.
@@ -182,7 +189,7 @@ impl ScriptValue {
             ScriptValue::Func(f) => {
                 return Err(ScriptError::host(format!(
                     "cannot pass function '{}' to a tool",
-                    f.name
+                    f.compiled().name
                 )))
             }
         })
@@ -245,7 +252,7 @@ impl fmt::Display for ScriptValue {
                 }
                 write!(f, "}}")
             }
-            ScriptValue::Func(func) => write!(f, "<function {}>", func.name),
+            ScriptValue::Func(func) => write!(f, "<function {}>", func.compiled().name),
         }
     }
 }
@@ -337,11 +344,10 @@ mod tests {
 
     #[test]
     fn functions_cannot_cross_tool_boundary() {
-        let f = ScriptValue::Func(Rc::new(UserFn {
-            name: "f".into(),
-            params: vec![],
-            body: vec![],
-        }));
+        let f = crate::Interpreter::new()
+            .run("def f():\n    pass\nf")
+            .unwrap();
+        assert_eq!(f.to_string(), "<function f>");
         assert!(f.to_data().is_err());
     }
 }

@@ -1,38 +1,42 @@
-//! Register VM executing [`crate::bytecode`] chunks.
+//! Register VM: the one Pyrite executor.
 //!
-//! The VM deliberately *shares* the interpreter's state and semantic
-//! kernels — globals, host functions, fuel counter, recursion depth,
-//! print capture, plus `binary`/`index`/`slice`/`call_builtin`/
-//! `call_method`/`iter_value` — so a compiled program and a tree-walked
-//! program cannot disagree on operator semantics, tool dispatch, or
-//! budget accounting. What the VM replaces is only the *traversal*:
-//! instead of recursing over `Expr`/`Stmt` nodes with a `HashMap` frame
-//! per call, it runs a flat instruction loop over a contiguous register
-//! file with slot-addressed locals and an explicit call stack.
+//! [`Interpreter::run_compiled`] runs a [`CompiledProgram`] as a flat
+//! instruction loop over a contiguous register file, with slot-addressed
+//! locals and an explicit call stack. State lives in the [`Interpreter`]
+//! — slot-addressed globals, host functions, fuel counter, recursion
+//! depth, print capture — and everything beyond moving values between
+//! registers goes through its kernels (`binary`, `index`, `store_index`,
+//! `slice`, `call_builtin`, `call_method`, `iter_value`).
 //!
-//! Parity contract (enforced by `tests/differential.rs`): for every
-//! program, [`Interpreter::run`] and [`Interpreter::run_compiled`]
-//! produce the same value (or the same error `Display`), the same
-//! host-function call sequence, the same captured `print` output, and
-//! the same [`Interpreter::fuel_remaining`].
+//! A function value ([`UserFn`]) shares its program's [`Pools`], so a
+//! function an earlier program defined — a decoded artifact's included —
+//! runs here like one of the current program's. Each program a run
+//! enters is *linked* once: its name table is resolved to the
+//! interpreter's global slots.
+//!
+//! `tests/differential.rs` checks the VM against an independent
+//! AST-walking oracle: the same value (or error `Display`), host-call
+//! sequence, captured `print` output and [`Interpreter::fuel_remaining`].
 
 use crate::ast::BinOp;
-use crate::bytecode::{CompiledProgram, Const, Insn, NO_REG};
+use crate::bytecode::{Chunk, CompiledProgram, Const, Insn, Pools, NO_REG};
 use crate::error::ScriptError;
 use crate::interp::{Interpreter, MAX_DEPTH};
 use crate::value::{ScriptValue, UserFn};
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One activation record. Registers live in a shared file at
 /// `reg_base..reg_base + chunk.nregs`; locals live in a shared
 /// slot-addressed pool at `locals_base..` (`None` = not yet assigned in
-/// this frame, falling through to globals, exactly like the
-/// interpreter's absent `HashMap` key). Both pools are plain `Vec`s
+/// this frame, falling through to globals). Both pools are plain `Vec`s
 /// truncated on return, so a call allocates nothing once the pools have
 /// grown to the program's peak depth.
 struct Frame {
     func: usize,
+    /// The run's link for the program `func` belongs to.
+    link: usize,
     pc: usize,
     reg_base: usize,
     ret_dst: usize,
@@ -43,18 +47,60 @@ struct Frame {
 /// `usize::MAX` marks the main frame (no `funcs` entry, no caller).
 const MAIN: usize = usize::MAX;
 
+/// A program entered by this run: its pools, and its name table resolved
+/// to the interpreter's global slots (`slots[name id]`).
+struct Link {
+    pools: Arc<Pools>,
+    slots: Vec<usize>,
+}
+
+impl Link {
+    fn new(interp: &mut Interpreter, pools: &Arc<Pools>) -> Link {
+        Link {
+            slots: pools.names.iter().map(|n| interp.global_slot(n)).collect(),
+            pools: pools.clone(),
+        }
+    }
+}
+
+/// A call to a user function, resolved and ready for a frame.
+struct Call {
+    func: Rc<UserFn>,
+    base: u16,
+    argc: u16,
+    dst: u16,
+    line: usize,
+}
+
 impl Interpreter {
     /// Executes a compiled program against this interpreter's globals,
-    /// host functions, and fuel budget — the compiled counterpart of
-    /// [`Interpreter::run`]: the fuel budget is refreshed, globals
-    /// persist, and the result is the final top-level expression
+    /// host functions, and fuel budget: the fuel budget is refreshed,
+    /// globals persist, and the result is the final top-level expression
     /// statement's value (or an early top-level `return`).
     pub fn run_compiled(&mut self, program: &CompiledProgram) -> Result<ScriptValue, ScriptError> {
         self.fuel = self.fuel_limit;
         let entry_depth = self.depth;
-        let result = execute(self, program);
-        // Errors unwind the whole VM stack at once; restore the depth the
-        // interpreter would have restored frame-by-frame.
+        let mut links = vec![Link::new(self, &program.pools)];
+        let mut vm = Vm {
+            regs: vec![ScriptValue::None; program.main.nregs as usize],
+            locals: Vec::new(),
+            iters: Vec::new(),
+            frames: vec![Frame {
+                func: MAIN,
+                link: 0,
+                pc: 0,
+                reg_base: 0,
+                ret_dst: 0,
+                iter_base: 0,
+                locals_base: 0,
+            }],
+            base: 0,
+            lbase: 0,
+            last: ScriptValue::None,
+        };
+        let result = vm.run(self, &program.main, &mut links);
+        // Errors unwind the whole VM stack at once; restore the depth
+        // frame-by-frame returns would have restored.
         if result.is_err() {
             self.depth = entry_depth;
         }
@@ -72,10 +118,9 @@ fn const_value(c: &Const) -> ScriptValue {
     }
 }
 
-/// VM execution state: the register file, iterator stack, call stack,
-/// and the identity map of functions materialized by this run.
-struct Vm<'p> {
-    program: &'p CompiledProgram,
+/// VM execution state: the register file, local slots, iterator stack
+/// and call stack.
+struct Vm {
     regs: Vec<ScriptValue>,
     locals: Vec<Option<ScriptValue>>,
     iters: Vec<(Vec<ScriptValue>, usize)>,
@@ -84,75 +129,31 @@ struct Vm<'p> {
     /// per-access hot path is a single add instead of `frames.last()`.
     base: usize,
     lbase: usize,
-    /// Functions materialized by this execution, keyed by allocation
-    /// identity: calls to them run their compiled chunk; any other
-    /// `Func` value (defined by a previous `run`/`run_compiled` on this
-    /// interpreter) falls back to the tree-walker, which is
-    /// semantics-identical. A linear scan: programs hold a handful of
-    /// functions, and a probe beats hashing a pointer at call density.
-    known_fns: Vec<(*const UserFn, usize)>,
-    /// Slot-addressed sidecar for the globals this program references,
-    /// indexed by name id. Loaded from `interp.globals` on entry,
-    /// written back on every exit path, and flushed before any escape
-    /// into the tree-walker (`call_value`), which late-binds globals by
-    /// name. Nothing else can write globals mid-execution — function
-    /// bodies bind into their local frame — so between flushes the
-    /// sidecar is the single source of truth, and the hot loop does an
-    /// index instead of a string hash per access.
-    globals: Vec<Option<ScriptValue>>,
     last: ScriptValue,
 }
 
-fn execute(
-    interp: &mut Interpreter,
-    program: &CompiledProgram,
-) -> Result<ScriptValue, ScriptError> {
-    let mut vm = Vm {
-        program,
-        regs: vec![ScriptValue::None; program.main.nregs as usize],
-        locals: Vec::new(),
-        iters: Vec::new(),
-        frames: vec![Frame {
-            func: MAIN,
-            pc: 0,
-            reg_base: 0,
-            ret_dst: 0,
-            iter_base: 0,
-            locals_base: 0,
-        }],
-        base: 0,
-        lbase: 0,
-        known_fns: Vec::new(),
-        globals: program
-            .names
-            .iter()
-            .map(|n| interp.globals.get(n).cloned())
-            .collect(),
-        last: ScriptValue::None,
-    };
-    // Assignments made before an error must persist (the tree-walker
-    // writes through on every statement), so flush on both exit paths.
-    let result = vm.run(interp);
-    vm.flush_globals(interp);
-    result
-}
-
-impl<'p> Vm<'p> {
+impl Vm {
     /// The dispatch loop. `pc` lives in a local and the current chunk is
     /// re-resolved only when the frame changes (call, return), so the
     /// per-instruction path is fetch → one match — no `frames.last()`
     /// chase, no second routing match for flow control. Jumps and
     /// `IterNext` are inlined here because they are the only
-    /// instructions that write the pc.
-    fn run(&mut self, interp: &mut Interpreter) -> Result<ScriptValue, ScriptError> {
-        let program = self.program;
-        let mut func = MAIN;
-        let mut pc = 0usize;
+    /// instructions that write the pc. A call into a program this run
+    /// has not entered yet links it first; `links` grows only at such a
+    /// frame change, when no chunk borrowed from it is live.
+    fn run(
+        &mut self,
+        interp: &mut Interpreter,
+        main: &Chunk,
+        links: &mut Vec<Link>,
+    ) -> Result<ScriptValue, ScriptError> {
+        let (mut func, mut link_ix, mut pc) = (MAIN, 0, 0);
         'frame: loop {
+            let link = &links[link_ix];
             let code: &[Insn] = if func == MAIN {
-                &program.main.code
+                &main.code
             } else {
-                &program.funcs[func].chunk.code
+                &link.pools.funcs[func].chunk.code
             };
             loop {
                 let Some(&insn) = code.get(pc) else {
@@ -193,8 +194,7 @@ impl<'p> Vm<'p> {
                             Some(result) => return Ok(result),
                             None => {
                                 let top = self.frames.last().expect("caller frame");
-                                func = top.func;
-                                pc = top.pc;
+                                (func, link_ix, pc) = (top.func, top.link, top.pc);
                                 continue 'frame;
                             }
                         }
@@ -203,20 +203,28 @@ impl<'p> Vm<'p> {
                     Insn::IterNew { .. }
                     | Insn::IterPop
                     | Insn::Bind { .. }
-                    | Insn::LoopMisuse { .. } => self.step_flow(interp, insn)?,
+                    | Insn::LoopMisuse { .. } => self.step_flow(interp, link, insn)?,
                     Insn::CallName { .. } | Insn::CallValue { .. } => {
+                        let Some(call) = self.step_call(interp, link, insn)? else {
+                            continue;
+                        };
                         // Persist the resume point: the callee's `Ret`
-                        // (and any nested push) reads it from the frame.
+                        // reads it from the frame.
                         self.frames.last_mut().expect("frame").pc = pc;
-                        let depth = self.frames.len();
-                        self.step_call(interp, insn)?;
-                        if self.frames.len() > depth {
-                            func = self.frames.last().expect("frame").func;
-                            pc = 0;
-                            continue 'frame;
-                        }
+                        let pools = &call.func.pools;
+                        link_ix = match links.iter().position(|l| Arc::ptr_eq(&l.pools, pools)) {
+                            Some(ix) => ix,
+                            None => {
+                                links.push(Link::new(interp, pools));
+                                links.len() - 1
+                            }
+                        };
+                        func = call.func.idx;
+                        self.push_frame(interp, call, link_ix)?;
+                        pc = 0;
+                        continue 'frame;
                     }
-                    other => self.step_data(interp, other)?,
+                    other => self.step_data(interp, link, other)?,
                 }
             }
         }
@@ -240,22 +248,6 @@ impl<'p> Vm<'p> {
         None
     }
 
-    /// Writes every live sidecar entry back into the interpreter's
-    /// globals map, reusing existing keys.
-    fn flush_globals(&self, interp: &mut Interpreter) {
-        for (idx, slot) in self.globals.iter().enumerate() {
-            if let Some(v) = slot {
-                let name = &self.program.names[idx];
-                match interp.globals.get_mut(name) {
-                    Some(g) => g.clone_from(v),
-                    None => {
-                        interp.globals.insert(name.clone(), v.clone());
-                    }
-                }
-            }
-        }
-    }
-
     /// Absolute register index of `i` in the current frame's window.
     fn r(&self, i: u16) -> usize {
         self.base + i as usize
@@ -270,13 +262,19 @@ impl<'p> Vm<'p> {
     }
 
     /// Stores through a (name, slot) pair: slot-addressed locals in the
-    /// current frame, else the globals sidecar — the same dynamic
-    /// shadowing the tree-walker gets from its flat `HashMap` frame.
-    fn store(&mut self, name: u16, slot: u16, value: ScriptValue) {
+    /// current frame, else the global slot `link` resolves the name to.
+    fn store(
+        &mut self,
+        interp: &mut Interpreter,
+        link: &Link,
+        name: u16,
+        slot: u16,
+        value: ScriptValue,
+    ) {
         if slot != NO_REG {
             self.locals[self.lbase + slot as usize] = Some(value);
         } else {
-            self.globals[name as usize] = Some(value);
+            interp.globals[link.slots[name as usize]] = Some(value);
         }
     }
 
@@ -293,8 +291,13 @@ impl<'p> Vm<'p> {
     }
 
     /// Register/data instructions: never touch the pc or the call stack.
-    fn step_data(&mut self, interp: &mut Interpreter, insn: Insn) -> Result<(), ScriptError> {
-        let program = self.program;
+    fn step_data(
+        &mut self,
+        interp: &mut Interpreter,
+        link: &Link,
+        insn: Insn,
+    ) -> Result<(), ScriptError> {
+        let pools = &*link.pools;
         match insn {
             Insn::Burn { n, line: _ } => {
                 let n = n as u64;
@@ -305,7 +308,7 @@ impl<'p> Vm<'p> {
                 interp.fuel -= n;
             }
             Insn::Const { dst, idx } => {
-                self.set(dst, const_value(&program.consts[idx as usize]));
+                self.set(dst, const_value(&pools.consts[idx as usize]));
             }
             Insn::Load {
                 dst,
@@ -315,12 +318,12 @@ impl<'p> Vm<'p> {
             } => {
                 let value = match self.local(slot) {
                     Some(v) => v,
-                    None => match &self.globals[name as usize] {
+                    None => match &interp.globals[link.slots[name as usize]] {
                         Some(v) => v.clone(),
                         None => {
                             return Err(ScriptError::Name {
                                 line: line as usize,
-                                name: program.names[name as usize].clone(),
+                                name: pools.names[name as usize].clone(),
                             })
                         }
                     },
@@ -329,7 +332,7 @@ impl<'p> Vm<'p> {
             }
             Insn::Store { name, slot, src } => {
                 let value = self.regs[self.r(src)].clone();
-                self.store(name, slot, value);
+                self.store(interp, link, name, slot, value);
             }
             Insn::MakeList { dst, base, n } => {
                 let items = self.args(base, n);
@@ -386,14 +389,11 @@ impl<'p> Vm<'p> {
             | Insn::SliceIdx { .. }
             | Insn::Slice { .. } => self.step_index(interp, insn)?,
             Insn::MakeFunc { dst, idx } => {
-                let f = &program.funcs[idx as usize];
-                let user = Rc::new(UserFn {
-                    name: f.name.clone(),
-                    params: f.params.clone(),
-                    body: f.body_ast.clone(),
-                });
-                self.known_fns.push((Rc::as_ptr(&user), idx as usize));
-                self.set(dst, ScriptValue::Func(user));
+                let func = UserFn {
+                    pools: link.pools.clone(),
+                    idx: idx as usize,
+                };
+                self.set(dst, ScriptValue::Func(Rc::new(func)));
             }
             Insn::Push { list, src } => {
                 let v = self.regs[self.r(src)].clone();
@@ -415,7 +415,7 @@ impl<'p> Vm<'p> {
             } => {
                 let obj_v = self.regs[self.r(obj)].clone();
                 let args = self.args(base, argc);
-                let method = &program.names[name as usize];
+                let method = &pools.names[name as usize];
                 let v = interp.call_method(&obj_v, method, &args, line as usize)?;
                 self.set(dst, v);
             }
@@ -496,7 +496,12 @@ impl<'p> Vm<'p> {
 
     /// Iterator setup/teardown and loop-variable binding (the pc-free
     /// slice of flow control; jumps and `IterNext` live in `run`).
-    fn step_flow(&mut self, interp: &mut Interpreter, insn: Insn) -> Result<(), ScriptError> {
+    fn step_flow(
+        &mut self,
+        interp: &mut Interpreter,
+        link: &Link,
+        insn: Insn,
+    ) -> Result<(), ScriptError> {
         match insn {
             Insn::IterNew { src, line } => {
                 let items = interp.iter_value(self.regs[self.r(src)].clone(), line as usize)?;
@@ -507,7 +512,7 @@ impl<'p> Vm<'p> {
             }
             Insn::Bind { src, vars, line } => {
                 let item = self.regs[self.r(src)].clone();
-                self.bind_vars(vars, item, line as usize)?;
+                self.bind_vars(interp, link, vars, item, line as usize)?;
             }
             Insn::LoopMisuse { line } => {
                 return Err(ScriptError::Parse {
@@ -521,13 +526,18 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// Call instructions: name resolution mirrors the interpreter's order
-    /// exactly — host functions and builtins dispatch only when the name
-    /// is not shadowed by a local or global, then the callee is resolved
-    /// as a value (burning the one fuel `eval` would charge).
-    fn step_call(&mut self, interp: &mut Interpreter, insn: Insn) -> Result<(), ScriptError> {
-        let program = self.program;
-        match insn {
+    /// Call instructions. A name bound as a local or global is called as
+    /// a value, after burning one fuel for the lookup; an unbound name
+    /// dispatches to a host function, else a builtin, else is a name
+    /// error. Host and builtin calls complete here; a user function comes
+    /// back as a [`Call`] for `run` to push.
+    fn step_call(
+        &mut self,
+        interp: &mut Interpreter,
+        link: &Link,
+        insn: Insn,
+    ) -> Result<Option<Call>, ScriptError> {
+        let (callee, base, argc, dst, line) = match insn {
             Insn::CallName {
                 dst,
                 name,
@@ -537,37 +547,33 @@ impl<'p> Vm<'p> {
                 line,
                 cline,
             } => {
-                let name_str = &program.names[name as usize];
-                let local_val = self.local(slot);
-                // One sidecar probe serves both the shadowing check and
-                // the callee lookup below (a `Func` clone is an Rc bump).
-                let global_val = self.globals[name as usize].clone();
-                let shadowed = local_val.is_some() || global_val.is_some();
-                if !shadowed {
-                    if let Some(host) = interp.host_fns.get(name_str.as_str()).cloned() {
-                        let args = self.args(base, argc);
-                        self.set(dst, host(&args)?);
-                        return Ok(());
-                    }
+                let name_str = link.pools.names[name as usize].as_str();
+                let bound = match self.local(slot) {
+                    Some(v) => Some(v),
+                    None => interp.globals[link.slots[name as usize]].clone(),
+                };
+                if bound.is_none() {
                     let args = self.args(base, argc);
-                    if let Some(result) = interp.call_builtin(name_str, &args, line as usize)? {
-                        self.set(dst, result);
-                        return Ok(());
+                    let result = match interp.host_fns.get(name_str).cloned() {
+                        Some(host) => Some(host(&args)?),
+                        None => interp.call_builtin(name_str, &args, line as usize)?,
+                    };
+                    if let Some(v) = result {
+                        self.set(dst, v);
+                        return Ok(None);
                     }
                 }
-                // The interpreter reaches the callee through `eval`,
-                // which burns one fuel before the name lookup.
                 if interp.fuel == 0 {
                     return Err(ScriptError::FuelExhausted);
                 }
                 interp.fuel -= 1;
-                let Some(callee) = local_val.or(global_val) else {
+                let Some(callee) = bound else {
                     return Err(ScriptError::Name {
                         line: cline as usize,
-                        name: name_str.clone(),
+                        name: name_str.to_string(),
                     });
                 };
-                self.call(interp, callee, base, argc, dst, line as usize)
+                (callee, base, argc, dst, line)
             }
             Insn::CallValue {
                 dst,
@@ -575,49 +581,38 @@ impl<'p> Vm<'p> {
                 base,
                 argc,
                 line,
-            } => {
-                let func = self.regs[self.r(callee)].clone();
-                self.call(interp, func, base, argc, dst, line as usize)
-            }
+            } => (self.regs[self.r(callee)].clone(), base, argc, dst, line),
             other => unreachable!("non-call insn {other:?} routed to step_call"),
-        }
+        };
+        let ScriptValue::Func(func) = callee else {
+            return Err(ScriptError::Type {
+                line: line as usize,
+                message: format!("{} is not callable", callee.type_name()),
+            });
+        };
+        Ok(Some(Call {
+            func,
+            base,
+            argc,
+            dst,
+            line: line as usize,
+        }))
     }
 
-    /// Invokes a callee value: compiled functions push a VM frame;
-    /// anything else (foreign `Func` values, non-callables) goes through
-    /// the interpreter's `call_value` for identical errors and semantics.
-    fn call(
+    /// Pushes the frame for `call`, whose program is the run's link
+    /// `link`: arity and depth checks, arguments into the first local
+    /// slots, a fresh register window.
+    fn push_frame(
         &mut self,
         interp: &mut Interpreter,
-        callee: ScriptValue,
-        arg_base: u16,
-        argc: u16,
-        ret_dst: u16,
-        line: usize,
+        call: Call,
+        link: usize,
     ) -> Result<(), ScriptError> {
-        let idx = match &callee {
-            ScriptValue::Func(user) => {
-                let p = Rc::as_ptr(user);
-                self.known_fns
-                    .iter()
-                    .find(|(k, _)| *k == p)
-                    .map(|(_, idx)| *idx)
-            }
-            _ => None,
-        };
-        let Some(idx) = idx else {
-            let args = self.args(arg_base, argc);
-            // The tree-walker late-binds globals by name, so it must see
-            // the sidecar's state before the foreign body runs.
-            self.flush_globals(interp);
-            self.set(ret_dst, interp.call_value(callee, &args, line)?);
-            return Ok(());
-        };
-        let f = &self.program.funcs[idx];
-        let argc = argc as usize;
+        let f = call.func.compiled();
+        let argc = call.argc as usize;
         if f.params.len() != argc {
             return Err(ScriptError::Type {
-                line,
+                line: call.line,
                 message: format!(
                     "{}() takes {} arguments but {} were given",
                     f.name,
@@ -630,8 +625,8 @@ impl<'p> Vm<'p> {
             return Err(ScriptError::RecursionLimit);
         }
         interp.depth += 1;
-        let arg_base = self.r(arg_base);
-        let ret_dst = self.r(ret_dst);
+        let arg_base = self.r(call.base);
+        let ret_dst = self.r(call.dst);
         let locals_base = self.locals.len();
         for i in 0..argc {
             let v = self.regs[arg_base + i].clone();
@@ -643,7 +638,8 @@ impl<'p> Vm<'p> {
         self.regs
             .resize(reg_base + f.chunk.nregs as usize, ScriptValue::None);
         self.frames.push(Frame {
-            func: idx,
+            func: call.func.idx,
+            link,
             pc: 0,
             reg_base,
             ret_dst,
@@ -655,13 +651,19 @@ impl<'p> Vm<'p> {
         Ok(())
     }
 
-    /// Slot-addressed twin of the interpreter's `bind_loop_vars`, with
-    /// identical unpack errors.
-    fn bind_vars(&mut self, vars: u16, item: ScriptValue, line: usize) -> Result<(), ScriptError> {
-        let program = self.program;
-        let list = &program.var_lists[vars as usize];
+    /// Binds loop variables: one name takes the element; several names
+    /// unpack a list element of matching length.
+    fn bind_vars(
+        &mut self,
+        interp: &mut Interpreter,
+        link: &Link,
+        vars: u16,
+        item: ScriptValue,
+        line: usize,
+    ) -> Result<(), ScriptError> {
+        let list = &link.pools.var_lists[vars as usize];
         if let [(name, slot)] = list[..] {
-            self.store(name, slot, item);
+            self.store(interp, link, name, slot, item);
             return Ok(());
         }
         let ScriptValue::List(items) = &item else {
@@ -686,7 +688,7 @@ impl<'p> Vm<'p> {
             });
         }
         for (&(name, slot), value) in list.iter().zip(items) {
-            self.store(name, slot, value);
+            self.store(interp, link, name, slot, value);
         }
         Ok(())
     }
@@ -781,13 +783,18 @@ fn int_bin(op: BinOp, a: i64, b: i64, line: usize) -> Option<Result<ScriptValue,
 
 #[cfg(test)]
 mod tests {
-    use crate::bytecode::compile_source;
+    use crate::bytecode::{compile_source, CompiledProgram};
     use crate::interp::Interpreter;
     use crate::value::ScriptValue;
 
     fn run_vm(src: &str) -> Result<ScriptValue, crate::error::ScriptError> {
         let program = compile_source(src)?;
         Interpreter::new().run_compiled(&program)
+    }
+
+    /// Runs `src` on `interp` as its own program.
+    fn run_on(interp: &mut Interpreter, src: &str) -> ScriptValue {
+        interp.run_compiled(&compile_source(src).unwrap()).unwrap()
     }
 
     #[test]
@@ -828,40 +835,32 @@ mod tests {
     }
 
     #[test]
-    fn fuel_matches_interpreter() {
-        let src = "total = 0\nfor n in range(50):\n    total += n * 2\ntotal";
-        let mut a = Interpreter::new();
-        let va = a.run(src).unwrap();
-        let mut b = Interpreter::new();
-        let vb = b.run_compiled(&compile_source(src).unwrap()).unwrap();
-        assert_eq!(va, vb);
-        assert_eq!(a.fuel_remaining(), b.fuel_remaining());
-    }
-
-    #[test]
     fn globals_persist_across_compiled_runs() {
         let mut interp = Interpreter::new();
-        interp
-            .run_compiled(&compile_source("x = 40").unwrap())
-            .unwrap();
-        assert_eq!(
-            interp
-                .run_compiled(&compile_source("x + 2").unwrap())
-                .unwrap(),
-            ScriptValue::Int(42)
-        );
+        run_on(&mut interp, "x = 40");
+        assert_eq!(run_on(&mut interp, "x + 2"), ScriptValue::Int(42));
     }
 
     #[test]
-    fn functions_defined_by_interpreter_callable_from_vm() {
+    fn a_decoded_artifacts_function_runs_from_a_later_program() {
+        let program = compile_source("def f():\n    return 41 + 1").unwrap();
+        let decoded = CompiledProgram::decode(&program.encode()).unwrap();
         let mut interp = Interpreter::new();
-        interp.run("def inc(n):\n    return n + 1").unwrap();
-        assert_eq!(
-            interp
-                .run_compiled(&compile_source("inc(41)").unwrap())
-                .unwrap(),
-            ScriptValue::Int(42)
+        interp.run_compiled(&decoded).unwrap();
+        assert_eq!(run_on(&mut interp, "f()"), ScriptValue::Int(42));
+    }
+
+    #[test]
+    fn an_earlier_programs_function_charges_the_same_fuel() {
+        // The call and the body charge what they would in one program:
+        // 4 fuel for the `g(10)` statement, 27 for the body.
+        let mut interp = Interpreter::new();
+        run_on(
+            &mut interp,
+            "def g(n):\n    t = 0\n    for i in range(n):\n        t += i\n    return t",
         );
+        assert_eq!(run_on(&mut interp, "g(10)"), ScriptValue::Int(45));
+        assert_eq!(interp.fuel_remaining(), 1_999_969);
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! Shared harness for the script integration tests: recording host
-//! tools, one-engine observation, and the generated program matrix used
-//! by both the differential oracle (`differential.rs`) and the static
-//! cost-bound soundness suite (`bounds_soundness.rs`).
+//! tools, observation of a run on the VM or on the independent oracle
+//! ([`oracle`]), and the generated program matrix used by both the
+//! differential suite (`differential.rs`) and the static cost-bound
+//! soundness suite (`bounds_soundness.rs`).
 #![allow(dead_code)]
+
+pub mod oracle;
 
 use aida_script::bytecode::compile_source;
 use aida_script::{Interpreter, ScriptValue};
+use oracle::{Oracle, Value};
 use std::cell::RefCell;
+use std::fmt::Display;
 use std::rc::Rc;
 
-/// Everything observable about one engine run.
+/// Everything observable about one program run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Observed {
     /// `Ok: <value>` or `Err: <error display>`.
@@ -40,75 +45,144 @@ impl Observed {
     }
 }
 
-/// The recording tool set every harness run binds: `list_files`,
-/// `read_file`, `emit`.
-pub const HARNESS_TOOLS: &[&str] = &["list_files", "read_file", "emit"];
+/// The recording tool set every harness run binds.
+pub const HARNESS_TOOLS: &[&str] = &["list_files", "read_file", "emit", "final_answer"];
 
-pub fn instrument(interp: &mut Interpreter, trace: Rc<RefCell<Vec<String>>>) {
+/// What `list_files` returns.
+const LISTED: [&str; 3] = ["a.csv", "b.csv", "notes.txt"];
+
+/// What `read_file` returns for `name`.
+fn file_text(name: &str) -> &'static str {
+    match name {
+        "a.csv" => "year,count\n2001,10\n2002,30",
+        "b.csv" => "year,count\n2001,5",
+        "thefts.csv" => "year,identity theft,fraud\n2001, 86250,325519\n2024,1135291,2600000\n",
+        "rates_2024.txt" => "Nationwide, a rate of 16.25 reports per 1,000 residents.",
+        "rates_2001.txt" => "In 2001 the rate of 3.25 reports per 1,000 residents held.",
+        _ => "plain text notes",
+    }
+}
+
+type Trace = Rc<RefCell<Vec<String>>>;
+
+/// The trace line of a call to `tool` with rendered arguments.
+fn call_line(tool: &str, args: Vec<String>) -> String {
+    format!("{tool}({})", args.join(", "))
+}
+
+/// Binds the recording tools on a VM interpreter.
+pub fn instrument(interp: &mut Interpreter, trace: Trace) {
     let t = trace.clone();
     interp.bind_host_fn("list_files", move |args| {
         t.borrow_mut().push(format!("list_files/{}", args.len()));
-        Ok(ScriptValue::list(vec![
-            ScriptValue::str("a.csv"),
-            ScriptValue::str("b.csv"),
-            ScriptValue::str("notes.txt"),
-        ]))
+        Ok(ScriptValue::list(
+            LISTED.iter().map(|f| ScriptValue::str(*f)).collect(),
+        ))
     });
     let t = trace.clone();
     interp.bind_host_fn("read_file", move |args| {
         let name = args[0].as_str()?.to_string();
         t.borrow_mut().push(format!("read_file({name})"));
-        Ok(ScriptValue::str(match name.as_str() {
-            "a.csv" => "year,count\n2001,10\n2002,30",
-            "b.csv" => "year,count\n2001,5",
-            _ => "plain text notes",
-        }))
+        Ok(ScriptValue::str(file_text(&name)))
     });
-    let t = trace;
-    interp.bind_host_fn("emit", move |args| {
-        let rendered: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        t.borrow_mut()
-            .push(format!("emit({})", rendered.join(", ")));
-        Ok(ScriptValue::None)
-    });
+    for tool in ["emit", "final_answer"] {
+        let t = trace.clone();
+        interp.bind_host_fn(tool, move |args| {
+            let args = args.iter().map(ScriptValue::to_string).collect();
+            t.borrow_mut().push(call_line(tool, args));
+            Ok(ScriptValue::None)
+        });
+    }
 }
 
-pub fn observe_interp(src: &str, fuel: u64) -> Observed {
-    let trace = Rc::new(RefCell::new(Vec::new()));
-    let mut interp = Interpreter::new().with_fuel(fuel);
-    instrument(&mut interp, trace.clone());
-    let result = match interp.run(src) {
+/// Binds the same recording tools on the oracle.
+fn instrument_oracle(oracle: &mut Oracle, trace: Trace) {
+    let t = trace.clone();
+    oracle.tool(
+        "list_files",
+        Box::new(move |args| {
+            t.borrow_mut().push(format!("list_files/{}", args.len()));
+            Ok(Value::list(LISTED.iter().map(|f| Value::str(f)).collect()))
+        }),
+    );
+    let t = trace.clone();
+    oracle.tool(
+        "read_file",
+        Box::new(move |args| {
+            let Value::Str(name) = &args[0] else {
+                let found = args[0].type_name();
+                return Err(oracle::Error::Tool(format!("expected str, found {found}")));
+            };
+            t.borrow_mut().push(format!("read_file({name})"));
+            Ok(Value::str(file_text(name)))
+        }),
+    );
+    for tool in ["emit", "final_answer"] {
+        let t = trace.clone();
+        oracle.tool(
+            tool,
+            Box::new(move |args| {
+                let args = args.iter().map(Value::to_string).collect();
+                t.borrow_mut().push(call_line(tool, args));
+                Ok(Value::None)
+            }),
+        );
+    }
+}
+
+fn render(result: Result<impl Display, impl Display>) -> String {
+    match result {
         Ok(v) => format!("Ok: {v}"),
         Err(e) => format!("Err: {e}"),
-    };
-    let calls = trace.borrow().clone();
-    Observed {
-        result,
-        trace: calls,
-        output: interp.take_output(),
-        fuel_remaining: interp.fuel_remaining(),
     }
+}
+
+/// Runs `programs` in order on one VM interpreter (globals and functions
+/// carry over), observing each.
+pub fn observe_vm_session(programs: &[&str], fuel: u64) -> Vec<Observed> {
+    let trace = Trace::default();
+    let mut interp = Interpreter::new().with_fuel(fuel);
+    instrument(&mut interp, trace.clone());
+    programs
+        .iter()
+        .map(|src| Observed {
+            result: render(compile_source(src).and_then(|p| interp.run_compiled(&p))),
+            trace: trace.take(),
+            output: interp.take_output(),
+            fuel_remaining: interp.fuel_remaining(),
+        })
+        .collect()
+}
+
+/// [`observe_vm_session`] on the oracle.
+pub fn observe_oracle_session(programs: &[&str], fuel: u64) -> Vec<Observed> {
+    let trace = Trace::default();
+    let mut oracle = Oracle::new(fuel);
+    instrument_oracle(&mut oracle, trace.clone());
+    programs
+        .iter()
+        .map(|src| Observed {
+            result: match aida_script::parser::parse(src) {
+                Ok(program) => render(oracle.run(&program)),
+                Err(e) => format!("Err: {e}"),
+            },
+            trace: trace.take(),
+            output: std::mem::take(&mut oracle.output),
+            fuel_remaining: oracle.fuel,
+        })
+        .collect()
 }
 
 pub fn observe_vm(src: &str, fuel: u64) -> Observed {
-    let trace = Rc::new(RefCell::new(Vec::new()));
-    let mut interp = Interpreter::new().with_fuel(fuel);
-    instrument(&mut interp, trace.clone());
-    let result = match compile_source(src).and_then(|p| interp.run_compiled(&p)) {
-        Ok(v) => format!("Ok: {v}"),
-        Err(e) => format!("Err: {e}"),
-    };
-    let calls = trace.borrow().clone();
-    Observed {
-        result,
-        trace: calls,
-        output: interp.take_output(),
-        fuel_remaining: interp.fuel_remaining(),
-    }
+    observe_vm_session(&[src], fuel).remove(0)
+}
+
+pub fn observe_oracle(src: &str, fuel: u64) -> Observed {
+    observe_oracle_session(&[src], fuel).remove(0)
 }
 
 /// The generated program matrix: statement templates whose rendering
-/// always parses. Runtime errors are fine — the differential oracle
+/// always parses. Runtime errors are fine — the differential suite
 /// requires identical errors, and the soundness suite only obligates
 /// completing runs.
 pub mod templates {

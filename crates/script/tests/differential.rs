@@ -1,38 +1,45 @@
-//! Differential oracle: the tree-walking interpreter and the bytecode VM
-//! must be observationally identical on every program.
+//! Differential suite: the bytecode VM against an independent oracle.
 //!
-//! For each program (fixture or proptest-generated) both engines run with
-//! the same fuel budget and the same recording host tools, and must
-//! agree on:
+//! The oracle (`common/oracle.rs`) walks the parser's AST with its own
+//! value type and kernels; it shares no execution code with the VM. For
+//! every program (fixtures, the programs agent policies write,
+//! multi-program sessions, generated programs) both run with the same
+//! fuel budget and the same recording host tools, and must agree on:
 //!
-//! * the result — value (via `Display`) or error (via `Display`),
+//! * the result — value or error, via `Display`,
 //! * the host-function call sequence (tool-dispatch trace),
 //! * captured `print` output,
 //! * remaining fuel (virtual budget charged).
 //!
-//! A fuel-cutoff sweep additionally checks parity at *every* possible
+//! A fuel-cutoff sweep additionally checks agreement at *every* possible
 //! exhaustion point, and a round-trip property pins the serialized
 //! artifact format.
 
 use aida_script::bytecode::{compile_source, CompiledProgram};
-use aida_script::{Interpreter, ToolSig, TypeEnv};
+use aida_script::{Interpreter, ToolSig, TypeEnv, BUILTIN_NAMES};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 mod common;
-use common::{instrument, observe_interp, observe_vm, Observed};
+use common::{
+    instrument, observe_oracle, observe_oracle_session, observe_vm, observe_vm_session, oracle,
+    Observed,
+};
 
 #[track_caller]
-fn assert_parity(src: &str, fuel: u64) -> Observed {
-    let a = observe_interp(src, fuel);
-    let b = observe_vm(src, fuel);
-    assert_eq!(a, b, "interpreter and VM diverged on:\n{src}");
-    a
+fn assert_agree(src: &str, fuel: u64) -> Observed {
+    let vm = observe_vm(src, fuel);
+    assert_eq!(
+        vm,
+        observe_oracle(src, fuel),
+        "VM and oracle diverged on:\n{src}"
+    );
+    vm
 }
 
 /// Agent-step-shaped fixtures: the program shapes the simulated planner
-/// policies emit, plus targeted edge cases (errors included — both
-/// engines must fail identically).
+/// policies emit, plus targeted edge cases (errors included — both sides
+/// must fail identically).
 const FIXTURES: &[&str] = &[
     // CSV ratio scan (policy shape).
     "files = list_files()\ntotal = 0\nfor f in files:\n    if 'csv' in f:\n        text = read_file(f)\n        lines = text.splitlines()\n        for line in lines[1:]:\n            parts = line.split(',')\n            total += int(parts[1])\nemit(total)\ntotal",
@@ -50,19 +57,39 @@ const FIXTURES: &[&str] = &[
     "pairs = [[1, 'a'], [2, 'b']]\nout = ''\nfor n, s in pairs:\n    out += s * n\nout",
     // String/negative indexing and slices.
     "s = 'hello world'\nemit(s[0], s[-1], s[2:5], s[:3], s[6:])\ns[4]",
+    // Negative and out-of-range slice bounds and indexes.
+    "xs = [1, 2, 3, 4, 5]\ns = 'hello'\nemit(xs[-2:], xs[:-3], xs[-9:2], xs[1:-1], s[-3:-1], s[:-9], s[-2:])\nemit(xs[-1], xs[-5], s[-5], xs[3:1])\nxs[-6]",
     // Aug-assign through an index, evaluated once.
-    "d = {'k': 1}\nd['k'] += 41\nxs = [10, 20]\nxs[1] += 5\nemit(d['k'], xs[1])\nd['k']",
+    "d = {'k': 1}\nd['k'] += 41\nxs = [10, 20]\nxs[1] += 5\nxs[-1] += 1\nemit(d['k'], xs[1])\nd['k']",
     // Boolean short-circuit values (not just truthiness).
     "a = 0 or 'dflt'\nb = 'x' and 3\nemit(a, b)\n[a, b]",
     // Comprehension over string and dict.
     "d = {'b': 1, 'a': 2}\nks = [k for k in d]\ncs = [c for c in 'abc' if c != 'b']\nemit(ks, cs)\nlen(ks) + len(cs)",
+    // Dict iteration order and dict methods.
+    "d = {'b': 2, 'c': 3, 'a': 1}\nfor k in d:\n    emit(k)\nfor k, v in d.items():\n    print(k, v)\nemit(d.keys(), d.values(), d.get('z', 0), d.get('zz'))\nd",
+    // String repetition, including empty and negative counts.
+    "emit('ab' * 3, 'ab' * 0, '-' * -2, 3 * 'x')\n'z' * 2",
+    // Splitting: separators at the ends, repeated, absent; whitespace.
+    "emit('a,b,,c,'.split(','), '  a  b '.split(), 'abc'.split('x'), ',x'.split(','))\n'x1y1'.split('1')",
+    // String methods.
+    "s = ' Hello, World '\nemit(s.strip(), s.lower(), s.upper(), s.replace('l', 'L'), s.find('World'), s.find('zz'))\nemit(s.count('l'), s.count(''), s.startswith(' H'), s.endswith('x'), '-'.join(['a', 'b']))\nemit('12'.isdigit(), '1a'.isdigit(), ''.isdigit(), 'a\\nb\\n'.splitlines())\n'héllo'.find('l')",
+    // List methods.
+    "xs = [3, 1, 2]\nxs.append(5)\nxs.extend([0])\nxs.sort()\nemit(xs, xs.pop(), xs.pop(0), xs.index(2), xs.count(3))\nxs.reverse()\nxs",
+    // Builtins.
+    "emit(len('héllo'), str(2.0), int('1,234'), int(' 7 '), int('3.9'), int(2.9), float('2.5'), float(3))\nemit(bool(0), bool([1]), abs(-3), abs(-2.5), round(2.567, 2), round(2.5), round(7))\nemit(sum([1, 2.5]), sum([]), min(4, 2, 9), max([3, 9, 1]), sorted(['b', 'a']), enumerate(['x']))\nemit(range(5, 0, -2), range(3), range(1, 4), range(0))\n1000000.0 * 1000000000.0",
+    // Arithmetic corners: float floor division, negative floor/mod, mixed.
+    "emit(7 // 2.0, -7 // 2, -7 % 3, 7 / 2, 2 * 0.5, 1 - 2.5, 10 // -3)\n0.1 + 0.2",
+    // Comparisons and membership.
+    "emit(1 < 2.5, 'a' < 'b', [1, 2] < [1, 3], [1] < [1, 0], True == 1, 2 == 2.0, True < False)\nemit('b' in 'abc', 3 in [1, 3], 'k' in {'k': 1}, 'x' not in 'abc', [1, 'a'] == [1, 'a'])\n{'a': [1]} == {'a': [1]}",
     // Mutation through a function boundary (shared list identity).
     "def add(xs, v):\n    xs.append(v)\nitems = []\nadd(items, 1)\nadd(items, 2)\nitems",
+    // Functions are values.
+    "def inc(n):\n    return n + 1\nfs = [inc]\nemit(fs[0](1), inc)\nstr(inc)",
     // Top-level return ends the program early.
     "x = 1\nif x == 1:\n    return 'early'\nx = 2\nx",
     // print capture.
-    "for i in range(3):\n    print('line', i)\n'done'",
-    // --- error fixtures: engines must produce identical errors ---
+    "for i in range(3):\n    print('line', i, 1.5, None, True, [1, 'a'], {'k': 'v'})\n'done'",
+    // --- error fixtures: both sides must produce identical errors ---
     // Name error inside a branch.
     "x = 1\nif x > 0:\n    y = missing_name\nx",
     // Type error: adding str and int.
@@ -70,7 +97,7 @@ const FIXTURES: &[&str] = &[
     // Break outside loop (caught at runtime, attributed to the statement).
     "x = 1\nbreak",
     // Break outside loop inside a function body.
-    "def f():\n    break\nf()",
+    "def f():\n    if True:\n        break\nf()",
     // Arity mismatch on a user function.
     "def f(a, b):\n    return a\nf(1)",
     // Calling a non-callable.
@@ -87,33 +114,130 @@ const FIXTURES: &[&str] = &[
     "xs = [1, 2, 3]\nxs['a':2]",
     // Shadowing: assigning over a builtin name then calling it.
     "len = 5\nemit(len)\nlen",
+    // Index and key errors.
+    "xs = [1]\nemit(xs[0])\nxs[3]",
+    "d = {'a': 1}\nd['b']",
+    "[].pop()",
+    // Kernel type errors.
+    "sorted([1, 'a'])",
+    "min([])",
+    "int('x')",
+    "5 % 0",
+    "'a' - 1",
+    "x = 5\nx.upper()",
+    "[1].split(',')",
+    "read_file(3)",
+    "for c in 5:\n    c",
+];
+
+/// The step programs the agent policies write, with concrete file names:
+/// `spurious_ratio_code`, `csv_ratio_code` and `rate_ratio_code` in
+/// `crates/agents/src/policy.rs`.
+const AGENT_STEPS: &[&str] = &[
+    "def total(name):\n    t = 0\n    for line in read_file(name).splitlines():\n        parts = line.split(',')\n        if len(parts) >= 2:\n            n = parts[1].strip()\n            if n.isdigit():\n                t += int(n)\n    return t\na = total('a.csv')\nb = total('thefts.csv')\nif b != 0:\n    final_answer(float(a) / float(b))\n",
+    "c = read_file('thefts.csv')\nlines = c.splitlines()\nheader = lines[0].split(',')\ncol = 1\ni = 0\nfor h in header:\n    if 'theft' in h:\n        col = i\n    i += 1\na = 0.0\nb = 0.0\nfor line in lines[1:]:\n    parts = line.split(',')\n    if len(parts) > col:\n        if parts[0] == '2024':\n            a = float(parts[col])\n        if parts[0] == '2001':\n            b = float(parts[col])\nif b != 0:\n    final_answer(a / b)\n",
+    "def rate(name):\n    t = read_file(name)\n    i = t.find('rate of ')\n    if i < 0:\n        return 0.0\n    sub = t[i + 8:]\n    return float(sub.split(' ')[0])\na = rate('rates_2024.txt')\nb = rate('rates_2001.txt')\nif b != 0:\n    final_answer(a / b)\n",
+];
+
+/// Programs run in order on one interpreter: later programs call
+/// functions and read globals earlier ones left.
+const SESSIONS: &[&[&str]] = &[
+    // The ratio step in `crates/core/src/ops.rs`, after the two steps
+    // that bound `r_hi` and `r_lo`.
+    &[
+        "r_hi = [{'source': 'thefts.csv'}, {'source': 'thefts.csv', 'value': '1,135,291'}]",
+        "r_lo = [{'value': 86250}]",
+        "def pick(rs):\n    for r in rs:\n        v = r.get('value')\n        if v != None:\n            return float(v)\n    return 0.0\na = pick(r_hi)\nb = pick(r_lo)\nif b != 0:\n    final_answer(a / b)\n",
+    ],
+    // A three-step agent run: list, aggregate, answer.
+    &[
+        "files = list_files()\nprint(files)",
+        "c = read_file('a.csv')\nrows = c.splitlines()\ntotal = 0\nfor r in rows[1:]:\n    total += int(r.split(',')[1])\nprint(total)",
+        "final_answer(total)",
+    ],
+    // A function from an earlier program, on the VM at the same fuel.
+    &[
+        "def g(n):\n    t = 0\n    for i in range(n):\n        t += i\n    return t",
+        "g(10)",
+        "g(3) + len(str(g))",
+    ],
+    // Late binding across programs: `f` sees a global bound later and a
+    // `helper` redefined later; `make` returns a nested function.
+    &[
+        "def f():\n    return base + helper()\ndef helper():\n    return 1\ndef make():\n    def twice(x):\n        return x * 2\n    return twice",
+        "base = 41\nemit(f())\nmake()(21)",
+        "def helper():\n    return 100\nf()",
+    ],
+    // An error inside an earlier program's function leaves the next
+    // program a clean call stack.
+    &[
+        "def boom(n):\n    return 10 // n",
+        "boom(0)",
+        "boom(5)",
+    ],
 ];
 
 #[test]
 fn fixtures_agree() {
-    for src in FIXTURES {
-        assert_parity(src, 100_000);
+    for src in FIXTURES.iter().chain(AGENT_STEPS) {
+        aida_script::parser::parse(src).unwrap_or_else(|e| panic!("{e}:\n{src}"));
+        assert_agree(src, 100_000);
+    }
+}
+
+#[test]
+fn agent_steps_answer() {
+    for src in AGENT_STEPS {
+        let vm = assert_agree(src, 100_000);
+        assert_eq!(vm.calls_to("final_answer"), 1, "no answer from:\n{src}");
+    }
+}
+
+#[test]
+fn sessions_agree() {
+    for programs in SESSIONS {
+        let vm = observe_vm_session(programs, 100_000);
+        assert_eq!(
+            vm,
+            observe_oracle_session(programs, 100_000),
+            "VM and oracle diverged on the session:\n{}",
+            programs.join("\n---\n")
+        );
+        assert!(vm.last().expect("programs").completed(), "{vm:?}");
     }
 }
 
 #[test]
 fn fuel_cutoff_sweep_agrees_at_every_budget() {
     // Every prefix budget must exhaust at the same instant with the same
-    // partial side effects on both engines.
-    let sweep: &[&str] = &[
+    // partial side effects on both sides.
+    let mut sweep = vec![
         FIXTURES[0],
         FIXTURES[2],
         FIXTURES[4],
         FIXTURES[5],
         "xs = [n * n for n in range(8) if n % 2 == 0]\nemit(xs)\nlen(xs)",
     ];
+    sweep.extend(AGENT_STEPS);
     for src in sweep {
-        let full = assert_parity(src, 100_000);
+        let full = assert_agree(src, 100_000);
         let spent = 100_000 - full.fuel_remaining;
         for fuel in 0..=spent + 1 {
-            assert_parity(src, fuel);
+            assert_agree(src, fuel);
         }
     }
+}
+
+#[test]
+fn the_oracle_implements_every_builtin() {
+    let builtins: Vec<&str> = BUILTIN_NAMES.iter().map(|&(name, _)| name).collect();
+    assert_eq!(oracle::BUILTINS, builtins);
+}
+
+#[test]
+#[should_panic(expected = "does not implement method `title`")]
+fn the_oracle_fails_loudly_on_what_it_does_not_implement() {
+    observe_oracle("'a'.title()", 100);
 }
 
 #[test]
@@ -125,38 +249,37 @@ fn compiled_artifacts_round_trip_and_rerun() {
         let encoded = program.encode();
         let decoded = CompiledProgram::decode(&encoded).expect("artifact decodes");
         assert_eq!(decoded.main, program.main, "main chunk drifted for:\n{src}");
-        assert_eq!(decoded.consts, program.consts);
-        assert_eq!(decoded.names, program.names);
-        assert_eq!(decoded.var_lists, program.var_lists);
+        assert_eq!(decoded.pools, program.pools);
         assert_eq!(
             decoded.content_hash(),
             program.content_hash(),
             "content hash not stable across encode/decode for:\n{src}"
         );
-        // The decoded artifact must execute identically too (functions
-        // run from their chunks even with stub AST bodies).
-        let trace_a = Rc::new(RefCell::new(Vec::new()));
-        let mut ia = Interpreter::new().with_fuel(100_000);
-        instrument(&mut ia, trace_a.clone());
-        let ra = ia.run_compiled(&program).map(|v| v.to_string());
-        let trace_b = Rc::new(RefCell::new(Vec::new()));
-        let mut ib = Interpreter::new().with_fuel(100_000);
-        instrument(&mut ib, trace_b.clone());
-        let rb = ib.run_compiled(&decoded).map(|v| v.to_string());
+        // The decoded artifact must execute identically too.
+        let run = |program: &CompiledProgram| {
+            let trace = Rc::new(RefCell::new(Vec::new()));
+            let mut interp = Interpreter::new().with_fuel(100_000);
+            instrument(&mut interp, trace.clone());
+            let result = interp.run_compiled(program).map(|v| v.to_string());
+            let trace = trace.take();
+            (
+                result.map_err(|e| e.to_string()),
+                trace,
+                interp.fuel_remaining(),
+            )
+        };
         assert_eq!(
-            ra.map_err(|e| e.to_string()),
-            rb.map_err(|e| e.to_string()),
+            run(&program),
+            run(&decoded),
             "decoded artifact diverged for:\n{src}"
         );
-        assert_eq!(trace_a.borrow().clone(), trace_b.borrow().clone());
-        assert_eq!(ia.fuel_remaining(), ib.fuel_remaining());
     }
 }
 
 #[test]
 fn typecheck_rejects_ill_typed_fixtures_before_any_execution() {
     // Script-layer zero-spend guarantee: programs the typechecker
-    // rejects never reach either engine, so no tools run and no fuel is
+    // rejects never reach the VM, so no tools run and no fuel is
     // charged.
     let mut env = TypeEnv::new();
     for (name, sig) in [
@@ -217,9 +340,9 @@ mod generated {
         #[test]
         fn generated_programs_agree(stmts in prop::collection::vec(tpl(), 1..7)) {
             let src = render_program(&stmts);
-            let a = super::observe_interp(&src, 20_000);
-            let b = super::observe_vm(&src, 20_000);
-            prop_assert_eq!(a, b, "diverged on generated program:\n{}", src);
+            let vm = observe_vm(&src, 20_000);
+            let oracle = observe_oracle(&src, 20_000);
+            prop_assert_eq!(vm, oracle, "diverged on generated program:\n{}", src);
         }
 
         #[test]
@@ -228,9 +351,9 @@ mod generated {
             fuel in 0u64..400,
         ) {
             let src = render_program(&stmts);
-            let a = super::observe_interp(&src, fuel);
-            let b = super::observe_vm(&src, fuel);
-            prop_assert_eq!(a, b, "diverged at fuel {} on:\n{}", fuel, src);
+            let vm = observe_vm(&src, fuel);
+            let oracle = observe_oracle(&src, fuel);
+            prop_assert_eq!(vm, oracle, "diverged at fuel {} on:\n{}", fuel, src);
         }
 
         #[test]
@@ -239,11 +362,8 @@ mod generated {
             let program = compile_source(&src).expect("templates always parse");
             let decoded = CompiledProgram::decode(&program.encode()).expect("decodes");
             prop_assert_eq!(&decoded.main, &program.main);
-            prop_assert_eq!(&decoded.consts, &program.consts);
-            prop_assert_eq!(&decoded.names, &program.names);
-            prop_assert_eq!(&decoded.var_lists, &program.var_lists);
+            prop_assert_eq!(&decoded.pools, &program.pools);
             prop_assert_eq!(decoded.content_hash(), program.content_hash());
-            prop_assert_eq!(decoded.funcs.len(), program.funcs.len());
         }
     }
 }
