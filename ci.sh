@@ -61,10 +61,12 @@ fi
 
 # Static analysis: the workspace must stay clean above the checked-in
 # baseline (lint.toml), and the lint report itself must be
-# deterministic — two runs produce byte-identical JSONL.
+# deterministic — two runs produce byte-identical JSONL, equal to the
+# committed report.
 AIDA_RESULTS_DIR=target/ci-lint-a cargo run -q -p aida-lint -- --deny-new
 AIDA_RESULTS_DIR=target/ci-lint-b cargo run -q -p aida-lint -- --deny-new
 cmp target/ci-lint-a/lint_report.jsonl target/ci-lint-b/lint_report.jsonl
+cmp target/ci-lint-a/lint_report.jsonl results/lint_report.jsonl
 
 # Pyrite VM parity: the differential suite (fixture corpus, error
 # fixtures, agent step programs, multi-program sessions, fuel sweeps,

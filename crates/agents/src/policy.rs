@@ -59,7 +59,7 @@ pub struct PolicyContext<'a> {
 impl<'a> PolicyContext<'a> {
     /// A deterministic RNG stable across the run (not per-step), so a
     /// decision made at step 1 can be re-derived at step 3.
-    pub fn run_rng(&self, salt: u64) -> KeyedRng {
+    fn run_rng(&self, salt: u64) -> KeyedRng {
         KeyedRng::new(noise::combine(&[self.seed, salt]))
     }
 
@@ -70,7 +70,7 @@ impl<'a> PolicyContext<'a> {
 
     /// The agent manually reads a document and judges a predicate — one
     /// billed LLM call at the agent's own model.
-    pub fn judge(&self, instruction: &str, doc_name: &str) -> bool {
+    fn judge(&self, instruction: &str, doc_name: &str) -> bool {
         let Some(doc) = self.lake.and_then(|l| l.get(doc_name)) else {
             return false;
         };
@@ -475,7 +475,7 @@ fn generic_flow(ctx: &PolicyContext<'_>) -> PolicyAction {
 /// Long observations may be truncated from the front, losing the opening
 /// bracket; in that case every quoted token before the closing bracket is
 /// taken (the tail of the printed list).
-pub fn parse_quoted_list(text: &str) -> Vec<String> {
+fn parse_quoted_list(text: &str) -> Vec<String> {
     let end = match text.rfind(']') {
         Some(i) => i,
         None => return Vec::new(),
@@ -499,7 +499,7 @@ pub fn parse_quoted_list(text: &str) -> Vec<String> {
 }
 
 /// Lowercased content words of the task (minus stopwords).
-pub fn task_terms(task: &str) -> Vec<String> {
+fn task_terms(task: &str) -> Vec<String> {
     task.split(|c: char| !c.is_alphanumeric())
         .filter(|w| w.len() > 2)
         .map(|w| w.to_ascii_lowercase())

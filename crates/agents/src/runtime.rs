@@ -360,6 +360,18 @@ fn tail(text: &str, cap: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flight ring's records, one JSONL line each, read back through
+    /// the recorder's dump (`label` keeps concurrent tests apart).
+    fn flight_lines(recorder: &aida_obs::Recorder, label: &str) -> Vec<String> {
+        let dir =
+            std::env::temp_dir().join(format!("aida-agents-flight-{label}-{}", std::process::id()));
+        recorder.set_flight_autodump(dir.join("flight.jsonl"));
+        let path = recorder.flight_autodump("probe").expect("tracing is on");
+        let text = std::fs::read_to_string(path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        text.lines().skip(1).map(str::to_string).collect()
+    }
     use crate::policy::{AgentPolicy, PolicyAction, PolicyContext};
     use crate::tools::lake_tools;
     use crate::{AgentConfig, CodeAgent};
@@ -561,12 +573,12 @@ mod tests {
 
     #[test]
     fn bytecode_identical_plans_share_the_semantic_cache() {
-        use aida_llm::{CacheConfig, SemanticCache};
+        use aida_llm::SemanticCache;
         // Two textually different plans that lower to identical bytecode
         // (whitespace and line-number differences vanish in the canonical
         // encoding) must share one semantic-cache entry: the second
         // planning call is a plan-keyed hit and bills nothing.
-        let llm = SimLlm::new(3).with_cache(SemanticCache::new(CacheConfig::default()));
+        let llm = SimLlm::new(3).with_cache(SemanticCache::with_capacity(0));
         let env = ExecEnv::new(llm);
         let lake = lake();
         let rt = AgentRuntime::new(&env, registry(&lake), None);
@@ -599,8 +611,8 @@ mod tests {
 
     #[test]
     fn repeated_steps_reuse_the_compiled_program_and_its_cache_key() {
-        use aida_llm::{CacheConfig, SemanticCache};
-        let llm = SimLlm::new(3).with_cache(SemanticCache::new(CacheConfig::default()));
+        use aida_llm::SemanticCache;
+        let llm = SimLlm::new(3).with_cache(SemanticCache::with_capacity(0));
         let env = ExecEnv::new(llm);
         let lake = lake();
         let rt = AgentRuntime::new(&env, registry(&lake), None);
@@ -674,10 +686,9 @@ mod tests {
         for (a, b) in first.steps.iter().zip(&cached.steps) {
             assert_eq!(a.observation, b.observation, "step {}", a.step);
         }
-        let notes = recorder
-            .flight_records()
+        let notes = flight_lines(&recorder, "rejected")
             .iter()
-            .filter(|r| r.source == "agents.step" && r.kind == "step_rejected")
+            .filter(|l| l.contains(r#""source":"agents.step","kind":"step_rejected""#))
             .count();
         assert_eq!(notes, 4, "every rejection, cached or not, is noted");
     }
@@ -697,8 +708,8 @@ mod tests {
         let outcome = rt.run(&agent, "look at the data");
         let bound = outcome.steps[0].bound.as_ref().expect("compiled step");
         assert_eq!(
-            bound.call_bound("read_file"),
-            aida_script::bounds::Bound::Finite(1)
+            bound.calls_per_tool.get("read_file"),
+            Some(&aida_script::bounds::Bound::Finite(1))
         );
         assert!(bound
             .usd_max(aida_llm::models::ModelId::Flagship)
@@ -827,14 +838,14 @@ mod tests {
         assert!((span_cost - outcome.cost_usd).abs() < 1e-9);
         // Each step also leaves a flight-recorder note so a crash dump
         // shows where the agent was.
-        let flight = recorder.flight_records();
+        let flight = flight_lines(&recorder, "steps");
         let step_notes = flight
             .iter()
-            .filter(|r| r.source == "agents.step" && r.kind == "step")
+            .filter(|l| l.contains(r#""source":"agents.step","kind":"step""#))
             .count();
         assert_eq!(step_notes, outcome.steps.len());
         assert!(
-            flight.iter().any(|r| r.kind == "llm_call"),
+            flight.iter().any(|l| l.contains(r#""kind":"llm_call""#)),
             "planning calls feed the ring via events"
         );
     }

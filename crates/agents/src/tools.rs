@@ -148,7 +148,7 @@ impl LakeTools {
 }
 
 /// BM25 index over the visible text of every document in `lake`.
-pub fn keyword_index(lake: &DataLake) -> KeywordIndex {
+fn keyword_index(lake: &DataLake) -> KeywordIndex {
     let mut index = KeywordIndex::new();
     for doc in lake.docs() {
         index.add(&doc.name, doc.shared_text());

@@ -75,7 +75,7 @@ impl BenchResult {
     }
 
     /// Flattens an experiment table into metrics keyed `system/column`.
-    pub fn from_report(report: &ExperimentReport, seed: u64) -> BenchResult {
+    fn from_report(report: &ExperimentReport, seed: u64) -> BenchResult {
         let mut out = BenchResult::new(report.name.clone(), seed);
         for row in &report.rows {
             for (name, value) in &row.values {

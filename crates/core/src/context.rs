@@ -9,7 +9,7 @@
 use crate::runtime::Runtime;
 use aida_agents::{tools::LakeTools, Tool, ToolRegistry};
 use aida_data::{DataLake, Table};
-use aida_index::{FlatIndex, IvfIndex, KeyIndex, VectorIndex};
+use aida_index::{FlatIndex, KeyIndex, VectorIndex};
 use aida_semops::Dataset;
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ impl Context {
             description: String::new(),
             lake,
             key_pairs: Vec::new(),
-            vector_kind: VectorKind::None,
+            vector_index: false,
             tools: Vec::new(),
         }
     }
@@ -151,14 +151,8 @@ pub struct ContextBuilder {
     description: String,
     lake: DataLake,
     key_pairs: Vec<(String, String)>,
-    vector_kind: VectorKind,
+    vector_index: bool,
     tools: Vec<Arc<dyn Tool>>,
-}
-
-enum VectorKind {
-    None,
-    Flat,
-    Ivf { nlist: usize, nprobe: usize },
 }
 
 impl ContextBuilder {
@@ -187,15 +181,7 @@ impl ContextBuilder {
     /// Builds an exact (flat) embedding index over document text at
     /// `build` time — the right choice below a few thousand documents.
     pub fn with_vector_index(mut self) -> Self {
-        self.vector_kind = VectorKind::Flat;
-        self
-    }
-
-    /// Builds an approximate IVF embedding index (k-means coarse quantizer
-    /// with `nlist` cells, probing `nprobe` per search) — for larger lakes
-    /// where the flat scan becomes the bottleneck.
-    pub fn with_ivf_index(mut self, nlist: usize, nprobe: usize) -> Self {
-        self.vector_kind = VectorKind::Ivf { nlist, nprobe };
+        self.vector_index = true;
         self
     }
 
@@ -211,20 +197,9 @@ impl ContextBuilder {
         for (key, doc) in &self.key_pairs {
             key_index.insert(key, doc);
         }
-        let vector_index: Option<Arc<dyn VectorIndex>> = match self.vector_kind {
-            VectorKind::None => None,
-            VectorKind::Flat => {
-                let mut index = FlatIndex::new();
-                embed_lake(&self.lake, runtime, &mut index);
-                Some(Arc::new(index))
-            }
-            VectorKind::Ivf { nlist, nprobe } => {
-                let mut index = IvfIndex::new(nlist, nprobe, runtime.config().seed);
-                embed_lake(&self.lake, runtime, &mut index);
-                index.train();
-                Some(Arc::new(index))
-            }
-        };
+        let vector_index = self
+            .vector_index
+            .then(|| Arc::new(embed_lake(&self.lake, runtime)) as Arc<dyn VectorIndex>);
         let mut tools = ToolRegistry::new();
         for tool in self.tools {
             tools.register(tool);
@@ -242,9 +217,10 @@ impl ContextBuilder {
     }
 }
 
-/// Embeds a bounded prefix of every document into `index`: enough signal,
+/// A flat index over a bounded prefix of every document: enough signal,
 /// bounded work.
-fn embed_lake(lake: &DataLake, runtime: &Runtime, index: &mut dyn VectorIndex) {
+fn embed_lake(lake: &DataLake, runtime: &Runtime) -> FlatIndex {
+    let mut index = FlatIndex::new();
     for doc in lake.docs() {
         let text = doc.shared_text();
         let end = text
@@ -253,6 +229,7 @@ fn embed_lake(lake: &DataLake, runtime: &Runtime, index: &mut dyn VectorIndex) {
             .map_or(text.len(), |(i, _)| i);
         index.add(&doc.name, runtime.env().embedder.embed(&text[..end]));
     }
+    index
 }
 
 #[cfg(test)]
@@ -307,26 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn ivf_index_finds_relevant_doc() {
-        let rt = Runtime::builder().seed(2).build();
-        let docs: Vec<Document> = (0..40)
-            .map(|i| {
-                let content = if i == 17 {
-                    "identity theft reports by year national statistics".to_string()
-                } else {
-                    format!("memo {i} about pipeline capacity and scheduling")
-                };
-                Document::new(format!("d{i}.txt"), content)
-            })
-            .collect();
-        let ctx = Context::builder("big", DataLake::from_docs(docs))
-            .with_ivf_index(4, 2)
-            .build(&rt);
-        let hits = ctx.vector_search(&rt, "identity theft statistics", 3);
-        assert!(hits.contains(&"d17.txt".to_string()), "{hits:?}");
-    }
-
-    #[test]
     fn keyword_index_is_built_once_on_first_search_and_shared() {
         let rt = Runtime::builder().build();
         let ctx = Context::builder("lake", lake()).build(&rt);
@@ -344,14 +301,6 @@ mod tests {
         };
         let hits = search(&clone);
         let built = ctx.lake_tools().keyword_index().expect("first call builds");
-        // The lazily built index answers as an eagerly built one does.
-        let eager = aida_agents::tools::keyword_index(ctx.lake());
-        let eager_hits: Vec<String> = eager
-            .search("identity theft", 2)
-            .into_iter()
-            .map(|h| format!("'{}'", h.id))
-            .collect();
-        assert_eq!(hits, format!("[{}]", eager_hits.join(", ")));
         assert_eq!(hits, "['theft_2024.csv']");
         // One index: later calls, clones and un-narrowed materializations
         // all see the same allocation; a narrowed lake starts its own.

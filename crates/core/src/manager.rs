@@ -170,15 +170,6 @@ impl ContextManager {
         }
     }
 
-    /// Retrieves the materialized Context most similar to `instruction`,
-    /// with its similarity score. Deterministic: earlier registrations win
-    /// ties. Read-only — recency is not touched.
-    pub fn find_similar(&self, instruction: &str) -> Option<(MaterializedContext, f32)> {
-        let q = self.embedder.embed(instruction);
-        let store = self.inner.read();
-        best_match(&store.entries, &q).map(|(i, s)| (store.entries[i].clone(), s))
-    }
-
     /// Retrieves a reusable Context at or above `threshold`, also
     /// returning the best similarity observed (0.0 when nothing is
     /// materialized). Every lookup bumps the hit/miss counters; a hit
@@ -246,11 +237,6 @@ impl ContextManager {
         self.inner.write().journal = enabled.then(Vec::new);
     }
 
-    /// Pending operations since the last drain or full snapshot.
-    pub fn journal_len(&self) -> usize {
-        self.inner.read().journal.as_ref().map_or(0, Vec::len)
-    }
-
     /// Takes the pending operations, leaving the journal empty.
     /// [`encode_delta_frame`] turns them into one frame
     /// [`ContextManager::load_chain`] can replay.
@@ -310,17 +296,9 @@ impl ContextManager {
     /// trimmed to the capacity bound with the standard eviction policy.
     /// Any format, count, or checksum violation returns
     /// [`SnapshotError`] and leaves the store untouched — callers start
-    /// cold instead of trusting a corrupt file. Returns how many
-    /// Contexts were restored (after trimming).
-    pub fn load_snapshot(
-        &self,
-        text: &str,
-        rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
-    ) -> Result<usize, SnapshotError> {
-        self.load_chain(text, &[], rebuild).map(|(n, _)| n)
-    }
-
-    /// [`ContextManager::load_snapshot`], then replays the delta frames
+    /// cold instead of trusting a corrupt file.
+    ///
+    /// Then replays the delta frames
     /// (`(seq, payload)` as the WAL replay returns them) on top. Frames
     /// are trusted up to the first violation — a base stamp or pool
     /// length that does not match, a malformed record, a document or
@@ -757,6 +735,25 @@ impl std::fmt::Debug for ContextManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ContextManager {
+        /// The materialized Context most similar to `instruction`, with
+        /// its similarity score; read-only, so recency and the hit/miss
+        /// counters stay untouched.
+        pub(crate) fn find_similar(&self, instruction: &str) -> Option<(MaterializedContext, f32)> {
+            let q = self.embedder.embed(instruction);
+            let store = self.inner.read();
+            best_match(&store.entries, &q).map(|(i, s)| (store.entries[i].clone(), s))
+        }
+
+        fn load_snapshot(
+            &self,
+            text: &str,
+            rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
+        ) -> Result<usize, SnapshotError> {
+            self.load_chain(text, &[], rebuild).map(|(n, _)| n)
+        }
+    }
     use crate::runtime::Runtime;
     use aida_data::{DataLake, Document};
 
@@ -1014,7 +1011,7 @@ mod tests {
             .is_some());
         manager.register("medium targeted extraction", ctx(&rt, "c"), 0.5);
         let ops = manager.drain_journal();
-        assert_eq!(manager.journal_len(), 0);
+        assert!(manager.drain_journal().is_empty());
         assert!(
             ops.iter().any(|op| matches!(op, JournalOp::Evict(_))),
             "the over-capacity insert journals its eviction"

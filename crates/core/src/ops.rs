@@ -95,7 +95,6 @@ pub struct Query {
     ctx: Context,
     ops: Vec<AgenticOp>,
     apply_rewrites: bool,
-    dynamic_retry: bool,
 }
 
 impl Query {
@@ -105,7 +104,6 @@ impl Query {
             ctx,
             ops: Vec::new(),
             apply_rewrites: false,
-            dynamic_retry: true,
         }
     }
 
@@ -124,12 +122,6 @@ impl Query {
     /// Enables the logical rewrites (split/merge) before execution.
     pub fn with_rewrites(mut self, enable: bool) -> Self {
         self.apply_rewrites = enable;
-        self
-    }
-
-    /// Enables/disables the insert-search-on-failure retry.
-    pub fn with_dynamic_retry(mut self, enable: bool) -> Self {
-        self.dynamic_retry = enable;
         self
     }
 
@@ -173,7 +165,7 @@ impl Query {
         // answer, or an explicit null) gets a search inserted in front of
         // it and one retry.
         let failed = answer.as_ref().is_none_or(|v| v.is_null());
-        if self.dynamic_retry && failed && !ops.is_empty() {
+        if failed && !ops.is_empty() {
             if let Some(AgenticOp::Compute(instr)) = ops.last() {
                 let (searched_ctx, _, search_trace) = run_op(
                     &self.runtime,
@@ -742,13 +734,6 @@ mod tests {
             ops.windows(2).any(|w| w == ["search", "compute"]),
             "retry inserts a search before the compute: {ops:?}"
         );
-        // Retry can be disabled.
-        let outcome = rt
-            .query(&ctx)
-            .compute(query)
-            .with_dynamic_retry(false)
-            .run();
-        assert_eq!(outcome.trace.len(), 1);
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub fn number_of_phrase(instruction: &str) -> Option<String> {
 }
 
 /// Parses an "extract the a, b(,) and c" clause into field names.
-pub fn extract_fields(instruction: &str) -> Vec<String> {
+fn extract_fields(instruction: &str) -> Vec<String> {
     let lower = instruction.to_ascii_lowercase();
     let Some(start) = lower.find("extract the ").map(|i| i + "extract the ".len()) else {
         return Vec::new();
@@ -227,7 +227,7 @@ pub fn run_semantic_program_tool(
 }
 
 /// Renders records as a script list of dicts, dropping bulky fields.
-pub fn records_to_script(records: &[Record]) -> ScriptValue {
+fn records_to_script(records: &[Record]) -> ScriptValue {
     ScriptValue::list(
         records
             .iter()

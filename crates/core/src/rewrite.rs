@@ -19,7 +19,7 @@ use aida_llm::embed::cosine;
 use aida_obs::{clip, Event};
 
 /// Similarity above which two adjacent searches are considered duplicates.
-pub const MERGE_THRESHOLD: f32 = 0.92;
+const MERGE_THRESHOLD: f32 = 0.92;
 
 /// Applies all static rewrites: judge-gated splitting, then merging.
 pub fn optimize_pipeline(runtime: &Runtime, ops: Vec<AgenticOp>) -> Vec<AgenticOp> {
@@ -53,7 +53,7 @@ pub fn optimize_pipeline(runtime: &Runtime, ops: Vec<AgenticOp>) -> Vec<AgenticO
 /// be split into scoped operations (the paper's §3 DocETL-style logical
 /// optimization, proposed as future work; implemented here with the
 /// simulated judge). The judge call is billed like any other.
-pub fn judge_needs_split(runtime: &Runtime, instruction: &str) -> bool {
+fn judge_needs_split(runtime: &Runtime, instruction: &str) -> bool {
     use aida_llm::LlmTask;
     let options = [
         "the directive asks for one piece of information and can run as-is".to_string(),
@@ -89,7 +89,7 @@ pub fn judge_needs_split(runtime: &Runtime, instruction: &str) -> bool {
 /// Current rule: a `compute` that mentions a ratio across two years — and
 /// is not already preceded by a `search` — gets one scoped `search` per
 /// year inserted in front of it.
-pub fn split_computes(ops: Vec<AgenticOp>) -> Vec<AgenticOp> {
+fn split_computes(ops: Vec<AgenticOp>) -> Vec<AgenticOp> {
     let mut out: Vec<AgenticOp> = Vec::with_capacity(ops.len());
     for op in ops {
         match &op {
@@ -118,7 +118,7 @@ pub fn split_computes(ops: Vec<AgenticOp>) -> Vec<AgenticOp> {
 }
 
 /// Merges adjacent near-duplicate searches (keeping the first).
-pub fn merge_searches(runtime: &Runtime, ops: Vec<AgenticOp>) -> Vec<AgenticOp> {
+fn merge_searches(runtime: &Runtime, ops: Vec<AgenticOp>) -> Vec<AgenticOp> {
     let embedder = &runtime.env().embedder;
     let mut out: Vec<AgenticOp> = Vec::with_capacity(ops.len());
     for op in ops {

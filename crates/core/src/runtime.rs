@@ -47,11 +47,6 @@ pub struct RuntimeConfig {
     /// enabled, every simulated LLM call is memoized by content key:
     /// repeats cost zero dollars/tokens and a small hit latency.
     pub semantic_cache: usize,
-    /// Byte budget for the semantic cache's stored responses (0 =
-    /// unbounded; meaningful only when the cache is enabled).
-    pub cache_max_bytes: usize,
-    /// Virtual latency of a semantic-cache hit, in seconds.
-    pub cache_hit_latency_s: f64,
     /// Snapshot path for the semantic cache: loaded (best-effort) at
     /// build so a restart keeps a warm cache, written on
     /// [`Runtime::save_cache`]. A corrupt snapshot starts cold.
@@ -71,8 +66,8 @@ pub struct RuntimeConfig {
     /// cost tracks what changed instead of total store size.
     pub delta_checkpoints: bool,
     /// In delta mode, rewrite a full snapshot (and reset the delta
-    /// chain) after this many delta frames. Bounds recovery replay
-    /// length; 0 falls back to the default (16).
+    /// chain) after this many delta frames (default 16). Bounds recovery
+    /// replay length; 0 acts as 1, a full snapshot every other save.
     pub full_snapshot_every: u64,
     /// Where the flight recorder dumps its ring of recent events when a
     /// crash seam fires, a recovery path runs, or an SLO alert trips
@@ -96,8 +91,6 @@ impl Default for RuntimeConfig {
             tracing: false,
             context_capacity: 0,
             semantic_cache: 0,
-            cache_max_bytes: 0,
-            cache_hit_latency_s: 0.02,
             cache_path: None,
             state_path: None,
             checkpoint_interval: 0,
@@ -579,18 +572,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Byte budget for the semantic cache (0 = unbounded).
-    pub fn cache_max_bytes(mut self, max_bytes: usize) -> Self {
-        self.config.cache_max_bytes = max_bytes;
-        self
-    }
-
-    /// Virtual latency charged per semantic-cache hit.
-    pub fn cache_hit_latency(mut self, latency_s: f64) -> Self {
-        self.config.cache_hit_latency_s = latency_s.max(0.0);
-        self
-    }
-
     /// Snapshot path for the semantic cache (loaded best-effort at
     /// build; written by [`Runtime::save_cache`]).
     pub fn cache_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
@@ -621,7 +602,8 @@ impl RuntimeBuilder {
     }
 
     /// In delta mode, rewrite a full snapshot after this many delta
-    /// frames (bounds recovery replay length).
+    /// frames (bounds recovery replay length). 0 acts as 1: a full
+    /// snapshot every other save.
     pub fn full_snapshot_every(mut self, frames: u64) -> Self {
         self.config.full_snapshot_every = frames;
         self
@@ -645,11 +627,7 @@ impl RuntimeBuilder {
     pub fn build(self) -> Runtime {
         let mut llm = SimLlm::new(self.config.seed).with_fault_rate(self.config.fault_rate);
         if self.config.semantic_cache > 0 {
-            let cache = aida_llm::SemanticCache::new(aida_llm::cache::CacheConfig {
-                capacity: self.config.semantic_cache,
-                max_bytes: self.config.cache_max_bytes,
-                hit_latency_s: self.config.cache_hit_latency_s,
-            });
+            let cache = aida_llm::SemanticCache::with_capacity(self.config.semantic_cache);
             if let Some(path) = &self.config.cache_path {
                 // Best-effort warm start: a missing or corrupt snapshot
                 // (or one from a different seed — keys include the seed)

@@ -6,7 +6,7 @@
 //! it never allocates more than one row at a time beyond the output.
 
 use crate::error::DataError;
-use crate::record::{Record, Schema};
+use crate::record::Schema;
 use crate::table::Table;
 use crate::value::Value;
 
@@ -113,14 +113,8 @@ pub fn parse_table(text: &str) -> Result<Table, DataError> {
     Ok(table)
 }
 
-/// Parses CSV with a header row into [`Record`]s tagged with `source`.
-pub fn parse_records(text: &str, source: &str) -> Result<Vec<Record>, DataError> {
-    let table = parse_table(text)?;
-    Ok(table.to_records(source))
-}
-
 /// Escapes a cell for CSV output, quoting only when necessary.
-pub fn escape_cell(cell: &str) -> String {
+fn escape_cell(cell: &str) -> String {
     if cell.contains(',') || cell.contains('"') || cell.contains('\n') || cell.contains('\r') {
         let mut out = String::with_capacity(cell.len() + 2);
         out.push('"');
@@ -150,20 +144,6 @@ pub fn write(rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Serializes a [`Table`] (header + rows) to CSV text.
-pub fn write_table(table: &Table) -> String {
-    let mut rows: Vec<Vec<String>> = vec![table
-        .schema()
-        .names()
-        .iter()
-        .map(|s| s.to_string())
-        .collect()];
-    for row in table.rows() {
-        rows.push(row.iter().map(|v| v.to_string()).collect());
-    }
-    write(&rows)
 }
 
 #[cfg(test)]
@@ -220,14 +200,6 @@ mod tests {
     #[test]
     fn table_rejects_long_rows() {
         assert!(parse_table("a,b\n1,2,3\n").is_err());
-    }
-
-    #[test]
-    fn records_carry_source() {
-        let recs = parse_records("a,b\n1,x\n", "file.csv").unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].source, "file.csv");
-        assert_eq!(recs[0].get("b"), Some(&Value::Str("x".into())));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub enum DocKind {
 
 impl DocKind {
     /// Guesses the kind from a file extension.
-    pub fn from_name(name: &str) -> DocKind {
+    fn from_name(name: &str) -> DocKind {
         let lower = name.to_ascii_lowercase();
         if lower.ends_with(".csv") {
             DocKind::Csv
@@ -148,32 +148,6 @@ impl Document {
         }
     }
 
-    /// For email documents: the header value (case-insensitive key).
-    pub fn email_header(&self, key: &str) -> Option<&str> {
-        if self.kind != DocKind::Email {
-            return None;
-        }
-        for line in self.content.lines() {
-            if line.is_empty() {
-                break;
-            }
-            if let Some((k, v)) = line.split_once(':') {
-                if k.trim().eq_ignore_ascii_case(key) {
-                    return Some(v.trim());
-                }
-            }
-        }
-        None
-    }
-
-    /// For email documents: everything after the first blank line.
-    pub fn email_body(&self) -> &str {
-        match self.content.split_once("\n\n") {
-            Some((_, body)) if self.kind == DocKind::Email => body,
-            _ => &self.content,
-        }
-    }
-
     /// Approximate size in bytes (used by cost/latency models).
     pub fn size(&self) -> usize {
         self.content.len()
@@ -191,26 +165,6 @@ mod tests {
         assert_eq!(DocKind::from_name("m.eml"), DocKind::Email);
         assert_eq!(DocKind::from_name("notes.txt"), DocKind::Text);
         assert_eq!(DocKind::from_name("README"), DocKind::Text);
-    }
-
-    #[test]
-    fn email_header_and_body() {
-        let doc = Document::new(
-            "m1.eml",
-            "From: jeff@enron.com\nSubject: Raptor position\n\nLet's discuss the hedge.",
-        );
-        assert_eq!(doc.email_header("from"), Some("jeff@enron.com"));
-        assert_eq!(doc.email_header("SUBJECT"), Some("Raptor position"));
-        assert_eq!(doc.email_header("cc"), None);
-        assert_eq!(doc.email_body(), "Let's discuss the hedge.");
-    }
-
-    #[test]
-    fn email_header_on_non_email_is_none() {
-        let doc = Document::new("a.txt", "From: x\n\nbody");
-        assert_eq!(doc.email_header("from"), None);
-        // email_body falls through to full content for non-emails.
-        assert_eq!(doc.email_body(), "From: x\n\nbody");
     }
 
     #[test]

@@ -20,7 +20,10 @@ pub fn to_text(html: &str) -> String {
         if c == '<' {
             let rest = &html[i..];
             if let Some(close) = skip_until {
-                if rest.len() >= close.len() && rest[..close.len()].eq_ignore_ascii_case(close) {
+                if rest
+                    .get(..close.len())
+                    .is_some_and(|head| head.eq_ignore_ascii_case(close))
+                {
                     skip_until = None;
                 }
                 // Consume through the end of this tag either way.
@@ -67,7 +70,7 @@ pub fn to_text(html: &str) -> String {
 }
 
 /// Decodes `&amp; &lt; &gt; &quot; &#39; &nbsp;`.
-pub fn decode_entities(text: &str) -> String {
+fn decode_entities(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut rest = text;
     while let Some(pos) = rest.find('&') {
@@ -242,6 +245,13 @@ mod tests {
         assert!(text.contains("National totals & trends."));
         assert!(!text.contains("var x"));
         assert!(!text.contains("color:red"));
+    }
+
+    #[test]
+    fn multibyte_text_inside_a_script_body_does_not_panic() {
+        // `</script` is 8 bytes; the `<` here sits 8 bytes before the
+        // end, so the probe window would split the two-byte `é`.
+        assert_eq!(to_text("<script>x<aaaaaaé</script>"), "");
     }
 
     #[test]

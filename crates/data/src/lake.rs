@@ -3,7 +3,6 @@
 use crate::document::Document;
 use crate::error::DataError;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 
 /// An in-memory data lake with O(1) name lookup.
@@ -94,43 +93,6 @@ impl DataLake {
         self.inner.docs.iter().map(|d| d.name.as_str()).collect()
     }
 
-    /// Documents whose names contain `pattern` (case-insensitive).
-    pub fn glob(&self, pattern: &str) -> Vec<&Arc<Document>> {
-        let needle = pattern.to_ascii_lowercase();
-        self.inner
-            .docs
-            .iter()
-            .filter(|d| d.name.to_ascii_lowercase().contains(&needle))
-            .collect()
-    }
-
-    /// Loads every regular file under `dir` (non-recursive) as a document.
-    pub fn load_dir(dir: &Path) -> Result<Self, DataError> {
-        let mut entries: Vec<_> = std::fs::read_dir(dir)?
-            .collect::<std::result::Result<Vec<_>, _>>()?
-            .into_iter()
-            .filter(|e| e.path().is_file())
-            .collect();
-        entries.sort_by_key(|e| e.file_name());
-        let mut lake = DataLake::new();
-        for entry in entries {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let content = std::fs::read_to_string(entry.path())?;
-            lake.add(Document::new(name, content));
-        }
-        Ok(lake)
-    }
-
-    /// Writes every document to `dir` (created if missing). Labels are not
-    /// persisted — they are simulation-side ground truth, not file content.
-    pub fn save_dir(&self, dir: &Path) -> Result<(), DataError> {
-        std::fs::create_dir_all(dir)?;
-        for doc in &self.inner.docs {
-            std::fs::write(dir.join(&doc.name), doc.content.as_bytes())?;
-        }
-        Ok(())
-    }
-
     /// Total content bytes across all documents.
     pub fn total_bytes(&self) -> usize {
         self.inner.docs.iter().map(|d| d.size()).sum()
@@ -161,7 +123,8 @@ mod tests {
     #[test]
     fn from_arcs_shares_documents_and_clones_copy_on_write() {
         let lake = lake();
-        let narrowed = DataLake::from_arcs(lake.glob("csv").into_iter().cloned());
+        let csvs = lake.docs().iter().filter(|d| d.name.ends_with(".csv"));
+        let narrowed = DataLake::from_arcs(csvs.cloned());
         assert_eq!(narrowed.names(), vec!["national.csv", "alabama.csv"]);
         for doc in narrowed.docs() {
             assert!(Arc::ptr_eq(doc, lake.get(&doc.name).unwrap()));
@@ -182,14 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn glob_is_case_insensitive_substring() {
-        let lake = lake();
-        assert_eq!(lake.glob("CSV").len(), 2);
-        assert_eq!(lake.glob("national").len(), 1);
-        assert!(lake.glob("xyz").is_empty());
-    }
-
-    #[test]
     fn names_preserve_insertion_order() {
         let lake = lake();
         assert_eq!(
@@ -199,37 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn load_dir_reads_files() {
-        let dir = std::env::temp_dir().join(format!("aida_lake_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.csv"), "x\n1\n").unwrap();
-        std::fs::write(dir.join("b.txt"), "hello").unwrap();
-        let lake = DataLake::load_dir(&dir).unwrap();
-        assert_eq!(lake.len(), 2);
-        assert_eq!(lake.names(), vec!["a.csv", "b.txt"]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn total_bytes_sums_content() {
         let lake = DataLake::from_docs([Document::new("a.txt", "abcd")]);
         assert_eq!(lake.total_bytes(), 4);
-    }
-
-    #[test]
-    fn save_and_load_round_trip() {
-        let dir = std::env::temp_dir().join(format!("aida_lake_rt_{}", std::process::id()));
-        let original = lake();
-        original.save_dir(&dir).unwrap();
-        let loaded = DataLake::load_dir(&dir).unwrap();
-        assert_eq!(loaded.len(), original.len());
-        for doc in original.docs() {
-            let back = loaded.get(&doc.name).unwrap();
-            assert_eq!(back.content, doc.content);
-            assert_eq!(back.kind, doc.kind);
-            // Ground-truth labels intentionally do not survive disk.
-            assert!(back.labels.is_empty());
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

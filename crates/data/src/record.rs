@@ -92,17 +92,6 @@ impl Schema {
         self.index_of(name).is_some()
     }
 
-    /// Appends a field, returning a new schema. Duplicate names replace the
-    /// existing field in place (extraction overwrites).
-    pub fn with_field(&self, field: Field) -> Schema {
-        let mut fields = self.fields.clone();
-        match fields.iter().position(|f| f.name == field.name) {
-            Some(i) => fields[i] = field,
-            None => fields.push(field),
-        }
-        Schema { fields }
-    }
-
     /// Restricts the schema to the named columns, in the given order.
     pub fn project(&self, names: &[&str]) -> Result<Schema, DataError> {
         let mut fields = Vec::with_capacity(names.len());
@@ -252,16 +241,6 @@ mod tests {
         assert!(s.project(&["a", "c"]).is_err());
         let p = s.project(&["b"]).unwrap();
         assert_eq!(p.names(), vec!["b"]);
-    }
-
-    #[test]
-    fn schema_with_field_replaces_duplicates() {
-        let s = Schema::of(["a"]);
-        let s2 = s.with_field(Field::described("a", "new desc"));
-        assert_eq!(s2.len(), 1);
-        assert_eq!(s2.fields()[0].desc, "new desc");
-        let s3 = s2.with_field(Field::new("b"));
-        assert_eq!(s3.len(), 2);
     }
 
     #[test]

@@ -62,39 +62,6 @@ impl Table {
         self.rows.get(row).map(|r| &r[col])
     }
 
-    /// Full column by name.
-    pub fn column(&self, name: &str) -> Result<Vec<&Value>, DataError> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| DataError::UnknownField(name.to_string()))?;
-        Ok(self.rows.iter().map(|r| &r[idx]).collect())
-    }
-
-    /// Finds the first row where `column == value` (loose numeric equality).
-    pub fn find_row(&self, column: &str, value: &Value) -> Option<&[Value]> {
-        let idx = self.schema.index_of(column)?;
-        self.rows
-            .iter()
-            .find(|r| r[idx].loose_eq(value))
-            .map(|r| r.as_slice())
-    }
-
-    /// Converts rows into [`Record`]s tagged with `source`.
-    pub fn to_records(&self, source: &str) -> Vec<Record> {
-        let names = self.schema.names();
-        self.rows
-            .iter()
-            .map(|row| {
-                let mut rec = Record::new(source);
-                for (name, value) in names.iter().zip(row.iter()) {
-                    rec.set(*name, value.clone());
-                }
-                rec
-            })
-            .collect()
-    }
-
     /// Builds a table from records using the union of their field names (in
     /// first-seen order); missing fields become `Null`.
     pub fn from_records(records: &[Record]) -> Table {
@@ -178,31 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn cell_and_column_access() {
+    fn cell_access() {
         let t = sample();
         assert_eq!(t.cell(1, "thefts"), Some(&Value::Int(1_135_291)));
         assert_eq!(t.cell(1, "nope"), None);
-        let col = t.column("year").unwrap();
-        assert_eq!(col, vec![&Value::Int(2001), &Value::Int(2024)]);
-        assert!(t.column("nope").is_err());
-    }
-
-    #[test]
-    fn find_row_uses_loose_equality() {
-        let t = sample();
-        let row = t.find_row("year", &Value::Float(2024.0)).unwrap();
-        assert_eq!(row[1], Value::Int(1_135_291));
-        assert!(t.find_row("year", &Value::Int(1999)).is_none());
-    }
-
-    #[test]
-    fn record_round_trip() {
-        let t = sample();
-        let recs = t.to_records("f.csv");
-        assert_eq!(recs.len(), 2);
-        let t2 = Table::from_records(&recs);
-        assert_eq!(t2.rows(), t.rows());
-        assert_eq!(t2.schema().names(), t.schema().names());
     }
 
     #[test]

@@ -61,14 +61,6 @@ impl Value {
         }
     }
 
-    /// Strict boolean accessor.
-    pub fn as_bool(&self) -> Result<bool, DataError> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(type_err("bool", other)),
-        }
-    }
-
     /// Integer accessor; floats with integral values coerce.
     pub fn as_int(&self) -> Result<i64, DataError> {
         match self {

@@ -1,9 +1,9 @@
 //! Experiment drivers: one per table/figure of the paper (plus ablations).
 
-use crate::json::Json;
 use crate::metrics::{self, f1_score, percent_error};
 use crate::systems::{run_code_agent, run_pz_compute, run_semops_handcrafted, SystemAnswer};
 use aida_core::{Context, Runtime};
+use aida_obs::Json;
 use aida_synth::{enron, legal, Workload};
 
 /// One row of an experiment table.

@@ -11,7 +11,6 @@
 //! times and report the average" protocol.
 
 pub mod experiments;
-pub mod json;
 pub mod metrics;
 pub mod systems;
 

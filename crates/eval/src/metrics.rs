@@ -67,15 +67,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,10 +118,8 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_values() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0]) - 1.0).abs() < 1e-12);
     }
 }

@@ -62,13 +62,6 @@ impl KeywordIndex {
         self.ids.is_empty()
     }
 
-    /// Document frequency of a term.
-    pub fn df(&self, term: &str) -> usize {
-        self.postings
-            .get(&term.to_ascii_lowercase())
-            .map_or(0, Vec::len)
-    }
-
     /// BM25 search; returns up to `k` hits, best first. Documents matching
     /// no query term are never returned.
     pub fn search(&self, query: &str, k: usize) -> Vec<Hit> {
@@ -111,6 +104,15 @@ impl KeywordIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl KeywordIndex {
+        /// Document frequency of a term.
+        fn df(&self, term: &str) -> usize {
+            self.postings
+                .get(&term.to_ascii_lowercase())
+                .map_or(0, Vec::len)
+        }
+    }
 
     fn build() -> KeywordIndex {
         let mut idx = KeywordIndex::new();

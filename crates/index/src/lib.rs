@@ -5,8 +5,6 @@
 //! implementations the runtime (and user programs) attach:
 //!
 //! * [`FlatIndex`] — exact brute-force cosine search.
-//! * [`IvfIndex`] — inverted-file approximate search with a k-means coarse
-//!   quantizer (for larger lakes).
 //! * [`KeywordIndex`] — an inverted keyword index with BM25 ranking (the
 //!   "secondary index over a data lake" tool from the paper).
 //! * [`KeyIndex`] — exact key → document point lookups.
@@ -14,13 +12,11 @@
 //!   above.
 
 pub mod flat;
-pub mod ivf;
 pub mod keyindex;
 pub mod keyword;
 pub mod topk;
 
 pub use flat::FlatIndex;
-pub use ivf::IvfIndex;
 pub use keyindex::KeyIndex;
 pub use keyword::KeywordIndex;
 pub use topk::TopK;

@@ -1,0 +1,3 @@
+fn main() {
+    alpha::used_by_example();
+}

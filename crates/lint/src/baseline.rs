@@ -360,7 +360,6 @@ reason = "guard dropped before second lock"
             line: 1,
             message: String::new(),
             snippet: snippet.to_string(),
-            fix: None,
         }
     }
 

@@ -5,8 +5,9 @@
 //! and crash recovery — rests on conventions nothing else enforces:
 //! virtual clock only (D1), seeded randomness (D2), ordered iteration in
 //! serializers (D3), fsync-paired durable writes (F1), panic-free
-//! recovery (P1), an acyclic lock-order graph (L1), and metric names
-//! drawn from the single registry module (O1). This crate
+//! recovery (P1), an acyclic lock-order graph (L1), metric names drawn
+//! from the single registry module (O1), a per-function complexity
+//! budget (S1), and no `pub` item that only its own file uses (U1). This crate
 //! tokenizes every workspace `.rs` file with its own total lexer and
 //! checks those invariants, diffing findings against the checked-in
 //! baseline in `lint.toml` and exporting a deterministic JSONL report.
@@ -14,13 +15,13 @@
 //! See `docs/lint.md` for the rule catalog and baselining workflow.
 
 pub mod baseline;
-pub mod fix;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 
 use baseline::{Allow, Entry, Value};
 use rules::Finding;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -32,6 +33,9 @@ use std::path::{Path, PathBuf};
 pub struct Config {
     /// Directories (relative to the root) to scan for `.rs` files.
     pub roots: Vec<String>,
+    /// Directories whose non-test code counts as a use of a `pub` item
+    /// (U1): the scanned roots plus the packages built against them.
+    pub consumer_roots: Vec<String>,
     /// Path components that exclude a file when present anywhere in its
     /// relative path (`target`, `vendor`, `fixtures`, …).
     pub exclude: Vec<String>,
@@ -58,13 +62,14 @@ pub struct Config {
     pub allows: Vec<Allow>,
 }
 
-impl Config {
+impl Default for Config {
     /// The built-in defaults, matching this repository's layout. Used
     /// when `lint.toml` is absent and as the base the file overrides.
-    pub fn default_config() -> Config {
+    fn default() -> Config {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
         Config {
             roots: s(&["crates", "src"]),
+            consumer_roots: s(&["crates", "src", "examples", "perf/src"]),
             exclude: s(&[
                 "target", "vendor", "fixtures", "tests", "benches", "examples",
             ]),
@@ -95,17 +100,19 @@ impl Config {
             allows: Vec::new(),
         }
     }
+}
 
+impl Config {
     /// Loads `lint.toml` from `path`, overlaying the defaults. A missing
     /// file yields the defaults unchanged.
     pub fn load(path: &Path) -> Result<Config, LintError> {
         let text = match fs::read_to_string(path) {
             Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Config::default_config()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Config::default()),
             Err(e) => return Err(LintError::Io(path.display().to_string(), e)),
         };
         let entries = baseline::parse(&text).map_err(LintError::Toml)?;
-        let mut cfg = Config::default_config();
+        let mut cfg = Config::default();
         for e in entries.iter().filter(|e| e.table == "lint") {
             cfg.apply_lint_key(e);
         }
@@ -125,6 +132,11 @@ impl Config {
             "roots" => {
                 if let Some(v) = as_list(&e.value) {
                     self.roots = v;
+                }
+            }
+            "consumer_roots" => {
+                if let Some(v) = as_list(&e.value) {
+                    self.consumer_roots = v;
                 }
             }
             "exclude" => {
@@ -243,21 +255,34 @@ impl LintReport {
 
 /// Runs the full workspace lint rooted at `root` with `cfg`.
 pub fn run(root: &Path, cfg: &Config) -> Result<LintReport, LintError> {
-    let files = collect_files(root, cfg)?;
+    let files = collect_files(root, &cfg.roots, cfg)?;
+    let consumer_files = collect_files(root, &cfg.consumer_roots, cfg)?;
+    let mut sources: BTreeMap<&str, String> = BTreeMap::new();
+    for rel in files.iter().chain(&consumer_files) {
+        // Non-UTF-8 or vanished files are skipped, not fatal: the
+        // linter must stay total over whatever the tree contains.
+        if let Ok(src) = fs::read_to_string(root.join(rel)) {
+            sources.insert(rel, src);
+        }
+    }
+    let loaded = |rels: &'_ [String]| {
+        rels.iter()
+            .filter_map(|r| sources.get_key_value(r.as_str()))
+            .map(|(r, s)| (*r, s.as_str()))
+            .collect::<Vec<_>>()
+    };
+    let scanned = loaded(&files);
     let mut findings = Vec::new();
     let mut lock_seqs = Vec::new();
-    for rel in &files {
-        let full = root.join(rel);
-        let src = match fs::read_to_string(&full) {
-            Ok(s) => s,
-            // Non-UTF-8 or vanished files are skipped, not fatal: the
-            // linter must stay total over whatever the tree contains.
-            Err(_) => continue,
-        };
-        findings.extend(rules::scan_file(rel, &src, cfg));
-        lock_seqs.extend(rules::lock_sequences(rel, &src));
+    for &(rel, src) in &scanned {
+        findings.extend(rules::scan_file(rel, src, cfg));
+        lock_seqs.extend(rules::lock_sequences(rel, src));
     }
     findings.extend(rules::rule_l1_lock_cycles(&lock_seqs));
+    findings.extend(rules::rule_u1_unused_pub(
+        &scanned,
+        &loaded(&consumer_files),
+    ));
     findings.sort_by_key(|f| f.sort_key());
     let (new, baselined) = baseline::apply_baseline(findings, &cfg.allows);
     Ok(LintReport {
@@ -267,11 +292,11 @@ pub fn run(root: &Path, cfg: &Config) -> Result<LintReport, LintError> {
     })
 }
 
-/// Collects workspace-relative `.rs` paths under the configured roots,
-/// sorted, with excluded components filtered out.
-fn collect_files(root: &Path, cfg: &Config) -> Result<Vec<String>, LintError> {
+/// Collects workspace-relative `.rs` paths under `roots`, sorted, with
+/// excluded components filtered out.
+fn collect_files(root: &Path, roots: &[String], cfg: &Config) -> Result<Vec<String>, LintError> {
     let mut out = Vec::new();
-    for r in &cfg.roots {
+    for r in roots {
         let dir = root.join(r);
         if dir.is_dir() {
             walk(&dir, root, cfg, &mut out)?;
@@ -316,7 +341,7 @@ mod tests {
 
     #[test]
     fn defaults_point_at_the_virtual_clock() {
-        let cfg = Config::default_config();
+        let cfg = Config::default();
         assert_eq!(cfg.clock_file, "crates/llm/src/clock.rs");
         assert!(cfg.exclude.iter().any(|e| e == "vendor"));
     }
@@ -325,7 +350,7 @@ mod tests {
     fn config_overlay_from_toml_text() {
         let text = "[lint]\nroots = [\"x\"]\nclock_file = \"y/clock.rs\"\n\n[[allow]]\nrule = \"D1\"\nfile = \"z.rs\"\nreason = \"because\"\n";
         let entries = baseline::parse(text).unwrap();
-        let mut cfg = Config::default_config();
+        let mut cfg = Config::default();
         for e in entries.iter().filter(|e| e.table == "lint") {
             cfg.apply_lint_key(e);
         }
@@ -340,6 +365,6 @@ mod tests {
     #[test]
     fn missing_config_file_yields_defaults() {
         let cfg = Config::load(Path::new("/nonexistent/lint.toml")).unwrap();
-        assert_eq!(cfg.clock_file, Config::default_config().clock_file);
+        assert_eq!(cfg.clock_file, Config::default().clock_file);
     }
 }

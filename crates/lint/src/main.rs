@@ -2,16 +2,13 @@
 //!
 //! ```text
 //! aida-lint [--root DIR] [--config FILE] [--jsonl FILE] [--deny-new]
-//!           [--fix [--dry-run]]
 //! ```
 //!
 //! Scans the workspace, prints the human report, writes the JSONL report
 //! (default `results/lint_report.jsonl` under the root, honouring
-//! `AIDA_RESULTS_DIR` like the bench binaries). `--fix` applies every
-//! machine-suggested fix carried by *new* findings in place;
-//! `--fix --dry-run` prints the unified diffs instead of writing. Exit
-//! codes: 0 = clean or findings all baselined; 1 = new findings with
-//! `--deny-new`; 2 = bad usage or I/O failure.
+//! `AIDA_RESULTS_DIR` like the bench binaries). Exit codes: 0 = clean
+//! or findings all baselined; 1 = new findings with `--deny-new`; 2 =
+//! bad usage or I/O failure.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -21,8 +18,6 @@ struct Args {
     config: Option<PathBuf>,
     jsonl: Option<PathBuf>,
     deny_new: bool,
-    fix: bool,
-    dry_run: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -31,8 +26,6 @@ fn parse_args() -> Result<Args, String> {
         config: None,
         jsonl: None,
         deny_new: false,
-        fix: false,
-        dry_run: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -41,65 +34,20 @@ fn parse_args() -> Result<Args, String> {
             "--config" => args.config = Some(take(&mut it, "--config")?.into()),
             "--jsonl" => args.jsonl = Some(take(&mut it, "--jsonl")?.into()),
             "--deny-new" => args.deny_new = true,
-            "--fix" => args.fix = true,
-            "--dry-run" => args.dry_run = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: aida-lint [--root DIR] [--config FILE] [--jsonl FILE] [--deny-new] [--fix [--dry-run]]"
+                    "usage: aida-lint [--root DIR] [--config FILE] [--jsonl FILE] [--deny-new]"
                         .to_string(),
                 );
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
-    if args.dry_run && !args.fix {
-        return Err("--dry-run only makes sense with --fix".to_string());
-    }
     Ok(args)
 }
 
 fn take(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
     it.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-/// Applies (or, under `--dry-run`, previews as unified diffs) every
-/// machine-suggested fix carried by a *new* finding. Baselined findings
-/// are deliberately left alone: the `[[allow]]` entry records a human
-/// decision to keep that code.
-fn run_fixes(args: &Args, report: &aida_lint::LintReport) -> Result<(), ExitCode> {
-    let mut by_file: std::collections::BTreeMap<&str, Vec<aida_lint::rules::Finding>> =
-        std::collections::BTreeMap::new();
-    for f in report.new.iter().filter(|f| f.fix.is_some()) {
-        by_file.entry(f.file.as_str()).or_default().push(f.clone());
-    }
-    let mut applied = 0usize;
-    let mut files = 0usize;
-    for (rel, findings) in &by_file {
-        let full = args.root.join(rel);
-        let src = std::fs::read_to_string(&full).map_err(|e| {
-            eprintln!("aida-lint: reading {}: {e}", full.display());
-            ExitCode::from(2)
-        })?;
-        let (fixed, n) = aida_lint::fix::apply(&src, findings);
-        if n == 0 {
-            continue;
-        }
-        if args.dry_run {
-            print!("{}", aida_lint::fix::unified_diff(rel, &src, &fixed));
-        } else {
-            std::fs::write(&full, &fixed).map_err(|e| {
-                eprintln!("aida-lint: writing {}: {e}", full.display());
-                ExitCode::from(2)
-            })?;
-        }
-        applied += n;
-        files += 1;
-    }
-    println!(
-        "aida-lint: {applied} fix(es) {} across {files} file(s)",
-        if args.dry_run { "previewed" } else { "applied" }
-    );
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -129,12 +77,6 @@ fn main() -> ExitCode {
         }
     };
     print!("{}", report.text());
-
-    if args.fix {
-        if let Err(code) = run_fixes(&args, &report) {
-            return code;
-        }
-    }
 
     let jsonl_path = args.jsonl.clone().unwrap_or_else(|| {
         // Same convention as the bench binaries: AIDA_RESULTS_DIR wins,

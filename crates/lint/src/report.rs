@@ -50,18 +50,9 @@ pub fn render_jsonl(new: &[Finding], baselined: &[Finding], files_scanned: usize
     let mut out = String::new();
     for (status, list) in [("new", new), ("baselined", baselined)] {
         for f in list {
-            let fix = match &f.fix {
-                Some(fix) => format!(
-                    ",\"suggested_fix\":{{\"start\":{},\"end\":{},\"replacement\":{}}}",
-                    fix.start,
-                    fix.end,
-                    json_str(&fix.replacement)
-                ),
-                None => String::new(),
-            };
             let _ = writeln!(
                 out,
-                "{{\"rule\":{},\"severity\":{},\"status\":{},\"file\":{},\"line\":{},\"message\":{},\"snippet\":{}{fix}}}",
+                "{{\"rule\":{},\"severity\":{},\"status\":{},\"file\":{},\"line\":{},\"message\":{},\"snippet\":{}}}",
                 json_str(f.rule),
                 json_str(f.severity.name()),
                 json_str(status),
@@ -107,7 +98,7 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::{Severity, SuggestedFix};
+    use crate::rules::Severity;
 
     fn sample() -> Vec<Finding> {
         vec![Finding {
@@ -117,7 +108,6 @@ mod tests {
             line: 7,
             message: "wall clock".into(),
             snippet: "let t = Instant::now(); // \"quoted\"".into(),
-            fix: None,
         }]
     }
 
@@ -131,27 +121,6 @@ mod tests {
         assert!(lines[0].contains("\\\"quoted\\\""));
         assert!(lines[1].contains("\"summary\":true"));
         assert!(lines[1].contains("\"files_scanned\":3"));
-    }
-
-    #[test]
-    fn jsonl_carries_the_suggested_fix_when_present() {
-        let mut findings = sample();
-        findings[0].fix = Some(SuggestedFix {
-            start: 8,
-            end: 22,
-            replacement: "clock.now()".into(),
-        });
-        let jsonl = render_jsonl(&findings, &[], 1);
-        let first = jsonl.lines().next().unwrap();
-        assert!(
-            first.contains(
-                "\"suggested_fix\":{\"start\":8,\"end\":22,\"replacement\":\"clock.now()\"}"
-            ),
-            "{first}"
-        );
-        // Fix-less findings keep the old shape.
-        let plain = render_jsonl(&sample(), &[], 1);
-        assert!(!plain.contains("suggested_fix"), "{plain}");
     }
 
     #[test]

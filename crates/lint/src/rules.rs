@@ -16,9 +16,11 @@
 //! | L1   | the static lock-acquisition graph is acyclic               |
 //! | O1   | metric names come from the registry, never string literals |
 //! | S1   | functions stay within the size/complexity budget           |
+//! | U1   | every `pub` item has a production consumer outside its file |
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Config;
+use std::collections::HashMap;
 
 /// How bad a finding is. `Error` outranks `Warning` in the report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -39,20 +41,6 @@ impl Severity {
     }
 }
 
-/// A machine-applicable fix: splice `replacement` over the half-open
-/// byte span `[start, end)` of the file. `start == end` is a pure
-/// insertion. Spans come from lexer token offsets, so they always fall
-/// on character boundaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuggestedFix {
-    /// Byte offset of the first replaced byte.
-    pub start: usize,
-    /// Byte offset one past the last replaced byte.
-    pub end: usize,
-    /// Replacement text.
-    pub replacement: String,
-}
-
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -68,9 +56,6 @@ pub struct Finding {
     pub message: String,
     /// The trimmed source line, for context and baseline matching.
     pub snippet: String,
-    /// Machine-applicable replacement, when the rule can compute one
-    /// (D2 reseeding, F1 fsync insertion, P1 `?` propagation).
-    pub fix: Option<SuggestedFix>,
 }
 
 impl Finding {
@@ -165,60 +150,12 @@ impl<'a> FileView<'a> {
             line: self.toks[i].line,
             message,
             snippet: self.snippet(i),
-            fix: None,
         }
-    }
-
-    /// Byte offset one past the `)` closing the call whose `(` directly
-    /// follows token `i`, or `None` when no call follows.
-    fn call_end(&self, i: usize) -> Option<usize> {
-        if !self.is_punct(i + 1, "(") {
-            return None;
-        }
-        let mut depth = 0i64;
-        for j in (i + 1)..self.toks.len() {
-            match self.text(j) {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(self.toks[j].end);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Token index of the `)` closing the call whose `(` sits at `open`.
-    fn close_paren(&self, open: usize) -> Option<usize> {
-        let mut depth = 0i64;
-        for j in open..self.toks.len() {
-            match self.text(j) {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(j);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// The leading whitespace of the line containing token `i`.
-    fn indent_of(&self, i: usize) -> String {
-        let line = self.toks[i].line;
-        let text = self.src.lines().nth(line.saturating_sub(1)).unwrap_or("");
-        text.chars().take_while(|c| c.is_whitespace()).collect()
     }
 }
 
 /// The trimmed content of 1-based `line` in `src`.
-pub fn line_snippet(src: &str, line: usize) -> String {
+fn line_snippet(src: &str, line: usize) -> String {
     src.lines()
         .nth(line.saturating_sub(1))
         .unwrap_or("")
@@ -434,57 +371,13 @@ fn rule_d2_unseeded_rng(view: &FileView, out: &mut Vec<Finding>) {
         let hit = ENTROPY.contains(&t)
             || (t == "rand" && view.is_punct(i + 1, "::") && view.is_ident(i + 2, "random"));
         if hit {
-            let mut f = view.finding(
+            out.push(view.finding(
                 "D2",
                 Severity::Error,
                 i,
                 format!("`{t}` draws entropy from the environment; seed RNGs explicitly"),
-            );
-            f.fix = d2_fix(view, i);
-            out.push(f);
+            ));
         }
-    }
-}
-
-/// The D2 autofix: rewrite the entropy draw into an explicitly seeded
-/// constructor. The seed `0` is a placeholder the author threads a real
-/// configuration seed through; what matters is that the source of
-/// randomness is no longer the environment.
-fn d2_fix(view: &FileView, i: usize) -> Option<SuggestedFix> {
-    let tok = |j: usize| &view.toks[j];
-    match view.text(i) {
-        "thread_rng" => {
-            // `rand::thread_rng()` / `thread_rng()` → seeded StdRng.
-            let start = if i >= 2 && view.is_punct(i - 1, "::") && view.is_ident(i - 2, "rand") {
-                tok(i - 2).start
-            } else {
-                tok(i).start
-            };
-            Some(SuggestedFix {
-                start,
-                end: view.call_end(i).unwrap_or(tok(i).end),
-                replacement: "StdRng::seed_from_u64(0)".to_string(),
-            })
-        }
-        // `Rng::from_entropy()` → `Rng::seed_from_u64(0)`.
-        "from_entropy" => Some(SuggestedFix {
-            start: tok(i).start,
-            end: view.call_end(i).unwrap_or(tok(i).end),
-            replacement: "seed_from_u64(0)".to_string(),
-        }),
-        // Bare entropy RNG values/types.
-        "OsRng" | "ThreadRng" => Some(SuggestedFix {
-            start: tok(i).start,
-            end: tok(i).end,
-            replacement: "StdRng::seed_from_u64(0)".to_string(),
-        }),
-        // `rand::random()` → draw from a seeded generator instead.
-        "rand" if view.is_ident(i + 2, "random") => Some(SuggestedFix {
-            start: tok(i).start,
-            end: view.call_end(i + 2).unwrap_or(tok(i + 2).end),
-            replacement: "StdRng::seed_from_u64(0).gen()".to_string(),
-        }),
-        _ => None,
     }
 }
 
@@ -653,7 +546,7 @@ fn rule_f1_fsync_pairing(view: &FileView, out: &mut Vec<Finding>) {
                 Some(&j) => (j, "creates/renames a file"),
                 None => (in_place[0], "opens a file for in-place writes"),
             };
-            let mut finding = view.finding(
+            out.push(view.finding(
                 "F1",
                 Severity::Error,
                 first,
@@ -662,12 +555,10 @@ fn rule_f1_fsync_pairing(view: &FileView, out: &mut Vec<Finding>) {
                      the write is not durable across a crash",
                     f.name
                 ),
-            );
-            finding.fix = f1_sync_all_fix(view, f, first);
-            out.push(finding);
+            ));
         }
         if !writes.is_empty() && !has_dir_sync {
-            let mut finding = view.finding(
+            out.push(view.finding(
                 "F1",
                 Severity::Error,
                 writes[0],
@@ -676,136 +567,9 @@ fn rule_f1_fsync_pairing(view: &FileView, out: &mut Vec<Finding>) {
                      directory; the rename itself can be lost",
                     f.name
                 ),
-            );
-            finding.fix = f1_dir_sync_fix(view, f, &writes);
-            out.push(finding);
+            ));
         }
     }
-}
-
-/// The F1 missing-`sync_all` autofix: chain an fsync after the *last*
-/// buffered write in the function (so it covers everything written),
-/// falling back to the flagged open/create site when no write follows.
-fn f1_sync_all_fix(view: &FileView, f: &FnSpan, anchor: usize) -> Option<SuggestedFix> {
-    let hi = f.range.1.min(view.toks.len());
-    let mut site = anchor;
-    for j in f.range.0..hi {
-        if view.toks[j].kind == TokKind::Ident
-            && matches!(view.text(j), "write_all" | "write" | "flush")
-            && view.is_punct(j + 1, "(")
-        {
-            site = j;
-        }
-    }
-    let receiver = write_receiver(view, site, anchor)?;
-    insert_after_statement(view, site, hi, &format!("{receiver}.sync_all()"))
-}
-
-/// The F1 missing-directory-fsync autofix: fsync the parent of the
-/// published name right after the rename (or create, when nothing is
-/// renamed), using the workspace's `sync_parent_dir` helper.
-fn f1_dir_sync_fix(view: &FileView, f: &FnSpan, writes: &[usize]) -> Option<SuggestedFix> {
-    // Prefer the last rename — that is the durability point the parent
-    // directory must persist.
-    let site = *writes
-        .iter()
-        .rev()
-        .find(|&&j| view.text(j) == "fs")
-        .or_else(|| writes.last())?;
-    let open = site + 3;
-    if !view.is_punct(open, "(") {
-        return None;
-    }
-    let close = view.close_paren(open)?;
-    // The destination path is the call's last top-level argument.
-    let mut arg_start = open + 1;
-    let mut depth = 0i64;
-    for j in (open + 1)..close {
-        match view.text(j) {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "," if depth == 0 => arg_start = j + 1,
-            _ => {}
-        }
-    }
-    if arg_start >= close {
-        return None;
-    }
-    let arg = view.src[view.toks[arg_start].start..view.toks[close].start].trim();
-    insert_after_statement(
-        view,
-        site,
-        f.range.1.min(view.toks.len()),
-        &format!("sync_parent_dir({arg})"),
-    )
-}
-
-/// The receiver of the buffered write at `site` (`file.flush()` →
-/// `file`), else the `let` binding the flagged statement at `anchor`
-/// assigns into.
-fn write_receiver(view: &FileView, site: usize, anchor: usize) -> Option<String> {
-    if site >= 2 && view.is_punct(site - 1, ".") && view.toks[site - 2].kind == TokKind::Ident {
-        return Some(view.text(site - 2).to_string());
-    }
-    let mut j = anchor;
-    while j > 0 && !matches!(view.text(j - 1), ";" | "{" | "}") {
-        j -= 1;
-    }
-    for k in j..anchor {
-        if view.is_ident(k, "let") {
-            let mut n = k + 1;
-            if view.is_ident(n, "mut") {
-                n += 1;
-            }
-            if view.toks.get(n).map(|t| t.kind) == Some(TokKind::Ident) {
-                return Some(view.text(n).to_string());
-            }
-        }
-    }
-    None
-}
-
-/// Builds the insertion that runs `base` (an expression returning
-/// `io::Result`) right after the statement containing token `site`.
-/// When that statement ends in `;`, the insertion is a new `{base}?;`
-/// statement; when it is the function's tail expression, the tail is
-/// `?`-terminated and `base` becomes the new tail.
-fn insert_after_statement(
-    view: &FileView,
-    site: usize,
-    hi: usize,
-    base: &str,
-) -> Option<SuggestedFix> {
-    let indent = view.indent_of(site);
-    let mut depth = 0i64;
-    for k in site..hi {
-        match view.text(k) {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            ";" if depth <= 0 => {
-                let at = view.toks[k].end;
-                return Some(SuggestedFix {
-                    start: at,
-                    end: at,
-                    replacement: format!("\n{indent}{base}?;"),
-                });
-            }
-            _ => {}
-        }
-    }
-    // Tail expression: `recv.call(args)` directly before the closing
-    // brace. Anything more elaborate is left to the author.
-    let open = (site..hi).find(|&j| view.is_punct(j, "("))?;
-    let close = view.close_paren(open)?;
-    if !view.is_punct(close + 1, "}") {
-        return None;
-    }
-    let at = view.toks[close].end;
-    Some(SuggestedFix {
-        start: at,
-        end: at,
-        replacement: format!("?;\n{indent}{base}"),
-    })
 }
 
 // ---------------------------------------------------------------- P1
@@ -832,7 +596,7 @@ fn rule_p1_panic_free_recovery(view: &FileView, cfg: &Config, out: &mut Vec<Find
             let macro_panic = matches!(t, "panic" | "unreachable" | "todo" | "unimplemented")
                 && view.is_punct(j + 1, "!");
             if call_panic || macro_panic {
-                let mut finding = view.finding(
+                out.push(view.finding(
                     "P1",
                     Severity::Error,
                     j,
@@ -841,17 +605,7 @@ fn rule_p1_panic_free_recovery(view: &FileView, cfg: &Config, out: &mut Vec<Find
                          typed errors, never panic",
                         f.name, f.line
                     ),
-                );
-                // `.unwrap()` / `.expect(..)` rewrite mechanically to `?`;
-                // panicking macros need a human to pick the error value.
-                if call_panic && j >= 1 && view.is_punct(j - 1, ".") {
-                    finding.fix = view.call_end(j).map(|end| SuggestedFix {
-                        start: view.toks[j - 1].start,
-                        end,
-                        replacement: "?".to_string(),
-                    });
-                }
-                out.push(finding);
+                ));
             }
         }
     }
@@ -936,7 +690,6 @@ fn rule_s1_fn_budget(view: &FileView, cfg: &Config, out: &mut Vec<Finding>) {
                     f.name, cfg.s1_max_fn_lines
                 ),
                 snippet: line_snippet(view.src, f.line),
-                fix: None,
             });
         }
         if branches > cfg.s1_max_fn_branches {
@@ -951,7 +704,6 @@ fn rule_s1_fn_budget(view: &FileView, cfg: &Config, out: &mut Vec<Finding>) {
                     f.name, cfg.s1_max_fn_branches
                 ),
                 snippet: line_snippet(view.src, f.line),
-                fix: None,
             });
         }
     }
@@ -1095,7 +847,6 @@ pub fn rule_l1_lock_cycles(seqs: &[Vec<LockAcq>]) -> Vec<Finding> {
                         acq.func
                     ),
                     snippet: String::new(),
-                    fix: None,
                 });
             }
         }
@@ -1110,12 +861,188 @@ pub fn rule_l1_lock_cycles(seqs: &[Vec<LockAcq>]) -> Vec<Finding> {
     out
 }
 
+// ---------------------------------------------------------------- U1
+
+/// Item keywords U1 checks when they follow a bare `pub`.
+const U1_ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// U1: every bare-`pub` item (fn, struct, enum, trait, const, static,
+/// type; inherent methods included) must be named by some production
+/// file other than its own. `scanned` holds the files whose items are
+/// checked, `consumers` the production files whose code counts as a use
+/// (test regions and `pub use` re-exports do not). The match is by name,
+/// so a common name is never flagged: the rule over-approximates use.
+///
+/// A type named in the interface of a used `pub` item of its own file
+/// (a fn signature, a struct's generics or `pub` fields, an enum, trait,
+/// alias, const or static) counts as used too: narrowing it would make
+/// that interface leak a private type.
+pub fn rule_u1_unused_pub(scanned: &[(&str, &str)], consumers: &[(&str, &str)]) -> Vec<Finding> {
+    // name -> consumer files that mention it (each file at most once).
+    let mut uses: HashMap<&str, Vec<&str>> = HashMap::new();
+    for &(rel, src) in consumers {
+        let view = FileView::new(rel, src);
+        let mut idents: Vec<&str> = Vec::new();
+        let mut i = 0usize;
+        while i < view.toks.len() {
+            if let Some(end) = reexport_end(&view, i) {
+                i = end;
+                continue;
+            }
+            if !view.in_test[i] && view.toks[i].kind == TokKind::Ident {
+                idents.push(view.toks[i].text(src));
+            }
+            i += 1;
+        }
+        idents.sort_unstable();
+        idents.dedup();
+        for name in idents {
+            uses.entry(name).or_default().push(rel);
+        }
+    }
+    let mut out = Vec::new();
+    for &(rel, src) in scanned {
+        let view = FileView::new(rel, src);
+        let items: Vec<PubItem> = (0..view.toks.len())
+            .filter(|&i| !view.in_test[i] && view.is_ident(i, "pub"))
+            .filter_map(|i| pub_item(&view, i))
+            .collect();
+        let mut used: Vec<bool> = items
+            .iter()
+            .map(|it| {
+                uses.get(view.text(it.name))
+                    .is_some_and(|files| files.iter().any(|f| *f != rel))
+            })
+            .collect();
+        // Close over interfaces: a used item keeps the types it exposes.
+        let mut work: Vec<usize> = (0..items.len()).filter(|&k| used[k]).collect();
+        while let Some(k) = work.pop() {
+            for t in interface(&view, &items[k]) {
+                for (m, it) in items.iter().enumerate() {
+                    if !used[m] && it.kind != "fn" && view.text(it.name) == view.text(t) {
+                        used[m] = true;
+                        work.push(m);
+                    }
+                }
+            }
+        }
+        for (it, _) in items.iter().zip(&used).filter(|(_, u)| !**u) {
+            out.push(view.finding(
+                "U1",
+                Severity::Warning,
+                it.name,
+                format!(
+                    "pub {} `{}` has no production use outside this file; \
+                     delete it, narrow it to pub(crate) or private, or move it \
+                     into test code",
+                    it.kind,
+                    view.text(it.name)
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// A bare-`pub` item: its kind keyword, and the token indices of its
+/// `pub` and its name.
+struct PubItem {
+    kind: &'static str,
+    at: usize,
+    name: usize,
+}
+
+/// The identifier tokens of `it`'s public interface: a fn's signature,
+/// a struct's generics and `pub` fields, the whole of any other item.
+fn interface(view: &FileView, it: &PubItem) -> Vec<usize> {
+    let end = item_end(view.src, &view.toks, it.at);
+    let mut toks: Vec<usize> = Vec::new();
+    match it.kind {
+        "fn" => toks.extend(
+            (it.name + 1..end).take_while(|&j| !view.is_punct(j, "{") && !view.is_punct(j, ";")),
+        ),
+        "struct" => {
+            // The generics and where clause, then each `pub` field up to
+            // the next `,` at its own depth.
+            let body = (it.name + 1..end)
+                .find(|&j| view.is_punct(j, "{") || view.is_punct(j, "("))
+                .unwrap_or(end);
+            toks.extend(it.name + 1..body);
+            let mut j = body;
+            while j < end {
+                if !view.is_ident(j, "pub") {
+                    j += 1;
+                    continue;
+                }
+                let mut depth = 0i64;
+                while j < end {
+                    match view.text(j) {
+                        "(" | "[" | "<" | "{" => depth += 1,
+                        ")" | "]" | ">" | "}" if depth == 0 => break,
+                        ")" | "]" | ">" | "}" => depth -= 1,
+                        "," if depth == 0 => break,
+                        _ => toks.push(j),
+                    }
+                    j += 1;
+                }
+            }
+        }
+        _ => toks.extend(it.name + 1..end),
+    }
+    toks.retain(|&j| view.toks[j].kind == TokKind::Ident);
+    toks
+}
+
+/// For `pub use …;` / `pub(…) use …;` starting at token `i`: one past
+/// its `;`. A re-export names an item without using it.
+fn reexport_end(view: &FileView, i: usize) -> Option<usize> {
+    if !view.is_ident(i, "pub") {
+        return None;
+    }
+    let mut j = i + 1;
+    if view.is_punct(j, "(") {
+        j = (j..view.toks.len()).find(|&k| view.is_punct(k, ")"))? + 1;
+    }
+    if !view.is_ident(j, "use") {
+        return None;
+    }
+    let semi = (j..view.toks.len()).find(|&k| view.is_punct(k, ";"))?;
+    Some(semi + 1)
+}
+
+/// The item a bare `pub` at token `i` declares. `pub(crate)`, `pub mod`,
+/// `pub use` and fields are not items U1 checks.
+fn pub_item(view: &FileView, i: usize) -> Option<PubItem> {
+    let mut j = i + 1;
+    // Qualifiers: `const fn`, `unsafe fn`, `async fn`, `extern "C" fn`.
+    loop {
+        let qualifier = view.is_ident(j, "unsafe")
+            || view.is_ident(j, "async")
+            || view.is_ident(j, "extern")
+            || view.toks.get(j).is_some_and(|t| t.kind == TokKind::Str)
+            || (view.is_ident(j, "const")
+                && ["fn", "unsafe", "async", "extern"]
+                    .iter()
+                    .any(|k| view.is_ident(j + 1, k)));
+        if !qualifier {
+            break;
+        }
+        j += 1;
+    }
+    let kind = *U1_ITEMS.iter().find(|k| view.is_ident(j, k))?;
+    let mut name = j + 1;
+    if kind == "static" && view.is_ident(name, "mut") {
+        name += 1;
+    }
+    (view.toks.get(name)?.kind == TokKind::Ident).then_some(PubItem { kind, at: i, name })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn cfg_for(rel: &str) -> Config {
-        let mut cfg = Config::default_config();
+        let mut cfg = Config::default();
         cfg.serializer_modules = vec![rel.to_string()];
         cfg.durability_files = vec![rel.to_string()];
         cfg.recovery_files = vec![rel.to_string()];
@@ -1125,7 +1052,7 @@ mod tests {
     #[test]
     fn cfg_not_test_is_not_a_test_region() {
         let src = "#[cfg(not(test))]\nfn f() { let t = Instant::now(); }";
-        let f = scan_file("x.rs", src, &Config::default_config());
+        let f = scan_file("x.rs", src, &Config::default());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "D1");
     }
@@ -1133,20 +1060,20 @@ mod tests {
     #[test]
     fn cfg_test_mod_is_skipped() {
         let src = "#[cfg(test)]\nmod tests {\n fn f() { let t = Instant::now(); }\n}\nfn g() {}";
-        let f = scan_file("x.rs", src, &Config::default_config());
+        let f = scan_file("x.rs", src, &Config::default());
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn duration_is_exempt_from_d1() {
         let src = "use std::time::Duration;\nfn f(d: Duration) {}";
-        let f = scan_file("x.rs", src, &Config::default_config());
+        let f = scan_file("x.rs", src, &Config::default());
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn clock_file_is_exempt_from_d1() {
-        let cfg = Config::default_config();
+        let cfg = Config::default();
         let clock = cfg.clock_file.clone();
         let src = "fn now() -> Instant { Instant::now() }";
         assert!(scan_file(&clock, src, &cfg).is_empty());
@@ -1201,7 +1128,7 @@ mod tests {
 
     #[test]
     fn o1_flags_literal_metric_names_outside_the_registry() {
-        let cfg = Config::default_config();
+        let cfg = Config::default();
         let bad = "fn f(r: &Recorder) { r.counter_add(\"wal.appends\", 1); }";
         let f = scan_file("crates/serve/src/service.rs", bad, &cfg);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -1228,7 +1155,7 @@ mod tests {
 
     #[test]
     fn s1_flags_fns_over_the_line_budget() {
-        let mut cfg = Config::default_config();
+        let mut cfg = Config::default();
         cfg.s1_max_fn_lines = 3;
         let long = "fn big() {\n let a = 1;\n let b = 2;\n let c = 3;\n}";
         let f = scan_file("x.rs", long, &cfg);
@@ -1247,7 +1174,7 @@ mod tests {
 
     #[test]
     fn s1_counts_branch_keywords_and_match_arms() {
-        let mut cfg = Config::default_config();
+        let mut cfg = Config::default();
         cfg.s1_max_fn_branches = 3;
         // 2 keywords (if, match) + 2 arms (=>) = 4 branch points.
         let branchy =
@@ -1263,7 +1190,7 @@ mod tests {
 
     #[test]
     fn s1_exempts_test_code() {
-        let mut cfg = Config::default_config();
+        let mut cfg = Config::default();
         cfg.s1_max_fn_lines = 2;
         let src = "#[cfg(test)]\nmod tests {\n fn t() {\n let a = 1;\n let b = 2;\n }\n}";
         assert!(scan_file("x.rs", src, &cfg).is_empty());

@@ -15,7 +15,7 @@ fn fixture(name: &str) -> (String, String) {
 
 /// A config whose per-file rule scoping targets the fixture itself.
 fn fixture_cfg(rel: &str) -> Config {
-    let mut cfg = Config::default_config();
+    let mut cfg = Config::default();
     cfg.serializer_modules = vec![rel.to_string()];
     cfg.durability_files = vec![rel.to_string()];
     cfg.recovery_files = vec![rel.to_string()];
@@ -124,6 +124,42 @@ fn baseline_suppresses_a_fixture_finding() {
     assert_eq!(baselined.len(), 1);
 }
 
+#[test]
+fn u1_fires_only_for_pub_items_without_a_production_consumer() {
+    // A miniature workspace: `alpha` declares the items, `beta`, the
+    // examples and perf consume some, tests consume others.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/u1");
+    let report = aida_lint::run(&root, &Config::default()).expect("fixture run");
+    let mut flagged: Vec<&str> = report
+        .new
+        .iter()
+        .filter(|f| f.rule == "U1")
+        .map(|f| f.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    flagged.sort_unstable();
+    assert_eq!(
+        flagged,
+        vec![
+            "reexported_only",
+            "used_by_cfg_test",
+            "used_by_tests_dir",
+            "used_in_own_file_only"
+        ],
+        "{}",
+        report.text()
+    );
+    // Only U1 has anything to say about the fixture.
+    assert!(
+        report.new.iter().all(|f| f.rule == "U1"),
+        "{}",
+        report.text()
+    );
+    assert!(report
+        .new
+        .iter()
+        .all(|f| f.file == "crates/alpha/src/lib.rs"));
+}
+
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
@@ -166,7 +202,11 @@ fn jsonl_paths_are_relative_forward_slash() {
     let report = aida_lint::run(&root, &cfg).expect("run");
     let jsonl = report.jsonl();
     assert!(!jsonl.contains(&root.display().to_string()));
-    assert!(!jsonl.contains('\\'), "backslash in report: {jsonl}");
+    // Snippets may quote source (escaped `\"`); the paths never hold a
+    // backslash.
+    for f in report.new.iter().chain(&report.baselined) {
+        assert!(!f.file.contains('\\'), "backslash in path: {}", f.file);
+    }
 }
 
 #[test]

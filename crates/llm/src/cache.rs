@@ -22,8 +22,8 @@
 //!    snapshot is rejected (the caller starts cold); it never panics.
 //!
 //! Hits cost zero dollars and zero tokens; they are reported with a
-//! configurable small `hit_latency_s` so virtual-time accounting still
-//! reflects a (fast) round trip to the cache tier.
+//! small fixed latency ([`HIT_LATENCY_S`]) so virtual-time accounting
+//! still reflects a (fast) round trip to the cache tier.
 
 use crate::noise;
 use crate::sim::LlmResponse;
@@ -78,26 +78,8 @@ pub fn hash_value(value: &Value) -> u64 {
     }
 }
 
-/// Tunables for the cache.
-#[derive(Debug, Clone)]
-pub struct CacheConfig {
-    /// Maximum resident entries (0 = unbounded).
-    pub capacity: usize,
-    /// Byte budget over stored responses (0 = unbounded).
-    pub max_bytes: usize,
-    /// Latency reported for an exact hit, in virtual seconds.
-    pub hit_latency_s: f64,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            capacity: 0,
-            max_bytes: 0,
-            hit_latency_s: 0.02,
-        }
-    }
-}
+/// Latency reported for an exact hit, in virtual seconds.
+pub(crate) const HIT_LATENCY_S: f64 = 0.02;
 
 /// A monotonic counter snapshot of cache activity. Deltas between two
 /// snapshots attribute hits to one query or tenant.
@@ -178,7 +160,8 @@ struct State {
 struct Inner {
     state: Mutex<State>,
     cond: Condvar,
-    config: CacheConfig,
+    /// Maximum resident entries (0 = unbounded).
+    capacity: usize,
 }
 
 /// The shared semantic call cache. Clones share one store.
@@ -218,29 +201,16 @@ impl Drop for Pending {
 }
 
 impl SemanticCache {
-    /// Creates an empty cache.
-    pub fn new(config: CacheConfig) -> SemanticCache {
+    /// Creates an empty cache bounded to `capacity` entries (0 =
+    /// unbounded); the least recently used entry is evicted first.
+    pub fn with_capacity(capacity: usize) -> SemanticCache {
         SemanticCache {
             inner: Arc::new(Inner {
                 state: Mutex::new(State::default()),
                 cond: Condvar::new(),
-                config,
+                capacity,
             }),
         }
-    }
-
-    /// Creates a cache bounded to `capacity` entries with default byte
-    /// budget and hit latency.
-    pub fn with_capacity(capacity: usize) -> SemanticCache {
-        SemanticCache::new(CacheConfig {
-            capacity,
-            ..CacheConfig::default()
-        })
-    }
-
-    /// The configured hit latency in virtual seconds.
-    pub fn hit_latency_s(&self) -> f64 {
-        self.inner.config.hit_latency_s
     }
 
     /// Looks `key` up. On a resident entry, bumps recency and returns
@@ -293,7 +263,7 @@ impl SemanticCache {
         let tick = st.tick;
         st.bytes += bytes;
         st.entries.insert(key, Entry { resp, bytes, tick });
-        Self::evict_over_budget(&mut st, &self.inner.config);
+        Self::evict_over_budget(&mut st, self.inner.capacity);
         drop(st);
         self.inner.cond.notify_all();
     }
@@ -312,12 +282,8 @@ impl SemanticCache {
         self.inner.state.lock().unwrap().coalesced += n;
     }
 
-    fn evict_over_budget(st: &mut State, config: &CacheConfig) {
-        let over = |st: &State| {
-            (config.capacity > 0 && st.entries.len() > config.capacity)
-                || (config.max_bytes > 0 && st.bytes > config.max_bytes && st.entries.len() > 1)
-        };
-        while over(st) {
+    fn evict_over_budget(st: &mut State, capacity: usize) {
+        while capacity > 0 && st.entries.len() > capacity {
             let victim = st
                 .entries
                 .iter()
@@ -372,7 +338,7 @@ impl SemanticCache {
 
     /// [`SemanticCache::save`] with an optional crash-injection plan
     /// (threaded through by the durability suite).
-    pub fn save_with(&self, path: &Path, plan: Option<&FailPlan>) -> std::io::Result<()> {
+    fn save_with(&self, path: &Path, plan: Option<&FailPlan>) -> std::io::Result<()> {
         let body = {
             let st = self.inner.state.lock().unwrap();
             let mut ordered: Vec<(&CacheKey, &Entry)> = st.entries.iter().collect();
@@ -415,7 +381,7 @@ impl SemanticCache {
             }
             st.bytes += bytes;
         }
-        Self::evict_over_budget(&mut st, &self.inner.config);
+        Self::evict_over_budget(&mut st, self.inner.capacity);
         Ok(n)
     }
 }
@@ -535,7 +501,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_round_trips_the_response() {
-        let cache = SemanticCache::new(CacheConfig::default());
+        let cache = SemanticCache::with_capacity(0);
         admit(&cache, key(1), resp("hello", Value::Int(7)));
         match cache.begin(key(1)) {
             Lookup::Hit(r) => {
@@ -561,10 +527,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_respects_capacity_and_counts() {
-        let cache = SemanticCache::new(CacheConfig {
-            capacity: 2,
-            ..CacheConfig::default()
-        });
+        let cache = SemanticCache::with_capacity(2);
         admit(&cache, key(1), resp("a", Value::Null));
         admit(&cache, key(2), resp("b", Value::Null));
         // Touch key 1 so key 2 is the LRU victim.
@@ -577,21 +540,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_oldest() {
-        let cache = SemanticCache::new(CacheConfig {
-            max_bytes: 200,
-            ..CacheConfig::default()
-        });
-        admit(&cache, key(1), resp(&"x".repeat(120), Value::Null));
-        admit(&cache, key(2), resp(&"y".repeat(120), Value::Null));
-        assert_eq!(cache.len(), 1, "byte budget holds one entry");
-        assert!(cache.stats().bytes <= 200 + 200);
-        assert!(matches!(cache.begin(key(2)), Lookup::Hit(_)));
-    }
-
-    #[test]
     fn concurrent_same_key_charges_once() {
-        let cache = SemanticCache::new(CacheConfig::default());
+        let cache = SemanticCache::with_capacity(0);
         let computed = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -617,7 +567,7 @@ mod tests {
 
     #[test]
     fn abandoned_pending_unblocks_waiters() {
-        let cache = SemanticCache::new(CacheConfig::default());
+        let cache = SemanticCache::with_capacity(0);
         match cache.begin(key(5)) {
             Lookup::Compute(pending) => drop(pending),
             _ => panic!("expected compute"),
@@ -631,7 +581,7 @@ mod tests {
     fn snapshot_round_trips_every_value_shape() {
         let dir = std::env::temp_dir().join("aida-semcache-test-roundtrip");
         let path = dir.join("snap.cache");
-        let cache = SemanticCache::new(CacheConfig::default());
+        let cache = SemanticCache::with_capacity(0);
         let tricky = Value::List(vec![
             Value::Null,
             Value::Bool(true),
@@ -648,7 +598,7 @@ mod tests {
         );
         cache.save(&path).unwrap();
 
-        let restored = SemanticCache::new(CacheConfig::default());
+        let restored = SemanticCache::with_capacity(0);
         assert_eq!(restored.load(&path).unwrap(), 2);
         for k in [key(1), key(2)] {
             let (Lookup::Hit(a), Lookup::Hit(b)) = (cache.begin(k), restored.begin(k)) else {
@@ -663,13 +613,13 @@ mod tests {
     fn truncated_snapshot_is_rejected() {
         let dir = std::env::temp_dir().join("aida-semcache-test-truncated");
         let path = dir.join("snap.cache");
-        let cache = SemanticCache::new(CacheConfig::default());
+        let cache = SemanticCache::with_capacity(0);
         admit(&cache, key(1), resp("a", Value::Int(1)));
         admit(&cache, key(2), resp("b", Value::Int(2)));
         cache.save(&path).unwrap();
         let full = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 10]).unwrap();
-        let cold = SemanticCache::new(CacheConfig::default());
+        let cold = SemanticCache::with_capacity(0);
         assert!(matches!(cold.load(&path), Err(SnapshotError::Format(_))));
         assert!(cold.is_empty(), "a rejected snapshot leaves the cache cold");
         std::fs::remove_dir_all(&dir).ok();
@@ -681,10 +631,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.cache");
         std::fs::write(&path, "not a snapshot at all\n").unwrap();
-        let cache = SemanticCache::new(CacheConfig::default());
+        let cache = SemanticCache::with_capacity(0);
         assert!(matches!(cache.load(&path), Err(SnapshotError::Format(_))));
         // Flipping a payload byte breaks the checksum.
-        let good = SemanticCache::new(CacheConfig::default());
+        let good = SemanticCache::with_capacity(0);
         admit(&good, key(3), resp("abc", Value::Str("xyz".into())));
         good.save(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
@@ -697,7 +647,7 @@ mod tests {
 
     #[test]
     fn delta_since_isolates_one_window() {
-        let cache = SemanticCache::new(CacheConfig::default());
+        let cache = SemanticCache::with_capacity(0);
         admit(&cache, key(1), resp("a", Value::Null));
         let before = cache.stats();
         assert!(matches!(cache.begin(key(1)), Lookup::Hit(_)));

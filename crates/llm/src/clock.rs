@@ -152,28 +152,6 @@ impl Timeline {
     }
 }
 
-/// A scoped stopwatch over the virtual clock.
-#[derive(Debug)]
-pub struct SimStopwatch {
-    clock: SimClock,
-    start_s: f64,
-}
-
-impl SimStopwatch {
-    /// Starts timing at the clock's current instant.
-    pub fn start(clock: &SimClock) -> Self {
-        SimStopwatch {
-            clock: clock.clone(),
-            start_s: clock.now(),
-        }
-    }
-
-    /// Virtual seconds elapsed since `start`.
-    pub fn elapsed(&self) -> f64 {
-        self.clock.now() - self.start_s
-    }
-}
-
 /// A wall-clock stopwatch for *measuring the harness itself* (e.g. the
 /// recorder-overhead check in `serve_soak`). This is the only place in
 /// the workspace allowed to touch host time (lint rule D1): wall-clock
@@ -341,15 +319,6 @@ mod tests {
         let a = tl.schedule(0.0, 3.0);
         let b = tl.schedule(0.0, 3.0);
         assert_eq!(a.end_s, b.start_s);
-    }
-
-    #[test]
-    fn stopwatch_measures_interval() {
-        let clock = SimClock::new();
-        clock.advance(1.0);
-        let sw = SimStopwatch::start(&clock);
-        clock.advance(2.5);
-        assert!((sw.elapsed() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl Embedder {
         Embedder { dims: dims.max(8) }
     }
 
-    /// The embedding dimensionality.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
     /// Embeds text into an L2-normalized vector. Empty text embeds to the
     /// zero vector.
     pub fn embed(&self, text: &str) -> Vec<f32> {
@@ -82,7 +77,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Squared Euclidean distance (used by the IVF trainer).
+/// Squared Euclidean distance (used by k-means clustering).
 pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
@@ -143,7 +138,7 @@ mod tests {
 
     #[test]
     fn dims_respects_minimum() {
-        assert_eq!(Embedder::new(2).dims(), 8);
-        assert_eq!(Embedder::new(64).dims(), 64);
+        assert_eq!(Embedder::new(2).embed("x").len(), 8);
+        assert_eq!(Embedder::new(64).embed("x").len(), 64);
     }
 }

@@ -149,14 +149,6 @@ impl ModelCatalog {
     pub fn specs(&self) -> &[ModelSpec] {
         &self.specs
     }
-
-    /// Replaces a spec (used by tests and ablations to re-price tiers).
-    pub fn set_spec(&mut self, spec: ModelSpec) {
-        match self.specs.iter_mut().find(|s| s.id == spec.id) {
-            Some(slot) => *slot = spec,
-            None => self.specs.push(spec),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,15 +201,5 @@ mod tests {
         let f = cat.spec(ModelId::Flagship);
         assert!(f.latency(100, 100) > f.latency(100, 10));
         assert!(f.latency(1000, 10) > f.latency(100, 10));
-    }
-
-    #[test]
-    fn set_spec_replaces() {
-        let mut cat = ModelCatalog::default();
-        let mut spec = cat.spec(ModelId::Nano).clone();
-        spec.input_price = 99.0;
-        cat.set_spec(spec);
-        assert_eq!(cat.spec(ModelId::Nano).input_price, 99.0);
-        assert_eq!(cat.specs().len(), 3);
     }
 }

@@ -148,51 +148,6 @@ pub trait OracleRule: Send + Sync {
     fn answer(&self, instruction: &str, subject: &Subject<'_>) -> Option<OracleAnswer>;
 }
 
-/// A rule matching instructions that contain **all** of a set of keywords
-/// (case-insensitive) and answering with a subject label.
-pub struct LabelRule {
-    name: String,
-    keywords: Vec<String>,
-    label: String,
-}
-
-impl LabelRule {
-    /// Creates a rule: when the instruction mentions every keyword, answer
-    /// with the subject's `label` value.
-    pub fn new(
-        name: impl Into<String>,
-        keywords: impl IntoIterator<Item = impl Into<String>>,
-        label: impl Into<String>,
-    ) -> Self {
-        LabelRule {
-            name: name.into(),
-            keywords: keywords
-                .into_iter()
-                .map(|k| k.into().to_ascii_lowercase())
-                .collect(),
-            label: label.into(),
-        }
-    }
-}
-
-impl OracleRule for LabelRule {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn answer(&self, instruction: &str, subject: &Subject<'_>) -> Option<OracleAnswer> {
-        let lower = instruction.to_ascii_lowercase();
-        if !self.keywords.iter().all(|k| lower.contains(k.as_str())) {
-            return None;
-        }
-        match subject.label(&self.label)? {
-            Value::Bool(b) => Some(OracleAnswer::Bool(*b)),
-            Value::Str(s) => Some(OracleAnswer::Text(s.to_string())),
-            other => Some(OracleAnswer::Value(other.clone())),
-        }
-    }
-}
-
 /// A rule backed by a closure (used by generators for computed answers).
 pub struct FnRule<F> {
     name: String,
@@ -280,21 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn label_rule_requires_all_keywords() {
-        let rule = LabelRule::new("enron", ["firsthand", "transaction"], "gt_relevant");
-        let doc = email(true, 0.0);
-        let subject = Subject::doc(&doc);
-        assert_eq!(
-            rule.answer(
-                "filter emails with firsthand discussion of a transaction",
-                &subject
-            ),
-            Some(OracleAnswer::Bool(true))
-        );
-        assert_eq!(rule.answer("firsthand accounts only", &subject), None);
-    }
-
-    #[test]
     fn subjects_borrow_text_and_use_the_memo_only_for_the_documents_own_text() {
         let doc = Document::new("r.html", "<p>Total &amp; breakdown</p>");
         let of_doc = Subject::doc(&doc);
@@ -309,13 +249,6 @@ mod tests {
         let of_slim = Subject::record(&slim, Some(&doc));
         assert!(of_slim.memo.is_none() && of_slim.text == "value=7");
         assert_eq!(of_slim.labels, Some(&doc.labels));
-    }
-
-    #[test]
-    fn label_rule_missing_label_is_none() {
-        let rule = LabelRule::new("r", ["q"], "missing");
-        let doc = email(true, 0.0);
-        assert_eq!(rule.answer("q", &Subject::doc(&doc)), None);
     }
 
     #[test]

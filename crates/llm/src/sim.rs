@@ -141,12 +141,6 @@ impl SimLlm {
         self.fault_rate
     }
 
-    /// Replaces the model catalog.
-    pub fn with_catalog(mut self, catalog: ModelCatalog) -> Self {
-        self.catalog = catalog;
-        self
-    }
-
     /// The model catalog.
     pub fn catalog(&self) -> &ModelCatalog {
         &self.catalog
@@ -165,11 +159,6 @@ impl SimLlm {
     /// The base seed for this simulator instance.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Re-seeds (used to run independent trials on one setup).
-    pub fn reseed(&mut self, seed: u64) {
-        self.seed = seed;
     }
 
     /// Attaches a semantic call cache: repeated calls with an identical
@@ -277,7 +266,7 @@ impl SimLlm {
         let (key, plan_keyed) = self.keyed(model, task);
         match cache.begin(key) {
             Lookup::Hit(mut resp) => {
-                resp.latency_s = cache.hit_latency_s();
+                resp.latency_s = cache::HIT_LATENCY_S;
                 if plan_keyed {
                     cache.note_plan_hit();
                 }
@@ -656,7 +645,7 @@ fn content_words(text: &str) -> Vec<String> {
 
 /// Generic keyword-overlap filter: true when at least half of the
 /// instruction's content words appear in the subject text.
-pub fn generic_filter(instruction: &str, text: &str) -> bool {
+fn generic_filter(instruction: &str, text: &str) -> bool {
     let needles = content_words(instruction);
     if needles.is_empty() {
         return true;
@@ -673,7 +662,7 @@ pub fn generic_filter(instruction: &str, text: &str) -> bool {
 /// tokens best overlap the instruction/field tokens, and the row keyed by a
 /// year (or other number) mentioned in the instruction. Returns `None` when
 /// the text doesn't look tabular or nothing matches.
-pub fn table_extract(instruction: &str, field: &str, text: &str) -> Option<Value> {
+fn table_extract(instruction: &str, field: &str, text: &str) -> Option<Value> {
     let comma_lines: Vec<&str> = text.lines().filter(|l| l.contains(',')).collect();
     if comma_lines.len() < 3 {
         return None;
@@ -727,7 +716,7 @@ pub fn table_extract(instruction: &str, field: &str, text: &str) -> Option<Value
 /// Generic line-oriented extraction: tries table-aware extraction first,
 /// then scores lines by overlap with the instruction/field tokens and pulls
 /// the first number (or the line text) from the best line.
-pub fn generic_extract(instruction: &str, field: &str, field_desc: &str, text: &str) -> Value {
+fn generic_extract(instruction: &str, field: &str, field_desc: &str, text: &str) -> Value {
     if let Some(v) = table_extract(instruction, field, text) {
         return v;
     }
@@ -765,7 +754,7 @@ pub fn generic_extract(instruction: &str, field: &str, field_desc: &str, text: &
 
 /// Finds the first number in a line; `prefer_year` picks a 4-digit integer
 /// when present. Handles thousands separators.
-pub fn first_number(line: &str, prefer_year: bool) -> Option<Value> {
+fn first_number(line: &str, prefer_year: bool) -> Option<Value> {
     let mut numbers: Vec<Value> = Vec::new();
     let mut current = String::new();
     let flush = |current: &mut String, numbers: &mut Vec<Value>| {
@@ -802,7 +791,7 @@ pub fn first_number(line: &str, prefer_year: bool) -> Option<Value> {
 /// Names the dominant theme of a text: its three most frequent content
 /// words (the generic solver for "name the common theme" instructions,
 /// used by the semantic group-by labeller).
-pub fn theme_label(text: &str) -> String {
+fn theme_label(text: &str) -> String {
     let mut counts: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
     for line in text.lines() {
         // Email headers are structure, not content.
@@ -905,7 +894,7 @@ fn floor_char_boundary(s: &str, mut idx: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::LabelRule;
+    use crate::oracle::{FnRule, OracleAnswer};
     use aida_data::Document;
     use std::sync::Arc;
 
@@ -916,10 +905,12 @@ mod tests {
     #[test]
     fn filter_uses_oracle_label_when_registered() {
         let llm = sim();
-        llm.oracle().register(Arc::new(LabelRule::new(
+        llm.oracle().register(Arc::new(FnRule::new(
             "enron",
-            ["firsthand"],
-            "gt_relevant",
+            |_, subject: &Subject| match subject.label("gt_relevant")? {
+                Value::Bool(b) => Some(OracleAnswer::Bool(*b)),
+                _ => None,
+            },
         )));
         let doc = Document::new("m.eml", "Subject: hi\n\nnothing about deals")
             .with_label("gt_relevant", true)
@@ -1216,8 +1207,8 @@ mod tests {
 
     #[test]
     fn cached_repeat_is_free_and_identical() {
-        use crate::cache::{CacheConfig, SemanticCache};
-        let llm = SimLlm::new(42).with_cache(SemanticCache::new(CacheConfig::default()));
+        use crate::cache::SemanticCache;
+        let llm = SimLlm::new(42).with_cache(SemanticCache::with_capacity(0));
         let doc = Document::new("a.txt", "identity theft reports 2024");
         let task = LlmTask::Filter {
             instruction: "mentions identity theft",
@@ -1240,8 +1231,8 @@ mod tests {
 
     #[test]
     fn content_key_separates_models_seeds_and_tasks() {
-        use crate::cache::{CacheConfig, SemanticCache};
-        let llm = SimLlm::new(1).with_cache(SemanticCache::new(CacheConfig::default()));
+        use crate::cache::SemanticCache;
+        let llm = SimLlm::new(1).with_cache(SemanticCache::with_capacity(0));
         let doc = Document::new("a.txt", "body text");
         let filter = LlmTask::Filter {
             instruction: "text",
@@ -1275,8 +1266,8 @@ mod tests {
 
     #[test]
     fn plan_hash_keys_freeform_calls_by_plan_identity() {
-        use crate::cache::{CacheConfig, SemanticCache};
-        let llm = SimLlm::new(7).with_cache(SemanticCache::new(CacheConfig::default()));
+        use crate::cache::SemanticCache;
+        let llm = SimLlm::new(7).with_cache(SemanticCache::with_capacity(0));
         let call = |response: &str, plan_hash: (u64, u64)| {
             llm.invoke(
                 ModelId::Nano,
@@ -1309,11 +1300,11 @@ mod tests {
 
     #[test]
     fn cache_counters_flow_to_recorder() {
-        use crate::cache::{CacheConfig, SemanticCache};
+        use crate::cache::SemanticCache;
         use aida_obs::{Recorder, SpanKind};
         let recorder = Recorder::new();
         let llm = SimLlm::new(3)
-            .with_cache(SemanticCache::new(CacheConfig::default()))
+            .with_cache(SemanticCache::with_capacity(0))
             .with_recorder(recorder.clone());
         let span = recorder.span(SpanKind::Other, "batch", 0.0);
         let doc = Document::new("a.txt", "text body");
@@ -1333,8 +1324,8 @@ mod tests {
     }
 
     #[test]
-    fn reseeding_changes_noise_pattern() {
-        let mut a = SimLlm::new(1);
+    fn seeds_change_noise_pattern() {
+        let (a, b) = (SimLlm::new(1), SimLlm::new(2));
         let mut observed_difference = false;
         for i in 0..50 {
             let name = format!("d{i}");
@@ -1344,9 +1335,7 @@ mod tests {
                 subject: Subject::doc(&doc),
             };
             let r1 = a.invoke(ModelId::Nano, &task);
-            a.reseed(2);
-            let r2 = a.invoke(ModelId::Nano, &task);
-            a.reseed(1);
+            let r2 = b.invoke(ModelId::Nano, &task);
             if r1.corrupted != r2.corrupted {
                 observed_difference = true;
                 break;

@@ -24,7 +24,7 @@ use crate::json::Json;
 
 /// Default ring capacity. The acceptance bar is "the last ≥ 64 events
 /// before the crash"; 256 leaves headroom without measurable cost.
-pub const FLIGHT_CAPACITY: usize = 256;
+const FLIGHT_CAPACITY: usize = 256;
 
 /// One flight-recorder entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,11 +130,6 @@ impl FlightRing {
         self.ring.is_empty()
     }
 
-    /// Total records ever pushed (= the next record's sequence number).
-    pub fn pushed(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Appends a record, evicting the oldest at capacity.
     pub fn push(&mut self, source: &str, kind: &str, detail: String) {
         self.push_entry(Entry::Text {
@@ -197,7 +192,7 @@ mod tests {
             ring.push("src", "kind", format!("d{i}"));
         }
         assert_eq!(ring.len(), 3);
-        assert_eq!(ring.pushed(), 5);
+        assert_eq!(ring.next_seq, 5);
         let records = ring.records();
         assert_eq!(records[0].seq, 2);
         assert_eq!(records[2].seq, 4);

@@ -1,9 +1,8 @@
 //! A minimal JSON writer (keeps serde out of the dependency tree).
 //!
 //! Only what result files and trace exports need: objects, arrays,
-//! strings, numbers, bools. Historically lived in `aida-eval`; it moved
-//! here so the bottom of the dependency stack can emit JSON traces, and
-//! `aida-eval::json` re-exports it for compatibility.
+//! strings, numbers, bools. It lives here, at the bottom of the
+//! dependency stack, so every crate can emit JSON traces.
 
 use std::fmt::Write;
 

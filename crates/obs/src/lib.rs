@@ -43,7 +43,7 @@ pub mod span;
 pub mod timeseries;
 
 pub use event::Event;
-pub use flight::{FlightRecord, FlightRing, FLIGHT_CAPACITY};
+pub use flight::{FlightRecord, FlightRing};
 pub use json::Json;
 pub use metric::{Gauge, Histogram, Summary};
 pub use recorder::{Recorder, SpanHandle};

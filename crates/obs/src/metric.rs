@@ -150,7 +150,7 @@ impl Summary {
     }
 
     /// The nearest-rank `q`-quantile (`q` in `[0, 1]`; 0 when empty).
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }

@@ -20,7 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use crate::event::Event;
-use crate::flight::{FlightRecord, FlightRing};
+use crate::flight::FlightRing;
 use crate::metric::{default_bounds, Gauge, Histogram};
 use crate::report::Trace;
 use crate::span::{SpanData, SpanKind};
@@ -143,14 +143,6 @@ impl Recorder {
         st.flight.push(source, kind, detail.into());
     }
 
-    /// Snapshot of the flight ring, oldest record first.
-    pub fn flight_records(&self) -> Vec<FlightRecord> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        inner.state.lock().unwrap().flight.records()
-    }
-
     /// Sets the file `flight_autodump` writes to. Typically
     /// `results/traces/flight_<seed>.jsonl`, chosen by the runtime
     /// builder.
@@ -160,14 +152,14 @@ impl Recorder {
     }
 
     /// The configured autodump path, if any.
-    pub fn flight_autodump_path(&self) -> Option<PathBuf> {
+    fn flight_autodump_path(&self) -> Option<PathBuf> {
         let inner = self.inner.as_ref()?;
         inner.state.lock().unwrap().flight_path.clone()
     }
 
     /// Dumps the flight ring to `path` (header line naming `reason`,
     /// then one JSON object per retained record).
-    pub fn flight_dump_to(&self, path: &Path, reason: &str) -> std::io::Result<()> {
+    fn flight_dump_to(&self, path: &Path, reason: &str) -> std::io::Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
@@ -444,7 +436,15 @@ mod tests {
         });
         r.flight("serve.wal", "recovery", "replayed=3");
         q.finish(1.0);
-        let records = r.flight_records();
+        let records = r
+            .inner
+            .as_ref()
+            .unwrap()
+            .state
+            .lock()
+            .unwrap()
+            .flight
+            .records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].source, "event");
         assert_eq!(records[0].kind, "sql");
@@ -477,7 +477,7 @@ mod tests {
     fn disabled_recorder_flight_is_inert() {
         let r = Recorder::disabled();
         r.flight("x", "y", "z");
-        assert!(r.flight_records().is_empty());
+        assert!(r.inner.is_none());
         r.set_flight_autodump("/nonexistent/flight.jsonl");
         assert_eq!(r.flight_autodump("crash"), None);
     }

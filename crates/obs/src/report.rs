@@ -135,7 +135,7 @@ impl Trace {
     /// One-line semantic-cache summary from the `cache.*` counters and
     /// the `cache.bytes` gauge, or `None` when no cache activity was
     /// recorded.
-    pub fn cache_summary(&self) -> Option<String> {
+    fn cache_summary(&self) -> Option<String> {
         use crate::registry;
         let hits = self.counters.get(registry::CACHE_HIT).copied().unwrap_or(0);
         let coalesced = self
@@ -166,7 +166,7 @@ impl Trace {
     /// One-line durability summary from the `checkpoint.*`, `wal.*`, and
     /// `state.*` counters, or `None` when no durable-state activity was
     /// recorded.
-    pub fn durability_summary(&self) -> Option<String> {
+    fn durability_summary(&self) -> Option<String> {
         use crate::registry;
         let count = |name: &str| self.counters.get(name).copied().unwrap_or(0);
         let saves = count(registry::CHECKPOINT_SAVES);
@@ -186,7 +186,7 @@ impl Trace {
     /// or `None` when no bound gate ran. `bounds.checked` exists
     /// (possibly at zero) whenever the serve layer had the gate
     /// configured.
-    pub fn bounds_summary(&self) -> Option<String> {
+    fn bounds_summary(&self) -> Option<String> {
         use crate::registry;
         let checked = self.counters.get(registry::BOUNDS_CHECKED).copied()?;
         let count = |name: &str| self.counters.get(name).copied().unwrap_or(0);
@@ -201,7 +201,7 @@ impl Trace {
     /// One-line runtime-health summary from the `slo.alerts` counter, or
     /// `None` when no SLO evaluation ran. The counter exists (possibly
     /// at zero) whenever the service evaluated tenant SLOs.
-    pub fn health_summary(&self) -> Option<String> {
+    fn health_summary(&self) -> Option<String> {
         let alerts = self.counters.get(crate::registry::SLO_ALERTS).copied()?;
         let verdict = if alerts == 0 { "ok" } else { "breach" };
         Some(format!("health: {alerts} slo burn-rate alerts ({verdict})"))

@@ -53,11 +53,6 @@ impl SloTarget {
         self.usd_per_query = Some(dollars);
         self
     }
-
-    /// True when at least one objective is declared.
-    pub fn is_declared(&self) -> bool {
-        self.p99_latency_s.is_some() || self.usd_per_query.is_some()
-    }
 }
 
 /// Evaluation windows and alert threshold shared by every tenant.

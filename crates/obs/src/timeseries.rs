@@ -68,7 +68,7 @@ impl SlidingWindow {
     }
 
     /// Absolute slot index for a virtual instant.
-    pub fn slot_index(&self, time_s: f64) -> u64 {
+    fn slot_index(&self, time_s: f64) -> u64 {
         (time_s.max(0.0) / self.slot_s) as u64
     }
 
@@ -108,7 +108,7 @@ impl SlidingWindow {
     }
 
     /// Number of whole slots a `window_s` query covers (≥ 1, ≤ ring len).
-    pub fn window_slots(&self, window_s: f64) -> usize {
+    fn window_slots(&self, window_s: f64) -> usize {
         ((window_s / self.slot_s).ceil() as usize).clamp(1, self.ring.len())
     }
 
@@ -126,7 +126,7 @@ impl SlidingWindow {
 
     /// Sum of samples inside the trailing window (ascending slot order,
     /// folded from +0.0, so it is order-stable run to run).
-    pub fn sum_in(&self, now_s: f64, window_s: f64) -> f64 {
+    fn sum_in(&self, now_s: f64, window_s: f64) -> f64 {
         self.samples_in(now_s, window_s)
             .iter()
             .fold(0.0, |acc, v| acc + v)
@@ -260,15 +260,6 @@ impl SeriesStore {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.series.keys().map(String::as_str)
     }
-
-    /// Snapshot of every series over the trailing window, sorted by
-    /// name. Rendered by the health exports.
-    pub fn snapshot_all(&self, now_s: f64, window_s: f64) -> Vec<(String, WindowSnapshot)> {
-        self.series
-            .iter()
-            .map(|(name, w)| (name.clone(), w.snapshot(now_s, window_s)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -349,9 +340,7 @@ mod tests {
         s.record("a.series", 0.0, 2.0);
         let names: Vec<&str> = s.names().collect();
         assert_eq!(names, vec!["a.series", "b.series"]);
-        let snaps = s.snapshot_all(0.0, 30.0);
-        assert_eq!(snaps[0].0, "a.series");
-        assert_eq!(snaps[0].1.count, 1);
+        assert_eq!(s.series["a.series"].snapshot(0.0, 30.0).count, 1);
     }
 
     #[test]

@@ -26,34 +26,23 @@ impl ArmStats {
     }
 }
 
+/// The UCB exploration constant: the classic √2.
+const EXPLORATION: f64 = std::f64::consts::SQRT_2;
+
 /// A UCB1 bandit over a fixed set of arms.
 #[derive(Debug, Clone)]
 pub struct Ucb1 {
     arms: Vec<ArmStats>,
     total_pulls: u64,
-    exploration: f64,
 }
 
 impl Ucb1 {
-    /// Creates a bandit with `n_arms` arms and the classic √2 exploration
-    /// constant.
+    /// Creates a bandit with `n_arms` arms.
     pub fn new(n_arms: usize) -> Self {
         Ucb1 {
             arms: vec![ArmStats::default(); n_arms],
             total_pulls: 0,
-            exploration: std::f64::consts::SQRT_2,
         }
-    }
-
-    /// Overrides the exploration constant (higher explores more).
-    pub fn with_exploration(mut self, c: f64) -> Self {
-        self.exploration = c.max(0.0);
-        self
-    }
-
-    /// Number of arms.
-    pub fn n_arms(&self) -> usize {
-        self.arms.len()
     }
 
     /// Selects the next arm to pull: any never-pulled arm first (in index
@@ -66,7 +55,7 @@ impl Ucb1 {
         let mut best = 0usize;
         let mut best_index = f64::NEG_INFINITY;
         for (i, arm) in self.arms.iter().enumerate() {
-            let bonus = self.exploration * (ln_t / arm.pulls as f64).sqrt();
+            let bonus = EXPLORATION * (ln_t / arm.pulls as f64).sqrt();
             let index = arm.mean() + bonus;
             if index > best_index {
                 best_index = index;
@@ -87,16 +76,6 @@ impl Ucb1 {
     /// The arm's running stats.
     pub fn stats(&self, arm: usize) -> &ArmStats {
         &self.arms[arm]
-    }
-
-    /// Mean reward per arm.
-    pub fn means(&self) -> Vec<f64> {
-        self.arms.iter().map(ArmStats::mean).collect()
-    }
-
-    /// Total pulls across arms.
-    pub fn total_pulls(&self) -> u64 {
-        self.total_pulls
     }
 }
 
@@ -139,8 +118,7 @@ mod tests {
             pulls[1] > pulls[2],
             "best arm should beat middle: {pulls:?}"
         );
-        let means = bandit.means();
-        assert!((means[1] - 0.8).abs() < 0.15);
+        assert!((bandit.stats(1).mean() - 0.8).abs() < 0.15);
     }
 
     #[test]
@@ -156,16 +134,5 @@ mod tests {
     fn update_checks_bounds() {
         let mut bandit = Ucb1::new(2);
         bandit.update(5, 1.0);
-    }
-
-    #[test]
-    fn zero_exploration_is_greedy() {
-        let mut bandit = Ucb1::new(2).with_exploration(0.0);
-        bandit.update(0, 1.0);
-        bandit.update(1, 0.0);
-        for _ in 0..10 {
-            assert_eq!(bandit.select(), 0);
-            bandit.update(0, 1.0);
-        }
     }
 }

@@ -85,7 +85,7 @@ impl StaticPrior {
     /// at its most expensive used tier, so that tier's bound still
     /// holds. `None` when any used tier has no finite bound (then
     /// nothing sound can be said about the whole candidate).
-    pub fn cap_for(&self, models: &[ModelId]) -> Option<f64> {
+    fn cap_for(&self, models: &[ModelId]) -> Option<f64> {
         if models.is_empty() {
             return None;
         }

@@ -173,7 +173,7 @@ impl<'a> Optimizer<'a> {
 /// Enumerates valid operator orders: the identity order plus permutations
 /// of each maximal run of adjacent `SemFilter`s (filters commute; nothing
 /// else is moved). Capped at 24 orders.
-pub fn candidate_orders(plan: &LogicalPlan) -> Vec<Vec<usize>> {
+fn candidate_orders(plan: &LogicalPlan) -> Vec<Vec<usize>> {
     let n = plan.len();
     let identity: Vec<usize> = (0..n).collect();
     // Find maximal runs of consecutive SemFilters.
@@ -244,7 +244,7 @@ fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
 /// tiers over semantic operators (non-semantic operators pin to flagship;
 /// the model is unused there). Falls back to uniform assignments when the
 /// product explodes.
-pub fn model_assignments(plan: &LogicalPlan) -> Vec<Vec<ModelId>> {
+fn model_assignments(plan: &LogicalPlan) -> Vec<Vec<ModelId>> {
     let sem = plan.semantic_indices();
     if sem.len() > 5 {
         // 3^6+ candidates: just offer the three uniform assignments.

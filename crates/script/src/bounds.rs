@@ -60,14 +60,14 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// Per-tool-call billing envelope: input tokens. A bound's dollar
 /// figures hold for runtimes whose per-call billing never exceeds this
 /// envelope (the simulated tool harness bills well under it).
-pub const TOOL_CALL_MAX_INPUT_TOKENS: usize = 4096;
+const TOOL_CALL_MAX_INPUT_TOKENS: usize = 4096;
 
 /// Per-tool-call billing envelope: output tokens.
-pub const TOOL_CALL_MAX_OUTPUT_TOKENS: usize = 1024;
+const TOOL_CALL_MAX_OUTPUT_TOKENS: usize = 1024;
 
 /// The maximum dollars one billable tool call can cost at `tier`,
 /// under the token envelope above.
-pub fn usd_per_tool_call(catalog: &ModelCatalog, tier: ModelId) -> f64 {
+fn usd_per_tool_call(catalog: &ModelCatalog, tier: ModelId) -> f64 {
     catalog
         .spec(tier)
         .cost(TOOL_CALL_MAX_INPUT_TOKENS, TOOL_CALL_MAX_OUTPUT_TOKENS)
@@ -99,7 +99,7 @@ impl Bound {
     /// Saturating multiplication; `Unbounded × 0 = 0` (a loop that uses
     /// nothing costs nothing no matter how often it spins).
     #[allow(clippy::should_implement_trait)] // not `Mul`: see the 0-absorption rule
-    pub fn mul(self, other: Bound) -> Bound {
+    fn mul(self, other: Bound) -> Bound {
         match (self, other) {
             (Bound::Finite(0), _) | (_, Bound::Finite(0)) => Bound::Finite(0),
             (Bound::Finite(a), Bound::Finite(b)) => Bound::Finite(a.saturating_mul(b)),
@@ -170,18 +170,6 @@ impl CostBound {
         }
     }
 
-    /// Worst-case calls to `tool`: absence means proven-never-called
-    /// unless the call set is open.
-    pub fn call_bound(&self, tool: &str) -> Bound {
-        if self.calls_open {
-            return Bound::Unbounded;
-        }
-        self.calls_per_tool
-            .get(tool)
-            .copied()
-            .unwrap_or(Bound::Finite(0))
-    }
-
     /// Worst-case dollars when executing at `tier`.
     pub fn usd_max(&self, tier: ModelId) -> f64 {
         self.usd_max_per_tier
@@ -192,7 +180,7 @@ impl CostBound {
 
     /// Worst-case dollars over every tier (the conservative gate
     /// figure when the executing tier is unknown at admission).
-    pub fn worst_usd_max(&self) -> f64 {
+    fn worst_usd_max(&self) -> f64 {
         self.usd_max_per_tier
             .values()
             .fold(0.0_f64, |acc, &v| acc.max(v))
@@ -2087,6 +2075,20 @@ pub fn analyze(program: &CompiledProgram) -> CostBound {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostBound {
+        /// Worst-case calls to `tool`: absence means proven-never-called
+        /// unless the call set is open.
+        fn call_bound(&self, tool: &str) -> Bound {
+            if self.calls_open {
+                return Bound::Unbounded;
+            }
+            self.calls_per_tool
+                .get(tool)
+                .copied()
+                .unwrap_or(Bound::Finite(0))
+        }
+    }
     use crate::bytecode::compile_source;
     use crate::{Interpreter, ScriptValue};
     use std::cell::RefCell;

@@ -46,7 +46,7 @@ use std::sync::Arc;
 pub const NO_REG: u16 = u16::MAX;
 
 /// Snapshot magic for serialized artifacts.
-pub const BYTECODE_MAGIC: &str = "aida-pyrite-bytecode v1";
+const BYTECODE_MAGIC: &str = "aida-pyrite-bytecode v1";
 
 /// A pooled constant.
 #[derive(Debug, Clone, PartialEq)]
@@ -265,12 +265,6 @@ impl CompiledProgram {
         let parts: Vec<u64> = body.lines().map(|l| fnv64(l.as_bytes())).collect();
         let key = CacheKey::from_parts(&parts);
         (key.hi, key.lo)
-    }
-
-    /// The content hash rendered as 32 hex digits.
-    pub fn content_hash_hex(&self) -> String {
-        let (hi, lo) = self.content_hash();
-        format!("{hi:016x}{lo:016x}")
     }
 
     /// Total instruction count across the main chunk and every function.
@@ -711,13 +705,9 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
             .ok_or_else(|| bad_artifact(format!("missing {what}")))
     };
     let version = next("version")?;
-    let has_bound_section = match version {
-        // Version 1 artifacts predate static cost bounds; the bound is
-        // recomputed after decode.
-        "version 1" => false,
-        "version 2" => true,
-        _ => return Err(bad_artifact(format!("unsupported version {version:?}"))),
-    };
+    if version != "version 2" {
+        return Err(bad_artifact(format!("unsupported version {version:?}")));
+    }
     fn counted(line: &str, key: &str) -> Result<usize, ScriptError> {
         line.strip_prefix(key)
             .and_then(|s| s.strip_prefix(' '))
@@ -845,11 +835,7 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
         main: Chunk { code, nregs },
         bound: CostBound::unbounded_all(),
     };
-    p.bound = if has_bound_section {
-        decode_bound(&mut next)?
-    } else {
-        bounds::analyze(&p)
-    };
+    p.bound = decode_bound(&mut next)?;
     Ok(p)
 }
 
@@ -1910,12 +1896,16 @@ mod tests {
     }
 
     #[test]
-    fn version_1_artifacts_decode_and_recompute_bound() {
-        let p = compiled("total = 0\nfor i in range(4):\n    total += i\ntotal");
-        // Rebuild the artifact as a version-1 body: old header, no
-        // bound section.
-        let body = p.body_text(false);
-        let v1_body: String = body
+    fn decode_rejects_corruption() {
+        let p = compiled("x = 1");
+        let mut encoded = p.encode();
+        encoded.push_str("i halt\n");
+        assert!(CompiledProgram::decode(&encoded).is_err());
+        assert!(CompiledProgram::decode("garbage").is_err());
+        // A version-1 body (old header, no bound section) is an
+        // unsupported version, not a program.
+        let v1_body: String = p
+            .body_text(false)
             .lines()
             .take_while(|l| !l.starts_with("bound "))
             .map(|l| {
@@ -1926,21 +1916,8 @@ mod tests {
                 }
             })
             .collect();
-        let encoded = encode_file(BYTECODE_MAGIC, &v1_body);
-        let back = CompiledProgram::decode(&encoded).expect("v1 decodes");
-        assert_eq!(back.main, p.main);
-        // The bound is recomputed from the decoded instructions and
-        // matches what compile() produced.
-        assert_eq!(back.bound, p.bound);
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let p = compiled("x = 1");
-        let mut encoded = p.encode();
-        encoded.push_str("i halt\n");
-        assert!(CompiledProgram::decode(&encoded).is_err());
-        assert!(CompiledProgram::decode("garbage").is_err());
+        let err = CompiledProgram::decode(&encode_file(BYTECODE_MAGIC, &v1_body)).unwrap_err();
+        assert!(err.to_string().contains("unsupported version"), "{err}");
     }
 
     #[test]
@@ -1950,7 +1927,6 @@ mod tests {
         let a = compiled("x = 1\nx + 2");
         let b = compiled("# shifted by a comment line\nx = 1\nx + 2");
         assert_eq!(a.content_hash(), b.content_hash());
-        assert_eq!(a.content_hash_hex().len(), 32);
         // Different instructions hash differently.
         let c = compiled("x = 1\nx + 3");
         assert_ne!(a.content_hash(), c.content_hash());

@@ -70,12 +70,6 @@ impl Interpreter {
         self.host_fns.insert(name.to_string(), Rc::new(func));
     }
 
-    /// Reads a global variable.
-    pub fn get_global(&self, name: &str) -> Option<&ScriptValue> {
-        let slot = *self.global_slots.get(name)?;
-        self.globals[slot].as_ref()
-    }
-
     /// The slot of global `name`, allocated (unassigned) on first use.
     pub(crate) fn global_slot(&mut self, name: &str) -> usize {
         if let Some(&slot) = self.global_slots.get(name) {
@@ -983,6 +977,13 @@ fn compare(l: &ScriptValue, r: &ScriptValue) -> Option<std::cmp::Ordering> {
 mod tests {
     use super::*;
     use crate::ScriptValue as V;
+
+    impl Interpreter {
+        fn get_global(&self, name: &str) -> Option<&ScriptValue> {
+            let slot = *self.global_slots.get(name)?;
+            self.globals[slot].as_ref()
+        }
+    }
 
     fn run(src: &str) -> ScriptValue {
         Interpreter::new().run(src).unwrap()

@@ -58,9 +58,7 @@ pub mod types;
 pub mod value;
 pub mod vm;
 
-pub use bounds::{
-    analyze, Bound, CostBound, TOOL_CALL_MAX_INPUT_TOKENS, TOOL_CALL_MAX_OUTPUT_TOKENS,
-};
+pub use bounds::{analyze, Bound, CostBound};
 pub use bytecode::{compile, compile_source, CompiledProgram};
 pub use error::ScriptError;
 pub use interp::Interpreter;

@@ -15,7 +15,6 @@
 //! emit a wrong finite number.
 
 use aida_llm::models::{ModelCatalog, ModelId};
-use aida_script::bounds::usd_per_tool_call;
 use aida_script::bytecode::compile_source;
 use aida_script::{Bound, CostBound};
 
@@ -23,6 +22,31 @@ mod common;
 use common::{observe_vm, Observed, HARNESS_TOOLS};
 
 const FUEL: u64 = 20_000;
+
+/// The analyzer's per-tool-call billing envelope (`bounds.rs`): its
+/// dollar bounds hold for runtimes that never bill a call above it.
+const TOOL_CALL_MAX_INPUT_TOKENS: usize = 4096;
+const TOOL_CALL_MAX_OUTPUT_TOKENS: usize = 1024;
+
+/// The most one tool call can cost at `tier` under the envelope.
+fn usd_per_tool_call(catalog: &ModelCatalog, tier: ModelId) -> f64 {
+    catalog
+        .spec(tier)
+        .cost(TOOL_CALL_MAX_INPUT_TOKENS, TOOL_CALL_MAX_OUTPUT_TOKENS)
+}
+
+/// Worst-case calls to `tool`: absence means proven-never-called unless
+/// the call set is open.
+fn call_bound(bound: &CostBound, tool: &str) -> Bound {
+    if bound.calls_open {
+        return Bound::Unbounded;
+    }
+    bound
+        .calls_per_tool
+        .get(tool)
+        .copied()
+        .unwrap_or(Bound::Finite(0))
+}
 
 /// Checks every soundness obligation of `bound` against one completed
 /// observation; returns an error description on violation.
@@ -41,7 +65,7 @@ fn check_sound(src: &str, bound: &CostBound, obs: &Observed) -> Result<(), Strin
         let mut billed = 0.0_f64;
         for tool in HARNESS_TOOLS {
             let actual = obs.calls_to(tool);
-            match bound.call_bound(tool) {
+            match call_bound(bound, tool) {
                 Bound::Finite(max) if actual > max => {
                     return Err(format!(
                         "{tool} called {actual} times > bound {max} for:\n{src}"
@@ -161,8 +185,8 @@ fn data_dependent_while_must_be_unbounded() {
 fn iteration_over_tool_output_is_unbounded_but_entry_call_is_counted() {
     let program = compile_source("for f in list_files():\n    read_file(f)\n0").expect("compiles");
     assert!(program.bound.unbounded);
-    assert_eq!(program.bound.call_bound("list_files"), Bound::Finite(1));
-    assert_eq!(program.bound.call_bound("read_file"), Bound::Unbounded);
+    assert_eq!(call_bound(&program.bound, "list_files"), Bound::Finite(1));
+    assert_eq!(call_bound(&program.bound, "read_file"), Bound::Unbounded);
     // The observed run must still respect the finite dimension.
     let obs = observe_vm("for f in list_files():\n    read_file(f)\n0", FUEL);
     assert!(obs.completed());

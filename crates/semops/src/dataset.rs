@@ -37,11 +37,6 @@ impl Dataset {
         }
     }
 
-    /// Wraps an existing logical plan.
-    pub fn from_plan(plan: LogicalPlan) -> Dataset {
-        Dataset { plan }
-    }
-
     /// The underlying logical plan.
     pub fn plan(&self) -> &LogicalPlan {
         &self.plan

@@ -28,17 +28,21 @@ pub struct ExecEnv {
     pub embedder: Embedder,
     /// Trace recorder (disabled unless opted in via [`ExecEnv::with_recorder`]).
     pub recorder: Recorder,
-    /// Ceiling on per-plan *virtual* fan-out: plans request a level, the
-    /// environment caps it, and the virtual clock charges a batch as
-    /// `ceil(n / parallelism)` waves. Host threads are a separate, smaller
-    /// number — [`parallel_map`] never runs more of them than the CPUs the
-    /// process may use — so no simulated second or dollar depends on the
-    /// machine.
-    pub max_parallelism: usize,
 }
 
-/// Default ceiling on batched-call virtual workers.
-pub const DEFAULT_MAX_PARALLELISM: usize = 32;
+/// Ceiling on per-plan *virtual* fan-out: plans request a level, the
+/// executor caps it, and the virtual clock charges a batch as
+/// `ceil(n / parallelism)` waves. Host threads are a separate, smaller
+/// number — [`parallel_map`] never runs more of them than the CPUs the
+/// process may use — so no simulated second or dollar depends on the
+/// machine.
+const MAX_PARALLELISM: usize = 32;
+
+/// How many input records a semantic aggregate renders into its prompt.
+/// Inputs past the cap are dropped — counted in the
+/// `agg.truncated_records` counter and surfaced as an execution warning,
+/// never silently.
+const DEFAULT_AGG_INPUT_CAP: usize = 200;
 
 impl ExecEnv {
     /// Creates an environment around an LLM service (tracing disabled).
@@ -48,7 +52,6 @@ impl ExecEnv {
             clock: SimClock::new(),
             embedder: Embedder::default(),
             recorder: Recorder::disabled(),
-            max_parallelism: DEFAULT_MAX_PARALLELISM,
         }
     }
 
@@ -58,18 +61,6 @@ impl ExecEnv {
         self.llm = self.llm.with_recorder(recorder.clone());
         self.recorder = recorder;
         self
-    }
-
-    /// Caps worker parallelism for batched LLM calls (floored at 1).
-    pub fn with_max_parallelism(mut self, max_parallelism: usize) -> Self {
-        self.max_parallelism = max_parallelism.max(1);
-        self
-    }
-
-    /// The parallelism a plan's request resolves to under this
-    /// environment's ceiling.
-    pub fn effective_parallelism(&self, requested: usize) -> usize {
-        requested.clamp(1, self.max_parallelism.max(1))
     }
 }
 
@@ -114,7 +105,7 @@ impl<'a> Executor<'a> {
         let mut lake: Option<Arc<DataLake>> = None;
         let mut stats = PlanStats::default();
         let mut warnings: Vec<String> = Vec::new();
-        let parallelism = self.env.effective_parallelism(plan.parallelism);
+        let parallelism = plan.parallelism.clamp(1, MAX_PARALLELISM);
         for step in &plan.steps {
             let rows_in = records.len();
             let before = self.env.llm.meter().snapshot();
@@ -246,15 +237,14 @@ impl<'a> Executor<'a> {
                 out
             }
             LogicalOp::SemAgg { instruction } => {
-                // Aggregate over (bounded) renders of every record. The
-                // cap is a physical-plan parameter; dropping inputs past
-                // it is counted and warned about, never silent.
-                let cap = step.agg_input_cap.max(1);
+                // Aggregate over (bounded) renders of every record;
+                // dropping inputs past the cap is counted and warned
+                // about, never silent.
+                let cap = DEFAULT_AGG_INPUT_CAP;
                 let truncated = records.len().saturating_sub(cap);
                 if truncated > 0 {
                     let msg = format!(
-                        "sem_agg truncated {truncated} of {} input records \
-                         (agg_input_cap={cap}); raise the cap to aggregate over more",
+                        "sem_agg truncated {truncated} of {} input records (cap {cap})",
                         records.len()
                     );
                     eprintln!("warning: {msg}");
@@ -589,7 +579,7 @@ fn kmeans_assign(vectors: &[Vec<f32>], k: usize) -> Vec<usize> {
 /// Deterministic fork-join map: applies `f` to every item and returns the
 /// results in input order, on at most `min(parallelism, host CPUs)` host
 /// threads. `parallelism` is the plan's *virtual* fan-out (the executor
-/// clamps it to [`ExecEnv::max_parallelism`] and charges the clock for
+/// clamps it to [`MAX_PARALLELISM`] and charges the clock for
 /// it); host threads past the CPUs the process may use could only take
 /// turns, so they are never spawned.
 pub fn parallel_map<T, R, F>(items: &[T], parallelism: usize, f: F) -> Vec<R>
@@ -1015,56 +1005,60 @@ mod tests {
     }
 
     #[test]
-    fn env_ceiling_caps_plan_parallelism() {
+    fn ceiling_caps_plan_parallelism() {
         let lake = theft_lake();
-        let run = |max_parallelism: usize| {
-            let env = ExecEnv::new(SimLlm::new(7)).with_max_parallelism(max_parallelism);
-            assert_eq!(env.effective_parallelism(64), max_parallelism.min(64));
+        let run = |parallelism: usize| {
+            let env = ExecEnv::new(SimLlm::new(7));
             let ds = Dataset::scan(&lake, "lake").sem_filter("mentions identity theft");
-            let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 64);
+            let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, parallelism);
             let report = Executor::new(&env).execute(&plan);
             let names: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
             (names, report.time())
         };
-        let (capped_records, capped_time) = run(1);
+        let (narrow_records, narrow_time) = run(1);
         let (wide_records, wide_time) = run(64);
         assert_eq!(
-            capped_records, wide_records,
-            "ceiling must not change results"
+            narrow_records, wide_records,
+            "parallelism must not change results"
         );
         assert!(
-            capped_time > wide_time,
-            "capped {capped_time} vs wide {wide_time}"
+            narrow_time > wide_time,
+            "narrow {narrow_time} vs wide {wide_time}"
         );
+        // Past the ceiling a wider request buys no more virtual time.
+        assert_eq!(run(MAX_PARALLELISM).1, wide_time);
     }
 
     #[test]
     fn agg_truncation_is_counted_and_warned() {
         let recorder = Recorder::new();
         let env = ExecEnv::new(SimLlm::new(7)).with_recorder(recorder.clone());
-        let lake = DataLake::from_docs(
-            (0..6).map(|i| Document::new(format!("d{i}.txt"), format!("memo {i} theft"))),
-        );
-        let ds = Dataset::scan(&lake, "docs").sem_agg("how many mention theft");
-        let plan = PhysicalPlan::default_for(ds.plan()).with_agg_input_cap(4);
-        let report = Executor::new(&env).execute(&plan);
+        let memos = |n: usize| {
+            DataLake::from_docs(
+                (0..n).map(|i| Document::new(format!("d{i}.txt"), format!("memo {i} theft"))),
+            )
+        };
+        let over = memos(DEFAULT_AGG_INPUT_CAP + 2);
+        let ds = Dataset::scan(&over, "docs").sem_agg("how many mention theft");
+        let report = Executor::new(&env).execute(&PhysicalPlan::default_for(ds.plan()));
         assert_eq!(report.warnings.len(), 1);
         assert!(
-            report.warnings[0].contains("truncated 2 of 6"),
+            report.warnings[0].contains("truncated 2 of 202"),
             "{}",
             report.warnings[0]
         );
         assert_eq!(recorder.trace().counters["agg.truncated_records"], 2);
         // Under the cap: no warning, no counter.
         let env = ExecEnv::new(SimLlm::new(7)).with_recorder(Recorder::new());
-        let plan = PhysicalPlan::default_for(ds.plan()).with_agg_input_cap(100);
-        let report = Executor::new(&env).execute(&plan);
+        let under = memos(6);
+        let ds = Dataset::scan(&under, "docs").sem_agg("how many mention theft");
+        let report = Executor::new(&env).execute(&PhysicalPlan::default_for(ds.plan()));
         assert!(report.warnings.is_empty());
     }
 
     #[test]
     fn cache_dedups_duplicate_batch_records_deterministically() {
-        use aida_llm::cache::{CacheConfig, SemanticCache};
+        use aida_llm::cache::SemanticCache;
         // Four copies of one document plus two distinct ones: with the
         // cache on, one batch bills only the unique calls and counts the
         // duplicates as coalesced — identically on every run.
@@ -1075,7 +1069,7 @@ mod tests {
             Document::new("b.txt", "cafeteria menu"),
         ]);
         let run = || {
-            let llm = SimLlm::new(7).with_cache(SemanticCache::new(CacheConfig::default()));
+            let llm = SimLlm::new(7).with_cache(SemanticCache::with_capacity(0));
             let env = ExecEnv::new(llm);
             let ds = Dataset::scan(&lake, "docs").sem_filter("mentions identity theft");
             let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 4);
@@ -1097,7 +1091,7 @@ mod tests {
 
     #[test]
     fn join_dedups_identical_pairs_when_cached() {
-        use aida_llm::cache::{CacheConfig, SemanticCache};
+        use aida_llm::cache::SemanticCache;
         // Two identical left records produce identical join-pair texts:
         // the cache-aware path bills each unique pair once.
         let left_lake = DataLake::from_docs([
@@ -1108,7 +1102,7 @@ mod tests {
         let run = |cached: bool| {
             let mut llm = SimLlm::new(7);
             if cached {
-                llm = llm.with_cache(SemanticCache::new(CacheConfig::default()));
+                llm = llm.with_cache(SemanticCache::with_capacity(0));
             }
             let env = ExecEnv::new(llm);
             let left = Dataset::scan(&left_lake, "questions");

@@ -2,16 +2,12 @@
 //!
 //! The only physical knob per semantic operator (following Abacus) is the
 //! model tier; the plan-wide knob is the execution parallelism. The
-//! optimizer enumerates assignments; [`PhysicalPlan::default_for`] binds
-//! everything to the flagship model, which is what an unoptimized
-//! execution (the paper's CodeAgent+ tools) uses.
+//! optimizer enumerates assignments; [`PhysicalPlan::uniform`] binds every
+//! operator to one model — an unoptimized execution (the paper's
+//! CodeAgent+ tools) binds the flagship.
 
 use crate::plan::{LogicalOp, LogicalPlan};
 use aida_llm::ModelId;
-
-/// Default bound on how many input records a semantic aggregate renders
-/// into its prompt (see [`PhysicalStep::agg_input_cap`]).
-pub const DEFAULT_AGG_INPUT_CAP: usize = 200;
 
 /// One step of a physical plan.
 #[derive(Debug, Clone)]
@@ -20,11 +16,6 @@ pub struct PhysicalStep {
     pub op: LogicalOp,
     /// Model bound to the operator (meaningful only for semantic ops).
     pub model: ModelId,
-    /// For `SemAgg`: how many input records are rendered into the
-    /// aggregation prompt. Inputs past the cap are dropped — counted in
-    /// the `agg.truncated_records` counter and surfaced as an execution
-    /// warning, never silently.
-    pub agg_input_cap: usize,
 }
 
 /// An executable physical plan.
@@ -46,17 +37,10 @@ impl PhysicalPlan {
                 .map(|op| PhysicalStep {
                     op: op.clone(),
                     model,
-                    agg_input_cap: DEFAULT_AGG_INPUT_CAP,
                 })
                 .collect(),
             parallelism: parallelism.max(1),
         }
-    }
-
-    /// The conventional unoptimized plan: flagship everywhere, modest
-    /// parallelism.
-    pub fn default_for(plan: &LogicalPlan) -> PhysicalPlan {
-        PhysicalPlan::uniform(plan, ModelId::Flagship, 8)
     }
 
     /// Binds per-operator models; `models` must match the plan length.
@@ -70,20 +54,10 @@ impl PhysicalPlan {
                 .map(|(op, model)| PhysicalStep {
                     op: op.clone(),
                     model: *model,
-                    agg_input_cap: DEFAULT_AGG_INPUT_CAP,
                 })
                 .collect(),
             parallelism: parallelism.max(1),
         }
-    }
-
-    /// Sets the aggregate input cap on every step (meaningful for
-    /// `SemAgg` steps; see [`PhysicalStep::agg_input_cap`]).
-    pub fn with_agg_input_cap(mut self, cap: usize) -> PhysicalPlan {
-        for step in &mut self.steps {
-            step.agg_input_cap = cap;
-        }
-        self
     }
 
     /// Models in step order.
@@ -108,6 +82,14 @@ impl PhysicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PhysicalPlan {
+        /// The conventional unoptimized plan: flagship everywhere,
+        /// modest parallelism.
+        pub(crate) fn default_for(plan: &LogicalPlan) -> PhysicalPlan {
+            PhysicalPlan::uniform(plan, ModelId::Flagship, 8)
+        }
+    }
     use crate::dataset::Dataset;
     use aida_data::{DataLake, Document};
 

@@ -11,7 +11,7 @@
 //! Stability comes from three standard guards:
 //!
 //! * a **hysteresis band** around the target: scale up above
-//!   `target * (1 + h)`, down only below `target * (1 - h)`, so a p99
+//!   `target * 1.25`, down only below `target * 0.75`, so a p99
 //!   hovering at the target never oscillates the pool;
 //! * a **cooldown** between moves, so one burst produces one decision,
 //!   not a staircase of them;
@@ -30,6 +30,9 @@ use aida_obs::timeseries::SlidingWindow;
 /// Error budget implied by a p99 target (mirrors `obs::slo`).
 const P99_BUDGET: f64 = 0.01;
 
+/// Half-width of the no-action band as a fraction of the target.
+const HYSTERESIS: f64 = 0.25;
+
 /// Controller tuning. Construct with [`AutoscaleConfig::new`] and
 /// adjust with the builder methods.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +44,6 @@ pub struct AutoscaleConfig {
     pub max_workers: usize,
     /// The p99 latency the pool should hold, virtual seconds.
     pub target_p99_s: f64,
-    /// Half-width of the no-action band as a fraction of the target.
-    pub hysteresis: f64,
     /// Seconds between controller evaluations.
     pub evaluate_every_s: f64,
     /// Minimum seconds between two scale moves.
@@ -62,18 +63,11 @@ impl AutoscaleConfig {
             min_workers: min,
             max_workers: max_workers.max(min),
             target_p99_s,
-            hysteresis: 0.25,
             evaluate_every_s: 30.0,
             cooldown_s: 60.0,
             window_s: 240.0,
             policy: SloPolicy::default(),
         }
-    }
-
-    /// Sets the hysteresis band half-width (fraction of target).
-    pub fn hysteresis(mut self, fraction: f64) -> AutoscaleConfig {
-        self.hysteresis = fraction.max(0.0);
-        self
     }
 
     /// Sets the evaluation cadence.
@@ -217,8 +211,8 @@ impl Autoscaler {
 
         let burning = fast_burn > self.cfg.policy.burn_threshold
             && slow_burn > self.cfg.policy.burn_threshold;
-        let above = p99_s > self.cfg.target_p99_s * (1.0 + self.cfg.hysteresis);
-        let below = p99_s < self.cfg.target_p99_s * (1.0 - self.cfg.hysteresis);
+        let above = p99_s > self.cfg.target_p99_s * (1.0 + HYSTERESIS);
+        let below = p99_s < self.cfg.target_p99_s * (1.0 - HYSTERESIS);
 
         let to = if burning || above {
             // Escape fast: grow by half the pool (rounded up).
@@ -255,7 +249,6 @@ mod tests {
 
     fn config() -> AutoscaleConfig {
         AutoscaleConfig::new(1, 8, 10.0)
-            .hysteresis(0.2)
             .evaluate_every(10.0)
             .cooldown(20.0)
             .window(300.0)

@@ -57,15 +57,11 @@ pub struct ClientConfig {
     pub deadline_s: Option<f64>,
     /// Virtual instant the client connects and submits its first query.
     pub start_s: f64,
-    /// Whether repeat submissions of the same source send its
-    /// [`plan_hash`] instead of re-sending the program text.
-    pub use_plan_hash: bool,
 }
 
 impl ClientConfig {
     /// A profile with defaults: 1 query, 30 s mean think, 3 retries,
-    /// 5 s base backoff, normal priority, no deadline, starts at t = 0,
-    /// plan-hash reuse on.
+    /// 5 s base backoff, normal priority, no deadline, starts at t = 0.
     pub fn new(tenant: impl Into<String>, context: impl Into<String>) -> ClientConfig {
         ClientConfig {
             tenant: tenant.into(),
@@ -78,7 +74,6 @@ impl ClientConfig {
             priority: Priority::Normal,
             deadline_s: None,
             start_s: 0.0,
-            use_plan_hash: true,
         }
     }
 
@@ -133,12 +128,6 @@ impl ClientConfig {
         self.start_s = seconds.max(0.0);
         self
     }
-
-    /// Disables plan-hash reuse (always send full source).
-    pub fn always_send_source(mut self) -> ClientConfig {
-        self.use_plan_hash = false;
-        self
-    }
 }
 
 /// How a client's session ended. Every client resolves to exactly one
@@ -190,7 +179,7 @@ impl ClientOutcome {
     }
 
     /// Queries this client completed.
-    pub fn queries_completed(&self) -> usize {
+    fn queries_completed(&self) -> usize {
         match self {
             ClientOutcome::Completed { queries, .. } => *queries,
             ClientOutcome::RetriesExhausted { completed, .. }
@@ -267,7 +256,7 @@ impl LiveSource {
 
     /// Builds over explicit fabric knobs (tiny `max_chunk`/`max_write`
     /// values stress partial reads and short writes).
-    pub fn with_net(net: NetSimConfig, clients: Vec<ClientConfig>) -> LiveSource {
+    fn with_net(net: NetSimConfig, clients: Vec<ClientConfig>) -> LiveSource {
         let seed = net.seed;
         let mut source = LiveSource {
             listener: Listener::new(NetSim::new(net)),
@@ -385,7 +374,7 @@ impl LiveSource {
         let source =
             client.cfg.instructions[client.completed % client.cfg.instructions.len()].clone();
         let hash = plan_hash(&source);
-        let body = if client.cfg.use_plan_hash && client.sent.contains(&hash) {
+        let body = if client.sent.contains(&hash) {
             WireBody::PlanHash(hash)
         } else {
             client.sent.insert(hash);

@@ -55,8 +55,8 @@ pub use bounds::{BoundGate, StaticVerdict};
 pub use client::{ClientConfig, ClientOutcome, LiveSource};
 pub use driver::{open_loop, ReplaySource, RequestSource, TenantLoad};
 pub use net::{
-    encode_frame, plan_hash, Fabric, Frame, FrameReader, Inbound, Listener, NetStats, TcpFabric,
-    WireBody, WireError, WireRequest, MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_VERSION,
+    encode_frame, plan_hash, Fabric, Frame, FrameReader, Inbound, Listener, NetStats, WireBody,
+    WireError, WireRequest,
 };
 pub use queue::AdmissionQueue;
 pub use report::{NetReport, ServiceReport, TenantHealth, TenantReport};

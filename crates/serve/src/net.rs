@@ -24,10 +24,9 @@
 //!
 //! ## Transport abstraction
 //!
-//! The listener is generic over a [`Fabric`]: the deterministic
-//! simulated transport (`aida_testkit::NetSim`) for soaks and tests,
-//! or [`TcpFabric`] — non-blocking `std::net` — for real sockets. All
-//! scheduling lives in the fabric, so the reactor itself has no clock
+//! The listener is generic over a [`Fabric`]; the deterministic
+//! simulated transport (`aida_testkit::NetSim`) carries every soak and
+//! test. All scheduling lives in the fabric, so the reactor itself has no clock
 //! and no randomness: byte-identical replay is the fabric's seed's job.
 //! A turn's writable pass visits only connections whose responses
 //! outlived a flush, so an idle connection costs a turn nothing.
@@ -40,12 +39,12 @@ use std::fmt;
 use std::io;
 
 /// First two bytes of every frame.
-pub const WIRE_MAGIC: u16 = 0xA1DA;
+const WIRE_MAGIC: u16 = 0xA1DA;
 /// The protocol version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+const WIRE_VERSION: u8 = 1;
 /// Largest accepted payload (1 MiB) — anything bigger is a typed
 /// [`WireError::Oversize`], not an allocation.
-pub const MAX_FRAME_BYTES: u32 = 1 << 20;
+const MAX_FRAME_BYTES: u32 = 1 << 20;
 
 const HEADER_BYTES: usize = 8;
 
@@ -682,76 +681,6 @@ impl Fabric for NetSim {
     }
 }
 
-/// Real sockets: a non-blocking `std::net::TcpListener` plus its
-/// accepted streams. `poll` is a level-triggered scan — every open
-/// token is offered to the reactor, whose reads simply `WouldBlock`
-/// when nothing is buffered. Deterministic replay is *not* promised
-/// here; that is what [`NetSim`] is for.
-#[derive(Debug)]
-pub struct TcpFabric {
-    listener: std::net::TcpListener,
-    conns: BTreeMap<usize, std::net::TcpStream>,
-    next_token: usize,
-}
-
-impl TcpFabric {
-    /// Binds a non-blocking listener (use port 0 for an ephemeral port).
-    pub fn bind(addr: &str) -> io::Result<TcpFabric> {
-        let listener = std::net::TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(TcpFabric {
-            listener,
-            conns: BTreeMap::new(),
-            next_token: 0,
-        })
-    }
-
-    /// The bound address.
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
-    }
-}
-
-impl Fabric for TcpFabric {
-    fn accept(&mut self) -> Vec<usize> {
-        let mut fresh = Vec::new();
-        while let Ok((stream, _)) = self.listener.accept() {
-            if stream.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let token = self.next_token;
-            self.next_token += 1;
-            self.conns.insert(token, stream);
-            fresh.push(token);
-        }
-        fresh
-    }
-
-    fn poll(&mut self) -> Vec<usize> {
-        self.conns.keys().copied().collect()
-    }
-
-    fn read(&mut self, token: usize, buf: &mut [u8]) -> io::Result<usize> {
-        use io::Read;
-        match self.conns.get_mut(&token) {
-            Some(stream) => stream.read(buf),
-            None => Err(io::Error::from(io::ErrorKind::NotConnected)),
-        }
-    }
-
-    fn write(&mut self, token: usize, bytes: &[u8]) -> io::Result<usize> {
-        use io::Write;
-        match self.conns.get_mut(&token) {
-            Some(stream) => stream.write(bytes),
-            None => Err(io::Error::from(io::ErrorKind::NotConnected)),
-        }
-    }
-
-    fn close(&mut self, token: usize) {
-        self.conns.remove(&token);
-    }
-}
-
 // ----- the reactor ----------------------------------------------------
 
 /// Front-door traffic counters, reported through `ServiceReport` and
@@ -849,11 +778,6 @@ impl<F: Fabric> Listener<F> {
     /// Traffic counters so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// Open (accepted, not yet closed) connections.
-    pub fn open_conns(&self) -> usize {
-        self.conns.len()
     }
 
     /// One reactor iteration: accept, flush, read, decode. Returns the
@@ -1049,6 +973,13 @@ impl<F: Fabric> Listener<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<F: Fabric> Listener<F> {
+        /// Open (accepted, not yet closed) connections.
+        fn open_conns(&self) -> usize {
+            self.conns.len()
+        }
+    }
 
     fn sample_request() -> Frame {
         Frame::Request(WireRequest {
@@ -1359,6 +1290,8 @@ mod tests {
     struct OneWritePerTurn {
         sim: NetSim,
         wrote: bool,
+        /// Tokens the listener closed, in order.
+        closed: Vec<usize>,
     }
 
     impl Fabric for OneWritePerTurn {
@@ -1384,6 +1317,7 @@ mod tests {
         }
 
         fn close(&mut self, token: usize) {
+            self.closed.push(token);
             self.sim.close(token)
         }
     }
@@ -1395,7 +1329,11 @@ mod tests {
             max_write: 3,
             ..aida_testkit::NetSimConfig::default()
         });
-        let mut listener = Listener::new(OneWritePerTurn { sim, wrote: false });
+        let mut listener = Listener::new(OneWritePerTurn {
+            sim,
+            wrote: false,
+            closed: Vec::new(),
+        });
         let tokens: Vec<usize> = (0..200)
             .map(|_| listener.fabric_mut().sim.connect(0.0))
             .collect();
@@ -1447,67 +1385,14 @@ mod tests {
         }
         assert_eq!(listener.open_conns(), 199);
         assert_eq!(listener.stats().conns_closed, 1);
-        assert!(listener.fabric_mut().sim.server_closed(victim));
+        assert_eq!(
+            listener.fabric_mut().closed,
+            [victim],
+            "the fabric closed it"
+        );
         now += 1.0;
         listener.fabric_mut().sim.advance(now);
         got.extend(listener.fabric_mut().sim.client_recv(victim));
         assert_eq!(got, [wire, notice].concat());
-    }
-
-    #[test]
-    fn tcp_fabric_serves_a_real_socket() {
-        use std::io::{Read, Write};
-        let fabric = match TcpFabric::bind("127.0.0.1:0") {
-            Ok(fabric) => fabric,
-            // Sandboxed environments may forbid binding; the simulated
-            // fabric is the contract, TCP is best-effort glue.
-            Err(_) => return,
-        };
-        let addr = fabric.local_addr().unwrap();
-        let mut listener = Listener::new(fabric);
-        let mut client = std::net::TcpStream::connect(addr).unwrap();
-        client.write_all(&encode_frame(&sample_request())).unwrap();
-        client.flush().unwrap();
-        let mut got = Vec::new();
-        for _ in 0..200 {
-            got.extend(listener.turn());
-            if !got.is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(got.len(), 1, "request did not arrive over TCP");
-        listener.respond(
-            got[0].conn,
-            &Frame::Accepted {
-                client_seq: 7,
-                seq: 1,
-            },
-        );
-        client
-            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .unwrap();
-        let mut reader = FrameReader::new();
-        let mut buf = [0u8; 256];
-        loop {
-            listener.turn(); // keep flushing
-            match client.read(&mut buf) {
-                Ok(0) => panic!("server closed early"),
-                Ok(n) => {
-                    reader.push(&buf[..n]);
-                    if let Some(frame) = reader.next_frame().unwrap() {
-                        assert_eq!(
-                            frame,
-                            Frame::Accepted {
-                                client_seq: 7,
-                                seq: 1
-                            }
-                        );
-                        break;
-                    }
-                }
-                Err(err) => panic!("client read failed: {err}"),
-            }
-        }
     }
 }

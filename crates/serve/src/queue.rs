@@ -77,11 +77,6 @@ impl AdmissionQueue {
         self.depth == 0
     }
 
-    /// Requests queued for one tenant.
-    pub fn tenant_depth(&self, tenant: &TenantId) -> usize {
-        self.queues.get(tenant).map(TenantQueue::len).unwrap_or(0)
-    }
-
     /// Admits a request, or sheds it with [`RejectReason::QueueFull`]
     /// when the global bound is reached (backpressure).
     pub fn push(&mut self, request: QueryRequest) -> Result<(), RejectReason> {

@@ -128,7 +128,7 @@ pub struct TenantReport {
 
 impl TenantReport {
     /// Total requests shed across reasons.
-    pub fn shed_total(&self) -> u64 {
+    fn shed_total(&self) -> u64 {
         self.shed.values().sum()
     }
 }
@@ -233,13 +233,13 @@ impl ServiceReport {
 
     /// Reuse hit rate over the first half of completions (dispatch
     /// order) — the cold half.
-    pub fn first_half_hit_rate(&self) -> f64 {
+    fn first_half_hit_rate(&self) -> f64 {
         Self::hit_rate(&self.completions[..self.completions.len() / 2])
     }
 
     /// Reuse hit rate over the second half of completions — the warmed
     /// half. Cross-tenant reuse shows up as this exceeding the first.
-    pub fn second_half_hit_rate(&self) -> f64 {
+    fn second_half_hit_rate(&self) -> f64 {
         Self::hit_rate(&self.completions[self.completions.len() / 2..])
     }
 

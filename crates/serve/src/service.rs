@@ -52,9 +52,6 @@ pub struct ServeConfig {
     /// guarantee: the durable log trails the in-memory ledger by at most
     /// this many records.
     pub group_commit: usize,
-    /// Completions between background-ops hooks (WAL compaction checks
-    /// run here, off the per-query path; minimum 1).
-    pub ops_interval: u64,
     /// Latency-targeted autoscaling of the virtual worker pool. When
     /// set, the virtual pool's capacity is `autoscale.max_workers` and
     /// the controller resizes its *active* prefix between the
@@ -79,7 +76,6 @@ impl Default for ServeConfig {
             health_slots: 64,
             slo_policy: SloPolicy::default(),
             group_commit: 0,
-            ops_interval: 16,
             autoscale: None,
             cost_bounds: None,
         }
@@ -120,12 +116,6 @@ impl ServeConfig {
         self
     }
 
-    /// Sets how many completions pass between background-ops hooks.
-    pub fn ops_interval(mut self, completions: u64) -> ServeConfig {
-        self.ops_interval = completions;
-        self
-    }
-
     /// Enables latency-targeted autoscaling of the worker pool.
     pub fn autoscale(mut self, config: AutoscaleConfig) -> ServeConfig {
         self.autoscale = Some(config);
@@ -140,6 +130,11 @@ impl ServeConfig {
     }
 }
 
+/// Completions between background-ops hooks: WAL compaction checks and
+/// the group flush run every `OPS_INTERVAL`-th completion, off the
+/// per-query path.
+const OPS_INTERVAL: u64 = 16;
+
 /// Group commit: the deterministic commit buffer. Records accumulate
 /// here and land under ONE fsync per batch — at the batch bound, at
 /// every ops-interval boundary, and at end of run. A crash loses at
@@ -148,7 +143,6 @@ struct WalPipeline<'a> {
     wal: &'a mut LedgerWal,
     batch: Vec<LedgerRecord>,
     group_commit: usize,
-    ops_interval: u64,
     /// Completions since the run began, driving the ops-interval hook
     /// (background WAL compaction runs there, never on the per-query
     /// path).
@@ -156,12 +150,11 @@ struct WalPipeline<'a> {
 }
 
 impl<'a> WalPipeline<'a> {
-    fn new(wal: &'a mut LedgerWal, group_commit: usize, ops_interval: u64) -> WalPipeline<'a> {
+    fn new(wal: &'a mut LedgerWal, group_commit: usize) -> WalPipeline<'a> {
         WalPipeline {
             wal,
             batch: Vec::new(),
             group_commit,
-            ops_interval: ops_interval.max(1),
             completions: 0,
         }
     }
@@ -221,7 +214,7 @@ impl<'a> WalPipeline<'a> {
             return Some(spend_failed(e));
         }
         self.completions += 1;
-        if self.completions.is_multiple_of(self.ops_interval) {
+        if self.completions.is_multiple_of(OPS_INTERVAL) {
             // Background ops: flush first so the compaction snapshot
             // never claims coverage of records still sitting in the
             // commit buffer.
@@ -389,8 +382,7 @@ impl<'a> Dispatcher<'a> {
             contexts: &service.contexts,
             tenants: &mut service.tenants,
             wal_before: service.wal.as_ref().map(|w| w.stats()).unwrap_or_default(),
-            wal: (service.wal.as_mut())
-                .map(|w| WalPipeline::new(w, config.group_commit, config.ops_interval)),
+            wal: (service.wal.as_mut()).map(|w| WalPipeline::new(w, config.group_commit)),
             gate: config.cost_bounds.map(BoundGate::new),
             report,
             start: Probe::read(runtime),
@@ -1308,10 +1300,12 @@ mod tests {
         assert_eq!(report.bounds_unbounded, 2);
         assert_eq!(report.bounds_cache_hits, 3);
         // The mirrored counters feed the EXPLAIN ANALYZE bounds: line.
-        let trace = svc.runtime().recorder().trace();
-        assert_eq!(
-            trace.bounds_summary().as_deref(),
-            Some("bounds: 4 plans checked, 2 unbounded, 0 over-budget rejects (3 cache hits)")
+        let explain = svc.runtime().recorder().trace().explain_analyze();
+        assert!(
+            explain.contains(
+                "bounds: 4 plans checked, 2 unbounded, 0 over-budget rejects (3 cache hits)"
+            ),
+            "{explain}"
         );
     }
 
@@ -1456,18 +1450,21 @@ mod tests {
         let report = svc.run(vec![r]);
         assert_eq!(report.slo_alerts, 1);
         let recorder = svc.runtime().recorder();
-        let records = recorder.flight_records();
+        let dir = std::env::temp_dir().join(format!("aida-slo-flight-{}", std::process::id()));
+        recorder.set_flight_autodump(dir.join("flight.jsonl"));
+        let dumped = recorder.flight_autodump("probe").expect("tracing is on");
+        let ring = std::fs::read_to_string(&dumped).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
         assert!(
-            records
-                .iter()
-                .any(|f| f.source == "serve.slo" && f.kind == "slo_alert"),
-            "flight ring should note the alert: {records:?}"
+            ring.lines()
+                .any(|l| l.contains(r#""source":"serve.slo","kind":"slo_alert""#)),
+            "flight ring should note the alert: {ring}"
         );
         // EXPLAIN ANALYZE surfaces the alert through the slo.alerts counter.
-        let trace = recorder.trace();
-        assert_eq!(
-            trace.health_summary().as_deref(),
-            Some("health: 1 slo burn-rate alerts (breach)")
+        let explain = recorder.trace().explain_analyze();
+        assert!(
+            explain.contains("health: 1 slo burn-rate alerts (breach)"),
+            "{explain}"
         );
     }
 
@@ -1618,28 +1615,27 @@ mod tests {
             rt,
             ServeConfig {
                 workers: 1,
-                queue_capacity: 16,
-                ops_interval: 4,
+                queue_capacity: 32,
                 ..ServeConfig::default()
             },
         );
         svc.register_context("reports", ctx);
         svc.register_tenant("acme", TenantConfig::default());
         // Threshold 2: compaction is due almost immediately, but it may
-        // only run at every 4th completion.
+        // only run at every OPS_INTERVAL-th (16th) completion.
         svc.attach_wal(LedgerWal::open(dir.join("ledger.wal")).compact_threshold(2))
             .unwrap();
-        let requests: Vec<QueryRequest> = (0..6)
+        let requests: Vec<QueryRequest> = (0..20)
             .map(|i| {
-                let mut r = QueryRequest::new("acme", "reports", format!("count theft in 200{i}"))
-                    .at(i as f64 * 10.0);
+                let question = format!("count theft in {}", 2000 + i);
+                let mut r = QueryRequest::new("acme", "reports", question).at(i as f64 * 10.0);
                 r.seq = i as u64;
                 r
             })
             .collect();
         let report = svc.run(requests);
-        assert_eq!(report.completions.len(), 6);
-        assert!(report.wal_compactions >= 1, "{}", report.render());
+        assert_eq!(report.completions.len(), 20);
+        assert_eq!(report.wal_compactions, 1, "{}", report.render());
         assert!(
             report.wal_compactions_deferred >= 1,
             "due-but-deferred completions must be counted: {}",

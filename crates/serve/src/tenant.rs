@@ -103,7 +103,7 @@ impl Spend {
     }
 
     /// Accumulates one query's semantic-cache savings.
-    pub fn add_cache(&mut self, hits: u64, coalesced: u64) {
+    fn add_cache(&mut self, hits: u64, coalesced: u64) {
         self.cache_hits += hits;
         self.cache_coalesced += coalesced;
     }
@@ -154,7 +154,7 @@ impl TenantLedger {
 
     /// Applies one durable ledger record. Replaying a WAL through this
     /// reproduces the exact spend state the records were written under.
-    pub fn apply(&mut self, record: &LedgerRecord) {
+    fn apply(&mut self, record: &LedgerRecord) {
         match record {
             // Admissions carry no spend; they make the WAL a complete
             // audit trail of what entered the service.
@@ -405,13 +405,6 @@ impl LedgerWal {
         }
     }
 
-    /// Sets how many replayable WAL records trigger compaction
-    /// (0 = never compact automatically).
-    pub fn compact_threshold(mut self, records: usize) -> LedgerWal {
-        self.compact_threshold = records;
-        self
-    }
-
     /// Seals the active tail into an immutable `.seg` segment once it
     /// holds this many records (0 = never seal; single-file WAL).
     pub fn segment_records(mut self, records: usize) -> LedgerWal {
@@ -429,11 +422,6 @@ impl LedgerWal {
     /// The WAL file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The compacted-snapshot sibling path.
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snapshot_path
     }
 
     /// The sequence number the next append will use.
@@ -679,15 +667,6 @@ impl LedgerWal {
         Ok(true)
     }
 
-    /// Compacts if the replayable WAL has reached the threshold.
-    /// Returns whether a compaction ran.
-    pub fn maybe_compact(&mut self, ledger: &TenantLedger) -> std::io::Result<bool> {
-        if !self.compaction_due() {
-            return Ok(false);
-        }
-        self.compact(ledger)
-    }
-
     /// Writes the ledger's current state into the compacted snapshot
     /// (atomic commit), then reclaims log space. A crash between the two
     /// steps is safe: recovery skips WAL records the snapshot already
@@ -796,6 +775,23 @@ fn decode_ledger_snapshot(text: &str) -> Result<(u64, Vec<(TenantId, Spend)>), S
 mod tests {
     use super::*;
 
+    impl LedgerWal {
+        /// Sets the auto-compaction threshold (records in the WAL).
+        pub(crate) fn compact_threshold(mut self, records: usize) -> LedgerWal {
+            self.compact_threshold = records;
+            self
+        }
+
+        /// Compacts if the replayable WAL has reached the threshold.
+        /// Returns whether a compaction ran.
+        fn maybe_compact(&mut self, ledger: &TenantLedger) -> std::io::Result<bool> {
+            if !self.compaction_due() {
+                return Ok(false);
+            }
+            self.compact(ledger)
+        }
+    }
+
     #[test]
     fn quotas_gate_on_attributed_spend() {
         let mut ledger = TenantLedger::new();
@@ -849,7 +845,6 @@ mod tests {
         let config = TenantConfig::default()
             .p99_latency(30.0)
             .usd_per_query(0.01);
-        assert!(config.slo.is_declared());
         assert_eq!(config.slo.p99_latency_s, Some(30.0));
         assert_eq!(config.slo.usd_per_query, Some(0.01));
         // SLOs never shed: the quota gate ignores them entirely.
@@ -1223,7 +1218,8 @@ mod tests {
         let second = spend_record(&acme, 0.5);
         ledger.apply(&second);
         let err = wal.append(&second).unwrap_err();
-        assert!(FailPlan::is_crash(&err));
+        assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+        assert!(err.to_string().contains("injected crash"), "{err}");
 
         // Recovery finds both records in the (unsealed) tail: the crash
         // lost the rename, never the acknowledged data.

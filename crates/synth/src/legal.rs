@@ -27,14 +27,14 @@ use std::sync::Arc;
 /// First year covered by the national series.
 pub const FIRST_YEAR: i64 = 2001;
 /// Last year covered by the national series.
-pub const LAST_YEAR: i64 = 2024;
+const LAST_YEAR: i64 = 2024;
 /// Identity-theft reports in the first year (fixed; defines ground truth).
-pub const THEFTS_FIRST: i64 = 86_250;
+const THEFTS_FIRST: i64 = 86_250;
 /// Identity-theft reports in the last year (fixed; defines ground truth).
-pub const THEFTS_LAST: i64 = 1_135_291;
+const THEFTS_LAST: i64 = 1_135_291;
 
 /// Name of the ground-truth national file.
-pub const NATIONAL_FILE: &str = "sentinel_national_reports_by_year_2001_2024.csv";
+const NATIONAL_FILE: &str = "sentinel_national_reports_by_year_2001_2024.csv";
 
 /// The evaluation query (the paper's `legal-easy-3`).
 pub const QUERY: &str = "What is the ratio between the number of identity theft reports in \
@@ -47,7 +47,7 @@ pub fn true_ratio() -> f64 {
 
 /// The national identity-theft series: exponential interpolation between
 /// the fixed endpoints with small deterministic wiggle in interior years.
-pub fn theft_series() -> Vec<(i64, i64)> {
+fn theft_series() -> Vec<(i64, i64)> {
     let years = (FIRST_YEAR..=LAST_YEAR).collect::<Vec<_>>();
     let n = (years.len() - 1) as f64;
     let growth = (THEFTS_LAST as f64 / THEFTS_FIRST as f64).powf(1.0 / n);
@@ -362,12 +362,16 @@ mod tests {
         let doc = w.lake.get(NATIONAL_FILE).unwrap();
         let tables = doc.tables().unwrap();
         let t = &tables[0];
-        let thefts_2024 = t.find_row("year", &aida_data::Value::Int(2024)).unwrap()
-            [t.schema().index_of("identity_theft_reports").unwrap()]
-        .clone();
-        let thefts_2001 = t.find_row("year", &aida_data::Value::Int(2001)).unwrap()
-            [t.schema().index_of("identity_theft_reports").unwrap()]
-        .clone();
+        let year = t.schema().index_of("year").unwrap();
+        let reports = t.schema().index_of("identity_theft_reports").unwrap();
+        let thefts_in = |y: i64| {
+            let row = t
+                .rows()
+                .iter()
+                .find(|r| r[year] == aida_data::Value::Int(y));
+            row.unwrap()[reports].clone()
+        };
+        let (thefts_2024, thefts_2001) = (thefts_in(2024), thefts_in(2001));
         let ratio = thefts_2024.as_float().unwrap() / thefts_2001.as_float().unwrap();
         assert!((ratio - true_ratio()).abs() < 1e-9);
     }

@@ -39,14 +39,6 @@ pub enum GroundTruth {
 }
 
 impl GroundTruth {
-    /// Numeric accessor.
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            GroundTruth::Number(n) => Some(*n),
-            GroundTruth::DocSet(_) => None,
-        }
-    }
-
     /// Document-set accessor.
     pub fn as_doc_set(&self) -> Option<&[String]> {
         match self {
@@ -90,10 +82,8 @@ mod tests {
     #[test]
     fn ground_truth_accessors() {
         let n = GroundTruth::Number(13.2);
-        assert_eq!(n.as_number(), Some(13.2));
         assert!(n.as_doc_set().is_none());
         let d = GroundTruth::DocSet(vec!["a".into()]);
         assert_eq!(d.as_doc_set().unwrap().len(), 1);
-        assert!(d.as_number().is_none());
     }
 }

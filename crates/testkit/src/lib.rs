@@ -1,9 +1,9 @@
 //! # aida-testkit — deterministic crash-injection test harness
 //!
 //! Shared scaffolding for the durability test suite: per-test temp
-//! directories (so `cargo test` is parallel-safe), byte-level file
-//! corruption helpers, and re-exports of the crash-injection machinery
-//! from [`aida_llm::snapshot`].
+//! directories (so `cargo test` is parallel-safe), the simulated network
+//! fabric, and re-exports of the crash-injection machinery from
+//! [`aida_llm::snapshot`].
 //!
 //! The crash model these tools exercise: a process can die at any of the
 //! [`CrashPoint`]s threaded through the snapshot-save and WAL-append
@@ -59,29 +59,6 @@ impl Drop for TestDir {
     }
 }
 
-/// Every crash point, for exhaustive matrix tests.
-pub fn crash_points() -> &'static [CrashPoint] {
-    &CrashPoint::ALL
-}
-
-/// Flips one byte of a file in place (torn-media simulation). The index
-/// wraps modulo the file length. Panics on an empty or missing file.
-pub fn corrupt_byte(path: &Path, index: usize) {
-    let mut bytes = fs::read(path).expect("read file to corrupt");
-    assert!(!bytes.is_empty(), "cannot corrupt an empty file");
-    let i = index % bytes.len();
-    bytes[i] ^= 0x5a;
-    fs::write(path, bytes).expect("write corrupted file");
-}
-
-/// Drops the last `n` bytes of a file (truncated-write simulation).
-/// Truncating more than the file holds leaves it empty.
-pub fn truncate_tail(path: &Path, n: usize) {
-    let bytes = fs::read(path).expect("read file to truncate");
-    let keep = bytes.len().saturating_sub(n);
-    fs::write(path, &bytes[..keep]).expect("write truncated file");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,36 +74,5 @@ mod tests {
         drop(a);
         assert!(!kept.exists());
         assert!(b.path().is_dir());
-    }
-
-    #[test]
-    fn corruption_helpers_change_exactly_what_they_claim() {
-        let dir = TestDir::new("corrupt");
-        let path = dir.file("f.bin");
-        fs::write(&path, b"hello world").unwrap();
-
-        corrupt_byte(&path, 1);
-        let bytes = fs::read(&path).unwrap();
-        assert_eq!(bytes.len(), 11);
-        assert_ne!(bytes[1], b'e');
-        assert_eq!(bytes[0], b'h');
-
-        truncate_tail(&path, 6);
-        assert_eq!(fs::read(&path).unwrap().len(), 5);
-        truncate_tail(&path, 100);
-        assert_eq!(fs::read(&path).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn crash_point_matrix_is_exhaustive() {
-        assert_eq!(crash_points().len(), 10);
-        // The log-structured sites (segment seal, delta append, group
-        // flush) all fire before their write commits, so the post-commit
-        // set is still exactly the two acknowledge-lost points.
-        let post: Vec<_> = crash_points()
-            .iter()
-            .filter(|p| p.is_post_commit())
-            .collect();
-        assert_eq!(post.len(), 2);
     }
 }

@@ -347,15 +347,8 @@ impl NetSim {
         out
     }
 
-    /// Whether the client end has delivered bytes waiting.
-    pub fn client_readable(&self, token: usize) -> bool {
-        self.conns
-            .get(token)
-            .is_some_and(|conn| conn.to_client.readable_at(self.now_s))
-    }
-
-    /// Every connection whose client end has delivered bytes waiting
-    /// ([`NetSim::client_readable`]), in ascending token order.
+    /// Every connection whose client end has delivered bytes waiting, in
+    /// ascending token order.
     pub fn client_ready(&mut self) -> Vec<usize> {
         let now = self.now_s;
         let conns = &mut self.conns;
@@ -510,16 +503,25 @@ impl NetSim {
             conn.server_closed = true;
         }
     }
-
-    /// Whether the server has closed its end of `token`.
-    pub fn server_closed(&self, token: usize) -> bool {
-        self.conns.get(token).is_none_or(|conn| conn.server_closed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NetSim {
+        /// Whether the client end has delivered bytes waiting.
+        fn client_readable(&self, token: usize) -> bool {
+            self.conns
+                .get(token)
+                .is_some_and(|conn| conn.to_client.readable_at(self.now_s))
+        }
+
+        /// Whether the server has closed its end of `token`.
+        fn server_closed(&self, token: usize) -> bool {
+            self.conns.get(token).is_none_or(|conn| conn.server_closed)
+        }
+    }
 
     fn drain(sim: &mut NetSim, token: usize) -> Vec<u8> {
         let mut out = Vec::new();

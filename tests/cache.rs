@@ -3,10 +3,12 @@
 //! corrupted-snapshot rejection, and byte-identical seeded replay with
 //! the cache enabled.
 
-use aida::llm::{CacheConfig, SemanticCache, SnapshotError};
+use aida::llm::{SemanticCache, SnapshotError};
 use aida::prelude::*;
 use aida_testkit::TestDir;
 use std::path::Path;
+
+mod common;
 
 fn lake() -> DataLake {
     DataLake::from_docs([
@@ -148,13 +150,10 @@ fn corrupted_snapshot_is_rejected_and_runtime_starts_cold() {
 
     // Garble a byte in the middle of the body.
     let mid = std::fs::read(&path).unwrap().len() / 2;
-    aida_testkit::corrupt_byte(&path, mid);
+    common::corrupt_byte(&path, mid);
 
     // Loading directly reports a typed format error...
-    let probe = SemanticCache::new(CacheConfig {
-        capacity: 4096,
-        ..CacheConfig::default()
-    });
+    let probe = SemanticCache::with_capacity(4096);
     match probe.load(&path) {
         Err(SnapshotError::Format(_)) => {}
         other => panic!("expected a format rejection, got {other:?}"),

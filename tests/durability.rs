@@ -11,17 +11,50 @@
 //! fixed scenario as JSONL; CI runs the suite twice at the same seed and
 //! diffs the dumps byte-for-byte.
 
-use aida::core::{Context, Runtime};
+use aida::core::{Context, ContextManager, Runtime};
 use aida::data::{DataLake, Document};
 use aida::llm::snapshot::{self, CrashPoint, FailPlan, SnapshotError};
 use aida::serve::{
     open_loop, LedgerRecord, LedgerWal, QueryService, ServeConfig, TenantConfig, TenantId,
     TenantLedger, TenantLoad,
 };
-use aida_testkit::{corrupt_byte, crash_points, truncate_tail, TestDir};
+use aida_testkit::TestDir;
+use common::{corrupt_byte, truncate_tail};
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
+
+mod common;
+
+/// Whether the write at `point` is already durable when the crash fires
+/// (recovery must land on the committed state, not the pre-crash one).
+fn is_post_commit(point: CrashPoint) -> bool {
+    matches!(
+        point,
+        CrashPoint::SnapshotAfterCommit | CrashPoint::WalAfterAppend
+    )
+}
+
+/// Whether an error came from an injected crash (vs. a real I/O failure).
+fn is_crash(err: &std::io::Error) -> bool {
+    err.kind() == std::io::ErrorKind::Interrupted && err.to_string().contains("injected crash")
+}
+
+/// Pending journal operations, counted without consuming them.
+fn journal_len(manager: &ContextManager) -> usize {
+    let ops = manager.drain_journal();
+    let n = ops.len();
+    manager.restore_journal(ops);
+    n
+}
+
+/// One WAL record line exactly as the writer frames it.
+fn record_line(dir: &TestDir, seq: u64, payload: &str) -> String {
+    let path = dir.file("record.wal");
+    let _ = fs::remove_file(&path);
+    snapshot::wal_append(&path, seq, payload, None).unwrap();
+    fs::read_to_string(&path).unwrap()
+}
 
 fn lake() -> DataLake {
     DataLake::from_docs([
@@ -39,6 +72,22 @@ fn spend(tenant: &str, usd: f64) -> LedgerRecord {
         calls: 2,
         cache_hits: 1,
         cache_coalesced: 0,
+    }
+}
+
+/// Applies one ledger record to `ledger` the way WAL replay does.
+fn apply(ledger: &mut TenantLedger, record: &LedgerRecord) {
+    if let LedgerRecord::Spend {
+        tenant,
+        usd,
+        tokens,
+        calls,
+        cache_hits,
+        cache_coalesced,
+    } = record
+    {
+        ledger.charge(tenant, *usd, *tokens, *calls);
+        ledger.credit_cache(tenant, *cache_hits, *cache_coalesced);
     }
 }
 
@@ -90,13 +139,12 @@ fn snapshot_crash_recovery_is_pre_or_committed() {
         fs::write(&state, &s_pre).unwrap();
         let plan = FailPlan::new(point).torn_keep(9);
         let err = rt.save_state_with(Some(&plan)).unwrap_err();
-        assert!(FailPlan::is_crash(&err), "{point:?}");
-        assert!(plan.tripped(), "{point:?}");
+        assert!(is_crash(&err), "{point:?}");
 
         // "Restart": a fresh runtime loads whatever survived on disk.
         let recovered = Runtime::builder().seed(7).state_path(&state).build();
         let got = recovered.manager().encode_snapshot();
-        if point.is_post_commit() {
+        if is_post_commit(point) {
             assert_eq!(got, s_committed, "{point:?}: rename landed, new state");
         } else {
             assert_eq!(got, s_pre, "{point:?}: crash pre-commit keeps old state");
@@ -166,9 +214,9 @@ fn wal_crash_never_half_applies_a_ledger_entry() {
     // What the ledger looks like if the fourth record lands in full.
     let mut committed = TenantLedger::new();
     for i in 0..3 {
-        committed.apply(&spend("acme", 0.25 + i as f64 * 0.125));
+        apply(&mut committed, &spend("acme", 0.25 + i as f64 * 0.125));
     }
-    committed.apply(&spend("acme", 1.0));
+    apply(&mut committed, &spend("acme", 1.0));
     let committed_bits = committed.spend(&"acme".into()).usd.to_bits();
 
     let wal_points = [
@@ -179,7 +227,7 @@ fn wal_crash_never_half_applies_a_ledger_entry() {
     // The snapshot matrix (4), this append matrix (3), and the
     // log-structured matrix (3: seal, delta frame, group flush) must
     // together cover every injection point.
-    assert_eq!(wal_points.len() + 4 + 3, crash_points().len());
+    assert_eq!(wal_points.len() + 4 + 3, CrashPoint::ALL.len());
     for point in wal_points {
         fs::write(&path, &base_bytes).unwrap();
         let plan = Arc::new(FailPlan::new(point).torn_keep(11));
@@ -187,11 +235,10 @@ fn wal_crash_never_half_applies_a_ledger_entry() {
         let mut scratch = TenantLedger::new();
         w.recover(&mut scratch).unwrap();
         let err = w.append(&spend("acme", 1.0)).unwrap_err();
-        assert!(FailPlan::is_crash(&err), "{point:?}");
-        assert!(plan.tripped(), "{point:?}");
+        assert!(is_crash(&err), "{point:?}");
 
         let (bits, recovery) = recover_usd_bits(&path, "acme");
-        if point.is_post_commit() {
+        if is_post_commit(point) {
             assert_eq!(recovery.replayed, 4, "{point:?}");
             assert_eq!(bits, committed_bits, "{point:?}: record applied in full");
         } else {
@@ -228,8 +275,7 @@ fn log_structured_crashes_lose_batches_whole_and_seals_lose_nothing() {
     let err = w
         .append_batch(&[spend("acme", 1.0), spend("acme", 2.0)])
         .unwrap_err();
-    assert!(FailPlan::is_crash(&err));
-    assert!(plan.tripped());
+    assert!(is_crash(&err));
     let (bits, recovery) = recover_usd_bits(&path, "acme");
     assert_eq!(recovery.replayed, 1, "batch lost in full");
     assert_eq!(bits, pre_bits);
@@ -251,12 +297,12 @@ fn log_structured_crashes_lose_batches_whole_and_seals_lose_nothing() {
     let err = w
         .append_batch(&[first.clone(), spend("acme", 2.0), spend("acme", 4.0)])
         .unwrap_err();
-    assert!(FailPlan::is_crash(&err));
+    assert!(is_crash(&err));
     let (bits, recovery) = recover_usd_bits(&path, "acme");
     assert_eq!(recovery.replayed, 1, "record 0 of the batch survives");
     assert!(recovery.dropped_tail);
     let mut only_first = TenantLedger::new();
-    only_first.apply(&first);
+    apply(&mut only_first, &first);
     assert_eq!(bits, only_first.spend(&"acme".into()).usd.to_bits());
 
     // WalSegmentSeal: the crash costs the rename, not the records.
@@ -267,11 +313,10 @@ fn log_structured_crashes_lose_batches_whole_and_seals_lose_nothing() {
         .with_fail_plan(plan.clone());
     w.append(&spend("acme", 0.25)).unwrap();
     let err = w.append(&spend("acme", 0.5)).unwrap_err();
-    assert!(FailPlan::is_crash(&err));
-    assert!(plan.tripped());
+    assert!(is_crash(&err));
     let mut committed = TenantLedger::new();
-    committed.apply(&spend("acme", 0.25));
-    committed.apply(&spend("acme", 0.5));
+    apply(&mut committed, &spend("acme", 0.25));
+    apply(&mut committed, &spend("acme", 0.5));
     let (bits, recovery) = recover_usd_bits(&path, "acme");
     assert_eq!(recovery.replayed, 2, "both acknowledged records durable");
     assert_eq!(bits, committed.spend(&"acme".into()).usd.to_bits());
@@ -313,13 +358,12 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     let intact = fs::read(&delta).unwrap();
 
     rt.manager().register("gamma instruction", mk("gamma"), 3.0);
-    assert_eq!(rt.manager().journal_len(), 1);
+    assert_eq!(journal_len(rt.manager()), 1);
     let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(9);
     let err = rt.save_state_with(Some(&plan)).unwrap_err();
-    assert!(FailPlan::is_crash(&err));
-    assert!(plan.tripped());
+    assert!(is_crash(&err));
     assert_eq!(
-        rt.manager().journal_len(),
+        journal_len(rt.manager()),
         1,
         "the failed frame's mutation is back in the journal"
     );
@@ -340,7 +384,10 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     // gamma's document itself — the failed attempt left nothing in the
     // chain's pool for it to refer to.
     assert!(rt.save_state().unwrap());
-    assert_eq!(rt.manager().journal_len(), 0);
+    assert!(
+        rt.manager().drain_journal().is_empty(),
+        "a landed frame drains the journal"
+    );
     let retried = fs::read_to_string(&delta).unwrap();
     assert!(retried.as_bytes().starts_with(&intact));
     let frame = &retried[intact.len()..];
@@ -462,12 +509,12 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
         format!("{base_sum:016x}\t3\t{entry}\t18446744073709551615"),
         format!("{base_sum:016x}\t3\t{entry}\t-1"),
     ] {
-        let rogue = snapshot::wal_record_line(1, &payload);
+        let rogue = record_line(&dir, 1, &payload);
         let chain = [frames[0], &rogue, frames[1]].concat();
         assert_eq!(recovered(chain), frame_states[1], "{payload:?}");
     }
     // The same entry with a backward reference is a frame like any other.
-    let fine = snapshot::wal_record_line(1, &format!("{base_sum:016x}\t3\t{entry}\t1"));
+    let fine = record_line(&dir, 1, &format!("{base_sum:016x}\t3\t{entry}\t1"));
     let got = recovered([frames[0], &fine].concat());
     assert!(got.contains("rogue instruction") && !frame_states.contains(&got));
 }
@@ -522,7 +569,7 @@ fn v1_state_is_rejected_and_the_runtime_starts_cold() {
     let base_sum = snapshot::fnv64(v2.as_bytes());
     let v1_frame = format!("{base_sum:016x}\tI\\tC\\\\tother\\\\t3ff0000000000000");
     let delta = cold.delta_path().unwrap();
-    fs::write(&delta, snapshot::wal_record_line(0, &v1_frame)).unwrap();
+    fs::write(&delta, record_line(&dir, 0, &v1_frame)).unwrap();
     let warm = build();
     assert_eq!(warm.manager().encode_snapshot(), v2, "the snapshot alone");
 }
@@ -607,7 +654,7 @@ fn torn_tail_recovery_keeps_post_recovery_appends_across_a_second_restart() {
     assert_eq!(recovery.replayed, 2);
     let post = spend("acme", 2.0);
     wal2.append(&post).unwrap();
-    ledger.apply(&post);
+    apply(&mut ledger, &post);
     let expected_bits = ledger.spend(&"acme".into()).usd.to_bits();
 
     // Restart 2: the acknowledged post-recovery spend survives in full.
@@ -630,7 +677,7 @@ fn wal_damage_loses_only_a_suffix() {
         prefix_bits.push(ledger.spend(&"acme".into()).usd.to_bits());
         let record = spend("acme", 0.5 + i as f64);
         wal.append(&record).unwrap();
-        ledger.apply(&record);
+        apply(&mut ledger, &record);
     }
     prefix_bits.push(ledger.spend(&"acme".into()).usd.to_bits());
     let clean = fs::read(&path).unwrap();
@@ -789,10 +836,8 @@ fn restored_contexts_serve_queries_without_dangling_lineage() {
 
     let rt2 = Runtime::builder().seed(7).state_path(&state).build();
     assert!(!rt2.manager().is_empty());
-    let (hit, score) = rt2
-        .manager()
-        .find_similar(instruction)
-        .expect("restored entry matches its instruction");
+    let (hit, score) = rt2.manager().reuse_scored(instruction, 0.0);
+    let hit = hit.expect("restored entry matches its instruction");
     assert!(score > 0.99, "identical instruction embeds identically");
     assert!(
         !hit.context.is_empty(),
@@ -853,7 +898,7 @@ fn evicted_contexts_do_not_resurrect_after_reload() {
     // still cannot exceed the capacity bound.
     let rt3 = Runtime::builder().seed(3).context_capacity(1).build();
     rt3.manager()
-        .load_snapshot(&stale, &|id, lake, desc| {
+        .load_chain(&stale, &[], &|id, lake, desc| {
             Context::builder(id, lake).description(desc).build(&rt3)
         })
         .unwrap();
@@ -891,7 +936,7 @@ fn lru_tick_ordering_restores_tick_identically() {
 
     let rt2 = Runtime::builder().seed(11).build();
     rt2.manager()
-        .load_snapshot(&snap, &|id, lake, desc| {
+        .load_chain(&snap, &[], &|id, lake, desc| {
             Context::builder(id, lake).description(desc).build(&rt2)
         })
         .unwrap();
@@ -914,7 +959,7 @@ fn lru_tick_ordering_restores_tick_identically() {
     // least recently used entry in `snap`, so it is the one displaced.
     let rt3 = Runtime::builder().seed(11).context_capacity(3).build();
     rt3.manager()
-        .load_snapshot(&snap, &|id, lake, desc| {
+        .load_chain(&snap, &[], &|id, lake, desc| {
             Context::builder(id, lake).description(desc).build(&rt3)
         })
         .unwrap();
@@ -1072,7 +1117,7 @@ mod props {
             let mut direct = TenantLedger::new();
             for record in &records {
                 wal.append(record).unwrap();
-                direct.apply(record);
+                apply(&mut direct, record);
             }
             let recover = || {
                 let mut ledger = TenantLedger::new();
@@ -1141,10 +1186,11 @@ mod props {
             let rt2 = Runtime::builder().seed(5).build();
             let restored = rt2
                 .manager()
-                .load_snapshot(&snap, &|id, lake, desc| {
+                .load_chain(&snap, &[], &|id, lake, desc| {
                     Context::builder(id, lake).description(desc).build(&rt2)
                 })
-                .unwrap();
+                .unwrap()
+                .0;
             prop_assert_eq!(restored, rt.manager().len());
             prop_assert_eq!(rt2.manager().encode_snapshot(), snap);
         }
@@ -1198,7 +1244,7 @@ mod props {
             prop_assert!(replayed <= flat.len());
             let mut prefix = TenantLedger::new();
             for record in &flat[..replayed] {
-                prefix.apply(record);
+                apply(&mut prefix, record);
             }
             let expected: Vec<(String, u64, u64, u64)> = prefix
                 .spends()

@@ -481,7 +481,15 @@ fn rejected_clients_never_double_bill() {
     // Every client resolves to exactly one typed outcome, and the
     // client-side query count matches the server's completion count.
     assert_eq!(outcomes.len(), clients);
-    let client_queries: usize = outcomes.iter().map(|o| o.queries_completed()).sum();
+    let client_queries: usize = outcomes
+        .iter()
+        .map(|o| match o {
+            ClientOutcome::Completed { queries, .. } => *queries,
+            ClientOutcome::RetriesExhausted { completed, .. }
+            | ClientOutcome::Abandoned { completed, .. }
+            | ClientOutcome::WireFailed { completed, .. } => *completed,
+        })
+        .sum();
     assert_eq!(client_queries, report.completions.len());
 
     // The shed storm was real and the outcomes are typed.
