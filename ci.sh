@@ -76,6 +76,12 @@ cmp target/ci-lint-a/lint_report.jsonl results/lint_report.jsonl
 # full size quickly.
 cargo test -q --release -p aida-script --test differential
 
+# Generic reading parity: the simulated LLM's memo-backed readers (lowered
+# text, table view) must answer like the test-only line-by-line readers
+# they replaced, for memoized and memo-less subjects. Release runs the
+# property test at its full case count.
+cargo test -q --release -p aida-llm --lib sim::reading_differential
+
 # Pyrite VM determinism: the bench's canonical JSON carries only
 # deterministic metrics — two runs must be byte-identical, and equal to
 # the committed one. (`pyrite_vm.txt` carries wall-clock timings and is

@@ -5,6 +5,7 @@ use crate::table::Table;
 use crate::value::Value;
 use crate::{csv, DataError};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// The format of a document's content.
@@ -44,9 +45,9 @@ impl DocKind {
 /// actually reading the text) consults them.
 ///
 /// The content is shared, and what is a pure function of it — the visible
-/// text, its token count and its hash — is computed on first use and kept
-/// (nothing is computed at load), so `content` and `kind` must not be
-/// reassigned once the text has been read.
+/// text, its lowered form, its table view, its token count and its hash —
+/// is computed on first use and kept (nothing is computed at load), so
+/// `content` and `kind` must not be reassigned once the text has been read.
 #[derive(Debug, Clone)]
 pub struct Document {
     /// Stable identifier, unique within a lake.
@@ -67,8 +68,24 @@ pub struct Document {
 #[derive(Debug, Clone, Default)]
 struct TextMemo {
     stripped: OnceLock<Arc<str>>,
+    lowered: OnceLock<Arc<str>>,
+    table: OnceLock<TableView>,
     tokens: OnceLock<usize>,
     hash: OnceLock<u64>,
+}
+
+/// A text read as a comma-separated table: what the simulated LLM's table
+/// reader needs of it, so asking a table a second question re-reads
+/// nothing. The reader that builds it lives above this crate
+/// (`aida_llm::sim`); the default, with no columns, is "not a table".
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TableView {
+    /// The header line's cells, each as the words a question is matched
+    /// against.
+    pub columns: Vec<Vec<String>>,
+    /// Every data-line cell that can key a row, as its value and the
+    /// line's byte range in the text, in line order.
+    pub keys: Vec<(i64, Range<usize>)>,
 }
 
 impl PartialEq for Document {
@@ -117,6 +134,27 @@ impl Document {
                 .get_or_init(|| html::to_text(&self.content).into()),
             _ => &self.content,
         }
+    }
+
+    /// [`Document::shared_text`] with ASCII letters lowered, computed on
+    /// first use and kept. Byte offsets into it are offsets into the text.
+    /// A text with no ASCII uppercase letter is shared, not copied.
+    pub fn lowered_text(&self) -> &Arc<str> {
+        self.memo.lowered.get_or_init(|| {
+            let text = self.shared_text();
+            if text.bytes().any(|b| b.is_ascii_uppercase()) {
+                text.to_ascii_lowercase().into()
+            } else {
+                Arc::clone(text)
+            }
+        })
+    }
+
+    /// `read(shared_text())`, computed on the first call and kept; like
+    /// [`Document::text_tokens`], every caller must pass the same function
+    /// (`aida_llm::sim`'s table reader).
+    pub fn text_table(&self, read: fn(&str) -> TableView) -> &TableView {
+        self.memo.table.get_or_init(|| read(self.shared_text()))
     }
 
     /// An owned copy of [`Document::shared_text`].
@@ -180,6 +218,16 @@ mod tests {
         let doc = Document::new("m.eml", "Subject: x\n\nbody").with_label("relevant", true);
         assert_eq!(doc.label("relevant"), Some(&Value::Bool(true)));
         assert_eq!(doc.label("nope"), None);
+    }
+
+    #[test]
+    fn lowered_text_shares_text_without_uppercase() {
+        let plain = Document::new("a.txt", "no capitals, é");
+        assert!(Arc::ptr_eq(plain.lowered_text(), plain.shared_text()));
+        let mixed = Document::new("b.txt", "Mixed CASE É");
+        assert_eq!(&**mixed.lowered_text(), "mixed case É");
+        let page = Document::new("r.html", "<P>Total</P>");
+        assert_eq!(page.lowered_text().trim(), "total");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! model tier and the subject's difficulty, which is what makes cheap models
 //! cheap.
 
-use crate::{noise, tokens};
-use aida_data::{Document, Record, Value};
+use crate::{noise, sim, tokens};
+use aida_data::{Document, Record, TableView, Value};
 use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -31,7 +31,8 @@ pub struct Subject<'a> {
     /// Hidden ground-truth labels (set by workload generators).
     pub labels: Option<&'a BTreeMap<String, Value>>,
     /// Set when `text` *is* this document's shared text: its memoized
-    /// token count and hash then replace re-walking the text per call.
+    /// readings (lowered text, table view, token count, hash) then replace
+    /// re-walking the text per call.
     memo: Option<&'a Document>,
 }
 
@@ -100,6 +101,23 @@ impl<'a> Subject<'a> {
         match self.memo {
             Some(doc) => doc.text_hash(noise::hash_str),
             None => noise::hash_str(&self.text),
+        }
+    }
+
+    /// `text` with ASCII letters lowered (byte offsets unchanged), from the
+    /// document's memo when it has one.
+    pub(crate) fn text_lower(&self) -> Cow<'_, str> {
+        match self.memo {
+            Some(doc) => Cow::Borrowed(doc.lowered_text()),
+            None => Cow::Owned(self.text.to_ascii_lowercase()),
+        }
+    }
+
+    /// `sim::table_view(text)`, from the document's memo when it has one.
+    pub(crate) fn table_view(&self) -> Cow<'_, TableView> {
+        match self.memo {
+            Some(doc) => Cow::Borrowed(doc.text_table(sim::table_view)),
+            None => Cow::Owned(sim::table_view(&self.text)),
         }
     }
 

@@ -13,8 +13,10 @@ use crate::noise;
 use crate::oracle::{Oracle, OracleAnswer, Subject};
 use crate::tokens;
 use crate::usage::UsageMeter;
-use aida_data::Value;
+use aida_data::{TableView, Value};
 use aida_obs::{Event, Recorder};
+use std::ops::{Range, RangeInclusive};
+use std::sync::OnceLock;
 
 /// A semantic task submitted to the simulated LLM.
 #[derive(Debug, Clone)]
@@ -404,13 +406,14 @@ impl SimLlm {
             }
             Some(OracleAnswer::Value(v)) => v.truthy(),
             Some(OracleAnswer::Text(t)) => !t.is_empty(),
-            None => generic_filter(instruction, &subject.text),
+            None => generic_filter(instruction, subject),
         };
         let key = self.call_key(model, instruction, &subject.name);
         let err = self.catalog.spec(model).error_at(difficulty);
         let corrupted = noise::decide(key, err);
         let answer = if corrupted { !truth } else { truth };
-        let input = tokens::count_parts(&[FILTER_PREAMBLE, instruction]) + part_tokens(subject);
+        let input =
+            FILTER_PREAMBLE.tokens() + tokens::count_parts(&[instruction]) + part_tokens(subject);
         let (input_tokens, output_tokens, latency_s) = self.bill(model, input, 4, key);
         LlmResponse {
             value: Value::Bool(answer),
@@ -444,7 +447,7 @@ impl SimLlm {
                 Value::Bool(b)
             }
             Some(OracleAnswer::Text(t)) => Value::Str(t.into()),
-            None => generic_extract(instruction, field, field_desc, &subject.text),
+            None => generic_extract(instruction, field, field_desc, subject),
         };
         let key = self.call_key(model, &oracle_query, &subject.name);
         let err = self.catalog.spec(model).error_at(difficulty);
@@ -454,12 +457,14 @@ impl SimLlm {
         } else {
             truth
         };
-        let prompt = tokens::count_parts(&[EXTRACT_PREAMBLE, instruction, field, field_desc])
+        let prompt = EXTRACT_PREAMBLE.tokens()
+            + tokens::count_parts(&[instruction, field, field_desc])
             + part_tokens(subject);
-        let out = tokens::count(&value.to_string()).max(4) + 6;
+        let text = value.to_string();
+        let out = tokens::count(&text).max(4) + 6;
         let (input_tokens, output_tokens, latency_s) = self.bill(model, prompt, out, key);
         LlmResponse {
-            text: value.to_string(),
+            text,
             value,
             input_tokens,
             output_tokens,
@@ -497,7 +502,8 @@ impl SimLlm {
         } else {
             truth
         };
-        let prompt = tokens::count_parts(&[MAP_PREAMBLE, instruction]) + part_tokens(subject);
+        let prompt =
+            MAP_PREAMBLE.tokens() + tokens::count_parts(&[instruction]) + part_tokens(subject);
         let out = tokens::count(&text).clamp(1, target_tokens.max(8));
         let (input_tokens, output_tokens, latency_s) = self.bill(model, prompt, out, key);
         LlmResponse {
@@ -530,7 +536,7 @@ impl SimLlm {
         };
         let text = options.get(pick).cloned().unwrap_or_default();
         let options_text = options.join("\n");
-        let prompt = tokens::count_parts(&[CHOOSE_PREAMBLE, question, &options_text]);
+        let prompt = CHOOSE_PREAMBLE.tokens() + tokens::count_parts(&[question, &options_text]);
         let (input_tokens, output_tokens, latency_s) =
             self.bill(model, prompt, tokens::count(&text).max(2), key);
         LlmResponse {
@@ -544,7 +550,7 @@ impl SimLlm {
     }
 
     fn run_freeform(&self, model: ModelId, prompt: &str, response: &str) -> LlmResponse {
-        let input = tokens::count_parts(&[AGENT_PREAMBLE, prompt]);
+        let input = AGENT_PREAMBLE.tokens() + tokens::count_parts(&[prompt]);
         let out = tokens::count(response).max(1);
         let key = self.call_key(model, prompt, "freeform");
         let (input_tokens, output_tokens, latency_s) = self.bill(model, input, out, key);
@@ -565,15 +571,46 @@ fn part_tokens(subject: &Subject<'_>) -> usize {
     subject.text_tokens() + tokens::PART_FRAMING
 }
 
-const FILTER_PREAMBLE: &str = "You are a precise data analyst. Answer true or false: does the \
-                               following item satisfy the predicate?";
-const EXTRACT_PREAMBLE: &str = "You are a precise data analyst. Extract the requested field from \
-                                the following item. Reply with only the value.";
-const MAP_PREAMBLE: &str = "You are a precise data analyst. Transform the following item as \
-                            instructed.";
-const CHOOSE_PREAMBLE: &str = "You are a careful judge. Pick the best option for the question.";
-const AGENT_PREAMBLE: &str = "You are an expert data-analysis agent that plans, writes code, and \
-                              uses tools to answer questions over a data lake.";
+/// A constant prompt part that opens every prompt of one task kind. Its
+/// share of the prompt, as [`tokens::count_parts`] would count it, is
+/// taken on first use and kept.
+struct Preamble {
+    text: &'static str,
+    tokens: OnceLock<usize>,
+}
+
+impl Preamble {
+    const fn new(text: &'static str) -> Preamble {
+        Preamble {
+            text,
+            tokens: OnceLock::new(),
+        }
+    }
+
+    /// `tokens::count_parts(&[text])`.
+    fn tokens(&self) -> usize {
+        *self
+            .tokens
+            .get_or_init(|| tokens::count_parts(&[self.text]))
+    }
+}
+
+static FILTER_PREAMBLE: Preamble = Preamble::new(
+    "You are a precise data analyst. Answer true or false: does the following item satisfy \
+     the predicate?",
+);
+static EXTRACT_PREAMBLE: Preamble = Preamble::new(
+    "You are a precise data analyst. Extract the requested field from the following item. \
+     Reply with only the value.",
+);
+static MAP_PREAMBLE: Preamble =
+    Preamble::new("You are a precise data analyst. Transform the following item as instructed.");
+static CHOOSE_PREAMBLE: Preamble =
+    Preamble::new("You are a careful judge. Pick the best option for the question.");
+static AGENT_PREAMBLE: Preamble = Preamble::new(
+    "You are an expert data-analysis agent that plans, writes code, and uses tools to answer \
+     questions over a data lake.",
+);
 
 /// Words too common to carry signal in keyword matching.
 pub const STOPWORDS: &[&str] = &[
@@ -645,12 +682,12 @@ fn content_words(text: &str) -> Vec<String> {
 
 /// Generic keyword-overlap filter: true when at least half of the
 /// instruction's content words appear in the subject text.
-fn generic_filter(instruction: &str, text: &str) -> bool {
+fn generic_filter(instruction: &str, subject: &Subject<'_>) -> bool {
     let needles = content_words(instruction);
     if needles.is_empty() {
         return true;
     }
-    let haystack = text.to_ascii_lowercase();
+    let haystack = subject.text_lower();
     let hits = needles
         .iter()
         .filter(|w| haystack.contains(w.as_str()))
@@ -658,57 +695,77 @@ fn generic_filter(instruction: &str, text: &str) -> bool {
     (hits as f64) / (needles.len() as f64) >= 0.5
 }
 
-/// Table-aware extraction for CSV-like text: picks the column whose header
-/// tokens best overlap the instruction/field tokens, and the row keyed by a
-/// year (or other number) mentioned in the instruction. Returns `None` when
-/// the text doesn't look tabular or nothing matches.
-fn table_extract(instruction: &str, field: &str, text: &str) -> Option<Value> {
-    let comma_lines: Vec<&str> = text.lines().filter(|l| l.contains(',')).collect();
-    if comma_lines.len() < 3 {
-        return None;
+/// `part`'s byte range in `text`; `part` must be a slice of `text`.
+fn span_in(text: &str, part: &str) -> Range<usize> {
+    let start = part.as_ptr() as usize - text.as_ptr() as usize;
+    start..start + part.len()
+}
+
+/// The values a table row can be keyed by: years.
+const ROW_KEYS: RangeInclusive<i64> = 1900..=2100;
+
+/// Reads `text` as a comma-separated table for [`table_extract`]: its
+/// comma-bearing lines, the first being the header. Fewer than three such
+/// lines is not a table (the empty view). A document keeps its view
+/// ([`aida_data::Document::text_table`]).
+pub(crate) fn table_view(text: &str) -> TableView {
+    let mut lines = text.lines().filter(|l| l.contains(','));
+    let Some(header) = lines.next() else {
+        return TableView::default();
+    };
+    let mut rows = 0;
+    let mut keys = Vec::new();
+    for line in lines {
+        rows += 1;
+        let cells = line.split(',').filter_map(|c| c.trim().parse::<i64>().ok());
+        keys.extend(
+            cells
+                .filter(|n| ROW_KEYS.contains(n))
+                .map(|n| (n, span_in(text, line))),
+        );
     }
-    let header = comma_lines[0];
-    let cols: Vec<String> = header
-        .split(',')
-        .map(|c| c.trim().to_ascii_lowercase())
-        .collect();
-    let mut needles = content_words(instruction);
-    needles.extend(content_words(&field.replace('_', " ")));
-    // Score each column by token overlap with the needles.
+    if rows < 2 {
+        return TableView::default();
+    }
+    TableView {
+        columns: header.split(',').map(content_words).collect(),
+        keys,
+    }
+}
+
+/// Table-aware extraction for CSV-like text: picks the column whose header
+/// words best overlap `needles` (the instruction's and field's content
+/// words), and the row keyed by a year mentioned in the instruction.
+/// Returns `None` when the text doesn't look tabular or nothing matches.
+fn table_extract(instruction: &str, needles: &[String], subject: &Subject<'_>) -> Option<Value> {
+    let key = instruction
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|t| t.parse::<i64>().ok())
+        .find(|n| ROW_KEYS.contains(n))?;
+    let table = subject.table_view();
+    // Score each column by word overlap with the needles.
     let mut best_col: Option<(usize, usize)> = None; // (score, idx)
-    for (i, col) in cols.iter().enumerate() {
-        let col_tokens = content_words(&col.replace('_', " "));
-        let score = col_tokens.iter().filter(|t| needles.contains(t)).count();
+    for (i, words) in table.columns.iter().enumerate() {
+        let score = words.iter().filter(|w| needles.contains(w)).count();
         if score > 0 && best_col.is_none_or(|(s, _)| score > s) {
             best_col = Some((score, i));
         }
     }
     let (_, col_idx) = best_col?;
-    // Row key: a year mentioned in the instruction, else the first number.
-    let key = instruction
-        .split(|c: char| !c.is_ascii_digit())
-        .filter_map(|t| t.parse::<i64>().ok())
-        .find(|n| (1900..=2100).contains(n))?;
-    for line in &comma_lines[1..] {
-        let cells: Vec<&str> = line.split(',').collect();
-        let keyed = cells
-            .iter()
-            .any(|c| c.trim().parse::<i64>().map(|v| v == key).unwrap_or(false));
-        if keyed {
-            // A ragged keyed row (shorter than the chosen column) is
-            // skipped so a later well-formed row can still answer.
-            let Some(raw) = cells.get(col_idx).map(|c| c.trim()) else {
-                continue;
-            };
-            let cleaned: String = raw.chars().filter(|c| *c != ',').collect();
-            if let Ok(i) = cleaned.parse::<i64>() {
-                return Some(Value::Int(i));
-            }
-            if let Ok(f) = cleaned.parse::<f64>() {
-                return Some(Value::Float(f));
-            }
-            return Some(Value::Str(raw.into()));
+    for (_, row) in table.keys.iter().filter(|(k, _)| *k == key) {
+        // A ragged keyed row (shorter than the chosen column) is skipped
+        // so a later well-formed row can still answer.
+        let Some(raw) = subject.text[row.clone()].split(',').nth(col_idx) else {
+            continue;
+        };
+        let raw = raw.trim();
+        if let Ok(i) = raw.parse::<i64>() {
+            return Some(Value::Int(i));
         }
+        if let Ok(f) = raw.parse::<f64>() {
+            return Some(Value::Float(f));
+        }
+        return Some(Value::Str(raw.into()));
     }
     None
 }
@@ -716,22 +773,34 @@ fn table_extract(instruction: &str, field: &str, text: &str) -> Option<Value> {
 /// Generic line-oriented extraction: tries table-aware extraction first,
 /// then scores lines by overlap with the instruction/field tokens and pulls
 /// the first number (or the line text) from the best line.
-fn generic_extract(instruction: &str, field: &str, field_desc: &str, text: &str) -> Value {
-    if let Some(v) = table_extract(instruction, field, text) {
+fn generic_extract(
+    instruction: &str,
+    field: &str,
+    field_desc: &str,
+    subject: &Subject<'_>,
+) -> Value {
+    let mut needles = content_words(instruction);
+    needles.extend(content_words(field));
+    if let Some(v) = table_extract(instruction, &needles, subject) {
         return v;
     }
-    let mut needles = content_words(instruction);
-    needles.extend(content_words(&field.replace('_', " ")));
     needles.extend(content_words(field_desc));
+    // A needle absent from the whole text is absent from every line.
+    let text = &*subject.text;
+    let lower = subject.text_lower();
+    needles.retain(|w| lower.contains(w.as_str()));
     let mut best: Option<(usize, &str)> = None;
-    for line in text.lines() {
-        let lower = line.to_ascii_lowercase();
-        let score = needles
-            .iter()
-            .filter(|w| lower.contains(w.as_str()))
-            .count();
-        if score > 0 && best.is_none_or(|(s, _)| score > s) {
-            best = Some((score, line));
+    if !needles.is_empty() {
+        for line in text.lines() {
+            // ASCII lowering keeps every byte offset.
+            let lowered = &lower[span_in(text, line)];
+            let score = needles
+                .iter()
+                .filter(|w| lowered.contains(w.as_str()))
+                .count();
+            if score > 0 && best.is_none_or(|(s, _)| score > s) {
+                best = Some((score, line));
+            }
         }
     }
     let want_year = field.to_ascii_lowercase().contains("year");
@@ -892,6 +961,9 @@ fn floor_char_boundary(s: &str, mut idx: usize) -> usize {
 }
 
 #[cfg(test)]
+mod reading_differential;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{FnRule, OracleAnswer};
@@ -900,6 +972,38 @@ mod tests {
 
     fn sim() -> SimLlm {
         SimLlm::new(42)
+    }
+
+    fn filter(instruction: &str, text: &str) -> bool {
+        generic_filter(instruction, &Subject::text_only("t", text))
+    }
+
+    fn extract(instruction: &str, field: &str, field_desc: &str, text: &str) -> Value {
+        generic_extract(
+            instruction,
+            field,
+            field_desc,
+            &Subject::text_only("t", text),
+        )
+    }
+
+    fn table(instruction: &str, field: &str, text: &str) -> Option<Value> {
+        let mut needles = content_words(instruction);
+        needles.extend(content_words(field));
+        table_extract(instruction, &needles, &Subject::text_only("t", text))
+    }
+
+    #[test]
+    fn preamble_counts_are_their_parts_counts() {
+        for preamble in [
+            &FILTER_PREAMBLE,
+            &EXTRACT_PREAMBLE,
+            &MAP_PREAMBLE,
+            &CHOOSE_PREAMBLE,
+            &AGENT_PREAMBLE,
+        ] {
+            assert_eq!(preamble.tokens(), tokens::count_parts(&[preamble.text]));
+        }
     }
 
     #[test]
@@ -962,28 +1066,28 @@ mod tests {
 
     #[test]
     fn generic_filter_matches_keyword_overlap() {
-        assert!(generic_filter(
+        assert!(filter(
             "mentions identity theft reports",
             "Identity theft reports rose to 1,135,291 in 2024."
         ));
-        assert!(!generic_filter(
+        assert!(!filter(
             "mentions natural gas pipelines",
             "Identity theft reports rose in 2024."
         ));
         // Empty instruction passes everything.
-        assert!(generic_filter("of the", "anything"));
+        assert!(filter("of the", "anything"));
     }
 
     #[test]
     fn generic_extract_finds_numbers_on_best_line() {
         let text = "fraud reports: 500000\nidentity theft reports: 86250\nother: 100";
-        let v = generic_extract("identity theft", "thefts", "number of reports", text);
+        let v = extract("identity theft", "thefts", "number of reports", text);
         assert_eq!(v, Value::Int(86_250));
     }
 
     #[test]
     fn generic_extract_prefers_years_for_year_fields() {
-        let v = generic_extract(
+        let v = extract(
             "report year",
             "year",
             "the year",
@@ -994,7 +1098,7 @@ mod tests {
 
     #[test]
     fn generic_extract_null_when_nothing_matches() {
-        let v = generic_extract("identity theft", "thefts", "", "completely unrelated words");
+        let v = extract("identity theft", "thefts", "", "completely unrelated words");
         assert_eq!(v, Value::Null);
     }
 
@@ -1004,23 +1108,20 @@ mod tests {
                    2001,325519,86250,120000\n\
                    2023,2400000,1036900,1900000\n\
                    2024,2600000,1135291,2000000\n";
-        let v = table_extract("number of identity theft reports in 2024", "thefts", csv);
+        let v = table("number of identity theft reports in 2024", "thefts", csv);
         assert_eq!(v, Some(Value::Int(1_135_291)));
-        let v = table_extract("identity theft reports in 2001", "thefts", csv);
+        let v = table("identity theft reports in 2001", "thefts", csv);
         assert_eq!(v, Some(Value::Int(86_250)));
         // Different column selected for a fraud question.
-        let v = table_extract("fraud reports in 2024", "fraud", csv);
+        let v = table("fraud reports in 2024", "fraud", csv);
         assert_eq!(v, Some(Value::Int(2_600_000)));
     }
 
     #[test]
     fn table_extract_rejects_non_tabular_text() {
+        assert_eq!(table("thefts in 2024", "thefts", "no commas here"), None);
         assert_eq!(
-            table_extract("thefts in 2024", "thefts", "no commas here"),
-            None
-        );
-        assert_eq!(
-            table_extract("thefts in 2024", "thefts", "a,b\n1,2\n"),
+            table("thefts in 2024", "thefts", "a,b\n1,2\n"),
             None,
             "needs at least three comma lines"
         );
@@ -1031,7 +1132,7 @@ mod tests {
         // The first 2024-keyed row is ragged; the next one answers.
         let csv = "year,fraud,identity_theft_reports\n2001,1,2\n2024\n2024,9,1135291\n";
         assert_eq!(
-            table_extract("identity theft reports in 2024", "thefts", csv),
+            table("identity theft reports in 2024", "thefts", csv),
             Some(Value::Int(1_135_291))
         );
     }
@@ -1039,7 +1140,7 @@ mod tests {
     #[test]
     fn table_extract_requires_year_key() {
         let csv = "year,thefts\n2001,1\n2024,2\n";
-        assert_eq!(table_extract("thefts somewhere", "thefts", csv), None);
+        assert_eq!(table("thefts somewhere", "thefts", csv), None);
     }
 
     #[test]

@@ -1,0 +1,218 @@
+//! The generic readers against the line-by-line readers they replaced.
+//!
+//! `reference_*` are the readers as they were before the lowered-text and
+//! table-view memos: each call lowers the text line by line and rescans
+//! it for comma lines. The property test asserts the memo-backed readers
+//! return identical values, for a document subject (memoized slots) and
+//! for a plain-text subject of the same text (slots computed per call).
+//! `ci.sh` runs it in release at the full case count.
+
+use super::{content_words, first_number, generic_extract, generic_filter, table_extract};
+use crate::oracle::Subject;
+use aida_data::{Document, Value};
+use proptest::prelude::*;
+
+fn reference_filter(instruction: &str, text: &str) -> bool {
+    let needles = content_words(instruction);
+    if needles.is_empty() {
+        return true;
+    }
+    let haystack = text.to_ascii_lowercase();
+    let hits = needles
+        .iter()
+        .filter(|w| haystack.contains(w.as_str()))
+        .count();
+    (hits as f64) / (needles.len() as f64) >= 0.5
+}
+
+fn reference_table_extract(instruction: &str, field: &str, text: &str) -> Option<Value> {
+    let comma_lines: Vec<&str> = text.lines().filter(|l| l.contains(',')).collect();
+    if comma_lines.len() < 3 {
+        return None;
+    }
+    let header = comma_lines[0];
+    let cols: Vec<String> = header
+        .split(',')
+        .map(|c| c.trim().to_ascii_lowercase())
+        .collect();
+    let mut needles = content_words(instruction);
+    needles.extend(content_words(&field.replace('_', " ")));
+    let mut best_col: Option<(usize, usize)> = None;
+    for (i, col) in cols.iter().enumerate() {
+        let col_tokens = content_words(&col.replace('_', " "));
+        let score = col_tokens.iter().filter(|t| needles.contains(t)).count();
+        if score > 0 && best_col.is_none_or(|(s, _)| score > s) {
+            best_col = Some((score, i));
+        }
+    }
+    let (_, col_idx) = best_col?;
+    let key = instruction
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|t| t.parse::<i64>().ok())
+        .find(|n| (1900..=2100).contains(n))?;
+    for line in &comma_lines[1..] {
+        let cells: Vec<&str> = line.split(',').collect();
+        let keyed = cells
+            .iter()
+            .any(|c| c.trim().parse::<i64>().map(|v| v == key).unwrap_or(false));
+        if keyed {
+            let Some(raw) = cells.get(col_idx).map(|c| c.trim()) else {
+                continue;
+            };
+            let cleaned: String = raw.chars().filter(|c| *c != ',').collect();
+            if let Ok(i) = cleaned.parse::<i64>() {
+                return Some(Value::Int(i));
+            }
+            if let Ok(f) = cleaned.parse::<f64>() {
+                return Some(Value::Float(f));
+            }
+            return Some(Value::Str(raw.into()));
+        }
+    }
+    None
+}
+
+fn reference_extract(instruction: &str, field: &str, field_desc: &str, text: &str) -> Value {
+    if let Some(v) = reference_table_extract(instruction, field, text) {
+        return v;
+    }
+    let mut needles = content_words(instruction);
+    needles.extend(content_words(&field.replace('_', " ")));
+    needles.extend(content_words(field_desc));
+    let mut best: Option<(usize, &str)> = None;
+    for line in text.lines() {
+        let lower = line.to_ascii_lowercase();
+        let score = needles
+            .iter()
+            .filter(|w| lower.contains(w.as_str()))
+            .count();
+        if score > 0 && best.is_none_or(|(s, _)| score > s) {
+            best = Some((score, line));
+        }
+    }
+    let want_year = field.to_ascii_lowercase().contains("year");
+    let line = match best {
+        Some((_, line)) => line,
+        None => {
+            return text
+                .lines()
+                .find_map(|l| first_number(l, want_year))
+                .unwrap_or(Value::Null);
+        }
+    };
+    match first_number(line, want_year) {
+        Some(v) => v,
+        None => Value::Str(line.trim().into()),
+    }
+}
+
+/// Pieces a text is built from: mixed-case words that instructions ask
+/// about, numbers with separators, every line ending `str::lines` treats
+/// differently (LF, CRLF, a lone CR), ASCII whitespace that
+/// `u8::is_ascii_whitespace` and `char::is_whitespace` disagree on
+/// (U+000B), non-ASCII whitespace and alphanumerics, and table lines:
+/// headers, keyed rows, ragged rows and rows keyed twice.
+const TEXT_PIECES: &[&str] = &[
+    "Identity",
+    "THEFT",
+    "theft",
+    "Reports",
+    "fraud",
+    "Year",
+    "the",
+    "of",
+    "Straße",
+    "é",
+    "٣",
+    "total",
+    " ",
+    " ",
+    ", ",
+    ",",
+    ":",
+    "\n",
+    "\n",
+    "\r\n",
+    "\r",
+    "\u{0B}",
+    "\u{0C}",
+    "\t",
+    "\u{A0}",
+    "\u{85}",
+    "2024",
+    "2001",
+    "1,135,291",
+    "86250",
+    "13.16",
+    "-7",
+    "+2024",
+    "year,fraud_reports,identity_theft_reports\n",
+    "Year, Identity Theft ,Other\r\n",
+    "YEAR,thefts,notes\u{0B}\n",
+    "2024,2600000,1135291\n",
+    "2001 , 325519 , 86250\r\n",
+    "2024,9\n",
+    "2024\n",
+    "2001,2001,x y\n",
+    "2024,1.5,inf\n",
+    "row,é٣,THEFT reports",
+];
+
+const INSTRUCTIONS: &[&str] = &[
+    "mentions identity theft",
+    "Identity THEFT reports in 2024",
+    "number of identity theft reports in 2001",
+    "fraud reports in 2024 and 2001",
+    "theft theft theft in 2024",
+    "the of and",
+    "report year",
+    "total Straße é",
+    "thefts in 1899 then 2024",
+    "٣ reports 2001",
+    "",
+];
+
+const FIELDS: &[&str] = &["thefts", "identity_theft", "year", "fraud", "value", ""];
+
+const FIELD_DESCS: &[&str] = &["", "number of reports", "the year", "notes x", "é total"];
+
+fn text() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..TEXT_PIECES.len(), 0..48)
+        .prop_map(|picks| picks.into_iter().map(|i| TEXT_PIECES[i]).collect())
+}
+
+fn pick(options: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+    (0..options.len()).prop_map(move |i| options[i])
+}
+
+const CASES: u32 = if cfg!(debug_assertions) { 512 } else { 16384 };
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+    #[test]
+    fn memo_backed_readers_answer_like_the_line_readers(
+        text in text(),
+        instruction in pick(INSTRUCTIONS),
+        field in pick(FIELDS),
+        field_desc in pick(FIELD_DESCS),
+        name in pick(&["d.txt", "d.csv", "d.eml"]),
+    ) {
+        let doc = Document::new(name, text.as_str());
+        let mut needles = content_words(instruction);
+        needles.extend(content_words(field));
+        for subject in [Subject::doc(&doc), Subject::text_only(name, &text)] {
+            prop_assert_eq!(
+                table_extract(instruction, &needles, &subject),
+                reference_table_extract(instruction, field, &text)
+            );
+            prop_assert_eq!(
+                generic_filter(instruction, &subject),
+                reference_filter(instruction, &text)
+            );
+            prop_assert_eq!(
+                generic_extract(instruction, field, field_desc, &subject),
+                reference_extract(instruction, field, field_desc, &text)
+            );
+        }
+    }
+}

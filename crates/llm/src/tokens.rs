@@ -9,41 +9,79 @@
 
 /// Counts the tokens in `text`.
 ///
-/// Empty or whitespace-only text counts zero tokens.
+/// Empty or whitespace-only text counts zero tokens. One pass over the
+/// bytes: ASCII is classified byte by byte, and each non-ASCII character
+/// by `char::is_whitespace` / `char::is_alphanumeric`, so NBSP, NEL, `é`
+/// or `٣` count as they would in a char-by-char walk.
 pub fn count(text: &str) -> usize {
+    let bytes = text.as_bytes();
     let mut total = 0usize;
-    for word in text.split_whitespace() {
-        total += word_tokens(word);
-    }
-    total
-}
-
-fn word_tokens(word: &str) -> usize {
-    // Split a "word" into alphanumeric and punctuation runs; each
-    // alphanumeric run costs ceil(len/4) with a minimum of 1, punctuation
-    // runs cost 1 token each.
-    let mut tokens = 0usize;
-    let mut alpha_len = 0usize;
-    let mut prev_punct = false;
-    for c in word.chars() {
-        if c.is_alphanumeric() {
-            alpha_len += 1;
-            prev_punct = false;
+    // Characters in the open alphanumeric run, and whether the previous
+    // character was punctuation (a punctuation run costs one token).
+    let mut alnum = 0usize;
+    let mut in_punct = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        let class = if bytes[i].is_ascii() {
+            let b = bytes[i];
+            i += 1;
+            ascii_class(b)
         } else {
-            if alpha_len > 0 {
-                tokens += alpha_len.div_ceil(4).max(1);
-                alpha_len = 0;
+            let c = text[i..]
+                .chars()
+                .next()
+                .expect("i is on a char boundary below text.len()");
+            i += c.len_utf8();
+            char_class(c)
+        };
+        match class {
+            Class::Space => {
+                total += alnum.div_ceil(4);
+                alnum = 0;
+                in_punct = false;
             }
-            if !prev_punct {
-                tokens += 1;
+            Class::Alnum => {
+                alnum += 1;
+                in_punct = false;
             }
-            prev_punct = true;
+            Class::Punct => {
+                total += alnum.div_ceil(4) + usize::from(!in_punct);
+                alnum = 0;
+                in_punct = true;
+            }
         }
     }
-    if alpha_len > 0 {
-        tokens += alpha_len.div_ceil(4).max(1);
+    total + alnum.div_ceil(4)
+}
+
+/// How the tokenizer sees one character: whitespace separates words; in a
+/// word, each alphanumeric run costs `ceil(len/4)` tokens and each
+/// punctuation run one.
+#[derive(Clone, Copy)]
+enum Class {
+    Space,
+    Alnum,
+    Punct,
+}
+
+/// [`char_class`] for an ASCII byte. `char::is_whitespace` counts U+000B
+/// (vertical tab), which `u8::is_ascii_whitespace` does not.
+fn ascii_class(b: u8) -> Class {
+    match b {
+        b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ' => Class::Space,
+        _ if b.is_ascii_alphanumeric() => Class::Alnum,
+        _ => Class::Punct,
     }
-    tokens.max(1)
+}
+
+fn char_class(c: char) -> Class {
+    if c.is_whitespace() {
+        Class::Space
+    } else if c.is_alphanumeric() {
+        Class::Alnum
+    } else {
+        Class::Punct
+    }
 }
 
 /// Tokens of framing (role headers, separators) billed per prompt part.
@@ -58,6 +96,70 @@ pub fn count_parts(parts: &[&str]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The char-by-char tokenizer [`count`] replaced: the reference its
+    /// byte pass is checked against.
+    fn reference_count(text: &str) -> usize {
+        text.split_whitespace().map(reference_word_tokens).sum()
+    }
+
+    fn reference_word_tokens(word: &str) -> usize {
+        let mut tokens = 0usize;
+        let mut alpha_len = 0usize;
+        let mut prev_punct = false;
+        for c in word.chars() {
+            if c.is_alphanumeric() {
+                alpha_len += 1;
+                prev_punct = false;
+            } else {
+                if alpha_len > 0 {
+                    tokens += alpha_len.div_ceil(4).max(1);
+                    alpha_len = 0;
+                }
+                if !prev_punct {
+                    tokens += 1;
+                }
+                prev_punct = true;
+            }
+        }
+        if alpha_len > 0 {
+            tokens += alpha_len.div_ceil(4).max(1);
+        }
+        tokens.max(1)
+    }
+
+    /// Characters on both sides of every class boundary: ASCII letters,
+    /// digits and punctuation, all six ASCII whitespace bytes
+    /// `char::is_whitespace` accepts plus the separators it does not
+    /// (U+001C..U+001F), and non-ASCII whitespace, letters, digits and
+    /// punctuation.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', 'q', '0', '7', '.', ',', '-', '_', '\'', '"', '(', '\t', '\n', '\u{0B}',
+        '\u{0C}', '\r', ' ', '\u{1C}', '\u{1F}', '\u{A0}', '\u{85}', '\u{2028}', '\u{3000}', 'é',
+        'ß', '日', '٣', '“', '…', '\u{7F}', '\0',
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn byte_pass_counts_like_the_char_walk(
+            picks in prop::collection::vec(0..ALPHABET.len(), 0..40)
+        ) {
+            let text: String = picks.into_iter().map(|i| ALPHABET[i]).collect();
+            prop_assert_eq!(count(&text), reference_count(&text));
+        }
+    }
+
+    #[test]
+    fn vertical_tab_separates_words_and_nbsp_and_nel_too() {
+        for sep in ['\u{0B}', '\u{A0}', '\u{85}'] {
+            let text = format!("abcde{sep}fg");
+            assert_eq!(count(&text), 3, "{sep:?}");
+            assert_eq!(count(&text), reference_count(&text));
+        }
+        assert_eq!(count("a\u{1C}b"), reference_count("a\u{1C}b"));
+    }
 
     #[test]
     fn empty_text_is_zero_tokens() {
