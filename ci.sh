@@ -173,9 +173,14 @@ head -c 11 target/ci-cache-a/traces/flight_1.jsonl | grep -q '{"flight":"'
 
 # Cold-vs-warm through a disk spill: cache_bench writes the snapshot,
 # reloads it in a fresh runtime, and asserts identical answers at lower
-# cost (exits nonzero otherwise).
-AIDA_RESULTS_DIR=target/ci-cache-a \
+# cost (exits nonzero otherwise). Its dollars are the queries' receipts:
+# two runs must write byte-identical JSON, equal to the committed file.
+AIDA_RESULTS_DIR=target/ci-cachebench-a \
   cargo run -q --release -p aida-bench --bin cache_bench >/dev/null
+AIDA_RESULTS_DIR=target/ci-cachebench-b \
+  cargo run -q --release -p aida-bench --bin cache_bench >/dev/null
+cmp target/ci-cachebench-a/BENCH_cache_bench.json target/ci-cachebench-b/BENCH_cache_bench.json
+cmp target/ci-cachebench-a/BENCH_cache_bench.json results/BENCH_cache_bench.json
 
 # Durability: the crash-injection suite must recover the SAME state on
 # every run. Two same-seed passes dump the recovered scenario as JSONL

@@ -33,7 +33,7 @@ pub mod tools;
 pub use policy::{AgentPolicy, DeepResearchPolicy, PolicyAction, PolicyContext};
 pub use runtime::{AgentOutcome, AgentRuntime, StepTrace};
 pub use step_cache::StepCache;
-pub use tool::{FnTool, Tool, ToolRegistry, ToolSpec};
+pub use tool::{FnTool, RunReceipts, Tool, ToolRegistry, ToolSpec};
 
 use aida_llm::ModelId;
 

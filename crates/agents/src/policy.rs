@@ -17,7 +17,7 @@
 //! two semantic filters launched over the full corpus without checking the
 //! first filter's output, then per-field extractions.
 
-use crate::tool::ToolRegistry;
+use crate::tool::{RunReceipts, ToolRegistry};
 use crate::Persona;
 use aida_data::DataLake;
 use aida_llm::noise::{self, KeyedRng};
@@ -54,6 +54,8 @@ pub struct PolicyContext<'a> {
     pub(crate) lake: Option<&'a DataLake>,
     /// The agent's model (manual judgements bill to it).
     pub model: ModelId,
+    /// The run's receipts (manual judgements add theirs).
+    pub(crate) receipts: &'a RunReceipts,
 }
 
 impl<'a> PolicyContext<'a> {
@@ -82,6 +84,7 @@ impl<'a> PolicyContext<'a> {
             },
         );
         self.env.clock.advance(resp.latency_s);
+        self.receipts.borrow_mut().add(&resp.receipt);
         resp.value.truthy()
     }
 }

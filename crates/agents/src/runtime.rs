@@ -17,12 +17,12 @@
 
 use crate::policy::{PolicyAction, PolicyContext};
 use crate::step_cache::{StepCache, StepKey, StepVerdict};
-use crate::tool::ToolRegistry;
+use crate::tool::{RunReceipts, ToolRegistry};
 use crate::tools::AnswerCell;
 use crate::CodeAgent;
 use aida_data::{DataLake, Value};
 use aida_llm::noise;
-use aida_llm::LlmTask;
+use aida_llm::{LlmTask, UsageSnapshot};
 use aida_obs::SpanKind;
 use aida_script::Interpreter;
 use aida_semops::ExecEnv;
@@ -51,7 +51,10 @@ pub struct AgentOutcome {
     pub answer: Option<Value>,
     /// Per-step traces.
     pub steps: Vec<StepTrace>,
-    /// Dollars the run spent (planning + any tool LLM calls).
+    /// What the run billed: its planning calls, its policy's manual
+    /// judgements and its tools' LLM calls.
+    pub receipt: UsageSnapshot,
+    /// Dollars the run spent (the receipt's cost).
     pub cost_usd: f64,
     /// Virtual seconds the run took.
     pub time_s: f64,
@@ -176,10 +179,10 @@ impl<'a> AgentRuntime<'a> {
         let mut registry = self.registry.clone();
         registry.register(crate::tools::final_answer_tool(&answer));
 
+        let receipts = RunReceipts::default();
         let mut interp = Interpreter::new().with_fuel(5_000_000);
-        registry.bind_into(&mut interp);
+        registry.bind_billing_into(&mut interp, &receipts);
 
-        let before = self.env.llm.meter().snapshot();
         let t0 = self.env.clock.now();
         let manifest = registry.manifest();
         let mut observations: Vec<String> = Vec::new();
@@ -201,6 +204,7 @@ impl<'a> AgentRuntime<'a> {
                 env: self.env,
                 lake: self.lake.as_ref(),
                 model: agent.config.model,
+                receipts: &receipts,
             };
             let code = match agent.policy.next_step(&ctx) {
                 PolicyAction::Code(code) => code,
@@ -247,6 +251,7 @@ impl<'a> AgentRuntime<'a> {
                 },
             );
             self.env.clock.advance(resp.latency_s);
+            receipts.borrow_mut().add(&resp.receipt);
 
             let observation = match interp.run_compiled(&compiled) {
                 Ok(value) => {
@@ -279,11 +284,12 @@ impl<'a> AgentRuntime<'a> {
             }
         }
 
-        let delta = self.env.llm.meter().snapshot().delta_since(&before);
+        let receipt = receipts.take();
         AgentOutcome {
             answer: answer.get(),
             steps,
-            cost_usd: delta.cost(self.env.llm.catalog()),
+            cost_usd: receipt.cost(self.env.llm.catalog()),
+            receipt,
             time_s: self.env.clock.now() - t0,
         }
     }

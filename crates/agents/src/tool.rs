@@ -1,6 +1,9 @@
 //! The tool abstraction.
 
+use aida_llm::UsageSnapshot;
 use aida_script::{Interpreter, ScriptError, ScriptValue};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Metadata describing a tool to the (simulated) planner.
@@ -29,40 +32,70 @@ impl ToolSpec {
     }
 }
 
+/// The receipts one agent run collects. Tools bill from inside the
+/// Pyrite VM, whose host functions return only a [`ScriptValue`], so the
+/// run hands this accumulator to its tools and its policy; it lives as
+/// long as the run.
+pub type RunReceipts = Rc<RefCell<UsageSnapshot>>;
+
 /// A tool callable from agent programs.
 pub trait Tool: Send + Sync {
     /// The tool's spec.
     fn spec(&self) -> &ToolSpec;
-    /// Invokes the tool.
-    fn call(&self, args: &[ScriptValue]) -> Result<ScriptValue, ScriptError>;
+    /// Invokes the tool, adding the receipt of every LLM call it makes to
+    /// `receipts`.
+    fn call(
+        &self,
+        args: &[ScriptValue],
+        receipts: &RunReceipts,
+    ) -> Result<ScriptValue, ScriptError>;
 }
+
+type ToolFn =
+    dyn Fn(&[ScriptValue], &RunReceipts) -> Result<ScriptValue, ScriptError> + Send + Sync;
 
 /// A tool backed by a closure.
-pub struct FnTool<F> {
+pub struct FnTool {
     spec: ToolSpec,
-    func: F,
+    func: Box<ToolFn>,
 }
 
-impl<F> FnTool<F>
-where
-    F: Fn(&[ScriptValue]) -> Result<ScriptValue, ScriptError> + Send + Sync,
-{
-    /// Wraps a closure as a tool.
-    pub fn new(spec: ToolSpec, func: F) -> Self {
-        FnTool { spec, func }
+impl FnTool {
+    /// Wraps a closure that makes no LLM call as a tool.
+    pub fn new(
+        spec: ToolSpec,
+        func: impl Fn(&[ScriptValue]) -> Result<ScriptValue, ScriptError> + Send + Sync + 'static,
+    ) -> Self {
+        Self::billing(spec, move |args, _| func(args))
+    }
+
+    /// Wraps a closure that bills LLM calls as a tool: it adds their
+    /// receipts to the run's.
+    pub fn billing(
+        spec: ToolSpec,
+        func: impl Fn(&[ScriptValue], &RunReceipts) -> Result<ScriptValue, ScriptError>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Self {
+        FnTool {
+            spec,
+            func: Box::new(func),
+        }
     }
 }
 
-impl<F> Tool for FnTool<F>
-where
-    F: Fn(&[ScriptValue]) -> Result<ScriptValue, ScriptError> + Send + Sync,
-{
+impl Tool for FnTool {
     fn spec(&self) -> &ToolSpec {
         &self.spec
     }
 
-    fn call(&self, args: &[ScriptValue]) -> Result<ScriptValue, ScriptError> {
-        (self.func)(args)
+    fn call(
+        &self,
+        args: &[ScriptValue],
+        receipts: &RunReceipts,
+    ) -> Result<ScriptValue, ScriptError> {
+        (self.func)(args, receipts)
     }
 }
 
@@ -123,12 +156,22 @@ impl ToolRegistry {
         out
     }
 
-    /// Binds every tool into an interpreter as a host function.
-    pub fn bind_into(&self, interp: &mut Interpreter) {
+    /// Binds every tool into an interpreter as a host function; the
+    /// tools add what they bill to `receipts`.
+    pub fn bind_billing_into(&self, interp: &mut Interpreter, receipts: &RunReceipts) {
         for tool in &self.tools {
             let tool = Arc::clone(tool);
-            interp.bind_host_fn(&tool.spec().name.clone(), move |args| tool.call(args));
+            let receipts = Rc::clone(receipts);
+            interp.bind_host_fn(&tool.spec().name.clone(), move |args| {
+                tool.call(args, &receipts)
+            });
         }
+    }
+
+    /// Binds every tool for use outside an agent run, where nothing
+    /// totals what the tools bill.
+    pub fn bind_into(&self, interp: &mut Interpreter) {
+        self.bind_billing_into(interp, &RunReceipts::default());
     }
 }
 

@@ -187,13 +187,13 @@ pub fn final_answer_tool(cell: &AnswerCell) -> Arc<dyn Tool> {
 pub fn sem_filter_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<dyn Tool> {
     let env = env.clone();
     let lake = lake.clone();
-    Arc::new(FnTool::new(
+    Arc::new(FnTool::billing(
         ToolSpec::new(
             "sem_filter_tool",
             "sem_filter_tool(instruction: str, filenames: list[str]) -> list[str]",
             "applies a natural-language filter to each file with an LLM; returns matches",
         ),
-        move |args| {
+        move |args, receipts| {
             let instruction = args
                 .first()
                 .ok_or_else(|| ScriptError::host("sem_filter_tool needs an instruction"))?
@@ -213,6 +213,7 @@ pub fn sem_filter_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<dy
                     },
                 );
                 env.clock.advance(resp.latency_s); // sequential: no batching
+                receipts.borrow_mut().add(&resp.receipt);
                 if resp.value.truthy() {
                     kept.push(ScriptValue::str(name));
                 }
@@ -230,13 +231,13 @@ pub fn sem_filter_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<dy
 pub fn sem_extract_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<dyn Tool> {
     let env = env.clone();
     let lake = lake.clone();
-    Arc::new(FnTool::new(
+    Arc::new(FnTool::billing(
         ToolSpec::new(
             "sem_extract_tool",
             "sem_extract_tool(instruction: str, field: str, filenames: list[str]) -> list",
             "extracts a field from each file with an LLM; returns one value per file",
         ),
-        move |args| {
+        move |args, receipts| {
             let instruction = args
                 .first()
                 .ok_or_else(|| ScriptError::host("sem_extract_tool needs an instruction"))?
@@ -263,6 +264,7 @@ pub fn sem_extract_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<d
                     },
                 );
                 env.clock.advance(resp.latency_s);
+                receipts.borrow_mut().add(&resp.receipt);
                 out.push(ScriptValue::from_data(&resp.value));
             }
             Ok(ScriptValue::list(out))
@@ -355,7 +357,7 @@ mod tests {
             .run("sem_filter_tool('mentions identity theft', ['theft.txt', 'gas.txt'])")
             .unwrap();
         assert_eq!(out.to_string(), "['theft.txt']");
-        assert_eq!(env.llm.meter().snapshot().total_calls(), 2);
+        assert_eq!(env.llm.usage().total_calls(), 2);
         assert!(env.clock.now() > t0, "sequential calls advance the clock");
     }
 

@@ -65,9 +65,8 @@ fn run_pass(seed: u64, snapshot: &Path) -> (Runtime, Pass) {
         .chain(enron_mix.iter().map(|i| (1, &enron_ctx, *i)));
     for (workload, ctx, instruction) in queries {
         let clock0 = rt.clock().now();
-        let meter0 = rt.meter().snapshot();
         let outcome = rt.query(ctx).compute(instruction).run();
-        let usd = rt.meter().snapshot().delta_since(&meter0).cost(catalog);
+        let usd = outcome.receipt.cost(catalog);
         pass.usd += usd;
         pass.by_workload[workload].1 += usd;
         pass.latency.record(rt.clock().now() - clock0);

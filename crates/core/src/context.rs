@@ -297,7 +297,10 @@ mod tests {
             let tools = c.lake_tools().tools();
             let tool = tools.iter().find(|t| t.spec().name == "search_keywords");
             let args = [ScriptValue::str("identity theft"), ScriptValue::Int(2)];
-            tool.unwrap().call(&args).unwrap().to_string()
+            tool.unwrap()
+                .call(&args, &Default::default())
+                .unwrap()
+                .to_string()
         };
         let hits = search(&clone);
         let built = ctx.lake_tools().keyword_index().expect("first call builds");

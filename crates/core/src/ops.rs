@@ -23,7 +23,7 @@ use aida_agents::{
     AgentConfig, AgentPolicy, AgentRuntime, CodeAgent, FnTool, ToolRegistry, ToolSpec,
 };
 use aida_data::{DataLake, Value};
-use aida_llm::noise;
+use aida_llm::{noise, UsageSnapshot};
 use aida_obs::{clip, Event, SpanKind};
 use aida_script::ScriptValue;
 use std::sync::Arc;
@@ -67,7 +67,9 @@ pub struct OpTrace {
     pub programs: Vec<ProgramRun>,
     /// Steps the agent took.
     pub agent_steps: usize,
-    /// Dollars this operator spent.
+    /// What this operator billed.
+    pub receipt: UsageSnapshot,
+    /// Dollars this operator spent (the receipt's cost).
     pub cost: f64,
     /// Virtual seconds this operator took.
     pub time: f64,
@@ -80,7 +82,11 @@ pub struct ComputeOutcome {
     pub answer: Option<Value>,
     /// The final materialized Context.
     pub context: Context,
-    /// Total dollars.
+    /// Everything the run billed: the operators' receipts plus the
+    /// rewrite judge's, when rewrites are on.
+    pub receipt: UsageSnapshot,
+    /// Total dollars the operators spent (the rewrite judge's call is
+    /// not among them).
     pub cost: f64,
     /// Total virtual seconds.
     pub time: f64,
@@ -140,13 +146,13 @@ impl Query {
             names.join("+"),
             self.runtime.env().clock.now(),
         );
+        let mut receipt = UsageSnapshot::default();
         let ops = if self.apply_rewrites {
             span.attr("rewrites", "on");
-            crate::rewrite::optimize_pipeline(&self.runtime, self.ops.clone())
+            crate::rewrite::optimize_pipeline(&self.runtime, self.ops.clone(), &mut receipt)
         } else {
             self.ops.clone()
         };
-        let before = self.runtime.env().llm.meter().snapshot();
         let t0 = self.runtime.env().clock.now();
 
         let mut ctx = self.ctx.clone();
@@ -186,21 +192,70 @@ impl Query {
             }
         }
 
-        let delta = self
-            .runtime
-            .env()
-            .llm
-            .meter()
-            .snapshot()
-            .delta_since(&before);
+        let mut ops_receipt = UsageSnapshot::default();
+        for op_trace in &trace {
+            ops_receipt.add(&op_trace.receipt);
+        }
+        receipt.add(&ops_receipt);
         span.finish(self.runtime.env().clock.now());
         ComputeOutcome {
             answer,
             context: ctx,
-            cost: delta.cost(self.runtime.env().llm.catalog()),
+            receipt,
+            cost: ops_receipt.cost(self.runtime.env().llm.catalog()),
             time: self.runtime.env().clock.now() - t0,
             trace,
         }
+    }
+}
+
+/// What the ContextManager offers an operator (§3 physical optimization).
+enum Reuse {
+    /// No usable materialized Context.
+    Miss,
+    /// A search hit: the reused Context is the operator's output.
+    Skip(Context),
+    /// A compute hit: the narrower reused Context becomes its input.
+    Narrow(Context),
+}
+
+/// Looks `instruction` up among the materialized Contexts and reports the
+/// verdict to the recorder.
+fn lookup_reuse(runtime: &Runtime, op: &AgenticOp, instruction: &str, ctx: &Context) -> Reuse {
+    if !runtime.config().enable_context_reuse {
+        return Reuse::Miss;
+    }
+    let recorder = &runtime.env().recorder;
+    let (hit, similarity) = runtime
+        .manager()
+        .reuse_scored(instruction, runtime.config().reuse_threshold);
+    if recorder.is_enabled() {
+        match &hit {
+            Some(_) => {
+                recorder.event(Event::ReuseHit {
+                    instruction: clip(instruction, 120),
+                    similarity: similarity as f64,
+                });
+                recorder.counter_add(aida_obs::registry::CONTEXT_REUSE_HITS, 1);
+            }
+            None => {
+                recorder.event(Event::ReuseMiss {
+                    instruction: clip(instruction, 120),
+                    best_similarity: similarity as f64,
+                });
+                recorder.counter_add(aida_obs::registry::CONTEXT_REUSE_MISSES, 1);
+            }
+        }
+    }
+    match (hit, op) {
+        (None, _) => Reuse::Miss,
+        (Some(hit), AgenticOp::Search(_)) => Reuse::Skip(hit.context),
+        (Some(hit), AgenticOp::Compute(_))
+            if !hit.context.is_empty() && hit.context.len() < ctx.len() =>
+        {
+            Reuse::Narrow(hit.context)
+        }
+        (Some(_), AgenticOp::Compute(_)) => Reuse::Miss,
     }
 }
 
@@ -211,65 +266,34 @@ fn run_op(
     idx: u64,
 ) -> (Context, Option<Value>, OpTrace) {
     let instruction = op.instruction().to_string();
-    let before = runtime.env().llm.meter().snapshot();
     let t0 = runtime.env().clock.now();
-    let recorder = runtime.env().recorder.clone();
-    let span = recorder.span(SpanKind::AgenticOp, op.name(), t0);
+    let span = runtime
+        .env()
+        .recorder
+        .span(SpanKind::AgenticOp, op.name(), t0);
     span.attr("instruction", clip(&instruction, 80));
 
-    // Materialized-Context reuse (§3 physical optimization): a search hit
-    // is a full skip; a compute hit narrows the input Context.
-    let mut reused = false;
-    let mut ctx = input_ctx.clone();
-    if runtime.config().enable_context_reuse {
-        let (hit, similarity) = runtime
-            .manager()
-            .reuse_scored(&instruction, runtime.config().reuse_threshold);
-        if recorder.is_enabled() {
-            match &hit {
-                Some(_) => {
-                    recorder.event(Event::ReuseHit {
-                        instruction: clip(&instruction, 120),
-                        similarity: similarity as f64,
-                    });
-                    recorder.counter_add(aida_obs::registry::CONTEXT_REUSE_HITS, 1);
-                }
-                None => {
-                    recorder.event(Event::ReuseMiss {
-                        instruction: clip(&instruction, 120),
-                        best_similarity: similarity as f64,
-                    });
-                    recorder.counter_add(aida_obs::registry::CONTEXT_REUSE_MISSES, 1);
-                }
-            }
+    // A search hit is a full skip; a compute hit narrows the input Context.
+    let (ctx, reused) = match lookup_reuse(runtime, op, &instruction, input_ctx) {
+        Reuse::Skip(context) => {
+            let trace = OpTrace {
+                op: op.name().into(),
+                instruction,
+                reused: true,
+                programs: Vec::new(),
+                agent_steps: 0,
+                receipt: UsageSnapshot::default(),
+                cost: 0.0,
+                time: runtime.env().clock.now() - t0,
+            };
+            span.attr("reused", "true");
+            span.rows(input_ctx.len(), context.len());
+            span.finish(runtime.env().clock.now());
+            return (context, None, trace);
         }
-        if let Some(hit) = hit {
-            match op {
-                AgenticOp::Search(_) => {
-                    let trace = OpTrace {
-                        op: op.name().into(),
-                        instruction,
-                        reused: true,
-                        programs: Vec::new(),
-                        agent_steps: 0,
-                        cost: 0.0,
-                        time: runtime.env().clock.now() - t0,
-                    };
-                    span.attr("reused", "true");
-                    span.rows(input_ctx.len(), hit.context.len());
-                    span.finish(runtime.env().clock.now());
-                    return (hit.context, None, trace);
-                }
-                AgenticOp::Compute(_) => {
-                    // Use the materialized (narrowed) Context as input.
-                    if !hit.context.is_empty() && hit.context.len() < ctx.len() {
-                        ctx = hit.context.clone();
-                        reused = true;
-                    }
-                }
-            }
-        }
-    }
+        Reuse::Narrow(context) => (context, true),
+        Reuse::Miss => (input_ctx.clone(), false),
+    };
 
     // Assemble the toolbox: Context access methods + program synthesis.
     let program_trace = ProgramTrace::new();
@@ -342,8 +366,8 @@ fn run_op(
     };
     let new_ctx = ctx.materialize(new_id, description, narrowed, findings.clone());
 
-    let delta = runtime.env().llm.meter().snapshot().delta_since(&before);
-    let cost = delta.cost(runtime.env().llm.catalog());
+    let receipt = outcome.receipt;
+    let cost = receipt.cost(runtime.env().llm.catalog());
     runtime
         .manager()
         .register(&instruction, new_ctx.clone(), cost);
@@ -361,6 +385,7 @@ fn run_op(
         reused,
         programs,
         agent_steps: outcome.steps.len(),
+        receipt,
         cost,
         time: runtime.env().clock.now() - t0,
     };

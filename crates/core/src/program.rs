@@ -26,7 +26,10 @@ pub struct ProgramRun {
     pub plan: String,
     /// Output records.
     pub records: Vec<Record>,
-    /// Dollars the program spent (sampling + execution).
+    /// What the program billed: sampling plus execution.
+    pub receipt: aida_llm::UsageSnapshot,
+    /// Dollars the program spent: sampling's plus execution's, each priced
+    /// from its own receipt.
     pub cost: f64,
     /// Virtual seconds the program took.
     pub time: f64,
@@ -183,14 +186,14 @@ pub fn run_semantic_program_tool(
     let runtime = runtime.clone();
     let lake = lake.clone();
     let trace = trace.clone();
-    Arc::new(FnTool::new(
+    Arc::new(FnTool::billing(
         ToolSpec::new(
             "run_semantic_program",
             "run_semantic_program(instruction: str) -> list[dict]",
             "writes an optimized semantic-operator program for the instruction, executes it \
              over the full context, and returns the matching records",
         ),
-        move |args| {
+        move |args, receipts| {
             let instruction = args
                 .first()
                 .ok_or_else(|| ScriptError::host("run_semantic_program needs an instruction"))?
@@ -207,10 +210,11 @@ pub fn run_semantic_program_tool(
             );
             let optimizer = Optimizer::new(runtime.env(), runtime.config().optimizer.clone());
             let optimized = optimizer.optimize(ds.plan(), &runtime.config().policy);
-            let before = runtime.env().llm.meter().snapshot();
             let t0 = runtime.env().clock.now();
             let report = Executor::new(runtime.env()).execute(&optimized.physical);
-            let delta = runtime.env().llm.meter().snapshot().delta_since(&before);
+            let mut receipt = optimized.matrix.receipt.clone();
+            receipt.add(&report.receipt);
+            receipts.borrow_mut().add(&receipt);
             span.attr("plan", aida_obs::clip(&optimized.physical.render(), 160));
             span.rows(lake.len(), report.records.len());
             span.finish(runtime.env().clock.now());
@@ -218,7 +222,9 @@ pub fn run_semantic_program_tool(
                 instruction: instruction.clone(),
                 plan: optimized.physical.render(),
                 records: report.records.clone(),
-                cost: delta.cost(runtime.env().llm.catalog()) + optimized.matrix.sampling_cost,
+                receipt,
+                cost: report.receipt.cost(runtime.env().llm.catalog())
+                    + optimized.matrix.sampling_cost,
                 time: runtime.env().clock.now() - t0 + optimized.matrix.sampling_time,
             });
             Ok(records_to_script(&report.records))

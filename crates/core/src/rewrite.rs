@@ -16,18 +16,24 @@ use crate::ops::AgenticOp;
 use crate::runtime::Runtime;
 use aida_agents::policy::task_years;
 use aida_llm::embed::cosine;
+use aida_llm::UsageSnapshot;
 use aida_obs::{clip, Event};
 
 /// Similarity above which two adjacent searches are considered duplicates.
 const MERGE_THRESHOLD: f32 = 0.92;
 
-/// Applies all static rewrites: judge-gated splitting, then merging.
-pub fn optimize_pipeline(runtime: &Runtime, ops: Vec<AgenticOp>) -> Vec<AgenticOp> {
+/// Applies all static rewrites: judge-gated splitting, then merging. The
+/// judge calls' receipts are added to `receipt`.
+pub fn optimize_pipeline(
+    runtime: &Runtime,
+    ops: Vec<AgenticOp>,
+    receipt: &mut UsageSnapshot,
+) -> Vec<AgenticOp> {
     let recorder = runtime.env().recorder.clone();
     let gated: Vec<AgenticOp> = ops
         .into_iter()
         .flat_map(|op| match &op {
-            AgenticOp::Compute(instr) if judge_needs_split(runtime, instr) => {
+            AgenticOp::Compute(instr) if judge_needs_split(runtime, instr, receipt) => {
                 let instr = instr.clone();
                 let out = split_computes(vec![op]);
                 if out.len() > 1 && recorder.is_enabled() {
@@ -53,7 +59,7 @@ pub fn optimize_pipeline(runtime: &Runtime, ops: Vec<AgenticOp>) -> Vec<AgenticO
 /// be split into scoped operations (the paper's §3 DocETL-style logical
 /// optimization, proposed as future work; implemented here with the
 /// simulated judge). The judge call is billed like any other.
-fn judge_needs_split(runtime: &Runtime, instruction: &str) -> bool {
+fn judge_needs_split(runtime: &Runtime, instruction: &str, receipt: &mut UsageSnapshot) -> bool {
     use aida_llm::LlmTask;
     let options = [
         "the directive asks for one piece of information and can run as-is".to_string(),
@@ -78,6 +84,7 @@ fn judge_needs_split(runtime: &Runtime, instruction: &str) -> bool {
         },
     );
     runtime.env().clock.advance(resp.latency_s);
+    receipt.add(&resp.receipt);
     resp.value
         .as_int()
         .map(|i| i == 1)
@@ -198,14 +205,17 @@ mod tests {
         let rt = Runtime::builder().build();
         // Billed like any other call.
         let before = rt.usage();
+        let mut receipt = UsageSnapshot::default();
         let overloaded = judge_needs_split(
             &rt,
             "what is the ratio between the thefts in 2024 and the thefts in 2001",
+            &mut receipt,
         );
-        assert!(rt.usage().since(&before).total_calls() >= 1);
+        assert!(receipt.total_calls() >= 1);
+        assert_eq!(rt.usage().delta_since(&before), receipt);
         // The flagship judge is right on easy structural questions almost
         // always; accept either verdict but check the simple case too.
-        let simple = judge_needs_split(&rt, "filter the emails about Raptor");
+        let simple = judge_needs_split(&rt, "filter the emails about Raptor", &mut receipt);
         // At least one of the two judgements must match ground truth
         // (flagship error at 0.3 difficulty is ~2%; both wrong is ~0.04%).
         assert!(overloaded || !simple);
@@ -219,7 +229,7 @@ mod tests {
              identity theft reports in 2001"
                 .into(),
         )];
-        let out = optimize_pipeline(&rt, ops);
+        let out = optimize_pipeline(&rt, ops, &mut UsageSnapshot::default());
         // Split produced two distinct year-scoped searches (not merged:
         // different years embed differently) plus the compute.
         assert!(out.len() >= 2);

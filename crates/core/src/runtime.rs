@@ -169,13 +169,6 @@ impl Runtime {
         &self.env.recorder
     }
 
-    /// The shared usage ledger (every simulated LLM call lands here).
-    /// Service layers snapshot it around a query and difference the
-    /// snapshots to attribute spend to a tenant.
-    pub fn meter(&self) -> &aida_llm::UsageMeter {
-        self.env.llm.meter()
-    }
-
     /// The shared virtual clock.
     pub fn clock(&self) -> &aida_llm::SimClock {
         &self.env.clock
@@ -467,9 +460,9 @@ impl Runtime {
         crate::ops::Query::new(self.clone(), ctx.clone())
     }
 
-    /// Snapshot of total LLM usage so far.
+    /// Total LLM usage so far: the fold of every receipt issued.
     pub fn usage(&self) -> UsageSnapshot {
-        self.env.llm.meter().snapshot()
+        self.env.llm.usage()
     }
 
     /// Dollars spent so far.

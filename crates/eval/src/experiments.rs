@@ -370,13 +370,11 @@ pub fn ablation_optimizer(seeds: &[u64]) -> ExperimentReport {
                 1 => PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 8),
                 _ => PhysicalPlan::uniform(ds.plan(), ModelId::Nano, 8),
             };
-            let before = env.llm.meter().snapshot();
             let t0 = env.clock.now();
             let report = Executor::new(&env).execute(&plan);
-            let delta = env.llm.meter().snapshot().since(&before);
             let docs: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
             slot.1.push(enron_prf(&SystemAnswer::Docs(docs), &workload));
-            slot.2.push(delta.cost(env.llm.catalog()));
+            slot.2.push(report.receipt.cost(env.llm.catalog()));
             slot.3.push(env.clock.now() - t0);
         }
     }
@@ -436,14 +434,8 @@ pub fn ablation_sampling(seeds: &[u64], budgets: &[usize]) -> ExperimentReport {
                     quality_floor: 0.85,
                 },
             );
-            let before = env.llm.meter().snapshot();
             let report = Executor::new(&env).execute(&optimized.physical);
-            let exec_cost = env
-                .llm
-                .meter()
-                .snapshot()
-                .since(&before)
-                .cost(env.llm.catalog());
+            let exec_cost = report.receipt.cost(env.llm.catalog());
             let docs: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
             prfs.push(enron_prf(&SystemAnswer::Docs(docs), &workload));
             costs.push(exec_cost + optimized.matrix.sampling_cost);
@@ -506,7 +498,6 @@ pub fn ablation_access(sizes: &[usize], seed: u64) -> ExperimentReport {
         let ctx = Context::builder("legal", workload.lake.clone())
             .with_vector_index()
             .build(&rt);
-        let before = rt.usage();
         let t0 = rt.elapsed();
         let shortlist = ctx.vector_search(&rt, "national identity theft reports by year", 8);
         let docs: Vec<_> = shortlist
@@ -524,11 +515,10 @@ pub fn ablation_access(sizes: &[usize], seed: u64) -> ExperimentReport {
             ModelId::Flagship,
             8,
         ));
-        let delta = rt.usage().since(&before);
         rows.push(Row {
             system: format!("index@{n_files}"),
             values: vec![
-                ("cost".into(), delta.cost(rt.env().llm.catalog())),
+                ("cost".into(), report.receipt.cost(rt.env().llm.catalog())),
                 ("time_s".into(), rt.elapsed() - t0),
                 ("llm_calls".into(), report.stats.total_calls() as f64),
             ],
@@ -643,7 +633,7 @@ pub fn figure2(seed: u64) -> String {
 
 /// Like [`figure2`], but with span tracing enabled; returns the recorder
 /// alongside the rendered figure. Recording never touches the clock or
-/// meter, so the rendered text is identical to the untraced run.
+/// receipts, so the rendered text is identical to the untraced run.
 pub fn figure2_traced(seed: u64) -> (String, aida_obs::Recorder) {
     let rt = Runtime::builder().seed(seed).tracing(true).build();
     let workload = legal::generate(seed);

@@ -1,7 +1,7 @@
 //! The four evaluated systems.
 //!
 //! Each runner takes a workload and a trial seed, builds a *fresh*
-//! environment (meter, clock, caches), runs the system end-to-end, and
+//! environment (simulator, clock, caches), runs the system end-to-end, and
 //! reports its answer plus the dollars and virtual seconds it consumed.
 
 use aida_agents::{tools, AgentConfig, AgentRuntime, CodeAgent, Persona, ToolRegistry};
@@ -194,7 +194,7 @@ pub fn run_pz_compute(workload: &Workload, seed: u64) -> SystemRun {
 
 /// Like [`run_pz_compute`], but with span tracing enabled; returns the
 /// recorder alongside the run for `EXPLAIN ANALYZE` / JSONL export. The
-/// run itself is unchanged: recording never touches the clock or meter, so
+/// run itself is unchanged: recording never touches the clock or receipts, so
 /// answers, cost, and time are byte-identical to the untraced run.
 pub fn run_pz_compute_traced(workload: &Workload, seed: u64) -> (SystemRun, aida_obs::Recorder) {
     run_pz_compute_inner(workload, seed, true)

@@ -28,6 +28,7 @@
 use crate::noise;
 use crate::sim::LlmResponse;
 use crate::snapshot::{self, decode_value, encode_value, esc, unesc, FailPlan};
+use crate::usage::UsageSnapshot;
 use aida_data::Value;
 use std::collections::HashMap;
 use std::io::Read;
@@ -81,8 +82,8 @@ pub fn hash_value(value: &Value) -> u64 {
 /// Latency reported for an exact hit, in virtual seconds.
 pub(crate) const HIT_LATENCY_S: f64 = 0.02;
 
-/// A monotonic counter snapshot of cache activity. Deltas between two
-/// snapshots attribute hits to one query or tenant.
+/// A monotonic counter snapshot of cache activity. The difference of two
+/// snapshots is a window's totals; one call's outcome is on its receipt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Exact hits served from the store.
@@ -460,6 +461,7 @@ fn decode_entry(line: &str) -> Result<(CacheKey, LlmResponse), SnapshotError> {
             output_tokens,
             latency_s,
             corrupted,
+            receipt: UsageSnapshot::default(),
         },
     ))
 }
@@ -485,6 +487,7 @@ mod tests {
             output_tokens: 4,
             latency_s: 1.5,
             corrupted: false,
+            receipt: UsageSnapshot::default(),
         }
     }
 

@@ -6,7 +6,8 @@
 //!
 //! 1. **Economics** — every call consumes input/output tokens that are
 //!    priced per model tier ([`ModelCatalog`]) and take simulated time
-//!    ([`latency`]); all spend flows through a single [`UsageMeter`].
+//!    ([`latency`]); each call returns its receipt ([`UsageSnapshot`]),
+//!    callers sum receipts, and [`SimLlm::usage`] is their lifetime fold.
 //! 2. **Tiered accuracy** — cheaper models are noisier. Answers are
 //!    computed by *reading the subject text* (phrase classifiers, table
 //!    extraction) or by consulting generator-registered [`oracle`] rules,
@@ -39,4 +40,4 @@ pub use models::{ModelCatalog, ModelId, ModelSpec};
 pub use oracle::{Oracle, OracleAnswer, OracleRule, Subject};
 pub use sim::{LlmResponse, LlmTask, SimLlm};
 pub use snapshot::{CrashPoint, FailPlan};
-pub use usage::{Usage, UsageMeter, UsageSnapshot};
+pub use usage::{Usage, UsageSnapshot};

@@ -4,19 +4,20 @@
 //! agent step goes through. It (1) computes the true answer — via a
 //! registered oracle rule when one applies, otherwise by generically
 //! *reading* the subject text — (2) corrupts the answer through the
-//! tier/difficulty noise channel, and (3) bills tokens to the shared
-//! [`UsageMeter`] and reports the call's simulated latency.
+//! tier/difficulty noise channel, and (3) returns what it billed as the
+//! response's receipt, with the call's simulated latency.
 
 use crate::cache::{self, CacheKey, Lookup, SemanticCache};
 use crate::models::{ModelCatalog, ModelId};
 use crate::noise;
 use crate::oracle::{Oracle, OracleAnswer, Subject};
 use crate::tokens;
-use crate::usage::UsageMeter;
+use crate::usage::UsageSnapshot;
 use aida_data::{TableView, Value};
 use aida_obs::{Event, Recorder};
+use parking_lot::Mutex;
 use std::ops::{Range, RangeInclusive};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A semantic task submitted to the simulated LLM.
 #[derive(Debug, Clone)]
@@ -88,6 +89,10 @@ pub struct LlmResponse {
     pub latency_s: f64,
     /// Whether the noise channel corrupted the true answer.
     pub corrupted: bool,
+    /// What this call billed: the tokens of every attempt, per model, and
+    /// its cache outcome. A response served from the cache carries its
+    /// own (zero-token) receipt, not the one of the call that computed it.
+    pub receipt: UsageSnapshot,
 }
 
 /// The simulated LLM service.
@@ -95,7 +100,7 @@ pub struct LlmResponse {
 pub struct SimLlm {
     catalog: ModelCatalog,
     oracle: Oracle,
-    meter: UsageMeter,
+    usage: Arc<Mutex<UsageSnapshot>>,
     seed: u64,
     fault_rate: f64,
     recorder: Recorder,
@@ -103,12 +108,12 @@ pub struct SimLlm {
 }
 
 impl SimLlm {
-    /// Creates a simulator with the default catalog and a fresh meter.
+    /// Creates a simulator with the default catalog and no usage yet.
     pub fn new(seed: u64) -> Self {
         SimLlm {
             catalog: ModelCatalog::default(),
             oracle: Oracle::new(),
-            meter: UsageMeter::new(),
+            usage: Arc::default(),
             seed,
             fault_rate: 0.0,
             recorder: Recorder::disabled(),
@@ -148,9 +153,9 @@ impl SimLlm {
         &self.catalog
     }
 
-    /// The shared usage meter.
-    pub fn meter(&self) -> &UsageMeter {
-        &self.meter
+    /// The sum of every receipt this simulator (and its clones) issued.
+    pub fn usage(&self) -> UsageSnapshot {
+        self.usage.lock().clone()
     }
 
     /// The oracle rule registry (generators register rules here).
@@ -258,17 +263,46 @@ impl SimLlm {
         (CacheKey::from_parts(&parts), plan_keyed)
     }
 
-    /// Executes a task with the given model, billing the meter. With a
-    /// cache attached, an exact content-key hit skips billing entirely
-    /// and returns the stored response at the cache's hit latency.
+    /// Executes a task with the given model; the response's receipt says
+    /// what it billed. With a cache attached, an exact content-key hit
+    /// bills nothing and returns the stored response at the cache's hit
+    /// latency.
     pub fn invoke(&self, model: ModelId, task: &LlmTask<'_>) -> LlmResponse {
+        let resp = self.lookup(model, task);
+        self.usage.lock().add(&resp.receipt);
+        resp
+    }
+
+    /// The receipt for `n` duplicates an execution engine deduplicated out
+    /// of one virtually-simultaneous batch: each shares its
+    /// representative's response and bills nothing. They count as
+    /// coalesced in the cache's stats and in [`SimLlm::usage`].
+    pub fn coalesced(&self, n: u64) -> UsageSnapshot {
+        let receipt = UsageSnapshot {
+            cache_coalesced: n,
+            ..UsageSnapshot::default()
+        };
+        if let Some(cache) = &self.cache {
+            cache.record_coalesced(n);
+        }
+        self.usage.lock().add(&receipt);
+        receipt
+    }
+
+    fn lookup(&self, model: ModelId, task: &LlmTask<'_>) -> LlmResponse {
         let Some(cache) = &self.cache else {
             return self.dispatch(model, task);
         };
         let (key, plan_keyed) = self.keyed(model, task);
         match cache.begin(key) {
+            // A stored response is the computing call's; what this call
+            // billed is its own receipt.
             Lookup::Hit(mut resp) => {
                 resp.latency_s = cache::HIT_LATENCY_S;
+                resp.receipt = UsageSnapshot {
+                    cache_hits: 1,
+                    ..UsageSnapshot::default()
+                };
                 if plan_keyed {
                     cache.note_plan_hit();
                 }
@@ -279,7 +313,11 @@ impl SimLlm {
             }
             // A coalesced waiter shares the in-flight call: nothing is
             // billed, but it waits out the call's full latency.
-            Lookup::Coalesced(resp) => {
+            Lookup::Coalesced(mut resp) => {
+                resp.receipt = UsageSnapshot {
+                    cache_coalesced: 1,
+                    ..UsageSnapshot::default()
+                };
                 if self.recorder.is_enabled() {
                     self.recorder
                         .counter_add(aida_obs::registry::CACHE_COALESCED, 1);
@@ -287,8 +325,13 @@ impl SimLlm {
                 resp
             }
             Lookup::Compute(pending) => {
-                let resp = self.dispatch(model, task);
+                let mut resp = self.dispatch(model, task);
+                // Stored without its receipt, so a hit's clone of it
+                // allocates none.
+                let mut receipt = std::mem::take(&mut resp.receipt);
                 cache.admit(pending, resp.clone());
+                receipt.cache_misses = 1;
+                resp.receipt = receipt;
                 if self.recorder.is_enabled() {
                     self.recorder.counter_add(aida_obs::registry::CACHE_MISS, 1);
                     let stats = cache.stats();
@@ -341,25 +384,28 @@ impl SimLlm {
     }
 
     /// Bills a call (and, when fault injection fires for this call key,
-    /// the failed first attempt plus a retry backoff). Returns the billed
-    /// tokens and the call's total simulated latency.
+    /// the failed first attempt plus a retry backoff) and returns the
+    /// response for `(value, text, corrupted)`: the billed tokens, the
+    /// call's total simulated latency and its receipt.
     fn bill(
         &self,
         model: ModelId,
         input_tokens: usize,
         output_tokens: usize,
         key: u64,
-    ) -> (usize, usize, f64) {
+        (value, text, corrupted): (Value, String, bool),
+    ) -> LlmResponse {
         let spec = self.catalog.spec(model);
         let mut latency = spec.latency(input_tokens, output_tokens);
         let mut faulted = false;
+        let mut receipt = UsageSnapshot::default();
         if self.fault_rate > 0.0
             && noise::decide(noise::combine(&[key, 0x00FA_017E]), self.fault_rate)
         {
             // The failed attempt consumed the prompt and a truncated
             // completion before dying; add a retry backoff.
             let truncated = output_tokens / 4;
-            self.meter.record(model, input_tokens, truncated);
+            receipt.record(model, input_tokens, truncated);
             let backoff = spec.latency(input_tokens, truncated) + 1.0;
             latency += backoff;
             faulted = true;
@@ -375,7 +421,7 @@ impl SimLlm {
                     .counter_add(aida_obs::registry::LLM_FAULT_RETRIES, 1);
             }
         }
-        self.meter.record(model, input_tokens, output_tokens);
+        receipt.record(model, input_tokens, output_tokens);
         if self.recorder.is_enabled() {
             self.recorder.event(Event::LlmCall {
                 model: model.name().to_string(),
@@ -393,7 +439,15 @@ impl SimLlm {
                 (input_tokens + output_tokens) as f64,
             );
         }
-        (input_tokens, output_tokens, latency)
+        LlmResponse {
+            value,
+            text,
+            input_tokens,
+            output_tokens,
+            latency_s: latency,
+            corrupted,
+            receipt,
+        }
     }
 
     fn run_filter(&self, model: ModelId, instruction: &str, subject: &Subject<'_>) -> LlmResponse {
@@ -414,19 +468,14 @@ impl SimLlm {
         let answer = if corrupted { !truth } else { truth };
         let input =
             FILTER_PREAMBLE.tokens() + tokens::count_parts(&[instruction]) + part_tokens(subject);
-        let (input_tokens, output_tokens, latency_s) = self.bill(model, input, 4, key);
-        LlmResponse {
-            value: Value::Bool(answer),
-            text: if answer {
-                "true".into()
-            } else {
-                "false".into()
-            },
-            input_tokens,
-            output_tokens,
-            latency_s,
-            corrupted,
-        }
+        let text = if answer { "true" } else { "false" };
+        self.bill(
+            model,
+            input,
+            4,
+            key,
+            (Value::Bool(answer), text.into(), corrupted),
+        )
     }
 
     fn run_extract(
@@ -462,15 +511,7 @@ impl SimLlm {
             + part_tokens(subject);
         let text = value.to_string();
         let out = tokens::count(&text).max(4) + 6;
-        let (input_tokens, output_tokens, latency_s) = self.bill(model, prompt, out, key);
-        LlmResponse {
-            text,
-            value,
-            input_tokens,
-            output_tokens,
-            latency_s,
-            corrupted,
-        }
+        self.bill(model, prompt, out, key, (value, text, corrupted))
     }
 
     fn run_map(
@@ -505,15 +546,8 @@ impl SimLlm {
         let prompt =
             MAP_PREAMBLE.tokens() + tokens::count_parts(&[instruction]) + part_tokens(subject);
         let out = tokens::count(&text).clamp(1, target_tokens.max(8));
-        let (input_tokens, output_tokens, latency_s) = self.bill(model, prompt, out, key);
-        LlmResponse {
-            value: Value::Str(text.as_str().into()),
-            text,
-            input_tokens,
-            output_tokens,
-            latency_s,
-            corrupted,
-        }
+        let value = Value::Str(text.as_str().into());
+        self.bill(model, prompt, out, key, (value, text, corrupted))
     }
 
     fn run_choose(
@@ -537,31 +571,22 @@ impl SimLlm {
         let text = options.get(pick).cloned().unwrap_or_default();
         let options_text = options.join("\n");
         let prompt = CHOOSE_PREAMBLE.tokens() + tokens::count_parts(&[question, &options_text]);
-        let (input_tokens, output_tokens, latency_s) =
-            self.bill(model, prompt, tokens::count(&text).max(2), key);
-        LlmResponse {
-            value: Value::Int(pick as i64),
-            text,
-            input_tokens,
-            output_tokens,
-            latency_s,
-            corrupted,
-        }
+        let out = tokens::count(&text).max(2);
+        self.bill(
+            model,
+            prompt,
+            out,
+            key,
+            (Value::Int(pick as i64), text, corrupted),
+        )
     }
 
     fn run_freeform(&self, model: ModelId, prompt: &str, response: &str) -> LlmResponse {
         let input = AGENT_PREAMBLE.tokens() + tokens::count_parts(&[prompt]);
         let out = tokens::count(response).max(1);
         let key = self.call_key(model, prompt, "freeform");
-        let (input_tokens, output_tokens, latency_s) = self.bill(model, input, out, key);
-        LlmResponse {
-            value: Value::Str(response.into()),
-            text: response.to_string(),
-            input_tokens,
-            output_tokens,
-            latency_s,
-            corrupted: false,
-        }
+        let answer = (Value::Str(response.into()), response.to_string(), false);
+        self.bill(model, input, out, key, answer)
     }
 }
 
@@ -1216,7 +1241,7 @@ mod tests {
                 );
                 latency += resp.latency_s;
             }
-            (llm.meter().snapshot().usage(ModelId::Mini).calls, latency)
+            (llm.usage().usage(ModelId::Mini).calls, latency)
         };
         let (calls_clean, lat_clean) = run(0.0);
         let (calls_faulty, lat_faulty) = run(0.25);
@@ -1252,8 +1277,8 @@ mod tests {
         }
         span.finish(1.0);
         let trace = recorder.trace();
-        let snap = llm.meter().snapshot();
-        // The span's self aggregates equal the meter: successes + retries.
+        let snap = llm.usage();
+        // The span's self aggregates equal the usage: successes + retries.
         assert_eq!(trace.spans[0].calls, snap.usage(ModelId::Mini).calls);
         assert_eq!(
             trace.spans[0].input_tokens + trace.spans[0].output_tokens,
@@ -1277,7 +1302,7 @@ mod tests {
     #[test]
     fn freeform_bills_both_sides_and_echoes() {
         let llm = sim();
-        let before = llm.meter().snapshot();
+        let before = llm.usage();
         let task = LlmTask::Freeform {
             prompt: "plan the next step",
             response: "files = list_files()",
@@ -1285,7 +1310,8 @@ mod tests {
         };
         let resp = llm.invoke(ModelId::Flagship, &task);
         assert_eq!(resp.text, "files = list_files()");
-        let delta = llm.meter().snapshot().since(&before);
+        let delta = llm.usage().delta_since(&before);
+        assert_eq!(resp.receipt, delta, "the receipt is what the call billed");
         assert_eq!(delta.usage(ModelId::Flagship).calls, 1);
         assert!(delta.usage(ModelId::Flagship).output_tokens >= 4);
     }
@@ -1303,7 +1329,7 @@ mod tests {
                 },
             );
         }
-        assert_eq!(llm.meter().snapshot().usage(ModelId::Mini).calls, 3);
+        assert_eq!(llm.usage().usage(ModelId::Mini).calls, 3);
     }
 
     #[test]
@@ -1316,10 +1342,12 @@ mod tests {
             subject: Subject::doc(&doc),
         };
         let cold = llm.invoke(ModelId::Nano, &task);
-        let before = llm.meter().snapshot();
+        let before = llm.usage();
         let warm = llm.invoke(ModelId::Nano, &task);
-        let delta = llm.meter().snapshot().since(&before);
+        let delta = llm.usage().delta_since(&before);
         assert_eq!(delta.total_calls(), 0, "a hit bills nothing");
+        assert_eq!(warm.receipt, delta);
+        assert_eq!((warm.receipt.cache_hits, cold.receipt.cache_misses), (1, 1));
         assert_eq!(warm.value, cold.value);
         assert_eq!(warm.text, cold.text);
         assert!(warm.latency_s < cold.latency_s);

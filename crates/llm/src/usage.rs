@@ -1,14 +1,16 @@
-//! Usage metering: the single ledger for simulated dollars.
+//! Usage receipts: what simulated LLM calls billed.
 //!
-//! Every simulated LLM call reports its token usage here, tagged by model.
-//! Experiment harnesses snapshot the meter before/after a system run and
-//! difference the snapshots, so concurrent systems sharing a runtime never
-//! double-count.
+//! [`crate::SimLlm::invoke`] returns each call's receipt on its response:
+//! per-model token usage (a fault retry's truncated first attempt
+//! included) and the call's semantic-cache outcome. Receipts are returned
+//! and summed: an operator, a program, an agent run and a query each add
+//! up their children's receipts and report `receipt.cost(catalog)`, priced
+//! once from integer sums. [`crate::SimLlm::usage`] is the simulator's
+//! lifetime fold of every receipt it issued; no layer attributes spend by
+//! differencing it.
 
 use crate::models::{ModelCatalog, ModelId};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Token usage for one model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,10 +41,19 @@ impl Usage {
     }
 }
 
-/// An immutable point-in-time copy of the meter.
+/// A receipt: the usage one call, or any sum of calls, billed, and how
+/// the semantic cache served them. A call served from the cache bills no
+/// model, so its receipt holds no per-model entry and allocates nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UsageSnapshot {
-    per_model: BTreeMap<ModelId, Usage>,
+    pub(crate) per_model: BTreeMap<ModelId, Usage>,
+    /// Calls served from the semantic cache's store.
+    pub cache_hits: u64,
+    /// Calls that shared another call's response: an in-flight waiter,
+    /// or a duplicate the executor deduplicated out of a batch.
+    pub cache_coalesced: u64,
+    /// Calls that missed the cache, computed and admitted their response.
+    pub cache_misses: u64,
 }
 
 impl UsageSnapshot {
@@ -84,6 +95,25 @@ impl UsageSnapshot {
         total + 0.0
     }
 
+    /// Adds another receipt into this one.
+    pub fn add(&mut self, other: &UsageSnapshot) {
+        for (id, usage) in &other.per_model {
+            self.per_model.entry(*id).or_default().add(*usage);
+        }
+        self.cache_hits += other.cache_hits;
+        self.cache_coalesced += other.cache_coalesced;
+        self.cache_misses += other.cache_misses;
+    }
+
+    /// Bills one model attempt.
+    pub(crate) fn record(&mut self, id: ModelId, input_tokens: usize, output_tokens: usize) {
+        self.per_model.entry(id).or_default().add(Usage {
+            input_tokens: input_tokens as u64,
+            output_tokens: output_tokens as u64,
+            calls: 1,
+        });
+    }
+
     /// The delta from an earlier snapshot to this one. Models with no new
     /// activity are absent from the delta.
     pub fn delta_since(&self, earlier: &UsageSnapshot) -> UsageSnapshot {
@@ -95,48 +125,12 @@ impl UsageSnapshot {
                 per_model.insert(*id, delta);
             }
         }
-        UsageSnapshot { per_model }
-    }
-
-    /// Alias of [`UsageSnapshot::delta_since`] (the historical name).
-    pub fn since(&self, earlier: &UsageSnapshot) -> UsageSnapshot {
-        self.delta_since(earlier)
-    }
-}
-
-/// A thread-safe, shared usage ledger.
-#[derive(Debug, Clone, Default)]
-pub struct UsageMeter {
-    inner: Arc<Mutex<BTreeMap<ModelId, Usage>>>,
-}
-
-impl UsageMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one call.
-    pub fn record(&self, id: ModelId, input_tokens: usize, output_tokens: usize) {
-        let mut inner = self.inner.lock();
-        let usage = inner.entry(id).or_default();
-        usage.add(Usage {
-            input_tokens: input_tokens as u64,
-            output_tokens: output_tokens as u64,
-            calls: 1,
-        });
-    }
-
-    /// Snapshots current totals.
-    pub fn snapshot(&self) -> UsageSnapshot {
         UsageSnapshot {
-            per_model: self.inner.lock().clone(),
+            per_model,
+            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
+            cache_coalesced: self.cache_coalesced.saturating_sub(earlier.cache_coalesced),
+            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
         }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.inner.lock().clear();
     }
 }
 
@@ -146,82 +140,76 @@ mod tests {
 
     #[test]
     fn record_accumulates_per_model() {
-        let meter = UsageMeter::new();
-        meter.record(ModelId::Flagship, 100, 10);
-        meter.record(ModelId::Flagship, 50, 5);
-        meter.record(ModelId::Nano, 10, 1);
-        let snap = meter.snapshot();
+        let mut receipt = UsageSnapshot::default();
+        receipt.record(ModelId::Flagship, 100, 10);
+        receipt.record(ModelId::Flagship, 50, 5);
+        receipt.record(ModelId::Nano, 10, 1);
         assert_eq!(
-            snap.usage(ModelId::Flagship),
+            receipt.usage(ModelId::Flagship),
             Usage {
                 input_tokens: 150,
                 output_tokens: 15,
                 calls: 2
             }
         );
-        assert_eq!(snap.usage(ModelId::Nano).calls, 1);
-        assert_eq!(snap.usage(ModelId::Mini), Usage::default());
-        assert_eq!(snap.total_calls(), 3);
-        assert_eq!(snap.total_tokens(), 150 + 15 + 11);
+        assert_eq!(receipt.usage(ModelId::Nano).calls, 1);
+        assert_eq!(receipt.usage(ModelId::Mini), Usage::default());
+        assert_eq!(receipt.total_calls(), 3);
+        assert_eq!(receipt.total_tokens(), 150 + 15 + 11);
     }
 
     #[test]
     fn cost_uses_catalog_pricing() {
-        let meter = UsageMeter::new();
-        meter.record(ModelId::Flagship, 1_000_000, 0);
-        let cost = meter.snapshot().cost(&ModelCatalog::default());
+        let mut receipt = UsageSnapshot::default();
+        receipt.record(ModelId::Flagship, 1_000_000, 0);
+        let cost = receipt.cost(&ModelCatalog::default());
         assert!((cost - 2.50).abs() < 1e-9);
     }
 
     #[test]
-    fn snapshot_delta_isolates_a_run() {
-        let meter = UsageMeter::new();
-        meter.record(ModelId::Mini, 100, 10);
-        let before = meter.snapshot();
-        meter.record(ModelId::Mini, 30, 3);
-        meter.record(ModelId::Nano, 7, 1);
-        let delta = meter.snapshot().delta_since(&before);
-        assert_eq!(
-            delta.usage(ModelId::Mini),
-            Usage {
-                input_tokens: 30,
-                output_tokens: 3,
-                calls: 1
-            }
-        );
-        assert_eq!(delta.usage(ModelId::Nano).input_tokens, 7);
+    fn add_sums_usage_and_cache_outcomes() {
+        let mut miss = UsageSnapshot {
+            cache_misses: 1,
+            ..UsageSnapshot::default()
+        };
+        miss.record(ModelId::Mini, 30, 3);
+        let hit = UsageSnapshot {
+            cache_hits: 1,
+            ..UsageSnapshot::default()
+        };
+        let mut total = UsageSnapshot::default();
+        for receipt in [&miss, &hit, &miss] {
+            total.add(receipt);
+        }
+        assert_eq!(total.usage(ModelId::Mini).calls, 2);
+        assert_eq!(total.usage(ModelId::Mini).input_tokens, 60);
+        assert_eq!((total.cache_hits, total.cache_misses), (1, 2));
+        // A hit bills no model: adding one creates no per-model entry.
+        let mut hits = UsageSnapshot::default();
+        hits.add(&hit);
+        assert!(hits.per_model().is_empty());
+    }
+
+    #[test]
+    fn delta_isolates_a_window() {
+        let mut lifetime = UsageSnapshot::default();
+        lifetime.record(ModelId::Mini, 100, 10);
+        let before = lifetime.clone();
+        let mut window = UsageSnapshot {
+            cache_hits: 2,
+            ..UsageSnapshot::default()
+        };
+        window.record(ModelId::Mini, 30, 3);
+        window.record(ModelId::Nano, 7, 1);
+        lifetime.add(&window);
+        let delta = lifetime.delta_since(&before);
+        assert_eq!(delta, window);
         // Models with no new activity are absent from the delta.
         assert!(!delta.per_model().contains_key(&ModelId::Flagship));
-        // The historical alias produces the identical delta.
-        assert_eq!(meter.snapshot().since(&before), delta);
-    }
-
-    #[test]
-    fn meter_is_shared_across_clones() {
-        let a = UsageMeter::new();
-        let b = a.clone();
-        b.record(ModelId::Nano, 1, 1);
-        assert_eq!(a.snapshot().total_calls(), 1);
-        a.reset();
-        assert_eq!(b.snapshot().total_calls(), 0);
-    }
-
-    #[test]
-    fn meter_is_thread_safe() {
-        let meter = UsageMeter::new();
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let m = meter.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        m.record(ModelId::Mini, 1, 1);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(meter.snapshot().usage(ModelId::Mini).calls, 8000);
+        assert_eq!(
+            lifetime.delta_since(&lifetime),
+            UsageSnapshot::default(),
+            "an empty window"
+        );
     }
 }

@@ -113,8 +113,8 @@ impl Recorder {
                         cost_usd,
                         ..
                     } => {
-                        // The meter counts fault retries as billed calls,
-                        // so spans must too for deltas to line up.
+                        // Receipts count fault retries as billed calls,
+                        // so spans must too for the sums to line up.
                         span.calls += 1;
                         span.input_tokens += input_tokens;
                         span.output_tokens += output_tokens;

@@ -375,9 +375,9 @@ mod tests {
             ..OptimizerConfig::default()
         };
         let optimizer = Optimizer::new(&env, config);
-        let before = env.llm.meter().snapshot();
+        let before = env.llm.usage();
         let _ = optimizer.optimize(ds.plan(), &Policy::MaxQuality { cost_budget: None });
-        assert_eq!(env.llm.meter().snapshot().since(&before).total_calls(), 0);
+        assert_eq!(env.llm.usage().delta_since(&before).total_calls(), 0);
     }
 
     #[test]

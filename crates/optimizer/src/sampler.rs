@@ -4,12 +4,13 @@
 //! budget of LLM calls estimating how each (operator, model) pair behaves
 //! on *this* data: quality relative to the flagship reference model
 //! (LOTUS-style proxy validation), dollars per record, seconds per record,
-//! and operator selectivity. Sample calls are billed to the shared meter —
-//! optimization is not free, exactly as in Abacus.
+//! and operator selectivity. Sample calls are billed, and their receipts
+//! summed into the matrix's — optimization is not free, exactly as in
+//! Abacus.
 
 use crate::bandit::Ucb1;
 use aida_data::{Record, Value};
-use aida_llm::{LlmTask, ModelId};
+use aida_llm::{LlmTask, ModelId, UsageSnapshot};
 use aida_semops::exec::{scan_record, subject_of};
 use aida_semops::plan::{LogicalOp, LogicalPlan};
 use aida_semops::ExecEnv;
@@ -47,7 +48,9 @@ pub struct SampleMatrix {
     pub ops: Vec<OpEstimate>,
     /// Mean input tokens per scanned record (drives coarse cost guesses).
     pub avg_record_tokens: f64,
-    /// Dollars spent on sampling itself.
+    /// What sampling billed: the sum of its calls' receipts.
+    pub receipt: UsageSnapshot,
+    /// Dollars spent on sampling itself (the receipt's cost).
     pub sampling_cost: f64,
     /// Virtual seconds spent sampling.
     pub sampling_time: f64,
@@ -102,7 +105,7 @@ impl<'a> Sampler<'a> {
     /// Estimates the sample matrix for a plan. Returns a prior-only matrix
     /// when the plan has no scan or no semantic operators.
     pub fn sample(&self, plan: &LogicalPlan) -> SampleMatrix {
-        let before_usage = self.env.llm.meter().snapshot();
+        let mut receipt = UsageSnapshot::default();
         let t0 = self.env.clock.now();
 
         let lake = plan.ops().iter().find_map(|op| match op {
@@ -147,7 +150,10 @@ impl<'a> Sampler<'a> {
                 let op = &plan.ops()[op_idx];
                 let obs: Vec<ReferenceObs> = sample
                     .iter()
-                    .map(|rec| self.observe(op, rec, lake.as_deref(), ModelId::Flagship))
+                    .map(|rec| {
+                        let lake = lake.as_deref();
+                        self.observe(op, rec, lake, ModelId::Flagship, &mut receipt)
+                    })
                     .collect();
                 references.insert(op_idx, obs);
             }
@@ -179,7 +185,7 @@ impl<'a> Sampler<'a> {
                 let pull_no = arm_obs[arm].len();
                 let sample_idx = pull_order[&op_idx][pull_no % sample.len()];
                 let rec = &sample[sample_idx];
-                let obs = self.observe(op, rec, lake.as_deref(), model);
+                let obs = self.observe(op, rec, lake.as_deref(), model, &mut receipt);
                 let reference = &references[&op_idx][sample_idx];
                 let reward = agreement(&obs.value, &reference.value, self.env);
                 bandit.update(arm, reward);
@@ -257,11 +263,11 @@ impl<'a> Sampler<'a> {
             }
         }
 
-        let delta = self.env.llm.meter().snapshot().since(&before_usage);
         SampleMatrix {
             ops,
             avg_record_tokens,
-            sampling_cost: delta.cost(self.env.llm.catalog()),
+            sampling_cost: receipt.cost(self.env.llm.catalog()),
+            receipt,
             sampling_time: self.env.clock.now() - t0,
         }
     }
@@ -278,6 +284,7 @@ impl<'a> Sampler<'a> {
         rec: &Record,
         lake: Option<&aida_data::DataLake>,
         model: ModelId,
+        receipt: &mut UsageSnapshot,
     ) -> ReferenceObs {
         let subject = subject_of(rec, lake);
         let resp = match op {
@@ -329,6 +336,7 @@ impl<'a> Sampler<'a> {
             }
         };
         self.env.clock.advance(resp.latency_s * 0.25); // sampling overlaps with setup
+        receipt.add(&resp.receipt);
         let catalog = self.env.llm.catalog();
         let cost = catalog
             .spec(model)
@@ -444,7 +452,8 @@ mod tests {
         let m = Sampler::new(&env, SamplerConfig::default()).sample(ds.plan());
         assert!(m.sampling_cost > 0.0);
         assert!(m.sampling_time > 0.0);
-        assert!(env.llm.meter().snapshot().total_calls() > 0);
+        assert!(env.llm.usage().total_calls() > 0);
+        assert_eq!(m.receipt, env.llm.usage(), "the receipt is all it billed");
     }
 
     #[test]

@@ -18,21 +18,42 @@
 //! postfix    := atom (call | index | slice | attr-call)*
 //! atom       := literal | name | "(" expr ")" | list | dict
 //! ```
+//!
+//! Nesting is bounded: every expression (so every parenthesis, literal,
+//! argument and subscript), every `-`/`not` in a chain, every block and
+//! every link of a left-associative chain (`a + b`, `x[0][1]`) counts a
+//! level, and a program deeper than `MAX_NESTING` levels is a parse
+//! error. The recursive passes after the parser inherit the bound, so
+//! no source can exhaust a thread's stack.
 
 use crate::ast::*;
 use crate::error::ScriptError;
 use crate::lexer::{lex, Tok, Token};
 
+/// The deepest nesting [`parse`] accepts. A program at this depth
+/// parses, typechecks, compiles and is analyzed on a 2 MiB thread in an
+/// unoptimized build, where each level costs about 24 KiB of stack.
+const MAX_NESTING: usize = 64;
+
 /// Parses Pyrite source into a [`Program`].
 pub fn parse(source: &str) -> Result<Program, ScriptError> {
     let tokens = lex(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        peak: 0,
+    };
     parser.program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Open nesting levels (see `MAX_NESTING`).
+    depth: usize,
+    /// The deepest level the innermost chain's tree reaches.
+    peak: usize,
 }
 
 impl Parser {
@@ -82,6 +103,49 @@ impl Parser {
         }
     }
 
+    /// Runs `rule` one nesting level deeper, or fails past the budget.
+    fn nested<T>(
+        &mut self,
+        rule: impl FnOnce(&mut Self) -> Result<T, ScriptError>,
+    ) -> Result<T, ScriptError> {
+        self.depth = self.reach(self.depth + 1)?;
+        let out = rule(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Records that the tree reaches `level`, or fails past the budget.
+    fn reach(&mut self, level: usize) -> Result<usize, ScriptError> {
+        if level > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.peak = self.peak.max(level);
+        Ok(level)
+    }
+
+    /// `rule (op rule)*`, left-associative. While it runs, `peak` is the
+    /// level the tree built so far reaches, and each link sits one above.
+    fn chain(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Expr, ScriptError>,
+        op_of: fn(&Tok) -> Option<BinOp>,
+    ) -> Result<Expr, ScriptError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let mut left = rule(self)?;
+        while let Some(op) = op_of(self.peek()) {
+            let line = self.line();
+            self.advance();
+            let right = rule(self)?;
+            self.reach(self.peak + 1)?;
+            left = Expr {
+                kind: ExprKind::Binary(op, Box::new(left), Box::new(right)),
+                line,
+            };
+        }
+        self.peak = self.peak.max(outer);
+        Ok(left)
+    }
+
     fn program(&mut self) -> Result<Program, ScriptError> {
         let mut body = Vec::new();
         while !matches!(self.peek(), Tok::Eof) {
@@ -94,6 +158,10 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, ScriptError> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> Result<Vec<Stmt>, ScriptError> {
         self.expect(Tok::Colon, "':'")?;
         // Inline single-statement block: `if x: y = 1`
         if !matches!(self.peek(), Tok::Newline) {
@@ -295,42 +363,26 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, ScriptError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.and_expr()?;
-        while matches!(self.peek(), Tok::Or) {
-            let line = self.line();
-            self.advance();
-            let right = self.and_expr()?;
-            left = Expr {
-                kind: ExprKind::Binary(BinOp::Or, Box::new(left), Box::new(right)),
-                line,
-            };
-        }
-        Ok(left)
+        self.chain(Self::and_expr, |tok| {
+            matches!(tok, Tok::Or).then_some(BinOp::Or)
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.not_expr()?;
-        while matches!(self.peek(), Tok::And) {
-            let line = self.line();
-            self.advance();
-            let right = self.not_expr()?;
-            left = Expr {
-                kind: ExprKind::Binary(BinOp::And, Box::new(left), Box::new(right)),
-                line,
-            };
-        }
-        Ok(left)
+        self.chain(Self::not_expr, |tok| {
+            matches!(tok, Tok::And).then_some(BinOp::And)
+        })
     }
 
     fn not_expr(&mut self) -> Result<Expr, ScriptError> {
         if matches!(self.peek(), Tok::Not) {
             let line = self.line();
             self.advance();
-            let operand = self.not_expr()?;
+            let operand = self.nested(Self::not_expr)?;
             return Ok(Expr {
                 kind: ExprKind::Unary(UnaryOp::Not, Box::new(operand)),
                 line,
@@ -376,50 +428,28 @@ impl Parser {
     }
 
     fn arith(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.term()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            let line = self.line();
-            self.advance();
-            let right = self.term()?;
-            left = Expr {
-                kind: ExprKind::Binary(op, Box::new(left), Box::new(right)),
-                line,
-            };
-        }
-        Ok(left)
+        self.chain(Self::term, |tok| match tok {
+            Tok::Plus => Some(BinOp::Add),
+            Tok::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn term(&mut self) -> Result<Expr, ScriptError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::DoubleSlash => BinOp::FloorDiv,
-                Tok::Percent => BinOp::Mod,
-                _ => break,
-            };
-            let line = self.line();
-            self.advance();
-            let right = self.unary()?;
-            left = Expr {
-                kind: ExprKind::Binary(op, Box::new(left), Box::new(right)),
-                line,
-            };
-        }
-        Ok(left)
+        self.chain(Self::unary, |tok| match tok {
+            Tok::Star => Some(BinOp::Mul),
+            Tok::Slash => Some(BinOp::Div),
+            Tok::DoubleSlash => Some(BinOp::FloorDiv),
+            Tok::Percent => Some(BinOp::Mod),
+            _ => None,
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, ScriptError> {
         if matches!(self.peek(), Tok::Minus) {
             let line = self.line();
             self.advance();
-            let operand = self.unary()?;
+            let operand = self.nested(Self::unary)?;
             return Ok(Expr {
                 kind: ExprKind::Unary(UnaryOp::Neg, Box::new(operand)),
                 line,
@@ -428,7 +458,10 @@ impl Parser {
         self.postfix()
     }
 
+    /// `atom (call | index | slice | attr-call)*`: a chain whose links
+    /// read their arguments or subscripts.
     fn postfix(&mut self) -> Result<Expr, ScriptError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let mut expr = self.atom()?;
         loop {
             let line = self.line();
@@ -481,7 +514,9 @@ impl Parser {
                 }
                 _ => break,
             }
+            self.reach(self.peak + 1)?;
         }
+        self.peak = self.peak.max(outer);
         Ok(expr)
     }
 
@@ -745,5 +780,76 @@ mod tests {
     fn unary_minus_and_not() {
         let p = parse("y = -x + 1\nz = not flag").unwrap();
         assert_eq!(p.body.len(), 2);
+    }
+
+    /// Runs `f` on a thread with the default 2 MiB test stack.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .expect("no pass overflows a 2 MiB stack");
+    }
+
+    fn is_nesting_error(result: Result<Program, ScriptError>) -> bool {
+        matches!(result, Err(ScriptError::Parse { message, .. }) if message.contains("nesting deeper"))
+    }
+
+    /// The deepest program `build` makes that still parses: one more
+    /// step is a typed nesting error.
+    fn deepest(build: fn(usize) -> String) -> String {
+        let n = (1..)
+            .find(|&n| parse(&build(n)).is_err())
+            .expect("some depth fails");
+        assert!(is_nesting_error(parse(&build(n))), "{}", build(n));
+        build(n - 1)
+    }
+
+    #[test]
+    fn programs_at_the_nesting_budget_pass_every_pass() {
+        let builders: [fn(usize) -> String; 11] = [
+            |n| format!("x = {}1{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("x = {}1{}", "[".repeat(n), "]".repeat(n)),
+            |n| format!("x = {}1{}", "{'k': ".repeat(n), "}".repeat(n)),
+            |n| format!("x = {}[1]{}", "[y for y in ".repeat(n), "]".repeat(n)),
+            |n| format!("x = {}1{}", "str(".repeat(n), ")".repeat(n)),
+            |n| format!("x = [1]{}", "[0]".repeat(n)),
+            |n| format!("x = {}1", "-".repeat(n)),
+            |n| format!("x = {}True", "not ".repeat(n)),
+            |n| format!("x = {}1", "1 + ".repeat(n)),
+            |n| format!("x = {}1{}", "len([-(1 + ".repeat(n), ")])".repeat(n)),
+            |n| {
+                let mut src = String::new();
+                for i in 0..n {
+                    src += &format!("{}if True:\n", " ".repeat(i));
+                }
+                src + &format!("{}x = 1\n", " ".repeat(n))
+            },
+        ];
+        for build in builders {
+            let source = deepest(build);
+            on_small_stack(move || {
+                let program = parse(&source).unwrap();
+                crate::typecheck(&program, &crate::TypeEnv::new()).unwrap();
+                let compiled = crate::compile(&program).unwrap();
+                crate::analyze(&compiled);
+            });
+        }
+    }
+
+    #[test]
+    fn deep_inputs_are_typed_parse_errors() {
+        let deep = [
+            format!("x = {}1{}", "(".repeat(4_000), ")".repeat(4_000)),
+            format!("x = {}1{}", "[".repeat(10_000), "]".repeat(10_000)),
+            format!("x = {}1", "-".repeat(100_000)),
+            format!("x = {}True", "not ".repeat(100_000)),
+            format!("x = {}1", "1+".repeat(250_000)),
+            format!("x = [1]{}", "[0]".repeat(100_000)),
+        ];
+        for source in deep {
+            on_small_stack(move || assert!(is_nesting_error(parse(&source))));
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! full input batch, fanning LLM calls across `parallelism` virtual
 //! workers (run on at most one host thread per CPU: [`parallel_map`]).
 //! Wall time is accounted on the shared virtual clock as the batch's
-//! critical path (`ceil(n / parallelism)` waves); dollars flow through the
-//! shared usage meter, snapshotted per operator.
+//! critical path (`ceil(n / parallelism)` waves); each operator sums the
+//! receipts of its LLM calls, and the plan's receipt is their sum.
 
 use crate::physical::{PhysicalPlan, PhysicalStep};
 use crate::plan::LogicalOp;
@@ -13,14 +13,14 @@ use crate::stats::{OperatorStats, PlanStats};
 use aida_data::{DataLake, Document, Record, Value};
 pub use aida_llm::oracle::subject_text;
 use aida_llm::oracle::Subject;
-use aida_llm::{Embedder, LlmTask, SimClock, SimLlm};
+use aida_llm::{Embedder, LlmTask, SimClock, SimLlm, UsageSnapshot};
 use aida_obs::{Recorder, SpanKind};
 use std::sync::Arc;
 
 /// Shared execution environment.
 #[derive(Debug, Clone)]
 pub struct ExecEnv {
-    /// The (simulated) LLM service; carries the usage meter and oracle.
+    /// The (simulated) LLM service; carries the oracle and the cache.
     pub llm: SimLlm,
     /// The virtual clock.
     pub clock: SimClock,
@@ -74,6 +74,8 @@ pub struct ExecutionReport {
     /// Human-readable warnings raised during execution (e.g. a semantic
     /// aggregate truncating its input past the configured cap).
     pub warnings: Vec<String>,
+    /// Everything the plan billed: the sum of its operators' receipts.
+    pub receipt: UsageSnapshot,
 }
 
 impl ExecutionReport {
@@ -105,10 +107,11 @@ impl<'a> Executor<'a> {
         let mut lake: Option<Arc<DataLake>> = None;
         let mut stats = PlanStats::default();
         let mut warnings: Vec<String> = Vec::new();
+        let mut plan_receipt = UsageSnapshot::default();
         let parallelism = plan.parallelism.clamp(1, MAX_PARALLELISM);
         for step in &plan.steps {
             let rows_in = records.len();
-            let before = self.env.llm.meter().snapshot();
+            let mut receipt = UsageSnapshot::default();
             let t0 = self.env.clock.now();
             let span = self
                 .env
@@ -120,8 +123,14 @@ impl<'a> Executor<'a> {
             if step.op.is_semantic() {
                 span.attr("model", step.model.name());
             }
-            records = self.run_step(step, records, &mut lake, parallelism, &mut warnings);
-            let delta = self.env.llm.meter().snapshot().delta_since(&before);
+            records = self.run_step(
+                step,
+                records,
+                &mut lake,
+                parallelism,
+                &mut warnings,
+                &mut receipt,
+            );
             span.rows(rows_in, records.len());
             span.finish(self.env.clock.now());
             let op_stats = OperatorStats {
@@ -129,8 +138,8 @@ impl<'a> Executor<'a> {
                 model: step.op.is_semantic().then(|| step.model.name().to_string()),
                 rows_in,
                 rows_out: records.len(),
-                calls: delta.total_calls() as usize,
-                cost_usd: delta.cost(self.env.llm.catalog()),
+                calls: receipt.total_calls() as usize,
+                cost_usd: receipt.cost(self.env.llm.catalog()),
                 time_s: self.env.clock.now() - t0,
             };
             if rows_in > 0 {
@@ -140,11 +149,13 @@ impl<'a> Executor<'a> {
                 );
             }
             stats.operators.push(op_stats);
+            plan_receipt.add(&receipt);
         }
         ExecutionReport {
             records,
             stats,
             warnings,
+            receipt: plan_receipt,
         }
     }
 
@@ -155,6 +166,7 @@ impl<'a> Executor<'a> {
         lake: &mut Option<Arc<DataLake>>,
         parallelism: usize,
         warnings: &mut Vec<String>,
+        receipt: &mut UsageSnapshot,
     ) -> Vec<Record> {
         match &step.op {
             LogicalOp::Scan {
@@ -172,8 +184,12 @@ impl<'a> Executor<'a> {
                 source.docs().iter().map(|doc| scan_record(doc)).collect()
             }
             LogicalOp::SemFilter { instruction } => {
-                let verdicts =
-                    self.parallel_llm(&records, lake.as_deref(), parallelism, |llm, subject| {
+                let verdicts = self.parallel_llm(
+                    &records,
+                    lake.as_deref(),
+                    parallelism,
+                    receipt,
+                    |llm, subject| {
                         llm.invoke(
                             step.model,
                             &LlmTask::Filter {
@@ -181,7 +197,8 @@ impl<'a> Executor<'a> {
                                 subject,
                             },
                         )
-                    });
+                    },
+                );
                 records
                     .into_iter()
                     .zip(verdicts)
@@ -196,8 +213,12 @@ impl<'a> Executor<'a> {
                 let mut out = records;
                 // One LLM pass per extracted field (documented API shape).
                 for field in fields {
-                    let values =
-                        self.parallel_llm(&out, lake.as_deref(), parallelism, |llm, subject| {
+                    let values = self.parallel_llm(
+                        &out,
+                        lake.as_deref(),
+                        parallelism,
+                        receipt,
+                        |llm, subject| {
                             llm.invoke(
                                 step.model,
                                 &LlmTask::Extract {
@@ -207,7 +228,8 @@ impl<'a> Executor<'a> {
                                     subject,
                                 },
                             )
-                        });
+                        },
+                    );
                     for (rec, value) in out.iter_mut().zip(values) {
                         rec.set(field.name.clone(), value);
                     }
@@ -219,8 +241,12 @@ impl<'a> Executor<'a> {
                 output,
                 target_tokens,
             } => {
-                let values =
-                    self.parallel_llm(&records, lake.as_deref(), parallelism, |llm, subject| {
+                let values = self.parallel_llm(
+                    &records,
+                    lake.as_deref(),
+                    parallelism,
+                    receipt,
+                    |llm, subject| {
                         llm.invoke(
                             step.model,
                             &LlmTask::Map {
@@ -229,7 +255,8 @@ impl<'a> Executor<'a> {
                                 target_tokens: *target_tokens,
                             },
                         )
-                    });
+                    },
+                );
                 let mut out = records;
                 for (rec, value) in out.iter_mut().zip(values) {
                     rec.set(output.clone(), value);
@@ -273,6 +300,7 @@ impl<'a> Executor<'a> {
                     },
                 );
                 self.env.clock.advance(resp.latency_s);
+                receipt.add(&resp.receipt);
                 vec![Record::new("sem_agg").with("answer", resp.value)]
             }
             LogicalOp::SemTopK { query, k } => {
@@ -336,6 +364,7 @@ impl<'a> Executor<'a> {
                         },
                     );
                     total_latency += resp.latency_s;
+                    receipt.add(&resp.receipt);
                     labels.push(resp.text);
                 }
                 self.env
@@ -352,6 +381,7 @@ impl<'a> Executor<'a> {
                 let right_plan = PhysicalPlan::uniform(right, step.model, parallelism);
                 let right_report = self.execute(&right_plan);
                 warnings.extend(right_report.warnings.iter().cloned());
+                receipt.add(&right_report.receipt);
                 let mut out = Vec::new();
                 // Quadratic NL-predicate join.
                 let mut pair_subjects: Vec<(usize, usize, String)> = Vec::new();
@@ -368,6 +398,7 @@ impl<'a> Executor<'a> {
                     pair_subjects.len(),
                     |i| pair_subjects[i].2.as_str(),
                     parallelism,
+                    receipt,
                     |i| {
                         let subject = Subject::text_only("join-pair", &pair_subjects[i].2);
                         self.env.llm.invoke(
@@ -406,12 +437,14 @@ impl<'a> Executor<'a> {
     }
 
     /// Runs one LLM call per record across workers, advancing the clock by
-    /// the batch critical path; returns per-record values in input order.
+    /// the batch critical path and adding the batch's receipt to
+    /// `receipt`; returns per-record values in input order.
     fn parallel_llm<F>(
         &self,
         records: &[Record],
         lake: Option<&DataLake>,
         parallelism: usize,
+        receipt: &mut UsageSnapshot,
         call: F,
     ) -> Vec<Value>
     where
@@ -423,6 +456,7 @@ impl<'a> Executor<'a> {
             records.len(),
             |i| (records[i].source.as_str(), subjects[i].text_hash()),
             parallelism,
+            receipt,
             |i| call(llm, subjects[i].clone()),
         );
         let total_latency: f64 = responses.iter().map(|r| r.latency_s).sum();
@@ -438,12 +472,15 @@ impl<'a> Executor<'a> {
     /// computing miss or a coalesced duplicate must not depend on thread
     /// timing, or seeded replay would stop being byte-identical. The
     /// first occurrence of each key computes; duplicates share its
-    /// response and are counted as `coalesced` hits.
+    /// response and are counted as `coalesced` hits. The batch's receipt
+    /// (the computed calls' plus the duplicates' coalesced count, never a
+    /// duplicate's copy of its representative's) is added to `receipt`.
     fn coalesced_parallel<K, KF, F>(
         &self,
         n: usize,
         key_of: KF,
         parallelism: usize,
+        receipt: &mut UsageSnapshot,
         call: F,
     ) -> Vec<aida_llm::LlmResponse>
     where
@@ -453,19 +490,22 @@ impl<'a> Executor<'a> {
     {
         if self.env.llm.cache().is_none() {
             let indices: Vec<usize> = (0..n).collect();
-            return parallel_map(&indices, parallelism, |&i| call(i));
+            let responses = parallel_map(&indices, parallelism, |&i| call(i));
+            for resp in &responses {
+                receipt.add(&resp.receipt);
+            }
+            return responses;
         }
         let (rep, uniques) = dedup_indices((0..n).map(key_of));
         let unique_responses = parallel_map(&uniques, parallelism, |&i| call(i));
         let mut resp_of: Vec<Option<aida_llm::LlmResponse>> = vec![None; n];
         for (&i, resp) in uniques.iter().zip(unique_responses) {
+            receipt.add(&resp.receipt);
             resp_of[i] = Some(resp);
         }
         let coalesced = (n - uniques.len()) as u64;
         if coalesced > 0 {
-            if let Some(cache) = self.env.llm.cache() {
-                cache.record_coalesced(coalesced);
-            }
+            receipt.add(&self.env.llm.coalesced(coalesced));
             if self.env.recorder.is_enabled() {
                 self.env
                     .recorder
@@ -771,11 +811,11 @@ mod tests {
         let env = env();
         let ds = Dataset::scan(&theft_lake(), "lake").sem_topk("identity theft statistics", 1);
         let plan = PhysicalPlan::default_for(ds.plan());
-        let before = env.llm.meter().snapshot();
+        let before = env.llm.usage();
         let report = Executor::new(&env).execute(&plan);
         assert_eq!(report.records.len(), 1);
         assert_ne!(report.records[0].source, "pipeline.txt");
-        let delta = env.llm.meter().snapshot().since(&before);
+        let delta = env.llm.usage().delta_since(&before);
         assert_eq!(delta.total_calls(), 0, "top-k is proxy scored");
     }
 
@@ -1076,7 +1116,7 @@ mod tests {
             let report = Executor::new(&env).execute(&plan);
             let stats = env.llm.cache().unwrap().stats();
             let names: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
-            (names, env.llm.meter().snapshot().total_calls(), stats)
+            (names, env.llm.usage().total_calls(), stats)
         };
         let (names, billed, stats) = run();
         // Distinct sources are distinct subjects (the subject name feeds
@@ -1110,7 +1150,7 @@ mod tests {
             let ds = left.sem_join("both discuss identity theft", &right);
             let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 4);
             let report = Executor::new(&env).execute(&plan);
-            let join_calls: u64 = env.llm.meter().snapshot().total_calls();
+            let join_calls: u64 = env.llm.usage().total_calls();
             let coalesced = env.llm.cache().map(|c| c.stats().coalesced).unwrap_or(0);
             (report.records.len(), join_calls, coalesced)
         };

@@ -5,7 +5,7 @@
 //! [`Runtime`] into a service: tenants submit [`QueryRequest`]s against
 //! registered Contexts, a bounded [`AdmissionQueue`] applies
 //! backpressure and typed load-shedding, per-tenant quotas are enforced
-//! from metered spend, and a weighted-round-robin scheduler dispatches
+//! from each query's receipt, and a weighted-round-robin scheduler dispatches
 //! onto a virtual worker pool. All tenants share one runtime — and
 //! therefore one ContextManager — so Contexts materialized for one tenant
 //! accelerate and cheapen every other tenant's queries.

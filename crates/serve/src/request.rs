@@ -307,11 +307,11 @@ pub struct Completion {
     pub start_s: f64,
     /// Virtual instant execution finished.
     pub end_s: f64,
-    /// Dollars this query cost (meter delta).
+    /// Dollars this query cost (from its receipt).
     pub cost_usd: f64,
-    /// Tokens this query consumed (meter delta).
+    /// Tokens this query consumed (from its receipt).
     pub tokens: u64,
-    /// Billed LLM calls (meter delta).
+    /// Billed LLM calls (from its receipt).
     pub llm_calls: u64,
     /// Context-reuse hits observed during this query.
     pub reuse_hits: u64,

@@ -5,7 +5,7 @@
 //!
 //! Every query executes inline on the thread that calls
 //! [`QueryService::serve`], one at a time in dispatch order, so all
-//! mutations of the shared runtime (clock, usage meter, ContextManager)
+//! mutations of the shared runtime (clock, caches, ContextManager)
 //! happen in a deterministic order. Concurrency is modeled in *virtual*
 //! time instead: a [`Timeline`] places each query on the earliest-free
 //! virtual worker, so queries overlap in the reported schedule exactly
@@ -20,7 +20,9 @@ use crate::net::NetStats;
 use crate::queue::AdmissionQueue;
 use crate::report::{ServiceReport, TenantReport};
 use crate::request::{Completion, QueryRequest, RejectReason, Shed};
-use crate::tenant::{LedgerRecord, LedgerWal, TenantConfig, TenantLedger, WalRecovery, WalStats};
+use crate::tenant::{
+    LedgerRecord, LedgerWal, Spend, TenantConfig, TenantLedger, WalRecovery, WalStats,
+};
 use crate::TenantId;
 use aida_core::{Context, Runtime};
 use aida_llm::snapshot::SnapshotError;
@@ -328,12 +330,12 @@ impl PoolController {
     }
 }
 
-/// What the shared runtime's meters read at one instant: just before a
-/// query ran (settlement bills the difference to its tenant), or when
-/// the run began (the report's totals are differences from it).
+/// What the shared runtime's counters read at one instant: just before
+/// a query ran (its duration and reuse counts are differences from it),
+/// or when the run began (the report's totals are differences from it).
+/// A query's spend is not among them: it is the query's receipt.
 struct Probe {
     clock_s: f64,
-    meter: UsageSnapshot,
     reuse: (u64, u64),
     cache: Option<CacheStats>,
 }
@@ -342,7 +344,6 @@ impl Probe {
     fn read(runtime: &Runtime) -> Probe {
         Probe {
             clock_s: runtime.clock().now(),
-            meter: runtime.meter().snapshot(),
             reuse: runtime.reuse_stats(),
             cache: runtime.cache_stats(),
         }
@@ -536,41 +537,32 @@ impl<'a> Dispatcher<'a> {
             })
     }
 
-    /// Settles one executed query against the readings taken before it
-    /// ran: charges the meter and cache deltas to its tenant, logs one
-    /// combined spend record (the charge and its cache credit land
-    /// atomically or not at all, so recovery never sees a half-applied
-    /// spend), and builds the completion. `None` means the WAL failed
-    /// and dispatch must stop.
+    /// Settles one executed query: charges what its receipt billed to its
+    /// tenant, logs one combined spend record (the charge and its cache
+    /// credit land atomically or not at all, so recovery never sees a
+    /// half-applied spend), and builds the completion. `None` means the
+    /// WAL failed and dispatch must stop.
     fn settle_query(
         &mut self,
         request: &QueryRequest,
         probe: &Probe,
+        receipt: &UsageSnapshot,
         slot: ScheduledSlot,
         answered: bool,
     ) -> Option<Completion> {
         let runtime = self.runtime;
-        let delta = runtime.meter().snapshot().delta_since(&probe.meter);
-        let cost_usd = delta.cost(runtime.env().llm.catalog());
-        let tokens = delta.total_tokens();
-        let llm_calls = delta.total_calls();
+        let spend = Spend::of(receipt, runtime.env().llm.catalog());
         let (hits, misses) = runtime.reuse_stats();
-        let cache = match (&probe.cache, runtime.cache_stats()) {
-            (Some(before), Some(after)) => after.delta_since(before),
-            _ => CacheStats::default(),
-        };
         let tenant = &request.tenant;
-        self.tenants.charge(tenant, cost_usd, tokens, llm_calls);
-        self.tenants
-            .credit_cache(tenant, cache.hits, cache.coalesced);
+        self.tenants.charge(tenant, spend);
         if let Some(p) = self.wal.as_mut() {
             let record = LedgerRecord::Spend {
                 tenant: tenant.clone(),
-                usd: cost_usd,
-                tokens,
-                calls: llm_calls,
-                cache_hits: cache.hits,
-                cache_coalesced: cache.coalesced,
+                usd: spend.usd,
+                tokens: spend.tokens,
+                calls: spend.calls,
+                cache_hits: spend.cache_hits,
+                cache_coalesced: spend.cache_coalesced,
             };
             let recorder = runtime.recorder();
             let failed = p.settle_spend(&mut self.report, recorder, self.tenants, tenant, record);
@@ -591,14 +583,14 @@ impl<'a> Dispatcher<'a> {
             admit_s: request.arrival_s,
             start_s: slot.start_s,
             end_s: slot.end_s,
-            cost_usd,
-            tokens,
-            llm_calls,
+            cost_usd: spend.usd,
+            tokens: spend.tokens,
+            llm_calls: spend.calls,
             reuse_hits: hits - probe.reuse.0,
             reuse_misses: misses - probe.reuse.1,
-            cache_hits: cache.hits,
-            cache_coalesced: cache.coalesced,
-            cache_misses: cache.misses,
+            cache_hits: spend.cache_hits,
+            cache_coalesced: spend.cache_coalesced,
+            cache_misses: receipt.cache_misses,
             answered,
         })
     }
@@ -844,7 +836,9 @@ impl QueryService {
             let duration_s = (run.runtime.clock().now() - probe.clock_s).max(0.0);
             let slot = timeline.schedule(dispatch_t, duration_s);
             let answered = outcome.answer.is_some();
-            let Some(completion) = run.settle_query(&request, &probe, slot, answered) else {
+            let receipt = &outcome.receipt;
+            let Some(completion) = run.settle_query(&request, &probe, receipt, slot, answered)
+            else {
                 break;
             };
             pool.record_latency(completion.end_s, completion.latency_s());

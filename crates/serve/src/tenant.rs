@@ -4,6 +4,7 @@
 
 use crate::request::TenantId;
 use aida_llm::snapshot::{self, esc, unesc, FailPlan, SnapshotError};
+use aida_llm::{ModelCatalog, UsageSnapshot};
 use aida_obs::SloTarget;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -77,8 +78,8 @@ impl TenantConfig {
     }
 }
 
-/// Spend attributed to one tenant (accumulated from per-query
-/// `UsageSnapshot::delta_since` deltas).
+/// Spend attributed to one tenant: the sum of its queries' spends, each
+/// read off the query's receipt when it settles.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Spend {
     /// Dollars.
@@ -95,17 +96,23 @@ pub struct Spend {
 }
 
 impl Spend {
-    /// Accumulates one query's delta.
-    pub fn add(&mut self, usd: f64, tokens: u64, calls: u64) {
-        self.usd += usd;
-        self.tokens += tokens;
-        self.calls += calls;
+    /// What one query spent: its receipt, priced under `catalog`.
+    pub fn of(receipt: &UsageSnapshot, catalog: &ModelCatalog) -> Spend {
+        Spend {
+            usd: receipt.cost(catalog),
+            tokens: receipt.total_tokens(),
+            calls: receipt.total_calls(),
+            cache_hits: receipt.cache_hits,
+            cache_coalesced: receipt.cache_coalesced,
+        }
     }
 
-    /// Accumulates one query's semantic-cache savings.
-    fn add_cache(&mut self, hits: u64, coalesced: u64) {
-        self.cache_hits += hits;
-        self.cache_coalesced += coalesced;
+    fn add(&mut self, other: Spend) {
+        self.usd += other.usd;
+        self.tokens += other.tokens;
+        self.calls += other.calls;
+        self.cache_hits += other.cache_hits;
+        self.cache_coalesced += other.cache_coalesced;
     }
 }
 
@@ -166,29 +173,25 @@ impl TenantLedger {
                 calls,
                 cache_hits,
                 cache_coalesced,
-            } => {
-                self.charge(tenant, *usd, *tokens, *calls);
-                self.credit_cache(tenant, *cache_hits, *cache_coalesced);
-            }
+            } => self.charge(
+                tenant,
+                Spend {
+                    usd: *usd,
+                    tokens: *tokens,
+                    calls: *calls,
+                    cache_hits: *cache_hits,
+                    cache_coalesced: *cache_coalesced,
+                },
+            ),
         }
     }
 
-    /// Attributes one query's meter delta to a tenant.
-    pub fn charge(&mut self, tenant: &TenantId, usd: f64, tokens: u64, calls: u64) {
-        self.spend
-            .entry(tenant.clone())
-            .or_default()
-            .add(usd, tokens, calls);
-    }
-
-    /// Attributes one query's semantic-cache savings to a tenant. Cache
-    /// hits are free, so they adjust no quota — but the ledger records
-    /// who benefited from the shared cache.
-    pub fn credit_cache(&mut self, tenant: &TenantId, hits: u64, coalesced: u64) {
-        self.spend
-            .entry(tenant.clone())
-            .or_default()
-            .add_cache(hits, coalesced);
+    /// Attributes one query's spend to a tenant: its charge and its
+    /// semantic-cache credits, together. Cache hits are free, so they
+    /// adjust no quota — but the ledger records who benefited from the
+    /// shared cache.
+    pub fn charge(&mut self, tenant: &TenantId, spend: Spend) {
+        self.spend.entry(tenant.clone()).or_default().add(spend);
     }
 
     /// Dollar headroom under the tenant's quota: `quota - spend`,
@@ -230,7 +233,7 @@ impl TenantLedger {
 // ---- tenant-ledger WAL -------------------------------------------------
 
 /// One durable ledger event. A completed query writes a single
-/// [`LedgerRecord::Spend`] carrying both the meter delta and the cache
+/// [`LedgerRecord::Spend`] carrying both the query's charge and its cache
 /// credits, so charge and credit land atomically — a crash can lose an
 /// entire record, never half of one.
 #[derive(Debug, Clone, PartialEq)]
@@ -509,8 +512,7 @@ impl LedgerWal {
                 let (seq, spends) = decode_ledger_snapshot(&text)?;
                 base_seq = seq;
                 for (tenant, spend) in spends {
-                    ledger.charge(&tenant, spend.usd, spend.tokens, spend.calls);
-                    ledger.credit_cache(&tenant, spend.cache_hits, spend.cache_coalesced);
+                    ledger.charge(&tenant, spend);
                 }
                 recovery.snapshot_loaded = true;
             }
@@ -792,15 +794,25 @@ mod tests {
         }
     }
 
+    /// A query's dollars, tokens and calls, with no cache credits.
+    fn usd(usd: f64, tokens: u64, calls: u64) -> Spend {
+        Spend {
+            usd,
+            tokens,
+            calls,
+            ..Spend::default()
+        }
+    }
+
     #[test]
     fn quotas_gate_on_attributed_spend() {
         let mut ledger = TenantLedger::new();
         let acme: TenantId = "acme".into();
         ledger.register(acme.clone(), TenantConfig::weighted(2).dollars(1.0));
         assert!(ledger.over_quota(&acme).is_none());
-        ledger.charge(&acme, 0.6, 1000, 2);
+        ledger.charge(&acme, usd(0.6, 1000, 2));
         assert!(ledger.over_quota(&acme).is_none());
-        ledger.charge(&acme, 0.4, 800, 1);
+        ledger.charge(&acme, usd(0.4, 800, 1));
         match ledger.over_quota(&acme) {
             Some(crate::RejectReason::BudgetExhausted {
                 spent_usd,
@@ -819,7 +831,7 @@ mod tests {
         let mut ledger = TenantLedger::new();
         let t: TenantId = "t".into();
         ledger.register(t.clone(), TenantConfig::default().tokens(100));
-        ledger.charge(&t, 0.0, 100, 1);
+        ledger.charge(&t, usd(0.0, 100, 1));
         assert!(matches!(
             ledger.over_quota(&t),
             Some(crate::RejectReason::TokensExhausted { .. })
@@ -851,7 +863,7 @@ mod tests {
         let mut ledger = TenantLedger::new();
         let acme: TenantId = "acme".into();
         ledger.register(acme.clone(), config);
-        ledger.charge(&acme, 100.0, 1_000_000, 50);
+        ledger.charge(&acme, usd(100.0, 1_000_000, 50));
         assert!(ledger.over_quota(&acme).is_none());
     }
 
@@ -1242,8 +1254,14 @@ mod tests {
         let mut ledger = TenantLedger::new();
         let acme: TenantId = "acme".into();
         ledger.register(acme.clone(), TenantConfig::default().dollars(1.0));
-        ledger.credit_cache(&acme, 5, 2);
-        ledger.credit_cache(&acme, 3, 0);
+        for (cache_hits, cache_coalesced) in [(5, 2), (3, 0)] {
+            let credit = Spend {
+                cache_hits,
+                cache_coalesced,
+                ..Spend::default()
+            };
+            ledger.charge(&acme, credit);
+        }
         let spend = ledger.spend(&acme);
         assert_eq!(spend.cache_hits, 8);
         assert_eq!(spend.cache_coalesced, 2);

@@ -1,14 +1,27 @@
 //! SQL parser (recursive descent over [`crate::lexer`] tokens).
+//!
+//! Nesting is bounded as in the Pyrite parser: every expression, every
+//! `NOT`/`-` in a chain and every link of an `a + b + c` chain count, and
+//! a statement deeper than `MAX_NESTING` levels is a parse error.
 
 use crate::ast::*;
 use crate::lexer::{lex, SqlTok};
 use crate::SqlError;
 use aida_data::Value;
 
+/// The deepest expression nesting [`parse`] accepts (the Pyrite
+/// parser's budget).
+const MAX_NESTING: usize = 64;
+
 /// Parses one SELECT statement.
 pub fn parse(sql: &str) -> Result<Query, SqlError> {
     let tokens = lex(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        peak: 0,
+    };
     let query = p.query()?;
     p.expect_eof()?;
     Ok(query)
@@ -17,6 +30,10 @@ pub fn parse(sql: &str) -> Result<Query, SqlError> {
 struct Parser {
     tokens: Vec<SqlTok>,
     pos: usize,
+    /// Open nesting levels (see `MAX_NESTING`).
+    depth: usize,
+    /// The deepest level the innermost chain's tree reaches.
+    peak: usize,
 }
 
 impl Parser {
@@ -34,6 +51,45 @@ impl Parser {
 
     fn err(&self, message: impl Into<String>) -> SqlError {
         SqlError::Parse(message.into())
+    }
+
+    /// Runs `rule` one nesting level deeper, or fails past the budget.
+    fn nested<T>(
+        &mut self,
+        rule: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        self.depth = self.reach(self.depth + 1)?;
+        let out = rule(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Records that the tree reaches `level`, or fails past the budget.
+    fn reach(&mut self, level: usize) -> Result<usize, SqlError> {
+        if level > MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.peak = self.peak.max(level);
+        Ok(level)
+    }
+
+    /// `rule (op rule)*`, left-associative; `op_of` consumes an operator
+    /// when it sees one. While it runs, `peak` is the level the tree built
+    /// so far reaches, and each link sits one above.
+    fn chain(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Expr, SqlError>,
+        op_of: fn(&mut Self) -> Option<SqlBinOp>,
+    ) -> Result<Expr, SqlError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let mut left = rule(self)?;
+        while let Some(op) = op_of(self) {
+            let right = rule(self)?;
+            self.reach(self.peak + 1)?;
+            left = Expr::Binary(op, Box::new(left), Box::new(right));
+        }
+        self.peak = self.peak.max(outer);
+        Ok(left)
     }
 
     /// Case-insensitive keyword check (does not consume).
@@ -247,30 +303,24 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, SqlError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.and_expr()?;
-        while self.eat_keyword("OR") {
-            let right = self.and_expr()?;
-            left = Expr::Binary(SqlBinOp::Or, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Self::and_expr, |p| {
+            p.eat_keyword("OR").then_some(SqlBinOp::Or)
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.not_expr()?;
-        while self.eat_keyword("AND") {
-            let right = self.not_expr()?;
-            left = Expr::Binary(SqlBinOp::And, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Self::not_expr, |p| {
+            p.eat_keyword("AND").then_some(SqlBinOp::And)
+        })
     }
 
     fn not_expr(&mut self) -> Result<Expr, SqlError> {
         if self.eat_keyword("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
         self.comparison()
@@ -311,17 +361,15 @@ impl Parser {
         if negated {
             return Err(self.err("expected IN or LIKE after NOT"));
         }
-        let op = match self.peek() {
-            SqlTok::Eq => Some(SqlBinOp::Eq),
-            SqlTok::NotEq => Some(SqlBinOp::NotEq),
-            SqlTok::Lt => Some(SqlBinOp::Lt),
-            SqlTok::LtEq => Some(SqlBinOp::LtEq),
-            SqlTok::Gt => Some(SqlBinOp::Gt),
-            SqlTok::GtEq => Some(SqlBinOp::GtEq),
-            _ => None,
-        };
+        let op = self.op_in(&[
+            (SqlTok::Eq, SqlBinOp::Eq),
+            (SqlTok::NotEq, SqlBinOp::NotEq),
+            (SqlTok::Lt, SqlBinOp::Lt),
+            (SqlTok::LtEq, SqlBinOp::LtEq),
+            (SqlTok::Gt, SqlBinOp::Gt),
+            (SqlTok::GtEq, SqlBinOp::GtEq),
+        ]);
         if let Some(op) = op {
-            self.advance();
             let right = self.additive()?;
             return Ok(Expr::Binary(op, Box::new(left), Box::new(right)));
         }
@@ -329,40 +377,35 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                SqlTok::Plus => SqlBinOp::Add,
-                SqlTok::Minus => SqlBinOp::Sub,
-                _ => break,
-            };
-            self.advance();
-            let right = self.multiplicative()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Self::multiplicative, |p| {
+            p.op_in(&[
+                (SqlTok::Plus, SqlBinOp::Add),
+                (SqlTok::Minus, SqlBinOp::Sub),
+            ])
+        })
     }
 
     fn multiplicative(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                SqlTok::Star => SqlBinOp::Mul,
-                SqlTok::Slash => SqlBinOp::Div,
-                SqlTok::Percent => SqlBinOp::Mod,
-                _ => break,
-            };
-            self.advance();
-            let right = self.unary()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Self::unary, |p| {
+            p.op_in(&[
+                (SqlTok::Star, SqlBinOp::Mul),
+                (SqlTok::Slash, SqlBinOp::Div),
+                (SqlTok::Percent, SqlBinOp::Mod),
+            ])
+        })
+    }
+
+    /// Consumes the next token when `ops` maps it to an operator.
+    fn op_in(&mut self, ops: &[(SqlTok, SqlBinOp)]) -> Option<SqlBinOp> {
+        let &(_, op) = ops.iter().find(|(tok, _)| tok == self.peek())?;
+        self.advance();
+        Some(op)
     }
 
     fn unary(&mut self) -> Result<Expr, SqlError> {
         if matches!(self.peek(), SqlTok::Minus) {
             self.advance();
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         self.atom()
@@ -532,5 +575,47 @@ mod tests {
             &q.items[0],
             SelectItem::Expr(Expr::Literal(Value::Null), _)
         ));
+    }
+
+    fn is_nesting_error(result: Result<Query, SqlError>) -> bool {
+        matches!(result, Err(SqlError::Parse(message)) if message.contains("nesting deeper"))
+    }
+
+    #[test]
+    fn deep_statements_are_typed_parse_errors() {
+        let deep = [
+            format!("SELECT {}1{} FROM t", "(".repeat(6_000), ")".repeat(6_000)),
+            format!("SELECT a FROM t WHERE {}a = 1", "NOT ".repeat(100_000)),
+            format!("SELECT {}1 FROM t", "- ".repeat(100_000)),
+            format!("SELECT {}1 FROM t", "1 + ".repeat(250_000)),
+            format!(
+                "SELECT a FROM t WHERE {}a = 1",
+                "a = 1 AND ".repeat(100_000)
+            ),
+        ];
+        for sql in deep {
+            assert!(is_nesting_error(parse(&sql)), "{}", &sql[..40]);
+        }
+    }
+
+    #[test]
+    fn statement_at_the_nesting_budget_executes_on_a_small_stack() {
+        let build = |n: usize| format!("SELECT {}a{} AS v FROM t", "(-".repeat(n), ")".repeat(n));
+        let n = (1..).find(|&n| parse(&build(n)).is_err()).unwrap();
+        assert!(is_nesting_error(parse(&build(n))));
+        let sql = build(n - 1);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut table = aida_data::Table::new(aida_data::Schema::of(["a"]));
+                table.push_row(vec![Value::Int(3)]).unwrap();
+                let mut catalog = crate::Catalog::new();
+                catalog.register("t", table);
+                let out = crate::execute(&sql, &catalog).unwrap();
+                assert_eq!(out.len(), 1);
+            })
+            .unwrap()
+            .join()
+            .expect("no pass overflows a 2 MiB stack");
     }
 }

@@ -56,7 +56,7 @@ pub use aida_synth as synth;
 pub mod prelude {
     pub use aida_core::{Context, ContextManager, Runtime, RuntimeBuilder};
     pub use aida_data::{DataLake, DocKind, Document, Record, Schema, Table, Value};
-    pub use aida_llm::{ModelId, UsageMeter};
+    pub use aida_llm::{ModelId, UsageSnapshot};
     pub use aida_semops::Dataset;
     pub use aida_serve::{
         open_loop, AutoscaleConfig, ClientConfig, LiveSource, QueryRequest, QueryService,

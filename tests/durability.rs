@@ -86,8 +86,14 @@ fn apply(ledger: &mut TenantLedger, record: &LedgerRecord) {
         cache_coalesced,
     } = record
     {
-        ledger.charge(tenant, *usd, *tokens, *calls);
-        ledger.credit_cache(tenant, *cache_hits, *cache_coalesced);
+        let spend = aida::serve::Spend {
+            usd: *usd,
+            tokens: *tokens,
+            calls: *calls,
+            cache_hits: *cache_hits,
+            cache_coalesced: *cache_coalesced,
+        };
+        ledger.charge(tenant, spend);
     }
 }
 

@@ -525,3 +525,30 @@ fn rejected_clients_never_double_bill() {
         "dime's quota produced a terminal rejection"
     );
 }
+
+// ----- deep requests ----------------------------------------------------
+
+/// Under cost bounds, admission parses every instruction as Pyrite. A
+/// Request nesting 100,000 parentheses (200 KB, well under the frame
+/// cap) gets a typed outcome instead of overflowing the parser's stack,
+/// and the service goes on to serve the client's next request.
+#[test]
+fn deeply_nested_request_under_cost_bounds_is_served() {
+    let config = ServeConfig::with_workers(1).cost_bounds(aida::llm::ModelId::Flagship);
+    let mut svc = live_service(37, config);
+    svc.register_tenant("capped", TenantConfig::default().dollars(100.0));
+    let deep = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+    let client = ClientConfig::new("capped", "reports")
+        .instructions([deep, MIX[0].to_string()])
+        .queries(2);
+    let mut source = LiveSource::new(37, vec![client]);
+    let report = svc.serve(&mut source);
+    assert!(matches!(
+        source.outcomes().as_slice(),
+        [ClientOutcome::Completed { queries: 2, .. }]
+    ));
+    assert_eq!(report.completions.len(), 2, "both requests were served");
+    assert!(report.bounds_gated);
+    let net = report.net.as_ref().expect("live run carries a net report");
+    assert_eq!(net.stats.wire_error_total(), 0);
+}
