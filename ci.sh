@@ -76,6 +76,12 @@ cmp target/ci-lint-a/lint_report.jsonl results/lint_report.jsonl
 # full size quickly.
 cargo test -q --release -p aida-script --test differential
 
+# Pyrite front-end check: the verdict pin (every program of the pinned
+# corpus keeps its verdict, or changes for a reason the test shows) and
+# the straight-line property (a type error the check reports is the one
+# the VM raises), in release for the property's full case count.
+cargo test -q --release -p aida-script --test verdicts
+
 # Generic reading parity: the simulated LLM's memo-backed readers (lowered
 # text, table view) must answer like the test-only line-by-line readers
 # they replaced, for memoized and memo-less subjects. Release runs the

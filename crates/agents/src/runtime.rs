@@ -1,9 +1,10 @@
 //! The CodeAgent execution loop.
 //!
 //! Each step: the policy (standing in for the planning LLM) produces code;
-//! the code is parsed once, judged by the front-end pass (names, loops and
-//! flow-sensitive types against the tool registry) and compiled to
-//! bytecode — all *before* the planning call is billed, so a provably bad
+//! the code is parsed once and compiled to bytecode, and one dataflow
+//! analysis judges it (names, loops and types against the tool registry
+//! and the globals earlier steps left) and bounds its cost — all
+//! *before* the planning call is billed, so a provably bad
 //! generation costs $0.00 and zero virtual seconds. That verdict comes
 //! from the runtime's [`StepCache`] when the same source already met the
 //! same tools and globals, so a repeated step runs none of those stages.
@@ -295,13 +296,15 @@ impl<'a> AgentRuntime<'a> {
     }
 }
 
-/// Parses the step's source once, judges it in the front-end pass against
-/// the key's tool signatures and globals (live bindings of unknown type),
-/// and compiles it. Runs *before* the planning call is billed, so a
-/// program the pass can prove malformed or ill-typed costs $0.00 and zero
-/// virtual seconds. A rejection names its pass by the error's class:
-/// `typecheck` for a type error, `static-check` for everything else (lex,
-/// parse, undefined name, unknown call, unbounded loop).
+/// Parses the step's source once and compiles it under the key's tool
+/// signatures and globals (live bindings of unknown type): one analysis
+/// gives both the front-end verdict and the cost bound of a run that
+/// starts with those globals bound. Runs *before* the planning call is
+/// billed, so a program the check can prove malformed or ill-typed costs
+/// $0.00 and zero virtual seconds. A rejection names its pass by the
+/// error's class: `typecheck` for a type error, `static-check` for
+/// everything else (lex, parse, undefined name, unknown call, unbounded
+/// loop).
 fn front_end(key: &StepKey) -> StepVerdict {
     let compiled = aida_script::parser::parse(&key.source).and_then(|program| {
         let mut env = aida_script::TypeEnv::new();
@@ -311,8 +314,7 @@ fn front_end(key: &StepKey) -> StepVerdict {
         for name in &key.globals {
             env.bind_global(name, aida_script::Ty::Any);
         }
-        aida_script::typecheck(&program, &env)?;
-        aida_script::compile(&program)
+        aida_script::compile_checked(&program, &env)
     });
     match compiled {
         Ok(program) => {
@@ -758,6 +760,40 @@ mod tests {
         );
         assert_eq!(outcome.cost_usd, 0.0, "over-ceiling steps must not bill");
         assert_eq!(outcome.time_s, 0.0, "over-ceiling steps must not take time");
+    }
+
+    #[test]
+    fn a_step_reading_an_earlier_steps_globals_is_bounded_with_them() {
+        let env = runtime_env();
+        let lake = lake();
+        let rt = AgentRuntime::new(&env, registry(&lake), None);
+        let config = AgentConfig {
+            step_usd_ceiling: Some(0.05),
+            ..AgentConfig::default()
+        };
+        // Step 1 reads the list step 0 left in `names` 40 times. Bounded
+        // as if `names` were unbound, every run would fault on it and the
+        // step would price at $0; bounded with it bound, the 40 reads
+        // price far above the ceiling.
+        let agent = CodeAgent::with_policy(
+            config,
+            Box::new(FixedPolicy(vec![
+                "names = list_files()\nprint(len(names))",
+                "for i in range(40):\n    read_file(names[i % len(names)])\nprint(i)",
+            ])),
+        );
+        let outcome = rt.run(&agent, "re-read one file");
+        assert_eq!(outcome.steps.len(), 2);
+        assert!(
+            !outcome.steps[0].observation.starts_with("ERROR:"),
+            "{}",
+            outcome.steps[0].observation
+        );
+        assert!(
+            (outcome.steps[1].observation).starts_with("ERROR: static cost bound"),
+            "{}",
+            outcome.steps[1].observation
+        );
     }
 
     #[test]

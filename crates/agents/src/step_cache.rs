@@ -1,8 +1,8 @@
 //! The compiled-step cache: an agent step's front-end verdict, computed
 //! once per distinct program and environment.
 //!
-//! Before a step is billed, its program is parsed, judged by the
-//! front-end pass, compiled and bounded, and a serving runtime sees the
+//! Before a step is billed, its program is parsed, compiled, and judged
+//! and bounded by one analysis, and a serving runtime sees the
 //! same few dozen programs thousands of times. Those stages read exactly
 //! three things — the source text, the tool registry's `(name, signature)`
 //! pairs and the interpreter's global names (live bindings left by earlier

@@ -83,6 +83,45 @@ pub enum ExprKind {
     Slice(Box<Expr>, Option<Box<Expr>>, Option<Box<Expr>>),
 }
 
+impl Expr {
+    /// Calls `f` on this expression and every sub-expression, parents
+    /// before children, left to right.
+    pub(crate) fn walk(&self, f: &mut dyn FnMut(&Expr)) {
+        f(self);
+        match &self.kind {
+            ExprKind::List(items) => items.iter().for_each(|e| e.walk(f)),
+            ExprKind::Dict(pairs) => pairs.iter().for_each(|(k, v)| {
+                k.walk(f);
+                v.walk(f);
+            }),
+            ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
+                a.walk(f);
+                b.walk(f);
+            }
+            ExprKind::Unary(_, a) => a.walk(f),
+            ExprKind::Call(callee, args) | ExprKind::MethodCall(callee, _, args) => {
+                callee.walk(f);
+                args.iter().for_each(|e| e.walk(f));
+            }
+            ExprKind::ListComp {
+                element,
+                iterable,
+                condition,
+                ..
+            } => {
+                element.walk(f);
+                iterable.walk(f);
+                condition.iter().for_each(|c| c.walk(f));
+            }
+            ExprKind::Slice(obj, lo, hi) => {
+                obj.walk(f);
+                lo.iter().chain(hi).for_each(|b| b.walk(f));
+            }
+            _ => {}
+        }
+    }
+}
+
 /// A statement with its source line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {

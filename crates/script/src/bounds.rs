@@ -1,10 +1,13 @@
-//! Static cost-bound analysis over compiled Pyrite bytecode.
+//! The Pyrite dataflow analysis over compiled bytecode, and the static
+//! cost bound it yields.
 //!
 //! The paper treats LLM spend as a first-class, optimizable resource:
 //! an analytics runtime should know what a plan *can* cost before it
-//! runs it. This module is the analysis that makes that possible for
-//! Pyrite programs — an abstract interpreter over [`crate::bytecode`]
-//! instruction streams that produces a sound [`CostBound`]:
+//! runs it. This module is the one abstract interpreter over
+//! [`crate::bytecode`] instruction streams. One fixpoint per chunk
+//! computes an abstract state at every block entry; the front-end check
+//! ([`crate::types`]) reads its verdict off those states, and this module
+//! reads a sound [`CostBound`] off them:
 //!
 //! * **`fuel_max`** — an upper bound on the fuel a completing run can
 //!   charge. Fuel is charged only by explicit [`Insn::Burn`]
@@ -20,25 +23,37 @@
 //!   [`TOOL_CALL_MAX_INPUT_TOKENS`]/[`TOOL_CALL_MAX_OUTPUT_TOKENS`]
 //!   token envelope.
 //!
-//! **Soundness contract.** For every program that runs to completion,
-//! actual fuel ≤ `fuel_max`, actual per-tool calls ≤ the per-tool
-//! bound, and billed dollars ≤ `usd_max` for the executing tier.
-//! Programs the analysis cannot bound degrade to `unbounded` — never a
-//! wrong finite number. Error paths need no bound: a program that
-//! faults did not complete. One documented environment assumption: the
-//! host-function set does not shadow builtin names (`range`, `len`, …);
-//! the VM resolves host functions first, so a tool named `range` could
-//! invalidate trip counts. Callers that know the tool registry (the
-//! agents runtime does) degrade the bound to unbounded on a collision.
+//! **Soundness contract.** The analysis runs against a [`TypeEnv`]: the
+//! tool signatures and the globals bound when the run starts
+//! ([`analyze`] uses the empty one, a fresh interpreter). For every run
+//! that starts in that environment and completes, actual fuel ≤
+//! `fuel_max`, actual per-tool calls ≤ the per-tool bound, and billed
+//! dollars ≤ `usd_max` for the executing tier. A bound for one
+//! environment promises nothing for another: a global the environment
+//! leaves unbound makes every read of it fault, which is all the bound
+//! may assume. Programs the analysis cannot bound degrade to `unbounded`
+//! — never a wrong finite number. Error paths need no bound: a program
+//! that faults did not complete. One documented environment assumption:
+//! the host-function set does not shadow builtin names (`range`, `len`,
+//! …); the VM resolves host functions first, so a tool named `range`
+//! could invalidate trip counts. Callers that know the tool registry
+//! (the agents runtime does) degrade the bound to unbounded on a
+//! collision.
 //!
 //! **How it works.**
 //! 1. Basic blocks and a CFG per chunk; irreducible graphs (never
 //!    produced by the compiler) bail to unbounded.
-//! 2. Interval dataflow with widening at loop headers, over a small
-//!    lattice: integer intervals, string/list/dict length intervals,
-//!    and function-value sets. Any call havocs list/dict lengths
-//!    (values are `Rc`-shared and mutable through aliases); string
-//!    lengths and rebindings survive — callees cannot rebind globals.
+//! 2. Dataflow with widening at loop headers, over one lattice of
+//!    abstract values that each know their type (`AbsVal::ty`):
+//!    integer intervals, string/list/dict length intervals, function-value
+//!    sets, and bare bools, floats and `None`. A result's type is the
+//!    one the VM's kernel yields for its operands' types. Main's globals
+//!    start as the environment binds them; function chunks read globals
+//!    as unknown (a later program may rebind any), except that names
+//!    bound only to functions keep their function set. Any call havocs
+//!    list/dict lengths (values are `Rc`-shared and mutable through
+//!    aliases); string lengths and rebindings survive — callees cannot
+//!    rebind globals.
 //! 3. Loop trip bounds: `for` loops are bounded by the iterable's
 //!    length interval at `IterNew` (iteration snapshots the sequence);
 //!    counted `while` loops match the compiler's shape — a single-block
@@ -53,9 +68,10 @@
 
 use crate::ast::BinOp;
 use crate::bytecode::{Chunk, CompiledProgram, Const, Insn, NO_REG};
-use crate::types::builtin;
+use crate::types::{self, builtin, Ty, TypeEnv};
 use aida_llm::models::{ModelCatalog, ModelId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 
 /// Per-tool-call billing envelope: input tokens. A bound's dollar
 /// figures hold for runtimes whose per-call billing never exceeds this
@@ -257,13 +273,20 @@ const INEG: i128 = i128::MIN;
 /// Length infinity sentinel.
 const LINF: u64 = u64::MAX;
 
-/// One abstract value.
+/// One abstract value. Every value but `Bottom` and `Top` has a kind,
+/// and the kind is the value's static type ([`AbsVal::ty`]).
 #[derive(Debug, Clone, PartialEq)]
-enum AbsVal {
+pub(crate) enum AbsVal {
     /// Unreachable / no value.
     Bottom,
-    /// Integer (or bool, as 0/1) in `[lo, hi]`.
+    /// Integer in `[lo, hi]`.
     Int { lo: i128, hi: i128 },
+    /// A bool.
+    Bool,
+    /// A float.
+    Float,
+    /// `None`.
+    NoneVal,
     /// Immutable string with `[lo, hi]` chars (iteration/`len` count).
     StrLen { lo: u64, hi: u64 },
     /// List with `[lo, hi]` elements. Mutable through aliases: any
@@ -278,6 +301,48 @@ enum AbsVal {
 }
 
 use AbsVal::*;
+
+impl AbsVal {
+    /// The static type: the value's kind, `Ty::Any` when unknown.
+    pub(crate) fn ty(&self) -> Ty {
+        match self {
+            Bottom | Top => Ty::Any,
+            Int { .. } => Ty::Int,
+            Bool => Ty::Bool,
+            Float => Ty::Float,
+            NoneVal => Ty::None,
+            StrLen { .. } => Ty::Str,
+            ListLen { .. } => Ty::List,
+            DictLen { .. } => Ty::Dict,
+            Funcs(_) => Ty::Func,
+        }
+    }
+
+    /// The same kind of sized value with length `[lo, hi]`.
+    fn with_len(&self, lo: u64, hi: u64) -> AbsVal {
+        match self {
+            StrLen { .. } => StrLen { lo, hi },
+            ListLen { .. } => ListLen { lo, hi },
+            DictLen { .. } => DictLen { lo, hi },
+            other => other.clone(),
+        }
+    }
+
+    /// The least-informative value of type `ty` (any int, any length).
+    fn of_ty(ty: Ty) -> AbsVal {
+        match ty {
+            Ty::Int => Int { lo: INEG, hi: IPOS },
+            Ty::Bool => Bool,
+            Ty::Float => Float,
+            Ty::None => NoneVal,
+            Ty::Str => StrLen { lo: 0, hi: LINF },
+            Ty::List => ListLen { lo: 0, hi: LINF },
+            Ty::Dict => DictLen { lo: 0, hi: LINF },
+            // A function value of unknown identity could be anything.
+            Ty::Func | Ty::Any => Top,
+        }
+    }
+}
 
 fn ladd(a: u64, b: u64) -> u64 {
     if a == LINF {
@@ -321,10 +386,6 @@ fn imul(a: i128, b: i128) -> i128 {
     a.saturating_mul(b)
 }
 
-fn hull_u(alo: u64, ahi: u64, blo: u64, bhi: u64) -> (u64, u64) {
-    (alo.min(blo), ahi.max(bhi))
-}
-
 fn join(a: &AbsVal, b: &AbsVal) -> AbsVal {
     match (a, b) {
         (Bottom, x) | (x, Bottom) => x.clone(),
@@ -332,19 +393,15 @@ fn join(a: &AbsVal, b: &AbsVal) -> AbsVal {
             lo: *al.min(bl),
             hi: *ah.max(bh),
         },
-        (StrLen { lo: al, hi: ah }, StrLen { lo: bl, hi: bh }) => {
-            let (lo, hi) = hull_u(*al, *ah, *bl, *bh);
-            StrLen { lo, hi }
-        }
-        (ListLen { lo: al, hi: ah }, ListLen { lo: bl, hi: bh }) => {
-            let (lo, hi) = hull_u(*al, *ah, *bl, *bh);
-            ListLen { lo, hi }
-        }
-        (DictLen { lo: al, hi: ah }, DictLen { lo: bl, hi: bh }) => {
-            let (lo, hi) = hull_u(*al, *ah, *bl, *bh);
-            DictLen { lo, hi }
+        (StrLen { lo: al, hi: ah }, StrLen { lo: bl, hi: bh })
+        | (ListLen { lo: al, hi: ah }, ListLen { lo: bl, hi: bh })
+        | (DictLen { lo: al, hi: ah }, DictLen { lo: bl, hi: bh }) => {
+            a.with_len(*al.min(bl), *ah.max(bh))
         }
         (Funcs(s1), Funcs(s2)) => Funcs(s1.union(s2).copied().collect()),
+        (Bool, Bool) => Bool,
+        (Float, Float) => Float,
+        (NoneVal, NoneVal) => NoneVal,
         _ => Top,
     }
 }
@@ -358,18 +415,12 @@ fn widen(old: &AbsVal, new: &AbsVal) -> AbsVal {
             lo: if jl < ol { INEG } else { *jl },
             hi: if jh > oh { IPOS } else { *jh },
         },
-        (StrLen { lo: ol, hi: oh }, StrLen { lo: jl, hi: jh }) => StrLen {
-            lo: if jl < ol { 0 } else { *jl },
-            hi: if jh > oh { LINF } else { *jh },
-        },
-        (ListLen { lo: ol, hi: oh }, ListLen { lo: jl, hi: jh }) => ListLen {
-            lo: if jl < ol { 0 } else { *jl },
-            hi: if jh > oh { LINF } else { *jh },
-        },
-        (DictLen { lo: ol, hi: oh }, DictLen { lo: jl, hi: jh }) => DictLen {
-            lo: if jl < ol { 0 } else { *jl },
-            hi: if jh > oh { LINF } else { *jh },
-        },
+        (StrLen { lo: ol, hi: oh }, StrLen { lo: jl, hi: jh })
+        | (ListLen { lo: ol, hi: oh }, ListLen { lo: jl, hi: jh })
+        | (DictLen { lo: ol, hi: oh }, DictLen { lo: jl, hi: jh }) => joined.with_len(
+            if jl < ol { 0 } else { *jl },
+            if jh > oh { LINF } else { *jh },
+        ),
         _ => joined,
     }
 }
@@ -383,11 +434,12 @@ fn len_of(v: &AbsVal) -> Option<(u64, u64)> {
 }
 
 /// A variable binding: the abstract value plus whether the slot may be
-/// unset at runtime (falling through to globals / a name error).
+/// unset at runtime (falling through to globals / a name error). A
+/// `Bottom` value with `maybe_unset` is a binding no path has assigned.
 #[derive(Debug, Clone, PartialEq)]
-struct Binding {
-    val: AbsVal,
-    maybe_unset: bool,
+pub(crate) struct Binding {
+    pub(crate) val: AbsVal,
+    pub(crate) maybe_unset: bool,
 }
 
 impl Binding {
@@ -422,19 +474,27 @@ impl Binding {
 
 /// Dataflow state at one program point.
 #[derive(Debug, Clone, PartialEq)]
-struct State {
+pub(crate) struct State {
     /// False once execution provably faults (error paths never
     /// complete, so nothing downstream needs a bound).
-    live: bool,
-    regs: Vec<AbsVal>,
+    pub(crate) live: bool,
+    pub(crate) regs: Vec<AbsVal>,
     /// Function chunks: slot-indexed locals. Empty for main.
-    locals: Vec<Binding>,
+    pub(crate) locals: Vec<Binding>,
     /// Main chunk: flow-sensitive globals by name index. Empty for
     /// function chunks (which read the immutable entry summary).
-    globals: Vec<Binding>,
+    pub(crate) globals: Vec<Binding>,
+    /// The element of each open `for` iterator, innermost last.
+    iters: Vec<AbsVal>,
 }
 
 impl State {
+    /// Every register and variable value.
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut AbsVal> {
+        let vars = self.locals.iter_mut().chain(&mut self.globals);
+        self.regs.iter_mut().chain(vars.map(|b| &mut b.val))
+    }
+
     fn join_into(&mut self, other: &State, widen_point: bool) -> bool {
         if !other.live {
             return false;
@@ -443,30 +503,26 @@ impl State {
             *self = other.clone();
             return true;
         }
-        let mut changed = false;
-        for (a, b) in self.regs.iter_mut().zip(&other.regs) {
-            let next = if widen_point { widen(a, b) } else { join(a, b) };
-            if next != *a {
-                *a = next;
-                changed = true;
-            }
-        }
-        for (a, b) in self.locals.iter_mut().zip(&other.locals) {
-            let next = if widen_point { a.widen(b) } else { a.join(b) };
-            if next != *a {
-                *a = next;
-                changed = true;
-            }
-        }
-        for (a, b) in self.globals.iter_mut().zip(&other.globals) {
-            let next = if widen_point { a.widen(b) } else { a.join(b) };
-            if next != *a {
-                *a = next;
-                changed = true;
-            }
-        }
-        changed
+        let val = |a: &AbsVal, b: &AbsVal| if widen_point { widen(a, b) } else { join(a, b) };
+        let bind = |a: &Binding, b: &Binding| if widen_point { a.widen(b) } else { a.join(b) };
+        merge(&mut self.regs, &other.regs, val)
+            | merge(&mut self.locals, &other.locals, bind)
+            | merge(&mut self.globals, &other.globals, bind)
+            | merge(&mut self.iters, &other.iters, join)
     }
+}
+
+/// Merges `b` into `a` pointwise through `f`; true when `a` changed.
+fn merge<T: PartialEq>(a: &mut [T], b: &[T], f: impl Fn(&T, &T) -> T) -> bool {
+    let mut changed = false;
+    for (x, y) in a.iter_mut().zip(b) {
+        let next = f(x, y);
+        if next != *x {
+            *x = next;
+            changed = true;
+        }
+    }
+    changed
 }
 
 // ---------------------------------------------------------------------------
@@ -474,11 +530,11 @@ impl State {
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
-struct Block {
+pub(crate) struct Block {
     /// Instruction index range `[start, end)`.
-    start: usize,
-    end: usize,
-    succs: Vec<usize>,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) succs: Vec<usize>,
 }
 
 /// True when the instruction ends a basic block.
@@ -642,10 +698,10 @@ fn dominates(idom: &[Option<usize>], a: usize, b: usize) -> bool {
 }
 
 #[derive(Debug, Clone)]
-struct Loop {
-    header: usize,
+pub(crate) struct Loop {
+    pub(crate) header: usize,
     /// All blocks in the natural loop (header included).
-    body: BTreeSet<usize>,
+    pub(crate) body: BTreeSet<usize>,
     latches: Vec<usize>,
 }
 
@@ -695,20 +751,21 @@ fn find_loops(blocks: &[Block], rpo: &[usize], preds: &[Vec<usize>]) -> Option<V
 // ---------------------------------------------------------------------------
 
 /// Immutable context shared by the transfer function.
-struct ChunkCx<'p> {
-    program: &'p CompiledProgram,
-    is_main: bool,
+pub(crate) struct ChunkCx<'p> {
+    pub(crate) program: &'p CompiledProgram,
+    pub(crate) env: &'p TypeEnv,
+    pub(crate) is_main: bool,
     /// Entry global environment (function chunks only).
-    genv: &'p [Binding],
+    genv: Rc<[Binding]>,
 }
 
 impl<'p> ChunkCx<'p> {
-    fn name(&self, ix: u16) -> &str {
+    pub(crate) fn name(&self, ix: u16) -> &'p str {
         &self.program.pools.names[ix as usize]
     }
 
     /// The global binding visible at this point.
-    fn global<'s>(&'s self, st: &'s State, name: u16) -> &'s Binding {
+    pub(crate) fn global<'s>(&'s self, st: &'s State, name: u16) -> &'s Binding {
         if self.is_main {
             &st.globals[name as usize]
         } else {
@@ -718,7 +775,7 @@ impl<'p> ChunkCx<'p> {
 
     /// Composite local-then-global resolution, mirroring the VM's
     /// `Load`/`CallName` fallthrough.
-    fn binding_of(&self, st: &State, name: u16, slot: u16) -> Binding {
+    pub(crate) fn binding_of(&self, st: &State, name: u16, slot: u16) -> Binding {
         if slot != NO_REG && !self.is_main {
             let l = &st.locals[slot as usize];
             if !l.maybe_unset {
@@ -740,58 +797,32 @@ fn abs_const(c: &Const) -> AbsVal {
             lo: *v as i128,
             hi: *v as i128,
         },
-        Const::Bool(b) => {
-            let v = *b as i128;
-            Int { lo: v, hi: v }
-        }
+        Const::Bool(_) => Bool,
         Const::Str(s) => {
             let n = s.chars().count() as u64;
             StrLen { lo: n, hi: n }
         }
-        Const::Float(_) | Const::None => Top,
+        Const::Float(_) => Float,
+        Const::None => NoneVal,
     }
 }
 
 /// Any call may mutate lists/dicts through `Rc` aliases; lengths lose
 /// their upper bounds. Strings are immutable and survive.
 fn havoc_mutables(st: &mut State) {
-    let degrade = |v: &mut AbsVal| match v {
-        ListLen { lo, hi } => {
-            *lo = 0;
-            *hi = LINF;
+    for v in st.values_mut() {
+        if let ListLen { lo, hi } | DictLen { lo, hi } = v {
+            (*lo, *hi) = (0, LINF);
         }
-        DictLen { lo, hi } => {
-            *lo = 0;
-            *hi = LINF;
-        }
-        _ => {}
-    };
-    for r in &mut st.regs {
-        degrade(r);
-    }
-    for b in &mut st.locals {
-        degrade(&mut b.val);
-    }
-    for b in &mut st.globals {
-        degrade(&mut b.val);
     }
 }
 
 /// Index stores can only grow dict key sets (list lengths are stable).
 fn bump_dicts(st: &mut State) {
-    let bump = |v: &mut AbsVal| {
+    for v in st.values_mut() {
         if let DictLen { hi, .. } = v {
             *hi = ladd(*hi, 1);
         }
-    };
-    for r in &mut st.regs {
-        bump(r);
-    }
-    for b in &mut st.locals {
-        bump(&mut b.val);
-    }
-    for b in &mut st.globals {
-        bump(&mut b.val);
     }
 }
 
@@ -802,14 +833,10 @@ fn abs_bin(op: BinOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
                 lo: iadd(*al, *bl),
                 hi: iadd(*ah, *bh),
             },
-            (StrLen { lo: al, hi: ah }, StrLen { lo: bl, hi: bh }) => StrLen {
-                lo: ladd(*al, *bl),
-                hi: ladd(*ah, *bh),
-            },
-            (ListLen { lo: al, hi: ah }, ListLen { lo: bl, hi: bh }) => ListLen {
-                lo: ladd(*al, *bl),
-                hi: ladd(*ah, *bh),
-            },
+            (StrLen { lo: al, hi: ah }, StrLen { lo: bl, hi: bh })
+            | (ListLen { lo: al, hi: ah }, ListLen { lo: bl, hi: bh }) => {
+                a.with_len(ladd(*al, *bl), ladd(*ah, *bh))
+            }
             _ => Top,
         },
         BinOp::Sub => match (a, b) {
@@ -834,15 +861,20 @@ fn abs_bin(op: BinOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
             }
             _ => Top,
         },
-        BinOp::Eq
-        | BinOp::NotEq
-        | BinOp::Lt
-        | BinOp::LtEq
-        | BinOp::Gt
-        | BinOp::GtEq
-        | BinOp::In
-        | BinOp::NotIn => Int { lo: 0, hi: 1 },
         _ => Top,
+    }
+}
+
+/// The abstract result of a binary operator: the interval and length
+/// rules of [`abs_bin`] where they apply, else the least-informative
+/// value of the type the VM's kernel yields for the operand types.
+fn bin_result(op: BinOp, a: &AbsVal, b: &AbsVal) -> AbsVal {
+    match abs_bin(op, a, b) {
+        Top => match types::bin_type(op, a.ty(), b.ty()) {
+            Some(Ok(ty)) => AbsVal::of_ty(ty),
+            _ => Top,
+        },
+        v => v,
     }
 }
 
@@ -885,7 +917,6 @@ fn abs_builtin(name: &str, args: &[AbsVal]) -> AbsVal {
             _ => ListLen { lo: 0, hi: LINF },
         },
         "str" => StrLen { lo: 0, hi: LINF },
-        "bool" => Int { lo: 0, hi: 1 },
         "abs" => match args.first() {
             Some(Int { lo, hi }) => {
                 if *lo == INEG || *hi == IPOS {
@@ -900,6 +931,15 @@ fn abs_builtin(name: &str, args: &[AbsVal]) -> AbsVal {
             }
             _ => Top,
         },
+        _ => builtin(name).map_or(Top, AbsVal::of_ty),
+    }
+}
+
+/// What a call to host tool `name` returns: its signature's return type
+/// when the environment registers a checked signature, else unknown.
+fn tool_return(env: &TypeEnv, name: &str) -> AbsVal {
+    match env.tools.get(name) {
+        Some(sig) if !env.unchecked.contains(name) => AbsVal::of_ty(sig.ret),
         _ => Top,
     }
 }
@@ -928,7 +968,7 @@ fn classify_callee(b: &Binding) -> CallKind {
             also_external: b.maybe_unset,
         },
         Top => CallKind::Open,
-        _ => {
+        Int { .. } | Bool | Float | NoneVal | StrLen { .. } | ListLen { .. } | DictLen { .. } => {
             if b.maybe_unset {
                 CallKind::User {
                     funcs: BTreeSet::new(),
@@ -943,7 +983,7 @@ fn classify_callee(b: &Binding) -> CallKind {
 
 /// Phase-A transfer for one instruction (dataflow only; usage is
 /// accounted separately in [`block_usage`]).
-fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
+pub(crate) fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
     if !st.live {
         return;
     }
@@ -953,8 +993,6 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
         | Insn::Jump { .. }
         | Insn::JumpFalse { .. }
         | Insn::JumpTrue { .. }
-        | Insn::IterNew { .. }
-        | Insn::IterPop
         | Insn::SetLast { .. }
         | Insn::Ret { .. }
         | Insn::Halt => {}
@@ -966,11 +1004,15 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
             dst, name, slot, ..
         } => {
             let b = cx.binding_of(st, *name, *slot);
-            if b.val == Bottom {
+            if b.val != Bottom {
+                st.regs[*dst as usize] = b.val;
+            } else if cx.is_main {
                 // No path binds this name: the load always faults.
                 st.live = false;
             } else {
-                st.regs[*dst as usize] = b.val;
+                // A function reads globals as they are at call time,
+                // which a later program may have bound.
+                st.regs[*dst as usize] = Top;
             }
         }
         Insn::Store { name, slot, src } => {
@@ -998,11 +1040,7 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
             }
         }
         Insn::Bin { op, dst, a, b, .. } => {
-            st.regs[*dst as usize] = abs_bin(
-                *op,
-                &st.regs[*a as usize].clone(),
-                &st.regs[*b as usize].clone(),
-            );
+            st.regs[*dst as usize] = bin_result(*op, &st.regs[*a as usize], &st.regs[*b as usize]);
         }
         Insn::Neg { dst, src, .. } => {
             st.regs[*dst as usize] = match &st.regs[*src as usize] {
@@ -1010,14 +1048,19 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
                     lo: isub(0, *hi),
                     hi: isub(0, *lo),
                 },
+                Float => Float,
                 _ => Top,
             };
         }
         Insn::Not { dst, .. } => {
-            st.regs[*dst as usize] = Int { lo: 0, hi: 1 };
+            st.regs[*dst as usize] = Bool;
         }
-        Insn::GetIndex { dst, .. } => {
-            st.regs[*dst as usize] = Top;
+        Insn::GetIndex { dst, obj, .. } => {
+            // A string's item is a string; a container's is unknown.
+            st.regs[*dst as usize] = match st.regs[*obj as usize] {
+                StrLen { .. } => StrLen { lo: 0, hi: LINF },
+                _ => Top,
+            };
         }
         Insn::SetIndex { .. } => bump_dicts(st),
         Insn::SliceIdx { reg, .. } => {
@@ -1035,18 +1078,23 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
         Insn::MakeFunc { dst, idx } => {
             st.regs[*dst as usize] = Funcs(BTreeSet::from([*idx]));
         }
+        Insn::IterNew { src, .. } => {
+            // Iterating a string or a dict's keys yields strings.
+            let elem = match st.regs[*src as usize] {
+                StrLen { .. } | DictLen { .. } => StrLen { lo: 0, hi: LINF },
+                _ => Top,
+            };
+            st.iters.push(elem);
+        }
+        Insn::IterPop => {
+            st.iters.pop();
+        }
         Insn::IterNext { dst, .. } => {
-            st.regs[*dst as usize] = Top;
+            // The exhausted iterator is popped on the `done` edge only
+            // (see `analyze_chunk`).
+            st.regs[*dst as usize] = st.iters.last().cloned().unwrap_or(Top);
         }
-        Insn::Bind { vars, .. } => {
-            for &(name, slot) in &cx.program.pools.var_lists[*vars as usize] {
-                if slot != NO_REG && !cx.is_main {
-                    st.locals[slot as usize] = Binding::set(Top);
-                } else {
-                    st.globals[name as usize] = Binding::set(Top);
-                }
-            }
-        }
+        Insn::Bind { src, vars, .. } => bind(cx, st, *src, *vars),
         Insn::Push { list, .. } => {
             // Fresh comprehension accumulator (VM invariant): exactly
             // one element appended, nothing else aliases it yet.
@@ -1057,40 +1105,65 @@ fn transfer(cx: &ChunkCx, st: &mut State, insn: &Insn) {
                 st.regs[*list as usize] = Top;
             }
         }
-        Insn::CallName {
-            dst,
-            name,
-            slot,
-            base,
-            argc,
-            ..
-        } => {
-            let b = cx.binding_of(st, *name, *slot);
-            match classify_callee(&b) {
-                CallKind::External => {
-                    let name_str = cx.name(*name);
-                    if builtin(name_str).is_some() {
-                        let args: Vec<AbsVal> = (0..*argc)
-                            .map(|i| st.regs[(*base + i) as usize].clone())
-                            .collect();
-                        st.regs[*dst as usize] = abs_builtin(name_str, &args);
-                    } else {
-                        havoc_mutables(st);
-                        st.regs[*dst as usize] = Top;
-                    }
-                }
-                CallKind::Error => st.live = false,
-                _ => {
-                    havoc_mutables(st);
-                    st.regs[*dst as usize] = Top;
-                }
-            }
-        }
+        Insn::CallName { .. } => call_name(cx, st, insn),
         Insn::CallValue { dst, .. } | Insn::CallMethod { dst, .. } => {
             havoc_mutables(st);
             st.regs[*dst as usize] = Top;
         }
     }
+}
+
+/// `Bind`: one name takes the element; several unpack a list.
+fn bind(cx: &ChunkCx, st: &mut State, src: u16, vars: u16) {
+    let list = &cx.program.pools.var_lists[vars as usize];
+    let val = match list.len() {
+        1 => st.regs[src as usize].clone(),
+        _ => Top,
+    };
+    for &(name, slot) in list {
+        if slot != NO_REG && !cx.is_main {
+            st.locals[slot as usize] = Binding::set(val.clone());
+        } else {
+            st.globals[name as usize] = Binding::set(val.clone());
+        }
+    }
+}
+
+/// `CallName`: a builtin's result from its arguments, a tool's from its
+/// signature; any call but a builtin's may mutate containers.
+fn call_name(cx: &ChunkCx, st: &mut State, insn: &Insn) {
+    let Insn::CallName {
+        dst,
+        name,
+        slot,
+        base,
+        argc,
+        ..
+    } = *insn
+    else {
+        return;
+    };
+    let result = match classify_callee(&cx.binding_of(st, name, slot)) {
+        CallKind::Error => {
+            st.live = false;
+            return;
+        }
+        CallKind::External if builtin(cx.name(name)).is_some() => {
+            let args: Vec<AbsVal> = (base..base + argc)
+                .map(|r| st.regs[r as usize].clone())
+                .collect();
+            abs_builtin(cx.name(name), &args)
+        }
+        CallKind::External => {
+            havoc_mutables(st);
+            tool_return(cx.env, cx.name(name))
+        }
+        _ => {
+            havoc_mutables(st);
+            Top
+        }
+    };
+    st.regs[dst as usize] = result;
 }
 
 // ---------------------------------------------------------------------------
@@ -1184,28 +1257,16 @@ impl Usage {
 /// Per-function summaries, indexed by compiled-function index.
 type Summaries = Vec<Option<Usage>>;
 
-/// Usage of one basic block, resolving call sites against the
-/// dataflow state threaded through the block.
-fn block_usage(
-    cx: &ChunkCx,
-    entry: Option<&State>,
-    block: &Block,
-    code: &[Insn],
-    summaries: &Summaries,
-) -> Usage {
+/// Usage of basic block `b`, resolving call sites against the dataflow
+/// state threaded through the block (an unreachable block costs
+/// nothing).
+fn block_usage(flow: &ChunkFlow, b: usize, summaries: &Summaries) -> Usage {
     let mut usage = Usage::default();
-    let Some(entry) = entry else {
-        return usage; // Unreachable block: costs nothing.
-    };
-    let mut st = entry.clone();
-    for insn in &code[block.start..block.end] {
-        if !st.live {
-            break;
-        }
+    flow.each_insn_of(b, |st, insn| {
         match insn {
             Insn::Burn { n, .. } => usage.add_fuel(*n as u64),
             Insn::CallName { name, slot, .. } => {
-                let b = cx.binding_of(&st, *name, *slot);
+                let b = flow.cx.binding_of(st, *name, *slot);
                 match classify_callee(&b) {
                     CallKind::External => usage.add_call(*name, Bound::Finite(1)),
                     CallKind::User {
@@ -1228,13 +1289,12 @@ fn block_usage(
             }
             Insn::CallValue { callee, .. } => match &st.regs[*callee as usize] {
                 Funcs(s) => usage.add(&callee_usage(s, summaries)),
-                Bottom | Int { .. } | StrLen { .. } | ListLen { .. } | DictLen { .. } => {}
                 Top => usage.mark_open(),
+                _ => {}
             },
             _ => {}
         }
-        transfer(cx, &mut st, insn);
-    }
+    });
     usage
 }
 
@@ -1286,44 +1346,33 @@ enum Sym {
     Other,
 }
 
-/// Runs the symbolic scan over one block alongside the abstract state
-/// (needed to evaluate non-constant comparison bounds).
-fn scan_block_syms(cx: &ChunkCx, entry: &State, block: &Block, code: &[Insn]) -> HashMap<u16, Sym> {
-    let mut syms: HashMap<u16, Sym> = HashMap::new();
-    let mut st = entry.clone();
-    for insn in &code[block.start..block.end] {
-        match insn {
-            Insn::Load {
-                dst, name, slot, ..
-            } => {
-                syms.insert(*dst, Sym::LoadOf(var_key(cx, *name, *slot)));
-            }
-            Insn::Const { dst, idx } => {
-                let sym = match &cx.program.pools.consts[*idx as usize] {
-                    Const::Int(v) => Sym::ConstInt(*v as i128),
-                    _ => Sym::Other,
-                };
-                syms.insert(*dst, sym);
-            }
-            Insn::Bin { op, dst, a, b, .. } => {
-                let sa = syms.get(a).cloned().unwrap_or(Sym::Other);
-                let sb = syms.get(b).cloned().unwrap_or(Sym::Other);
-                let sym = bin_sym(*op, &sa, &sb, &st.regs[*a as usize], &st.regs[*b as usize]);
-                syms.insert(*dst, sym);
-            }
-            other => {
-                // Anything else writing a register loses its shape.
-                if let Some(dst) = insn_dst(other) {
-                    syms.insert(dst, Sym::Other);
-                }
-            }
+/// Advances the symbolic register shapes over one instruction, with
+/// `st` the abstract state before it (non-constant comparison bounds
+/// read their interval).
+fn sym_step(cx: &ChunkCx, syms: &mut HashMap<u16, Sym>, st: &State, insn: &Insn) {
+    let sym = match insn {
+        Insn::Load {
+            dst, name, slot, ..
+        } => (*dst, Sym::LoadOf(var_key(cx, *name, *slot))),
+        Insn::Const { dst, idx } => match &cx.program.pools.consts[*idx as usize] {
+            Const::Int(v) => (*dst, Sym::ConstInt(*v as i128)),
+            _ => (*dst, Sym::Other),
+        },
+        Insn::Bin { op, dst, a, b, .. } => {
+            let sa = syms.get(a).cloned().unwrap_or(Sym::Other);
+            let sb = syms.get(b).cloned().unwrap_or(Sym::Other);
+            (
+                *dst,
+                bin_sym(*op, &sa, &sb, &st.regs[*a as usize], &st.regs[*b as usize]),
+            )
         }
-        transfer(cx, &mut st, insn);
-        if !st.live {
-            break;
-        }
-    }
-    syms
+        // Anything else writing a register loses its shape.
+        other => match insn_dst(other) {
+            Some(dst) => (dst, Sym::Other),
+            None => return,
+        },
+    };
+    syms.insert(sym.0, sym.1);
 }
 
 /// The register an instruction writes, if any (symbolic-scan helper).
@@ -1399,25 +1448,45 @@ fn bin_sym(op: BinOp, sa: &Sym, sb: &Sym, abs_a: &AbsVal, abs_b: &AbsVal) -> Sym
     Sym::Other
 }
 
-/// Everything the loop-collapse pass needs about one chunk.
-struct ChunkFlow<'p> {
-    cx: ChunkCx<'p>,
-    code: &'p [Insn],
-    blocks: Vec<Block>,
+/// One chunk's solved dataflow: its CFG, natural loops and the
+/// fixpoint state at every block entry. The cost bound and the
+/// front-end check ([`crate::types`]) both read it.
+pub(crate) struct ChunkFlow<'p> {
+    pub(crate) cx: ChunkCx<'p>,
+    pub(crate) code: &'p [Insn],
+    pub(crate) blocks: Vec<Block>,
     preds: Vec<Vec<usize>>,
-    loops: Vec<Loop>,
+    pub(crate) loops: Vec<Loop>,
     /// Fixpoint entry state per block (`None` = unreachable).
-    entry: Vec<Option<State>>,
+    pub(crate) entry: Vec<Option<State>>,
 }
 
 impl<'p> ChunkFlow<'p> {
-    /// Out-state of a block (re-runs the transfer function).
-    fn out_state(&self, b: usize) -> Option<State> {
-        let mut st = self.entry[b].clone()?;
+    /// Calls `f` on each instruction of reachable block `b` with the
+    /// state before it, until the state dies.
+    fn each_insn_of(&self, b: usize, mut f: impl FnMut(&State, &Insn)) {
+        let Some(mut st) = self.entry[b].clone() else {
+            return;
+        };
         for insn in &self.code[self.blocks[b].start..self.blocks[b].end] {
+            if !st.live {
+                return;
+            }
+            f(&st, insn);
             transfer(&self.cx, &mut st, insn);
         }
-        st.live.then_some(st)
+    }
+
+    /// [`ChunkFlow::each_insn_of`] over every block.
+    fn each_insn(&self, mut f: impl FnMut(&State, &Insn)) {
+        for b in 0..self.blocks.len() {
+            self.each_insn_of(b, &mut f);
+        }
+    }
+
+    /// Out-state of a block (re-runs the transfer function).
+    fn out_state(&self, b: usize) -> Option<State> {
+        self.state_before(b, self.blocks[b].end)
     }
 
     /// State immediately before instruction `at` inside block `b`.
@@ -1459,25 +1528,18 @@ impl<'p> ChunkFlow<'p> {
         let mut c_min: Option<u64> = None;
         let mut increment_blocks: BTreeSet<usize> = BTreeSet::new();
         for &b in &l.body {
-            let blk = &self.blocks[b];
-            let Some(entry) = self.entry[b].as_ref() else {
-                continue;
-            };
             let mut has_store = false;
             let mut all_increments = true;
             let mut syms: HashMap<u16, Sym> = HashMap::new();
-            let mut st = entry.clone();
-            for insn in &self.code[blk.start..blk.end] {
+            self.each_insn_of(b, |st, insn| {
                 match insn {
-                    Insn::Store { name, slot, src } => {
-                        if var_key(&self.cx, *name, *slot) == var {
-                            has_store = true;
-                            match syms.get(src) {
-                                Some(Sym::AddConst(v, c)) if *v == var => {
-                                    c_min = Some(c_min.map_or(*c, |m| m.min(*c)));
-                                }
-                                _ => all_increments = false,
+                    Insn::Store { name, slot, src } if var_key(&self.cx, *name, *slot) == var => {
+                        has_store = true;
+                        match syms.get(src) {
+                            Some(Sym::AddConst(v, c)) if *v == var => {
+                                c_min = Some(c_min.map_or(*c, |m| m.min(*c)));
                             }
+                            _ => all_increments = false,
                         }
                     }
                     Insn::Bind { vars, .. } => {
@@ -1488,36 +1550,10 @@ impl<'p> ChunkFlow<'p> {
                             }
                         }
                     }
-                    Insn::Load {
-                        dst, name, slot, ..
-                    } => {
-                        syms.insert(*dst, Sym::LoadOf(var_key(&self.cx, *name, *slot)));
-                    }
-                    Insn::Const { dst, idx } => {
-                        let sym = match &self.cx.program.pools.consts[*idx as usize] {
-                            Const::Int(v) => Sym::ConstInt(*v as i128),
-                            _ => Sym::Other,
-                        };
-                        syms.insert(*dst, sym);
-                    }
-                    Insn::Bin { op, dst, a, b, .. } => {
-                        let sa = syms.get(a).cloned().unwrap_or(Sym::Other);
-                        let sb = syms.get(b).cloned().unwrap_or(Sym::Other);
-                        let sym =
-                            bin_sym(*op, &sa, &sb, &st.regs[*a as usize], &st.regs[*b as usize]);
-                        syms.insert(*dst, sym);
-                    }
-                    other => {
-                        if let Some(dst) = insn_dst(other) {
-                            syms.insert(dst, Sym::Other);
-                        }
-                    }
+                    _ => {}
                 }
-                transfer(&self.cx, &mut st, insn);
-                if !st.live {
-                    break;
-                }
-            }
+                sym_step(&self.cx, &mut syms, st, insn);
+            });
             if has_store {
                 if !all_increments {
                     return None;
@@ -1531,9 +1567,9 @@ impl<'p> ChunkFlow<'p> {
     /// Infers a trip bound for one natural loop.
     fn trip_bound(&self, l: &Loop) -> Bound {
         let header = &self.blocks[l.header];
-        let Some(header_entry) = self.entry[l.header].as_ref() else {
+        if self.entry[l.header].is_none() {
             return Bound::Finite(0); // Loop never entered.
-        };
+        }
         if let Insn::IterNext { .. } = self.code[header.start] {
             return self.for_trip_bound(l);
         }
@@ -1552,7 +1588,8 @@ impl<'p> ChunkFlow<'p> {
         if !exits_loop {
             return Bound::Unbounded;
         }
-        let syms = scan_block_syms(&self.cx, header_entry, header, self.code);
+        let mut syms = HashMap::new();
+        self.each_insn_of(l.header, |st, insn| sym_step(&self.cx, &mut syms, st, insn));
         let Some(Sym::Cmp {
             var,
             inclusive,
@@ -1650,7 +1687,7 @@ impl<'p> ChunkFlow<'p> {
                 }
             }
             // Non-iterables fault at IterNew; Bottom is unreachable.
-            Int { .. } | Funcs(_) | Bottom => Bound::Finite(0),
+            Int { .. } | Bool | Float | NoneVal | Funcs(_) | Bottom => Bound::Finite(0),
             Top => Bound::Unbounded,
         }
     }
@@ -1663,10 +1700,8 @@ impl<'p> ChunkFlow<'p> {
 /// Runs CFG construction + interval fixpoint for one chunk. Returns
 /// `None` when the CFG is irreducible.
 fn analyze_chunk<'p>(
-    program: &'p CompiledProgram,
+    cx: ChunkCx<'p>,
     chunk: &'p Chunk,
-    is_main: bool,
-    genv: &'p [Binding],
     nlocals: usize,
     params: usize,
 ) -> Option<ChunkFlow<'p>> {
@@ -1679,15 +1714,12 @@ fn analyze_chunk<'p>(
     let rpo = reverse_postorder(&blocks);
     let loops = find_loops(&blocks, &rpo, &preds)?;
     let headers: BTreeSet<usize> = loops.iter().map(|l| l.header).collect();
-    let cx = ChunkCx {
-        program,
-        is_main,
-        genv,
-    };
+    let is_main = cx.is_main;
 
     let init = State {
         live: true,
         regs: vec![Bottom; chunk.nregs as usize],
+        iters: Vec::new(),
         locals: if is_main {
             Vec::new()
         } else {
@@ -1703,7 +1735,13 @@ fn analyze_chunk<'p>(
                 .collect()
         },
         globals: if is_main {
-            vec![Binding::unset(); program.pools.names.len()]
+            // Globals the environment names are bound before the run.
+            (cx.program.pools.names.iter())
+                .map(|name| match cx.env.globals.get(name) {
+                    Some(&ty) => Binding::set(AbsVal::of_ty(ty)),
+                    None => Binding::unset(),
+                })
+                .collect()
         } else {
             Vec::new()
         },
@@ -1738,12 +1776,17 @@ fn analyze_chunk<'p>(
         if !st.live {
             continue;
         }
+        let last = &chunk.code[blocks[b].end - 1];
         for &s in &blocks[b].succs {
             let widen_point = headers.contains(&s);
+            let mut out = st.clone();
+            if matches!(last, Insn::IterNext { done, .. } if *done as usize == blocks[s].start) {
+                out.iters.pop();
+            }
             let changed = match &mut entry[s] {
-                Some(cur) => cur.join_into(&st, widen_point),
+                Some(cur) => cur.join_into(&out, widen_point),
                 slot @ None => {
-                    *slot = Some(st.clone());
+                    *slot = Some(out);
                     true
                 }
             };
@@ -1768,17 +1811,7 @@ fn analyze_chunk<'p>(
 /// producing the chunk's worst-case usage.
 fn chunk_usage(flow: &ChunkFlow, summaries: &Summaries) -> Usage {
     let n = flow.blocks.len();
-    let mut node_usage: Vec<Usage> = (0..n)
-        .map(|b| {
-            block_usage(
-                &flow.cx,
-                flow.entry[b].as_ref(),
-                &flow.blocks[b],
-                flow.code,
-                summaries,
-            )
-        })
-        .collect();
+    let mut node_usage: Vec<Usage> = (0..n).map(|b| block_usage(flow, b, summaries)).collect();
     let mut succs: Vec<BTreeSet<usize>> = flow
         .blocks
         .iter()
@@ -1792,37 +1825,7 @@ fn chunk_usage(flow: &ChunkFlow, summaries: &Summaries) -> Usage {
         let inner: BTreeSet<usize> = l.body.iter().copied().filter(|&b| !removed[b]).collect();
         // Max-usage path from the header through the (already
         // collapsed, now acyclic) loop body.
-        let sub_edges: Vec<(usize, usize)> = inner
-            .iter()
-            .flat_map(|&u| {
-                succs[u]
-                    .iter()
-                    .copied()
-                    .filter(|v| inner.contains(v) && *v != l.header)
-                    .map(move |v| (u, v))
-            })
-            .collect();
-        let order = topo_order(&inner, &sub_edges);
-        let mut acc: HashMap<usize, Usage> = HashMap::new();
-        acc.insert(l.header, node_usage[l.header].clone());
-        let mut per_iter = node_usage[l.header].clone();
-        for &u in &order {
-            let Some(u_acc) = acc.get(&u).cloned() else {
-                continue;
-            };
-            per_iter.max_with(&u_acc);
-            for &(x, v) in sub_edges.iter().filter(|&&(x, _)| x == u) {
-                debug_assert_eq!(x, u);
-                let mut cand = u_acc.clone();
-                cand.add(&node_usage[v]);
-                match acc.get_mut(&v) {
-                    Some(cur) => cur.max_with(&cand),
-                    None => {
-                        acc.insert(v, cand);
-                    }
-                }
-            }
-        }
+        let per_iter = longest_path(&inner, &succs, l.header, &node_usage);
         let trips = flow.trip_bound(l);
         let total = per_iter.scale(trips.add(Bound::Finite(1)));
         // The loop becomes one super-node on the header, keeping every
@@ -1847,27 +1850,33 @@ fn chunk_usage(flow: &ChunkFlow, summaries: &Summaries) -> Usage {
 
     // Longest path over the remaining DAG from the entry block.
     let live: BTreeSet<usize> = (0..n).filter(|&b| !removed[b]).collect();
-    let edges: Vec<(usize, usize)> = live
-        .iter()
+    longest_path(&live, &succs, 0, &node_usage)
+}
+
+/// The worst usage along any path from `start` through the acyclic
+/// graph on `nodes` (`succs` restricted to them, edges back into `start`
+/// dropped), joining paths by pointwise max.
+fn longest_path(
+    nodes: &BTreeSet<usize>,
+    succs: &[BTreeSet<usize>],
+    start: usize,
+    node_usage: &[Usage],
+) -> Usage {
+    let edges: Vec<(usize, usize)> = (nodes.iter())
         .flat_map(|&u| {
-            succs[u]
-                .iter()
-                .copied()
-                .filter(|v| live.contains(v))
+            (succs[u].iter().copied())
+                .filter(|v| nodes.contains(v) && *v != start)
                 .map(move |v| (u, v))
         })
         .collect();
-    let order = topo_order(&live, &edges);
-    let mut acc: HashMap<usize, Usage> = HashMap::new();
-    acc.insert(0, node_usage[0].clone());
-    let mut worst = node_usage[0].clone();
-    for &u in &order {
+    let mut acc: HashMap<usize, Usage> = HashMap::from([(start, node_usage[start].clone())]);
+    let mut worst = node_usage[start].clone();
+    for u in topo_order(nodes, &edges) {
         let Some(u_acc) = acc.get(&u).cloned() else {
             continue;
         };
         worst.max_with(&u_acc);
-        for &(x, v) in edges.iter().filter(|&&(x, _)| x == u) {
-            debug_assert_eq!(x, u);
+        for &(_, v) in edges.iter().filter(|&&(x, _)| x == u) {
             let mut cand = u_acc.clone();
             cand.add(&node_usage[v]);
             match acc.get_mut(&v) {
@@ -1915,161 +1924,184 @@ fn topo_order(nodes: &BTreeSet<usize>, edges: &[(usize, usize)]) -> Vec<usize> {
 // Whole-program analysis
 // ---------------------------------------------------------------------------
 
-/// Entry global summary for function chunks: the join of everything
-/// main ever stores per name, with list/dict lengths pre-havocked (a
-/// callee may observe them mid-mutation at any time).
+/// Entry global summary for function chunks. A function reads globals
+/// as they are when it is called, and a later program on the same
+/// interpreter may have rebound any of them, so every name main or the
+/// environment binds is unknown (maybe unset) — except that a name
+/// bound only to user functions keeps its function set, which is what
+/// resolves calls between functions. A name nothing binds stays unset:
+/// a call to it reaches a host function or builtin.
 fn main_global_summary(program: &CompiledProgram, main_flow: &ChunkFlow) -> Vec<Binding> {
-    let mut genv: Vec<Binding> = vec![Binding::unset(); program.pools.names.len()];
-    for (b, blk) in main_flow.blocks.iter().enumerate() {
-        let Some(entry) = main_flow.entry[b].as_ref() else {
-            continue;
-        };
-        let mut st = entry.clone();
-        for insn in &main_flow.code[blk.start..blk.end] {
-            if st.live {
-                match insn {
-                    Insn::Store { name, src, .. } => {
-                        let stored = Binding::set(st.regs[*src as usize].clone());
-                        genv[*name as usize] = genv[*name as usize].join(&stored);
-                    }
-                    Insn::Bind { vars, .. } => {
-                        for &(name, _) in &program.pools.var_lists[*vars as usize] {
-                            genv[name as usize] = genv[name as usize].join(&Binding::set(Top));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            transfer(&main_flow.cx, &mut st, insn);
+    let mut genv: Vec<Binding> = (program.pools.names.iter())
+        .map(|name| match main_flow.cx.env.globals.contains_key(name) {
+            true => Binding::set(Top),
+            false => Binding::unset(),
+        })
+        .collect();
+    main_flow.each_insn(|st, insn| match insn {
+        Insn::Store { name, src, .. } => {
+            let stored = Binding::set(st.regs[*src as usize].clone());
+            genv[*name as usize] = genv[*name as usize].join(&stored);
         }
-    }
+        Insn::Bind { vars, .. } => {
+            for &(name, _) in &program.pools.var_lists[*vars as usize] {
+                genv[name as usize] = genv[name as usize].join(&Binding::set(Top));
+            }
+        }
+        _ => {}
+    });
     for b in &mut genv {
-        // Callers may run at any point of main's execution.
         b.maybe_unset = true;
-        if let ListLen { lo, hi } | DictLen { lo, hi } = &mut b.val {
-            *lo = 0;
-            *hi = LINF;
+        if !matches!(b.val, Bottom | Funcs(_)) {
+            b.val = Top;
         }
     }
     genv
 }
 
-/// Analyzes a compiled program, producing a sound [`CostBound`].
+/// A program's solved dataflow: main and every function chunk, analyzed
+/// once against one environment.
+pub(crate) struct Solved<'p> {
+    pub(crate) program: &'p CompiledProgram,
+    pub(crate) env: &'p TypeEnv,
+    /// `None` when main's CFG could not be analyzed (never for compiler
+    /// output).
+    pub(crate) main: Option<ChunkFlow<'p>>,
+    pub(crate) funcs: Vec<Option<ChunkFlow<'p>>>,
+}
+
+/// Runs the one fixpoint over every chunk of `program`, with main's
+/// globals seeded from `env`.
+pub(crate) fn solve<'p>(program: &'p CompiledProgram, env: &'p TypeEnv) -> Solved<'p> {
+    let cx = |is_main: bool, genv: Rc<[Binding]>| ChunkCx {
+        program,
+        env,
+        is_main,
+        genv,
+    };
+    let main = analyze_chunk(cx(true, Rc::from(Vec::new())), &program.main, 0, 0);
+    let genv: Rc<[Binding]> = match &main {
+        Some(flow) => Rc::from(main_global_summary(program, flow)),
+        None => Rc::from(vec![Binding::set(Top); program.pools.names.len()]),
+    };
+    let funcs = (program.pools.funcs.iter())
+        .map(|f| {
+            analyze_chunk(
+                cx(false, genv.clone()),
+                &f.chunk,
+                f.locals.len(),
+                f.params.len(),
+            )
+        })
+        .collect();
+    Solved {
+        program,
+        env,
+        main,
+        funcs,
+    }
+}
+
+/// Analyzes a compiled program, producing a sound [`CostBound`] for a
+/// run on a fresh interpreter (no globals bound, no tool signatures).
 pub fn analyze(program: &CompiledProgram) -> CostBound {
-    // Defensive: the compiler slots every name a function assigns; a
-    // global store from a function chunk would break the entry-summary
-    // construction, so bail to unbounded rather than risk a wrong
-    // number.
-    for f in &program.pools.funcs {
-        for insn in &f.chunk.code {
-            match insn {
-                Insn::Store { slot, .. } if *slot == NO_REG => return CostBound::unbounded_all(),
-                Insn::Bind { vars, .. }
-                    if program.pools.var_lists[*vars as usize]
-                        .iter()
-                        .any(|&(_, slot)| slot == NO_REG) =>
-                {
-                    return CostBound::unbounded_all();
+    solve(program, &TypeEnv::new()).bound()
+}
+
+impl Solved<'_> {
+    /// The program's cost bound.
+    pub(crate) fn bound(&self) -> CostBound {
+        let program = self.program;
+        // Defensive: the compiler slots every name a function assigns; a
+        // global store from a function chunk would break the entry-summary
+        // construction, so bail to unbounded rather than risk a wrong
+        // number.
+        for f in &program.pools.funcs {
+            for insn in &f.chunk.code {
+                match insn {
+                    Insn::Store { slot, .. } if *slot == NO_REG => {
+                        return CostBound::unbounded_all()
+                    }
+                    Insn::Bind { vars, .. }
+                        if program.pools.var_lists[*vars as usize]
+                            .iter()
+                            .any(|&(_, slot)| slot == NO_REG) =>
+                    {
+                        return CostBound::unbounded_all();
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
-    }
+        let Some(main_flow) = &self.main else {
+            return CostBound::unbounded_all();
+        };
+        let fn_flows = &self.funcs;
 
-    let empty_genv: Vec<Binding> = Vec::new();
-    let Some(main_flow) = analyze_chunk(program, &program.main, true, &empty_genv, 0, 0) else {
-        return CostBound::unbounded_all();
-    };
-
-    let genv = main_global_summary(program, &main_flow);
-
-    // Per-function dataflow.
-    let mut fn_flows: Vec<Option<ChunkFlow>> = Vec::with_capacity(program.pools.funcs.len());
-    for f in &program.pools.funcs {
-        fn_flows.push(analyze_chunk(
-            program,
-            &f.chunk,
-            false,
-            &genv,
-            f.locals.len(),
-            f.params.len(),
-        ));
-    }
-
-    // Call graph over function chunks (callee sets from the dataflow).
-    let callees_of = |flow: &ChunkFlow| -> BTreeSet<u16> {
-        let mut set = BTreeSet::new();
-        for (b, blk) in flow.blocks.iter().enumerate() {
-            let Some(entry) = flow.entry[b].as_ref() else {
-                continue;
-            };
-            let mut st = entry.clone();
-            for insn in &flow.code[blk.start..blk.end] {
-                if st.live {
-                    match insn {
-                        Insn::CallName { name, slot, .. } => {
-                            if let CallKind::User { funcs, .. } =
-                                classify_callee(&flow.cx.binding_of(&st, *name, *slot))
-                            {
-                                set.extend(funcs);
-                            }
-                        }
-                        Insn::CallValue { callee, .. } => {
-                            if let Funcs(s) = &st.regs[*callee as usize] {
-                                set.extend(s.iter().copied());
-                            }
-                        }
-                        _ => {}
+        // Call graph over function chunks (callee sets from the dataflow).
+        let callees_of = |flow: &ChunkFlow| -> BTreeSet<u16> {
+            let mut set = BTreeSet::new();
+            flow.each_insn(|st, insn| match insn {
+                Insn::CallName { name, slot, .. } => {
+                    if let CallKind::User { funcs, .. } =
+                        classify_callee(&flow.cx.binding_of(st, *name, *slot))
+                    {
+                        set.extend(funcs);
                     }
                 }
-                transfer(&flow.cx, &mut st, insn);
-            }
-        }
-        set
-    };
-    let fn_callees: Vec<BTreeSet<u16>> = fn_flows
-        .iter()
-        .map(|f| f.as_ref().map(&callees_of).unwrap_or_default())
-        .collect();
-
-    // Bottom-up summaries: repeatedly summarize functions whose
-    // callees are done; anything left is (mutually) recursive and
-    // stays unbounded.
-    let nfuncs = program.pools.funcs.len();
-    let mut summaries: Summaries = vec![None; nfuncs];
-    loop {
-        let mut progressed = false;
-        for i in 0..nfuncs {
-            if summaries[i].is_some() {
-                continue;
-            }
-            let ready = fn_callees[i].iter().all(|&c| {
-                c as usize != i && summaries.get(c as usize).is_some_and(|s| s.is_some())
+                Insn::CallValue { callee, .. } => {
+                    if let Funcs(s) = &st.regs[*callee as usize] {
+                        set.extend(s.iter().copied());
+                    }
+                }
+                _ => {}
             });
-            if !ready {
-                continue;
-            }
-            let usage = match &fn_flows[i] {
-                Some(flow) => chunk_usage(flow, &summaries),
-                None => Usage::unbounded_all(),
-            };
-            summaries[i] = Some(usage);
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    // Recursive leftovers summarize as unbounded (None in `summaries`
-    // already reads as unbounded via `callee_usage`).
+            set
+        };
+        let fn_callees: Vec<BTreeSet<u16>> = fn_flows
+            .iter()
+            .map(|f| f.as_ref().map(&callees_of).unwrap_or_default())
+            .collect();
 
-    let usage = chunk_usage(&main_flow, &summaries);
-    let calls: BTreeMap<String, Bound> = usage
-        .calls
-        .iter()
-        .map(|(&ix, &b)| (program.pools.names[ix as usize].clone(), b))
-        .collect();
-    CostBound::finish(usage.fuel_bound(), calls, usage.open)
+        // Bottom-up summaries: repeatedly summarize functions whose
+        // callees are done; anything left is (mutually) recursive and
+        // stays unbounded.
+        let nfuncs = program.pools.funcs.len();
+        let mut summaries: Summaries = vec![None; nfuncs];
+        loop {
+            let mut progressed = false;
+            for i in 0..nfuncs {
+                if summaries[i].is_some() {
+                    continue;
+                }
+                let ready = fn_callees[i].iter().all(|&c| {
+                    c as usize != i && summaries.get(c as usize).is_some_and(|s| s.is_some())
+                });
+                if !ready {
+                    continue;
+                }
+                let usage = match &fn_flows[i] {
+                    Some(flow) => chunk_usage(flow, &summaries),
+                    None => Usage::unbounded_all(),
+                };
+                summaries[i] = Some(usage);
+                progressed = true;
+            }
+            if !progressed {
+                break;
+            }
+        }
+        // Recursive leftovers summarize as unbounded (None in `summaries`
+        // already reads as unbounded via `callee_usage`).
+
+        let usage = chunk_usage(main_flow, &summaries);
+        let calls: BTreeMap<String, Bound> = usage
+            .calls
+            .iter()
+            .map(|(&ix, &b)| (program.pools.names[ix as usize].clone(), b))
+            .collect();
+        CostBound::finish(usage.fuel_bound(), calls, usage.open)
+    }
 }
 
 #[cfg(test)]
@@ -2143,6 +2175,36 @@ mod tests {
             }
         }
         b
+    }
+
+    #[test]
+    fn globals_the_environment_binds_start_bound() {
+        // An agent step reading the list an earlier step left in `files`.
+        let src = "n = len(files)\nfor f in files:\n    read_file(f)";
+        let mut env = TypeEnv::new();
+        env.add_tool_signature("read_file", "read_file(name: str) -> str");
+        env.bind_global("files", Ty::Any);
+        let program =
+            crate::compile_checked(&crate::parser::parse(src).unwrap(), &env).expect("accepted");
+        let reads = Rc::new(RefCell::new(0u64));
+        let mut interp = Interpreter::new().with_fuel(1_000_000);
+        let counter = reads.clone();
+        interp.bind_host_fn("read_file", move |_| {
+            *counter.borrow_mut() += 1;
+            Ok(ScriptValue::str("x"))
+        });
+        interp
+            .run(&format!("files = [{}]", vec!["'a.csv'"; 40].join(", ")))
+            .unwrap();
+        interp.run_compiled(&program).unwrap();
+        let used = 1_000_000 - interp.fuel_remaining();
+        assert_eq!((used, *reads.borrow()), (125, 40));
+        let b = &program.bound;
+        assert!(b.fuel_max >= Bound::Finite(used), "{b:?}");
+        assert!(b.call_bound("read_file") >= Bound::Finite(40), "{b:?}");
+        // On a fresh interpreter `files` is unbound: every run faults on
+        // it, which is all the env-less bound may assume.
+        assert_eq!(analyze(&program).render(), "fuel<=3 calls=[] usd<=$0.0000");
     }
 
     #[test]

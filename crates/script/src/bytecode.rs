@@ -35,6 +35,7 @@ use crate::ast::*;
 use crate::bounds::{self, Bound, CostBound};
 use crate::error::ScriptError;
 use crate::parser::parse;
+use crate::types::{self, TypeEnv};
 use aida_llm::models::ModelId;
 use aida_llm::snapshot::{decode_file, encode_file, esc, fnv64, unesc};
 use aida_llm::CacheKey;
@@ -201,7 +202,7 @@ pub struct Chunk {
 }
 
 /// A compiled user function.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledFn {
     /// Function name (diagnostics and arity errors).
     pub name: String,
@@ -919,11 +920,34 @@ fn decode_bound<'a>(
     })
 }
 
-/// Compiles a parsed program.
+/// Compiles a parsed program, bounding its cost for a run on a fresh
+/// interpreter.
 pub fn compile(program: &Program) -> Result<CompiledProgram, ScriptError> {
+    let mut p = lower(program)?;
+    p.bound = bounds::analyze(&p);
+    Ok(p)
+}
+
+/// Compiles a parsed program that must pass the front-end check against
+/// `env` (tool signatures and the globals a run starts with): one
+/// dataflow analysis yields both the first error, if any, and the cost
+/// bound for a run in that environment.
+pub fn compile_checked(program: &Program, env: &TypeEnv) -> Result<CompiledProgram, ScriptError> {
+    let mut p = lower(program)?;
+    let bound = {
+        let solved = bounds::solve(&p, env);
+        types::check(&solved)?;
+        solved.bound()
+    };
+    p.bound = bound;
+    Ok(p)
+}
+
+/// Lowers a parsed program to bytecode; its bound is left unbounded.
+pub(crate) fn lower(program: &Program) -> Result<CompiledProgram, ScriptError> {
     let mut c = Compiler::default();
     let main = c.compile_chunk(&program.body, None)?;
-    let mut p = CompiledProgram {
+    Ok(CompiledProgram {
         pools: Arc::new(Pools {
             consts: c.consts,
             names: c.names,
@@ -932,9 +956,7 @@ pub fn compile(program: &Program) -> Result<CompiledProgram, ScriptError> {
         }),
         main,
         bound: CostBound::unbounded_all(),
-    };
-    p.bound = bounds::analyze(&p);
-    Ok(p)
+    })
 }
 
 /// Parses and compiles source in one step.
@@ -1742,72 +1764,15 @@ fn collect_assigned(stmts: &[Stmt], out: &mut Vec<String>) {
 /// Collects comprehension variables from every sub-expression (they bind
 /// in the enclosing frame, Python-2 style).
 fn comp_vars(e: &Expr, out: &mut Vec<String>) {
-    match &e.kind {
-        ExprKind::ListComp {
-            element,
-            vars,
-            iterable,
-            condition,
-        } => {
+    e.walk(&mut |x| {
+        if let ExprKind::ListComp { vars, .. } = &x.kind {
             for v in vars {
-                if !out.iter().any(|n| n == v) {
+                if !out.contains(v) {
                     out.push(v.clone());
                 }
             }
-            comp_vars(element, out);
-            comp_vars(iterable, out);
-            if let Some(c) = condition {
-                comp_vars(c, out);
-            }
         }
-        ExprKind::Binary(_, a, b) => {
-            comp_vars(a, out);
-            comp_vars(b, out);
-        }
-        ExprKind::Unary(_, a) => comp_vars(a, out),
-        ExprKind::Call(callee, args) => {
-            comp_vars(callee, out);
-            for a in args {
-                comp_vars(a, out);
-            }
-        }
-        ExprKind::MethodCall(obj, _, args) => {
-            comp_vars(obj, out);
-            for a in args {
-                comp_vars(a, out);
-            }
-        }
-        ExprKind::Index(o, k) => {
-            comp_vars(o, out);
-            comp_vars(k, out);
-        }
-        ExprKind::Slice(o, lo, hi) => {
-            comp_vars(o, out);
-            if let Some(b) = lo {
-                comp_vars(b, out);
-            }
-            if let Some(b) = hi {
-                comp_vars(b, out);
-            }
-        }
-        ExprKind::List(items) => {
-            for i in items {
-                comp_vars(i, out);
-            }
-        }
-        ExprKind::Dict(pairs) => {
-            for (k, v) in pairs {
-                comp_vars(k, out);
-                comp_vars(v, out);
-            }
-        }
-        ExprKind::Int(_)
-        | ExprKind::Float(_)
-        | ExprKind::Str(_)
-        | ExprKind::Bool(_)
-        | ExprKind::None
-        | ExprKind::Name(_) => {}
-    }
+    });
 }
 
 #[cfg(test)]

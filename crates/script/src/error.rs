@@ -27,6 +27,9 @@ pub enum ScriptError {
     Arithmetic { line: usize, message: String },
     /// The fuel budget was exhausted (runaway program).
     FuelExhausted,
+    /// The run's byte allowance was exhausted
+    /// ([`crate::interp::MAX_RUN_BYTES`]).
+    BytesExhausted,
     /// Call-stack depth exceeded.
     RecursionLimit,
     /// A host function (tool) failed.
@@ -99,6 +102,7 @@ impl fmt::Display for ScriptError {
                 write!(f, "arithmetic error (line {line}): {message}")
             }
             ScriptError::FuelExhausted => write!(f, "execution budget exhausted"),
+            ScriptError::BytesExhausted => write!(f, "byte allowance exhausted"),
             ScriptError::RecursionLimit => write!(f, "maximum recursion depth exceeded"),
             ScriptError::Host { message } => write!(f, "tool error: {message}"),
             ScriptError::Static { line, message } => {

@@ -6,7 +6,8 @@
 use crate::ast::BinOp;
 use crate::error::ScriptError;
 use crate::parser::parse;
-use crate::value::ScriptValue;
+use crate::value::{ScriptValue, UserFn};
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
@@ -29,6 +30,8 @@ pub struct Interpreter {
     pub(crate) fuel_limit: u64,
     pub(crate) depth: usize,
     pub(crate) output: Vec<String>,
+    /// Bytes the current run may still allocate (see [`MAX_RUN_BYTES`]).
+    pub(crate) bytes_left: Cell<u64>,
 }
 
 impl Default for Interpreter {
@@ -39,6 +42,18 @@ impl Default for Interpreter {
 
 const DEFAULT_FUEL: u64 = 2_000_000;
 pub(crate) const MAX_DEPTH: usize = 64;
+
+/// The bytes one run may allocate through the kernels that grow values:
+/// string concatenation, repetition, `join`, `split` and `replace`,
+/// list concatenation, `append`/`extend`/comprehension pushes, and
+/// `range` materialization. A string costs its UTF-8 length, a list 8
+/// bytes per element (`docs/PYRITE.md` states the rule). Fuel bounds
+/// steps, not bytes: a few dozen steps of `s = s + s` would otherwise
+/// exhaust the host's memory.
+pub const MAX_RUN_BYTES: u64 = 16 << 20;
+
+/// What one list element costs against [`MAX_RUN_BYTES`].
+const ELEMENT_BYTES: u64 = 8;
 
 impl Interpreter {
     /// Creates an interpreter with the default fuel budget.
@@ -51,6 +66,7 @@ impl Interpreter {
             fuel_limit: DEFAULT_FUEL,
             depth: 0,
             output: Vec::new(),
+            bytes_left: Cell::new(MAX_RUN_BYTES),
         }
     }
 
@@ -129,6 +145,22 @@ impl Interpreter {
         self.run_compiled(&program)
     }
 
+    /// Charges `bytes` against the run's allowance before a kernel
+    /// allocates them.
+    pub(crate) fn charge_bytes(&self, bytes: u64) -> Result<(), ScriptError> {
+        let left = self.bytes_left.get();
+        if bytes > left {
+            return Err(ScriptError::BytesExhausted);
+        }
+        self.bytes_left.set(left - bytes);
+        Ok(())
+    }
+
+    /// Charges `n` list elements against the run's allowance.
+    pub(crate) fn charge_elements(&self, n: usize) -> Result<(), ScriptError> {
+        self.charge_bytes((n as u64).saturating_mul(ELEMENT_BYTES))
+    }
+
     /// Stores into an already-evaluated container/key pair.
     pub(crate) fn store_index(
         &mut self,
@@ -138,7 +170,7 @@ impl Interpreter {
         line: usize,
     ) -> Result<(), ScriptError> {
         match (obj_v, key_v) {
-            (ScriptValue::List(items), key) => {
+            (ScriptValue::List(items), key) if key.as_int().is_ok() => {
                 let idx = self.list_index(key, items.borrow().len(), line)?;
                 items.borrow_mut()[idx] = value;
                 Ok(())
@@ -284,8 +316,12 @@ impl Interpreter {
         match op {
             BinOp::Add => match (&l, &r) {
                 (V::Int(a), V::Int(b)) => Ok(V::Int(a + b)),
-                (V::Str(a), V::Str(b)) => Ok(V::str(format!("{a}{b}"))),
+                (V::Str(a), V::Str(b)) => {
+                    self.charge_bytes((a.len() + b.len()) as u64)?;
+                    Ok(V::str(format!("{a}{b}")))
+                }
                 (V::List(a), V::List(b)) => {
+                    self.charge_elements(a.borrow().len() + b.borrow().len())?;
                     let mut items = a.borrow().clone();
                     items.extend(b.borrow().iter().cloned());
                     Ok(V::list(items))
@@ -303,7 +339,9 @@ impl Interpreter {
             BinOp::Sub => num_op(&l, &r, line, |a, b| a - b, |a, b| a.checked_sub(b)),
             BinOp::Mul => match (&l, &r) {
                 (V::Str(s), V::Int(n)) | (V::Int(n), V::Str(s)) => {
-                    Ok(V::str(s.repeat((*n).max(0) as usize)))
+                    let times = (*n).max(0) as u64;
+                    self.charge_bytes((s.len() as u64).saturating_mul(times))?;
+                    Ok(V::str(s.repeat(times as usize)))
                 }
                 _ => num_op(&l, &r, line, |a, b| a * b, |a, b| a.checked_mul(b)),
             },
@@ -438,15 +476,19 @@ impl Interpreter {
                         message: "range() step cannot be zero".into(),
                     });
                 }
-                let mut items = Vec::new();
-                let mut i = start;
-                while (step > 0 && i < stop) || (step < 0 && i > stop) {
-                    items.push(V::Int(i));
-                    i += step;
-                    if items.len() as u64 > self.fuel {
-                        return Err(ScriptError::FuelExhausted);
-                    }
+                let span = if step > 0 {
+                    i128::from(stop) - i128::from(start)
+                } else {
+                    i128::from(start) - i128::from(stop)
+                };
+                let count = (span.max(0) as u128).div_ceil(i128::from(step).unsigned_abs());
+                if count > u128::from(self.fuel) {
+                    return Err(ScriptError::FuelExhausted);
                 }
+                self.charge_elements(count as usize)?;
+                let items = (0..count as i128)
+                    .map(|k| V::Int((i128::from(start) + k * i128::from(step)) as i64))
+                    .collect();
                 V::list(items)
             }
             "print" => {
@@ -738,10 +780,12 @@ impl Interpreter {
             V::Str(s) => self.str_method(s, method, args, line),
             V::List(items) => match (method, args) {
                 ("append", [v]) => {
+                    self.charge_elements(1)?;
                     items.borrow_mut().push(v.clone());
                     Ok(V::None)
                 }
                 ("extend", [V::List(other)]) => {
+                    self.charge_elements(other.borrow().len())?;
                     let extra = other.borrow().clone();
                     items.borrow_mut().extend(extra);
                     Ok(V::None)
@@ -822,6 +866,13 @@ impl Interpreter {
         }
     }
 
+    /// `split`'s charge: the string's bytes again, plus one element per
+    /// part.
+    fn charge_split(&self, s: &str, parts: usize) -> Result<(), ScriptError> {
+        self.charge_bytes(s.len() as u64)?;
+        self.charge_elements(parts)
+    }
+
     fn str_method(
         &mut self,
         s: &Rc<String>,
@@ -835,15 +886,19 @@ impl Interpreter {
             ("lower", []) => Ok(V::str(s.to_lowercase())),
             ("upper", []) => Ok(V::str(s.to_uppercase())),
             ("strip", []) => Ok(V::str(s.trim().to_string())),
-            ("split", []) => Ok(V::list(
-                s.split_whitespace()
-                    .map(|p| V::str(p.to_string()))
-                    .collect(),
-            )),
+            ("split", []) => {
+                self.charge_split(s, s.split_whitespace().count())?;
+                Ok(V::list(
+                    s.split_whitespace()
+                        .map(|p| V::str(p.to_string()))
+                        .collect(),
+                ))
+            }
             ("split", [sep]) => {
                 let sep = sep
                     .as_str()
                     .map_err(|_| err("split() separator must be str".into()))?;
+                self.charge_split(s, s.split(sep).count())?;
                 Ok(V::list(
                     s.split(sep).map(|p| V::str(p.to_string())).collect(),
                 ))
@@ -871,6 +926,10 @@ impl Interpreter {
                 let t = to
                     .as_str()
                     .map_err(|_| err("replace() needs strs".into()))?;
+                let hits = s.matches(f).count() as u64;
+                let grown = (s.len() as u64 - hits * f.len() as u64)
+                    .saturating_add(hits.saturating_mul(t.len() as u64));
+                self.charge_bytes(grown)?;
                 Ok(V::str(s.replace(f, t)))
             }
             ("find", [needle]) => {
@@ -892,19 +951,63 @@ impl Interpreter {
                 Ok(V::Int(s.matches(n).count() as i64))
             }
             ("join", [V::List(items)]) => {
-                let parts: Result<Vec<String>, ScriptError> = items
-                    .borrow()
-                    .iter()
-                    .map(|v| v.as_str().map(str::to_string))
-                    .collect();
-                Ok(V::str(
-                    parts
-                        .map_err(|_| err("join() needs a list of strs".into()))?
-                        .join(s),
-                ))
+                let items = items.borrow();
+                let mut bytes =
+                    (s.len() as u64).saturating_mul(items.len().saturating_sub(1) as u64);
+                for item in items.iter() {
+                    let part = item
+                        .as_str()
+                        .map_err(|_| err("join() needs a list of strs".into()))?;
+                    bytes = bytes.saturating_add(part.len() as u64);
+                }
+                self.charge_bytes(bytes)?;
+                let parts: Vec<&str> = items.iter().filter_map(|v| v.as_str().ok()).collect();
+                Ok(V::str(parts.join(s)))
             }
             _ => Err(err(format!("str has no method {method}/{}", args.len()))),
         }
+    }
+}
+
+/// Arithmetic negation.
+pub(crate) fn negate(value: &ScriptValue, line: usize) -> Result<ScriptValue, ScriptError> {
+    match value {
+        ScriptValue::Int(i) => Ok(ScriptValue::Int(-i)),
+        ScriptValue::Float(f) => Ok(ScriptValue::Float(-f)),
+        other => Err(ScriptError::Type {
+            line,
+            message: format!("cannot negate {}", other.type_name()),
+        }),
+    }
+}
+
+/// A dict-literal key must be a string.
+pub(crate) fn dict_key(key: &ScriptValue, line: usize) -> Result<(), ScriptError> {
+    match key.as_str() {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ScriptError::Type {
+            line,
+            message: "dict keys must be strings".into(),
+        }),
+    }
+}
+
+/// A slice bound, coerced to an int.
+pub(crate) fn slice_index(bound: &ScriptValue, line: usize) -> Result<i64, ScriptError> {
+    bound.as_int().map_err(|_| ScriptError::Type {
+        line,
+        message: "slice bounds must be ints".into(),
+    })
+}
+
+/// The user function a call invokes; every other value is not callable.
+pub(crate) fn callee_fn(callee: ScriptValue, line: usize) -> Result<Rc<UserFn>, ScriptError> {
+    match callee {
+        ScriptValue::Func(func) => Ok(func),
+        other => Err(ScriptError::Type {
+            line,
+            message: format!("{} is not callable", other.type_name()),
+        }),
     }
 }
 
@@ -1179,6 +1282,23 @@ mod tests {
         // Locals don't leak out.
         let src2 = "def f():\n    hidden = 1\n    return hidden\nf()\nhidden";
         assert!(matches!(run_err(src2), ScriptError::Name { .. }));
+    }
+
+    #[test]
+    fn growing_past_the_byte_allowance_is_a_typed_error() {
+        // Forty doublings and one huge repetition spend a few fuel each;
+        // both stop before allocating, instead of taking the host's
+        // memory.
+        let doubling = format!("s = 'xy'\n{}len(s)", "s = s + s\n".repeat(40));
+        for src in [doubling.as_str(), "'ab' * 9223372036854775807"] {
+            assert_eq!(run_err(src), ScriptError::BytesExhausted, "{src}");
+        }
+        // The allowance is per run: each of two 10 MB runs fits.
+        let mut interp = Interpreter::new();
+        for _ in 0..2 {
+            let n = interp.run("s = 'x' * 10000000\nlen(s)").unwrap();
+            assert_eq!(n, V::Int(10_000_000));
+        }
     }
 
     #[test]

@@ -167,194 +167,188 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ScriptError> {
     Ok(tokens)
 }
 
+/// Tokenizes one logical line into `tokens`; `depth` tracks open
+/// brackets across lines.
 fn lex_line(
     line: &str,
     line_no: usize,
     tokens: &mut Vec<Token>,
     depth: &mut usize,
 ) -> Result<(), ScriptError> {
-    let push = |tokens: &mut Vec<Token>, kind: Tok, col: usize| {
+    let chars: Vec<char> = line.chars().collect();
+    let mut i = 0usize;
+    while i < chars.len() {
+        let (kind, next) = match chars[i] {
+            ' ' | '\t' | '\r' => {
+                i += 1;
+                continue;
+            }
+            '#' => break,
+            '0'..='9' => number(&chars, i, line_no)?,
+            '"' | '\'' => string(&chars, i, line_no)?,
+            c if c.is_alphabetic() || c == '_' => word(&chars, i),
+            _ => symbol(&chars, i, line_no, depth)?,
+        };
         tokens.push(Token {
             kind,
             line: line_no,
-            col,
-        })
-    };
-    let bytes: Vec<char> = line.chars().collect();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            ' ' | '\t' | '\r' => i += 1,
-            '#' => break,
-            '0'..='9' => {
-                let start = i;
-                let col = start + 1;
-                let mut saw_dot = false;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit() || (bytes[i] == '.' && !saw_dot))
-                {
-                    // A dot followed by a non-digit is method syntax, not a float.
-                    if bytes[i] == '.' {
-                        if i + 1 >= bytes.len() || !bytes[i + 1].is_ascii_digit() {
-                            break;
-                        }
-                        saw_dot = true;
-                    }
-                    i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                if saw_dot {
-                    let f = text.parse::<f64>().map_err(|_| ScriptError::Lex {
-                        line: line_no,
-                        col,
-                        message: format!("bad float literal '{text}'"),
-                    })?;
-                    push(tokens, Tok::Float(f), col);
-                } else {
-                    let v = text.parse::<i64>().map_err(|_| ScriptError::Lex {
-                        line: line_no,
-                        col,
-                        message: format!("bad int literal '{text}'"),
-                    })?;
-                    push(tokens, Tok::Int(v), col);
-                }
-            }
-            '"' | '\'' => {
-                let quote = c;
-                let col = i + 1;
-                i += 1;
-                let mut text = String::new();
-                let mut closed = false;
-                while i < bytes.len() {
-                    let ch = bytes[i];
-                    if ch == '\\' && i + 1 < bytes.len() {
-                        let esc = bytes[i + 1];
-                        text.push(match esc {
-                            'n' => '\n',
-                            't' => '\t',
-                            'r' => '\r',
-                            '\\' => '\\',
-                            '\'' => '\'',
-                            '"' => '"',
-                            other => other,
-                        });
-                        i += 2;
-                    } else if ch == quote {
-                        closed = true;
-                        i += 1;
-                        break;
-                    } else {
-                        text.push(ch);
-                        i += 1;
-                    }
-                }
-                if !closed {
-                    return Err(ScriptError::Lex {
-                        line: line_no,
-                        col,
-                        message: "unterminated string literal".into(),
-                    });
-                }
-                push(tokens, Tok::Str(text), col);
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                let col = start + 1;
-                while i < bytes.len() && (bytes[i].is_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
-                }
-                let word: String = bytes[start..i].iter().collect();
-                push(
-                    tokens,
-                    match word.as_str() {
-                        "def" => Tok::Def,
-                        "return" => Tok::Return,
-                        "if" => Tok::If,
-                        "elif" => Tok::Elif,
-                        "else" => Tok::Else,
-                        "for" => Tok::For,
-                        "while" => Tok::While,
-                        "in" => Tok::In,
-                        "break" => Tok::Break,
-                        "continue" => Tok::Continue,
-                        "pass" => Tok::Pass,
-                        "and" => Tok::And,
-                        "or" => Tok::Or,
-                        "not" => Tok::Not,
-                        "True" => Tok::True,
-                        "False" => Tok::False,
-                        "None" => Tok::None,
-                        _ => Tok::Name(word),
-                    },
-                    col,
-                );
-            }
-            _ => {
-                let col = i + 1;
-                let two: String = bytes[i..bytes.len().min(i + 2)].iter().collect();
-                let (kind, advance) = match two.as_str() {
-                    "==" => (Tok::EqEq, 2),
-                    "!=" => (Tok::NotEq, 2),
-                    "<=" => (Tok::LtEq, 2),
-                    ">=" => (Tok::GtEq, 2),
-                    "+=" => (Tok::PlusEq, 2),
-                    "-=" => (Tok::MinusEq, 2),
-                    "//" => (Tok::DoubleSlash, 2),
-                    _ => {
-                        let kind = match c {
-                            '+' => Tok::Plus,
-                            '-' => Tok::Minus,
-                            '*' => Tok::Star,
-                            '/' => Tok::Slash,
-                            '%' => Tok::Percent,
-                            '=' => Tok::Eq,
-                            '<' => Tok::Lt,
-                            '>' => Tok::Gt,
-                            '(' => {
-                                *depth += 1;
-                                Tok::LParen
-                            }
-                            ')' => {
-                                *depth = depth.saturating_sub(1);
-                                Tok::RParen
-                            }
-                            '[' => {
-                                *depth += 1;
-                                Tok::LBracket
-                            }
-                            ']' => {
-                                *depth = depth.saturating_sub(1);
-                                Tok::RBracket
-                            }
-                            '{' => {
-                                *depth += 1;
-                                Tok::LBrace
-                            }
-                            '}' => {
-                                *depth = depth.saturating_sub(1);
-                                Tok::RBrace
-                            }
-                            ',' => Tok::Comma,
-                            ':' => Tok::Colon,
-                            '.' => Tok::Dot,
-                            other => {
-                                return Err(ScriptError::Lex {
-                                    line: line_no,
-                                    col,
-                                    message: format!("unexpected character '{other}'"),
-                                })
-                            }
-                        };
-                        (kind, 1)
-                    }
-                };
-                push(tokens, kind, col);
-                i += advance;
-            }
-        }
+            col: i + 1,
+        });
+        i = next;
     }
     Ok(())
+}
+
+/// A lex error at 0-based character `at`.
+fn lex_err(line_no: usize, at: usize, message: String) -> ScriptError {
+    ScriptError::Lex {
+        line: line_no,
+        col: at + 1,
+        message,
+    }
+}
+
+/// An int or float literal starting at `start`, and the index after it.
+fn number(chars: &[char], start: usize, line_no: usize) -> Result<(Tok, usize), ScriptError> {
+    let mut i = start;
+    let mut saw_dot = false;
+    while i < chars.len() && (chars[i].is_ascii_digit() || (chars[i] == '.' && !saw_dot)) {
+        // A dot followed by a non-digit is method syntax, not a float.
+        if chars[i] == '.' {
+            if i + 1 >= chars.len() || !chars[i + 1].is_ascii_digit() {
+                break;
+            }
+            saw_dot = true;
+        }
+        i += 1;
+    }
+    let text: String = chars[start..i].iter().collect();
+    let kind = if saw_dot {
+        let f = text.parse::<f64>();
+        Tok::Float(f.map_err(|_| lex_err(line_no, start, format!("bad float literal '{text}'")))?)
+    } else {
+        let v = text.parse::<i64>();
+        Tok::Int(v.map_err(|_| lex_err(line_no, start, format!("bad int literal '{text}'")))?)
+    };
+    Ok((kind, i))
+}
+
+/// A quoted string literal starting at `start`, and the index after it.
+fn string(chars: &[char], start: usize, line_no: usize) -> Result<(Tok, usize), ScriptError> {
+    let quote = chars[start];
+    let mut i = start + 1;
+    let mut text = String::new();
+    while i < chars.len() {
+        let ch = chars[i];
+        if ch == '\\' && i + 1 < chars.len() {
+            text.push(match chars[i + 1] {
+                'n' => '\n',
+                't' => '\t',
+                'r' => '\r',
+                other => other,
+            });
+            i += 2;
+        } else if ch == quote {
+            return Ok((Tok::Str(text), i + 1));
+        } else {
+            text.push(ch);
+            i += 1;
+        }
+    }
+    Err(lex_err(
+        line_no,
+        start,
+        "unterminated string literal".into(),
+    ))
+}
+
+/// The token a keyword lexes to; `None` for a plain name.
+fn keyword(word: &str) -> Option<Tok> {
+    Some(match word {
+        "def" => Tok::Def,
+        "return" => Tok::Return,
+        "if" => Tok::If,
+        "elif" => Tok::Elif,
+        "else" => Tok::Else,
+        "for" => Tok::For,
+        "while" => Tok::While,
+        "in" => Tok::In,
+        "break" => Tok::Break,
+        "continue" => Tok::Continue,
+        "pass" => Tok::Pass,
+        "and" => Tok::And,
+        "or" => Tok::Or,
+        "not" => Tok::Not,
+        "True" => Tok::True,
+        "False" => Tok::False,
+        "None" => Tok::None,
+        _ => return None,
+    })
+}
+
+/// A keyword or name starting at `start`, and the index after it.
+fn word(chars: &[char], start: usize) -> (Tok, usize) {
+    let mut i = start;
+    while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
+        i += 1;
+    }
+    let word: String = chars[start..i].iter().collect();
+    (keyword(&word).unwrap_or(Tok::Name(word)), i)
+}
+
+/// An operator or punctuation token starting at `at`, and the index
+/// after it. Brackets open and close a `depth` level.
+fn symbol(
+    chars: &[char],
+    at: usize,
+    line_no: usize,
+    depth: &mut usize,
+) -> Result<(Tok, usize), ScriptError> {
+    let two: String = chars[at..chars.len().min(at + 2)].iter().collect();
+    let kind = match two.as_str() {
+        "==" => Tok::EqEq,
+        "!=" => Tok::NotEq,
+        "<=" => Tok::LtEq,
+        ">=" => Tok::GtEq,
+        "+=" => Tok::PlusEq,
+        "-=" => Tok::MinusEq,
+        "//" => Tok::DoubleSlash,
+        _ => {
+            let kind = match chars[at] {
+                '+' => Tok::Plus,
+                '-' => Tok::Minus,
+                '*' => Tok::Star,
+                '/' => Tok::Slash,
+                '%' => Tok::Percent,
+                '=' => Tok::Eq,
+                '<' => Tok::Lt,
+                '>' => Tok::Gt,
+                '(' => Tok::LParen,
+                ')' => Tok::RParen,
+                '[' => Tok::LBracket,
+                ']' => Tok::RBracket,
+                '{' => Tok::LBrace,
+                '}' => Tok::RBrace,
+                ',' => Tok::Comma,
+                ':' => Tok::Colon,
+                '.' => Tok::Dot,
+                other => {
+                    return Err(lex_err(
+                        line_no,
+                        at,
+                        format!("unexpected character '{other}'"),
+                    ))
+                }
+            };
+            match kind {
+                Tok::LParen | Tok::LBracket | Tok::LBrace => *depth += 1,
+                Tok::RParen | Tok::RBracket | Tok::RBrace => *depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            return Ok((kind, at + 1));
+        }
+    };
+    Ok((kind, at + 2))
 }
 
 #[cfg(test)]

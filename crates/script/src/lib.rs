@@ -17,11 +17,15 @@
 //! * **host-function binding** so agent tools (`list_files`, `read_file`,
 //!   `run_semantic_program`, …) appear as ordinary callables, and
 //! * **fuel limits** so a runaway agent program terminates deterministically
-//!   instead of hanging an experiment, and
-//! * a **front-end pass** ([`typecheck`], one flow-sensitive walk over
-//!   the AST) that rejects provably malformed programs — undefined names,
-//!   unknown tools, `while True` with no exit, use before assignment,
-//!   wrong tool arity or argument types, definite operator misuse —
+//!   instead of hanging an experiment, and a per-run **byte allowance**
+//!   ([`interp::MAX_RUN_BYTES`]) so a few steps of string doubling cannot
+//!   exhaust the host's memory, and
+//! * one **dataflow analysis** over the bytecode ([`bounds`]) that both
+//!   prices a program ([`analyze`]) and backs the **front-end check**
+//!   ([`typecheck`], [`compile_checked`]), which rejects provably
+//!   malformed programs — undefined names, unknown tools, `while True`
+//!   with no exit, use before assignment, wrong tool arity or argument
+//!   types, definite operator misuse by the VM's own kernel rules —
 //!   before the caller spends any simulated budget on them
 //!   ([`Interpreter::check_source`] runs it against an interpreter's
 //!   globals and host functions).
@@ -59,7 +63,7 @@ pub mod value;
 pub mod vm;
 
 pub use bounds::{analyze, Bound, CostBound};
-pub use bytecode::{compile, compile_source, CompiledProgram};
+pub use bytecode::{compile, compile_checked, compile_source, CompiledProgram};
 pub use error::ScriptError;
 pub use interp::Interpreter;
 pub use types::{typecheck, ToolSig, Ty, TypeEnv, BUILTIN_NAMES};

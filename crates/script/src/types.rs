@@ -1,44 +1,42 @@
-//! The Pyrite front-end pass: one flow-sensitive walk over the AST that
-//! decides whether a program may run.
+//! The Pyrite front-end check: static types and the verdict on whether a
+//! program may run.
 //!
-//! Runs between parsing and compilation (and before any simulated spend
-//! in `aida-agents`): a program this pass rejects costs $0.00 and zero
-//! virtual seconds. It reports the first error in program order:
+//! Runs before execution (and before any simulated spend in
+//! `aida-agents`): a program it rejects costs $0.00 and zero virtual
+//! seconds. It has no analysis of its own. [`typecheck`] lowers the
+//! program to bytecode and solves it with the cost-bound dataflow
+//! ([`crate::bounds`]), seeded with a [`TypeEnv`]; a value's static type
+//! is the kind of its abstract value. One pass over each chunk's
+//! instructions then reports the first error in program order, a
+//! function body's at its `def`:
 //!
-//! * **Undefined names** ([`ScriptError::Static`]) — Pyrite resolves
-//!   names late, Python-style (a function body may call a helper defined
-//!   after it), so a name is undefined only when no assignment, loop or
-//!   comprehension variable, parameter, `def`, global, tool, or builtin
-//!   anywhere in the program or its environment introduces it. A call to
-//!   such a name is an unknown call, and its message lists the tools and
-//!   builtins so a planner can self-correct.
-//! * **Unbounded loops** ([`ScriptError::Static`]) — `while` on an
-//!   always-true literal whose body never breaks or returns.
-//! * **Use before assignment** ([`ScriptError::Type`], like every check
-//!   below) — a variable read on a path where no earlier statement can
-//!   have assigned it, although something in the program assigns it.
-//! * **Tool arity and argument types** — calls to registered host tools
-//!   are checked against their parsed signatures ([`ToolSig`]).
-//! * **Operators, iteration, indexing, and calls** — misuse every
-//!   runtime path would raise (`'a' - 1`, iterating an int, calling a
-//!   list, a non-string dict key).
-//! * **Branch-join typing** — a variable assigned `int` in one arm and
-//!   `str` in another joins to [`Ty::Any`]; only *definite* misuse is
-//!   reported downstream.
-//! * **Loop-carried variables** — names assigned inside a loop body are
-//!   in scope (as possibly-unassigned) for the whole body, so
-//!   accumulator patterns type correctly without false positives.
+//! * **Undefined names and unknown calls** ([`ScriptError::Static`]) — a
+//!   name no assignment, loop or comprehension variable, parameter,
+//!   `def`, global, tool or builtin introduces anywhere; a call's message
+//!   lists the tools and builtins so a planner can self-correct.
+//! * **Unbounded loops** ([`ScriptError::Static`]) — `while` on a truthy
+//!   literal whose loop in the CFG has no exit.
+//! * **Use before assignment** ([`ScriptError::Type`], like the rest) —
+//!   a read no path to it assigns, of a top-level name or a function's
+//!   own local (a function reads globals as they are at call time).
+//! * **Tool arity and argument types**, against [`ToolSig`].
+//! * **Operators, negation, indexing, index stores, slicing, iteration,
+//!   calls and methods** — the VM's own kernels run on one witness value
+//!   per type (`definite`); an error is reported when every type the
+//!   operands may have raises the same type error.
 //!
-//! The pass is deliberately conservative: it reports an error only when
-//! every runtime path through the expression would raise it — mirroring
-//! the interpreter's own `binary`/`index`/`call` rejections — and types
-//! it cannot prove stay [`Ty::Any`]. Conservatism is what lets the agent
-//! runtime treat a rejection as a hard pre-billing reject.
+//! Unreachable code is checked too, with the facts of the code before it.
 
-use crate::ast::*;
+use crate::ast::{BinOp, Program};
+use crate::bounds::{self, AbsVal, Binding, ChunkFlow, Solved, State};
+use crate::bytecode::{CompiledFn, Const, Insn, Pools, NO_REG};
 use crate::error::ScriptError;
-use std::cell::Cell;
+use crate::interp::{self, Interpreter};
+use crate::value::{ScriptValue, UserFn};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// A static type. `Any` is the unknown/top type; joins of unequal types
 /// collapse to it.
@@ -65,15 +63,6 @@ pub enum Ty {
 }
 
 impl Ty {
-    /// The least upper bound of two types.
-    pub fn join(self, other: Ty) -> Ty {
-        if self == other {
-            self
-        } else {
-            Ty::Any
-        }
-    }
-
     /// Display name matching the interpreter's `type_name()` strings.
     pub fn name(self) -> &'static str {
         match self {
@@ -82,15 +71,11 @@ impl Ty {
             Ty::Float => "float",
             Ty::Str => "str",
             Ty::Bool => "bool",
-            Ty::None => "None",
+            Ty::None => "NoneType",
             Ty::List => "list",
             Ty::Dict => "dict",
             Ty::Func => "function",
         }
-    }
-
-    fn is_num(self) -> bool {
-        matches!(self, Ty::Any | Ty::Int | Ty::Float)
     }
 
     /// Whether a value of this type can satisfy an `expected` annotation.
@@ -247,24 +232,16 @@ impl TypeEnv {
     /// Registers a tool from its signature text; lines that fail to
     /// parse register an unchecked (arity-unknown) tool.
     pub fn add_tool_signature(&mut self, name: &str, signature: &str) {
-        match ToolSig::parse(signature) {
-            Some(sig) => {
-                self.tools.insert(name.to_string(), sig);
+        // Unparseable: calls resolve, but are not arity- or type-checked.
+        let sig = ToolSig::parse(signature).unwrap_or_else(|| {
+            self.unchecked.insert(name.to_string());
+            ToolSig {
+                name: name.to_string(),
+                params: Vec::new(),
+                ret: Ty::Any,
             }
-            None => {
-                // Unparseable signature: register with unknown params so
-                // calls resolve but are not arity-checked.
-                self.tools.insert(
-                    name.to_string(),
-                    ToolSig {
-                        name: name.to_string(),
-                        params: Vec::new(),
-                        ret: Ty::Any,
-                    },
-                );
-                self.unchecked.insert(name.to_string());
-            }
-        }
+        });
+        self.tools.insert(name.to_string(), sig);
     }
 
     /// Marks a pre-bound global.
@@ -273,807 +250,438 @@ impl TypeEnv {
     }
 }
 
-/// One variable's flow fact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Binding {
-    ty: Ty,
-    /// Assigned on every path reaching here.
-    definite: bool,
-}
-
-/// Per-path variable state.
-#[derive(Debug, Clone, Default)]
-struct Flow {
-    vars: HashMap<String, Binding>,
-    /// False after `return`/`break`/`continue`: subsequent sibling
-    /// statements in the block are unreachable from this path.
-    live: bool,
-}
-
-impl Flow {
-    fn start() -> Flow {
-        Flow {
-            vars: HashMap::new(),
-            live: true,
-        }
-    }
-
-    fn assign(&mut self, name: &str, ty: Ty) {
-        self.vars
-            .insert(name.to_string(), Binding { ty, definite: true });
-    }
-
-    fn weaken(&mut self, name: &str, ty: Ty) {
-        self.vars
-            .entry(name.to_string())
-            .and_modify(|b| b.ty = b.ty.join(ty))
-            .or_insert(Binding {
-                ty,
-                definite: false,
-            });
-    }
-
-    /// Joins another branch's outcome into this one. A variable stays
-    /// definite only when definite on both paths; types join. Dead
-    /// branches contribute nothing.
-    fn join(&mut self, other: &Flow) {
-        if !other.live {
-            return;
-        }
-        if !self.live {
-            *self = other.clone();
-            return;
-        }
-        let mut merged = HashMap::new();
-        for (name, b) in &self.vars {
-            match other.vars.get(name) {
-                Some(ob) => {
-                    merged.insert(
-                        name.clone(),
-                        Binding {
-                            ty: b.ty.join(ob.ty),
-                            definite: b.definite && ob.definite,
-                        },
-                    );
-                }
-                None => {
-                    merged.insert(
-                        name.clone(),
-                        Binding {
-                            ty: b.ty,
-                            definite: false,
-                        },
-                    );
-                }
-            }
-        }
-        for (name, ob) in &other.vars {
-            merged.entry(name.clone()).or_insert(Binding {
-                ty: ob.ty,
-                definite: false,
-            });
-        }
-        self.vars = merged;
-    }
-}
-
 /// Checks a program against an environment, returning the first error
 /// in program order: [`ScriptError::Static`] for an undefined name, an
 /// unknown call or an unbounded loop, [`ScriptError::Type`] for the
-/// flow-sensitive checks.
+/// flow-sensitive checks. The program is lowered to bytecode and solved
+/// by the cost-bound dataflow ([`crate::bounds`]); the verdict is read
+/// off the solved states.
 pub fn typecheck(program: &Program, env: &TypeEnv) -> Result<(), ScriptError> {
-    let mut defined = HashSet::new();
-    collect_defined(&program.body, true, &mut defined);
-    let tc = Tc {
-        env,
-        defined,
-        current: Cell::new(None),
-    };
-    let mut flow = Flow::start();
-    for (name, ty) in &env.globals {
-        flow.assign(name, *ty);
-    }
-    tc.block(&program.body, &mut flow, None)
+    let compiled = crate::bytecode::lower(program)?;
+    check(&bounds::solve(&compiled, env))
 }
 
-/// Adds every name a statement in `body` can bind: assignment targets,
-/// loop and comprehension variables, and `def` names. With `into_defs`
-/// it also descends into `def` bodies and adds their parameters (every
-/// name the program defines anywhere); without it, it collects the
-/// locals of one function body.
-fn collect_defined(body: &[Stmt], into_defs: bool, out: &mut HashSet<String>) {
-    for stmt in body {
-        match &stmt.kind {
-            StmtKind::Assign(Target::Name(n), _) | StmtKind::AugAssign(Target::Name(n), _, _) => {
-                out.insert(n.clone());
+/// The first error in program order, read off a solved dataflow: one
+/// pass over each chunk's instructions, a function body's at its `def`.
+pub(crate) fn check(solved: &Solved) -> Result<(), ScriptError> {
+    let program = solved.program;
+    let mut defined: HashSet<&str> = HashSet::new();
+    for insn in &program.main.code {
+        match insn {
+            Insn::Store { name, .. } => {
+                defined.insert(&program.pools.names[*name as usize]);
             }
-            StmtKind::If(arms, else_body) => {
-                for (_, arm) in arms {
-                    collect_defined(arm, into_defs, out);
-                }
-                if let Some(arm) = else_body {
-                    collect_defined(arm, into_defs, out);
-                }
-            }
-            StmtKind::While(_, inner) => collect_defined(inner, into_defs, out),
-            StmtKind::For(vars, _, inner) => {
-                out.extend(vars.iter().cloned());
-                collect_defined(inner, into_defs, out);
-            }
-            StmtKind::Def(name, params, inner) => {
-                out.insert(name.clone());
-                if into_defs {
-                    out.extend(params.iter().cloned());
-                    collect_defined(inner, into_defs, out);
+            Insn::Bind { vars, .. } => {
+                for &(name, _) in &program.pools.var_lists[*vars as usize] {
+                    defined.insert(&program.pools.names[name as usize]);
                 }
             }
             _ => {}
         }
-        // Comprehension variables leak into the enclosing scope.
-        visit_exprs(stmt, &mut |e| {
-            if let ExprKind::ListComp { vars, .. } = &e.kind {
-                out.extend(vars.iter().cloned());
-            }
-        });
+    }
+    for f in &program.pools.funcs {
+        defined.extend(f.locals.iter().map(String::as_str));
+    }
+    let checker = Checker {
+        solved,
+        defined,
+        interp: RefCell::new(Interpreter::new()),
+    };
+    checker.chunk(solved.main.as_ref())
+}
+
+/// Every concrete type, in the order witnesses are tried.
+const KINDS: [Ty; 8] = {
+    use Ty::*;
+    [Int, Float, Str, Bool, None, List, Dict, Func]
+};
+
+/// One value of type `ty` on which no kernel raises a value-dependent
+/// error: numbers are non-zero (and -1 indexes any non-empty sequence),
+/// containers are non-empty, and the dict holds the string witness as a
+/// key.
+fn witness(ty: Ty) -> ScriptValue {
+    match ty {
+        Ty::Int => ScriptValue::Int(-1),
+        // Not integral: an index or slice bound must be an int.
+        Ty::Float => ScriptValue::Float(1.5),
+        Ty::Str => ScriptValue::str("a"),
+        Ty::Bool => ScriptValue::Bool(true),
+        Ty::None | Ty::Any => ScriptValue::None,
+        Ty::List => ScriptValue::list(vec![ScriptValue::str("a")]),
+        Ty::Dict => ScriptValue::dict([("a".to_string(), ScriptValue::str("a"))].into()),
+        Ty::Func => {
+            let funcs = vec![CompiledFn::default()];
+            let pools = Arc::new(Pools {
+                funcs,
+                ..Pools::default()
+            });
+            ScriptValue::Func(Rc::new(UserFn { pools, idx: 0 }))
+        }
     }
 }
 
-/// Calls `f` on every expression of `stmt` itself (not of its nested
-/// bodies), parents before children.
-fn visit_exprs(stmt: &Stmt, f: &mut dyn FnMut(&Expr)) {
-    fn walk(e: &Expr, f: &mut dyn FnMut(&Expr)) {
-        f(e);
-        match &e.kind {
-            ExprKind::List(items) => items.iter().for_each(|e| walk(e, f)),
-            ExprKind::Dict(pairs) => {
-                for (k, v) in pairs {
-                    walk(k, f);
-                    walk(v, f);
+/// The type of a runtime value.
+fn type_of(value: &ScriptValue) -> Ty {
+    let name = value.type_name();
+    KINDS
+        .into_iter()
+        .find(|ty| ty.name() == name)
+        .expect("every value has a type")
+}
+
+/// What the VM's `binary` kernel does with operands of types `l` and
+/// `r`: the result's type, or the type error's message. `None` when an
+/// operand type is unknown.
+pub(crate) fn bin_type(op: BinOp, l: Ty, r: Ty) -> Option<Result<Ty, String>> {
+    if l == Ty::Any || r == Ty::Any || matches!(op, BinOp::And | BinOp::Or) {
+        return None;
+    }
+    let result = Interpreter::new().binary(op, witness(l), witness(r), 0);
+    Some(result.map(|v| type_of(&v)).map_err(|e| e.to_string()))
+}
+
+/// Reads diagnostics off a solved program.
+struct Checker<'s, 'p> {
+    solved: &'s Solved<'p>,
+    /// Every name the program binds anywhere: assignment, loop and
+    /// comprehension variables, parameters, `def`s. A name outside it,
+    /// the environment, the tools and the builtins is undefined.
+    defined: HashSet<&'p str>,
+    /// Runs the kernels on witnesses.
+    interp: RefCell<Interpreter>,
+}
+
+impl<'p> Checker<'_, 'p> {
+    /// Checks one chunk's instructions in order, a function's body at
+    /// its `MakeFunc`. A block no path reaches is checked with the facts
+    /// of the block before it, as if control fell through.
+    fn chunk(&self, flow: Option<&ChunkFlow<'p>>) -> Result<(), ScriptError> {
+        let Some(flow) = flow else {
+            return Ok(());
+        };
+        let mut before: Option<State> = None;
+        for (b, blk) in flow.blocks.iter().enumerate() {
+            let mut st = match (&flow.entry[b], before.take()) {
+                (Some(entry), _) => entry.clone(),
+                (None, Some(mut st)) => {
+                    st.live = true;
+                    st
                 }
+                (None, None) => continue,
+            };
+            for at in blk.start..blk.end {
+                let insn = &flow.code[at];
+                if st.live {
+                    self.insn(flow, &st, at, insn)?;
+                }
+                if let Insn::MakeFunc { idx, .. } = insn {
+                    self.chunk(self.solved.funcs[*idx as usize].as_ref())?;
+                }
+                bounds::transfer(&flow.cx, &mut st, insn);
             }
-            ExprKind::Binary(_, a, b) | ExprKind::Index(a, b) => {
-                walk(a, f);
-                walk(b, f);
-            }
-            ExprKind::Unary(_, a) => walk(a, f),
-            ExprKind::Call(obj, args) | ExprKind::MethodCall(obj, _, args) => {
-                walk(obj, f);
-                args.iter().for_each(|e| walk(e, f));
-            }
-            ExprKind::ListComp {
-                element,
-                iterable,
-                condition,
+            before = Some(st);
+        }
+        Ok(())
+    }
+
+    fn insn(
+        &self,
+        flow: &ChunkFlow<'p>,
+        st: &State,
+        at: usize,
+        insn: &Insn,
+    ) -> Result<(), ScriptError> {
+        let ty = |reg: u16| st.regs[reg as usize].ty();
+        let mut interp = self.interp.borrow_mut();
+        match *insn {
+            Insn::Load {
+                name, slot, line, ..
+            } => self.load(flow, st, name, slot, line as usize),
+            Insn::CallName { .. } => self.call_name(flow, st, insn),
+            Insn::CallValue { callee, line, .. } => definite(&[ty(callee)], |w| {
+                interp::callee_fn(w[0].clone(), line as usize).map(drop)
+            }),
+            Insn::CallMethod {
+                obj,
+                name,
+                base,
+                argc,
+                line,
                 ..
             } => {
-                walk(element, f);
-                walk(iterable, f);
-                condition.iter().for_each(|c| walk(c, f));
+                let mut tys = vec![ty(obj)];
+                tys.extend((base..base + argc).map(ty));
+                let method = flow.cx.name(name);
+                definite(&tys, |w| {
+                    interp
+                        .call_method(&w[0], method, &w[1..], line as usize)
+                        .map(drop)
+                })
             }
-            ExprKind::Slice(obj, lo, hi) => {
-                walk(obj, f);
-                lo.iter().chain(hi).for_each(|b| walk(b, f));
+            Insn::Bin { op, a, b, line, .. } => definite(&[ty(a), ty(b)], |w| {
+                interp
+                    .binary(op, w[0].clone(), w[1].clone(), line as usize)
+                    .map(drop)
+            }),
+            Insn::Neg { src, line, .. } => definite(&[ty(src)], |w| {
+                interp::negate(&w[0], line as usize).map(drop)
+            }),
+            Insn::GetIndex { obj, key, line, .. } => definite(&[ty(obj), ty(key)], |w| {
+                interp.index(&w[0], &w[1], line as usize).map(drop)
+            }),
+            Insn::SetIndex { obj, key, line, .. } => definite(&[ty(obj), ty(key)], |w| {
+                interp.store_index(&w[0], &w[1], ScriptValue::None, line as usize)
+            }),
+            Insn::SliceIdx { reg, line } => definite(&[ty(reg)], |w| {
+                interp::slice_index(&w[0], line as usize).map(drop)
+            }),
+            Insn::Slice { obj, line, .. } => definite(&[ty(obj)], |w| {
+                interp.slice(&w[0], None, None, line as usize).map(drop)
+            }),
+            Insn::IterNew { src, line } => definite(&[ty(src)], |w| {
+                interp.iter_value(w[0].clone(), line as usize).map(drop)
+            }),
+            Insn::DictKey { reg, line } => {
+                definite(&[ty(reg)], |w| interp::dict_key(&w[0], line as usize))
             }
-            _ => {}
-        }
-    }
-    match &stmt.kind {
-        StmtKind::Expr(e)
-        | StmtKind::Return(Some(e))
-        | StmtKind::While(e, _)
-        | StmtKind::For(_, e, _) => walk(e, f),
-        StmtKind::Assign(t, e) | StmtKind::AugAssign(t, _, e) => {
-            if let Target::Index(obj, key) = t {
-                walk(obj, f);
-                walk(key, f);
-            }
-            walk(e, f);
-        }
-        StmtKind::If(arms, _) => arms.iter().for_each(|(cond, _)| walk(cond, f)),
-        _ => {}
-    }
-}
-
-/// Whether `e` is a literal that is always truthy.
-fn always_true(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Bool(b) => *b,
-        ExprKind::Int(i) => *i != 0,
-        ExprKind::Float(x) => *x != 0.0,
-        ExprKind::Str(s) => !s.is_empty(),
-        _ => false,
-    }
-}
-
-/// Whether any statement in `body` (recursively, but not inside nested
-/// `def`s) is `break` or `return`.
-fn has_exit(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match &s.kind {
-        StmtKind::Break | StmtKind::Return(_) => true,
-        StmtKind::If(arms, els) => {
-            arms.iter().any(|(_, b)| has_exit(b)) || els.as_ref().is_some_and(|b| has_exit(b))
-        }
-        // A nested loop's own break exits *that* loop, not this one —
-        // but a return inside it still exits. Keeping the recursion
-        // here over-approximates exits, which only ever suppresses a
-        // finding (sound for a rejection gate).
-        StmtKind::While(_, b) | StmtKind::For(_, _, b) => has_exit(b),
-        _ => false,
-    })
-}
-
-struct Tc<'a> {
-    env: &'a TypeEnv,
-    /// Every name the program defines anywhere. A name outside it and
-    /// the environment is undefined; one inside it may still be
-    /// unassigned on the path that reads it, and a tool or builtin name
-    /// inside it may be shadowed by call time.
-    defined: HashSet<String>,
-    /// The statement being checked: whether it calls an undefined name
-    /// decides how that name is reported.
-    current: Cell<Option<&'a Stmt>>,
-}
-
-/// Context for checking inside a function body: its local names.
-struct FnCtx {
-    locals: HashSet<String>,
-}
-
-impl<'a> Tc<'a> {
-    fn err(&self, line: usize, message: String) -> ScriptError {
-        ScriptError::Type { line, message }
-    }
-
-    fn block(
-        &self,
-        body: &'a [Stmt],
-        flow: &mut Flow,
-        fctx: Option<&FnCtx>,
-    ) -> Result<(), ScriptError> {
-        for stmt in body {
-            let outer = self.current.replace(Some(stmt));
-            if flow.live {
-                self.stmt(stmt, flow, fctx)?;
-            } else {
-                // Unreachable code: still check it against a fresh copy
-                // of the facts so obvious errors surface, but do not let
-                // its assignments revive the path.
-                let mut dead = flow.clone();
-                dead.live = true;
-                self.stmt(stmt, &mut dead, fctx)?;
-            }
-            self.current.set(outer);
-        }
-        Ok(())
-    }
-
-    fn stmt(
-        &self,
-        stmt: &'a Stmt,
-        flow: &mut Flow,
-        fctx: Option<&FnCtx>,
-    ) -> Result<(), ScriptError> {
-        let line = stmt.line;
-        match &stmt.kind {
-            StmtKind::Expr(e) => {
-                self.expr(e, flow, fctx)?;
-            }
-            StmtKind::Assign(Target::Name(name), value) => {
-                let ty = self.expr(value, flow, fctx)?;
-                flow.assign(name, ty);
-            }
-            StmtKind::Assign(Target::Index(obj, key), value) => {
-                self.expr(value, flow, fctx)?;
-                let ot = self.expr(obj, flow, fctx)?;
-                let kt = self.expr(key, flow, fctx)?;
-                self.check_index_store(ot, kt, line)?;
-            }
-            StmtKind::AugAssign(Target::Name(name), op, value) => {
-                let rhs = self.expr(value, flow, fctx)?;
-                let cur = self.use_name(name, line, flow, fctx)?;
-                let ty = self.check_binary(*op, cur, rhs, line)?;
-                flow.assign(name, ty);
-            }
-            StmtKind::AugAssign(Target::Index(obj, key), op, value) => {
-                let rhs = self.expr(value, flow, fctx)?;
-                let ot = self.expr(obj, flow, fctx)?;
-                let kt = self.expr(key, flow, fctx)?;
-                self.check_index_store(ot, kt, line)?;
-                self.check_binary(*op, Ty::Any, rhs, line)?;
-            }
-            StmtKind::If(arms, else_body) => {
-                let mut joined: Option<Flow> = None;
-                for (cond, body) in arms {
-                    self.expr(cond, flow, fctx)?;
-                    let mut arm = flow.clone();
-                    self.block(body, &mut arm, fctx)?;
-                    match &mut joined {
-                        Some(j) => j.join(&arm),
-                        None => joined = Some(arm),
-                    }
-                }
-                let mut else_flow = flow.clone();
-                if let Some(body) = else_body {
-                    self.block(body, &mut else_flow, fctx)?;
-                }
-                let mut joined = joined.expect("if has at least one arm");
-                joined.join(&else_flow);
-                *flow = joined;
-            }
-            StmtKind::While(cond, body) => {
-                if always_true(cond) && !has_exit(body) {
-                    return Err(ScriptError::Static {
-                        line,
-                        message: "`while` loop condition is always true and the body never \
-                                  breaks or returns; the program cannot terminate"
-                            .into(),
-                    });
-                }
-                // Loop-carried names: visible inside and after the body
-                // as possibly-unassigned.
-                self.carry(stmt, flow);
-                self.expr(cond, flow, fctx)?;
-                let mut body_flow = flow.clone();
-                self.block(body, &mut body_flow, fctx)?;
-                flow.join(&body_flow);
-                flow.live = true;
-            }
-            StmtKind::For(vars, iterable, body) => {
-                let it = self.expr(iterable, flow, fctx)?;
-                if !matches!(it, Ty::Any | Ty::List | Ty::Str | Ty::Dict) {
-                    return Err(self.err(line, format!("{} is not iterable", it.name())));
-                }
-                self.carry(stmt, flow);
-                let mut body_flow = flow.clone();
-                let elem = if it == Ty::Str || it == Ty::Dict {
-                    Ty::Str
-                } else {
-                    Ty::Any
-                };
-                if vars.len() == 1 {
-                    body_flow.assign(&vars[0], elem);
-                } else {
-                    for v in vars {
-                        body_flow.assign(v, Ty::Any);
-                    }
-                }
-                self.block(body, &mut body_flow, fctx)?;
-                flow.join(&body_flow);
-                flow.live = true;
-            }
-            StmtKind::Def(name, params, body) => {
-                let mut locals: HashSet<String> = params.iter().cloned().collect();
-                collect_defined(body, false, &mut locals);
-                let ctx = FnCtx { locals };
-                let mut fn_flow = Flow::start();
-                for p in params {
-                    fn_flow.assign(p, Ty::Any);
-                }
-                self.block(body, &mut fn_flow, Some(&ctx))?;
-                flow.assign(name, Ty::Func);
-            }
-            StmtKind::Return(value) => {
-                if let Some(e) = value {
-                    self.expr(e, flow, fctx)?;
-                }
-                flow.live = false;
-            }
-            StmtKind::Break | StmtKind::Continue => {
-                flow.live = false;
-            }
-            StmtKind::Pass => {}
-        }
-        Ok(())
-    }
-
-    /// Weakens every name the loop `stmt` can bind (nested `def`s
-    /// included) into `flow` as possibly-unassigned.
-    fn carry(&self, stmt: &Stmt, flow: &mut Flow) {
-        let mut carried = HashSet::new();
-        collect_defined(std::slice::from_ref(stmt), true, &mut carried);
-        for name in &carried {
-            flow.weaken(name, Ty::Any);
+            Insn::JumpFalse { src, .. } => self.endless_loop(flow, at, src),
+            _ => Ok(()),
         }
     }
 
-    /// Resolves a name use, enforcing use-before-assign at the top level
-    /// and the late-binding rules inside functions.
-    fn use_name(
-        &self,
-        name: &str,
-        line: usize,
-        flow: &Flow,
-        fctx: Option<&FnCtx>,
-    ) -> Result<Ty, ScriptError> {
-        if let Some(b) = flow.vars.get(name) {
-            return Ok(b.ty);
-        }
-        if !self.known_global(name) {
-            return Err(self.undefined(name, line));
-        }
-        match fctx {
-            // Inside a function an unseen name may still resolve at call
-            // time: a global assigned before the call, a tool, or a
-            // builtin. Only names that are locals of this function (and
-            // thus shadow everything) are definitely unassigned here.
-            Some(ctx) if ctx.locals.contains(name) => Err(self.err(
-                line,
-                format!("local variable '{name}' used before assignment"),
-            )),
-            Some(_) => Ok(Ty::Any),
-            // Reading a tool or builtin as a value is not something the
-            // interpreter supports (they are not first-class), but no
-            // runtime path is sure to reach the read.
-            None if self.env.tools.contains_key(name) || builtin(name).is_some() => Ok(Ty::Any),
-            None => Err(self.err(line, format!("variable '{name}' used before assignment"))),
-        }
-    }
-
-    fn known_global(&self, name: &str) -> bool {
+    fn known(&self, name: &str) -> bool {
         self.defined.contains(name)
-            || self.env.globals.contains_key(name)
-            || self.env.tools.contains_key(name)
+            || self.solved.env.globals.contains_key(name)
+            || self.solved.env.tools.contains_key(name)
             || builtin(name).is_some()
     }
 
-    /// The error for a read of `name`, which nothing defines: an unknown
-    /// call, at its first call site, when the current statement calls it;
-    /// an undefined name at `line` otherwise.
-    fn undefined(&self, name: &str, line: usize) -> ScriptError {
-        let mut call_line: Option<usize> = None;
-        if let Some(stmt) = self.current.get() {
-            visit_exprs(stmt, &mut |e| {
-                if let ExprKind::Call(callee, _) = &e.kind {
-                    if matches!(&callee.kind, ExprKind::Name(n) if n == name) {
-                        call_line = Some(call_line.map_or(callee.line, |l| l.min(callee.line)));
-                    }
-                }
-            });
-        }
-        match call_line {
-            None => ScriptError::Static {
-                line,
-                message: format!("'{name}' is never defined anywhere in the program"),
-            },
-            Some(call_line) => {
-                let mut known: Vec<&str> = (self.env.tools.keys().map(String::as_str))
-                    .chain(BUILTIN_NAMES.iter().map(|&(n, _)| n))
-                    .collect();
-                known.sort_unstable();
-                ScriptError::Static {
-                    line: call_line,
-                    message: format!(
-                        "call to unknown function or tool '{name}' (available: {})",
-                        known.join(", ")
-                    ),
-                }
-            }
-        }
-    }
-
-    fn expr(&self, e: &Expr, flow: &mut Flow, fctx: Option<&FnCtx>) -> Result<Ty, ScriptError> {
-        let line = e.line;
-        let ty = match &e.kind {
-            ExprKind::Int(_) => Ty::Int,
-            ExprKind::Float(_) => Ty::Float,
-            ExprKind::Str(_) => Ty::Str,
-            ExprKind::Bool(_) => Ty::Bool,
-            ExprKind::None => Ty::None,
-            ExprKind::Name(name) => self.use_name(name, line, flow, fctx)?,
-            ExprKind::List(items) => {
-                for item in items {
-                    self.expr(item, flow, fctx)?;
-                }
-                Ty::List
-            }
-            ExprKind::Dict(pairs) => {
-                for (k, v) in pairs {
-                    let kt = self.expr(k, flow, fctx)?;
-                    if !kt.satisfies(Ty::Str) {
-                        return Err(self.err(line, "dict keys must be strings".into()));
-                    }
-                    self.expr(v, flow, fctx)?;
-                }
-                Ty::Dict
-            }
-            ExprKind::Binary(op, lhs, rhs) => {
-                let lt = self.expr(lhs, flow, fctx)?;
-                let rt = self.expr(rhs, flow, fctx)?;
-                self.check_binary(*op, lt, rt, line)?
-            }
-            ExprKind::Unary(UnaryOp::Neg, operand) => {
-                let t = self.expr(operand, flow, fctx)?;
-                if !t.is_num() {
-                    return Err(self.err(line, format!("cannot negate {}", t.name())));
-                }
-                t
-            }
-            ExprKind::Unary(UnaryOp::Not, operand) => {
-                self.expr(operand, flow, fctx)?;
-                Ty::Bool
-            }
-            ExprKind::Call(callee, args) => {
-                let mut arg_tys = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_tys.push(self.expr(a, flow, fctx)?);
-                }
-                self.check_call(callee, &arg_tys, line, flow, fctx)?
-            }
-            ExprKind::MethodCall(obj, _method, args) => {
-                let ot = self.expr(obj, flow, fctx)?;
-                for a in args {
-                    self.expr(a, flow, fctx)?;
-                }
-                if matches!(ot, Ty::Int | Ty::Float | Ty::Bool | Ty::None | Ty::Func) {
-                    return Err(self.err(line, format!("{} has no methods", ot.name())));
-                }
-                Ty::Any
-            }
-            ExprKind::Index(obj, key) => {
-                let ot = self.expr(obj, flow, fctx)?;
-                let kt = self.expr(key, flow, fctx)?;
-                match ot {
-                    Ty::List | Ty::Str => {
-                        if !kt.satisfies(Ty::Int) || kt == Ty::Float {
-                            return Err(self.err(
-                                line,
-                                format!("list indices must be ints, not {}", kt.name()),
-                            ));
-                        }
-                        if ot == Ty::Str {
-                            Ty::Str
-                        } else {
-                            Ty::Any
-                        }
-                    }
-                    Ty::Dict => {
-                        if !kt.satisfies(Ty::Str) {
-                            return Err(self.err(line, "dict keys must be strings".into()));
-                        }
-                        Ty::Any
-                    }
-                    Ty::Any => Ty::Any,
-                    other => {
-                        return Err(self.err(line, format!("{} is not subscriptable", other.name())))
-                    }
-                }
-            }
-            ExprKind::ListComp {
-                element,
-                vars,
-                iterable,
-                condition,
-            } => {
-                let it = self.expr(iterable, flow, fctx)?;
-                if !matches!(it, Ty::Any | Ty::List | Ty::Str | Ty::Dict) {
-                    return Err(self.err(line, format!("{} is not iterable", it.name())));
-                }
-                let elem = if it == Ty::Str || it == Ty::Dict {
-                    Ty::Str
-                } else {
-                    Ty::Any
-                };
-                if vars.len() == 1 {
-                    flow.assign(&vars[0], elem);
-                } else {
-                    for v in vars {
-                        flow.assign(v, Ty::Any);
-                    }
-                }
-                if let Some(cond) = condition {
-                    self.expr(cond, flow, fctx)?;
-                }
-                self.expr(element, flow, fctx)?;
-                // Comprehension vars leak into the enclosing scope but
-                // only run when the iterable is non-empty.
-                for v in vars {
-                    flow.weaken(v, Ty::Any);
-                }
-                Ty::List
-            }
-            ExprKind::Slice(obj, lo, hi) => {
-                let ot = self.expr(obj, flow, fctx)?;
-                for bound in [lo, hi].into_iter().flatten() {
-                    let bt = self.expr(bound, flow, fctx)?;
-                    if !bt.satisfies(Ty::Int) || bt == Ty::Float {
-                        return Err(self.err(line, "slice bounds must be ints".into()));
-                    }
-                }
-                match ot {
-                    Ty::List => Ty::List,
-                    Ty::Str => Ty::Str,
-                    Ty::Any => Ty::Any,
-                    other => {
-                        return Err(self.err(line, format!("{} cannot be sliced", other.name())))
-                    }
-                }
-            }
-        };
-        Ok(ty)
-    }
-
-    /// Checks a call expression. Tool and builtin calls resolve only when
-    /// the name cannot be shadowed by any assignment in the program (the
-    /// interpreter resolves shadowing dynamically; a name assigned
-    /// *anywhere* might shadow by call time, so such calls are left to
-    /// runtime).
-    fn check_call(
+    /// A variable read: defined somewhere, and assigned on some path
+    /// here. Inside a function only its own locals can be unassigned
+    /// (globals are resolved at call time); at the top level a tool or
+    /// builtin name read as a value is left to the runtime.
+    fn load(
         &self,
-        callee: &Expr,
-        args: &[Ty],
+        flow: &ChunkFlow<'p>,
+        st: &State,
+        name: u16,
+        slot: u16,
         line: usize,
-        flow: &mut Flow,
-        fctx: Option<&FnCtx>,
-    ) -> Result<Ty, ScriptError> {
-        if let ExprKind::Name(name) = &callee.kind {
-            let shadowable = self.defined.contains(name) || self.env.globals.contains_key(name);
-            if !shadowable {
-                if let Some(sig) = self.env.tools.get(name) {
-                    if !self.env.unchecked.contains(name) {
-                        if sig.params.len() != args.len() {
-                            return Err(self.err(
-                                line,
-                                format!(
-                                    "{}() takes {} argument{} but {} {} given",
-                                    name,
-                                    sig.params.len(),
-                                    if sig.params.len() == 1 { "" } else { "s" },
-                                    args.len(),
-                                    if args.len() == 1 { "was" } else { "were" },
-                                ),
-                            ));
-                        }
-                        for ((pname, pty), aty) in sig.params.iter().zip(args) {
-                            if !aty.satisfies(*pty) {
-                                return Err(self.err(
-                                    line,
-                                    format!(
-                                        "{}() argument '{}' expects {}, got {}",
-                                        name,
-                                        pname,
-                                        pty.name(),
-                                        aty.name()
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                    return Ok(sig.ret);
-                }
-                if let Some(ret) = builtin(name) {
-                    return Ok(ret);
-                }
-            }
-            // A (possibly shadowed) variable callee: ensure it resolves.
-            let ty = self.use_name(name, callee.line, flow, fctx)?;
-            if matches!(
-                ty,
-                Ty::Int | Ty::Float | Ty::Str | Ty::Bool | Ty::None | Ty::List | Ty::Dict
-            ) {
-                return Err(self.err(line, format!("{} is not callable", ty.name())));
-            }
-            return Ok(Ty::Any);
+    ) -> Result<(), ScriptError> {
+        let text = flow.cx.name(name);
+        if !self.known(text) {
+            return Err(self.undefined(flow, text, line));
         }
-        let ty = self.expr(callee, flow, fctx)?;
-        if matches!(
-            ty,
-            Ty::Int | Ty::Float | Ty::Str | Ty::Bool | Ty::None | Ty::List | Ty::Dict
-        ) {
-            return Err(self.err(line, format!("{} is not callable", ty.name())));
-        }
-        Ok(Ty::Any)
+        let unassigned = |b: &Binding| b.maybe_unset && b.val == AbsVal::Bottom;
+        let message = if flow.cx.is_main {
+            let late_bound = self.solved.env.tools.contains_key(text) || builtin(text).is_some();
+            if late_bound || !unassigned(&st.globals[name as usize]) {
+                return Ok(());
+            }
+            format!("variable '{text}' used before assignment")
+        } else if slot != NO_REG && unassigned(&st.locals[slot as usize]) {
+            format!("local variable '{text}' used before assignment")
+        } else {
+            return Ok(());
+        };
+        Err(ScriptError::Type { line, message })
     }
 
-    /// Checks a binary operation, mirroring the interpreter's `binary`
-    /// kernel: an error is reported only for operand-type combinations
-    /// the interpreter always rejects.
-    fn check_binary(&self, op: BinOp, l: Ty, r: Ty, line: usize) -> Result<Ty, ScriptError> {
-        use Ty::*;
-        let err = |m: String| Err::<Ty, _>(self.err(line, m));
-        match op {
-            BinOp::Add => match (l, r) {
-                (Any, _) | (_, Any) => Ok(Any),
-                (Int, Int) => Ok(Int),
-                (Str, Str) => Ok(Str),
-                (List, List) => Ok(List),
-                (Int | Float, Int | Float) => Ok(Float),
-                _ => err(format!("cannot add {} and {}", l.name(), r.name())),
-            },
-            BinOp::Sub => match (l, r) {
-                (Any, _) | (_, Any) => Ok(Any),
-                (Int, Int) => Ok(Int),
-                (Int | Float, Int | Float) => Ok(Float),
-                _ => err(format!(
-                    "unsupported operand types: {} and {}",
-                    l.name(),
-                    r.name()
-                )),
-            },
-            BinOp::Mul => match (l, r) {
-                (Any, _) | (_, Any) => Ok(Any),
-                (Int, Int) => Ok(Int),
-                (Str, Int) | (Int, Str) => Ok(Str),
-                (Int | Float, Int | Float) => Ok(Float),
-                _ => err(format!(
-                    "unsupported operand types: {} and {}",
-                    l.name(),
-                    r.name()
-                )),
-            },
-            BinOp::Div => match (l, r) {
-                (Any, _) | (_, Any) => Ok(Any),
-                (Int | Float, Int | Float) => Ok(Float),
-                _ => err(format!("cannot divide {} by {}", l.name(), r.name())),
-            },
-            BinOp::FloorDiv => match (l, r) {
-                (Any, _) | (_, Any) => Ok(Any),
-                (Int, Int) => Ok(Int),
-                (Int | Float, Int | Float) => Ok(Float),
-                _ => err("'//' needs numbers".into()),
-            },
-            BinOp::Mod => match (l, r) {
-                (Any, _) | (_, Any) => Ok(Any),
-                (Int, Int) => Ok(Int),
-                _ => err("'%' needs ints".into()),
-            },
-            BinOp::Eq | BinOp::NotEq => Ok(Bool),
-            BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-                let comparable = matches!(
-                    (l, r),
-                    (Any, _) | (_, Any) | (Int | Float, Int | Float) | (Str, Str)
-                );
-                if comparable {
-                    Ok(Bool)
-                } else {
-                    err(format!("cannot compare {} and {}", l.name(), r.name()))
-                }
-            }
-            BinOp::In | BinOp::NotIn => {
-                let supported = matches!(r, Any | Str | List | Dict);
-                if !supported {
-                    return err(format!(
-                        "'in' not supported between {} and {}",
-                        l.name(),
-                        r.name()
-                    ));
-                }
-                Ok(Bool)
-            }
-            // Short-circuit operators accept anything and yield one of
-            // their operands.
-            BinOp::And | BinOp::Or => Ok(l.join(r)),
+    /// The error for a read of `name`, which nothing defines: an unknown
+    /// call when a call to it sits on the same line, an undefined name
+    /// otherwise.
+    fn undefined(&self, flow: &ChunkFlow<'p>, name: &str, line: usize) -> ScriptError {
+        let called = flow.code.iter().any(|insn| {
+            matches!(insn, Insn::CallName { name: n, cline, .. }
+                if flow.cx.name(*n) == name && *cline as usize == line)
+        });
+        if called {
+            return self.unknown_call(name, line);
+        }
+        ScriptError::Static {
+            line,
+            message: format!("'{name}' is never defined anywhere in the program"),
         }
     }
 
-    fn check_index_store(&self, obj: Ty, key: Ty, line: usize) -> Result<(), ScriptError> {
-        match obj {
-            Ty::Any | Ty::List | Ty::Dict => {
-                if obj == Ty::Dict && !key.satisfies(Ty::Str) {
-                    return Err(self.err(
-                        line,
-                        format!("cannot assign into dict with {} key", key.name()),
-                    ));
-                }
-                if obj == Ty::List && (!key.satisfies(Ty::Int) || key == Ty::Float) {
-                    return Err(self.err(
-                        line,
-                        format!("cannot assign into list with {} key", key.name()),
-                    ));
-                }
-                Ok(())
-            }
-            other => Err(self.err(
-                line,
-                format!(
-                    "cannot assign into {} with {} key",
-                    other.name(),
-                    key.name()
-                ),
-            )),
+    fn unknown_call(&self, name: &str, line: usize) -> ScriptError {
+        let mut known: Vec<&str> = (self.solved.env.tools.keys().map(String::as_str))
+            .chain(BUILTIN_NAMES.iter().map(|&(n, _)| n))
+            .collect();
+        known.sort_unstable();
+        ScriptError::Static {
+            line,
+            message: format!(
+                "call to unknown function or tool '{name}' (available: {})",
+                known.join(", ")
+            ),
         }
+    }
+
+    /// A named call. A tool or builtin name nothing in the program or
+    /// environment can rebind is that tool (checked against its
+    /// signature) or builtin; any other callee is a variable, which must
+    /// be assigned and callable.
+    fn call_name(&self, flow: &ChunkFlow<'p>, st: &State, insn: &Insn) -> Result<(), ScriptError> {
+        let Insn::CallName {
+            name,
+            slot,
+            base,
+            argc,
+            line,
+            cline,
+            ..
+        } = *insn
+        else {
+            return Ok(());
+        };
+        let (line, cline) = (line as usize, cline as usize);
+        let text = flow.cx.name(name);
+        if !self.known(text) {
+            return Err(self.unknown_call(text, cline));
+        }
+        let shadowable = self.defined.contains(text) || self.solved.env.globals.contains_key(text);
+        if !shadowable {
+            if let Some(sig) = self.solved.env.tools.get(text) {
+                if self.solved.env.unchecked.contains(text) {
+                    return Ok(());
+                }
+                let args: Vec<Ty> = (base..base + argc)
+                    .map(|r| st.regs[r as usize].ty())
+                    .collect();
+                return check_tool_args(sig, &args, line);
+            }
+            if builtin(text).is_some() {
+                return Ok(());
+            }
+        }
+        self.load(flow, st, name, slot, cline)?;
+        let callee = flow.cx.binding_of(st, name, slot).val.ty();
+        if callee == Ty::Any {
+            return Ok(());
+        }
+        definite(&[callee], |w| {
+            interp::callee_fn(w[0].clone(), line).map(drop)
+        })
+    }
+
+    /// `while` on a truthy literal whose loop has no way out: no edge
+    /// leaves the loop but the condition's own (never taken) exit, and no
+    /// block in it returns.
+    fn endless_loop(&self, flow: &ChunkFlow<'p>, at: usize, src: u16) -> Result<(), ScriptError> {
+        let Some(l) = flow
+            .loops
+            .iter()
+            .find(|l| flow.blocks[l.header].end == at + 1)
+        else {
+            return Ok(());
+        };
+        let header = &flow.blocks[l.header];
+        let truthy = match flow.code[at - 1] {
+            Insn::Const { dst, idx } if dst == src => {
+                match &flow.cx.program.pools.consts[idx as usize] {
+                    Const::Bool(b) => *b,
+                    Const::Int(i) => *i != 0,
+                    Const::Float(x) => *x != 0.0,
+                    Const::Str(s) => !s.is_empty(),
+                    Const::None => false,
+                }
+            }
+            _ => false,
+        };
+        if !truthy {
+            return Ok(());
+        }
+        // The header's own exit is the condition's, never taken.
+        let leaves = l.body.iter().any(|&b| {
+            let blk = &flow.blocks[b];
+            let exits = blk.succs.iter().filter(|s| !l.body.contains(s)).count();
+            matches!(flow.code[blk.end - 1], Insn::Ret { .. }) || exits > usize::from(b == l.header)
+        });
+        if leaves {
+            return Ok(());
+        }
+        let line = match flow.code[header.start] {
+            Insn::Burn { line, .. } => line as usize,
+            _ => 0,
+        };
+        Err(ScriptError::Static {
+            line,
+            message: "`while` loop condition is always true and the body never breaks or \
+                      returns; the program cannot terminate"
+                .into(),
+        })
     }
 }
 
+/// Checks a registered tool call's arity and argument types against its
+/// signature.
+fn check_tool_args(sig: &ToolSig, args: &[Ty], line: usize) -> Result<(), ScriptError> {
+    let name = &sig.name;
+    let err = |message: String| Err(ScriptError::Type { line, message });
+    if sig.params.len() != args.len() {
+        return err(format!(
+            "{}() takes {} argument{} but {} {} given",
+            name,
+            sig.params.len(),
+            if sig.params.len() == 1 { "" } else { "s" },
+            args.len(),
+            if args.len() == 1 { "was" } else { "were" },
+        ));
+    }
+    for ((pname, pty), aty) in sig.params.iter().zip(args) {
+        if !aty.satisfies(*pty) {
+            return err(format!(
+                "{}() argument '{}' expects {}, got {}",
+                name,
+                pname,
+                pty.name(),
+                aty.name()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Runs a kernel on witnesses of the operand types, an unknown operand
+/// standing for every type, and returns its type error when every run
+/// raises that same error: the error is then certain whatever values the
+/// operands hold. Anything else (a run that succeeds, differing errors,
+/// or more than 64 combinations) reports nothing.
+fn definite(
+    tys: &[Ty],
+    mut kernel: impl FnMut(&[ScriptValue]) -> Result<(), ScriptError>,
+) -> Result<(), ScriptError> {
+    let choices: Vec<&[Ty]> = tys
+        .iter()
+        .map(|ty| match ty {
+            Ty::Any => &KINDS[..],
+            ty => std::slice::from_ref(ty),
+        })
+        .collect();
+    let combos = choices.iter().map(|c| c.len()).product::<usize>();
+    if combos > 64 {
+        return Ok(());
+    }
+    let mut error: Option<ScriptError> = None;
+    for mut n in 0..combos {
+        let values: Vec<ScriptValue> = (choices.iter())
+            .map(|c| {
+                let ty = c[n % c.len()];
+                n /= c.len();
+                witness(ty)
+            })
+            .collect();
+        match kernel(&values) {
+            Err(e @ ScriptError::Type { .. }) if error.as_ref().is_none_or(|x| *x == e) => {
+                error = Some(e)
+            }
+            _ => return Ok(()),
+        }
+    }
+    error.map_or(Ok(()), Err)
+}
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@
 use crate::ast::BinOp;
 use crate::bytecode::{Chunk, CompiledProgram, Const, Insn, Pools, NO_REG};
 use crate::error::ScriptError;
-use crate::interp::{Interpreter, MAX_DEPTH};
+use crate::interp::{self, Interpreter, MAX_DEPTH, MAX_RUN_BYTES};
 use crate::value::{ScriptValue, UserFn};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -79,6 +79,7 @@ impl Interpreter {
     /// statement's value (or an early top-level `return`).
     pub fn run_compiled(&mut self, program: &CompiledProgram) -> Result<ScriptValue, ScriptError> {
         self.fuel = self.fuel_limit;
+        self.bytes_left.set(MAX_RUN_BYTES);
         let entry_depth = self.depth;
         let mut links = vec![Link::new(self, &program.pools)];
         let mut vm = Vm {
@@ -342,12 +343,7 @@ impl Vm {
                 self.set(dst, ScriptValue::dict(BTreeMap::new()));
             }
             Insn::DictKey { reg, line } => {
-                if self.regs[self.r(reg)].as_str().is_err() {
-                    return Err(ScriptError::Type {
-                        line: line as usize,
-                        message: "dict keys must be strings".into(),
-                    });
-                }
+                interp::dict_key(&self.regs[self.r(reg)], line as usize)?;
             }
             Insn::DictSet { dict, key, val } => {
                 let k = self.regs[self.r(key)]
@@ -368,16 +364,7 @@ impl Vm {
                 line,
             } => self.bin(interp, op, dst, a, b, line)?,
             Insn::Neg { dst, src, line } => {
-                let value = match &self.regs[self.r(src)] {
-                    ScriptValue::Int(i) => ScriptValue::Int(-i),
-                    ScriptValue::Float(f) => ScriptValue::Float(-f),
-                    other => {
-                        return Err(ScriptError::Type {
-                            line: line as usize,
-                            message: format!("cannot negate {}", other.type_name()),
-                        })
-                    }
-                };
+                let value = interp::negate(&self.regs[self.r(src)], line as usize)?;
                 self.set(dst, value);
             }
             Insn::Not { dst, src } => {
@@ -396,6 +383,7 @@ impl Vm {
                 self.set(dst, ScriptValue::Func(Rc::new(func)));
             }
             Insn::Push { list, src } => {
+                interp.charge_elements(1)?;
                 let v = self.regs[self.r(src)].clone();
                 let ScriptValue::List(items) = &self.regs[self.r(list)] else {
                     unreachable!("Push target is a fresh list literal");
@@ -456,12 +444,7 @@ impl Vm {
                 )?;
             }
             Insn::SliceIdx { reg, line } => {
-                let i = self.regs[self.r(reg)]
-                    .as_int()
-                    .map_err(|_| ScriptError::Type {
-                        line: line as usize,
-                        message: "slice bounds must be ints".into(),
-                    })?;
+                let i = interp::slice_index(&self.regs[self.r(reg)], line as usize)?;
                 self.set(reg, ScriptValue::Int(i));
             }
             Insn::Slice {
@@ -584,12 +567,7 @@ impl Vm {
             } => (self.regs[self.r(callee)].clone(), base, argc, dst, line),
             other => unreachable!("non-call insn {other:?} routed to step_call"),
         };
-        let ScriptValue::Func(func) = callee else {
-            return Err(ScriptError::Type {
-                line: line as usize,
-                message: format!("{} is not callable", callee.type_name()),
-            });
-        };
+        let func = interp::callee_fn(callee, line as usize)?;
         Ok(Some(Call {
             func,
             base,

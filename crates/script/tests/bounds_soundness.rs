@@ -16,10 +16,10 @@
 
 use aida_llm::models::{ModelCatalog, ModelId};
 use aida_script::bytecode::compile_source;
-use aida_script::{Bound, CostBound};
+use aida_script::{Bound, CostBound, Interpreter, Ty, TypeEnv};
 
 mod common;
-use common::{observe_vm, Observed, HARNESS_TOOLS};
+use common::{instrument, observe_vm, Observed, Trace, HARNESS_TOOLS};
 
 const FUEL: u64 = 20_000;
 
@@ -100,9 +100,44 @@ fn assert_sound(src: &str) {
     }
 }
 
+/// Runs `first`, then `second` on the same interpreter, compiling
+/// `second` against the globals `first` left, as the agents runtime
+/// compiles a step: if the front end accepts `second` and its run
+/// completes, its bound must dominate the run.
+fn check_session(first: &str, second: &str) -> Result<(), String> {
+    let trace = Trace::default();
+    let mut interp = Interpreter::new().with_fuel(FUEL);
+    instrument(&mut interp, trace.clone());
+    let _ = interp.run(first);
+    let mut env = TypeEnv::new();
+    for name in interp.global_names() {
+        env.bind_global(&name, Ty::Any);
+    }
+    let compiled = aida_script::parser::parse(second)
+        .and_then(|program| aida_script::compile_checked(&program, &env));
+    let Ok(program) = compiled else {
+        return Ok(()); // Rejected before it runs: nothing to bound.
+    };
+    trace.take();
+    let result = interp.run_compiled(&program);
+    let obs = Observed {
+        result: match result {
+            Ok(v) => format!("Ok: {v}"),
+            Err(e) => format!("Err: {e}"),
+        },
+        trace: trace.take(),
+        output: interp.take_output(),
+        fuel_remaining: interp.fuel_remaining(),
+    };
+    if !obs.completed() {
+        return Ok(());
+    }
+    check_sound(second, &program.bound, &obs)
+}
+
 mod generated {
     use super::*;
-    use common::templates::{render_program, tpl};
+    use common::templates::{render_program, render_statements, tpl};
     use proptest::prelude::*;
 
     proptest! {
@@ -123,7 +158,33 @@ mod generated {
                 }
             }
         }
+
+        /// Two-program sessions: the second program reads the first's
+        /// globals and is bounded with them bound.
+        #[test]
+        fn later_programs_respect_bounds_under_the_globals_they_read(
+            first in prop::collection::vec(tpl(), 1..5),
+            second in prop::collection::vec(tpl(), 1..5),
+        ) {
+            let first = render_program(&first);
+            let second = render_statements(&second);
+            if let Err(msg) = check_session(&first, &second) {
+                prop_assert!(false, "soundness violation after:\n{}\n---\n{}", first, msg);
+            }
+        }
     }
+}
+
+#[test]
+fn a_step_reading_an_earlier_steps_list_is_bounded_by_its_reads() {
+    // The first program leaves a 40-element list; the second loops over
+    // it calling `read_file`. Bounded as a fresh program it would fault
+    // on `files` and promise three fuel and no calls.
+    let first = format!("files = [{}]", vec!["'a.csv'"; 40].join(", "));
+    let second = "n = len(files)\ni = 0\nwhile i < n:\n    read_file(files[i])\n    i += 1\nn";
+    check_session(&first, second).unwrap();
+    let looped = "for f in files:\n    read_file(f)\nlen(files)";
+    check_session(&first, looped).unwrap();
 }
 
 #[test]

@@ -63,7 +63,7 @@ fn file_text(name: &str) -> &'static str {
     }
 }
 
-type Trace = Rc<RefCell<Vec<String>>>;
+pub type Trace = Rc<RefCell<Vec<String>>>;
 
 /// The trace line of a call to `tool` with rendered arguments.
 fn call_line(tool: &str, args: Vec<String>) -> String {
@@ -346,7 +346,14 @@ pub mod templates {
         // Seed every variable so generated reads have *some* value on
         // most paths; use-before-assign programs are still generated via
         // shadowing in bodies, which is exactly the point.
-        let mut src = String::from("v0 = 1\nv1 = 2\nv2 = 'ab'\nv3 = [1, 2, 3]\nv4 = 7\n");
+        String::from("v0 = 1\nv1 = 2\nv2 = 'ab'\nv3 = [1, 2, 3]\nv4 = 7\n")
+            + &render_statements(stmts)
+    }
+
+    /// The statements alone, unseeded: as a later program of a session,
+    /// they read the variables an earlier one left.
+    pub fn render_statements(stmts: &[Tpl]) -> String {
+        let mut src = String::new();
         for t in stmts {
             t.render(&mut src, 0);
         }

@@ -14,6 +14,12 @@
 //! a tool or builtin. `range` charges nothing but fails when it would
 //! make more elements than fuel remains. A charge at zero fuel fails.
 //!
+//! Bytes ("Limits & errors"): each run may allocate 16 MiB through the
+//! operations that grow values — string `+`, `*`, `join`, `split` and
+//! `replace`, list `+`, `append`, `extend`, comprehension elements and
+//! `range` — at a string's UTF-8 length and 8 bytes per list element,
+//! charged from the operands before the operation runs.
+//!
 //! The oracle panics on what it does not implement (a method name
 //! outside [`METHODS`]) rather than guess; `differential.rs` checks
 //! [`BUILTINS`] against the crate's builtin table.
@@ -24,6 +30,12 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
+
+/// The bytes one run may allocate growing values.
+const RUN_BYTES: u64 = 16 << 20;
+
+/// What one list element costs against [`RUN_BYTES`].
+const ELEMENT_BYTES: u64 = 8;
 
 /// The builtins the oracle implements, sorted.
 pub const BUILTINS: &[&str] = &[
@@ -102,6 +114,7 @@ pub enum Error {
     Arith(usize, String),
     Syntax(usize, String),
     Fuel,
+    Bytes,
     Depth,
     Tool(String),
 }
@@ -120,6 +133,7 @@ impl fmt::Display for Error {
             Error::Arith(line, m) => write!(f, "arithmetic error (line {line}): {m}"),
             Error::Syntax(line, m) => write!(f, "syntax error (line {line}): {m}"),
             Error::Fuel => write!(f, "execution budget exhausted"),
+            Error::Bytes => write!(f, "byte allowance exhausted"),
             Error::Depth => write!(f, "maximum recursion depth exceeded"),
             Error::Tool(m) => write!(f, "tool error: {m}"),
         }
@@ -290,6 +304,8 @@ pub struct Oracle {
     budget: u64,
     /// Fuel left.
     pub fuel: u64,
+    /// Bytes this run may still allocate.
+    bytes: u64,
     /// Captured `print` lines.
     pub output: Vec<String>,
 }
@@ -303,6 +319,7 @@ impl Oracle {
             tools: HashMap::new(),
             budget,
             fuel: budget,
+            bytes: RUN_BYTES,
             output: Vec::new(),
         }
     }
@@ -316,6 +333,7 @@ impl Oracle {
     /// top-level expression statement, or of a top-level `return`.
     pub fn run(&mut self, program: &Program) -> Res<Value> {
         self.fuel = self.budget;
+        self.bytes = RUN_BYTES;
         self.frames.clear();
         let mut last = Value::None;
         for stmt in &program.body {
@@ -331,6 +349,21 @@ impl Oracle {
             }
         }
         Ok(last)
+    }
+
+    /// Spends `bytes` of the run's allowance.
+    fn spend(&mut self, bytes: u64) -> Res<()> {
+        if bytes > self.bytes {
+            return Err(Error::Bytes);
+        }
+        self.bytes -= bytes;
+        Ok(())
+    }
+
+    /// `binary`, after paying for the value it grows.
+    fn grow_binary(&mut self, op: BinOp, l: &Value, r: &Value, line: usize) -> Res<Value> {
+        self.spend(binary_bytes(op, l, r))?;
+        binary(op, l, r, line)
     }
 
     fn charge(&mut self) -> Res<()> {
@@ -423,7 +456,7 @@ impl Oracle {
                 let current = self
                     .lookup(name)
                     .ok_or_else(|| Error::Name(line, name.clone()))?;
-                let value = binary(*op, &current, &rhs, line)?;
+                let value = self.grow_binary(*op, &current, &rhs, line)?;
                 self.bind(name, value);
             }
             StmtKind::AugAssign(Target::Index(obj, key), op, e) => {
@@ -432,7 +465,8 @@ impl Oracle {
                 let obj = self.eval(obj)?;
                 let key = self.eval(key)?;
                 let current = index(&obj, &key, line)?;
-                store(&obj, &key, binary(*op, &current, &rhs, line)?, line)?;
+                let value = self.grow_binary(*op, &current, &rhs, line)?;
+                store(&obj, &key, value, line)?;
             }
             StmtKind::If(arms, orelse) => {
                 for (cond, body) in arms {
@@ -533,7 +567,7 @@ impl Oracle {
             ExprKind::Binary(op, a, b) => {
                 let left = self.eval(a)?;
                 let right = self.eval(b)?;
-                binary(*op, &left, &right, line)?
+                self.grow_binary(*op, &left, &right, line)?
             }
             ExprKind::Unary(UnaryOp::Neg, a) => match self.eval(a)? {
                 Value::Int(i) => Value::Int(-i),
@@ -550,6 +584,7 @@ impl Oracle {
             ExprKind::MethodCall(obj, name, args) => {
                 let obj = self.eval(obj)?;
                 let args = self.eval_all(args)?;
+                self.spend(method_bytes(&obj, name, &args))?;
                 method(&obj, name, &args, line)?
             }
             ExprKind::Index(obj, key) => {
@@ -573,7 +608,9 @@ impl Oracle {
                             continue;
                         }
                     }
-                    out.push(self.eval(element)?);
+                    let value = self.eval(element)?;
+                    self.spend(ELEMENT_BYTES)?;
+                    out.push(value);
                 }
                 Value::list(out)
             }
@@ -823,6 +860,7 @@ impl Oracle {
                 if count > self.fuel {
                     return Err(Error::Fuel);
                 }
+                self.spend(count * ELEMENT_BYTES)?;
                 Value::list(
                     (0..count as i64)
                         .map(|k| Value::Int(start + k * step))
@@ -923,7 +961,7 @@ fn index(obj: &Value, key: &Value, line: usize) -> Res<Value> {
 
 fn store(obj: &Value, key: &Value, value: Value, line: usize) -> Res<()> {
     match (obj, key) {
-        (Value::List(items), _) => {
+        (Value::List(items), _) if key.whole().is_some() => {
             let at = position(key, items.borrow().len(), line)?;
             items.borrow_mut()[at] = value;
         }
@@ -1071,6 +1109,55 @@ fn binary(op: BinOp, l: &Value, r: &Value, line: usize) -> Res<Value> {
         }
         BinOp::And | BinOp::Or => unreachable!("`and`/`or` short-circuit in eval"),
     })
+}
+
+/// What `l op r` grows: a concatenated or repeated string, or a
+/// concatenated list.
+fn binary_bytes(op: BinOp, l: &Value, r: &Value) -> u64 {
+    match (op, l, r) {
+        (BinOp::Add, Value::Str(a), Value::Str(b)) => (a.len() + b.len()) as u64,
+        (BinOp::Add, Value::List(a), Value::List(b)) => {
+            (a.borrow().len() + b.borrow().len()) as u64 * ELEMENT_BYTES
+        }
+        (BinOp::Mul, Value::Str(s), Value::Int(n)) | (BinOp::Mul, Value::Int(n), Value::Str(s)) => {
+            (s.len() as u64).saturating_mul((*n).max(0) as u64)
+        }
+        _ => 0,
+    }
+}
+
+/// What a method call grows; zero for a call that grows nothing or
+/// fails on its argument types.
+fn method_bytes(obj: &Value, name: &str, args: &[Value]) -> u64 {
+    let len = |s: &str| s.len() as u64;
+    match (obj, name, args) {
+        (Value::Str(s), "split", []) => {
+            len(s) + s.split_whitespace().count() as u64 * ELEMENT_BYTES
+        }
+        (Value::Str(s), "split", [Value::Str(sep)]) => {
+            len(s) + s.split(&**sep).count() as u64 * ELEMENT_BYTES
+        }
+        (Value::Str(s), "replace", [Value::Str(from), Value::Str(to)]) => {
+            let hits = s.matches(&**from).count() as u64;
+            len(s) - hits * len(from) + hits * len(to)
+        }
+        (Value::Str(sep), "join", [Value::List(items)]) => {
+            let items = items.borrow();
+            let mut total = len(sep) * items.len().saturating_sub(1) as u64;
+            for item in items.iter() {
+                match item {
+                    Value::Str(part) => total += len(part),
+                    _ => return 0,
+                }
+            }
+            total
+        }
+        (Value::List(_), "append", [_]) => ELEMENT_BYTES,
+        (Value::List(_), "extend", [Value::List(more)]) => {
+            more.borrow().len() as u64 * ELEMENT_BYTES
+        }
+        _ => 0,
+    }
 }
 
 /// A method call. Unknown names panic: the oracle does not guess.

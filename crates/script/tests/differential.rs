@@ -128,6 +128,16 @@ const FIXTURES: &[&str] = &[
     "[1].split(',')",
     "read_file(3)",
     "for c in 5:\n    c",
+    // Byte allowance: each growing kernel stops at the run's allowance
+    // before it allocates.
+    "s = 'xy'\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\ns = s + s\nlen(s)",
+    "'ab' * 9223372036854775807",
+    "xs = [1]\nfor i in range(30):\n    xs = xs + xs\nlen(xs)",
+    "s = 'ab'\nfor i in range(40):\n    s = s.replace('a', 'aa')\nlen(s)",
+    "s = 'ab'\nfor i in range(40):\n    s = '-'.join([s, s])\nlen(s)",
+    "s = 'a,' * 4000000\nt = s.split(',')\nlen(t)",
+    "s = 'a ' * 8000000\nt = s.split()\nlen(t)",
+    "xs = []\nfor i in range(3):\n    xs.append(i)\n    xs.extend([i, i])\nzs = [i for i in range(20)]\nemit(xs, zs, 'x' * 3000, '-'.join(['a', 'b']))\nlen(xs)",
 ];
 
 /// The step programs the agent policies write, with concrete file names:
@@ -354,6 +364,40 @@ mod generated {
             let vm = observe_vm(&src, fuel);
             let oracle = observe_oracle(&src, fuel);
             prop_assert_eq!(vm, oracle, "diverged at fuel {} on:\n{}", fuel, src);
+        }
+
+        #[test]
+        fn nesting_at_the_budget_agrees_and_past_it_is_a_parse_error(
+            wrappers in prop::collection::vec(0u8..6, 30..110),
+        ) {
+            // `x = <1 wrapped in wrappers[..k]>`, every wrapper keeping
+            // one copy of what it wraps.
+            let build = |k: usize| {
+                let mut expr = "1".to_string();
+                for w in &wrappers[..k] {
+                    expr = match w {
+                        0 => format!("({expr})"),
+                        1 => format!("[{expr}][0]"),
+                        2 => format!("-({expr})"),
+                        3 => format!("abs({expr})"),
+                        4 => format!("{{'k': {expr}}}['k']"),
+                        _ => format!("[v for v in [{expr}]][0]"),
+                    };
+                }
+                format!("x = {expr}\nx")
+            };
+            let parses = |k: usize| aida_script::parser::parse(&build(k)).is_ok();
+            let deepest = (0..=wrappers.len()).take_while(|&k| parses(k)).last().expect("`x = 1` parses");
+            prop_assert!(deepest >= 8, "gave up at {} wrappers", deepest);
+            let src = build(deepest);
+            prop_assert_eq!(observe_vm(&src, 20_000), observe_oracle(&src, 20_000), "diverged on:\n{}", src);
+            for k in deepest + 1..=wrappers.len() {
+                let err = aida_script::parser::parse(&build(k)).expect_err("past the budget");
+                prop_assert!(
+                    matches!(&err, aida_script::ScriptError::Parse { message, .. } if message.contains("nesting deeper")),
+                    "{} wrappers: {}", k, err
+                );
+            }
         }
 
         #[test]

@@ -1141,6 +1141,47 @@ mod tests {
             fn parser_never_panics(text in ".{0,120}") {
                 let _ = crate::parser::parse(&text);
             }
+
+            #[test]
+            fn nesting_at_the_budget_runs_and_past_it_is_a_parse_error(
+                wrappers in prop::collection::vec(0u8..4, 40..120),
+            ) {
+                // `SELECT <a wrapped in wrappers[..k]> AS v FROM t` and the
+                // value it must compute for `a = 3`.
+                let build = |k: usize| {
+                    let mut expr = "a".to_string();
+                    let mut value = 3i64;
+                    for w in &wrappers[..k] {
+                        expr = match w {
+                            0 => format!("({expr})"),
+                            1 => format!("-({expr})"),
+                            2 => format!("({expr} * 1)"),
+                            _ => format!("(0 + {expr})"),
+                        };
+                        if *w == 1 {
+                            value = -value;
+                        }
+                    }
+                    (format!("SELECT {expr} AS v FROM t"), value)
+                };
+                let is_nesting = |sql: &str| matches!(
+                    crate::parser::parse(sql),
+                    Err(SqlError::Parse(m)) if m.contains("nesting deeper")
+                );
+                // The deepest prefix that parses: every shorter one
+                // parses, every longer one is the typed nesting error.
+                let deepest = (0..=wrappers.len())
+                    .take_while(|&k| crate::parser::parse(&build(k).0).is_ok())
+                    .last()
+                    .expect("the bare column parses");
+                prop_assert!(deepest >= 16, "gave up at {deepest} wrappers");
+                let (sql, value) = build(deepest);
+                let out = execute(&sql, &catalog_from(&[(3, 0)])).unwrap();
+                prop_assert_eq!(out.cell(0, "v"), Some(&Value::Int(value)));
+                for k in deepest + 1..=wrappers.len() {
+                    prop_assert!(is_nesting(&build(k).0), "{} wrappers", k);
+                }
+            }
         }
     }
 }
