@@ -88,6 +88,15 @@ cargo test -q --release -p aida-script --test verdicts
 # property test at its full case count.
 cargo test -q --release -p aida-llm --lib sim::reading_differential
 
+# Cache-key and similarity parity: every content key of the pinned cases
+# (and every entry of a cache snapshot saved before keys were streamed
+# and label hashes memoized) must come out as pinned, the streamed key
+# hasher must fold like the old collected `from_parts`, and a cosine
+# from stored norms must have the old cosine's bits. Release runs the
+# two property tests at their full case counts.
+cargo test -q --release -p aida-llm --test content_keys
+cargo test -q --release -p aida-llm --lib embed::tests::norm_identity
+
 # Pyrite VM determinism: the bench's canonical JSON carries only
 # deterministic metrics — two runs must be byte-identical, and equal to
 # the committed one. (`pyrite_vm.txt` carries wall-clock timings and is

@@ -16,7 +16,7 @@
 
 use crate::context::Context;
 use aida_data::{DataLake, Document, Field, Schema, Table};
-use aida_llm::embed::{cosine, Embedder};
+use aida_llm::embed::{cosine_with_norms, norm, Embedder};
 use aida_llm::noise::hash_str;
 use aida_llm::snapshot::{self, decode_value, encode_value, esc, unesc, SnapshotError};
 use parking_lot::RwLock;
@@ -34,6 +34,9 @@ pub struct MaterializedContext {
     pub context: Context,
     /// Embedding of `instruction` + description (retrieval key).
     embedding: Vec<f32>,
+    /// `norm(embedding)`, computed once: every reuse lookup compares its
+    /// query with every entry.
+    norm: f32,
     /// What the producing execution cost (for reporting savings; also the
     /// primary eviction key — cheap materializations are evicted first).
     pub original_cost: f64,
@@ -128,6 +131,7 @@ impl ContextManager {
         // The retrieval key is the instruction alone: descriptions grow
         // with every enrichment and would dilute the match.
         let embedding = self.embedder.embed(instruction);
+        let norm = norm(&embedding);
         let mut store = self.inner.write();
         store.tick += 1;
         let last_used = store.tick;
@@ -135,6 +139,7 @@ impl ContextManager {
             instruction: instruction.to_string(),
             context,
             embedding,
+            norm,
             original_cost,
             last_used,
         };
@@ -441,8 +446,8 @@ impl DocPool {
         esc(&doc.name, out);
         out.push('\t');
         esc(&doc.content, out);
-        let _ = write!(out, "\t{}", doc.labels.len());
-        for (key, value) in &doc.labels {
+        let _ = write!(out, "\t{}", doc.labels().len());
+        for (key, value) in doc.labels() {
             out.push('\t');
             esc(key, out);
             out.push('\t');
@@ -671,8 +676,10 @@ impl ContextManager {
             }
             context.findings = Some(Arc::new(decode_findings(fields)?));
         }
+        let embedding = self.embedder.embed(&instruction);
         Ok(MaterializedContext {
-            embedding: self.embedder.embed(&instruction),
+            norm: norm(&embedding),
+            embedding,
             instruction,
             context,
             original_cost,
@@ -716,9 +723,10 @@ fn decode_findings(fields: &mut Fields) -> Result<Table, SnapshotError> {
 /// Index and similarity of the best match against `query`, earlier entries
 /// winning ties.
 fn best_match(entries: &[MaterializedContext], query: &[f32]) -> Option<(usize, f32)> {
+    let query_norm = norm(query);
     let mut best: Option<(usize, f32)> = None;
     for (i, entry) in entries.iter().enumerate() {
-        let sim = cosine(query, &entry.embedding);
+        let sim = cosine_with_norms(query, query_norm, &entry.embedding, entry.norm);
         if best.is_none_or(|(_, s)| sim > s) {
             best = Some((i, sim));
         }
@@ -756,6 +764,7 @@ mod tests {
     }
     use crate::runtime::Runtime;
     use aida_data::{DataLake, Document};
+    use aida_llm::embed::cosine;
 
     fn ctx(rt: &Runtime, desc: &str) -> Context {
         Context::builder("c", DataLake::from_docs([Document::new("a.txt", "x")]))
@@ -1260,6 +1269,85 @@ mod tests {
                 prop_assert_eq!(replayed.encode_snapshot(), snap);
             }
         }
+    }
+
+    /// The stored norms are recomputed on restore: after a checkpoint (a
+    /// full snapshot, then a delta frame), a crash-stop and a restore,
+    /// every lookup returns the same entry at the same similarity bits.
+    #[test]
+    fn restore_reuses_the_same_entries_at_the_same_similarity_bits() {
+        let dir = std::env::temp_dir().join(format!("aida-manager-norms-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let state = dir.join("state.bin");
+        let runtime = || {
+            Runtime::builder()
+                .state_path(&state)
+                .delta_checkpoints(true)
+                .build()
+        };
+        let topics = [
+            "identity theft reports",
+            "pipeline maintenance windows",
+            "natural gas trades",
+            "fraud complaints by state",
+            "energy contracts signed",
+            "court filings about wire fraud",
+            "trading desk emails",
+            "",
+        ];
+        let years = ["2001", "2019", "2024", "the last decade"];
+        // Long enough that most embeddings' norms are not exactly 1.0.
+        let instruction = |i: usize| {
+            format!(
+                "find the {} filed in {} across every state, with the agencies and amounts",
+                topics[i % 8],
+                years[(i / 8) % 4]
+            )
+        };
+
+        let rt = runtime();
+        for i in 0..40 {
+            if i == 24 {
+                assert!(rt.save_state().unwrap(), "the full snapshot");
+            }
+            rt.manager()
+                .register(&instruction(i), ctx(&rt, "d"), i as f64);
+        }
+        assert!(rt.save_state().unwrap(), "the delta frame");
+        // Reworded queries land between entries; the threshold splits
+        // them into hits and misses.
+        let queries: Vec<String> = (0..64)
+            .map(|i| match i % 3 {
+                0 => instruction(i),
+                1 => format!("how many {}", instruction(i + 5)),
+                _ => format!("{} {}", topics[i % 8], years[i % 4]),
+            })
+            .collect();
+        let embedder = Embedder::default();
+        let lookups = |manager: &ContextManager| -> Vec<(Option<String>, u32)> {
+            queries
+                .iter()
+                .map(|q| {
+                    let (hit, sim) = manager.reuse_scored(q, 0.8);
+                    let hit = hit.map(|h| h.instruction);
+                    if let Some(instruction) = &hit {
+                        let fresh = cosine(&embedder.embed(q), &embedder.embed(instruction));
+                        assert_eq!(sim.to_bits(), fresh.to_bits(), "{q:?}");
+                    }
+                    (hit, sim.to_bits())
+                })
+                .collect()
+        };
+        let before = lookups(rt.manager());
+        drop(rt);
+
+        let restored = runtime();
+        assert_eq!(restored.load_state().unwrap(), 40);
+        assert_eq!(lookups(restored.manager()), before);
+        let hits = before.iter().filter(|(hit, _)| hit.is_some()).count();
+        assert!((16..64).contains(&hits), "{hits} hits");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

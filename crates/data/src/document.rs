@@ -48,6 +48,9 @@ impl DocKind {
 /// text, its lowered form, its table view, its token count and its hash —
 /// is computed on first use and kept (nothing is computed at load), so
 /// `content` and `kind` must not be reassigned once the text has been read.
+/// The per-label key hashes are kept the same way; `labels` is private so
+/// that [`Document::with_label`], which drops those hashes, is the only way
+/// to change it.
 #[derive(Debug, Clone)]
 pub struct Document {
     /// Stable identifier, unique within a lake.
@@ -59,7 +62,7 @@ pub struct Document {
     /// Raw file content.
     pub content: Arc<str>,
     /// Hidden ground-truth labels (oracle-only).
-    pub labels: BTreeMap<String, Value>,
+    labels: BTreeMap<String, Value>,
     memo: TextMemo,
 }
 
@@ -72,6 +75,9 @@ struct TextMemo {
     table: OnceLock<TableView>,
     tokens: OnceLock<usize>,
     hash: OnceLock<u64>,
+    /// A function of `labels`, not of `content`: cleared when a label is
+    /// added.
+    label_hashes: OnceLock<Box<[[u64; 2]]>>,
 }
 
 /// A text read as a comma-separated table: what the simulated LLM's table
@@ -115,12 +121,19 @@ impl Document {
     /// Builder-style ground-truth label insertion.
     pub fn with_label(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
         self.labels.insert(key.into(), value.into());
+        // A clone carries its original's filled slots.
+        self.memo.label_hashes = OnceLock::new();
         self
     }
 
     /// Ground-truth label accessor (oracle-only).
     pub fn label(&self, key: &str) -> Option<&Value> {
         self.labels.get(key)
+    }
+
+    /// All ground-truth labels, in name order (oracle-only).
+    pub fn labels(&self) -> &BTreeMap<String, Value> {
+        &self.labels
     }
 
     /// The document's visible text, shared: HTML is stripped once, on
@@ -176,6 +189,18 @@ impl Document {
         *self.memo.hash.get_or_init(|| hash(self.shared_text()))
     }
 
+    /// `hash(name, value)` of every label, in label order, computed on the
+    /// first call and kept; every caller must pass the same function
+    /// (`aida_llm`'s cache-key label hash).
+    pub fn label_hashes(&self, hash: fn(&str, &Value) -> [u64; 2]) -> &[[u64; 2]] {
+        self.memo.label_hashes.get_or_init(|| {
+            self.labels
+                .iter()
+                .map(|(name, value)| hash(name, value))
+                .collect()
+        })
+    }
+
     /// Parses structured tables out of the document (CSV body or HTML
     /// `<table>` elements). Text/email documents yield no tables.
     pub fn tables(&self) -> Result<Vec<Table>, DataError> {
@@ -228,6 +253,29 @@ mod tests {
         assert_eq!(&**mixed.lowered_text(), "mixed case É");
         let page = Document::new("r.html", "<P>Total</P>");
         assert_eq!(page.lowered_text().trim(), "total");
+    }
+
+    #[test]
+    fn label_hashes_follow_with_label_on_a_clone() {
+        fn hash(name: &str, value: &Value) -> [u64; 2] {
+            [
+                name.len() as u64,
+                value.as_float().unwrap_or(-1.0).to_bits(),
+            ]
+        }
+        let doc = Document::new("a.txt", "x")
+            .with_label("b", 2i64)
+            .with_label("a", 1i64);
+        assert_eq!(
+            doc.label_hashes(hash),
+            [hash("a", &1i64.into()), hash("b", &2i64.into())]
+        );
+        let relabelled = doc.clone().with_label("a", 3i64);
+        assert_eq!(
+            relabelled.label_hashes(hash),
+            [hash("a", &3i64.into()), hash("b", &2i64.into())]
+        );
+        assert_eq!(doc.label_hashes(hash)[0], hash("a", &1i64.into()));
     }
 
     #[test]

@@ -51,20 +51,57 @@ pub struct CacheKey {
 impl CacheKey {
     /// Builds a key from the ordered part stream.
     pub fn from_parts(parts: &[u64]) -> CacheKey {
-        let mut alt = 0x6a09_e667_f3bc_c909u64;
+        let mut key = KeyHasher::new();
         for p in parts {
-            alt = noise::splitmix64(alt ^ p.rotate_left(32));
+            key.push(*p);
         }
+        key.finish()
+    }
+}
+
+/// The two digests of a [`CacheKey`], fed one part at a time, so a key is
+/// built without collecting its parts first. Pushing a stream and
+/// finishing equals [`CacheKey::from_parts`] over the same stream.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyHasher {
+    hi: u64,
+    lo: u64,
+}
+
+impl Default for KeyHasher {
+    fn default() -> Self {
+        KeyHasher::new()
+    }
+}
+
+impl KeyHasher {
+    /// The digests of the empty stream.
+    pub fn new() -> KeyHasher {
+        KeyHasher {
+            hi: noise::COMBINE_SEED,
+            lo: 0x6a09_e667_f3bc_c909,
+        }
+    }
+
+    /// Appends one part: [`noise::combine`]'s fold step on `hi`, the
+    /// independent one on `lo`.
+    pub fn push(&mut self, p: u64) {
+        self.hi = noise::combine_step(self.hi, p);
+        self.lo = noise::splitmix64(self.lo ^ p.rotate_left(32));
+    }
+
+    /// The key of the parts pushed so far.
+    pub fn finish(self) -> CacheKey {
         CacheKey {
-            hi: noise::combine(parts),
-            lo: alt,
+            hi: self.hi,
+            lo: self.lo,
         }
     }
 }
 
 /// Hashes a [`Value`] for key construction, tagging each variant so
 /// `Int(1)` and `Bool(true)` (say) cannot collide.
-pub fn hash_value(value: &Value) -> u64 {
+fn hash_value(value: &Value) -> u64 {
     match value {
         Value::Null => noise::combine(&[0x11]),
         Value::Bool(b) => noise::combine(&[0x22, u64::from(*b)]),
@@ -72,11 +109,18 @@ pub fn hash_value(value: &Value) -> u64 {
         Value::Float(f) => noise::combine(&[0x44, f.to_bits()]),
         Value::Str(s) => noise::combine(&[0x55, noise::hash_str(s)]),
         Value::List(items) => {
-            let mut parts = vec![0x66u64, items.len() as u64];
-            parts.extend(items.iter().map(hash_value));
-            noise::combine(&parts)
+            let head = noise::combine(&[0x66, items.len() as u64]);
+            items
+                .iter()
+                .fold(head, |acc, item| noise::combine_step(acc, hash_value(item)))
         }
     }
+}
+
+/// The key parts of one label: `[hash_str(name), hash_value(value)]`.
+/// What [`aida_data::Document::label_hashes`] memoizes per document.
+pub(crate) fn label_hash(name: &str, value: &Value) -> [u64; 2] {
+    [noise::hash_str(name), hash_value(value)]
 }
 
 /// Latency reported for an exact hit, in virtual seconds.
@@ -223,17 +267,16 @@ impl SemanticCache {
         let mut st = self.inner.state.lock().unwrap();
         let mut waited = false;
         loop {
-            if st.entries.contains_key(&key) {
-                st.tick += 1;
-                let tick = st.tick;
-                let entry = st.entries.get_mut(&key).expect("entry present");
-                entry.tick = tick;
+            let state = &mut *st;
+            if let Some(entry) = state.entries.get_mut(&key) {
+                state.tick += 1;
+                entry.tick = state.tick;
                 let resp = entry.resp.clone();
                 return if waited {
-                    st.coalesced += 1;
+                    state.coalesced += 1;
                     Lookup::Coalesced(resp)
                 } else {
-                    st.hits += 1;
+                    state.hits += 1;
                     Lookup::Hit(resp)
                 };
             }

@@ -64,12 +64,23 @@ fn normalize(v: &mut [f32]) {
 /// Cosine similarity of two vectors (0 when either is zero or lengths
 /// differ).
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
+    cosine_with_norms(a, norm(a), b, norm(b))
+}
+
+/// The L2 norm of `a`, as [`cosine`] computes it: a sequential sum of
+/// squares, then its square root.
+pub fn norm(a: &[f32]) -> f32 {
+    a.iter().map(|x| x * x).sum::<f32>().sqrt()
+}
+
+/// [`cosine`] given each vector's [`norm`], so a vector compared many
+/// times has its norm computed once. Bit-equal to [`cosine`] when `na`
+/// and `nb` are `norm(a)` and `norm(b)`.
+pub fn cosine_with_norms(a: &[f32], na: f32, b: &[f32], nb: f32) -> f32 {
     if a.len() != b.len() || a.is_empty() {
         return 0.0;
     }
     let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
     if na == 0.0 || nb == 0.0 {
         0.0
     } else {
@@ -125,6 +136,68 @@ mod tests {
     fn cosine_handles_mismatched_lengths() {
         assert_eq!(cosine(&[1.0], &[1.0, 0.0]), 0.0);
         assert_eq!(cosine(&[], &[]), 0.0);
+    }
+
+    /// `cosine` as it was before the norms were split out: three
+    /// sequential reductions per call.
+    fn parent_cosine(a: &[f32], b: &[f32]) -> f32 {
+        if a.len() != b.len() || a.is_empty() {
+            return 0.0;
+        }
+        let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
+        let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
+        let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if na == 0.0 || nb == 0.0 {
+            0.0
+        } else {
+            dot / (na * nb)
+        }
+    }
+
+    mod norm_identity {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CASES: u32 = if cfg!(debug_assertions) { 512 } else { 16384 };
+
+        /// Components of several magnitudes, often zero; vectors built
+        /// from them are not normalized.
+        fn component() -> impl Strategy<Value = f32> {
+            prop_oneof![
+                Just(0.0f32),
+                Just(-0.0f32),
+                -1.0f32..1.0,
+                -1e3f32..1e3,
+                1e-4f32..1e-2,
+            ]
+        }
+
+        fn vector() -> impl Strategy<Value = Vec<f32>> {
+            prop_oneof![
+                prop::collection::vec(component(), 0..12),
+                prop::collection::vec(component(), 128..129),
+                prop::collection::vec(Just(0.0f32), 0..130),
+                "[a-z ]{0,40}".prop_map(|text| Embedder::default().embed(&text)),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(CASES))]
+            #[test]
+            fn stored_norms_give_the_parents_bits(a in vector(), b in vector()) {
+                let parent = parent_cosine(&a, &b).to_bits();
+                prop_assert_eq!(cosine_with_norms(&a, norm(&a), &b, norm(&b)).to_bits(), parent);
+                prop_assert_eq!(cosine(&a, &b).to_bits(), parent);
+                // `b` cut or zero-padded to `a`'s length, both ways round.
+                let same: Vec<f32> = (0..a.len()).map(|i| b.get(i).copied().unwrap_or(0.0)).collect();
+                for (x, y) in [(&a, &same), (&same, &a)] {
+                    prop_assert_eq!(
+                        cosine_with_norms(x, norm(x), y, norm(y)).to_bits(),
+                        parent_cosine(x, y).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,13 +24,19 @@ pub fn hash_str(text: &str) -> u64 {
     splitmix64(h)
 }
 
+/// The accumulator [`combine`] starts from.
+pub(crate) const COMBINE_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// One step of [`combine`]'s fold: `acc` absorbs the part `p`.
+pub(crate) fn combine_step(acc: u64, p: u64) -> u64 {
+    splitmix64(acc ^ p.rotate_left(17))
+}
+
 /// Combines hash keys into one (order-sensitive).
 pub fn combine(parts: &[u64]) -> u64 {
-    let mut acc: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    for p in parts {
-        acc = splitmix64(acc ^ p.rotate_left(17));
-    }
-    acc
+    parts
+        .iter()
+        .fold(COMBINE_SEED, |acc, p| combine_step(acc, *p))
 }
 
 /// Maps a key to a uniform float in `[0, 1)`.

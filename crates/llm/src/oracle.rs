@@ -14,11 +14,11 @@
 //! model tier and the subject's difficulty, which is what makes cheap models
 //! cheap.
 
+use crate::cache::{self, KeyHasher};
 use crate::{noise, sim, tokens};
 use aida_data::{Document, Record, TableView, Value};
 use parking_lot::RwLock;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The thing a semantic question is being asked about.
@@ -28,12 +28,13 @@ pub struct Subject<'a> {
     pub name: Cow<'a, str>,
     /// Visible text the "model" reads.
     pub text: Cow<'a, str>,
-    /// Hidden ground-truth labels (set by workload generators).
-    pub labels: Option<&'a BTreeMap<String, Value>>,
     /// Set when `text` *is* this document's shared text: its memoized
     /// readings (lowered text, table view, token count, hash) then replace
     /// re-walking the text per call.
     memo: Option<&'a Document>,
+    /// The document the subject was taken from, text shared or not: it
+    /// carries the hidden ground-truth labels and their memoized key hashes.
+    origin: Option<&'a Document>,
 }
 
 /// The raw document contents a scanned record still carries, if any.
@@ -59,8 +60,8 @@ impl<'a> Subject<'a> {
         Subject {
             name: Cow::Borrowed(doc.name.as_str()),
             text: Cow::Borrowed(doc.shared_text()),
-            labels: Some(&doc.labels),
             memo: Some(doc),
+            origin: Some(doc),
         }
     }
 
@@ -73,8 +74,8 @@ impl<'a> Subject<'a> {
         Subject {
             name: Cow::Borrowed(record.source.as_str()),
             text: subject_text(record),
-            labels: origin.map(|d| &d.labels),
             memo: origin.filter(shares_text),
+            origin,
         }
     }
 
@@ -83,8 +84,8 @@ impl<'a> Subject<'a> {
         Subject {
             name: Cow::Borrowed(name),
             text: Cow::Borrowed(text),
-            labels: None,
             memo: None,
+            origin: None,
         }
     }
 
@@ -101,6 +102,17 @@ impl<'a> Subject<'a> {
         match self.memo {
             Some(doc) => doc.text_hash(noise::hash_str),
             None => noise::hash_str(&self.text),
+        }
+    }
+
+    /// Pushes the cache-key parts of the labels, `[hash_str(name),
+    /// hash_value(value)]` per label in order, from the origin document's
+    /// memo.
+    pub(crate) fn push_label_parts(&self, key: &mut KeyHasher) {
+        let Some(doc) = self.origin else { return };
+        for [name, value] in doc.label_hashes(cache::label_hash) {
+            key.push(*name);
+            key.push(*value);
         }
     }
 
@@ -123,7 +135,7 @@ impl<'a> Subject<'a> {
 
     /// Ground-truth label lookup.
     pub fn label(&self, key: &str) -> Option<&Value> {
-        self.labels.and_then(|m| m.get(key))
+        self.origin.and_then(|doc| doc.label(key))
     }
 
     /// The subject's judgement difficulty in `[0, 1]`.
@@ -266,7 +278,9 @@ mod tests {
         let slim = Record::new("r.html").with("value", 7i64);
         let of_slim = Subject::record(&slim, Some(&doc));
         assert!(of_slim.memo.is_none() && of_slim.text == "value=7");
-        assert_eq!(of_slim.labels, Some(&doc.labels));
+        assert!(of_slim
+            .origin
+            .is_some_and(|origin| std::ptr::eq(origin, &doc)));
     }
 
     #[test]

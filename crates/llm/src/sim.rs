@@ -7,7 +7,7 @@
 //! tier/difficulty noise channel, and (3) returns what it billed as the
 //! response's receipt, with the call's simulated latency.
 
-use crate::cache::{self, CacheKey, Lookup, SemanticCache};
+use crate::cache::{self, CacheKey, KeyHasher, Lookup, SemanticCache};
 use crate::models::{ModelCatalog, ModelId};
 use crate::noise;
 use crate::oracle::{Oracle, OracleAnswer, Subject};
@@ -192,25 +192,22 @@ impl SimLlm {
     /// The content key plus whether it was derived from a compiled plan's
     /// bytecode hash (drives the `plan_hits` stat class on hits).
     fn keyed(&self, model: ModelId, task: &LlmTask<'_>) -> (CacheKey, bool) {
-        let mut parts: Vec<u64> = vec![self.seed, noise::hash_str(model.name())];
-        let push_subject = |parts: &mut Vec<u64>, subject: &Subject<'_>| {
-            parts.push(noise::hash_str(&subject.name));
-            parts.push(subject.text_hash());
-            if let Some(labels) = subject.labels {
-                for (name, value) in labels {
-                    parts.push(noise::hash_str(name));
-                    parts.push(cache::hash_value(value));
-                }
-            }
+        let mut key = KeyHasher::new();
+        key.push(self.seed);
+        key.push(noise::hash_str(model.name()));
+        let push_subject = |key: &mut KeyHasher, subject: &Subject<'_>| {
+            key.push(noise::hash_str(&subject.name));
+            key.push(subject.text_hash());
+            subject.push_label_parts(key);
         };
         match task {
             LlmTask::Filter {
                 instruction,
                 subject,
             } => {
-                parts.push(1);
-                parts.push(noise::hash_str(instruction));
-                push_subject(&mut parts, subject);
+                key.push(1);
+                key.push(noise::hash_str(instruction));
+                push_subject(&mut key, subject);
             }
             LlmTask::Extract {
                 instruction,
@@ -218,32 +215,34 @@ impl SimLlm {
                 field_desc,
                 subject,
             } => {
-                parts.push(2);
-                parts.push(noise::hash_str(instruction));
-                parts.push(noise::hash_str(field));
-                parts.push(noise::hash_str(field_desc));
-                push_subject(&mut parts, subject);
+                key.push(2);
+                key.push(noise::hash_str(instruction));
+                key.push(noise::hash_str(field));
+                key.push(noise::hash_str(field_desc));
+                push_subject(&mut key, subject);
             }
             LlmTask::Map {
                 instruction,
                 subject,
                 target_tokens,
             } => {
-                parts.push(3);
-                parts.push(noise::hash_str(instruction));
-                parts.push(*target_tokens as u64);
-                push_subject(&mut parts, subject);
+                key.push(3);
+                key.push(noise::hash_str(instruction));
+                key.push(*target_tokens as u64);
+                push_subject(&mut key, subject);
             }
             LlmTask::Choose {
                 question,
                 options,
                 correct,
             } => {
-                parts.push(4);
-                parts.push(noise::hash_str(question));
-                parts.push(options.len() as u64);
-                parts.extend(options.iter().map(|o| noise::hash_str(o)));
-                parts.push(correct.map(|i| i as u64 + 1).unwrap_or(0));
+                key.push(4);
+                key.push(noise::hash_str(question));
+                key.push(options.len() as u64);
+                for option in options.iter() {
+                    key.push(noise::hash_str(option));
+                }
+                key.push(correct.map(|i| i as u64 + 1).unwrap_or(0));
             }
             LlmTask::Freeform {
                 prompt,
@@ -252,15 +251,15 @@ impl SimLlm {
             } => {
                 // The inner tag 6 marks the plan-hash part; it is part of
                 // every stored key, so it stays.
-                parts.push(5);
-                parts.push(noise::hash_str(prompt));
-                parts.push(6);
-                parts.push(*hi);
-                parts.push(*lo);
+                key.push(5);
+                key.push(noise::hash_str(prompt));
+                key.push(6);
+                key.push(*hi);
+                key.push(*lo);
             }
         }
         let plan_keyed = matches!(task, LlmTask::Freeform { .. });
-        (CacheKey::from_parts(&parts), plan_keyed)
+        (key.finish(), plan_keyed)
     }
 
     /// Executes a task with the given model; the response's receipt says

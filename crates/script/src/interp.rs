@@ -315,7 +315,7 @@ impl Interpreter {
         let type_err = |msg: String| ScriptError::Type { line, message: msg };
         match op {
             BinOp::Add => match (&l, &r) {
-                (V::Int(a), V::Int(b)) => Ok(V::Int(a + b)),
+                (V::Int(a), V::Int(b)) => Ok(V::Int(a.wrapping_add(*b))),
                 (V::Str(a), V::Str(b)) => {
                     self.charge_bytes((a.len() + b.len()) as u64)?;
                     Ok(V::str(format!("{a}{b}")))
@@ -662,7 +662,7 @@ impl Interpreter {
                 for item in items.borrow().iter() {
                     match item {
                         V::Int(i) => {
-                            int_sum += i;
+                            int_sum = int_sum.wrapping_add(*i);
                             float_sum += *i as f64;
                         }
                         V::Float(f) => {

@@ -716,7 +716,7 @@ fn int_bin(op: BinOp, a: i64, b: i64, line: usize) -> Option<Result<ScriptValue,
         message: message.into(),
     };
     Some(match op {
-        BinOp::Add => Ok(V::Int(a + b)),
+        BinOp::Add => Ok(V::Int(a.wrapping_add(b))),
         BinOp::Sub => a
             .checked_sub(b)
             .map(V::Int)

@@ -138,6 +138,13 @@ const FIXTURES: &[&str] = &[
     "s = 'a,' * 4000000\nt = s.split(',')\nlen(t)",
     "s = 'a ' * 8000000\nt = s.split()\nlen(t)",
     "xs = []\nfor i in range(3):\n    xs.append(i)\n    xs.extend([i, i])\nzs = [i for i in range(20)]\nemit(xs, zs, 'x' * 3000, '-'.join(['a', 'b']))\nlen(xs)",
+    // Integer `+` and `sum` wrap in two's complement, in debug builds too.
+    "x = 9223372036854775807\ny = x + 1\nlow = -9223372036854775807 - 1\nz = low + low\nx += x\nemit(y, z, x, low + -1)\ny",
+    "big = 9223372036854775807\nemit(sum([big, 1]), sum([big, big, 2]), sum([big, 1, 0.5]))\nsum([1, big])",
+    // `-` and `*` raise instead.
+    "x = -9223372036854775807 - 1\nx - 1",
+    "x = 9223372036854775807\nemit(x - -1)",
+    "x = 4611686018427387904\nx * 2",
 ];
 
 /// The step programs the agent policies write, with concrete file names:

@@ -46,7 +46,7 @@ fn workload_generation_replays() {
     assert_eq!(a.truth, b.truth);
     for (da, db) in a.lake.docs().iter().zip(b.lake.docs()) {
         assert_eq!(da.content, db.content);
-        assert_eq!(da.labels, db.labels);
+        assert_eq!(da.labels(), db.labels());
     }
 }
 
