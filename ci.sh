@@ -11,9 +11,11 @@ cargo test -q --workspace
 # host-speed change may not move a simulated dollar, second, answer or
 # trace line. Regenerate them with the release binaries and compare with
 # the committed canonical files (the soak is the full one: that is what
-# results/ holds, and it takes seconds). None of the twenty-four carries
+# results/ holds, and it takes seconds). None of the thirty-four carries
 # a byte count of the state files, so a change to the on-disk format of
-# durable state leaves them alone.
+# durable state leaves them alone. The ten traces are the only pinned
+# record of the traced path: every span, event and counter (cache hits
+# included) the binaries' traced runs export.
 pinned_bins=(table1 table2 figure1 figure2 serve_soak
   ablation_reuse ablation_rewrite ablation_optimizer ablation_sampling ablation_access)
 pinned_files=(BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.json
@@ -21,7 +23,10 @@ pinned_files=(BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figur
   BENCH_serve_soak.json BENCH_semcache.json serve_soak.txt health.jsonl
   ablation_reuse.json ablation_reuse.txt ablation_rewrite.json ablation_rewrite.txt
   ablation_optimizer.json ablation_optimizer.txt ablation_sampling.json ablation_sampling.txt
-  ablation_access.json ablation_access.txt)
+  ablation_access.json ablation_access.txt
+  traces/table1.jsonl traces/table2.jsonl traces/figure1.jsonl traces/figure2.jsonl
+  traces/serve_soak.jsonl traces/ablation_reuse.jsonl traces/ablation_rewrite.jsonl
+  traces/ablation_optimizer.jsonl traces/ablation_sampling.jsonl traces/ablation_access.jsonl)
 for bin in "${pinned_bins[@]}"; do
   AIDA_RESULTS_DIR=target/ci-results \
     cargo run -q --release -p aida-bench --bin "$bin" >/dev/null
@@ -31,7 +36,7 @@ for f in "${pinned_files[@]}"; do
 done
 
 # Fork-join: `parallel_map` runs a batch on as many host threads as the
-# process has CPUs, and inline on one. The same twenty-four files must come
+# process has CPUs, and inline on one. The same thirty-four files must come
 # out of a run pinned to one CPU, so both paths produce the same bytes.
 # On a one-CPU host both runs are inline; only the fork-join unit test
 # (at 2 and 8 threads) then covers the threaded path.
@@ -96,6 +101,13 @@ cargo test -q --release -p aida-llm --lib sim::reading_differential
 # two property tests at their full case counts.
 cargo test -q --release -p aida-llm --test content_keys
 cargo test -q --release -p aida-llm --lib embed::tests::norm_identity
+
+# Sampling-memo transparency: an optimizer replaying all-hit sampling runs
+# from a shared memo must produce the bits of one sampling afresh, call
+# for call (matrices, receipts, clocks, cache counters and the final
+# cache snapshot), across executor misses, evictions, clears and
+# snapshot reloads. Release runs the full case count.
+cargo test -q --release -p aida-optimizer --test transparency
 
 # Pyrite VM determinism: the bench's canonical JSON carries only
 # deterministic metrics — two runs must be byte-identical, and equal to

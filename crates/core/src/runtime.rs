@@ -6,7 +6,7 @@ use aida_data::{DataLake, Table};
 use aida_llm::snapshot::{self, FailPlan, SnapshotError};
 use aida_llm::{ModelId, SimLlm, UsageSnapshot};
 use aida_obs::{registry, Event, Recorder, SpanKind};
-use aida_optimizer::{OptimizerConfig, Policy};
+use aida_optimizer::{OptimizerConfig, Policy, SampleMemo};
 use aida_semops::ExecEnv;
 use aida_sql::{Catalog, SqlError};
 use parking_lot::Mutex;
@@ -133,6 +133,9 @@ pub struct Runtime {
     delta: Arc<Mutex<DeltaState>>,
     /// Compiled agent steps, shared by every agentic operator's agents.
     steps: StepCache,
+    /// All-hit sampling runs, shared by every synthesized program's
+    /// optimizer.
+    samples: SampleMemo,
 }
 
 impl Runtime {
@@ -161,6 +164,13 @@ impl Runtime {
     /// goes straight to the VM.
     pub(crate) fn step_cache(&self) -> &StepCache {
         &self.steps
+    }
+
+    /// The sampling memo every `run_semantic_program` optimizer shares:
+    /// a repeated program whose sampling run the semantic cache would
+    /// serve entirely replays it.
+    pub(crate) fn sample_memo(&self) -> &SampleMemo {
+        &self.samples
     }
 
     /// The trace recorder (disabled unless the runtime was built with
@@ -648,6 +658,7 @@ impl RuntimeBuilder {
             ops_done: Arc::new(AtomicU64::new(0)),
             delta: Arc::new(Mutex::new(DeltaState::default())),
             steps: StepCache::new(),
+            samples: SampleMemo::new(),
         };
         if runtime.config.delta_checkpoints {
             // The journal must observe every mutation from the start,

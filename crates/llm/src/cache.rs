@@ -33,6 +33,7 @@ use aida_data::Value;
 use std::collections::HashMap;
 use std::io::Read;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 pub use crate::snapshot::SnapshotError;
@@ -124,7 +125,21 @@ pub(crate) fn label_hash(name: &str, value: &Value) -> [u64; 2] {
 }
 
 /// Latency reported for an exact hit, in virtual seconds.
-pub(crate) const HIT_LATENCY_S: f64 = 0.02;
+pub const HIT_LATENCY_S: f64 = 0.02;
+
+/// Which store a [`SemanticCache`] is and how often a resident entry has
+/// left it. Two equal tokens read from the same cache at two instants
+/// mean no entry was evicted, cleared or replaced in between: every entry
+/// resident at the first instant is still resident, with the same
+/// response. Admitting a new entry does not change the token.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Residency {
+    store: u64,
+    epoch: u64,
+}
+
+/// Source of [`Residency`] store ids: one per [`SemanticCache::with_capacity`].
+static NEXT_STORE: AtomicU64 = AtomicU64::new(0);
 
 /// A monotonic counter snapshot of cache activity. The difference of two
 /// snapshots is a window's totals; one call's outcome is on its receipt.
@@ -199,6 +214,8 @@ struct State {
     coalesced: u64,
     plan_hits: u64,
     evictions: u64,
+    /// Bumped whenever a resident entry is removed or replaced.
+    epoch: u64,
 }
 
 #[derive(Debug)]
@@ -207,6 +224,8 @@ struct Inner {
     cond: Condvar,
     /// Maximum resident entries (0 = unbounded).
     capacity: usize,
+    /// This store's [`Residency`] id, shared by its clones.
+    store: u64,
 }
 
 /// The shared semantic call cache. Clones share one store.
@@ -254,6 +273,7 @@ impl SemanticCache {
                 state: Mutex::new(State::default()),
                 cond: Condvar::new(),
                 capacity,
+                store: NEXT_STORE.fetch_add(1, Ordering::Relaxed),
             }),
         }
     }
@@ -306,7 +326,11 @@ impl SemanticCache {
         st.tick += 1;
         let tick = st.tick;
         st.bytes += bytes;
-        st.entries.insert(key, Entry { resp, bytes, tick });
+        // A `load` may have landed the key while it was in flight.
+        if let Some(old) = st.entries.insert(key, Entry { resp, bytes, tick }) {
+            st.bytes -= old.bytes;
+            st.epoch += 1;
+        }
         Self::evict_over_budget(&mut st, self.inner.capacity);
         drop(st);
         self.inner.cond.notify_all();
@@ -337,8 +361,47 @@ impl SemanticCache {
             if let Some(entry) = st.entries.remove(&key) {
                 st.bytes -= entry.bytes;
                 st.evictions += 1;
+                st.epoch += 1;
             }
         }
+    }
+
+    /// The store's current [`Residency`] token.
+    pub fn residency(&self) -> Residency {
+        let st = self.inner.state.lock().unwrap();
+        Residency {
+            store: self.inner.store,
+            epoch: st.epoch,
+        }
+    }
+
+    /// Does what [`SemanticCache::begin`] does on a hit for each of `keys`,
+    /// in order and under one lock: bumps the recency tick, stamps the
+    /// entry with it and counts a hit. Refuses, changing nothing, when
+    /// the store's token is no longer `token` or a key is not resident.
+    pub fn touch_hits(&self, keys: &[CacheKey], token: Residency) -> bool {
+        let mut st = self.inner.state.lock().unwrap();
+        let state = &mut *st;
+        if token.store != self.inner.store || token.epoch != state.epoch {
+            return false;
+        }
+        let mut prior = Vec::with_capacity(keys.len());
+        for key in keys {
+            let Some(entry) = state.entries.get_mut(key) else {
+                // Undo the touches already made, newest first.
+                state.tick -= prior.len() as u64;
+                for (key, tick) in keys.iter().zip(prior).rev() {
+                    if let Some(entry) = state.entries.get_mut(key) {
+                        entry.tick = tick;
+                    }
+                }
+                return false;
+            };
+            state.tick += 1;
+            prior.push(std::mem::replace(&mut entry.tick, state.tick));
+        }
+        state.hits += keys.len() as u64;
+        true
     }
 
     /// Current counter snapshot.
@@ -370,6 +433,7 @@ impl SemanticCache {
         let mut st = self.inner.state.lock().unwrap();
         st.entries.clear();
         st.bytes = 0;
+        st.epoch += 1;
     }
 
     /// Writes a versioned, checksummed snapshot of the store via an
@@ -422,6 +486,7 @@ impl SemanticCache {
             let tick = st.tick;
             if let Some(old) = st.entries.insert(key, Entry { resp, bytes, tick }) {
                 st.bytes -= old.bytes;
+                st.epoch += 1;
             }
             st.bytes += bytes;
         }
@@ -689,6 +754,120 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(cache.load(&path), Err(SnapshotError::Format(_))));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes `cache` saves, which list its entries LRU→MRU.
+    fn snapshot_bytes(cache: &SemanticCache, name: &str) -> Vec<u8> {
+        let dir = std::env::temp_dir().join(format!("aida-semcache-test-{name}"));
+        let path = dir.join("snap.cache");
+        cache.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    }
+
+    /// Asserts `touch_hits` refuses and changes neither the counters nor
+    /// the recency order.
+    fn refused(cache: &SemanticCache, keys: &[CacheKey], token: Residency, name: &str) {
+        let (stats, bytes) = (cache.stats(), snapshot_bytes(cache, name));
+        assert!(!cache.touch_hits(keys, token), "a stale token is refused");
+        assert_eq!(cache.stats(), stats);
+        assert_eq!(snapshot_bytes(cache, name), bytes);
+    }
+
+    fn filled(capacity: usize, n: u64) -> SemanticCache {
+        let cache = SemanticCache::with_capacity(capacity);
+        for i in 1..=n {
+            admit(&cache, key(i), resp(&format!("r{i}"), Value::Int(i as i64)));
+        }
+        cache
+    }
+
+    #[test]
+    fn touch_hits_does_what_begin_does_on_hits() {
+        let (touched, begun) = (filled(3, 3), filled(3, 3));
+        let keys = [key(3), key(1), key(3), key(2)];
+        for k in keys {
+            assert!(matches!(begun.begin(k), Lookup::Hit(_)));
+        }
+        assert!(touched.touch_hits(&keys, touched.residency()));
+        assert_eq!(touched.stats(), begun.stats());
+        assert_eq!(
+            snapshot_bytes(&touched, "touch-a"),
+            snapshot_bytes(&begun, "touch-b")
+        );
+        // The same recency: the next admit evicts the same victim.
+        admit(&touched, key(4), resp("r4", Value::Null));
+        admit(&begun, key(4), resp("r4", Value::Null));
+        assert_eq!(
+            snapshot_bytes(&touched, "touch-a"),
+            snapshot_bytes(&begun, "touch-b")
+        );
+    }
+
+    #[test]
+    fn admits_keep_the_token_and_clones_share_it() {
+        let cache = filled(0, 2);
+        let token = cache.residency();
+        admit(&cache, key(3), resp("r3", Value::Null));
+        assert_eq!(cache.residency(), token);
+        assert_eq!(cache.clone().residency(), token);
+        assert!(cache.clone().touch_hits(&[key(1)], token));
+    }
+
+    #[test]
+    fn an_eviction_stales_the_token() {
+        let cache = filled(2, 2);
+        let token = cache.residency();
+        admit(&cache, key(3), resp("r3", Value::Null)); // evicts key 1
+        refused(&cache, &[key(2), key(3)], token, "evicted");
+    }
+
+    #[test]
+    fn a_clear_stales_the_token() {
+        let cache = filled(0, 2);
+        let token = cache.residency();
+        cache.clear();
+        // The same entries, re-admitted: resident again, but not since.
+        admit(&cache, key(1), resp("r1", Value::Int(1)));
+        admit(&cache, key(2), resp("r2", Value::Int(2)));
+        refused(&cache, &[key(1), key(2)], token, "cleared");
+    }
+
+    #[test]
+    fn an_overwriting_load_stales_the_token() {
+        let dir = std::env::temp_dir().join("aida-semcache-test-overwrite");
+        let path = dir.join("snap.cache");
+        let cache = filled(0, 2);
+        cache.save(&path).unwrap();
+        let token = cache.residency();
+        assert_eq!(cache.load(&path).unwrap(), 2);
+        refused(&cache, &[key(1), key(2)], token, "overwritten");
+        // A load of new keys only replaces nothing.
+        filled(0, 0).save(&path).unwrap();
+        let token = cache.residency();
+        cache.load(&path).unwrap();
+        assert_eq!(cache.residency(), token);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn another_stores_token_is_refused() {
+        let (cache, twin) = (filled(0, 2), filled(0, 2));
+        assert_ne!(cache.residency(), twin.residency());
+        refused(&cache, &[key(1)], twin.residency(), "other-store");
+    }
+
+    #[test]
+    fn a_key_that_is_not_resident_changes_nothing() {
+        let cache = filled(0, 2);
+        refused(&cache, &[key(1), key(9)], cache.residency(), "absent");
+        refused(
+            &cache,
+            &[key(1), key(2), key(1), key(9)],
+            cache.residency(),
+            "absent",
+        );
     }
 
     #[test]

@@ -33,6 +33,19 @@ impl SimClock {
         }
     }
 
+    /// Advances by `seconds` `n` times over, one addition at a time under
+    /// one lock: the same bits as `n` calls of [`SimClock::advance`]
+    /// (floating-point sums are not associative, so one `n * seconds`
+    /// advance would not be).
+    pub fn advance_each(&self, seconds: f64, n: usize) {
+        if seconds > 0.0 && seconds.is_finite() {
+            let mut now = self.now_s.lock();
+            for _ in 0..n {
+                *now += seconds;
+            }
+        }
+    }
+
     /// Advances by the elapsed virtual time of `n_calls` parallel calls of
     /// `total_latency_s` aggregate latency across `parallelism` workers:
     /// the critical path is `ceil(n/p)` waves of average call latency.
@@ -200,6 +213,23 @@ mod tests {
         clock.advance(-5.0);
         clock.advance(f64::NAN);
         assert_eq!(clock.now(), 0.0);
+    }
+
+    #[test]
+    fn advance_each_is_one_advance_at_a_time() {
+        let (each, one_by_one) = (SimClock::new(), SimClock::new());
+        for clock in [&each, &one_by_one] {
+            clock.advance(0.1);
+        }
+        each.advance_each(0.005, 52);
+        for _ in 0..52 {
+            one_by_one.advance(0.005);
+        }
+        assert_eq!(each.now().to_bits(), one_by_one.now().to_bits());
+        // One product would round differently: the sum must be stepped.
+        assert_ne!((0.1 + 0.005 * 52.0f64).to_bits(), each.now().to_bits());
+        each.advance_each(-1.0, 3);
+        assert_eq!(each.now().to_bits(), one_by_one.now().to_bits());
     }
 
     #[test]

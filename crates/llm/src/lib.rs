@@ -33,7 +33,7 @@ pub mod snapshot;
 pub mod tokens;
 pub mod usage;
 
-pub use cache::{CacheKey, CacheStats, SemanticCache, SnapshotError};
+pub use cache::{CacheKey, CacheStats, Residency, SemanticCache, SnapshotError};
 pub use clock::{ScheduledSlot, SimClock, Timeline, WallStopwatch};
 pub use embed::Embedder;
 pub use models::{ModelCatalog, ModelId, ModelSpec};

@@ -7,7 +7,7 @@
 //! tier/difficulty noise channel, and (3) returns what it billed as the
 //! response's receipt, with the call's simulated latency.
 
-use crate::cache::{self, CacheKey, KeyHasher, Lookup, SemanticCache};
+use crate::cache::{self, CacheKey, KeyHasher, Lookup, Residency, SemanticCache};
 use crate::models::{ModelCatalog, ModelId};
 use crate::noise;
 use crate::oracle::{Oracle, OracleAnswer, Subject};
@@ -286,6 +286,31 @@ impl SimLlm {
         }
         self.usage.lock().add(&receipt);
         receipt
+    }
+
+    /// Serves `keys` as exact cache hits without computing a response:
+    /// the effects of one [`SimLlm::invoke`] hit per key, in order — the
+    /// cache's recency ticks and hit count, the usage fold and the hit
+    /// counter. `None`, with nothing changed, when there is no cache or
+    /// [`SemanticCache::touch_hits`] refuses `token`. The keys must be
+    /// content keys of tasks other than [`LlmTask::Freeform`], whose hits
+    /// also count as plan hits.
+    pub fn serve_hits(&self, keys: &[CacheKey], token: Residency) -> Option<UsageSnapshot> {
+        let cache = self.cache.as_ref()?;
+        if !cache.touch_hits(keys, token) {
+            return None;
+        }
+        let receipt = UsageSnapshot {
+            cache_hits: keys.len() as u64,
+            ..UsageSnapshot::default()
+        };
+        // A zero add would still create the counter in the export.
+        if !keys.is_empty() && self.recorder.is_enabled() {
+            self.recorder
+                .counter_add(aida_obs::registry::CACHE_HIT, keys.len() as u64);
+        }
+        self.usage.lock().add(&receipt);
+        Some(receipt)
     }
 
     fn lookup(&self, model: ModelId, task: &LlmTask<'_>) -> LlmResponse {
@@ -1449,6 +1474,67 @@ mod tests {
         assert_eq!(trace.counters["cache.hit"], 2);
         assert_eq!(trace.counters["llm.calls"], 1, "hits are not billed");
         assert!(trace.gauges["cache.bytes"].last() > 0.0);
+    }
+
+    #[test]
+    fn served_hits_are_invoked_hits() {
+        use crate::cache::SemanticCache;
+        use aida_obs::Recorder;
+        let docs = [
+            Document::new("a.txt", "text body"),
+            Document::new("b.txt", "more"),
+        ];
+        let tasks: Vec<LlmTask<'_>> = docs
+            .iter()
+            .map(|doc| LlmTask::Filter {
+                instruction: "text",
+                subject: Subject::doc(doc),
+            })
+            .collect();
+        let twins = [0, 1].map(|_| {
+            let llm = SimLlm::new(3)
+                .with_cache(SemanticCache::with_capacity(0))
+                .with_recorder(Recorder::new());
+            for task in &tasks {
+                llm.invoke(ModelId::Mini, task);
+            }
+            llm
+        });
+        let order = [1, 0, 1];
+        let mut invoked = UsageSnapshot::default();
+        for &i in &order {
+            invoked.add(&twins[0].invoke(ModelId::Mini, &tasks[i]).receipt);
+        }
+        let keys: Vec<CacheKey> = order
+            .iter()
+            .map(|&i| twins[1].content_key(ModelId::Mini, &tasks[i]))
+            .collect();
+        let token = twins[1].cache().unwrap().residency();
+        let served = twins[1].serve_hits(&keys, token).unwrap();
+        assert_eq!(served, invoked);
+        assert_eq!(twins[1].usage(), twins[0].usage());
+        assert_eq!(
+            twins[1].cache().unwrap().stats(),
+            twins[0].cache().unwrap().stats()
+        );
+        assert_eq!(
+            twins[1].recorder().trace().counters,
+            twins[0].recorder().trace().counters
+        );
+    }
+
+    #[test]
+    fn serving_no_hits_creates_no_counter() {
+        use crate::cache::SemanticCache;
+        use aida_obs::Recorder;
+        let llm = SimLlm::new(3)
+            .with_cache(SemanticCache::with_capacity(0))
+            .with_recorder(Recorder::new());
+        let token = llm.cache().unwrap().residency();
+        assert_eq!(llm.serve_hits(&[], token), Some(UsageSnapshot::default()));
+        let trace = llm.recorder().trace();
+        assert!(!trace.counters.contains_key(aida_obs::registry::CACHE_HIT));
+        assert_eq!(SimLlm::new(3).serve_hits(&[], token), None, "no cache");
     }
 
     #[test]

@@ -30,10 +30,12 @@
 
 pub mod bandit;
 pub mod cost;
+mod memo;
 pub mod policy;
 pub mod sampler;
 
 pub use cost::{pareto_frontier, PlanEstimate, StaticPrior};
+pub use memo::SampleMemo;
 pub use policy::Policy;
 pub use sampler::{SampleMatrix, Sampler, SamplerConfig};
 
@@ -87,12 +89,25 @@ pub struct OptimizedPlan {
 pub struct Optimizer<'a> {
     env: &'a ExecEnv,
     config: OptimizerConfig,
+    memo: SampleMemo,
 }
 
 impl<'a> Optimizer<'a> {
-    /// Creates an optimizer over an execution environment.
+    /// Creates an optimizer over an execution environment, with a private
+    /// [`SampleMemo`].
     pub fn new(env: &'a ExecEnv, config: OptimizerConfig) -> Self {
-        Optimizer { env, config }
+        Optimizer {
+            env,
+            config,
+            memo: SampleMemo::new(),
+        }
+    }
+
+    /// Shares `memo` instead of the private one: its owner must hand it
+    /// only to optimizers over one environment (one catalog and embedder).
+    pub fn with_sample_memo(mut self, memo: SampleMemo) -> Self {
+        self.memo = memo;
+        self
     }
 
     /// Optimizes a logical plan under a policy.
@@ -100,7 +115,7 @@ impl<'a> Optimizer<'a> {
         let matrix = if self.config.skip_sampling {
             SampleMatrix::default()
         } else {
-            Sampler::new(self.env, self.config.sampler.clone()).sample(plan)
+            Sampler::new(self.env, self.config.sampler.clone(), &self.memo).sample(plan)
         };
 
         let input_cardinality = plan

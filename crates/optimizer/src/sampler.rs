@@ -9,13 +9,15 @@
 //! Abacus.
 
 use crate::bandit::Ucb1;
-use aida_data::{Record, Value};
-use aida_llm::{LlmTask, ModelId, UsageSnapshot};
+use crate::memo::{MemoKey, Replay, SampleMemo};
+use aida_data::{DataLake, Record, Value};
+use aida_llm::cache::HIT_LATENCY_S;
+use aida_llm::{CacheKey, LlmTask, ModelId, SemanticCache, Subject, UsageSnapshot};
 use aida_semops::exec::{scan_record, subject_of};
 use aida_semops::plan::{LogicalOp, LogicalPlan};
 use aida_semops::ExecEnv;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Estimated behaviour of one model on one operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +56,9 @@ pub struct SampleMatrix {
     pub sampling_cost: f64,
     /// Virtual seconds spent sampling.
     pub sampling_time: f64,
+    /// Whether the run was replayed from a [`SampleMemo`] instead of
+    /// computed; every other field is the same either way.
+    pub replayed: bool,
 }
 
 impl SampleMatrix {
@@ -73,7 +78,7 @@ pub fn quality_prior(model: ModelId) -> f64 {
 }
 
 /// Sampling configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SamplerConfig {
     /// Records drawn from the scan for sampling.
     pub sample_records: usize,
@@ -90,29 +95,137 @@ impl Default for SamplerConfig {
     }
 }
 
+/// The share of a sample call's latency the clock is charged: sampling
+/// overlaps with setup.
+const SAMPLING_OVERLAP: f64 = 0.25;
+
+/// The two non-reference tiers the bandit chooses between.
+const CANDIDATES: [ModelId; 2] = [ModelId::Mini, ModelId::Nano];
+
+/// What a sampling run computed, before it is priced and timed.
+struct Run {
+    ops: Vec<OpEstimate>,
+    avg_record_tokens: f64,
+    receipt: UsageSnapshot,
+    /// The bandit's pulls in call order: (op index, model, sample index).
+    pulls: Vec<(usize, ModelId, usize)>,
+}
+
 /// Runs the sampling phase for a logical plan.
 pub struct Sampler<'a> {
     env: &'a ExecEnv,
     config: SamplerConfig,
+    memo: &'a SampleMemo,
 }
 
 impl<'a> Sampler<'a> {
-    /// Creates a sampler.
-    pub fn new(env: &'a ExecEnv, config: SamplerConfig) -> Self {
-        Sampler { env, config }
+    /// Creates a sampler that replays repeated all-hit runs from `memo`
+    /// (see [`SampleMemo`]); `memo` must serve only samplers over `env`.
+    pub fn new(env: &'a ExecEnv, config: SamplerConfig, memo: &'a SampleMemo) -> Self {
+        Sampler { env, config, memo }
     }
 
     /// Estimates the sample matrix for a plan. Returns a prior-only matrix
     /// when the plan has no scan or no semantic operators.
     pub fn sample(&self, plan: &LogicalPlan) -> SampleMatrix {
-        let mut receipt = UsageSnapshot::default();
         let t0 = self.env.clock.now();
-
         let lake = plan.ops().iter().find_map(|op| match op {
             LogicalOp::Scan { lake, .. } => Some(Arc::clone(lake)),
             _ => None,
         });
-        let sample: Vec<Record> = match &lake {
+        let lake = lake.as_deref();
+        let sample = self.draw(lake);
+        let subjects: Vec<Subject<'_>> = sample.iter().map(|r| subject_of(r, lake)).collect();
+        let sem_indices = plan.semantic_indices();
+        let makes_calls = !subjects.is_empty() && !sem_indices.is_empty();
+        if let (true, Some(cache)) = (makes_calls, self.env.llm.cache()) {
+            return self.sample_memoized(cache, plan, &subjects, sem_indices, t0);
+        }
+        let run = self.run(plan, &subjects, &sem_indices);
+        self.matrix(run.ops, run.avg_record_tokens, run.receipt, t0)
+    }
+
+    /// [`Sampler::sample`] in front of the memo: a run whose reference
+    /// keys, operators and configuration were seen before, all served from
+    /// the cache, and whose cache entries are all still resident, is
+    /// replayed; any other run is computed, and memoized if it was all
+    /// hits.
+    fn sample_memoized(
+        &self,
+        cache: &SemanticCache,
+        plan: &LogicalPlan,
+        subjects: &[Subject<'_>],
+        sem_indices: Vec<usize>,
+        t0: f64,
+    ) -> SampleMatrix {
+        // The first operator's flagship keys over every sample record fix
+        // every sampled subject, and the first record's flagship keys under
+        // every other operator fix every operator's task: together they
+        // fix every call the run makes.
+        let first = &plan.ops()[sem_indices[0]];
+        let flagship = |op: &LogicalOp, s: &Subject<'_>| self.key(op, ModelId::Flagship, s.clone());
+        let references: Vec<CacheKey> = subjects
+            .iter()
+            .map(|s| flagship(first, s))
+            .chain(
+                sem_indices[1..]
+                    .iter()
+                    .map(|&op_idx| flagship(&plan.ops()[op_idx], &subjects[0])),
+            )
+            .collect();
+        let key = MemoKey {
+            references,
+            sem_indices,
+            config: self.config.clone(),
+        };
+        if let Some(replay) = self.memo.get(&key) {
+            // The memo key fixes every call, so this plan's operators and
+            // subjects key the recorded run's calls as that run did.
+            let keys = replay.keys.get_or_init(|| {
+                let reference_pass = key.sem_indices.iter().flat_map(|&op_idx| {
+                    (0..subjects.len()).map(move |i| (op_idx, ModelId::Flagship, i))
+                });
+                reference_pass
+                    .chain(replay.pulls.iter().copied())
+                    .map(|(op_idx, model, i)| {
+                        self.key(&plan.ops()[op_idx], model, subjects[i].clone())
+                    })
+                    .collect()
+            });
+            if let Some(receipt) = self.env.llm.serve_hits(keys, replay.token) {
+                let per_hit = HIT_LATENCY_S * SAMPLING_OVERLAP;
+                self.env.clock.advance_each(per_hit, keys.len());
+                let ops = replay.ops.clone();
+                return SampleMatrix {
+                    replayed: true,
+                    ..self.matrix(ops, replay.avg_record_tokens, receipt, t0)
+                };
+            }
+        }
+        let token = cache.residency();
+        let run = self.run(plan, subjects, &key.sem_indices);
+        let calls = key.sem_indices.len() * subjects.len() + run.pulls.len();
+        let all_hits = run.receipt.cache_hits == calls as u64
+            && run.receipt.cache_misses == 0
+            && run.receipt.cache_coalesced == 0
+            && run.receipt.total_calls() == 0;
+        if all_hits && cache.residency() == token {
+            let replay = Replay {
+                pulls: run.pulls,
+                keys: OnceLock::new(),
+                token,
+                ops: run.ops.clone(),
+                avg_record_tokens: run.avg_record_tokens,
+            };
+            self.memo.insert(key, replay);
+        }
+        self.matrix(run.ops, run.avg_record_tokens, run.receipt, t0)
+    }
+
+    /// The sample records: `sample_records` documents at an even stride
+    /// through the scanned lake.
+    fn draw(&self, lake: Option<&DataLake>) -> Vec<Record> {
+        match lake {
             Some(lake) if !lake.is_empty() => {
                 let n = lake.len();
                 let k = self.config.sample_records.clamp(1, n);
@@ -122,153 +235,206 @@ impl<'a> Sampler<'a> {
                     .collect()
             }
             _ => Vec::new(),
-        };
+        }
+    }
 
-        let avg_record_tokens = if sample.is_empty() {
+    /// Computes a sampling run: the reference pass, the bandit pass and
+    /// the per-operator estimates.
+    fn run(&self, plan: &LogicalPlan, subjects: &[Subject<'_>], sem_indices: &[usize]) -> Run {
+        let avg_record_tokens = if subjects.is_empty() {
             0.0
         } else {
-            sample
-                .iter()
-                .map(|r| subject_of(r, lake.as_deref()).text_tokens() as f64)
-                .sum::<f64>()
-                / sample.len() as f64
+            subjects.iter().map(|s| s.text_tokens() as f64).sum::<f64>() / subjects.len() as f64
         };
-
-        let mut ops = Vec::new();
-        let sem_indices = plan.semantic_indices();
-        if !sample.is_empty() && !sem_indices.is_empty() {
-            // Arms: (op, candidate model) for the two non-reference tiers.
-            let candidates = [ModelId::Mini, ModelId::Nano];
-            let arms: Vec<(usize, ModelId)> = sem_indices
-                .iter()
-                .flat_map(|&op| candidates.iter().map(move |&m| (op, m)))
-                .collect();
-
-            // Reference pass: flagship on every (op, sample record).
-            let mut references: BTreeMap<usize, Vec<ReferenceObs>> = BTreeMap::new();
-            for &op_idx in &sem_indices {
-                let op = &plan.ops()[op_idx];
-                let obs: Vec<ReferenceObs> = sample
-                    .iter()
-                    .map(|rec| {
-                        let lake = lake.as_deref();
-                        self.observe(op, rec, lake, ModelId::Flagship, &mut receipt)
-                    })
-                    .collect();
-                references.insert(op_idx, obs);
-            }
-
-            // Per-op pull order: filter disagreements concentrate on the
-            // records the reference judges *positive* (a model that never
-            // sees a positive looks flawless), so visit those first.
-            let mut pull_order: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for &op_idx in &sem_indices {
-                let refs = &references[&op_idx];
-                let mut order: Vec<usize> = Vec::with_capacity(sample.len());
-                if matches!(plan.ops()[op_idx], LogicalOp::SemFilter { .. }) {
-                    order.extend((0..sample.len()).filter(|&i| refs[i].value.truthy()));
-                    order.extend((0..sample.len()).filter(|&i| !refs[i].value.truthy()));
-                } else {
-                    order.extend(0..sample.len());
-                }
-                pull_order.insert(op_idx, order);
-            }
-
-            // Bandit pass over candidate arms.
-            let mut bandit = Ucb1::new(arms.len());
-            let mut arm_obs: Vec<Vec<ReferenceObs>> = vec![Vec::new(); arms.len()];
-            let pulls = self.config.bandit_pulls.max(arms.len());
-            for _ in 0..pulls {
-                let arm = bandit.select();
-                let (op_idx, model) = arms[arm];
-                let op = &plan.ops()[op_idx];
-                let pull_no = arm_obs[arm].len();
-                let sample_idx = pull_order[&op_idx][pull_no % sample.len()];
-                let rec = &sample[sample_idx];
-                let obs = self.observe(op, rec, lake.as_deref(), model, &mut receipt);
-                let reference = &references[&op_idx][sample_idx];
-                let reward = agreement(&obs.value, &reference.value, self.env);
-                bandit.update(arm, reward);
-                arm_obs[arm].push(obs);
-            }
-
-            // Assemble per-op estimates.
-            for &op_idx in &sem_indices {
-                let refs = &references[&op_idx];
-                let selectivity = match &plan.ops()[op_idx] {
-                    LogicalOp::SemFilter { .. } => {
-                        let trues = refs.iter().filter(|o| o.value.truthy()).count();
-                        // Laplace smoothing keeps estimates off the walls.
-                        (trues as f64 + 0.5) / (refs.len() as f64 + 1.0)
-                    }
-                    _ => 1.0,
-                };
-                let mut per_model = BTreeMap::new();
-                per_model.insert(
-                    ModelId::Flagship,
-                    ModelEstimate {
-                        quality: quality_prior(ModelId::Flagship),
-                        cost_per_record: mean(refs.iter().map(|o| o.cost)),
-                        time_per_record: mean(refs.iter().map(|o| o.latency)),
-                        observations: refs.len() as u64,
-                    },
-                );
-                for (arm, &(arm_op, model)) in arms.iter().enumerate() {
-                    if arm_op != op_idx {
-                        continue;
-                    }
-                    let stats = bandit.stats(arm);
-                    let obs = &arm_obs[arm];
-                    // Blend the (small-sample) measurement with the tier
-                    // prior so a handful of lucky pulls can't make a noisy
-                    // tier look flawless. PRIOR_WEIGHT pseudo-observations.
-                    const PRIOR_WEIGHT: f64 = 2.0;
-                    let blend = |mean: f64, pulls: u64| {
-                        (quality_prior(model) * PRIOR_WEIGHT + mean * pulls as f64)
-                            / (PRIOR_WEIGHT + pulls as f64)
-                    };
-                    let (quality, cost, latency, n) = if stats.pulls == 0 {
-                        // Never pulled: prior quality, cost scaled from the
-                        // flagship observation by the price ratio.
-                        let ratio = self.price_ratio(model);
-                        (
-                            quality_prior(model),
-                            mean(refs.iter().map(|o| o.cost)) * ratio,
-                            mean(refs.iter().map(|o| o.latency)) * 0.7,
-                            0,
-                        )
-                    } else {
-                        (
-                            blend(stats.mean(), stats.pulls),
-                            mean(obs.iter().map(|o| o.cost)),
-                            mean(obs.iter().map(|o| o.latency)),
-                            stats.pulls,
-                        )
-                    };
-                    per_model.insert(
-                        model,
-                        ModelEstimate {
-                            quality,
-                            cost_per_record: cost,
-                            time_per_record: latency,
-                            observations: n,
-                        },
-                    );
-                }
-                ops.push(OpEstimate {
-                    op_index: op_idx,
-                    selectivity,
-                    per_model,
-                });
-            }
+        let mut run = Run {
+            ops: Vec::new(),
+            avg_record_tokens,
+            receipt: UsageSnapshot::default(),
+            pulls: Vec::new(),
+        };
+        if subjects.is_empty() || sem_indices.is_empty() {
+            return run;
         }
+        // Arms: (op, candidate model) for the two non-reference tiers.
+        let arms: Vec<(usize, ModelId)> = sem_indices
+            .iter()
+            .flat_map(|&op| CANDIDATES.iter().map(move |&m| (op, m)))
+            .collect();
+        let references = self.reference_pass(plan, subjects, sem_indices, &mut run.receipt);
+        let (bandit, arm_obs) = self.bandit_pass(plan, subjects, &arms, &references, &mut run);
+        run.ops = sem_indices
+            .iter()
+            .map(|&op_idx| {
+                self.estimate(plan, op_idx, &references[&op_idx], &arms, &bandit, &arm_obs)
+            })
+            .collect();
+        run
+    }
 
+    /// Flagship on every (op, sample record).
+    fn reference_pass(
+        &self,
+        plan: &LogicalPlan,
+        subjects: &[Subject<'_>],
+        sem_indices: &[usize],
+        receipt: &mut UsageSnapshot,
+    ) -> BTreeMap<usize, Vec<ReferenceObs>> {
+        sem_indices
+            .iter()
+            .map(|&op_idx| {
+                let op = &plan.ops()[op_idx];
+                let obs = subjects
+                    .iter()
+                    .map(|s| self.observe(op, s.clone(), ModelId::Flagship, receipt))
+                    .collect();
+                (op_idx, obs)
+            })
+            .collect()
+    }
+
+    /// UCB1 over the candidate arms, each pull scored by its agreement
+    /// with the reference on the same record. Records the pulls on `run`.
+    fn bandit_pass(
+        &self,
+        plan: &LogicalPlan,
+        subjects: &[Subject<'_>],
+        arms: &[(usize, ModelId)],
+        references: &BTreeMap<usize, Vec<ReferenceObs>>,
+        run: &mut Run,
+    ) -> (Ucb1, Vec<Vec<ReferenceObs>>) {
+        // Per-op pull order: filter disagreements concentrate on the
+        // records the reference judges *positive* (a model that never
+        // sees a positive looks flawless), so visit those first.
+        let pull_order: BTreeMap<usize, Vec<usize>> = references
+            .iter()
+            .map(|(&op_idx, refs)| {
+                let mut order: Vec<usize> = Vec::with_capacity(refs.len());
+                if matches!(plan.ops()[op_idx], LogicalOp::SemFilter { .. }) {
+                    order.extend((0..refs.len()).filter(|&i| refs[i].value.truthy()));
+                    order.extend((0..refs.len()).filter(|&i| !refs[i].value.truthy()));
+                } else {
+                    order.extend(0..refs.len());
+                }
+                (op_idx, order)
+            })
+            .collect();
+
+        let mut bandit = Ucb1::new(arms.len());
+        let mut arm_obs: Vec<Vec<ReferenceObs>> = vec![Vec::new(); arms.len()];
+        let pulls = self.config.bandit_pulls.max(arms.len());
+        run.pulls.reserve(pulls);
+        for _ in 0..pulls {
+            let arm = bandit.select();
+            let (op_idx, model) = arms[arm];
+            let op = &plan.ops()[op_idx];
+            let pull_no = arm_obs[arm].len();
+            let sample_idx = pull_order[&op_idx][pull_no % subjects.len()];
+            let subject = subjects[sample_idx].clone();
+            let obs = self.observe(op, subject, model, &mut run.receipt);
+            run.pulls.push((op_idx, model, sample_idx));
+            let reference = &references[&op_idx][sample_idx];
+            let reward = agreement(&obs.value, &reference.value, self.env);
+            bandit.update(arm, reward);
+            arm_obs[arm].push(obs);
+        }
+        (bandit, arm_obs)
+    }
+
+    /// One operator's estimates: selectivity from the reference pass, the
+    /// flagship from its observations, each candidate tier from its pulls
+    /// blended with the tier prior.
+    fn estimate(
+        &self,
+        plan: &LogicalPlan,
+        op_idx: usize,
+        refs: &[ReferenceObs],
+        arms: &[(usize, ModelId)],
+        bandit: &Ucb1,
+        arm_obs: &[Vec<ReferenceObs>],
+    ) -> OpEstimate {
+        let selectivity = match &plan.ops()[op_idx] {
+            LogicalOp::SemFilter { .. } => {
+                let trues = refs.iter().filter(|o| o.value.truthy()).count();
+                // Laplace smoothing keeps estimates off the walls.
+                (trues as f64 + 0.5) / (refs.len() as f64 + 1.0)
+            }
+            _ => 1.0,
+        };
+        let mut per_model = BTreeMap::new();
+        per_model.insert(
+            ModelId::Flagship,
+            ModelEstimate {
+                quality: quality_prior(ModelId::Flagship),
+                cost_per_record: mean(refs.iter().map(|o| o.cost)),
+                time_per_record: mean(refs.iter().map(|o| o.latency)),
+                observations: refs.len() as u64,
+            },
+        );
+        for (arm, &(arm_op, model)) in arms.iter().enumerate() {
+            if arm_op != op_idx {
+                continue;
+            }
+            let stats = bandit.stats(arm);
+            let obs = &arm_obs[arm];
+            // Blend the (small-sample) measurement with the tier
+            // prior so a handful of lucky pulls can't make a noisy
+            // tier look flawless. PRIOR_WEIGHT pseudo-observations.
+            const PRIOR_WEIGHT: f64 = 2.0;
+            let blend = |mean: f64, pulls: u64| {
+                (quality_prior(model) * PRIOR_WEIGHT + mean * pulls as f64)
+                    / (PRIOR_WEIGHT + pulls as f64)
+            };
+            let (quality, cost, latency, n) = if stats.pulls == 0 {
+                // Never pulled: prior quality, cost scaled from the
+                // flagship observation by the price ratio.
+                let ratio = self.price_ratio(model);
+                (
+                    quality_prior(model),
+                    mean(refs.iter().map(|o| o.cost)) * ratio,
+                    mean(refs.iter().map(|o| o.latency)) * 0.7,
+                    0,
+                )
+            } else {
+                (
+                    blend(stats.mean(), stats.pulls),
+                    mean(obs.iter().map(|o| o.cost)),
+                    mean(obs.iter().map(|o| o.latency)),
+                    stats.pulls,
+                )
+            };
+            per_model.insert(
+                model,
+                ModelEstimate {
+                    quality,
+                    cost_per_record: cost,
+                    time_per_record: latency,
+                    observations: n,
+                },
+            );
+        }
+        OpEstimate {
+            op_index: op_idx,
+            selectivity,
+            per_model,
+        }
+    }
+
+    /// Prices and times a run: the receipt's cost, and the virtual
+    /// seconds since `t0`.
+    fn matrix(
+        &self,
+        ops: Vec<OpEstimate>,
+        avg_record_tokens: f64,
+        receipt: UsageSnapshot,
+        t0: f64,
+    ) -> SampleMatrix {
         SampleMatrix {
             ops,
             avg_record_tokens,
             sampling_cost: receipt.cost(self.env.llm.catalog()),
             receipt,
             sampling_time: self.env.clock.now() - t0,
+            replayed: false,
         }
     }
 
@@ -278,64 +444,20 @@ impl<'a> Sampler<'a> {
         (catalog.spec(model).input_price / f).max(1e-3)
     }
 
+    /// The content key [`Sampler::observe`] would look up.
+    fn key(&self, op: &LogicalOp, model: ModelId, subject: Subject<'_>) -> CacheKey {
+        self.env.llm.content_key(model, &task(op, subject))
+    }
+
     fn observe(
         &self,
         op: &LogicalOp,
-        rec: &Record,
-        lake: Option<&aida_data::DataLake>,
+        subject: Subject<'_>,
         model: ModelId,
         receipt: &mut UsageSnapshot,
     ) -> ReferenceObs {
-        let subject = subject_of(rec, lake);
-        let resp = match op {
-            LogicalOp::SemFilter { instruction } => self.env.llm.invoke(
-                model,
-                &LlmTask::Filter {
-                    instruction,
-                    subject,
-                },
-            ),
-            LogicalOp::SemExtract {
-                instruction,
-                fields,
-            } => {
-                let field = fields.first();
-                self.env.llm.invoke(
-                    model,
-                    &LlmTask::Extract {
-                        instruction,
-                        field: field.map(|f| f.name.as_str()).unwrap_or("value"),
-                        field_desc: field.map(|f| f.desc.as_str()).unwrap_or(""),
-                        subject,
-                    },
-                )
-            }
-            LogicalOp::SemMap {
-                instruction,
-                target_tokens,
-                ..
-            } => self.env.llm.invoke(
-                model,
-                &LlmTask::Map {
-                    instruction,
-                    subject,
-                    target_tokens: *target_tokens,
-                },
-            ),
-            // Agg/join are sampled like maps over the record.
-            other => {
-                let instruction = other.instruction().unwrap_or("process the item");
-                self.env.llm.invoke(
-                    model,
-                    &LlmTask::Map {
-                        instruction,
-                        subject,
-                        target_tokens: 60,
-                    },
-                )
-            }
-        };
-        self.env.clock.advance(resp.latency_s * 0.25); // sampling overlaps with setup
+        let resp = self.env.llm.invoke(model, &task(op, subject));
+        self.env.clock.advance(resp.latency_s * SAMPLING_OVERLAP);
         receipt.add(&resp.receipt);
         let catalog = self.env.llm.catalog();
         let cost = catalog
@@ -346,6 +468,43 @@ impl<'a> Sampler<'a> {
             cost,
             latency: resp.latency_s,
         }
+    }
+}
+
+/// The task a sample call asks of a model about `subject`.
+fn task<'t>(op: &'t LogicalOp, subject: Subject<'t>) -> LlmTask<'t> {
+    match op {
+        LogicalOp::SemFilter { instruction } => LlmTask::Filter {
+            instruction,
+            subject,
+        },
+        LogicalOp::SemExtract {
+            instruction,
+            fields,
+        } => {
+            let field = fields.first();
+            LlmTask::Extract {
+                instruction,
+                field: field.map(|f| f.name.as_str()).unwrap_or("value"),
+                field_desc: field.map(|f| f.desc.as_str()).unwrap_or(""),
+                subject,
+            }
+        }
+        LogicalOp::SemMap {
+            instruction,
+            target_tokens,
+            ..
+        } => LlmTask::Map {
+            instruction,
+            subject,
+            target_tokens: *target_tokens,
+        },
+        // Agg/join are sampled like maps over the record.
+        other => LlmTask::Map {
+            instruction: other.instruction().unwrap_or("process the item"),
+            subject,
+            target_tokens: 60,
+        },
     }
 }
 
@@ -415,7 +574,7 @@ mod tests {
     fn sampled() -> SampleMatrix {
         let env = ExecEnv::new(SimLlm::new(3));
         let ds = Dataset::scan(&lake(), "docs").sem_filter("mentions identity theft");
-        Sampler::new(&env, SamplerConfig::default()).sample(ds.plan())
+        Sampler::new(&env, SamplerConfig::default(), &SampleMemo::new()).sample(ds.plan())
     }
 
     #[test]
@@ -449,7 +608,7 @@ mod tests {
     fn sampling_bills_the_meter() {
         let env = ExecEnv::new(SimLlm::new(3));
         let ds = Dataset::scan(&lake(), "docs").sem_filter("mentions identity theft");
-        let m = Sampler::new(&env, SamplerConfig::default()).sample(ds.plan());
+        let m = Sampler::new(&env, SamplerConfig::default(), &SampleMemo::new()).sample(ds.plan());
         assert!(m.sampling_cost > 0.0);
         assert!(m.sampling_time > 0.0);
         assert!(env.llm.usage().total_calls() > 0);
@@ -476,7 +635,7 @@ mod tests {
         let env = ExecEnv::new(SimLlm::new(3));
         let empty_lake = DataLake::new();
         let ds = Dataset::scan(&empty_lake, "empty").sem_filter("anything");
-        let m = Sampler::new(&env, SamplerConfig::default()).sample(ds.plan());
+        let m = Sampler::new(&env, SamplerConfig::default(), &SampleMemo::new()).sample(ds.plan());
         assert!(m.ops.is_empty());
         assert_eq!(m.avg_record_tokens, 0.0);
     }
