@@ -109,6 +109,14 @@ cargo test -q --release -p aida-llm --lib embed::tests::norm_identity
 # snapshot reloads. Release runs the full case count.
 cargo test -q --release -p aida-optimizer --test transparency
 
+# Durable text formats: one property harness over the cache snapshot, the
+# ledger record and snapshot, the Context-store snapshot and delta frame,
+# and the bytecode artifact. Encoder output must round-trip, an edited
+# body re-framed with a valid checksum must never panic its decoder, and
+# whatever it decodes to must be a fixpoint of decode∘encode. Release
+# runs the full case count (a few seconds).
+cargo test -q --release --test codecs
+
 # Pyrite VM determinism: the bench's canonical JSON carries only
 # deterministic metrics — two runs must be byte-identical, and equal to
 # the committed one. (`pyrite_vm.txt` carries wall-clock timings and is

@@ -18,7 +18,7 @@ use crate::context::Context;
 use aida_data::{DataLake, Document, Field, Schema, Table};
 use aida_llm::embed::{cosine_with_norms, norm, Embedder};
 use aida_llm::noise::hash_str;
-use aida_llm::snapshot::{self, decode_value, encode_value, esc, unesc, SnapshotError};
+use aida_llm::snapshot::{self, encode_value, esc, SnapshotError};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -319,8 +319,8 @@ impl ContextManager {
         let body = snapshot::decode_file(STORE_MAGIC, text)?
             .strip_suffix('\n')
             .ok_or_else(|| fail("unterminated body"))?;
-        let mut fields = Fields(body.split(SEPARATORS));
-        if fields.next()? != "T" {
+        let mut fields = Fields::new(body.split(SEPARATORS));
+        if fields.field()? != "T" {
             return Err(fail("bad tick line"));
         }
         let mut replica = Replica {
@@ -529,21 +529,7 @@ fn fail(msg: &str) -> SnapshotError {
 }
 
 /// Cursor over the fields of a snapshot body or a frame payload.
-struct Fields<'a>(std::str::Split<'a, [char; 2]>);
-
-impl<'a> Fields<'a> {
-    fn next(&mut self) -> Result<&'a str, SnapshotError> {
-        self.0.next().ok_or_else(|| fail("truncated record"))
-    }
-
-    fn text(&mut self) -> Result<String, SnapshotError> {
-        Ok(unesc(self.next()?)?.into_owned())
-    }
-
-    fn num<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, SnapshotError> {
-        self.next()?.parse().map_err(|_| fail(what))
-    }
-}
+type Fields<'a> = snapshot::Fields<std::str::Split<'a, [char; 2]>>;
 
 /// A store rebuilt off to the side, swapped in whole once the snapshot
 /// and as much of its chain as can be trusted have replayed.
@@ -601,8 +587,8 @@ impl ContextManager {
         payload: &str,
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
     ) -> Result<(), SnapshotError> {
-        let mut fields = Fields(payload.split(SEPARATORS));
-        if u64::from_str_radix(fields.next()?, 16) != Ok(base_sum) {
+        let mut fields = Fields::new(payload.split(SEPARATORS));
+        if fields.hex("bad frame stamp")? != base_sum {
             return Err(fail("frame of another snapshot"));
         }
         if fields.num::<usize>("bad pool length")? != replica.pool.len() {
@@ -621,7 +607,7 @@ impl ContextManager {
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
     ) -> Result<Vec<JournalOp>, SnapshotError> {
         let mut ops = Vec::new();
-        while let Some(tag) = fields.0.next() {
+        while let Some(tag) = fields.try_field() {
             ops.push(match tag {
                 "P" => {
                     pool.push(Arc::new(decode_doc(fields)?));
@@ -649,29 +635,21 @@ impl ContextManager {
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
     ) -> Result<MaterializedContext, SnapshotError> {
         let instruction = fields.text()?;
-        let original_cost = u64::from_str_radix(fields.next()?, 16)
-            .map(f64::from_bits)
-            .map_err(|_| fail("bad cost bits"))?;
+        let original_cost = fields.f64_bits("bad cost bits")?;
         let last_used = fields.num("bad last_used")?;
         let id = fields.text()?;
         let description = fields.text()?;
-        let has_findings = match fields.next()? {
-            "0" => false,
-            "1" => true,
-            _ => return Err(fail("bad findings flag")),
-        };
-        let ndocs: usize = fields.num("bad doc count")?;
+        let has_findings = fields.flag("bad findings flag")?;
         let mut docs = Vec::new();
-        for _ in 0..ndocs {
-            let index: usize = fields.num("bad document index")?;
-            let doc = pool
-                .get(index)
-                .ok_or_else(|| fail("document index past the pool"))?;
-            docs.push(Arc::clone(doc));
+        for _ in 0..fields.num::<usize>("bad doc count")? {
+            let doc = pool.get(fields.num::<usize>("bad document index")?);
+            docs.push(Arc::clone(
+                doc.ok_or_else(|| fail("document index past the pool"))?,
+            ));
         }
         let mut context = rebuild(&id, DataLake::from_arcs(docs), &description);
         if has_findings {
-            if fields.next()? != "F" {
+            if fields.field()? != "F" {
                 return Err(fail("missing findings record"));
             }
             context.findings = Some(Arc::new(decode_findings(fields)?));
@@ -691,7 +669,7 @@ impl ContextManager {
 fn decode_doc(fields: &mut Fields) -> Result<Document, SnapshotError> {
     let mut doc = Document::new(fields.text()?, fields.text()?);
     for _ in 0..fields.num::<usize>("bad label count")? {
-        doc = doc.with_label(fields.text()?, decode_value(fields.next()?)?);
+        doc = doc.with_label(fields.text()?, fields.value()?);
     }
     Ok(doc)
 }
@@ -711,7 +689,7 @@ fn decode_findings(fields: &mut Fields) -> Result<Table, SnapshotError> {
     for _ in 0..nrows {
         let mut row = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            row.push(decode_value(fields.next()?)?);
+            row.push(fields.value()?);
         }
         table
             .push_row(row)

@@ -27,7 +27,7 @@
 
 use crate::noise;
 use crate::sim::LlmResponse;
-use crate::snapshot::{self, decode_value, encode_value, esc, unesc, FailPlan};
+use crate::snapshot::{self, encode_value, esc, FailPlan, Fields};
 use crate::usage::UsageSnapshot;
 use aida_data::Value;
 use std::collections::HashMap;
@@ -534,53 +534,29 @@ fn encode_entry(key: &CacheKey, resp: &LlmResponse) -> String {
 }
 
 fn decode_entry(line: &str) -> Result<(CacheKey, LlmResponse), SnapshotError> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 8 {
-        return Err(SnapshotError::Format(format!(
-            "expected 8 fields, got {}",
-            fields.len()
-        )));
-    }
-    let hex = |raw: &str, what: &str| {
-        u64::from_str_radix(raw, 16).map_err(|_| SnapshotError::Format(format!("bad {what}")))
-    };
+    let mut fields = Fields::new(line.split('\t'));
     let key = CacheKey {
-        hi: hex(fields[0], "key.hi")?,
-        lo: hex(fields[1], "key.lo")?,
+        hi: fields.hex("bad key.hi")?,
+        lo: fields.hex("bad key.lo")?,
     };
-    let input_tokens = fields[2]
-        .parse::<usize>()
-        .map_err(|_| SnapshotError::Format("bad input_tokens".into()))?;
-    let output_tokens = fields[3]
-        .parse::<usize>()
-        .map_err(|_| SnapshotError::Format("bad output_tokens".into()))?;
-    let latency_s = f64::from_bits(hex(fields[4], "latency bits")?);
-    let corrupted = match fields[5] {
-        "0" => false,
-        "1" => true,
-        _ => return Err(SnapshotError::Format("bad corrupted flag".into())),
+    let resp = LlmResponse {
+        input_tokens: fields.num("bad input_tokens")?,
+        output_tokens: fields.num("bad output_tokens")?,
+        latency_s: fields.f64_bits("bad latency bits")?,
+        corrupted: fields.flag("bad corrupted flag")?,
+        value: fields.value()?,
+        text: fields.text()?,
+        receipt: UsageSnapshot::default(),
     };
-    Ok((
-        key,
-        LlmResponse {
-            value: decode_value(fields[6])?,
-            text: unesc(fields[7])?.into_owned(),
-            input_tokens,
-            output_tokens,
-            latency_s,
-            corrupted,
-            receipt: UsageSnapshot::default(),
-        },
-    ))
+    fields.end()?;
+    Ok((key, resp))
 }
 
 fn decode_snapshot(text: &str) -> Result<Vec<(CacheKey, LlmResponse)>, SnapshotError> {
-    let body = snapshot::decode_file(MAGIC, text)?;
-    let mut entries = Vec::new();
-    for line in body.lines() {
-        entries.push(decode_entry(line)?);
-    }
-    Ok(entries)
+    snapshot::decode_file(MAGIC, text)?
+        .lines()
+        .map(decode_entry)
+        .collect()
 }
 
 #[cfg(test)]

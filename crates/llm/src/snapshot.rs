@@ -1,10 +1,12 @@
 //! Shared durable-state plumbing: checksummed snapshot framing, atomic
-//! file commits, an append-only WAL record codec, and deterministic
-//! crash injection.
+//! file commits, an append-only WAL record codec, one field reader for
+//! every text record, and deterministic crash injection.
 //!
-//! Both whole-file durable stores in the workspace — the semantic call
-//! cache ([`crate::cache`]) and the ContextManager snapshot in
-//! `aida-core` — write the same shape:
+//! Four whole-file formats in the workspace — the semantic call cache
+//! ([`crate::cache`]), the ContextManager snapshot in `aida-core`, the
+//! tenant-ledger snapshot in `aida-serve`, and the compiled Pyrite
+//! artifact in `aida-script` (the source of a plan's content hash) —
+//! write the same frame:
 //!
 //! ```text
 //! <magic line>
@@ -16,10 +18,18 @@
 //! A reader verifies the magic, the declared line count, and the
 //! checksum before trusting a single byte; any violation is a typed
 //! [`SnapshotError`] and the caller starts cold. The tenant-ledger WAL
-//! in `aida-serve` uses the per-record variant instead
-//! ([`wal_append`] / [`wal_replay`]): every record carries its own
-//! monotone sequence number and checksum, so a torn tail truncates to
-//! the last intact record instead of rejecting the whole file.
+//! in `aida-serve` and the Context-store delta chain use the per-record
+//! variant instead ([`wal_append`] / [`delta_append`] / [`wal_replay`]):
+//! every record carries its own monotone sequence number and checksum,
+//! so a torn tail truncates to the last intact record instead of
+//! rejecting the whole file.
+//!
+//! Every decoder reads the fields of a body line or record payload
+//! through a [`Fields`] cursor — one typed read per field (escaped text,
+//! a number at its type's width, hex float bits, a `0`/`1` flag, a
+//! tagged [`Value`]) and a check that nothing is left over — so a field
+//! kind is parsed, and rejected, the same way in every format. Writers
+//! use [`esc`] and [`encode_value`] directly.
 //!
 //! Crash injection: every durable write site threads an optional
 //! [`FailPlan`] through [`commit_atomic`] and [`wal_append`]. A plan
@@ -162,7 +172,7 @@ fn unesc_run<'a>(rest: &mut &'a str, in_value: bool) -> Result<Cow<'a, str>, Sna
 
 /// Reverses [`esc`]; borrows `raw` when it holds no escape. Any
 /// malformed escape is a format error.
-pub fn unesc(mut raw: &str) -> Result<Cow<'_, str>, SnapshotError> {
+fn unesc(mut raw: &str) -> Result<Cow<'_, str>, SnapshotError> {
     unesc_run(&mut raw, false)
 }
 
@@ -270,13 +280,91 @@ impl<'a> ValueParser<'a> {
 }
 
 /// Reverses [`encode_value`]; trailing bytes are a format error.
-pub fn decode_value(raw: &str) -> Result<Value, SnapshotError> {
+fn decode_value(raw: &str) -> Result<Value, SnapshotError> {
     let mut parser = ValueParser { rest: raw };
     let value = parser.parse()?;
     if !parser.rest.is_empty() {
         return Err(SnapshotError::Format("trailing value bytes".into()));
     }
     Ok(value)
+}
+
+// ---- field cursor ------------------------------------------------------
+
+fn bad(what: &str) -> SnapshotError {
+    SnapshotError::Format(what.to_string())
+}
+
+/// The one reader of text records: every durable decoder takes its
+/// fields from a cursor, one typed read per field, instead of indexing a
+/// split line. `I` splits the record the way its format does — tabs
+/// (cache entries, ledger records), tabs and newlines (a Context-store
+/// body) or spaces (a bytecode artifact line).
+///
+/// The reads are strict: a number parses at the width of the type it
+/// is read into (`65537` is not a `u16`), a flag is exactly `0` or `1`,
+/// and [`Fields::end`] rejects a field left over.
+pub struct Fields<I>(I);
+
+impl<'a, I: Iterator<Item = &'a str>> Fields<I> {
+    /// A cursor over the fields `split` yields.
+    pub fn new(split: I) -> Fields<I> {
+        Fields(split)
+    }
+
+    /// The next field, or `None` at the end of the record.
+    pub fn try_field(&mut self) -> Option<&'a str> {
+        self.0.next()
+    }
+
+    /// The next field, as written.
+    pub fn field(&mut self) -> Result<&'a str, SnapshotError> {
+        self.0.next().ok_or_else(|| bad("truncated record"))
+    }
+
+    /// The next field, unescaped (the reverse of [`esc`]).
+    pub fn text(&mut self) -> Result<String, SnapshotError> {
+        Ok(unesc(self.field()?)?.into_owned())
+    }
+
+    /// The next field as a decimal number of type `T`; `what` is the
+    /// error message.
+    pub fn num<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, SnapshotError> {
+        self.field()?.parse().map_err(|_| bad(what))
+    }
+
+    /// The next field as a hexadecimal `u64`.
+    pub fn hex(&mut self, what: &str) -> Result<u64, SnapshotError> {
+        u64::from_str_radix(self.field()?, 16).map_err(|_| bad(what))
+    }
+
+    /// The next field as an `f64` written by its bits in hex, so every
+    /// float (NaN payloads included) comes back bit for bit.
+    pub fn f64_bits(&mut self, what: &str) -> Result<f64, SnapshotError> {
+        self.hex(what).map(f64::from_bits)
+    }
+
+    /// The next field as a flag: `0` or `1`, nothing else.
+    pub fn flag(&mut self, what: &str) -> Result<bool, SnapshotError> {
+        match self.field()? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(bad(what)),
+        }
+    }
+
+    /// The next field as an [`encode_value`] payload.
+    pub fn value(&mut self) -> Result<Value, SnapshotError> {
+        decode_value(self.field()?)
+    }
+
+    /// Succeeds only when every field has been read.
+    pub fn end(&mut self) -> Result<(), SnapshotError> {
+        match self.0.next() {
+            None => Ok(()),
+            Some(_) => Err(bad("trailing field")),
+        }
+    }
 }
 
 // ---- whole-file snapshot framing ---------------------------------------

@@ -22,14 +22,20 @@
 //!   are merged into one `Burn { n }` whose all-or-nothing semantics
 //!   leave the fuel counter bit-identical on both the success and
 //!   exhaustion paths.
-//! * **Durable artifacts.** [`CompiledProgram::encode`] frames the whole
-//!   program through the checksummed snapshot codec
-//!   ([`aida_llm::snapshot::encode_file`]), so compiled plans are
-//!   versioned on-disk artifacts; [`CompiledProgram::content_hash`] is a
-//!   stable 128-bit digest over the *canonical* encoding (line metadata
-//!   zeroed) that the semantic call cache keys on — two textually
-//!   different plans that compile to the same instructions share one
-//!   cache entry.
+//! * **Artifacts.** [`CompiledProgram::encode`] writes the whole program
+//!   as text framed by the checksummed snapshot codec
+//!   ([`aida_llm::snapshot::encode_file`]); [`CompiledProgram::decode`]
+//!   reads it back. Nothing stores artifacts on disk: the text is the
+//!   source of [`CompiledProgram::content_hash`], a stable 128-bit digest
+//!   over the *canonical* encoding (line metadata zeroed) that the
+//!   semantic call cache keys on — two textually different plans that
+//!   compile to the same instructions share one cache entry — and the
+//!   round trip is what the differential suite and the bounds bench check
+//!   a plan survives. Each opcode's mnemonic and operand order is written
+//!   once, in the opcode table below; the reader and writer are both
+//!   generated from it. The reader is strict: an operand parses at its own
+//!   width, a flag is `0` or `1`, and a token or line left over rejects
+//!   the artifact.
 
 use crate::ast::*;
 use crate::bounds::{self, Bound, CostBound};
@@ -37,9 +43,10 @@ use crate::error::ScriptError;
 use crate::parser::parse;
 use crate::types::{self, TypeEnv};
 use aida_llm::models::ModelId;
-use aida_llm::snapshot::{decode_file, encode_file, esc, fnv64, unesc};
+use aida_llm::snapshot::{decode_file, encode_file, esc, fnv64, Fields, SnapshotError};
 use aida_llm::CacheKey;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Register operand sentinel meaning "absent" (open slice bound, bare
@@ -254,9 +261,7 @@ impl CompiledProgram {
     /// Decodes a serialized artifact, verifying magic, line count, and
     /// checksum.
     pub fn decode(text: &str) -> Result<CompiledProgram, ScriptError> {
-        let body = decode_file(BYTECODE_MAGIC, text)
-            .map_err(|e| bad_artifact(format!("bad frame: {e:?}")))?;
-        decode_body(body)
+        decode_body(decode_file(BYTECODE_MAGIC, text)?)
     }
 
     /// The stable 128-bit content hash of the canonical encoding (line
@@ -276,61 +281,45 @@ impl CompiledProgram {
 
     fn body_text(&self, canonical: bool) -> String {
         let pools = &self.pools;
-        let mut out = String::new();
-        out.push_str("version 2\n");
-        out.push_str(&format!("consts {}\n", pools.consts.len()));
+        let mut out = format!("version 2\nconsts {}\n", pools.consts.len());
         for c in &pools.consts {
-            match c {
-                Const::Int(v) => out.push_str(&format!("c i {v}\n")),
-                Const::Float(v) => out.push_str(&format!("c f {:016x}\n", v.to_bits())),
-                Const::Str(s) => {
-                    out.push_str("c s ");
-                    esc(s, &mut out);
-                    out.push('\n');
-                }
-                Const::Bool(b) => out.push_str(&format!("c b {}\n", u8::from(*b))),
-                Const::None => out.push_str("c n\n"),
-            }
+            let _ = match c {
+                Const::Int(v) => writeln!(out, "c i {v}"),
+                Const::Float(v) => writeln!(out, "c f {:016x}", v.to_bits()),
+                Const::Str(s) => text_line(&mut out, "c s ", s),
+                Const::Bool(b) => writeln!(out, "c b {}", u8::from(*b)),
+                Const::None => writeln!(out, "c n"),
+            };
         }
-        out.push_str(&format!("names {}\n", pools.names.len()));
+        let _ = writeln!(out, "names {}", pools.names.len());
         for n in &pools.names {
-            out.push_str("n ");
-            esc(n, &mut out);
-            out.push('\n');
+            let _ = text_line(&mut out, "n ", n);
         }
-        out.push_str(&format!("vars {}\n", pools.var_lists.len()));
+        let _ = writeln!(out, "vars {}", pools.var_lists.len());
         for list in &pools.var_lists {
-            out.push_str(&format!("v {}", list.len()));
+            let _ = write!(out, "v {}", list.len());
             for (name, slot) in list {
-                out.push_str(&format!(" {name} {slot}"));
+                let _ = write!(out, " {name} {slot}");
             }
             out.push('\n');
         }
-        out.push_str(&format!("funcs {}\n", pools.funcs.len()));
+        let _ = writeln!(out, "funcs {}", pools.funcs.len());
         for f in &pools.funcs {
-            out.push_str(&format!(
-                "func {} {} {} {} ",
-                f.params.len(),
-                f.locals.len(),
-                f.chunk.nregs,
-                f.chunk.code.len()
-            ));
-            esc(&f.name, &mut out);
-            out.push('\n');
+            let (params, locals) = (f.params.len(), f.locals.len());
+            let (nregs, ncode) = (f.chunk.nregs, f.chunk.code.len());
+            let _ = text_line(
+                &mut out,
+                &format!("func {params} {locals} {nregs} {ncode} "),
+                &f.name,
+            );
             for l in &f.locals {
-                out.push_str("l ");
-                esc(l, &mut out);
-                out.push('\n');
+                let _ = text_line(&mut out, "l ", l);
             }
             for i in &f.chunk.code {
                 write_insn(&mut out, i, canonical);
             }
         }
-        out.push_str(&format!(
-            "main {} {}\n",
-            self.main.nregs,
-            self.main.code.len()
-        ));
+        let _ = writeln!(out, "main {} {}", self.main.nregs, self.main.code.len());
         for i in &self.main.code {
             write_insn(&mut out, i, canonical);
         }
@@ -338,25 +327,32 @@ impl CompiledProgram {
         // out of the canonical text: the content hash identifies the
         // instruction stream alone.
         if !canonical {
-            out.push_str(&format!(
-                "bound unbounded={} open={} fuel={}\n",
-                u8::from(self.bound.unbounded),
-                u8::from(self.bound.calls_open),
-                self.bound.fuel_max,
-            ));
-            out.push_str(&format!("bcalls {}\n", self.bound.calls_per_tool.len()));
-            for (name, b) in &self.bound.calls_per_tool {
-                out.push_str(&format!("bc {b} "));
-                esc(name, &mut out);
-                out.push('\n');
+            let b = &self.bound;
+            let (unbounded, open) = (u8::from(b.unbounded), u8::from(b.calls_open));
+            let _ = writeln!(
+                out,
+                "bound unbounded={unbounded} open={open} fuel={}",
+                b.fuel_max
+            );
+            let _ = writeln!(out, "bcalls {}", b.calls_per_tool.len());
+            for (name, calls) in &b.calls_per_tool {
+                let _ = text_line(&mut out, &format!("bc {calls} "), name);
             }
-            out.push_str(&format!("busd {}\n", self.bound.usd_max_per_tier.len()));
-            for (tier, usd) in &self.bound.usd_max_per_tier {
-                out.push_str(&format!("bu {} {:016x}\n", tier.name(), usd.to_bits()));
+            let _ = writeln!(out, "busd {}", b.usd_max_per_tier.len());
+            for (tier, usd) in &b.usd_max_per_tier {
+                let _ = writeln!(out, "bu {} {:016x}", tier.name(), usd.to_bits());
             }
         }
         out
     }
+}
+
+/// Appends `head`, the escaped `text` and a newline: a line whose last
+/// field is text.
+fn text_line(out: &mut String, head: &str, text: &str) -> std::fmt::Result {
+    out.push_str(head);
+    esc(text, out);
+    writeln!(out)
 }
 
 fn bad_artifact(message: String) -> ScriptError {
@@ -366,453 +362,228 @@ fn bad_artifact(message: String) -> ScriptError {
     }
 }
 
-fn op_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::Div => "div",
-        BinOp::FloorDiv => "fdiv",
-        BinOp::Mod => "mod",
-        BinOp::Eq => "eq",
-        BinOp::NotEq => "ne",
-        BinOp::Lt => "lt",
-        BinOp::LtEq => "le",
-        BinOp::Gt => "gt",
-        BinOp::GtEq => "ge",
-        BinOp::And => "and",
-        BinOp::Or => "or",
-        BinOp::In => "in",
-        BinOp::NotIn => "nin",
+/// A field the artifact's cursor cannot read rejects the artifact.
+impl From<SnapshotError> for ScriptError {
+    fn from(e: SnapshotError) -> ScriptError {
+        bad_artifact(match e {
+            SnapshotError::Format(message) => message,
+            SnapshotError::Io(e) => e.to_string(),
+        })
     }
 }
 
-fn op_parse(name: &str) -> Option<BinOp> {
-    Some(match name {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "div" => BinOp::Div,
-        "fdiv" => BinOp::FloorDiv,
-        "mod" => BinOp::Mod,
-        "eq" => BinOp::Eq,
-        "ne" => BinOp::NotEq,
-        "lt" => BinOp::Lt,
-        "le" => BinOp::LtEq,
-        "gt" => BinOp::Gt,
-        "ge" => BinOp::GtEq,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "in" => BinOp::In,
-        "nin" => BinOp::NotIn,
-        _ => return None,
-    })
+/// Every binary operator's artifact mnemonic, in declaration order (the
+/// writer indexes it by discriminant); the reader searches it.
+const BIN_OPS: [(BinOp, &str); 16] = [
+    (BinOp::Add, "add"),
+    (BinOp::Sub, "sub"),
+    (BinOp::Mul, "mul"),
+    (BinOp::Div, "div"),
+    (BinOp::FloorDiv, "fdiv"),
+    (BinOp::Mod, "mod"),
+    (BinOp::Eq, "eq"),
+    (BinOp::NotEq, "ne"),
+    (BinOp::Lt, "lt"),
+    (BinOp::LtEq, "le"),
+    (BinOp::Gt, "gt"),
+    (BinOp::GtEq, "ge"),
+    (BinOp::And, "and"),
+    (BinOp::Or, "or"),
+    (BinOp::In, "in"),
+    (BinOp::NotIn, "nin"),
+];
+
+/// An instruction operand's text form: written after a space, read from
+/// one space-separated token at the operand's own width.
+trait Operand: Sized {
+    fn write(&self, out: &mut String);
+    fn parse(token: &str) -> Option<Self>;
 }
 
-fn write_insn(out: &mut String, i: &Insn, canonical: bool) {
-    let ln = |l: u32| if canonical { 0 } else { l };
-    let text = match *i {
-        Insn::Burn { n, line } => format!("burn {n} {}", ln(line)),
-        Insn::Const { dst, idx } => format!("const {dst} {idx}"),
-        Insn::Load {
-            dst,
-            name,
-            slot,
-            line,
-        } => format!("load {dst} {name} {slot} {}", ln(line)),
-        Insn::Store { name, slot, src } => format!("store {name} {slot} {src}"),
-        Insn::MakeList { dst, base, n } => format!("list {dst} {base} {n}"),
-        Insn::NewDict { dst } => format!("dict {dst}"),
-        Insn::DictKey { reg, line } => format!("dkey {reg} {}", ln(line)),
-        Insn::DictSet { dict, key, val } => format!("dset {dict} {key} {val}"),
-        Insn::Bin {
-            op,
-            dst,
-            a,
-            b,
-            line,
-        } => {
-            format!("bin {} {dst} {a} {b} {}", op_name(op), ln(line))
-        }
-        Insn::Neg { dst, src, line } => format!("neg {dst} {src} {}", ln(line)),
-        Insn::Not { dst, src } => format!("not {dst} {src}"),
-        Insn::Jump { to } => format!("jmp {to}"),
-        Insn::JumpFalse { src, to } => format!("jf {src} {to}"),
-        Insn::JumpTrue { src, to } => format!("jt {src} {to}"),
-        Insn::GetIndex {
-            dst,
-            obj,
-            key,
-            line,
-        } => format!("geti {dst} {obj} {key} {}", ln(line)),
-        Insn::SetIndex {
-            obj,
-            key,
-            src,
-            line,
-        } => format!("seti {obj} {key} {src} {}", ln(line)),
-        Insn::SliceIdx { reg, line } => format!("slidx {reg} {}", ln(line)),
-        Insn::Slice {
-            dst,
-            obj,
-            lo,
-            hi,
-            line,
-        } => {
-            format!("slice {dst} {obj} {lo} {hi} {}", ln(line))
-        }
-        Insn::CallName {
-            dst,
-            name,
-            slot,
-            base,
-            argc,
-            line,
-            cline,
-        } => {
-            format!(
-                "calln {dst} {name} {slot} {base} {argc} {} {}",
-                ln(line),
-                ln(cline)
-            )
-        }
-        Insn::CallValue {
-            dst,
-            callee,
-            base,
-            argc,
-            line,
-        } => {
-            format!("callv {dst} {callee} {base} {argc} {}", ln(line))
-        }
-        Insn::CallMethod {
-            dst,
-            obj,
-            name,
-            base,
-            argc,
-            line,
-        } => {
-            format!("callm {dst} {obj} {name} {base} {argc} {}", ln(line))
-        }
-        Insn::MakeFunc { dst, idx } => format!("mkfn {dst} {idx}"),
-        Insn::IterNew { src, line } => format!("iter {src} {}", ln(line)),
-        Insn::IterNext { dst, done } => format!("next {dst} {done}"),
-        Insn::IterPop => "ipop".to_string(),
-        Insn::Bind { src, vars, line } => format!("bind {src} {vars} {}", ln(line)),
-        Insn::Push { list, src } => format!("push {list} {src}"),
-        Insn::SetLast { src } => format!("last {src}"),
-        Insn::Ret { src } => format!("ret {src}"),
-        Insn::LoopMisuse { line } => format!("loopmis {}", ln(line)),
-        Insn::Halt => "halt".to_string(),
-    };
-    out.push_str("i ");
-    out.push_str(&text);
-    out.push('\n');
+/// Registers, indices, counts and lines: decimal.
+impl<T: std::fmt::Display + std::str::FromStr> Operand for T {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, " {self}");
+    }
+
+    fn parse(token: &str) -> Option<T> {
+        token.parse().ok()
+    }
 }
 
-fn parse_insn(line: &str) -> Result<Insn, ScriptError> {
-    let rest = line
-        .strip_prefix("i ")
-        .ok_or_else(|| bad_artifact(format!("expected instruction line, got {line:?}")))?;
-    let mut it = rest.split(' ');
-    let op = it.next().unwrap_or("");
-    let mut num = |what: &str| -> Result<u64, ScriptError> {
-        it.next()
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| bad_artifact(format!("bad {what} operand in {line:?}")))
-    };
-    let insn = match op {
-        "burn" => Insn::Burn {
-            n: num("n")? as u32,
-            line: num("line")? as u32,
-        },
-        "const" => Insn::Const {
-            dst: num("dst")? as u16,
-            idx: num("idx")? as u16,
-        },
-        "load" => Insn::Load {
-            dst: num("dst")? as u16,
-            name: num("name")? as u16,
-            slot: num("slot")? as u16,
-            line: num("line")? as u32,
-        },
-        "store" => Insn::Store {
-            name: num("name")? as u16,
-            slot: num("slot")? as u16,
-            src: num("src")? as u16,
-        },
-        "list" => Insn::MakeList {
-            dst: num("dst")? as u16,
-            base: num("base")? as u16,
-            n: num("n")? as u16,
-        },
-        "dict" => Insn::NewDict {
-            dst: num("dst")? as u16,
-        },
-        "dkey" => Insn::DictKey {
-            reg: num("reg")? as u16,
-            line: num("line")? as u32,
-        },
-        "dset" => Insn::DictSet {
-            dict: num("dict")? as u16,
-            key: num("key")? as u16,
-            val: num("val")? as u16,
-        },
-        "bin" => {
-            let name = it.next().unwrap_or("");
-            let op =
-                op_parse(name).ok_or_else(|| bad_artifact(format!("unknown operator {name:?}")))?;
-            let mut num = |what: &str| -> Result<u64, ScriptError> {
-                it.next()
-                    .and_then(|t| t.parse::<u64>().ok())
-                    .ok_or_else(|| bad_artifact(format!("bad {what} operand in {line:?}")))
-            };
-            Insn::Bin {
-                op,
-                dst: num("dst")? as u16,
-                a: num("a")? as u16,
-                b: num("b")? as u16,
-                line: num("line")? as u32,
+impl Operand for BinOp {
+    fn write(&self, out: &mut String) {
+        out.push(' ');
+        out.push_str(BIN_OPS[*self as usize].1);
+    }
+
+    fn parse(token: &str) -> Option<BinOp> {
+        BIN_OPS
+            .iter()
+            .find(|(_, name)| *name == token)
+            .map(|(op, _)| *op)
+    }
+}
+
+/// The fields of one artifact line after its tag.
+type Tokens<'a> = Fields<std::str::SplitN<'a, char>>;
+
+fn operand<T: Operand>(fields: &mut Tokens, opcode: &str) -> Result<T, ScriptError> {
+    let token = fields.field()?;
+    T::parse(token).ok_or_else(|| bad_artifact(format!("bad {opcode} operand {token:?}")))
+}
+
+/// The opcode table: each instruction's mnemonic, then its operands in
+/// the order they are written, then its source-line operands (always
+/// last). The artifact's instruction writer and reader are both
+/// generated from it, so an opcode is one row; the canonical encoding,
+/// which the content hash reads, writes every line operand as 0.
+macro_rules! opcodes {
+    ($($variant:ident $mnemonic:literal ($($operand:ident),*) ($($line:ident),*),)*) => {
+        fn write_insn(out: &mut String, insn: &Insn, canonical: bool) {
+            out.push_str("i ");
+            match *insn {
+                $(Insn::$variant { $($operand,)* $($line,)* } => {
+                    out.push_str($mnemonic);
+                    $(Operand::write(&$operand, out);)*
+                    $(Operand::write(&if canonical { 0 } else { $line }, out);)*
+                })*
             }
+            out.push('\n');
         }
-        "neg" => Insn::Neg {
-            dst: num("dst")? as u16,
-            src: num("src")? as u16,
-            line: num("line")? as u32,
-        },
-        "not" => Insn::Not {
-            dst: num("dst")? as u16,
-            src: num("src")? as u16,
-        },
-        "jmp" => Insn::Jump {
-            to: num("to")? as u32,
-        },
-        "jf" => Insn::JumpFalse {
-            src: num("src")? as u16,
-            to: num("to")? as u32,
-        },
-        "jt" => Insn::JumpTrue {
-            src: num("src")? as u16,
-            to: num("to")? as u32,
-        },
-        "geti" => Insn::GetIndex {
-            dst: num("dst")? as u16,
-            obj: num("obj")? as u16,
-            key: num("key")? as u16,
-            line: num("line")? as u32,
-        },
-        "seti" => Insn::SetIndex {
-            obj: num("obj")? as u16,
-            key: num("key")? as u16,
-            src: num("src")? as u16,
-            line: num("line")? as u32,
-        },
-        "slidx" => Insn::SliceIdx {
-            reg: num("reg")? as u16,
-            line: num("line")? as u32,
-        },
-        "slice" => Insn::Slice {
-            dst: num("dst")? as u16,
-            obj: num("obj")? as u16,
-            lo: num("lo")? as u16,
-            hi: num("hi")? as u16,
-            line: num("line")? as u32,
-        },
-        _ => return parse_call_insn(op, line, &mut it),
+
+        /// Reads an instruction from the fields after its `i` tag.
+        fn parse_insn(mut fields: Tokens) -> Result<Insn, ScriptError> {
+            let insn = match fields.field()? {
+                $($mnemonic => Insn::$variant {
+                    $($operand: operand(&mut fields, $mnemonic)?,)*
+                    $($line: operand(&mut fields, $mnemonic)?,)*
+                },)*
+                other => return Err(bad_artifact(format!("unknown opcode {other:?}"))),
+            };
+            fields.end()?;
+            Ok(insn)
+        }
     };
-    Ok(insn)
 }
 
-/// The call, iterator, and terminator opcodes — second half of
-/// [`parse_insn`], same operand conventions.
-fn parse_call_insn(
-    op: &str,
-    line: &str,
-    it: &mut std::str::Split<'_, char>,
-) -> Result<Insn, ScriptError> {
-    let mut num = |what: &str| -> Result<u64, ScriptError> {
-        it.next()
-            .and_then(|t| t.parse::<u64>().ok())
-            .ok_or_else(|| bad_artifact(format!("bad {what} operand in {line:?}")))
-    };
-    let insn = match op {
-        "calln" => Insn::CallName {
-            dst: num("dst")? as u16,
-            name: num("name")? as u16,
-            slot: num("slot")? as u16,
-            base: num("base")? as u16,
-            argc: num("argc")? as u16,
-            line: num("line")? as u32,
-            cline: num("cline")? as u32,
-        },
-        "callv" => Insn::CallValue {
-            dst: num("dst")? as u16,
-            callee: num("callee")? as u16,
-            base: num("base")? as u16,
-            argc: num("argc")? as u16,
-            line: num("line")? as u32,
-        },
-        "callm" => Insn::CallMethod {
-            dst: num("dst")? as u16,
-            obj: num("obj")? as u16,
-            name: num("name")? as u16,
-            base: num("base")? as u16,
-            argc: num("argc")? as u16,
-            line: num("line")? as u32,
-        },
-        "mkfn" => Insn::MakeFunc {
-            dst: num("dst")? as u16,
-            idx: num("idx")? as u16,
-        },
-        "iter" => Insn::IterNew {
-            src: num("src")? as u16,
-            line: num("line")? as u32,
-        },
-        "next" => Insn::IterNext {
-            dst: num("dst")? as u16,
-            done: num("done")? as u32,
-        },
-        "ipop" => Insn::IterPop,
-        "bind" => Insn::Bind {
-            src: num("src")? as u16,
-            vars: num("vars")? as u16,
-            line: num("line")? as u32,
-        },
-        "push" => Insn::Push {
-            list: num("list")? as u16,
-            src: num("src")? as u16,
-        },
-        "last" => Insn::SetLast {
-            src: num("src")? as u16,
-        },
-        "ret" => Insn::Ret {
-            src: num("src")? as u16,
-        },
-        "loopmis" => Insn::LoopMisuse {
-            line: num("line")? as u32,
-        },
-        "halt" => Insn::Halt,
-        other => return Err(bad_artifact(format!("unknown opcode {other:?}"))),
-    };
-    Ok(insn)
+opcodes! {
+    Burn "burn" (n) (line),
+    Const "const" (dst, idx) (),
+    Load "load" (dst, name, slot) (line),
+    Store "store" (name, slot, src) (),
+    MakeList "list" (dst, base, n) (),
+    NewDict "dict" (dst) (),
+    DictKey "dkey" (reg) (line),
+    DictSet "dset" (dict, key, val) (),
+    Bin "bin" (op, dst, a, b) (line),
+    Neg "neg" (dst, src) (line),
+    Not "not" (dst, src) (),
+    Jump "jmp" (to) (),
+    JumpFalse "jf" (src, to) (),
+    JumpTrue "jt" (src, to) (),
+    GetIndex "geti" (dst, obj, key) (line),
+    SetIndex "seti" (obj, key, src) (line),
+    SliceIdx "slidx" (reg) (line),
+    Slice "slice" (dst, obj, lo, hi) (line),
+    CallName "calln" (dst, name, slot, base, argc) (line, cline),
+    CallValue "callv" (dst, callee, base, argc) (line),
+    CallMethod "callm" (dst, obj, name, base, argc) (line),
+    MakeFunc "mkfn" (dst, idx) (),
+    IterNew "iter" (src) (line),
+    IterNext "next" (dst, done) (),
+    IterPop "ipop" () (),
+    Bind "bind" (src, vars) (line),
+    Push "push" (list, src) (),
+    SetLast "last" (src) (),
+    Ret "ret" (src) (),
+    LoopMisuse "loopmis" () (line),
+    Halt "halt" () (),
+}
+
+/// An artifact body, one record per line, each line led by its tag.
+struct Records<'a>(std::str::Lines<'a>);
+
+impl<'a> Records<'a> {
+    /// The next line, which must carry `tag`, split into at most `n`
+    /// fields counting the tag: the last keeps its spaces, so escaped
+    /// text, which may hold them, ends a line.
+    fn record(&mut self, tag: &str, n: usize) -> Result<Tokens<'a>, ScriptError> {
+        let line = self
+            .0
+            .next()
+            .ok_or_else(|| bad_artifact(format!("missing {tag} line")))?;
+        let mut fields = Fields::new(line.splitn(n, ' '));
+        if fields.field()? != tag {
+            return Err(bad_artifact(format!("expected {tag} line, got {line:?}")));
+        }
+        Ok(fields)
+    }
+
+    /// A `<tag> <count>` line.
+    fn count(&mut self, tag: &str) -> Result<usize, ScriptError> {
+        let mut fields = self.record(tag, usize::MAX)?;
+        let n = fields.num("bad count")?;
+        fields.end()?;
+        Ok(n)
+    }
+
+    /// `n` instruction lines. Nothing is reserved from a count read off
+    /// the input: a forged count must fail on a missing line, not on an
+    /// allocation.
+    fn code(&mut self, n: usize) -> Result<Vec<Insn>, ScriptError> {
+        let mut code = Vec::new();
+        for _ in 0..n {
+            code.push(parse_insn(self.record("i", usize::MAX)?)?);
+        }
+        Ok(code)
+    }
 }
 
 fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
-    let mut lines = body.lines();
-    let mut next = |what: &str| -> Result<&str, ScriptError> {
-        lines
-            .next()
-            .ok_or_else(|| bad_artifact(format!("missing {what}")))
-    };
-    let version = next("version")?;
-    if version != "version 2" {
-        return Err(bad_artifact(format!("unsupported version {version:?}")));
-    }
-    fn counted(line: &str, key: &str) -> Result<usize, ScriptError> {
-        line.strip_prefix(key)
-            .and_then(|s| s.strip_prefix(' '))
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| bad_artifact(format!("bad {key} header: {line:?}")))
+    let mut records = Records(body.lines());
+    let mut version = records.record("version", usize::MAX)?;
+    match version.field()? {
+        "2" => version.end()?,
+        v => return Err(bad_artifact(format!("unsupported version {v:?}"))),
     }
     let mut p = Pools::default();
-    let n = counted(next("consts")?, "consts")?;
-    for _ in 0..n {
-        let line = next("const")?;
-        let rest = line
-            .strip_prefix("c ")
-            .ok_or_else(|| bad_artifact(format!("bad const line {line:?}")))?;
-        let c = match rest.split_once(' ') {
-            Some(("i", v)) => Const::Int(
-                v.parse()
-                    .map_err(|_| bad_artifact(format!("bad int const {v:?}")))?,
-            ),
-            Some(("f", v)) => Const::Float(f64::from_bits(
-                u64::from_str_radix(v, 16)
-                    .map_err(|_| bad_artifact(format!("bad float const {v:?}")))?,
-            )),
-            Some(("s", v)) => Const::Str(
-                unesc(v)
-                    .map_err(|e| bad_artifact(format!("bad string const: {e:?}")))?
-                    .into(),
-            ),
-            Some(("b", v)) => Const::Bool(v == "1"),
-            None if rest == "n" => Const::None,
-            _ => return Err(bad_artifact(format!("bad const line {line:?}"))),
-        };
-        p.consts.push(c);
+    for _ in 0..records.count("consts")? {
+        let mut c = records.record("c", 3)?;
+        p.consts.push(match c.field()? {
+            "i" => Const::Int(c.num("bad int const")?),
+            "f" => Const::Float(c.f64_bits("bad float const")?),
+            "s" => Const::Str(c.text()?),
+            "b" => Const::Bool(c.flag("bad bool const")?),
+            "n" => Const::None,
+            kind => return Err(bad_artifact(format!("unknown const kind {kind:?}"))),
+        });
+        c.end()?;
     }
-    let n = counted(next("names")?, "names")?;
-    for _ in 0..n {
-        let line = next("name")?;
-        let raw = line
-            .strip_prefix("n ")
-            .ok_or_else(|| bad_artifact(format!("bad name line {line:?}")))?;
-        p.names.push(
-            unesc(raw)
-                .map_err(|e| bad_artifact(format!("bad name: {e:?}")))?
-                .into_owned(),
-        );
+    for _ in 0..records.count("names")? {
+        p.names.push(records.record("n", 2)?.text()?);
     }
-    let n = counted(next("vars")?, "vars")?;
-    for _ in 0..n {
-        let line = next("varlist")?;
-        let mut it = line
-            .strip_prefix("v ")
-            .ok_or_else(|| bad_artifact(format!("bad varlist line {line:?}")))?
-            .split(' ');
-        let k: usize = it
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| bad_artifact(format!("bad varlist count {line:?}")))?;
-        let mut list = Vec::with_capacity(k);
-        for _ in 0..k {
-            let name: u16 = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| bad_artifact(format!("bad varlist entry {line:?}")))?;
-            let slot: u16 = it
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| bad_artifact(format!("bad varlist entry {line:?}")))?;
-            list.push((name, slot));
+    for _ in 0..records.count("vars")? {
+        let mut v = records.record("v", usize::MAX)?;
+        let mut list = Vec::new();
+        for _ in 0..v.num::<usize>("bad varlist count")? {
+            list.push((v.num("bad varlist name")?, v.num("bad varlist slot")?));
         }
+        v.end()?;
         p.var_lists.push(list);
     }
-    let n = counted(next("funcs")?, "funcs")?;
-    for _ in 0..n {
-        let header = next("func header")?;
-        let rest = header
-            .strip_prefix("func ")
-            .ok_or_else(|| bad_artifact(format!("bad func header {header:?}")))?;
-        let mut it = rest.splitn(5, ' ');
-        let mut num = |what: &str| -> Result<usize, ScriptError> {
-            it.next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| bad_artifact(format!("bad func {what} in {header:?}")))
-        };
-        let nparams = num("params")?;
-        let nlocals = num("locals")?;
-        let nregs = num("nregs")? as u16;
-        let ncode = num("code count")?;
-        let name = unesc(it.next().unwrap_or(""))
-            .map_err(|e| bad_artifact(format!("bad func name: {e:?}")))?
-            .into_owned();
-        let mut locals = Vec::with_capacity(nlocals);
+    for _ in 0..records.count("funcs")? {
+        let mut header = records.record("func", 6)?;
+        let nparams: usize = header.num("bad func params")?;
+        let nlocals: usize = header.num("bad func locals")?;
+        let nregs = header.num("bad func nregs")?;
+        let ncode = header.num("bad func code count")?;
+        let name = header.text()?;
+        let mut locals = Vec::new();
         for _ in 0..nlocals {
-            let line = next("local")?;
-            let raw = line
-                .strip_prefix("l ")
-                .ok_or_else(|| bad_artifact(format!("bad local line {line:?}")))?;
-            locals.push(
-                unesc(raw)
-                    .map_err(|e| bad_artifact(format!("bad local: {e:?}")))?
-                    .into_owned(),
-            );
+            locals.push(records.record("l", 2)?.text()?);
         }
-        let code = (0..ncode)
-            .map(|_| parse_insn(next("instruction")?))
-            .collect::<Result<_, _>>()?;
+        let code = records.code(ncode)?;
         p.funcs.push(CompiledFn {
             name,
             params: locals[..nparams.min(locals.len())].to_vec(),
@@ -820,102 +591,78 @@ fn decode_body(body: &str) -> Result<CompiledProgram, ScriptError> {
             chunk: Chunk { code, nregs },
         });
     }
-    let header = next("main header")?;
-    let rest = header
-        .strip_prefix("main ")
-        .ok_or_else(|| bad_artifact(format!("bad main header {header:?}")))?;
-    let (nregs, ncode) = rest
-        .split_once(' ')
-        .and_then(|(a, b)| Some((a.parse::<u16>().ok()?, b.parse::<usize>().ok()?)))
-        .ok_or_else(|| bad_artifact(format!("bad main header {header:?}")))?;
-    let code = (0..ncode)
-        .map(|_| parse_insn(next("instruction")?))
-        .collect::<Result<_, _>>()?;
-    let mut p = CompiledProgram {
+    let mut header = records.record("main", usize::MAX)?;
+    let nregs = header.num("bad main nregs")?;
+    let ncode = header.num("bad main code count")?;
+    header.end()?;
+    let main = Chunk {
+        code: records.code(ncode)?,
+        nregs,
+    };
+    let bound = decode_bound(&mut records)?;
+    if let Some(line) = records.0.next() {
+        return Err(bad_artifact(format!("trailing line {line:?}")));
+    }
+    Ok(CompiledProgram {
         pools: Arc::new(p),
-        main: Chunk { code, nregs },
-        bound: CostBound::unbounded_all(),
-    };
-    p.bound = decode_bound(&mut next)?;
-    Ok(p)
+        main,
+        bound,
+    })
 }
 
-fn parse_bound_token(tok: &str) -> Result<Bound, ScriptError> {
-    if tok == "inf" {
-        return Ok(Bound::Unbounded);
+/// The value of the next `key=value` field, as a cursor over it alone.
+fn setting<'a>(
+    fields: &mut Tokens<'a>,
+    key: &str,
+) -> Result<Fields<std::option::IntoIter<&'a str>>, ScriptError> {
+    let token = fields.field()?;
+    match token.split_once('=') {
+        Some((k, value)) if k == key => Ok(Fields::new(Some(value).into_iter())),
+        _ => Err(bad_artifact(format!("expected {key}=, got {token:?}"))),
     }
-    tok.parse()
-        .map(Bound::Finite)
-        .map_err(|_| bad_artifact(format!("bad bound value {tok:?}")))
 }
 
-/// Parses the version-2 bound section (exact round-trip of
+/// A bound as [`Bound`]'s `Display` writes it: a count, or `inf`.
+fn bound_value<'a>(
+    fields: &mut Fields<impl Iterator<Item = &'a str>>,
+) -> Result<Bound, ScriptError> {
+    match fields.field()? {
+        "inf" => Ok(Bound::Unbounded),
+        n => n
+            .parse()
+            .map(Bound::Finite)
+            .map_err(|_| bad_artifact(format!("bad bound value {n:?}"))),
+    }
+}
+
+/// Reads the version-2 bound section (exact round-trip of
 /// [`CostBound`] as written by `body_text`).
-fn decode_bound<'a>(
-    next: &mut impl FnMut(&str) -> Result<&'a str, ScriptError>,
-) -> Result<CostBound, ScriptError> {
-    let line = next("bound header")?;
-    let rest = line
-        .strip_prefix("bound ")
-        .ok_or_else(|| bad_artifact(format!("bad bound header {line:?}")))?;
-    let mut unbounded = None;
-    let mut open = None;
-    let mut fuel = None;
-    for tok in rest.split(' ') {
-        match tok.split_once('=') {
-            Some(("unbounded", v)) => unbounded = Some(v == "1"),
-            Some(("open", v)) => open = Some(v == "1"),
-            Some(("fuel", v)) => fuel = Some(parse_bound_token(v)?),
-            _ => return Err(bad_artifact(format!("bad bound field {tok:?}"))),
-        }
+fn decode_bound(records: &mut Records) -> Result<CostBound, ScriptError> {
+    let mut header = records.record("bound", usize::MAX)?;
+    let unbounded = setting(&mut header, "unbounded")?.flag("bad unbounded flag")?;
+    let calls_open = setting(&mut header, "open")?.flag("bad open flag")?;
+    let fuel_max = bound_value(&mut setting(&mut header, "fuel")?)?;
+    header.end()?;
+    let mut calls_per_tool = BTreeMap::new();
+    for _ in 0..records.count("bcalls")? {
+        let mut call = records.record("bc", 3)?;
+        let bound = bound_value(&mut call)?;
+        calls_per_tool.insert(call.text()?, bound);
     }
-    let (Some(unbounded), Some(open), Some(fuel)) = (unbounded, open, fuel) else {
-        return Err(bad_artifact(format!("incomplete bound header {line:?}")));
-    };
-    let count = |line: &str, key: &str| -> Result<usize, ScriptError> {
-        line.strip_prefix(key)
-            .and_then(|s| s.strip_prefix(' '))
-            .and_then(|n| n.parse().ok())
-            .ok_or_else(|| bad_artifact(format!("bad {key} header: {line:?}")))
-    };
-    let n = count(next("bcalls")?, "bcalls")?;
-    let mut calls = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let line = next("bound call")?;
-        let rest = line
-            .strip_prefix("bc ")
-            .ok_or_else(|| bad_artifact(format!("bad bound call line {line:?}")))?;
-        let (b, raw) = rest
-            .split_once(' ')
-            .ok_or_else(|| bad_artifact(format!("bad bound call line {line:?}")))?;
-        let name = unesc(raw)
-            .map_err(|e| bad_artifact(format!("bad bound call name: {e:?}")))?
-            .into_owned();
-        calls.insert(name, parse_bound_token(b)?);
-    }
-    let n = count(next("busd")?, "busd")?;
-    let mut usd = std::collections::BTreeMap::new();
-    for _ in 0..n {
-        let line = next("bound usd")?;
-        let rest = line
-            .strip_prefix("bu ")
-            .ok_or_else(|| bad_artifact(format!("bad bound usd line {line:?}")))?;
-        let (model, bits) = rest
-            .split_once(' ')
-            .ok_or_else(|| bad_artifact(format!("bad bound usd line {line:?}")))?;
+    let mut usd_max_per_tier = BTreeMap::new();
+    for _ in 0..records.count("busd")? {
+        let mut usd = records.record("bu", usize::MAX)?;
+        let model = usd.field()?;
         let tier = ModelId::parse(model)
             .ok_or_else(|| bad_artifact(format!("unknown model tier {model:?}")))?;
-        let value = f64::from_bits(
-            u64::from_str_radix(bits, 16)
-                .map_err(|_| bad_artifact(format!("bad bound usd bits {bits:?}")))?,
-        );
-        usd.insert(tier, value);
+        usd_max_per_tier.insert(tier, usd.f64_bits("bad bound usd bits")?);
+        usd.end()?;
     }
     Ok(CostBound {
-        fuel_max: fuel,
-        calls_per_tool: calls,
-        calls_open: open,
-        usd_max_per_tier: usd,
+        fuel_max,
+        calls_per_tool,
+        calls_open,
+        usd_max_per_tier,
         unbounded,
     })
 }
@@ -1883,6 +1630,49 @@ mod tests {
             .collect();
         let err = CompiledProgram::decode(&encode_file(BYTECODE_MAGIC, &v1_body)).unwrap_err();
         assert!(err.to_string().contains("unsupported version"), "{err}");
+    }
+
+    /// `body` with `from` replaced once by `to`, framed with a valid
+    /// checksum, so only the body decides.
+    fn forged(body: &str, from: &str, to: &str) -> String {
+        let forged = body.replacen(from, to, 1);
+        assert_ne!(forged, body, "{from:?} is in the body");
+        encode_file(BYTECODE_MAGIC, &forged)
+    }
+
+    #[test]
+    fn a_forged_local_count_fails_on_a_missing_line() {
+        let body = compiled("def f(a):\n    return a\nf(1)").body_text(false);
+        let err =
+            CompiledProgram::decode(&forged(&body, "func 1 1 ", "func 1 4000000000000000000 "))
+                .unwrap_err();
+        assert!(err.to_string().contains("expected l line"), "{err}");
+    }
+
+    #[test]
+    fn non_canonical_bodies_are_rejected() {
+        let body = compiled("x = True\nx").body_text(false);
+        assert!(CompiledProgram::decode(&encode_file(BYTECODE_MAGIC, &body)).is_ok());
+        for (from, to) in [
+            // A flag other than 0 or 1 used to read as `false`.
+            ("c b 1\n", "c b 7\n"),
+            // A register past `u16` used to wrap (65537 as u16 is 1).
+            ("i const 0 0\n", "i const 65537 0\n"),
+            // A token after the last operand used to be ignored.
+            ("i const 0 0\n", "i const 0 0 99\n"),
+            ("bound unbounded=0 ", "bound unbounded=9 "),
+        ] {
+            let decoded = CompiledProgram::decode(&forged(&body, from, to));
+            assert!(decoded.is_err(), "{to:?} decoded: {decoded:?}");
+        }
+    }
+
+    #[test]
+    fn binary_operator_names_are_in_declaration_order() {
+        for (i, (op, name)) in BIN_OPS.iter().enumerate() {
+            assert_eq!(*op as usize, i, "{name}");
+            assert_eq!(BinOp::parse(name), Some(*op));
+        }
     }
 
     #[test]

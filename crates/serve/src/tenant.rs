@@ -3,7 +3,7 @@
 //! cache-credit balances exact across service restarts.
 
 use crate::request::TenantId;
-use aida_llm::snapshot::{self, esc, unesc, FailPlan, SnapshotError};
+use aida_llm::snapshot::{self, esc, FailPlan, Fields, SnapshotError};
 use aida_llm::{ModelCatalog, UsageSnapshot};
 use aida_obs::SloTarget;
 use std::collections::BTreeMap;
@@ -107,12 +107,14 @@ impl Spend {
         }
     }
 
+    /// Counters saturate: a replayed ledger is input, and no record or
+    /// snapshot line may panic recovery by overflowing one.
     fn add(&mut self, other: Spend) {
         self.usd += other.usd;
-        self.tokens += other.tokens;
-        self.calls += other.calls;
-        self.cache_hits += other.cache_hits;
-        self.cache_coalesced += other.cache_coalesced;
+        self.tokens = self.tokens.saturating_add(other.tokens);
+        self.calls = self.calls.saturating_add(other.calls);
+        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
+        self.cache_coalesced = self.cache_coalesced.saturating_add(other.cache_coalesced);
     }
 }
 
@@ -292,25 +294,42 @@ impl LedgerRecord {
     /// Decodes a WAL payload. Dollars round-trip via `f64::to_bits`, so
     /// a replayed ledger is bit-identical to the one that wrote it.
     pub fn decode(payload: &str) -> Result<LedgerRecord, SnapshotError> {
-        let fail = |msg: &str| SnapshotError::Format(msg.to_string());
-        let fields: Vec<&str> = payload.split('\t').collect();
-        match fields.first() {
-            Some(&"admit") if fields.len() == 2 => Ok(LedgerRecord::Admit {
-                tenant: TenantId::new(unesc(fields[1])?),
-            }),
-            Some(&"spend") if fields.len() == 7 => Ok(LedgerRecord::Spend {
-                tenant: TenantId::new(unesc(fields[1])?),
-                usd: u64::from_str_radix(fields[2], 16)
-                    .map(f64::from_bits)
-                    .map_err(|_| fail("bad usd bits"))?,
-                tokens: fields[3].parse().map_err(|_| fail("bad tokens"))?,
-                calls: fields[4].parse().map_err(|_| fail("bad calls"))?,
-                cache_hits: fields[5].parse().map_err(|_| fail("bad cache_hits"))?,
-                cache_coalesced: fields[6].parse().map_err(|_| fail("bad cache_coalesced"))?,
-            }),
-            _ => Err(fail("unknown ledger record")),
-        }
+        let mut fields = Fields::new(payload.split('\t'));
+        let kind = fields.field()?;
+        let tenant = TenantId::new(fields.text()?);
+        let record = match kind {
+            "admit" => LedgerRecord::Admit { tenant },
+            "spend" => {
+                let spend = read_spend(&mut fields)?;
+                LedgerRecord::Spend {
+                    tenant,
+                    usd: spend.usd,
+                    tokens: spend.tokens,
+                    calls: spend.calls,
+                    cache_hits: spend.cache_hits,
+                    cache_coalesced: spend.cache_coalesced,
+                }
+            }
+            _ => return Err(SnapshotError::Format("unknown ledger record".into())),
+        };
+        fields.end()?;
+        Ok(record)
     }
+}
+
+/// Reads the five spend fields a ledger record and a ledger snapshot
+/// line both end with: dollars by their bits, then tokens, calls, cache
+/// hits and coalesced waiters.
+fn read_spend<'a>(
+    fields: &mut Fields<impl Iterator<Item = &'a str>>,
+) -> Result<Spend, SnapshotError> {
+    Ok(Spend {
+        usd: fields.f64_bits("bad usd bits")?,
+        tokens: fields.num("bad tokens")?,
+        calls: fields.num("bad calls")?,
+        cache_hits: fields.num("bad cache_hits")?,
+        cache_coalesced: fields.num("bad cache_coalesced")?,
+    })
 }
 
 /// What [`LedgerWal::recover`] reconstructed at startup.
@@ -744,31 +763,22 @@ fn encode_ledger_snapshot(next_seq: u64, ledger: &TenantLedger) -> String {
 }
 
 fn decode_ledger_snapshot(text: &str) -> Result<(u64, Vec<(TenantId, Spend)>), SnapshotError> {
-    let fail = |msg: &str| SnapshotError::Format(msg.to_string());
     let body = snapshot::decode_file(LEDGER_MAGIC, text)?;
     let mut lines = body.lines();
-    let next_seq = lines
-        .next()
-        .and_then(|line| line.strip_prefix("Q\t"))
-        .and_then(|raw| raw.parse::<u64>().ok())
-        .ok_or_else(|| fail("bad sequence line"))?;
+    let mut fields = Fields::new(lines.next().unwrap_or("").split('\t'));
+    if fields.field()? != "Q" {
+        return Err(SnapshotError::Format("bad sequence line".into()));
+    }
+    let next_seq = fields.num("bad sequence line")?;
+    fields.end()?;
     let mut spends = Vec::new();
     for line in lines {
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.first() != Some(&"S") || fields.len() != 7 {
-            return Err(fail("bad spend line"));
+        let mut fields = Fields::new(line.split('\t'));
+        if fields.field()? != "S" {
+            return Err(SnapshotError::Format("bad spend line".into()));
         }
-        let tenant = TenantId::new(unesc(fields[1])?);
-        let spend = Spend {
-            usd: u64::from_str_radix(fields[2], 16)
-                .map(f64::from_bits)
-                .map_err(|_| fail("bad usd bits"))?,
-            tokens: fields[3].parse().map_err(|_| fail("bad tokens"))?,
-            calls: fields[4].parse().map_err(|_| fail("bad calls"))?,
-            cache_hits: fields[5].parse().map_err(|_| fail("bad cache_hits"))?,
-            cache_coalesced: fields[6].parse().map_err(|_| fail("bad cache_coalesced"))?,
-        };
-        spends.push((tenant, spend));
+        spends.push((TenantId::new(fields.text()?), read_spend(&mut fields)?));
+        fields.end()?;
     }
     Ok((next_seq, spends))
 }
@@ -927,6 +937,20 @@ mod tests {
         };
         assert_eq!(LedgerRecord::decode(&a.encode()).unwrap(), a);
         assert!(LedgerRecord::decode("refund\tacme\t1").is_err());
+        // A field after the last is not ignored.
+        assert!(LedgerRecord::decode(&format!("{}\t7", r.encode())).is_err());
+    }
+
+    #[test]
+    fn replayed_counters_saturate_instead_of_overflowing() {
+        let mut ledger = TenantLedger::new();
+        let acme: TenantId = "acme".into();
+        for _ in 0..2 {
+            ledger.apply(&spend_record(&acme, 1.0));
+            ledger.charge(&acme, usd(0.0, u64::MAX, u64::MAX));
+        }
+        assert_eq!(ledger.spend(&acme).tokens, u64::MAX);
+        assert_eq!(ledger.spend(&acme).calls, u64::MAX);
     }
 
     #[test]

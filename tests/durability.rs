@@ -15,8 +15,8 @@ use aida::core::{Context, ContextManager, Runtime};
 use aida::data::{DataLake, Document};
 use aida::llm::snapshot::{self, CrashPoint, FailPlan, SnapshotError};
 use aida::serve::{
-    open_loop, LedgerRecord, LedgerWal, QueryService, ServeConfig, TenantConfig, TenantId,
-    TenantLedger, TenantLoad,
+    open_loop, LedgerRecord, LedgerWal, QueryService, ServeConfig, TenantConfig, TenantLedger,
+    TenantLoad,
 };
 use aida_testkit::TestDir;
 use common::{corrupt_byte, truncate_tail};
@@ -1073,49 +1073,15 @@ mod props {
     use super::*;
     use proptest::prelude::*;
 
-    fn record_strategy() -> impl Strategy<Value = LedgerRecord> {
-        let tenant = "[a-z\t\\\\ ]{1,10}";
-        prop_oneof![
-            tenant.prop_map(|t| LedgerRecord::Admit {
-                tenant: TenantId::new(t)
-            }),
-            (
-                (tenant, any::<u64>()),
-                (0u64..100_000, 0u64..64),
-                (0u64..16, 0u64..16)
-            )
-                .prop_map(|((t, bits), (tokens, calls), (hits, coalesced))| {
-                    LedgerRecord::Spend {
-                        tenant: TenantId::new(t),
-                        usd: f64::from_bits(bits),
-                        tokens,
-                        calls,
-                        cache_hits: hits,
-                        cache_coalesced: coalesced,
-                    }
-                }),
-        ]
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Every record round-trips its codec exactly (dollars compared
-        /// by bits, so NaN payloads round-trip too).
-        #[test]
-        fn ledger_record_codec_round_trips(record in record_strategy()) {
-            let encoded = record.encode();
-            prop_assert!(!encoded.contains('\n'));
-            let decoded = LedgerRecord::decode(&encoded).unwrap();
-            prop_assert_eq!(decoded.encode(), encoded);
-        }
 
         /// An arbitrary record sequence written through the WAL replays
         /// in order and bit-identically, and replay is deterministic:
         /// two recoveries from the same bytes agree exactly.
         #[test]
         fn wal_replay_is_order_deterministic(
-            records in prop::collection::vec(record_strategy(), 1..12)
+            records in prop::collection::vec(common::ledger_records(), 1..12)
         ) {
             let dir = TestDir::new("prop-wal");
             let path = dir.file("ledger.wal");
@@ -1209,7 +1175,7 @@ mod props {
         #[test]
         fn segmented_batch_wal_damage_loses_only_a_suffix(
             batches in prop::collection::vec(
-                prop::collection::vec(record_strategy(), 1..5),
+                prop::collection::vec(common::ledger_records(), 1..5),
                 1..5,
             ),
             segment_records in 0usize..4,
