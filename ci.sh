@@ -109,6 +109,17 @@ cargo test -q --release -p aida-llm --lib embed::tests::norm_identity
 # snapshot reloads. Release runs the full case count.
 cargo test -q --release -p aida-optimizer --test transparency
 
+# Shared-reading transparency: a call that answers from a reading another
+# model's call on the same task filled must return, bill and cache the
+# bits of an independent `invoke` (every task kind, subject kind, oracle,
+# fault and cache setting), and a sampler sharing one reading per
+# (operator, sample record) must produce the matrices, receipts, clock and
+# cache state of one reading every call afresh. Release runs the full
+# case counts.
+cargo test -q --release -p aida-llm --test shared_readings
+cargo test -q --release -p aida-optimizer --lib \
+  sampler::tests::shared_readings_sample_like_afresh_readings
+
 # Durable text formats: one property harness over the cache snapshot, the
 # ledger record and snapshot, the Context-store snapshot and delta frame,
 # and the bytecode artifact. Encoder output must round-trip, an edited

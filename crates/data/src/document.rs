@@ -45,9 +45,10 @@ impl DocKind {
 /// actually reading the text) consults them.
 ///
 /// The content is shared, and what is a pure function of it — the visible
-/// text, its lowered form, its table view, its token count and its hash —
-/// is computed on first use and kept (nothing is computed at load), so
-/// `content` and `kind` must not be reassigned once the text has been read.
+/// text, its lowered form, its table view, its line spans, its token count
+/// and its hash — is computed on first use and kept (nothing is computed at
+/// load), so `content` and `kind` must not be reassigned once the text has
+/// been read.
 /// The per-label key hashes are kept the same way; `labels` is private so
 /// that [`Document::with_label`], which drops those hashes, is the only way
 /// to change it.
@@ -73,6 +74,7 @@ struct TextMemo {
     stripped: OnceLock<Arc<str>>,
     lowered: OnceLock<Arc<str>>,
     table: OnceLock<TableView>,
+    lines: OnceLock<Box<[Range<usize>]>>,
     tokens: OnceLock<usize>,
     hash: OnceLock<u64>,
     /// A function of `labels`, not of `content`: cleared when a label is
@@ -170,6 +172,14 @@ impl Document {
         self.memo.table.get_or_init(|| read(self.shared_text()))
     }
 
+    /// [`line_spans`] of [`Document::shared_text`], computed on first use
+    /// and kept.
+    pub fn line_spans(&self) -> &[Range<usize>] {
+        self.memo
+            .lines
+            .get_or_init(|| line_spans(self.shared_text()).into())
+    }
+
     /// An owned copy of [`Document::shared_text`].
     pub fn text(&self) -> String {
         self.shared_text().to_string()
@@ -215,6 +225,16 @@ impl Document {
     pub fn size(&self) -> usize {
         self.content.len()
     }
+}
+
+/// The byte range in `text` of each line [`str::lines`] yields, in order.
+pub fn line_spans(text: &str) -> Vec<Range<usize>> {
+    text.lines()
+        .map(|line| {
+            let start = line.as_ptr() as usize - text.as_ptr() as usize;
+            start..start + line.len()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -276,6 +296,15 @@ mod tests {
             [hash("a", &3i64.into()), hash("b", &2i64.into())]
         );
         assert_eq!(doc.label_hashes(hash)[0], hash("a", &1i64.into()));
+    }
+
+    #[test]
+    fn line_spans_are_the_lines() {
+        for text in ["", "a", "a\n", "a\r\nb\rc\n\nd", "\n\r\n", "x\r"] {
+            let doc = Document::new("a.txt", text);
+            let lines: Vec<&str> = doc.line_spans().iter().map(|s| &text[s.clone()]).collect();
+            assert_eq!(lines, text.lines().collect::<Vec<_>>(), "{text:?}");
+        }
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub use clock::{ScheduledSlot, SimClock, Timeline, WallStopwatch};
 pub use embed::Embedder;
 pub use models::{ModelCatalog, ModelId, ModelSpec};
 pub use oracle::{Oracle, OracleAnswer, OracleRule, Subject};
-pub use sim::{LlmResponse, LlmTask, SimLlm};
+pub use sim::{LlmResponse, LlmTask, ReadingCell, SimLlm};
 pub use snapshot::{CrashPoint, FailPlan};
 pub use usage::{Usage, UsageSnapshot};

@@ -19,6 +19,7 @@ use crate::{noise, sim, tokens};
 use aida_data::{Document, Record, TableView, Value};
 use parking_lot::RwLock;
 use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The thing a semantic question is being asked about.
@@ -29,8 +30,8 @@ pub struct Subject<'a> {
     /// Visible text the "model" reads.
     pub text: Cow<'a, str>,
     /// Set when `text` *is* this document's shared text: its memoized
-    /// readings (lowered text, table view, token count, hash) then replace
-    /// re-walking the text per call.
+    /// readings (lowered text, table view, line spans, token count, hash)
+    /// then replace re-walking the text per call.
     memo: Option<&'a Document>,
     /// The document the subject was taken from, text shared or not: it
     /// carries the hidden ground-truth labels and their memoized key hashes.
@@ -122,6 +123,15 @@ impl<'a> Subject<'a> {
         match self.memo {
             Some(doc) => Cow::Borrowed(doc.lowered_text()),
             None => Cow::Owned(self.text.to_ascii_lowercase()),
+        }
+    }
+
+    /// The byte range of each of `text`'s lines ([`aida_data::line_spans`]),
+    /// from the document's memo when it has one.
+    pub(crate) fn line_spans(&self) -> Cow<'_, [Range<usize>]> {
+        match self.memo {
+            Some(doc) => Cow::Borrowed(doc.line_spans()),
+            None => Cow::Owned(aida_data::line_spans(&self.text)),
         }
     }
 

@@ -1,11 +1,23 @@
 //! The simulated LLM itself.
 //!
 //! [`SimLlm::invoke`] is the single entry point every semantic operator and
-//! agent step goes through. It (1) computes the true answer — via a
-//! registered oracle rule when one applies, otherwise by generically
-//! *reading* the subject text — (2) corrupts the answer through the
-//! tier/difficulty noise channel, and (3) returns what it billed as the
-//! response's receipt, with the call's simulated latency.
+//! agent step goes through. A call the cache does not serve takes three
+//! steps:
+//!
+//! 1. **Read.** The true answer — via a registered oracle rule when one
+//!    applies, otherwise by generically reading the subject text — the
+//!    difficulty, the prompt's tokens and the call key's task parts. No
+//!    model enters this step.
+//! 2. **Answer.** The model's call key sets the tier/difficulty noise
+//!    channel, which may corrupt the true answer; the completion is
+//!    counted.
+//! 3. **Bill.** The call's tokens (and a faulted attempt's) are recorded,
+//!    and returned as the response's receipt with its simulated latency.
+//!
+//! Because the reading is the same whichever model answers, a caller that
+//! asks several models the same task (the optimizer's sampling) passes one
+//! [`ReadingCell`] to [`SimLlm::invoke_shared`] and the task is read once;
+//! `invoke` is that entry point with a fresh cell.
 
 use crate::cache::{self, CacheKey, KeyHasher, Lookup, Residency, SemanticCache};
 use crate::models::{ModelCatalog, ModelId};
@@ -16,6 +28,7 @@ use crate::usage::UsageSnapshot;
 use aida_data::{TableView, Value};
 use aida_obs::{Event, Recorder};
 use parking_lot::Mutex;
+use std::cell::OnceCell;
 use std::ops::{Range, RangeInclusive};
 use std::sync::{Arc, OnceLock};
 
@@ -267,7 +280,29 @@ impl SimLlm {
     /// bills nothing and returns the stored response at the cache's hit
     /// latency.
     pub fn invoke(&self, model: ModelId, task: &LlmTask<'_>) -> LlmResponse {
-        let resp = self.lookup(model, task);
+        self.invoke_shared(model, task, &ReadingCell::new())
+    }
+
+    /// [`SimLlm::invoke`], taking the task's reading from `reading`: the
+    /// first call through the cell that computes a response fills it, and
+    /// every later one, whatever its model, answers from it instead of
+    /// reading the task again. A cache hit neither fills nor reads it. The
+    /// reading does not depend on the model, so every call returns, bills
+    /// and caches exactly what `invoke` would. A cell serves one task
+    /// (checked in debug builds).
+    pub fn invoke_shared(
+        &self,
+        model: ModelId,
+        task: &LlmTask<'_>,
+        reading: &ReadingCell,
+    ) -> LlmResponse {
+        #[cfg(debug_assertions)]
+        {
+            let fingerprint = self.content_key(ModelId::Flagship, task);
+            let first = *reading.task.get_or_init(|| fingerprint);
+            assert!(first == fingerprint, "one reading cell shared by two tasks");
+        }
+        let resp = self.lookup(model, task, reading);
         self.usage.lock().add(&resp.receipt);
         resp
     }
@@ -313,9 +348,9 @@ impl SimLlm {
         Some(receipt)
     }
 
-    fn lookup(&self, model: ModelId, task: &LlmTask<'_>) -> LlmResponse {
+    fn lookup(&self, model: ModelId, task: &LlmTask<'_>, reading: &ReadingCell) -> LlmResponse {
         let Some(cache) = &self.cache else {
-            return self.dispatch(model, task);
+            return self.respond(model, task, reading);
         };
         let (key, plan_keyed) = self.keyed(model, task);
         match cache.begin(key) {
@@ -349,7 +384,7 @@ impl SimLlm {
                 resp
             }
             Lookup::Compute(pending) => {
-                let mut resp = self.dispatch(model, task);
+                let mut resp = self.respond(model, task, reading);
                 // Stored without its receipt, so a hit's clone of it
                 // allocates none.
                 let mut receipt = std::mem::take(&mut resp.receipt);
@@ -370,41 +405,127 @@ impl SimLlm {
         }
     }
 
-    fn dispatch(&self, model: ModelId, task: &LlmTask<'_>) -> LlmResponse {
+    /// Computes a response: the task's reading, from `cell` when a call
+    /// through it has read the task already, answered as `model`.
+    fn respond(&self, model: ModelId, task: &LlmTask<'_>, cell: &ReadingCell) -> LlmResponse {
+        let reading = cell.reading.get_or_init(|| self.read(task));
+        self.answer(model, task, reading)
+    }
+
+    /// Reads a task: everything its response depends on but the model.
+    fn read(&self, task: &LlmTask<'_>) -> Reading {
         match task {
             LlmTask::Filter {
                 instruction,
                 subject,
-            } => self.run_filter(model, instruction, subject),
+            } => self.read_filter(instruction, subject),
             LlmTask::Extract {
                 instruction,
                 field,
                 field_desc,
                 subject,
-            } => self.run_extract(model, instruction, field, field_desc, subject),
+            } => self.read_extract(instruction, field, field_desc, subject),
             LlmTask::Map {
                 instruction,
                 subject,
                 target_tokens,
-            } => self.run_map(model, instruction, subject, *target_tokens),
+            } => self.read_map(instruction, subject, *target_tokens),
             LlmTask::Choose {
                 question,
                 options,
                 correct,
-            } => self.run_choose(model, question, options, *correct),
-            LlmTask::Freeform {
-                prompt, response, ..
-            } => self.run_freeform(model, prompt, response),
+            } => {
+                let options_text = options.join("\n");
+                Reading {
+                    truth: Truth::Pick(correct.unwrap_or(0).min(options.len().saturating_sub(1))),
+                    difficulty: 0.3,
+                    prompt_tokens: CHOOSE_PREAMBLE.tokens()
+                        + tokens::count_parts(&[question, &options_text]),
+                    key_parts: key_parts(question, "choose"),
+                }
+            }
+            LlmTask::Freeform { prompt, .. } => Reading {
+                truth: Truth::Verbatim,
+                // Unused: a freeform completion is never corrupted.
+                difficulty: 0.0,
+                prompt_tokens: AGENT_PREAMBLE.tokens() + tokens::count_parts(&[prompt]),
+                key_parts: key_parts(prompt, "freeform"),
+            },
         }
     }
 
-    fn call_key(&self, model: ModelId, instruction: &str, subject_name: &str) -> u64 {
-        noise::combine(&[
+    /// Answers a read task as `model`: the noise channel's decision for
+    /// the model's call key, the completion and its tokens, then the bill.
+    fn answer(&self, model: ModelId, task: &LlmTask<'_>, reading: &Reading) -> LlmResponse {
+        let [instruction, subject_name] = reading.key_parts;
+        let key = noise::combine(&[
             self.seed,
             noise::hash_str(model.name()),
-            noise::hash_str(instruction),
-            noise::hash_str(subject_name),
-        ])
+            instruction,
+            subject_name,
+        ]);
+        let err = self.catalog.spec(model).error_at(reading.difficulty);
+        let corrupted = noise::decide(key, err);
+        let (value, text, corrupted, out) = match (&reading.truth, task) {
+            (Truth::Bool(truth), LlmTask::Filter { .. }) => {
+                let answer = if corrupted { !truth } else { *truth };
+                let text = if answer { "true" } else { "false" };
+                (Value::Bool(answer), text.into(), corrupted, 4)
+            }
+            (Truth::Value(truth), LlmTask::Extract { subject, .. }) => {
+                let value = if corrupted {
+                    corrupt_value(truth, &subject.text, key)
+                } else {
+                    truth.clone()
+                };
+                let text = value.to_string();
+                let out = tokens::count(&text).max(4) + 6;
+                (value, text, corrupted, out)
+            }
+            (Truth::Text(truth), LlmTask::Map { target_tokens, .. }) => {
+                let text = if corrupted {
+                    // A degraded summary: drop the tail half.
+                    let cut = truth.len() / 2;
+                    let mut t = truth[..floor_char_boundary(truth, cut)].to_string();
+                    t.push_str(" …");
+                    t
+                } else {
+                    truth.to_string()
+                };
+                let out = tokens::count(&text).clamp(1, (*target_tokens).max(8));
+                (Value::Str(text.as_str().into()), text, corrupted, out)
+            }
+            (Truth::Pick(truth), LlmTask::Choose { options, .. }) => {
+                let corrupted = corrupted && !options.is_empty();
+                let pick = if corrupted && options.len() > 1 {
+                    // Deterministically pick a different option.
+                    let offset = 1 + noise::choose(noise::splitmix64(key), options.len() - 1);
+                    (truth + offset) % options.len()
+                } else {
+                    *truth
+                };
+                let text = options.get(pick).cloned().unwrap_or_default();
+                let out = tokens::count(&text).max(2);
+                (Value::Int(pick as i64), text, corrupted, out)
+            }
+            (Truth::Verbatim, LlmTask::Freeform { response, .. }) => {
+                let out = tokens::count(response).max(1);
+                (
+                    Value::Str((*response).into()),
+                    response.to_string(),
+                    false,
+                    out,
+                )
+            }
+            _ => unreachable!("a reading answers only the task it was read from"),
+        };
+        self.bill(
+            model,
+            reading.prompt_tokens,
+            out,
+            key,
+            (value, text, corrupted),
+        )
     }
 
     /// Bills a call (and, when fault injection fires for this call key,
@@ -474,7 +595,7 @@ impl SimLlm {
         }
     }
 
-    fn run_filter(&self, model: ModelId, instruction: &str, subject: &Subject<'_>) -> LlmResponse {
+    fn read_filter(&self, instruction: &str, subject: &Subject<'_>) -> Reading {
         let mut difficulty = subject.difficulty();
         let truth = match self.oracle.answer(instruction, subject) {
             Some(OracleAnswer::Bool(b)) => b,
@@ -486,30 +607,23 @@ impl SimLlm {
             Some(OracleAnswer::Text(t)) => !t.is_empty(),
             None => generic_filter(instruction, subject),
         };
-        let key = self.call_key(model, instruction, &subject.name);
-        let err = self.catalog.spec(model).error_at(difficulty);
-        let corrupted = noise::decide(key, err);
-        let answer = if corrupted { !truth } else { truth };
-        let input =
-            FILTER_PREAMBLE.tokens() + tokens::count_parts(&[instruction]) + part_tokens(subject);
-        let text = if answer { "true" } else { "false" };
-        self.bill(
-            model,
-            input,
-            4,
-            key,
-            (Value::Bool(answer), text.into(), corrupted),
-        )
+        Reading {
+            truth: Truth::Bool(truth),
+            difficulty,
+            prompt_tokens: FILTER_PREAMBLE.tokens()
+                + tokens::count_parts(&[instruction])
+                + part_tokens(subject),
+            key_parts: key_parts(instruction, &subject.name),
+        }
     }
 
-    fn run_extract(
+    fn read_extract(
         &self,
-        model: ModelId,
         instruction: &str,
         field: &str,
         field_desc: &str,
         subject: &Subject<'_>,
-    ) -> LlmResponse {
+    ) -> Reading {
         let oracle_query = format!("{instruction} :: {field}");
         let mut difficulty = subject.difficulty();
         let truth = match self.oracle.answer(&oracle_query, subject) {
@@ -522,29 +636,17 @@ impl SimLlm {
             Some(OracleAnswer::Text(t)) => Value::Str(t.into()),
             None => generic_extract(instruction, field, field_desc, subject),
         };
-        let key = self.call_key(model, &oracle_query, &subject.name);
-        let err = self.catalog.spec(model).error_at(difficulty);
-        let corrupted = noise::decide(key, err);
-        let value = if corrupted {
-            corrupt_value(&truth, &subject.text, key)
-        } else {
-            truth
-        };
-        let prompt = EXTRACT_PREAMBLE.tokens()
-            + tokens::count_parts(&[instruction, field, field_desc])
-            + part_tokens(subject);
-        let text = value.to_string();
-        let out = tokens::count(&text).max(4) + 6;
-        self.bill(model, prompt, out, key, (value, text, corrupted))
+        Reading {
+            truth: Truth::Value(truth),
+            difficulty,
+            prompt_tokens: EXTRACT_PREAMBLE.tokens()
+                + tokens::count_parts(&[instruction, field, field_desc])
+                + part_tokens(subject),
+            key_parts: key_parts(&oracle_query, &subject.name),
+        }
     }
 
-    fn run_map(
-        &self,
-        model: ModelId,
-        instruction: &str,
-        subject: &Subject<'_>,
-        target_tokens: usize,
-    ) -> LlmResponse {
+    fn read_map(&self, instruction: &str, subject: &Subject<'_>, target_tokens: usize) -> Reading {
         let truth = match self.oracle.answer(instruction, subject) {
             Some(OracleAnswer::Text(t)) => t,
             Some(OracleAnswer::Value(v)) => v.to_string(),
@@ -555,63 +657,68 @@ impl SimLlm {
             }
             None => generic_summary(&subject.text, target_tokens),
         };
-        let key = self.call_key(model, instruction, &subject.name);
-        let err = self.catalog.spec(model).error_at(subject.difficulty());
-        let corrupted = noise::decide(key, err);
-        let text = if corrupted {
-            // A degraded summary: drop the tail half.
-            let cut = truth.len() / 2;
-            let mut t = truth[..floor_char_boundary(&truth, cut)].to_string();
-            t.push_str(" …");
-            t
-        } else {
-            truth
-        };
-        let prompt =
-            MAP_PREAMBLE.tokens() + tokens::count_parts(&[instruction]) + part_tokens(subject);
-        let out = tokens::count(&text).clamp(1, target_tokens.max(8));
-        let value = Value::Str(text.as_str().into());
-        self.bill(model, prompt, out, key, (value, text, corrupted))
+        Reading {
+            truth: Truth::Text(truth.into()),
+            difficulty: subject.difficulty(),
+            prompt_tokens: MAP_PREAMBLE.tokens()
+                + tokens::count_parts(&[instruction])
+                + part_tokens(subject),
+            key_parts: key_parts(instruction, &subject.name),
+        }
     }
+}
 
-    fn run_choose(
-        &self,
-        model: ModelId,
-        question: &str,
-        options: &[String],
-        correct: Option<usize>,
-    ) -> LlmResponse {
-        let key = self.call_key(model, question, "choose");
-        let err = self.catalog.spec(model).error_at(0.3);
-        let corrupted = !options.is_empty() && noise::decide(key, err);
-        let truth = correct.unwrap_or(0).min(options.len().saturating_sub(1));
-        let pick = if corrupted && options.len() > 1 {
-            // Deterministically pick a different option.
-            let offset = 1 + noise::choose(noise::splitmix64(key), options.len() - 1);
-            (truth + offset) % options.len()
-        } else {
-            truth
-        };
-        let text = options.get(pick).cloned().unwrap_or_default();
-        let options_text = options.join("\n");
-        let prompt = CHOOSE_PREAMBLE.tokens() + tokens::count_parts(&[question, &options_text]);
-        let out = tokens::count(&text).max(2);
-        self.bill(
-            model,
-            prompt,
-            out,
-            key,
-            (Value::Int(pick as i64), text, corrupted),
-        )
-    }
+/// One task's reading, shared by the calls that ask it of several models
+/// ([`SimLlm::invoke_shared`]). Empty until a call through it computes a
+/// response.
+#[derive(Debug, Default)]
+pub struct ReadingCell {
+    reading: OnceCell<Reading>,
+    /// The flagship content key of the task the cell serves.
+    #[cfg(debug_assertions)]
+    task: OnceCell<CacheKey>,
+}
 
-    fn run_freeform(&self, model: ModelId, prompt: &str, response: &str) -> LlmResponse {
-        let input = AGENT_PREAMBLE.tokens() + tokens::count_parts(&[prompt]);
-        let out = tokens::count(response).max(1);
-        let key = self.call_key(model, prompt, "freeform");
-        let answer = (Value::Str(response.into()), response.to_string(), false);
-        self.bill(model, input, out, key, answer)
+impl ReadingCell {
+    /// An empty cell.
+    pub fn new() -> Self {
+        Self::default()
     }
+}
+
+/// What computing a response reads of its task, before any model is
+/// involved: the true answer, the difficulty the noise channel is set to,
+/// the prompt's tokens and the call key's task parts. Only the noise
+/// channel, the completion and the bill ([`SimLlm::answer`]) take the
+/// model.
+#[derive(Debug)]
+struct Reading {
+    truth: Truth,
+    difficulty: f64,
+    prompt_tokens: usize,
+    /// `hash_str` of the call key's instruction and subject name.
+    key_parts: [u64; 2],
+}
+
+/// The true answer to a task, by task kind.
+#[derive(Debug)]
+enum Truth {
+    /// A filter's judgement.
+    Bool(bool),
+    /// An extracted value.
+    Value(Value),
+    /// A map's text.
+    Text(Arc<str>),
+    /// The index of a choice's correct option.
+    Pick(usize),
+    /// A freeform call's completion is the task's own.
+    Verbatim,
+}
+
+/// The task parts of a call key: `hash_str` of the instruction and of the
+/// subject name.
+fn key_parts(instruction: &str, subject_name: &str) -> [u64; 2] {
+    [noise::hash_str(instruction), noise::hash_str(subject_name)]
 }
 
 /// The subject text's share of a prompt, as [`tokens::count_parts`] would
@@ -834,27 +941,12 @@ fn generic_extract(
         return v;
     }
     needles.extend(content_words(field_desc));
-    // A needle absent from the whole text is absent from every line.
     let text = &*subject.text;
-    let lower = subject.text_lower();
-    needles.retain(|w| lower.contains(w.as_str()));
-    let mut best: Option<(usize, &str)> = None;
-    if !needles.is_empty() {
-        for line in text.lines() {
-            // ASCII lowering keeps every byte offset.
-            let lowered = &lower[span_in(text, line)];
-            let score = needles
-                .iter()
-                .filter(|w| lowered.contains(w.as_str()))
-                .count();
-            if score > 0 && best.is_none_or(|(s, _)| score > s) {
-                best = Some((score, line));
-            }
-        }
-    }
+    let spans = subject.line_spans();
+    let best = best_line(&subject.text_lower(), &spans, needles).map(|i| &text[spans[i].clone()]);
     let want_year = field.to_ascii_lowercase().contains("year");
     let line = match best {
-        Some((_, line)) => line,
+        Some(line) => line,
         None => {
             // No line matched the keywords; fall back to the first number
             // anywhere in the text (a model would still read something).
@@ -868,6 +960,52 @@ fn generic_extract(
         Some(v) => v,
         None => Value::Str(line.trim().into()),
     }
+}
+
+/// The index of the line, among `spans` in `lower`, that contains the most
+/// of `needles` (each occurrence in `needles` counting once), the first of
+/// them on a tie; `None` when no line contains any.
+fn best_line(lower: &str, spans: &[Range<usize>], mut needles: Vec<String>) -> Option<usize> {
+    let mut scores = vec![0; spans.len()];
+    needles.sort_unstable();
+    for equal in needles.chunk_by(|a, b| a == b) {
+        score_lines(lower, spans, 0, &equal[0], equal.len(), &mut scores);
+    }
+    let mut best: Option<(usize, usize)> = None;
+    for (i, &score) in scores.iter().enumerate() {
+        if score > 0 && best.is_none_or(|(s, _)| score > s) {
+            best = Some((score, i));
+        }
+    }
+    best.map(|(_, i)| i)
+}
+
+/// Adds `weight` to the score of each line among `spans` (line `first`
+/// onwards) whose text in `lower` contains `needle`, probing a range of
+/// lines as one slice and halving only the ranges that contain it. A
+/// needle is a run of alphanumerics, so it never spans a line break: a
+/// range contains it exactly when one of its lines does.
+fn score_lines(
+    lower: &str,
+    spans: &[Range<usize>],
+    first: usize,
+    needle: &str,
+    weight: usize,
+    scores: &mut [usize],
+) {
+    let (Some(head), Some(tail)) = (spans.first(), spans.last()) else {
+        return;
+    };
+    if !lower[head.start..tail.end].contains(needle) {
+        return;
+    }
+    if spans.len() == 1 {
+        scores[first] += weight;
+        return;
+    }
+    let mid = spans.len() / 2;
+    score_lines(lower, &spans[..mid], first, needle, weight, scores);
+    score_lines(lower, &spans[mid..], first + mid, needle, weight, scores);
 }
 
 /// Finds the first number in a line; `prefer_year` picks a 4-digit integer

@@ -1,16 +1,20 @@
 //! The generic readers against the line-by-line readers they replaced.
 //!
-//! `reference_*` are the readers as they were before the lowered-text and
-//! table-view memos: each call lowers the text line by line and rescans
-//! it for comma lines. The property test asserts the memo-backed readers
-//! return identical values, for a document subject (memoized slots) and
-//! for a plain-text subject of the same text (slots computed per call).
-//! `ci.sh` runs it in release at the full case count.
+//! `reference_*` are the readers as they were before the lowered-text,
+//! table-view and line-span memos: each call lowers the text line by line,
+//! probes every line for every needle and rescans the text for comma
+//! lines. The property test asserts the memo-backed readers (the
+//! extractor merges equal needles and bisects the line range) return
+//! identical values, for a document subject (memoized slots) and for a
+//! plain-text subject of the same text (slots computed per call), and that
+//! a document's memoized line spans are its lines. `ci.sh` runs it in
+//! release at the full case count.
 
 use super::{content_words, first_number, generic_extract, generic_filter, table_extract};
 use crate::oracle::Subject;
 use aida_data::{Document, Value};
 use proptest::prelude::*;
+use std::ops::Range;
 
 fn reference_filter(instruction: &str, text: &str) -> bool {
     let needles = content_words(instruction);
@@ -164,6 +168,8 @@ const INSTRUCTIONS: &[&str] = &[
     "number of identity theft reports in 2001",
     "fraud reports in 2024 and 2001",
     "theft theft theft in 2024",
+    "theft reports theft fraud theft reports in 2001",
+    "fraud Fraud identity identity identity reports",
     "the of and",
     "report year",
     "total Straße é",
@@ -174,11 +180,34 @@ const INSTRUCTIONS: &[&str] = &[
 
 const FIELDS: &[&str] = &["thefts", "identity_theft", "year", "fraud", "value", ""];
 
-const FIELD_DESCS: &[&str] = &["", "number of reports", "the year", "notes x", "é total"];
+const FIELD_DESCS: &[&str] = &[
+    "",
+    "number of reports",
+    "the year",
+    "notes x",
+    "é total",
+    "reports reports fraud",
+    "identity theft theft total total total",
+];
 
+/// Short texts, and long ones of more than 64 lines, so the extractor's
+/// bisection recurses several levels.
 fn text() -> impl Strategy<Value = String> {
-    prop::collection::vec(0..TEXT_PIECES.len(), 0..48)
-        .prop_map(|picks| picks.into_iter().map(|i| TEXT_PIECES[i]).collect())
+    let piece = 0..TEXT_PIECES.len();
+    let line = prop::collection::vec(piece.clone(), 0..6).prop_map(|picks| {
+        let mut line: String = picks.into_iter().map(|i| TEXT_PIECES[i]).collect();
+        line.push('\n');
+        line
+    });
+    prop_oneof![
+        prop::collection::vec(piece, 0..48)
+            .prop_map(|picks| picks.into_iter().map(|i| TEXT_PIECES[i]).collect()),
+        prop::collection::vec(line, 65..160).prop_map(|lines| lines.concat()),
+    ]
+}
+
+fn lines_of<'t>(text: &'t str, spans: &[Range<usize>]) -> Vec<&'t str> {
+    spans.iter().map(|span| &text[span.clone()]).collect()
 }
 
 fn pick(options: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
@@ -198,6 +227,7 @@ proptest! {
         name in pick(&["d.txt", "d.csv", "d.eml"]),
     ) {
         let doc = Document::new(name, text.as_str());
+        prop_assert_eq!(lines_of(&text, doc.line_spans()), text.lines().collect::<Vec<_>>());
         let mut needles = content_words(instruction);
         needles.extend(content_words(field));
         for subject in [Subject::doc(&doc), Subject::text_only(name, &text)] {

@@ -10,77 +10,75 @@
 /// Counts the tokens in `text`.
 ///
 /// Empty or whitespace-only text counts zero tokens. One pass over the
-/// bytes: ASCII is classified byte by byte, and each non-ASCII character
-/// by `char::is_whitespace` / `char::is_alphanumeric`, so NBSP, NEL, `é`
-/// or `٣` count as they would in a char-by-char walk.
+/// bytes: an ASCII byte is classified by [`CLASSES`], and only a non-ASCII
+/// character is decoded, to be classified by `char::is_whitespace` /
+/// `char::is_alphanumeric`, so NBSP, NEL, `é` or `٣` count as they would
+/// in a char-by-char walk. Each token is billed at the character that
+/// opens it: the first of a punctuation run, and the 1st, 5th, 9th… of an
+/// alphanumeric run, which so costs `ceil(len/4)`.
 pub fn count(text: &str) -> usize {
     let bytes = text.as_bytes();
     let mut total = 0usize;
-    // Characters in the open alphanumeric run, and whether the previous
-    // character was punctuation (a punctuation run costs one token).
-    let mut alnum = 0usize;
-    let mut in_punct = false;
+    // The open alphanumeric run's length, and the previous character's
+    // class.
+    let mut run = 0usize;
+    let mut prev = SPACE;
     let mut i = 0;
     while i < bytes.len() {
-        let class = if bytes[i].is_ascii() {
-            let b = bytes[i];
-            i += 1;
-            ascii_class(b)
-        } else {
+        let mut class = CLASSES[usize::from(bytes[i])];
+        if class == NON_ASCII {
             let c = text[i..]
                 .chars()
                 .next()
-                .expect("i is on a char boundary below text.len()");
+                .expect("a non-ASCII byte at i opens a char");
             i += c.len_utf8();
-            char_class(c)
-        };
-        match class {
-            Class::Space => {
-                total += alnum.div_ceil(4);
-                alnum = 0;
-                in_punct = false;
-            }
-            Class::Alnum => {
-                alnum += 1;
-                in_punct = false;
-            }
-            Class::Punct => {
-                total += alnum.div_ceil(4) + usize::from(!in_punct);
-                alnum = 0;
-                in_punct = true;
-            }
+            class = char_class(c);
+        } else {
+            i += 1;
         }
+        let alnum = class == ALNUM;
+        total += usize::from(alnum && run.is_multiple_of(4))
+            + usize::from(class == PUNCT && prev != PUNCT);
+        run = if alnum { run + 1 } else { 0 };
+        prev = class;
     }
-    total + alnum.div_ceil(4)
+    total
 }
 
-/// How the tokenizer sees one character: whitespace separates words; in a
-/// word, each alphanumeric run costs `ceil(len/4)` tokens and each
-/// punctuation run one.
-#[derive(Clone, Copy)]
-enum Class {
-    Space,
-    Alnum,
-    Punct,
-}
+// How the tokenizer sees one character: whitespace separates words; in a
+// word, each alphanumeric run costs `ceil(len/4)` tokens and each
+// punctuation run one.
+const SPACE: u8 = 0;
+const PUNCT: u8 = 1;
+const ALNUM: u8 = 2;
+/// A byte of a multi-byte character: the character is decoded.
+const NON_ASCII: u8 = 3;
 
-/// [`char_class`] for an ASCII byte. `char::is_whitespace` counts U+000B
-/// (vertical tab), which `u8::is_ascii_whitespace` does not.
-fn ascii_class(b: u8) -> Class {
-    match b {
-        b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ' => Class::Space,
-        _ if b.is_ascii_alphanumeric() => Class::Alnum,
-        _ => Class::Punct,
+/// The class of every byte. `char::is_whitespace` counts U+000B (vertical
+/// tab), which `u8::is_ascii_whitespace` does not.
+static CLASSES: [u8; 256] = {
+    let mut table = [NON_ASCII; 256];
+    let mut b = 0;
+    while b < 128 {
+        let byte = b as u8;
+        table[b] = match byte {
+            b'\t' | b'\n' | 0x0B | 0x0C | b'\r' | b' ' => SPACE,
+            _ if byte.is_ascii_alphanumeric() => ALNUM,
+            _ => PUNCT,
+        };
+        b += 1;
     }
-}
+    table
+};
 
-fn char_class(c: char) -> Class {
+/// The class of a non-ASCII character.
+fn char_class(c: char) -> u8 {
     if c.is_whitespace() {
-        Class::Space
+        SPACE
     } else if c.is_alphanumeric() {
-        Class::Alnum
+        ALNUM
     } else {
-        Class::Punct
+        PUNCT
     }
 }
 

@@ -12,7 +12,7 @@ use crate::bandit::Ucb1;
 use crate::memo::{MemoKey, Replay, SampleMemo};
 use aida_data::{DataLake, Record, Value};
 use aida_llm::cache::HIT_LATENCY_S;
-use aida_llm::{CacheKey, LlmTask, ModelId, SemanticCache, Subject, UsageSnapshot};
+use aida_llm::{CacheKey, LlmTask, ModelId, ReadingCell, SemanticCache, Subject, UsageSnapshot};
 use aida_semops::exec::{scan_record, subject_of};
 use aida_semops::plan::{LogicalOp, LogicalPlan};
 use aida_semops::ExecEnv;
@@ -111,18 +111,34 @@ struct Run {
     pulls: Vec<(usize, ModelId, usize)>,
 }
 
+/// The readings of one sampling run's tasks, one per (operator index,
+/// sample index): the flagship reference and every bandit pull on a pair
+/// ask the same task, so the simulator reads it once
+/// ([`aida_llm::SimLlm::invoke_shared`]).
+type Readings = BTreeMap<usize, Vec<ReadingCell>>;
+
 /// Runs the sampling phase for a logical plan.
 pub struct Sampler<'a> {
     env: &'a ExecEnv,
     config: SamplerConfig,
     memo: &'a SampleMemo,
+    /// Every call reads its task afresh, as [`aida_llm::SimLlm::invoke`]
+    /// does: the reference the shared readings are tested against.
+    #[cfg(test)]
+    afresh: bool,
 }
 
 impl<'a> Sampler<'a> {
     /// Creates a sampler that replays repeated all-hit runs from `memo`
     /// (see [`SampleMemo`]); `memo` must serve only samplers over `env`.
     pub fn new(env: &'a ExecEnv, config: SamplerConfig, memo: &'a SampleMemo) -> Self {
-        Sampler { env, config, memo }
+        Sampler {
+            env,
+            config,
+            memo,
+            #[cfg(test)]
+            afresh: false,
+        }
     }
 
     /// Estimates the sample matrix for a plan. Returns a prior-only matrix
@@ -260,8 +276,19 @@ impl<'a> Sampler<'a> {
             .iter()
             .flat_map(|&op| CANDIDATES.iter().map(move |&m| (op, m)))
             .collect();
-        let references = self.reference_pass(plan, subjects, sem_indices, &mut run.receipt);
-        let (bandit, arm_obs) = self.bandit_pass(plan, subjects, &arms, &references, &mut run);
+        let readings: Readings = sem_indices
+            .iter()
+            .map(|&op_idx| {
+                (
+                    op_idx,
+                    subjects.iter().map(|_| ReadingCell::new()).collect(),
+                )
+            })
+            .collect();
+        let references =
+            self.reference_pass(plan, subjects, sem_indices, &readings, &mut run.receipt);
+        let (bandit, arm_obs) =
+            self.bandit_pass(plan, subjects, &readings, &arms, &references, &mut run);
         run.ops = sem_indices
             .iter()
             .map(|&op_idx| {
@@ -277,6 +304,7 @@ impl<'a> Sampler<'a> {
         plan: &LogicalPlan,
         subjects: &[Subject<'_>],
         sem_indices: &[usize],
+        readings: &Readings,
         receipt: &mut UsageSnapshot,
     ) -> BTreeMap<usize, Vec<ReferenceObs>> {
         sem_indices
@@ -285,7 +313,8 @@ impl<'a> Sampler<'a> {
                 let op = &plan.ops()[op_idx];
                 let obs = subjects
                     .iter()
-                    .map(|s| self.observe(op, s.clone(), ModelId::Flagship, receipt))
+                    .zip(&readings[&op_idx])
+                    .map(|(s, cell)| self.observe(op, s.clone(), ModelId::Flagship, cell, receipt))
                     .collect();
                 (op_idx, obs)
             })
@@ -298,6 +327,7 @@ impl<'a> Sampler<'a> {
         &self,
         plan: &LogicalPlan,
         subjects: &[Subject<'_>],
+        readings: &Readings,
         arms: &[(usize, ModelId)],
         references: &BTreeMap<usize, Vec<ReferenceObs>>,
         run: &mut Run,
@@ -330,7 +360,8 @@ impl<'a> Sampler<'a> {
             let pull_no = arm_obs[arm].len();
             let sample_idx = pull_order[&op_idx][pull_no % subjects.len()];
             let subject = subjects[sample_idx].clone();
-            let obs = self.observe(op, subject, model, &mut run.receipt);
+            let reading = &readings[&op_idx][sample_idx];
+            let obs = self.observe(op, subject, model, reading, &mut run.receipt);
             run.pulls.push((op_idx, model, sample_idx));
             let reference = &references[&op_idx][sample_idx];
             let reward = agreement(&obs.value, &reference.value, self.env);
@@ -454,9 +485,17 @@ impl<'a> Sampler<'a> {
         op: &LogicalOp,
         subject: Subject<'_>,
         model: ModelId,
+        reading: &ReadingCell,
         receipt: &mut UsageSnapshot,
     ) -> ReferenceObs {
-        let resp = self.env.llm.invoke(model, &task(op, subject));
+        #[cfg(test)]
+        let fresh = ReadingCell::new();
+        #[cfg(test)]
+        let reading = if self.afresh { &fresh } else { reading };
+        let resp = self
+            .env
+            .llm
+            .invoke_shared(model, &task(op, subject), reading);
         self.env.clock.advance(resp.latency_s * SAMPLING_OVERLAP);
         receipt.add(&resp.receipt);
         let catalog = self.env.llm.catalog();
@@ -556,8 +595,10 @@ fn agreement(candidate: &Value, reference: &Value, env: &ExecEnv) -> f64 {
 mod tests {
     use super::*;
     use aida_data::{DataLake, Document};
-    use aida_llm::SimLlm;
+    use aida_llm::oracle::FnRule;
+    use aida_llm::{OracleAnswer, SimLlm};
     use aida_semops::Dataset;
+    use std::sync::Arc;
 
     fn lake() -> DataLake {
         DataLake::from_docs((0..20).map(|i| {
@@ -638,6 +679,165 @@ mod tests {
         let m = Sampler::new(&env, SamplerConfig::default(), &SampleMemo::new()).sample(ds.plan());
         assert!(m.ops.is_empty());
         assert_eq!(m.avg_record_tokens, 0.0);
+    }
+
+    /// SplitMix64, so the cases depend on no crate under test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    const WORDS: [&str; 10] = [
+        "theft", "fraud", "pipeline", "merger", "identity", "report", "2019", "1,204", "revenue",
+        "Audit",
+    ];
+
+    /// A lake of `n` documents, a few lines each, every third a table.
+    fn random_lake(rng: &mut Rng, n: usize) -> DataLake {
+        DataLake::from_docs((0..n).map(|i| {
+            let line = |rng: &mut Rng| -> String {
+                let words: Vec<&str> = (0..1 + rng.below(6))
+                    .map(|_| WORDS[rng.below(WORDS.len())])
+                    .collect();
+                words.join(" ")
+            };
+            let (name, text) = if i % 3 == 2 {
+                let rows: Vec<String> = (0..3 + rng.below(3))
+                    .map(|r| format!("{},{},{}", 2018 + r, rng.below(900), rng.below(9)))
+                    .collect();
+                (
+                    format!("t{i}.csv"),
+                    format!("year,theft,fraud\n{}", rows.join("\n")),
+                )
+            } else {
+                let lines: Vec<String> = (0..1 + rng.below(5)).map(|_| line(rng)).collect();
+                (format!("d{i}.txt"), lines.join("\n"))
+            };
+            Document::new(name, text).with_label("difficulty", rng.below(10) as f64 / 10.0)
+        }))
+    }
+
+    fn random_plan(rng: &mut Rng, lake: &DataLake) -> Dataset {
+        let mut ds = Dataset::scan(lake, "docs");
+        for _ in 0..1 + rng.below(3) {
+            let word = WORDS[rng.below(WORDS.len())];
+            ds = match rng.below(4) {
+                0 => ds.sem_filter(format!("mentions {word}")),
+                1 => ds.sem_extract(
+                    format!("find the {word} figure in 2019"),
+                    vec![aida_data::Field::described(
+                        "theft",
+                        format!("{word} count"),
+                    )],
+                ),
+                2 => ds.sem_map(format!("summarize the {word}"), "summary", 20),
+                _ => ds.sem_agg(format!("total every {word}")),
+            };
+        }
+        ds
+    }
+
+    /// The bits two sides must agree on: every matrix float, count and
+    /// receipt, and the environment's clock, usage and cache stats.
+    fn bits(m: &SampleMatrix, env: &ExecEnv) -> String {
+        let mut out = format!(
+            "avg {:x} cost {:x} time {:x} replayed {} receipt {:?}\nclock {:x} usage {:?} cache {:?}\n",
+            m.avg_record_tokens.to_bits(),
+            m.sampling_cost.to_bits(),
+            m.sampling_time.to_bits(),
+            m.replayed,
+            m.receipt,
+            env.clock.now().to_bits(),
+            env.llm.usage(),
+            env.llm.cache().map(|c| c.stats()),
+        );
+        for op in &m.ops {
+            out.push_str(&format!(
+                "op {} {:x}",
+                op.op_index,
+                op.selectivity.to_bits()
+            ));
+            for (model, e) in &op.per_model {
+                out.push_str(&format!(
+                    " {model}:{:x}/{:x}/{:x}/{}",
+                    e.quality.to_bits(),
+                    e.cost_per_record.to_bits(),
+                    e.time_per_record.to_bits(),
+                    e.observations
+                ));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Sharing one reading per (operator, sample record) is transparent:
+    /// a sampler that does produces, run for run, the bits of one whose
+    /// every call reads its task afresh, and leaves the clock, the usage
+    /// fold and the cache alike. Cases vary the lake (text and table
+    /// documents), the plan's operators, the sampler configuration, the
+    /// seed, the fault rate, an oracle rule, the cache and its capacity,
+    /// and interleave cache clears.
+    #[test]
+    fn shared_readings_sample_like_afresh_readings() {
+        let cases = if cfg!(debug_assertions) { 32 } else { 2000 };
+        let mut rng = Rng(0x5a3e_d7ea);
+        for case in 0..cases {
+            let docs = 1 + rng.below(24);
+            let lake = random_lake(&mut rng, docs);
+            let plans: Vec<Dataset> = (0..1 + rng.below(3))
+                .map(|_| random_plan(&mut rng, &lake))
+                .collect();
+            let (seed, fault, oracle) = (rng.below(4) as u64, rng.below(3), rng.below(2) == 1);
+            let cache = rng.below(3);
+            let env = || {
+                let mut llm = SimLlm::new(seed).with_fault_rate(0.2 * fault as f64);
+                if cache > 0 {
+                    llm = llm.with_cache(SemanticCache::with_capacity(16 * (cache - 1)));
+                }
+                if oracle {
+                    llm.oracle().register(Arc::new(FnRule::new(
+                        "reports",
+                        |instruction: &str, subject: &Subject<'_>| {
+                            let hard = subject.difficulty();
+                            let applies =
+                                instruction.contains("report") && subject.name.ends_with(".txt");
+                            applies.then_some(OracleAnswer::BoolWithDifficulty(hard > 0.4, hard))
+                        },
+                    )));
+                }
+                ExecEnv::new(llm)
+            };
+            let (shared, afresh) = (env(), env());
+            let (memo_a, memo_b) = (SampleMemo::new(), SampleMemo::new());
+            for step in 0..1 + rng.below(5) {
+                let plan = plans[rng.below(plans.len())].plan();
+                let config = SamplerConfig {
+                    sample_records: 1 + rng.below(11),
+                    bandit_pulls: rng.below(40),
+                };
+                if rng.below(4) == 0 {
+                    for side in [&shared, &afresh] {
+                        if let Some(cache) = side.llm.cache() {
+                            cache.clear();
+                        }
+                    }
+                }
+                let a = Sampler::new(&shared, config.clone(), &memo_a).sample(plan);
+                let mut reference = Sampler::new(&afresh, config, &memo_b);
+                reference.afresh = true;
+                let b = reference.sample(plan);
+                let (a, b) = (bits(&a, &shared), bits(&b, &afresh));
+                assert!(a == b, "case {case} step {step}:\n{a}\nvs\n{b}");
+            }
+        }
     }
 
     #[test]

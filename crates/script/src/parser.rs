@@ -216,7 +216,18 @@ impl Parser {
                 self.expect(Tok::LParen, "'('")?;
                 let mut params = Vec::new();
                 while !matches!(self.peek(), Tok::RParen) {
-                    params.push(self.name("parameter")?);
+                    // Python rejects a repeated parameter name; the
+                    // compiler would bind both to one slot.
+                    let (param_line, param_col) = (self.line(), self.col());
+                    let param = self.name("parameter")?;
+                    if params.contains(&param) {
+                        return Err(ScriptError::Parse {
+                            line: param_line,
+                            col: param_col,
+                            message: format!("duplicate parameter '{param}' in '{name}'"),
+                        });
+                    }
+                    params.push(param);
                     if !self.eat(&Tok::Comma) {
                         break;
                     }
@@ -680,6 +691,19 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn duplicate_parameters_are_a_parse_error() {
+        match parse("def f(a, b, a):\n    return a") {
+            Err(ScriptError::Parse { line, col, message }) => {
+                assert_eq!((line, col), (1, 13), "{message}");
+                assert!(message.contains("duplicate parameter 'a'"), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        assert!(parse("def f(a, a):\n    return a").is_err());
+        assert!(parse("def f(a, b):\n    return a").is_ok());
     }
 
     #[test]
