@@ -15,7 +15,7 @@ cargo test -q --workspace
 # a byte count of the state files, so a change to the on-disk format of
 # durable state leaves them alone. The ten traces are the only pinned
 # record of the traced path: every span, event and counter (cache hits
-# included) the binaries' traced runs export.
+# and the `memo.*` counters included) the binaries' traced runs export.
 pinned_bins=(table1 table2 figure1 figure2 serve_soak
   ablation_reuse ablation_rewrite ablation_optimizer ablation_sampling ablation_access)
 pinned_files=(BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.json
@@ -108,6 +108,16 @@ cargo test -q --release -p aida-llm --lib embed::tests::norm_identity
 # cache snapshot), across executor misses, evictions, clears and
 # snapshot reloads. Release runs the full case count.
 cargo test -q --release -p aida-optimizer --test transparency
+
+# The other memos' transparency: an agent runtime whose step memo clears on
+# every miss must give the answers, transcripts, receipts and clock of one
+# with the default memo over every policy flow, and a bound gate whose
+# verdict memo clears on every new instruction the default gate's verdicts
+# and counts. There is no switch to turn a memo off: a budget-1 instance,
+# which clears on every miss, stands in for the run without one.
+cargo test -q --release -p aida-agents --lib step_cache::tests
+cargo test -q --release -p aida-serve --lib \
+  bounds::tests::a_clearing_verdict_memo_judges_like_the_default
 
 # Shared-reading transparency: a call that answers from a reading another
 # model's call on the same task filled must return, bill and cache the

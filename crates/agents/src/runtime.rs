@@ -184,6 +184,7 @@ impl<'a> AgentRuntime<'a> {
         let mut interp = Interpreter::new().with_fuel(5_000_000);
         registry.bind_billing_into(&mut interp, &receipts);
 
+        self.steps.0.report_to(&self.env.recorder);
         let t0 = self.env.clock.now();
         let manifest = registry.manifest();
         let mut observations: Vec<String> = Vec::new();

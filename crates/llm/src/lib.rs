@@ -25,6 +25,7 @@
 pub mod cache;
 pub mod clock;
 pub mod embed;
+pub mod memo;
 pub mod models;
 pub mod noise;
 pub mod oracle;
@@ -36,6 +37,7 @@ pub mod usage;
 pub use cache::{CacheKey, CacheStats, Residency, SemanticCache, SnapshotError};
 pub use clock::{ScheduledSlot, SimClock, Timeline, WallStopwatch};
 pub use embed::Embedder;
+pub use memo::{Memo, MemoStats};
 pub use models::{ModelCatalog, ModelId, ModelSpec};
 pub use oracle::{Oracle, OracleAnswer, OracleRule, Subject};
 pub use sim::{LlmResponse, LlmTask, ReadingCell, SimLlm};

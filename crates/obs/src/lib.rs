@@ -46,7 +46,7 @@ pub use event::Event;
 pub use flight::{FlightRecord, FlightRing};
 pub use json::Json;
 pub use metric::{Gauge, Histogram, Summary};
-pub use recorder::{Recorder, SpanHandle};
+pub use recorder::{CounterSource, Recorder, SpanHandle};
 pub use report::{SpanTotals, Trace};
 pub use slo::{BurnRate, SloKind, SloPolicy, SloTarget, SloVerdict};
 pub use span::{clip, SpanData, SpanKind};

@@ -25,6 +25,24 @@ use crate::metric::{default_bounds, Gauge, Histogram};
 use crate::report::Trace;
 use crate::span::{SpanData, SpanKind};
 
+/// Counts an owner keeps itself and the recorder reads when it takes a
+/// trace, so counting costs the owner no recorder call per operation (a
+/// memo's hits and misses: see `aida_llm::memo`).
+pub trait CounterSource: Send + Sync {
+    /// Adds the source's counters to `counters`.
+    fn add_counters(&self, counters: &mut BTreeMap<String, u64>);
+}
+
+/// The attached [`CounterSource`]s, in attach order.
+#[derive(Default)]
+struct Sources(Vec<Arc<dyn CounterSource>>);
+
+impl std::fmt::Debug for Sources {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} counter sources", self.0.len())
+    }
+}
+
 #[derive(Debug, Default)]
 struct State {
     spans: Vec<SpanData>,
@@ -39,6 +57,8 @@ struct State {
     flight: FlightRing,
     /// Where `flight_autodump` writes; set once by the runtime builder.
     flight_path: Option<PathBuf>,
+    /// Counters read at [`Recorder::trace`], added to `counters`.
+    sources: Sources,
 }
 
 #[derive(Debug, Default)]
@@ -190,6 +210,17 @@ impl Recorder {
         *st.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
+    /// Reads `source`'s counters into every trace taken from now on.
+    /// Attaching a source that is already attached does nothing.
+    pub fn attach(&self, source: Arc<dyn CounterSource>) {
+        let Some(inner) = &self.inner else { return };
+        let mut st = inner.state.lock().unwrap();
+        let addr = |s: &Arc<dyn CounterSource>| Arc::as_ptr(s).cast::<()>();
+        if !st.sources.0.iter().any(|s| addr(s) == addr(&source)) {
+            st.sources.0.push(source);
+        }
+    }
+
     /// Records one histogram sample, creating the histogram with the
     /// registry-default bounds for `name`.
     pub fn histogram_record(&self, name: &str, value: f64) {
@@ -243,9 +274,13 @@ impl Recorder {
         }
         let mut orphans = st.orphans.clone();
         orphans.sort_by_key(|e| e.to_json().render());
+        let mut counters = st.counters.clone();
+        for source in &st.sources.0 {
+            source.add_counters(&mut counters);
+        }
         Trace {
             spans,
-            counters: st.counters.clone(),
+            counters,
             histograms: st.histograms.clone(),
             gauges: st.gauges.clone(),
             orphans,

@@ -140,6 +140,15 @@ pub const HEALTH_CACHE_HIT: &str = "serve.cache_hit";
 /// Admission-queue depth samples (service-wide).
 pub const HEALTH_QUEUE_DEPTH: &str = "serve.queue_depth_ts";
 
+/// Builds a memo's counter name `memo.<memo>.<field>`. Every
+/// `aida_llm::memo::Memo` reports four fields, each only once it is
+/// nonzero: `hits` and `misses` (lookups that found an entry or did
+/// not), `clears` (inserts that emptied a memo at its budget first) and
+/// `entries` (entries resident when the trace was taken).
+pub fn memo_counter(memo: &str, field: &str) -> String {
+    format!("memo.{memo}.{field}")
+}
+
 /// Builds the per-tenant series key `<name>/<tenant>`.
 pub fn tenant_series(name: &str, tenant: &str) -> String {
     format!("{name}/{tenant}")

@@ -28,14 +28,12 @@
 //! beyond its reference pass.
 
 use crate::sampler::{OpEstimate, SamplerConfig};
-use aida_llm::{CacheKey, ModelId, Residency};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use aida_llm::{CacheKey, Memo, ModelId, Residency};
+use std::sync::{Arc, OnceLock};
 
-/// Entries a memo holds. A miss that finds it full clears it first: the
-/// measured workloads run a few dozen distinct programs per runtime, so
-/// the bound guards memory and is not expected to be reached.
-const CAPACITY: usize = 256;
+/// Runs a memo holds (see [`aida_llm::memo`] for the rule at the bound,
+/// which no measured workload reaches).
+const BUDGET: u64 = 256;
 
 /// Everything that decides an all-hit sampling run's calls.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -62,76 +60,21 @@ pub(crate) struct Replay {
     pub(crate) avg_record_tokens: f64,
 }
 
-/// A bounded, shareable memo of all-hit sampling runs. Clones share one
-/// store, so every optimizer built from one runtime replays a run any of
-/// them recorded.
-#[derive(Clone, Default)]
-pub struct SampleMemo {
-    inner: Arc<Mutex<HashMap<MemoKey, Arc<Replay>>>>,
+/// A bounded, shareable memo of all-hit sampling runs, the `sampling`
+/// memo. Clones share one store, so every optimizer built from one
+/// runtime replays a run any of them recorded.
+#[derive(Clone)]
+pub struct SampleMemo(pub(crate) Memo<MemoKey, Arc<Replay>>);
+
+impl Default for SampleMemo {
+    fn default() -> Self {
+        SampleMemo(Memo::new("sampling", BUDGET))
+    }
 }
 
 impl SampleMemo {
     /// An empty memo.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub(crate) fn get(&self, key: &MemoKey) -> Option<Arc<Replay>> {
-        self.inner.lock().unwrap().get(key).cloned()
-    }
-
-    /// Records `replay` under `key`, replacing an older run (one whose
-    /// token went stale) of the same key.
-    pub(crate) fn insert(&self, key: MemoKey, replay: Replay) {
-        let mut entries = self.inner.lock().unwrap();
-        if entries.len() >= CAPACITY && !entries.contains_key(&key) {
-            entries.clear();
-        }
-        entries.insert(key, Arc::new(replay));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use aida_llm::SemanticCache;
-
-    fn key(i: u64) -> MemoKey {
-        MemoKey {
-            references: vec![CacheKey { hi: i, lo: i }],
-            sem_indices: vec![1],
-            config: SamplerConfig::default(),
-        }
-    }
-
-    fn replay() -> Replay {
-        Replay {
-            pulls: Vec::new(),
-            keys: OnceLock::new(),
-            token: SemanticCache::with_capacity(0).residency(),
-            ops: Vec::new(),
-            avg_record_tokens: 0.0,
-        }
-    }
-
-    fn len(memo: &SampleMemo) -> usize {
-        memo.inner.lock().unwrap().len()
-    }
-
-    #[test]
-    fn a_full_memo_is_cleared_before_the_next_new_key() {
-        let memo = SampleMemo::new();
-        for i in 0..CAPACITY as u64 {
-            memo.insert(key(i), replay());
-        }
-        memo.insert(key(0), replay());
-        assert_eq!(len(&memo), CAPACITY, "a known key replaces its run");
-        memo.insert(key(CAPACITY as u64), replay());
-        assert_eq!(len(&memo), 1, "the bound holds");
-        assert!(
-            memo.clone().get(&key(CAPACITY as u64)).is_some(),
-            "clones share"
-        );
-        assert!(memo.get(&key(0)).is_none());
     }
 }

@@ -194,7 +194,8 @@ impl<'a> Sampler<'a> {
             sem_indices,
             config: self.config.clone(),
         };
-        if let Some(replay) = self.memo.get(&key) {
+        self.memo.0.report_to(&self.env.recorder);
+        if let Some(replay) = self.memo.0.get(&key) {
             // The memo key fixes every call, so this plan's operators and
             // subjects key the recorded run's calls as that run did.
             let keys = replay.keys.get_or_init(|| {
@@ -233,7 +234,7 @@ impl<'a> Sampler<'a> {
                 ops: run.ops.clone(),
                 avg_record_tokens: run.avg_record_tokens,
             };
-            self.memo.insert(key, replay);
+            self.memo.0.insert(key, Arc::new(replay), 1);
         }
         self.matrix(run.ops, run.avg_record_tokens, run.receipt, t0)
     }

@@ -330,6 +330,31 @@ fn the_check_reproduces_the_pinned_verdicts() {
     );
 }
 
+/// The content-hash pin: `fixtures/content_hashes.txt` holds, for every
+/// corpus program that compiles under its environment, its corpus line
+/// and [`aida_script::CompiledProgram::content_hash`] (`hi` then `lo`, in
+/// hex), written by the compiler before any change to how the hash is
+/// computed. The hash keys the semantic cache's planning calls, so a
+/// change that moves one orphans every stored step.
+#[test]
+fn every_compiling_program_keeps_its_content_hash() {
+    let mut now = String::new();
+    for (i, case) in corpus().iter().enumerate() {
+        let compiled = aida_script::parser::parse(&case.src)
+            .and_then(|program| aida_script::compile_checked(&program, &case.env));
+        if let Ok(program) = compiled {
+            let (hi, lo) = program.content_hash();
+            now.push_str(&format!("{i} {hi:016x}{lo:016x}\n"));
+        }
+    }
+    let pinned = include_str!("fixtures/content_hashes.txt");
+    assert_eq!(now.lines().count(), 3302, "programs that compile");
+    for (now, pinned) in now.lines().zip(pinned.lines()) {
+        assert_eq!(now, pinned, "corpus line and content hash");
+    }
+    assert_eq!(now.lines().count(), pinned.lines().count());
+}
+
 const SAME: usize = 9036;
 const NONE_TYPE: usize = 419;
 const VM_RAISES: usize = 642;

@@ -14,16 +14,25 @@
 //! post-hoc quota gate still applies — because a missing bound is not
 //! evidence of overspend. Only a *proven* violation sheds.
 //!
-//! Verdicts are cached by [`plan_hash`], the same 128-bit content hash
+//! Verdicts are memoized by [`plan_hash`], the same 128-bit content hash
 //! the wire protocol interns source under, so a returning client's
-//! plan-hash path gets its bound for free.
+//! plan-hash path gets its bound for free. The gate compiles the wire
+//! text with `compile_source`, with no tools or globals. The agent that
+//! answers the request compiles other programs (the steps its policy
+//! writes) under its tools and globals, through the agents' step cache:
+//! the two judge different programs in different environments, so
+//! neither verdict can stand in for the other.
 //!
 //! [`RejectReason::CostBoundExceeded`]: crate::RejectReason::CostBoundExceeded
 
 use crate::net::plan_hash;
 use aida_llm::models::ModelId;
+use aida_llm::{Memo, MemoStats};
 use aida_script::bytecode::compile_source;
-use std::collections::BTreeMap;
+
+/// Verdicts the gate holds (see [`aida_llm::memo`] for the rule at the
+/// bound, which no measured workload reaches).
+const BUDGET: u64 = 256;
 
 /// What the static analyzer concluded about one instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,19 +47,17 @@ pub enum StaticVerdict {
 }
 
 /// The admission-side bound gate: compiles-and-analyzes each distinct
-/// instruction once, caches the verdict by plan hash, and counts what
-/// it saw for the report and the metrics registry.
+/// instruction once, memoizes the verdict by plan hash (the `bounds`
+/// memo), and counts what it saw for the report and the metrics registry.
 #[derive(Debug)]
 pub struct BoundGate {
     tier: ModelId,
-    cache: BTreeMap<u128, StaticVerdict>,
+    verdicts: Memo<u128, StaticVerdict>,
     /// Instructions that compiled as Pyrite and were bound-checked
-    /// (cache hits included).
+    /// (memo hits included).
     pub checked: u64,
     /// Checked instructions whose dollar bound was not finite.
     pub unbounded: u64,
-    /// Verdicts served from the plan-hash cache.
-    pub cache_hits: u64,
 }
 
 impl BoundGate {
@@ -58,11 +65,16 @@ impl BoundGate {
     pub fn new(tier: ModelId) -> BoundGate {
         BoundGate {
             tier,
-            cache: BTreeMap::new(),
+            verdicts: Memo::new("bounds", BUDGET),
             checked: 0,
             unbounded: 0,
-            cache_hits: 0,
         }
+    }
+
+    /// The verdict memo's counters: its hits are the verdicts served
+    /// without compiling (`bounds.cache_hits`).
+    pub fn memo(&self) -> MemoStats {
+        self.verdicts.stats()
     }
 
     /// The execution tier worst cases are priced at.
@@ -73,27 +85,21 @@ impl BoundGate {
     /// The static verdict for one instruction, counting the evaluation.
     pub fn verdict(&mut self, instruction: &str) -> StaticVerdict {
         let hash = plan_hash(instruction);
-        let verdict = match self.cache.get(&hash) {
-            Some(v) => {
-                self.cache_hits += 1;
-                *v
-            }
-            None => {
-                let v = match compile_source(instruction) {
-                    Ok(program) => {
-                        let usd = program.bound.usd_max(self.tier);
-                        if usd.is_finite() {
-                            StaticVerdict::UsdMax(usd)
-                        } else {
-                            StaticVerdict::Unbounded
-                        }
+        let verdict = self.verdicts.get(&hash).unwrap_or_else(|| {
+            let v = match compile_source(instruction) {
+                Ok(program) => {
+                    let usd = program.bound.usd_max(self.tier);
+                    if usd.is_finite() {
+                        StaticVerdict::UsdMax(usd)
+                    } else {
+                        StaticVerdict::Unbounded
                     }
-                    Err(_) => StaticVerdict::NotAPlan,
-                };
-                self.cache.insert(hash, v);
-                v
-            }
-        };
+                }
+                Err(_) => StaticVerdict::NotAPlan,
+            };
+            self.verdicts.insert(hash, v, 1);
+            v
+        });
         match verdict {
             StaticVerdict::NotAPlan => {}
             StaticVerdict::Unbounded => {
@@ -139,7 +145,7 @@ mod tests {
         assert!(usd > 0.0);
         assert_eq!(gate.verdict(LOOPED_READS), first);
         assert_eq!(gate.checked, 2);
-        assert_eq!(gate.cache_hits, 1);
+        assert_eq!(gate.memo().hits, 1);
         assert_eq!(gate.unbounded, 0);
     }
 
@@ -198,6 +204,43 @@ mod tests {
             .expect("proven violation");
         assert!(usd_max > remaining);
         assert_eq!(remaining, 1e-6);
+    }
+
+    /// Transparency: a gate whose memo clears on every new instruction
+    /// returns the default gate's verdicts, violations and counts.
+    #[test]
+    fn a_clearing_verdict_memo_judges_like_the_default() {
+        let programs = [
+            LOOPED_READS,
+            "for f in list_files():\n    read_file(f)\n0",
+            "n = len(list_files())\ni = 0\nwhile i < n:\n    i += 1\ni",
+            "how many identity theft reports in 2002?",
+            "count identity theft reports in 2001",
+            "x = 1",
+        ];
+        for tier in [ModelId::Flagship, ModelId::Nano] {
+            let mut default = BoundGate::new(tier);
+            let mut clearing = BoundGate {
+                verdicts: Memo::new("bounds", 1),
+                ..BoundGate::new(tier)
+            };
+            for i in 0..60 {
+                let src = programs[(i * i + 3 * i) % programs.len()];
+                let remaining = Some(1e-6 * i as f64);
+                assert_eq!(clearing.verdict(src), default.verdict(src), "{src}");
+                assert_eq!(
+                    clearing.over_budget(src, remaining),
+                    default.over_budget(src, remaining)
+                );
+            }
+            assert_eq!(
+                (clearing.checked, clearing.unbounded),
+                (default.checked, default.unbounded)
+            );
+            let (kept, cleared) = (default.memo(), clearing.memo());
+            assert!(kept.hits > 0 && kept.clears == 0, "{kept:?}");
+            assert!(cleared.clears > 0, "{cleared:?}");
+        }
     }
 
     #[test]

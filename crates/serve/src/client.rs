@@ -638,7 +638,7 @@ impl RequestSource for LiveSource {
         let outcomes = self.outcomes();
         let count = |kind: &str| outcomes.iter().filter(|o| o.kind() == kind).count() as u64;
         report.net = Some(NetReport {
-            stats: self.listener.stats().clone(),
+            stats: self.listener.stats(),
             clients: self.clients.len() as u64,
             clients_completed: count("completed"),
             clients_retries_exhausted: count("retries_exhausted"),

@@ -33,10 +33,12 @@
 
 use crate::request::Priority;
 use aida_llm::noise::splitmix64;
+use aida_llm::{Memo, MemoStats};
 use aida_testkit::NetSim;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
+use std::sync::Arc;
 
 /// First two bytes of every frame.
 const WIRE_MAGIC: u16 = 0xA1DA;
@@ -45,6 +47,10 @@ const WIRE_VERSION: u8 = 1;
 /// Largest accepted payload (1 MiB) — anything bigger is a typed
 /// [`WireError::Oversize`], not an allocation.
 const MAX_FRAME_BYTES: u32 = 1 << 20;
+/// Source bytes the listener keeps interned across all tenants: four
+/// maximal frames. A source weighs its byte count (see [`aida_llm::memo`]
+/// for the rule at the bound, which no measured workload reaches).
+const PLAN_BUDGET_BYTES: u64 = 4 * MAX_FRAME_BYTES as u64;
 
 const HEADER_BYTES: usize = 8;
 
@@ -112,7 +118,8 @@ pub enum WireError {
         /// Bytes the frame needed.
         need: usize,
     },
-    /// A `Request` referenced a plan hash the server has never seen.
+    /// A `Request` referenced a plan hash the server does not hold for
+    /// its tenant (never sent by it, or evicted).
     UnknownPlanHash {
         /// The unresolved hash.
         hash: u128,
@@ -171,8 +178,8 @@ impl fmt::Display for WireError {
 }
 
 /// The body of a `Request`: full Pyrite source, or a 128-bit content
-/// hash of source this listener has already interned (a returning
-/// client skips re-sending the program).
+/// hash of source the same tenant already sent this listener (a
+/// returning client skips re-sending the program).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireBody {
     /// Full program text.
@@ -701,8 +708,11 @@ pub struct NetStats {
     pub bytes_in: u64,
     /// Bytes accepted by fabric writes.
     pub bytes_out: u64,
-    /// `Request` bodies resolved from an interned plan hash.
+    /// `Request` bodies resolved from an interned plan hash (the plan
+    /// memo's hits).
     pub plan_hash_hits: u64,
+    /// The plan memo: interned sources, weighed in bytes.
+    pub plans: MemoStats,
     /// Typed wire errors by [`WireError::kind`] label.
     pub wire_errors: BTreeMap<String, u64>,
 }
@@ -724,7 +734,9 @@ impl NetStats {
 pub struct Inbound {
     /// Token of the connection it arrived on.
     pub conn: usize,
-    /// The decoded request.
+    /// The decoded request. Its body is always the
+    /// [`WireBody::PlanHash`] the source is interned under; the text
+    /// moved to `instruction`.
     pub request: WireRequest,
     /// Resolved program text.
     pub instruction: String,
@@ -743,8 +755,10 @@ struct ConnState {
 }
 
 /// The readiness loop: accepts fabric connections, feeds delivered
-/// bytes through per-connection [`FrameReader`]s, interns plan-hash
-/// bodies, and flushes buffered responses as the fabric permits. One
+/// bytes through per-connection [`FrameReader`]s, interns sources per
+/// tenant (the `plans` memo, bounded in bytes: an evicted plan's
+/// `PlanHash` gets `unknown_plan_hash`, and the client resends its
+/// source), and flushes buffered responses as the fabric permits. One
 /// [`turn`](Listener::turn) is one reactor iteration; the caller (the
 /// live driver or a host event loop) decides when turns happen.
 #[derive(Debug)]
@@ -754,7 +768,10 @@ pub struct Listener<F: Fabric> {
     /// Connections whose responses outlived a flush (a short or blocked
     /// write): the only ones the writable pass visits.
     pending: Vec<usize>,
-    plans: BTreeMap<u128, String>,
+    /// Sources keyed by the [`plan_hash`]es of their tenant and text, so
+    /// a tenant resolves only what it sent itself, and the lookup builds
+    /// no string.
+    plans: Memo<(u128, u128), Arc<str>>,
     stats: NetStats,
 }
 
@@ -765,7 +782,7 @@ impl<F: Fabric> Listener<F> {
             fabric,
             conns: BTreeMap::new(),
             pending: Vec::new(),
-            plans: BTreeMap::new(),
+            plans: Memo::new("plans", PLAN_BUDGET_BYTES),
             stats: NetStats::default(),
         }
     }
@@ -776,8 +793,13 @@ impl<F: Fabric> Listener<F> {
     }
 
     /// Traffic counters so far.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    pub fn stats(&self) -> NetStats {
+        let plans = self.plans.stats();
+        NetStats {
+            plan_hash_hits: plans.hits,
+            plans,
+            ..self.stats.clone()
+        }
     }
 
     /// One reactor iteration: accept, flush, read, decode. Returns the
@@ -852,43 +874,43 @@ impl<F: Fabric> Listener<F> {
             }
             match state.reader.next_frame() {
                 Ok(None) => return,
-                Ok(Some(Frame::Request(request))) => {
+                Ok(Some(Frame::Request(mut request))) => {
                     self.stats.frames_in += 1;
-                    match &request.body {
+                    let tenant = plan_hash(&request.tenant);
+                    let (hash, instruction) = match &mut request.body {
                         WireBody::Source(source) => {
-                            let instruction = source.clone();
-                            self.plans.insert(plan_hash(source), instruction.clone());
-                            inbound.push(Inbound {
-                                conn: token,
-                                request,
-                                instruction,
-                            });
+                            let (hash, weight) = (plan_hash(source), source.len() as u64);
+                            self.plans
+                                .insert((tenant, hash), Arc::from(source.as_str()), weight);
+                            (hash, Some(std::mem::take(source)))
                         }
-                        WireBody::PlanHash(hash) => match self.plans.get(hash) {
-                            Some(instruction) => {
-                                self.stats.plan_hash_hits += 1;
-                                let instruction = instruction.clone();
-                                inbound.push(Inbound {
-                                    conn: token,
-                                    request,
-                                    instruction,
-                                });
-                            }
-                            None => {
-                                // Well-framed but unresolvable: tell the
-                                // client to resend with full source; the
-                                // connection stays up.
-                                let err = WireError::UnknownPlanHash { hash: *hash };
-                                self.stats.record_error(err.kind());
-                                self.respond(
-                                    token,
-                                    &Frame::Error {
-                                        code: err.kind().to_string(),
-                                        detail: err.to_string(),
-                                    },
-                                );
-                            }
-                        },
+                        WireBody::PlanHash(hash) => {
+                            let source = self.plans.get(&(tenant, *hash));
+                            (*hash, source.map(|source| String::from(&*source)))
+                        }
+                    };
+                    request.body = WireBody::PlanHash(hash);
+                    match instruction {
+                        Some(instruction) => inbound.push(Inbound {
+                            conn: token,
+                            request,
+                            instruction,
+                        }),
+                        None => {
+                            // Well-framed but unresolvable (never sent by
+                            // this tenant, or evicted): tell the client
+                            // to resend with full source; the connection
+                            // stays up.
+                            let err = WireError::UnknownPlanHash { hash };
+                            self.stats.record_error(err.kind());
+                            self.respond(
+                                token,
+                                &Frame::Error {
+                                    code: err.kind().to_string(),
+                                    detail: err.to_string(),
+                                },
+                            );
+                        }
                     }
                 }
                 Ok(Some(other)) => {

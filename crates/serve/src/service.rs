@@ -609,13 +609,15 @@ impl<'a> Dispatcher<'a> {
         }
         let report = &mut self.report;
         if let Some(gate) = &self.gate {
+            let memo = gate.memo();
             report.bounds_gated = true;
             report.bounds_checked = gate.checked;
             report.bounds_unbounded = gate.unbounded;
-            report.bounds_cache_hits = gate.cache_hits;
+            report.bounds_cache_hits = memo.hits;
             recorder.counter_add(registry::BOUNDS_CHECKED, gate.checked);
             recorder.counter_add(registry::BOUNDS_UNBOUNDED, gate.unbounded);
-            recorder.counter_add(registry::BOUNDS_CACHE_HITS, gate.cache_hits);
+            recorder.counter_add(registry::BOUNDS_CACHE_HITS, memo.hits);
+            memo.for_each_counter(|name, n| recorder.counter_add(&name, n));
             recorder.counter_add(registry::BOUNDS_REJECTS, report.bounds_rejects());
         }
         let (hits, misses) = runtime.reuse_stats();
@@ -646,7 +648,8 @@ impl<'a> Dispatcher<'a> {
     }
 }
 
-/// Mirrors the front door's wire counters into the registry.
+/// Mirrors the front door's wire counters, and its plan memo's, into the
+/// registry.
 fn mirror_net_counters(recorder: &Recorder, stats: &NetStats) {
     recorder.counter_add(registry::NET_CONNS_OPENED, stats.conns_opened);
     recorder.counter_add(registry::NET_CONNS_CLOSED, stats.conns_closed);
@@ -656,6 +659,9 @@ fn mirror_net_counters(recorder: &Recorder, stats: &NetStats) {
     recorder.counter_add(registry::NET_BYTES_OUT, stats.bytes_out);
     recorder.counter_add(registry::NET_PLAN_HASH_HITS, stats.plan_hash_hits);
     recorder.counter_add(registry::NET_WIRE_ERRORS, stats.wire_error_total());
+    stats
+        .plans
+        .for_each_counter(|name, n| recorder.counter_add(&name, n));
 }
 
 /// A multi-tenant query service over one shared [`Runtime`].

@@ -274,6 +274,84 @@ fn listener_types_torn_frames_and_resolves_plan_hashes() {
     assert_eq!(listener.stats().wire_error_total(), 1);
 }
 
+/// Plan interning is per tenant and bounded in source bytes. One client
+/// sends more distinct sources than the 4 MiB budget holds, and the
+/// resident bytes stay within it. Another tenant's `PlanHash` for a
+/// source the first one sent is unknown to it until it sends the source
+/// itself; the first tenant's evicted plan is unknown until its resend.
+#[test]
+fn plan_interning_is_per_tenant_and_bounded() {
+    const BUDGET: u64 = 4 << 20;
+    let mut listener = Listener::new(NetSim::new(NetSimConfig {
+        seed: 13,
+        max_chunk: 1 << 16,
+        ..NetSimConfig::default()
+    }));
+    let mut seq = 0;
+    let mut send = |listener: &mut Listener<NetSim>, conn, tenant: &str, body| {
+        seq += 1;
+        let frame = encode_frame(&Frame::Request(WireRequest {
+            client_seq: seq,
+            sent_s: 0.0,
+            tenant: tenant.into(),
+            context: "reports".into(),
+            priority: Priority::Normal,
+            deadline_s: None,
+            body,
+        }));
+        listener.fabric_mut().client_send(conn, &frame);
+        let mut got = Vec::new();
+        while let Some(t) = listener.fabric_mut().next_event_s() {
+            listener.fabric_mut().advance(t);
+            got.extend(
+                listener
+                    .turn()
+                    .into_iter()
+                    .map(|inbound| inbound.instruction),
+            );
+        }
+        assert!(listener.stats().plans.weight <= BUDGET, "resident bytes");
+        got
+    };
+    let unknown = |listener: &Listener<NetSim>| {
+        let errors = listener.stats().wire_errors;
+        errors.get("unknown_plan_hash").copied().unwrap_or(0)
+    };
+    let source = |i: usize| format!("{i}{}", "#".repeat(400_000));
+    let acme = listener.fabric_mut().connect(0.0);
+    let bolt = listener.fabric_mut().connect(0.0);
+
+    for i in 0..12 {
+        let got = send(&mut listener, acme, "acme", WireBody::Source(source(i)));
+        assert_eq!(got, [source(i)]);
+    }
+    assert_eq!(
+        listener.stats().plans.clears,
+        1,
+        "12 x 400 KB went over 4 MiB once"
+    );
+
+    let last = WireBody::PlanHash(plan_hash(&source(11)));
+    assert!(send(&mut listener, bolt, "bolt", last.clone()).is_empty());
+    assert_eq!(unknown(&listener), 1, "bolt never sent acme's source");
+    assert_eq!(
+        send(&mut listener, bolt, "bolt", WireBody::Source(source(11))),
+        [source(11)]
+    );
+    assert_eq!(send(&mut listener, bolt, "bolt", last), [source(11)]);
+
+    let first = WireBody::PlanHash(plan_hash(&source(0)));
+    assert!(send(&mut listener, acme, "acme", first.clone()).is_empty());
+    assert_eq!(unknown(&listener), 2, "acme's first source was evicted");
+    assert_eq!(
+        send(&mut listener, acme, "acme", WireBody::Source(source(0))),
+        [source(0)]
+    );
+    assert_eq!(send(&mut listener, acme, "acme", first), [source(0)]);
+    assert_eq!(listener.stats().plan_hash_hits, 2);
+    assert_eq!(listener.stats().wire_error_total(), 2);
+}
+
 // ----- live soak determinism -------------------------------------------
 
 fn soak_fleet(clients: usize) -> Vec<ClientConfig> {
