@@ -100,23 +100,27 @@ const PROMPT_OBS_CAP: usize = 18_000;
 impl<'a> AgentRuntime<'a> {
     /// Creates a runtime. `lake` enables the policy's manual-judgement
     /// helper to resolve ground-truth labels, mirroring an agent actually
-    /// reading a document in context. The runtime starts its own
-    /// [`StepCache`]; [`AgentRuntime::with_step_cache`] shares one.
+    /// reading a document in context. The runtime starts a fresh
+    /// [`StepCache`] of its own; [`AgentRuntime::sharing`] takes one.
     pub fn new(env: &'a ExecEnv, registry: ToolRegistry, lake: Option<DataLake>) -> Self {
+        AgentRuntime::sharing(env, registry, lake, StepCache::new())
+    }
+
+    /// [`AgentRuntime::new`] compiling steps through `steps` (a clone
+    /// shares its store), so a program another agent already compiled in
+    /// the same environment goes straight to the VM.
+    pub fn sharing(
+        env: &'a ExecEnv,
+        registry: ToolRegistry,
+        lake: Option<DataLake>,
+        steps: StepCache,
+    ) -> Self {
         AgentRuntime {
             env,
             registry,
             lake,
-            steps: StepCache::new(),
+            steps,
         }
-    }
-
-    /// Compiles steps through `steps` (a clone shares its store), so a
-    /// program another agent already compiled in the same environment
-    /// goes straight to the VM.
-    pub fn with_step_cache(mut self, steps: StepCache) -> Self {
-        self.steps = steps;
-        self
     }
 
     /// The tool registry.

@@ -121,8 +121,12 @@ mod tests {
                     registry.register(tools::sem_filter_tool(&env, lake, ModelId::Flagship));
                     registry.register(tools::sem_extract_tool(&env, lake, ModelId::Flagship));
                 }
-                let rt = AgentRuntime::new(&env, registry, Some(workload.lake.clone()))
-                    .with_step_cache(steps.clone());
+                let rt = AgentRuntime::sharing(
+                    &env,
+                    registry,
+                    Some(workload.lake.clone()),
+                    steps.clone(),
+                );
                 let agent = CodeAgent::deep_research(AgentConfig {
                     max_steps: 10,
                     seed,

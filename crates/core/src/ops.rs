@@ -338,8 +338,12 @@ fn run_op(
             mode,
         }),
     );
-    let agent_runtime = AgentRuntime::new(runtime.env(), registry, Some(ctx.lake().clone()))
-        .with_step_cache(runtime.step_cache().clone());
+    let agent_runtime = AgentRuntime::sharing(
+        runtime.env(),
+        registry,
+        Some(ctx.lake().clone()),
+        runtime.step_cache().clone(),
+    );
     let outcome = agent_runtime.run(&agent, &instruction);
 
     // Materialize: narrowed lake + enriched description + findings table.

@@ -208,8 +208,11 @@ pub fn run_semantic_program_tool(
                 aida_obs::clip(&instruction, 60),
                 runtime.env().clock.now(),
             );
-            let optimizer = Optimizer::new(runtime.env(), runtime.config().optimizer.clone())
-                .with_sample_memo(runtime.sample_memo().clone());
+            let optimizer = Optimizer::sharing(
+                runtime.env(),
+                runtime.config().optimizer.clone(),
+                runtime.sample_memo().clone(),
+            );
             let optimized = optimizer.optimize(ds.plan(), &runtime.config().policy);
             let t0 = runtime.env().clock.now();
             let report = Executor::new(runtime.env()).execute(&optimized.physical);

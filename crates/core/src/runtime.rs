@@ -3,7 +3,7 @@
 use crate::manager::{encode_delta_frame, ContextManager, DocPool};
 use aida_agents::StepCache;
 use aida_data::{DataLake, Table};
-use aida_llm::snapshot::{self, FailPlan, SnapshotError};
+use aida_llm::snapshot::{self, DeltaChain, FailPlan, SnapshotError};
 use aida_llm::{ModelId, SimLlm, UsageSnapshot};
 use aida_obs::{registry, Event, Recorder, SpanKind};
 use aida_optimizer::{OptimizerConfig, Policy, SampleMemo};
@@ -47,9 +47,10 @@ pub struct RuntimeConfig {
     /// enabled, every simulated LLM call is memoized by content key:
     /// repeats cost zero dollars/tokens and a small hit latency.
     pub semantic_cache: usize,
-    /// Snapshot path for the semantic cache: loaded (best-effort) at
-    /// build so a restart keeps a warm cache, written on
-    /// [`Runtime::save_cache`]. A corrupt snapshot starts cold.
+    /// Snapshot path for the semantic cache: loaded (best-effort, with
+    /// its delta chain) at build so a restart keeps a warm cache, written
+    /// in full on [`Runtime::save_cache`] and at the ops-interval
+    /// checkpoint. A corrupt snapshot starts cold.
     pub cache_path: Option<std::path::PathBuf>,
     /// Snapshot path for the ContextManager store: loaded (best-effort)
     /// at build so a restart keeps every materialized Context, written on
@@ -62,12 +63,15 @@ pub struct RuntimeConfig {
     pub checkpoint_interval: u64,
     /// Incremental checkpoints: when set, [`Runtime::save_state`] emits
     /// checksummed delta frames (the ContextManager's mutation journal)
-    /// to `<state_path>.delta` between full snapshots, so checkpoint
-    /// cost tracks what changed instead of total store size.
+    /// to `<state_path>.delta` between full snapshots, and the
+    /// ops-interval checkpoint appends what the semantic cache used since
+    /// the last one to `<cache_path>.delta`, so checkpoint cost tracks
+    /// what changed instead of total store size.
     pub delta_checkpoints: bool,
     /// In delta mode, rewrite a full snapshot (and reset the delta
-    /// chain) after this many delta frames (default 16). Bounds recovery
-    /// replay length; 0 acts as 1, a full snapshot every other save.
+    /// chain) after this many delta frames (default 16), for the Context
+    /// store and the semantic cache each. Bounds recovery replay length;
+    /// 0 acts as 1, a full snapshot every other save.
     pub full_snapshot_every: u64,
     /// Where the flight recorder dumps its ring of recent events when a
     /// crash seam fires, a recovery path runs, or an SLO alert trips
@@ -101,21 +105,13 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Where the incremental checkpointer stands in the current delta
-/// chain. `base_sum` is the FNV-64 of the full snapshot the chain
-/// extends; frames are stamped with it so a stale chain (from a crash
-/// between a full-snapshot commit and the chain reset) can never be
-/// applied to the wrong base. `None` forces the next save to write a
-/// full snapshot. The checkpointer owns the chain: `frames` is also the
-/// next frame's sequence number, `chain_len` the bytes of the chain file
-/// it has made durable, and `pool` the documents the base snapshot and
-/// those frames defined — a frame's documents join it only once the
-/// frame's `fsync` has returned.
+/// Where the Context store's incremental checkpointer stands: its
+/// position in the delta chain, and `pool`, the documents the base
+/// snapshot and the chain's frames defined — a frame's documents join it
+/// only once the frame's `fsync` has returned.
 #[derive(Default)]
 struct DeltaState {
-    frames: u64,
-    base_sum: Option<u64>,
-    chain_len: u64,
+    chain: DeltaChain,
     pool: DocPool,
 }
 
@@ -200,7 +196,8 @@ impl Runtime {
         self.env.llm.cache().map(|c| c.stats())
     }
 
-    /// Spills the semantic cache to the configured `cache_path`.
+    /// Spills the semantic cache to the configured `cache_path`: always
+    /// the full snapshot, which also ends the cache's delta chain.
     /// Returns whether a snapshot was written (false when the cache or
     /// the path is not configured).
     pub fn save_cache(&self) -> std::io::Result<bool> {
@@ -224,7 +221,7 @@ impl Runtime {
     /// The delta-chain path for the configured `state_path` (delta
     /// checkpoints land in `<state_path>.delta`).
     pub fn delta_path(&self) -> Option<std::path::PathBuf> {
-        self.config.state_path.as_ref().map(|p| delta_path_for(p))
+        self.config.state_path.as_deref().map(snapshot::delta_path)
     }
 
     /// [`Runtime::save_state`] with an optional crash-injection plan
@@ -247,9 +244,10 @@ impl Runtime {
                 .counter_add(registry::CHECKPOINT_BYTES, text.len() as u64);
             return Ok(true);
         }
-        let full_every = self.config.full_snapshot_every.max(1);
-        let mut delta = self.delta.lock();
-        let Some(base) = delta.base_sum.filter(|_| delta.frames < full_every) else {
+        let mut guard = self.delta.lock();
+        let delta = &mut *guard;
+        let chain = snapshot::delta_path(path);
+        let Some(base) = delta.chain.base(self.config.full_snapshot_every) else {
             // Full rewrite: the journal's mutations are folded into the
             // snapshot, so the chain (and the journal) reset. The chain
             // file is removed only after the snapshot commits — a crash
@@ -258,16 +256,8 @@ impl Runtime {
             let (text, pool) = self.manager.encode_snapshot_pooled();
             snapshot::commit_atomic(path, &text, plan)?;
             let _ = self.manager.drain_journal();
-            match std::fs::remove_file(delta_path_for(path)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-            *delta = DeltaState {
-                base_sum: Some(snapshot::fnv64(text.as_bytes())),
-                pool,
-                ..DeltaState::default()
-            };
+            delta.pool = pool;
+            delta.chain.rebase(&chain, &text)?;
             self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
             self.recorder()
                 .counter_add(registry::CHECKPOINT_BYTES, text.len() as u64);
@@ -281,18 +271,16 @@ impl Runtime {
         }
         let defined = delta.pool.defined();
         let payload = encode_delta_frame(base, &ops, &mut delta.pool);
-        let chain = delta_path_for(path);
-        let appended =
-            snapshot::delta_append(&chain, delta.chain_len, delta.frames, &payload, plan);
         // Nothing of a failed frame is durable: its documents leave the
         // pool and its mutations go back to the journal, so the retried
         // frame defines and carries them again.
-        let bytes = appended.inspect_err(|_| {
-            delta.pool.truncate(defined);
-            self.manager.restore_journal(ops);
-        })?;
-        delta.chain_len += bytes;
-        delta.frames += 1;
+        let bytes = delta
+            .chain
+            .append(&chain, &payload, plan)
+            .inspect_err(|_| {
+                delta.pool.truncate(defined);
+                self.manager.restore_journal(ops);
+            })?;
         self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
         self.recorder()
             .counter_add(registry::CHECKPOINT_DELTA_FRAMES, 1);
@@ -330,7 +318,7 @@ impl Runtime {
         // snapshot, so the chain on disk is never extended against a
         // base it didn't come from.
         let chain = if self.config.delta_checkpoints {
-            snapshot::wal_replay(&delta_path_for(path))
+            snapshot::wal_replay(&snapshot::delta_path(path))
                 .map_err(SnapshotError::Io)?
                 .records
         } else {
@@ -359,6 +347,22 @@ impl Runtime {
         Ok(n)
     }
 
+    /// The ops-interval checkpoint of the semantic cache: in delta mode
+    /// one frame appended to `<cache_path>.delta` (see
+    /// [`aida_llm::SemanticCache::checkpoint`] for when it rewrites the
+    /// full snapshot instead), otherwise [`Runtime::save_cache`].
+    fn checkpoint_cache(&self) -> std::io::Result<()> {
+        let (Some(cache), Some(path)) = (self.env.llm.cache(), &self.config.cache_path) else {
+            return Ok(());
+        };
+        if self.config.delta_checkpoints {
+            cache.checkpoint(path, self.config.full_snapshot_every, None)?;
+        } else {
+            cache.save(path)?;
+        }
+        Ok(())
+    }
+
     /// Notes one completed agentic operator; every `checkpoint_interval`
     /// completions the durable state (Context snapshot + semantic cache)
     /// is checkpointed best-effort — a failed checkpoint is counted
@@ -380,7 +384,7 @@ impl Runtime {
                     detail: format!("state checkpoint failed: {e}"),
                 });
             }
-            if let Err(e) = self.save_cache() {
+            if let Err(e) = self.checkpoint_cache() {
                 self.recorder().counter_add(registry::CHECKPOINT_ERRORS, 1);
                 self.recorder().event(Event::Error {
                     counter: registry::CHECKPOINT_ERRORS.to_string(),
@@ -496,13 +500,6 @@ impl std::fmt::Debug for Runtime {
             self.catalog.lock().len()
         )
     }
-}
-
-/// The delta-chain sibling of a state snapshot path.
-fn delta_path_for(path: &std::path::Path) -> std::path::PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".delta");
-    std::path::PathBuf::from(os)
 }
 
 /// Builder for [`Runtime`].
@@ -772,6 +769,57 @@ mod tests {
         let rt3 = Runtime::builder().build();
         assert!(rt3.cache_stats().is_none());
         assert!(!rt3.save_cache().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn delta_mode_checkpoints_the_cache_as_frames() {
+        let dir =
+            std::env::temp_dir().join(format!("aida-runtime-cache-chain-{}", std::process::id()));
+        let path = dir.join("sem.cache");
+        let chain = snapshot::delta_path(&path);
+        let build = |delta| {
+            Runtime::builder()
+                .semantic_cache(64)
+                .cache_path(path.clone())
+                .delta_checkpoints(delta)
+                .build()
+        };
+        let use_key = |rt: &Runtime, k: u64| {
+            let cache = rt.semantic_cache().unwrap();
+            if let aida_llm::cache::Lookup::Compute(pending) =
+                cache.begin(aida_llm::CacheKey::from_parts(&[k]))
+            {
+                let resp = aida_llm::LlmResponse {
+                    value: Value::Int(k as i64),
+                    text: format!("r{k}"),
+                    input_tokens: 1,
+                    output_tokens: 1,
+                    latency_s: 0.5,
+                    corrupted: false,
+                    receipt: UsageSnapshot::default(),
+                };
+                cache.admit(pending, resp);
+            }
+        };
+        let rt = build(true);
+        use_key(&rt, 1);
+        rt.checkpoint_cache().unwrap(); // the first: full
+        assert!(path.exists() && !chain.exists());
+        use_key(&rt, 2);
+        rt.checkpoint_cache().unwrap();
+        assert!(chain.exists(), "then a frame");
+        assert!(rt.save_cache().unwrap());
+        assert!(!chain.exists(), "an explicit save ends the chain");
+        use_key(&rt, 3);
+        rt.checkpoint_cache().unwrap();
+        assert_eq!(build(true).cache_stats().unwrap().entries, 3);
+        // Without delta mode every checkpoint is a full save.
+        let rt = build(false);
+        use_key(&rt, 4);
+        rt.checkpoint_cache().unwrap();
+        assert!(!chain.exists());
+        assert_eq!(build(false).cache_stats().unwrap().entries, 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,6 +20,9 @@
 //!    checksummed snapshot and [`SemanticCache::load`] restores it, so a
 //!    service restart keeps a warm cache. A truncated or garbled
 //!    snapshot is rejected (the caller starts cold); it never panics.
+//!    Between full snapshots, [`SemanticCache::checkpoint`] appends only
+//!    what changed to a delta chain beside the snapshot, and `load`
+//!    replays the chain's longest valid prefix on top.
 //!
 //! Hits cost zero dollars and zero tokens; they are reported with a
 //! small fixed latency ([`HIT_LATENCY_S`]) so virtual-time accounting
@@ -27,12 +30,13 @@
 
 use crate::noise;
 use crate::sim::LlmResponse;
-use crate::snapshot::{self, encode_value, esc, FailPlan, Fields};
+use crate::snapshot::{self, encode_value, esc, DeltaChain, FailPlan, Fields};
 use crate::usage::UsageSnapshot;
 use aida_data::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::io::Read;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -200,7 +204,11 @@ impl CacheStats {
 struct Entry {
     resp: LlmResponse,
     bytes: usize,
+    /// The last use's tick.
     tick: u64,
+    /// The admission's tick: a delta frame writes the entry in full when
+    /// it is newer than the last checkpoint, by its key otherwise.
+    born: u64,
 }
 
 #[derive(Debug, Default)]
@@ -218,8 +226,22 @@ struct State {
     epoch: u64,
 }
 
+/// The delta chain the last checkpoint left: the snapshot path it
+/// extends, its position, and the store's tick and residency epoch when
+/// that checkpoint read the store.
+#[derive(Debug)]
+struct Checkpointed {
+    path: PathBuf,
+    chain: DeltaChain,
+    tick: u64,
+    epoch: u64,
+}
+
 #[derive(Debug)]
 struct Inner {
+    /// The chain the next checkpoint may extend (`None`: it rewrites the
+    /// full snapshot). Locked before `state`.
+    chain: Mutex<Option<Checkpointed>>,
     state: Mutex<State>,
     cond: Condvar,
     /// Maximum resident entries (0 = unbounded).
@@ -270,6 +292,7 @@ impl SemanticCache {
     pub fn with_capacity(capacity: usize) -> SemanticCache {
         SemanticCache {
             inner: Arc::new(Inner {
+                chain: Mutex::new(None),
                 state: Mutex::new(State::default()),
                 cond: Condvar::new(),
                 capacity,
@@ -326,8 +349,14 @@ impl SemanticCache {
         st.tick += 1;
         let tick = st.tick;
         st.bytes += bytes;
+        let entry = Entry {
+            resp,
+            bytes,
+            tick,
+            born: tick,
+        };
         // A `load` may have landed the key while it was in flight.
-        if let Some(old) = st.entries.insert(key, Entry { resp, bytes, tick }) {
+        if let Some(old) = st.entries.insert(key, entry) {
             st.bytes -= old.bytes;
             st.epoch += 1;
         }
@@ -439,42 +468,129 @@ impl SemanticCache {
     /// Writes a versioned, checksummed snapshot of the store via an
     /// atomic temp-file-and-rename commit, so a crash mid-save never
     /// clobbers the previous snapshot. Entries are written LRU→MRU so a
-    /// reload preserves eviction order.
+    /// reload preserves eviction order. Always the full snapshot: the
+    /// delta chain beside it (`<path>.delta`) is removed once it commits,
+    /// and the next [`SemanticCache::checkpoint`] to `path` extends this
+    /// one (a save to another path leaves the checkpoints' chain alone).
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.save_with(path, None)
+        let mut chain = self.inner.chain.lock().unwrap();
+        self.save_full(&mut chain, path, None).map(|_| ())
     }
 
-    /// [`SemanticCache::save`] with an optional crash-injection plan
-    /// (threaded through by the durability suite).
-    fn save_with(&self, path: &Path, plan: Option<&FailPlan>) -> std::io::Result<()> {
-        let body = {
+    /// Checkpoints the store to `path` incrementally: appends one
+    /// checksummed frame to the delta chain `<path>.delta`, carrying in
+    /// tick order the full line of each entry admitted since the last
+    /// checkpoint and the bare key of each older entry re-ticked since.
+    /// Writes the full snapshot instead ([`SemanticCache::save`]) on the
+    /// first checkpoint, after `full_every` frames (0 acts as 1), after a
+    /// [`SemanticCache::load`], when the last checkpoint went to another
+    /// path, and when the residency epoch moved (an eviction, a `clear`, a
+    /// replaced entry) — so a frame never records a removal. Returns the
+    /// bytes written: 0 when nothing changed since the last checkpoint.
+    /// The optional [`FailPlan`] injects a crash into the write.
+    pub fn checkpoint(
+        &self,
+        path: &Path,
+        full_every: u64,
+        plan: Option<&FailPlan>,
+    ) -> std::io::Result<u64> {
+        let mut chain = self.inner.chain.lock().unwrap();
+        let st = self.inner.state.lock().unwrap();
+        let extends = chain
+            .as_mut()
+            .filter(|last| last.path == path && last.epoch == st.epoch)
+            .and_then(|last| last.chain.base(full_every).map(|base| (last, base)));
+        let Some((last, base)) = extends else {
+            drop(st);
+            // The full rewrite starts the chain the next checkpoints extend.
+            *chain = None;
+            return self.save_full(&mut chain, path, plan);
+        };
+        let frame = encode_frame(&st, base, last.tick);
+        let tick = st.tick;
+        drop(st);
+        let Some(payload) = frame else {
+            return Ok(0);
+        };
+        let bytes = last
+            .chain
+            .append(&snapshot::delta_path(path), &payload, plan)?;
+        last.tick = tick;
+        Ok(bytes)
+    }
+
+    /// Commits the full snapshot to `path`, then starts an empty chain on
+    /// it (removing the old chain file). Until both succeed `chain` holds
+    /// nothing, so a failure leaves the next checkpoint a full rewrite. A
+    /// save to another path than the chain's leaves `chain` as it is.
+    fn save_full(
+        &self,
+        chain: &mut Option<Checkpointed>,
+        path: &Path,
+        plan: Option<&FailPlan>,
+    ) -> std::io::Result<u64> {
+        let (text, tick, epoch) = {
             let st = self.inner.state.lock().unwrap();
             let mut ordered: Vec<(&CacheKey, &Entry)> = st.entries.iter().collect();
             ordered.sort_by_key(|(key, e)| (e.tick, **key));
             let mut body = String::new();
             for (key, entry) in ordered {
-                body.push_str(&encode_entry(key, &entry.resp));
+                encode_entry(key, &entry.resp, &mut body);
                 body.push('\n');
             }
-            body
+            (snapshot::encode_file(MAGIC, &body), st.tick, st.epoch)
         };
-        snapshot::commit_atomic(path, &snapshot::encode_file(MAGIC, &body), plan)
+        // A copy saved elsewhere leaves the chain the checkpoints extend.
+        let ours = chain.as_ref().is_none_or(|last| last.path == path);
+        if ours {
+            *chain = None;
+        }
+        snapshot::commit_atomic(path, &text, plan)?;
+        let mut fresh = DeltaChain::default();
+        fresh.rebase(&snapshot::delta_path(path), &text)?;
+        if ours {
+            *chain = Some(Checkpointed {
+                path: path.to_path_buf(),
+                chain: fresh,
+                tick,
+                epoch,
+            });
+        }
+        Ok(text.len() as u64)
     }
 
     /// Loads a snapshot, merging its entries into the store (freshly
-    /// ticked, then trimmed to the budgets). Returns how many entries
-    /// were restored. Any format, count, or checksum violation returns
-    /// [`SnapshotError`] and leaves the store untouched — callers start
-    /// cold instead of crashing.
+    /// ticked, then trimmed to the budgets). The delta chain beside it
+    /// (`<path>.delta`) replays on top, up to its first frame that is
+    /// torn, stamped for another snapshot, or names a key it cannot (a
+    /// re-ticked key that is not resident, an admitted one that is, one
+    /// key twice); a frame applies whole or not at all. Returns how many
+    /// entries were restored. Any format, count, or checksum violation of
+    /// the snapshot returns [`SnapshotError`] and leaves the store
+    /// untouched — callers start cold instead of crashing. After a load
+    /// the next [`SemanticCache::checkpoint`] rewrites in full.
     pub fn load(&self, path: &Path) -> Result<usize, SnapshotError> {
         let mut text = String::new();
         std::fs::File::open(path)?.read_to_string(&mut text)?;
-        let entries = decode_snapshot(&text)?;
+        let mut entries = decode_snapshot(&text)?;
+        // A missing or unreadable chain has no frames: the snapshot alone
+        // is the recovered state.
+        let frames = snapshot::wal_replay(&snapshot::delta_path(path))
+            .map(|replay| replay.records)
+            .unwrap_or_default();
+        if !frames.is_empty() {
+            entries = replay_chain(entries, snapshot::fnv64(text.as_bytes()), &frames);
+        }
         let n = entries.len();
-        // Recovery must not panic: if another thread poisoned the lock,
+        // Recovery must not panic: if another thread poisoned a lock,
         // take the state anyway — worst case the warm-start merge lands
         // on a cache that a dying thread left half-updated, which the
         // budget trim below re-normalizes.
+        let mut chain = self
+            .inner
+            .chain
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let mut st = self
             .inner
             .state
@@ -484,13 +600,20 @@ impl SemanticCache {
             let bytes = approx_bytes(&resp);
             st.tick += 1;
             let tick = st.tick;
-            if let Some(old) = st.entries.insert(key, Entry { resp, bytes, tick }) {
+            let entry = Entry {
+                resp,
+                bytes,
+                tick,
+                born: tick,
+            };
+            if let Some(old) = st.entries.insert(key, entry) {
                 st.bytes -= old.bytes;
                 st.epoch += 1;
             }
             st.bytes += bytes;
         }
         Self::evict_over_budget(&mut st, self.inner.capacity);
+        *chain = None;
         Ok(n)
     }
 }
@@ -510,15 +633,22 @@ fn value_bytes(value: &Value) -> usize {
     }
 }
 
-// ---- snapshot encoding -------------------------------------------------
+// ---- snapshot and delta-frame encoding ---------------------------------
 //
 // One tab-separated line per entry:
 //   <hi:hex16> <lo:hex16> <in_tokens> <out_tokens> <latency_bits:hex16>
 //   <corrupted 0|1> <value-enc> <text-escaped>
 // The escaping and value codec are the shared ones in [`snapshot`].
+//
+// A delta frame is ONE line: `<base_sum:hex16>`, then one record per
+// entry used since the last checkpoint, in tick order, tab-separated:
+//   A <entry line>     admitted since the last checkpoint
+//   T <hi> <lo>        resident before it, re-ticked since
+// An entry line has a fixed field count, so no second escaping level.
 
-fn encode_entry(key: &CacheKey, resp: &LlmResponse) -> String {
-    let mut line = format!(
+fn encode_entry(key: &CacheKey, resp: &LlmResponse, out: &mut String) {
+    let _ = write!(
+        out,
         "{:016x}\t{:016x}\t{}\t{}\t{:016x}\t{}\t",
         key.hi,
         key.lo,
@@ -527,18 +657,45 @@ fn encode_entry(key: &CacheKey, resp: &LlmResponse) -> String {
         resp.latency_s.to_bits(),
         u8::from(resp.corrupted),
     );
-    encode_value(&resp.value, &mut line);
-    line.push('\t');
-    esc(&resp.text, &mut line);
-    line
+    encode_value(&resp.value, out);
+    out.push('\t');
+    esc(&resp.text, out);
 }
 
-fn decode_entry(line: &str) -> Result<(CacheKey, LlmResponse), SnapshotError> {
-    let mut fields = Fields::new(line.split('\t'));
-    let key = CacheKey {
+/// The frame extending the snapshot stamped `base` by what the store
+/// used after tick `since`; `None` when it used nothing.
+fn encode_frame(st: &State, base: u64, since: u64) -> Option<String> {
+    let mut used: Vec<(&CacheKey, &Entry)> =
+        st.entries.iter().filter(|(_, e)| e.tick > since).collect();
+    if used.is_empty() {
+        return None;
+    }
+    used.sort_unstable_by_key(|(_, e)| e.tick);
+    let mut out = format!("{base:016x}");
+    for (key, entry) in used {
+        if entry.born > since {
+            out.push_str("\tA\t");
+            encode_entry(key, &entry.resp, &mut out);
+        } else {
+            let _ = write!(out, "\tT\t{:016x}\t{:016x}", key.hi, key.lo);
+        }
+    }
+    Some(out)
+}
+
+fn read_key<'a>(
+    fields: &mut Fields<impl Iterator<Item = &'a str>>,
+) -> Result<CacheKey, SnapshotError> {
+    Ok(CacheKey {
         hi: fields.hex("bad key.hi")?,
         lo: fields.hex("bad key.lo")?,
-    };
+    })
+}
+
+fn read_entry<'a>(
+    fields: &mut Fields<impl Iterator<Item = &'a str>>,
+) -> Result<(CacheKey, LlmResponse), SnapshotError> {
+    let key = read_key(fields)?;
     let resp = LlmResponse {
         input_tokens: fields.num("bad input_tokens")?,
         output_tokens: fields.num("bad output_tokens")?,
@@ -548,14 +705,93 @@ fn decode_entry(line: &str) -> Result<(CacheKey, LlmResponse), SnapshotError> {
         text: fields.text()?,
         receipt: UsageSnapshot::default(),
     };
-    fields.end()?;
     Ok((key, resp))
+}
+
+fn decode_entry(line: &str) -> Result<(CacheKey, LlmResponse), SnapshotError> {
+    let mut fields = Fields::new(line.split('\t'));
+    let entry = read_entry(&mut fields)?;
+    fields.end()?;
+    Ok(entry)
 }
 
 fn decode_snapshot(text: &str) -> Result<Vec<(CacheKey, LlmResponse)>, SnapshotError> {
     snapshot::decode_file(MAGIC, text)?
         .lines()
         .map(decode_entry)
+        .collect()
+}
+
+/// A decoded frame record: the key, and its response when it was
+/// admitted (`None`: re-ticked).
+type FrameRecord = (CacheKey, Option<LlmResponse>);
+
+/// Decodes a frame that extends the snapshot stamped `base_sum`, whose
+/// entries (with the frames before this one) are `resident`.
+fn decode_frame(
+    payload: &str,
+    base_sum: u64,
+    resident: &HashMap<CacheKey, (u64, LlmResponse)>,
+) -> Result<Vec<FrameRecord>, SnapshotError> {
+    let mut fields = Fields::new(payload.split('\t'));
+    if fields.hex("bad frame stamp")? != base_sum {
+        return Err(SnapshotError::Format("frame of another snapshot".into()));
+    }
+    let mut seen = HashSet::new();
+    let mut records = Vec::new();
+    while let Some(tag) = fields.try_field() {
+        let (key, resp) = match tag {
+            "A" => read_entry(&mut fields).map(|(key, resp)| (key, Some(resp)))?,
+            "T" => (read_key(&mut fields)?, None),
+            _ => return Err(SnapshotError::Format("unknown frame record".into())),
+        };
+        if !seen.insert(key) || resident.contains_key(&key) != resp.is_none() {
+            return Err(SnapshotError::Format("frame names a key it cannot".into()));
+        }
+        records.push((key, resp));
+    }
+    Ok(records)
+}
+
+/// The snapshot's entries (LRU→MRU) with the longest valid prefix of
+/// the chain `frames` replayed on top, LRU→MRU.
+fn replay_chain(
+    base: Vec<(CacheKey, LlmResponse)>,
+    base_sum: u64,
+    frames: &[(u64, String)],
+) -> Vec<(CacheKey, LlmResponse)> {
+    let mut order = 0;
+    let mut replica: HashMap<CacheKey, (u64, LlmResponse)> = HashMap::with_capacity(base.len());
+    for (key, resp) in base {
+        order += 1;
+        replica.insert(key, (order, resp));
+    }
+    for (_, payload) in frames {
+        let Ok(records) = decode_frame(payload, base_sum, &replica) else {
+            break;
+        };
+        for (key, resp) in records {
+            order += 1;
+            match resp {
+                Some(resp) => {
+                    replica.insert(key, (order, resp));
+                }
+                None => {
+                    if let Some(slot) = replica.get_mut(&key) {
+                        slot.0 = order;
+                    }
+                }
+            }
+        }
+    }
+    let mut ordered: Vec<(u64, CacheKey, LlmResponse)> = replica
+        .into_iter()
+        .map(|(key, (order, resp))| (order, key, resp))
+        .collect();
+    ordered.sort_unstable_by_key(|(order, _, _)| *order);
+    ordered
+        .into_iter()
+        .map(|(_, key, resp)| (key, resp))
         .collect()
 }
 

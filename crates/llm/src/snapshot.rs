@@ -18,11 +18,12 @@
 //! A reader verifies the magic, the declared line count, and the
 //! checksum before trusting a single byte; any violation is a typed
 //! [`SnapshotError`] and the caller starts cold. The tenant-ledger WAL
-//! in `aida-serve` and the Context-store delta chain use the per-record
-//! variant instead ([`wal_append`] / [`delta_append`] / [`wal_replay`]):
-//! every record carries its own monotone sequence number and checksum,
-//! so a torn tail truncates to the last intact record instead of
-//! rejecting the whole file.
+//! in `aida-serve` and the delta chains of the Context store and the
+//! semantic cache use the per-record variant instead ([`wal_append`] /
+//! [`DeltaChain::append`] / [`wal_replay`]): every record carries its own
+//! monotone sequence number and checksum, so a torn tail truncates to
+//! the last intact record instead of rejecting the whole file. Both
+//! chains keep their position in one [`DeltaChain`].
 //!
 //! Every decoder reads the fields of a body line or record payload
 //! through a [`Fields`] cursor — one typed read per field (escaped text,
@@ -642,17 +643,25 @@ pub fn commit_atomic(path: &Path, contents: &str, plan: Option<&FailPlan>) -> io
 // `esc`, which removes raw newlines), so a reader peels the checksum off
 // the right and the sequence number off the left.
 
-/// Encodes one WAL record line (including the trailing newline).
-fn wal_record_line(seq: u64, payload: &str) -> String {
+/// Appends one WAL record line (including the trailing newline) to
+/// `out`: `payload` writes the record's payload in place, and the
+/// checksum covers the bytes this call added before it.
+fn push_wal_record(out: &mut String, seq: u64, payload: impl FnOnce(&mut String)) {
+    let start = out.len();
+    let _ = write!(out, "{seq:016x}\t");
+    payload(out);
     debug_assert!(
-        !payload.contains('\n'),
+        !out[start..].contains('\n'),
         "WAL payloads must be newline-free (escape fields with esc)"
     );
+    let sum = fnv64(&out.as_bytes()[start..]);
+    let _ = writeln!(out, "\t{sum:016x}");
+}
+
+/// Encodes one WAL record line (including the trailing newline).
+fn wal_record_line(seq: u64, payload: &str) -> String {
     let mut line = String::with_capacity(payload.len() + 35);
-    let _ = write!(line, "{seq:016x}\t");
-    line.push_str(payload);
-    let sum = fnv64(line.as_bytes());
-    let _ = writeln!(line, "\t{sum:016x}");
+    push_wal_record(&mut line, seq, |out| out.push_str(payload));
     line
 }
 
@@ -698,17 +707,20 @@ pub fn wal_append(path: &Path, seq: u64, payload: &str, plan: Option<&FailPlan>)
 /// `sync_all` (group commit): records are numbered `first_seq..` in
 /// order and written as one contiguous byte run, so either the batch's
 /// prefix survives a tear (the per-record checksums truncate the rest)
-/// or the whole batch lands durably under one fsync. The optional
-/// [`FailPlan`] can drop the entire batch before any byte lands
+/// or the whole batch lands durably under one fsync. `encode` writes
+/// one record's payload; every record is encoded straight into the one
+/// buffer the batch is written from. The optional [`FailPlan`] can drop
+/// the entire batch before any byte lands
 /// ([`CrashPoint::GroupCommitFlush`]) or tear it mid-record
 /// ([`CrashPoint::WalTornAppend`]).
-pub fn wal_append_batch(
+pub fn wal_append_batch<T>(
     path: &Path,
     first_seq: u64,
-    payloads: &[String],
+    records: &[T],
+    encode: impl Fn(&T, &mut String),
     plan: Option<&FailPlan>,
 ) -> io::Result<()> {
-    if payloads.is_empty() {
+    if records.is_empty() {
         return Ok(());
     }
     if let Some(dir) = path.parent() {
@@ -717,8 +729,8 @@ pub fn wal_append_batch(
         }
     }
     let mut batch = String::new();
-    for (i, payload) in payloads.iter().enumerate() {
-        batch.push_str(&wal_record_line(first_seq + i as u64, payload));
+    for (seq, record) in (first_seq..).zip(records) {
+        push_wal_record(&mut batch, seq, |out| encode(record, out));
     }
     if let Some(plan) = plan {
         plan.check(CrashPoint::GroupCommitFlush)?;
@@ -775,7 +787,7 @@ pub fn wal_seal_segment(path: &Path, sealed: &Path, plan: Option<&FailPlan>) -> 
 /// crash point ([`CrashPoint::DeltaTornAppend`]) so the durability
 /// suite can kill a checkpoint's delta emission independently of the
 /// ledger WAL.
-pub fn delta_append(
+fn delta_append(
     path: &Path,
     durable_len: u64,
     seq: u64,
@@ -810,6 +822,68 @@ pub fn delta_append(
         sync_parent_dir(path)?;
     }
     Ok(line.len() as u64)
+}
+
+/// The delta-chain sibling of a snapshot path: `<path>.delta`.
+pub fn delta_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(".delta");
+    PathBuf::from(os)
+}
+
+/// Where a writer stands in the delta chain extending one full snapshot
+/// — the bookkeeping every incremental checkpointer shares (the
+/// Context store's and the semantic cache's). `base_sum` is the FNV-64
+/// of the full snapshot the chain extends; each frame is stamped with
+/// it, so a stale chain (a crash between a full rewrite and the chain's
+/// removal) never applies to the wrong base. `frames` is also the next
+/// frame's sequence number and `durable_len` the bytes of the chain
+/// file the writer has made durable.
+#[derive(Debug, Default)]
+pub struct DeltaChain {
+    base_sum: Option<u64>,
+    frames: u64,
+    durable_len: u64,
+}
+
+impl DeltaChain {
+    /// The stamp the next frame carries, or `None` when the next
+    /// checkpoint must rewrite the full snapshot: there is no base yet,
+    /// or `full_every` frames (0 acts as 1) already extend it.
+    pub fn base(&self, full_every: u64) -> Option<u64> {
+        self.base_sum.filter(|_| self.frames < full_every.max(1))
+    }
+
+    /// Starts an empty chain on the full snapshot `text`, just committed:
+    /// removes the chain file `chain` that extended the previous base.
+    /// Until the removal succeeds there is no base, so a failure leaves
+    /// the next checkpoint a full rewrite again.
+    pub fn rebase(&mut self, chain: &Path, text: &str) -> io::Result<()> {
+        *self = DeltaChain::default();
+        match std::fs::remove_file(chain) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e),
+        }
+        self.base_sum = Some(fnv64(text.as_bytes()));
+        Ok(())
+    }
+
+    /// Appends `payload` to the chain file `chain` as the next frame and
+    /// returns the bytes it took. A failed append advances nothing: the
+    /// retried frame takes the same sequence number and lands at the same
+    /// offset, cutting off whatever residue the failure left.
+    pub fn append(
+        &mut self,
+        chain: &Path,
+        payload: &str,
+        plan: Option<&FailPlan>,
+    ) -> io::Result<u64> {
+        let bytes = delta_append(chain, self.durable_len, self.frames, payload, plan)?;
+        self.durable_len += bytes;
+        self.frames += 1;
+        Ok(bytes)
+    }
 }
 
 /// What [`wal_replay`] recovered.
@@ -917,6 +991,11 @@ mod tests {
         fn is_crash(err: &io::Error) -> bool {
             err.kind() == io::ErrorKind::Interrupted && err.to_string().contains("injected crash")
         }
+    }
+
+    /// The batch encoder for payloads that are already text.
+    fn push_str(payload: &&str, out: &mut String) {
+        out.push_str(payload);
     }
 
     fn dir(name: &str) -> PathBuf {
@@ -1069,8 +1148,8 @@ mod tests {
         let d = dir("walbatch");
         let path = d.join("ledger.wal");
         wal_append(&path, 0, "admit\tacme", None).unwrap();
-        let batch = vec!["spend\tacme\t1".to_string(), "spend\tbolt\t2".to_string()];
-        wal_append_batch(&path, 1, &batch, None).unwrap();
+        let batch = ["spend\tacme\t1", "spend\tbolt\t2"];
+        wal_append_batch(&path, 1, &batch, push_str, None).unwrap();
         let replay = wal_replay(&path).unwrap();
         assert!(!replay.dropped_tail);
         assert_eq!(
@@ -1081,6 +1160,14 @@ mod tests {
                 (2, "spend\tbolt\t2".to_string()),
             ]
         );
+        // Encoded into one buffer, the batch is the bytes of its records
+        // appended one by one.
+        let one_by_one = [
+            wal_record_line(0, "admit\tacme"),
+            wal_record_line(1, batch[0]),
+            wal_record_line(2, batch[1]),
+        ];
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), one_by_one.concat());
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1091,8 +1178,8 @@ mod tests {
         wal_append(&path, 0, "admit\tacme", None).unwrap();
         let before = std::fs::read(&path).unwrap();
         let plan = FailPlan::new(CrashPoint::GroupCommitFlush);
-        let batch = vec!["spend\tacme\t1".to_string(), "spend\tbolt\t2".to_string()];
-        let err = wal_append_batch(&path, 1, &batch, Some(&plan)).unwrap_err();
+        let batch = ["spend\tacme\t1", "spend\tbolt\t2"];
+        let err = wal_append_batch(&path, 1, &batch, push_str, Some(&plan)).unwrap_err();
         assert!(FailPlan::is_crash(&err));
         // Not a single byte of the batch landed: the log is exactly the
         // pre-crash log (trails memory by one batch, never a torn one).
@@ -1106,8 +1193,8 @@ mod tests {
         let path = d.join("ledger.wal");
         let first = wal_record_line(0, "spend\tacme\t1");
         let plan = FailPlan::new(CrashPoint::WalTornAppend).torn_keep(first.len() + 5);
-        let batch = vec!["spend\tacme\t1".to_string(), "spend\tbolt\t2".to_string()];
-        let err = wal_append_batch(&path, 0, &batch, Some(&plan)).unwrap_err();
+        let batch = ["spend\tacme\t1", "spend\tbolt\t2"];
+        let err = wal_append_batch(&path, 0, &batch, push_str, Some(&plan)).unwrap_err();
         assert!(FailPlan::is_crash(&err));
         let replay = wal_replay(&path).unwrap();
         assert!(replay.dropped_tail);

@@ -93,21 +93,17 @@ pub struct Optimizer<'a> {
 }
 
 impl<'a> Optimizer<'a> {
-    /// Creates an optimizer over an execution environment, with a private
-    /// [`SampleMemo`].
+    /// Creates an optimizer over an execution environment, with a fresh
+    /// [`SampleMemo`] of its own.
     pub fn new(env: &'a ExecEnv, config: OptimizerConfig) -> Self {
-        Optimizer {
-            env,
-            config,
-            memo: SampleMemo::new(),
-        }
+        Optimizer::sharing(env, config, SampleMemo::new())
     }
 
-    /// Shares `memo` instead of the private one: its owner must hand it
-    /// only to optimizers over one environment (one catalog and embedder).
-    pub fn with_sample_memo(mut self, memo: SampleMemo) -> Self {
-        self.memo = memo;
-        self
+    /// Creates an optimizer that replays sampling runs from `memo` (a
+    /// clone shares its store): its owner must hand it only to optimizers
+    /// over one environment (one catalog and embedder).
+    pub fn sharing(env: &'a ExecEnv, config: OptimizerConfig, memo: SampleMemo) -> Self {
+        Optimizer { env, config, memo }
     }
 
     /// Optimizes a logical plan under a policy.

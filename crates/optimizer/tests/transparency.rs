@@ -295,9 +295,8 @@ fn check(s: &Scenario) -> Result<u64, TestCaseError> {
                     ..OptimizerConfig::default()
                 };
                 let plan = plans[plan].plan();
-                let shared = Optimizer::new(&a, config.clone())
-                    .with_sample_memo(memo.clone())
-                    .optimize(plan, &policy);
+                let shared =
+                    Optimizer::sharing(&a, config.clone(), memo.clone()).optimize(plan, &policy);
                 let fresh = Optimizer::new(&b, config).optimize(plan, &policy);
                 prop_assert!(!fresh.matrix.replayed, "a fresh memo is empty");
                 replays += u64::from(shared.matrix.replayed);
@@ -384,8 +383,7 @@ fn operator_indices_key_the_memo() {
     let env = env(1, Some(0));
     let memo = SampleMemo::new();
     let optimize = |ds: &Dataset| {
-        Optimizer::new(&env, OptimizerConfig::default())
-            .with_sample_memo(memo.clone())
+        Optimizer::sharing(&env, OptimizerConfig::default(), memo.clone())
             .optimize(ds.plan(), &Policy::MaxQuality { cost_budget: None })
             .matrix
     };
@@ -418,8 +416,7 @@ fn every_operator_keys_the_memo() {
     let memo = SampleMemo::new();
     let policy = Policy::MaxQuality { cost_budget: None };
     for ds in [&one, &one, &one, &other, &other] {
-        let a = Optimizer::new(&shared, OptimizerConfig::default())
-            .with_sample_memo(memo.clone())
+        let a = Optimizer::sharing(&shared, OptimizerConfig::default(), memo.clone())
             .optimize(ds.plan(), &policy);
         let b = Optimizer::new(&fresh, OptimizerConfig::default()).optimize(ds.plan(), &policy);
         assert_eq!(optimized_bits(&a), optimized_bits(&b));

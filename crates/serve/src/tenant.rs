@@ -7,6 +7,7 @@ use aida_llm::snapshot::{self, esc, FailPlan, Fields, SnapshotError};
 use aida_llm::{ModelCatalog, UsageSnapshot};
 use aida_obs::SloTarget;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -266,11 +267,17 @@ impl LedgerRecord {
     /// Encodes the record as a tab-separated WAL payload (newline-free;
     /// the WAL layer adds the sequence number and checksum).
     pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`LedgerRecord::encode`]'s payload to `out`.
+    fn encode_into(&self, out: &mut String) {
         match self {
             LedgerRecord::Admit { tenant } => {
-                let mut out = String::from("admit\t");
-                esc(tenant.as_str(), &mut out);
-                out
+                out.push_str("admit\t");
+                esc(tenant.as_str(), out);
             }
             LedgerRecord::Spend {
                 tenant,
@@ -280,13 +287,13 @@ impl LedgerRecord {
                 cache_hits,
                 cache_coalesced,
             } => {
-                let mut out = String::from("spend\t");
-                esc(tenant.as_str(), &mut out);
-                out.push_str(&format!(
+                out.push_str("spend\t");
+                esc(tenant.as_str(), out);
+                let _ = write!(
+                    out,
                     "\t{:016x}\t{tokens}\t{calls}\t{cache_hits}\t{cache_coalesced}",
                     usd.to_bits()
-                ));
-                out
+                );
             }
         }
     }
@@ -661,8 +668,13 @@ impl LedgerWal {
         if records.is_empty() {
             return Ok(first);
         }
-        let payloads: Vec<String> = records.iter().map(|r| r.encode()).collect();
-        snapshot::wal_append_batch(&self.path, first, &payloads, self.plan.as_deref())?;
+        snapshot::wal_append_batch(
+            &self.path,
+            first,
+            records,
+            LedgerRecord::encode_into,
+            self.plan.as_deref(),
+        )?;
         self.stats.fsyncs += 1;
         self.stats.group_flushes += 1;
         self.next_seq = first + records.len() as u64;

@@ -1,8 +1,8 @@
 //! One property harness over every durable text format: the semantic
-//! cache snapshot, the ledger WAL record, the ledger snapshot, the
-//! Context-store snapshot and its delta frame, and the compiled Pyrite
-//! artifact. Each is driven through its public writer and reader, and
-//! each must hold the same three properties:
+//! cache snapshot and its delta frame, the ledger WAL record, the ledger
+//! snapshot, the Context-store snapshot and its delta frame, and the
+//! compiled Pyrite artifact. Each is driven through its public writer
+//! and reader, and each must hold the same three properties:
 //!
 //! 1. decode∘encode is the identity on encoder output (for the bytecode
 //!    artifact also on the decoded program and its content hash);
@@ -11,14 +11,14 @@
 //!    re-framed so its checksum passes never panics the decoder;
 //! 3. whatever such a body decodes to is a fixpoint of decode∘encode.
 //!
-//! A delta frame decodes into a whole store, so its fixpoint is the
-//! Context-store snapshot's.
+//! A delta frame decodes into a whole store, so its fixpoint is that of
+//! the store's snapshot.
 
 use aida::core::manager::encode_delta_frame;
 use aida::core::{Context, Runtime};
 use aida::data::{DataLake, Document, Field, Schema, Table, Value};
 use aida::llm::cache::Lookup;
-use aida::llm::snapshot::{decode_file, encode_file, fnv64};
+use aida::llm::snapshot::{self, decode_file, encode_file, fnv64};
 use aida::llm::{CacheKey, LlmResponse, SemanticCache, UsageSnapshot};
 use aida::script::CompiledProgram;
 use aida::serve::{LedgerRecord, LedgerWal, Spend, TenantId, TenantLedger};
@@ -280,6 +280,65 @@ proptest! {
             cache.save(&path).unwrap();
             Some(fs::read_to_string(&path).unwrap())
         })?;
+    }
+
+    /// The semantic cache's delta frame: entries admitted since the
+    /// snapshot in full, re-ticked ones by key. A frame decodes into a
+    /// whole cache, so its fixpoint is the cache snapshot's.
+    #[test]
+    fn cache_delta_frame(
+        texts in prop::collection::vec((value(), text()), 1..5),
+        later in (prop::collection::vec(0usize..5, 0..4), 0usize..3),
+        edits in edits(),
+    ) {
+        let ((retick, added), dir) = (later, TestDir::new("codec-cache-frame"));
+        let (path, other) = (dir.file("cache.snap"), dir.file("other.snap"));
+        let cache = SemanticCache::with_capacity(0);
+        let use_key = |i: usize| {
+            let (value, text) = texts[i % texts.len()].clone();
+            if let Lookup::Compute(pending) = cache.begin(CacheKey { hi: 7, lo: i as u64 }) {
+                let resp = LlmResponse {
+                    value,
+                    text,
+                    input_tokens: i,
+                    output_tokens: 1,
+                    latency_s: 0.5,
+                    corrupted: false,
+                    receipt: UsageSnapshot::default(),
+                };
+                cache.admit(pending, resp);
+            }
+        };
+        (0..texts.len()).for_each(use_key);
+        cache.checkpoint(&path, 16, None).unwrap();
+        retick.iter().map(|i| i % texts.len()).chain(texts.len()..texts.len() + added).for_each(use_key);
+        cache.checkpoint(&path, 16, None).unwrap();
+        let chain = snapshot::delta_path(&path);
+        let frames = snapshot::wal_replay(&chain).unwrap().records;
+        prop_assert!(frames.len() <= 1);
+        let recovered = |chain_text: Option<String>| {
+            if let Some(chain_text) = chain_text {
+                fs::write(&chain, chain_text).unwrap();
+            }
+            let fresh = SemanticCache::with_capacity(0);
+            fresh.load(&path).unwrap();
+            fresh.save(&other).unwrap();
+            fs::read_to_string(&other).unwrap()
+        };
+        cache.save(&other).unwrap();
+        let expected = fs::read_to_string(&other).unwrap();
+        prop_assert_eq!(recovered(None), expected);
+        let Some((_, frame)) = frames.first() else {
+            return Ok(());
+        };
+        let head = format!("{:016x}\t{}", 0, edited(frame, &edits, '\t'));
+        let once = recovered(Some(format!("{head}\t{:016x}\n", fnv64(head.as_bytes()))));
+        let fresh = SemanticCache::with_capacity(0);
+        fs::write(&path, &once).unwrap();
+        fs::remove_file(&chain).unwrap();
+        fresh.load(&path).unwrap();
+        fresh.save(&other).unwrap();
+        prop_assert_eq!(fs::read_to_string(&other).unwrap(), once);
     }
 
     /// A ledger WAL record (payload; the WAL frames and checksums it).

@@ -13,7 +13,9 @@
 
 use aida::core::{Context, ContextManager, Runtime};
 use aida::data::{DataLake, Document};
+use aida::llm::cache::Lookup;
 use aida::llm::snapshot::{self, CrashPoint, FailPlan, SnapshotError};
+use aida::llm::{CacheKey, LlmResponse};
 use aida::serve::{
     open_loop, LedgerRecord, LedgerWal, QueryService, ServeConfig, TenantConfig, TenantLedger,
     TenantLoad,
@@ -633,6 +635,175 @@ fn evicted_contexts_do_not_resurrect_through_delta_frames() {
         .manager()
         .encode_snapshot()
         .contains("alpha instruction"));
+}
+
+// ---- the semantic cache's delta chain ----------------------------------
+
+/// A runtime whose semantic cache (`capacity` entries) checkpoints in
+/// delta mode to `semcache.bin` in `dir`, a full snapshot after at most
+/// `full_every` frames.
+fn cache_runtime(dir: &TestDir, capacity: usize, full_every: u64) -> Runtime {
+    Runtime::builder()
+        .seed(7)
+        .semantic_cache(capacity)
+        .cache_path(dir.file("semcache.bin"))
+        .delta_checkpoints(true)
+        .full_snapshot_every(full_every)
+        .build()
+}
+
+/// The ops-interval checkpoint `rt` makes of its cache, with a crash
+/// plan.
+fn checkpoint(rt: &Runtime, plan: Option<&FailPlan>) -> std::io::Result<u64> {
+    let path = rt.config().cache_path.as_ref().expect("cache path");
+    let every = rt.config().full_snapshot_every;
+    rt.semantic_cache().unwrap().checkpoint(path, every, plan)
+}
+
+fn cache_chain(dir: &TestDir) -> std::path::PathBuf {
+    snapshot::delta_path(&dir.file("semcache.bin"))
+}
+
+/// A miss admits `k`'s response; a hit re-ticks it.
+fn use_key(rt: &Runtime, k: u64) {
+    let cache = rt.semantic_cache().expect("cache enabled");
+    if let Lookup::Compute(pending) = cache.begin(CacheKey::from_parts(&[k])) {
+        cache.admit(
+            pending,
+            LlmResponse {
+                value: aida::data::Value::Int(k as i64),
+                text: format!("answer\t{k}"),
+                input_tokens: 5,
+                output_tokens: 1,
+                latency_s: 0.5,
+                corrupted: false,
+                receipt: aida::llm::UsageSnapshot::default(),
+            },
+        );
+    }
+}
+
+/// The full snapshot `rt`'s cache saves right now, written beside the
+/// checkpointed one under `name`.
+fn cache_bytes(rt: &Runtime, dir: &TestDir, name: &str) -> Vec<u8> {
+    let path = dir.file(name);
+    rt.semantic_cache().unwrap().save(&path).unwrap();
+    fs::read(path).unwrap()
+}
+
+/// What a restart recovers from `dir`: base plus chain, saved in full.
+fn recovered_cache(dir: &TestDir, capacity: usize) -> Vec<u8> {
+    cache_bytes(&cache_runtime(dir, capacity, 16), dir, "recovered.bin")
+}
+
+/// A torn cache frame is dropped whole: recovery lands on the previous
+/// checkpoint. The surviving process retries: the frame lands where the
+/// durable chain ends, with the same sequence number, and carries the
+/// same uses, so nothing checkpointed is lost.
+#[test]
+fn torn_cache_frame_recovers_the_previous_checkpoint() {
+    let dir = TestDir::new("cache-torn");
+    let rt = cache_runtime(&dir, 64, 16);
+    (0..4).for_each(|k| use_key(&rt, k));
+    checkpoint(&rt, None).unwrap(); // full snapshot
+    use_key(&rt, 1);
+    use_key(&rt, 4);
+    checkpoint(&rt, None).unwrap(); // frame 0
+    let intact = fs::read(cache_chain(&dir)).unwrap();
+    let committed = recovered_cache(&dir, 64);
+    assert_eq!(committed, cache_bytes(&rt, &dir, "live.bin"));
+
+    use_key(&rt, 2);
+    use_key(&rt, 5);
+    let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(9);
+    let err = checkpoint(&rt, Some(&plan)).unwrap_err();
+    assert!(is_crash(&err));
+    let torn = fs::read(cache_chain(&dir)).unwrap();
+    assert_eq!(torn.len(), intact.len() + 9, "a torn prefix is on disk");
+    assert_eq!(
+        recovered_cache(&dir, 64),
+        committed,
+        "recovery lands on the last intact frame"
+    );
+
+    checkpoint(&rt, None).unwrap();
+    let retried = fs::read(cache_chain(&dir)).unwrap();
+    assert!(retried.starts_with(&intact));
+    assert!(retried[intact.len()..].starts_with(b"0000000000000001\t"));
+    assert_eq!(
+        recovered_cache(&dir, 64),
+        cache_bytes(&rt, &dir, "live.bin"),
+        "the retried frame replays"
+    );
+}
+
+/// A crash after a full rewrite commits but before the chain is removed
+/// leaves a chain stamped for the previous snapshot. Recovery discards
+/// it: replayed onto the new snapshot its re-ticks would reorder it. The
+/// next checkpoint is a full rewrite again and removes the chain.
+#[test]
+fn a_stale_cache_chain_is_discarded() {
+    let dir = TestDir::new("cache-stale");
+    let rt = cache_runtime(&dir, 64, 2);
+    (0..4).for_each(|k| use_key(&rt, k));
+    checkpoint(&rt, None).unwrap(); // full: 0 1 2 3
+    use_key(&rt, 0);
+    checkpoint(&rt, None).unwrap(); // frame: 0
+    use_key(&rt, 1);
+    checkpoint(&rt, None).unwrap(); // frame: 1
+    use_key(&rt, 2); // LRU→MRU: 3 0 1 2
+
+    // Two frames extend the base: this checkpoint rewrites in full.
+    let plan = FailPlan::new(CrashPoint::SnapshotAfterCommit);
+    let err = checkpoint(&rt, Some(&plan)).unwrap_err();
+    assert!(is_crash(&err));
+    assert_eq!(
+        fs::read(cache_chain(&dir))
+            .unwrap()
+            .split(|b| *b == b'\n')
+            .count(),
+        3
+    );
+    let committed = fs::read(dir.file("semcache.bin")).unwrap();
+    assert_eq!(committed, cache_bytes(&rt, &dir, "live.bin"));
+    assert_eq!(
+        recovered_cache(&dir, 64),
+        committed,
+        "the stale chain is not replayed onto the new snapshot"
+    );
+
+    checkpoint(&rt, None).unwrap();
+    assert!(
+        !cache_chain(&dir).exists(),
+        "the retried rewrite removes it"
+    );
+    assert_eq!(recovered_cache(&dir, 64), committed);
+}
+
+/// An eviction moves the cache's residency epoch, so the next checkpoint
+/// rewrites the full snapshot instead of appending a frame: a frame has
+/// no record for a removal. Here the evicted key is used again, which a
+/// frame could not even express (its key was in the base).
+#[test]
+fn a_cache_eviction_forces_a_full_rewrite() {
+    let dir = TestDir::new("cache-evict");
+    let rt = cache_runtime(&dir, 4, 16);
+    (0..4).for_each(|k| use_key(&rt, k));
+    checkpoint(&rt, None).unwrap(); // full: 0 1 2 3
+    use_key(&rt, 1);
+    checkpoint(&rt, None).unwrap(); // frame
+    assert!(cache_chain(&dir).exists());
+    let base = fs::read(dir.file("semcache.bin")).unwrap();
+
+    use_key(&rt, 4); // evicts 0
+    use_key(&rt, 0); // evicts 2, admits 0 again
+    assert_eq!(rt.cache_stats().unwrap().evictions, 2);
+    checkpoint(&rt, None).unwrap();
+    assert!(!cache_chain(&dir).exists(), "a full rewrite ends the chain");
+    let rewritten = fs::read(dir.file("semcache.bin")).unwrap();
+    assert_ne!(rewritten, base);
+    assert_eq!(rewritten, cache_bytes(&rt, &dir, "live.bin"));
+    assert_eq!(recovered_cache(&dir, 4), rewritten);
 }
 
 /// The two-restart invariant: a torn tail must be physically removed by
