@@ -130,11 +130,13 @@ cargo test -q --release -p aida-llm --test shared_readings
 cargo test -q --release -p aida-optimizer --lib \
   sampler::tests::shared_readings_sample_like_afresh_readings
 
-# The semantic cache's delta chain: random admit/hit/evict/clear/checkpoint
-# sequences at capacities of a few entries; a cache loaded from the base
-# snapshot plus the chain must save byte-identically to the live cache at
-# its last checkpoint. Release runs the full case count (2,048).
-cargo test -q --release -p aida-llm --test cache_chain
+# The runtime's delta chain: random admit/hit/evict/clear/checkpoint
+# sequences at capacities of a few entries must recover the cache of its
+# last checkpoint byte for byte, and random Context and cache mutations
+# with checkpoints and one seed-chosen crash (a torn frame or a snapshot
+# commit) must recover both stores at one checkpoint of the live run.
+# Release runs the full case counts (2,048 each).
+cargo test -q --release --test delta_chain
 
 # Durable text formats: one property harness over the cache snapshot, the
 # ledger record and snapshot, the Context-store snapshot and delta frame,

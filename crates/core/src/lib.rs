@@ -23,6 +23,7 @@
 //!   execution are registered in a [`aida_sql::Catalog`] and can be
 //!   re-queried with plain SQL via [`Runtime::sql`].
 
+mod chain;
 pub mod context;
 pub mod manager;
 pub mod ops;

@@ -243,8 +243,8 @@ impl ContextManager {
     }
 
     /// Takes the pending operations, leaving the journal empty.
-    /// [`encode_delta_frame`] turns them into one frame
-    /// [`ContextManager::load_chain`] can replay.
+    /// [`encode_delta_frame`] turns them into one delta section a
+    /// [`StoreReplica`] can replay.
     pub fn drain_journal(&self) -> Vec<JournalOp> {
         let mut store = self.inner.write();
         store
@@ -274,48 +274,37 @@ impl ContextManager {
     /// each distinct document is written once, before the first entry
     /// that holds it.
     pub fn encode_snapshot(&self) -> String {
-        self.encode_snapshot_pooled().0
+        encode_store(&self.inner.read()).0
     }
 
-    /// [`ContextManager::encode_snapshot`] plus the pool of documents it
-    /// defined: the delta chain extending this snapshot refers into it.
-    pub fn encode_snapshot_pooled(&self) -> (String, DocPool) {
-        let store = self.inner.read();
-        let mut pool = DocPool::default();
-        let mut body = format!("T\t{}", store.tick);
-        for entry in &store.entries {
-            encode_entry(entry, &mut pool, '\n', &mut body);
+    /// [`ContextManager::encode_snapshot`] for a full checkpoint: also
+    /// empties the journal, in the same critical section, and returns
+    /// the pool of documents the snapshot defined, which the delta chain
+    /// extending it refers into. The snapshot holds every mutation
+    /// journaled before it and the journal every one after it, so a
+    /// mutation made while the snapshot is being written is in exactly
+    /// one of them.
+    pub fn checkpoint_snapshot(&self) -> (String, DocPool) {
+        let mut store = self.inner.write();
+        if let Some(journal) = store.journal.as_mut() {
+            journal.clear();
         }
-        body.push('\n');
-        (snapshot::encode_file(STORE_MAGIC, &body), pool)
+        encode_store(&store)
     }
 
-    /// Restores the store from a snapshot produced by
-    /// [`ContextManager::encode_snapshot`], replacing any current
-    /// entries. `rebuild` constructs a Context from `(id, lake,
+    /// Decodes a snapshot produced by [`ContextManager::encode_snapshot`]
+    /// into a replica. `rebuild` constructs a Context from `(id, lake,
     /// description)` — the caller supplies it because Context
     /// construction needs a Runtime. Embeddings are recomputed
     /// deterministically from each instruction; LRU ticks and costs are
-    /// restored exactly, every restored Context holding a document
-    /// shares the one `Arc` its pool line became, and the store is
-    /// trimmed to the capacity bound with the standard eviction policy.
-    /// Any format, count, or checksum violation returns
-    /// [`SnapshotError`] and leaves the store untouched — callers start
-    /// cold instead of trusting a corrupt file.
-    ///
-    /// Then replays the delta frames
-    /// (`(seq, payload)` as the WAL replay returns them) on top. Frames
-    /// are trusted up to the first violation — a base stamp or pool
-    /// length that does not match, a malformed record, a document or
-    /// entry index out of range — and a frame applies whole or not at
-    /// all, so the result is the snapshot plus an exact frame prefix.
-    /// Returns `(contexts restored after trimming, frames applied)`.
-    pub fn load_chain(
+    /// restored exactly, and every restored Context holding a document
+    /// shares the one `Arc` its pool line became. Any format, count, or
+    /// checksum violation is a [`SnapshotError`].
+    pub fn decode_replica(
         &self,
         text: &str,
-        frames: &[(u64, String)],
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
-    ) -> Result<(usize, usize), SnapshotError> {
+    ) -> Result<StoreReplica, SnapshotError> {
         let body = snapshot::decode_file(STORE_MAGIC, text)?
             .strip_suffix('\n')
             .ok_or_else(|| fail("unterminated body"))?;
@@ -323,23 +312,49 @@ impl ContextManager {
         if fields.field()? != "T" {
             return Err(fail("bad tick line"));
         }
-        let mut replica = Replica {
+        let mut replica = StoreReplica {
             tick: fields.num("bad tick line")?,
-            ..Replica::default()
+            ..StoreReplica::default()
         };
-        let ops = self.decode_ops(&mut fields, &mut replica.pool, rebuild)?;
-        if !ops.iter().all(|op| matches!(op, JournalOp::Insert(_))) {
+        let section = self.decode_ops(&mut fields, &replica.pool, rebuild)?;
+        if !section
+            .ops
+            .iter()
+            .all(|op| matches!(op, JournalOp::Insert(_)))
+        {
             return Err(fail("journal record in a snapshot"));
         }
-        replica.replay_ops(ops)?;
-        let base_sum = snapshot::fnv64(text.as_bytes());
-        let applied = frames
-            .iter()
-            .take_while(|(_, payload)| {
-                self.replay_frame(&mut replica, base_sum, payload, rebuild)
-                    .is_ok()
-            })
-            .count();
+        replica.apply(section);
+        Ok(replica)
+    }
+
+    /// Decodes one delta section and checks it applies to `replica`:
+    /// stamped `base` (the FNV-64 of the snapshot the replica was
+    /// decoded from) and for the replica's pool, well-formed, every
+    /// document and entry index in range.
+    pub fn decode_section(
+        &self,
+        replica: &StoreReplica,
+        base: u64,
+        section: &str,
+        rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
+    ) -> Result<StoreSection, SnapshotError> {
+        let mut fields = Fields::new(section.split(SEPARATORS));
+        if fields.hex("bad frame stamp")? != base {
+            return Err(fail("frame of another snapshot"));
+        }
+        if fields.num::<usize>("bad pool length")? != replica.pool.len() {
+            return Err(fail("frame of another pool"));
+        }
+        let section = self.decode_ops(&mut fields, &replica.pool, rebuild)?;
+        replica.check(&section.ops)?;
+        Ok(section)
+    }
+
+    /// Replaces the store with `replica`, trimmed to the capacity bound
+    /// with the standard eviction policy. The journal restarts empty: the
+    /// replica is the new baseline. Returns the Contexts kept.
+    pub fn install(&self, replica: StoreReplica) -> usize {
         let mut store = self.inner.write();
         store.entries = replica.entries;
         // The restored counter must stay strictly ahead of every
@@ -358,8 +373,19 @@ impl ContextManager {
         if let Some(journal) = store.journal.as_mut() {
             journal.clear();
         }
-        Ok((store.entries.len(), applied))
+        store.entries.len()
     }
+}
+
+/// The snapshot of `store` and the pool of documents it defined.
+fn encode_store(store: &Store) -> (String, DocPool) {
+    let mut pool = DocPool::default();
+    let mut body = format!("T\t{}", store.tick);
+    for entry in &store.entries {
+        encode_entry(entry, &mut pool, '\n', &mut body);
+    }
+    body.push('\n');
+    (snapshot::encode_file(STORE_MAGIC, &body), pool)
 }
 
 const STORE_MAGIC: &str = "aida-ctxstore v2";
@@ -503,25 +529,24 @@ fn encode_entry(entry: &MaterializedContext, pool: &mut DocPool, sep: char, out:
     }
 }
 
-/// Encodes drained journal operations as one delta-frame payload (a
-/// single newline-free WAL line) stamped with the snapshot it extends
-/// and the length of the chain's pool before it. Documents the frame
+/// Appends drained journal operations to `out` as the Context store's
+/// delta section (newline-free), stamped with the snapshot it extends
+/// and the length of the chain's pool before it. Documents the section
 /// introduces are defined in it and added to `pool`; the caller rolls
 /// `pool` back ([`DocPool::truncate`]) if the frame does not reach the
 /// disk.
-pub fn encode_delta_frame(base_sum: u64, ops: &[JournalOp], pool: &mut DocPool) -> String {
-    let mut out = format!("{base_sum:016x}\t{}", pool.defined());
+pub fn encode_delta_frame(base_sum: u64, ops: &[JournalOp], pool: &mut DocPool, out: &mut String) {
+    let _ = write!(out, "{base_sum:016x}\t{}", pool.defined());
     for op in ops {
         let _ = match op {
             JournalOp::Insert(entry) => {
-                encode_entry(entry, pool, '\t', &mut out);
+                encode_entry(entry, pool, '\t', out);
                 Ok(())
             }
             JournalOp::Bump { index, tick } => write!(out, "\tB\t{index}\t{tick}"),
             JournalOp::Evict(index) => write!(out, "\tE\t{index}"),
         };
     }
-    out
 }
 
 fn fail(msg: &str) -> SnapshotError {
@@ -531,10 +556,10 @@ fn fail(msg: &str) -> SnapshotError {
 /// Cursor over the fields of a snapshot body or a frame payload.
 type Fields<'a> = snapshot::Fields<std::str::Split<'a, [char; 2]>>;
 
-/// A store rebuilt off to the side, swapped in whole once the snapshot
-/// and as much of its chain as can be trusted have replayed.
+/// A Context store rebuilt off to the side from a snapshot and the delta
+/// sections extending it, swapped in whole ([`ContextManager::install`]).
 #[derive(Default)]
-struct Replica {
+pub struct StoreReplica {
     entries: Vec<MaterializedContext>,
     tick: u64,
     evicted: u64,
@@ -542,12 +567,19 @@ struct Replica {
     pool: Vec<Arc<Document>>,
 }
 
-impl Replica {
-    /// Applies operations all or none: every index is checked against
-    /// the entry count its operation will see before the first applies.
-    fn replay_ops(&mut self, ops: Vec<JournalOp>) -> Result<(), SnapshotError> {
+/// A delta section decoded and checked against a [`StoreReplica`]: the
+/// documents it defines and the operations it journals, which apply
+/// whole.
+pub struct StoreSection {
+    docs: Vec<Arc<Document>>,
+    ops: Vec<JournalOp>,
+}
+
+impl StoreReplica {
+    /// Checks every index against the entry count its operation will see.
+    fn check(&self, ops: &[JournalOp]) -> Result<(), SnapshotError> {
         let mut len = self.entries.len();
-        for op in &ops {
+        for op in ops {
             match op {
                 JournalOp::Insert(_) => len += 1,
                 JournalOp::Bump { index, .. } if *index < len => {}
@@ -555,7 +587,14 @@ impl Replica {
                 _ => return Err(fail("entry index out of range")),
             }
         }
-        for op in ops {
+        Ok(())
+    }
+
+    /// Applies a section [`ContextManager::decode_section`] checked
+    /// against this replica.
+    pub fn apply(&mut self, section: StoreSection) {
+        self.pool.extend(section.docs);
+        for op in section.ops {
             match op {
                 JournalOp::Insert(entry) => {
                     self.tick = self.tick.max(entry.last_used);
@@ -568,52 +607,40 @@ impl Replica {
                     self.tick = self.tick.max(tick);
                 }
                 JournalOp::Evict(index) => {
-                    self.entries.remove(index);
-                    self.evicted += 1;
+                    if index < self.entries.len() {
+                        self.entries.remove(index);
+                        self.evicted += 1;
+                    }
                 }
             }
         }
-        Ok(())
     }
 }
 
 impl ContextManager {
-    /// Replays one delta frame onto `replica` if it extends exactly this
-    /// base and this pool.
-    fn replay_frame(
-        &self,
-        replica: &mut Replica,
-        base_sum: u64,
-        payload: &str,
-        rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
-    ) -> Result<(), SnapshotError> {
-        let mut fields = Fields::new(payload.split(SEPARATORS));
-        if fields.hex("bad frame stamp")? != base_sum {
-            return Err(fail("frame of another snapshot"));
-        }
-        if fields.num::<usize>("bad pool length")? != replica.pool.len() {
-            return Err(fail("frame of another pool"));
-        }
-        let ops = self.decode_ops(&mut fields, &mut replica.pool, rebuild)?;
-        replica.replay_ops(ops)
-    }
-
-    /// Decodes records until the fields run out. `P` records extend
-    /// `pool`; every other record becomes the operation it journals.
+    /// Decodes records until the fields run out. `P` records define
+    /// the documents after `pool`; every other record becomes the
+    /// operation it journals.
     fn decode_ops(
         &self,
         fields: &mut Fields,
-        pool: &mut Vec<Arc<Document>>,
+        pool: &[Arc<Document>],
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
-    ) -> Result<Vec<JournalOp>, SnapshotError> {
-        let mut ops = Vec::new();
+    ) -> Result<StoreSection, SnapshotError> {
+        let mut section = StoreSection {
+            docs: Vec::new(),
+            ops: Vec::new(),
+        };
         while let Some(tag) = fields.try_field() {
-            ops.push(match tag {
+            section.ops.push(match tag {
                 "P" => {
-                    pool.push(Arc::new(decode_doc(fields)?));
+                    section.docs.push(Arc::new(decode_doc(fields)?));
                     continue;
                 }
-                "C" => JournalOp::Insert(Box::new(self.decode_entry(fields, pool, rebuild)?)),
+                "C" => {
+                    let docs = [pool, &section.docs];
+                    JournalOp::Insert(Box::new(self.decode_entry(fields, docs, rebuild)?))
+                }
                 "B" => JournalOp::Bump {
                     index: fields.num("bad bump record")?,
                     tick: fields.num("bad bump record")?,
@@ -622,16 +649,17 @@ impl ContextManager {
                 _ => return Err(fail("unknown record tag")),
             });
         }
-        Ok(ops)
+        Ok(section)
     }
 
     /// Decodes the fields of a `C` record (and its `F` record), taking
-    /// its documents from `pool`: the lakes of all entries that hold a
+    /// its documents from `pool`: the chain's pool, then the documents
+    /// its section defined so far. The lakes of all entries that hold a
     /// document share its one `Arc`, memo slots included.
     fn decode_entry(
         &self,
         fields: &mut Fields,
-        pool: &[Arc<Document>],
+        pool: [&[Arc<Document>]; 2],
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
     ) -> Result<MaterializedContext, SnapshotError> {
         let instruction = fields.text()?;
@@ -642,7 +670,12 @@ impl ContextManager {
         let has_findings = fields.flag("bad findings flag")?;
         let mut docs = Vec::new();
         for _ in 0..fields.num::<usize>("bad doc count")? {
-            let doc = pool.get(fields.num::<usize>("bad document index")?);
+            let index = fields.num::<usize>("bad document index")?;
+            let doc = pool[0].get(index).or_else(|| {
+                index
+                    .checked_sub(pool[0].len())
+                    .and_then(|index| pool[1].get(index))
+            });
             docs.push(Arc::clone(
                 doc.ok_or_else(|| fail("document index past the pool"))?,
             ));
@@ -730,6 +763,34 @@ mod tests {
             let q = self.embedder.embed(instruction);
             let store = self.inner.read();
             best_match(&store.entries, &q).map(|(i, s)| (store.entries[i].clone(), s))
+        }
+
+        /// Restores the store from a snapshot and the delta sections
+        /// `frames` (`(seq, section)`), replacing any current entries.
+        /// Sections are trusted up to the first that does not decode or
+        /// apply ([`ContextManager::decode_section`]), and one applies whole
+        /// or not at all, so the result is the snapshot plus an exact
+        /// section prefix. A snapshot that does not decode returns
+        /// [`SnapshotError`] and leaves the store untouched — callers start
+        /// cold instead of trusting a corrupt file. Returns `(contexts
+        /// restored after trimming, sections applied)`.
+        fn load_chain(
+            &self,
+            text: &str,
+            frames: &[(u64, String)],
+            rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
+        ) -> Result<(usize, usize), SnapshotError> {
+            let mut replica = self.decode_replica(text, rebuild)?;
+            let base = snapshot::fnv64(text.as_bytes());
+            let mut applied = 0;
+            for (_, section) in frames {
+                let Ok(section) = self.decode_section(&replica, base, section, rebuild) else {
+                    break;
+                };
+                replica.apply(section);
+                applied += 1;
+            }
+            Ok((self.install(replica), applied))
         }
 
         fn load_snapshot(
@@ -970,10 +1031,44 @@ mod tests {
         |id, lake, desc| Context::builder(id, lake).description(desc).build(rt)
     }
 
+    /// [`encode_delta_frame`]'s section, on its own.
+    fn frame_of(base_sum: u64, ops: &[JournalOp], pool: &mut DocPool) -> String {
+        let mut out = String::new();
+        encode_delta_frame(base_sum, ops, pool, &mut out);
+        out
+    }
+
     /// `(seq, payload)` records as the WAL replay hands them to
     /// `load_chain`.
     fn chain(frames: &[String]) -> Vec<(u64, String)> {
         (0u64..).zip(frames.iter().cloned()).collect()
+    }
+
+    /// A full checkpoint's snapshot and the emptying of the journal are
+    /// one step. Here a `register` lands between encoding the snapshot
+    /// and the next frame, as one from another thread would while the
+    /// snapshot is committed: it must reach that frame, once. (Encoding
+    /// first and draining after the commit, as separate steps, lost it.)
+    #[test]
+    fn a_register_during_a_full_checkpoint_reaches_the_next_frame() {
+        let rt = Runtime::builder().build();
+        let manager = ContextManager::new();
+        manager.set_journal(true);
+        manager.register("expensive exhaustive legal scan", ctx(&rt, "a"), 2.0);
+        manager.register("cheap keyword probe", ctx(&rt, "b"), 0.01);
+        let (base, mut pool) = manager.checkpoint_snapshot();
+        manager.register("medium targeted extraction", ctx(&rt, "c"), 0.5);
+        let ops = manager.drain_journal();
+        assert_eq!(
+            ops.len(),
+            1,
+            "the journal holds only what followed the snapshot"
+        );
+        let frame = frame_of(snapshot::fnv64(base.as_bytes()), &ops, &mut pool);
+        let replica = ContextManager::new();
+        let loaded = replica.load_chain(&base, &chain(&[frame]), &rebuild_with(&rt));
+        assert_eq!(loaded.unwrap(), (3, 1));
+        assert_eq!(replica.encode_snapshot(), manager.encode_snapshot());
     }
 
     #[test]
@@ -982,12 +1077,11 @@ mod tests {
         let manager = ContextManager::with_capacity(2);
         manager.set_journal(true);
 
-        // Baseline: one entry, then a full snapshot drains nothing (the
-        // runtime clears via drain) — replay starts from this base.
+        // Baseline: one entry, then a full snapshot, which empties the
+        // journal — replay starts from this base.
         manager.register("expensive exhaustive legal scan", ctx(&rt, "a"), 2.0);
-        let (base, mut pool) = manager.encode_snapshot_pooled();
-        let drained = manager.drain_journal();
-        assert_eq!(drained.len(), 1, "register journals one insert");
+        let (base, mut pool) = manager.checkpoint_snapshot();
+        assert!(manager.drain_journal().is_empty(), "the snapshot holds it");
         let base_sum = snapshot::fnv64(base.as_bytes());
 
         // Mutations after the base: insert, recency bump, insert that
@@ -1003,7 +1097,7 @@ mod tests {
             ops.iter().any(|op| matches!(op, JournalOp::Evict(_))),
             "the over-capacity insert journals its eviction"
         );
-        let frame = encode_delta_frame(base_sum, &ops, &mut pool);
+        let frame = frame_of(base_sum, &ops, &mut pool);
         assert!(!frame.contains('\n'), "a frame is one WAL line");
 
         let rebuild = rebuild_with(&rt);
@@ -1059,7 +1153,7 @@ mod tests {
         manager.register("beta and gamma", narrowed(&["b.txt", "c.txt"]), 2.0);
         manager.register("all of them", narrowed(&["c.txt", "a.txt", "b.txt"]), 3.0);
 
-        let (snap, pool) = manager.encode_snapshot_pooled();
+        let (snap, pool) = manager.checkpoint_snapshot();
         assert_eq!(pool.defined(), 3);
         let pool_lines = snap.lines().filter(|l| l.starts_with("P\t")).count();
         assert_eq!(pool_lines, 3, "each shared document is written once");
@@ -1105,7 +1199,7 @@ mod tests {
         manager.register("labelled eight", one(labelled(8)), 1.0);
         manager.register("labelled seven again", one(labelled(7)), 1.0);
 
-        let (snap, pool) = manager.encode_snapshot_pooled();
+        let (snap, pool) = manager.checkpoint_snapshot();
         assert_eq!(pool.defined(), 4, "{snap}");
         let restored = ContextManager::new();
         assert_eq!(
@@ -1135,20 +1229,19 @@ mod tests {
         let manager = ContextManager::new();
         manager.set_journal(true);
         manager.register("base entry", ctx(&rt, "base"), 1.0);
-        let (_, mut pool) = manager.encode_snapshot_pooled();
-        manager.drain_journal();
+        let (_, mut pool) = manager.checkpoint_snapshot();
         let fresh =
             Context::builder("n", DataLake::from_docs([Document::new("n.txt", "new")])).build(&rt);
         manager.register("new entry", fresh, 1.0);
         let ops = manager.drain_journal();
-        let first = encode_delta_frame(7, &ops, &mut pool);
+        let first = frame_of(7, &ops, &mut pool);
         assert_eq!(pool.defined(), 2);
         assert!(first.contains("\tP\tn.txt\tnew\t0\tC\t"), "{first}");
         pool.truncate(1);
         assert_eq!(pool.defined(), 1);
-        assert_eq!(encode_delta_frame(7, &ops, &mut pool), first);
+        assert_eq!(frame_of(7, &ops, &mut pool), first);
         // Once the frame is durable, a later one refers back to it.
-        let again = encode_delta_frame(7, &ops, &mut pool);
+        let again = frame_of(7, &ops, &mut pool);
         assert!(!again.contains("\tP\t") && again.starts_with("0000000000000007\t2\tC\t"));
     }
 
@@ -1203,8 +1296,7 @@ mod tests {
                 let mut base = None;
                 for (i, (picks, cost, cells)) in entries.iter().enumerate() {
                     if i == split.min(entries.len() - 1) {
-                        base = Some(manager.encode_snapshot_pooled());
-                        manager.drain_journal();
+                        base = Some(manager.checkpoint_snapshot());
                     }
                     // A lake holds one document per name.
                     let mut picked: Vec<Arc<Document>> = Vec::new();
@@ -1238,8 +1330,8 @@ mod tests {
                 let mid = ops.len() / 2;
                 let sum = snapshot::fnv64(base.as_bytes());
                 let frames = chain(&[
-                    encode_delta_frame(sum, &ops[..mid], &mut pool),
-                    encode_delta_frame(sum, &ops[mid..], &mut pool),
+                    frame_of(sum, &ops[..mid], &mut pool),
+                    frame_of(sum, &ops[mid..], &mut pool),
                 ]);
                 let replayed = ContextManager::with_capacity(capacity);
                 let loaded = replayed.load_chain(&base, &frames, &rebuild).unwrap();

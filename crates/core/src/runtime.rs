@@ -1,9 +1,10 @@
 //! The runtime: shared services every query uses.
 
-use crate::manager::{encode_delta_frame, ContextManager, DocPool};
+use crate::chain::DeltaState;
+use crate::manager::ContextManager;
 use aida_agents::StepCache;
-use aida_data::{DataLake, Table};
-use aida_llm::snapshot::{self, DeltaChain, FailPlan, SnapshotError};
+use aida_data::Table;
+use aida_llm::snapshot::{self, FailPlan, SnapshotError};
 use aida_llm::{ModelId, SimLlm, UsageSnapshot};
 use aida_obs::{registry, Event, Recorder, SpanKind};
 use aida_optimizer::{OptimizerConfig, Policy, SampleMemo};
@@ -48,8 +49,8 @@ pub struct RuntimeConfig {
     /// repeats cost zero dollars/tokens and a small hit latency.
     pub semantic_cache: usize,
     /// Snapshot path for the semantic cache: loaded (best-effort, with
-    /// its delta chain) at build so a restart keeps a warm cache, written
-    /// in full on [`Runtime::save_cache`] and at the ops-interval
+    /// the delta chain in delta mode) at build so a restart keeps a warm
+    /// cache, written on [`Runtime::save_cache`] and at the ops-interval
     /// checkpoint. A corrupt snapshot starts cold.
     pub cache_path: Option<std::path::PathBuf>,
     /// Snapshot path for the ContextManager store: loaded (best-effort)
@@ -61,17 +62,17 @@ pub struct RuntimeConfig {
     /// cache) every N agentic operator completions (0 = only on explicit
     /// [`Runtime::save_state`] / [`Runtime::save_cache`]).
     pub checkpoint_interval: u64,
-    /// Incremental checkpoints: when set, [`Runtime::save_state`] emits
-    /// checksummed delta frames (the ContextManager's mutation journal)
-    /// to `<state_path>.delta` between full snapshots, and the
-    /// ops-interval checkpoint appends what the semantic cache used since
-    /// the last one to `<cache_path>.delta`, so checkpoint cost tracks
-    /// what changed instead of total store size.
+    /// Incremental checkpoints: when set, a checkpoint
+    /// ([`Runtime::save_state`], and the ops-interval one) appends one
+    /// checksummed delta frame between full snapshots — the
+    /// ContextManager's mutation journal and what the semantic cache used
+    /// since the last checkpoint, together, to one chain
+    /// ([`Runtime::delta_path`]) — so checkpoint cost tracks what changed
+    /// instead of total store size.
     pub delta_checkpoints: bool,
-    /// In delta mode, rewrite a full snapshot (and reset the delta
-    /// chain) after this many delta frames (default 16), for the Context
-    /// store and the semantic cache each. Bounds recovery replay length;
-    /// 0 acts as 1, a full snapshot every other save.
+    /// In delta mode, rewrite both full snapshots (and reset the delta
+    /// chain) after this many delta frames (default 16). Bounds recovery
+    /// replay length; 0 acts as 1, a full snapshot every other save.
     pub full_snapshot_every: u64,
     /// Where the flight recorder dumps its ring of recent events when a
     /// crash seam fires, a recovery path runs, or an SLO alert trips
@@ -105,16 +106,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Where the Context store's incremental checkpointer stands: its
-/// position in the delta chain, and `pool`, the documents the base
-/// snapshot and the chain's frames defined — a frame's documents join it
-/// only once the frame's `fsync` has returned.
-#[derive(Default)]
-struct DeltaState {
-    chain: DeltaChain,
-    pool: DocPool,
-}
-
 /// The shared runtime: simulated LLM + clock, context manager, and the SQL
 /// catalog of materialized tables.
 #[derive(Clone)]
@@ -126,7 +117,7 @@ pub struct Runtime {
     /// Agentic operator completions, driving the ops-interval checkpoint.
     ops_done: Arc<AtomicU64>,
     /// Incremental-checkpoint chain position (delta mode only).
-    delta: Arc<Mutex<DeltaState>>,
+    pub(crate) delta: Arc<Mutex<DeltaState>>,
     /// Compiled agent steps, shared by every agentic operator's agents.
     steps: StepCache,
     /// All-hit sampling runs, shared by every synthesized program's
@@ -196,18 +187,20 @@ impl Runtime {
         self.env.llm.cache().map(|c| c.stats())
     }
 
-    /// Spills the semantic cache to the configured `cache_path`: always
-    /// the full snapshot, which also ends the cache's delta chain.
+    /// Spills the semantic cache to the configured `cache_path`. In delta
+    /// mode the cache's snapshot is part of the runtime's delta chain, so
+    /// this is a full rewrite of both snapshots, which ends the chain.
     /// Returns whether a snapshot was written (false when the cache or
     /// the path is not configured).
     pub fn save_cache(&self) -> std::io::Result<bool> {
-        match (self.env.llm.cache(), &self.config.cache_path) {
-            (Some(cache), Some(path)) => {
-                cache.save(path)?;
-                Ok(true)
-            }
-            _ => Ok(false),
+        let (Some(cache), Some(path)) = (self.env.llm.cache(), &self.config.cache_path) else {
+            return Ok(false);
+        };
+        if self.config.delta_checkpoints {
+            return self.checkpoint_chain(true, None);
         }
+        cache.save(path)?;
+        Ok(true)
     }
 
     /// Persists the ContextManager store (materialized Contexts with
@@ -218,149 +211,71 @@ impl Runtime {
         self.save_state_with(None)
     }
 
-    /// The delta-chain path for the configured `state_path` (delta
-    /// checkpoints land in `<state_path>.delta`).
+    /// The delta chain the durable stores share: `<state_path>.delta`,
+    /// or `<cache_path>.delta` for a runtime whose only durable store is
+    /// the semantic cache.
     pub fn delta_path(&self) -> Option<std::path::PathBuf> {
-        self.config.state_path.as_deref().map(snapshot::delta_path)
+        self.chain_path()
     }
 
     /// [`Runtime::save_state`] with an optional crash-injection plan
     /// (threaded through by the durability suite). In delta mode
-    /// ([`RuntimeConfig::delta_checkpoints`]) this appends one
-    /// checksummed delta frame carrying the journal of mutations since
-    /// the previous checkpoint; every
-    /// [`RuntimeConfig::full_snapshot_every`] frames (and on the first
-    /// save, or after any restore) it rewrites the full snapshot and
-    /// resets the chain.
+    /// ([`RuntimeConfig::delta_checkpoints`]) this is the checkpoint of
+    /// every durable store, the semantic cache's too: it appends one
+    /// checksummed frame to the shared chain, carrying the Context
+    /// store's journal of mutations and the cache's uses since the
+    /// previous checkpoint; on the first checkpoint, every
+    /// [`RuntimeConfig::full_snapshot_every`] frames, after any restore
+    /// and once an entry has left the cache it rewrites both full
+    /// snapshots and resets the chain.
     pub fn save_state_with(&self, plan: Option<&FailPlan>) -> std::io::Result<bool> {
+        if self.config.delta_checkpoints {
+            return self.checkpoint_chain(false, plan);
+        }
         let Some(path) = &self.config.state_path else {
             return Ok(false);
         };
-        if !self.config.delta_checkpoints {
-            let text = self.manager.encode_snapshot();
-            snapshot::commit_atomic(path, &text, plan)?;
-            self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
-            self.recorder()
-                .counter_add(registry::CHECKPOINT_BYTES, text.len() as u64);
-            return Ok(true);
-        }
-        let mut guard = self.delta.lock();
-        let delta = &mut *guard;
-        let chain = snapshot::delta_path(path);
-        let Some(base) = delta.chain.base(self.config.full_snapshot_every) else {
-            // Full rewrite: the journal's mutations are folded into the
-            // snapshot, so the chain (and the journal) reset. The chain
-            // file is removed only after the snapshot commits — a crash
-            // in between leaves a stale chain whose base stamp no longer
-            // matches, which recovery discards.
-            let (text, pool) = self.manager.encode_snapshot_pooled();
-            snapshot::commit_atomic(path, &text, plan)?;
-            let _ = self.manager.drain_journal();
-            delta.pool = pool;
-            delta.chain.rebase(&chain, &text)?;
-            self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
-            self.recorder()
-                .counter_add(registry::CHECKPOINT_BYTES, text.len() as u64);
-            return Ok(true);
-        };
-        let ops = self.manager.drain_journal();
-        if ops.is_empty() {
-            // Nothing changed since the last frame: the checkpoint is a
-            // durable no-op, not an error.
-            return Ok(true);
-        }
-        let defined = delta.pool.defined();
-        let payload = encode_delta_frame(base, &ops, &mut delta.pool);
-        // Nothing of a failed frame is durable: its documents leave the
-        // pool and its mutations go back to the journal, so the retried
-        // frame defines and carries them again.
-        let bytes = delta
-            .chain
-            .append(&chain, &payload, plan)
-            .inspect_err(|_| {
-                delta.pool.truncate(defined);
-                self.manager.restore_journal(ops);
-            })?;
+        let text = self.manager.encode_snapshot();
+        snapshot::commit_atomic(path, &text, plan)?;
         self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
         self.recorder()
-            .counter_add(registry::CHECKPOINT_DELTA_FRAMES, 1);
-        self.recorder()
-            .counter_add(registry::CHECKPOINT_BYTES, bytes);
+            .counter_add(registry::CHECKPOINT_BYTES, text.len() as u64);
         Ok(true)
     }
 
     /// Restores the ContextManager store from the configured
-    /// `state_path`, replacing the current store. Returns how many
-    /// Contexts were restored (0 when no path is configured or the
-    /// snapshot file does not exist yet — a normal cold start). A
-    /// corrupt or truncated snapshot is rejected as [`SnapshotError`]
-    /// and the store is left untouched.
+    /// `state_path` (and, in delta mode, the delta chain), replacing the
+    /// current store. Returns how many Contexts were restored (0 when no
+    /// path is configured or the snapshot file does not exist yet — a
+    /// normal cold start). A corrupt or truncated snapshot is rejected as
+    /// [`SnapshotError`] and the store is left untouched. After a
+    /// restore, the next checkpoint rewrites the full snapshots, so the
+    /// chain on disk is never extended against a base it didn't come
+    /// from.
     pub fn load_state(&self) -> Result<usize, SnapshotError> {
-        let Some(path) = &self.config.state_path else {
-            return Ok(0);
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e.into()),
-        };
-        let rebuild = |id: &str, lake: DataLake, desc: &str| {
-            crate::Context::builder(id, lake)
-                .description(desc)
-                .build(self)
-        };
-        // In delta mode, replay the chain on top of the snapshot. Frames
-        // are trusted up to the first violation — torn tail, bad
-        // checksum, out-of-order seq (all caught by the WAL replay), a
-        // stamp that doesn't match this snapshot and pool, or a record
-        // the store rejects — exactly the suffix-truncation semantics of
-        // the ledger WAL. After a restore, the next save rewrites a full
-        // snapshot, so the chain on disk is never extended against a
-        // base it didn't come from.
-        let chain = if self.config.delta_checkpoints {
-            snapshot::wal_replay(&snapshot::delta_path(path))
-                .map_err(SnapshotError::Io)?
-                .records
-        } else {
-            Vec::new()
-        };
-        let (n, frames) = self.manager.load_chain(&text, &chain, &rebuild)?;
-        if frames > 0 {
-            self.recorder().flight(
-                "core.state",
-                "delta_replayed",
-                format!("{frames} delta frames on top of the snapshot"),
-            );
-        }
-        *self.delta.lock() = DeltaState::default();
-        self.recorder()
-            .counter_add(registry::STATE_RESTORED_CONTEXTS, n as u64);
-        if n > 0 {
-            // A recovery path ran: note it in the flight ring so the
-            // forensic tail shows the restart.
-            self.recorder().flight(
-                "core.state",
-                "restored",
-                format!("{n} contexts from snapshot"),
-            );
-        }
-        Ok(n)
+        self.recover_stores(false)
     }
 
-    /// The ops-interval checkpoint of the semantic cache: in delta mode
-    /// one frame appended to `<cache_path>.delta` (see
-    /// [`aida_llm::SemanticCache::checkpoint`] for when it rewrites the
-    /// full snapshot instead), otherwise [`Runtime::save_cache`].
-    fn checkpoint_cache(&self) -> std::io::Result<()> {
-        let (Some(cache), Some(path)) = (self.env.llm.cache(), &self.config.cache_path) else {
-            return Ok(());
-        };
+    /// The ops-interval checkpoint: in delta mode one frame for both
+    /// stores (or a full rewrite, see [`Runtime::save_state_with`]),
+    /// otherwise both full snapshots. Either way it counts as one save,
+    /// and every byte it writes is counted.
+    fn checkpoint(&self) -> std::io::Result<()> {
+        let saved = self.save_state();
         if self.config.delta_checkpoints {
-            cache.checkpoint(path, self.config.full_snapshot_every, None)?;
-        } else {
-            cache.save(path)?;
+            return saved.map(drop);
         }
-        Ok(())
+        // A failed state save does not keep the cache from saving.
+        if let (Some(cache), Some(path)) = (self.env.llm.cache(), &self.config.cache_path) {
+            let text = cache.encode_snapshot().0;
+            snapshot::commit_atomic(path, &text, None)?;
+            if !matches!(saved, Ok(true)) {
+                self.recorder().counter_add(registry::CHECKPOINT_SAVES, 1);
+            }
+            self.recorder()
+                .counter_add(registry::CHECKPOINT_BYTES, text.len() as u64);
+        }
+        saved.map(drop)
     }
 
     /// Notes one completed agentic operator; every `checkpoint_interval`
@@ -377,18 +292,11 @@ impl Runtime {
             // Error counters always travel with a typed event: the
             // counter feeds dashboards, the event feeds the trace and
             // the flight recorder's forensic tail.
-            if let Err(e) = self.save_state() {
+            if let Err(e) = self.checkpoint() {
                 self.recorder().counter_add(registry::CHECKPOINT_ERRORS, 1);
                 self.recorder().event(Event::Error {
                     counter: registry::CHECKPOINT_ERRORS.to_string(),
-                    detail: format!("state checkpoint failed: {e}"),
-                });
-            }
-            if let Err(e) = self.checkpoint_cache() {
-                self.recorder().counter_add(registry::CHECKPOINT_ERRORS, 1);
-                self.recorder().event(Event::Error {
-                    counter: registry::CHECKPOINT_ERRORS.to_string(),
-                    detail: format!("cache checkpoint failed: {e}"),
+                    detail: format!("checkpoint failed: {e}"),
                 });
             }
         }
@@ -573,7 +481,8 @@ impl RuntimeBuilder {
     }
 
     /// Snapshot path for the semantic cache (loaded best-effort at
-    /// build; written by [`Runtime::save_cache`]).
+    /// build; written by [`Runtime::save_cache`] and the ops-interval
+    /// checkpoint).
     pub fn cache_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.config.cache_path = Some(path.into());
         self
@@ -594,8 +503,10 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Enables incremental (delta-frame) checkpoints: saves between
-    /// full snapshots append only what changed to `<state_path>.delta`.
+    /// Enables incremental (delta-frame) checkpoints: checkpoints
+    /// between full snapshots append only what the Context store and the
+    /// semantic cache changed, as one frame, to one delta chain
+    /// ([`Runtime::delta_path`]).
     pub fn delta_checkpoints(mut self, enable: bool) -> Self {
         self.config.delta_checkpoints = enable;
         self
@@ -627,14 +538,9 @@ impl RuntimeBuilder {
     pub fn build(self) -> Runtime {
         let mut llm = SimLlm::new(self.config.seed).with_fault_rate(self.config.fault_rate);
         if self.config.semantic_cache > 0 {
-            let cache = aida_llm::SemanticCache::with_capacity(self.config.semantic_cache);
-            if let Some(path) = &self.config.cache_path {
-                // Best-effort warm start: a missing or corrupt snapshot
-                // (or one from a different seed — keys include the seed)
-                // simply starts cold.
-                let _ = cache.load(path);
-            }
-            llm = llm.with_cache(cache);
+            llm = llm.with_cache(aida_llm::SemanticCache::with_capacity(
+                self.config.semantic_cache,
+            ));
         }
         let mut env = ExecEnv::new(llm);
         if self.config.tracing {
@@ -662,11 +568,10 @@ impl RuntimeBuilder {
             // or the first delta frame would silently miss changes.
             runtime.manager.set_journal(true);
         }
-        if runtime.config.state_path.is_some() {
-            // Best-effort warm start: a missing or corrupt snapshot
-            // simply starts with an empty store.
-            let _ = runtime.load_state();
-        }
+        // Best-effort warm start: a missing or corrupt snapshot simply
+        // starts that store empty (a cache snapshot of a different seed
+        // is never hit — keys include the seed).
+        let _ = runtime.recover_stores(true);
         runtime
     }
 }
@@ -783,6 +688,7 @@ mod tests {
                 .semantic_cache(64)
                 .cache_path(path.clone())
                 .delta_checkpoints(delta)
+                .tracing(true)
                 .build()
         };
         let use_key = |rt: &Runtime, k: u64| {
@@ -802,24 +708,42 @@ mod tests {
                 cache.admit(pending, resp);
             }
         };
+        let written = |rt: &Runtime| {
+            let counters = rt.recorder().trace().counters;
+            let get = |name| counters.get(name).copied().unwrap_or(0);
+            (
+                get(registry::CHECKPOINT_SAVES),
+                get(registry::CHECKPOINT_BYTES),
+            )
+        };
         let rt = build(true);
+        assert_eq!(rt.delta_path(), Some(chain.clone()), "the cache's chain");
         use_key(&rt, 1);
-        rt.checkpoint_cache().unwrap(); // the first: full
+        rt.checkpoint().unwrap(); // the first: full
         assert!(path.exists() && !chain.exists());
+        assert_eq!(written(&rt), (1, std::fs::metadata(&path).unwrap().len()));
         use_key(&rt, 2);
-        rt.checkpoint_cache().unwrap();
+        rt.checkpoint().unwrap();
         assert!(chain.exists(), "then a frame");
+        let frame = std::fs::metadata(&chain).unwrap().len();
+        assert_eq!(
+            written(&rt).1,
+            std::fs::metadata(&path).unwrap().len() + frame
+        );
         assert!(rt.save_cache().unwrap());
         assert!(!chain.exists(), "an explicit save ends the chain");
         use_key(&rt, 3);
-        rt.checkpoint_cache().unwrap();
+        rt.checkpoint().unwrap();
         assert_eq!(build(true).cache_stats().unwrap().entries, 3);
-        // Without delta mode every checkpoint is a full save.
+        // Without delta mode every checkpoint is a full save, counted, and
+        // no chain is read or written.
+        std::fs::remove_dir_all(&dir).unwrap();
         let rt = build(false);
         use_key(&rt, 4);
-        rt.checkpoint_cache().unwrap();
+        rt.checkpoint().unwrap();
         assert!(!chain.exists());
-        assert_eq!(build(false).cache_stats().unwrap().entries, 4);
+        assert_eq!(written(&rt), (1, std::fs::metadata(&path).unwrap().len()));
+        assert_eq!(build(false).cache_stats().unwrap().entries, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,9 +20,10 @@
 //!    checksummed snapshot and [`SemanticCache::load`] restores it, so a
 //!    service restart keeps a warm cache. A truncated or garbled
 //!    snapshot is rejected (the caller starts cold); it never panics.
-//!    Between full snapshots, [`SemanticCache::checkpoint`] appends only
-//!    what changed to a delta chain beside the snapshot, and `load`
-//!    replays the chain's longest valid prefix on top.
+//!    Between full snapshots, a runtime checkpoints only what changed:
+//!    [`SemanticCache::encode_section`] writes the cache's section of
+//!    the runtime's delta frame, and a [`CacheReplica`] replays such
+//!    sections on top of a snapshot.
 //!
 //! Hits cost zero dollars and zero tokens; they are reported with a
 //! small fixed latency ([`HIT_LATENCY_S`]) so virtual-time accounting
@@ -30,13 +31,13 @@
 
 use crate::noise;
 use crate::sim::LlmResponse;
-use crate::snapshot::{self, encode_value, esc, DeltaChain, FailPlan, Fields};
+use crate::snapshot::{self, encode_value, esc, Fields};
 use crate::usage::UsageSnapshot;
 use aida_data::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -206,8 +207,8 @@ struct Entry {
     bytes: usize,
     /// The last use's tick.
     tick: u64,
-    /// The admission's tick: a delta frame writes the entry in full when
-    /// it is newer than the last checkpoint, by its key otherwise.
+    /// The admission's tick: a delta section writes the entry in full
+    /// when it is newer than the last checkpoint, by its key otherwise.
     born: u64,
 }
 
@@ -226,22 +227,19 @@ struct State {
     epoch: u64,
 }
 
-/// The delta chain the last checkpoint left: the snapshot path it
-/// extends, its position, and the store's tick and residency epoch when
-/// that checkpoint read the store.
-#[derive(Debug)]
-struct Checkpointed {
-    path: PathBuf,
-    chain: DeltaChain,
+/// How far a checkpoint has read the store: the last tick it saw and
+/// the residency epoch then. A delta section extending the checkpoint
+/// carries what the store used after the tick, and exists only while no
+/// entry has left the store since (a section has no record for a
+/// removal).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheMark {
     tick: u64,
     epoch: u64,
 }
 
 #[derive(Debug)]
 struct Inner {
-    /// The chain the next checkpoint may extend (`None`: it rewrites the
-    /// full snapshot). Locked before `state`.
-    chain: Mutex<Option<Checkpointed>>,
     state: Mutex<State>,
     cond: Condvar,
     /// Maximum resident entries (0 = unbounded).
@@ -292,7 +290,6 @@ impl SemanticCache {
     pub fn with_capacity(capacity: usize) -> SemanticCache {
         SemanticCache {
             inner: Arc::new(Inner {
-                chain: Mutex::new(None),
                 state: Mutex::new(State::default()),
                 cond: Condvar::new(),
                 capacity,
@@ -468,129 +465,88 @@ impl SemanticCache {
     /// Writes a versioned, checksummed snapshot of the store via an
     /// atomic temp-file-and-rename commit, so a crash mid-save never
     /// clobbers the previous snapshot. Entries are written LRU→MRU so a
-    /// reload preserves eviction order. Always the full snapshot: the
-    /// delta chain beside it (`<path>.delta`) is removed once it commits,
-    /// and the next [`SemanticCache::checkpoint`] to `path` extends this
-    /// one (a save to another path leaves the checkpoints' chain alone).
+    /// reload preserves eviction order.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        let mut chain = self.inner.chain.lock().unwrap();
-        self.save_full(&mut chain, path, None).map(|_| ())
+        snapshot::commit_atomic(path, &self.encode_snapshot().0, None)
     }
 
-    /// Checkpoints the store to `path` incrementally: appends one
-    /// checksummed frame to the delta chain `<path>.delta`, carrying in
-    /// tick order the full line of each entry admitted since the last
-    /// checkpoint and the bare key of each older entry re-ticked since.
-    /// Writes the full snapshot instead ([`SemanticCache::save`]) on the
-    /// first checkpoint, after `full_every` frames (0 acts as 1), after a
-    /// [`SemanticCache::load`], when the last checkpoint went to another
-    /// path, and when the residency epoch moved (an eviction, a `clear`, a
-    /// replaced entry) — so a frame never records a removal. Returns the
-    /// bytes written: 0 when nothing changed since the last checkpoint.
-    /// The optional [`FailPlan`] injects a crash into the write.
-    pub fn checkpoint(
-        &self,
-        path: &Path,
-        full_every: u64,
-        plan: Option<&FailPlan>,
-    ) -> std::io::Result<u64> {
-        let mut chain = self.inner.chain.lock().unwrap();
+    /// The full snapshot [`SemanticCache::save`] writes, and the mark of
+    /// the store it encodes.
+    pub fn encode_snapshot(&self) -> (String, CacheMark) {
         let st = self.inner.state.lock().unwrap();
-        let extends = chain
-            .as_mut()
-            .filter(|last| last.path == path && last.epoch == st.epoch)
-            .and_then(|last| last.chain.base(full_every).map(|base| (last, base)));
-        let Some((last, base)) = extends else {
-            drop(st);
-            // The full rewrite starts the chain the next checkpoints extend.
-            *chain = None;
-            return self.save_full(&mut chain, path, plan);
-        };
-        let frame = encode_frame(&st, base, last.tick);
-        let tick = st.tick;
-        drop(st);
-        let Some(payload) = frame else {
-            return Ok(0);
-        };
-        let bytes = last
-            .chain
-            .append(&snapshot::delta_path(path), &payload, plan)?;
-        last.tick = tick;
-        Ok(bytes)
+        let mut ordered: Vec<(&CacheKey, &Entry)> = st.entries.iter().collect();
+        ordered.sort_by_key(|(key, e)| (e.tick, **key));
+        let mut body = String::new();
+        for (key, entry) in ordered {
+            encode_entry(key, &entry.resp, &mut body);
+            body.push('\n');
+        }
+        (snapshot::encode_file(MAGIC, &body), Self::mark_of(&st))
     }
 
-    /// Commits the full snapshot to `path`, then starts an empty chain on
-    /// it (removing the old chain file). Until both succeed `chain` holds
-    /// nothing, so a failure leaves the next checkpoint a full rewrite. A
-    /// save to another path than the chain's leaves `chain` as it is.
-    fn save_full(
+    fn mark_of(st: &State) -> CacheMark {
+        CacheMark {
+            tick: st.tick,
+            epoch: st.epoch,
+        }
+    }
+
+    /// Appends to `out` the cache's section of a delta frame: `base`, the
+    /// stamp of the snapshot the chain extends, then in tick order the
+    /// full line of each entry admitted after `since` and the bare key of
+    /// each older entry re-ticked after it. Returns the store's new mark
+    /// and whether the section carries any record, or `None`, writing
+    /// nothing, when the checkpoint at `since` can no longer be
+    /// extended: an entry has been evicted, cleared or replaced since.
+    pub fn encode_section(
         &self,
-        chain: &mut Option<Checkpointed>,
-        path: &Path,
-        plan: Option<&FailPlan>,
-    ) -> std::io::Result<u64> {
-        let (text, tick, epoch) = {
-            let st = self.inner.state.lock().unwrap();
-            let mut ordered: Vec<(&CacheKey, &Entry)> = st.entries.iter().collect();
-            ordered.sort_by_key(|(key, e)| (e.tick, **key));
-            let mut body = String::new();
-            for (key, entry) in ordered {
-                encode_entry(key, &entry.resp, &mut body);
-                body.push('\n');
+        base: u64,
+        since: CacheMark,
+        out: &mut String,
+    ) -> Option<(CacheMark, bool)> {
+        let st = self.inner.state.lock().unwrap();
+        if st.epoch != since.epoch {
+            return None;
+        }
+        let mut used: Vec<(&CacheKey, &Entry)> = st
+            .entries
+            .iter()
+            .filter(|(_, e)| e.tick > since.tick)
+            .collect();
+        used.sort_unstable_by_key(|(_, e)| e.tick);
+        let _ = write!(out, "{base:016x}");
+        for (key, entry) in &used {
+            if entry.born > since.tick {
+                out.push_str("\tA\t");
+                encode_entry(key, &entry.resp, out);
+            } else {
+                let _ = write!(out, "\tT\t{:016x}\t{:016x}", key.hi, key.lo);
             }
-            (snapshot::encode_file(MAGIC, &body), st.tick, st.epoch)
-        };
-        // A copy saved elsewhere leaves the chain the checkpoints extend.
-        let ours = chain.as_ref().is_none_or(|last| last.path == path);
-        if ours {
-            *chain = None;
         }
-        snapshot::commit_atomic(path, &text, plan)?;
-        let mut fresh = DeltaChain::default();
-        fresh.rebase(&snapshot::delta_path(path), &text)?;
-        if ours {
-            *chain = Some(Checkpointed {
-                path: path.to_path_buf(),
-                chain: fresh,
-                tick,
-                epoch,
-            });
-        }
-        Ok(text.len() as u64)
+        Some((Self::mark_of(&st), !used.is_empty()))
     }
 
-    /// Loads a snapshot, merging its entries into the store (freshly
-    /// ticked, then trimmed to the budgets). The delta chain beside it
-    /// (`<path>.delta`) replays on top, up to its first frame that is
-    /// torn, stamped for another snapshot, or names a key it cannot (a
-    /// re-ticked key that is not resident, an admitted one that is, one
-    /// key twice); a frame applies whole or not at all. Returns how many
-    /// entries were restored. Any format, count, or checksum violation of
-    /// the snapshot returns [`SnapshotError`] and leaves the store
-    /// untouched — callers start cold instead of crashing. After a load
-    /// the next [`SemanticCache::checkpoint`] rewrites in full.
+    /// Loads a snapshot, merging its entries into the store (see
+    /// [`SemanticCache::restore`]). Returns how many entries were
+    /// restored. Any format, count, or checksum violation returns
+    /// [`SnapshotError`] and leaves the store untouched — callers start
+    /// cold instead of crashing.
     pub fn load(&self, path: &Path) -> Result<usize, SnapshotError> {
         let mut text = String::new();
         std::fs::File::open(path)?.read_to_string(&mut text)?;
-        let mut entries = decode_snapshot(&text)?;
-        // A missing or unreadable chain has no frames: the snapshot alone
-        // is the recovered state.
-        let frames = snapshot::wal_replay(&snapshot::delta_path(path))
-            .map(|replay| replay.records)
-            .unwrap_or_default();
-        if !frames.is_empty() {
-            entries = replay_chain(entries, snapshot::fnv64(text.as_bytes()), &frames);
-        }
+        Ok(self.restore(CacheReplica::decode(&text)?))
+    }
+
+    /// Merges a replica's entries into the store, LRU→MRU, freshly
+    /// ticked, then trims the store to its budget. Returns how many
+    /// entries the replica held.
+    pub fn restore(&self, replica: CacheReplica) -> usize {
+        let entries = replica.into_entries();
         let n = entries.len();
-        // Recovery must not panic: if another thread poisoned a lock,
+        // Recovery must not panic: if another thread poisoned the lock,
         // take the state anyway — worst case the warm-start merge lands
         // on a cache that a dying thread left half-updated, which the
         // budget trim below re-normalizes.
-        let mut chain = self
-            .inner
-            .chain
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let mut st = self
             .inner
             .state
@@ -613,8 +569,7 @@ impl SemanticCache {
             st.bytes += bytes;
         }
         Self::evict_over_budget(&mut st, self.inner.capacity);
-        *chain = None;
-        Ok(n)
+        n
     }
 }
 
@@ -633,15 +588,16 @@ fn value_bytes(value: &Value) -> usize {
     }
 }
 
-// ---- snapshot and delta-frame encoding ---------------------------------
+// ---- snapshot and delta-section encoding -------------------------------
 //
 // One tab-separated line per entry:
 //   <hi:hex16> <lo:hex16> <in_tokens> <out_tokens> <latency_bits:hex16>
 //   <corrupted 0|1> <value-enc> <text-escaped>
 // The escaping and value codec are the shared ones in [`snapshot`].
 //
-// A delta frame is ONE line: `<base_sum:hex16>`, then one record per
-// entry used since the last checkpoint, in tick order, tab-separated:
+// A delta section is newline-free: `<base_sum:hex16>`, then one record
+// per entry used since the last checkpoint, in tick order,
+// tab-separated:
 //   A <entry line>     admitted since the last checkpoint
 //   T <hi> <lo>        resident before it, re-ticked since
 // An entry line has a fixed field count, so no second escaping level.
@@ -660,27 +616,6 @@ fn encode_entry(key: &CacheKey, resp: &LlmResponse, out: &mut String) {
     encode_value(&resp.value, out);
     out.push('\t');
     esc(&resp.text, out);
-}
-
-/// The frame extending the snapshot stamped `base` by what the store
-/// used after tick `since`; `None` when it used nothing.
-fn encode_frame(st: &State, base: u64, since: u64) -> Option<String> {
-    let mut used: Vec<(&CacheKey, &Entry)> =
-        st.entries.iter().filter(|(_, e)| e.tick > since).collect();
-    if used.is_empty() {
-        return None;
-    }
-    used.sort_unstable_by_key(|(_, e)| e.tick);
-    let mut out = format!("{base:016x}");
-    for (key, entry) in used {
-        if entry.born > since {
-            out.push_str("\tA\t");
-            encode_entry(key, &entry.resp, &mut out);
-        } else {
-            let _ = write!(out, "\tT\t{:016x}\t{:016x}", key.hi, key.lo);
-        }
-    }
-    Some(out)
 }
 
 fn read_key<'a>(
@@ -715,84 +650,97 @@ fn decode_entry(line: &str) -> Result<(CacheKey, LlmResponse), SnapshotError> {
     Ok(entry)
 }
 
-fn decode_snapshot(text: &str) -> Result<Vec<(CacheKey, LlmResponse)>, SnapshotError> {
-    snapshot::decode_file(MAGIC, text)?
-        .lines()
-        .map(decode_entry)
-        .collect()
-}
-
-/// A decoded frame record: the key, and its response when it was
+/// A decoded section record: the key, and its response when it was
 /// admitted (`None`: re-ticked).
-type FrameRecord = (CacheKey, Option<LlmResponse>);
+type SectionRecord = (CacheKey, Option<LlmResponse>);
 
-/// Decodes a frame that extends the snapshot stamped `base_sum`, whose
-/// entries (with the frames before this one) are `resident`.
-fn decode_frame(
-    payload: &str,
-    base_sum: u64,
-    resident: &HashMap<CacheKey, (u64, LlmResponse)>,
-) -> Result<Vec<FrameRecord>, SnapshotError> {
-    let mut fields = Fields::new(payload.split('\t'));
-    if fields.hex("bad frame stamp")? != base_sum {
-        return Err(SnapshotError::Format("frame of another snapshot".into()));
-    }
-    let mut seen = HashSet::new();
-    let mut records = Vec::new();
-    while let Some(tag) = fields.try_field() {
-        let (key, resp) = match tag {
-            "A" => read_entry(&mut fields).map(|(key, resp)| (key, Some(resp)))?,
-            "T" => (read_key(&mut fields)?, None),
-            _ => return Err(SnapshotError::Format("unknown frame record".into())),
-        };
-        if !seen.insert(key) || resident.contains_key(&key) != resp.is_none() {
-            return Err(SnapshotError::Format("frame names a key it cannot".into()));
-        }
-        records.push((key, resp));
-    }
-    Ok(records)
+/// A delta section a [`CacheReplica`] has checked: it applies whole.
+pub struct CacheSection(Vec<SectionRecord>);
+
+/// A cache rebuilt off to the side from a snapshot and the delta
+/// sections extending it, then merged into a live store whole
+/// ([`SemanticCache::restore`]).
+pub struct CacheReplica {
+    /// Entries with their recency order; later is more recent.
+    entries: HashMap<CacheKey, (u64, LlmResponse)>,
+    order: u64,
 }
 
-/// The snapshot's entries (LRU→MRU) with the longest valid prefix of
-/// the chain `frames` replayed on top, LRU→MRU.
-fn replay_chain(
-    base: Vec<(CacheKey, LlmResponse)>,
-    base_sum: u64,
-    frames: &[(u64, String)],
-) -> Vec<(CacheKey, LlmResponse)> {
-    let mut order = 0;
-    let mut replica: HashMap<CacheKey, (u64, LlmResponse)> = HashMap::with_capacity(base.len());
-    for (key, resp) in base {
-        order += 1;
-        replica.insert(key, (order, resp));
-    }
-    for (_, payload) in frames {
-        let Ok(records) = decode_frame(payload, base_sum, &replica) else {
-            break;
+impl CacheReplica {
+    /// Decodes a snapshot [`SemanticCache::encode_snapshot`] wrote. Any
+    /// format, count, or checksum violation is a [`SnapshotError`].
+    pub fn decode(text: &str) -> Result<CacheReplica, SnapshotError> {
+        let lines = snapshot::decode_file(MAGIC, text)?.lines();
+        let mut replica = CacheReplica {
+            entries: HashMap::new(),
+            order: 0,
         };
-        for (key, resp) in records {
-            order += 1;
+        for line in lines {
+            let (key, resp) = decode_entry(line)?;
+            replica.order += 1;
+            replica.entries.insert(key, (replica.order, resp));
+        }
+        Ok(replica)
+    }
+
+    /// Decodes a section and checks it applies here: stamped `base`
+    /// (the FNV-64 of the snapshot this replica was decoded from), and
+    /// naming each key once, an admitted key only when it is not
+    /// resident and a re-ticked one only when it is.
+    pub fn decode_section(&self, base: u64, section: &str) -> Result<CacheSection, SnapshotError> {
+        let mut fields = Fields::new(section.split('\t'));
+        if fields.hex("bad section stamp")? != base {
+            return Err(SnapshotError::Format("section of another snapshot".into()));
+        }
+        let mut seen = HashSet::new();
+        let mut records = Vec::new();
+        while let Some(tag) = fields.try_field() {
+            let (key, resp) = match tag {
+                "A" => read_entry(&mut fields).map(|(key, resp)| (key, Some(resp)))?,
+                "T" => (read_key(&mut fields)?, None),
+                _ => return Err(SnapshotError::Format("unknown section record".into())),
+            };
+            if !seen.insert(key) || self.entries.contains_key(&key) != resp.is_none() {
+                return Err(SnapshotError::Format(
+                    "section names a key it cannot".into(),
+                ));
+            }
+            records.push((key, resp));
+        }
+        Ok(CacheSection(records))
+    }
+
+    /// Applies a checked section: admitted entries join as the most
+    /// recent, re-ticked ones move there.
+    pub fn apply(&mut self, section: CacheSection) {
+        for (key, resp) in section.0 {
+            self.order += 1;
             match resp {
                 Some(resp) => {
-                    replica.insert(key, (order, resp));
+                    self.entries.insert(key, (self.order, resp));
                 }
                 None => {
-                    if let Some(slot) = replica.get_mut(&key) {
-                        slot.0 = order;
+                    if let Some(slot) = self.entries.get_mut(&key) {
+                        slot.0 = self.order;
                     }
                 }
             }
         }
     }
-    let mut ordered: Vec<(u64, CacheKey, LlmResponse)> = replica
-        .into_iter()
-        .map(|(key, (order, resp))| (order, key, resp))
-        .collect();
-    ordered.sort_unstable_by_key(|(order, _, _)| *order);
-    ordered
-        .into_iter()
-        .map(|(_, key, resp)| (key, resp))
-        .collect()
+
+    /// The entries, LRU→MRU.
+    fn into_entries(self) -> Vec<(CacheKey, LlmResponse)> {
+        let mut ordered: Vec<(u64, CacheKey, LlmResponse)> = self
+            .entries
+            .into_iter()
+            .map(|(key, (order, resp))| (order, key, resp))
+            .collect();
+        ordered.sort_unstable_by_key(|(order, _, _)| *order);
+        ordered
+            .into_iter()
+            .map(|(_, key, resp)| (key, resp))
+            .collect()
+    }
 }
 
 #[cfg(test)]

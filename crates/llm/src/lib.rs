@@ -34,7 +34,9 @@ pub mod snapshot;
 pub mod tokens;
 pub mod usage;
 
-pub use cache::{CacheKey, CacheStats, Residency, SemanticCache, SnapshotError};
+pub use cache::{
+    CacheKey, CacheMark, CacheReplica, CacheStats, Residency, SemanticCache, SnapshotError,
+};
 pub use clock::{ScheduledSlot, SimClock, Timeline, WallStopwatch};
 pub use embed::Embedder;
 pub use memo::{Memo, MemoStats};

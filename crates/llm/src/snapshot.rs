@@ -18,12 +18,12 @@
 //! A reader verifies the magic, the declared line count, and the
 //! checksum before trusting a single byte; any violation is a typed
 //! [`SnapshotError`] and the caller starts cold. The tenant-ledger WAL
-//! in `aida-serve` and the delta chains of the Context store and the
-//! semantic cache use the per-record variant instead ([`wal_append`] /
-//! [`DeltaChain::append`] / [`wal_replay`]): every record carries its own
-//! monotone sequence number and checksum, so a torn tail truncates to
-//! the last intact record instead of rejecting the whole file. Both
-//! chains keep their position in one [`DeltaChain`].
+//! in `aida-serve` and a runtime's delta chain (one per runtime, shared
+//! by the Context store and the semantic cache) use the per-record
+//! variant instead ([`wal_append`] / [`DeltaChain::append`] /
+//! [`wal_replay`]): every record carries its own monotone sequence
+//! number and checksum, so a torn tail truncates to the last intact
+//! record instead of rejecting the whole file.
 //!
 //! Every decoder reads the fields of a body line or record payload
 //! through a [`Fields`] cursor — one typed read per field (escaped text,
@@ -778,52 +778,6 @@ pub fn wal_seal_segment(path: &Path, sealed: &Path, plan: Option<&FailPlan>) -> 
     Ok(())
 }
 
-/// Writes one checksummed delta frame to the chain at `path`, at byte
-/// `durable_len` — the length the writer has made durable so far, which
-/// it owns. Whatever lies beyond it is the residue of a failed append
-/// and is cut off first, so a retried frame never lands mid-line.
-/// Returns the bytes the frame takes on disk. Same record codec and
-/// fsync discipline as [`wal_append`], but with its own torn-write
-/// crash point ([`CrashPoint::DeltaTornAppend`]) so the durability
-/// suite can kill a checkpoint's delta emission independently of the
-/// ledger WAL.
-fn delta_append(
-    path: &Path,
-    durable_len: u64,
-    seq: u64,
-    payload: &str,
-    plan: Option<&FailPlan>,
-) -> io::Result<u64> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let line = wal_record_line(seq, payload);
-    let created = !path.exists();
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .truncate(false)
-        .write(true)
-        .open(path)?;
-    file.set_len(durable_len)?;
-    file.seek(io::SeekFrom::Start(durable_len))?;
-    if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::DeltaTornAppend)) {
-        let bytes = line.as_bytes();
-        file.write_all(&bytes[..keep.min(bytes.len())])?;
-        file.flush()?;
-        return Err(FailPlan::crash_error(CrashPoint::DeltaTornAppend));
-    }
-    file.write_all(line.as_bytes())?;
-    // sync_all (not just flush): an emitted frame must survive an OS
-    // crash/power cut, or replay could skip a hole in the chain.
-    file.sync_all()?;
-    if created {
-        sync_parent_dir(path)?;
-    }
-    Ok(line.len() as u64)
-}
-
 /// The delta-chain sibling of a snapshot path: `<path>.delta`.
 pub fn delta_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
@@ -831,58 +785,119 @@ pub fn delta_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Where a writer stands in the delta chain extending one full snapshot
-/// — the bookkeeping every incremental checkpointer shares (the
-/// Context store's and the semantic cache's). `base_sum` is the FNV-64
-/// of the full snapshot the chain extends; each frame is stamped with
-/// it, so a stale chain (a crash between a full rewrite and the chain's
-/// removal) never applies to the wrong base. `frames` is also the next
-/// frame's sequence number and `durable_len` the bytes of the chain
-/// file the writer has made durable.
+/// Where a writer stands in the delta chain extending its full
+/// snapshots. The frames carry the stamps (FNV-64) of the snapshots they
+/// extend, so a stale chain (a crash between a full rewrite and the
+/// chain's removal) never applies to the wrong base; the chain itself
+/// only knows whether it has a base, `frames` (also the next frame's
+/// sequence number), `durable_len`, the bytes of the chain file the
+/// writer has made durable, and whether a failed append may have left
+/// residue beyond them.
 #[derive(Debug, Default)]
 pub struct DeltaChain {
-    base_sum: Option<u64>,
+    based: bool,
     frames: u64,
     durable_len: u64,
+    torn: bool,
 }
 
 impl DeltaChain {
-    /// The stamp the next frame carries, or `None` when the next
-    /// checkpoint must rewrite the full snapshot: there is no base yet,
-    /// or `full_every` frames (0 acts as 1) already extend it.
-    pub fn base(&self, full_every: u64) -> Option<u64> {
-        self.base_sum.filter(|_| self.frames < full_every.max(1))
+    /// Whether the next checkpoint may append a frame: the chain has a
+    /// base and fewer than `full_every` frames (0 acts as 1) extend it.
+    /// Otherwise it must rewrite the full snapshots.
+    pub fn extends(&self, full_every: u64) -> bool {
+        self.based && self.frames < full_every.max(1)
     }
 
-    /// Starts an empty chain on the full snapshot `text`, just committed:
-    /// removes the chain file `chain` that extended the previous base.
-    /// Until the removal succeeds there is no base, so a failure leaves
-    /// the next checkpoint a full rewrite again.
-    pub fn rebase(&mut self, chain: &Path, text: &str) -> io::Result<()> {
+    /// Starts an empty chain on full snapshots just committed: removes
+    /// the chain file `chain` that extended the previous ones. Until the
+    /// removal succeeds there is no base, so a failure leaves the next
+    /// checkpoint a full rewrite again.
+    pub fn rebase(&mut self, chain: &Path) -> io::Result<()> {
         *self = DeltaChain::default();
         match std::fs::remove_file(chain) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        self.base_sum = Some(fnv64(text.as_bytes()));
+        self.based = true;
         Ok(())
     }
 
-    /// Appends `payload` to the chain file `chain` as the next frame and
-    /// returns the bytes it took. A failed append advances nothing: the
-    /// retried frame takes the same sequence number and lands at the same
-    /// offset, cutting off whatever residue the failure left.
+    /// Appends the next frame to the chain file `chain`: `encode` writes
+    /// its payload straight into the record buffer and returns whether
+    /// to write it at all. Returns the bytes the frame took, or `None`
+    /// when `encode` declined (the file is not touched). Same record
+    /// codec and fsync discipline as [`wal_append`], with its own
+    /// torn-write crash point ([`CrashPoint::DeltaTornAppend`]) so the
+    /// durability suite can kill a checkpoint independently of the
+    /// ledger WAL.
+    ///
+    /// A failed append advances nothing: the retried frame takes the
+    /// same sequence number and lands at `durable_len`, after cutting
+    /// off whatever residue the failure left. Only the first frame
+    /// creates the file (and its directory); later ones open it to
+    /// append.
     pub fn append(
         &mut self,
         chain: &Path,
-        payload: &str,
         plan: Option<&FailPlan>,
-    ) -> io::Result<u64> {
-        let bytes = delta_append(chain, self.durable_len, self.frames, payload, plan)?;
-        self.durable_len += bytes;
+        encode: impl FnOnce(&mut String) -> bool,
+    ) -> io::Result<Option<u64>> {
+        let mut line = String::new();
+        let mut write = false;
+        push_wal_record(&mut line, self.frames, |out| write = encode(out));
+        if !write {
+            return Ok(None);
+        }
+        // Until it lands, the frame may leave residue behind.
+        let residue = std::mem::replace(&mut self.torn, true);
+        self.write_frame(chain, residue, line.as_bytes(), plan)?;
+        self.torn = false;
+        self.durable_len += line.len() as u64;
         self.frames += 1;
-        Ok(bytes)
+        Ok(Some(line.len() as u64))
+    }
+
+    /// Writes `line` at `durable_len`; `residue`: a failed append may
+    /// have left bytes beyond it.
+    fn write_frame(
+        &self,
+        chain: &Path,
+        residue: bool,
+        line: &[u8],
+        plan: Option<&FailPlan>,
+    ) -> io::Result<()> {
+        let first = self.durable_len == 0;
+        if first {
+            if let Some(dir) = chain.parent().filter(|d| !d.as_os_str().is_empty()) {
+                std::fs::create_dir_all(dir)?;
+            }
+        }
+        let mut file = std::fs::OpenOptions::new()
+            .create(first)
+            .write(true)
+            .truncate(first)
+            .open(chain)?;
+        // The end of the file is `durable_len` unless a failed append
+        // left residue: cut that off first.
+        if residue && !first {
+            file.set_len(self.durable_len)?;
+        }
+        file.seek(io::SeekFrom::Start(self.durable_len))?;
+        if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::DeltaTornAppend)) {
+            file.write_all(&line[..keep.min(line.len())])?;
+            file.flush()?;
+            return Err(FailPlan::crash_error(CrashPoint::DeltaTornAppend));
+        }
+        file.write_all(line)?;
+        // sync_all (not just flush): an emitted frame must survive an OS
+        // crash/power cut, or replay could skip a hole in the chain.
+        file.sync_all()?;
+        if first {
+            sync_parent_dir(chain)?;
+        }
+        Ok(())
     }
 }
 
@@ -1223,20 +1238,45 @@ mod tests {
     fn delta_append_tears_like_a_wal_record() {
         let d = dir("delta");
         let path = d.join("state.delta");
-        let len = delta_append(&path, 0, 0, "I\tctx-one", None).unwrap();
-        assert_eq!(len, wal_record_line(0, "I\tctx-one").len() as u64);
+        let mut chain = DeltaChain::default();
+        chain.rebase(&path).unwrap();
+        let frame = |payload: &'static str| {
+            move |out: &mut String| {
+                out.push_str(payload);
+                true
+            }
+        };
+        let len = chain.append(&path, None, frame("I\tctx-one")).unwrap();
+        assert_eq!(len, Some(wal_record_line(0, "I\tctx-one").len() as u64));
         let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(4);
-        let err = delta_append(&path, len, 1, "E\tctx-one", Some(&plan)).unwrap_err();
+        let err = chain
+            .append(&path, Some(&plan), frame("E\tctx-one"))
+            .unwrap_err();
         assert!(FailPlan::is_crash(&err));
         let replay = wal_replay(&path).unwrap();
         assert!(replay.dropped_tail);
         assert_eq!(replay.records, vec![(0, "I\tctx-one".to_string())]);
         // The writer owns the durable length: the retried frame first
         // cuts the torn bytes off, so it is not lost with them.
-        delta_append(&path, len, 1, "E\tctx-one", None).unwrap();
+        chain.append(&path, None, frame("E\tctx-one")).unwrap();
         let replay = wal_replay(&path).unwrap();
         assert!(!replay.dropped_tail);
         assert_eq!(replay.records.len(), 2);
+        // A declined frame touches nothing; then frames append again.
+        let before = std::fs::read(&path).unwrap();
+        assert_eq!(chain.append(&path, None, |_| false).unwrap(), None);
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        chain.append(&path, None, frame("B\t0\t9")).unwrap();
+        assert_eq!(wal_replay(&path).unwrap().records[2], (2, "B\t0\t9".into()));
+        // A rebase removes the chain and starts it over.
+        assert!(chain.extends(4) && !chain.extends(3));
+        chain.rebase(&path).unwrap();
+        assert!(!path.exists());
+        chain.append(&path, None, frame("I\tctx-two")).unwrap();
+        assert_eq!(
+            wal_replay(&path).unwrap().records,
+            vec![(0, "I\tctx-two".into())]
+        );
         let _ = std::fs::remove_dir_all(&d);
     }
 

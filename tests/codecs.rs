@@ -1,6 +1,7 @@
 //! One property harness over every durable text format: the semantic
-//! cache snapshot and its delta frame, the ledger WAL record, the ledger
-//! snapshot, the Context-store snapshot and its delta frame, and the
+//! cache snapshot, the ledger WAL record, the ledger snapshot, the
+//! Context-store snapshot, the runtime's delta frame (the cache's
+//! section alone, the Context store's alone, and both together) and the
 //! compiled Pyrite artifact. Each is driven through its public writer
 //! and reader, and each must hold the same three properties:
 //!
@@ -217,13 +218,101 @@ fn register(rt: &Runtime, docs: &[DocSpec], contexts: &[ContextSpec]) {
 /// frame, when the frame does not apply.
 fn store_round_trip(capacity: usize, snapshot: &str, frames: &[(u64, String)]) -> Option<String> {
     let rt = runtime(capacity);
-    let (_, applied) = rt
-        .manager()
-        .load_chain(snapshot, frames, &|id, lake, desc| {
-            Context::builder(id, lake).description(desc).build(&rt)
-        })
-        .ok()?;
-    (applied == frames.len()).then(|| rt.manager().encode_snapshot())
+    let manager = rt.manager();
+    let rebuild =
+        |id: &str, lake, desc: &str| Context::builder(id, lake).description(desc).build(&rt);
+    let mut replica = manager.decode_replica(snapshot, &rebuild).ok()?;
+    let base = fnv64(snapshot.as_bytes());
+    for (_, section) in frames {
+        replica.apply(
+            manager
+                .decode_section(&replica, base, section, &rebuild)
+                .ok()?,
+        );
+    }
+    manager.install(replica);
+    Some(manager.encode_snapshot())
+}
+
+/// A delta-mode runtime over `dir` whose semantic cache is durable and,
+/// with `state`, its Context store too (capacity 2, so inserts evict).
+fn durable_runtime(dir: &TestDir, state: bool) -> Runtime {
+    let mut builder = Runtime::builder()
+        .seed(5)
+        .context_capacity(2)
+        .semantic_cache(64)
+        .delta_checkpoints(true)
+        .cache_path(dir.file("cache.snap"));
+    if state {
+        builder = builder.state_path(dir.file("state.snap"));
+    }
+    builder.build()
+}
+
+/// Uses the cache entry `i` of `texts` (wrapping): a miss admits it, a
+/// hit re-ticks it.
+fn use_entry(rt: &Runtime, texts: &[(Value, String)], i: usize) {
+    let cache = rt.semantic_cache().unwrap();
+    if let Lookup::Compute(pending) = cache.begin(CacheKey {
+        hi: 7,
+        lo: i as u64,
+    }) {
+        let (value, text) = texts[i % texts.len()].clone();
+        cache.admit(
+            pending,
+            LlmResponse {
+                value,
+                text,
+                input_tokens: i,
+                output_tokens: 1,
+                latency_s: 0.5,
+                corrupted: false,
+                receipt: UsageSnapshot::default(),
+            },
+        );
+    }
+}
+
+/// `rt`'s stores as full snapshots: the Context store's and the cache's.
+fn durable_bytes(rt: &Runtime, dir: &TestDir) -> (String, String) {
+    let other = dir.file("other.snap");
+    rt.semantic_cache().unwrap().save(&other).unwrap();
+    (
+        rt.manager().encode_snapshot(),
+        fs::read_to_string(&other).unwrap(),
+    )
+}
+
+/// What a runtime built over `dir` recovers, with the chain replaced by
+/// the one record `frame` (re-checksummed) when given.
+fn recovered(dir: &TestDir, state: bool, frame: Option<&str>) -> (String, String) {
+    if let Some(frame) = frame {
+        let head = format!("{:016x}\t{frame}", 0);
+        let chain =
+            snapshot::delta_path(&dir.file(if state { "state.snap" } else { "cache.snap" }));
+        fs::write(chain, format!("{head}\t{:016x}\n", fnv64(head.as_bytes()))).unwrap();
+    }
+    durable_bytes(&durable_runtime(dir, state), dir)
+}
+
+/// Recovers from the frame edited by `edits`, then saves what it
+/// recovered as the base of a chain-less restart: the second recovery
+/// must equal the first.
+fn check_chain_edits(
+    dir: &TestDir,
+    state: bool,
+    frame: &str,
+    edits: &[Edit],
+) -> Result<(), TestCaseError> {
+    let once = recovered(dir, state, Some(&edited(frame, edits, '\t')));
+    if state {
+        fs::write(dir.file("state.snap"), &once.0).unwrap();
+    }
+    fs::write(dir.file("cache.snap"), &once.1).unwrap();
+    let chain = snapshot::delta_path(&dir.file(if state { "state.snap" } else { "cache.snap" }));
+    fs::remove_file(chain).unwrap();
+    prop_assert_eq!(recovered(dir, state, None), once);
+    Ok(())
 }
 
 /// Programs that together use every opcode and every operator the
@@ -282,9 +371,10 @@ proptest! {
         })?;
     }
 
-    /// The semantic cache's delta frame: entries admitted since the
-    /// snapshot in full, re-ticked ones by key. A frame decodes into a
-    /// whole cache, so its fixpoint is the cache snapshot's.
+    /// The semantic cache's delta frame, as a runtime whose only durable
+    /// store is the cache writes it to its chain: entries admitted since
+    /// the snapshot in full, re-ticked ones by key. A frame decodes into
+    /// a whole cache, so its fixpoint is the cache snapshot's.
     #[test]
     fn cache_delta_frame(
         texts in prop::collection::vec((value(), text()), 1..5),
@@ -292,53 +382,59 @@ proptest! {
         edits in edits(),
     ) {
         let ((retick, added), dir) = (later, TestDir::new("codec-cache-frame"));
-        let (path, other) = (dir.file("cache.snap"), dir.file("other.snap"));
-        let cache = SemanticCache::with_capacity(0);
-        let use_key = |i: usize| {
-            let (value, text) = texts[i % texts.len()].clone();
-            if let Lookup::Compute(pending) = cache.begin(CacheKey { hi: 7, lo: i as u64 }) {
-                let resp = LlmResponse {
-                    value,
-                    text,
-                    input_tokens: i,
-                    output_tokens: 1,
-                    latency_s: 0.5,
-                    corrupted: false,
-                    receipt: UsageSnapshot::default(),
-                };
-                cache.admit(pending, resp);
-            }
-        };
-        (0..texts.len()).for_each(use_key);
-        cache.checkpoint(&path, 16, None).unwrap();
-        retick.iter().map(|i| i % texts.len()).chain(texts.len()..texts.len() + added).for_each(use_key);
-        cache.checkpoint(&path, 16, None).unwrap();
-        let chain = snapshot::delta_path(&path);
-        let frames = snapshot::wal_replay(&chain).unwrap().records;
+        let rt = durable_runtime(&dir, false);
+        (0..texts.len()).for_each(|i| use_entry(&rt, &texts, i));
+        rt.save_state().unwrap();
+        retick.iter().map(|i| i % texts.len()).chain(texts.len()..texts.len() + added)
+            .for_each(|i| use_entry(&rt, &texts, i));
+        rt.save_state().unwrap();
+        let frames = snapshot::wal_replay(&rt.delta_path().unwrap()).unwrap().records;
         prop_assert!(frames.len() <= 1);
-        let recovered = |chain_text: Option<String>| {
-            if let Some(chain_text) = chain_text {
-                fs::write(&chain, chain_text).unwrap();
-            }
-            let fresh = SemanticCache::with_capacity(0);
-            fresh.load(&path).unwrap();
-            fresh.save(&other).unwrap();
-            fs::read_to_string(&other).unwrap()
-        };
-        cache.save(&other).unwrap();
-        let expected = fs::read_to_string(&other).unwrap();
-        prop_assert_eq!(recovered(None), expected);
-        let Some((_, frame)) = frames.first() else {
-            return Ok(());
-        };
-        let head = format!("{:016x}\t{}", 0, edited(frame, &edits, '\t'));
-        let once = recovered(Some(format!("{head}\t{:016x}\n", fnv64(head.as_bytes()))));
-        let fresh = SemanticCache::with_capacity(0);
-        fs::write(&path, &once).unwrap();
-        fs::remove_file(&chain).unwrap();
-        fresh.load(&path).unwrap();
-        fresh.save(&other).unwrap();
-        prop_assert_eq!(fs::read_to_string(&other).unwrap(), once);
+        let expected = durable_bytes(&rt, &dir);
+        prop_assert_eq!(&recovered(&dir, false, None), &expected);
+        if let Some((_, frame)) = frames.first() {
+            check_chain_edits(&dir, false, frame, &edits)?;
+        }
+    }
+
+    /// The combined delta frame of a runtime with both durable stores:
+    /// the Context store's section (inserts over new and pooled
+    /// documents, recency bumps, capacity evictions) behind its length,
+    /// then the cache's. Base plus frame recovers both live stores; an
+    /// edited frame never panics recovery, and what it recovers to is a
+    /// fixpoint of saving and recovering.
+    #[test]
+    fn combined_delta_frame(
+        store in store(),
+        later in (prop::collection::vec(0usize..4, 0..4), prop::collection::vec(0usize..4, 0..3)),
+        texts in prop::collection::vec((value(), text()), 1..4),
+        uses in prop::collection::vec(0usize..6, 0..5),
+        edits in edits(),
+    ) {
+        let ((docs, contexts), (more, bumps)) = (store, later);
+        let dir = TestDir::new("codec-combined-frame");
+        let rt = durable_runtime(&dir, true);
+        register(&rt, &docs, &contexts);
+        (0..texts.len()).for_each(|i| use_entry(&rt, &texts, i));
+        rt.save_state().unwrap();
+        let added: Vec<ContextSpec> = more
+            .iter()
+            .map(|&pick| (format!("later {pick}"), 1.0f64.to_bits(), vec![pick, pick + 1], None))
+            .collect();
+        register(&rt, &docs, &added);
+        for &bump in &bumps {
+            let (instruction, ..) = &contexts[bump % contexts.len()];
+            rt.manager().reuse(instruction, 0.999);
+        }
+        uses.iter().for_each(|&i| use_entry(&rt, &texts, i));
+        rt.save_state().unwrap();
+        let frames = snapshot::wal_replay(&rt.delta_path().unwrap()).unwrap().records;
+        prop_assert!(frames.len() <= 1);
+        let expected = durable_bytes(&rt, &dir);
+        prop_assert_eq!(&recovered(&dir, true, None), &expected);
+        if let Some((_, frame)) = frames.first() {
+            check_chain_edits(&dir, true, frame, &edits)?;
+        }
     }
 
     /// A ledger WAL record (payload; the WAL frames and checksums it).
@@ -418,8 +514,7 @@ proptest! {
         let rt = runtime(capacity);
         rt.manager().set_journal(true);
         register(&rt, &docs, &contexts);
-        let (snapshot, mut pool) = rt.manager().encode_snapshot_pooled();
-        rt.manager().drain_journal();
+        let (snapshot, mut pool) = rt.manager().checkpoint_snapshot();
         let added: Vec<ContextSpec> = more
             .iter()
             .map(|&pick| (format!("later {pick}"), 1.0f64.to_bits(), vec![pick, pick + 1], None))
@@ -430,7 +525,8 @@ proptest! {
             rt.manager().reuse(instruction, 0.999);
         }
         let ops = rt.manager().drain_journal();
-        let frame = encode_delta_frame(fnv64(snapshot.as_bytes()), &ops, &mut pool);
+        let mut frame = String::new();
+        encode_delta_frame(fnv64(snapshot.as_bytes()), &ops, &mut pool, &mut frame);
         prop_assert!(!frame.contains('\n'));
         let expected = rt.manager().encode_snapshot();
         prop_assert_eq!(

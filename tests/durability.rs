@@ -637,7 +637,7 @@ fn evicted_contexts_do_not_resurrect_through_delta_frames() {
         .contains("alpha instruction"));
 }
 
-// ---- the semantic cache's delta chain ----------------------------------
+// ---- the semantic cache in the runtime's delta chain -------------------
 
 /// A runtime whose semantic cache (`capacity` entries) checkpoints in
 /// delta mode to `semcache.bin` in `dir`, a full snapshot after at most
@@ -652,12 +652,10 @@ fn cache_runtime(dir: &TestDir, capacity: usize, full_every: u64) -> Runtime {
         .build()
 }
 
-/// The ops-interval checkpoint `rt` makes of its cache, with a crash
-/// plan.
-fn checkpoint(rt: &Runtime, plan: Option<&FailPlan>) -> std::io::Result<u64> {
-    let path = rt.config().cache_path.as_ref().expect("cache path");
-    let every = rt.config().full_snapshot_every;
-    rt.semantic_cache().unwrap().checkpoint(path, every, plan)
+/// The checkpoint `rt` makes of its durable stores (here the cache
+/// alone, whose chain is `<cache_path>.delta`), with a crash plan.
+fn checkpoint(rt: &Runtime, plan: Option<&FailPlan>) -> std::io::Result<bool> {
+    rt.save_state_with(plan)
 }
 
 fn cache_chain(dir: &TestDir) -> std::path::PathBuf {
@@ -1074,11 +1072,10 @@ fn evicted_contexts_do_not_resurrect_after_reload() {
     // Loading the stale pre-eviction snapshot into a smaller manager
     // still cannot exceed the capacity bound.
     let rt3 = Runtime::builder().seed(3).context_capacity(1).build();
-    rt3.manager()
-        .load_chain(&stale, &[], &|id, lake, desc| {
-            Context::builder(id, lake).description(desc).build(&rt3)
-        })
-        .unwrap();
+    let replica = rt3.manager().decode_replica(&stale, &|id, lake, desc| {
+        Context::builder(id, lake).description(desc).build(&rt3)
+    });
+    rt3.manager().install(replica.unwrap());
     assert_eq!(rt3.manager().len(), 1, "stale snapshot trimmed on load");
 }
 
@@ -1112,11 +1109,10 @@ fn lru_tick_ordering_restores_tick_identically() {
     let snap = rt.manager().encode_snapshot();
 
     let rt2 = Runtime::builder().seed(11).build();
-    rt2.manager()
-        .load_chain(&snap, &[], &|id, lake, desc| {
-            Context::builder(id, lake).description(desc).build(&rt2)
-        })
-        .unwrap();
+    let replica = rt2.manager().decode_replica(&snap, &|id, lake, desc| {
+        Context::builder(id, lake).description(desc).build(&rt2)
+    });
+    rt2.manager().install(replica.unwrap());
     // Tick-identical: re-encoding the restored store reproduces the
     // snapshot byte-for-byte, so every last_used and the global clock
     // survived exactly — not merely the relative order.
@@ -1135,11 +1131,10 @@ fn lru_tick_ordering_restores_tick_identically() {
     // Recency-sensitive eviction honors the restored ticks: beta is the
     // least recently used entry in `snap`, so it is the one displaced.
     let rt3 = Runtime::builder().seed(11).context_capacity(3).build();
-    rt3.manager()
-        .load_chain(&snap, &[], &|id, lake, desc| {
-            Context::builder(id, lake).description(desc).build(&rt3)
-        })
-        .unwrap();
+    let replica = rt3.manager().decode_replica(&snap, &|id, lake, desc| {
+        Context::builder(id, lake).description(desc).build(&rt3)
+    });
+    rt3.manager().install(replica.unwrap());
     let delta = Context::builder(
         "delta",
         DataLake::from_docs([Document::new("delta.txt", "delta doc")]),
@@ -1185,6 +1180,83 @@ fn interval_checkpoints_survive_an_uncheckpointed_crash() {
         !rt2.manager().is_empty(),
         "state survived via the ops-interval checkpoint"
     );
+}
+
+/// A runtime shared by threads loses no Context to a full rewrite: one
+/// thread registers while another checkpoints (every other checkpoint
+/// a full rewrite), and a restart restores every Context the live
+/// store holds. A register that landed between a rewrite's snapshot and
+/// the emptying of the journal used to be in neither.
+#[test]
+fn registers_during_full_rewrites_are_not_lost() {
+    let dir = TestDir::new("rewrite-race");
+    let build = || {
+        Runtime::builder()
+            .seed(7)
+            .state_path(dir.file("state.bin"))
+            .delta_checkpoints(true)
+            .full_snapshot_every(1)
+            .build()
+    };
+    let rt = build();
+    let ctx = Context::builder("lake", lake()).build(&rt);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0..300 {
+                rt.manager()
+                    .register(&format!("question {i}"), ctx.clone(), 1.0);
+            }
+        });
+        scope.spawn(|| {
+            for _ in 0..100 {
+                rt.save_state().unwrap();
+            }
+        });
+    });
+    rt.save_state().unwrap();
+    assert_eq!(build().manager().len(), 300);
+}
+
+/// The checkpoint counters count everything a checkpoint writes: in
+/// delta mode the first checkpoint's two full snapshots and every frame
+/// of the one chain they share, the cache's sections included.
+#[test]
+fn checkpoint_counters_count_both_stores() {
+    let dir = TestDir::new("ckpt-counters");
+    let rt = Runtime::builder()
+        .seed(7)
+        .tracing(true)
+        .semantic_cache(4096)
+        .state_path(dir.file("state.bin"))
+        .cache_path(dir.file("semcache.bin"))
+        .delta_checkpoints(true)
+        .full_snapshot_every(1 << 20)
+        .checkpoint_interval(1)
+        .build();
+    let ctx = Context::builder("lake", lake())
+        .description("FTC identity theft reports by year")
+        .build(&rt);
+    for year in [2001, 2002, 2001] {
+        let _ = rt
+            .query(&ctx)
+            .compute(&format!("count identity theft reports in {year}"))
+            .run();
+    }
+    let counters = rt.recorder().trace().counters;
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    let len = |name: &str| fs::metadata(dir.file(name)).map(|m| m.len()).unwrap_or(0);
+    let frames = snapshot::wal_replay(&rt.delta_path().unwrap())
+        .unwrap()
+        .records
+        .len() as u64;
+    assert!(frames > 0, "the checkpoints after the first are frames");
+    assert_eq!(count("checkpoint.delta_frames"), frames);
+    assert_eq!(count("checkpoint.saves"), 1 + frames);
+    assert_eq!(
+        count("checkpoint.bytes_written"),
+        len("state.bin") + len("semcache.bin") + len("state.bin.delta")
+    );
+    assert!(!dir.file("semcache.bin.delta").exists());
 }
 
 // ---- satellite: CI dump for same-seed diffing --------------------------
@@ -1327,13 +1399,10 @@ mod props {
             let snap = rt.manager().encode_snapshot();
 
             let rt2 = Runtime::builder().seed(5).build();
-            let restored = rt2
-                .manager()
-                .load_chain(&snap, &[], &|id, lake, desc| {
-                    Context::builder(id, lake).description(desc).build(&rt2)
-                })
-                .unwrap()
-                .0;
+            let replica = rt2.manager().decode_replica(&snap, &|id, lake, desc| {
+                Context::builder(id, lake).description(desc).build(&rt2)
+            });
+            let restored = rt2.manager().install(replica.unwrap());
             prop_assert_eq!(restored, rt.manager().len());
             prop_assert_eq!(rt2.manager().encode_snapshot(), snap);
         }
