@@ -355,6 +355,29 @@ fn every_compiling_program_keeps_its_content_hash() {
     assert_eq!(now.lines().count(), pinned.lines().count());
 }
 
+/// The cost-bound pin: `fixtures/cost_bounds.txt` holds, for every corpus
+/// program that compiles under its environment, its corpus line and the
+/// rendered [`aida_script::CostBound`] of a run in that environment. The
+/// bound gates admission in the serving layer, so a change to how loops
+/// are found or costed must leave every line as it is.
+#[test]
+fn every_compiling_program_keeps_its_cost_bound() {
+    let mut now = String::new();
+    for (i, case) in corpus().iter().enumerate() {
+        let compiled = aida_script::parser::parse(&case.src)
+            .and_then(|program| aida_script::compile_checked(&program, &case.env));
+        if let Ok(program) = compiled {
+            now.push_str(&format!("{i} {}\n", program.bound.render()));
+        }
+    }
+    let pinned = include_str!("fixtures/cost_bounds.txt");
+    assert_eq!(now.lines().count(), 3302, "programs that compile");
+    for (now, pinned) in now.lines().zip(pinned.lines()) {
+        assert_eq!(now, pinned, "corpus line and cost bound");
+    }
+    assert_eq!(now.lines().count(), pinned.lines().count());
+}
+
 const SAME: usize = 9036;
 const NONE_TYPE: usize = 419;
 const VM_RAISES: usize = 642;
