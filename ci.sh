@@ -4,7 +4,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 
 # Paper tables, figures and the soak are byte-pinned: a data-plane or

@@ -72,14 +72,6 @@ pub struct AgentConfig {
     pub persona: Persona,
     /// Seed for the planner's tie-breaking noise.
     pub seed: u64,
-    /// Per-step worst-case dollar ceiling, enforced *before* billing: a
-    /// step whose static cost bound (priced at this agent's model) is
-    /// finite and exceeds the ceiling is rejected at $0 spend and zero
-    /// virtual time, with the violation fed back as the observation.
-    /// Plans the analyzer cannot bound are let through — the ceiling
-    /// rejects proven overspend, not ignorance. `None` disables the
-    /// check.
-    pub step_usd_ceiling: Option<f64>,
 }
 
 impl Default for AgentConfig {
@@ -89,7 +81,6 @@ impl Default for AgentConfig {
             max_steps: 12,
             persona: Persona::default(),
             seed: 0,
-            step_usd_ceiling: None,
         }
     }
 }

@@ -149,35 +149,6 @@ impl<'a> AgentRuntime<'a> {
         self.steps.get_or_compile(key, front_end)
     }
 
-    /// Step-rejection bookkeeping shared by the static-check and
-    /// cost-ceiling paths: flight-record the reason and feed the error
-    /// observation back to the policy. The step bills nothing.
-    fn record_rejection(
-        &self,
-        steps: &mut Vec<StepTrace>,
-        observations: &mut Vec<String>,
-        step: usize,
-        code: String,
-        bound: Option<aida_script::bounds::CostBound>,
-        texts: (String, String),
-    ) {
-        let (flight, observation) = texts;
-        if self.env.recorder.is_enabled() {
-            self.env.recorder.flight(
-                "agents.step",
-                "step_rejected",
-                format!("step {step}: {flight}"),
-            );
-        }
-        steps.push(StepTrace {
-            step,
-            code,
-            observation: observation.clone(),
-            bound,
-        });
-        observations.push(observation);
-    }
-
     /// Runs an agent on a task to completion.
     pub fn run(&self, agent: &CodeAgent, task: &str) -> AgentOutcome {
         let answer = AnswerCell::new();
@@ -224,25 +195,29 @@ impl<'a> AgentRuntime<'a> {
             let (compiled, plan_hash) = match self.compile_step(&registry, &interp, &code) {
                 Ok(verdict) => verdict,
                 Err((pass, err)) => {
+                    // Rejected before billing: flight-record the reason and
+                    // feed the error back to the policy.
                     step_span.attr("rejected", pass);
-                    let texts = (err.clone(), format!("ERROR: {err}"));
-                    self.record_rejection(&mut steps, &mut observations, step, code, None, texts);
+                    if self.env.recorder.is_enabled() {
+                        self.env.recorder.flight(
+                            "agents.step",
+                            "step_rejected",
+                            format!("step {step}: {err}"),
+                        );
+                    }
+                    let observation = format!("ERROR: {err}");
+                    steps.push(StepTrace {
+                        step,
+                        code,
+                        observation: observation.clone(),
+                        bound: None,
+                    });
+                    observations.push(observation);
                     step_span.finish(self.env.clock.now());
                     continue;
                 }
             };
             step_span.attr("bound", compiled.bound.render());
-
-            // The proven worst case is known before any billing; an
-            // over-ceiling step is rejected at $0 and zero virtual time
-            // (see `ceiling_rejection` for the pass/reject rules).
-            if let Some(texts) = ceiling_rejection(&agent.config, &compiled.bound) {
-                step_span.attr("rejected", "cost-bound");
-                let bound = Some(compiled.bound.clone());
-                self.record_rejection(&mut steps, &mut observations, step, code, bound, texts);
-                step_span.finish(self.env.clock.now());
-                continue;
-            }
 
             // Bill the planning step: the agent "reads" the task, tools,
             // and observation tail, and "writes" the code.
@@ -336,28 +311,6 @@ fn front_end(key: &StepKey) -> StepVerdict {
     }
 }
 
-/// The per-step cost ceiling: `Some((flight_detail, observation))` when
-/// the step's statically proven worst case (priced at this agent's
-/// model) exceeds the configured ceiling. Unbounded plans pass — the
-/// ceiling rejects overspend the analyzer can prove, not ignorance.
-fn ceiling_rejection(
-    config: &crate::AgentConfig,
-    bound: &aida_script::bounds::CostBound,
-) -> Option<(String, String)> {
-    let ceiling = config.step_usd_ceiling?;
-    let usd_max = bound.usd_max(config.model);
-    if usd_max.is_finite() && usd_max > ceiling {
-        Some((
-            format!("bound ${usd_max:.4} > ceiling ${ceiling:.4}"),
-            format!(
-                "ERROR: static cost bound ${usd_max:.4} exceeds the per-step ceiling ${ceiling:.4}"
-            ),
-        ))
-    } else {
-        None
-    }
-}
-
 fn tail(text: &str, cap: usize) -> String {
     if text.len() <= cap {
         return text.to_string();
@@ -390,6 +343,7 @@ mod tests {
     use crate::{AgentConfig, CodeAgent};
     use aida_data::Document;
     use aida_llm::SimLlm;
+    use aida_script::bounds::Bound;
 
     struct FixedPolicy(Vec<&'static str>);
     impl AgentPolicy for FixedPolicy {
@@ -716,118 +670,41 @@ mod tests {
             Box::new(FixedPolicy(vec![
                 "c = read_file('data.csv')\nprint(c)",
                 "serch_files()",
+                "names = list_files()\nprint(len(names))",
+                "for i in range(40):\n    read_file(names[i % len(names)])\nprint(i)",
+                "for f in list_files():\n    print(read_file(f))",
             ])),
         );
         let outcome = rt.run(&agent, "look at the data");
+        let flagship = aida_llm::models::ModelId::Flagship;
         let bound = outcome.steps[0].bound.as_ref().expect("compiled step");
         assert_eq!(
             bound.calls_per_tool.get("read_file"),
-            Some(&aida_script::bounds::Bound::Finite(1))
+            Some(&Bound::Finite(1))
         );
-        assert!(bound
-            .usd_max(aida_llm::models::ModelId::Flagship)
-            .is_finite());
+        assert!(bound.usd_max(flagship).is_finite());
         assert!(
             outcome.steps[1].bound.is_none(),
             "a step that never compiled has no bound"
         );
-    }
-
-    #[test]
-    fn over_ceiling_steps_cost_nothing() {
-        let env = runtime_env();
-        let lake = lake();
-        let rt = AgentRuntime::new(&env, registry(&lake), None);
-        let config = AgentConfig {
-            step_usd_ceiling: Some(0.05),
-            ..AgentConfig::default()
-        };
-        // 40 worst-case `read_file` calls price far above five cents at
-        // the Flagship tier; the step must be rejected before billing.
-        let agent = CodeAgent::with_policy(
-            config,
-            Box::new(FixedPolicy(vec![
-                "t = 0\nfor i in range(40):\n    t += len(read_file('data.csv'))\nprint(t)",
-            ])),
-        );
-        let outcome = rt.run(&agent, "hammer the lake");
-        assert_eq!(outcome.steps.len(), 1);
-        assert!(
-            outcome.steps[0]
-                .observation
-                .starts_with("ERROR: static cost bound"),
-            "{}",
-            outcome.steps[0].observation
-        );
-        assert!(
-            outcome.steps[0].bound.is_some(),
-            "the rejecting bound is recorded on the trace"
-        );
-        assert_eq!(outcome.cost_usd, 0.0, "over-ceiling steps must not bill");
-        assert_eq!(outcome.time_s, 0.0, "over-ceiling steps must not take time");
-    }
-
-    #[test]
-    fn a_step_reading_an_earlier_steps_globals_is_bounded_with_them() {
-        let env = runtime_env();
-        let lake = lake();
-        let rt = AgentRuntime::new(&env, registry(&lake), None);
-        let config = AgentConfig {
-            step_usd_ceiling: Some(0.05),
-            ..AgentConfig::default()
-        };
-        // Step 1 reads the list step 0 left in `names` 40 times. Bounded
+        // Step 3 reads the list step 2 left in `names` 40 times. Bounded
         // as if `names` were unbound, every run would fault on it and the
-        // step would price at $0; bounded with it bound, the 40 reads
-        // price far above the ceiling.
-        let agent = CodeAgent::with_policy(
-            config,
-            Box::new(FixedPolicy(vec![
-                "names = list_files()\nprint(len(names))",
-                "for i in range(40):\n    read_file(names[i % len(names)])\nprint(i)",
-            ])),
+        // step would price at $0; it is bounded with `names` bound, at
+        // (trips + 1) reads.
+        let bound = outcome.steps[3].bound.as_ref().expect("compiled step");
+        assert_eq!(
+            bound.calls_per_tool.get("read_file"),
+            Some(&Bound::Finite(41))
         );
-        let outcome = rt.run(&agent, "re-read one file");
-        assert_eq!(outcome.steps.len(), 2);
+        assert!(bound.usd_max(flagship) > 0.05, "{bound:?}");
+        // A step iterating tool output has no finite bound, and runs.
+        let last = &outcome.steps[4];
+        assert!(last.bound.as_ref().expect("compiled step").unbounded);
         assert!(
-            !outcome.steps[0].observation.starts_with("ERROR:"),
+            !last.observation.starts_with("ERROR:"),
             "{}",
-            outcome.steps[0].observation
+            last.observation
         );
-        assert!(
-            (outcome.steps[1].observation).starts_with("ERROR: static cost bound"),
-            "{}",
-            outcome.steps[1].observation
-        );
-    }
-
-    #[test]
-    fn ceiling_passes_affordable_and_unbounded_steps() {
-        let env = runtime_env();
-        let lake = lake();
-        let rt = AgentRuntime::new(&env, registry(&lake), None);
-        let config = AgentConfig {
-            step_usd_ceiling: Some(0.05),
-            ..AgentConfig::default()
-        };
-        // Step 0 iterates tool output — no finite bound, so the ceiling
-        // cannot prove a violation and must let it run. Step 1 is a
-        // single affordable call under the ceiling.
-        let agent = CodeAgent::with_policy(
-            config,
-            Box::new(FixedPolicy(vec![
-                "for f in list_files():\n    print(read_file(f))",
-                "final_answer('done')",
-            ])),
-        );
-        let outcome = rt.run(&agent, "read everything");
-        assert_eq!(outcome.answer, Some(Value::Str("done".into())));
-        assert!(
-            !outcome.steps[0].observation.starts_with("ERROR:"),
-            "{}",
-            outcome.steps[0].observation
-        );
-        assert!(outcome.cost_usd > 0.0, "admitted steps still bill");
     }
 
     #[test]

@@ -21,7 +21,6 @@ fn run_agent(seed: u64, persona: Persona) -> (Option<Value>, String) {
         max_steps: 8,
         persona,
         seed,
-        ..AgentConfig::default()
     });
     let runtime = AgentRuntime::new(&env, registry, Some(workload.lake.clone()));
     let outcome = runtime.run(&agent, &workload.query);

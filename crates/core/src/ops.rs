@@ -23,10 +23,19 @@ use aida_agents::{
     AgentConfig, AgentPolicy, AgentRuntime, CodeAgent, FnTool, ToolRegistry, ToolSpec,
 };
 use aida_data::{DataLake, Value};
-use aida_llm::{noise, UsageSnapshot};
+use aida_llm::{noise, ModelId, UsageSnapshot};
 use aida_obs::{clip, Event, SpanKind};
 use aida_script::ScriptValue;
 use std::sync::Arc;
+
+/// The model the agentic operators plan (and the rewriter chooses) with.
+pub(crate) const AGENT_MODEL: ModelId = ModelId::Flagship;
+
+/// Max steps per agentic operator.
+const AGENT_MAX_STEPS: usize = 8;
+
+/// Similarity threshold for Context reuse.
+const REUSE_THRESHOLD: f32 = 0.80;
 
 /// A logical agentic operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,9 +235,7 @@ fn lookup_reuse(runtime: &Runtime, op: &AgenticOp, instruction: &str, ctx: &Cont
         return Reuse::Miss;
     }
     let recorder = &runtime.env().recorder;
-    let (hit, similarity) = runtime
-        .manager()
-        .reuse_scored(instruction, runtime.config().reuse_threshold);
+    let (hit, similarity) = runtime.manager().reuse_scored(instruction, REUSE_THRESHOLD);
     if recorder.is_enabled() {
         match &hit {
             Some(_) => {
@@ -321,8 +328,8 @@ fn run_op(
     };
     let agent = CodeAgent::with_policy(
         AgentConfig {
-            model: runtime.config().agent_model,
-            max_steps: runtime.config().agent_max_steps,
+            model: AGENT_MODEL,
+            max_steps: AGENT_MAX_STEPS,
             persona: aida_agents::Persona {
                 // The agentic operators are disciplined: their exhaustive
                 // work is delegated to optimized programs.
@@ -331,7 +338,6 @@ fn run_op(
                 verify_budget: 4,
             },
             seed: noise::combine(&[runtime.config().seed, idx, noise::hash_str(&instruction)]),
-            ..AgentConfig::default()
         },
         Box::new(AgenticOpPolicy {
             instruction: instruction.clone(),

@@ -10,7 +10,7 @@ use crate::runtime::Runtime;
 use aida_agents::{FnTool, Tool, ToolSpec};
 use aida_data::{DataLake, Field, Record, Value};
 use aida_obs::SpanKind;
-use aida_optimizer::Optimizer;
+use aida_optimizer::{Optimizer, OptimizerConfig};
 use aida_script::{ScriptError, ScriptValue};
 use aida_semops::{Dataset, Executor};
 use parking_lot::Mutex;
@@ -210,7 +210,7 @@ pub fn run_semantic_program_tool(
             );
             let optimizer = Optimizer::sharing(
                 runtime.env(),
-                runtime.config().optimizer.clone(),
+                OptimizerConfig::default(),
                 runtime.sample_memo().clone(),
             );
             let optimized = optimizer.optimize(ds.plan(), &runtime.config().policy);

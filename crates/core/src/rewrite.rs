@@ -12,7 +12,7 @@
 //! compute at runtime — lives in [`crate::ops::Query::run`] because it is
 //! dynamic, not static.
 
-use crate::ops::AgenticOp;
+use crate::ops::{AgenticOp, AGENT_MODEL};
 use crate::runtime::Runtime;
 use aida_agents::policy::task_years;
 use aida_llm::embed::cosine;
@@ -76,7 +76,7 @@ fn judge_needs_split(runtime: &Runtime, instruction: &str, receipt: &mut UsageSn
          Directive: {instruction}"
     );
     let resp = runtime.env().llm.invoke(
-        runtime.config().agent_model,
+        AGENT_MODEL,
         &LlmTask::Choose {
             question: &question,
             options: &options,

@@ -5,9 +5,9 @@ use crate::manager::ContextManager;
 use aida_agents::StepCache;
 use aida_data::Table;
 use aida_llm::snapshot::{self, FailPlan, SnapshotError};
-use aida_llm::{ModelId, SimLlm, UsageSnapshot};
+use aida_llm::{SimLlm, UsageSnapshot};
 use aida_obs::{registry, Event, Recorder, SpanKind};
-use aida_optimizer::{OptimizerConfig, Policy, SampleMemo};
+use aida_optimizer::{Policy, SampleMemo};
 use aida_semops::ExecEnv;
 use aida_sql::{Catalog, SqlError};
 use parking_lot::Mutex;
@@ -19,18 +19,10 @@ use std::sync::Arc;
 pub struct RuntimeConfig {
     /// Seed for all stochastic simulation.
     pub seed: u64,
-    /// Model the agentic operators plan with.
-    pub agent_model: ModelId,
-    /// Optimizer configuration used by `run_semantic_program`.
-    pub optimizer: OptimizerConfig,
     /// Optimization policy for synthesized programs.
     pub policy: Policy,
     /// Whether the ContextManager may reuse materialized Contexts.
     pub enable_context_reuse: bool,
-    /// Similarity threshold for Context reuse.
-    pub reuse_threshold: f32,
-    /// Max steps per agentic operator.
-    pub agent_max_steps: usize,
     /// Transient-fault rate injected into every simulated LLM call (each
     /// fault bills a failed attempt and retry backoff; results never
     /// change).
@@ -84,14 +76,10 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             seed: 0,
-            agent_model: ModelId::Flagship,
-            optimizer: OptimizerConfig::default(),
             policy: Policy::MinCost {
                 quality_floor: 0.85,
             },
             enable_context_reuse: true,
-            reuse_threshold: 0.80,
-            agent_max_steps: 8,
             fault_rate: 0.0,
             tracing: false,
             context_capacity: 0,
@@ -423,33 +411,15 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the planning model for agentic operators.
-    pub fn agent_model(mut self, model: ModelId) -> Self {
-        self.config.agent_model = model;
-        self
-    }
-
     /// Sets the optimization policy for synthesized programs.
     pub fn policy(mut self, policy: Policy) -> Self {
         self.config.policy = policy;
         self
     }
 
-    /// Sets the optimizer configuration.
-    pub fn optimizer(mut self, optimizer: OptimizerConfig) -> Self {
-        self.config.optimizer = optimizer;
-        self
-    }
-
     /// Enables/disables materialized-Context reuse.
     pub fn context_reuse(mut self, enable: bool) -> Self {
         self.config.enable_context_reuse = enable;
-        self
-    }
-
-    /// Sets the reuse similarity threshold.
-    pub fn reuse_threshold(mut self, threshold: f32) -> Self {
-        self.config.reuse_threshold = threshold;
         self
     }
 
@@ -589,16 +559,9 @@ mod tests {
 
     #[test]
     fn builder_applies_settings() {
-        let rt = Runtime::builder()
-            .seed(9)
-            .agent_model(ModelId::Mini)
-            .context_reuse(false)
-            .reuse_threshold(0.5)
-            .build();
+        let rt = Runtime::builder().seed(9).context_reuse(false).build();
         assert_eq!(rt.config().seed, 9);
-        assert_eq!(rt.config().agent_model, ModelId::Mini);
         assert!(!rt.config().enable_context_reuse);
-        assert_eq!(rt.config().reuse_threshold, 0.5);
     }
 
     #[test]

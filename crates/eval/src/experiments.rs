@@ -425,7 +425,6 @@ pub fn ablation_sampling(seeds: &[u64], budgets: &[usize]) -> ExperimentReport {
                     bandit_pulls: pulls,
                 },
                 skip_sampling: pulls == 0,
-                ..OptimizerConfig::default()
             };
             let optimizer = Optimizer::new(&env, config);
             let optimized = optimizer.optimize(

@@ -175,7 +175,6 @@ pub fn run_code_agent(workload: &Workload, seed: u64, sem_tools: bool) -> System
             verify_budget: 6,
         },
         seed,
-        ..AgentConfig::default()
     });
     let runtime = AgentRuntime::new(&env, registry, Some(workload.lake.clone()));
     let outcome = runtime.run(&agent, &workload.query);

@@ -1042,11 +1042,12 @@ mod tests {
     use super::*;
 
     fn cfg_for(rel: &str) -> Config {
-        let mut cfg = Config::default();
-        cfg.serializer_modules = vec![rel.to_string()];
-        cfg.durability_files = vec![rel.to_string()];
-        cfg.recovery_files = vec![rel.to_string()];
-        cfg
+        Config {
+            serializer_modules: vec![rel.to_string()],
+            durability_files: vec![rel.to_string()],
+            recovery_files: vec![rel.to_string()],
+            ..Config::default()
+        }
     }
 
     #[test]
@@ -1155,8 +1156,10 @@ mod tests {
 
     #[test]
     fn s1_flags_fns_over_the_line_budget() {
-        let mut cfg = Config::default();
-        cfg.s1_max_fn_lines = 3;
+        let cfg = Config {
+            s1_max_fn_lines: 3,
+            ..Config::default()
+        };
         let long = "fn big() {\n let a = 1;\n let b = 2;\n let c = 3;\n}";
         let f = scan_file("x.rs", long, &cfg);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -1174,8 +1177,10 @@ mod tests {
 
     #[test]
     fn s1_counts_branch_keywords_and_match_arms() {
-        let mut cfg = Config::default();
-        cfg.s1_max_fn_branches = 3;
+        let cfg = Config {
+            s1_max_fn_branches: 3,
+            ..Config::default()
+        };
         // 2 keywords (if, match) + 2 arms (=>) = 4 branch points.
         let branchy =
             "fn pick(x: u32) -> u32 { if x > 1 { return 0; } match x { 0 => 1, _ => 2 } }";
@@ -1190,8 +1195,10 @@ mod tests {
 
     #[test]
     fn s1_exempts_test_code() {
-        let mut cfg = Config::default();
-        cfg.s1_max_fn_lines = 2;
+        let cfg = Config {
+            s1_max_fn_lines: 2,
+            ..Config::default()
+        };
         let src = "#[cfg(test)]\nmod tests {\n fn t() {\n let a = 1;\n let b = 2;\n }\n}";
         assert!(scan_file("x.rs", src, &cfg).is_empty());
     }

@@ -15,11 +15,12 @@ fn fixture(name: &str) -> (String, String) {
 
 /// A config whose per-file rule scoping targets the fixture itself.
 fn fixture_cfg(rel: &str) -> Config {
-    let mut cfg = Config::default();
-    cfg.serializer_modules = vec![rel.to_string()];
-    cfg.durability_files = vec![rel.to_string()];
-    cfg.recovery_files = vec![rel.to_string()];
-    cfg
+    Config {
+        serializer_modules: vec![rel.to_string()],
+        durability_files: vec![rel.to_string()],
+        recovery_files: vec![rel.to_string()],
+        ..Config::default()
+    }
 }
 
 fn rules_fired(findings: &[Finding]) -> Vec<&'static str> {

@@ -29,7 +29,7 @@ impl PlanEstimate {
     /// True when `self` is at least as good as `other` on every axis and
     /// strictly better on one (Pareto dominance; lower cost/time, higher
     /// quality).
-    pub fn dominates(&self, other: &PlanEstimate) -> bool {
+    fn dominates(&self, other: &PlanEstimate) -> bool {
         let no_worse = self.cost <= other.cost + 1e-12
             && self.time <= other.time + 1e-12
             && self.quality >= other.quality - 1e-12;
@@ -38,84 +38,6 @@ impl PlanEstimate {
             || self.quality > other.quality + 1e-12;
         no_worse && better
     }
-}
-
-/// Static worst-case dollar bounds per execution tier, fed to the cost
-/// model as priors alongside the sampled estimates.
-///
-/// The bounds come from `aida_script::bounds` — a sound abstract
-/// interpretation of the compiled plan, so `usd_max(tier)` is a hard
-/// ceiling on what the plan can spend with every billable call priced at
-/// `tier`. The model uses them as caps: a sampled extrapolation that
-/// overshoots the proven worst case is clamped down to it, because a
-/// sound bound beats a noisy guess. Tiers with no finite bound simply
-/// contribute no cap.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StaticPrior {
-    usd_max: Vec<(ModelId, f64)>,
-}
-
-impl StaticPrior {
-    /// An empty prior (no caps anywhere).
-    pub fn new() -> StaticPrior {
-        StaticPrior::default()
-    }
-
-    /// Records the static worst case at `tier`. Non-finite bounds (the
-    /// analyzer degraded to `unbounded`) are ignored — they cap nothing.
-    pub fn bound(mut self, tier: ModelId, usd_max: f64) -> StaticPrior {
-        if usd_max.is_finite() {
-            self.usd_max.retain(|(t, _)| *t != tier);
-            self.usd_max.push((tier, usd_max));
-        }
-        self
-    }
-
-    /// The recorded worst case at `tier`, if finite.
-    pub fn usd_max(&self, tier: ModelId) -> Option<f64> {
-        self.usd_max
-            .iter()
-            .find(|(t, _)| *t == tier)
-            .map(|(_, v)| *v)
-    }
-
-    /// The sound dollar cap for a candidate that runs its operators on
-    /// `models`: the worst bound over the tiers the candidate actually
-    /// uses. A mixed assignment spends no more than running everything
-    /// at its most expensive used tier, so that tier's bound still
-    /// holds. `None` when any used tier has no finite bound (then
-    /// nothing sound can be said about the whole candidate).
-    fn cap_for(&self, models: &[ModelId]) -> Option<f64> {
-        if models.is_empty() {
-            return None;
-        }
-        let mut cap: f64 = 0.0;
-        for &model in models {
-            cap = cap.max(self.usd_max(model)?);
-        }
-        Some(cap)
-    }
-}
-
-/// [`estimate`] with a static-bound prior applied: the predicted dollars
-/// are clamped to the prior's sound cap for the candidate's model
-/// assignment (when one exists). Time and quality are untouched — the
-/// static analysis bounds spend, not latency or accuracy.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_with_prior(
-    plan: &LogicalPlan,
-    order: &[usize],
-    models: &[ModelId],
-    matrix: &SampleMatrix,
-    input_cardinality: usize,
-    parallelism: usize,
-    prior: &StaticPrior,
-) -> PlanEstimate {
-    let mut est = estimate(plan, order, models, matrix, input_cardinality, parallelism);
-    if let Some(cap) = prior.cap_for(models) {
-        est.cost = est.cost.min(cap);
-    }
-    est
 }
 
 /// Predicts cost/time/quality for a candidate (order, models) pair.
@@ -299,52 +221,5 @@ mod tests {
         // Identical candidates: neither dominates, both kept, order stable.
         let frontier = pareto_frontier(cands.clone());
         assert_eq!(frontier, cands);
-    }
-
-    #[test]
-    fn static_prior_caps_at_the_worst_used_tier() {
-        let prior = StaticPrior::new()
-            .bound(ModelId::Flagship, 1.0)
-            .bound(ModelId::Mini, 0.1);
-        assert_eq!(prior.usd_max(ModelId::Flagship), Some(1.0));
-        assert_eq!(prior.usd_max(ModelId::Nano), None);
-        // A mixed assignment spends no more than all-Flagship.
-        assert_eq!(
-            prior.cap_for(&[ModelId::Mini, ModelId::Flagship]),
-            Some(1.0)
-        );
-        assert_eq!(prior.cap_for(&[ModelId::Mini, ModelId::Mini]), Some(0.1));
-        // A used tier with no bound: nothing sound to say.
-        assert_eq!(prior.cap_for(&[ModelId::Mini, ModelId::Nano]), None);
-        assert_eq!(StaticPrior::new().cap_for(&[ModelId::Flagship]), None);
-        // Unbounded analyses contribute no cap.
-        let unbounded = StaticPrior::new().bound(ModelId::Flagship, f64::INFINITY);
-        assert_eq!(unbounded.usd_max(ModelId::Flagship), None);
-    }
-
-    #[test]
-    fn estimate_with_prior_clamps_overshooting_cost() {
-        use aida_data::{DataLake, Document};
-        use aida_semops::Dataset;
-        let lake = DataLake::from_docs(
-            (0..50).map(|i| Document::new(format!("d{i}.txt"), format!("doc {i}"))),
-        );
-        let ds = Dataset::scan(&lake, "docs").sem_filter("is relevant");
-        let plan = ds.plan();
-        let order: Vec<usize> = (0..plan.len()).collect();
-        let models = vec![ModelId::Flagship; plan.len()];
-        let matrix = SampleMatrix::default();
-        let plain = estimate(plan, &order, &models, &matrix, 50, 8);
-        assert!(plain.cost > 0.0);
-        let cap = plain.cost / 2.0;
-        let prior = StaticPrior::new().bound(ModelId::Flagship, cap);
-        let capped = estimate_with_prior(plan, &order, &models, &matrix, 50, 8, &prior);
-        assert_eq!(capped.cost, cap, "sampled overshoot clamps to the bound");
-        assert_eq!(capped.time, plain.time, "the bound says nothing about time");
-        assert_eq!(capped.quality, plain.quality);
-        // A generous bound leaves the sampled estimate alone.
-        let loose = StaticPrior::new().bound(ModelId::Flagship, plain.cost * 2.0);
-        let kept = estimate_with_prior(plan, &order, &models, &matrix, 50, 8, &loose);
-        assert_eq!(kept.cost, plain.cost);
     }
 }

@@ -34,7 +34,7 @@ mod memo;
 pub mod policy;
 pub mod sampler;
 
-pub use cost::{pareto_frontier, PlanEstimate, StaticPrior};
+pub use cost::{pareto_frontier, PlanEstimate};
 pub use memo::SampleMemo;
 pub use policy::Policy;
 pub use sampler::{SampleMatrix, Sampler, SamplerConfig};
@@ -43,33 +43,16 @@ use aida_llm::ModelId;
 use aida_semops::plan::{LogicalOp, LogicalPlan};
 use aida_semops::{ExecEnv, PhysicalPlan};
 
+/// Parallelism bound into the chosen physical plan.
+const PARALLELISM: usize = 8;
+
 /// Optimizer configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OptimizerConfig {
     /// Sampling-phase configuration.
     pub sampler: SamplerConfig,
-    /// Parallelism bound into the chosen physical plan.
-    pub parallelism: usize,
-    /// Whether to enumerate reorderings of adjacent semantic filters.
-    pub reorder_filters: bool,
     /// Skip the sampling phase entirely (priors only) — used by ablations.
     pub skip_sampling: bool,
-    /// Static cost-bound priors from `aida_script::bounds`: sound
-    /// worst-case dollar ceilings per tier that cap sampled cost
-    /// extrapolations (see [`cost::StaticPrior`]).
-    pub static_prior: StaticPrior,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            sampler: SamplerConfig::default(),
-            parallelism: 8,
-            reorder_filters: true,
-            skip_sampling: false,
-            static_prior: StaticPrior::new(),
-        }
-    }
 }
 
 /// The result of optimization.
@@ -123,11 +106,7 @@ impl<'a> Optimizer<'a> {
             })
             .unwrap_or(0);
 
-        let orders = if self.config.reorder_filters {
-            candidate_orders(plan)
-        } else {
-            vec![(0..plan.len()).collect::<Vec<_>>()]
-        };
+        let orders = candidate_orders(plan);
         let assignments = model_assignments(plan);
 
         let mut candidates = Vec::new();
@@ -136,28 +115,26 @@ impl<'a> Optimizer<'a> {
                 // Align the model list with the order: models are assigned
                 // per original operator index.
                 let ordered_models: Vec<ModelId> = order.iter().map(|&idx| models[idx]).collect();
-                candidates.push(cost::estimate_with_prior(
+                candidates.push(cost::estimate(
                     plan,
                     order,
                     &ordered_models,
                     &matrix,
                     input_cardinality,
-                    self.config.parallelism,
-                    &self.config.static_prior,
+                    PARALLELISM,
                 ));
             }
         }
         let considered = candidates.len();
         let frontier = pareto_frontier(candidates);
         let chosen = policy.choose(&frontier).cloned().unwrap_or_else(|| {
-            cost::estimate_with_prior(
+            cost::estimate(
                 plan,
                 &(0..plan.len()).collect::<Vec<_>>(),
                 &vec![ModelId::Flagship; plan.len()],
                 &matrix,
                 input_cardinality,
-                self.config.parallelism,
-                &self.config.static_prior,
+                PARALLELISM,
             )
         });
 
@@ -169,8 +146,7 @@ impl<'a> Optimizer<'a> {
                 .map(|&i| plan.ops()[i].clone())
                 .collect(),
         );
-        let physical =
-            PhysicalPlan::with_models(&reordered, &chosen.models, self.config.parallelism);
+        let physical = PhysicalPlan::with_models(&reordered, &chosen.models, PARALLELISM);
 
         OptimizedPlan {
             physical,
@@ -387,8 +363,10 @@ mod tests {
         };
         let optimizer = Optimizer::new(&env, config);
         let before = env.llm.usage();
-        let _ = optimizer.optimize(ds.plan(), &Policy::MaxQuality { cost_budget: None });
+        let optimized = optimizer.optimize(ds.plan(), &Policy::MaxQuality { cost_budget: None });
         assert_eq!(env.llm.usage().delta_since(&before).total_calls(), 0);
+        // Unsampled operators are still priced, from the token prior.
+        assert!(optimized.estimate.cost > 0.0);
     }
 
     #[test]

@@ -41,8 +41,14 @@
 //! collision.
 //!
 //! **How it works.**
-//! 1. Basic blocks and a CFG per chunk; irreducible graphs (never
-//!    produced by the compiler) bail to unbounded.
+//! 1. Basic blocks and a CFG per chunk. Loops are read off the back
+//!    edges: the compiler emits each loop as one block range `[top, Jump
+//!    top]` (`continue` and a comprehension filter also jump to `top`,
+//!    every other jump goes forward), so a reachable block jumping to a
+//!    block at or before it is a latch of the loop that block heads. A
+//!    chunk whose ranges do not nest, or where an edge enters a range
+//!    anywhere but its header, bails to unbounded (the compiler emits
+//!    neither).
 //! 2. Dataflow with widening at loop headers, over one lattice of
 //!    abstract values that each know their type (`AbsVal::ty`):
 //!    integer intervals, string/list/dict length intervals, function-value
@@ -54,15 +60,19 @@
 //!    list/dict lengths (values are `Rc`-shared and mutable through
 //!    aliases); string lengths and rebindings survive — callees cannot
 //!    rebind globals.
-//! 3. Loop trip bounds: `for` loops are bounded by the iterable's
+//! 3. Loop trip bounds, over each loop's natural body (the blocks of its
+//!    range that reach a latch without passing the header; a `break` or
+//!    `return` block leaves it): `for` loops are bounded by the iterable's
 //!    length interval at `IterNew` (iteration snapshots the sequence);
 //!    counted `while` loops match the compiler's shape — a single-block
 //!    `v < K` / `v <= K` header whose every in-loop store to `v` is a
 //!    positive constant increment on every path to every latch — and
 //!    bound trips by `ceil((K_hi − v_lo) / c_min)`.
 //! 4. Per-chunk usage: loops collapse innermost-first into super-nodes
-//!    costing `(trips + 1) × max-path-through-body`, then a longest-path
-//!    DP over the remaining DAG joins paths by pointwise max. Function
+//!    costing `(trips + 1) × max-path-through-body`. Once a loop's inner
+//!    loops are collapsed every edge but its back edges goes forward, so
+//!    the longest-path DP (paths joined by pointwise max) walks blocks in
+//!    pc order, through each body and then the whole chunk. Function
 //!    summaries compose bottom-up over the call graph; recursion (an
 //!    SCC) and indirect calls through unknown values are unbounded.
 
@@ -617,7 +627,8 @@ fn predecessors(blocks: &[Block]) -> Vec<Vec<usize>> {
     preds
 }
 
-/// Reverse postorder from block 0 (unreachable blocks excluded).
+/// Reverse postorder from block 0 (unreachable blocks excluded): the
+/// fixpoint's worklist priority, and which blocks a run can reach.
 fn reverse_postorder(blocks: &[Block]) -> Vec<usize> {
     let mut seen = vec![false; blocks.len()];
     let mut post = Vec::new();
@@ -642,108 +653,58 @@ fn reverse_postorder(blocks: &[Block]) -> Vec<usize> {
     post
 }
 
-/// Iterative dominator computation (Cooper–Harvey–Kennedy).
-fn dominators(blocks: &[Block], rpo: &[usize], preds: &[Vec<usize>]) -> Vec<Option<usize>> {
-    let mut rpo_index = vec![usize::MAX; blocks.len()];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    let mut idom: Vec<Option<usize>> = vec![None; blocks.len()];
-    idom[0] = Some(0);
-    let intersect = |idom: &[Option<usize>], rpo_index: &[usize], mut a: usize, mut b: usize| {
-        while a != b {
-            while rpo_index[a] > rpo_index[b] {
-                a = idom[a].expect("processed");
-            }
-            while rpo_index[b] > rpo_index[a] {
-                b = idom[b].expect("processed");
-            }
-        }
-        a
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new_idom: Option<usize> = None;
-            for &p in &preds[b] {
-                if rpo_index[p] == usize::MAX || idom[p].is_none() {
-                    continue;
-                }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(&idom, &rpo_index, cur, p),
-                });
-            }
-            if new_idom != idom[b] {
-                idom[b] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    idom
-}
-
-fn dominates(idom: &[Option<usize>], a: usize, b: usize) -> bool {
-    let mut cur = b;
-    loop {
-        if cur == a {
-            return true;
-        }
-        match idom[cur] {
-            Some(d) if d != cur => cur = d,
-            _ => return false,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct Loop {
     pub(crate) header: usize,
-    /// All blocks in the natural loop (header included).
+    /// The natural loop: the header and every block of the range that
+    /// reaches a latch without passing it.
     pub(crate) body: BTreeSet<usize>,
     latches: Vec<usize>,
 }
 
-/// Natural loops from retreating edges; `None` if the CFG is
-/// irreducible (a retreating edge whose target does not dominate its
-/// source — the compiler never emits one).
-fn find_loops(blocks: &[Block], rpo: &[usize], preds: &[Vec<usize>]) -> Option<Vec<Loop>> {
-    let idom = dominators(blocks, rpo, preds);
-    let mut rpo_index = vec![usize::MAX; blocks.len()];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    let mut by_header: BTreeMap<usize, Loop> = BTreeMap::new();
-    for &u in rpo {
-        for &v in &blocks[u].succs {
-            if rpo_index[v] == usize::MAX || rpo_index[v] > rpo_index[u] {
-                continue;
-            }
-            // Retreating edge u -> v.
-            if !dominates(&idom, v, u) {
-                return None;
-            }
-            let l = by_header.entry(v).or_insert_with(|| Loop {
-                header: v,
-                body: BTreeSet::from([v]),
-                latches: Vec::new(),
-            });
-            l.latches.push(u);
-            // Backward walk from the latch, stopping at the header.
-            let mut stack = vec![u];
-            while let Some(n) = stack.pop() {
-                if l.body.insert(n) {
-                    for &p in &preds[n] {
-                        if rpo_index[p] != usize::MAX {
-                            stack.push(p);
-                        }
-                    }
-                }
-            }
+/// The loops of a chunk, read off its back edges. The compiler emits
+/// every loop as one block range `[top, Jump top]`, so a jump from a
+/// reachable block to a block at or before it is a back edge: its block
+/// is a latch of the loop headed by the target. `None` when the ranges
+/// from header to last latch do not nest, or an edge enters one anywhere
+/// but its header (the compiler emits neither).
+fn read_loops(blocks: &[Block], rpo_pos: &[usize], preds: &[Vec<usize>]) -> Option<Vec<Loop>> {
+    let reachable = |b: usize| rpo_pos[b] != usize::MAX;
+    let mut latches: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for u in (0..blocks.len()).filter(|&u| reachable(u)) {
+        for &v in blocks[u].succs.iter().filter(|&&v| v <= u) {
+            latches.entry(v).or_default().push(u);
         }
     }
-    Some(by_header.into_values().collect())
+    let ranges: Vec<(usize, usize)> = (latches.iter())
+        .map(|(&header, ls)| (header, ls[ls.len() - 1]))
+        .collect();
+    for &(header, last) in &ranges {
+        let within = |b: usize| header <= b && b <= last;
+        let crosses = ranges.iter().any(|&(h, l)| within(h) && !within(l));
+        let enters = (blocks.iter().enumerate())
+            .any(|(u, blk)| !within(u) && blk.succs.iter().any(|&v| v != header && within(v)));
+        if crosses || enters {
+            return None;
+        }
+    }
+    // A block that only leaves the loop (a `break`, a `return`) is in its
+    // range but not its body: it runs once, not once per trip.
+    let loops = (latches.into_iter()).map(|(header, latches)| {
+        let mut body = BTreeSet::from([header]);
+        let mut stack = latches.clone();
+        while let Some(n) = stack.pop() {
+            if body.insert(n) {
+                stack.extend(preds[n].iter().filter(|&&p| reachable(p)));
+            }
+        }
+        Loop {
+            header,
+            body,
+            latches,
+        }
+    });
+    Some(loops.collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1499,14 +1460,18 @@ impl<'p> ChunkFlow<'p> {
     }
 
     /// Bound on loop-header entries from outside the loop joined over
-    /// all entry edges (used for the induction variable's start).
+    /// all entry edges a run can take (used for the induction variable's
+    /// start); `None` when no run enters the loop. An edge out of dead code
+    /// after a `continue` is no entry.
     fn entry_binding(&self, l: &Loop, key: VarKey) -> Option<Binding> {
         let mut acc: Option<Binding> = None;
         for &p in &self.preds[l.header] {
             if l.body.contains(&p) {
                 continue;
             }
-            let st = self.out_state(p)?;
+            let Some(st) = self.out_state(p) else {
+                continue;
+            };
             let b = match key {
                 VarKey::Global(name) => self.cx.global(&st, name).clone(),
                 VarKey::Local(slot) => st.locals[slot as usize].clone(),
@@ -1573,19 +1538,12 @@ impl<'p> ChunkFlow<'p> {
         if let Insn::IterNext { .. } = self.code[header.start] {
             return self.for_trip_bound(l);
         }
-        // While shape: single-block condition ending in JumpFalse out.
-        let Insn::JumpFalse { src, to } = self.code[header.end - 1] else {
+        // While shape: single-block condition ending in JumpFalse out (its
+        // target is the header's last successor).
+        let Insn::JumpFalse { src, .. } = self.code[header.end - 1] else {
             return Bound::Unbounded;
         };
-        let exits_loop = {
-            let target = self
-                .blocks
-                .iter()
-                .position(|b| b.start == to as usize)
-                .unwrap_or(usize::MAX);
-            !l.body.contains(&target)
-        };
-        if !exits_loop {
+        if header.succs.last().is_some_and(|t| l.body.contains(t)) {
             return Bound::Unbounded;
         }
         let mut syms = HashMap::new();
@@ -1698,7 +1656,7 @@ impl<'p> ChunkFlow<'p> {
 // ---------------------------------------------------------------------------
 
 /// Runs CFG construction + interval fixpoint for one chunk. Returns
-/// `None` when the CFG is irreducible.
+/// `None` when its loops are not the compiler's nested ranges.
 fn analyze_chunk<'p>(
     cx: ChunkCx<'p>,
     chunk: &'p Chunk,
@@ -1711,8 +1669,11 @@ fn analyze_chunk<'p>(
     }
     let blocks = build_blocks(chunk);
     let preds = predecessors(&blocks);
-    let rpo = reverse_postorder(&blocks);
-    let loops = find_loops(&blocks, &rpo, &preds)?;
+    let mut rpo_pos = vec![usize::MAX; blocks.len()];
+    for (i, b) in reverse_postorder(&blocks).into_iter().enumerate() {
+        rpo_pos[b] = i;
+    }
+    let loops = read_loops(&blocks, &rpo_pos, &preds)?;
     let headers: BTreeSet<usize> = loops.iter().map(|l| l.header).collect();
     let is_main = cx.is_main;
 
@@ -1749,10 +1710,6 @@ fn analyze_chunk<'p>(
 
     let mut entry: Vec<Option<State>> = vec![None; blocks.len()];
     entry[0] = Some(init);
-    let mut rpo_pos = vec![usize::MAX; blocks.len()];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_pos[b] = i;
-    }
     let mut in_list = vec![false; blocks.len()];
     let mut worklist: Vec<usize> = vec![0];
     in_list[0] = true;
@@ -1853,71 +1810,35 @@ fn chunk_usage(flow: &ChunkFlow, summaries: &Summaries) -> Usage {
     longest_path(&live, &succs, 0, &node_usage)
 }
 
-/// The worst usage along any path from `start` through the acyclic
-/// graph on `nodes` (`succs` restricted to them, edges back into `start`
-/// dropped), joining paths by pointwise max.
+/// The worst usage along any path from `start` through the graph on
+/// `nodes` (`succs` restricted to them), joining paths by pointwise max.
+/// `start` is the least node, and once loops are collapsed every edge but
+/// those back into `start` goes forward, so ascending block order visits
+/// each node after all its predecessors.
 fn longest_path(
     nodes: &BTreeSet<usize>,
     succs: &[BTreeSet<usize>],
     start: usize,
     node_usage: &[Usage],
 ) -> Usage {
-    let edges: Vec<(usize, usize)> = (nodes.iter())
-        .flat_map(|&u| {
-            (succs[u].iter().copied())
-                .filter(|v| nodes.contains(v) && *v != start)
-                .map(move |v| (u, v))
-        })
-        .collect();
-    let mut acc: HashMap<usize, Usage> = HashMap::from([(start, node_usage[start].clone())]);
+    let mut acc: Vec<Option<Usage>> = vec![None; succs.len()];
+    acc[start] = Some(node_usage[start].clone());
     let mut worst = node_usage[start].clone();
-    for u in topo_order(nodes, &edges) {
-        let Some(u_acc) = acc.get(&u).cloned() else {
+    for &u in nodes {
+        let Some(u_acc) = acc[u].take() else {
             continue;
         };
         worst.max_with(&u_acc);
-        for &(_, v) in edges.iter().filter(|&&(x, _)| x == u) {
+        for &v in succs[u].iter().filter(|&&v| v > u && nodes.contains(&v)) {
             let mut cand = u_acc.clone();
             cand.add(&node_usage[v]);
-            match acc.get_mut(&v) {
+            match &mut acc[v] {
                 Some(cur) => cur.max_with(&cand),
-                None => {
-                    acc.insert(v, cand);
-                }
+                slot @ None => *slot = Some(cand),
             }
         }
     }
     worst
-}
-
-/// Kahn topological order over an explicit node set + edge list.
-/// Cycles cannot occur here (loops are collapsed before use), but any
-/// leftover cyclic nodes are simply dropped, which under-counts
-/// nothing: the caller treats missing accumulator entries as
-/// unreachable.
-fn topo_order(nodes: &BTreeSet<usize>, edges: &[(usize, usize)]) -> Vec<usize> {
-    let mut indeg: BTreeMap<usize, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-    for &(_, v) in edges {
-        *indeg.get_mut(&v).expect("edge into node set") += 1;
-    }
-    let mut ready: Vec<usize> = indeg
-        .iter()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(&n, _)| n)
-        .collect();
-    let mut order = Vec::with_capacity(nodes.len());
-    while let Some(u) = ready.pop() {
-        order.push(u);
-        for &(x, v) in edges.iter().filter(|&&(x, _)| x == u) {
-            debug_assert_eq!(x, u);
-            let d = indeg.get_mut(&v).expect("edge into node set");
-            *d -= 1;
-            if *d == 0 {
-                ready.push(v);
-            }
-        }
-    }
-    order
 }
 
 // ---------------------------------------------------------------------------
@@ -2365,5 +2286,49 @@ mod tests {
         assert_sound_and_finite(
             "acc = 0\ni = 0\nwhile i < 30:\n    i += 1\n    if i > 10:\n        continue\n    acc += i\nacc",
         );
+    }
+
+    #[test]
+    fn dead_code_after_break_and_continue_stays_sound() {
+        // The dead `Jump top` of a loop whose only live latch is a
+        // `continue` is no entry edge: the trip count still holds.
+        let b = assert_sound_and_finite("n = 0\nwhile n < 3:\n    n += 1\n    continue\n    q = 5");
+        assert_eq!(b.fuel_max, Bound::Finite(27));
+        // A dead inner loop after `break` is no loop, and the blocks
+        // behind it still count.
+        let b = assert_sound_and_finite(
+            "x = 's'\nfor i in range(3):\n    break\n    for c in x:\n        print(c)\n    x = 1",
+        );
+        assert_eq!(b.fuel_max, Bound::Finite(6));
+    }
+
+    #[test]
+    fn a_jump_into_the_middle_of_a_loop_bails_to_unbounded() {
+        // 0: r0 = True; 1: JumpFalse r0 -> `into`; 2: the loop header;
+        // 3: the loop's middle; 4: Jump 2; 5: Halt. The compiler only
+        // ever jumps to a loop's header from outside it.
+        let program = |into: u32| CompiledProgram {
+            pools: std::sync::Arc::new(crate::bytecode::Pools {
+                consts: vec![Const::Bool(true)],
+                ..Default::default()
+            }),
+            main: Chunk {
+                code: vec![
+                    Insn::Const { dst: 0, idx: 0 },
+                    Insn::JumpFalse { src: 0, to: into },
+                    Insn::Burn { n: 1, line: 1 },
+                    Insn::Burn { n: 1, line: 2 },
+                    Insn::Jump { to: 2 },
+                    Insn::Halt,
+                ],
+                nregs: 1,
+            },
+            bound: CostBound::unbounded_all(),
+        };
+        assert_eq!(analyze(&program(3)), CostBound::unbounded_all());
+        // Entered at its header, the same endless loop is analyzed: its
+        // fuel is unbounded, but it provably calls nothing.
+        let b = analyze(&program(2));
+        assert_eq!((b.fuel_max, b.calls_open), (Bound::Unbounded, false));
     }
 }

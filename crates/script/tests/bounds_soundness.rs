@@ -187,6 +187,121 @@ fn a_step_reading_an_earlier_steps_list_is_bounded_by_its_reads() {
     check_session(&first, looped).unwrap();
 }
 
+/// A seeded generator of programs whose loops leave early: `break`,
+/// `continue` and `return` in loop bodies, with dead statements (and dead
+/// loops) after them, stores on exit paths, `while True` loops and
+/// comprehension filters. The template matrix has none of these.
+struct EarlyExits(u64);
+
+impl EarlyExits {
+    fn pick(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+
+    fn var(&mut self) -> String {
+        format!("v{}", self.pick(4))
+    }
+
+    fn block(&mut self, out: &mut String, depth: usize, in_loop: bool, in_def: bool) {
+        for _ in 0..=self.pick(3) {
+            self.stmt(out, depth, in_loop, in_def);
+        }
+    }
+
+    fn stmt(&mut self, out: &mut String, depth: usize, in_loop: bool, in_def: bool) {
+        let pad = "    ".repeat(depth);
+        let (a, b) = (self.var(), self.var());
+        let (n, m) = (self.pick(6), self.pick(3));
+        match self.pick(if depth >= 3 { 6 } else { 13 }) {
+            0 => out.push_str(&format!("{pad}{a} = {n}\n")),
+            1 => out.push_str(&format!("{pad}{a} += {}\n", m as i64 - 1)),
+            2 => out.push_str(&format!("{pad}emit({a})\n")),
+            3 if in_loop => {
+                out.push_str(&format!("{pad}{}\n", ["break", "continue"][m as usize % 2]))
+            }
+            3 | 4 if in_def => out.push_str(&format!("{pad}return {a}\n")),
+            3 | 4 => out.push_str(&format!(
+                "{pad}{a} = [x * 2 for x in range({n}) if x != {m}]\n"
+            )),
+            5 => out.push_str(&format!("{pad}{a} = len(str({b}))\n")),
+            6 => {
+                out.push_str(&format!("{pad}if {a} > {m}:\n"));
+                self.block(out, depth + 1, in_loop, in_def);
+                if n % 2 == 0 {
+                    out.push_str(&format!("{pad}else:\n"));
+                    self.block(out, depth + 1, in_loop, in_def);
+                }
+            }
+            7 => {
+                out.push_str(&format!("{pad}for {a} in range({n}):\n"));
+                self.block(out, depth + 1, true, in_def);
+            }
+            8 => {
+                // A counted `while`, incremented before or after its body.
+                out.push_str(&format!("{pad}{a} = 0\n{pad}while {a} < {n}:\n"));
+                let step = format!("{pad}    {a} += {}\n", 1 + m % 2);
+                if m == 0 {
+                    out.push_str(&step);
+                    self.block(out, depth + 1, true, in_def);
+                } else {
+                    self.block(out, depth + 1, true, in_def);
+                    out.push_str(&step);
+                }
+            }
+            9 => {
+                out.push_str(&format!("{pad}while True:\n"));
+                self.block(out, depth + 1, true, in_def);
+                out.push_str(&format!("{pad}    break\n"));
+            }
+            10 => {
+                out.push_str(&format!("{pad}for {a} in [1, 2, {b}]:\n"));
+                self.block(out, depth + 1, true, in_def);
+            }
+            11 => {
+                // A store on the way out of the loop.
+                out.push_str(&format!("{pad}if {b} > 1:\n{pad}    {a} = {m}\n"));
+                if in_loop {
+                    out.push_str(&format!("{pad}    break\n"));
+                }
+            }
+            12 if depth == 0 => {
+                out.push_str(&format!(
+                    "{pad}def f{m}(v0):\n    v1 = 0\n    v2 = 0\n    v3 = 0\n"
+                ));
+                self.block(out, 1, false, true);
+                out.push_str(&format!("    return v0\n{a} = f{m}({b})\n"));
+            }
+            _ => out.push_str(&format!("{pad}{a} = {b} + 1\n")),
+        }
+    }
+
+    fn program(seed: u64) -> String {
+        let mut g = EarlyExits(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut src = String::from("v0 = 1\nv1 = 2\nv2 = 3\nv3 = 4\n");
+        for _ in 0..=g.pick(5) {
+            g.stmt(&mut src, 0, false, false);
+        }
+        src
+    }
+}
+
+#[test]
+fn programs_that_leave_loops_early_respect_static_bounds() {
+    for seed in 1..=2_000 {
+        let src = EarlyExits::program(seed);
+        let program = compile_source(&src).expect("generated programs compile");
+        let obs = observe_vm(&src, FUEL);
+        if obs.completed() {
+            if let Err(msg) = check_sound(&src, &program.bound, &obs) {
+                panic!("seed {seed}: soundness violation: {msg}");
+            }
+        }
+    }
+}
+
 #[test]
 fn corpus_shaped_programs_are_sound() {
     // The agent-step shapes the planner policies emit.

@@ -12,7 +12,10 @@
 //! can show ([`Change`]), and the number of lines in each bucket is
 //! pinned.
 
-use aida_script::{ScriptError, Ty, TypeEnv};
+use aida_script::{Bound, ScriptError, Ty, TypeEnv};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// A JSON value, as much of JSON as the fixture uses.
 #[derive(Debug, Clone)]
@@ -226,21 +229,37 @@ enum Change {
     Listed,
 }
 
-/// The VM's outcome on `src`, with stub tools for every tool the case's
-/// environment registers, as a verdict triple.
-fn vm_outcome(case: &Case) -> (String, usize, String) {
+/// Fuel for one VM run of a corpus program.
+const VM_FUEL: u64 = 20_000;
+
+/// Runs `src` on the VM, with stub tools for every tool the case's
+/// environment registers; returns the result, the fuel charged and the
+/// calls to each tool.
+fn vm_run(case: &Case) -> (Result<(), ScriptError>, u64, BTreeMap<String, u64>) {
     use aida_script::{Interpreter, ScriptValue};
-    let mut interp = Interpreter::new().with_fuel(20_000);
+    let calls = Rc::new(RefCell::new(BTreeMap::new()));
+    let mut interp = Interpreter::new().with_fuel(VM_FUEL);
     for name in case.env.tools.keys() {
         let result = match name.as_str() {
             "list_files" | "search_keywords" => ScriptValue::list(vec![ScriptValue::str("a.csv")]),
             "read_file" => ScriptValue::str("x,y\n1,2"),
             _ => ScriptValue::None,
         };
-        interp.bind_host_fn(name, move |_| Ok(result.clone()));
+        let (calls, tool) = (calls.clone(), name.clone());
+        interp.bind_host_fn(name, move |_| {
+            *calls.borrow_mut().entry(tool.clone()).or_insert(0) += 1;
+            Ok(result.clone())
+        });
     }
-    match interp.run(&case.src) {
-        Ok(_) => ("ok".into(), 0, String::new()),
+    let result = interp.run(&case.src).map(drop);
+    let calls = calls.borrow().clone();
+    (result, VM_FUEL - interp.fuel_remaining(), calls)
+}
+
+/// The VM's outcome on `src`, as a verdict triple.
+fn vm_outcome(case: &Case) -> (String, usize, String) {
+    match vm_run(case).0 {
+        Ok(()) => ("ok".into(), 0, String::new()),
         Err(ScriptError::Type { line, message }) => ("type".into(), line, message),
         Err(ScriptError::Name { line, .. }) => ("name".into(), line, String::new()),
         Err(ScriptError::FuelExhausted) => ("fuel".into(), 0, String::new()),
@@ -378,6 +397,48 @@ fn every_compiling_program_keeps_its_cost_bound() {
     assert_eq!(now.lines().count(), pinned.lines().count());
 }
 
+/// The pinned bounds hold: every corpus program that compiles in an
+/// environment without globals (the VM has no values for them) and
+/// completes on the VM with stub tools charges no more fuel, and calls no
+/// tool more often, than its bound allows.
+#[test]
+fn every_completing_program_stays_within_its_cost_bound() {
+    let mut checked = 0;
+    for (i, case) in corpus().iter().enumerate() {
+        let compiled = aida_script::parser::parse(&case.src)
+            .and_then(|program| aida_script::compile_checked(&program, &case.env));
+        let (Ok(program), true) = (compiled, case.env.globals.is_empty()) else {
+            continue;
+        };
+        let (result, fuel, calls) = vm_run(case);
+        if result.is_err() {
+            continue;
+        }
+        checked += 1;
+        let b = &program.bound;
+        assert!(
+            b.fuel_max >= Bound::Finite(fuel),
+            "line {i}: fuel {fuel}, {b:?}"
+        );
+        for (tool, n) in calls {
+            let max = match b.calls_open {
+                true => Bound::Unbounded,
+                false => b
+                    .calls_per_tool
+                    .get(&tool)
+                    .copied()
+                    .unwrap_or(Bound::Finite(0)),
+            };
+            assert!(
+                max >= Bound::Finite(n),
+                "line {i}: {n} calls to {tool}, {b:?}"
+            );
+        }
+    }
+    assert_eq!(checked, CHECKED_RUNS, "programs that compile and complete");
+}
+
+const CHECKED_RUNS: usize = 2510;
 const SAME: usize = 9036;
 const NONE_TYPE: usize = 419;
 const VM_RAISES: usize = 642;

@@ -1239,7 +1239,7 @@ fn checkpoint_counters_count_both_stores() {
     for year in [2001, 2002, 2001] {
         let _ = rt
             .query(&ctx)
-            .compute(&format!("count identity theft reports in {year}"))
+            .compute(format!("count identity theft reports in {year}"))
             .run();
     }
     let counters = rt.recorder().trace().counters;

@@ -156,7 +156,6 @@ fn code_agent_runs_reconcile() {
                 verify_budget: 6,
             },
             seed,
-            ..AgentConfig::default()
         });
         let runtime = AgentRuntime::new(&env, registry, Some(workload.lake.clone()));
         let (outcome, receipt) = reconciled(&env.llm, || {
