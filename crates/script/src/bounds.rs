@@ -1615,7 +1615,7 @@ impl<'p> ChunkFlow<'p> {
         let entry_preds: Vec<usize> = self.preds[l.header]
             .iter()
             .copied()
-            .filter(|p| !l.body.contains(p))
+            .filter(|&p| !l.body.contains(&p) && self.entry[p].is_some())
             .collect();
         let [p] = entry_preds[..] else {
             return Bound::Unbounded;
@@ -2300,6 +2300,10 @@ mod tests {
             "x = 's'\nfor i in range(3):\n    break\n    for c in x:\n        print(c)\n    x = 1",
         );
         assert_eq!(b.fuel_max, Bound::Finite(6));
+        // The same for a `for` loop: its dead `Jump top` is no second
+        // entry, so the iterator's length still bounds the trips.
+        let b = assert_sound_and_finite("t = 0\nfor i in range(3):\n    t += 1\n    continue\n    q = 5\nt");
+        assert_eq!(b.fuel_max, Bound::Finite(19));
     }
 
     #[test]
