@@ -13,10 +13,13 @@
 //!
 //! Contexts are materialized the way the service materializes them:
 //! every one is a narrowing of ONE shared lake and holds three of its
-//! eight documents by `Arc`. A state file writes a document once (the
-//! pool), so a full snapshot costs the distinct documents plus
-//! per-Context metadata — not Contexts × documents — and a delta frame
-//! that inserts a Context over already-written documents carries
+//! eight documents by `Arc`, its own description, and one of two
+//! findings tables (built afresh for each Context, as repeated questions
+//! build them). A state file writes each document, description and
+//! findings table once (the pool), so a full snapshot costs the distinct
+//! documents and tables plus per-Context metadata and description — not
+//! Contexts × documents — and a delta frame that inserts a Context over
+//! an already-written description, findings and documents carries
 //! indices, not text.
 //!
 //! Bytes are measured from the files themselves (state-file size per
@@ -31,13 +34,14 @@
 //! bytes/checkpoint grow with the store, but by metadata only — every
 //! snapshot holds each document at most once, and a Context added to
 //! the store adds less than half of ONE document's bytes although it
-//! holds three; an insert frame over known documents defines none; and
-//! group commit cuts fsyncs per append by at least 5×.
+//! holds three; an insert frame over a known description, findings and
+//! documents defines no pool record; and group commit cuts fsyncs per
+//! append by at least 5×.
 //! `CHECKPOINT_BENCH_SMOKE=1` drops the 100× rung for CI.
 
 use aida_bench::BenchResult;
 use aida_core::{Context, Runtime};
-use aida_data::{DataLake, Document};
+use aida_data::{DataLake, Document, Schema, Table, Value};
 use aida_llm::WallStopwatch;
 use aida_serve::{LedgerRecord, LedgerWal};
 use std::path::Path;
@@ -68,12 +72,23 @@ fn shared_lake() -> DataLake {
 }
 
 /// Context `i`: documents `i..i+3` (mod 8) of the shared lake, held by
-/// `Arc` exactly as `search`/`compute` narrow a lake.
+/// `Arc` exactly as `search`/`compute` narrow a lake, and findings table
+/// `i % 2`, a new `Arc` every time.
 fn context(rt: &Runtime, lake: &DataLake, i: usize) -> Context {
     let docs = (0..DOCS_PER_CONTEXT).map(|j| Arc::clone(&lake.docs()[(i + j) % LAKE_DOCS]));
-    Context::builder(format!("seed{i}"), DataLake::from_arcs(docs))
+    let mut context = Context::builder(format!("seed{i}"), DataLake::from_arcs(docs))
         .description(format!("checkpoint bench context seed{i}"))
-        .build(rt)
+        .build(rt);
+    let mut findings = Table::new(Schema::of(["document", "matches"]));
+    for k in 0..4 {
+        let row = vec![
+            Value::Str(format!("lake{k}.txt").into()),
+            Value::Int((i % 2 * 10 + k) as i64),
+        ];
+        findings.push_row(row).expect("two cells for two columns");
+    }
+    context.findings = Some(Arc::new(findings));
+    context
 }
 
 fn file_len(path: &Path) -> u64 {
@@ -128,6 +143,12 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
         let copies = seeded.matches(&doc_marker(k)).count();
         assert!(copies <= 1, "scale {scale}: document {k} written {copies}x");
     }
+    let tables = seeded.lines().filter(|l| l.starts_with("F\t")).count();
+    assert_eq!(
+        tables,
+        scale.min(2),
+        "scale {scale}: one pool line per distinct table"
+    );
 
     let delta_path = if delta { rt.delta_path() } else { None };
     let mut bytes_written = 0u64;
@@ -153,7 +174,8 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
     let wall_s = watch.elapsed_s();
 
     // One more frame, this time an insert: the new Context holds three
-    // documents, and the frame names them by index.
+    // documents, a description and a findings table the chain holds, and
+    // the frame names them by index.
     let mut insert_frame_bytes = 0;
     if let Some(path) = delta_path.as_deref() {
         let newcomer = (0..LAKE_DOCS)
@@ -167,10 +189,12 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
         assert!(rt.save_state().expect("insert checkpoint"), "insert save");
         insert_frame_bytes = file_len(path) - last_delta_len;
         let chain = std::fs::read_to_string(path).expect("delta chain");
-        assert!(
-            !chain.contains("\tP\t"),
-            "scale {scale}: a frame over known documents defines none"
-        );
+        for tag in ["\tP\t", "\tD\t", "\tF\t"] {
+            assert!(
+                !chain.contains(tag),
+                "scale {scale}: a frame over known pool items defines none"
+            );
+        }
     }
 
     // The chain must replay to exactly the live store before we credit

@@ -33,9 +33,9 @@ use aida_obs::registry;
 use std::path::{Path, PathBuf};
 
 /// Where the runtime's checkpointer stands: its position in the chain,
-/// the stamps of the snapshots the chain extends, `pool`, the documents
-/// the state snapshot and the chain's frames defined (a frame's
-/// documents join it only once the frame's `fsync` has returned), and
+/// the stamps of the snapshots the chain extends, `pool`, the items the
+/// state snapshot and the chain's frames defined (a frame's items join
+/// it only once the frame's `fsync` has returned), and
 /// how far the last checkpoint read the cache.
 #[derive(Default)]
 pub(crate) struct DeltaState {
@@ -161,7 +161,7 @@ impl Runtime {
         });
         let bytes = match written {
             Ok(Some(bytes)) => bytes,
-            // Nothing of an unwritten frame is durable: its documents
+            // Nothing of an unwritten frame is durable: its pool items
             // leave the pool and its mutations go back to the journal, so
             // the next frame (or the full rewrite) carries them again.
             unwritten => {

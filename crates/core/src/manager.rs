@@ -15,13 +15,12 @@
 //! materialization is never dropped to make room for a $0.001 one.
 
 use crate::context::Context;
-use aida_data::{DataLake, Document, Field, Schema, Table};
+use aida_data::{DataLake, Document, Field, Schema, Table, Value};
 use aida_llm::embed::{cosine_with_norms, norm, Embedder};
 use aida_llm::noise::hash_str;
-use aida_llm::snapshot::{self, encode_value, esc, SnapshotError};
+use aida_llm::snapshot::{self, encode_value, esc, push_hex16, push_u64, SnapshotError};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -271,16 +270,16 @@ impl ContextManager {
     /// (including oracle labels), and findings table — as a versioned,
     /// checksummed snapshot. Entries are written in registration order so
     /// a reload preserves the deterministic earlier-entry-wins tie-break;
-    /// each distinct document is written once, before the first entry
-    /// that holds it.
+    /// each distinct document, description and findings table is written
+    /// once, before the first entry that holds it.
     pub fn encode_snapshot(&self) -> String {
         encode_store(&self.inner.read()).0
     }
 
     /// [`ContextManager::encode_snapshot`] for a full checkpoint: also
     /// empties the journal, in the same critical section, and returns
-    /// the pool of documents the snapshot defined, which the delta chain
-    /// extending it refers into. The snapshot holds every mutation
+    /// the pool the snapshot defined, which the delta chain extending it
+    /// refers into. The snapshot holds every mutation
     /// journaled before it and the journal every one after it, so a
     /// mutation made while the snapshot is being written is in exactly
     /// one of them.
@@ -297,9 +296,10 @@ impl ContextManager {
     /// description)` — the caller supplies it because Context
     /// construction needs a Runtime. Embeddings are recomputed
     /// deterministically from each instruction; LRU ticks and costs are
-    /// restored exactly, and every restored Context holding a document
-    /// shares the one `Arc` its pool line became. Any format, count, or
-    /// checksum violation is a [`SnapshotError`].
+    /// restored exactly, and every restored Context holding a document or
+    /// a findings table shares the one `Arc` its pool line became. Any
+    /// format (or format version), count, or checksum violation is a
+    /// [`SnapshotError`].
     pub fn decode_replica(
         &self,
         text: &str,
@@ -330,8 +330,8 @@ impl ContextManager {
 
     /// Decodes one delta section and checks it applies to `replica`:
     /// stamped `base` (the FNV-64 of the snapshot the replica was
-    /// decoded from) and for the replica's pool, well-formed, every
-    /// document and entry index in range.
+    /// decoded from) and for the replica's pool, well-formed, every pool
+    /// index naming an item of its kind and every entry index in range.
     pub fn decode_section(
         &self,
         replica: &StoreReplica,
@@ -377,7 +377,7 @@ impl ContextManager {
     }
 }
 
-/// The snapshot of `store` and the pool of documents it defined.
+/// The snapshot of `store` and the pool it defined.
 fn encode_store(store: &Store) -> (String, DocPool) {
     let mut pool = DocPool::default();
     let mut body = format!("T\t{}", store.tick);
@@ -388,164 +388,306 @@ fn encode_store(store: &Store) -> (String, DocPool) {
     (snapshot::encode_file(STORE_MAGIC, &body), pool)
 }
 
-const STORE_MAGIC: &str = "aida-ctxstore v2";
+const STORE_MAGIC: &str = "aida-ctxstore v3";
 
 // ---- snapshot and delta-frame encoding ---------------------------------
 //
 // Tagged records of tab-separated fields (escaping via the shared
 // `snapshot` codec, applied once, to fields):
 //   P  <name> <content> <nlabels> (<key> <value-enc>)*
-//   C  <instruction> <cost_bits:hex16> <last_used> <id> <description>
-//      <has_findings 0|1> <ndocs> (<pool-index>)*
+//   D  <description>
 //   F  <ncols> (<col-name> <col-desc>)* <nrows> (<cell-enc>)*
+//   C  <instruction> <cost_bits:hex16> <last_used> <id> <description-index>
+//      <findings-index | -> <ndocs> (<document-index>)*
 //   B  <entry-index> <tick>
 //   E  <entry-index>
 //
-// A `P` record defines the next document of the file's pool (indices
-// count `P` records from 0); a `C` record refers to documents by index
-// — backwards only — and is followed by its `F` record when it has
-// findings. A snapshot body is `T <tick>` and then `P`/`C`/`F` records,
-// one per line, each document before the first entry that holds it. A
-// delta frame is ONE line, `<base_sum:hex16> <pool-length>` and then
-// records of any tag separated by tabs: every record says how many
+// `P`, `D` and `F` each define the next item of the file's pool
+// (indices count them from 0, whatever their kind); a `C` record refers
+// to its items by index — backwards only, each of its field's kind, `-`
+// for no findings. A snapshot body is `T <tick>` and then pool and `C`
+// records, one per line, each item before the first entry that holds
+// it. A delta frame is ONE line, `<base_sum:hex16> <pool-length>` and
+// then records of any tag separated by tabs: every record says how many
 // fields it has, so no second level of escaping is needed. The chain's
 // pool is the snapshot's plus what earlier frames defined; a frame's
-// stamp names both, so it applies to nothing else.
+// stamp names both, so it applies to nothing else. (v2 wrote
+// descriptions and findings inline in `C` records; it is refused.)
 //
 // Documents round-trip through `Document::new(name, content)` (which
-// derives `id` and `kind` from the name, the universal construction in
-// this codebase) plus explicit labels, so the oracle sees identical
-// ground truth after a restore.
+// derives `id` and `kind` from the name) plus explicit labels, so the
+// oracle sees identical ground truth after a restore.
 
 /// What separates fields: a tab, or the newline between the records of
 /// a snapshot body. Neither survives escaping inside a field.
 const SEPARATORS: [char; 2] = ['\t', '\n'];
 
-/// The documents a state file has defined so far, in definition order:
-/// the encoder's side of the pool. A document's text is written when it
-/// is first referred to and never again in that file.
+/// One item of a state file's pool: what a `P`, `D` or `F` defines.
+enum Pooled {
+    Doc(Arc<Document>),
+    Desc(Arc<str>),
+    Findings(Arc<Table>),
+}
+
+impl Pooled {
+    fn item(&self) -> Item<'_> {
+        match self {
+            Pooled::Doc(doc) => Item::Doc(doc),
+            Pooled::Desc(text) => Item::Desc(text),
+            Pooled::Findings(table) => Item::Findings(table),
+        }
+    }
+}
+
+/// A Context's part the encoder looks up in the pool, borrowed.
+#[derive(Clone, Copy)]
+enum Item<'a> {
+    Doc(&'a Arc<Document>),
+    Desc(&'a str),
+    Findings(&'a Arc<Table>),
+}
+
+impl Item<'_> {
+    /// The `Arc` address of a document or table.
+    fn ptr(self) -> Option<usize> {
+        match self {
+            Item::Doc(doc) => Some(Arc::as_ptr(doc) as usize),
+            Item::Desc(_) => None,
+            Item::Findings(table) => Some(Arc::as_ptr(table) as usize),
+        }
+    }
+
+    /// The fingerprint the pool files the item under. It reads a bounded
+    /// part of a description or table (a document's text hash is
+    /// computed once per document and kept), so looking up an item the
+    /// pool holds costs no pass over its text.
+    fn print(self) -> u64 {
+        match self {
+            Item::Doc(doc) => hash_str(&doc.name) ^ doc.text_hash(hash_str).rotate_left(32),
+            Item::Desc(text) => text_print(text),
+            Item::Findings(table) => {
+                let first = table.rows().first().and_then(|row| row.first());
+                let last = table.rows().last().and_then(|row| row.last());
+                let [first, last] = [first, last].map(|cell| cell.map_or(0, value_print));
+                let shape = (table.len() as u64) << 32 | table.schema().len() as u64;
+                first ^ last.rotate_left(16) ^ shape
+            }
+        }
+    }
+
+    /// Whether both are the same item as the encoding writes it: floats
+    /// by their bits, so `0.0` and `-0.0` differ and a NaN equals itself.
+    fn same(self, other: Item) -> bool {
+        match (self, other) {
+            (Item::Doc(a), Item::Doc(b)) => {
+                let (la, lb) = (a.labels(), b.labels());
+                let mut labels = la.iter().zip(lb);
+                let same_labels =
+                    labels.all(|((ka, va), (kb, vb))| ka == kb && same_value((va, vb)));
+                a.name == b.name && a.content == b.content && la.len() == lb.len() && same_labels
+            }
+            (Item::Desc(a), Item::Desc(b)) => a == b,
+            // Every row has the schema's arity.
+            (Item::Findings(a), Item::Findings(b)) => {
+                let mut cells = a.rows().iter().flatten().zip(b.rows().iter().flatten());
+                a.schema() == b.schema() && a.len() == b.len() && cells.all(same_value)
+            }
+            _ => false,
+        }
+    }
+
+    fn pooled(self) -> Pooled {
+        match self {
+            Item::Doc(doc) => Pooled::Doc(Arc::clone(doc)),
+            Item::Desc(text) => Pooled::Desc(text.into()),
+            Item::Findings(table) => Pooled::Findings(Arc::clone(table)),
+        }
+    }
+
+    /// Appends the pool record defining the item.
+    fn encode(self, out: &mut String) {
+        match self {
+            Item::Doc(doc) => {
+                out.push('P');
+                tab_esc(out, &doc.name);
+                tab_esc(out, &doc.content);
+                tab_num(out, doc.labels().len() as u64);
+                for (key, value) in doc.labels() {
+                    tab_esc(out, key);
+                    out.push('\t');
+                    encode_value(value, out);
+                }
+            }
+            Item::Desc(text) => {
+                out.push('D');
+                tab_esc(out, text);
+            }
+            Item::Findings(table) => {
+                out.push('F');
+                tab_num(out, table.schema().len() as u64);
+                for field in table.schema().fields() {
+                    tab_esc(out, &field.name);
+                    tab_esc(out, &field.desc);
+                }
+                tab_num(out, table.len() as u64);
+                for cell in table.rows().iter().flatten() {
+                    out.push('\t');
+                    encode_value(cell, out);
+                }
+            }
+        }
+    }
+}
+
+/// Appends a tab and `v` in decimal.
+fn tab_num(out: &mut String, v: u64) {
+    out.push('\t');
+    push_u64(out, v);
+}
+
+/// Appends a tab and `text`, escaped.
+fn tab_esc(out: &mut String, text: &str) {
+    out.push('\t');
+    esc(text, out);
+}
+
+/// Length and at most 16 bytes from each end of `text`.
+fn text_print(text: &str) -> u64 {
+    let bytes = text.as_bytes();
+    let head = &bytes[..bytes.len().min(16)];
+    let tail = &bytes[bytes.len().saturating_sub(16)..];
+    snapshot::fnv64(head) ^ snapshot::fnv64(tail).rotate_left(32) ^ bytes.len() as u64
+}
+
+/// A cell's part of a table fingerprint: bounded like [`text_print`].
+fn value_print(value: &Value) -> u64 {
+    match value {
+        Value::Int(i) => *i as u64,
+        Value::Float(f) => f.to_bits(),
+        Value::Str(s) => text_print(s),
+        _ => 0,
+    }
+}
+
+/// `Value` equality as the encoding sees it: floats by their bits.
+fn same_value((a, b): (&Value, &Value)) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::List(x), Value::List(y)) => x.len() == y.len() && x.iter().zip(y).all(same_value),
+        (Value::Float(_) | Value::List(_), _) => false,
+        _ => a == b,
+    }
+}
+
+/// The items a state file has defined so far, in definition order: the
+/// encoder's side of the pool. An item is written when it is first
+/// referred to and never again in that file.
 #[derive(Default)]
 pub struct DocPool {
-    docs: Vec<Arc<Document>>,
-    /// `Arc` address → index. The pool holds the `Arc`, so the address
-    /// cannot be reused while it is a key.
+    items: Vec<Pooled>,
+    /// `Arc` address of a pooled document or table → index. The pool
+    /// holds the `Arc`, so the address cannot be reused while it is a
+    /// key.
     by_ptr: HashMap<usize, usize>,
-    /// `(name, text)` hash → candidates, confirmed by full equality: a
+    /// [`Item::print`] → candidates, confirmed by [`Item::same`]: a
     /// collision costs a comparison, never an alias.
-    by_hash: HashMap<u64, Vec<usize>>,
+    by_print: HashMap<u64, Vec<usize>>,
 }
 
 impl DocPool {
-    /// How many documents are defined so far.
+    /// How many items (documents, descriptions and findings tables) are
+    /// defined so far.
     pub fn defined(&self) -> usize {
-        self.docs.len()
+        self.items.len()
     }
 
-    /// Forgets the documents defined at or after `len` — the roll-back
-    /// of a frame that did not reach the disk.
+    /// Forgets the items defined at or after `len` — the roll-back of a
+    /// frame that did not reach the disk.
     pub fn truncate(&mut self, len: usize) {
-        for doc in self.docs.drain(len.min(self.docs.len())..) {
-            self.by_ptr.remove(&(Arc::as_ptr(&doc) as usize));
-            if let Some(candidates) = self.by_hash.get_mut(&doc_hash(&doc)) {
+        for pooled in self.items.drain(len.min(self.items.len())..) {
+            let item = pooled.item();
+            if let Some(ptr) = item.ptr() {
+                self.by_ptr.remove(&ptr);
+            }
+            if let Some(candidates) = self.by_print.get_mut(&item.print()) {
                 candidates.retain(|index| *index < len);
             }
         }
     }
 
-    /// The index of `doc`, which is defined (a `P` record after `sep`)
+    /// The index of `item`, which is defined (a pool record after `sep`)
     /// if this is the first reference to it.
-    fn intern(&mut self, doc: &Arc<Document>, sep: char, out: &mut String) -> usize {
-        let ptr = Arc::as_ptr(doc) as usize;
-        if let Some(&index) = self.by_ptr.get(&ptr) {
+    fn intern(&mut self, item: Item, sep: char, out: &mut String) -> usize {
+        let ptr = item.ptr();
+        if let Some(&index) = ptr.and_then(|ptr| self.by_ptr.get(&ptr)) {
             return index;
         }
-        let candidates = self.by_hash.entry(doc_hash(doc)).or_default();
-        if let Some(&index) = candidates.iter().find(|&&i| *self.docs[i] == **doc) {
+        let candidates = self.by_print.entry(item.print()).or_default();
+        let items = &self.items;
+        if let Some(&index) = candidates.iter().find(|&&i| items[i].item().same(item)) {
             return index;
         }
-        let index = self.docs.len();
+        let index = items.len();
         candidates.push(index);
-        self.by_ptr.insert(ptr, index);
-        self.docs.push(Arc::clone(doc));
-        out.push(sep);
-        out.push_str("P\t");
-        esc(&doc.name, out);
-        out.push('\t');
-        esc(&doc.content, out);
-        let _ = write!(out, "\t{}", doc.labels().len());
-        for (key, value) in doc.labels() {
-            out.push('\t');
-            esc(key, out);
-            out.push('\t');
-            encode_value(value, out);
+        if let Some(ptr) = ptr {
+            self.by_ptr.insert(ptr, index);
         }
+        self.items.push(item.pooled());
+        out.push(sep);
+        item.encode(out);
         index
     }
 }
 
-fn doc_hash(doc: &Document) -> u64 {
-    hash_str(&doc.name) ^ doc.text_hash(hash_str).rotate_left(32)
-}
-
-/// Appends `entry` — first the documents `pool` has not seen, then its
-/// `C` (and `F`) record — each record preceded by `sep`.
+/// Appends `entry` — first the pool items it is the first to refer to,
+/// then its `C` record — each record preceded by `sep`.
 fn encode_entry(entry: &MaterializedContext, pool: &mut DocPool, sep: char, out: &mut String) {
-    let docs = entry.context.lake().docs();
-    let indices: Vec<usize> = docs.iter().map(|doc| pool.intern(doc, sep, out)).collect();
+    let context = &entry.context;
+    let docs: Vec<usize> = (context.lake().docs().iter())
+        .map(|doc| pool.intern(Item::Doc(doc), sep, out))
+        .collect();
+    let description = pool.intern(Item::Desc(&context.description), sep, out);
+    let findings = (context.findings.as_ref()).map(|t| pool.intern(Item::Findings(t), sep, out));
     out.push(sep);
-    out.push_str("C\t");
-    esc(&entry.instruction, out);
-    let _ = write!(
-        out,
-        "\t{:016x}\t{}\t",
-        entry.original_cost.to_bits(),
-        entry.last_used
-    );
-    esc(&entry.context.id, out);
+    out.push('C');
+    tab_esc(out, &entry.instruction);
     out.push('\t');
-    esc(&entry.context.description, out);
-    let has_findings = u8::from(entry.context.findings.is_some());
-    let _ = write!(out, "\t{has_findings}\t{}", docs.len());
-    for index in indices {
-        let _ = write!(out, "\t{index}");
+    push_hex16(out, entry.original_cost.to_bits());
+    tab_num(out, entry.last_used);
+    tab_esc(out, &context.id);
+    tab_num(out, description as u64);
+    match findings {
+        Some(index) => tab_num(out, index as u64),
+        None => out.push_str("\t-"),
     }
-    if let Some(findings) = &entry.context.findings {
-        out.push(sep);
-        let fields = findings.schema().fields();
-        let _ = write!(out, "F\t{}", fields.len());
-        for field in fields {
-            out.push('\t');
-            esc(&field.name, out);
-            out.push('\t');
-            esc(&field.desc, out);
-        }
-        let _ = write!(out, "\t{}", findings.len());
-        for row in findings.rows() {
-            for cell in row {
-                out.push('\t');
-                encode_value(cell, out);
-            }
-        }
+    tab_num(out, docs.len() as u64);
+    for index in docs {
+        tab_num(out, index as u64);
     }
 }
 
 /// Appends drained journal operations to `out` as the Context store's
 /// delta section (newline-free), stamped with the snapshot it extends
-/// and the length of the chain's pool before it. Documents the section
+/// and the length of the chain's pool before it. Items the section
 /// introduces are defined in it and added to `pool`; the caller rolls
 /// `pool` back ([`DocPool::truncate`]) if the frame does not reach the
 /// disk.
 pub fn encode_delta_frame(base_sum: u64, ops: &[JournalOp], pool: &mut DocPool, out: &mut String) {
-    let _ = write!(out, "{base_sum:016x}\t{}", pool.defined());
+    push_hex16(out, base_sum);
+    tab_num(out, pool.defined() as u64);
     for op in ops {
-        let _ = match op {
-            JournalOp::Insert(entry) => {
-                encode_entry(entry, pool, '\t', out);
-                Ok(())
+        match op {
+            JournalOp::Insert(entry) => encode_entry(entry, pool, '\t', out),
+            JournalOp::Bump { index, tick } => {
+                out.push_str("\tB");
+                tab_num(out, *index as u64);
+                tab_num(out, *tick);
             }
-            JournalOp::Bump { index, tick } => write!(out, "\tB\t{index}\t{tick}"),
-            JournalOp::Evict(index) => write!(out, "\tE\t{index}"),
-        };
+            JournalOp::Evict(index) => {
+                out.push_str("\tE");
+                tab_num(out, *index as u64);
+            }
+        }
     }
 }
 
@@ -563,15 +705,15 @@ pub struct StoreReplica {
     entries: Vec<MaterializedContext>,
     tick: u64,
     evicted: u64,
-    /// Decoder's side of the pool: one `Arc` per `P` record.
-    pool: Vec<Arc<Document>>,
+    /// Decoder's side of the pool: one item per pool record.
+    pool: Vec<Pooled>,
 }
 
 /// A delta section decoded and checked against a [`StoreReplica`]: the
-/// documents it defines and the operations it journals, which apply
+/// pool items it defines and the operations it journals, which apply
 /// whole.
 pub struct StoreSection {
-    docs: Vec<Arc<Document>>,
+    pooled: Vec<Pooled>,
     ops: Vec<JournalOp>,
 }
 
@@ -593,7 +735,7 @@ impl StoreReplica {
     /// Applies a section [`ContextManager::decode_section`] checked
     /// against this replica.
     pub fn apply(&mut self, section: StoreSection) {
-        self.pool.extend(section.docs);
+        self.pool.extend(section.pooled);
         for op in section.ops {
             match op {
                 JournalOp::Insert(entry) => {
@@ -618,28 +760,32 @@ impl StoreReplica {
 }
 
 impl ContextManager {
-    /// Decodes records until the fields run out. `P` records define
-    /// the documents after `pool`; every other record becomes the
-    /// operation it journals.
+    /// Decodes records until the fields run out. Pool records define
+    /// the items after `pool`; every other record becomes the operation
+    /// it journals.
     fn decode_ops(
         &self,
         fields: &mut Fields,
-        pool: &[Arc<Document>],
+        pool: &[Pooled],
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
     ) -> Result<StoreSection, SnapshotError> {
         let mut section = StoreSection {
-            docs: Vec::new(),
+            pooled: Vec::new(),
             ops: Vec::new(),
         };
         while let Some(tag) = fields.try_field() {
             section.ops.push(match tag {
-                "P" => {
-                    section.docs.push(Arc::new(decode_doc(fields)?));
+                "P" | "D" | "F" => {
+                    section.pooled.push(match tag {
+                        "P" => Pooled::Doc(Arc::new(decode_doc(fields)?)),
+                        "D" => Pooled::Desc(fields.text()?.into()),
+                        _ => Pooled::Findings(Arc::new(decode_findings(fields)?)),
+                    });
                     continue;
                 }
                 "C" => {
-                    let docs = [pool, &section.docs];
-                    JournalOp::Insert(Box::new(self.decode_entry(fields, docs, rebuild)?))
+                    let pool = [pool, &section.pooled];
+                    JournalOp::Insert(Box::new(self.decode_entry(fields, pool, rebuild)?))
                 }
                 "B" => JournalOp::Bump {
                     index: fields.num("bad bump record")?,
@@ -652,41 +798,45 @@ impl ContextManager {
         Ok(section)
     }
 
-    /// Decodes the fields of a `C` record (and its `F` record), taking
-    /// its documents from `pool`: the chain's pool, then the documents
-    /// its section defined so far. The lakes of all entries that hold a
-    /// document share its one `Arc`, memo slots included.
+    /// Decodes the fields of a `C` record, taking its description,
+    /// findings and documents from `pool`: the chain's pool, then the
+    /// items its section defined so far. The Contexts that hold an item
+    /// share its one `Arc`: a document's memo slots, a findings table.
     fn decode_entry(
         &self,
         fields: &mut Fields,
-        pool: [&[Arc<Document>]; 2],
+        pool: [&[Pooled]; 2],
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
     ) -> Result<MaterializedContext, SnapshotError> {
+        let lookup = |index: usize| {
+            pool[0].get(index).or_else(|| {
+                let index = index.checked_sub(pool[0].len())?;
+                pool[1].get(index)
+            })
+        };
         let instruction = fields.text()?;
         let original_cost = fields.f64_bits("bad cost bits")?;
         let last_used = fields.num("bad last_used")?;
         let id = fields.text()?;
-        let description = fields.text()?;
-        let has_findings = fields.flag("bad findings flag")?;
+        let Some(Pooled::Desc(description)) = lookup(fields.num("bad description index")?) else {
+            return Err(fail("description index names no description"));
+        };
+        let findings = match fields.field()? {
+            "-" => None,
+            index => match index.parse().ok().and_then(lookup) {
+                Some(Pooled::Findings(table)) => Some(Arc::clone(table)),
+                _ => return Err(fail("findings index names no table")),
+            },
+        };
         let mut docs = Vec::new();
         for _ in 0..fields.num::<usize>("bad doc count")? {
-            let index = fields.num::<usize>("bad document index")?;
-            let doc = pool[0].get(index).or_else(|| {
-                index
-                    .checked_sub(pool[0].len())
-                    .and_then(|index| pool[1].get(index))
-            });
-            docs.push(Arc::clone(
-                doc.ok_or_else(|| fail("document index past the pool"))?,
-            ));
+            let Some(Pooled::Doc(doc)) = lookup(fields.num("bad document index")?) else {
+                return Err(fail("document index names no document"));
+            };
+            docs.push(Arc::clone(doc));
         }
-        let mut context = rebuild(&id, DataLake::from_arcs(docs), &description);
-        if has_findings {
-            if fields.field()? != "F" {
-                return Err(fail("missing findings record"));
-            }
-            context.findings = Some(Arc::new(decode_findings(fields)?));
-        }
+        let mut context = rebuild(&id, DataLake::from_arcs(docs), description);
+        context.findings = findings;
         let embedding = self.embedder.embed(&instruction);
         Ok(MaterializedContext {
             norm: norm(&embedding),
@@ -1112,23 +1262,36 @@ mod tests {
         // in-range operation ahead of the bad one is not applied either
         // (a frame is all or nothing): the snapshot alone is what loads.
         // So it is for frames stamped for another snapshot or another
-        // pool length.
-        let stamp = format!("{base_sum:016x}\t1");
+        // pool length, and for pool indices that name an item of another
+        // kind or none: the base's pool is document `a.txt` (0) and
+        // description `a` (1).
+        let stamp = format!("{base_sum:016x}\t2");
+        let entry = format!("{stamp}\tC\ti\t0\t9\tid");
         for bad in [
             format!("{stamp}\tB\t99\t7"),
             format!("{stamp}\tE\t99"),
             format!("{stamp}\tX\tnope"),
             format!("{stamp}\tC\ttruncated"),
             format!("{stamp}\tB\t0\t9\tE\t5"),
-            format!("{stamp}\tC\ti\t0\t9\tid\td\t1\t0\tF\t0\t18446744073709551615"),
-            format!("{:016x}\t1\tB\t0\t9", base_sum ^ 1),
-            format!("{base_sum:016x}\t0\tB\t0\t9"),
+            format!("{stamp}\tF\t0\t18446744073709551615"),
+            format!("{entry}\t0\t-\t0"),
+            format!("{entry}\t1\t2\t0"),
+            format!("{entry}\t1\t1\t0"),
+            format!("{entry}\t1\t-\t1\t1"),
+            format!("{entry}\t2\t-\t0\tD\tlate"),
+            format!("{:016x}\t2\tB\t0\t9", base_sum ^ 1),
+            format!("{base_sum:016x}\t1\tB\t0\t9"),
         ] {
             let cold = ContextManager::with_capacity(2);
             let loaded = cold.load_chain(&base, &chain(std::slice::from_ref(&bad)), &rebuild);
             assert_eq!(loaded.unwrap(), (1, 0), "{bad:?}");
             assert_eq!(cold.encode_snapshot(), base, "{bad:?}");
         }
+        // The same entry with indices of the right kinds applies.
+        let fine = format!("{entry}\t1\t-\t1\t0");
+        let cold = ContextManager::with_capacity(2);
+        let loaded = cold.load_chain(&base, &chain(&[fine]), &rebuild);
+        assert_eq!(loaded.unwrap(), (2, 1));
     }
 
     /// Two Contexts narrowed from one lake: the snapshot holds each
@@ -1154,13 +1317,13 @@ mod tests {
         manager.register("all of them", narrowed(&["c.txt", "a.txt", "b.txt"]), 3.0);
 
         let (snap, pool) = manager.checkpoint_snapshot();
-        assert_eq!(pool.defined(), 3);
+        assert_eq!(pool.defined(), 4, "three documents and one description");
         let pool_lines = snap.lines().filter(|l| l.starts_with("P\t")).count();
         assert_eq!(pool_lines, 3, "each shared document is written once");
         assert_eq!(snap.matches("alpha body").count(), 1);
         assert!(
-            snap.contains("\t0\t3\t2\t0\t1\n"),
-            "the third entry refers to c, a, b by pool index: {snap}"
+            snap.contains("\t2\t-\t3\t3\t0\t1\n"),
+            "the third entry refers to its description and c, a, b by pool index: {snap}"
         );
 
         let restored = ContextManager::new();
@@ -1200,7 +1363,7 @@ mod tests {
         manager.register("labelled seven again", one(labelled(7)), 1.0);
 
         let (snap, pool) = manager.checkpoint_snapshot();
-        assert_eq!(pool.defined(), 4, "{snap}");
+        assert_eq!(pool.defined(), 5, "four documents, one description: {snap}");
         let restored = ContextManager::new();
         assert_eq!(
             restored.load_snapshot(&snap, &rebuild_with(&rt)).unwrap(),
@@ -1222,7 +1385,8 @@ mod tests {
     }
 
     /// A rolled-back frame leaves the pool exactly as it was: the retry
-    /// defines the same documents at the same indices.
+    /// defines the same documents, descriptions and findings at the same
+    /// indices.
     #[test]
     fn pool_truncate_undoes_a_frame() {
         let rt = Runtime::builder().build();
@@ -1230,19 +1394,143 @@ mod tests {
         manager.set_journal(true);
         manager.register("base entry", ctx(&rt, "base"), 1.0);
         let (_, mut pool) = manager.checkpoint_snapshot();
-        let fresh =
-            Context::builder("n", DataLake::from_docs([Document::new("n.txt", "new")])).build(&rt);
+        assert_eq!(pool.defined(), 2, "a document and a description");
+        let mut fresh = Context::builder("n", DataLake::from_docs([Document::new("n.txt", "new")]))
+            .description("fresh")
+            .build(&rt);
+        fresh.findings = Some(Arc::new(Table::new(Schema::of(["k"]))));
         manager.register("new entry", fresh, 1.0);
         let ops = manager.drain_journal();
         let first = frame_of(7, &ops, &mut pool);
+        assert_eq!(pool.defined(), 5);
+        assert!(
+            first.contains("\tP\tn.txt\tnew\t0\tD\tfresh\tF\t1\tk\t\t0\tC\t"),
+            "{first}"
+        );
+        pool.truncate(2);
         assert_eq!(pool.defined(), 2);
-        assert!(first.contains("\tP\tn.txt\tnew\t0\tC\t"), "{first}");
-        pool.truncate(1);
-        assert_eq!(pool.defined(), 1);
         assert_eq!(frame_of(7, &ops, &mut pool), first);
         // Once the frame is durable, a later one refers back to it.
         let again = frame_of(7, &ops, &mut pool);
-        assert!(!again.contains("\tP\t") && again.starts_with("0000000000000007\t2\tC\t"));
+        assert!(!again.contains("\tP\t") && !again.contains("\tD\t") && !again.contains("\tF\t"));
+        assert!(again.starts_with("0000000000000007\t5\tC\t") && again.ends_with("\t3\t4\t1\t2"));
+    }
+
+    /// Contexts registered with equal descriptions and equal findings
+    /// (separate `String`s and `Arc`s) cost one pool record each, in a
+    /// snapshot and in a frame, and restore sharing one findings `Arc`.
+    #[test]
+    fn repeated_descriptions_and_findings_are_pooled_once_and_restore_shared() {
+        use aida_data::Value;
+        let rt = Runtime::builder().build();
+        let manager = ContextManager::new();
+        manager.set_journal(true);
+        let with = |description: &str, amount: i64| {
+            let mut context = ctx(&rt, description);
+            let mut table = Table::new(Schema::of(["amount"]));
+            table.push_row(vec![Value::Int(amount)]).unwrap();
+            context.findings = Some(Arc::new(table));
+            context
+        };
+        manager.register("first question", with("FINDINGS: the total is 42", 42), 1.0);
+        manager.register(
+            "second question",
+            with("FINDINGS: the total is 42", 42),
+            1.0,
+        );
+        manager.register("third question", with("FINDINGS: the total is 7", 7), 1.0);
+        let (snap, mut pool) = manager.checkpoint_snapshot();
+        assert_eq!(snap.matches("the total is 42").count(), 1, "{snap}");
+        assert_eq!(snap.lines().filter(|l| l.starts_with("F\t")).count(), 2);
+        // A frame inserting the same description and findings again
+        // defines nothing.
+        manager.register(
+            "fourth question",
+            with("FINDINGS: the total is 42", 42),
+            1.0,
+        );
+        let frame = frame_of(
+            snapshot::fnv64(snap.as_bytes()),
+            &manager.drain_journal(),
+            &mut pool,
+        );
+        assert!(
+            !frame.contains("\tD\t") && !frame.contains("\tF\t"),
+            "{frame}"
+        );
+
+        let restored = ContextManager::new();
+        let loaded = restored.load_chain(&snap, &chain(&[frame]), &rebuild_with(&rt));
+        assert_eq!(loaded.unwrap(), (4, 1));
+        assert_eq!(restored.encode_snapshot(), manager.encode_snapshot());
+        let findings_of = |instruction: &str| {
+            let (hit, sim) = restored.find_similar(instruction).unwrap();
+            assert!(sim > 0.99, "{instruction}");
+            hit.context.findings.unwrap()
+        };
+        let first = findings_of("first question");
+        assert!(Arc::ptr_eq(&first, &findings_of("second question")));
+        assert!(Arc::ptr_eq(&first, &findings_of("fourth question")));
+        assert!(!Arc::ptr_eq(&first, &findings_of("third question")));
+    }
+
+    /// `Table: PartialEq` says `0.0 == -0.0` and `NaN != NaN`; the pool
+    /// compares floats by their bits, as the encoding writes them. Tables
+    /// differing only in a zero's sign or a NaN's payload are pooled
+    /// apart and come back bit for bit; a NaN table repeated is pooled
+    /// once.
+    #[test]
+    fn findings_differing_in_float_bits_are_pooled_apart() {
+        use aida_data::Value;
+        let rt = Runtime::builder().build();
+        let bits = [
+            0.0f64.to_bits(),
+            (-0.0f64).to_bits(),
+            f64::NAN.to_bits(),
+            f64::NAN.to_bits() | 1,
+            f64::NAN.to_bits(),
+        ];
+        let manager = ContextManager::new();
+        for (i, &b) in bits.iter().enumerate() {
+            let mut context = ctx(&rt, "one description");
+            let mut table = Table::new(Schema::of(["x", "in a list"]));
+            let x = Value::Float(f64::from_bits(b));
+            table
+                .push_row(vec![x.clone(), Value::List(vec![x])])
+                .unwrap();
+            context.findings = Some(Arc::new(table));
+            manager.register(&format!("question {i} about floats"), context, 1.0);
+        }
+        let (snap, pool) = manager.checkpoint_snapshot();
+        let tables = snap.lines().filter(|l| l.starts_with("F\t")).count();
+        assert_eq!(tables, 4, "{snap}");
+        assert_eq!(
+            pool.defined(),
+            1 + 1 + 4,
+            "a document, a description, four tables"
+        );
+        let restored = ContextManager::new();
+        assert_eq!(
+            restored.load_snapshot(&snap, &rebuild_with(&rt)).unwrap(),
+            5
+        );
+        assert_eq!(restored.encode_snapshot(), snap);
+        for (i, &b) in bits.iter().enumerate() {
+            let (hit, _) = restored
+                .find_similar(&format!("question {i} about floats"))
+                .unwrap();
+            let findings = hit.context.findings.unwrap();
+            let (Some(Value::Float(x)), Some(Value::List(list))) =
+                (findings.cell(0, "x"), findings.cell(0, "in a list"))
+            else {
+                panic!("a float and a list");
+            };
+            assert_eq!(x.to_bits(), b, "{i}");
+            assert!(
+                matches!(list[..], [Value::Float(f)] if f.to_bits() == b),
+                "{i}"
+            );
+        }
     }
 
     mod props {
@@ -1250,18 +1538,37 @@ mod tests {
         use aida_data::Value;
         use proptest::prelude::*;
 
-        /// `(lake indices, cost, findings cells)` per entry.
-        type EntrySpec = (Vec<usize>, f64, Option<Vec<String>>);
+        /// `(lake indices, cost, description, findings)` per entry. A
+        /// description below 3 is one of three shared ones, 3 its own.
+        /// Findings `(0, _)` are one shared table behind one `Arc`,
+        /// `(1, _)` a table equal to it built afresh, and `(2, cells)` a
+        /// table of the entry's own cells.
+        type EntrySpec = (Vec<usize>, f64, usize, Option<(usize, Vec<String>)>);
 
         fn entry_strategy() -> impl Strategy<Value = EntrySpec> {
             (
                 prop::collection::vec(0usize..6, 0..5),
                 0.5f64..50.0,
+                0usize..4,
                 prop_oneof![
                     Just(None),
-                    prop::collection::vec("[a-z\t\\\\,\\[ é]{0,8}", 0..4).prop_map(Some)
+                    (
+                        0usize..3,
+                        prop::collection::vec("[a-z\t\\\\,\\[ é]{0,8}", 0..4)
+                    )
+                        .prop_map(Some)
                 ],
             )
+        }
+
+        fn table_of(cells: &[String]) -> Table {
+            let mut table = Table::new(Schema::of(["cell"]));
+            for cell in cells {
+                table
+                    .push_row(vec![Value::Str(cell.as_str().into())])
+                    .unwrap();
+            }
+            table
         }
 
         proptest! {
@@ -1291,10 +1598,12 @@ mod tests {
                         Arc::new(if i == 2 { doc.with_label("k", Value::Int(2)) } else { doc })
                     })
                     .collect();
+                let shared_cells = ["shared".to_string(), "table".to_string()];
+                let shared = Arc::new(table_of(&shared_cells));
                 let manager = ContextManager::with_capacity(capacity);
                 manager.set_journal(true);
                 let mut base = None;
-                for (i, (picks, cost, cells)) in entries.iter().enumerate() {
+                for (i, (picks, cost, desc, findings)) in entries.iter().enumerate() {
                     if i == split.min(entries.len() - 1) {
                         base = Some(manager.checkpoint_snapshot());
                     }
@@ -1305,20 +1614,29 @@ mod tests {
                             picked.push(Arc::clone(&docs[pick]));
                         }
                     }
+                    let description = match desc {
+                        0..3 => format!("desc\t{desc}"),
+                        _ => format!("own desc\t{i}"),
+                    };
                     let mut context = Context::builder(format!("ctx{i}"), DataLake::from_arcs(picked))
-                        .description(format!("desc\t{i}"))
+                        .description(description)
                         .build(&rt);
-                    if let Some(cells) = cells {
-                        let mut table = Table::new(Schema::of(["cell"]));
-                        for cell in cells {
-                            table.push_row(vec![Value::Str(cell.as_str().into())]).unwrap();
-                        }
-                        context.findings = Some(Arc::new(table));
-                    }
+                    context.findings = findings.as_ref().map(|(kind, cells)| match kind {
+                        0 => Arc::clone(&shared),
+                        1 => Arc::new(table_of(&shared_cells)),
+                        _ => Arc::new(table_of(cells)),
+                    });
                     manager.register(&format!("instruction number {i}"), context, *cost);
                     manager.reuse(&format!("instruction number {}", i / 2), 0.99);
                 }
                 let snap = manager.encode_snapshot();
+                // Each shared description and the shared table are
+                // written at most once.
+                for desc in 0..3 {
+                    let line = format!("D\tdesc\\t{desc}\n");
+                    prop_assert!(snap.matches(&line).count() <= 1);
+                }
+                prop_assert!(snap.matches("\tsshared\t").count() <= 1);
                 let rebuild = rebuild_with(&rt);
 
                 let restored = ContextManager::with_capacity(capacity);

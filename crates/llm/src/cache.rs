@@ -31,11 +31,10 @@
 
 use crate::noise;
 use crate::sim::LlmResponse;
-use crate::snapshot::{self, encode_value, esc, Fields};
+use crate::snapshot::{self, encode_value, esc, push_hex16, push_u64, Fields};
 use crate::usage::UsageSnapshot;
 use aida_data::Value;
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -514,13 +513,14 @@ impl SemanticCache {
             .filter(|(_, e)| e.tick > since.tick)
             .collect();
         used.sort_unstable_by_key(|(_, e)| e.tick);
-        let _ = write!(out, "{base:016x}");
+        push_hex16(out, base);
         for (key, entry) in &used {
             if entry.born > since.tick {
                 out.push_str("\tA\t");
                 encode_entry(key, &entry.resp, out);
             } else {
-                let _ = write!(out, "\tT\t{:016x}\t{:016x}", key.hi, key.lo);
+                out.push_str("\tT\t");
+                push_key(key, out);
             }
         }
         Some((Self::mark_of(&st), !used.is_empty()))
@@ -602,17 +602,22 @@ fn value_bytes(value: &Value) -> usize {
 //   T <hi> <lo>        resident before it, re-ticked since
 // An entry line has a fixed field count, so no second escaping level.
 
+/// Appends `<hi> \t <lo>`, each as 16 hex digits.
+fn push_key(key: &CacheKey, out: &mut String) {
+    push_hex16(out, key.hi);
+    out.push('\t');
+    push_hex16(out, key.lo);
+}
+
 fn encode_entry(key: &CacheKey, resp: &LlmResponse, out: &mut String) {
-    let _ = write!(
-        out,
-        "{:016x}\t{:016x}\t{}\t{}\t{:016x}\t{}\t",
-        key.hi,
-        key.lo,
-        resp.input_tokens,
-        resp.output_tokens,
-        resp.latency_s.to_bits(),
-        u8::from(resp.corrupted),
-    );
+    push_key(key, out);
+    out.push('\t');
+    push_u64(out, resp.input_tokens as u64);
+    out.push('\t');
+    push_u64(out, resp.output_tokens as u64);
+    out.push('\t');
+    push_hex16(out, resp.latency_s.to_bits());
+    out.push_str(if resp.corrupted { "\t1\t" } else { "\t0\t" });
     encode_value(&resp.value, out);
     out.push('\t');
     esc(&resp.text, out);

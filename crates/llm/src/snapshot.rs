@@ -41,7 +41,7 @@
 
 use aida_data::Value;
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -177,6 +177,40 @@ fn unesc(mut raw: &str) -> Result<Cow<'_, str>, SnapshotError> {
     unesc_run(&mut raw, false)
 }
 
+/// Appends `v` in decimal, the digits `format!("{v}")` writes, straight
+/// into `out`: the durable codecs write several numbers per record.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).unwrap_or_default());
+}
+
+/// [`push_u64`] for a signed number, `i64::MIN` included.
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Appends `v` as 16 lowercase hex digits, as `format!("{v:016x}")`.
+pub fn push_hex16(out: &mut String, v: u64) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut digits = [0u8; 16];
+    for (i, digit) in digits.iter_mut().enumerate() {
+        *digit = HEX[(v >> (60 - 4 * i)) as usize & 15];
+    }
+    out.push_str(std::str::from_utf8(&digits).unwrap_or_default());
+}
+
 /// Appends the tagged encoding of a [`Value`] (`n`, `b0`/`b1`, `i…`,
 /// `f<bits>`, `s…`, `l[…]`).
 pub fn encode_value(value: &Value, out: &mut String) {
@@ -185,11 +219,11 @@ pub fn encode_value(value: &Value, out: &mut String) {
         Value::Bool(b) => out.push_str(if *b { "b1" } else { "b0" }),
         Value::Int(i) => {
             out.push('i');
-            out.push_str(&i.to_string());
+            push_i64(out, *i);
         }
         Value::Float(f) => {
             out.push('f');
-            out.push_str(&format!("{:016x}", f.to_bits()));
+            push_hex16(out, f.to_bits());
         }
         Value::Str(s) => {
             out.push('s');
@@ -648,14 +682,17 @@ pub fn commit_atomic(path: &Path, contents: &str, plan: Option<&FailPlan>) -> io
 /// checksum covers the bytes this call added before it.
 fn push_wal_record(out: &mut String, seq: u64, payload: impl FnOnce(&mut String)) {
     let start = out.len();
-    let _ = write!(out, "{seq:016x}\t");
+    push_hex16(out, seq);
+    out.push('\t');
     payload(out);
     debug_assert!(
         !out[start..].contains('\n'),
         "WAL payloads must be newline-free (escape fields with esc)"
     );
     let sum = fnv64(&out.as_bytes()[start..]);
-    let _ = writeln!(out, "\t{sum:016x}");
+    out.push('\t');
+    push_hex16(out, sum);
+    out.push('\n');
 }
 
 /// Encodes one WAL record line (including the trailing newline).
@@ -1492,6 +1529,23 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The number helpers write what `format!` writes, for a
+            /// number of every digit count (`shift` drops high bits).
+            #[test]
+            fn number_helpers_match_format(v in any::<u64>(), shift in 0u32..64) {
+                for v in [v, v >> shift, u64::MAX, 0] {
+                    let signed = v as i64;
+                    let mut out = String::from("x");
+                    push_u64(&mut out, v);
+                    push_i64(&mut out, signed);
+                    push_hex16(&mut out, v);
+                    prop_assert_eq!(out, format!("x{v}{signed}{v:016x}"));
+                }
+                let mut out = String::new();
+                push_i64(&mut out, i64::MIN);
+                prop_assert_eq!(out, i64::MIN.to_string());
+            }
 
             #[test]
             fn esc_matches_the_charwise_reference(s in text()) {

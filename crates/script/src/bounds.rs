@@ -2302,7 +2302,9 @@ mod tests {
         assert_eq!(b.fuel_max, Bound::Finite(6));
         // The same for a `for` loop: its dead `Jump top` is no second
         // entry, so the iterator's length still bounds the trips.
-        let b = assert_sound_and_finite("t = 0\nfor i in range(3):\n    t += 1\n    continue\n    q = 5\nt");
+        let b = assert_sound_and_finite(
+            "t = 0\nfor i in range(3):\n    t += 1\n    continue\n    q = 5\nt",
+        );
         assert_eq!(b.fuel_max, Bound::Finite(19));
     }
 

@@ -185,9 +185,13 @@ fn runtime(capacity: usize) -> Runtime {
         .build()
 }
 
-/// Registers `contexts` over `docs` in `rt`'s manager.
+/// Registers `contexts` over `docs` in `rt`'s manager. Contexts pair
+/// up, `(0, 1)`, `(2, 3)`, …: the pair shares the first one's
+/// instruction as its description and the first one's findings (built
+/// afresh for each), so the pool defines some once and refers back.
 fn register(rt: &Runtime, docs: &[DocSpec], contexts: &[ContextSpec]) {
-    for (i, (instruction, cost_bits, picks, findings)) in contexts.iter().enumerate() {
+    for (i, (instruction, cost_bits, picks, _)) in contexts.iter().enumerate() {
+        let (description, _, _, findings) = &contexts[i - i % 2];
         let lake = DataLake::from_docs(picks.iter().map(|&pick| {
             let (name, content, labels) = &docs[pick % docs.len()];
             labels.iter().fold(
@@ -196,7 +200,7 @@ fn register(rt: &Runtime, docs: &[DocSpec], contexts: &[ContextSpec]) {
             )
         }));
         let mut ctx = Context::builder(format!("ctx{i}"), lake)
-            .description(instruction.as_str())
+            .description(description.as_str())
             .build(rt);
         if let Some((ncols, cells)) = findings {
             let columns = (0..*ncols)
@@ -488,15 +492,15 @@ proptest! {
         })?;
     }
 
-    /// The Context-store snapshot: the document pool, then the Contexts
-    /// with their findings.
+    /// The Context-store snapshot: the pool of documents, descriptions
+    /// and findings, and the Contexts referring to it.
     #[test]
     fn context_store_snapshot(store in store(), edits in edits()) {
         let (docs, contexts) = store;
         let rt = runtime(0);
         register(&rt, &docs, &contexts);
         let encoded = rt.manager().encode_snapshot();
-        check(Some("aida-ctxstore v2"), &encoded, &edits, |text| {
+        check(Some("aida-ctxstore v3"), &encoded, &edits, |text| {
             store_round_trip(0, text, &[])
         })?;
     }

@@ -389,7 +389,7 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
 
     // No restart: the surviving process retries. The frame lands where
     // the durable chain ends, not behind the torn bytes, and defines
-    // gamma's document itself — the failed attempt left nothing in the
+    // gamma's document and description itself — the failed attempt left nothing in the
     // chain's pool for it to refer to.
     assert!(rt.save_state().unwrap());
     assert!(
@@ -399,11 +399,12 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     let retried = fs::read_to_string(&delta).unwrap();
     assert!(retried.as_bytes().starts_with(&intact));
     let frame = &retried[intact.len()..];
-    // Seq 1 again, and a pool of two before it — alpha (snapshot) and
-    // beta (frame 1) — to which it adds gamma.
+    // Seq 1 again, and a pool of four before it — alpha's document and
+    // description (snapshot) and beta's (frame 1) — to which it adds
+    // gamma's.
     assert!(frame.starts_with("0000000000000001\t"), "{frame}");
     assert!(
-        frame.contains("\t2\tP\tgamma.txt\tgamma doc\t0\tC\tgamma instruction\t"),
+        frame.contains("\t4\tP\tgamma.txt\tgamma doc\t0\tD\tgamma\tC\tgamma instruction\t"),
         "{frame}"
     );
     let rt3 = build();
@@ -500,29 +501,36 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
         fs::write(&delta, chain).unwrap();
         build().manager().encode_snapshot()
     };
-    // Frame 1 gone: frame 2 says the pool holds three documents, this
-    // replay has one.
+    // Frame 1 gone: frame 2 says the pool holds five items, this replay
+    // has two.
     assert_eq!(recovered(frames[1..].concat()), frame_states[0]);
     // Frame 2 gone: frame 3 extends a pool that frame 2 had grown.
     let skipped = [frames[0], frames[2], frames[3]].concat();
     assert_eq!(recovered(skipped), frame_states[1]);
-    // After frame 1 the pool holds base, shared and c0 (indices 0-2): a
-    // reference to index 3 points past it, and so does a reference to a
-    // document the same frame only defines afterwards.
-    let entry = "C\trogue instruction\t4000000000000000\t9\trogue\trogue\t0\t1";
+    // After frame 1 the pool holds base's document and description,
+    // then shared, c0's document and c0's description (indices 0-4): a
+    // reference to index 5 points past it, and so does a reference to a
+    // document the same frame only defines afterwards. A description
+    // index must name a description, a findings index a table.
+    let head = "C\trogue instruction\t4000000000000000\t9\trogue";
+    let entry = format!("{head}\t4\t-\t1");
     let define = "P\tlate.txt\tlate\t0";
     for payload in [
-        format!("{base_sum:016x}\t3\t{entry}\t3"),
-        format!("{base_sum:016x}\t3\t{entry}\t3\t{define}"),
-        format!("{base_sum:016x}\t3\t{entry}\t18446744073709551615"),
-        format!("{base_sum:016x}\t3\t{entry}\t-1"),
+        format!("{base_sum:016x}\t5\t{entry}\t5"),
+        format!("{base_sum:016x}\t5\t{entry}\t5\t{define}"),
+        format!("{base_sum:016x}\t5\t{entry}\t18446744073709551615"),
+        format!("{base_sum:016x}\t5\t{entry}\t-1"),
+        format!("{base_sum:016x}\t5\t{entry}\t4"),
+        format!("{base_sum:016x}\t5\t{head}\t2\t-\t1\t3"),
+        format!("{base_sum:016x}\t5\t{head}\t4\t5\t1\t3"),
+        format!("{base_sum:016x}\t5\t{head}\t4\t4\t1\t3"),
     ] {
         let rogue = record_line(&dir, 1, &payload);
         let chain = [frames[0], &rogue, frames[1]].concat();
         assert_eq!(recovered(chain), frame_states[1], "{payload:?}");
     }
     // The same entry with a backward reference is a frame like any other.
-    let fine = record_line(&dir, 1, &format!("{base_sum:016x}\t3\t{entry}\t1"));
+    let fine = record_line(&dir, 1, &format!("{base_sum:016x}\t5\t{entry}\t2"));
     let got = recovered([frames[0], &fine].concat());
     assert!(got.contains("rogue instruction") && !frame_states.contains(&got));
 }
@@ -548,14 +556,14 @@ fn v1_state_is_rejected_and_the_runtime_starts_cold() {
         .build(&rt);
     rt.manager().register("count the reports", ctx, 1.0);
     assert!(rt.save_state().unwrap());
-    let v2 = fs::read_to_string(&state).unwrap();
-    assert!(v2.starts_with("aida-ctxstore v2\n"));
+    let v3 = fs::read_to_string(&state).unwrap();
+    assert!(v3.starts_with("aida-ctxstore v3\n"));
     drop(rt);
 
     // The same body under the old magic (one `D` line per Context's
     // document would sit where the pool lines are; the reader does not
     // get that far).
-    let body = v2.splitn(4, '\n').nth(3).unwrap();
+    let body = v3.splitn(4, '\n').nth(3).unwrap();
     fs::write(&state, snapshot::encode_file("aida-ctxstore v1", body)).unwrap();
     let cold = build();
     assert!(
@@ -571,15 +579,75 @@ fn v1_state_is_rejected_and_the_runtime_starts_cold() {
         "and a rejected load changes nothing"
     );
 
-    // A v2 snapshot with a chain whose frame is stamped for it but laid
-    // out the old way: `<base_sum> \t <escaped I record>`.
-    fs::write(&state, &v2).unwrap();
-    let base_sum = snapshot::fnv64(v2.as_bytes());
+    // A current snapshot with a chain whose frame is stamped for it but
+    // laid out the v1 way: `<base_sum> \t <escaped I record>`.
+    fs::write(&state, &v3).unwrap();
+    let base_sum = snapshot::fnv64(v3.as_bytes());
     let v1_frame = format!("{base_sum:016x}\tI\\tC\\\\tother\\\\t3ff0000000000000");
     let delta = cold.delta_path().unwrap();
     fs::write(&delta, record_line(&dir, 0, &v1_frame)).unwrap();
     let warm = build();
-    assert_eq!(warm.manager().encode_snapshot(), v2, "the snapshot alone");
+    assert_eq!(warm.manager().encode_snapshot(), v3, "the snapshot alone");
+}
+
+/// The v2 format wrote each Context's description and findings inline
+/// in its `C` record; v3 pools them. A v2 snapshot is a typed format
+/// error and the runtime starts cold, and a v2-shaped frame under a
+/// matching stamp ends the chain.
+#[test]
+fn v2_state_is_rejected_and_the_runtime_starts_cold() {
+    let dir = TestDir::new("v2-state");
+    let state = dir.file("state.bin");
+    let build = || {
+        Runtime::builder()
+            .seed(7)
+            .state_path(&state)
+            .delta_checkpoints(true)
+            .build()
+    };
+    let description = "FTC identity theft reports by year";
+    let rt = build();
+    let lake = DataLake::from_docs([Document::new("a.txt", "alpha")]);
+    let ctx = Context::builder("lake", lake)
+        .description(description)
+        .build(&rt);
+    rt.manager().register("count the reports", ctx, 1.0);
+    assert!(rt.save_state().unwrap());
+    let v3 = fs::read_to_string(&state).unwrap();
+    drop(rt);
+
+    // What v2 wrote for the same store.
+    let entry = format!("C\tcount the reports\t3ff0000000000000\t1\tlake\t{description}\t0\t1\t0");
+    let v2_body = format!("T\t1\nP\ta.txt\talpha\t0\n{entry}\n");
+    fs::write(&state, snapshot::encode_file("aida-ctxstore v2", &v2_body)).unwrap();
+    let cold = build();
+    assert!(
+        cold.manager().is_empty(),
+        "a v2 file starts the runtime cold"
+    );
+    assert!(matches!(
+        cold.load_state(),
+        Err(SnapshotError::Format(msg)) if msg.contains("bad magic")
+    ));
+    assert!(cold.manager().is_empty());
+
+    // A v3 snapshot, and a frame stamped for it and its pool (the
+    // document and the description) that inserts a Context the v2 way.
+    fs::write(&state, &v3).unwrap();
+    let base_sum = snapshot::fnv64(v3.as_bytes());
+    let v2_frame = format!(
+        "{base_sum:016x}\t2\t{}",
+        entry.replace("count the", "other")
+    );
+    let delta = cold.delta_path().unwrap();
+    fs::write(&delta, record_line(&dir, 0, &v2_frame)).unwrap();
+    let warm = build();
+    assert_eq!(warm.manager().encode_snapshot(), v3, "the snapshot alone");
+    // The same frame in the v3 layout applies.
+    let v3_frame =
+        format!("{base_sum:016x}\t2\tC\tother reports\t3ff0000000000000\t2\tlake\t1\t-\t1\t0");
+    fs::write(&delta, record_line(&dir, 0, &v3_frame)).unwrap();
+    assert_eq!(build().manager().len(), 2);
 }
 
 /// A Context evicted between full snapshots must not resurrect through
