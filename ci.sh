@@ -12,8 +12,9 @@ cargo test -q --workspace
 # trace line. Regenerate them with the release binaries and compare with
 # the committed canonical files (the soak is the full one: that is what
 # results/ holds, and it takes seconds). None of the thirty-four carries
-# a byte count of the state files, so a change to the on-disk format of
-# durable state leaves them alone. The ten traces are the only pinned
+# a byte count of the state files; the soak's durable directory (its
+# Context-store snapshot and the ledger's log, `serve_soak_durable/`) is
+# compared file for file as well. The ten traces are the only pinned
 # record of the traced path: every span, event and counter (cache hits
 # and the `memo.*` counters included) the binaries' traced runs export.
 pinned_bins=(table1 table2 figure1 figure2 serve_soak
@@ -34,6 +35,16 @@ done
 for f in "${pinned_files[@]}"; do
   cmp "target/ci-results/$f" "results/$f"
 done
+# The soak's durable directory, file for file (names included), but for
+# the semantic cache's snapshot: its entries are in the order the
+# parallel workers admitted them, so two runs write it differently.
+cmp_durable() {
+  diff <(ls "$1/serve_soak_durable" | grep -vx semcache.bin) <(ls results/serve_soak_durable)
+  for f in results/serve_soak_durable/*; do
+    cmp "$1/serve_soak_durable/${f##*/}" "$f"
+  done
+}
+cmp_durable target/ci-results
 
 # Fork-join: `parallel_map` runs a batch on as many host threads as the
 # process has CPUs, and inline on one. The same thirty-four files must come
@@ -50,6 +61,7 @@ if command -v taskset >/dev/null; then
   for f in "${pinned_files[@]}"; do
     cmp "target/ci-results-1cpu/$f" "results/$f"
   done
+  cmp_durable target/ci-results-1cpu
 else
   echo "ci.sh: taskset not found; skipping the one-CPU regeneration" >&2
 fi

@@ -23,7 +23,7 @@
 //! indices, not text.
 //!
 //! Bytes are measured from the files themselves (state-file size per
-//! full rewrite, delta-chain growth per frame), so the canonical
+//! full rewrite, log growth per frame), so the canonical
 //! metrics in `results/BENCH_checkpoint.json` are byte-identical across
 //! same-seed runs; wall-clock timings are printed for context but never
 //! emitted. A serve-style coda appends the same ledger records
@@ -42,6 +42,7 @@
 use aida_bench::BenchResult;
 use aida_core::{Context, Runtime};
 use aida_data::{DataLake, Document, Schema, Table, Value};
+use aida_llm::snapshot::{read_records, StoreId};
 use aida_llm::WallStopwatch;
 use aida_serve::{LedgerRecord, LedgerWal};
 use std::path::Path;
@@ -131,8 +132,14 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
     assert!(rt.save_state().expect("seeding checkpoint"), "seed save");
 
     // The pool: however many Contexts hold a document, the snapshot
-    // writes it once.
-    let seeded = std::fs::read_to_string(&state).expect("seeded state file");
+    // writes it once. In delta mode the snapshot is the log's first
+    // generation, and the frames go to the log's segments.
+    let log = rt.log();
+    let seeded_path = match log {
+        Some(log) => log.lock().snapshot_path(StoreId::State).expect("seeded"),
+        None => state.clone(),
+    };
+    let seeded = std::fs::read_to_string(seeded_path).expect("seeded state file");
     let pool_docs = seeded.lines().filter(|l| l.starts_with("P\t")).count();
     let distinct = LAKE_DOCS.min(scale + DOCS_PER_CONTEXT - 1);
     assert_eq!(
@@ -150,19 +157,26 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
         "scale {scale}: one pool line per distinct table"
     );
 
-    let delta_path = if delta { rt.delta_path() } else { None };
+    let log_len = || {
+        let segments = log.map(|log| log.lock().segment_paths());
+        segments
+            .unwrap_or_default()
+            .iter()
+            .map(|p| file_len(p))
+            .sum::<u64>()
+    };
     let mut bytes_written = 0u64;
     let mut frames = 0u64;
     let watch = WallStopwatch::start();
-    let mut last_delta_len = delta_path.as_deref().map(file_len).unwrap_or(0);
+    let mut last_delta_len = log_len();
     for i in 0..CYCLES {
         let target = (i * 7) % scale;
         rt.manager()
             .reuse(&format!("seed instruction {target}"), 0.9)
             .expect("touch hits the registered instruction");
         assert!(rt.save_state().expect("cycle checkpoint"), "cycle save");
-        if let Some(path) = delta_path.as_deref() {
-            let len = file_len(path);
+        if delta {
+            let len = log_len();
             bytes_written += len - last_delta_len;
             last_delta_len = len;
             frames += 1;
@@ -174,10 +188,10 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
     let wall_s = watch.elapsed_s();
 
     // One more frame, this time an insert: the new Context holds three
-    // documents, a description and a findings table the chain holds, and
+    // documents, a description and a findings table the log holds, and
     // the frame names them by index.
     let mut insert_frame_bytes = 0;
-    if let Some(path) = delta_path.as_deref() {
+    if let Some(log) = log {
         let newcomer = (0..LAKE_DOCS)
             .find(|i| distinct == LAKE_DOCS || i + DOCS_PER_CONTEXT <= distinct)
             .expect("some window of the lake is already in the pool");
@@ -187,18 +201,26 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
             1.0,
         );
         assert!(rt.save_state().expect("insert checkpoint"), "insert save");
-        insert_frame_bytes = file_len(path) - last_delta_len;
-        let chain = std::fs::read_to_string(path).expect("delta chain");
+        insert_frame_bytes = log_len() - last_delta_len;
+        // The seeding snapshot covers the log from its first record on.
+        let segment = log.lock().segment_paths().remove(0);
+        let bytes = std::fs::read(segment).expect("log segment");
+        let frames = read_records(&bytes, 0).records;
+        assert_eq!(
+            frames.len(),
+            CYCLES + 1,
+            "scale {scale}: one record a frame"
+        );
         for tag in ["\tP\t", "\tD\t", "\tF\t"] {
             assert!(
-                !chain.contains(tag),
+                frames.iter().all(|frame| !frame.payload.contains(tag)),
                 "scale {scale}: a frame over known pool items defines none"
             );
         }
     }
 
-    // The chain must replay to exactly the live store before we credit
-    // the bytes saved.
+    // The log must replay to exactly the live store before we credit the
+    // bytes saved.
     let rebuilt = Runtime::builder()
         .seed(42)
         .context_capacity(4096)

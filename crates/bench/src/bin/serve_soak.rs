@@ -24,7 +24,7 @@
 //! `ServiceReport`, byte-identical `results/traces/serve_soak.jsonl` and
 //! `results/health.jsonl`. `SERVE_SOAK_SMOKE=1` shrinks the workload for
 //! CI. `SERVE_SOAK_CRASH=1` additionally runs a crash-forensics probe: a
-//! `FailPlan` tears a ledger-WAL append mid-record, which must leave a
+//! `FailPlan` tears a ledger commit mid-record, which must leave a
 //! parseable flight-recorder dump at `results/traces/flight_<seed>.jsonl`.
 //! Recorder overhead (tracing on vs off, wall clock) is printed so
 //! EXPERIMENTS.md can cite a measured number.
@@ -33,7 +33,7 @@
 //! (the baseline) and once with group commit + a segmented WAL. The
 //! full soak demands at least a 5x fsyncs/query reduction at
 //! bit-identical per-tenant dollars, and the grouped restart must
-//! replay `snapshot → sealed segments → tail`.
+//! replay the ledger's log across full segments.
 
 use aida_bench::{BenchResult, SemcacheBench};
 use aida_core::{Context, Runtime};
@@ -144,10 +144,9 @@ fn build_service(
     if let Some(dir) = durable {
         let mut wal = LedgerWal::open(dir.join("ledger.wal"));
         if group_commit > 1 {
-            // The group-commit phase exercises the full log-structured
-            // stack: batched flushes land in a tail that seals into
-            // immutable segments, and the restart replays
-            // snapshot → sealed segments → tail.
+            // The group-commit phase exercises the whole log: group
+            // commits fill segments of 32 records, and the restart
+            // replays the snapshot and then every segment.
             wal = wal.segment_records(32);
         }
         if let Some(point) = crash {
@@ -218,7 +217,7 @@ fn crash_probe(seed: u64, requests: &[QueryRequest]) {
         true,
         Some(&crash_dir),
         true,
-        Some(CrashPoint::WalTornAppend),
+        Some(CrashPoint::LogTornCommit),
         0,
         None,
     );

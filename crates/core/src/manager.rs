@@ -278,8 +278,8 @@ impl ContextManager {
 
     /// [`ContextManager::encode_snapshot`] for a full checkpoint: also
     /// empties the journal, in the same critical section, and returns
-    /// the pool the snapshot defined, which the delta chain extending it
-    /// refers into. The snapshot holds every mutation
+    /// the pool the snapshot defined, which the delta sections after it
+    /// refer into. The snapshot holds every mutation
     /// journaled before it and the journal every one after it, so a
     /// mutation made while the snapshot is being written is in exactly
     /// one of them.
@@ -329,20 +329,15 @@ impl ContextManager {
     }
 
     /// Decodes one delta section and checks it applies to `replica`:
-    /// stamped `base` (the FNV-64 of the snapshot the replica was
-    /// decoded from) and for the replica's pool, well-formed, every pool
-    /// index naming an item of its kind and every entry index in range.
+    /// stamped for the replica's pool, well-formed, every pool index
+    /// naming an item of its kind and every entry index in range.
     pub fn decode_section(
         &self,
         replica: &StoreReplica,
-        base: u64,
         section: &str,
         rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
     ) -> Result<StoreSection, SnapshotError> {
         let mut fields = Fields::new(section.split(SEPARATORS));
-        if fields.hex("bad frame stamp")? != base {
-            return Err(fail("frame of another snapshot"));
-        }
         if fields.num::<usize>("bad pool length")? != replica.pool.len() {
             return Err(fail("frame of another pool"));
         }
@@ -407,12 +402,12 @@ const STORE_MAGIC: &str = "aida-ctxstore v3";
 // to its items by index — backwards only, each of its field's kind, `-`
 // for no findings. A snapshot body is `T <tick>` and then pool and `C`
 // records, one per line, each item before the first entry that holds
-// it. A delta frame is ONE line, `<base_sum:hex16> <pool-length>` and
-// then records of any tag separated by tabs: every record says how many
-// fields it has, so no second level of escaping is needed. The chain's
-// pool is the snapshot's plus what earlier frames defined; a frame's
-// stamp names both, so it applies to nothing else. (v2 wrote
-// descriptions and findings inline in `C` records; it is refused.)
+// it. A delta section is ONE line, `<pool-length>` and then records of
+// any tag separated by tabs: every record says how many fields it has,
+// so no second level of escaping is needed. The pool is the snapshot's
+// plus what earlier sections defined; the stamp says how long it must
+// be. (v2 wrote descriptions and findings inline in `C` records; it is
+// refused.)
 //
 // Documents round-trip through `Document::new(name, content)` (which
 // derives `id` and `kind` from the name) plus explicit labels, so the
@@ -667,14 +662,12 @@ fn encode_entry(entry: &MaterializedContext, pool: &mut DocPool, sep: char, out:
 }
 
 /// Appends drained journal operations to `out` as the Context store's
-/// delta section (newline-free), stamped with the snapshot it extends
-/// and the length of the chain's pool before it. Items the section
-/// introduces are defined in it and added to `pool`; the caller rolls
-/// `pool` back ([`DocPool::truncate`]) if the frame does not reach the
-/// disk.
-pub fn encode_delta_frame(base_sum: u64, ops: &[JournalOp], pool: &mut DocPool, out: &mut String) {
-    push_hex16(out, base_sum);
-    tab_num(out, pool.defined() as u64);
+/// delta section (newline-free), stamped with the length of the pool
+/// before it. Items the section introduces are defined in it and added
+/// to `pool`; the caller rolls `pool` back ([`DocPool::truncate`]) if
+/// the section does not reach the disk.
+pub fn encode_delta_frame(ops: &[JournalOp], pool: &mut DocPool, out: &mut String) {
+    push_u64(out, pool.defined() as u64);
     for op in ops {
         match op {
             JournalOp::Insert(entry) => encode_entry(entry, pool, '\t', out),
@@ -931,10 +924,9 @@ mod tests {
             rebuild: &dyn Fn(&str, DataLake, &str) -> Context,
         ) -> Result<(usize, usize), SnapshotError> {
             let mut replica = self.decode_replica(text, rebuild)?;
-            let base = snapshot::fnv64(text.as_bytes());
             let mut applied = 0;
             for (_, section) in frames {
-                let Ok(section) = self.decode_section(&replica, base, section, rebuild) else {
+                let Ok(section) = self.decode_section(&replica, section, rebuild) else {
                     break;
                 };
                 replica.apply(section);
@@ -1182,14 +1174,13 @@ mod tests {
     }
 
     /// [`encode_delta_frame`]'s section, on its own.
-    fn frame_of(base_sum: u64, ops: &[JournalOp], pool: &mut DocPool) -> String {
+    fn frame_of(ops: &[JournalOp], pool: &mut DocPool) -> String {
         let mut out = String::new();
-        encode_delta_frame(base_sum, ops, pool, &mut out);
+        encode_delta_frame(ops, pool, &mut out);
         out
     }
 
-    /// `(seq, payload)` records as the WAL replay hands them to
-    /// `load_chain`.
+    /// `(seq, payload)` records as the log hands them to `load_chain`.
     fn chain(frames: &[String]) -> Vec<(u64, String)> {
         (0u64..).zip(frames.iter().cloned()).collect()
     }
@@ -1214,7 +1205,7 @@ mod tests {
             1,
             "the journal holds only what followed the snapshot"
         );
-        let frame = frame_of(snapshot::fnv64(base.as_bytes()), &ops, &mut pool);
+        let frame = frame_of(&ops, &mut pool);
         let replica = ContextManager::new();
         let loaded = replica.load_chain(&base, &chain(&[frame]), &rebuild_with(&rt));
         assert_eq!(loaded.unwrap(), (3, 1));
@@ -1232,7 +1223,6 @@ mod tests {
         manager.register("expensive exhaustive legal scan", ctx(&rt, "a"), 2.0);
         let (base, mut pool) = manager.checkpoint_snapshot();
         assert!(manager.drain_journal().is_empty(), "the snapshot holds it");
-        let base_sum = snapshot::fnv64(base.as_bytes());
 
         // Mutations after the base: insert, recency bump, insert that
         // evicts (capacity 2 — the cheap probe is the victim).
@@ -1247,8 +1237,8 @@ mod tests {
             ops.iter().any(|op| matches!(op, JournalOp::Evict(_))),
             "the over-capacity insert journals its eviction"
         );
-        let frame = frame_of(base_sum, &ops, &mut pool);
-        assert!(!frame.contains('\n'), "a frame is one WAL line");
+        let frame = frame_of(&ops, &mut pool);
+        assert!(!frame.contains('\n'), "a section is one log record");
 
         let rebuild = rebuild_with(&rt);
         let replica = ContextManager::with_capacity(2);
@@ -1261,11 +1251,10 @@ mod tests {
         // rest of the chain — instead of applying garbage, and an
         // in-range operation ahead of the bad one is not applied either
         // (a frame is all or nothing): the snapshot alone is what loads.
-        // So it is for frames stamped for another snapshot or another
-        // pool length, and for pool indices that name an item of another
-        // kind or none: the base's pool is document `a.txt` (0) and
-        // description `a` (1).
-        let stamp = format!("{base_sum:016x}\t2");
+        // So it is for frames stamped for another pool length, and for
+        // pool indices that name an item of another kind or none: the
+        // base's pool is document `a.txt` (0) and description `a` (1).
+        let stamp = "2";
         let entry = format!("{stamp}\tC\ti\t0\t9\tid");
         for bad in [
             format!("{stamp}\tB\t99\t7"),
@@ -1279,8 +1268,8 @@ mod tests {
             format!("{entry}\t1\t1\t0"),
             format!("{entry}\t1\t-\t1\t1"),
             format!("{entry}\t2\t-\t0\tD\tlate"),
-            format!("{:016x}\t2\tB\t0\t9", base_sum ^ 1),
-            format!("{base_sum:016x}\t1\tB\t0\t9"),
+            "3\tB\t0\t9".to_string(),
+            "1\tB\t0\t9".to_string(),
         ] {
             let cold = ContextManager::with_capacity(2);
             let loaded = cold.load_chain(&base, &chain(std::slice::from_ref(&bad)), &rebuild);
@@ -1401,7 +1390,7 @@ mod tests {
         fresh.findings = Some(Arc::new(Table::new(Schema::of(["k"]))));
         manager.register("new entry", fresh, 1.0);
         let ops = manager.drain_journal();
-        let first = frame_of(7, &ops, &mut pool);
+        let first = frame_of(&ops, &mut pool);
         assert_eq!(pool.defined(), 5);
         assert!(
             first.contains("\tP\tn.txt\tnew\t0\tD\tfresh\tF\t1\tk\t\t0\tC\t"),
@@ -1409,11 +1398,11 @@ mod tests {
         );
         pool.truncate(2);
         assert_eq!(pool.defined(), 2);
-        assert_eq!(frame_of(7, &ops, &mut pool), first);
+        assert_eq!(frame_of(&ops, &mut pool), first);
         // Once the frame is durable, a later one refers back to it.
-        let again = frame_of(7, &ops, &mut pool);
+        let again = frame_of(&ops, &mut pool);
         assert!(!again.contains("\tP\t") && !again.contains("\tD\t") && !again.contains("\tF\t"));
-        assert!(again.starts_with("0000000000000007\t5\tC\t") && again.ends_with("\t3\t4\t1\t2"));
+        assert!(again.starts_with("5\tC\t") && again.ends_with("\t3\t4\t1\t2"));
     }
 
     /// Contexts registered with equal descriptions and equal findings
@@ -1449,11 +1438,7 @@ mod tests {
             with("FINDINGS: the total is 42", 42),
             1.0,
         );
-        let frame = frame_of(
-            snapshot::fnv64(snap.as_bytes()),
-            &manager.drain_journal(),
-            &mut pool,
-        );
+        let frame = frame_of(&manager.drain_journal(), &mut pool);
         assert!(
             !frame.contains("\tD\t") && !frame.contains("\tF\t"),
             "{frame}"
@@ -1646,10 +1631,9 @@ mod tests {
                 let (base, mut pool) = base.expect("split is within the entries");
                 let ops = manager.drain_journal();
                 let mid = ops.len() / 2;
-                let sum = snapshot::fnv64(base.as_bytes());
                 let frames = chain(&[
-                    frame_of(sum, &ops[..mid], &mut pool),
-                    frame_of(sum, &ops[mid..], &mut pool),
+                    frame_of(&ops[..mid], &mut pool),
+                    frame_of(&ops[mid..], &mut pool),
                 ]);
                 let replayed = ContextManager::with_capacity(capacity);
                 let loaded = replayed.load_chain(&base, &frames, &rebuild).unwrap();

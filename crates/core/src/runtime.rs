@@ -1,10 +1,10 @@
 //! The runtime: shared services every query uses.
 
-use crate::chain::DeltaState;
+use crate::chain::{open_log, DeltaState};
 use crate::manager::ContextManager;
 use aida_agents::StepCache;
 use aida_data::Table;
-use aida_llm::snapshot::{self, FailPlan, SnapshotError};
+use aida_llm::snapshot::{self, FailPlan, SharedLog, SnapshotError};
 use aida_llm::{SimLlm, UsageSnapshot};
 use aida_obs::{registry, Event, Recorder, SpanKind};
 use aida_optimizer::{Policy, SampleMemo};
@@ -41,30 +41,34 @@ pub struct RuntimeConfig {
     /// repeats cost zero dollars/tokens and a small hit latency.
     pub semantic_cache: usize,
     /// Snapshot path for the semantic cache: loaded (best-effort, with
-    /// the delta chain in delta mode) at build so a restart keeps a warm
-    /// cache, written on [`Runtime::save_cache`] and at the ops-interval
-    /// checkpoint. A corrupt snapshot starts cold.
+    /// the log in delta mode) at build so a restart keeps a warm cache,
+    /// written on [`Runtime::save_cache`] and at the ops-interval
+    /// checkpoint. A corrupt snapshot starts cold. In delta mode the
+    /// snapshots are `<cache_path>.<generation>`, and without a state
+    /// path the runtime's log lives here.
     pub cache_path: Option<std::path::PathBuf>,
     /// Snapshot path for the ContextManager store: loaded (best-effort)
     /// at build so a restart keeps every materialized Context, written on
     /// [`Runtime::save_state`] and at the ops-interval checkpoint. A
-    /// corrupt snapshot starts cold.
+    /// corrupt snapshot starts cold. In delta mode the snapshots are
+    /// `<state_path>.<generation>` and the runtime's log lives here:
+    /// the manifest `<state_path>.manifest` and the segments
+    /// `<state_path>.<first seq>.log`.
     pub state_path: Option<std::path::PathBuf>,
     /// Checkpoint the durable state (ContextManager snapshot + semantic
     /// cache) every N agentic operator completions (0 = only on explicit
     /// [`Runtime::save_state`] / [`Runtime::save_cache`]).
     pub checkpoint_interval: u64,
     /// Incremental checkpoints: when set, a checkpoint
-    /// ([`Runtime::save_state`], and the ops-interval one) appends one
-    /// checksummed delta frame between full snapshots — the
-    /// ContextManager's mutation journal and what the semantic cache used
-    /// since the last checkpoint, together, to one chain
-    /// ([`Runtime::delta_path`]) — so checkpoint cost tracks what changed
-    /// instead of total store size.
+    /// ([`Runtime::save_state`], and the ops-interval one) commits one
+    /// checksummed frame to the runtime's log ([`Runtime::log`]) between
+    /// full snapshots — the ContextManager's mutation journal and what
+    /// the semantic cache used since the last checkpoint, together — so
+    /// checkpoint cost tracks what changed instead of total store size.
     pub delta_checkpoints: bool,
-    /// In delta mode, rewrite both full snapshots (and reset the delta
-    /// chain) after this many delta frames (default 16). Bounds recovery
-    /// replay length; 0 acts as 1, a full snapshot every other save.
+    /// In delta mode, rewrite both full snapshots after this many delta
+    /// frames (default 16). Bounds recovery replay length; 0 acts as 1,
+    /// a full snapshot every other save.
     pub full_snapshot_every: u64,
     /// Where the flight recorder dumps its ring of recent events when a
     /// crash seam fires, a recovery path runs, or an SLO alert trips
@@ -104,7 +108,9 @@ pub struct Runtime {
     catalog: Arc<Mutex<Catalog>>,
     /// Agentic operator completions, driving the ops-interval checkpoint.
     ops_done: Arc<AtomicU64>,
-    /// Incremental-checkpoint chain position (delta mode only).
+    /// The log the durable stores share (delta mode only).
+    log: Option<SharedLog>,
+    /// Where the checkpointer stands in the log (delta mode only).
     pub(crate) delta: Arc<Mutex<DeltaState>>,
     /// Compiled agent steps, shared by every agentic operator's agents.
     steps: StepCache,
@@ -176,8 +182,8 @@ impl Runtime {
     }
 
     /// Spills the semantic cache to the configured `cache_path`. In delta
-    /// mode the cache's snapshot is part of the runtime's delta chain, so
-    /// this is a full rewrite of both snapshots, which ends the chain.
+    /// mode the cache's snapshot is one of the log's, so this is a full
+    /// rewrite of every snapshot, under one manifest commit.
     /// Returns whether a snapshot was written (false when the cache or
     /// the path is not configured).
     pub fn save_cache(&self) -> std::io::Result<bool> {
@@ -199,23 +205,23 @@ impl Runtime {
         self.save_state_with(None)
     }
 
-    /// The delta chain the durable stores share: `<state_path>.delta`,
-    /// or `<cache_path>.delta` for a runtime whose only durable store is
-    /// the semantic cache.
-    pub fn delta_path(&self) -> Option<std::path::PathBuf> {
-        self.chain_path()
+    /// The log the durable stores share in delta mode, at the state
+    /// path or, for a runtime whose only durable store is the semantic
+    /// cache, at the cache path. A service's tenant ledger joins it.
+    pub fn log(&self) -> Option<&SharedLog> {
+        self.log.as_ref()
     }
 
     /// [`Runtime::save_state`] with an optional crash-injection plan
     /// (threaded through by the durability suite). In delta mode
     /// ([`RuntimeConfig::delta_checkpoints`]) this is the checkpoint of
-    /// every durable store, the semantic cache's too: it appends one
-    /// checksummed frame to the shared chain, carrying the Context
-    /// store's journal of mutations and the cache's uses since the
-    /// previous checkpoint; on the first checkpoint, every
+    /// every durable store, the semantic cache's too: it commits one
+    /// checksummed frame to the log, carrying the Context store's journal
+    /// of mutations and the cache's uses since the previous checkpoint;
+    /// on the first checkpoint, every
     /// [`RuntimeConfig::full_snapshot_every`] frames, after any restore
-    /// and once an entry has left the cache it rewrites both full
-    /// snapshots and resets the chain.
+    /// and once an entry has left the cache it rewrites every snapshot
+    /// under one manifest commit.
     pub fn save_state_with(&self, plan: Option<&FailPlan>) -> std::io::Result<bool> {
         if self.config.delta_checkpoints {
             return self.checkpoint_chain(false, plan);
@@ -232,14 +238,13 @@ impl Runtime {
     }
 
     /// Restores the ContextManager store from the configured
-    /// `state_path` (and, in delta mode, the delta chain), replacing the
-    /// current store. Returns how many Contexts were restored (0 when no
+    /// `state_path` (in delta mode, the snapshot the manifest names and
+    /// the log), replacing the current store. Returns how many Contexts were restored (0 when no
     /// path is configured or the snapshot file does not exist yet — a
     /// normal cold start). A corrupt or truncated snapshot is rejected as
     /// [`SnapshotError`] and the store is left untouched. After a
-    /// restore, the next checkpoint rewrites the full snapshots, so the
-    /// chain on disk is never extended against a base it didn't come
-    /// from.
+    /// restore, the next checkpoint rewrites the full snapshots, so no
+    /// frame is written against a base it didn't come from.
     pub fn load_state(&self) -> Result<usize, SnapshotError> {
         self.recover_stores(false)
     }
@@ -474,9 +479,9 @@ impl RuntimeBuilder {
     }
 
     /// Enables incremental (delta-frame) checkpoints: checkpoints
-    /// between full snapshots append only what the Context store and the
-    /// semantic cache changed, as one frame, to one delta chain
-    /// ([`Runtime::delta_path`]).
+    /// between full snapshots commit only what the Context store and the
+    /// semantic cache changed, as one frame, to the runtime's log
+    /// ([`Runtime::log`]).
     pub fn delta_checkpoints(mut self, enable: bool) -> Self {
         self.config.delta_checkpoints = enable;
         self
@@ -524,6 +529,7 @@ impl RuntimeBuilder {
             env = env.with_recorder(recorder);
         }
         let runtime = Runtime {
+            log: open_log(&self.config),
             env,
             manager: ContextManager::with_capacity(self.config.context_capacity),
             catalog: Arc::new(Mutex::new(Catalog::new())),
@@ -645,7 +651,6 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("aida-runtime-cache-chain-{}", std::process::id()));
         let path = dir.join("sem.cache");
-        let chain = snapshot::delta_path(&path);
         let build = |delta| {
             Runtime::builder()
                 .semantic_cache(64)
@@ -679,33 +684,33 @@ mod tests {
                 get(registry::CHECKPOINT_BYTES),
             )
         };
+        let len = |path: &std::path::Path| std::fs::metadata(path).unwrap().len();
         let rt = build(true);
-        assert_eq!(rt.delta_path(), Some(chain.clone()), "the cache's chain");
+        let log = rt.log().expect("the cache's log");
+        let segments = || log.lock().segment_paths();
         use_key(&rt, 1);
         rt.checkpoint().unwrap(); // the first: full
-        assert!(path.exists() && !chain.exists());
-        assert_eq!(written(&rt), (1, std::fs::metadata(&path).unwrap().len()));
+        let snapshot = log.lock().snapshot_path(snapshot::StoreId::Cache).unwrap();
+        let manifest = dir.join("sem.cache.manifest");
+        assert!(snapshot.exists() && segments().is_empty());
+        assert_eq!(written(&rt), (1, len(&snapshot) + len(&manifest)));
         use_key(&rt, 2);
         rt.checkpoint().unwrap();
-        assert!(chain.exists(), "then a frame");
-        let frame = std::fs::metadata(&chain).unwrap().len();
-        assert_eq!(
-            written(&rt).1,
-            std::fs::metadata(&path).unwrap().len() + frame
-        );
+        let frame = len(&segments()[0]);
+        assert_eq!(written(&rt).1, len(&snapshot) + len(&manifest) + frame);
         assert!(rt.save_cache().unwrap());
-        assert!(!chain.exists(), "an explicit save ends the chain");
+        assert!(segments().is_empty(), "an explicit save covers the log");
         use_key(&rt, 3);
         rt.checkpoint().unwrap();
         assert_eq!(build(true).cache_stats().unwrap().entries, 3);
         // Without delta mode every checkpoint is a full save, counted, and
-        // no chain is read or written.
+        // no log is read or written.
         std::fs::remove_dir_all(&dir).unwrap();
         let rt = build(false);
+        assert!(rt.log().is_none());
         use_key(&rt, 4);
         rt.checkpoint().unwrap();
-        assert!(!chain.exists());
-        assert_eq!(written(&rt), (1, std::fs::metadata(&path).unwrap().len()));
+        assert_eq!(written(&rt), (1, len(&path)));
         assert_eq!(build(false).cache_stats().unwrap().entries, 1);
         std::fs::remove_dir_all(&dir).ok();
     }

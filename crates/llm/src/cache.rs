@@ -21,9 +21,9 @@
 //!    service restart keeps a warm cache. A truncated or garbled
 //!    snapshot is rejected (the caller starts cold); it never panics.
 //!    Between full snapshots, a runtime checkpoints only what changed:
-//!    [`SemanticCache::encode_section`] writes the cache's section of
-//!    the runtime's delta frame, and a [`CacheReplica`] replays such
-//!    sections on top of a snapshot.
+//!    [`SemanticCache::encode_section`] writes the cache's record of a
+//!    checkpoint in the runtime's log, and a [`CacheReplica`] replays
+//!    such sections on top of a snapshot.
 //!
 //! Hits cost zero dollars and zero tokens; they are reported with a
 //! small fixed latency ([`HIT_LATENCY_S`]) so virtual-time accounting
@@ -490,19 +490,14 @@ impl SemanticCache {
         }
     }
 
-    /// Appends to `out` the cache's section of a delta frame: `base`, the
-    /// stamp of the snapshot the chain extends, then in tick order the
-    /// full line of each entry admitted after `since` and the bare key of
-    /// each older entry re-ticked after it. Returns the store's new mark
-    /// and whether the section carries any record, or `None`, writing
-    /// nothing, when the checkpoint at `since` can no longer be
-    /// extended: an entry has been evicted, cleared or replaced since.
-    pub fn encode_section(
-        &self,
-        base: u64,
-        since: CacheMark,
-        out: &mut String,
-    ) -> Option<(CacheMark, bool)> {
+    /// Appends to `out` the cache's section of a checkpoint: in tick
+    /// order, the full line of each entry admitted after `since` and the
+    /// bare key of each older entry re-ticked after it. Returns the
+    /// store's new mark and whether the section carries any record, or
+    /// `None`, writing nothing, when the checkpoint at `since` can no
+    /// longer be extended: an entry has been evicted, cleared or
+    /// replaced since.
+    pub fn encode_section(&self, since: CacheMark, out: &mut String) -> Option<(CacheMark, bool)> {
         let st = self.inner.state.lock().unwrap();
         if st.epoch != since.epoch {
             return None;
@@ -513,13 +508,15 @@ impl SemanticCache {
             .filter(|(_, e)| e.tick > since.tick)
             .collect();
         used.sort_unstable_by_key(|(_, e)| e.tick);
-        push_hex16(out, base);
-        for (key, entry) in &used {
+        for (i, (key, entry)) in used.iter().enumerate() {
+            if i > 0 {
+                out.push('\t');
+            }
             if entry.born > since.tick {
-                out.push_str("\tA\t");
+                out.push_str("A\t");
                 encode_entry(key, &entry.resp, out);
             } else {
-                out.push_str("\tT\t");
+                out.push_str("T\t");
                 push_key(key, out);
             }
         }
@@ -595,9 +592,8 @@ fn value_bytes(value: &Value) -> usize {
 //   <corrupted 0|1> <value-enc> <text-escaped>
 // The escaping and value codec are the shared ones in [`snapshot`].
 //
-// A delta section is newline-free: `<base_sum:hex16>`, then one record
-// per entry used since the last checkpoint, in tick order,
-// tab-separated:
+// A checkpoint's section is newline-free: one record per entry used
+// since the last checkpoint, in tick order, tab-separated:
 //   A <entry line>     admitted since the last checkpoint
 //   T <hi> <lo>        resident before it, re-ticked since
 // An entry line has a fixed field count, so no second escaping level.
@@ -688,15 +684,11 @@ impl CacheReplica {
         Ok(replica)
     }
 
-    /// Decodes a section and checks it applies here: stamped `base`
-    /// (the FNV-64 of the snapshot this replica was decoded from), and
-    /// naming each key once, an admitted key only when it is not
-    /// resident and a re-ticked one only when it is.
-    pub fn decode_section(&self, base: u64, section: &str) -> Result<CacheSection, SnapshotError> {
-        let mut fields = Fields::new(section.split('\t'));
-        if fields.hex("bad section stamp")? != base {
-            return Err(SnapshotError::Format("section of another snapshot".into()));
-        }
+    /// Decodes a section and checks it applies here: naming each key
+    /// once, an admitted key only when it is not resident and a
+    /// re-ticked one only when it is.
+    pub fn decode_section(&self, section: &str) -> Result<CacheSection, SnapshotError> {
+        let mut fields = Fields::new(section.split('\t').filter(|_| !section.is_empty()));
         let mut seen = HashSet::new();
         let mut records = Vec::new();
         while let Some(tag) = fields.try_field() {

@@ -1,6 +1,7 @@
 //! Shared durable-state plumbing: checksummed snapshot framing, atomic
-//! file commits, an append-only WAL record codec, one field reader for
-//! every text record, and deterministic crash injection.
+//! file commits, one segmented log and one manifest per service, one
+//! field reader for every text record, and deterministic crash
+//! injection.
 //!
 //! Four whole-file formats in the workspace — the semantic call cache
 //! ([`crate::cache`]), the ContextManager snapshot in `aida-core`, the
@@ -17,13 +18,12 @@
 //!
 //! A reader verifies the magic, the declared line count, and the
 //! checksum before trusting a single byte; any violation is a typed
-//! [`SnapshotError`] and the caller starts cold. The tenant-ledger WAL
-//! in `aida-serve` and a runtime's delta chain (one per runtime, shared
-//! by the Context store and the semantic cache) use the per-record
-//! variant instead ([`wal_append`] / [`DeltaChain::append`] /
-//! [`wal_replay`]): every record carries its own monotone sequence
-//! number and checksum, so a torn tail truncates to the last intact
-//! record instead of rejecting the whole file.
+//! [`SnapshotError`] and the caller starts cold. Between snapshots the
+//! stores of a service — the tenant ledger, the Context store and the
+//! semantic cache — write to one [`Log`], whose records each carry a
+//! store, a length, a sequence number and a checksum: a torn tail cuts
+//! the log back to its last whole unit. One [`Manifest`] names each
+//! store's snapshot and the sequence number it covers.
 //!
 //! Every decoder reads the fields of a body line or record payload
 //! through a [`Fields`] cursor — one typed read per field (escaped text,
@@ -33,19 +33,20 @@
 //! use [`esc`] and [`encode_value`] directly.
 //!
 //! Crash injection: every durable write site threads an optional
-//! [`FailPlan`] through [`commit_atomic`] and [`wal_append`]. A plan
-//! names one [`CrashPoint`] and fires once — erroring before the write,
-//! tearing it mid-record, or erroring after the commit. The durability
-//! suite (`tests/durability.rs`) uses this to prove the invariant
-//! `recover(crash(S)) ∈ {S_pre, S_committed}` at every point.
+//! [`FailPlan`] naming one [`CrashPoint`], which fires once — erroring
+//! before the write, tearing it mid-record, or erroring after the
+//! commit. The durability suite (`tests/durability.rs`) uses this to
+//! prove `recover(crash(S)) ∈ {S_pre, S_committed}` at every point.
 
 use aida_data::Value;
+use parking_lot::Mutex;
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-
+use std::sync::Arc;
 /// Why a snapshot (or WAL ledger snapshot) failed to load.
 #[derive(Debug)]
 pub enum SnapshotError {
@@ -450,49 +451,42 @@ pub fn decode_file<'a>(magic: &str, text: &'a str) -> Result<&'a str, SnapshotEr
 /// A named instant in a durable write where an injected crash can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CrashPoint {
-    /// Before any snapshot byte is written (temp file not created).
+    /// Before any byte of a snapshot file is written: a
+    /// [`commit_atomic`] temp file, a generation snapshot or a manifest.
     SnapshotBeforeWrite,
-    /// Mid-write of the snapshot temp file: a prefix lands, then the
-    /// process dies. The real path is never touched.
+    /// Mid-write of a snapshot file: a prefix lands, then the process
+    /// dies. The committed file (or manifest) is never touched.
     SnapshotTornWrite,
     /// After the temp file is complete but before the atomic rename.
     SnapshotBeforeRename,
-    /// After the rename: the snapshot IS committed, the process dies
-    /// before it can report success.
+    /// After the rename: the snapshot (or manifest) IS committed, the
+    /// process dies before it can report success.
     SnapshotAfterCommit,
-    /// Before a WAL record's first byte reaches the file.
-    WalBeforeAppend,
-    /// Mid-append: a prefix of the record lands, then the process dies.
-    WalTornAppend,
-    /// After the record is fully appended: the write IS durable, the
-    /// process dies before acknowledging.
-    WalAfterAppend,
-    /// Before the rename that seals the active WAL tail into an
-    /// immutable segment. The records themselves are already durable;
-    /// only the seal is lost, so recovery replays the unsealed tail.
-    WalSegmentSeal,
-    /// Mid-append of a delta frame: a prefix of the frame lands, then
-    /// the process dies. Replay truncates to the previous intact frame.
-    DeltaTornAppend,
-    /// Before a group-commit batch reaches the file: every record in
-    /// the batch is lost together, so the durable log trails memory by
-    /// at most one batch.
-    GroupCommitFlush,
+    /// Before a log commit's first byte reaches the file: everything
+    /// staged is lost together.
+    LogBeforeCommit,
+    /// Mid-commit: a prefix of the staged records lands, then the
+    /// process dies. Replay truncates to the last whole unit.
+    LogTornCommit,
+    /// After the commit's fsync: the records ARE durable, the process
+    /// dies before acknowledging them.
+    LogAfterCommit,
+    /// A commit that opens a new segment dies once the file exists and
+    /// before any record is in it.
+    LogSegmentRoll,
 }
 
 impl CrashPoint {
     /// Every crash point, for exhaustive matrices in tests.
-    pub const ALL: [CrashPoint; 10] = [
+    pub const ALL: [CrashPoint; 8] = [
         CrashPoint::SnapshotBeforeWrite,
         CrashPoint::SnapshotTornWrite,
         CrashPoint::SnapshotBeforeRename,
         CrashPoint::SnapshotAfterCommit,
-        CrashPoint::WalBeforeAppend,
-        CrashPoint::WalTornAppend,
-        CrashPoint::WalAfterAppend,
-        CrashPoint::WalSegmentSeal,
-        CrashPoint::DeltaTornAppend,
-        CrashPoint::GroupCommitFlush,
+        CrashPoint::LogBeforeCommit,
+        CrashPoint::LogTornCommit,
+        CrashPoint::LogAfterCommit,
+        CrashPoint::LogSegmentRoll,
     ];
 }
 
@@ -550,11 +544,6 @@ impl FailPlan {
         self
     }
 
-    /// The crash point this plan targets.
-    pub fn point(&self) -> CrashPoint {
-        self.point
-    }
-
     /// Whether the plan has fired.
     fn tripped(&self) -> bool {
         self.tripped.load(Ordering::Relaxed)
@@ -564,43 +553,30 @@ impl FailPlan {
         if point != self.point || self.tripped() {
             return false;
         }
-        let mut fired = false;
-        let _ = self
-            .skip
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                if s == 0 {
-                    fired = true;
-                    None
-                } else {
-                    fired = false;
-                    Some(s - 1)
-                }
-            });
-        if fired {
-            self.tripped.store(true, Ordering::Relaxed);
-            self.recorder
-                .flight("llm.crash", "crash_point", format!("{point:?}"));
-            self.recorder.flight_autodump("crash_point");
+        // Counts a skipped encounter down; fires once there is none left.
+        let skip =
+            (self.skip).fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1));
+        if skip.is_ok() {
+            return false;
         }
-        fired
+        self.tripped.store(true, Ordering::Relaxed);
+        self.recorder
+            .flight("llm.crash", "crash_point", format!("{point:?}"));
+        self.recorder.flight_autodump("crash_point");
+        true
     }
 
     /// Returns the injected crash error if the plan fires at `point`.
     fn check(&self, point: CrashPoint) -> io::Result<()> {
-        if self.fires(point) {
-            Err(FailPlan::crash_error(point))
-        } else {
-            Ok(())
+        match self.fires(point) {
+            true => Err(FailPlan::crash_error(point)),
+            false => Ok(()),
         }
     }
 
     /// For torn points: how many bytes to keep if the plan fires here.
     fn torn(&self, point: CrashPoint) -> Option<usize> {
-        if self.fires(point) {
-            Some(self.torn_keep)
-        } else {
-            None
-        }
+        self.fires(point).then_some(self.torn_keep)
     }
 
     /// The error an injected crash surfaces as.
@@ -612,17 +588,42 @@ impl FailPlan {
     }
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
+/// Checks `point` against an optional plan.
+fn check(plan: Option<&FailPlan>, point: CrashPoint) -> io::Result<()> {
+    plan.map_or(Ok(()), |plan| plan.check(point))
+}
+
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
+    os.push(suffix);
     PathBuf::from(os)
+}
+
+fn numbered(path: &Path, n: u64, tail: &str) -> PathBuf {
+    let mut suffix = String::from(".");
+    push_hex16(&mut suffix, n);
+    sibling(path, &(suffix + tail))
+}
+
+fn create_parent(path: &Path) -> io::Result<()> {
+    match path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        Some(dir) => std::fs::create_dir_all(dir),
+        None => Ok(()),
+    }
+}
+
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
 }
 
 /// Fsyncs `path`'s parent directory so a just-created or just-renamed
 /// entry survives an OS crash/power cut, not merely a process crash.
 /// Platforms whose directory handles reject fsync (e.g. Windows) report
 /// success once the rename itself has been issued.
-pub fn sync_parent_dir(path: &Path) -> io::Result<()> {
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
     if !cfg!(unix) {
         return Ok(());
     }
@@ -632,405 +633,649 @@ pub fn sync_parent_dir(path: &Path) -> io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
+/// Writes `contents` to `path` durably: the file and its directory
+/// fsynced, through a temp sibling renamed over `path` when `atomic`, so
+/// readers only ever observe the old file or the complete new one. A
+/// torn write leaves a prefix behind (of the temp file when `atomic`).
+fn write_durably(
+    path: &Path,
+    contents: &str,
+    atomic: bool,
+    plan: Option<&FailPlan>,
+) -> io::Result<()> {
+    create_parent(path)?;
+    check(plan, CrashPoint::SnapshotBeforeWrite)?;
+    let target = if atomic {
+        sibling(path, ".tmp")
+    } else {
+        path.to_path_buf()
+    };
+    let bytes = contents.as_bytes();
+    if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::SnapshotTornWrite)) {
+        std::fs::write(&target, &bytes[..keep.min(bytes.len())])?;
+        return Err(FailPlan::crash_error(CrashPoint::SnapshotTornWrite));
+    }
+    let mut file = std::fs::File::create(&target)?;
+    file.write_all(bytes)?;
+    // sync_all (not just flush): a name committed after this must never
+    // point at contents still in the page cache.
+    file.sync_all()?;
+    if atomic {
+        check(plan, CrashPoint::SnapshotBeforeRename)?;
+        std::fs::rename(&target, path)?;
+    }
+    sync_parent_dir(path)
+}
+
 /// Writes `contents` to a temp sibling and renames it over `path`, so
 /// readers only ever observe the old snapshot or the complete new one.
 /// The optional [`FailPlan`] injects a crash at the snapshot points.
 pub fn commit_atomic(path: &Path, contents: &str, plan: Option<&FailPlan>) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::SnapshotBeforeWrite)?;
-    }
-    let tmp = tmp_sibling(path);
-    let bytes = contents.as_bytes();
-    if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::SnapshotTornWrite)) {
-        std::fs::write(&tmp, &bytes[..keep.min(bytes.len())])?;
-        return Err(FailPlan::crash_error(CrashPoint::SnapshotTornWrite));
-    }
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        // sync_all (not just flush) so the rename below never commits a
-        // name whose contents are still in the page cache: a power cut
-        // must yield the old snapshot or the complete new one.
-        file.sync_all()?;
-    }
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::SnapshotBeforeRename)?;
-    }
-    std::fs::rename(&tmp, path)?;
-    sync_parent_dir(path)?;
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::SnapshotAfterCommit)?;
-    }
-    Ok(())
+    write_durably(path, contents, true, plan)?;
+    check(plan, CrashPoint::SnapshotAfterCommit)
 }
 
-// ---- append-only WAL ---------------------------------------------------
+// ---- the log and its manifest ------------------------------------------
 //
 // One record per line:
-//   <seq:hex16> \t <payload> \t <fnv64(seq-hex \t payload):hex16> \n
-// The payload may itself contain tabs (its fields are escaped with
-// `esc`, which removes raw newlines), so a reader peels the checksum off
-// the right and the sequence number off the left.
+//   <seq:hex16> \t <store><link> \t <len:hex8> \t <payload> \t <sum:hex16> \n
+// `<store>` is `L` (ledger), `S` (Context store) or `C` (semantic cache);
+// `<link>` is `+` when the next record is of the same unit (which applies
+// whole or not at all), `.` where a unit ends; `<len>` is the payload's
+// byte length, patched in once the payload is encoded in place; `<sum>`
+// is the FNV-64 of what precedes its tab. Sequence numbers are
+// consecutive across the log.
 
-/// Appends one WAL record line (including the trailing newline) to
-/// `out`: `payload` writes the record's payload in place, and the
-/// checksum covers the bytes this call added before it.
-fn push_wal_record(out: &mut String, seq: u64, payload: impl FnOnce(&mut String)) {
+/// The store a log record or a manifest entry belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum StoreId {
+    /// The tenant ledger: admissions and spends.
+    Ledger,
+    /// The Context store: a checkpoint's journal section.
+    State,
+    /// The semantic cache: a checkpoint's section.
+    Cache,
+}
+
+impl StoreId {
+    fn tag(self) -> &'static str {
+        match self {
+            StoreId::Ledger => "L",
+            StoreId::State => "S",
+            StoreId::Cache => "C",
+        }
+    }
+
+    fn from_tag(tag: &str) -> Option<StoreId> {
+        [StoreId::Ledger, StoreId::State, StoreId::Cache]
+            .into_iter()
+            .find(|store| store.tag() == tag)
+    }
+}
+
+/// One record of the log: its sequence number, its store, whether the
+/// next record belongs to the same unit, and what the store wrote.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogRecord {
+    pub seq: u64,
+    pub store: StoreId,
+    pub linked: bool,
+    pub payload: String,
+}
+
+/// `<seq> \t <store><link> \t <len> \t`, and `\t <sum> \n`.
+const RECORD_HEAD: usize = 29;
+const RECORD_TAIL: usize = 18;
+
+/// Appends one record to `out`, `payload` writing its payload in place.
+/// A payload of 4 GiB or more is refused and leaves `out` as it was.
+fn push_record(
+    out: &mut String,
+    seq: u64,
+    store: StoreId,
+    linked: bool,
+    payload: impl FnOnce(&mut String),
+) -> io::Result<()> {
     let start = out.len();
     push_hex16(out, seq);
     out.push('\t');
+    out.push_str(store.tag());
+    out.push(if linked { '+' } else { '.' });
+    out.push_str("\t00000000\t");
     payload(out);
-    debug_assert!(
-        !out[start..].contains('\n'),
-        "WAL payloads must be newline-free (escape fields with esc)"
-    );
+    let Ok(len) = u32::try_from(out.len() - start - RECORD_HEAD) else {
+        out.truncate(start);
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "log record over 4 GiB",
+        ));
+    };
+    let mut hex = String::with_capacity(16);
+    push_hex16(&mut hex, len.into());
+    out.replace_range(start + 20..start + 28, &hex[8..]);
     let sum = fnv64(&out.as_bytes()[start..]);
     out.push('\t');
     push_hex16(out, sum);
     out.push('\n');
-}
-
-/// Encodes one WAL record line (including the trailing newline).
-fn wal_record_line(seq: u64, payload: &str) -> String {
-    let mut line = String::with_capacity(payload.len() + 35);
-    push_wal_record(&mut line, seq, |out| out.push_str(payload));
-    line
-}
-
-/// Appends one checksummed record to the WAL at `path`, creating the
-/// file (and parent directory) if needed. The optional [`FailPlan`]
-/// injects a crash at the WAL points; a torn append leaves a prefix of
-/// the record behind, exactly as a mid-write power cut would.
-pub fn wal_append(path: &Path, seq: u64, payload: &str, plan: Option<&FailPlan>) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let line = wal_record_line(seq, payload);
-    let created = !path.exists();
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::WalBeforeAppend)?;
-        if let Some(keep) = plan.torn(CrashPoint::WalTornAppend) {
-            let bytes = line.as_bytes();
-            file.write_all(&bytes[..keep.min(bytes.len())])?;
-            file.flush()?;
-            return Err(FailPlan::crash_error(CrashPoint::WalTornAppend));
-        }
-    }
-    file.write_all(line.as_bytes())?;
-    // sync_all (not just flush) so an acknowledged record survives an OS
-    // crash/power cut, not merely a process crash.
-    file.sync_all()?;
-    if created {
-        sync_parent_dir(path)?;
-    }
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::WalAfterAppend)?;
-    }
     Ok(())
 }
 
-/// Appends a batch of records to the WAL at `path` with a SINGLE
-/// `sync_all` (group commit): records are numbered `first_seq..` in
-/// order and written as one contiguous byte run, so either the batch's
-/// prefix survives a tear (the per-record checksums truncate the rest)
-/// or the whole batch lands durably under one fsync. `encode` writes
-/// one record's payload; every record is encoded straight into the one
-/// buffer the batch is written from. The optional [`FailPlan`] can drop
-/// the entire batch before any byte lands
-/// ([`CrashPoint::GroupCommitFlush`]) or tear it mid-record
-/// ([`CrashPoint::WalTornAppend`]).
-pub fn wal_append_batch<T>(
-    path: &Path,
-    first_seq: u64,
-    records: &[T],
-    encode: impl Fn(&T, &mut String),
-    plan: Option<&FailPlan>,
-) -> io::Result<()> {
-    if records.is_empty() {
-        return Ok(());
+/// The record at the front of `bytes` and its length, if it is whole and
+/// its checksum holds.
+fn read_record(bytes: &[u8]) -> Option<(LogRecord, usize)> {
+    let head = std::str::from_utf8(bytes.get(..RECORD_HEAD)?).ok()?;
+    let mut fields = Fields::new(head.strip_suffix('\t')?.split('\t'));
+    let seq = fields.hex("bad seq").ok()?;
+    let kind = fields.field().ok()?;
+    let len = usize::try_from(fields.hex("bad length").ok()?).ok()?;
+    fields.end().ok()?;
+    let store = StoreId::from_tag(kind.get(..1)?)?;
+    let linked = match kind.get(1..)? {
+        "+" => true,
+        "." => false,
+        _ => return None,
+    };
+    let end = RECORD_HEAD.checked_add(len)?;
+    let payload = std::str::from_utf8(bytes.get(RECORD_HEAD..end)?).ok()?;
+    let tail = std::str::from_utf8(bytes.get(end..end + RECORD_TAIL)?).ok()?;
+    let sum = tail.strip_prefix('\t')?.strip_suffix('\n')?;
+    if u64::from_str_radix(sum, 16).ok()? != fnv64(&bytes[..end]) {
+        return None;
     }
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
+    let record = LogRecord {
+        seq,
+        store,
+        linked,
+        payload: payload.to_string(),
+    };
+    Some((record, end + RECORD_TAIL))
+}
+
+/// What [`read_records`] trusts of a byte run: the records of its
+/// longest prefix that ends on a unit boundary, that prefix's length,
+/// and whether anything after it was refused.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadRecords {
+    pub records: Vec<LogRecord>,
+    pub valid_len: usize,
+    pub dropped_tail: bool,
+}
+
+/// Reads the records of `bytes`, the first of which must carry sequence
+/// number `seq` and each later one the next. Reading stops at the first
+/// record that does not hold, and the records of a unit it leaves open
+/// go with it.
+pub fn read_records(bytes: &[u8], mut seq: u64) -> ReadRecords {
+    let mut read = ReadRecords::default();
+    let (mut at, mut units) = (0, 0);
+    while at < bytes.len() {
+        match read_record(&bytes[at..]) {
+            Some((record, len)) if record.seq == seq => {
+                at += len;
+                seq += 1;
+                let ends = !record.linked;
+                read.records.push(record);
+                if ends {
+                    (read.valid_len, units) = (at, read.records.len());
+                }
+            }
+            _ => break,
         }
     }
-    let mut batch = String::new();
-    for (seq, record) in (first_seq..).zip(records) {
-        push_wal_record(&mut batch, seq, |out| encode(record, out));
-    }
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::GroupCommitFlush)?;
-    }
-    let created = !path.exists();
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::WalTornAppend)) {
-        let bytes = batch.as_bytes();
-        file.write_all(&bytes[..keep.min(bytes.len())])?;
-        file.flush()?;
-        return Err(FailPlan::crash_error(CrashPoint::WalTornAppend));
-    }
-    file.write_all(batch.as_bytes())?;
-    // One sync_all for the whole batch: this is the entire point of
-    // group commit — durability cost amortizes across the records.
-    file.sync_all()?;
-    if created {
-        sync_parent_dir(path)?;
-    }
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::WalAfterAppend)?;
-    }
-    Ok(())
+    read.dropped_tail = read.valid_len < bytes.len();
+    read.records.truncate(units);
+    read
 }
 
-/// Seals the active WAL tail at `path` into the immutable segment file
-/// at `sealed` via rename. The records inside are already individually
-/// durable (every append fsyncs), so the seal is pure metadata: a crash
-/// before the rename ([`CrashPoint::WalSegmentSeal`]) simply leaves the
-/// tail active and recovery replays it in place. `sync_all` on the tail
-/// plus the parent-directory fsync make the new name itself survive a
-/// power cut.
-pub fn wal_seal_segment(path: &Path, sealed: &Path, plan: Option<&FailPlan>) -> io::Result<()> {
-    if let Some(plan) = plan {
-        plan.check(CrashPoint::WalSegmentSeal)?;
+/// Which snapshot each store starts from: its generation, and the first
+/// sequence number of the log the snapshot does not cover. A store
+/// replays the records from there on.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Manifest {
+    /// Bumped by every commit that writes snapshots; the snapshots it
+    /// writes are named by it.
+    pub generation: u64,
+    /// Per store: `(generation of its snapshot, covered sequence number)`.
+    pub stores: BTreeMap<StoreId, (u64, u64)>,
+}
+
+const MANIFEST_MAGIC: &str = "aida-manifest v1";
+
+impl Manifest {
+    /// The framed manifest file: `G <generation>`, then one
+    /// `<store> <generation> <covered>` line per store.
+    pub fn encode(&self) -> String {
+        let mut body = format!("G\t{}\n", self.generation);
+        for (store, (generation, covered)) in &self.stores {
+            body += &format!("{}\t{generation}\t{covered}\n", store.tag());
+        }
+        encode_file(MANIFEST_MAGIC, &body)
     }
-    // Re-sync the tail so no acknowledged byte is still in the page
-    // cache when the rename commits the segment's final name.
-    std::fs::File::open(path)?.sync_all()?;
-    std::fs::rename(path, sealed)?;
-    sync_parent_dir(sealed)?;
-    Ok(())
+
+    /// Reverses [`Manifest::encode`]. A store named twice, or with a
+    /// snapshot newer than the manifest, is a format error.
+    pub fn decode(text: &str) -> Result<Manifest, SnapshotError> {
+        let mut lines = decode_file(MANIFEST_MAGIC, text)?.lines();
+        let mut fields = Fields::new(lines.next().unwrap_or("").split('\t'));
+        if fields.field()? != "G" {
+            return Err(bad("bad generation line"));
+        }
+        let mut manifest = Manifest {
+            generation: fields.num("bad generation")?,
+            stores: BTreeMap::new(),
+        };
+        fields.end()?;
+        for line in lines {
+            let mut fields = Fields::new(line.split('\t'));
+            let store = StoreId::from_tag(fields.field()?).ok_or_else(|| bad("bad store"))?;
+            let entry = (fields.num("bad generation")?, fields.num("bad covered")?);
+            fields.end()?;
+            if entry.0 > manifest.generation || manifest.stores.insert(store, entry).is_some() {
+                return Err(bad("bad store entry"));
+            }
+        }
+        Ok(manifest)
+    }
 }
 
-/// The delta-chain sibling of a snapshot path: `<path>.delta`.
-pub fn delta_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".delta");
-    PathBuf::from(os)
+/// A [`Log`] shared by the stores of one service.
+pub type SharedLog = Arc<Mutex<Log>>;
+
+/// A store's snapshot, made when a rewrite asks for it.
+pub type SnapshotSource = Box<dyn Fn() -> String + Send>;
+
+/// Lifetime counters of a [`Log`] (monotone; diff two readings).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogStats {
+    /// Data-file fsyncs: one per commit, per snapshot a rewrite writes
+    /// and per manifest commit (directory fsyncs are not counted).
+    pub fsyncs: u64,
+    /// Commits that carried ledger records.
+    pub ledger_commits: u64,
+    /// Ledger records committed.
+    pub ledger_records: u64,
+    /// Segments closed because the active one was full.
+    pub rolls: u64,
 }
 
-/// Where a writer stands in the delta chain extending its full
-/// snapshots. The frames carry the stamps (FNV-64) of the snapshots they
-/// extend, so a stale chain (a crash between a full rewrite and the
-/// chain's removal) never applies to the wrong base; the chain itself
-/// only knows whether it has a base, `frames` (also the next frame's
-/// sequence number), `durable_len`, the bytes of the chain file the
-/// writer has made durable, and whether a failed append may have left
-/// residue beyond them.
-#[derive(Debug, Default)]
-pub struct DeltaChain {
-    based: bool,
-    frames: u64,
+/// Where staged records stood: [`Log::rewind`] returns to it.
+#[derive(Debug, Clone, Copy)]
+pub struct LogMark {
+    seq: u64,
+    len: usize,
+}
+
+/// One checksummed, segmented log for every store of a service, and one
+/// manifest naming each store's snapshot: `<base>.manifest`, segments
+/// `<base>.<first seq:hex16>.log`, snapshots `<store path>.<generation>`.
+/// Stores [`stage`](Log::stage) records; one [`commit`](Log::commit)
+/// writes all staged with one `write` and one `sync_all`.
+#[derive(Default)]
+pub struct Log {
+    base: PathBuf,
+    paths: BTreeMap<StoreId, PathBuf>,
+    sources: BTreeMap<StoreId, SnapshotSource>,
+    manifest: Manifest,
+    segment_records: u64,
+    group_commit: u64,
+    next_seq: u64,
+    staged: String,
+    staged_from: u64,
+    staged_ledger: u64,
+    /// First sequence numbers of the segments; the last is written to.
+    segments: Vec<u64>,
+    /// Bytes of the last segment made durable.
     durable_len: u64,
-    torn: bool,
+    /// A failed commit may have left bytes past `durable_len`.
+    residue: bool,
+    recovered: Vec<LogRecord>,
+    /// Whether the last recovery cut a refused suffix off the files.
+    dropped_tail: bool,
+    stats: LogStats,
 }
 
-impl DeltaChain {
-    /// Whether the next checkpoint may append a frame: the chain has a
-    /// base and fewer than `full_every` frames (0 acts as 1) extend it.
-    /// Otherwise it must rewrite the full snapshots.
-    pub fn extends(&self, full_every: u64) -> bool {
-        self.based && self.frames < full_every.max(1)
+impl Log {
+    /// A log at `base`; nothing is read until [`Log::recover`].
+    pub fn open(base: impl Into<PathBuf>) -> Log {
+        Log {
+            base: base.into(),
+            group_commit: 1,
+            ..Log::default()
+        }
     }
 
-    /// Starts an empty chain on full snapshots just committed: removes
-    /// the chain file `chain` that extended the previous ones. Until the
-    /// removal succeeds there is no base, so a failure leaves the next
-    /// checkpoint a full rewrite again.
-    pub fn rebase(&mut self, chain: &Path) -> io::Result<()> {
-        *self = DeltaChain::default();
-        match std::fs::remove_file(chain) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+    /// Opens a new segment once the last holds this many records (0:
+    /// never; a rewrite that covers them all deletes it).
+    pub fn set_segment_records(&mut self, records: usize) {
+        self.segment_records = records as u64;
+    }
+
+    /// How many ledger records may wait staged (0 or 1: none).
+    pub fn set_group_commit(&mut self, records: usize) {
+        self.group_commit = records.max(1) as u64;
+    }
+
+    /// Whether the staged ledger records reached the group bound, the
+    /// last not being one that `waits` for the next under group commit.
+    pub fn commit_due(&self, waits: bool) -> bool {
+        self.staged_ledger >= self.group_commit && !(waits && self.group_commit > 1)
+    }
+
+    /// Where `store`'s snapshots live: `<path>.<generation>`.
+    pub fn set_store_path(&mut self, store: StoreId, path: impl Into<PathBuf>) {
+        self.paths.insert(store, path.into());
+    }
+
+    /// What a rewrite that is not handed `store`'s snapshot writes for it.
+    pub fn set_snapshot_source(&mut self, store: StoreId, source: SnapshotSource) {
+        self.sources.insert(store, source);
+    }
+
+    /// `store`'s current snapshot file, if the manifest names one.
+    pub fn snapshot_path(&self, store: StoreId) -> Option<PathBuf> {
+        let (generation, _) = self.manifest.stores.get(&store)?;
+        self.generation_path(store, *generation)
+    }
+
+    fn generation_path(&self, store: StoreId, generation: u64) -> Option<PathBuf> {
+        Some(numbered(self.paths.get(&store)?, generation, ""))
+    }
+
+    /// The first sequence number `store`'s snapshot does not cover.
+    pub fn covered(&self, store: StoreId) -> u64 {
+        self.manifest.stores.get(&store).map_or(0, |entry| entry.1)
+    }
+
+    /// The sequence number the next staged record takes.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Lifetime counters.
+    pub fn stats(&self) -> LogStats {
+        self.stats
+    }
+
+    /// Whether the last recovery cut a refused suffix off the files.
+    pub fn dropped_tail(&self) -> bool {
+        self.dropped_tail
+    }
+
+    /// The segment files, oldest first.
+    pub fn segment_paths(&self) -> Vec<PathBuf> {
+        self.segments
+            .iter()
+            .map(|&first| self.segment_path(first))
+            .collect()
+    }
+
+    fn segment_path(&self, first: u64) -> PathBuf {
+        numbered(&self.base, first, ".log")
+    }
+
+    fn manifest_path(&self) -> PathBuf {
+        sibling(&self.base, ".manifest")
+    }
+
+    /// The first sequence numbers of the segment files beside `base`.
+    fn list_segments(&self) -> io::Result<Vec<u64>> {
+        let dir = self.base.parent().filter(|d| !d.as_os_str().is_empty());
+        let stem = self.base.file_name().map(|n| n.to_string_lossy() + ".");
+        let entries = match std::fs::read_dir(dir.unwrap_or(Path::new("."))) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            entries => entries?,
+        };
+        let mut found = Vec::new();
+        for entry in entries {
+            let name = entry?.file_name();
+            let hex = (name.to_str().zip(stem.as_deref()))
+                .and_then(|(name, stem)| name.strip_prefix(stem)?.strip_suffix(".log"))
+                .filter(|hex| hex.len() == 16);
+            found.extend(hex.and_then(|hex| u64::from_str_radix(hex, 16).ok()));
         }
-        self.based = true;
+        found.sort_unstable();
+        Ok(found)
+    }
+
+    /// Reads the manifest, then every segment once, and positions the
+    /// writer after the last whole unit. From the first torn, mis-sized,
+    /// mis-checksummed or mis-sequenced record on, the log is cut off
+    /// the files for every store, and a snapshot covering past the cut
+    /// covers up to it. The records read wait until each store
+    /// [takes](Log::take_records) its own. A manifest that does not
+    /// decode, or a file at `base` with no manifest (the layout before
+    /// it), is refused; the writer still continues after the log.
+    pub fn recover(&mut self) -> Result<(), SnapshotError> {
+        let manifest = match std::fs::read_to_string(self.manifest_path()) {
+            Ok(text) => Manifest::decode(&text),
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e.into()),
+            Err(_) if self.base.exists() => Err(bad("state in the layout before the manifest")),
+            Err(_) => Ok(Manifest::default()),
+        };
+        self.manifest = manifest.as_ref().cloned().unwrap_or_default();
+        let start = self.manifest.stores.values().map(|entry| entry.1).min();
+        (self.staged, self.staged_ledger, self.durable_len) = (String::new(), 0, 0);
+        (self.segments, self.recovered) = (Vec::new(), Vec::new());
+        self.dropped_tail = false;
+        let found = self.list_segments()?;
+        let mut seq = match found.first() {
+            Some(&first) if manifest.is_err() || start.is_none_or(|s| first <= s) => first,
+            _ => start.unwrap_or(0),
+        };
+        for &first in &found {
+            if first != seq || self.dropped_tail {
+                remove_if_present(&self.segment_path(first))?;
+                self.dropped_tail = true;
+                continue;
+            }
+            let read = read_records(&std::fs::read(self.segment_path(first))?, first);
+            seq += read.records.len() as u64;
+            self.recovered.extend(read.records);
+            (self.durable_len, self.dropped_tail) = (read.valid_len as u64, read.dropped_tail);
+            self.segments.push(first);
+            if read.dropped_tail {
+                truncate_durably(&self.segment_path(first), self.durable_len)?;
+            }
+        }
+        if self.dropped_tail {
+            sync_parent_dir(&self.base)?;
+        }
+        (self.next_seq, self.staged_from) = (seq, seq);
+        if manifest.is_err() {
+            self.recovered.clear();
+        } else {
+            self.cover_to(seq)?;
+            self.drop_covered()?;
+        }
+        manifest.map(drop)
+    }
+
+    /// Lowers every covered sequence number past `seq` to it, committing
+    /// the manifest if one moved: such a snapshot holds what it covered,
+    /// and the records numbered from `seq` on are new to it.
+    fn cover_to(&mut self, seq: u64) -> io::Result<()> {
+        let past = self
+            .manifest
+            .stores
+            .values_mut()
+            .filter(|entry| entry.1 > seq);
+        if past.map(|entry| entry.1 = seq).count() > 0 {
+            write_durably(&self.manifest_path(), &self.manifest.encode(), true, None)?;
+        }
         Ok(())
     }
 
-    /// Appends the next frame to the chain file `chain`: `encode` writes
-    /// its payload straight into the record buffer and returns whether
-    /// to write it at all. Returns the bytes the frame took, or `None`
-    /// when `encode` declined (the file is not touched). Same record
-    /// codec and fsync discipline as [`wal_append`], with its own
-    /// torn-write crash point ([`CrashPoint::DeltaTornAppend`]) so the
-    /// durability suite can kill a checkpoint independently of the
-    /// ledger WAL.
-    ///
-    /// A failed append advances nothing: the retried frame takes the
-    /// same sequence number and lands at `durable_len`, after cutting
-    /// off whatever residue the failure left. Only the first frame
-    /// creates the file (and its directory); later ones open it to
-    /// append.
-    pub fn append(
-        &mut self,
-        chain: &Path,
-        plan: Option<&FailPlan>,
-        encode: impl FnOnce(&mut String) -> bool,
-    ) -> io::Result<Option<u64>> {
-        let mut line = String::new();
-        let mut write = false;
-        push_wal_record(&mut line, self.frames, |out| write = encode(out));
-        if !write {
-            return Ok(None);
-        }
-        // Until it lands, the frame may leave residue behind.
-        let residue = std::mem::replace(&mut self.torn, true);
-        self.write_frame(chain, residue, line.as_bytes(), plan)?;
-        self.torn = false;
-        self.durable_len += line.len() as u64;
-        self.frames += 1;
-        Ok(Some(line.len() as u64))
+    /// Takes the recovered records of `stores`, in log order.
+    pub fn take_records(&mut self, stores: &[StoreId]) -> Vec<LogRecord> {
+        let (taken, kept) = std::mem::take(&mut self.recovered)
+            .into_iter()
+            .partition(|record| stores.contains(&record.store));
+        self.recovered = kept;
+        taken
     }
 
-    /// Writes `line` at `durable_len`; `residue`: a failed append may
-    /// have left bytes beyond it.
-    fn write_frame(
-        &self,
-        chain: &Path,
-        residue: bool,
-        line: &[u8],
-        plan: Option<&FailPlan>,
-    ) -> io::Result<()> {
-        let first = self.durable_len == 0;
-        if first {
-            if let Some(dir) = chain.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir)?;
-            }
+    /// Where the staged records stand now.
+    pub fn mark(&self) -> LogMark {
+        LogMark {
+            seq: self.next_seq,
+            len: self.staged.len(),
         }
-        let mut file = std::fs::OpenOptions::new()
-            .create(first)
-            .write(true)
-            .truncate(first)
-            .open(chain)?;
-        // The end of the file is `durable_len` unless a failed append
-        // left residue: cut that off first.
-        if residue && !first {
+    }
+
+    /// Drops the records staged after `mark` and returns true, unless a
+    /// commit made them durable.
+    pub fn rewind(&mut self, mark: LogMark) -> bool {
+        let staged = self.staged_from <= mark.seq;
+        if staged {
+            self.staged.truncate(mark.len);
+            self.next_seq = mark.seq;
+        }
+        staged
+    }
+
+    /// Stages one record of `store`, `payload` writing it in place;
+    /// `linked`: the next record staged belongs to the same unit.
+    /// Returns the record's length in bytes.
+    pub fn stage(
+        &mut self,
+        store: StoreId,
+        linked: bool,
+        payload: impl FnOnce(&mut String),
+    ) -> io::Result<u64> {
+        let start = self.staged.len();
+        push_record(&mut self.staged, self.next_seq, store, linked, payload)?;
+        self.next_seq += 1;
+        self.staged_ledger += u64::from(store == StoreId::Ledger);
+        Ok((self.staged.len() - start) as u64)
+    }
+
+    /// Writes everything staged with one `write` and one `sync_all` (in
+    /// a new segment when the last is full) and returns the bytes. On a
+    /// failure before they are durable the records stay staged, and the
+    /// next commit first cuts off what the failed one left behind.
+    pub fn commit(&mut self, plan: Option<&FailPlan>) -> io::Result<u64> {
+        if self.staged.is_empty() {
+            return Ok(0);
+        }
+        check(plan, CrashPoint::LogBeforeCommit)?;
+        let last = self.segments.last().copied();
+        let held = |first: u64| self.staged_from - first;
+        if last.is_none_or(|first| self.segment_records > 0 && held(first) >= self.segment_records)
+        {
+            let path = self.segment_path(self.staged_from);
+            create_parent(&path)?;
+            std::fs::File::create(&path)?;
+            self.stats.rolls += u64::from(last.is_some());
+            self.segments.push(self.staged_from);
+            (self.durable_len, self.residue) = (0, false);
+            check(plan, CrashPoint::LogSegmentRoll)?;
+        }
+        let path = self.segment_path(self.segments[self.segments.len() - 1]);
+        let mut file = std::fs::OpenOptions::new().write(true).open(&path)?;
+        if self.residue {
             file.set_len(self.durable_len)?;
         }
         file.seek(io::SeekFrom::Start(self.durable_len))?;
-        if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::DeltaTornAppend)) {
-            file.write_all(&line[..keep.min(line.len())])?;
-            file.flush()?;
-            return Err(FailPlan::crash_error(CrashPoint::DeltaTornAppend));
+        self.residue = true;
+        let bytes = self.staged.as_bytes();
+        if let Some(keep) = plan.and_then(|p| p.torn(CrashPoint::LogTornCommit)) {
+            file.write_all(&bytes[..keep.min(bytes.len())])?;
+            return Err(FailPlan::crash_error(CrashPoint::LogTornCommit));
         }
-        file.write_all(line)?;
-        // sync_all (not just flush): an emitted frame must survive an OS
-        // crash/power cut, or replay could skip a hole in the chain.
+        file.write_all(bytes)?;
         file.sync_all()?;
-        if first {
-            sync_parent_dir(chain)?;
+        if self.durable_len == 0 {
+            // The segment's first bytes: its name must survive too.
+            sync_parent_dir(&path)?;
         }
-        Ok(())
+        let written = bytes.len() as u64;
+        (self.residue, self.durable_len) = (false, self.durable_len + written);
+        self.stats.fsyncs += 1;
+        self.stats.ledger_commits += u64::from(self.staged_ledger > 0);
+        self.stats.ledger_records += self.staged_ledger;
+        (self.staged_from, self.staged_ledger) = (self.next_seq, 0);
+        self.staged.clear();
+        check(plan, CrashPoint::LogAfterCommit)?;
+        Ok(written)
+    }
+
+    /// Commits what is staged, writes `snapshots` (and the
+    /// [source](Log::set_snapshot_source)'s of every other store) as the
+    /// next generation covering the log up to here, and makes them
+    /// current with one manifest rename; then deletes the previous
+    /// generation and the segments every snapshot covers. Returns the
+    /// bytes of the snapshots and the manifest.
+    pub fn rewrite(
+        &mut self,
+        mut snapshots: Vec<(StoreId, String)>,
+        plan: Option<&FailPlan>,
+    ) -> io::Result<u64> {
+        self.commit(plan)?;
+        for (store, source) in &self.sources {
+            if snapshots.iter().all(|(given, _)| given != store) {
+                snapshots.push((*store, source()));
+            }
+        }
+        let mut next = self.manifest.clone();
+        next.generation += 1;
+        let mut written = 0;
+        for (store, text) in &snapshots {
+            let path = self
+                .generation_path(*store, next.generation)
+                .ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::InvalidInput, "a store without a path")
+                })?;
+            write_durably(&path, text, false, plan)?;
+            next.stores.insert(*store, (next.generation, self.next_seq));
+            written += text.len() as u64;
+        }
+        let manifest = next.encode();
+        write_durably(&self.manifest_path(), &manifest, true, plan)?;
+        self.stats.fsyncs += snapshots.len() as u64 + 1;
+        let old = std::mem::replace(&mut self.manifest, next);
+        for (store, (generation, _)) in old.stores {
+            if self.manifest.stores.get(&store).map(|entry| entry.0) != Some(generation) {
+                if let Some(path) = self.generation_path(store, generation) {
+                    remove_if_present(&path)?;
+                }
+            }
+        }
+        self.drop_covered()?;
+        check(plan, CrashPoint::SnapshotAfterCommit)?;
+        Ok(written + manifest.len() as u64)
+    }
+
+    /// Deletes the segments every store's snapshot covers.
+    fn drop_covered(&mut self) -> io::Result<()> {
+        let Some(covered) = self.manifest.stores.values().map(|entry| entry.1).min() else {
+            return Ok(());
+        };
+        let follows = self.segments.iter().skip(1).chain([&self.staged_from]);
+        let dead = (follows.take(self.segments.len()))
+            .take_while(|&&next| next <= covered)
+            .count();
+        if dead == 0 {
+            return Ok(());
+        }
+        for first in self.segments.drain(..dead).collect::<Vec<_>>() {
+            remove_if_present(&self.segment_path(first))?;
+        }
+        if self.segments.is_empty() {
+            self.durable_len = 0;
+        }
+        sync_parent_dir(&self.base)
     }
 }
 
-/// What [`wal_replay`] recovered.
-#[derive(Debug, Clone, Default)]
-pub struct WalReplay {
-    /// Intact records in file order: `(seq, payload)`.
-    pub records: Vec<(u64, String)>,
-    /// Whether a torn/corrupt tail was logically truncated (everything
-    /// before it is still trusted).
-    pub dropped_tail: bool,
-    /// Byte length of the intact prefix (every accepted record including
-    /// its trailing newline). When `dropped_tail` is set, the file must
-    /// be physically truncated to this offset before any new append —
-    /// otherwise the next record lands on the torn line, fails its
-    /// checksum on the following replay, and takes every acknowledged
-    /// record after it down too.
-    pub valid_len: u64,
-}
-
-/// Replays the WAL at `path`. A missing file is an empty WAL. Records
-/// are trusted up to the first violation — bad checksum, unparsable
-/// line, or non-increasing sequence number — which truncates the
-/// logical log there (`dropped_tail`), exactly the torn-tail semantics
-/// of a crash mid-append.
-pub fn wal_replay(path: &Path) -> io::Result<WalReplay> {
-    let bytes = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(WalReplay::default()),
-        Err(e) => return Err(e),
+/// Truncates `path` to `len` bytes and fsyncs, so the dropped suffix is
+/// gone durably. A missing file needs no truncation.
+fn truncate_durably(path: &Path, len: u64) -> io::Result<()> {
+    let file = match std::fs::OpenOptions::new().write(true).open(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        file => file?,
     };
-    let mut replay = WalReplay::default();
-    // A torn write can split a multi-byte character: trust the valid
-    // UTF-8 prefix and truncate there.
-    let text = match String::from_utf8(bytes) {
-        Ok(text) => text,
-        Err(e) => {
-            replay.dropped_tail = true;
-            let valid = e.utf8_error().valid_up_to();
-            let mut bytes = e.into_bytes();
-            bytes.truncate(valid);
-            match String::from_utf8(bytes) {
-                Ok(prefix) => prefix,
-                // Unreachable by construction (the prefix up to
-                // valid_up_to is valid), but recovery never panics:
-                // treat it as a fully torn log.
-                Err(_) => return Ok(replay),
-            }
-        }
-    };
-    let lines: Vec<&str> = text.split('\n').collect();
-    let mut last_seq: Option<u64> = None;
-    for (i, line) in lines.iter().enumerate() {
-        if line.is_empty() {
-            // The empty tail after the final newline is well-formed;
-            // a blank line anywhere else is corruption.
-            if i + 1 != lines.len() {
-                replay.dropped_tail = true;
-            }
-            break;
-        }
-        // An unterminated final line tore on its last byte(s): the
-        // newline is part of the record, so without it the record was
-        // never fully durable and the next append would merge into it.
-        if i + 1 == lines.len() {
-            replay.dropped_tail = true;
-            break;
-        }
-        let Some((head, sum_hex)) = line.rsplit_once('\t') else {
-            replay.dropped_tail = true;
-            break;
-        };
-        let checks_out = u64::from_str_radix(sum_hex, 16)
-            .map(|sum| sum == fnv64(head.as_bytes()))
-            .unwrap_or(false);
-        if !checks_out {
-            replay.dropped_tail = true;
-            break;
-        }
-        let Some((seq_hex, payload)) = head.split_once('\t') else {
-            replay.dropped_tail = true;
-            break;
-        };
-        let Ok(seq) = u64::from_str_radix(seq_hex, 16) else {
-            replay.dropped_tail = true;
-            break;
-        };
-        if last_seq.is_some_and(|prev| seq <= prev) {
-            replay.dropped_tail = true;
-            break;
-        }
-        replay.valid_len += line.len() as u64 + 1;
-        replay.records.push((seq, payload.to_string()));
-        last_seq = Some(seq);
-    }
-    Ok(replay)
+    file.set_len(len)?;
+    file.sync_all()
 }
 
 #[cfg(test)]
@@ -1043,11 +1288,6 @@ mod tests {
         fn is_crash(err: &io::Error) -> bool {
             err.kind() == io::ErrorKind::Interrupted && err.to_string().contains("injected crash")
         }
-    }
-
-    /// The batch encoder for payloads that are already text.
-    fn push_str(payload: &&str, out: &mut String) {
-        out.push_str(payload);
     }
 
     fn dir(name: &str) -> PathBuf {
@@ -1101,75 +1341,185 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
-    #[test]
-    fn wal_replay_truncates_at_torn_tail() {
-        let d = dir("wal");
-        let path = d.join("ledger.wal");
-        wal_append(&path, 0, "admit\tacme", None).unwrap();
-        wal_append(&path, 1, "spend\tacme\t42", None).unwrap();
-        let plan = FailPlan::new(CrashPoint::WalTornAppend).torn_keep(9);
-        let err = wal_append(&path, 2, "spend\tbolt\t7", Some(&plan)).unwrap_err();
-        assert!(FailPlan::is_crash(&err));
+    /// A log at `dir/name` with a ledger, a state and a cache path.
+    fn log(dir: &Path) -> Log {
+        let mut log = Log::open(dir.join("svc.log"));
+        for (store, name) in [
+            (StoreId::Ledger, "ledger"),
+            (StoreId::State, "state"),
+            (StoreId::Cache, "cache"),
+        ] {
+            log.set_store_path(store, dir.join(name));
+        }
+        log
+    }
 
-        let replay = wal_replay(&path).unwrap();
-        assert!(replay.dropped_tail);
+    fn stage(log: &mut Log, store: StoreId, linked: bool, payload: &str) {
+        log.stage(store, linked, |out| out.push_str(payload))
+            .unwrap();
+    }
+
+    /// What a fresh log over `dir` recovers: `(store, payload)` in order.
+    fn recovered(dir: &Path) -> Vec<(StoreId, String)> {
+        let mut log = log(dir);
+        log.recover().unwrap();
+        let records = log.take_records(&[StoreId::Ledger, StoreId::State, StoreId::Cache]);
+        records.into_iter().map(|r| (r.store, r.payload)).collect()
+    }
+
+    #[test]
+    fn one_commit_writes_every_staged_record_with_one_fsync() {
+        let d = dir("log-commit");
+        let mut log = log(&d);
+        stage(&mut log, StoreId::Ledger, false, "admit\tacme");
+        stage(&mut log, StoreId::State, true, "3\tE\t0");
+        stage(&mut log, StoreId::Cache, false, "");
+        assert_eq!(log.stats().fsyncs, 0, "staging writes nothing");
+        let bytes = log.commit(None).unwrap();
+        assert_eq!(log.stats().fsyncs, 1);
+        assert_eq!(log.stats().ledger_records, 1);
+        let segments = log.segment_paths();
+        assert_eq!(segments.len(), 1);
+        assert_eq!(std::fs::metadata(&segments[0]).unwrap().len(), bytes);
         assert_eq!(
-            replay.records,
+            recovered(&d),
             vec![
-                (0, "admit\tacme".to_string()),
-                (1, "spend\tacme\t42".to_string())
+                (StoreId::Ledger, "admit\tacme".into()),
+                (StoreId::State, "3\tE\t0".into()),
+                (StoreId::Cache, String::new()),
             ]
         );
-        // valid_len marks the end of the intact prefix: truncating there
-        // removes exactly the torn bytes.
-        let intact = wal_record_line(0, "admit\tacme") + &wal_record_line(1, "spend\tacme\t42");
-        assert_eq!(replay.valid_len, intact.len() as u64);
-        assert!((replay.valid_len as usize) < std::fs::read(&path).unwrap().len());
+        // The record is the layout the log comment documents.
+        let mut one = String::new();
+        push_record(&mut one, 7, StoreId::State, true, |out| out.push('é')).unwrap();
+        let head = "0000000000000007\tS+\t00000002\té";
+        assert_eq!(one, format!("{head}\t{:016x}\n", fnv64(head.as_bytes())));
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// A record whose declared length disagrees with its bytes is
+    /// refused even under a checksum that holds, and it ends the replay
+    /// for every store: the records after it are lost with it.
     #[test]
-    fn wal_replay_drops_an_unterminated_final_record() {
-        let d = dir("walnoterm");
-        let path = d.join("ledger.wal");
-        wal_append(&path, 0, "a", None).unwrap();
-        wal_append(&path, 1, "b", None).unwrap();
-        // Tear off only the final newline: the record's bytes are all
-        // present, but an append would merge into its line, so replay
-        // must treat it as torn.
+    fn a_record_of_the_wrong_length_ends_the_prefix_for_every_store() {
+        let d = dir("log-length");
+        let mut log = log(&d);
+        stage(&mut log, StoreId::State, false, "first");
+        stage(&mut log, StoreId::Ledger, false, "spend\tacme");
+        stage(&mut log, StoreId::Cache, false, "third");
+        log.commit(None).unwrap();
+        let path = log.segment_paths().remove(0);
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
-        let replay = wal_replay(&path).unwrap();
-        assert!(replay.dropped_tail);
-        assert_eq!(replay.records.len(), 1);
-        assert_eq!(replay.valid_len, wal_record_line(0, "a").len() as u64);
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        for len in ["00000009", "0000000b", "00000000"] {
+            let head = format!("0000000000000001\tL.\t{len}\tspend\tacme");
+            let forged = format!("{head}\t{:016x}\n", fnv64(head.as_bytes()));
+            std::fs::write(&path, [lines[0], &forged, lines[2]].concat()).unwrap();
+            let read = read_records(&std::fs::read(&path).unwrap(), 0);
+            assert_eq!(read.records.len(), 1, "{len}");
+            assert!(read.dropped_tail);
+            assert_eq!(
+                recovered(&d),
+                vec![(StoreId::State, "first".into())],
+                "{len}"
+            );
+            // Recovery cut the refused records off the file.
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), lines[0]);
+        }
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A torn commit loses the unit it tore whole, and the ledger records
+    /// of the same commit before it survive. The retried commit first
+    /// cuts the torn bytes off, so it is not lost with them.
+    #[test]
+    fn a_torn_commit_keeps_only_whole_units_and_the_retry_lands() {
+        let d = dir("log-torn");
+        let mut log = log(&d);
+        stage(&mut log, StoreId::Ledger, false, "admit\tacme");
+        log.commit(None).unwrap();
+        stage(&mut log, StoreId::Ledger, false, "spend\tacme");
+        stage(&mut log, StoreId::State, true, "state section");
+        stage(&mut log, StoreId::Cache, false, "cache section");
+        let keep = RECORD_HEAD + "spend\tacme".len() + RECORD_TAIL + RECORD_HEAD + 20;
+        let plan = FailPlan::new(CrashPoint::LogTornCommit).torn_keep(keep);
+        assert!(FailPlan::is_crash(&log.commit(Some(&plan)).unwrap_err()));
+        let got = recovered(&d);
+        assert_eq!(got.len(), 2, "the state record's unit never ended");
+        assert_eq!(got[1], (StoreId::Ledger, "spend\tacme".into()));
+        // The surviving process still holds the staged records; recovery
+        // truncated the file meanwhile, which the retry must not mind.
+        log.commit(None).unwrap();
+        assert_eq!(recovered(&d).len(), 4);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A commit that opens a new segment and dies before writing leaves
+    /// an empty segment, which recovery reads as one; full segments roll,
+    /// and a rewrite's manifest makes new snapshots current and drops
+    /// every segment they cover.
+    #[test]
+    fn segments_roll_and_a_rewrite_drops_what_it_covers() {
+        let d = dir("log-roll");
+        let mut log = log(&d);
+        log.set_segment_records(2);
+        for i in 0..3 {
+            stage(&mut log, StoreId::Ledger, false, &format!("r{i}"));
+            log.commit(None).unwrap();
+        }
+        assert_eq!(log.segment_paths().len(), 2);
+        assert_eq!(log.stats().rolls, 1);
+        stage(&mut log, StoreId::Ledger, false, "r3");
+        stage(&mut log, StoreId::Ledger, false, "r4");
+        log.commit(None).unwrap();
+        let plan = FailPlan::new(CrashPoint::LogSegmentRoll);
+        stage(&mut log, StoreId::Ledger, false, "r5");
+        assert!(FailPlan::is_crash(&log.commit(Some(&plan)).unwrap_err()));
+        let segments = log.segment_paths();
+        assert_eq!(segments.len(), 3);
+        assert_eq!(std::fs::metadata(&segments[2]).unwrap().len(), 0);
+        assert_eq!(recovered(&d).len(), 5);
+
+        log.set_snapshot_source(StoreId::Ledger, Box::new(|| "ledger image".into()));
+        log.rewrite(vec![(StoreId::State, "state image".into())], None)
+            .unwrap();
+        assert!(log.segment_paths().is_empty(), "every record is covered");
+        let mut fresh = self::log(&d);
+        fresh.recover().unwrap();
+        assert_eq!(fresh.covered(StoreId::Ledger), 6);
+        assert_eq!(fresh.next_seq(), 6);
+        let state = fresh.snapshot_path(StoreId::State).unwrap();
+        assert_eq!(std::fs::read_to_string(state).unwrap(), "state image");
+        assert!(fresh.snapshot_path(StoreId::Cache).is_none());
+        // The next generation replaces the files of this one.
+        log.rewrite(vec![(StoreId::State, "newer".into())], None)
+            .unwrap();
+        assert!(!d.join("state.0000000000000001").exists());
+        assert!(d.join("state.0000000000000002").exists());
         let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]
-    fn wal_replay_rejects_non_monotone_sequences() {
-        let d = dir("walseq");
-        let path = d.join("ledger.wal");
-        wal_append(&path, 3, "a", None).unwrap();
-        wal_append(&path, 4, "b", None).unwrap();
-        // A duplicated sequence number (e.g. a buggy writer re-appending
-        // after a partial recovery) truncates the log at the violation.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str(&wal_record_line(4, "dup"));
-        std::fs::write(&path, text).unwrap();
-        let replay = wal_replay(&path).unwrap();
-        assert!(replay.dropped_tail);
-        assert_eq!(replay.records.len(), 2);
+    fn manifests_round_trip_and_old_layouts_are_refused() {
+        let mut manifest = Manifest {
+            generation: 4,
+            stores: BTreeMap::new(),
+        };
+        manifest.stores.insert(StoreId::State, (4, 17));
+        manifest.stores.insert(StoreId::Ledger, (2, 9));
+        assert_eq!(Manifest::decode(&manifest.encode()).unwrap(), manifest);
+        manifest.stores.insert(StoreId::Cache, (5, 17));
+        assert!(
+            Manifest::decode(&manifest.encode()).is_err(),
+            "from the future"
+        );
+
+        let d = dir("log-old");
+        std::fs::write(d.join("svc.log"), "aida-ctxstore v3\n").unwrap();
+        let mut log = log(&d);
+        assert!(matches!(log.recover(), Err(SnapshotError::Format(_))));
         let _ = std::fs::remove_dir_all(&d);
     }
-
-    #[test]
-    fn missing_wal_is_empty() {
-        let replay = wal_replay(Path::new("/nonexistent/aida/ledger.wal")).unwrap();
-        assert!(replay.records.is_empty());
-        assert!(!replay.dropped_tail);
-    }
-
     #[test]
     fn firing_plan_dumps_the_flight_recorder() {
         let d = dir("flight");
@@ -1177,143 +1527,21 @@ mod tests {
         let recorder = aida_obs::Recorder::new();
         recorder.set_flight_autodump(&dump);
         recorder.flight("test", "setup", "before crash");
-        let plan = FailPlan::new(CrashPoint::WalBeforeAppend).with_recorder(recorder.clone());
-        assert!(plan.check(CrashPoint::WalBeforeAppend).is_err());
+        let plan = FailPlan::new(CrashPoint::LogBeforeCommit).with_recorder(recorder.clone());
+        assert!(plan.check(CrashPoint::LogBeforeCommit).is_err());
         let text = std::fs::read_to_string(&dump).unwrap();
         assert!(text
             .lines()
             .next()
             .unwrap()
             .contains(r#""flight":"crash_point""#));
-        assert!(text.contains(r#""kind":"crash_point","detail":"WalBeforeAppend""#));
+        assert!(text.contains(r#""kind":"crash_point","detail":"LogBeforeCommit""#));
         // The crash itself is the last record in the ring.
         assert!(text
             .lines()
             .last()
             .unwrap()
             .contains(r#""kind":"crash_point""#));
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn wal_append_batch_is_one_tail_and_replays_in_order() {
-        let d = dir("walbatch");
-        let path = d.join("ledger.wal");
-        wal_append(&path, 0, "admit\tacme", None).unwrap();
-        let batch = ["spend\tacme\t1", "spend\tbolt\t2"];
-        wal_append_batch(&path, 1, &batch, push_str, None).unwrap();
-        let replay = wal_replay(&path).unwrap();
-        assert!(!replay.dropped_tail);
-        assert_eq!(
-            replay.records,
-            vec![
-                (0, "admit\tacme".to_string()),
-                (1, "spend\tacme\t1".to_string()),
-                (2, "spend\tbolt\t2".to_string()),
-            ]
-        );
-        // Encoded into one buffer, the batch is the bytes of its records
-        // appended one by one.
-        let one_by_one = [
-            wal_record_line(0, "admit\tacme"),
-            wal_record_line(1, batch[0]),
-            wal_record_line(2, batch[1]),
-        ];
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), one_by_one.concat());
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn group_flush_crash_loses_the_whole_batch() {
-        let d = dir("groupflush");
-        let path = d.join("ledger.wal");
-        wal_append(&path, 0, "admit\tacme", None).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        let plan = FailPlan::new(CrashPoint::GroupCommitFlush);
-        let batch = ["spend\tacme\t1", "spend\tbolt\t2"];
-        let err = wal_append_batch(&path, 1, &batch, push_str, Some(&plan)).unwrap_err();
-        assert!(FailPlan::is_crash(&err));
-        // Not a single byte of the batch landed: the log is exactly the
-        // pre-crash log (trails memory by one batch, never a torn one).
-        assert_eq!(std::fs::read(&path).unwrap(), before);
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn torn_batch_keeps_an_intact_prefix() {
-        let d = dir("tornbatch");
-        let path = d.join("ledger.wal");
-        let first = wal_record_line(0, "spend\tacme\t1");
-        let plan = FailPlan::new(CrashPoint::WalTornAppend).torn_keep(first.len() + 5);
-        let batch = ["spend\tacme\t1", "spend\tbolt\t2"];
-        let err = wal_append_batch(&path, 0, &batch, push_str, Some(&plan)).unwrap_err();
-        assert!(FailPlan::is_crash(&err));
-        let replay = wal_replay(&path).unwrap();
-        assert!(replay.dropped_tail);
-        assert_eq!(replay.records, vec![(0, "spend\tacme\t1".to_string())]);
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn seal_crash_leaves_the_tail_active() {
-        let d = dir("seal");
-        let tail = d.join("ledger.wal");
-        let sealed = d.join("ledger.wal.0000000000000000.seg");
-        wal_append(&tail, 0, "a", None).unwrap();
-        let plan = FailPlan::new(CrashPoint::WalSegmentSeal);
-        let err = wal_seal_segment(&tail, &sealed, Some(&plan)).unwrap_err();
-        assert!(FailPlan::is_crash(&err));
-        assert!(tail.exists() && !sealed.exists());
-        // Without the plan the seal commits: same bytes, new name.
-        wal_seal_segment(&tail, &sealed, None).unwrap();
-        assert!(!tail.exists() && sealed.exists());
-        assert_eq!(wal_replay(&sealed).unwrap().records.len(), 1);
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn delta_append_tears_like_a_wal_record() {
-        let d = dir("delta");
-        let path = d.join("state.delta");
-        let mut chain = DeltaChain::default();
-        chain.rebase(&path).unwrap();
-        let frame = |payload: &'static str| {
-            move |out: &mut String| {
-                out.push_str(payload);
-                true
-            }
-        };
-        let len = chain.append(&path, None, frame("I\tctx-one")).unwrap();
-        assert_eq!(len, Some(wal_record_line(0, "I\tctx-one").len() as u64));
-        let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(4);
-        let err = chain
-            .append(&path, Some(&plan), frame("E\tctx-one"))
-            .unwrap_err();
-        assert!(FailPlan::is_crash(&err));
-        let replay = wal_replay(&path).unwrap();
-        assert!(replay.dropped_tail);
-        assert_eq!(replay.records, vec![(0, "I\tctx-one".to_string())]);
-        // The writer owns the durable length: the retried frame first
-        // cuts the torn bytes off, so it is not lost with them.
-        chain.append(&path, None, frame("E\tctx-one")).unwrap();
-        let replay = wal_replay(&path).unwrap();
-        assert!(!replay.dropped_tail);
-        assert_eq!(replay.records.len(), 2);
-        // A declined frame touches nothing; then frames append again.
-        let before = std::fs::read(&path).unwrap();
-        assert_eq!(chain.append(&path, None, |_| false).unwrap(), None);
-        assert_eq!(std::fs::read(&path).unwrap(), before);
-        chain.append(&path, None, frame("B\t0\t9")).unwrap();
-        assert_eq!(wal_replay(&path).unwrap().records[2], (2, "B\t0\t9".into()));
-        // A rebase removes the chain and starts it over.
-        assert!(chain.extends(4) && !chain.extends(3));
-        chain.rebase(&path).unwrap();
-        assert!(!path.exists());
-        chain.append(&path, None, frame("I\tctx-two")).unwrap();
-        assert_eq!(
-            wal_replay(&path).unwrap().records,
-            vec![(0, "I\tctx-two".into())]
-        );
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1484,17 +1712,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wal_record_line_keeps_its_bytes() {
-        // The line is built in one buffer now; this is the layout the
-        // two `format!` copies used to produce.
-        for (seq, payload) in [(0u64, ""), (7, "spend\tacme\t42"), (u64::MAX, "é\\t")] {
-            let head = format!("{seq:016x}\t{payload}");
-            let expected = format!("{head}\t{:016x}\n", fnv64(head.as_bytes()));
-            assert_eq!(wal_record_line(seq, payload), expected);
-        }
-    }
-
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -1585,13 +1802,13 @@ mod tests {
 
     #[test]
     fn fail_plan_skips_then_fires_once() {
-        let plan = FailPlan::nth(CrashPoint::WalBeforeAppend, 2);
-        assert!(plan.check(CrashPoint::WalBeforeAppend).is_ok());
+        let plan = FailPlan::nth(CrashPoint::LogBeforeCommit, 2);
+        assert!(plan.check(CrashPoint::LogBeforeCommit).is_ok());
         assert!(plan.check(CrashPoint::SnapshotBeforeWrite).is_ok());
-        assert!(plan.check(CrashPoint::WalBeforeAppend).is_ok());
-        assert!(plan.check(CrashPoint::WalBeforeAppend).is_err());
+        assert!(plan.check(CrashPoint::LogBeforeCommit).is_ok());
+        assert!(plan.check(CrashPoint::LogBeforeCommit).is_err());
         assert!(plan.tripped());
         // One-shot: recovery code after the crash runs unimpeded.
-        assert!(plan.check(CrashPoint::WalBeforeAppend).is_ok());
+        assert!(plan.check(CrashPoint::LogBeforeCommit).is_ok());
     }
 }

@@ -180,11 +180,15 @@ pub struct ServiceReport {
     pub wal_compactions_deferred: u64,
     /// Ledger-WAL records replayed at startup before this run.
     pub wal_replayed: u64,
-    /// Data-file fsyncs the ledger WAL issued during the run.
+    /// Data-file fsyncs of the ledger's log during the run
+    /// (the log's `WalStats`): in a runtime's log, every
+    /// commit, the checkpoints' included, every rewrite snapshot and
+    /// every manifest commit.
     pub wal_fsyncs: u64,
-    /// Group-commit batches flushed during the run (one fsync each).
+    /// Commits that carried ledger records during the run (one fsync
+    /// each).
     pub wal_group_flushes: u64,
-    /// WAL tails sealed into immutable segments during the run.
+    /// Log segments closed because they were full during the run.
     pub wal_segments_sealed: u64,
     /// The crash-staleness bound in records: the durable log trails the
     /// in-memory ledger by at most this many records (1 = per-record

@@ -47,12 +47,13 @@ pub struct ServeConfig {
     pub health_slots: usize,
     /// Burn-rate evaluation windows and alert threshold.
     pub slo_policy: SloPolicy,
-    /// Group-commit batch bound: ledger records are buffered and flushed
-    /// to the WAL under one fsync once this many accumulate (plus at
-    /// every ops-interval boundary and at end of run). `0` or `1` keeps
-    /// per-record durability. The bound is also the crash-staleness
-    /// guarantee: the durable log trails the in-memory ledger by at most
-    /// this many records.
+    /// Group-commit batch bound: ledger records are staged in the log and
+    /// committed under one fsync once this many accumulate at a query's
+    /// spend record (an admission waits for the next one), with the
+    /// runtime's next checkpoint, whichever comes first, and at end of
+    /// run. `0` or `1` keeps per-record durability. The bound is also
+    /// the crash-staleness guarantee: the durable ledger's spend trails
+    /// the in-memory one by at most this many records.
     pub group_commit: usize,
     /// Latency-targeted autoscaling of the virtual worker pool. When
     /// set, the virtual pool's capacity is `autoscale.max_workers` and
@@ -132,74 +133,36 @@ impl ServeConfig {
     }
 }
 
-/// Completions between background-ops hooks: WAL compaction checks and
-/// the group flush run every `OPS_INTERVAL`-th completion, off the
+/// Completions between background-ops hooks: the compaction check of a
+/// ledger on its own log runs every `OPS_INTERVAL`-th completion, off the
 /// per-query path.
 const OPS_INTERVAL: u64 = 16;
 
-/// Group commit: the deterministic commit buffer. Records accumulate
-/// here and land under ONE fsync per batch — at the batch bound, at
-/// every ops-interval boundary, and at end of run. A crash loses at
-/// most one buffered batch.
+/// The ledger's side of one run. Records are staged in the ledger's log,
+/// which commits them once [`ServeConfig::group_commit`] are waiting or
+/// with the runtime's next checkpoint, whichever comes first, so the
+/// durable ledger trails memory by at most one group of records.
 struct WalPipeline<'a> {
     wal: &'a mut LedgerWal,
-    batch: Vec<LedgerRecord>,
     group_commit: usize,
-    /// Completions since the run began, driving the ops-interval hook
-    /// (background WAL compaction runs there, never on the per-query
-    /// path).
+    /// Completions since the run began, driving the ops-interval hook.
     completions: u64,
 }
 
 impl<'a> WalPipeline<'a> {
     fn new(wal: &'a mut LedgerWal, group_commit: usize) -> WalPipeline<'a> {
+        wal.set_group_commit(group_commit);
         WalPipeline {
             wal,
-            batch: Vec::new(),
             group_commit,
             completions: 0,
         }
     }
 
-    /// Flushes the commit buffer under one fsync.
-    fn flush(&mut self, report: &mut ServiceReport, recorder: &Recorder) -> std::io::Result<()> {
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        let n = self.batch.len() as u64;
-        self.wal.append_batch(&self.batch)?;
-        self.batch.clear();
-        report.wal_appends += n;
-        recorder.counter_add(registry::WAL_APPENDS, n);
-        Ok(())
-    }
-
-    /// Buffers one record (group commit) or appends it durably
-    /// (per-record fsync), per the configured bound.
-    fn log(
-        &mut self,
-        report: &mut ServiceReport,
-        recorder: &Recorder,
-        record: LedgerRecord,
-    ) -> std::io::Result<()> {
-        if self.group_commit > 1 {
-            self.batch.push(record);
-            if self.batch.len() >= self.group_commit {
-                return self.flush(report, recorder);
-            }
-            Ok(())
-        } else {
-            self.wal.append(&record)?;
-            report.wal_appends += 1;
-            recorder.counter_add(registry::WAL_APPENDS, 1);
-            Ok(())
-        }
-    }
-
     /// Logs one completion's combined spend record and runs the
-    /// ops-interval hook: group flush plus background WAL compaction,
-    /// off the per-query path. Returns the fatal `(counter, detail)`
-    /// pair when durability failed and dispatch must stop.
+    /// ops-interval hook: background compaction, off the per-query path.
+    /// Returns the fatal `(counter, detail)` pair when durability failed
+    /// and dispatch must stop.
     fn settle_spend(
         &mut self,
         report: &mut ServiceReport,
@@ -208,40 +171,27 @@ impl<'a> WalPipeline<'a> {
         tenant: &TenantId,
         record: LedgerRecord,
     ) -> Option<(&'static str, String)> {
-        let spend_failed = |e: std::io::Error| {
+        if let Err(e) = self.wal.append(&record) {
             let detail = format!("spend record for tenant {tenant} failed: {e}");
-            (registry::WAL_APPEND_ERRORS, detail)
-        };
-        if let Err(e) = self.log(report, recorder, record) {
-            return Some(spend_failed(e));
+            return Some((registry::WAL_APPEND_ERRORS, detail));
         }
         self.completions += 1;
-        if self.completions.is_multiple_of(OPS_INTERVAL) {
-            // Background ops: flush first so the compaction snapshot
-            // never claims coverage of records still sitting in the
-            // commit buffer.
-            match self.flush(report, recorder) {
-                Ok(()) if self.wal.compaction_due() => match self.wal.compact(tenants) {
-                    Ok(_) => {
-                        report.wal_compactions += 1;
-                        recorder.counter_add(registry::WAL_COMPACTIONS, 1);
-                    }
-                    Err(e) => {
-                        return Some((
-                            registry::WAL_COMPACTION_ERRORS,
-                            format!("ledger compaction failed: {e}"),
-                        ));
-                    }
-                },
-                Ok(()) => {}
-                Err(e) => return Some(spend_failed(e)),
-            }
-        } else if self.wal.compaction_due() {
+        if !self.wal.compaction_due() {
+            return None;
+        }
+        if !self.completions.is_multiple_of(OPS_INTERVAL) {
             // Due but not at an ops boundary: count the deferral instead
             // of paying the snapshot rewrite on the query path.
             report.wal_compactions_deferred += 1;
             recorder.counter_add(registry::WAL_COMPACTIONS_DEFERRED, 1);
+            return None;
         }
+        if let Err(e) = self.wal.compact(tenants) {
+            let detail = format!("ledger compaction failed: {e}");
+            return Some((registry::WAL_COMPACTION_ERRORS, detail));
+        }
+        report.wal_compactions += 1;
+        recorder.counter_add(registry::WAL_COMPACTIONS, 1);
         None
     }
 }
@@ -495,7 +445,7 @@ impl<'a> Dispatcher<'a> {
                     let record = LedgerRecord::Admit {
                         tenant: tenant.clone(),
                     };
-                    if let Err(e) = p.log(&mut self.report, self.runtime.recorder(), record) {
+                    if let Err(e) = p.wal.append(&record) {
                         let detail = format!("admit record for tenant {tenant} failed: {e}");
                         self.wal_fatal(registry::WAL_APPEND_ERRORS, detail);
                         return false;
@@ -602,7 +552,7 @@ impl<'a> Dispatcher<'a> {
     fn settle_run(mut self) -> ServiceReport {
         let (runtime, recorder) = (self.runtime, self.runtime.recorder());
         if let Some(p) = self.wal.as_mut().filter(|_| !self.report.wal_failed) {
-            if let Err(e) = p.flush(&mut self.report, recorder) {
+            if let Err(e) = p.wal.flush() {
                 let detail = format!("end-of-run group flush failed: {e}");
                 self.wal_fatal(registry::WAL_APPEND_ERRORS, detail);
             }
@@ -636,10 +586,12 @@ impl<'a> Dispatcher<'a> {
         }
         if let Some(p) = &self.wal {
             let (stats, before) = (p.wal.stats(), &self.wal_before);
+            report.wal_appends = stats.ledger_records - before.ledger_records;
             report.wal_fsyncs = stats.fsyncs - before.fsyncs;
-            report.wal_group_flushes = stats.group_flushes - before.group_flushes;
-            report.wal_segments_sealed = stats.segments_sealed - before.segments_sealed;
+            report.wal_group_flushes = stats.ledger_commits - before.ledger_commits;
+            report.wal_segments_sealed = stats.rolls - before.rolls;
             report.wal_batch_bound = p.group_commit.max(1) as u64;
+            recorder.counter_add(registry::WAL_APPENDS, report.wal_appends);
             recorder.counter_add(registry::WAL_FSYNCS, report.wal_fsyncs);
             recorder.counter_add(registry::WAL_GROUP_FLUSHES, report.wal_group_flushes);
             recorder.counter_add(registry::WAL_SEGMENTS_SEALED, report.wal_segments_sealed);
@@ -694,11 +646,17 @@ impl QueryService {
         }
     }
 
-    /// Attaches a tenant-ledger WAL: recovers the ledger's spend state
-    /// from disk (compacted snapshot + intact WAL suffix), then logs
-    /// every admit and every completed query's spend durably. Call after
-    /// registering tenants so recovered spend meets its quota configs.
+    /// Attaches the tenant ledger's store: recovers the ledger's spend
+    /// state from disk (its snapshot + the ledger records of the log
+    /// after it), then logs every admit and every completed query's
+    /// spend durably. When the runtime has a log ([`Runtime::log`]) the
+    /// ledger joins it, and `wal`'s path only names the ledger's
+    /// snapshots. Call after registering tenants so recovered spend
+    /// meets its quota configs.
     pub fn attach_wal(&mut self, mut wal: LedgerWal) -> Result<WalRecovery, SnapshotError> {
+        if let Some(log) = self.runtime.log() {
+            wal = wal.join(log);
+        }
         let recovery = wal.recover(&mut self.tenants)?;
         let recorder = self.runtime.recorder();
         recorder.counter_add(registry::WAL_REPLAYED_RECORDS, recovery.replayed);
@@ -1524,6 +1482,105 @@ mod tests {
         // Hit/coalesced/miss counts are visible on every surface.
         assert!(report.render().contains("semantic cache:"));
         assert!(report.to_jsonl().contains(r#""cache_hits""#));
+    }
+
+    /// `durable_serve`'s alignment — group commit 8, a checkpoint every
+    /// 16 operators, segments of 32 records — on the two-document lake,
+    /// with the ledger in the runtime's log: a checkpoint query that is
+    /// not a full rewrite issues exactly one data-file fsync, the
+    /// frame's, which carries the ledger records staged before it, and
+    /// no other query (ops boundaries included) more than one.
+    #[test]
+    fn a_checkpoint_query_pays_one_fsync() {
+        use crate::driver::ReplaySource;
+        /// Per completion: the fsyncs since the previous one, and whether
+        /// the query wrote a frame or a full rewrite.
+        struct Counting {
+            inner: ReplaySource,
+            rt: Runtime,
+            last: [u64; 3],
+            queries: Vec<(u64, bool, bool)>,
+        }
+        impl RequestSource for Counting {
+            fn next_arrival(&mut self) -> Option<f64> {
+                self.inner.next_arrival()
+            }
+            fn pop(&mut self, horizon_s: f64) -> Option<QueryRequest> {
+                self.inner.pop(horizon_s)
+            }
+            fn on_completion(&mut self, _: &Completion) {
+                let counters = self.rt.recorder().trace().counters;
+                let count = |name| counters.get(name).copied().unwrap_or(0);
+                let fsyncs = self.rt.log().unwrap().lock().stats().fsyncs;
+                let now = [
+                    fsyncs,
+                    count("checkpoint.delta_frames"),
+                    count("checkpoint.saves"),
+                ];
+                let [fsyncs, frames, saves] = [0, 1, 2].map(|i| now[i] - self.last[i]);
+                self.queries.push((fsyncs, frames > 0, saves > frames));
+                self.last = now;
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("aida-svc-one-fsync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rt = Runtime::builder()
+            .seed(7)
+            .tracing(true)
+            .semantic_cache(1024)
+            .state_path(dir.join("state.bin"))
+            .cache_path(dir.join("semcache.bin"))
+            .checkpoint_interval(16)
+            .delta_checkpoints(true)
+            .build();
+        let ctx = Context::builder("lake", lake())
+            .description("FTC identity theft reports by year")
+            .build(&rt);
+        let config = ServeConfig::with_workers(2).group_commit(8);
+        let mut svc = QueryService::new(rt.clone(), config);
+        svc.register_context("reports", ctx);
+        svc.register_tenant("acme", TenantConfig::default());
+        svc.register_tenant("bolt", TenantConfig::default());
+        let wal = LedgerWal::open(dir.join("ledger.wal")).segment_records(32);
+        svc.attach_wal(wal).unwrap();
+        let requests = (0..160)
+            .map(|i| {
+                let tenant = if i % 2 == 0 { "acme" } else { "bolt" };
+                let year = 2001 + i % 3;
+                let mut r = QueryRequest::new(tenant, "reports", format!("count theft in {year}"))
+                    .at(i as f64 * 600.0);
+                r.seq = i as u64;
+                r
+            })
+            .collect();
+        let mut source = Counting {
+            inner: ReplaySource::new(requests),
+            rt,
+            last: [0; 3],
+            queries: Vec::new(),
+        };
+        let report = svc.serve(&mut source);
+        assert_eq!(report.completions.len(), 160);
+        let frames: Vec<u64> = (source.queries.iter())
+            .filter(|(_, frame, rewrite)| *frame && !rewrite)
+            .map(|(fsyncs, ..)| *fsyncs)
+            .collect();
+        assert!(frames.len() >= 4, "{:?}", source.queries);
+        assert!(frames.iter().all(|&n| n == 1), "{frames:?}");
+        let others = source
+            .queries
+            .iter()
+            .filter(|(_, frame, rewrite)| !frame && !rewrite);
+        assert!(
+            others.clone().all(|(n, ..)| *n <= 1),
+            "{:?}",
+            source.queries
+        );
+        // Every fsync of the run is the log's: the report counts them all.
+        let total: u64 = source.queries.iter().map(|(n, ..)| n).sum();
+        assert_eq!(report.wal_fsyncs, total);
+        assert!(report.wal_segments_sealed > 0, "the log rolled");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

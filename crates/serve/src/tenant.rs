@@ -1,14 +1,17 @@
-//! Per-tenant configuration and accounting, plus the append-only
-//! tenant-ledger WAL that makes quotas, spend attribution, and
-//! cache-credit balances exact across service restarts.
+//! Per-tenant configuration and accounting, plus the tenant ledger's
+//! store in the service's log, which makes quotas, spend attribution,
+//! and cache-credit balances exact across service restarts.
 
 use crate::request::TenantId;
-use aida_llm::snapshot::{self, esc, FailPlan, Fields, SnapshotError};
+use aida_llm::snapshot::{
+    self, esc, FailPlan, Fields, Log, LogStats, SharedLog, SnapshotError, StoreId,
+};
 use aida_llm::{ModelCatalog, UsageSnapshot};
 use aida_obs::SloTarget;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Per-tenant service configuration.
@@ -162,11 +165,11 @@ impl TenantLedger {
         self.spend.iter()
     }
 
-    /// Applies one durable ledger record. Replaying a WAL through this
+    /// Applies one durable ledger record. Replaying the log through this
     /// reproduces the exact spend state the records were written under.
     fn apply(&mut self, record: &LedgerRecord) {
         match record {
-            // Admissions carry no spend; they make the WAL a complete
+            // Admissions carry no spend; they make the log a complete
             // audit trail of what entered the service.
             LedgerRecord::Admit { .. } => {}
             LedgerRecord::Spend {
@@ -342,102 +345,78 @@ fn read_spend<'a>(
 /// What [`LedgerWal::recover`] reconstructed at startup.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WalRecovery {
-    /// Whether a compacted ledger snapshot was loaded first.
+    /// Whether the manifest named a ledger snapshot, loaded first.
     pub snapshot_loaded: bool,
-    /// WAL records replayed into the ledger.
+    /// Ledger records replayed into the ledger.
     pub replayed: u64,
-    /// WAL records skipped because the compacted snapshot already covers
-    /// them (a crash between snapshot-commit and WAL-truncate leaves
-    /// such records behind; skipping keeps replay idempotent).
+    /// Ledger records the snapshot already covers (left by a crash
+    /// before the segments it covers were deleted).
     pub skipped: u64,
-    /// Whether a torn/corrupt suffix was truncated — physically, so
-    /// post-recovery appends start on a fresh line rather than merging
-    /// into the torn record. Damage inside a sealed segment also drops
-    /// every later segment and the active tail.
+    /// Whether recovery cut a refused suffix off the log's files.
     pub dropped_tail: bool,
-    /// Sealed segment files whose intact records were replayed.
+    /// Full segment files the log holds after recovery.
     pub sealed_segments: u64,
-    /// The next sequence number new appends will use.
+    /// The next sequence number new records will use.
     pub next_seq: u64,
 }
 
-/// Lifetime I/O counters for one [`LedgerWal`] (monotone; diff two
-/// snapshots for a per-run delta).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WalStats {
-    /// Data-file fsyncs issued (appends, batch flushes, compactions;
-    /// directory fsyncs excluded).
-    pub fsyncs: u64,
-    /// Group-commit batches flushed (one fsync each).
-    pub group_flushes: u64,
-    /// Tail files sealed into immutable segments.
-    pub segments_sealed: u64,
-}
+/// Lifetime I/O counters of the log a [`LedgerWal`] writes to. Its
+/// `fsyncs` are every data-file fsync of that log: one per commit, one
+/// per snapshot a compaction or full rewrite writes and one per manifest
+/// commit; directory fsyncs are not counted. When the ledger shares the
+/// runtime's log, a checkpoint's commit carries the ledger records staged
+/// before it and counts once, and the runtime's full rewrites count too:
+/// this is every data-file fsync of the service.
+pub type WalStats = LogStats;
 
-const LEDGER_MAGIC: &str = "aida-ledger v1";
+const LEDGER_MAGIC: &str = "aida-ledger v2";
 
-/// The append-only tenant-ledger WAL. Every admit and every completed
-/// query appends one checksummed, sequence-numbered record; on startup
-/// [`LedgerWal::recover`] loads the compacted snapshot (the WAL path's
-/// `.ledger` sibling), replays every sealed segment in sequence order,
-/// then replays the intact active tail, so quotas and spend are exact
-/// across restarts.
-///
-/// # Log structure
-///
-/// With [`LedgerWal::segment_records`] set, the active tail file is
-/// sealed into an immutable sibling named `<wal>.<first_seq:hex16>.seg`
-/// once it holds that many records (hex-16 names sort in sequence
-/// order). Compaction then folds the durable state into the snapshot and
-/// deletes only sealed segment files — the active tail is never
-/// rewritten, so compaction cost is independent of concurrent appends
-/// (tail records the snapshot already covers replay as `skipped`).
-/// Without segmentation the WAL is a single file and compaction
-/// truncates it, as before.
-#[derive(Debug)]
+/// The tenant ledger's store in a [`Log`]: every admit and every
+/// completed query stages one record, and [`LedgerWal::recover`] loads
+/// the snapshot the manifest names and replays the records after it, so
+/// quotas and spend are exact across restarts. Opened on its own, the
+/// ledger is the only store of a log at its path; attached to a service
+/// whose runtime has a log ([`aida_core::Runtime::log`]) it joins that
+/// one, sharing its commits and full rewrites.
 pub struct LedgerWal {
     path: PathBuf,
-    snapshot_path: PathBuf,
-    next_seq: u64,
-    records_in_wal: usize,
-    /// Records physically in the active tail file (covered-by-snapshot
-    /// records included) — the seal threshold counts these.
-    records_in_tail: usize,
-    /// Sequence number of the tail's first record (names the segment the
-    /// tail becomes when sealed).
-    tail_first_seq: u64,
+    log: SharedLog,
+    /// Whether `log` is a runtime's, recovered when the runtime was built.
+    joined: bool,
+    segment_records: usize,
     compact_threshold: usize,
-    segment_max_records: usize,
-    stats: WalStats,
+    /// Records staged since the ledger's last snapshot.
+    since_snapshot: usize,
+    /// The spend of every record staged: what a rewrite writes as the
+    /// ledger's snapshot.
+    staged: Arc<Mutex<TenantLedger>>,
     plan: Option<Arc<FailPlan>>,
 }
 
 impl LedgerWal {
-    /// Opens a WAL at `path` (nothing is read until
-    /// [`LedgerWal::recover`]). The compacted snapshot lives beside it
-    /// with a `.ledger` suffix.
+    /// A ledger whose log is at `path` (nothing is read until
+    /// [`LedgerWal::recover`]).
     pub fn open(path: impl Into<PathBuf>) -> LedgerWal {
         let path = path.into();
-        let mut os = path.as_os_str().to_owned();
-        os.push(".ledger");
+        let mut log = Log::open(&path);
+        log.set_store_path(StoreId::Ledger, &path);
         LedgerWal {
-            snapshot_path: PathBuf::from(os),
+            log: Arc::new(Mutex::new(log)),
             path,
-            next_seq: 0,
-            records_in_wal: 0,
-            records_in_tail: 0,
-            tail_first_seq: 0,
+            joined: false,
+            segment_records: 0,
             compact_threshold: 256,
-            segment_max_records: 0,
-            stats: WalStats::default(),
+            since_snapshot: 0,
+            staged: Arc::default(),
             plan: None,
         }
     }
 
-    /// Seals the active tail into an immutable `.seg` segment once it
-    /// holds this many records (0 = never seal; single-file WAL).
+    /// Opens a new log segment once the active one holds this many
+    /// records, of every store (0 = one segment until a compaction).
     pub fn segment_records(mut self, records: usize) -> LedgerWal {
-        self.segment_max_records = records;
+        self.segment_records = records;
+        self.log.lock().set_segment_records(records);
         self
     }
 
@@ -448,343 +427,167 @@ impl LedgerWal {
         self
     }
 
-    /// The WAL file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Joins `log`, a runtime's, instead of the log at the path, which
+    /// then only names the ledger's snapshots (as
+    /// [`QueryService::attach_wal`](crate::QueryService::attach_wal) does).
+    pub fn join(mut self, log: &SharedLog) -> LedgerWal {
+        (self.log, self.joined) = (Arc::clone(log), true);
+        let mut log = self.log.lock();
+        log.set_store_path(StoreId::Ledger, &self.path);
+        log.set_segment_records(self.segment_records);
+        drop(log);
+        self
     }
 
-    /// The sequence number the next append will use.
+    /// How many ledger records may wait staged before a commit (0 or 1:
+    /// every record commits).
+    pub(crate) fn set_group_commit(&self, records: usize) {
+        self.log.lock().set_group_commit(records);
+    }
+
+    /// The sequence number the next record will use.
     pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        self.log.lock().next_seq()
     }
 
-    /// Lifetime I/O counters (fsyncs, group flushes, seals).
+    /// Lifetime I/O counters of the ledger's log.
     pub fn stats(&self) -> WalStats {
-        self.stats
+        self.log.lock().stats()
     }
 
-    /// Whether the replayable WAL has reached the compaction threshold.
-    /// The query path checks this to *count* deferred compactions; the
-    /// ops-interval hook acts on it.
+    /// Whether a ledger on its own log has staged enough records since
+    /// its snapshot to compact (a runtime's full rewrites compact one in
+    /// its log).
     pub fn compaction_due(&self) -> bool {
-        self.compact_threshold > 0 && self.records_in_wal >= self.compact_threshold
+        !self.joined && self.compact_threshold > 0 && self.since_snapshot >= self.compact_threshold
     }
 
-    /// The sealed-segment path for a tail whose first record is `seq`.
-    fn segment_path(&self, first_seq: u64) -> PathBuf {
-        let mut os = self.path.as_os_str().to_owned();
-        os.push(format!(".{first_seq:016x}.seg"));
-        PathBuf::from(os)
-    }
-
-    /// Sealed segment files beside the WAL, sorted by first sequence
-    /// number (the hex-16 name embeds it, so lexical order is replay
-    /// order).
-    fn sealed_segments(&self) -> std::io::Result<Vec<(u64, PathBuf)>> {
-        let parent = match self.path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            _ => Path::new("."),
-        };
-        let Some(stem) = self
-            .path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-        else {
-            return Ok(Vec::new());
-        };
-        let entries = match std::fs::read_dir(parent) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut out = Vec::new();
-        for entry in entries {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name
-                .strip_prefix(stem.as_str())
-                .and_then(|rest| rest.strip_prefix('.'))
-                .and_then(|rest| rest.strip_suffix(".seg"))
-            else {
-                continue;
-            };
-            if hex.len() != 16 {
-                continue;
-            }
-            let Ok(seq) = u64::from_str_radix(hex, 16) else {
-                continue;
-            };
-            out.push((seq, entry.path()));
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        Ok(out)
-    }
-
-    /// Rebuilds `ledger` from disk: applies the compacted snapshot (if
-    /// any), replays every sealed segment in sequence order, then
-    /// replays the intact active tail — skipping records the snapshot
-    /// already covers. A torn suffix is physically truncated so
-    /// subsequent appends never merge into the torn record; damage
-    /// inside a sealed segment additionally drops every later segment
-    /// and the tail, so two recoveries in a row trust the same prefix.
-    /// A corrupt snapshot is a typed error (the caller decides whether
-    /// to start cold).
+    /// Rebuilds `ledger` from disk: the snapshot the manifest names, then
+    /// the ledger records of the log after it. A ledger on its own log
+    /// recovers the log first (cutting a torn tail off); a joined one
+    /// takes what the runtime's recovery read. A snapshot or record that
+    /// does not decode is a typed error (the caller decides whether to
+    /// start cold).
     pub fn recover(&mut self, ledger: &mut TenantLedger) -> Result<WalRecovery, SnapshotError> {
+        let mut log = self.log.lock();
+        if !self.joined {
+            log.recover()?;
+        }
         let mut recovery = WalRecovery::default();
-        let mut base_seq = 0u64;
-        match std::fs::read_to_string(&self.snapshot_path) {
-            Ok(text) => {
-                let (seq, spends) = decode_ledger_snapshot(&text)?;
-                base_seq = seq;
-                for (tenant, spend) in spends {
-                    ledger.charge(&tenant, spend);
-                }
-                recovery.snapshot_loaded = true;
+        let mut staged = TenantLedger::new();
+        if let Some(path) = log.snapshot_path(StoreId::Ledger) {
+            for (tenant, spend) in decode_ledger_snapshot(&std::fs::read_to_string(path)?)? {
+                staged.charge(&tenant, spend);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
+            recovery.snapshot_loaded = true;
         }
-        self.next_seq = base_seq;
-        self.records_in_wal = 0;
-        self.records_in_tail = 0;
-
-        // Replay stops trusting the log at the first violation; once a
-        // sealed segment is damaged or out of sequence, every later
-        // segment and the tail are dropped *physically*, so the next
-        // recovery reconstructs the identical state.
-        let mut last_seq: Option<u64> = None;
-        let mut poisoned = false;
-        for (_, seg_path) in self.sealed_segments().map_err(SnapshotError::Io)? {
-            if poisoned {
-                std::fs::remove_file(&seg_path).map_err(SnapshotError::Io)?;
-                continue;
-            }
-            let replay = snapshot::wal_replay(&seg_path)?;
-            // Within a file wal_replay enforces increasing sequence
-            // numbers, so a cross-file break can only show at the first
-            // record: a segment that does not continue the chain is not
-            // ours — drop it whole.
-            let continues = replay
-                .records
-                .first()
-                .is_none_or(|(seq, _)| last_seq.is_none_or(|last| *seq > last));
-            if !continues {
-                std::fs::remove_file(&seg_path).map_err(SnapshotError::Io)?;
-                recovery.dropped_tail = true;
-                poisoned = true;
-                continue;
-            }
-            for (seq, payload) in &replay.records {
-                if *seq < base_seq {
-                    recovery.skipped += 1;
-                } else {
-                    let record = LedgerRecord::decode(payload)?;
-                    ledger.apply(&record);
-                    recovery.replayed += 1;
-                    self.records_in_wal += 1;
-                }
-                last_seq = Some(*seq);
-                self.next_seq = *seq + 1;
-            }
-            recovery.sealed_segments += 1;
-            if replay.dropped_tail {
-                let file = std::fs::OpenOptions::new().write(true).open(&seg_path)?;
-                file.set_len(replay.valid_len)?;
-                file.sync_all()?;
-                recovery.dropped_tail = true;
-                poisoned = true;
-            }
-        }
-
-        if poisoned {
-            truncate_durably(&self.path, 0)?;
-            self.tail_first_seq = self.next_seq;
-            recovery.next_seq = self.next_seq;
-            return Ok(recovery);
-        }
-        let replay = snapshot::wal_replay(&self.path)?;
-        let continues = replay
-            .records
-            .first()
-            .is_none_or(|(seq, _)| last_seq.is_none_or(|last| *seq > last));
-        if !continues {
-            truncate_durably(&self.path, 0)?;
-            recovery.dropped_tail = true;
-            self.tail_first_seq = self.next_seq;
-            recovery.next_seq = self.next_seq;
-            return Ok(recovery);
-        }
-        if replay.dropped_tail {
-            // Physically truncate the torn tail, not just logically skip
-            // it: a later append would otherwise land on the torn line,
-            // fail its checksum on the next replay, and drop every
-            // acknowledged record written after this recovery.
-            truncate_durably(&self.path, replay.valid_len)?;
-            recovery.dropped_tail = true;
-        }
-        self.tail_first_seq = replay
-            .records
-            .first()
-            .map_or(self.next_seq, |(seq, _)| *seq);
-        for (seq, payload) in &replay.records {
-            if *seq < base_seq {
+        let covered = log.covered(StoreId::Ledger);
+        for record in log.take_records(&[StoreId::Ledger]) {
+            if record.seq < covered {
                 recovery.skipped += 1;
             } else {
-                let record = LedgerRecord::decode(payload)?;
-                ledger.apply(&record);
+                staged.apply(&LedgerRecord::decode(&record.payload)?);
                 recovery.replayed += 1;
-                self.records_in_wal += 1;
             }
-            self.records_in_tail += 1;
-            self.next_seq = *seq + 1;
         }
-        recovery.next_seq = self.next_seq;
+        for (tenant, spend) in staged.spends() {
+            ledger.charge(tenant, *spend);
+        }
+        self.since_snapshot = recovery.replayed as usize;
+        recovery.dropped_tail = log.dropped_tail();
+        recovery.sealed_segments = (log.segment_paths().len() as u64).saturating_sub(1);
+        recovery.next_seq = log.next_seq();
+        *self.staged.lock() = staged;
+        let image = Arc::clone(&self.staged);
+        let source = move || encode_ledger_snapshot(&image.lock());
+        log.set_snapshot_source(StoreId::Ledger, Box::new(source));
         Ok(recovery)
     }
 
-    /// Appends one record durably, returning its sequence number. On an
-    /// error the record may or may not have landed (exactly the crash
-    /// model); the caller must stop appending and recover via
+    /// Stages one record and commits once the group bound is reached
+    /// (at once, without group commit), returning its sequence number.
+    /// Under group commit an admission, which carries no spend, waits
+    /// for the next spend record: the staged spend never exceeds the
+    /// bound, and a checkpoint of the query the admission starts carries
+    /// it. On an error the record may or may not have landed (exactly
+    /// the crash model); the caller must stop appending and recover via
     /// [`LedgerWal::recover`] before trusting the ledger again.
     pub fn append(&mut self, record: &LedgerRecord) -> std::io::Result<u64> {
-        let seq = self.next_seq;
-        snapshot::wal_append(&self.path, seq, &record.encode(), self.plan.as_deref())?;
-        self.stats.fsyncs += 1;
-        self.next_seq = seq + 1;
-        self.records_in_wal += 1;
-        self.records_in_tail += 1;
-        self.maybe_seal()?;
+        let seq = self.stage(record)?;
+        let mut log = self.log.lock();
+        if log.commit_due(matches!(record, LedgerRecord::Admit { .. })) {
+            log.commit(self.plan.as_deref())?;
+        }
         Ok(seq)
     }
 
-    /// Appends a batch of records under a SINGLE fsync (group commit),
+    /// Stages a batch of records and commits them under a SINGLE fsync,
     /// returning the first record's sequence number. Either a prefix of
     /// the batch survives a tear or the whole batch lands; on an error
     /// the caller must stop appending and recover, exactly as for
     /// [`LedgerWal::append`].
     pub fn append_batch(&mut self, records: &[LedgerRecord]) -> std::io::Result<u64> {
-        let first = self.next_seq;
-        if records.is_empty() {
-            return Ok(first);
+        let first = self.next_seq();
+        for record in records {
+            self.stage(record)?;
         }
-        snapshot::wal_append_batch(
-            &self.path,
-            first,
-            records,
-            LedgerRecord::encode_into,
-            self.plan.as_deref(),
-        )?;
-        self.stats.fsyncs += 1;
-        self.stats.group_flushes += 1;
-        self.next_seq = first + records.len() as u64;
-        self.records_in_wal += records.len();
-        self.records_in_tail += records.len();
-        self.maybe_seal()?;
+        self.flush()?;
         Ok(first)
     }
 
-    /// Seals the active tail into an immutable segment if it has reached
-    /// the segment size. Sealing renames the fsynced tail (records stay
-    /// durable throughout); the next append recreates the tail file.
-    fn maybe_seal(&mut self) -> std::io::Result<bool> {
-        if self.segment_max_records == 0 || self.records_in_tail < self.segment_max_records {
-            return Ok(false);
-        }
-        let sealed = self.segment_path(self.tail_first_seq);
-        snapshot::wal_seal_segment(&self.path, &sealed, self.plan.as_deref())?;
-        self.stats.fsyncs += 1;
-        self.stats.segments_sealed += 1;
-        self.records_in_tail = 0;
-        self.tail_first_seq = self.next_seq;
-        Ok(true)
+    fn stage(&mut self, record: &LedgerRecord) -> std::io::Result<u64> {
+        let mut log = self.log.lock();
+        let seq = log.next_seq();
+        log.stage(StoreId::Ledger, false, |out| record.encode_into(out))?;
+        self.staged.lock().apply(record);
+        self.since_snapshot += 1;
+        Ok(seq)
     }
 
-    /// Writes the ledger's current state into the compacted snapshot
-    /// (atomic commit), then reclaims log space. A crash between the two
-    /// steps is safe: recovery skips WAL records the snapshot already
-    /// covers.
+    /// Commits the staged records.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        self.log.lock().commit(self.plan.as_deref()).map(drop)
+    }
+
+    /// Commits the staged records, then writes `ledger` as the ledger's
+    /// next snapshot and makes it current with one manifest commit; the
+    /// segments every store's snapshot now covers are deleted. A crash
+    /// anywhere before the manifest rename leaves the previous snapshot
+    /// and the whole log.
     ///
-    /// `ledger` must reflect every record appended so far — with a
-    /// group-commit buffer in front of this WAL, flush it first, or the
-    /// snapshot would claim coverage of spends whose records never
-    /// landed.
-    ///
-    /// Segmented WALs delete sealed segment files only and leave the
-    /// active tail in place (its covered records replay as skipped);
-    /// single-file WALs truncate, as before.
+    /// `ledger` must reflect every record appended so far, or the
+    /// snapshot would claim coverage of spends it does not hold.
     pub fn compact(&mut self, ledger: &TenantLedger) -> std::io::Result<bool> {
-        let framed = encode_ledger_snapshot(self.next_seq, ledger);
-        snapshot::commit_atomic(&self.snapshot_path, &framed, self.plan.as_deref())?;
-        self.stats.fsyncs += 1;
-        if self.segment_max_records == 0 {
-            // Durable truncate: `fs::write(path, "")` alone leaves the
-            // zero-length state unsynced, so after a power cut the WAL's
-            // on-disk length is undefined — stale pre-compaction bytes
-            // could coexist with post-compaction appends in whatever
-            // order the filesystem flushed them. fsyncing the truncation
-            // pins the empty state before any new append lands.
-            let wal = std::fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&self.path)?;
-            wal.sync_all()?;
-            self.stats.fsyncs += 1;
-            self.records_in_tail = 0;
-            self.tail_first_seq = self.next_seq;
-        } else {
-            for (_, seg) in self.sealed_segments()? {
-                std::fs::remove_file(seg)?;
-            }
-            snapshot::sync_parent_dir(&self.path)?;
-        }
-        self.records_in_wal = 0;
+        let snapshot = vec![(StoreId::Ledger, encode_ledger_snapshot(ledger))];
+        self.log.lock().rewrite(snapshot, self.plan.as_deref())?;
+        *self.staged.lock() = ledger.clone();
+        self.since_snapshot = 0;
         Ok(true)
     }
 }
 
-/// Truncates `path` to `len` bytes and fsyncs, so the dropped suffix is
-/// gone durably — not just until the next power cut. Missing files are
-/// fine (an empty tail needs no truncation).
-fn truncate_durably(path: &Path, len: u64) -> std::io::Result<()> {
-    let file = match std::fs::OpenOptions::new().write(true).open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    file.set_len(len)?;
-    file.sync_all()
-}
-
-fn encode_ledger_snapshot(next_seq: u64, ledger: &TenantLedger) -> String {
-    let mut body = format!("Q\t{next_seq}\n");
+fn encode_ledger_snapshot(ledger: &TenantLedger) -> String {
+    let mut body = String::new();
     for (tenant, spend) in ledger.spends() {
         body.push_str("S\t");
         esc(tenant.as_str(), &mut body);
-        body.push_str(&format!(
-            "\t{:016x}\t{}\t{}\t{}\t{}\n",
+        let _ = writeln!(
+            body,
+            "\t{:016x}\t{}\t{}\t{}\t{}",
             spend.usd.to_bits(),
             spend.tokens,
             spend.calls,
             spend.cache_hits,
             spend.cache_coalesced
-        ));
+        );
     }
     snapshot::encode_file(LEDGER_MAGIC, &body)
 }
 
-fn decode_ledger_snapshot(text: &str) -> Result<(u64, Vec<(TenantId, Spend)>), SnapshotError> {
+fn decode_ledger_snapshot(text: &str) -> Result<Vec<(TenantId, Spend)>, SnapshotError> {
     let body = snapshot::decode_file(LEDGER_MAGIC, text)?;
-    let mut lines = body.lines();
-    let mut fields = Fields::new(lines.next().unwrap_or("").split('\t'));
-    if fields.field()? != "Q" {
-        return Err(SnapshotError::Format("bad sequence line".into()));
-    }
-    let next_seq = fields.num("bad sequence line")?;
-    fields.end()?;
     let mut spends = Vec::new();
-    for line in lines {
+    for line in body.lines() {
         let mut fields = Fields::new(line.split('\t'));
         if fields.field()? != "S" {
             return Err(SnapshotError::Format("bad spend line".into()));
@@ -792,7 +595,7 @@ fn decode_ledger_snapshot(text: &str) -> Result<(u64, Vec<(TenantId, Spend)>), S
         spends.push((TenantId::new(fields.text()?), read_spend(&mut fields)?));
         fields.end()?;
     }
-    Ok((next_seq, spends))
+    Ok(spends)
 }
 
 #[cfg(test)]
@@ -800,14 +603,20 @@ mod tests {
     use super::*;
 
     impl LedgerWal {
-        /// Sets the auto-compaction threshold (records in the WAL).
+        /// Sets the auto-compaction threshold (records since the
+        /// ledger's snapshot).
         pub(crate) fn compact_threshold(mut self, records: usize) -> LedgerWal {
             self.compact_threshold = records;
             self
         }
 
-        /// Compacts if the replayable WAL has reached the threshold.
-        /// Returns whether a compaction ran.
+        /// The log's segment files.
+        fn segments(&self) -> Vec<PathBuf> {
+            self.log.lock().segment_paths()
+        }
+
+        /// Compacts if the ledger has reached the threshold. Returns
+        /// whether a compaction ran.
         fn maybe_compact(&mut self, ledger: &TenantLedger) -> std::io::Result<bool> {
             if !self.compaction_due() {
                 return Ok(false);
@@ -976,11 +785,13 @@ mod tests {
             ledger.apply(&record);
             wal.append(&record).unwrap();
         }
-        // Simulate a crash between snapshot-commit and WAL-truncate: run
-        // the compaction, then restore the pre-truncate WAL bytes.
-        let wal_bytes = std::fs::read(wal.path()).unwrap();
+        // Simulate a crash between the manifest commit and the deletion
+        // of the segment it covers: compact, then restore the segment.
+        let segment = wal.segments().remove(0);
+        let bytes = std::fs::read(&segment).unwrap();
         assert!(wal.maybe_compact(&ledger).unwrap());
-        std::fs::write(wal.path(), &wal_bytes).unwrap();
+        assert!(wal.segments().is_empty(), "the snapshot covers the log");
+        std::fs::write(&segment, &bytes).unwrap();
 
         let mut restarted = TenantLedger::new();
         let mut wal2 = LedgerWal::open(d.join("tenants.wal"));
@@ -1005,7 +816,7 @@ mod tests {
         let mut wal = LedgerWal::open(d.join("tenants.wal"));
         wal.append(&spend_record(&acme, 0.25)).unwrap();
         wal.append(&spend_record(&acme, 0.5)).unwrap();
-        let plan = Arc::new(FailPlan::new(CrashPoint::WalTornAppend).torn_keep(9));
+        let plan = Arc::new(FailPlan::new(CrashPoint::LogTornCommit).torn_keep(9));
         let mut torn = LedgerWal::open(d.join("tenants.wal")).with_fail_plan(plan);
         let mut scratch = TenantLedger::new();
         torn.recover(&mut scratch).unwrap();
@@ -1038,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn segments_seal_and_recovery_replays_them_in_order() {
+    fn segments_roll_and_recovery_replays_them_in_order() {
         let d = wal_dir("segments");
         let acme: TenantId = "acme".into();
         let mut ledger = TenantLedger::new();
@@ -1048,11 +859,12 @@ mod tests {
             ledger.apply(&record);
             wal.append(&record).unwrap();
         }
-        // 5 appends at segment size 2: two sealed segments + 1-record tail.
-        assert_eq!(wal.stats().segments_sealed, 2);
-        assert!(d.join("tenants.wal.0000000000000000.seg").is_file());
-        assert!(d.join("tenants.wal.0000000000000002.seg").is_file());
-        assert!(d.join("tenants.wal").is_file());
+        // 5 commits of one record at segment size 2: two full segments
+        // and the active one.
+        assert_eq!(wal.stats().rolls, 2);
+        for first in ["0000000000000000", "0000000000000002", "0000000000000004"] {
+            assert!(d.join(format!("tenants.wal.{first}.log")).is_file());
+        }
 
         let mut restarted = TenantLedger::new();
         let mut wal2 = LedgerWal::open(d.join("tenants.wal")).segment_records(2);
@@ -1066,7 +878,7 @@ mod tests {
             ledger.spend(&acme).usd.to_bits()
         );
 
-        // Post-recovery appends continue the chain and survive another
+        // Post-recovery appends continue the sequence and survive another
         // restart.
         let post = spend_record(&acme, 1.0);
         restarted.apply(&post);
@@ -1104,7 +916,7 @@ mod tests {
         assert_eq!(wal.append_batch(&batch).unwrap(), 0);
         let stats = wal.stats();
         assert_eq!(stats.fsyncs, 1, "one sync_all for the whole batch");
-        assert_eq!(stats.group_flushes, 1);
+        assert_eq!(stats.ledger_commits, 1);
         assert_eq!(wal.next_seq(), 3);
 
         let mut restarted = TenantLedger::new();
@@ -1124,7 +936,7 @@ mod tests {
     }
 
     #[test]
-    fn segmented_compaction_deletes_sealed_files_and_leaves_the_tail() {
+    fn compaction_deletes_the_segments_its_snapshot_covers() {
         let d = wal_dir("seg-compact");
         let acme: TenantId = "acme".into();
         let mut ledger = TenantLedger::new();
@@ -1136,71 +948,31 @@ mod tests {
             ledger.apply(&record);
             wal.append(&record).unwrap();
         }
+        let segments = wal.segments();
+        assert_eq!(segments.len(), 3);
         assert!(wal.maybe_compact(&ledger).unwrap());
-        // Sealed segments are reclaimed; the 1-record active tail stays.
-        assert!(!d.join("tenants.wal.0000000000000000.seg").exists());
-        assert!(!d.join("tenants.wal.0000000000000002.seg").exists());
-        assert!(d.join("tenants.wal").is_file());
-        assert!(std::fs::metadata(d.join("tenants.wal")).unwrap().len() > 0);
+        assert!(segments.iter().all(|s| !s.exists()));
+        assert!(d.join("tenants.wal.0000000000000001").is_file());
 
-        // The tail's leftover record is covered by the snapshot: skipped,
-        // so spend applies exactly once.
+        // Restored from the snapshot alone; the next record continues the
+        // sequence in a new segment.
         let mut restarted = TenantLedger::new();
-        let recovery = LedgerWal::open(d.join("tenants.wal"))
-            .segment_records(2)
-            .recover(&mut restarted)
-            .unwrap();
+        let mut wal2 = LedgerWal::open(d.join("tenants.wal")).segment_records(2);
+        let recovery = wal2.recover(&mut restarted).unwrap();
         assert!(recovery.snapshot_loaded);
-        assert_eq!(recovery.replayed, 0);
-        assert_eq!(recovery.skipped, 1);
+        assert_eq!((recovery.replayed, recovery.skipped), (0, 0));
         assert_eq!(recovery.next_seq, 5);
         assert_eq!(
             restarted.spend(&acme).usd.to_bits(),
             ledger.spend(&acme).usd.to_bits()
         );
+        wal2.append(&spend_record(&acme, 1.0)).unwrap();
+        assert!(d.join("tenants.wal.0000000000000005.log").is_file());
         let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]
-    fn segmented_compaction_is_crash_idempotent() {
-        let d = wal_dir("seg-compact-crash");
-        let acme: TenantId = "acme".into();
-        let mut ledger = TenantLedger::new();
-        let mut wal = LedgerWal::open(d.join("tenants.wal"))
-            .segment_records(2)
-            .compact_threshold(4);
-        for i in 0..4 {
-            let record = spend_record(&acme, 0.01 * (i + 1) as f64);
-            ledger.apply(&record);
-            wal.append(&record).unwrap();
-        }
-        // Simulate a crash between snapshot-commit and segment deletion:
-        // compact, then restore the sealed segment files.
-        let seg_a = d.join("tenants.wal.0000000000000000.seg");
-        let seg_b = d.join("tenants.wal.0000000000000002.seg");
-        let bytes_a = std::fs::read(&seg_a).unwrap();
-        let bytes_b = std::fs::read(&seg_b).unwrap();
-        assert!(wal.maybe_compact(&ledger).unwrap());
-        std::fs::write(&seg_a, &bytes_a).unwrap();
-        std::fs::write(&seg_b, &bytes_b).unwrap();
-
-        let mut restarted = TenantLedger::new();
-        let recovery = LedgerWal::open(d.join("tenants.wal"))
-            .segment_records(2)
-            .recover(&mut restarted)
-            .unwrap();
-        assert!(recovery.snapshot_loaded);
-        assert_eq!(recovery.skipped, 4);
-        assert_eq!(recovery.replayed, 0);
-        assert_eq!(
-            restarted.spend(&acme).usd.to_bits(),
-            ledger.spend(&acme).usd.to_bits()
-        );
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn damage_in_a_sealed_segment_drops_everything_after_it() {
+    fn damage_in_a_full_segment_drops_everything_after_it() {
         let d = wal_dir("seg-damage");
         let acme: TenantId = "acme".into();
         let mut ledger = TenantLedger::new();
@@ -1211,15 +983,13 @@ mod tests {
             wal.append(&record).unwrap();
         }
         // Corrupt the first segment's second record: replay trusts only
-        // record 0 and must drop the rest of the log — the later segment
-        // and the tail — physically.
-        let seg_a = d.join("tenants.wal.0000000000000000.seg");
-        let seg_b = d.join("tenants.wal.0000000000000002.seg");
-        let mut bytes = std::fs::read(&seg_a).unwrap();
+        // record 0 and must drop the rest of the log — the later
+        // segments — physically.
+        let segments = wal.segments();
+        let mut bytes = std::fs::read(&segments[0]).unwrap();
         let split = bytes.iter().position(|b| *b == b'\n').unwrap();
-        let flip = split + 10;
-        bytes[flip] ^= 0x5a;
-        std::fs::write(&seg_a, &bytes).unwrap();
+        bytes[split + 40] ^= 0x5a;
+        std::fs::write(&segments[0], &bytes).unwrap();
 
         let mut restarted = TenantLedger::new();
         let mut wal2 = LedgerWal::open(d.join("tenants.wal")).segment_records(2);
@@ -1227,8 +997,14 @@ mod tests {
         assert_eq!(recovery.replayed, 1);
         assert!(recovery.dropped_tail);
         assert_eq!(wal2.next_seq(), 1);
-        assert!(!seg_b.exists(), "later segment must be dropped");
-        assert_eq!(std::fs::metadata(d.join("tenants.wal")).unwrap().len(), 0);
+        assert!(
+            segments[1..].iter().all(|s| !s.exists()),
+            "later segments go"
+        );
+        assert_eq!(
+            std::fs::metadata(&segments[0]).unwrap().len(),
+            split as u64 + 1
+        );
 
         // A second recovery reconstructs the identical state, and
         // post-recovery appends replay intact.
@@ -1250,34 +1026,34 @@ mod tests {
     }
 
     #[test]
-    fn seal_crash_leaves_records_durable_in_the_tail() {
+    fn a_roll_crash_loses_only_the_record_in_flight() {
         use aida_llm::snapshot::CrashPoint;
-        let d = wal_dir("seal-crash");
+        let d = wal_dir("roll-crash");
         let acme: TenantId = "acme".into();
-        let plan = Arc::new(FailPlan::new(CrashPoint::WalSegmentSeal));
+        // The first roll opens the first segment.
+        let plan = Arc::new(FailPlan::nth(CrashPoint::LogSegmentRoll, 1));
         let mut wal = LedgerWal::open(d.join("tenants.wal"))
             .segment_records(2)
             .with_fail_plan(plan);
         let mut ledger = TenantLedger::new();
-        let first = spend_record(&acme, 0.25);
-        ledger.apply(&first);
-        wal.append(&first).unwrap();
-        // The second append lands durably, then the seal crashes.
-        let second = spend_record(&acme, 0.5);
-        ledger.apply(&second);
-        let err = wal.append(&second).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Interrupted);
+        for usd in [0.25, 0.5] {
+            let record = spend_record(&acme, usd);
+            ledger.apply(&record);
+            wal.append(&record).unwrap();
+        }
+        // The third record opens a new segment: the file is created, then
+        // the process dies before the record is in it.
+        let err = wal.append(&spend_record(&acme, 1.0)).unwrap_err();
         assert!(err.to_string().contains("injected crash"), "{err}");
+        assert!(d.join("tenants.wal.0000000000000002.log").is_file());
 
-        // Recovery finds both records in the (unsealed) tail: the crash
-        // lost the rename, never the acknowledged data.
         let mut restarted = TenantLedger::new();
         let recovery = LedgerWal::open(d.join("tenants.wal"))
             .segment_records(2)
             .recover(&mut restarted)
             .unwrap();
-        assert_eq!(recovery.sealed_segments, 0);
         assert_eq!(recovery.replayed, 2);
+        assert_eq!(recovery.next_seq, 2);
         assert_eq!(
             restarted.spend(&acme).usd.to_bits(),
             ledger.spend(&acme).usd.to_bits()

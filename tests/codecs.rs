@@ -1,8 +1,8 @@
 //! One property harness over every durable text format: the semantic
-//! cache snapshot, the ledger WAL record, the ledger snapshot, the
+//! cache snapshot, the ledger record, the ledger snapshot, the
 //! Context-store snapshot, the runtime's delta frame (the cache's
-//! section alone, the Context store's alone, and both together) and the
-//! compiled Pyrite artifact. Each is driven through its public writer
+//! section alone, the Context store's alone, and both together), the
+//! log's record framing, the manifest and the compiled Pyrite artifact. Each is driven through its public writer
 //! and reader, and each must hold the same three properties:
 //!
 //! 1. decode∘encode is the identity on encoder output (for the bytecode
@@ -13,13 +13,17 @@
 //! 3. whatever such a body decodes to is a fixpoint of decode∘encode.
 //!
 //! A delta frame decodes into a whole store, so its fixpoint is that of
-//! the store's snapshot.
+//! the store's snapshot. The log's framing and the manifest also show
+//! that every strict prefix of an encoding is refused or, for the log,
+//! read as an exact prefix of whole units.
 
 use aida::core::manager::encode_delta_frame;
 use aida::core::{Context, Runtime};
 use aida::data::{DataLake, Document, Field, Schema, Table, Value};
 use aida::llm::cache::Lookup;
-use aida::llm::snapshot::{self, decode_file, encode_file, fnv64};
+use aida::llm::snapshot::{
+    decode_file, encode_file, read_records, Log, LogRecord, Manifest, StoreId,
+};
 use aida::llm::{CacheKey, LlmResponse, SemanticCache, UsageSnapshot};
 use aida::script::CompiledProgram;
 use aida::serve::{LedgerRecord, LedgerWal, Spend, TenantId, TenantLedger};
@@ -226,13 +230,8 @@ fn store_round_trip(capacity: usize, snapshot: &str, frames: &[(u64, String)]) -
     let rebuild =
         |id: &str, lake, desc: &str| Context::builder(id, lake).description(desc).build(&rt);
     let mut replica = manager.decode_replica(snapshot, &rebuild).ok()?;
-    let base = fnv64(snapshot.as_bytes());
     for (_, section) in frames {
-        replica.apply(
-            manager
-                .decode_section(&replica, base, section, &rebuild)
-                .ok()?,
-        );
+        replica.apply(manager.decode_section(&replica, section, &rebuild).ok()?);
     }
     manager.install(replica);
     Some(manager.encode_snapshot())
@@ -287,34 +286,37 @@ fn durable_bytes(rt: &Runtime, dir: &TestDir) -> (String, String) {
     )
 }
 
-/// What a runtime built over `dir` recovers, with the chain replaced by
-/// the one record `frame` (re-checksummed) when given.
-fn recovered(dir: &TestDir, state: bool, frame: Option<&str>) -> (String, String) {
-    if let Some(frame) = frame {
-        let head = format!("{:016x}\t{frame}", 0);
-        let chain =
-            snapshot::delta_path(&dir.file(if state { "state.snap" } else { "cache.snap" }));
-        fs::write(chain, format!("{head}\t{:016x}\n", fnv64(head.as_bytes()))).unwrap();
+/// What a runtime built over `dir` recovers, with its log replaced by
+/// `records` (re-checksummed) when given.
+fn recovered(dir: &TestDir, state: bool, records: Option<&[LogRecord]>) -> (String, String) {
+    if let Some(records) = records {
+        common::write_log(&durable_runtime(dir, state), records);
     }
     durable_bytes(&durable_runtime(dir, state), dir)
 }
 
-/// Recovers from the frame edited by `edits`, then saves what it
-/// recovered as the base of a chain-less restart: the second recovery
-/// must equal the first.
+/// Recovers from the unit `records` with each payload edited by `edits`,
+/// then saves what it recovered as the snapshots of a log-less restart:
+/// the second recovery must equal the first.
 fn check_chain_edits(
     dir: &TestDir,
     state: bool,
-    frame: &str,
+    records: &[LogRecord],
     edits: &[Edit],
 ) -> Result<(), TestCaseError> {
-    let once = recovered(dir, state, Some(&edited(frame, edits, '\t')));
-    if state {
-        fs::write(dir.file("state.snap"), &once.0).unwrap();
+    let mut records = records.to_vec();
+    for record in &mut records {
+        record.payload = edited(&record.payload, edits, '\t');
     }
-    fs::write(dir.file("cache.snap"), &once.1).unwrap();
-    let chain = snapshot::delta_path(&dir.file(if state { "state.snap" } else { "cache.snap" }));
-    fs::remove_file(chain).unwrap();
+    let once = recovered(dir, state, Some(&records));
+    let rt = durable_runtime(dir, state);
+    let log = rt.log().unwrap().lock();
+    if state {
+        fs::write(log.snapshot_path(StoreId::State).unwrap(), &once.0).unwrap();
+    }
+    fs::write(log.snapshot_path(StoreId::Cache).unwrap(), &once.1).unwrap();
+    drop(log);
+    common::write_log(&rt, &[]);
     prop_assert_eq!(recovered(dir, state, None), once);
     Ok(())
 }
@@ -392,12 +394,12 @@ proptest! {
         retick.iter().map(|i| i % texts.len()).chain(texts.len()..texts.len() + added)
             .for_each(|i| use_entry(&rt, &texts, i));
         rt.save_state().unwrap();
-        let frames = snapshot::wal_replay(&rt.delta_path().unwrap()).unwrap().records;
-        prop_assert!(frames.len() <= 1);
+        let records = common::log_records(&rt);
+        prop_assert!(records.len() <= 1);
         let expected = durable_bytes(&rt, &dir);
         prop_assert_eq!(&recovered(&dir, false, None), &expected);
-        if let Some((_, frame)) = frames.first() {
-            check_chain_edits(&dir, false, frame, &edits)?;
+        if !records.is_empty() {
+            check_chain_edits(&dir, false, &records, &edits)?;
         }
     }
 
@@ -432,12 +434,12 @@ proptest! {
         }
         uses.iter().for_each(|&i| use_entry(&rt, &texts, i));
         rt.save_state().unwrap();
-        let frames = snapshot::wal_replay(&rt.delta_path().unwrap()).unwrap().records;
-        prop_assert!(frames.len() <= 1);
+        let records = common::log_records(&rt);
+        prop_assert!(records.len() <= 2);
         let expected = durable_bytes(&rt, &dir);
         prop_assert_eq!(&recovered(&dir, true, None), &expected);
-        if let Some((_, frame)) = frames.first() {
-            check_chain_edits(&dir, true, frame, &edits)?;
+        if !records.is_empty() {
+            check_chain_edits(&dir, true, &records, &edits)?;
         }
     }
 
@@ -451,8 +453,8 @@ proptest! {
         })?;
     }
 
-    /// The compacted ledger snapshot: the next sequence number, then one
-    /// spend line per tenant.
+    /// The ledger snapshot a compaction writes: one spend line per
+    /// tenant (the manifest says which log records it covers).
     #[test]
     fn ledger_snapshot(
         spends in prop::collection::vec(
@@ -464,7 +466,11 @@ proptest! {
     ) {
         let dir = TestDir::new("codec-ledger");
         let wal_path = dir.file("ledger.wal");
-        let snapshot_path = dir.file("ledger.wal.ledger");
+        let current = || {
+            let manifest = fs::read_to_string(dir.file("ledger.wal.manifest")).unwrap();
+            let generation = Manifest::decode(&manifest).unwrap().stores[&StoreId::Ledger].0;
+            dir.file(&format!("ledger.wal.{generation:016x}"))
+        };
         let mut ledger = TenantLedger::new();
         for (tenant, usd_bits, (tokens, calls), (cache_hits, cache_coalesced)) in spends {
             ledger.charge(&TenantId::new(tenant), Spend {
@@ -480,15 +486,94 @@ proptest! {
             wal.append(&LedgerRecord::Admit { tenant: TenantId::new("t") }).unwrap();
         }
         wal.compact(&ledger).unwrap();
-        let encoded = fs::read_to_string(&snapshot_path).unwrap();
-        check(Some("aida-ledger v1"), &encoded, &edits, |text| {
-            fs::write(&snapshot_path, text).unwrap();
-            let _ = fs::remove_file(&wal_path);
+        let encoded = fs::read_to_string(current()).unwrap();
+        check(Some("aida-ledger v2"), &encoded, &edits, |text| {
+            fs::write(current(), text).unwrap();
             let mut ledger = TenantLedger::new();
             let mut wal = LedgerWal::open(&wal_path);
             wal.recover(&mut ledger).ok()?;
             wal.compact(&ledger).unwrap();
-            Some(fs::read_to_string(&snapshot_path).unwrap())
+            Some(fs::read_to_string(current()).unwrap())
+        })?;
+    }
+
+    /// The log's record framing: records of any store, linked into
+    /// units, with payloads of any text, as a log commits them. Every
+    /// strict prefix reads as an exact prefix of whole units, and edited
+    /// bytes read as records that are a fixpoint of committing and
+    /// reading again.
+    #[test]
+    fn log_records(
+        records in prop::collection::vec((0usize..3, any::<bool>(), text()), 1..6),
+        edits in edits(),
+    ) {
+        let stores = [StoreId::Ledger, StoreId::State, StoreId::Cache];
+        let last = records.len() - 1;
+        let records: Vec<LogRecord> = records
+            .into_iter()
+            .enumerate()
+            .map(|(i, (store, linked, payload))| LogRecord {
+                seq: i as u64,
+                store: stores[store],
+                linked: linked && i < last,
+                payload,
+            })
+            .collect();
+        let dir = TestDir::new("codec-log");
+        // What a fresh log commits for `records`.
+        let encode = |records: &[LogRecord]| {
+            let segment = dir.file("svc.0000000000000000.log");
+            let _ = fs::remove_file(&segment);
+            let mut log = Log::open(dir.file("svc"));
+            for r in records {
+                log.stage(r.store, r.linked, |out| out.push_str(&r.payload)).unwrap();
+            }
+            log.commit(None).unwrap();
+            fs::read(&segment).unwrap_or_default()
+        };
+        let encoded = encode(&records);
+        let ends: Vec<usize> = (0..=records.len()).map(|n| encode(&records[..n]).len()).collect();
+        let read = read_records(&encoded, 0);
+        prop_assert_eq!(&read.records, &records);
+        prop_assert!(!read.dropped_tail && read.valid_len == encoded.len());
+        for cut in 0..encoded.len() {
+            let read = read_records(&encoded[..cut], 0);
+            let n = read.records.len();
+            prop_assert_eq!(&read.records[..], &records[..n], "cut {}", cut);
+            prop_assert!(n == 0 || !read.records[n - 1].linked, "cut {}: a unit left open", cut);
+            prop_assert_eq!(read.valid_len, ends[n]);
+            prop_assert!(n < records.len() && read.dropped_tail == (cut != read.valid_len));
+        }
+        let damaged = edited(&String::from_utf8_lossy(&encoded), &edits, '\n');
+        let once = read_records(damaged.as_bytes(), 0).records;
+        let again = read_records(&encode(&once), 0).records;
+        prop_assert_eq!(once, again);
+    }
+
+    /// The manifest: a generation, and per store the generation of its
+    /// snapshot and the sequence number the snapshot covers.
+    #[test]
+    fn manifest(
+        generation in any::<u64>(),
+        stores in prop::collection::vec((any::<u64>(), any::<u64>()), 0..4),
+        edits in edits(),
+    ) {
+        let kinds = [StoreId::Ledger, StoreId::State, StoreId::Cache];
+        let manifest = Manifest {
+            generation,
+            stores: kinds
+                .into_iter()
+                .zip(stores)
+                .map(|(store, (gen, covered))| (store, (gen % generation.saturating_add(1), covered)))
+                .collect(),
+        };
+        let encoded = manifest.encode();
+        prop_assert_eq!(Manifest::decode(&encoded).unwrap(), manifest);
+        for cut in 0..encoded.len() {
+            prop_assert!(Manifest::decode(&encoded[..cut]).is_err(), "cut {}", cut);
+        }
+        check(Some("aida-manifest v1"), &encoded, &edits, |text| {
+            Manifest::decode(text).ok().map(|m| m.encode())
         })?;
     }
 
@@ -530,7 +615,7 @@ proptest! {
         }
         let ops = rt.manager().drain_journal();
         let mut frame = String::new();
-        encode_delta_frame(fnv64(snapshot.as_bytes()), &ops, &mut pool, &mut frame);
+        encode_delta_frame(&ops, &mut pool, &mut frame);
         prop_assert!(!frame.contains('\n'));
         let expected = rt.manager().encode_snapshot();
         prop_assert_eq!(

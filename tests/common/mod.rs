@@ -52,3 +52,47 @@ pub fn ledger_records() -> impl proptest::strategy::Strategy<Value = aida::serve
             }),
     ]
 }
+
+/// The records of a runtime's log, read segment by segment (each file is
+/// named by its first sequence number: `<base>.<hex16>.log`).
+#[allow(dead_code)] // Only the suites that read a runtime's log.
+pub fn log_records(rt: &aida::core::Runtime) -> Vec<aida::llm::snapshot::LogRecord> {
+    let segments = rt
+        .log()
+        .expect("a delta-mode runtime")
+        .lock()
+        .segment_paths();
+    let mut records = Vec::new();
+    for path in segments {
+        let name = path.to_string_lossy().into_owned();
+        let hex = name.trim_end_matches(".log").rsplit('.').next().unwrap();
+        let first = u64::from_str_radix(hex, 16).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        records.extend(aida::llm::snapshot::read_records(&bytes, first).records);
+    }
+    records
+}
+
+/// Replaces a runtime's log with `records`' stores, links and payloads,
+/// written through a log of their own from the first sequence number the
+/// manifest's snapshots do not cover on (checksums hold).
+#[allow(dead_code)] // Only the suites that forge a runtime's log.
+pub fn write_log(rt: &aida::core::Runtime, records: &[aida::llm::snapshot::LogRecord]) {
+    use aida::llm::snapshot::Log;
+    let log = rt.log().expect("a delta-mode runtime").lock();
+    for path in log.segment_paths() {
+        fs::remove_file(path).unwrap();
+    }
+    let base = match rt.config().state_path.as_ref() {
+        Some(state) => state.clone(),
+        None => rt.config().cache_path.clone().unwrap(),
+    };
+    let mut forged = Log::open(base);
+    forged.recover().unwrap();
+    for r in records {
+        forged
+            .stage(r.store, r.linked, |out| out.push_str(&r.payload))
+            .unwrap();
+    }
+    forged.commit(None).unwrap();
+}

@@ -1,5 +1,6 @@
-//! The runtime's delta chain replays to its checkpoints, byte for byte,
-//! and a crash leaves both durable stores at one checkpoint.
+//! The runtime's log replays to its checkpoints, byte for byte, and a
+//! crash leaves both durable stores at one checkpoint, with the ledger
+//! that shares the log at a record prefix.
 //!
 //! `base_plus_chain_recovers_the_last_checkpoint`: a runtime whose only
 //! durable store is the semantic cache runs a random sequence of uses (a
@@ -10,22 +11,25 @@
 //! hold the twin's cache as it was at the last durable write.
 //!
 //! `a_crash_recovers_both_stores_at_one_checkpoint`: a runtime with both
-//! stores durable runs random Context registrations (evicting over a
-//! small capacity), reuse hits, cache uses and checkpoints, and one
-//! seed-chosen crash in a frame append or a snapshot commit. The stores
-//! a restart recovers must equal the live pair at one checkpoint.
+//! stores durable and a tenant ledger in its log runs random Context
+//! registrations (evicting over a small capacity), reuse hits, cache
+//! uses, ledger records (committed in groups) and checkpoints, and one
+//! seed-chosen crash at any point of the log or the manifest. The stores
+//! a restart recovers must equal the live pair at one checkpoint, and the
+//! ledger a record prefix that loses no more than one group.
 //!
 //! `ci.sh` runs both in release at the full case count.
 
 use aida::core::{Context, Runtime};
 use aida::data::{DataLake, Document, Value};
 use aida::llm::cache::Lookup;
-use aida::llm::snapshot::{CrashPoint, FailPlan};
+use aida::llm::snapshot::{read_records, CrashPoint, FailPlan, StoreId};
 use aida::llm::{CacheKey, LlmResponse, SemanticCache, UsageSnapshot};
+use aida::serve::{LedgerRecord, LedgerWal, TenantLedger};
 use aida_testkit::TestDir;
 use proptest::prelude::*;
 use std::fs;
-use std::path::Path;
+use std::sync::Arc;
 
 const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 2048 };
 
@@ -84,10 +88,65 @@ fn cache_text(cache: &SemanticCache) -> String {
     cache.encode_snapshot().0
 }
 
-fn chain_len(rt: &Runtime) -> u64 {
-    let chain = rt.delta_path().expect("a durable store");
-    fs::metadata(chain).map(|m| m.len()).unwrap_or(0)
+/// The bytes of `rt`'s log segments.
+fn log_len(rt: &Runtime) -> u64 {
+    let segments = rt.log().expect("a durable store").lock().segment_paths();
+    segments
+        .iter()
+        .map(|p| fs::metadata(p).unwrap().len())
+        .sum()
 }
+
+/// `store`'s current snapshot in `rt`'s log.
+fn snapshot(rt: &Runtime, store: StoreId) -> Vec<u8> {
+    let path = rt.log().unwrap().lock().snapshot_path(store);
+    path.map(|path| fs::read(path).unwrap()).unwrap_or_default()
+}
+
+/// The ledger of `rt`'s log, recovered.
+fn ledger(rt: &Runtime, dir: &TestDir) -> TenantLedger {
+    let mut ledger = TenantLedger::new();
+    let mut wal = LedgerWal::open(dir.file("ledger")).join(rt.log().unwrap());
+    wal.recover(&mut ledger).expect("the ledger recovers");
+    ledger
+}
+
+/// Per-tenant spend bits of a ledger.
+fn spends(ledger: &TenantLedger) -> Vec<(String, u64)> {
+    let spends = ledger.spends();
+    spends
+        .map(|(t, s)| (t.to_string(), s.usd.to_bits()))
+        .collect()
+}
+
+fn spend(k: u64) -> LedgerRecord {
+    LedgerRecord::Spend {
+        tenant: format!("t{}", k % 2).into(),
+        usd: 0.25 * (k + 1) as f64,
+        tokens: k,
+        calls: 1,
+        cache_hits: 0,
+        cache_coalesced: 0,
+    }
+}
+
+/// The ledger after the first `n` of `records`.
+fn prefix(records: &[LedgerRecord], n: usize) -> Vec<(String, u64)> {
+    let mut ledger = TenantLedger::new();
+    for record in &records[..n] {
+        if let LedgerRecord::Spend { tenant, usd, .. } = record {
+            let spend = aida::serve::Spend {
+                usd: *usd,
+                ..Default::default()
+            };
+            ledger.charge(tenant, spend);
+        }
+    }
+    spends(&ledger)
+}
+
+/// Ledger records commit in groups of this many.
+const GROUP: usize = 3;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
@@ -139,19 +198,27 @@ proptest! {
     fn a_crash_recovers_both_stores_at_one_checkpoint(
         capacities in (1usize..4, 1usize..6),
         full_every in 1u64..4,
-        ops in prop::collection::vec((0u8..10, 0u64..6), 1..40),
-        crash in (0usize..CRASHES.len(), any::<u64>()),
+        ops in prop::collection::vec((0u8..12, 0u64..6), 1..40),
+        crash in (0usize..CrashPoint::ALL.len(), any::<u64>()),
     ) {
         let ((contexts, entries), (point, seed)) = (capacities, crash);
+        let point = CrashPoint::ALL[point];
         let dir = TestDir::new("chain-crash");
         let live = runtime(&dir, entries, Some(contexts), full_every);
         let lake = DataLake::from_docs([Document::new("shared.txt", "one document")]);
-        let plan = FailPlan::seeded(CRASHES[point], seed);
+        let plan = Arc::new(FailPlan::seeded(point, seed));
+        let mut wal = LedgerWal::open(dir.file("ledger"))
+            .join(live.log().unwrap())
+            .segment_records(4)
+            .with_fail_plan(Arc::clone(&plan));
+        wal.recover(&mut TenantLedger::new()).unwrap();
+        live.log().unwrap().lock().set_group_commit(GROUP);
         let empty = pair(&runtime(&TestDir::new("chain-empty"), entries, Some(contexts), 1));
         // The live pair at the last checkpoint that returned, and at the
-        // one that crashed.
-        let mut committed = empty;
-        let mut attempted = None;
+        // one that crashed; the ledger records appended, and how many of
+        // them a commit that returned made durable.
+        let (mut committed, mut attempted) = (empty, None);
+        let (mut records, mut durable) = (Vec::new(), 0);
         for (kind, k) in ops {
             match kind {
                 0 | 1 => {
@@ -167,45 +234,45 @@ proptest! {
                 6 => {
                     cache(&live).touch_hits(&[key(k), key(k + 1)], cache(&live).residency());
                 }
+                7 | 8 => {
+                    records.push(spend(k));
+                    if wal.append(&spend(k)).is_err() {
+                        break;
+                    }
+                    if records.len() - durable == GROUP {
+                        durable = records.len();
+                    }
+                }
                 _ => {
                     let now = pair(&live);
                     if live.save_state_with(Some(&plan)).is_err() {
                         attempted = Some(now);
                         break;
                     }
-                    committed = now;
+                    (committed, durable) = (now, records.len());
                 }
             }
         }
-        let recovered = pair(&runtime(&dir, entries, Some(contexts), full_every));
-        let Some(attempted) = attempted else {
-            prop_assert_eq!(recovered, committed);
-            return Ok(());
-        };
-        // The frame is lost whole; a full rewrite is lost until its state
-        // snapshot commits, and kept once its cache snapshot has too.
-        // Between the two commits the Context store holds the new
-        // snapshot and the cache replays its chain to the checkpoint
-        // before.
-        let on_disk = |name| fs::read_to_string(dir.file(name)).unwrap_or_default();
-        let expected = match (on_disk("state.bin") == attempted.0, on_disk("cache.bin") == attempted.1) {
-            (true, true) => attempted,
-            (true, false) => (attempted.0, committed.1),
-            (false, _) => committed,
-        };
-        prop_assert_eq!(recovered, expected);
+        let restarted = runtime(&dir, entries, Some(contexts), full_every);
+        let recovered = pair(&restarted);
+        // One pair or the other, never a mix: the crashed checkpoint is
+        // lost whole before its commit and kept whole after it.
+        let after_commit = matches!(point, CrashPoint::LogAfterCommit | CrashPoint::SnapshotAfterCommit);
+        match attempted {
+            Some(attempted) if recovered != committed => {
+                prop_assert!(after_commit, "{:?} kept a checkpoint it never committed", point);
+                prop_assert_eq!(recovered, attempted);
+            }
+            _ => prop_assert_eq!(recovered, committed),
+        }
+        // The ledger is a record prefix holding every record a returned
+        // commit carried, and it trails the live one by one group at most.
+        let got = spends(&ledger(&restarted, &dir));
+        let n = (0..=records.len()).rev().find(|&n| prefix(&records, n) == got);
+        prop_assert!(n.is_some_and(|n| n >= durable), "{:?}: {:?} of {}", point, n, durable);
+        prop_assert!(n.is_some_and(|n| n + GROUP >= records.len()));
     }
 }
-
-/// The crash points a checkpoint passes: the frame append, and the
-/// commits of a full rewrite.
-const CRASHES: [CrashPoint; 5] = [
-    CrashPoint::DeltaTornAppend,
-    CrashPoint::SnapshotBeforeWrite,
-    CrashPoint::SnapshotTornWrite,
-    CrashPoint::SnapshotBeforeRename,
-    CrashPoint::SnapshotAfterCommit,
-];
 
 fn instruction(k: u64) -> String {
     format!("find the reports of year {}", 2000 + k)
@@ -216,40 +283,38 @@ fn pair(rt: &Runtime) -> (String, String) {
     (rt.manager().encode_snapshot(), cache_text(cache(rt)))
 }
 
-/// The chain is what the checkpoints write while nothing leaves the
+/// The log is what the checkpoints write while nothing leaves the
 /// store: one frame each, smaller than the snapshot, and a checkpoint
 /// with nothing used since writes nothing. An eviction, a restart and
 /// an explicit save each make the next write a full one.
 #[test]
 fn checkpoints_append_frames_until_something_leaves() {
     let dir = TestDir::new("chain-frames");
-    let snapshot = |path: &Path| fs::read(path).unwrap();
-    let path = dir.file("cache.bin");
     let rt = runtime(&dir, 8, None, 16);
     (0..4).for_each(|k| use_key(cache(&rt), k));
     rt.save_state().unwrap();
-    assert!(path.exists(), "first: full");
-    assert_eq!(chain_len(&rt), 0);
+    let full = snapshot(&rt, StoreId::Cache);
+    assert!(!full.is_empty(), "first: full");
+    assert_eq!(log_len(&rt), 0);
 
     use_key(cache(&rt), 1); // re-tick
     use_key(cache(&rt), 4); // admit
     rt.save_state().unwrap();
-    let frame = chain_len(&rt);
-    assert!(frame > 0 && frame < fs::metadata(&path).unwrap().len());
+    let frame = log_len(&rt);
+    assert!(frame > 0 && frame < full.len() as u64);
     rt.save_state().unwrap();
-    assert_eq!(chain_len(&rt), frame, "nothing used: nothing written");
+    assert_eq!(log_len(&rt), frame, "nothing used: nothing written");
 
     (5..9).for_each(|k| use_key(cache(&rt), k)); // nine keys: one evicted
-    let before = snapshot(&path);
     rt.save_state().unwrap();
-    assert_ne!(snapshot(&path), before, "full rewrite");
-    assert_eq!(chain_len(&rt), 0, "the chain went with it");
+    assert_ne!(snapshot(&rt, StoreId::Cache), full, "full rewrite");
+    assert_eq!(log_len(&rt), 0, "the log it covers went with it");
 
     use_key(cache(&rt), 2);
     rt.save_state().unwrap();
-    assert!(chain_len(&rt) > 0);
+    assert!(log_len(&rt) > 0);
     rt.save_cache().unwrap();
-    assert_eq!(chain_len(&rt), 0, "an explicit save is always full");
+    assert_eq!(log_len(&rt), 0, "an explicit save is always full");
 
     use_key(cache(&rt), 3);
     rt.save_state().unwrap();
@@ -257,14 +322,14 @@ fn checkpoints_append_frames_until_something_leaves() {
     assert_eq!(cache(&restored).len(), 8);
     use_key(cache(&restored), 3);
     restored.save_state().unwrap();
-    assert_eq!(chain_len(&restored), 0, "after a restart: full");
+    assert_eq!(log_len(&restored), 0, "after a restart: full");
     use_key(cache(&restored), 2);
     restored.save_state().unwrap();
-    assert!(chain_len(&restored) > 0, "then a frame");
+    assert!(log_len(&restored) > 0, "then a frame");
 }
 
-/// With both stores durable, each checkpoint is one frame in one chain
-/// beside the state snapshot, and nothing is written beside the cache's.
+/// With both stores durable, each checkpoint is one unit in one log
+/// beside the state path, the state's record linked to the cache's.
 #[test]
 fn both_stores_share_one_chain() {
     let dir = TestDir::new("chain-shared");
@@ -281,15 +346,18 @@ fn both_stores_share_one_chain() {
     use_key(cache(&rt), 1);
     rt.save_state().unwrap(); // one frame
     rt.manager().reuse(&instruction(0), 0.99);
-    rt.save_state().unwrap(); // a frame with the state's section only
-    let chain = rt.delta_path().unwrap();
-    assert_eq!(
-        chain,
-        aida::llm::snapshot::delta_path(&dir.file("state.bin"))
-    );
-    let frames = aida::llm::snapshot::wal_replay(&chain).unwrap().records;
-    assert_eq!(frames.len(), 2);
-    assert!(!aida::llm::snapshot::delta_path(&dir.file("cache.bin")).exists());
+    rt.save_state().unwrap(); // a frame whose cache record is empty
+    let log = rt.log().unwrap().lock();
+    assert!(dir.file("state.bin.manifest").exists());
+    let segments = log.segment_paths();
+    assert_eq!(segments.len(), 1);
+    let first = log.next_seq() - 4;
+    let records = read_records(&fs::read(&segments[0]).unwrap(), first).records;
+    let kinds: Vec<_> = records.iter().map(|r| (r.store, r.linked)).collect();
+    let unit = [(StoreId::State, true), (StoreId::Cache, false)];
+    assert_eq!(kinds, [unit, unit].concat());
+    assert!(records[3].payload.is_empty());
+    drop(log);
     let restarted = runtime(&dir, 8, Some(4), 16);
     assert_eq!(pair(&restarted), pair(&rt));
 }

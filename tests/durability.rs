@@ -1,5 +1,6 @@
 //! Durability suite: deterministic crash injection over the
-//! ContextManager snapshot and the tenant-ledger WAL.
+//! ContextManager snapshot and the service's log, where the Context
+//! store, the semantic cache and the tenant ledger write.
 //!
 //! The contract under test, for every [`CrashPoint`] the save and append
 //! paths expose: *recover(crash(S)) ∈ {S_pre, S_committed}*. A crash may
@@ -14,7 +15,7 @@
 use aida::core::{Context, ContextManager, Runtime};
 use aida::data::{DataLake, Document};
 use aida::llm::cache::Lookup;
-use aida::llm::snapshot::{self, CrashPoint, FailPlan, SnapshotError};
+use aida::llm::snapshot::{self, CrashPoint, FailPlan, LogRecord, SnapshotError, StoreId};
 use aida::llm::{CacheKey, LlmResponse};
 use aida::serve::{
     open_loop, LedgerRecord, LedgerWal, QueryService, ServeConfig, TenantConfig, TenantLedger,
@@ -23,7 +24,7 @@ use aida::serve::{
 use aida_testkit::TestDir;
 use common::{corrupt_byte, truncate_tail};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 mod common;
@@ -33,7 +34,7 @@ mod common;
 fn is_post_commit(point: CrashPoint) -> bool {
     matches!(
         point,
-        CrashPoint::SnapshotAfterCommit | CrashPoint::WalAfterAppend
+        CrashPoint::SnapshotAfterCommit | CrashPoint::LogAfterCommit
     )
 }
 
@@ -50,12 +51,48 @@ fn journal_len(manager: &ContextManager) -> usize {
     n
 }
 
-/// One WAL record line exactly as the writer frames it.
-fn record_line(dir: &TestDir, seq: u64, payload: &str) -> String {
-    let path = dir.file("record.wal");
-    let _ = fs::remove_file(&path);
-    snapshot::wal_append(&path, seq, payload, None).unwrap();
-    fs::read_to_string(&path).unwrap()
+/// A Context-store record of the log carrying `payload` alone (forged
+/// logs number their records afresh).
+fn state_record(payload: &str) -> LogRecord {
+    LogRecord {
+        seq: 0,
+        store: StoreId::State,
+        linked: false,
+        payload: payload.to_string(),
+    }
+}
+
+/// The log segments of a delta-mode runtime.
+fn segments(rt: &Runtime) -> Vec<PathBuf> {
+    rt.log()
+        .expect("delta mode has a log")
+        .lock()
+        .segment_paths()
+}
+
+/// `store`'s current snapshot file.
+fn current(rt: &Runtime, store: StoreId) -> PathBuf {
+    let log = rt.log().expect("delta mode has a log").lock();
+    log.snapshot_path(store).expect("a snapshot")
+}
+
+/// A ledger in the log of a delta-mode runtime over `dir` (whose other
+/// store is the Context store), its log rolling at `segment_records`.
+fn shared_wal(dir: &Path, segment_records: usize) -> (Runtime, LedgerWal) {
+    let rt = Runtime::builder()
+        .seed(7)
+        .state_path(dir.join("state.bin"))
+        .delta_checkpoints(true)
+        .build();
+    let wal = LedgerWal::open(dir.join("ledger"))
+        .segment_records(segment_records)
+        .join(rt.log().unwrap());
+    (rt, wal)
+}
+
+/// The first segment of the log `shared_wal` opens over `dir`.
+fn first_segment(dir: &Path) -> PathBuf {
+    dir.join("state.bin.0000000000000000.log")
 }
 
 fn lake() -> DataLake {
@@ -99,11 +136,11 @@ fn apply(ledger: &mut TenantLedger, record: &LedgerRecord) {
     }
 }
 
-/// Recovers whatever is on disk into a fresh ledger and returns the
-/// per-tenant dollar bits plus the recovery stats.
-fn recover_usd_bits(path: &Path, tenant: &str) -> (u64, aida::serve::WalRecovery) {
+/// Recovers whatever is on disk in `dir` into a fresh ledger and returns
+/// the per-tenant dollar bits plus the recovery stats.
+fn recover_usd_bits(dir: &Path, tenant: &str) -> (u64, aida::serve::WalRecovery) {
     let mut ledger = TenantLedger::new();
-    let mut wal = LedgerWal::open(path);
+    let (_rt, mut wal) = shared_wal(dir, 0);
     let recovery = wal.recover(&mut ledger).expect("recovery never fails");
     (ledger.spend(&tenant.into()).usd.to_bits(), recovery)
 }
@@ -201,22 +238,23 @@ fn corrupt_snapshot_is_rejected_not_partially_loaded() {
     assert_eq!(recovered.manager().len(), 0, "truncated snapshot rejected");
 }
 
-// ---- tentpole: WAL crash matrix ----------------------------------------
+// ---- tentpole: the ledger's crash matrix -------------------------------
 
-/// Crash the ledger append at every injection point. Recovery must see
-/// either the ledger without the in-flight record or with it applied in
-/// full — a torn tail is logically truncated, never half-decoded.
+/// Crash a ledger commit in the shared log at every injection point.
+/// Recovery must see either the ledger without the in-flight record or
+/// with it applied in full — a torn tail is logically truncated, never
+/// half-decoded.
 #[test]
 fn wal_crash_never_half_applies_a_ledger_entry() {
     let dir = TestDir::new("wal-crash");
-    let path = dir.file("ledger.wal");
-
-    let mut wal = LedgerWal::open(&path);
+    let d = dir.path();
+    let (_rt, mut wal) = shared_wal(d, 0);
     for i in 0..3 {
         wal.append(&spend("acme", 0.25 + i as f64 * 0.125)).unwrap();
     }
-    let base_bytes = fs::read(&path).unwrap();
-    let (pre_bits, pre) = recover_usd_bits(&path, "acme");
+    drop(wal);
+    let base_bytes = fs::read(first_segment(d)).unwrap();
+    let (pre_bits, pre) = recover_usd_bits(d, "acme");
     assert_eq!(pre.replayed, 3);
 
     // What the ledger looks like if the fourth record lands in full.
@@ -227,25 +265,26 @@ fn wal_crash_never_half_applies_a_ledger_entry() {
     apply(&mut committed, &spend("acme", 1.0));
     let committed_bits = committed.spend(&"acme".into()).usd.to_bits();
 
-    let wal_points = [
-        CrashPoint::WalBeforeAppend,
-        CrashPoint::WalTornAppend,
-        CrashPoint::WalAfterAppend,
+    let log_points = [
+        CrashPoint::LogBeforeCommit,
+        CrashPoint::LogTornCommit,
+        CrashPoint::LogAfterCommit,
     ];
-    // The snapshot matrix (4), this append matrix (3), and the
-    // log-structured matrix (3: seal, delta frame, group flush) must
-    // together cover every injection point.
-    assert_eq!(wal_points.len() + 4 + 3, CrashPoint::ALL.len());
-    for point in wal_points {
-        fs::write(&path, &base_bytes).unwrap();
+    // The snapshot matrix (4), this commit matrix (3), and the roll
+    // (below) must together cover every injection point.
+    assert_eq!(log_points.len() + 4 + 1, CrashPoint::ALL.len());
+    for point in log_points {
+        fs::write(first_segment(d), &base_bytes).unwrap();
         let plan = Arc::new(FailPlan::new(point).torn_keep(11));
-        let mut w = LedgerWal::open(&path).with_fail_plan(plan.clone());
+        let (_rt, w) = shared_wal(d, 0);
+        let mut w = w.with_fail_plan(plan.clone());
         let mut scratch = TenantLedger::new();
         w.recover(&mut scratch).unwrap();
         let err = w.append(&spend("acme", 1.0)).unwrap_err();
         assert!(is_crash(&err), "{point:?}");
+        drop(w);
 
-        let (bits, recovery) = recover_usd_bits(&path, "acme");
+        let (bits, recovery) = recover_usd_bits(d, "acme");
         if is_post_commit(point) {
             assert_eq!(recovery.replayed, 4, "{point:?}");
             assert_eq!(bits, committed_bits, "{point:?}: record applied in full");
@@ -255,7 +294,7 @@ fn wal_crash_never_half_applies_a_ledger_entry() {
         }
         assert_eq!(
             recovery.dropped_tail,
-            point == CrashPoint::WalTornAppend,
+            point == CrashPoint::LogTornCommit,
             "{point:?}"
         );
     }
@@ -263,80 +302,95 @@ fn wal_crash_never_half_applies_a_ledger_entry() {
 
 // ---- tentpole: log-structured crash matrix -----------------------------
 
-/// Crash the three log-structured sites. A group-commit flush crash
-/// loses the whole batch (never part of a record); a segment-seal crash
-/// loses only the rename (every acknowledged record stays durable in
-/// the unsealed tail); a torn batch keeps an intact record prefix.
+/// Crash the shared log's batch commit and segment roll. A crash before
+/// the commit loses the whole batch (never part of a record); a torn
+/// batch keeps an intact record prefix; a roll crash leaves an empty
+/// segment and loses only the records in flight, every acknowledged one
+/// staying durable.
 #[test]
 fn log_structured_crashes_lose_batches_whole_and_seals_lose_nothing() {
     let dir = TestDir::new("log-crash");
 
-    // GroupCommitFlush: the batch is dropped before any byte lands.
-    let path = dir.file("group.wal");
-    let mut wal = LedgerWal::open(&path);
+    // LogBeforeCommit: the batch is dropped before any byte lands.
+    let d = &dir.path().join("group");
+    let (_rt, mut wal) = shared_wal(d, 0);
     wal.append(&spend("acme", 0.25)).unwrap();
-    let (pre_bits, _) = recover_usd_bits(&path, "acme");
-    let plan = Arc::new(FailPlan::new(CrashPoint::GroupCommitFlush));
-    let mut w = LedgerWal::open(&path).with_fail_plan(plan.clone());
+    drop(wal);
+    let (pre_bits, _) = recover_usd_bits(d, "acme");
+    let plan = Arc::new(FailPlan::new(CrashPoint::LogBeforeCommit));
+    let (_rt, w) = shared_wal(d, 0);
+    let mut w = w.with_fail_plan(plan.clone());
     let mut scratch = TenantLedger::new();
     w.recover(&mut scratch).unwrap();
     let err = w
         .append_batch(&[spend("acme", 1.0), spend("acme", 2.0)])
         .unwrap_err();
     assert!(is_crash(&err));
-    let (bits, recovery) = recover_usd_bits(&path, "acme");
+    drop(w);
+    let (bits, recovery) = recover_usd_bits(d, "acme");
     assert_eq!(recovery.replayed, 1, "batch lost in full");
     assert_eq!(bits, pre_bits);
     assert!(!recovery.dropped_tail, "nothing landed, nothing torn");
 
-    // WalTornAppend through the batch path: an intact prefix of the
+    // LogTornCommit through the batch path: an intact prefix of the
     // batch survives, the torn record is truncated away.
-    let path = dir.file("torn-batch.wal");
+    let d = &dir.path().join("torn-batch");
     let first = spend("acme", 1.0);
     let first_len = {
-        // One record's exact line length, to tear inside record 2.
-        let probe = dir.file("probe.wal");
-        let mut w = LedgerWal::open(&probe);
+        // One record's exact length, to tear inside record 2.
+        let probe = dir.path().join("probe");
+        let (_rt, mut w) = shared_wal(&probe, 0);
         w.append(&first).unwrap();
-        fs::read(&probe).unwrap().len()
+        fs::read(first_segment(&probe)).unwrap().len()
     };
-    let plan = Arc::new(FailPlan::new(CrashPoint::WalTornAppend).torn_keep(first_len + 7));
-    let mut w = LedgerWal::open(&path).with_fail_plan(plan);
+    let plan = Arc::new(FailPlan::new(CrashPoint::LogTornCommit).torn_keep(first_len + 7));
+    let (_rt, w) = shared_wal(d, 0);
+    let mut w = w.with_fail_plan(plan);
     let err = w
         .append_batch(&[first.clone(), spend("acme", 2.0), spend("acme", 4.0)])
         .unwrap_err();
     assert!(is_crash(&err));
-    let (bits, recovery) = recover_usd_bits(&path, "acme");
+    drop(w);
+    let (bits, recovery) = recover_usd_bits(d, "acme");
     assert_eq!(recovery.replayed, 1, "record 0 of the batch survives");
     assert!(recovery.dropped_tail);
     let mut only_first = TenantLedger::new();
     apply(&mut only_first, &first);
     assert_eq!(bits, only_first.spend(&"acme".into()).usd.to_bits());
 
-    // WalSegmentSeal: the crash costs the rename, not the records.
-    let path = dir.file("seal.wal");
-    let plan = Arc::new(FailPlan::new(CrashPoint::WalSegmentSeal));
-    let mut w = LedgerWal::open(&path)
-        .segment_records(2)
-        .with_fail_plan(plan.clone());
+    // LogSegmentRoll: the crash costs the record in flight, not the
+    // acknowledged ones. (The first roll opens the first segment.)
+    let d = &dir.path().join("roll");
+    let plan = Arc::new(FailPlan::nth(CrashPoint::LogSegmentRoll, 1));
+    let (_rt, w) = shared_wal(d, 2);
+    let mut w = w.with_fail_plan(plan.clone());
     w.append(&spend("acme", 0.25)).unwrap();
-    let err = w.append(&spend("acme", 0.5)).unwrap_err();
+    w.append(&spend("acme", 0.5)).unwrap();
+    let err = w.append(&spend("acme", 1.0)).unwrap_err();
     assert!(is_crash(&err));
+    drop(w);
+    assert_eq!(
+        fs::metadata(d.join("state.bin.0000000000000002.log"))
+            .unwrap()
+            .len(),
+        0,
+        "the new segment exists, empty"
+    );
     let mut committed = TenantLedger::new();
     apply(&mut committed, &spend("acme", 0.25));
     apply(&mut committed, &spend("acme", 0.5));
-    let (bits, recovery) = recover_usd_bits(&path, "acme");
+    let (bits, recovery) = recover_usd_bits(d, "acme");
     assert_eq!(recovery.replayed, 2, "both acknowledged records durable");
     assert_eq!(bits, committed.spend(&"acme".into()).usd.to_bits());
-    assert_eq!(recovery.sealed_segments, 0, "the seal itself was lost");
+    assert_eq!(recovery.next_seq, 2, "the lost record's number is reused");
 }
 
-/// Crash the delta-frame append: a torn frame rolls the restored
-/// manager back to the previous checkpoint — never to a half-applied
-/// store. In the process that survives the failed append, the journal
-/// and the chain's document pool are as they were before it, so the
-/// retried frame carries the mutation again and defines its document
-/// again — after cutting the torn bytes off the chain.
+/// Crash the frame's commit: a torn frame rolls the restored manager
+/// back to the previous checkpoint — never to a half-applied store. In
+/// the process that survives the failed commit, the journal and the
+/// document pool are as they were before it, so the retried frame
+/// carries the mutation again and defines its document again — after
+/// cutting the torn bytes off the log.
 #[test]
 fn torn_delta_frame_recovers_the_previous_checkpoint() {
     let dir = TestDir::new("delta-torn");
@@ -362,12 +416,12 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     rt.manager().register("beta instruction", mk("beta"), 2.0);
     assert!(rt.save_state().unwrap()); // delta frame 1
     let committed = rt.manager().encode_snapshot();
-    let delta = rt.delta_path().expect("delta mode has a chain path");
+    let delta = segments(&rt).remove(0);
     let intact = fs::read(&delta).unwrap();
 
     rt.manager().register("gamma instruction", mk("gamma"), 3.0);
     assert_eq!(journal_len(rt.manager()), 1);
-    let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(9);
+    let plan = FailPlan::new(CrashPoint::LogTornCommit).torn_keep(9);
     let err = rt.save_state_with(Some(&plan)).unwrap_err();
     assert!(is_crash(&err));
     assert_eq!(
@@ -388,9 +442,9 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     drop(rt2);
 
     // No restart: the surviving process retries. The frame lands where
-    // the durable chain ends, not behind the torn bytes, and defines
-    // gamma's document and description itself — the failed attempt left nothing in the
-    // chain's pool for it to refer to.
+    // the durable log ends, not behind the torn bytes, and defines
+    // gamma's document and description itself — the failed attempt left
+    // nothing in the pool for it to refer to.
     assert!(rt.save_state().unwrap());
     assert!(
         rt.manager().drain_journal().is_empty(),
@@ -402,7 +456,7 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     // Seq 1 again, and a pool of four before it — alpha's document and
     // description (snapshot) and beta's (frame 1) — to which it adds
     // gamma's.
-    assert!(frame.starts_with("0000000000000001\t"), "{frame}");
+    assert!(frame.starts_with("0000000000000001\tS.\t"), "{frame}");
     assert!(
         frame.contains("\t4\tP\tgamma.txt\tgamma doc\t0\tD\tgamma\tC\tgamma instruction\t"),
         "{frame}"
@@ -415,9 +469,9 @@ fn torn_delta_frame_recovers_the_previous_checkpoint() {
     );
 }
 
-// ---- tentpole: delta-chain prefix consistency --------------------------
+// ---- tentpole: log prefix consistency ----------------------------------
 
-/// Truncating the delta chain at *every* byte recovers a state that is
+/// Truncating the log at *every* byte recovers a state that is
 /// exactly some frame prefix of the chain — never a blend, never a
 /// half-applied frame. Byte flips behave the same way. Frames 2–4 hold
 /// a document only by reference to its definition in frame 1, so a
@@ -449,7 +503,6 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
     rt.manager()
         .register("base instruction", mk("base", false), 1.0);
     assert!(rt.save_state().unwrap()); // full snapshot
-    let snapshot_text = fs::read_to_string(&state).unwrap();
     let mut frame_states = vec![rt.manager().encode_snapshot()];
     for i in 0..4 {
         rt.manager().register(
@@ -460,7 +513,7 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
         assert!(rt.save_state().unwrap()); // one delta frame each
         frame_states.push(rt.manager().encode_snapshot());
     }
-    let delta = rt.delta_path().expect("delta mode has a chain path");
+    let delta = segments(&rt).remove(0);
     let clean = fs::read(&delta).unwrap();
     let text = String::from_utf8(clean.clone()).unwrap();
     let frames: Vec<&str> = text.split_inclusive('\n').collect();
@@ -494,19 +547,19 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
         );
     }
 
-    // Frames that pass their checksum but not the chain's rules: each
-    // is rejected together with everything after it, without a panic.
-    let base_sum = snapshot::fnv64(snapshot_text.as_bytes());
-    let recovered = |chain: String| {
-        fs::write(&delta, chain).unwrap();
+    // Frames that pass their checksum but not the log's rules: each is
+    // rejected together with everything after it, without a panic.
+    let records = snapshot::read_records(&clean, 0).records;
+    let recovered = |chain: &[LogRecord]| {
+        common::write_log(&rt, chain);
         build().manager().encode_snapshot()
     };
     // Frame 1 gone: frame 2 says the pool holds five items, this replay
     // has two.
-    assert_eq!(recovered(frames[1..].concat()), frame_states[0]);
+    assert_eq!(recovered(&records[1..]), frame_states[0]);
     // Frame 2 gone: frame 3 extends a pool that frame 2 had grown.
-    let skipped = [frames[0], frames[2], frames[3]].concat();
-    assert_eq!(recovered(skipped), frame_states[1]);
+    let skipped = [&records[0], &records[2], &records[3]].map(LogRecord::clone);
+    assert_eq!(recovered(&skipped), frame_states[1]);
     // After frame 1 the pool holds base's document and description,
     // then shared, c0's document and c0's description (indices 0-4): a
     // reference to index 5 points past it, and so does a reference to a
@@ -516,47 +569,53 @@ fn delta_chain_damage_recovers_an_exact_frame_prefix() {
     let entry = format!("{head}\t4\t-\t1");
     let define = "P\tlate.txt\tlate\t0";
     for payload in [
-        format!("{base_sum:016x}\t5\t{entry}\t5"),
-        format!("{base_sum:016x}\t5\t{entry}\t5\t{define}"),
-        format!("{base_sum:016x}\t5\t{entry}\t18446744073709551615"),
-        format!("{base_sum:016x}\t5\t{entry}\t-1"),
-        format!("{base_sum:016x}\t5\t{entry}\t4"),
-        format!("{base_sum:016x}\t5\t{head}\t2\t-\t1\t3"),
-        format!("{base_sum:016x}\t5\t{head}\t4\t5\t1\t3"),
-        format!("{base_sum:016x}\t5\t{head}\t4\t4\t1\t3"),
+        format!("5\t{entry}\t5"),
+        format!("5\t{entry}\t5\t{define}"),
+        format!("5\t{entry}\t18446744073709551615"),
+        format!("5\t{entry}\t-1"),
+        format!("5\t{entry}\t4"),
+        format!("5\t{head}\t2\t-\t1\t3"),
+        format!("5\t{head}\t4\t5\t1\t3"),
+        format!("5\t{head}\t4\t4\t1\t3"),
+        format!("4\t{entry}\t2"),
     ] {
-        let rogue = record_line(&dir, 1, &payload);
-        let chain = [frames[0], &rogue, frames[1]].concat();
-        assert_eq!(recovered(chain), frame_states[1], "{payload:?}");
+        let chain = [
+            records[0].clone(),
+            state_record(&payload),
+            records[1].clone(),
+        ];
+        assert_eq!(recovered(&chain), frame_states[1], "{payload:?}");
     }
     // The same entry with a backward reference is a frame like any other.
-    let fine = record_line(&dir, 1, &format!("{base_sum:016x}\t5\t{entry}\t2"));
-    let got = recovered([frames[0], &fine].concat());
+    let fine = state_record(&format!("5\t{entry}\t2"));
+    let got = recovered(&[records[0].clone(), fine]);
     assert!(got.contains("rogue instruction") && !frame_states.contains(&got));
 }
 
-/// State written by the previous format is refused, not migrated and
-/// never half-read: a `v1` snapshot is a typed format error and the
-/// runtime starts cold, and a `v1`-shaped frame (an `I` record where
-/// the pool length belongs) under a matching stamp ends the chain.
+/// State written by an earlier format is refused, not migrated and never
+/// half-read: a `v1` snapshot is a typed format error and the runtime
+/// starts cold, and a `v1`-shaped frame (an `I` record where the pool
+/// length belongs) ends the log. So is state in the layout before the
+/// manifest: a snapshot at the state path with a delta chain beside it.
 #[test]
 fn v1_state_is_rejected_and_the_runtime_starts_cold() {
     let dir = TestDir::new("v1-state");
     let state = dir.file("state.bin");
-    let build = || {
+    let build = |state: &Path| {
         Runtime::builder()
             .seed(7)
-            .state_path(&state)
+            .state_path(state)
             .delta_checkpoints(true)
             .build()
     };
-    let rt = build();
+    let rt = build(&state);
     let ctx = Context::builder("lake", lake())
         .description("FTC identity theft reports by year")
         .build(&rt);
     rt.manager().register("count the reports", ctx, 1.0);
     assert!(rt.save_state().unwrap());
-    let v3 = fs::read_to_string(&state).unwrap();
+    let snapshot_path = current(&rt, StoreId::State);
+    let v3 = fs::read_to_string(&snapshot_path).unwrap();
     assert!(v3.starts_with("aida-ctxstore v3\n"));
     drop(rt);
 
@@ -564,8 +623,12 @@ fn v1_state_is_rejected_and_the_runtime_starts_cold() {
     // document would sit where the pool lines are; the reader does not
     // get that far).
     let body = v3.splitn(4, '\n').nth(3).unwrap();
-    fs::write(&state, snapshot::encode_file("aida-ctxstore v1", body)).unwrap();
-    let cold = build();
+    fs::write(
+        &snapshot_path,
+        snapshot::encode_file("aida-ctxstore v1", body),
+    )
+    .unwrap();
+    let cold = build(&state);
     assert!(
         cold.manager().is_empty(),
         "a v1 file starts the runtime cold"
@@ -578,22 +641,43 @@ fn v1_state_is_rejected_and_the_runtime_starts_cold() {
         cold.manager().is_empty(),
         "and a rejected load changes nothing"
     );
+    drop(cold);
 
-    // A current snapshot with a chain whose frame is stamped for it but
-    // laid out the v1 way: `<base_sum> \t <escaped I record>`.
-    fs::write(&state, &v3).unwrap();
-    let base_sum = snapshot::fnv64(v3.as_bytes());
-    let v1_frame = format!("{base_sum:016x}\tI\\tC\\\\tother\\\\t3ff0000000000000");
-    let delta = cold.delta_path().unwrap();
-    fs::write(&delta, record_line(&dir, 0, &v1_frame)).unwrap();
-    let warm = build();
+    // A current snapshot, and a frame after it laid out the v1 way.
+    fs::write(&snapshot_path, &v3).unwrap();
+    let v1_frame = "I\\tC\\\\tother\\\\t3ff0000000000000";
+    common::write_log(&build(&state), &[state_record(v1_frame)]);
+    let segment = dir.file("state.bin.0000000000000000.log");
+    let warm = build(&state);
     assert_eq!(warm.manager().encode_snapshot(), v3, "the snapshot alone");
+    // The first checkpoint after the restore rewrites past the frame.
+    assert!(warm.save_state().unwrap());
+    assert!(!segment.exists());
+    drop(warm);
+    assert_eq!(build(&state).manager().encode_snapshot(), v3);
+
+    // The layout before the manifest is refused whole; the first
+    // checkpoint after it writes the current one.
+    let old = TestDir::new("v1-layout");
+    let old_state = old.file("state.bin");
+    fs::write(&old_state, &v3).unwrap();
+    fs::write(old.file("state.bin.delta"), "").unwrap();
+    let cold = build(&old_state);
+    assert!(cold.manager().is_empty());
+    assert!(matches!(
+        cold.load_state(),
+        Err(SnapshotError::Format(msg)) if msg.contains("layout")
+    ));
+    let ctx = Context::builder("lake", lake()).build(&cold);
+    cold.manager().register("count the reports", ctx, 1.0);
+    assert!(cold.save_state().unwrap());
+    assert_eq!(build(&old_state).manager().len(), 1);
 }
 
 /// The v2 format wrote each Context's description and findings inline
 /// in its `C` record; v3 pools them. A v2 snapshot is a typed format
-/// error and the runtime starts cold, and a v2-shaped frame under a
-/// matching stamp ends the chain.
+/// error and the runtime starts cold, and a v2-shaped frame after a v3
+/// snapshot ends the log.
 #[test]
 fn v2_state_is_rejected_and_the_runtime_starts_cold() {
     let dir = TestDir::new("v2-state");
@@ -613,13 +697,18 @@ fn v2_state_is_rejected_and_the_runtime_starts_cold() {
         .build(&rt);
     rt.manager().register("count the reports", ctx, 1.0);
     assert!(rt.save_state().unwrap());
-    let v3 = fs::read_to_string(&state).unwrap();
+    let snapshot_path = current(&rt, StoreId::State);
+    let v3 = fs::read_to_string(&snapshot_path).unwrap();
     drop(rt);
 
     // What v2 wrote for the same store.
     let entry = format!("C\tcount the reports\t3ff0000000000000\t1\tlake\t{description}\t0\t1\t0");
     let v2_body = format!("T\t1\nP\ta.txt\talpha\t0\n{entry}\n");
-    fs::write(&state, snapshot::encode_file("aida-ctxstore v2", &v2_body)).unwrap();
+    fs::write(
+        &snapshot_path,
+        snapshot::encode_file("aida-ctxstore v2", &v2_body),
+    )
+    .unwrap();
     let cold = build();
     assert!(
         cold.manager().is_empty(),
@@ -630,23 +719,19 @@ fn v2_state_is_rejected_and_the_runtime_starts_cold() {
         Err(SnapshotError::Format(msg)) if msg.contains("bad magic")
     ));
     assert!(cold.manager().is_empty());
+    drop(cold);
 
-    // A v3 snapshot, and a frame stamped for it and its pool (the
-    // document and the description) that inserts a Context the v2 way.
-    fs::write(&state, &v3).unwrap();
-    let base_sum = snapshot::fnv64(v3.as_bytes());
-    let v2_frame = format!(
-        "{base_sum:016x}\t2\t{}",
-        entry.replace("count the", "other")
-    );
-    let delta = cold.delta_path().unwrap();
-    fs::write(&delta, record_line(&dir, 0, &v2_frame)).unwrap();
+    // A v3 snapshot, and a frame for its pool (the document and the
+    // description) that inserts a Context the v2 way.
+    fs::write(&snapshot_path, &v3).unwrap();
+    let v2_frame = format!("2\t{}", entry.replace("count the", "other"));
+    common::write_log(&build(), &[state_record(&v2_frame)]);
     let warm = build();
     assert_eq!(warm.manager().encode_snapshot(), v3, "the snapshot alone");
     // The same frame in the v3 layout applies.
-    let v3_frame =
-        format!("{base_sum:016x}\t2\tC\tother reports\t3ff0000000000000\t2\tlake\t1\t-\t1\t0");
-    fs::write(&delta, record_line(&dir, 0, &v3_frame)).unwrap();
+    let v3_frame = "2\tC\tother reports\t3ff0000000000000\t2\tlake\t1\t-\t1\t0";
+    common::write_log(&warm, &[state_record(v3_frame)]);
+    drop(warm);
     assert_eq!(build().manager().len(), 2);
 }
 
@@ -676,7 +761,7 @@ fn evicted_contexts_do_not_resurrect_through_delta_frames() {
     rt.manager().register("alpha instruction", mk("alpha"), 1.0);
     rt.manager().register("beta instruction", mk("beta"), 5.0);
     assert!(rt.save_state().unwrap()); // full snapshot holds alpha + beta
-    let full = fs::read_to_string(&state).unwrap();
+    let full = fs::read_to_string(current(&rt, StoreId::State)).unwrap();
     assert!(full.contains("alpha instruction"));
 
     // gamma evicts alpha; the checkpoint is a delta frame, so the full
@@ -686,7 +771,7 @@ fn evicted_contexts_do_not_resurrect_through_delta_frames() {
     assert!(rt.save_state().unwrap());
     let expected = rt.manager().encode_snapshot();
     assert!(
-        fs::read_to_string(&state)
+        fs::read_to_string(current(&rt, StoreId::State))
             .unwrap()
             .contains("alpha instruction"),
         "base snapshot still holds the evicted entry; the delta must drop it"
@@ -705,7 +790,7 @@ fn evicted_contexts_do_not_resurrect_through_delta_frames() {
         .contains("alpha instruction"));
 }
 
-// ---- the semantic cache in the runtime's delta chain -------------------
+// ---- the semantic cache in the runtime's log ---------------------------
 
 /// A runtime whose semantic cache (`capacity` entries) checkpoints in
 /// delta mode to `semcache.bin` in `dir`, a full snapshot after at most
@@ -721,13 +806,14 @@ fn cache_runtime(dir: &TestDir, capacity: usize, full_every: u64) -> Runtime {
 }
 
 /// The checkpoint `rt` makes of its durable stores (here the cache
-/// alone, whose chain is `<cache_path>.delta`), with a crash plan.
+/// alone, whose log is at its path), with a crash plan.
 fn checkpoint(rt: &Runtime, plan: Option<&FailPlan>) -> std::io::Result<bool> {
     rt.save_state_with(plan)
 }
 
-fn cache_chain(dir: &TestDir) -> std::path::PathBuf {
-    snapshot::delta_path(&dir.file("semcache.bin"))
+/// The first segment of the cache's log after its first full snapshot.
+fn cache_chain(dir: &TestDir) -> PathBuf {
+    dir.file("semcache.bin.0000000000000000.log")
 }
 
 /// A miss admits `k`'s response; a hit re-ticks it.
@@ -757,14 +843,14 @@ fn cache_bytes(rt: &Runtime, dir: &TestDir, name: &str) -> Vec<u8> {
     fs::read(path).unwrap()
 }
 
-/// What a restart recovers from `dir`: base plus chain, saved in full.
+/// What a restart recovers from `dir`: snapshot plus log, saved in full.
 fn recovered_cache(dir: &TestDir, capacity: usize) -> Vec<u8> {
     cache_bytes(&cache_runtime(dir, capacity, 16), dir, "recovered.bin")
 }
 
 /// A torn cache frame is dropped whole: recovery lands on the previous
 /// checkpoint. The surviving process retries: the frame lands where the
-/// durable chain ends, with the same sequence number, and carries the
+/// durable log ends, with the same sequence number, and carries the
 /// same uses, so nothing checkpointed is lost.
 #[test]
 fn torn_cache_frame_recovers_the_previous_checkpoint() {
@@ -781,7 +867,7 @@ fn torn_cache_frame_recovers_the_previous_checkpoint() {
 
     use_key(&rt, 2);
     use_key(&rt, 5);
-    let plan = FailPlan::new(CrashPoint::DeltaTornAppend).torn_keep(9);
+    let plan = FailPlan::new(CrashPoint::LogTornCommit).torn_keep(9);
     let err = checkpoint(&rt, Some(&plan)).unwrap_err();
     assert!(is_crash(&err));
     let torn = fs::read(cache_chain(&dir)).unwrap();
@@ -795,7 +881,7 @@ fn torn_cache_frame_recovers_the_previous_checkpoint() {
     checkpoint(&rt, None).unwrap();
     let retried = fs::read(cache_chain(&dir)).unwrap();
     assert!(retried.starts_with(&intact));
-    assert!(retried[intact.len()..].starts_with(b"0000000000000001\t"));
+    assert!(retried[intact.len()..].starts_with(b"0000000000000001\tC.\t"));
     assert_eq!(
         recovered_cache(&dir, 64),
         cache_bytes(&rt, &dir, "live.bin"),
@@ -803,10 +889,11 @@ fn torn_cache_frame_recovers_the_previous_checkpoint() {
     );
 }
 
-/// A crash after a full rewrite commits but before the chain is removed
-/// leaves a chain stamped for the previous snapshot. Recovery discards
-/// it: replayed onto the new snapshot its re-ticks would reorder it. The
-/// next checkpoint is a full rewrite again and removes the chain.
+/// A crash after a full rewrite's manifest commit but before the
+/// segments it covers are deleted leaves records the new snapshot
+/// already holds. Recovery skips them: replayed onto the new snapshot
+/// their re-ticks would reorder it. The next checkpoint is a full
+/// rewrite again and deletes them.
 #[test]
 fn a_stale_cache_chain_is_discarded() {
     let dir = TestDir::new("cache-stale");
@@ -818,30 +905,26 @@ fn a_stale_cache_chain_is_discarded() {
     use_key(&rt, 1);
     checkpoint(&rt, None).unwrap(); // frame: 1
     use_key(&rt, 2); // LRU→MRU: 3 0 1 2
+    let stale = fs::read(cache_chain(&dir)).unwrap();
+    assert_eq!(stale.split(|b| *b == b'\n').count(), 3);
 
     // Two frames extend the base: this checkpoint rewrites in full.
     let plan = FailPlan::new(CrashPoint::SnapshotAfterCommit);
     let err = checkpoint(&rt, Some(&plan)).unwrap_err();
     assert!(is_crash(&err));
-    assert_eq!(
-        fs::read(cache_chain(&dir))
-            .unwrap()
-            .split(|b| *b == b'\n')
-            .count(),
-        3
-    );
-    let committed = fs::read(dir.file("semcache.bin")).unwrap();
+    fs::write(cache_chain(&dir), &stale).unwrap();
+    let committed = fs::read(current(&rt, StoreId::Cache)).unwrap();
     assert_eq!(committed, cache_bytes(&rt, &dir, "live.bin"));
     assert_eq!(
         recovered_cache(&dir, 64),
         committed,
-        "the stale chain is not replayed onto the new snapshot"
+        "the covered records are not replayed onto the new snapshot"
     );
 
     checkpoint(&rt, None).unwrap();
     assert!(
         !cache_chain(&dir).exists(),
-        "the retried rewrite removes it"
+        "a recovery or the retried rewrite deletes them"
     );
     assert_eq!(recovered_cache(&dir, 64), committed);
 }
@@ -859,14 +942,14 @@ fn a_cache_eviction_forces_a_full_rewrite() {
     use_key(&rt, 1);
     checkpoint(&rt, None).unwrap(); // frame
     assert!(cache_chain(&dir).exists());
-    let base = fs::read(dir.file("semcache.bin")).unwrap();
+    let base = fs::read(current(&rt, StoreId::Cache)).unwrap();
 
     use_key(&rt, 4); // evicts 0
     use_key(&rt, 0); // evicts 2, admits 0 again
     assert_eq!(rt.cache_stats().unwrap().evictions, 2);
     checkpoint(&rt, None).unwrap();
-    assert!(!cache_chain(&dir).exists(), "a full rewrite ends the chain");
-    let rewritten = fs::read(dir.file("semcache.bin")).unwrap();
+    assert!(segments(&rt).is_empty(), "a full rewrite covers the log");
+    let rewritten = fs::read(current(&rt, StoreId::Cache)).unwrap();
     assert_ne!(rewritten, base);
     assert_eq!(rewritten, cache_bytes(&rt, &dir, "live.bin"));
     assert_eq!(recovered_cache(&dir, 4), rewritten);
@@ -874,24 +957,27 @@ fn a_cache_eviction_forces_a_full_rewrite() {
 
 /// The two-restart invariant: a torn tail must be physically removed by
 /// recovery, so records acknowledged *after* the first recovery are not
-/// swallowed by the second one (an append onto a lingering torn line
+/// swallowed by the second one (an append onto a lingering torn record
 /// would fail its checksum and take every later record with it).
 #[test]
 fn torn_tail_recovery_keeps_post_recovery_appends_across_a_second_restart() {
     let dir = TestDir::new("wal-torn-twice");
-    let path = dir.file("ledger.wal");
-    let mut wal = LedgerWal::open(&path);
+    let d = dir.path();
+    let (_rt, mut wal) = shared_wal(d, 0);
     wal.append(&spend("acme", 0.25)).unwrap();
     wal.append(&spend("acme", 0.5)).unwrap();
-    let plan = Arc::new(FailPlan::new(CrashPoint::WalTornAppend).torn_keep(13));
-    let mut torn = LedgerWal::open(&path).with_fail_plan(plan);
+    drop(wal);
+    let plan = Arc::new(FailPlan::new(CrashPoint::LogTornCommit).torn_keep(13));
+    let (_rt, torn) = shared_wal(d, 0);
+    let mut torn = torn.with_fail_plan(plan);
     let mut scratch = TenantLedger::new();
     torn.recover(&mut scratch).unwrap();
     torn.append(&spend("acme", 1.0)).unwrap_err();
+    drop(torn);
 
     // Restart 1: the torn record is dropped — and scrubbed from disk.
     let mut ledger = TenantLedger::new();
-    let mut wal2 = LedgerWal::open(&path);
+    let (_rt, mut wal2) = shared_wal(d, 0);
     let recovery = wal2.recover(&mut ledger).unwrap();
     assert!(recovery.dropped_tail);
     assert_eq!(recovery.replayed, 2);
@@ -899,21 +985,23 @@ fn torn_tail_recovery_keeps_post_recovery_appends_across_a_second_restart() {
     wal2.append(&post).unwrap();
     apply(&mut ledger, &post);
     let expected_bits = ledger.spend(&"acme".into()).usd.to_bits();
+    drop(wal2);
 
     // Restart 2: the acknowledged post-recovery spend survives in full.
-    let (bits, recovery2) = recover_usd_bits(&path, "acme");
+    let (bits, recovery2) = recover_usd_bits(d, "acme");
     assert!(!recovery2.dropped_tail, "restart 1 repaired the file");
     assert_eq!(recovery2.replayed, 3);
     assert_eq!(bits, expected_bits, "no acknowledged record was lost");
 }
 
-/// Truncating or corrupting the WAL anywhere loses only a suffix: the
-/// intact prefix replays exactly, byte-level damage never panics.
+/// Truncating or corrupting the shared log anywhere loses only a suffix
+/// of the ledger: the intact prefix replays exactly, byte-level damage
+/// never panics.
 #[test]
 fn wal_damage_loses_only_a_suffix() {
     let dir = TestDir::new("wal-damage");
-    let path = dir.file("ledger.wal");
-    let mut wal = LedgerWal::open(&path);
+    let d = dir.path();
+    let (_rt, mut wal) = shared_wal(d, 0);
     let mut prefix_bits = Vec::new();
     let mut ledger = TenantLedger::new();
     for i in 0..4 {
@@ -922,13 +1010,15 @@ fn wal_damage_loses_only_a_suffix() {
         wal.append(&record).unwrap();
         apply(&mut ledger, &record);
     }
+    drop(wal);
     prefix_bits.push(ledger.spend(&"acme".into()).usd.to_bits());
+    let path = first_segment(d);
     let clean = fs::read(&path).unwrap();
 
     for cut in 1..clean.len() {
         fs::write(&path, &clean).unwrap();
         truncate_tail(&path, cut);
-        let (bits, recovery) = recover_usd_bits(&path, "acme");
+        let (bits, recovery) = recover_usd_bits(d, "acme");
         let replayed = recovery.replayed as usize;
         assert!(replayed <= 4);
         assert_eq!(
@@ -940,7 +1030,7 @@ fn wal_damage_loses_only_a_suffix() {
     for index in (0..clean.len()).step_by(7) {
         fs::write(&path, &clean).unwrap();
         corrupt_byte(&path, index);
-        let (bits, recovery) = recover_usd_bits(&path, "acme");
+        let (bits, recovery) = recover_usd_bits(d, "acme");
         let replayed = recovery.replayed as usize;
         assert!(replayed <= 4, "byte {index}");
         assert_eq!(
@@ -970,12 +1060,24 @@ fn workload() -> Vec<aida::serve::QueryRequest> {
     open_loop(11, &loads)
 }
 
+/// Per-tenant spend bits of a service's ledger.
+fn spends_of(svc: &QueryService) -> Vec<(String, u64)> {
+    let spends = svc.tenants().spends();
+    spends
+        .map(|(t, s)| (t.to_string(), s.usd.to_bits()))
+        .collect()
+}
+
+/// A delta-mode service over `dir`, checkpointing every two operators,
+/// whose ledger shares the runtime's log.
 fn restart_service(dir: &TestDir) -> QueryService {
     let rt = Runtime::builder()
         .seed(11)
         .semantic_cache(1 << 16)
         .cache_path(dir.file("semcache.bin"))
         .state_path(dir.file("state.bin"))
+        .delta_checkpoints(true)
+        .checkpoint_interval(2)
         .build();
     let ctx = Context::builder("lake", lake())
         .description("FTC identity theft reports by year")
@@ -985,6 +1087,7 @@ fn restart_service(dir: &TestDir) -> QueryService {
         ServeConfig {
             workers: 2,
             queue_capacity: 16,
+            group_commit: 4,
             ..ServeConfig::default()
         },
     );
@@ -996,12 +1099,13 @@ fn restart_service(dir: &TestDir) -> QueryService {
     svc
 }
 
-/// The headline proof: run the service cold, checkpoint, "crash" the
-/// process, restart warm. Per-tenant dollars recover bit-identically
-/// from the WAL, the restore itself spends nothing, and re-running the
-/// same workload serves entirely from the restored Contexts and the
-/// persisted semantic cache — at zero new dollars, with the same
-/// answers.
+/// The headline proof: run the service cold, checkpointing into the
+/// log its ledger shares, "crash" the process, restart warm. Per-tenant
+/// dollars recover bit-identically — first from the log alone, then from
+/// the ledger snapshot the final save wrote with the others — the
+/// restore itself spends nothing, and re-running the same workload
+/// serves entirely from the restored Contexts and the persisted semantic
+/// cache — at zero new dollars, with the same answers.
 #[test]
 fn warm_restart_reproduces_per_tenant_dollars_at_zero_spend() {
     let dir = TestDir::new("warm-restart");
@@ -1017,14 +1121,25 @@ fn warm_restart_reproduces_per_tenant_dollars_at_zero_spend() {
         .spends()
         .map(|(t, s)| (t.to_string(), s.usd.to_bits()))
         .collect();
-    assert!(cold_svc.runtime().save_state().unwrap());
-    assert!(cold_svc.runtime().save_cache().unwrap());
-    drop(cold_svc); // the "crash": nothing outlives the process but disk
+    assert!(
+        cold.wal_fsyncs < cold.wal_appends,
+        "checkpoints carry records"
+    );
+    drop(cold_svc); // a crash before any save: the log alone
+    let replayed = restart_service(&dir);
+    assert!(replayed.wal_recovery().expect("wal attached").replayed > 0);
+    assert_eq!(spends_of(&replayed), cold_spends);
+    assert!(replayed.runtime().save_state().unwrap());
+    assert!(replayed.runtime().save_cache().unwrap());
+    drop(replayed); // the "crash": nothing outlives the process but disk
 
     // Phase 2: warm restart from disk.
     let mut warm_svc = restart_service(&dir);
     let recovery = warm_svc.wal_recovery().expect("wal attached");
-    assert!(recovery.replayed > 0, "ledger replayed from the WAL");
+    assert!(
+        recovery.snapshot_loaded,
+        "the final save wrote the ledger too"
+    );
     assert!(
         !warm_svc.runtime().manager().is_empty(),
         "contexts restored from the snapshot"
@@ -1034,11 +1149,7 @@ fn warm_restart_reproduces_per_tenant_dollars_at_zero_spend() {
         0.0,
         "restoring state costs zero re-materialization dollars"
     );
-    let warm_spends: Vec<(String, u64)> = warm_svc
-        .tenants()
-        .spends()
-        .map(|(t, s)| (t.to_string(), s.usd.to_bits()))
-        .collect();
+    let warm_spends = spends_of(&warm_svc);
     assert_eq!(
         cold_spends, warm_spends,
         "per-tenant dollars are bit-identical across the restart"
@@ -1047,7 +1158,7 @@ fn warm_restart_reproduces_per_tenant_dollars_at_zero_spend() {
     // Phase 3: the same workload warm — answered identically, $0 new.
     let warm = warm_svc.run(workload());
     assert_eq!(warm.completions.len(), cold.completions.len());
-    assert!(warm.wal_replayed > 0);
+    assert!(warm.wal_appends > 0);
     for (c, w) in cold.completions.iter().zip(&warm.completions) {
         assert_eq!(c.seq, w.seq);
         assert_eq!(c.tenant, w.tenant);
@@ -1286,8 +1397,9 @@ fn registers_during_full_rewrites_are_not_lost() {
 }
 
 /// The checkpoint counters count everything a checkpoint writes: in
-/// delta mode the first checkpoint's two full snapshots and every frame
-/// of the one chain they share, the cache's sections included.
+/// delta mode the first checkpoint's two full snapshots and manifest,
+/// and every frame of the one log they share, the cache's sections
+/// included.
 #[test]
 fn checkpoint_counters_count_both_stores() {
     let dir = TestDir::new("ckpt-counters");
@@ -1312,19 +1424,21 @@ fn checkpoint_counters_count_both_stores() {
     }
     let counters = rt.recorder().trace().counters;
     let count = |name: &str| counters.get(name).copied().unwrap_or(0);
-    let len = |name: &str| fs::metadata(dir.file(name)).map(|m| m.len()).unwrap_or(0);
-    let frames = snapshot::wal_replay(&rt.delta_path().unwrap())
-        .unwrap()
-        .records
-        .len() as u64;
+    let len = |path: &Path| fs::metadata(path).map(|m| m.len()).unwrap();
+    let records = common::log_records(&rt);
+    let frames = records.iter().filter(|r| !r.linked).count() as u64;
     assert!(frames > 0, "the checkpoints after the first are frames");
+    assert_eq!(records.len() as u64, 2 * frames, "one record per store");
     assert_eq!(count("checkpoint.delta_frames"), frames);
     assert_eq!(count("checkpoint.saves"), 1 + frames);
+    let log: u64 = segments(&rt).iter().map(|p| len(p)).sum();
     assert_eq!(
         count("checkpoint.bytes_written"),
-        len("state.bin") + len("semcache.bin") + len("state.bin.delta")
+        len(&current(&rt, StoreId::State))
+            + len(&current(&rt, StoreId::Cache))
+            + len(&dir.file("state.bin.manifest"))
+            + log
     );
-    assert!(!dir.file("semcache.bin.delta").exists());
 }
 
 // ---- satellite: CI dump for same-seed diffing --------------------------
@@ -1344,7 +1458,7 @@ fn recovered_state_dump_is_deterministic() {
 
     let svc2 = restart_service(&dir);
     let recovery = svc2.wal_recovery().expect("wal attached");
-    let state_text = fs::read_to_string(dir.file("state.bin")).unwrap();
+    let state_text = fs::read_to_string(current(svc2.runtime(), StoreId::State)).unwrap();
 
     let mut dump = String::new();
     dump.push_str(&format!(
@@ -1387,24 +1501,25 @@ mod props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// An arbitrary record sequence written through the WAL replays
-        /// in order and bit-identically, and replay is deterministic:
-        /// two recoveries from the same bytes agree exactly.
+        /// An arbitrary record sequence written through the shared log
+        /// replays in order and bit-identically, and replay is
+        /// deterministic: two recoveries from the same bytes agree
+        /// exactly.
         #[test]
         fn wal_replay_is_order_deterministic(
             records in prop::collection::vec(common::ledger_records(), 1..12)
         ) {
             let dir = TestDir::new("prop-wal");
-            let path = dir.file("ledger.wal");
-            let mut wal = LedgerWal::open(&path);
+            let (_rt, mut wal) = shared_wal(dir.path(), 0);
             let mut direct = TenantLedger::new();
             for record in &records {
                 wal.append(record).unwrap();
                 apply(&mut direct, record);
             }
+            drop(wal);
             let recover = || {
                 let mut ledger = TenantLedger::new();
-                let mut w = LedgerWal::open(&path);
+                let (_rt, mut w) = shared_wal(dir.path(), 0);
                 let recovery = w.recover(&mut ledger).unwrap();
                 let spends: Vec<(String, u64, u64, u64)> = ledger
                     .spends()
@@ -1475,11 +1590,12 @@ mod props {
             prop_assert_eq!(rt2.manager().encode_snapshot(), snap);
         }
 
-        /// Group-committed, segmented WALs under arbitrary tail damage
-        /// lose only a record *suffix*: the recovered ledger equals the
-        /// direct application of exactly the first `replayed` records —
-        /// no double-spend, no reordering — and two recoveries from the
-        /// same damage agree bit-for-bit.
+        /// Group-committed ledger records in a segmented shared log
+        /// under arbitrary damage to its last segment lose only a record
+        /// *suffix*: the recovered ledger equals the direct application
+        /// of exactly the first `replayed` records — no double-spend, no
+        /// reordering — and two recoveries from the same damage agree
+        /// bit-for-bit.
         #[test]
         fn segmented_batch_wal_damage_loses_only_a_suffix(
             batches in prop::collection::vec(
@@ -1490,8 +1606,7 @@ mod props {
             cut in 0usize..4096,
         ) {
             let dir = TestDir::new("prop-seg");
-            let path = dir.file("ledger.wal");
-            let mut wal = LedgerWal::open(&path).segment_records(segment_records);
+            let (rt, mut wal) = shared_wal(dir.path(), segment_records);
             let mut flat = Vec::new();
             for batch in &batches {
                 wal.append_batch(batch).unwrap();
@@ -1499,16 +1614,17 @@ mod props {
             }
             drop(wal);
 
-            // Damage the *tail* file only; sealed segments stay intact,
-            // so the loss is bounded by the unsealed suffix. (The tail
-            // may not exist when the last append sealed it away.)
-            let tail = fs::read(&path).unwrap_or_default();
+            // Damage the last segment only; the full ones stay intact,
+            // so the loss is bounded by its records.
+            let path = segments(&rt).pop().unwrap();
+            drop(rt);
+            let tail = fs::read(&path).unwrap();
             let keep = cut % (tail.len() + 1);
             fs::write(&path, &tail[..keep]).unwrap();
 
             let recover = || {
                 let mut ledger = TenantLedger::new();
-                let mut w = LedgerWal::open(&path).segment_records(segment_records);
+                let (_rt, mut w) = shared_wal(dir.path(), segment_records);
                 let recovery = w.recover(&mut ledger).unwrap();
                 let spends: Vec<(String, u64, u64, u64)> = ledger
                     .spends()
@@ -1536,9 +1652,9 @@ mod props {
             );
         }
 
-        /// Cutting the delta chain at an arbitrary byte recovers a state
-        /// that is exactly one of the checkpointed frame states — the
-        /// chain replays a frame prefix or nothing, never a blend.
+        /// Cutting the log at an arbitrary byte recovers a state that is
+        /// exactly one of the checkpointed frame states — the log replays
+        /// a frame prefix or nothing, never a blend.
         #[test]
         fn delta_chain_random_cut_recovers_a_checkpointed_state(
             saves in 1usize..5,
@@ -1574,7 +1690,7 @@ mod props {
                 prop_assert!(rt.save_state().unwrap());
                 frame_states.push(rt.manager().encode_snapshot());
             }
-            let delta = rt.delta_path().expect("delta mode has a chain path");
+            let delta = segments(&rt).remove(0);
             drop(rt);
 
             let chain = fs::read(&delta).unwrap();

@@ -176,7 +176,7 @@ mod restart_under_fault {
         let dir = TestDir::new("fault-wal-crash");
         let wal_path = dir.file("ledger.wal");
         let mut svc = service(Runtime::builder().seed(13).tracing(true).build());
-        let plan = Arc::new(FailPlan::nth(CrashPoint::WalTornAppend, 5).torn_keep(13));
+        let plan = Arc::new(FailPlan::nth(CrashPoint::LogTornCommit, 5).torn_keep(13));
         svc.attach_wal(LedgerWal::open(&wal_path).with_fail_plan(plan.clone()))
             .unwrap();
 
@@ -186,7 +186,7 @@ mod restart_under_fault {
             svc.runtime()
                 .recorder()
                 .export_jsonl()
-                .contains("injected crash at WalTornAppend"),
+                .contains("injected crash at LogTornCommit"),
             "the failure is the injected crash"
         );
 

@@ -299,7 +299,7 @@ fn crash_point_dumps_the_flight_ring() {
         rt.recorder().flight("test.load", "tick", format!("i={i}"));
     }
 
-    let plan = FailPlan::new(CrashPoint::WalBeforeAppend).with_recorder(rt.recorder().clone());
+    let plan = FailPlan::new(CrashPoint::LogBeforeCommit).with_recorder(rt.recorder().clone());
     let mut wal = LedgerWal::open(dir.file("ledger.wal")).with_fail_plan(Arc::new(plan));
     let err = wal.append(&LedgerRecord::Admit {
         tenant: aida::serve::TenantId::new("acme"),
