@@ -709,7 +709,11 @@ fn main() {
     // a torn WAL tail is truncated, a torn snapshot temp is ignored —
     // then the phase resets to a clean cold run.
     let durable_dir = aida_bench::results_dir().join("serve_soak_durable");
-    if durable_dir.exists() {
+    // A soak built before the log had a manifest left its ledger as one
+    // file, `ledger.wal`: that layout is refused by design, so such a
+    // directory is only reset.
+    let old_layout = durable_dir.join("ledger.wal").is_file();
+    if durable_dir.exists() && !old_layout {
         let probe = build_service(seed, true, Some(&durable_dir), true, None, 0, None);
         let recovery = probe.wal_recovery().expect("wal attached");
         println!(
@@ -718,7 +722,8 @@ fn main() {
             recovery.replayed,
             recovery.dropped_tail
         );
-        drop(probe);
+    }
+    if durable_dir.exists() {
         std::fs::remove_dir_all(&durable_dir).expect("reset durable dir");
     }
     std::fs::create_dir_all(&durable_dir).expect("create durable dir");

@@ -8,9 +8,10 @@
 //! ([`SemanticCache::encode_section`]) — and commits everything staged,
 //! ledger records included, with one write and one `fsync`. A unit lands
 //! whole or not at all, so a crash leaves both stores at one checkpoint.
-//! A full rewrite makes new snapshots of every store current with one
-//! manifest rename: on the first checkpoint, after `full_snapshot_every`
-//! frames, after a restore, and when an entry left the cache.
+//! A full rewrite makes new snapshots of both stores current with one
+//! manifest rename (the ledger rewrites its own): on the first
+//! checkpoint, after `full_snapshot_every` frames, after a restore, and
+//! when an entry left the cache.
 
 use crate::manager::{encode_delta_frame, DocPool, StoreReplica};
 use crate::runtime::{Runtime, RuntimeConfig};
@@ -42,11 +43,18 @@ struct Stores<'a> {
     cache: Option<(&'a SemanticCache, &'a Path)>,
 }
 
+/// Where a runtime's log is in delta mode: at the state path, else at
+/// the cache path of a runtime with a semantic cache.
+pub(crate) fn log_path(config: &RuntimeConfig) -> Option<&Path> {
+    let cache = (config.cache_path.as_deref()).filter(|_| config.semantic_cache > 0);
+    config.state_path.as_deref().or(cache)
+}
+
 /// The log of a delta-mode runtime with a durable store.
 pub(crate) fn open_log(config: &RuntimeConfig) -> Option<SharedLog> {
     let state = config.state_path.as_ref();
     let cache = (config.cache_path.as_ref()).filter(|_| config.semantic_cache > 0);
-    let mut log = Log::open(state.or(cache).filter(|_| config.delta_checkpoints)?);
+    let mut log = Log::open(log_path(config).filter(|_| config.delta_checkpoints)?);
     let paths = [(StoreId::State, state), (StoreId::Cache, cache)];
     for (store, path) in paths.into_iter().flat_map(|(s, p)| p.map(|p| (s, p))) {
         log.set_store_path(store, path);
@@ -155,9 +163,9 @@ impl Runtime {
     }
 
     /// Writes both snapshots as the log's next generation: one manifest
-    /// commit makes them (and the ledger's) current together. Until it
-    /// returns the checkpointer has no base, so a failure leaves the
-    /// next checkpoint a full rewrite again.
+    /// commit makes them current together (the ledger's entry stays).
+    /// Until it returns the checkpointer has no base, so a failure leaves
+    /// the next checkpoint a full rewrite again.
     fn rewrite(
         &self,
         stores: &Stores,
@@ -191,9 +199,11 @@ impl Runtime {
 
     /// Restores the durable stores: in delta mode from the snapshots the
     /// manifest names and the log, read once; otherwise from the
-    /// snapshot files. The semantic cache is restored only with `cache`:
-    /// [`Runtime::load_state`] replaces the Context store alone. Returns
-    /// how many Contexts were restored.
+    /// snapshot files. The semantic cache is restored only with `cache`,
+    /// at build, which also recovers the log: [`Runtime::load_state`]
+    /// replaces the Context store alone and reads the log's committed
+    /// records again, leaving its writer and the ledger's staged records
+    /// as they are. Returns how many Contexts were restored.
     ///
     /// A store replays the units of the log its snapshot does not cover,
     /// up to the first that one of them cannot decode or apply: a unit
@@ -211,20 +221,23 @@ impl Runtime {
         };
         let mut delta = self.delta.lock();
         let mut log = self.log().map(|log| log.lock());
-        let (state_path, cache_path, mut failed) = match log.as_deref_mut() {
-            Some(log) => match log.recover() {
-                Ok(()) => (
-                    log.snapshot_path(StoreId::State),
-                    log.snapshot_path(StoreId::Cache),
-                    None,
-                ),
-                Err(e) => (None, None, Some(e)),
-            },
-            None => (
-                stores.state.map(Path::to_path_buf),
-                stores.cache.map(|(_, path)| path.to_path_buf()),
-                None,
-            ),
+        const OWN: [StoreId; 2] = [StoreId::State, StoreId::Cache];
+        let (mut records, mut failed) = (Vec::new(), None);
+        let [state_path, cache_path] = match log.as_deref_mut() {
+            Some(log) => {
+                let read = match cache {
+                    true => log.recover().map(|()| log.take_records(&OWN)),
+                    false => log.read_back(&OWN),
+                };
+                match read {
+                    Ok(read) => records = read,
+                    Err(e) => failed = Some(e),
+                }
+                OWN.map(|store| log.snapshot_path(store))
+            }
+            None => {
+                [stores.state, stores.cache.map(|(_, path)| path)].map(|p| p.map(Path::to_path_buf))
+            }
         };
         let mut state = match state_path.map(std::fs::read_to_string) {
             Some(Ok(text)) => match self.manager().decode_replica(&text, &rebuild) {
@@ -245,8 +258,7 @@ impl Runtime {
         let mut cached = cache_path
             .and_then(|path| std::fs::read_to_string(path).ok())
             .and_then(|text| CacheReplica::decode(&text).ok());
-        if let Some(log) = log.as_deref_mut() {
-            let records = log.take_records(&[StoreId::State, StoreId::Cache]);
+        if let Some(log) = log.as_deref() {
             let applied = self.replay(log, &records, (state.as_mut(), cached.as_mut()), &rebuild);
             if applied > 0 {
                 self.recorder().flight(

@@ -212,6 +212,13 @@ impl Runtime {
         self.log.as_ref()
     }
 
+    /// Where [`Runtime::log`] is in delta mode, whether or not it is on:
+    /// a service refuses a ledger on its own log while the runtime's
+    /// holds one from a delta-mode run.
+    pub fn log_path(&self) -> Option<&std::path::Path> {
+        crate::chain::log_path(&self.config)
+    }
+
     /// [`Runtime::save_state`] with an optional crash-injection plan
     /// (threaded through by the durability suite). In delta mode
     /// ([`RuntimeConfig::delta_checkpoints`]) this is the checkpoint of

@@ -881,9 +881,6 @@ impl Manifest {
 /// A [`Log`] shared by the stores of one service.
 pub type SharedLog = Arc<Mutex<Log>>;
 
-/// A store's snapshot, made when a rewrite asks for it.
-pub type SnapshotSource = Box<dyn Fn() -> String + Send>;
-
 /// Lifetime counters of a [`Log`] (monotone; diff two readings).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogStats {
@@ -914,8 +911,10 @@ pub struct LogMark {
 pub struct Log {
     base: PathBuf,
     paths: BTreeMap<StoreId, PathBuf>,
-    sources: BTreeMap<StoreId, SnapshotSource>,
     manifest: Manifest,
+    /// Per store, the first of its records its snapshot does not cover:
+    /// the segments from the lowest on stay.
+    pending: BTreeMap<StoreId, u64>,
     segment_records: u64,
     group_commit: u64,
     next_seq: u64,
@@ -931,6 +930,8 @@ pub struct Log {
     recovered: Vec<LogRecord>,
     /// Whether the last recovery cut a refused suffix off the files.
     dropped_tail: bool,
+    /// Why the last recovery refused the manifest, until a rewrite.
+    refused: Option<String>,
     stats: LogStats,
 }
 
@@ -966,11 +967,6 @@ impl Log {
         self.paths.insert(store, path.into());
     }
 
-    /// What a rewrite that is not handed `store`'s snapshot writes for it.
-    pub fn set_snapshot_source(&mut self, store: StoreId, source: SnapshotSource) {
-        self.sources.insert(store, source);
-    }
-
     /// `store`'s current snapshot file, if the manifest names one.
     pub fn snapshot_path(&self, store: StoreId) -> Option<PathBuf> {
         let (generation, _) = self.manifest.stores.get(&store)?;
@@ -1001,6 +997,33 @@ impl Log {
         self.dropped_tail
     }
 
+    /// Why the last recovery refused the manifest (a store that joins
+    /// after it is refused too), until a rewrite succeeds.
+    pub fn refused(&self) -> Option<SnapshotError> {
+        self.refused.clone().map(SnapshotError::Format)
+    }
+
+    /// Whether files of a log are at the base path: a manifest, a
+    /// segment, or a file at the path itself (the layout before it).
+    pub fn exists(&self) -> io::Result<bool> {
+        Ok(self.manifest_path().exists() || self.base.exists() || !self.list(".log")?.is_empty())
+    }
+
+    /// Whether the log at the base path holds state of `store`: a
+    /// snapshot its manifest names, or a record. Reads, changes nothing.
+    pub fn holds(&self, store: StoreId) -> Result<bool, SnapshotError> {
+        let manifest = match std::fs::read_to_string(self.manifest_path()) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Manifest::default(),
+            text => Manifest::decode(&text?)?,
+        };
+        let mut held = manifest.stores.contains_key(&store);
+        for first in self.list(".log")? {
+            let read = read_records(&std::fs::read(self.segment_path(first))?, first);
+            held |= read.records.iter().any(|record| record.store == store);
+        }
+        Ok(held)
+    }
+
     /// The segment files, oldest first.
     pub fn segment_paths(&self) -> Vec<PathBuf> {
         self.segments
@@ -1017,8 +1040,9 @@ impl Log {
         sibling(&self.base, ".manifest")
     }
 
-    /// The first sequence numbers of the segment files beside `base`.
-    fn list_segments(&self) -> io::Result<Vec<u64>> {
+    /// The numbers `n` of the files `<base>.<n:hex16><tail>` beside
+    /// `base`, ascending.
+    fn list(&self, tail: &str) -> io::Result<Vec<u64>> {
         let dir = self.base.parent().filter(|d| !d.as_os_str().is_empty());
         let stem = self.base.file_name().map(|n| n.to_string_lossy() + ".");
         let entries = match std::fs::read_dir(dir.unwrap_or(Path::new("."))) {
@@ -1029,7 +1053,7 @@ impl Log {
         for entry in entries {
             let name = entry?.file_name();
             let hex = (name.to_str().zip(stem.as_deref()))
-                .and_then(|(name, stem)| name.strip_prefix(stem)?.strip_suffix(".log"))
+                .and_then(|(name, stem)| name.strip_prefix(stem)?.strip_suffix(tail))
                 .filter(|hex| hex.len() == 16);
             found.extend(hex.and_then(|hex| u64::from_str_radix(hex, 16).ok()));
         }
@@ -1044,7 +1068,9 @@ impl Log {
     /// covers up to it. The records read wait until each store
     /// [takes](Log::take_records) its own. A manifest that does not
     /// decode, or a file at `base` with no manifest (the layout before
-    /// it), is refused; the writer still continues after the log.
+    /// it), is refused ([`Log::refused`]): the writer continues after
+    /// the log, but keeps every segment and never writes over a manifest
+    /// that is there.
     pub fn recover(&mut self) -> Result<(), SnapshotError> {
         let manifest = match std::fs::read_to_string(self.manifest_path()) {
             Ok(text) => Manifest::decode(&text),
@@ -1053,14 +1079,16 @@ impl Log {
             Err(_) => Ok(Manifest::default()),
         };
         self.manifest = manifest.as_ref().cloned().unwrap_or_default();
-        let start = self.manifest.stores.values().map(|entry| entry.1).min();
         (self.staged, self.staged_ledger, self.durable_len) = (String::new(), 0, 0);
         (self.segments, self.recovered) = (Vec::new(), Vec::new());
         self.dropped_tail = false;
-        let found = self.list_segments()?;
+        let found = self.list(".log")?;
+        // Segments no pending record needed are gone, but the log never
+        // starts past where the last snapshot ends.
+        let ends = self.manifest.stores.values().map(|entry| entry.1).max();
         let mut seq = match found.first() {
-            Some(&first) if manifest.is_err() || start.is_none_or(|s| first <= s) => first,
-            _ => start.unwrap_or(0),
+            Some(&first) if ends.is_none_or(|end| first <= end) => first,
+            _ => ends.unwrap_or(0),
         };
         for &first in &found {
             if first != seq || self.dropped_tail {
@@ -1081,11 +1109,18 @@ impl Log {
             sync_parent_dir(&self.base)?;
         }
         (self.next_seq, self.staged_from) = (seq, seq);
-        if manifest.is_err() {
+        self.cover_to(seq)?;
+        self.pending.clear();
+        let stores = &self.manifest.stores;
+        for record in &self.recovered {
+            if record.seq >= stores.get(&record.store).map_or(0, |entry| entry.1) {
+                self.pending.entry(record.store).or_insert(record.seq);
+            }
+        }
+        self.drop_covered()?;
+        self.refused = manifest.as_ref().err().map(ToString::to_string);
+        if self.refused.is_some() {
             self.recovered.clear();
-        } else {
-            self.cover_to(seq)?;
-            self.drop_covered()?;
         }
         manifest.map(drop)
     }
@@ -1103,6 +1138,24 @@ impl Log {
             write_durably(&self.manifest_path(), &self.manifest.encode(), true, None)?;
         }
         Ok(())
+    }
+
+    /// The committed records of `stores`, read from the segments again
+    /// for a store that reloads; the writer, and what other stores
+    /// staged, stay as they are.
+    pub fn read_back(&self, stores: &[StoreId]) -> Result<Vec<LogRecord>, SnapshotError> {
+        if let Some(e) = self.refused() {
+            return Err(e);
+        }
+        let mut records = Vec::new();
+        // What a failed commit left past the durable bytes is not read.
+        let ours =
+            |record: &LogRecord| stores.contains(&record.store) && record.seq < self.staged_from;
+        for &first in &self.segments {
+            let read = read_records(&std::fs::read(self.segment_path(first))?, first);
+            records.extend(read.records.into_iter().filter(ours));
+        }
+        Ok(records)
     }
 
     /// Takes the recovered records of `stores`, in log order.
@@ -1129,6 +1182,7 @@ impl Log {
         if staged {
             self.staged.truncate(mark.len);
             self.next_seq = mark.seq;
+            self.pending.retain(|_, first| *first < mark.seq);
         }
         staged
     }
@@ -1144,6 +1198,7 @@ impl Log {
     ) -> io::Result<u64> {
         let start = self.staged.len();
         push_record(&mut self.staged, self.next_seq, store, linked, payload)?;
+        self.pending.entry(store).or_insert(self.next_seq);
         self.next_seq += 1;
         self.staged_ledger += u64::from(store == StoreId::Ledger);
         Ok((self.staged.len() - start) as u64)
@@ -1199,23 +1254,21 @@ impl Log {
         Ok(written)
     }
 
-    /// Commits what is staged, writes `snapshots` (and the
-    /// [source](Log::set_snapshot_source)'s of every other store) as the
-    /// next generation covering the log up to here, and makes them
-    /// current with one manifest rename; then deletes the previous
-    /// generation and the segments every snapshot covers. Returns the
+    /// Commits what is staged, writes `snapshots` as the next generation
+    /// covering the log up to here, and makes them current with one
+    /// manifest rename, leaving the entries of the other stores as they
+    /// are; then deletes the previous generation of the stores written
+    /// and the segments no store's pending records need. Returns the
     /// bytes of the snapshots and the manifest.
     pub fn rewrite(
         &mut self,
-        mut snapshots: Vec<(StoreId, String)>,
+        snapshots: Vec<(StoreId, String)>,
         plan: Option<&FailPlan>,
     ) -> io::Result<u64> {
-        self.commit(plan)?;
-        for (store, source) in &self.sources {
-            if snapshots.iter().all(|(given, _)| given != store) {
-                snapshots.push((*store, source()));
-            }
+        if self.refused.is_some() && self.manifest_path().exists() {
+            return Err(io::Error::other("the log's manifest was refused"));
         }
+        self.commit(plan)?;
         let mut next = self.manifest.clone();
         next.generation += 1;
         let mut written = 0;
@@ -1233,11 +1286,12 @@ impl Log {
         write_durably(&self.manifest_path(), &manifest, true, plan)?;
         self.stats.fsyncs += snapshots.len() as u64 + 1;
         let old = std::mem::replace(&mut self.manifest, next);
-        for (store, (generation, _)) in old.stores {
-            if self.manifest.stores.get(&store).map(|entry| entry.0) != Some(generation) {
-                if let Some(path) = self.generation_path(store, generation) {
-                    remove_if_present(&path)?;
-                }
+        self.refused = None;
+        for (store, _) in &snapshots {
+            self.pending.remove(store);
+            let last = old.stores.get(store);
+            if let Some(path) = last.and_then(|entry| self.generation_path(*store, entry.0)) {
+                remove_if_present(&path)?;
             }
         }
         self.drop_covered()?;
@@ -1245,11 +1299,10 @@ impl Log {
         Ok(written + manifest.len() as u64)
     }
 
-    /// Deletes the segments every store's snapshot covers.
+    /// Deletes the segments before the first record a store's snapshot
+    /// does not cover.
     fn drop_covered(&mut self) -> io::Result<()> {
-        let Some(covered) = self.manifest.stores.values().map(|entry| entry.1).min() else {
-            return Ok(());
-        };
+        let covered = self.pending.values().min().copied().unwrap_or(u64::MAX);
         let follows = self.segments.iter().skip(1).chain([&self.staged_from]);
         let dead = (follows.take(self.segments.len()))
             .take_while(|&&next| next <= covered)
@@ -1457,7 +1510,7 @@ mod tests {
     /// A commit that opens a new segment and dies before writing leaves
     /// an empty segment, which recovery reads as one; full segments roll,
     /// and a rewrite's manifest makes new snapshots current and drops
-    /// every segment they cover.
+    /// the segments no store's pending records need.
     #[test]
     fn segments_roll_and_a_rewrite_drops_what_it_covers() {
         let d = dir("log-roll");
@@ -1480,8 +1533,10 @@ mod tests {
         assert_eq!(std::fs::metadata(&segments[2]).unwrap().len(), 0);
         assert_eq!(recovered(&d).len(), 5);
 
-        log.set_snapshot_source(StoreId::Ledger, Box::new(|| "ledger image".into()));
         log.rewrite(vec![(StoreId::State, "state image".into())], None)
+            .unwrap();
+        assert_eq!(log.segment_paths(), segments, "the ledger's are pending");
+        log.rewrite(vec![(StoreId::Ledger, "ledger image".into())], None)
             .unwrap();
         assert!(log.segment_paths().is_empty(), "every record is covered");
         let mut fresh = self::log(&d);
@@ -1491,11 +1546,12 @@ mod tests {
         let state = fresh.snapshot_path(StoreId::State).unwrap();
         assert_eq!(std::fs::read_to_string(state).unwrap(), "state image");
         assert!(fresh.snapshot_path(StoreId::Cache).is_none());
-        // The next generation replaces the files of this one.
+        // A store's next generation replaces the file of its last.
         log.rewrite(vec![(StoreId::State, "newer".into())], None)
             .unwrap();
         assert!(!d.join("state.0000000000000001").exists());
-        assert!(d.join("state.0000000000000002").exists());
+        assert!(d.join("state.0000000000000003").exists());
+        assert!(d.join("ledger.0000000000000002").exists());
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -25,7 +25,7 @@ use crate::tenant::{
 };
 use crate::TenantId;
 use aida_core::{Context, Runtime};
-use aida_llm::snapshot::SnapshotError;
+use aida_llm::snapshot::{Log, SnapshotError, StoreId};
 use aida_llm::{CacheStats, ScheduledSlot, Timeline, UsageSnapshot};
 use aida_obs::{registry, Event, Recorder, SeriesStore, SloPolicy, WindowSnapshot};
 use std::collections::BTreeMap;
@@ -133,9 +133,8 @@ impl ServeConfig {
     }
 }
 
-/// Completions between background-ops hooks: the compaction check of a
-/// ledger on its own log runs every `OPS_INTERVAL`-th completion, off the
-/// per-query path.
+/// Completions between background-ops hooks: the ledger's compaction
+/// check runs every `OPS_INTERVAL`-th completion, off the per-query path.
 const OPS_INTERVAL: u64 = 16;
 
 /// The ledger's side of one run. Records are staged in the ledger's log,
@@ -654,8 +653,15 @@ impl QueryService {
     /// snapshots. Call after registering tenants so recovered spend
     /// meets its quota configs.
     pub fn attach_wal(&mut self, mut wal: LedgerWal) -> Result<WalRecovery, SnapshotError> {
-        if let Some(log) = self.runtime.log() {
-            wal = wal.join(log);
+        match (self.runtime.log(), self.runtime.log_path()) {
+            (Some(log), _) => wal = wal.join(log),
+            // A delta-mode run kept the ledger in the runtime's log; its
+            // own log would start every tenant at zero spend.
+            (None, Some(base)) if Log::open(base).holds(StoreId::Ledger)? => {
+                let msg = format!("the ledger is in the runtime's log at {}", base.display());
+                return Err(SnapshotError::Format(msg));
+            }
+            (None, _) => {}
         }
         let recovery = wal.recover(&mut self.tenants)?;
         let recorder = self.runtime.recorder();
@@ -1489,16 +1495,18 @@ mod tests {
     /// with the ledger in the runtime's log: a checkpoint query that is
     /// not a full rewrite issues exactly one data-file fsync, the
     /// frame's, which carries the ledger records staged before it, and
-    /// no other query (ops boundaries included) more than one.
+    /// no other query (ops boundaries included) more than one, but for
+    /// the ledger's compaction at its threshold.
     #[test]
     fn a_checkpoint_query_pays_one_fsync() {
         use crate::driver::ReplaySource;
         /// Per completion: the fsyncs since the previous one, and whether
-        /// the query wrote a frame or a full rewrite.
+        /// the query wrote a frame or a rewrite (the runtime's or the
+        /// ledger's).
         struct Counting {
             inner: ReplaySource,
             rt: Runtime,
-            last: [u64; 3],
+            last: [u64; 4],
             queries: Vec<(u64, bool, bool)>,
         }
         impl RequestSource for Counting {
@@ -1516,9 +1524,12 @@ mod tests {
                     fsyncs,
                     count("checkpoint.delta_frames"),
                     count("checkpoint.saves"),
+                    count(registry::WAL_COMPACTIONS),
                 ];
-                let [fsyncs, frames, saves] = [0, 1, 2].map(|i| now[i] - self.last[i]);
-                self.queries.push((fsyncs, frames > 0, saves > frames));
+                let [fsyncs, frames, saves, compactions] =
+                    [0, 1, 2, 3].map(|i| now[i] - self.last[i]);
+                let rewrite = saves > frames || compactions > 0;
+                self.queries.push((fsyncs, frames > 0, rewrite));
                 self.last = now;
             }
         }
@@ -1556,7 +1567,7 @@ mod tests {
         let mut source = Counting {
             inner: ReplaySource::new(requests),
             rt,
-            last: [0; 3],
+            last: [0; 4],
             queries: Vec::new(),
         };
         let report = svc.serve(&mut source);
@@ -1576,6 +1587,8 @@ mod tests {
             "{:?}",
             source.queries
         );
+        // 320 ledger records: one compaction, at an ops boundary.
+        assert_eq!(report.wal_compactions, 1);
         // Every fsync of the run is the log's: the report counts them all.
         let total: u64 = source.queries.iter().map(|(n, ..)| n).sum();
         assert_eq!(report.wal_fsyncs, total);

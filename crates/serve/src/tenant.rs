@@ -4,13 +4,13 @@
 
 use crate::request::TenantId;
 use aida_llm::snapshot::{
-    self, esc, FailPlan, Fields, Log, LogStats, SharedLog, SnapshotError, StoreId,
+    self, esc, push_hex16, push_u64, FailPlan, Fields, Log, LogStats, SharedLog, SnapshotError,
+    StoreId,
 };
 use aida_llm::{ModelCatalog, UsageSnapshot};
 use aida_obs::SloTarget;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -167,28 +167,11 @@ impl TenantLedger {
 
     /// Applies one durable ledger record. Replaying the log through this
     /// reproduces the exact spend state the records were written under.
+    /// Admissions carry no spend; they make the log a complete audit
+    /// trail of what entered the service.
     fn apply(&mut self, record: &LedgerRecord) {
-        match record {
-            // Admissions carry no spend; they make the log a complete
-            // audit trail of what entered the service.
-            LedgerRecord::Admit { .. } => {}
-            LedgerRecord::Spend {
-                tenant,
-                usd,
-                tokens,
-                calls,
-                cache_hits,
-                cache_coalesced,
-            } => self.charge(
-                tenant,
-                Spend {
-                    usd: *usd,
-                    tokens: *tokens,
-                    calls: *calls,
-                    cache_hits: *cache_hits,
-                    cache_coalesced: *cache_coalesced,
-                },
-            ),
+        if let (tenant, Some(spend)) = record.parts() {
+            self.charge(tenant, spend);
         }
     }
 
@@ -277,11 +260,18 @@ impl LedgerRecord {
 
     /// Appends [`LedgerRecord::encode`]'s payload to `out`.
     fn encode_into(&self, out: &mut String) {
+        let (tenant, spend) = self.parts();
+        out.push_str(["admit\t", "spend\t"][usize::from(spend.is_some())]);
+        esc(tenant.as_str(), out);
+        if let Some(spend) = spend {
+            push_spend(out, &spend);
+        }
+    }
+
+    /// The record's tenant and, for a spend record, what it charges.
+    fn parts(&self) -> (&TenantId, Option<Spend>) {
         match self {
-            LedgerRecord::Admit { tenant } => {
-                out.push_str("admit\t");
-                esc(tenant.as_str(), out);
-            }
+            LedgerRecord::Admit { tenant } => (tenant, None),
             LedgerRecord::Spend {
                 tenant,
                 usd,
@@ -290,13 +280,14 @@ impl LedgerRecord {
                 cache_hits,
                 cache_coalesced,
             } => {
-                out.push_str("spend\t");
-                esc(tenant.as_str(), out);
-                let _ = write!(
-                    out,
-                    "\t{:016x}\t{tokens}\t{calls}\t{cache_hits}\t{cache_coalesced}",
-                    usd.to_bits()
-                );
+                let spend = Spend {
+                    usd: *usd,
+                    tokens: *tokens,
+                    calls: *calls,
+                    cache_hits: *cache_hits,
+                    cache_coalesced: *cache_coalesced,
+                };
+                (tenant, Some(spend))
             }
         }
     }
@@ -327,9 +318,24 @@ impl LedgerRecord {
     }
 }
 
-/// Reads the five spend fields a ledger record and a ledger snapshot
-/// line both end with: dollars by their bits, then tokens, calls, cache
-/// hits and coalesced waiters.
+/// Appends the five spend fields a ledger record and a ledger snapshot
+/// line both end with, each after a tab: dollars by their bits, then
+/// tokens, calls, cache hits and coalesced waiters.
+fn push_spend(out: &mut String, spend: &Spend) {
+    out.push('\t');
+    push_hex16(out, spend.usd.to_bits());
+    for n in [
+        spend.tokens,
+        spend.calls,
+        spend.cache_hits,
+        spend.cache_coalesced,
+    ] {
+        out.push('\t');
+        push_u64(out, n);
+    }
+}
+
+/// Reads what [`push_spend`] wrote.
 fn read_spend<'a>(
     fields: &mut Fields<impl Iterator<Item = &'a str>>,
 ) -> Result<Spend, SnapshotError> {
@@ -349,8 +355,8 @@ pub struct WalRecovery {
     pub snapshot_loaded: bool,
     /// Ledger records replayed into the ledger.
     pub replayed: u64,
-    /// Ledger records the snapshot already covers (left by a crash
-    /// before the segments it covers were deleted).
+    /// Ledger records the snapshot already covers (their segments stay
+    /// while another store's records in them are pending).
     pub skipped: u64,
     /// Whether recovery cut a refused suffix off the log's files.
     pub dropped_tail: bool,
@@ -360,13 +366,9 @@ pub struct WalRecovery {
     pub next_seq: u64,
 }
 
-/// Lifetime I/O counters of the log a [`LedgerWal`] writes to. Its
-/// `fsyncs` are every data-file fsync of that log: one per commit, one
-/// per snapshot a compaction or full rewrite writes and one per manifest
-/// commit; directory fsyncs are not counted. When the ledger shares the
-/// runtime's log, a checkpoint's commit carries the ledger records staged
-/// before it and counts once, and the runtime's full rewrites count too:
-/// this is every data-file fsync of the service.
+/// Lifetime I/O counters of the log a [`LedgerWal`] writes to: its
+/// `fsyncs` count every data-file fsync of that log, so with the ledger
+/// in the runtime's log every data-file fsync of the service.
 pub type WalStats = LogStats;
 
 const LEDGER_MAGIC: &str = "aida-ledger v2";
@@ -377,7 +379,8 @@ const LEDGER_MAGIC: &str = "aida-ledger v2";
 /// quotas and spend are exact across restarts. Opened on its own, the
 /// ledger is the only store of a log at its path; attached to a service
 /// whose runtime has a log ([`aida_core::Runtime::log`]) it joins that
-/// one, sharing its commits and full rewrites.
+/// one, sharing its commits. Either way it writes its own snapshots
+/// ([`LedgerWal::compact`]), and its path holds them.
 pub struct LedgerWal {
     path: PathBuf,
     log: SharedLog,
@@ -387,9 +390,6 @@ pub struct LedgerWal {
     compact_threshold: usize,
     /// Records staged since the ledger's last snapshot.
     since_snapshot: usize,
-    /// The spend of every record staged: what a rewrite writes as the
-    /// ledger's snapshot.
-    staged: Arc<Mutex<TenantLedger>>,
     plan: Option<Arc<FailPlan>>,
 }
 
@@ -407,7 +407,6 @@ impl LedgerWal {
             segment_records: 0,
             compact_threshold: 256,
             since_snapshot: 0,
-            staged: Arc::default(),
             plan: None,
         }
     }
@@ -455,30 +454,33 @@ impl LedgerWal {
         self.log.lock().stats()
     }
 
-    /// Whether a ledger on its own log has staged enough records since
-    /// its snapshot to compact (a runtime's full rewrites compact one in
-    /// its log).
+    /// Whether the ledger has staged enough records since its snapshot
+    /// to compact.
     pub fn compaction_due(&self) -> bool {
-        !self.joined && self.compact_threshold > 0 && self.since_snapshot >= self.compact_threshold
+        self.compact_threshold > 0 && self.since_snapshot >= self.compact_threshold
     }
 
     /// Rebuilds `ledger` from disk: the snapshot the manifest names, then
     /// the ledger records of the log after it. A ledger on its own log
     /// recovers the log first (cutting a torn tail off); a joined one
-    /// takes what the runtime's recovery read. A snapshot or record that
-    /// does not decode is a typed error (the caller decides whether to
-    /// start cold).
+    /// takes what the runtime's recovery read, or its refusal. A snapshot
+    /// or record that does not decode is a typed error, and so is a
+    /// joined ledger whose path holds a log of its own.
     pub fn recover(&mut self, ledger: &mut TenantLedger) -> Result<WalRecovery, SnapshotError> {
+        if self.joined && Log::open(&self.path).exists()? {
+            let msg = format!("the ledger at {} is in its own log", self.path.display());
+            return Err(SnapshotError::Format(msg));
+        }
         let mut log = self.log.lock();
-        if !self.joined {
-            log.recover()?;
+        match (self.joined, log.refused()) {
+            (true, Some(e)) => return Err(e),
+            (true, None) => {}
+            (false, _) => log.recover()?,
         }
         let mut recovery = WalRecovery::default();
-        let mut staged = TenantLedger::new();
+        let mut recovered = TenantLedger::new();
         if let Some(path) = log.snapshot_path(StoreId::Ledger) {
-            for (tenant, spend) in decode_ledger_snapshot(&std::fs::read_to_string(path)?)? {
-                staged.charge(&tenant, spend);
-            }
+            decode_ledger_snapshot(&std::fs::read_to_string(path)?, &mut recovered)?;
             recovery.snapshot_loaded = true;
         }
         let covered = log.covered(StoreId::Ledger);
@@ -486,21 +488,17 @@ impl LedgerWal {
             if record.seq < covered {
                 recovery.skipped += 1;
             } else {
-                staged.apply(&LedgerRecord::decode(&record.payload)?);
+                recovered.apply(&LedgerRecord::decode(&record.payload)?);
                 recovery.replayed += 1;
             }
         }
-        for (tenant, spend) in staged.spends() {
+        self.since_snapshot = recovery.replayed as usize;
+        for (tenant, spend) in recovered.spends() {
             ledger.charge(tenant, *spend);
         }
-        self.since_snapshot = recovery.replayed as usize;
         recovery.dropped_tail = log.dropped_tail();
         recovery.sealed_segments = (log.segment_paths().len() as u64).saturating_sub(1);
         recovery.next_seq = log.next_seq();
-        *self.staged.lock() = staged;
-        let image = Arc::clone(&self.staged);
-        let source = move || encode_ledger_snapshot(&image.lock());
-        log.set_snapshot_source(StoreId::Ledger, Box::new(source));
         Ok(recovery)
     }
 
@@ -539,7 +537,6 @@ impl LedgerWal {
         let mut log = self.log.lock();
         let seq = log.next_seq();
         log.stage(StoreId::Ledger, false, |out| record.encode_into(out))?;
-        self.staged.lock().apply(record);
         self.since_snapshot += 1;
         Ok(seq)
     }
@@ -549,18 +546,13 @@ impl LedgerWal {
         self.log.lock().commit(self.plan.as_deref()).map(drop)
     }
 
-    /// Commits the staged records, then writes `ledger` as the ledger's
-    /// next snapshot and makes it current with one manifest commit; the
-    /// segments every store's snapshot now covers are deleted. A crash
-    /// anywhere before the manifest rename leaves the previous snapshot
-    /// and the whole log.
-    ///
-    /// `ledger` must reflect every record appended so far, or the
-    /// snapshot would claim coverage of spends it does not hold.
+    /// Commits the staged records, then writes `ledger` — which must
+    /// hold every record appended so far — as the ledger's next snapshot,
+    /// current with one manifest commit ([`Log::rewrite`]). A crash
+    /// before the manifest rename leaves the previous snapshot and log.
     pub fn compact(&mut self, ledger: &TenantLedger) -> std::io::Result<bool> {
         let snapshot = vec![(StoreId::Ledger, encode_ledger_snapshot(ledger))];
         self.log.lock().rewrite(snapshot, self.plan.as_deref())?;
-        *self.staged.lock() = ledger.clone();
         self.since_snapshot = 0;
         Ok(true)
     }
@@ -571,31 +563,24 @@ fn encode_ledger_snapshot(ledger: &TenantLedger) -> String {
     for (tenant, spend) in ledger.spends() {
         body.push_str("S\t");
         esc(tenant.as_str(), &mut body);
-        let _ = writeln!(
-            body,
-            "\t{:016x}\t{}\t{}\t{}\t{}",
-            spend.usd.to_bits(),
-            spend.tokens,
-            spend.calls,
-            spend.cache_hits,
-            spend.cache_coalesced
-        );
+        push_spend(&mut body, spend);
+        body.push('\n');
     }
     snapshot::encode_file(LEDGER_MAGIC, &body)
 }
 
-fn decode_ledger_snapshot(text: &str) -> Result<Vec<(TenantId, Spend)>, SnapshotError> {
-    let body = snapshot::decode_file(LEDGER_MAGIC, text)?;
-    let mut spends = Vec::new();
-    for line in body.lines() {
+/// Charges the spend lines of a ledger snapshot to `ledger`.
+fn decode_ledger_snapshot(text: &str, ledger: &mut TenantLedger) -> Result<(), SnapshotError> {
+    for line in snapshot::decode_file(LEDGER_MAGIC, text)?.lines() {
         let mut fields = Fields::new(line.split('\t'));
         if fields.field()? != "S" {
             return Err(SnapshotError::Format("bad spend line".into()));
         }
-        spends.push((TenantId::new(fields.text()?), read_spend(&mut fields)?));
+        let tenant = TenantId::new(fields.text()?);
+        ledger.charge(&tenant, read_spend(&mut fields)?);
         fields.end()?;
     }
-    Ok(spends)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1071,12 +1071,21 @@ fn spends_of(svc: &QueryService) -> Vec<(String, u64)> {
 /// A delta-mode service over `dir`, checkpointing every two operators,
 /// whose ledger shares the runtime's log.
 fn restart_service(dir: &TestDir) -> QueryService {
+    let mut svc = ledger_service(dir, true);
+    svc.attach_wal(LedgerWal::open(dir.file("ledger.wal")))
+        .expect("wal recovery");
+    svc
+}
+
+/// `restart_service`'s service, in delta mode or not, before its ledger
+/// (at `ledger.wal`) is attached.
+fn ledger_service(dir: &TestDir, delta: bool) -> QueryService {
     let rt = Runtime::builder()
         .seed(11)
         .semantic_cache(1 << 16)
         .cache_path(dir.file("semcache.bin"))
         .state_path(dir.file("state.bin"))
-        .delta_checkpoints(true)
+        .delta_checkpoints(delta)
         .checkpoint_interval(2)
         .build();
     let ctx = Context::builder("lake", lake())
@@ -1094,17 +1103,15 @@ fn restart_service(dir: &TestDir) -> QueryService {
     svc.register_context("reports", ctx);
     svc.register_tenant("acme", TenantConfig::weighted(2));
     svc.register_tenant("bolt", TenantConfig::default());
-    svc.attach_wal(LedgerWal::open(dir.file("ledger.wal")))
-        .expect("wal recovery");
     svc
 }
 
 /// The headline proof: run the service cold, checkpointing into the
 /// log its ledger shares, "crash" the process, restart warm. Per-tenant
-/// dollars recover bit-identically — first from the log alone, then from
-/// the ledger snapshot the final save wrote with the others — the
-/// restore itself spends nothing, and re-running the same workload
-/// serves entirely from the restored Contexts and the persisted semantic
+/// dollars recover bit-identically — from the ledger's records in the
+/// log, before and after saves that rewrote the other stores'
+/// snapshots — the restore itself spends nothing, and re-running the
+/// same workload serves entirely from the restored Contexts and the persisted semantic
 /// cache — at zero new dollars, with the same answers.
 #[test]
 fn warm_restart_reproduces_per_tenant_dollars_at_zero_spend() {
@@ -1136,9 +1143,10 @@ fn warm_restart_reproduces_per_tenant_dollars_at_zero_spend() {
     // Phase 2: warm restart from disk.
     let mut warm_svc = restart_service(&dir);
     let recovery = warm_svc.wal_recovery().expect("wal attached");
+    assert!(!recovery.snapshot_loaded, "the ledger never compacted");
     assert!(
-        recovery.snapshot_loaded,
-        "the final save wrote the ledger too"
+        recovery.replayed > 0,
+        "the rewrites kept the ledger's records"
     );
     assert!(
         !warm_svc.runtime().manager().is_empty(),
@@ -1170,6 +1178,147 @@ fn warm_restart_reproduces_per_tenant_dollars_at_zero_spend() {
         "warm re-run serves from restored Contexts + persisted cache:\n{}",
         warm.render()
     );
+}
+
+/// The `state.bin.*.log` segments of the log in `dir`.
+fn log_segments(dir: &TestDir) -> usize {
+    let names = fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name());
+    let names: Vec<String> = names.map(|n| n.to_string_lossy().into_owned()).collect();
+    (names.iter())
+        .filter(|n| n.starts_with("state.bin.") && n.ends_with(".log"))
+        .count()
+}
+
+/// A manifest that does not decode starts the runtime cold, but the
+/// ledger that shares its log is refused, not served at zero spend; no
+/// checkpoint writes over the manifest, and every segment stays.
+#[test]
+fn a_damaged_manifest_refuses_the_ledger_and_keeps_its_records() {
+    let dir = TestDir::new("damaged-manifest");
+    let mut svc = restart_service(&dir);
+    assert!(svc.run(workload()).wal_appends > 0);
+    let spends = spends_of(&svc);
+    drop(svc);
+    let manifest = dir.file("state.bin.manifest");
+    let before = fs::read(&manifest).unwrap();
+    let segments = log_segments(&dir);
+    assert!(segments > 0);
+    corrupt_byte(&manifest, before.len() - 3);
+
+    let mut svc = ledger_service(&dir, true);
+    assert!(
+        svc.runtime().manager().is_empty(),
+        "the runtime starts cold"
+    );
+    let refused = svc.attach_wal(LedgerWal::open(dir.file("ledger.wal")));
+    assert!(matches!(refused, Err(SnapshotError::Format(_))));
+    assert!(svc.runtime().save_state().is_err(), "no rewrite over it");
+    assert_eq!(log_segments(&dir), segments);
+    drop(svc);
+
+    // Put back, the manifest recovers every tenant's spend.
+    fs::write(&manifest, &before).unwrap();
+    assert_eq!(spends_of(&restart_service(&dir)), spends);
+}
+
+/// A ledger keeps its state in the runtime's log in delta mode and in
+/// its own otherwise. Switching the mode between runs is refused with a
+/// typed error in both directions instead of starting every tenant at
+/// zero spend, and the original mode still recovers it.
+#[test]
+fn switching_delta_mode_refuses_the_ledger() {
+    for delta in [false, true] {
+        let dir = TestDir::new(&format!("switch-{delta}"));
+        let wal = || LedgerWal::open(dir.file("ledger.wal"));
+        let mut svc = ledger_service(&dir, delta);
+        svc.attach_wal(wal()).unwrap();
+        assert!(svc.run(workload()).wal_appends > 0);
+        let spends = spends_of(&svc);
+        drop(svc);
+
+        let mut switched = ledger_service(&dir, !delta);
+        let refused = switched.attach_wal(wal());
+        assert!(
+            matches!(&refused, Err(SnapshotError::Format(msg)) if msg.contains("log")),
+            "delta {delta}: {:?}",
+            refused.map(|r| r.replayed)
+        );
+        drop(switched);
+
+        let mut svc = ledger_service(&dir, delta);
+        svc.attach_wal(wal()).unwrap();
+        assert_eq!(spends_of(&svc), spends, "delta {delta}");
+    }
+}
+
+/// A delta-mode service that never checkpoints keeps its log short all
+/// the same: the ledger compacts at its threshold, and with no record of
+/// the other stores pending, the segments its snapshot covers go.
+#[test]
+fn a_delta_service_without_checkpoints_keeps_its_log_bounded() {
+    let dir = TestDir::new("bounded-log");
+    let build = || {
+        let rt = Runtime::builder()
+            .seed(11)
+            .state_path(dir.file("state.bin"))
+            .delta_checkpoints(true)
+            .build();
+        let ctx = Context::builder("lake", lake())
+            .description("FTC identity theft reports by year")
+            .build(&rt);
+        let config = ServeConfig {
+            workers: 2,
+            queue_capacity: 16,
+            group_commit: 8,
+            ..ServeConfig::default()
+        };
+        let mut svc = QueryService::new(rt, config);
+        svc.register_context("reports", ctx);
+        svc.register_tenant("acme", TenantConfig::default());
+        svc.attach_wal(LedgerWal::open(dir.file("ledger.wal")).segment_records(32))
+            .unwrap();
+        svc
+    };
+    let mut svc = build();
+    let requests = (0..400).map(|i| {
+        let question = format!("count theft in {}", 2001 + i % 3);
+        let mut r =
+            aida::serve::QueryRequest::new("acme", "reports", question).at(i as f64 * 600.0);
+        r.seq = i as u64;
+        r
+    });
+    let report = svc.run(requests.collect());
+    assert_eq!(report.wal_appends, 800);
+    assert!(report.wal_compactions >= 2, "{}", report.render());
+    // 800 records fill 25 segments; at most a threshold's worth (256
+    // records, plus one ops interval's) are left.
+    assert!(log_segments(&dir) <= 10, "{} segments", log_segments(&dir));
+    let spends = spends_of(&svc);
+    drop(svc);
+    assert_eq!(spends_of(&build()), spends);
+}
+
+/// Reloading the Context store reads the log's records again without
+/// moving its writer: a ledger record staged before
+/// [`Runtime::load_state`] still commits with the next commit.
+#[test]
+fn load_state_leaves_staged_ledger_records_in_place() {
+    let dir = TestDir::new("reload-staged");
+    let (rt, mut wal) = shared_wal(dir.path(), 0);
+    wal.recover(&mut TenantLedger::new()).unwrap();
+    let log = rt.log().unwrap();
+    let record = spend("acme", 0.5).encode();
+    (log.lock())
+        .stage(StoreId::Ledger, false, |out| out.push_str(&record))
+        .unwrap();
+    assert_eq!(rt.load_state().unwrap(), 0);
+    log.lock().commit(None).unwrap();
+    drop((rt, wal));
+    let (bits, recovery) = recover_usd_bits(dir.path(), "acme");
+    assert_eq!(bits, 0.5f64.to_bits());
+    assert_eq!(recovery.replayed, 1);
 }
 
 /// Every restored store entry is a live Context: its instruction still
