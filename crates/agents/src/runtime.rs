@@ -168,7 +168,7 @@ impl<'a> AgentRuntime<'a> {
         for step in 0..agent.config.max_steps {
             let step_span = self.env.recorder.span(
                 SpanKind::AgentStep,
-                format!("step {step}"),
+                format_args!("step {step}"),
                 self.env.clock.now(),
             );
             let ctx = PolicyContext {
@@ -190,7 +190,7 @@ impl<'a> AgentRuntime<'a> {
                     break;
                 }
             };
-            step_span.attr("code", aida_obs::clip(&code, 80));
+            step_span.attr("code", aida_obs::clipped(&code, 80));
 
             let (compiled, plan_hash) = match self.compile_step(&registry, &interp, &code) {
                 Ok(verdict) => verdict,
@@ -217,7 +217,7 @@ impl<'a> AgentRuntime<'a> {
                     continue;
                 }
             };
-            step_span.attr("bound", compiled.bound.render());
+            step_span.attr("bound", &compiled.bound);
 
             // Bill the planning step: the agent "reads" the task, tools,
             // and observation tail, and "writes" the code.

@@ -22,9 +22,9 @@ use aida_agents::policy::{task_years, PolicyAction, PolicyContext};
 use aida_agents::{
     AgentConfig, AgentPolicy, AgentRuntime, CodeAgent, FnTool, ToolRegistry, ToolSpec,
 };
-use aida_data::{DataLake, Value};
+use aida_data::{DataLake, Record, Value};
 use aida_llm::{noise, ModelId, UsageSnapshot};
-use aida_obs::{clip, Event, SpanKind};
+use aida_obs::{clip, clipped, Event, SpanKind};
 use aida_script::ScriptValue;
 use std::sync::Arc;
 
@@ -60,6 +60,21 @@ impl AgenticOp {
             AgenticOp::Search(_) => "search",
             AgenticOp::Compute(_) => "compute",
         }
+    }
+}
+
+/// A pipeline's operator names joined by `+`: its query span's name.
+struct PipelineName<'a>(&'a [AgenticOp]);
+
+impl std::fmt::Display for PipelineName<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, op) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str("+")?;
+            }
+            f.write_str(op.name())?;
+        }
+        Ok(())
     }
 }
 
@@ -149,10 +164,9 @@ impl Query {
     pub fn run(self) -> ComputeOutcome {
         // The query span opens before the rewrites so the rewrite judge's
         // LLM calls land inside it (as its own direct events).
-        let names: Vec<&str> = self.ops.iter().map(|op| op.name()).collect();
         let span = self.runtime.env().recorder.span(
             SpanKind::Query,
-            names.join("+"),
+            PipelineName(&self.ops),
             self.runtime.env().clock.now(),
         );
         let mut receipt = UsageSnapshot::default();
@@ -278,7 +292,7 @@ fn run_op(
         .env()
         .recorder
         .span(SpanKind::AgenticOp, op.name(), t0);
-    span.attr("instruction", clip(&instruction, 80));
+    span.attr("instruction", clipped(&instruction, 80));
 
     // A search hit is a full skip; a compute hit narrows the input Context.
     let (ctx, reused) = match lookup_reuse(runtime, op, &instruction, input_ctx) {
@@ -353,11 +367,8 @@ fn run_op(
     let outcome = agent_runtime.run(&agent, &instruction);
 
     // Materialize: narrowed lake + enriched description + findings table.
-    let programs = program_trace.runs();
-    let mut records = Vec::new();
-    for run in &programs {
-        records.extend(run.records.iter().cloned());
-    }
+    let programs = program_trace.take();
+    let records: Vec<&Record> = programs.iter().flat_map(|run| &run.records).collect();
     let narrowed = narrowed_lake(ctx.lake(), &records);
     let summary = findings_summary(&instruction, &records);
     let new_id = format!("{}/{}", ctx.id, runtime.manager().len() + 1);
@@ -402,7 +413,7 @@ fn run_op(
     (new_ctx, outcome.answer, trace)
 }
 
-fn narrowed_lake(lake: &DataLake, records: &[aida_data::Record]) -> Option<DataLake> {
+fn narrowed_lake(lake: &DataLake, records: &[&Record]) -> Option<DataLake> {
     if records.is_empty() {
         return None;
     }
@@ -413,7 +424,7 @@ fn narrowed_lake(lake: &DataLake, records: &[aida_data::Record]) -> Option<DataL
     (!narrowed.is_empty()).then_some(narrowed)
 }
 
-fn findings_summary(instruction: &str, records: &[aida_data::Record]) -> String {
+fn findings_summary(instruction: &str, records: &[&Record]) -> String {
     if records.is_empty() {
         return String::new();
     }

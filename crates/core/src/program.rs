@@ -12,7 +12,7 @@ use aida_data::{DataLake, Field, Record, Value};
 use aida_obs::SpanKind;
 use aida_optimizer::{Optimizer, OptimizerConfig};
 use aida_script::{ScriptError, ScriptValue};
-use aida_semops::{Dataset, Executor};
+use aida_semops::{Dataset, Executor, PhysicalPlan};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,9 +22,9 @@ use std::sync::Arc;
 pub struct ProgramRun {
     /// The instruction the agent passed in.
     pub instruction: String,
-    /// Rendered physical plan.
-    pub plan: String,
-    /// Output records.
+    /// The physical plan that ran (`render()` for its trace text).
+    pub plan: PhysicalPlan,
+    /// Output records, as the executor returned them.
     pub records: Vec<Record>,
     /// What the program billed: sampling plus execution.
     pub receipt: aida_llm::UsageSnapshot,
@@ -47,19 +47,9 @@ impl ProgramTrace {
         Self::default()
     }
 
-    /// All recorded runs.
-    pub fn runs(&self) -> Vec<ProgramRun> {
-        self.runs.lock().clone()
-    }
-
-    /// Number of runs recorded.
-    pub fn len(&self) -> usize {
-        self.runs.lock().len()
-    }
-
-    /// True when no program ran.
-    pub fn is_empty(&self) -> bool {
-        self.runs.lock().is_empty()
+    /// Takes the recorded runs out, leaving the trace empty.
+    pub fn take(&self) -> Vec<ProgramRun> {
+        std::mem::take(&mut *self.runs.lock())
     }
 
     fn push(&self, run: ProgramRun) {
@@ -205,7 +195,7 @@ pub fn run_semantic_program_tool(
             // `ProgramRun.cost` (sampling + execution).
             let span = runtime.env().recorder.span(
                 SpanKind::Program,
-                aida_obs::clip(&instruction, 60),
+                aida_obs::clipped(&instruction, 60),
                 runtime.env().clock.now(),
             );
             let optimizer = Optimizer::sharing(
@@ -219,19 +209,20 @@ pub fn run_semantic_program_tool(
             let mut receipt = optimized.matrix.receipt.clone();
             receipt.add(&report.receipt);
             receipts.borrow_mut().add(&receipt);
-            span.attr("plan", aida_obs::clip(&optimized.physical.render(), 160));
+            span.attr("plan", aida_obs::clipped(&optimized.physical, 160));
             span.rows(lake.len(), report.records.len());
             span.finish(runtime.env().clock.now());
+            let value = records_to_script(&report.records);
             trace.push(ProgramRun {
-                instruction: instruction.clone(),
-                plan: optimized.physical.render(),
-                records: report.records.clone(),
+                instruction,
+                plan: optimized.physical,
+                records: report.records,
                 receipt,
                 cost: report.receipt.cost(runtime.env().llm.catalog())
                     + optimized.matrix.sampling_cost,
                 time: runtime.env().clock.now() - t0 + optimized.matrix.sampling_time,
             });
-            Ok(records_to_script(&report.records))
+            Ok(value)
         },
     ))
 }
@@ -258,7 +249,7 @@ fn records_to_script(records: &[Record]) -> ScriptValue {
 
 /// Builds a findings table from program output records (bulk fields
 /// dropped), for SQL registration.
-pub fn findings_table(records: &[Record]) -> aida_data::Table {
+pub fn findings_table(records: &[&Record]) -> aida_data::Table {
     let slim: Vec<Record> = records
         .iter()
         .map(|rec| {
@@ -370,7 +361,7 @@ mod tests {
         let rec = Record::new("a.eml")
             .with("sender", "x@y.com")
             .with("contents", "big");
-        let t = findings_table(&[rec]);
+        let t = findings_table(&[&rec]);
         assert!(t.schema().contains("source"));
         assert!(t.schema().contains("sender"));
         assert!(!t.schema().contains("contents"));

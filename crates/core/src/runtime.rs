@@ -336,7 +336,7 @@ impl Runtime {
     pub fn sql(&self, query: &str) -> Result<Table, SqlError> {
         let span = self.env.recorder.span(
             SpanKind::Sql,
-            aida_obs::clip(query, 60),
+            aida_obs::clipped(query, 60),
             self.env.clock.now(),
         );
         let result = aida_sql::execute(query, &self.catalog.lock());
@@ -356,10 +356,11 @@ impl Runtime {
     /// Runs a general SQL statement (`SELECT`, `CREATE TABLE … AS`,
     /// `DROP TABLE`, `EXPLAIN`) over the materialized tables.
     pub fn sql_statement(&self, sql: &str) -> Result<aida_sql::StatementResult, SqlError> {
-        let span =
-            self.env
-                .recorder
-                .span(SpanKind::Sql, aida_obs::clip(sql, 60), self.env.clock.now());
+        let span = self.env.recorder.span(
+            SpanKind::Sql,
+            aida_obs::clipped(sql, 60),
+            self.env.clock.now(),
+        );
         let result = aida_sql::execute_statement(sql, &mut self.catalog.lock());
         if self.env.recorder.is_enabled() {
             let rows_out = match &result {

@@ -662,7 +662,7 @@ pub fn figure2_traced(seed: u64) -> (String, aida_obs::Recorder) {
         );
         for p in &t.programs {
             out += &format!("  synthesized program for {:?}:\n", p.instruction);
-            for line in p.plan.lines() {
+            for line in p.plan.render().lines() {
                 out += &format!("    {line}\n");
             }
             out += &format!("  -> {} records\n", p.records.len());

@@ -222,7 +222,7 @@ fn run_pz_compute_inner(
                 "  program: {} -> {} records\n{}",
                 p.instruction,
                 p.records.len(),
-                indent(&p.plan, 4)
+                indent(&p.plan.render(), 4)
             ));
         }
     }

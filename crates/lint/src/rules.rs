@@ -15,6 +15,7 @@
 //! | P1   | recovery paths return typed errors, never panic            |
 //! | L1   | the static lock-acquisition graph is acyclic               |
 //! | O1   | metric names come from the registry, never string literals |
+//! | O2   | span names and attributes are built only for a kept span    |
 //! | S1   | functions stay within the size/complexity budget           |
 //! | U1   | every `pub` item has a production consumer outside its file |
 
@@ -295,6 +296,7 @@ pub fn scan_file(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
         rule_p1_panic_free_recovery(&view, cfg, &mut out);
     }
     rule_o1_metric_registry(&view, cfg, &mut out);
+    rule_o2_eager_trace_text(&view, &mut out);
     rule_s1_fn_budget(&view, cfg, &mut out);
     out
 }
@@ -645,6 +647,61 @@ fn rule_o1_metric_registry(view: &FileView, cfg: &Config, out: &mut Vec<Finding>
                     cfg.metric_registry_file
                 ),
             ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------- O2
+
+/// O2: a span's name and attribute values are formatted by the recorder,
+/// and only when it keeps the span (`Recorder::span` and
+/// `SpanHandle::attr` take `impl Display`). A `format!`, `clip(` or
+/// `.render()` written in the argument list of `.span(` / `.attr(`
+/// builds the text first, so a request with tracing off pays for it
+/// anyway. Pass `format_args!`, `clipped(..)` or the `Display` value.
+fn rule_o2_eager_trace_text(view: &FileView, out: &mut Vec<Finding>) {
+    for i in 1..view.toks.len() {
+        if view.in_test[i] || !view.is_punct(i - 1, ".") || !view.is_punct(i + 1, "(") {
+            continue;
+        }
+        let sink = view.text(i);
+        if sink != "span" && sink != "attr" {
+            continue;
+        }
+        let mut depth = 0usize;
+        for j in i + 1..view.toks.len() {
+            if view.is_punct(j, "(") {
+                depth += 1;
+            } else if view.is_punct(j, ")") {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            let eager = if view.is_ident(j, "format") && view.is_punct(j + 1, "!") {
+                Some("format!")
+            } else if view.is_ident(j, "clip") && view.is_punct(j + 1, "(") {
+                Some("clip(")
+            } else if view.is_punct(j, ".")
+                && view.is_ident(j + 1, "render")
+                && view.is_punct(j + 2, "(")
+            {
+                Some(".render()")
+            } else {
+                None
+            };
+            if let Some(call) = eager {
+                out.push(view.finding(
+                    "O2",
+                    Severity::Warning,
+                    j,
+                    format!(
+                        "`{call}` in the arguments of `.{sink}(` builds trace text even \
+                         when tracing is off; pass `format_args!`, `clipped(..)` or the \
+                         `Display` value"
+                    ),
+                ));
+            }
         }
     }
 }
@@ -1152,6 +1209,46 @@ mod tests {
         let test_code =
             "#[cfg(test)]\nmod tests { fn f(r: &Recorder) { r.counter_add(\"x\", 1); } }";
         assert!(scan_file("a.rs", test_code, &cfg).is_empty());
+    }
+
+    #[test]
+    fn o2_flags_trace_text_built_before_the_recorder_sees_it() {
+        let cfg = Config::default();
+        let at = |src: &str| -> Vec<Finding> { scan_file("crates/core/src/ops.rs", src, &cfg) };
+        let eager = [
+            "fn f(r: &Recorder, s: u32) { let h = r.span(K, format!(\"step {s}\"), 0.0); }",
+            "fn f(h: &SpanHandle, c: &str) { h.attr(\"code\", aida_obs::clip(c, 80)); }",
+            "fn f(h: &SpanHandle, p: &Plan) { h.attr(\"plan\", clip(&p.render(), 160)); }",
+            "fn f(h: &SpanHandle, b: &Bound) { h.attr(\"bound\", b.render()); }",
+        ];
+        for src in eager {
+            let f = at(src);
+            assert!(
+                !f.is_empty() && f.iter().all(|x| x.rule == "O2"),
+                "{src}: {f:?}"
+            );
+        }
+        assert_eq!(
+            at(eager[2]).len(),
+            2,
+            "clip( and .render() are two findings"
+        );
+
+        // Lazy forms, other sinks, and calls after the argument list pass.
+        let lazy = [
+            "fn f(r: &Recorder, s: u32) { let h = r.span(K, format_args!(\"step {s}\"), 0.0); }",
+            "fn f(h: &SpanHandle, c: &str) { h.attr(\"code\", aida_obs::clipped(c, 80)); }",
+            "fn f(h: &SpanHandle, b: &Bound) { h.attr(\"bound\", &b.bound); }",
+            "fn f(h: &SpanHandle, b: &Bound) { h.attr(\"x\", b.name()); let s = b.render(); }",
+            "fn f(r: &Recorder, q: &str) { r.event(Event::Sql { statement: clip(q, 200) }); }",
+            "fn f(s: &S) -> S { S { ..span(format!(\"x\")) } }",
+        ];
+        for src in lazy {
+            assert!(at(src).is_empty(), "{src}: {:?}", at(src));
+        }
+        let test_code =
+            "#[cfg(test)]\nmod t { fn f(h: &SpanHandle) { h.attr(\"k\", format!(\"v\")); } }";
+        assert!(at(test_code).is_empty());
     }
 
     #[test]

@@ -34,22 +34,33 @@ impl Embedder {
             .filter(|w| !w.is_empty())
             .map(|w| w.to_ascii_lowercase())
             .collect();
-        for w in &words {
-            self.bump(&mut v, w, 1.0);
+        // Each word's FNV-1a state, so a bigram's hash continues its
+        // first word's instead of hashing a built "a b" string.
+        let states: Vec<u64> = words
+            .iter()
+            .map(|w| noise::fnv1a(noise::FNV_OFFSET, w.as_bytes()))
+            .collect();
+        for &state in &states {
+            self.bump(&mut v, noise::splitmix64(state), 1.0);
         }
-        for pair in words.windows(2) {
-            self.bump(&mut v, &format!("{} {}", pair[0], pair[1]), 0.5);
+        for (state, second) in states.iter().zip(words.iter().skip(1)) {
+            self.bump(&mut v, bigram_hash(*state, second), 0.5);
         }
         normalize(&mut v);
         v
     }
 
-    fn bump(&self, v: &mut [f32], feature: &str, weight: f32) {
-        let h = noise::hash_str(feature);
+    fn bump(&self, v: &mut [f32], h: u64, weight: f32) {
         let idx = (h % self.dims as u64) as usize;
         let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
         v[idx] += sign * weight;
     }
+}
+
+/// `noise::hash_str` of `"{first} {second}"`, given `first`'s FNV-1a
+/// state.
+fn bigram_hash(first: u64, second: &str) -> u64 {
+    noise::splitmix64(noise::fnv1a(noise::fnv1a(first, b" "), second.as_bytes()))
 }
 
 fn normalize(v: &mut [f32]) {
@@ -196,6 +207,51 @@ mod tests {
                         parent_cosine(x, y).to_bits()
                     );
                 }
+            }
+        }
+    }
+
+    mod bigrams {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `Embedder::embed` as it was written with a `format!`ed string
+        /// per bigram: the oracle for the in-place hash.
+        fn embed_oracle(e: &Embedder, text: &str) -> Vec<f32> {
+            let mut v = vec![0f32; e.dims];
+            let words: Vec<String> = text
+                .split(|c: char| !c.is_alphanumeric())
+                .filter(|w| !w.is_empty())
+                .map(|w| w.to_ascii_lowercase())
+                .collect();
+            for w in &words {
+                e.bump(&mut v, noise::hash_str(w), 1.0);
+            }
+            for pair in words.windows(2) {
+                e.bump(
+                    &mut v,
+                    noise::hash_str(&format!("{} {}", pair[0], pair[1])),
+                    0.5,
+                );
+            }
+            normalize(&mut v);
+            v
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+            #[test]
+            fn a_bigram_hashes_as_its_formatted_string(a in ".{0,12}", b in ".{0,12}") {
+                let first = noise::fnv1a(noise::FNV_OFFSET, a.as_bytes());
+                prop_assert_eq!(bigram_hash(first, &b), noise::hash_str(&format!("{a} {b}")));
+            }
+
+            #[test]
+            fn features_are_bit_identical(text in "[a-zA-Z0-9 ,.é日-]{0,60}", dims in 8usize..200) {
+                let e = Embedder::new(dims);
+                let got: Vec<u32> = e.embed(&text).iter().map(|x| x.to_bits()).collect();
+                let want: Vec<u32> = embed_oracle(&e, &text).iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(got, want);
             }
         }
     }

@@ -16,12 +16,20 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// Hashes a string into a 64-bit key (FNV-1a, then mixed).
 pub fn hash_str(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
+    splitmix64(fnv1a(FNV_OFFSET, text.as_bytes()))
+}
+
+/// The FNV-1a state [`hash_str`] starts from.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a state `h` over `bytes`: `hash_str` of a
+/// concatenation is `splitmix64` of its parts folded in order.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for byte in bytes {
         h ^= u64::from(*byte);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    splitmix64(h)
+    h
 }
 
 /// The accumulator [`combine`] starts from.

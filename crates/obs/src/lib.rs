@@ -49,5 +49,5 @@ pub use metric::{Gauge, Histogram, Summary};
 pub use recorder::{CounterSource, Recorder, SpanHandle};
 pub use report::{SpanTotals, Trace};
 pub use slo::{BurnRate, SloKind, SloPolicy, SloTarget, SloVerdict};
-pub use span::{clip, SpanData, SpanKind};
+pub use span::{clip, clipped, Clipped, SpanData, SpanKind};
 pub use timeseries::{SeriesStore, SlidingWindow, WindowSnapshot};

@@ -11,11 +11,15 @@
 //! 2. **Near-zero cost when disabled.** A disabled recorder is an
 //!    `Option::None` — every method is a branch on a niche-optimized
 //!    pointer and returns immediately, with no allocation and no lock.
+//!    Span names and attribute values arrive as `impl Display` and are
+//!    formatted only by an enabled recorder, so an untraced request
+//!    builds no trace text.
 //! 3. **No dependencies.** `std::sync::Mutex` guards one `State`; a
 //!    single lock sidesteps lock-ordering hazards between the span stack
 //!    and the span table.
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -94,14 +98,17 @@ impl Recorder {
 
     /// Opens a span as a child of the innermost open span and makes it
     /// the new innermost. `start_s` is virtual time from the `SimClock`.
-    pub fn span(&self, kind: SpanKind, name: impl Into<String>, start_s: f64) -> SpanHandle {
+    /// `name` is formatted only when this recorder is enabled: pass what
+    /// the name is built from (`format_args!`, [`crate::clipped`], a
+    /// `Display` value), not a built `String`.
+    pub fn span(&self, kind: SpanKind, name: impl Display, start_s: f64) -> SpanHandle {
         let Some(inner) = &self.inner else {
             return SpanHandle { inner: None, id: 0 };
         };
+        let name = name.to_string();
         let mut st = inner.state.lock().unwrap();
         let id = st.spans.len();
         let parent = st.stack.last().copied();
-        let name = name.into();
         st.spans
             .push(SpanData::new(id, parent, kind, name, start_s));
         st.stack.push(id);
@@ -313,12 +320,14 @@ impl SpanHandle {
         self.inner.as_ref().map(|_| self.id)
     }
 
-    /// Sets a free-form attribute on the span.
-    pub fn attr(&self, key: &str, value: impl Into<String>) {
+    /// Sets a free-form attribute on the span. `value` is formatted
+    /// only when the span is recorded, as [`Recorder::span`]'s name is.
+    pub fn attr(&self, key: &str, value: impl Display) {
         if let Some(inner) = &self.inner {
+            let value = value.to_string();
             let mut st = inner.state.lock().unwrap();
             let id = self.id;
-            st.spans[id].attrs.push((key.to_string(), value.into()));
+            st.spans[id].attrs.push((key.to_string(), value));
         }
     }
 
@@ -378,6 +387,47 @@ mod tests {
         span.finish(1.0);
         let t = r.trace();
         assert!(t.spans.is_empty() && t.counters.is_empty());
+    }
+
+    /// A `Display` value that counts how often it is formatted.
+    struct Counted<'a>(&'a str, &'a std::cell::Cell<usize>);
+
+    impl Display for Counted<'_> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.1.set(self.1.get() + 1);
+            f.write_str(self.0)
+        }
+    }
+
+    #[test]
+    fn a_disabled_recorder_formats_nothing() {
+        let (names, values) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        let r = Recorder::disabled();
+        let span = r.span(SpanKind::Program, Counted("name", &names), 0.0);
+        span.attr("plan", Counted("value", &values));
+        span.attr("code", crate::clipped(Counted("value", &values), 4));
+        span.finish(1.0);
+        assert_eq!((names.get(), values.get()), (0, 0));
+    }
+
+    #[test]
+    fn an_enabled_recorder_formats_each_value_once() {
+        let (names, values) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        let r = Recorder::new();
+        let span = r.span(SpanKind::Program, Counted("step 3", &names), 0.0);
+        span.attr("plan", Counted("a\tb", &values));
+        span.attr("code", crate::clipped(Counted("x = 1\ny = 2", &values), 6));
+        span.finish(1.0);
+        assert_eq!((names.get(), values.get()), (1, 2));
+        let t = r.trace();
+        assert_eq!(t.spans[0].name, "step 3");
+        let attrs: Vec<(&str, &str)> = t.spans[0]
+            .attrs
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(attrs, [("plan", "a\tb"), ("code", "x = 1…")]);
+        assert_eq!(t.spans[0].attrs[1].1, crate::clip("x = 1\ny = 2", 6));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::event::Event;
 use crate::json::Json;
+use std::fmt::{self, Write as _};
 
 /// What layer of the runtime a span belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,22 +161,75 @@ impl SpanData {
 /// appending `…` when truncated. Newlines are flattened to spaces so
 /// labels stay single-line in reports.
 pub fn clip(s: &str, max: usize) -> String {
-    let flat: String = s
-        .chars()
-        .map(|c| {
-            if c == '\n' || c == '\r' || c == '\t' {
+    clipped(s, max).to_string()
+}
+
+/// [`clip`] of `value`'s text, formatted only when it is displayed: a
+/// span name or attribute passed as `clipped(..)` costs nothing on a
+/// disabled recorder. Formatting stops at the first character past
+/// `max`, so a long value is never rendered whole.
+pub fn clipped<T: fmt::Display>(value: T, max: usize) -> Clipped<T> {
+    Clipped { value, max }
+}
+
+/// The lazy form of [`clip`], built by [`clipped`].
+#[derive(Debug)]
+pub struct Clipped<T> {
+    value: T,
+    max: usize,
+}
+
+impl<T: fmt::Display> fmt::Display for Clipped<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = ClipWriter {
+            out: f,
+            room: self.max,
+            held: None,
+            cut: false,
+        };
+        match write!(out, "{}", self.value) {
+            // The writer stopped the value at the cut: not an error.
+            Err(_) if out.cut => Ok(()),
+            Err(e) => Err(e),
+            Ok(()) => match out.held {
+                Some(c) => out.out.write_char(c),
+                None => Ok(()),
+            },
+        }
+    }
+}
+
+/// Flattens and clips what is written through it. The `max`-th
+/// character is held back until the next one shows whether the text is
+/// cut there (`…`) or ends there (the held character).
+struct ClipWriter<'a, 'b> {
+    out: &'a mut fmt::Formatter<'b>,
+    /// Characters that may still be written before the held one.
+    room: usize,
+    held: Option<char>,
+    cut: bool,
+}
+
+impl fmt::Write for ClipWriter<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            let c = if matches!(c, '\n' | '\r' | '\t') {
                 ' '
             } else {
                 c
+            };
+            if self.room > 1 {
+                self.room -= 1;
+                self.out.write_char(c)?;
+            } else if self.room == 1 && self.held.is_none() {
+                self.held = Some(c);
+            } else {
+                self.out.write_char('…')?;
+                self.cut = true;
+                return Err(fmt::Error);
             }
-        })
-        .collect();
-    if flat.chars().count() <= max {
-        flat
-    } else {
-        let mut out: String = flat.chars().take(max.saturating_sub(1)).collect();
-        out.push('…');
-        out
+        }
+        Ok(())
     }
 }
 
@@ -183,11 +237,84 @@ pub fn clip(s: &str, max: usize) -> String {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
+    /// `clip` as it was written before it became [`Clipped`]'s
+    /// `to_string`: flatten, count, cut. The oracle for the lazy form.
+    fn clip_oracle(s: &str, max: usize) -> String {
+        let flat: String = s
+            .chars()
+            .map(|c| {
+                if matches!(c, '\n' | '\r' | '\t') {
+                    ' '
+                } else {
+                    c
+                }
+            })
+            .collect();
+        if flat.chars().count() <= max {
+            flat
+        } else {
+            let mut out: String = flat.chars().take(max.saturating_sub(1)).collect();
+            out.push('…');
+            out
+        }
+    }
+
+    /// Writes its text `chunk` bytes at a time (on char boundaries), so
+    /// the clip sees a value arrive in many `write_str` calls.
+    struct Chunked<'a>(&'a str, usize);
+
+    impl fmt::Display for Chunked<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let mut rest = self.0;
+            while !rest.is_empty() {
+                let mut end = self.1.min(rest.len()).max(1);
+                while !rest.is_char_boundary(end) {
+                    end += 1;
+                }
+                f.write_str(&rest[..end])?;
+                rest = &rest[end..];
+            }
+            Ok(())
+        }
+    }
+
     #[test]
     fn clip_flattens_and_truncates() {
         assert_eq!(clip("short", 10), "short");
         assert_eq!(clip("a\nb\tc", 10), "a b c");
         assert_eq!(clip("abcdefghij", 5), "abcd…");
+    }
+
+    #[test]
+    fn clipped_matches_the_oracle_around_the_limit() {
+        for max in 0..6usize {
+            for len in max.saturating_sub(1)..=max + 1 {
+                for unit in ["a", "\n", "\t", "\r", "é", "日", "…"] {
+                    let text = unit.repeat(len);
+                    let want = clip_oracle(&text, max);
+                    assert_eq!(clip(&text, max), want, "{text:?} at {max}");
+                    assert_eq!(clipped(&text, max).to_string(), want);
+                    assert_eq!(clipped(Chunked(&text, 1), max).to_string(), want);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn clipped_writes_what_clip_returns(
+            text in "[ab \n\t\ré日…]{0,14}",
+            max in 0usize..16,
+            chunk in 1usize..5,
+        ) {
+            let want = clip_oracle(&text, max);
+            prop_assert_eq!(&clip(&text, max), &want);
+            prop_assert_eq!(&clipped(&text, max).to_string(), &want);
+            prop_assert_eq!(&clipped(Chunked(&text, chunk), max).to_string(), &want);
+        }
     }
 
     #[test]

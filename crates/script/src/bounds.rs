@@ -212,27 +212,10 @@ impl CostBound {
             .fold(0.0_f64, |acc, &v| acc.max(v))
     }
 
-    /// One-line human rendering (EXPLAIN ANALYZE, reports).
+    /// One-line human rendering (EXPLAIN ANALYZE, reports): the
+    /// [`Display`](std::fmt::Display) text.
     pub fn render(&self) -> String {
-        if self.calls_open {
-            return "fuel<=inf calls=open usd<=inf".into();
-        }
-        let calls: Vec<String> = self
-            .calls_per_tool
-            .iter()
-            .map(|(name, b)| format!("{name}<={b}"))
-            .collect();
-        let usd = self.worst_usd_max();
-        let usd = if usd.is_finite() {
-            format!("{usd:.4}")
-        } else {
-            "inf".into()
-        };
-        format!(
-            "fuel<={} calls=[{}] usd<=${usd}",
-            self.fuel_max,
-            calls.join(" "),
-        )
+        self.to_string()
     }
 
     /// Builds the tier price map (and `unbounded` flag) from the call
@@ -267,6 +250,25 @@ impl CostBound {
             calls_open: open,
             usd_max_per_tier: usd,
             unbounded: any_unbounded,
+        }
+    }
+}
+
+impl std::fmt::Display for CostBound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.calls_open {
+            return f.write_str("fuel<=inf calls=open usd<=inf");
+        }
+        write!(f, "fuel<={} calls=[", self.fuel_max)?;
+        for (i, (name, bound)) in self.calls_per_tool.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name}<={bound}")?;
+        }
+        let usd = self.worst_usd_max();
+        if usd.is_finite() {
+            write!(f, "] usd<=${usd:.4}")
+        } else {
+            f.write_str("] usd<=$inf")
         }
     }
 }

@@ -118,7 +118,7 @@ impl<'a> Executor<'a> {
                 .recorder
                 .span(SpanKind::PhysicalOp, step.op.name(), t0);
             if let Some(instruction) = step.op.instruction() {
-                span.attr("instruction", aida_obs::clip(instruction, 80));
+                span.attr("instruction", aida_obs::clipped(instruction, 80));
             }
             if step.op.is_semantic() {
                 span.attr("model", step.model.name());

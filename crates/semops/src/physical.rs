@@ -8,6 +8,7 @@
 
 use crate::plan::{LogicalOp, LogicalPlan};
 use aida_llm::ModelId;
+use std::fmt;
 
 /// One step of a physical plan.
 #[derive(Debug, Clone)]
@@ -65,17 +66,23 @@ impl PhysicalPlan {
         self.steps.iter().map(|s| s.model).collect()
     }
 
-    /// Renders the plan for traces.
+    /// Renders the plan for traces (its [`Display`](fmt::Display) text).
     pub fn render(&self) -> String {
-        let mut out = format!("physical plan (parallelism={})\n", self.parallelism);
+        self.to_string()
+    }
+}
+
+impl fmt::Display for PhysicalPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "physical plan (parallelism={})", self.parallelism)?;
         for step in &self.steps {
             if step.op.is_semantic() {
-                out.push_str(&format!("  {:?} @ {}\n", step.op, step.model));
+                writeln!(f, "  {:?} @ {}", step.op, step.model)?;
             } else {
-                out.push_str(&format!("  {:?}\n", step.op));
+                writeln!(f, "  {:?}", step.op)?;
             }
         }
-        out
+        Ok(())
     }
 }
 

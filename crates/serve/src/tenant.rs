@@ -180,7 +180,15 @@ impl TenantLedger {
     /// adjust no quota — but the ledger records who benefited from the
     /// shared cache.
     pub fn charge(&mut self, tenant: &TenantId, spend: Spend) {
-        self.spend.entry(tenant.clone()).or_default().add(spend);
+        // The id is cloned only on a tenant's first charge.
+        match self.spend.get_mut(tenant) {
+            Some(total) => total.add(spend),
+            None => {
+                let mut total = Spend::default();
+                total.add(spend);
+                self.spend.insert(tenant.clone(), total);
+            }
+        }
     }
 
     /// Dollar headroom under the tenant's quota: `quota - spend`,

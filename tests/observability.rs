@@ -153,6 +153,102 @@ fn reuse_events_follow_the_reuse_switch() {
     assert_eq!(rt.reuse_stats(), (0, 0));
 }
 
+/// The trace text of a span is built from what the run hands back: each
+/// `program` span's `plan` is its `ProgramRun`'s plan rendered and
+/// clipped, and the same query with tracing off returns an equal outcome
+/// (answer, records, rendered plans).
+#[test]
+fn program_spans_agree_with_the_program_runs() {
+    use aida::obs::clip;
+    let run = |tracing: bool| {
+        let rt = Runtime::builder().seed(5).tracing(tracing).build();
+        let ctx = legal_ctx(&rt, 5);
+        let outcome = rt
+            .query(&ctx)
+            .search("look for information on identity thefts")
+            .compute("find the number of identity theft reports in 2024")
+            .run();
+        (outcome, rt.recorder().trace())
+    };
+    let (traced, trace) = run(true);
+    let runs: Vec<_> = traced.trace.iter().flat_map(|t| &t.programs).collect();
+    let spans: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Program)
+        .collect();
+    assert!(!runs.is_empty());
+    assert_eq!(spans.len(), runs.len());
+    for (span, run) in spans.iter().zip(&runs) {
+        assert_eq!(span.name, clip(&run.instruction, 60));
+        let plan = span.attrs.iter().find(|(k, _)| k == "plan");
+        assert_eq!(
+            plan.map(|(_, v)| v.as_str()),
+            Some(clip(&run.plan.render(), 160).as_str())
+        );
+        assert_eq!(span.rows_out, Some(run.records.len()));
+    }
+
+    let (untraced, empty) = run(false);
+    assert!(empty.spans.is_empty());
+    assert_eq!(traced.answer, untraced.answer);
+    assert_eq!(traced.cost.to_bits(), untraced.cost.to_bits());
+    assert_eq!(traced.time.to_bits(), untraced.time.to_bits());
+    assert_eq!(traced.trace.len(), untraced.trace.len());
+    for (a, b) in traced.trace.iter().zip(&untraced.trace) {
+        assert_eq!(
+            (&a.op, &a.instruction, a.reused),
+            (&b.op, &b.instruction, b.reused)
+        );
+        assert_eq!(a.programs.len(), b.programs.len());
+        for (pa, pb) in a.programs.iter().zip(&b.programs) {
+            assert_eq!(pa.instruction, pb.instruction);
+            assert_eq!(pa.records, pb.records);
+            assert_eq!(pa.plan.render(), pb.plan.render());
+        }
+    }
+}
+
+/// Each `agent_step` span's `bound` is its `StepTrace.bound` rendered;
+/// a rejected step has none.
+#[test]
+fn step_spans_carry_the_step_bounds() {
+    use aida::agents::{tools, AgentConfig, AgentRuntime, CodeAgent, Persona, ToolRegistry};
+    use aida::obs::Recorder;
+    use aida::semops::ExecEnv;
+    let workload = aida_synth::enron::generate(1);
+    let recorder = Recorder::new();
+    let env = ExecEnv::new(aida::llm::SimLlm::new(3)).with_recorder(recorder.clone());
+    workload.install_oracle(&env.llm);
+    let mut registry = ToolRegistry::new();
+    for tool in tools::lake_tools(&workload.lake) {
+        registry.register(tool);
+    }
+    let agent = CodeAgent::deep_research(AgentConfig {
+        model: ModelId::Flagship,
+        max_steps: 8,
+        persona: Persona::default(),
+        seed: 3,
+    });
+    let outcome =
+        AgentRuntime::new(&env, registry, Some(workload.lake.clone())).run(&agent, &workload.query);
+    let trace = recorder.trace();
+    assert!(outcome.steps.iter().any(|s| s.bound.is_some()));
+    for step in &outcome.steps {
+        let name = format!("step {}", step.step);
+        let span = trace
+            .spans
+            .iter()
+            .find(|s| s.kind == SpanKind::AgentStep && s.name == name)
+            .expect("one span per step");
+        let bound = span.attrs.iter().find(|(k, _)| k == "bound");
+        assert_eq!(
+            bound.map(|(_, v)| v.clone()),
+            step.bound.as_ref().map(|b| b.render())
+        );
+    }
+}
+
 /// SQL over materialized findings shows up as `sql` spans and events.
 #[test]
 fn sql_statements_are_traced() {
