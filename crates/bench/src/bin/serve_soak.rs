@@ -41,7 +41,7 @@ use aida_llm::{CrashPoint, FailPlan, WallStopwatch};
 use aida_obs::{SloPolicy, Summary};
 use aida_serve::{
     open_loop, AutoscaleConfig, ClientConfig, LedgerWal, LiveSource, QueryRequest, QueryService,
-    RejectReason, ServeConfig, ServiceReport, TenantConfig, TenantLoad,
+    ServeConfig, ServiceReport, TenantConfig, TenantLoad,
 };
 use aida_synth::{enron, legal};
 use std::path::Path;
@@ -445,124 +445,6 @@ fn live_phase(seed: u64, smoke: bool, legal_mix: &[&str; 3], enron_mix: &[&str; 
     );
 }
 
-/// Static cost-bound gate under serving load. A tiny-quota tenant
-/// submits a Pyrite plan whose static worst case (~$0.84 on Flagship
-/// for 40 looped `read_file` calls) dwarfs its remaining budget,
-/// interleaved with affordable traffic from a funded tenant. The gate
-/// must shed the plan *before dispatch* — exactly $0.00 attributed to
-/// the gated tenant — while every affordable request completes. Runs in
-/// smoke mode too: the phase is three requests on one worker.
-fn bounds_gate_phase(seed: u64) {
-    const EXPENSIVE_PLAN: &str =
-        "total = 0\nfor i in range(40):\n    total = total + len(read_file('a.csv'))\ntotal";
-    // A plan the analyzer bounds well under the gated tenant's budget:
-    // one tool call, no loops.
-    const CHEAP_PLAN: &str = "len(read_file('a.csv'))";
-
-    let rt = Runtime::builder().seed(seed).tracing(true).build();
-    let legal_workload = legal::generate(seed);
-    let ctx = Context::builder("legal", legal_workload.lake.clone())
-        .description(legal_workload.description.clone())
-        .with_vector_index()
-        .build(&rt);
-    let mut svc = QueryService::new(
-        rt,
-        ServeConfig::with_workers(1).cost_bounds(aida_llm::models::ModelId::Flagship),
-    );
-    svc.register_context("legal", ctx);
-    // A generous quota: acme's plans are bound-checked too, and all of
-    // them fit — the gate must wave them through.
-    svc.register_tenant(
-        "acme",
-        TenantConfig::default()
-            .dollars(50.0)
-            .p99_latency(1200.0)
-            .usd_per_query(1.0),
-    );
-    // Budget far below the loop's ~$0.84 static worst case.
-    svc.register_tenant("eve", TenantConfig::default().dollars(0.05));
-
-    let mut requests = Vec::new();
-    for (i, (tenant, instruction)) in [
-        ("acme", CHEAP_PLAN),
-        ("eve", EXPENSIVE_PLAN),
-        ("acme", "find the number of identity theft reports in 2001"),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let mut r = QueryRequest::new(tenant, "legal", instruction);
-        r.seq = i as u64;
-        r.arrival_s = i as f64 * 60.0;
-        r.submitted_s = r.arrival_s;
-        requests.push(r);
-    }
-    let report = svc.run(requests);
-
-    let gated: Vec<_> = report
-        .sheds
-        .iter()
-        .filter(|s| matches!(s.reason, RejectReason::CostBoundExceeded { .. }))
-        .collect();
-    if gated.is_empty() {
-        eprintln!("FAIL: bounds gate never shed the over-budget plan");
-        std::process::exit(1);
-    }
-    let eve_spend = svc.tenants().spend(&"eve".into()).usd;
-    let Some(RejectReason::CostBoundExceeded {
-        usd_max,
-        remaining_usd,
-    }) = gated.iter().map(|s| &s.reason).next()
-    else {
-        unreachable!("gated sheds are CostBoundExceeded by construction");
-    };
-    // Shed strictly before dispatch: the rejected plan never touched a
-    // worker or the ledger, so the gated tenant's spend is exactly zero.
-    if *usd_max <= *remaining_usd {
-        eprintln!("FAIL: shed with usd_max {usd_max} <= remaining {remaining_usd}");
-        std::process::exit(1);
-    }
-    if eve_spend != 0.0 {
-        eprintln!("FAIL: gated tenant was attributed ${eve_spend:.6}, expected exactly $0.00");
-        std::process::exit(1);
-    }
-    if !report.bounds_gated || report.bounds_checked < 2 || report.bounds_rejects() < 1 {
-        eprintln!(
-            "FAIL: gate surfaces wrong (gated={}, checked={}, rejects={})",
-            report.bounds_gated,
-            report.bounds_checked,
-            report.bounds_rejects()
-        );
-        std::process::exit(1);
-    }
-    // Affordable traffic must be untouched: eve's cheap plan and acme's
-    // natural-language query both complete.
-    if report.completions.len() != 2 {
-        eprintln!(
-            "FAIL: expected 2 completions alongside the shed, saw {}",
-            report.completions.len()
-        );
-        std::process::exit(1);
-    }
-    let text = report.render();
-    if !text.contains("cost bounds:") || !text.contains("cost_bound_exceeded") {
-        eprintln!("FAIL: report render is missing the bounds lines:\n{text}");
-        std::process::exit(1);
-    }
-    if !report
-        .to_jsonl()
-        .contains(r#""reason":"cost_bound_exceeded""#)
-    {
-        eprintln!("FAIL: jsonl is missing the cost_bound_exceeded shed");
-        std::process::exit(1);
-    }
-    println!(
-        "bounds gate: {} plans checked, shed the ${usd_max:.4}-worst-case plan against \
-         ${remaining_usd:.4} remaining at $0.00 attributed (tenant spend ${eve_spend:.4})",
-        report.bounds_checked,
-    );
-}
-
 fn main() {
     let env_on = |k: &str| std::env::var(k).is_ok_and(|v| v != "0" && !v.is_empty());
     let smoke = env_on("SERVE_SOAK_SMOKE");
@@ -689,10 +571,6 @@ fn main() {
         );
         std::process::exit(1);
     }
-
-    // ---- bounds-gate phase: static worst-case spend vs tenant quota,
-    // shed before dispatch. Cheap enough to run in smoke mode too.
-    bounds_gate_phase(seed);
 
     if env_on("SERVE_SOAK_CRASH") {
         crash_probe(seed, &requests);

@@ -1,11 +1,7 @@
 //! `aida-bench`: the benchmark harness.
 //!
 //! One runnable binary per table/figure/ablation of the paper (see
-//! `src/bin/`), plus two Criterion suites:
-//!
-//! * `paper_tables` — end-to-end timings of the table experiments,
-//! * `substrates` — microbenchmarks of the substrate crates (CSV parsing,
-//!   embeddings, top-k, keyword search, the script interpreter, SQL).
+//! `src/bin/`). Host time is measured by the separate `perf/` package.
 //!
 //! Binaries print the experiment report and persist it under `results/`.
 

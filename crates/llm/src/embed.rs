@@ -29,22 +29,21 @@ impl Embedder {
     /// zero vector.
     pub fn embed(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0f32; self.dims];
-        let words: Vec<String> = text
+        // The previous word's FNV-1a state, so a bigram's hash continues
+        // its first word's instead of hashing a built "a b" string. Every
+        // bump is ±1.0 or ±0.5, so sums are exact and the order in which
+        // unigrams and bigrams land does not change a bit.
+        let mut previous = None;
+        for word in text
             .split(|c: char| !c.is_alphanumeric())
             .filter(|w| !w.is_empty())
-            .map(|w| w.to_ascii_lowercase())
-            .collect();
-        // Each word's FNV-1a state, so a bigram's hash continues its
-        // first word's instead of hashing a built "a b" string.
-        let states: Vec<u64> = words
-            .iter()
-            .map(|w| noise::fnv1a(noise::FNV_OFFSET, w.as_bytes()))
-            .collect();
-        for &state in &states {
+        {
+            let state = fnv1a_lowercase(noise::FNV_OFFSET, word);
             self.bump(&mut v, noise::splitmix64(state), 1.0);
-        }
-        for (state, second) in states.iter().zip(words.iter().skip(1)) {
-            self.bump(&mut v, bigram_hash(*state, second), 0.5);
+            if let Some(first) = previous {
+                self.bump(&mut v, bigram_hash(first, word), 0.5);
+            }
+            previous = Some(state);
         }
         normalize(&mut v);
         v
@@ -57,10 +56,17 @@ impl Embedder {
     }
 }
 
-/// `noise::hash_str` of `"{first} {second}"`, given `first`'s FNV-1a
-/// state.
+/// Continues an FNV-1a state over `word` lowercased (ASCII letters
+/// only), without building the lowercased string.
+fn fnv1a_lowercase(h: u64, word: &str) -> u64 {
+    word.bytes()
+        .fold(h, |h, b| noise::fnv1a(h, &[b.to_ascii_lowercase()]))
+}
+
+/// `noise::hash_str` of `"{first} {second}"` with `second` lowercased,
+/// given `first`'s FNV-1a state.
 fn bigram_hash(first: u64, second: &str) -> u64 {
-    noise::splitmix64(noise::fnv1a(noise::fnv1a(first, b" "), second.as_bytes()))
+    noise::splitmix64(fnv1a_lowercase(noise::fnv1a(first, b" "), second))
 }
 
 fn normalize(v: &mut [f32]) {
@@ -238,16 +244,26 @@ mod tests {
             v
         }
 
+        /// Mixed-case text, uppercase non-ASCII (which ASCII lowercasing
+        /// leaves alone) included, and words that run digits into letters.
+        fn text() -> impl Strategy<Value = String> {
+            prop_oneof![
+                "[a-zA-Z0-9 ,.éÉ日ß-]{0,60}",
+                "([A-Za-zÉé]{1,4}[0-9]{1,3}[A-Za-zÉ]{0,2}[ ,.-]?){0,10}",
+            ]
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4096))]
             #[test]
             fn a_bigram_hashes_as_its_formatted_string(a in ".{0,12}", b in ".{0,12}") {
-                let first = noise::fnv1a(noise::FNV_OFFSET, a.as_bytes());
-                prop_assert_eq!(bigram_hash(first, &b), noise::hash_str(&format!("{a} {b}")));
+                let first = fnv1a_lowercase(noise::FNV_OFFSET, &a);
+                let pair = format!("{a} {b}").to_ascii_lowercase();
+                prop_assert_eq!(bigram_hash(first, &b), noise::hash_str(&pair));
             }
 
             #[test]
-            fn features_are_bit_identical(text in "[a-zA-Z0-9 ,.é日-]{0,60}", dims in 8usize..200) {
+            fn features_are_bit_identical(text in text(), dims in 8usize..200) {
                 let e = Embedder::new(dims);
                 let got: Vec<u32> = e.embed(&text).iter().map(|x| x.to_bits()).collect();
                 let want: Vec<u32> = embed_oracle(&e, &text).iter().map(|x| x.to_bits()).collect();

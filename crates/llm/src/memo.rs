@@ -1,17 +1,17 @@
 //! One bounded, counted memo for work the runtime keeps for reuse: an
-//! agent step's front-end verdict, an all-hit sampling run, a bound
-//! gate's verdict and a wire plan's source.
+//! agent step's front-end verdict, an all-hit sampling run and a wire
+//! plan's source.
 //!
 //! It lives here, next to [`crate::SemanticCache`], because this is the
-//! lowest crate the four owners (`aida-agents`, `aida-optimizer` and two
-//! in `aida-serve`) share. The semantic cache and the Context manager keep
+//! lowest crate the three owners (`aida-agents`, `aida-optimizer` and
+//! `aida-serve`) share. The semantic cache and the Context manager keep
 //! their own policies (byte budgets, residency tokens, in-flight
 //! coalescing, cost-aware eviction); a memo has none of those.
 //!
 //! The rule is one line: an insert of a new key that would take the memo
 //! over its budget clears it first, and a key already present is replaced
 //! in place. Each owner gives every entry a weight and the memo a constant
-//! budget: one per entry for steps, sampling runs and verdicts, a source's
+//! budget: one per entry for steps and sampling runs, a source's
 //! byte count for wire plans. No measured workload reaches a budget (the
 //! `memo.*.clears` counters say so), so a finer eviction order would have
 //! nothing to be judged on.

@@ -97,16 +97,6 @@ pub const NET_PLAN_HASH_HITS: &str = "net.plan_hash_hits";
 pub const AUTOSCALE_UPS: &str = "autoscale.ups";
 /// Autoscaler scale-down moves committed.
 pub const AUTOSCALE_DOWNS: &str = "autoscale.downs";
-/// Instructions the static cost-bound gate checked (Pyrite plans only).
-pub const BOUNDS_CHECKED: &str = "bounds.checked";
-/// Checked instructions with no finite dollar bound (admitted
-/// conservatively).
-pub const BOUNDS_UNBOUNDED: &str = "bounds.unbounded";
-/// Requests shed because a static worst-case exceeded the tenant's
-/// remaining dollar quota.
-pub const BOUNDS_REJECTS: &str = "bounds.rejects";
-/// Bound verdicts served from the plan-hash cache.
-pub const BOUNDS_CACHE_HITS: &str = "bounds.cache_hits";
 
 // --- histograms -----------------------------------------------------------
 
@@ -199,10 +189,6 @@ mod tests {
             NET_PLAN_HASH_HITS,
             AUTOSCALE_UPS,
             AUTOSCALE_DOWNS,
-            BOUNDS_CHECKED,
-            BOUNDS_UNBOUNDED,
-            BOUNDS_REJECTS,
-            BOUNDS_CACHE_HITS,
             LLM_TOKENS_PER_CALL,
             OPERATOR_SELECTIVITY,
             SERVE_QUEUE_DEPTH,

@@ -98,10 +98,6 @@ impl Trace {
             out.push_str(&line);
             out.push('\n');
         }
-        if let Some(line) = self.bounds_summary() {
-            out.push_str(&line);
-            out.push('\n');
-        }
         if let Some(line) = self.health_summary() {
             out.push_str(&line);
             out.push('\n');
@@ -179,22 +175,6 @@ impl Trace {
         }
         Some(format!(
             "durability: {saves} checkpoints / {appends} wal appends (restored {restored} contexts, replayed {replayed} records, {errors} errors)"
-        ))
-    }
-
-    /// One-line static cost-bound summary from the `bounds.*` counters,
-    /// or `None` when no bound gate ran. `bounds.checked` exists
-    /// (possibly at zero) whenever the serve layer had the gate
-    /// configured.
-    fn bounds_summary(&self) -> Option<String> {
-        use crate::registry;
-        let checked = self.counters.get(registry::BOUNDS_CHECKED).copied()?;
-        let count = |name: &str| self.counters.get(name).copied().unwrap_or(0);
-        let unbounded = count(registry::BOUNDS_UNBOUNDED);
-        let rejects = count(registry::BOUNDS_REJECTS);
-        let cache_hits = count(registry::BOUNDS_CACHE_HITS);
-        Some(format!(
-            "bounds: {checked} plans checked, {unbounded} unbounded, {rejects} over-budget rejects ({cache_hits} cache hits)"
         ))
     }
 
@@ -441,32 +421,6 @@ mod tests {
         assert!(
             text.contains(
                 "durability: 3 checkpoints / 12 wal appends (restored 2 contexts, replayed 7 records, 0 errors)"
-            ),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn bounds_counters_render_a_summary_line() {
-        let r = sample();
-        // No bound gate configured: no summary.
-        assert!(r.trace().bounds_summary().is_none());
-        assert!(!r.explain_analyze().contains("bounds:"));
-        // The gate mirrors its counters even when all are zero, so the
-        // line always appears once gating is on.
-        r.counter_add("bounds.checked", 0);
-        assert_eq!(
-            r.trace().bounds_summary().as_deref(),
-            Some("bounds: 0 plans checked, 0 unbounded, 0 over-budget rejects (0 cache hits)")
-        );
-        r.counter_add("bounds.checked", 5);
-        r.counter_add("bounds.unbounded", 1);
-        r.counter_add("bounds.rejects", 2);
-        r.counter_add("bounds.cache_hits", 3);
-        let text = r.explain_analyze();
-        assert!(
-            text.contains(
-                "bounds: 5 plans checked, 1 unbounded, 2 over-budget rejects (3 cache hits)"
             ),
             "{text}"
         );

@@ -377,8 +377,9 @@ fn every_compiling_program_keeps_its_content_hash() {
 /// The cost-bound pin: `fixtures/cost_bounds.txt` holds, for every corpus
 /// program that compiles under its environment, its corpus line and the
 /// rendered [`aida_script::CostBound`] of a run in that environment. The
-/// bound gates admission in the serving layer, so a change to how loops
-/// are found or costed must leave every line as it is.
+/// bound is what each agent step's trace (`StepTrace::bound`) and step
+/// span (`bound` attribute) report, so a change to how loops are found
+/// or costed must leave every line as it is.
 #[test]
 fn every_compiling_program_keeps_its_cost_bound() {
     let mut now = String::new();

@@ -40,7 +40,6 @@
 //! [`Runtime`]: aida_core::Runtime
 
 mod autoscale;
-mod bounds;
 mod client;
 mod driver;
 mod net;
@@ -51,7 +50,6 @@ mod service;
 mod tenant;
 
 pub use autoscale::{AutoscaleConfig, Autoscaler, ScaleEvent};
-pub use bounds::{BoundGate, StaticVerdict};
 pub use client::{ClientConfig, ClientOutcome, LiveSource};
 pub use driver::{open_loop, ReplaySource, RequestSource, TenantLoad};
 pub use net::{

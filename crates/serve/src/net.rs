@@ -3,7 +3,7 @@
 //! The paper's runtime is a *service*: queries arrive over the network,
 //! not from a replayed vector. This module is the dependency-free front
 //! door — a small length-prefixed wire protocol (versioned header,
-//! tenant id, priority, Pyrite source or plan hash) and a hand-rolled
+//! tenant id, priority, instruction source or plan hash) and a hand-rolled
 //! mio-style readiness loop ([`Listener`]) that turns delivered bytes
 //! into [`WireRequest`]s for the admission queue.
 //!
@@ -17,10 +17,10 @@
 //! ```
 //!
 //! `magic` is `0xA1DA`; `len` is capped at [`MAX_FRAME_BYTES`]. Strings
-//! are length-prefixed UTF-8 (`u16` for short fields, `u32` for Pyrite
-//! source). Every malformed input maps to a typed [`WireError`] — the
-//! decoder never panics, whatever bytes arrive (proptested in
-//! `tests/net.rs`).
+//! are length-prefixed UTF-8 (`u16` for short fields, `u32` for
+//! instruction source). Every malformed input maps to a typed
+//! [`WireError`] — the decoder never panics, whatever bytes arrive
+//! (proptested in `tests/net.rs`).
 //!
 //! ## Transport abstraction
 //!
@@ -177,9 +177,9 @@ impl fmt::Display for WireError {
     }
 }
 
-/// The body of a `Request`: full Pyrite source, or a 128-bit content
-/// hash of source the same tenant already sent this listener (a
-/// returning client skips re-sending the program).
+/// The body of a `Request`: the full instruction source, or a 128-bit
+/// content hash of source the same tenant already sent this listener (a
+/// returning client skips re-sending the text).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireBody {
     /// Full program text.
@@ -278,7 +278,7 @@ impl Frame {
     }
 }
 
-/// Content hash a client may send in place of Pyrite source it has
+/// Content hash a client may send in place of instruction source it has
 /// already transmitted: two independently-offset FNV-1a streams, each
 /// finalized through splitmix64, concatenated to 128 bits.
 pub fn plan_hash(source: &str) -> u128 {
@@ -729,7 +729,7 @@ impl NetStats {
 }
 
 /// A fully-decoded inbound submission: the wire request plus its
-/// resolved Pyrite source (plan hashes already interned away).
+/// resolved instruction source (plan hashes already interned away).
 #[derive(Debug, Clone)]
 pub struct Inbound {
     /// Token of the connection it arrived on.

@@ -215,17 +215,6 @@ pub struct ServiceReport {
     /// Live front-door traffic and client outcomes (`None` in batch
     /// replay).
     pub net: Option<NetReport>,
-    /// True when the static cost-bound admission gate was configured
-    /// for the run (`ServeConfig::cost_bounds`).
-    pub bounds_gated: bool,
-    /// Instructions the static bound gate checked (Pyrite plans only;
-    /// cache hits included).
-    pub bounds_checked: u64,
-    /// Checked instructions whose dollar bound was not finite (admitted
-    /// conservatively).
-    pub bounds_unbounded: u64,
-    /// Gate verdicts served from the plan-hash cache.
-    pub bounds_cache_hits: u64,
 }
 
 impl ServiceReport {
@@ -272,15 +261,6 @@ impl ServiceReport {
         self.scale_events
             .iter()
             .filter(|e| e.direction() == "down")
-            .count() as u64
-    }
-
-    /// Requests shed because a static cost bound exceeded the tenant's
-    /// remaining dollars.
-    pub fn bounds_rejects(&self) -> u64 {
-        self.sheds
-            .iter()
-            .filter(|s| s.reason.kind() == "cost_bound_exceeded")
             .count() as u64
     }
 
@@ -374,16 +354,6 @@ impl ServiceReport {
                 self.cache_misses,
                 100.0 * self.cache_hit_rate(),
                 self.cache_bytes.unwrap_or(0),
-            );
-        }
-        if self.bounds_gated {
-            let _ = writeln!(
-                out,
-                "cost bounds: {} plans checked, {} unbounded, {} over-budget rejects  ({} cache hits)",
-                self.bounds_checked,
-                self.bounds_unbounded,
-                self.bounds_rejects(),
-                self.bounds_cache_hits,
             );
         }
         self.render_health(&mut out);
@@ -636,11 +606,6 @@ impl ServiceReport {
             .field("wal_segments_sealed", self.wal_segments_sealed)
             .field("wal_batch_bound", self.wal_batch_bound)
             .field("wal_failed", self.wal_failed)
-            .field("bounds_gated", self.bounds_gated)
-            .field("bounds_checked", self.bounds_checked)
-            .field("bounds_unbounded", self.bounds_unbounded)
-            .field("bounds_rejects", self.bounds_rejects())
-            .field("bounds_cache_hits", self.bounds_cache_hits)
             .field("slo_alerts", self.slo_alerts)
             .field("scale_ups", self.scale_ups())
             .field("scale_downs", self.scale_downs())

@@ -205,15 +205,6 @@ pub enum RejectReason {
     },
     /// The request names a tenant the service doesn't know (strict mode).
     UnknownTenant,
-    /// Static analysis proved the request's worst-case spend exceeds
-    /// the tenant's remaining dollar quota, so it was shed *before*
-    /// dispatch at zero attributed cost (see `aida_script::bounds`).
-    CostBoundExceeded {
-        /// The plan's static worst-case dollars at the serving tier.
-        usd_max: f64,
-        /// Dollars the tenant had left when the request arrived.
-        remaining_usd: f64,
-    },
 }
 
 impl RejectReason {
@@ -226,7 +217,6 @@ impl RejectReason {
             RejectReason::DeadlineExpired { .. } => "deadline_expired",
             RejectReason::UnknownContext { .. } => "unknown_context",
             RejectReason::UnknownTenant => "unknown_tenant",
-            RejectReason::CostBoundExceeded { .. } => "cost_bound_exceeded",
         }
     }
 
@@ -264,13 +254,6 @@ impl fmt::Display for RejectReason {
             ),
             RejectReason::UnknownContext { name } => write!(f, "unknown context {name:?}"),
             RejectReason::UnknownTenant => write!(f, "unknown tenant"),
-            RejectReason::CostBoundExceeded {
-                usd_max,
-                remaining_usd,
-            } => write!(
-                f,
-                "cost bound exceeded (worst case ${usd_max:.4} > ${remaining_usd:.4} remaining)"
-            ),
         }
     }
 }
@@ -394,22 +377,6 @@ mod tests {
             .to_string(),
             "budget exhausted ($1.0000 of $0.5000)"
         );
-        assert_eq!(
-            RejectReason::CostBoundExceeded {
-                usd_max: 0.5,
-                remaining_usd: 0.1
-            }
-            .kind(),
-            "cost_bound_exceeded"
-        );
-        assert_eq!(
-            RejectReason::CostBoundExceeded {
-                usd_max: 0.5,
-                remaining_usd: 0.1
-            }
-            .to_string(),
-            "cost bound exceeded (worst case $0.5000 > $0.1000 remaining)"
-        );
     }
 
     #[test]
@@ -439,13 +406,6 @@ mod tests {
         }
         .retryable());
         assert!(!RejectReason::UnknownTenant.retryable());
-        // A statically over-budget plan will stay over budget: a retry
-        // of the same plan cannot get a different answer.
-        assert!(!RejectReason::CostBoundExceeded {
-            usd_max: 1.0,
-            remaining_usd: 0.5
-        }
-        .retryable());
     }
 
     #[test]

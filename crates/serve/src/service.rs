@@ -14,7 +14,6 @@
 //! workload produce byte-identical reports.
 
 use crate::autoscale::{AutoscaleConfig, Autoscaler};
-use crate::bounds::BoundGate;
 use crate::driver::{ReplaySource, RequestSource};
 use crate::net::NetStats;
 use crate::queue::AdmissionQueue;
@@ -61,13 +60,6 @@ pub struct ServeConfig {
     /// configured bounds; `workers` becomes the initial pool size.
     /// `None` keeps the fixed pool.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Static cost-bound admission gating: when set, every instruction
-    /// that compiles as Pyrite is analyzed (`aida_script::bounds`) and a
-    /// request whose worst-case dollars at this execution tier provably
-    /// exceed the tenant's remaining dollar quota is shed with
-    /// [`RejectReason::CostBoundExceeded`] *before* dispatch, at zero
-    /// attributed spend. `None` disables the gate.
-    pub cost_bounds: Option<aida_llm::models::ModelId>,
 }
 
 impl Default for ServeConfig {
@@ -80,7 +72,6 @@ impl Default for ServeConfig {
             slo_policy: SloPolicy::default(),
             group_commit: 0,
             autoscale: None,
-            cost_bounds: None,
         }
     }
 }
@@ -122,13 +113,6 @@ impl ServeConfig {
     /// Enables latency-targeted autoscaling of the worker pool.
     pub fn autoscale(mut self, config: AutoscaleConfig) -> ServeConfig {
         self.autoscale = Some(config);
-        self
-    }
-
-    /// Enables static cost-bound admission gating, pricing worst cases
-    /// at `tier`.
-    pub fn cost_bounds(mut self, tier: aida_llm::models::ModelId) -> ServeConfig {
-        self.cost_bounds = Some(tier);
         self
     }
 }
@@ -301,14 +285,13 @@ impl Probe {
 
 /// One [`QueryService::serve`] call's state outside the scheduler: the
 /// service's borrowed halves (the runtime is shared, the ledger
-/// mutated), the commit pipeline, the bound gate, the report being
-/// built, and what the runtime's counters read when the run began.
+/// mutated), the commit pipeline, the report being built, and what the
+/// runtime's counters read when the run began.
 struct Dispatcher<'a> {
     runtime: &'a Runtime,
     contexts: &'a BTreeMap<String, Context>,
     tenants: &'a mut TenantLedger,
     wal: Option<WalPipeline<'a>>,
-    gate: Option<BoundGate>,
     report: ServiceReport,
     start: Probe,
     evictions_before: u64,
@@ -333,7 +316,6 @@ impl<'a> Dispatcher<'a> {
             tenants: &mut service.tenants,
             wal_before: service.wal.as_ref().map(|w| w.stats()).unwrap_or_default(),
             wal: (service.wal.as_mut()).map(|w| WalPipeline::new(w, config.group_commit)),
-            gate: config.cost_bounds.map(BoundGate::new),
             report,
             start: Probe::read(runtime),
             evictions_before: runtime.manager().evictions(),
@@ -385,28 +367,10 @@ impl<'a> Dispatcher<'a> {
         self.report.sheds.push(shed);
     }
 
-    /// The budget checks shared by admission and dispatch: quota
-    /// headroom, then the static cost bound, which sheds only when the
-    /// analyzer *proves* the plan's worst case cannot fit the tenant's
-    /// remaining dollars.
-    fn budget_check(&mut self, request: &QueryRequest) -> Option<RejectReason> {
-        if let Some(reason) = self.tenants.over_quota(&request.tenant) {
-            return Some(reason);
-        }
-        let gate = self.gate.as_mut()?;
-        let remaining = self.tenants.remaining_usd(&request.tenant);
-        let (usd_max, remaining_usd) = gate.over_budget(&request.instruction, remaining)?;
-        Some(RejectReason::CostBoundExceeded {
-            usd_max,
-            remaining_usd,
-        })
-    }
-
     /// The admission check: known tenant, known Context, quota headroom,
-    /// static cost bound, queue bound. `Ok` means the request is in the
-    /// queue.
+    /// queue bound. `Ok` means the request is in the queue.
     fn admission(
-        &mut self,
+        &self,
         queue: &mut AdmissionQueue,
         request: QueryRequest,
     ) -> Result<(), RejectReason> {
@@ -416,7 +380,7 @@ impl<'a> Dispatcher<'a> {
             Err(RejectReason::UnknownContext {
                 name: request.context.clone(),
             })
-        } else if let Some(reason) = self.budget_check(&request) {
+        } else if let Some(reason) = self.tenants.over_quota(&request.tenant) {
             Err(reason)
         } else {
             queue.push(request)
@@ -459,13 +423,11 @@ impl<'a> Dispatcher<'a> {
 
     /// The dispatch-time re-checks, in order: the queue wait may have
     /// blown the deadline; earlier dispatches may have exhausted the
-    /// tenant's quota, or shrunk its headroom below the plan's static
-    /// bound (re-proved against the *current* remaining dollars, cached
-    /// by plan hash — no recompile). `Ok` is the Context to run on
-    /// (admission already found it; were it missing, the request would
-    /// be shed, not the loop aborted).
+    /// tenant's quota. `Ok` is the Context to run on (admission already
+    /// found it; were it missing, the request would be shed, not the
+    /// loop aborted).
     fn dispatch_check(
-        &mut self,
+        &self,
         request: &QueryRequest,
         dispatch_t: f64,
     ) -> Result<&'a Context, RejectReason> {
@@ -476,7 +438,7 @@ impl<'a> Dispatcher<'a> {
                 deadline_s,
             });
         }
-        if let Some(reason) = self.budget_check(request) {
+        if let Some(reason) = self.tenants.over_quota(&request.tenant) {
             return Err(reason);
         }
         self.contexts
@@ -546,8 +508,8 @@ impl<'a> Dispatcher<'a> {
 
     /// Ends the run: drains the commit buffer so every acknowledged
     /// record is durable before the report is trusted, then fills in
-    /// the run's bound-gate, reuse, cache and WAL totals and mirrors
-    /// them into the registry.
+    /// the run's reuse, cache and WAL totals and mirrors them into the
+    /// registry.
     fn settle_run(mut self) -> ServiceReport {
         let (runtime, recorder) = (self.runtime, self.runtime.recorder());
         if let Some(p) = self.wal.as_mut().filter(|_| !self.report.wal_failed) {
@@ -557,18 +519,6 @@ impl<'a> Dispatcher<'a> {
             }
         }
         let report = &mut self.report;
-        if let Some(gate) = &self.gate {
-            let memo = gate.memo();
-            report.bounds_gated = true;
-            report.bounds_checked = gate.checked;
-            report.bounds_unbounded = gate.unbounded;
-            report.bounds_cache_hits = memo.hits;
-            recorder.counter_add(registry::BOUNDS_CHECKED, gate.checked);
-            recorder.counter_add(registry::BOUNDS_UNBOUNDED, gate.unbounded);
-            recorder.counter_add(registry::BOUNDS_CACHE_HITS, memo.hits);
-            memo.for_each_counter(|name, n| recorder.counter_add(&name, n));
-            recorder.counter_add(registry::BOUNDS_REJECTS, report.bounds_rejects());
-        }
         let (hits, misses) = runtime.reuse_stats();
         report.reuse_hits = hits - self.start.reuse.0;
         report.reuse_misses = misses - self.start.reuse.1;
@@ -726,9 +676,8 @@ impl QueryService {
     /// Requests are replayed open-loop by virtual arrival instant. Each
     /// is admission-checked (known tenant, known Context, quota, queue
     /// bound), queued, dispatched under weighted round-robin with
-    /// per-tenant priorities, re-checked (deadline, quota, cost bound)
-    /// at dispatch, executed inline, and placed on the virtual worker
-    /// pool.
+    /// per-tenant priorities, re-checked (deadline, quota) at dispatch,
+    /// executed inline, and placed on the virtual worker pool.
     pub fn run(&mut self, requests: Vec<QueryRequest>) -> ServiceReport {
         let mut source = ReplaySource::new(requests);
         self.serve(&mut source)
@@ -1147,192 +1096,35 @@ mod tests {
         );
     }
 
-    /// A Pyrite plan whose static worst case (40 billed tool calls at
-    /// the envelope ceiling) dwarfs a micro dollar quota.
-    const EXPENSIVE_PLAN: &str =
-        "total = 0\nfor i in range(40):\n    total += len(read_file('a.csv'))\ntotal";
-
     #[test]
-    fn over_budget_plan_is_shed_before_dispatch_at_zero_spend() {
-        let rt = Runtime::builder().seed(7).build();
-        let ctx = Context::builder("lake", lake())
-            .description("FTC identity theft reports by year")
-            .build(&rt);
-        let mut svc = QueryService::new(
-            rt,
-            ServeConfig::with_workers(1).cost_bounds(aida_llm::models::ModelId::Flagship),
-        );
-        svc.register_context("reports", ctx);
-        // Dollar headroom far below the plan's static worst case.
-        svc.register_tenant("dara", TenantConfig::default().dollars(1e-6));
-        let mut r = QueryRequest::new("dara", "reports", EXPENSIVE_PLAN);
-        r.seq = 0;
-        let report = svc.run(vec![r]);
-        assert_eq!(report.completions.len(), 0);
-        assert_eq!(report.sheds.len(), 1);
-        match &report.sheds[0].reason {
-            RejectReason::CostBoundExceeded {
-                usd_max,
-                remaining_usd,
-            } => {
-                assert!(usd_max > remaining_usd);
-                assert_eq!(*remaining_usd, 1e-6);
-            }
-            other => panic!("expected CostBoundExceeded, got {other:?}"),
-        }
-        // Shed before dispatch: exactly zero dollars attributed.
-        assert_eq!(svc.tenants().spend(&"dara".into()).usd, 0.0);
-        assert_eq!(report.total_cost_usd, 0.0);
-        // The gate's activity is on every surface.
-        assert!(report.bounds_gated);
-        assert_eq!(report.bounds_checked, 1);
-        assert_eq!(report.bounds_rejects(), 1);
-        let text = report.render();
-        assert!(
-            text.contains("cost bounds: 1 plans checked, 0 unbounded, 1 over-budget rejects"),
-            "{text}"
-        );
-        assert!(
-            text.contains("shed by reason: cost_bound_exceeded=1"),
-            "{text}"
-        );
-        let jsonl = report.to_jsonl();
-        assert!(
-            jsonl.contains(r#""reason":"cost_bound_exceeded""#),
-            "{jsonl}"
-        );
-        assert!(jsonl.contains(r#""bounds_rejects":1"#), "{jsonl}");
-    }
-
-    #[test]
-    fn bound_gate_admits_natural_language_unbounded_and_affordable_plans() {
-        let rt = Runtime::builder().seed(7).tracing(true).build();
-        let ctx = Context::builder("lake", lake())
-            .description("FTC identity theft reports by year")
-            .build(&rt);
-        let mut svc = QueryService::new(
-            rt,
-            ServeConfig::with_workers(1).cost_bounds(aida_llm::models::ModelId::Flagship),
-        );
-        svc.register_context("reports", ctx);
-        svc.register_tenant("acme", TenantConfig::default().dollars(100.0));
-        let requests = vec![
-            // Natural language (fails to lex): not a plan, never gated.
-            {
-                let mut r = QueryRequest::new(
-                    "acme",
-                    "reports",
-                    "how many identity theft reports in 2002?",
-                );
-                r.seq = 0;
+    fn quota_recheck_at_dispatch_sheds_after_an_earlier_query_drains_it() {
+        // Two requests arrive at the same instant and both pass admission
+        // against the untouched micro-quota; the first one's spend
+        // exhausts it, so the second is shed when the only worker frees.
+        let mut svc = service(1, 8);
+        svc.register_tenant("acme", TenantConfig::default().dollars(1e-6));
+        let requests: Vec<QueryRequest> = (0..2)
+            .map(|i| {
+                let mut r = QueryRequest::new("acme", "reports", format!("count theft in 200{i}"));
+                r.seq = i;
                 r
-            },
-            // Dollar-unbounded plan (iterates tool output): the analyzer
-            // cannot prove overspend, so the gate admits it (the post-hoc
-            // quota gate still holds).
-            {
-                let mut r = QueryRequest::new(
-                    "acme",
-                    "reports",
-                    "for f in list_files():\n    read_file(f)\n0",
-                )
-                .at(100.0);
-                r.seq = 1;
-                r
-            },
-            // Affordable plan: finite bound under the headroom.
-            {
-                let mut r = QueryRequest::new("acme", "reports", EXPENSIVE_PLAN).at(200.0);
-                r.seq = 2;
-                r
-            },
-        ];
+            })
+            .collect();
         let report = svc.run(requests);
-        assert!(
-            report
-                .sheds
-                .iter()
-                .all(|s| s.reason.kind() != "cost_bound_exceeded"),
-            "{:?}",
-            report.sheds
-        );
-        assert_eq!(report.completions.len(), 3);
-        // Two Pyrite plans checked at admission + re-proved at dispatch;
-        // all three dispatch re-proofs (the non-plan included) hit the
-        // plan-hash cache.
-        assert_eq!(report.bounds_checked, 4);
-        assert_eq!(report.bounds_unbounded, 2);
-        assert_eq!(report.bounds_cache_hits, 3);
-        // The mirrored counters feed the EXPLAIN ANALYZE bounds: line.
-        let explain = svc.runtime().recorder().trace().explain_analyze();
-        assert!(
-            explain.contains(
-                "bounds: 4 plans checked, 2 unbounded, 0 over-budget rejects (3 cache hits)"
-            ),
-            "{explain}"
-        );
-    }
-
-    #[test]
-    fn dispatch_recheck_sheds_when_earlier_queries_drain_the_headroom() {
-        // Both requests arrive together and pass admission against the
-        // same untouched quota; the first dispatch spends enough that
-        // the second's static bound no longer fits at dispatch time.
-        let rt = Runtime::builder().seed(7).build();
-        let ctx = Context::builder("lake", lake())
-            .description("FTC identity theft reports by year")
-            .build(&rt);
-        let mut svc = QueryService::new(
-            rt,
-            ServeConfig::with_workers(1).cost_bounds(aida_llm::models::ModelId::Flagship),
-        );
-        svc.register_context("reports", ctx);
-        // Headroom above the plan's worst case, but below worst case +
-        // one real query's spend.
-        let mut probe = QueryService::new(
-            Runtime::builder().seed(7).build(),
-            ServeConfig::with_workers(1),
-        );
-        let probe_ctx = Context::builder("lake", lake())
-            .description("FTC identity theft reports by year")
-            .build(probe.runtime());
-        probe.register_context("reports", probe_ctx);
-        probe.register_tenant("acme", TenantConfig::default());
-        let mut pr = QueryRequest::new("acme", "reports", "count identity theft in 2001");
-        pr.seq = 0;
-        probe.run(vec![pr]);
-        let first_query_usd = probe.tenants().spend(&"acme".into()).usd;
-        assert!(first_query_usd > 0.0);
-
-        let plan_worst = {
-            let mut gate = crate::bounds::BoundGate::new(aida_llm::models::ModelId::Flagship);
-            match gate.verdict(EXPENSIVE_PLAN) {
-                crate::bounds::StaticVerdict::UsdMax(v) => v,
-                other => panic!("{other:?}"),
-            }
-        };
-        svc.register_tenant(
-            "acme",
-            TenantConfig::default().dollars(plan_worst + first_query_usd / 2.0),
-        );
-        let requests = vec![
-            {
-                let mut r = QueryRequest::new("acme", "reports", "count identity theft in 2001");
-                r.seq = 0;
-                r
-            },
-            {
-                let mut r = QueryRequest::new("acme", "reports", EXPENSIVE_PLAN);
-                r.seq = 1;
-                r.priority = crate::Priority::Low;
-                r
-            },
-        ];
-        let report = svc.run(requests);
+        let row = &report.tenants[&TenantId::from("acme")];
+        assert_eq!((row.submitted, row.admitted), (2, 2));
         assert_eq!(report.completions.len(), 1);
-        assert_eq!(report.sheds.len(), 1);
-        assert_eq!(report.sheds[0].seq, 1);
-        assert_eq!(report.sheds[0].reason.kind(), "cost_bound_exceeded");
+        let first = &report.completions[0];
+        assert_eq!(first.seq, 0);
+        assert!(first.cost_usd > 1e-6, "{first:?}");
+        assert_eq!(report.sheds.len(), 1, "{:?}", report.sheds);
+        let shed = &report.sheds[0];
+        assert_eq!(shed.seq, 1);
+        assert_eq!(shed.reason.kind(), "budget_exhausted");
+        // Shed at its dispatch instant, when the first query freed the
+        // worker, not at its arrival.
+        assert!(first.end_s > 0.0);
+        assert_eq!(shed.at_s, first.end_s);
     }
 
     #[test]

@@ -191,15 +191,6 @@ impl TenantLedger {
         }
     }
 
-    /// Dollar headroom under the tenant's quota: `quota - spend`,
-    /// floored at zero. `None` when the tenant has no dollar quota —
-    /// unlimited headroom, which the static bound gate treats as
-    /// nothing to violate.
-    pub fn remaining_usd(&self, tenant: &TenantId) -> Option<f64> {
-        let quota = self.config(tenant).dollar_quota?;
-        Some((quota - self.spend(tenant).usd).max(0.0))
-    }
-
     /// Checks the tenant's quotas against its attributed spend, returning
     /// the violated quota if any. This is the pre-admission gate: a tenant
     /// at or over quota has every new request shed before it can consume
