@@ -122,6 +122,17 @@ cargo test -q --release -p aida-script --test verdicts
 # property test at its full case count.
 filtered_test -q --release -p aida-llm --lib sim::reading_differential
 
+# Tokenizer parity: the 64-byte block pass (masks and mask arithmetic) must
+# count like the char-by-char walk on ASCII-heavy texts up to 600 bytes,
+# runs and non-ASCII characters straddling block boundaries included.
+filtered_test -q --release -p aida-llm --lib tokens::tests
+
+# Task-head transparency: a head shared across subjects and models must
+# key, answer and bill like one built per call, and like the loose task
+# form. (Its memo against the per-call derivations it replaced is the
+# second property of `sim::reading_differential` above.)
+cargo test -q --release -p aida-llm --test task_heads
+
 # Cache-key and similarity parity: every content key of the pinned cases
 # (and every entry of a cache snapshot saved before keys were streamed
 # and label hashes memoized) must come out as pinned, the streamed key

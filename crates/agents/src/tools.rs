@@ -12,7 +12,7 @@ use crate::tool::{FnTool, Tool, ToolSpec};
 use aida_data::{DataLake, Value};
 use aida_index::KeywordIndex;
 use aida_llm::oracle::Subject;
-use aida_llm::{LlmTask, ModelId};
+use aida_llm::{LlmTask, ModelId, TaskHead};
 use aida_script::{ScriptError, ScriptValue};
 use aida_semops::ExecEnv;
 use parking_lot::Mutex;
@@ -38,11 +38,6 @@ impl AnswerCell {
     /// True once an answer was submitted.
     pub fn is_set(&self) -> bool {
         self.inner.lock().is_some()
-    }
-
-    /// Clears the cell (for reuse across trials).
-    pub fn reset(&self) {
-        *self.inner.lock() = None;
     }
 
     fn set(&self, value: Value) {
@@ -200,6 +195,7 @@ pub fn sem_filter_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<dy
                 .as_str()?
                 .to_string();
             let names = name_list(args.get(1))?;
+            let head = TaskHead::filter(&instruction);
             let mut kept = Vec::new();
             for name in names {
                 let doc = lake
@@ -207,8 +203,8 @@ pub fn sem_filter_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<dy
                     .ok_or_else(|| ScriptError::host(format!("no such file: {name}")))?;
                 let resp = env.llm.invoke(
                     model,
-                    &LlmTask::Filter {
-                        instruction: &instruction,
+                    &LlmTask::Prepared {
+                        head: &head,
                         subject: Subject::doc(doc),
                     },
                 );
@@ -249,6 +245,7 @@ pub fn sem_extract_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<d
                 .as_str()?
                 .to_string();
             let names = name_list(args.get(2))?;
+            let head = TaskHead::extract(&instruction, &field, "");
             let mut out = Vec::new();
             for name in names {
                 let doc = lake
@@ -256,10 +253,8 @@ pub fn sem_extract_tool(env: &ExecEnv, lake: &DataLake, model: ModelId) -> Arc<d
                     .ok_or_else(|| ScriptError::host(format!("no such file: {name}")))?;
                 let resp = env.llm.invoke(
                     model,
-                    &LlmTask::Extract {
-                        instruction: &instruction,
-                        field: &field,
-                        field_desc: "",
+                    &LlmTask::Prepared {
+                        head: &head,
                         subject: Subject::doc(doc),
                     },
                 );
@@ -338,8 +333,6 @@ mod tests {
         assert!(!cell.is_set());
         interp.run("final_answer(13.16)").unwrap();
         assert_eq!(cell.get(), Some(Value::Float(13.16)));
-        cell.reset();
-        assert!(!cell.is_set());
     }
 
     #[test]

@@ -77,9 +77,10 @@ struct TextMemo {
     lines: OnceLock<Box<[Range<usize>]>>,
     tokens: OnceLock<usize>,
     hash: OnceLock<u64>,
-    /// A function of `labels`, not of `content`: cleared when a label is
+    /// Functions of `labels`, not of `content`: cleared when a label is
     /// added.
     label_hashes: OnceLock<Box<[[u64; 2]]>>,
+    difficulty: OnceLock<f64>,
 }
 
 /// A text read as a comma-separated table: what the simulated LLM's table
@@ -125,6 +126,7 @@ impl Document {
         self.labels.insert(key.into(), value.into());
         // A clone carries its original's filled slots.
         self.memo.label_hashes = OnceLock::new();
+        self.memo.difficulty = OnceLock::new();
         self
     }
 
@@ -209,6 +211,16 @@ impl Document {
                 .map(|(name, value)| hash(name, value))
                 .collect()
         })
+    }
+
+    /// `read(label("difficulty"))`, computed on the first call and kept;
+    /// every caller must pass the same function (`aida_llm`'s subject
+    /// difficulty).
+    pub fn difficulty(&self, read: fn(Option<&Value>) -> f64) -> f64 {
+        *self
+            .memo
+            .difficulty
+            .get_or_init(|| read(self.label("difficulty")))
     }
 
     /// Parses structured tables out of the document (CSV body or HTML

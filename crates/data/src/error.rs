@@ -14,8 +14,6 @@ pub enum DataError {
     },
     /// A referenced field does not exist in the schema.
     UnknownField(String),
-    /// A referenced document does not exist in the lake.
-    UnknownDocument(String),
     /// Row arity did not match the table schema.
     ArityMismatch { expected: usize, found: usize },
     /// An I/O failure while loading documents from disk.
@@ -32,7 +30,6 @@ impl fmt::Display for DataError {
                 write!(f, "type mismatch: expected {expected}, found {found}")
             }
             DataError::UnknownField(name) => write!(f, "unknown field: {name}"),
-            DataError::UnknownDocument(name) => write!(f, "unknown document: {name}"),
             DataError::ArityMismatch { expected, found } => {
                 write!(
                     f,

@@ -1,7 +1,6 @@
 //! The data lake: a named collection of documents.
 
 use crate::document::Document;
-use crate::error::DataError;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -82,12 +81,6 @@ impl DataLake {
             .map(|&idx| &self.inner.docs[idx])
     }
 
-    /// Lookup by file name, failing with [`DataError::UnknownDocument`].
-    pub fn require(&self, name: &str) -> Result<&Arc<Document>, DataError> {
-        self.get(name)
-            .ok_or_else(|| DataError::UnknownDocument(name.to_string()))
-    }
-
     /// File names in insertion order.
     pub fn names(&self) -> Vec<&str> {
         self.inner.docs.iter().map(|d| d.name.as_str()).collect()
@@ -116,7 +109,6 @@ mod tests {
         let lake = lake();
         assert!(lake.get("national.csv").is_some());
         assert!(lake.get("missing.csv").is_none());
-        assert!(lake.require("missing.csv").is_err());
         assert_eq!(lake.len(), 3);
     }
 

@@ -154,12 +154,6 @@ impl Record {
         self.get(name).cloned().unwrap_or(Value::Null)
     }
 
-    /// Required field lookup.
-    pub fn require(&self, name: &str) -> Result<&Value, DataError> {
-        self.get(name)
-            .ok_or_else(|| DataError::UnknownField(name.to_string()))
-    }
-
     /// Iterates `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.fields.iter().map(|(n, v)| (n.as_str(), v))
@@ -247,11 +241,5 @@ mod tests {
     fn render_and_display() {
         let r = Record::new("d").with("a", 1i64).with("b", "x");
         assert_eq!(r.to_string(), "{a=1, b=x}");
-    }
-
-    #[test]
-    fn require_reports_unknown_field() {
-        let r = Record::new("d");
-        assert!(matches!(r.require("nope"), Err(DataError::UnknownField(_))));
     }
 }

@@ -934,6 +934,11 @@ const U1_ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", 
 /// (a fn signature, a struct's generics or `pub` fields, an enum, trait,
 /// alias, const or static) counts as used too: narrowing it would make
 /// that interface leak a private type.
+/// Keywords whose next identifier is the name of the item they define.
+const DEFINITION_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "type", "const", "static", "mod",
+];
+
 pub fn rule_u1_unused_pub(scanned: &[(&str, &str)], consumers: &[(&str, &str)]) -> Vec<Finding> {
     // name -> consumer files that mention it (each file at most once).
     let mut uses: HashMap<&str, Vec<&str>> = HashMap::new();
@@ -946,7 +951,13 @@ pub fn rule_u1_unused_pub(scanned: &[(&str, &str)], consumers: &[(&str, &str)]) 
                 i = end;
                 continue;
             }
-            if !view.in_test[i] && view.toks[i].kind == TokKind::Ident {
+            // A definition's own name (`fn x`, `struct x`, …) is not a
+            // use of another file's `x`.
+            let defines = i > 0
+                && DEFINITION_KEYWORDS
+                    .iter()
+                    .any(|kw| view.is_ident(i - 1, kw));
+            if !view.in_test[i] && view.toks[i].kind == TokKind::Ident && !defines {
                 idents.push(view.toks[i].text(src));
             }
             i += 1;
@@ -1105,6 +1116,34 @@ mod tests {
             recovery_files: vec![rel.to_string()],
             ..Config::default()
         }
+    }
+
+    #[test]
+    fn u1_a_same_named_definition_elsewhere_is_not_a_use() {
+        let files = [
+            ("a.rs", "pub fn reset() {}\npub struct Clock;\n"),
+            (
+                "b.rs",
+                "pub fn reset() {}\nstruct Clock;\nfn user() { helper(); }\n",
+            ),
+        ];
+        let flagged: Vec<(String, String)> = rule_u1_unused_pub(&files, &files)
+            .into_iter()
+            .map(|f| (f.file, f.snippet))
+            .collect();
+        assert_eq!(
+            flagged,
+            [
+                ("a.rs".to_string(), "pub fn reset() {}".to_string()),
+                ("a.rs".to_string(), "pub struct Clock;".to_string()),
+                ("b.rs".to_string(), "pub fn reset() {}".to_string()),
+            ]
+        );
+        // A call is still a use.
+        let calls = [("c.rs", "fn f() { reset(); }")];
+        assert!(rule_u1_unused_pub(&files[..1], &calls)
+            .iter()
+            .all(|f| !f.snippet.contains("reset")));
     }
 
     #[test]

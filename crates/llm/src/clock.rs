@@ -58,11 +58,6 @@ impl SimClock {
         let waves = n_calls.div_ceil(p);
         self.advance(avg * waves as f64);
     }
-
-    /// Resets to t = 0.
-    pub fn reset(&self) {
-        *self.now_s.lock() = 0.0;
-    }
 }
 
 /// A slot assigned by a [`Timeline`]: which worker ran the job and when,
@@ -238,8 +233,6 @@ mod tests {
         let b = a.clone();
         b.advance(3.0);
         assert_eq!(a.now(), 3.0);
-        a.reset();
-        assert_eq!(b.now(), 0.0);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 pub mod cache;
 pub mod clock;
 pub mod embed;
+mod head;
 pub mod memo;
 pub mod models;
 pub mod noise;
@@ -39,9 +40,10 @@ pub use cache::{
 };
 pub use clock::{ScheduledSlot, SimClock, Timeline, WallStopwatch};
 pub use embed::Embedder;
+pub use head::TaskHead;
 pub use memo::{Memo, MemoStats};
 pub use models::{ModelCatalog, ModelId, ModelSpec};
-pub use oracle::{Oracle, OracleAnswer, OracleRule, Subject};
+pub use oracle::{Oracle, OracleAnswer, OracleQuery, OracleRule, Subject};
 pub use sim::{LlmResponse, LlmTask, ReadingCell, SimLlm};
 pub use snapshot::{CrashPoint, FailPlan};
 pub use usage::{Usage, UsageSnapshot};

@@ -148,16 +148,53 @@ impl<'a> Subject<'a> {
         self.origin.and_then(|doc| doc.label(key))
     }
 
-    /// The subject's judgement difficulty in `[0, 1]`.
+    /// The subject's judgement difficulty in `[0, 1]`, from the origin
+    /// document's memo.
     ///
     /// Generators mark borderline items (e.g. a forwarded news article that
     /// *mentions* a transaction secondhand) with a `difficulty` label; the
     /// default is an easy 0.15.
     pub fn difficulty(&self) -> f64 {
-        match self.label("difficulty") {
-            Some(v) => v.as_float().unwrap_or(0.15).clamp(0.0, 1.0),
-            None => 0.15,
+        match self.origin {
+            Some(doc) => doc.difficulty(difficulty),
+            None => difficulty(None),
         }
+    }
+}
+
+/// The difficulty a `difficulty` label sets (see [`Subject::difficulty`]);
+/// what [`Document::difficulty`] memoizes.
+fn difficulty(label: Option<&Value>) -> f64 {
+    match label {
+        Some(v) => v.as_float().unwrap_or(0.15).clamp(0.0, 1.0),
+        None => 0.15,
+    }
+}
+
+/// What an [`OracleRule`] is asked about a subject: a filter's or map's
+/// instruction, or an extract's `"{instruction} :: {field}"`, with its
+/// ASCII lowercase. A [`crate::TaskHead`] prepares both once.
+#[derive(Debug, Clone, Copy)]
+pub struct OracleQuery<'q> {
+    text: &'q str,
+    lower: &'q str,
+}
+
+impl<'q> OracleQuery<'q> {
+    /// `lower` must be `text.to_ascii_lowercase()`.
+    pub(crate) fn new(text: &'q str, lower: &'q str) -> OracleQuery<'q> {
+        debug_assert_eq!(lower, text.to_ascii_lowercase());
+        OracleQuery { text, lower }
+    }
+
+    /// The query as the task states it.
+    pub fn text(&self) -> &'q str {
+        self.text
+    }
+
+    /// The query with ASCII letters lowered.
+    pub fn lower(&self) -> &'q str {
+        self.lower
     }
 }
 
@@ -184,8 +221,8 @@ pub trait OracleRule: Send + Sync {
     /// Diagnostic name.
     fn name(&self) -> &str;
     /// Returns the true answer, or `None` when the rule doesn't apply to
-    /// this instruction/subject.
-    fn answer(&self, instruction: &str, subject: &Subject<'_>) -> Option<OracleAnswer>;
+    /// this query/subject.
+    fn answer(&self, query: &OracleQuery<'_>, subject: &Subject<'_>) -> Option<OracleAnswer>;
 }
 
 /// A rule backed by a closure (used by generators for computed answers).
@@ -196,7 +233,7 @@ pub struct FnRule<F> {
 
 impl<F> FnRule<F>
 where
-    F: Fn(&str, &Subject<'_>) -> Option<OracleAnswer> + Send + Sync,
+    F: Fn(&OracleQuery<'_>, &Subject<'_>) -> Option<OracleAnswer> + Send + Sync,
 {
     /// Wraps a closure as a rule.
     pub fn new(name: impl Into<String>, func: F) -> Self {
@@ -209,14 +246,14 @@ where
 
 impl<F> OracleRule for FnRule<F>
 where
-    F: Fn(&str, &Subject<'_>) -> Option<OracleAnswer> + Send + Sync,
+    F: Fn(&OracleQuery<'_>, &Subject<'_>) -> Option<OracleAnswer> + Send + Sync,
 {
     fn name(&self) -> &str {
         &self.name
     }
 
-    fn answer(&self, instruction: &str, subject: &Subject<'_>) -> Option<OracleAnswer> {
-        (self.func)(instruction, subject)
+    fn answer(&self, query: &OracleQuery<'_>, subject: &Subject<'_>) -> Option<OracleAnswer> {
+        (self.func)(query, subject)
     }
 }
 
@@ -238,12 +275,12 @@ impl Oracle {
     }
 
     /// Asks every rule (most recently registered first) for an answer.
-    pub fn answer(&self, instruction: &str, subject: &Subject<'_>) -> Option<OracleAnswer> {
+    pub fn answer(&self, query: &OracleQuery<'_>, subject: &Subject<'_>) -> Option<OracleAnswer> {
         let rules = self.rules.read();
         rules
             .iter()
             .rev()
-            .find_map(|rule| rule.answer(instruction, subject))
+            .find_map(|rule| rule.answer(query, subject))
     }
 
     /// Number of registered rules.
@@ -266,6 +303,7 @@ impl std::fmt::Debug for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TaskHead;
     use aida_data::Document;
 
     fn email(relevant: bool, difficulty: f64) -> Document {
@@ -303,8 +341,9 @@ mod tests {
             Some(OracleAnswer::Bool(true))
         })));
         let doc = email(false, 0.0);
+        let head = TaskHead::filter("anything");
         assert_eq!(
-            oracle.answer("anything", &Subject::doc(&doc)),
+            oracle.answer(&head.oracle_query(), &Subject::doc(&doc)),
             Some(OracleAnswer::Bool(true))
         );
         assert_eq!(oracle.len(), 2);
@@ -318,6 +357,26 @@ mod tests {
         assert!((Subject::doc(&plain).difficulty() - 0.15).abs() < 1e-12);
         let wild = Document::new("b.txt", "hi").with_label("difficulty", 5.0);
         assert_eq!(Subject::doc(&wild).difficulty(), 1.0);
+    }
+
+    #[test]
+    fn a_difficulty_label_added_to_a_clone_with_a_filled_memo_changes_its_difficulty() {
+        let doc = email(true, 0.4);
+        assert_eq!(Subject::doc(&doc).difficulty(), 0.4);
+        // The first read filled `doc`'s difficulty; the clone carries it.
+        let relabelled = doc.clone().with_label("difficulty", 0.8);
+        assert_eq!(Subject::doc(&relabelled).difficulty(), 0.8);
+        let slim = Record::new("m.txt").with("value", 7i64);
+        assert_eq!(Subject::record(&slim, Some(&relabelled)).difficulty(), 0.8);
+        assert_eq!(
+            Subject::doc(&doc).difficulty(),
+            0.4,
+            "the original keeps its own"
+        );
+        let plain = Document::new("a.txt", "hi");
+        assert_eq!(Subject::doc(&plain).difficulty(), 0.15);
+        let labelled = plain.clone().with_label("difficulty", 0.9);
+        assert_eq!(Subject::doc(&labelled).difficulty(), 0.9);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! `invoke` is that entry point with a fresh cell.
 
 use crate::cache::{self, CacheKey, KeyHasher, Lookup, Residency, SemanticCache};
+use crate::head::{HeadKind, Needles, TaskHead};
 use crate::models::{ModelCatalog, ModelId};
 use crate::noise;
 use crate::oracle::{Oracle, OracleAnswer, Subject};
@@ -28,21 +29,38 @@ use crate::usage::UsageSnapshot;
 use aida_data::{TableView, Value};
 use aida_obs::{Event, Recorder};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::ops::{Range, RangeInclusive};
 use std::sync::{Arc, OnceLock};
 
 /// A semantic task submitted to the simulated LLM.
+///
+/// A filter, extract or map is a [`TaskHead`] applied to a subject.
+/// [`LlmTask::Prepared`] borrows a head its caller built once for every
+/// subject; the loose `Filter`, `Extract` and `Map` forms are answered,
+/// keyed and billed exactly like it, with a head built for the one call.
 #[derive(Debug, Clone)]
 pub enum LlmTask<'a> {
-    /// Boolean judgement over a subject (semantic filter).
+    /// A filter, extract or map: an operator's prepared head applied to a
+    /// subject. What the head derives from its instruction is derived
+    /// once for all the subjects it is applied to.
+    Prepared {
+        /// The operator's part of the task.
+        head: &'a TaskHead<'a>,
+        /// What the model reads.
+        subject: Subject<'a>,
+    },
+    /// Boolean judgement over a subject (semantic filter), as
+    /// [`TaskHead::filter`].
     Filter {
         /// Natural-language predicate.
         instruction: &'a str,
         /// What the model reads.
         subject: Subject<'a>,
     },
-    /// Field extraction from a subject (semantic map/extract).
+    /// Field extraction from a subject (semantic map/extract), as
+    /// [`TaskHead::extract`].
     Extract {
         /// Natural-language instruction.
         instruction: &'a str,
@@ -54,7 +72,7 @@ pub enum LlmTask<'a> {
         subject: Subject<'a>,
     },
     /// Free-text transformation (summaries); `target_tokens` bounds the
-    /// completion length for billing.
+    /// completion length for billing. As [`TaskHead::map`].
     Map {
         /// Natural-language instruction.
         instruction: &'a str,
@@ -85,6 +103,33 @@ pub enum LlmTask<'a> {
         /// entry; hits count as [`crate::cache::CacheStats::plan_hits`].
         plan_hash: (u64, u64),
     },
+}
+
+impl<'a> LlmTask<'a> {
+    /// A filter's, extract's or map's head and subject: a prepared task's
+    /// own head, or one built for this call from a loose task's fields.
+    fn head(&self) -> Option<(Cow<'_, TaskHead<'a>>, &Subject<'a>)> {
+        let (head, subject) = match self {
+            LlmTask::Prepared { head, subject } => return Some((Cow::Borrowed(*head), subject)),
+            LlmTask::Filter {
+                instruction,
+                subject,
+            } => (TaskHead::filter(instruction), subject),
+            LlmTask::Extract {
+                instruction,
+                field,
+                field_desc,
+                subject,
+            } => (TaskHead::extract(instruction, field, field_desc), subject),
+            LlmTask::Map {
+                instruction,
+                subject,
+                target_tokens,
+            } => (TaskHead::map(instruction, *target_tokens), subject),
+            LlmTask::Choose { .. } | LlmTask::Freeform { .. } => return None,
+        };
+        Some((Cow::Owned(head), subject))
+    }
 }
 
 /// The result of a simulated call.
@@ -213,37 +258,16 @@ impl SimLlm {
             key.push(subject.text_hash());
             subject.push_label_parts(key);
         };
+        // A filter, extract or map pushes its head's parts: the kind's tag
+        // (1, 2, 3) and its fields' hashes.
+        if let Some((head, subject)) = task.head() {
+            for &part in head.key_parts() {
+                key.push(part);
+            }
+            push_subject(&mut key, subject);
+            return (key.finish(), false);
+        }
         match task {
-            LlmTask::Filter {
-                instruction,
-                subject,
-            } => {
-                key.push(1);
-                key.push(noise::hash_str(instruction));
-                push_subject(&mut key, subject);
-            }
-            LlmTask::Extract {
-                instruction,
-                field,
-                field_desc,
-                subject,
-            } => {
-                key.push(2);
-                key.push(noise::hash_str(instruction));
-                key.push(noise::hash_str(field));
-                key.push(noise::hash_str(field_desc));
-                push_subject(&mut key, subject);
-            }
-            LlmTask::Map {
-                instruction,
-                subject,
-                target_tokens,
-            } => {
-                key.push(3);
-                key.push(noise::hash_str(instruction));
-                key.push(*target_tokens as u64);
-                push_subject(&mut key, subject);
-            }
             LlmTask::Choose {
                 question,
                 options,
@@ -270,9 +294,9 @@ impl SimLlm {
                 key.push(*hi);
                 key.push(*lo);
             }
+            _ => unreachable!("a filter, extract or map has a head"),
         }
-        let plan_keyed = matches!(task, LlmTask::Freeform { .. });
-        (key.finish(), plan_keyed)
+        (key.finish(), matches!(task, LlmTask::Freeform { .. }))
     }
 
     /// Executes a task with the given model; the response's receipt says
@@ -414,22 +438,10 @@ impl SimLlm {
 
     /// Reads a task: everything its response depends on but the model.
     fn read(&self, task: &LlmTask<'_>) -> Reading {
+        if let Some((head, subject)) = task.head() {
+            return self.read_head(&head, subject);
+        }
         match task {
-            LlmTask::Filter {
-                instruction,
-                subject,
-            } => self.read_filter(instruction, subject),
-            LlmTask::Extract {
-                instruction,
-                field,
-                field_desc,
-                subject,
-            } => self.read_extract(instruction, field, field_desc, subject),
-            LlmTask::Map {
-                instruction,
-                subject,
-                target_tokens,
-            } => self.read_map(instruction, subject, *target_tokens),
             LlmTask::Choose {
                 question,
                 options,
@@ -451,6 +463,7 @@ impl SimLlm {
                 prompt_tokens: AGENT_PREAMBLE.tokens() + tokens::count_parts(&[prompt]),
                 key_parts: key_parts(prompt, "freeform"),
             },
+            _ => unreachable!("a filter, extract or map has a head"),
         }
     }
 
@@ -467,13 +480,14 @@ impl SimLlm {
         let err = self.catalog.spec(model).error_at(reading.difficulty);
         let corrupted = noise::decide(key, err);
         let (value, text, corrupted, out) = match (&reading.truth, task) {
-            (Truth::Bool(truth), LlmTask::Filter { .. }) => {
+            (Truth::Bool(truth), _) => {
                 let answer = if corrupted { !truth } else { *truth };
                 let text = if answer { "true" } else { "false" };
                 (Value::Bool(answer), text.into(), corrupted, 4)
             }
-            (Truth::Value(truth), LlmTask::Extract { subject, .. }) => {
+            (Truth::Value(truth), _) => {
                 let value = if corrupted {
+                    let (_, subject) = task.head().expect("an extract has a subject");
                     corrupt_value(truth, &subject.text, key)
                 } else {
                     truth.clone()
@@ -482,7 +496,7 @@ impl SimLlm {
                 let out = tokens::count(&text).max(4) + 6;
                 (value, text, corrupted, out)
             }
-            (Truth::Text(truth), LlmTask::Map { target_tokens, .. }) => {
+            (Truth::Text(truth, target_tokens), _) => {
                 let text = if corrupted {
                     // A degraded summary: drop the tail half.
                     let cut = truth.len() / 2;
@@ -595,75 +609,50 @@ impl SimLlm {
         }
     }
 
-    fn read_filter(&self, instruction: &str, subject: &Subject<'_>) -> Reading {
+    /// Reads a filter, extract or map: the oracle's answer to the head's
+    /// query, or the generic reader's; a filter's or extract's answer may
+    /// set its own difficulty.
+    fn read_head(&self, head: &TaskHead<'_>, subject: &Subject<'_>) -> Reading {
         let mut difficulty = subject.difficulty();
-        let truth = match self.oracle.answer(instruction, subject) {
-            Some(OracleAnswer::Bool(b)) => b,
-            Some(OracleAnswer::BoolWithDifficulty(b, d)) => {
-                difficulty = d.clamp(0.0, 1.0);
-                b
+        let answer = self.oracle.answer(&head.oracle_query(), subject);
+        let truth = match head.kind() {
+            HeadKind::Filter => Truth::Bool(match answer {
+                Some(OracleAnswer::Bool(b)) => b,
+                Some(OracleAnswer::BoolWithDifficulty(b, d)) => {
+                    difficulty = d.clamp(0.0, 1.0);
+                    b
+                }
+                Some(OracleAnswer::Value(v)) => v.truthy(),
+                Some(OracleAnswer::Text(t)) => !t.is_empty(),
+                None => generic_filter(head, subject),
+            }),
+            HeadKind::Extract { .. } => Truth::Value(match answer {
+                Some(OracleAnswer::Value(v)) => v,
+                Some(OracleAnswer::Bool(b)) => Value::Bool(b),
+                Some(OracleAnswer::BoolWithDifficulty(b, d)) => {
+                    difficulty = d.clamp(0.0, 1.0);
+                    Value::Bool(b)
+                }
+                Some(OracleAnswer::Text(t)) => Value::Str(t.into()),
+                None => generic_extract(head, subject),
+            }),
+            HeadKind::Map { target_tokens } => {
+                let text = match answer {
+                    Some(OracleAnswer::Text(t)) => t,
+                    Some(OracleAnswer::Value(v)) => v.to_string(),
+                    Some(OracleAnswer::Bool(b)) => b.to_string(),
+                    Some(OracleAnswer::BoolWithDifficulty(b, _)) => b.to_string(),
+                    None if head.asks_theme() => theme_label(&subject.text),
+                    None => generic_summary(&subject.text, target_tokens),
+                };
+                Truth::Text(text.into(), target_tokens)
             }
-            Some(OracleAnswer::Value(v)) => v.truthy(),
-            Some(OracleAnswer::Text(t)) => !t.is_empty(),
-            None => generic_filter(instruction, subject),
         };
         Reading {
-            truth: Truth::Bool(truth),
+            truth,
             difficulty,
-            prompt_tokens: FILTER_PREAMBLE.tokens()
-                + tokens::count_parts(&[instruction])
-                + part_tokens(subject),
-            key_parts: key_parts(instruction, &subject.name),
-        }
-    }
-
-    fn read_extract(
-        &self,
-        instruction: &str,
-        field: &str,
-        field_desc: &str,
-        subject: &Subject<'_>,
-    ) -> Reading {
-        let oracle_query = format!("{instruction} :: {field}");
-        let mut difficulty = subject.difficulty();
-        let truth = match self.oracle.answer(&oracle_query, subject) {
-            Some(OracleAnswer::Value(v)) => v,
-            Some(OracleAnswer::Bool(b)) => Value::Bool(b),
-            Some(OracleAnswer::BoolWithDifficulty(b, d)) => {
-                difficulty = d.clamp(0.0, 1.0);
-                Value::Bool(b)
-            }
-            Some(OracleAnswer::Text(t)) => Value::Str(t.into()),
-            None => generic_extract(instruction, field, field_desc, subject),
-        };
-        Reading {
-            truth: Truth::Value(truth),
-            difficulty,
-            prompt_tokens: EXTRACT_PREAMBLE.tokens()
-                + tokens::count_parts(&[instruction, field, field_desc])
-                + part_tokens(subject),
-            key_parts: key_parts(&oracle_query, &subject.name),
-        }
-    }
-
-    fn read_map(&self, instruction: &str, subject: &Subject<'_>, target_tokens: usize) -> Reading {
-        let truth = match self.oracle.answer(instruction, subject) {
-            Some(OracleAnswer::Text(t)) => t,
-            Some(OracleAnswer::Value(v)) => v.to_string(),
-            Some(OracleAnswer::Bool(b)) => b.to_string(),
-            Some(OracleAnswer::BoolWithDifficulty(b, _)) => b.to_string(),
-            None if instruction.to_ascii_lowercase().contains("common theme") => {
-                theme_label(&subject.text)
-            }
-            None => generic_summary(&subject.text, target_tokens),
-        };
-        Reading {
-            truth: Truth::Text(truth.into()),
-            difficulty: subject.difficulty(),
-            prompt_tokens: MAP_PREAMBLE.tokens()
-                + tokens::count_parts(&[instruction])
-                + part_tokens(subject),
-            key_parts: key_parts(instruction, &subject.name),
+            prompt_tokens: head.prompt_tokens() + part_tokens(subject),
+            key_parts: [head.query_hash(), noise::hash_str(&subject.name)],
         }
     }
 }
@@ -707,8 +696,8 @@ enum Truth {
     Bool(bool),
     /// An extracted value.
     Value(Value),
-    /// A map's text.
-    Text(Arc<str>),
+    /// A map's text, and its completion-length budget in tokens.
+    Text(Arc<str>, usize),
     /// The index of a choice's correct option.
     Pick(usize),
     /// A freeform call's completion is the task's own.
@@ -730,7 +719,7 @@ fn part_tokens(subject: &Subject<'_>) -> usize {
 /// A constant prompt part that opens every prompt of one task kind. Its
 /// share of the prompt, as [`tokens::count_parts`] would count it, is
 /// taken on first use and kept.
-struct Preamble {
+pub(crate) struct Preamble {
     text: &'static str,
     tokens: OnceLock<usize>,
 }
@@ -744,22 +733,22 @@ impl Preamble {
     }
 
     /// `tokens::count_parts(&[text])`.
-    fn tokens(&self) -> usize {
+    pub(crate) fn tokens(&self) -> usize {
         *self
             .tokens
             .get_or_init(|| tokens::count_parts(&[self.text]))
     }
 }
 
-static FILTER_PREAMBLE: Preamble = Preamble::new(
+pub(crate) static FILTER_PREAMBLE: Preamble = Preamble::new(
     "You are a precise data analyst. Answer true or false: does the following item satisfy \
      the predicate?",
 );
-static EXTRACT_PREAMBLE: Preamble = Preamble::new(
+pub(crate) static EXTRACT_PREAMBLE: Preamble = Preamble::new(
     "You are a precise data analyst. Extract the requested field from the following item. \
      Reply with only the value.",
 );
-static MAP_PREAMBLE: Preamble =
+pub(crate) static MAP_PREAMBLE: Preamble =
     Preamble::new("You are a precise data analyst. Transform the following item as instructed.");
 static CHOOSE_PREAMBLE: Preamble =
     Preamble::new("You are a careful judge. Pick the best option for the question.");
@@ -828,7 +817,9 @@ pub const STOPWORDS: &[&str] = &[
     "value",
 ];
 
-fn content_words(text: &str) -> Vec<String> {
+/// The words of `text` a reader matches: its alphanumeric runs of more
+/// than one byte, ASCII-lowered, but for [`STOPWORDS`].
+pub(crate) fn content_words(text: &str) -> Vec<String> {
     text.split(|c: char| !c.is_alphanumeric())
         .filter(|w| w.len() > 1)
         .map(|w| w.to_ascii_lowercase())
@@ -838,8 +829,8 @@ fn content_words(text: &str) -> Vec<String> {
 
 /// Generic keyword-overlap filter: true when at least half of the
 /// instruction's content words appear in the subject text.
-fn generic_filter(instruction: &str, subject: &Subject<'_>) -> bool {
-    let needles = content_words(instruction);
+fn generic_filter(head: &TaskHead<'_>, subject: &Subject<'_>) -> bool {
+    let needles = &head.needles().words;
     if needles.is_empty() {
         return true;
     }
@@ -858,7 +849,7 @@ fn span_in(text: &str, part: &str) -> Range<usize> {
 }
 
 /// The values a table row can be keyed by: years.
-const ROW_KEYS: RangeInclusive<i64> = 1900..=2100;
+pub(crate) const ROW_KEYS: RangeInclusive<i64> = 1900..=2100;
 
 /// Reads `text` as a comma-separated table for [`table_extract`]: its
 /// comma-bearing lines, the first being the header. Fewer than three such
@@ -890,19 +881,17 @@ pub(crate) fn table_view(text: &str) -> TableView {
 }
 
 /// Table-aware extraction for CSV-like text: picks the column whose header
-/// words best overlap `needles` (the instruction's and field's content
-/// words), and the row keyed by a year mentioned in the instruction.
-/// Returns `None` when the text doesn't look tabular or nothing matches.
-fn table_extract(instruction: &str, needles: &[String], subject: &Subject<'_>) -> Option<Value> {
-    let key = instruction
-        .split(|c: char| !c.is_ascii_digit())
-        .filter_map(|t| t.parse::<i64>().ok())
-        .find(|n| ROW_KEYS.contains(n))?;
+/// words best overlap the needles' words (the instruction's and field's
+/// content words), and the row keyed by a year mentioned in the
+/// instruction. Returns `None` when the text doesn't look tabular or
+/// nothing matches.
+fn table_extract(needles: &Needles, subject: &Subject<'_>) -> Option<Value> {
+    let key = needles.row_key?;
     let table = subject.table_view();
     // Score each column by word overlap with the needles.
     let mut best_col: Option<(usize, usize)> = None; // (score, idx)
     for (i, words) in table.columns.iter().enumerate() {
-        let score = words.iter().filter(|w| needles.contains(w)).count();
+        let score = words.iter().filter(|w| needles.words.contains(w)).count();
         if score > 0 && best_col.is_none_or(|(s, _)| score > s) {
             best_col = Some((score, i));
         }
@@ -929,22 +918,16 @@ fn table_extract(instruction: &str, needles: &[String], subject: &Subject<'_>) -
 /// Generic line-oriented extraction: tries table-aware extraction first,
 /// then scores lines by overlap with the instruction/field tokens and pulls
 /// the first number (or the line text) from the best line.
-fn generic_extract(
-    instruction: &str,
-    field: &str,
-    field_desc: &str,
-    subject: &Subject<'_>,
-) -> Value {
-    let mut needles = content_words(instruction);
-    needles.extend(content_words(field));
-    if let Some(v) = table_extract(instruction, &needles, subject) {
+fn generic_extract(head: &TaskHead<'_>, subject: &Subject<'_>) -> Value {
+    let needles = head.needles();
+    if let Some(v) = table_extract(needles, subject) {
         return v;
     }
-    needles.extend(content_words(field_desc));
     let text = &*subject.text;
     let spans = subject.line_spans();
-    let best = best_line(&subject.text_lower(), &spans, needles).map(|i| &text[spans[i].clone()]);
-    let want_year = field.to_ascii_lowercase().contains("year");
+    let best = best_line(&subject.text_lower(), &spans, &needles.weighted)
+        .map(|i| &text[spans[i].clone()]);
+    let want_year = needles.want_year;
     let line = match best {
         Some(line) => line,
         None => {
@@ -963,13 +946,13 @@ fn generic_extract(
 }
 
 /// The index of the line, among `spans` in `lower`, that contains the most
-/// of `needles` (each occurrence in `needles` counting once), the first of
-/// them on a tie; `None` when no line contains any.
-fn best_line(lower: &str, spans: &[Range<usize>], mut needles: Vec<String>) -> Option<usize> {
+/// of `needles` (each needle counting its weight: how often it occurs
+/// among the head's words), the first of them on a tie; `None` when no
+/// line contains any.
+fn best_line(lower: &str, spans: &[Range<usize>], needles: &[(String, usize)]) -> Option<usize> {
     let mut scores = vec![0; spans.len()];
-    needles.sort_unstable();
-    for equal in needles.chunk_by(|a, b| a == b) {
-        score_lines(lower, spans, 0, &equal[0], equal.len(), &mut scores);
+    for (needle, weight) in needles {
+        score_lines(lower, spans, 0, needle, *weight, &mut scores);
     }
     let mut best: Option<(usize, usize)> = None;
     for (i, &score) in scores.iter().enumerate() {
@@ -1153,7 +1136,7 @@ mod reading_differential;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{FnRule, OracleAnswer};
+    use crate::oracle::{FnRule, OracleAnswer, OracleQuery};
     use aida_data::Document;
     use std::sync::Arc;
 
@@ -1162,22 +1145,22 @@ mod tests {
     }
 
     fn filter(instruction: &str, text: &str) -> bool {
-        generic_filter(instruction, &Subject::text_only("t", text))
+        generic_filter(
+            &TaskHead::filter(instruction),
+            &Subject::text_only("t", text),
+        )
     }
 
     fn extract(instruction: &str, field: &str, field_desc: &str, text: &str) -> Value {
         generic_extract(
-            instruction,
-            field,
-            field_desc,
+            &TaskHead::extract(instruction, field, field_desc),
             &Subject::text_only("t", text),
         )
     }
 
     fn table(instruction: &str, field: &str, text: &str) -> Option<Value> {
-        let mut needles = content_words(instruction);
-        needles.extend(content_words(field));
-        table_extract(instruction, &needles, &Subject::text_only("t", text))
+        let head = TaskHead::extract(instruction, field, "");
+        table_extract(head.needles(), &Subject::text_only("t", text))
     }
 
     #[test]
@@ -1198,7 +1181,7 @@ mod tests {
         let llm = sim();
         llm.oracle().register(Arc::new(FnRule::new(
             "enron",
-            |_, subject: &Subject| match subject.label("gt_relevant")? {
+            |_: &OracleQuery<'_>, subject: &Subject| match subject.label("gt_relevant")? {
                 Value::Bool(b) => Some(OracleAnswer::Bool(*b)),
                 _ => None,
             },

@@ -7,11 +7,17 @@
 //! extractor merges equal needles and bisects the line range) return
 //! identical values, for a document subject (memoized slots) and for a
 //! plain-text subject of the same text (slots computed per call), and that
-//! a document's memoized line spans are its lines. `ci.sh` runs it in
-//! release at the full case count.
+//! a document's memoized line spans are its lines. A second property
+//! checks a task head's memo against the derivations each call made
+//! before heads: prompt tokens, content-key parts, oracle query, needles.
+//! `ci.sh` runs both in release at the full case count.
 
-use super::{content_words, first_number, generic_extract, generic_filter, table_extract};
+use super::{
+    content_words, first_number, generic_extract, generic_filter, table_extract, EXTRACT_PREAMBLE,
+    FILTER_PREAMBLE, MAP_PREAMBLE,
+};
 use crate::oracle::Subject;
+use crate::{noise, tokens, TaskHead};
 use aida_data::{Document, Value};
 use proptest::prelude::*;
 use std::ops::Range;
@@ -228,21 +234,166 @@ proptest! {
     ) {
         let doc = Document::new(name, text.as_str());
         prop_assert_eq!(lines_of(&text, doc.line_spans()), text.lines().collect::<Vec<_>>());
-        let mut needles = content_words(instruction);
-        needles.extend(content_words(field));
+        // One head per task for both subjects: the second reads the first's
+        // needles.
+        let filter = TaskHead::filter(instruction);
+        let extract = TaskHead::extract(instruction, field, field_desc);
         for subject in [Subject::doc(&doc), Subject::text_only(name, &text)] {
             prop_assert_eq!(
-                table_extract(instruction, &needles, &subject),
+                table_extract(extract.needles(), &subject),
                 reference_table_extract(instruction, field, &text)
             );
             prop_assert_eq!(
-                generic_filter(instruction, &subject),
+                generic_filter(&filter, &subject),
                 reference_filter(instruction, &text)
             );
             prop_assert_eq!(
-                generic_extract(instruction, field, field_desc, &subject),
+                generic_extract(&extract, &subject),
                 reference_extract(instruction, field, field_desc, &text)
             );
+        }
+    }
+}
+
+/// Pieces of a head's instruction, field and description: upper case,
+/// non-ASCII letters, stopwords, repeated words, years in and out of the
+/// row-key range, the theme question and the query separator.
+const WORDING: &[&str] = &[
+    "Identity",
+    "THEFT",
+    "theft",
+    "theft",
+    "Reports",
+    "fraud",
+    "Year",
+    "year",
+    "the",
+    "of",
+    "and",
+    "number",
+    "Straße",
+    "é",
+    "٣",
+    "2024",
+    "2001",
+    "1899",
+    "+2024",
+    "Common Theme",
+    "common theme",
+    "::",
+    "_",
+    " ",
+    " ",
+    ",",
+];
+
+fn wording() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..WORDING.len(), 0..10)
+        .prop_map(|picks| picks.into_iter().map(|i| WORDING[i]).collect())
+}
+
+/// What each call derived from a filter's, extract's or map's fields
+/// before task heads, per kind (0 filter, 1 extract, 2 map): the content
+/// key's task parts, the prompt's tokens before the subject, the oracle
+/// query, the generic reader's needles, its weighted line needles, the
+/// table row key, whether a year is wanted, and the theme test.
+#[allow(clippy::type_complexity)]
+fn reference_derivations(
+    kind: usize,
+    instruction: &str,
+    field: &str,
+    field_desc: &str,
+    target_tokens: usize,
+) -> (
+    Vec<u64>,
+    usize,
+    String,
+    Vec<String>,
+    Vec<(String, usize)>,
+    Option<i64>,
+    bool,
+    bool,
+) {
+    let hash = noise::hash_str;
+    let (parts, prompt, query) = match kind {
+        0 => (
+            vec![1, hash(instruction)],
+            FILTER_PREAMBLE.tokens() + tokens::count_parts(&[instruction]),
+            instruction.to_string(),
+        ),
+        1 => (
+            vec![2, hash(instruction), hash(field), hash(field_desc)],
+            EXTRACT_PREAMBLE.tokens() + tokens::count_parts(&[instruction, field, field_desc]),
+            format!("{instruction} :: {field}"),
+        ),
+        _ => (
+            vec![3, hash(instruction), target_tokens as u64],
+            MAP_PREAMBLE.tokens() + tokens::count_parts(&[instruction]),
+            instruction.to_string(),
+        ),
+    };
+    let mut words = content_words(instruction);
+    let (mut weighted, mut row_key, mut want_year) = (Vec::new(), None, false);
+    if kind == 1 {
+        words.extend(content_words(field));
+        let mut all = words.clone();
+        all.extend(content_words(field_desc));
+        all.sort_unstable();
+        weighted = all
+            .chunk_by(|a, b| a == b)
+            .map(|equal| (equal[0].clone(), equal.len()))
+            .collect();
+        row_key = instruction
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|t| t.parse::<i64>().ok())
+            .find(|n| (1900..=2100).contains(n));
+        want_year = field.to_ascii_lowercase().contains("year");
+    }
+    let theme = instruction.to_ascii_lowercase().contains("common theme");
+    (
+        parts, prompt, query, words, weighted, row_key, want_year, theme,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+    #[test]
+    fn a_head_derives_what_each_call_derived(
+        kind in 0usize..3,
+        instruction in wording(),
+        field in wording(),
+        field_desc in wording(),
+        target_tokens in 0usize..200,
+        order in 0usize..2,
+    ) {
+        let head = match kind {
+            0 => TaskHead::filter(&instruction),
+            1 => TaskHead::extract(&instruction, &field, &field_desc),
+            _ => TaskHead::map(&instruction, target_tokens),
+        };
+        let (parts, prompt, query, words, weighted, row_key, want_year, theme) =
+            reference_derivations(kind, &instruction, &field, &field_desc, target_tokens);
+        // Fill the memo in either order, then read every slot twice.
+        if order == 1 {
+            head.needles();
+            head.oracle_query();
+        }
+        for _ in 0..2 {
+            prop_assert_eq!(head.key_parts(), &parts[..]);
+            prop_assert_eq!(head.prompt_tokens(), prompt);
+            prop_assert_eq!(head.oracle_query().text(), query.as_str());
+            prop_assert_eq!(head.oracle_query().lower(), query.to_ascii_lowercase());
+            prop_assert_eq!(head.query_hash(), noise::hash_str(&query));
+            let needles = head.needles();
+            prop_assert_eq!(&needles.words, &words);
+            if kind == 1 {
+                prop_assert_eq!(&needles.weighted, &weighted);
+                prop_assert_eq!(needles.row_key, row_key);
+                prop_assert_eq!(needles.want_year, want_year);
+            }
+            if kind == 2 {
+                prop_assert_eq!(head.asks_theme(), theme);
+            }
         }
     }
 }

@@ -15,7 +15,8 @@
 use aida_data::{Document, Record, Value};
 use aida_llm::oracle::FnRule;
 use aida_llm::{
-    LlmResponse, LlmTask, ModelId, OracleAnswer, ReadingCell, SemanticCache, SimLlm, Subject,
+    LlmResponse, LlmTask, ModelId, OracleAnswer, OracleQuery, ReadingCell, SemanticCache, SimLlm,
+    Subject,
 };
 use std::sync::Arc;
 
@@ -97,7 +98,8 @@ fn document(rng: &mut Rng, i: usize) -> Document {
 fn register_rule(llm: &SimLlm) {
     llm.oracle().register(Arc::new(FnRule::new(
         "labels",
-        |instruction: &str, subject: &Subject<'_>| {
+        |query: &OracleQuery<'_>, subject: &Subject<'_>| {
+            let instruction = query.text();
             let relevant = subject.label("gt_relevant")?.truthy();
             if instruction.starts_with("mentions") {
                 Some(OracleAnswer::BoolWithDifficulty(relevant, 0.7))

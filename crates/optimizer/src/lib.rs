@@ -378,8 +378,9 @@ mod tests {
             .oracle()
             .register(std::sync::Arc::new(aida_llm::oracle::FnRule::new(
                 "broad",
-                |instruction: &str, _subject: &aida_llm::oracle::Subject<'_>| {
-                    instruction
+                |query: &aida_llm::OracleQuery<'_>, _subject: &aida_llm::oracle::Subject<'_>| {
+                    query
+                        .text()
                         .contains("written in english")
                         .then_some(aida_llm::oracle::OracleAnswer::Bool(true))
                 },
@@ -388,8 +389,8 @@ mod tests {
             .oracle()
             .register(std::sync::Arc::new(aida_llm::oracle::FnRule::new(
                 "selective",
-                |instruction: &str, subject: &aida_llm::oracle::Subject<'_>| {
-                    instruction.contains("identity theft").then_some(
+                |query: &aida_llm::OracleQuery<'_>, subject: &aida_llm::oracle::Subject<'_>| {
+                    query.text().contains("identity theft").then_some(
                         aida_llm::oracle::OracleAnswer::Bool(
                             subject.text.contains("identity theft"),
                         ),

@@ -12,7 +12,9 @@ use crate::bandit::Ucb1;
 use crate::memo::{MemoKey, Replay, SampleMemo};
 use aida_data::{DataLake, Record, Value};
 use aida_llm::cache::HIT_LATENCY_S;
-use aida_llm::{CacheKey, LlmTask, ModelId, ReadingCell, SemanticCache, Subject, UsageSnapshot};
+use aida_llm::{
+    CacheKey, LlmTask, ModelId, ReadingCell, SemanticCache, Subject, TaskHead, UsageSnapshot,
+};
 use aida_semops::exec::{scan_record, subject_of};
 use aida_semops::plan::{LogicalOp, LogicalPlan};
 use aida_semops::ExecEnv;
@@ -152,12 +154,14 @@ impl<'a> Sampler<'a> {
         let lake = lake.as_deref();
         let sample = self.draw(lake);
         let subjects: Vec<Subject<'_>> = sample.iter().map(|r| subject_of(r, lake)).collect();
+        // One head per operator, for every call the run makes about it.
+        let heads: Vec<TaskHead<'_>> = plan.ops().iter().map(head).collect();
         let sem_indices = plan.semantic_indices();
         let makes_calls = !subjects.is_empty() && !sem_indices.is_empty();
         if let (true, Some(cache)) = (makes_calls, self.env.llm.cache()) {
-            return self.sample_memoized(cache, plan, &subjects, sem_indices, t0);
+            return self.sample_memoized(cache, plan, &heads, &subjects, sem_indices, t0);
         }
-        let run = self.run(plan, &subjects, &sem_indices);
+        let run = self.run(plan, &heads, &subjects, &sem_indices);
         self.matrix(run.ops, run.avg_record_tokens, run.receipt, t0)
     }
 
@@ -170,6 +174,7 @@ impl<'a> Sampler<'a> {
         &self,
         cache: &SemanticCache,
         plan: &LogicalPlan,
+        heads: &[TaskHead<'_>],
         subjects: &[Subject<'_>],
         sem_indices: Vec<usize>,
         t0: f64,
@@ -178,15 +183,15 @@ impl<'a> Sampler<'a> {
         // every sampled subject, and the first record's flagship keys under
         // every other operator fix every operator's task: together they
         // fix every call the run makes.
-        let first = &plan.ops()[sem_indices[0]];
-        let flagship = |op: &LogicalOp, s: &Subject<'_>| self.key(op, ModelId::Flagship, s.clone());
+        let first = &heads[sem_indices[0]];
+        let flagship = |head, s: &Subject<'_>| self.key(head, ModelId::Flagship, s.clone());
         let references: Vec<CacheKey> = subjects
             .iter()
             .map(|s| flagship(first, s))
             .chain(
                 sem_indices[1..]
                     .iter()
-                    .map(|&op_idx| flagship(&plan.ops()[op_idx], &subjects[0])),
+                    .map(|&op_idx| flagship(&heads[op_idx], &subjects[0])),
             )
             .collect();
         let key = MemoKey {
@@ -204,9 +209,7 @@ impl<'a> Sampler<'a> {
                 });
                 reference_pass
                     .chain(replay.pulls.iter().copied())
-                    .map(|(op_idx, model, i)| {
-                        self.key(&plan.ops()[op_idx], model, subjects[i].clone())
-                    })
+                    .map(|(op_idx, model, i)| self.key(&heads[op_idx], model, subjects[i].clone()))
                     .collect()
             });
             if let Some(receipt) = self.env.llm.serve_hits(keys, replay.token) {
@@ -220,7 +223,7 @@ impl<'a> Sampler<'a> {
             }
         }
         let token = cache.residency();
-        let run = self.run(plan, subjects, &key.sem_indices);
+        let run = self.run(plan, heads, subjects, &key.sem_indices);
         let calls = key.sem_indices.len() * subjects.len() + run.pulls.len();
         let all_hits = run.receipt.cache_hits == calls as u64
             && run.receipt.cache_misses == 0
@@ -257,7 +260,13 @@ impl<'a> Sampler<'a> {
 
     /// Computes a sampling run: the reference pass, the bandit pass and
     /// the per-operator estimates.
-    fn run(&self, plan: &LogicalPlan, subjects: &[Subject<'_>], sem_indices: &[usize]) -> Run {
+    fn run(
+        &self,
+        plan: &LogicalPlan,
+        heads: &[TaskHead<'_>],
+        subjects: &[Subject<'_>],
+        sem_indices: &[usize],
+    ) -> Run {
         let avg_record_tokens = if subjects.is_empty() {
             0.0
         } else {
@@ -287,9 +296,16 @@ impl<'a> Sampler<'a> {
             })
             .collect();
         let references =
-            self.reference_pass(plan, subjects, sem_indices, &readings, &mut run.receipt);
-        let (bandit, arm_obs) =
-            self.bandit_pass(plan, subjects, &readings, &arms, &references, &mut run);
+            self.reference_pass(heads, subjects, sem_indices, &readings, &mut run.receipt);
+        let (bandit, arm_obs) = self.bandit_pass(
+            plan,
+            heads,
+            subjects,
+            &readings,
+            &arms,
+            &references,
+            &mut run,
+        );
         run.ops = sem_indices
             .iter()
             .map(|&op_idx| {
@@ -302,7 +318,7 @@ impl<'a> Sampler<'a> {
     /// Flagship on every (op, sample record).
     fn reference_pass(
         &self,
-        plan: &LogicalPlan,
+        heads: &[TaskHead<'_>],
         subjects: &[Subject<'_>],
         sem_indices: &[usize],
         readings: &Readings,
@@ -311,11 +327,13 @@ impl<'a> Sampler<'a> {
         sem_indices
             .iter()
             .map(|&op_idx| {
-                let op = &plan.ops()[op_idx];
+                let head = &heads[op_idx];
                 let obs = subjects
                     .iter()
                     .zip(&readings[&op_idx])
-                    .map(|(s, cell)| self.observe(op, s.clone(), ModelId::Flagship, cell, receipt))
+                    .map(|(s, cell)| {
+                        self.observe(head, s.clone(), ModelId::Flagship, cell, receipt)
+                    })
                     .collect();
                 (op_idx, obs)
             })
@@ -324,9 +342,11 @@ impl<'a> Sampler<'a> {
 
     /// UCB1 over the candidate arms, each pull scored by its agreement
     /// with the reference on the same record. Records the pulls on `run`.
+    #[allow(clippy::too_many_arguments)]
     fn bandit_pass(
         &self,
         plan: &LogicalPlan,
+        heads: &[TaskHead<'_>],
         subjects: &[Subject<'_>],
         readings: &Readings,
         arms: &[(usize, ModelId)],
@@ -357,12 +377,11 @@ impl<'a> Sampler<'a> {
         for _ in 0..pulls {
             let arm = bandit.select();
             let (op_idx, model) = arms[arm];
-            let op = &plan.ops()[op_idx];
             let pull_no = arm_obs[arm].len();
             let sample_idx = pull_order[&op_idx][pull_no % subjects.len()];
             let subject = subjects[sample_idx].clone();
             let reading = &readings[&op_idx][sample_idx];
-            let obs = self.observe(op, subject, model, reading, &mut run.receipt);
+            let obs = self.observe(&heads[op_idx], subject, model, reading, &mut run.receipt);
             run.pulls.push((op_idx, model, sample_idx));
             let reference = &references[&op_idx][sample_idx];
             let reward = agreement(&obs.value, &reference.value, self.env);
@@ -477,13 +496,15 @@ impl<'a> Sampler<'a> {
     }
 
     /// The content key [`Sampler::observe`] would look up.
-    fn key(&self, op: &LogicalOp, model: ModelId, subject: Subject<'_>) -> CacheKey {
-        self.env.llm.content_key(model, &task(op, subject))
+    fn key(&self, head: &TaskHead<'_>, model: ModelId, subject: Subject<'_>) -> CacheKey {
+        self.env
+            .llm
+            .content_key(model, &LlmTask::Prepared { head, subject })
     }
 
     fn observe(
         &self,
-        op: &LogicalOp,
+        head: &TaskHead<'_>,
         subject: Subject<'_>,
         model: ModelId,
         reading: &ReadingCell,
@@ -496,7 +517,7 @@ impl<'a> Sampler<'a> {
         let resp = self
             .env
             .llm
-            .invoke_shared(model, &task(op, subject), reading);
+            .invoke_shared(model, &LlmTask::Prepared { head, subject }, reading);
         self.env.clock.advance(resp.latency_s * SAMPLING_OVERLAP);
         receipt.add(&resp.receipt);
         let catalog = self.env.llm.catalog();
@@ -511,40 +532,29 @@ impl<'a> Sampler<'a> {
     }
 }
 
-/// The task a sample call asks of a model about `subject`.
-fn task<'t>(op: &'t LogicalOp, subject: Subject<'t>) -> LlmTask<'t> {
+/// The head of the task a sample call asks of a model about one of `op`'s
+/// records.
+fn head(op: &LogicalOp) -> TaskHead<'_> {
     match op {
-        LogicalOp::SemFilter { instruction } => LlmTask::Filter {
-            instruction,
-            subject,
-        },
+        LogicalOp::SemFilter { instruction } => TaskHead::filter(instruction),
         LogicalOp::SemExtract {
             instruction,
             fields,
         } => {
             let field = fields.first();
-            LlmTask::Extract {
+            TaskHead::extract(
                 instruction,
-                field: field.map(|f| f.name.as_str()).unwrap_or("value"),
-                field_desc: field.map(|f| f.desc.as_str()).unwrap_or(""),
-                subject,
-            }
+                field.map(|f| f.name.as_str()).unwrap_or("value"),
+                field.map(|f| f.desc.as_str()).unwrap_or(""),
+            )
         }
         LogicalOp::SemMap {
             instruction,
             target_tokens,
             ..
-        } => LlmTask::Map {
-            instruction,
-            subject,
-            target_tokens: *target_tokens,
-        },
+        } => TaskHead::map(instruction, *target_tokens),
         // Agg/join are sampled like maps over the record.
-        other => LlmTask::Map {
-            instruction: other.instruction().unwrap_or("process the item"),
-            subject,
-            target_tokens: 60,
-        },
+        other => TaskHead::map(other.instruction().unwrap_or("process the item"), 60),
     }
 }
 
@@ -597,6 +607,7 @@ mod tests {
     use super::*;
     use aida_data::{DataLake, Document};
     use aida_llm::oracle::FnRule;
+    use aida_llm::OracleQuery;
     use aida_llm::{OracleAnswer, SimLlm};
     use aida_semops::Dataset;
     use std::sync::Arc;
@@ -806,7 +817,8 @@ mod tests {
                 if oracle {
                     llm.oracle().register(Arc::new(FnRule::new(
                         "reports",
-                        |instruction: &str, subject: &Subject<'_>| {
+                        |query: &OracleQuery<'_>, subject: &Subject<'_>| {
+                            let instruction = query.text();
                             let hard = subject.difficulty();
                             let applies =
                                 instruction.contains("report") && subject.name.ends_with(".txt");

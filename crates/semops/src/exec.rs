@@ -13,7 +13,7 @@ use crate::stats::{OperatorStats, PlanStats};
 use aida_data::{DataLake, Document, Record, Value};
 pub use aida_llm::oracle::subject_text;
 use aida_llm::oracle::Subject;
-use aida_llm::{Embedder, LlmTask, SimClock, SimLlm, UsageSnapshot};
+use aida_llm::{Embedder, LlmTask, SimClock, SimLlm, TaskHead, UsageSnapshot};
 use aida_obs::{Recorder, SpanKind};
 use std::sync::Arc;
 
@@ -184,6 +184,7 @@ impl<'a> Executor<'a> {
                 source.docs().iter().map(|doc| scan_record(doc)).collect()
             }
             LogicalOp::SemFilter { instruction } => {
+                let head = TaskHead::filter(instruction);
                 let verdicts = self.parallel_llm(
                     &records,
                     lake.as_deref(),
@@ -192,8 +193,8 @@ impl<'a> Executor<'a> {
                     |llm, subject| {
                         llm.invoke(
                             step.model,
-                            &LlmTask::Filter {
-                                instruction,
+                            &LlmTask::Prepared {
+                                head: &head,
                                 subject,
                             },
                         )
@@ -213,6 +214,7 @@ impl<'a> Executor<'a> {
                 let mut out = records;
                 // One LLM pass per extracted field (documented API shape).
                 for field in fields {
+                    let head = TaskHead::extract(instruction, &field.name, &field.desc);
                     let values = self.parallel_llm(
                         &out,
                         lake.as_deref(),
@@ -221,10 +223,8 @@ impl<'a> Executor<'a> {
                         |llm, subject| {
                             llm.invoke(
                                 step.model,
-                                &LlmTask::Extract {
-                                    instruction,
-                                    field: &field.name,
-                                    field_desc: &field.desc,
+                                &LlmTask::Prepared {
+                                    head: &head,
                                     subject,
                                 },
                             )
@@ -241,6 +241,7 @@ impl<'a> Executor<'a> {
                 output,
                 target_tokens,
             } => {
+                let head = TaskHead::map(instruction, *target_tokens);
                 let values = self.parallel_llm(
                     &records,
                     lake.as_deref(),
@@ -249,10 +250,9 @@ impl<'a> Executor<'a> {
                     |llm, subject| {
                         llm.invoke(
                             step.model,
-                            &LlmTask::Map {
-                                instruction,
+                            &LlmTask::Prepared {
+                                head: &head,
                                 subject,
-                                target_tokens: *target_tokens,
                             },
                         )
                     },
@@ -337,6 +337,9 @@ impl<'a> Executor<'a> {
                 // its members.
                 let mut labels: Vec<String> = Vec::with_capacity(k);
                 let mut total_latency = 0.0;
+                let prompt =
+                    format!("name the common theme of these items, with respect to: {instruction}");
+                let head = TaskHead::map(&prompt, 12);
                 for cluster in 0..k {
                     let mut sample = String::new();
                     for (rec, &a) in records.iter().zip(&assignments) {
@@ -351,16 +354,12 @@ impl<'a> Executor<'a> {
                         labels.push(format!("group {cluster}"));
                         continue;
                     }
-                    let prompt = format!(
-                        "name the common theme of these items, with respect to: {instruction}"
-                    );
                     let subject = Subject::text_only("groupby-cluster", &sample);
                     let resp = self.env.llm.invoke(
                         step.model,
-                        &LlmTask::Map {
-                            instruction: &prompt,
+                        &LlmTask::Prepared {
+                            head: &head,
                             subject,
-                            target_tokens: 12,
                         },
                     );
                     total_latency += resp.latency_s;
@@ -394,6 +393,7 @@ impl<'a> Executor<'a> {
                         ));
                     }
                 }
+                let head = TaskHead::filter(instruction);
                 let verdicts = self.coalesced_parallel(
                     pair_subjects.len(),
                     |i| pair_subjects[i].2.as_str(),
@@ -403,8 +403,8 @@ impl<'a> Executor<'a> {
                         let subject = Subject::text_only("join-pair", &pair_subjects[i].2);
                         self.env.llm.invoke(
                             step.model,
-                            &LlmTask::Filter {
-                                instruction,
+                            &LlmTask::Prepared {
+                                head: &head,
                                 subject,
                             },
                         )

@@ -25,7 +25,7 @@ use aida_data::{DataLake, Document};
 use aida_llm::noise::KeyedRng;
 use aida_llm::oracle::{FnRule, OracleAnswer};
 use aida_llm::SimLlm;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Total emails in the workload.
 const N_EMAILS: usize = 250;
@@ -210,21 +210,32 @@ fn build_email(name: &str, role: Role, seed: u64, index: usize) -> Document {
         .with_label("gt_subject", subject)
 }
 
+/// [`TRANSACTIONS`] with ASCII letters lowered, for matching lowered
+/// queries.
+fn transactions_lower() -> &'static [String] {
+    static LOWER: OnceLock<Vec<String>> = OnceLock::new();
+    LOWER.get_or_init(|| {
+        TRANSACTIONS
+            .iter()
+            .map(|t| t.to_ascii_lowercase())
+            .collect()
+    })
+}
+
 /// Registers the Enron workload's oracle rules: firsthand-discussion
 /// filters resolve against `gt_relevant`; bare transaction-mention filters
 /// against `gt_mentions_txn`.
 pub fn register_oracle(llm: &SimLlm) {
-    llm.oracle().register(Arc::new(FnRule::new(
-        "enron-filters",
-        |instruction, subject| {
-            let lower = instruction.to_ascii_lowercase();
+    llm.oracle()
+        .register(Arc::new(FnRule::new("enron-filters", |query, subject| {
+            let lower = query.lower();
             if lower.contains(" :: ") {
                 // Extraction queries read the content instead.
                 return None;
             }
-            let mentions_txn_vocab = TRANSACTIONS
+            let mentions_txn_vocab = transactions_lower()
                 .iter()
-                .any(|t| lower.contains(&t.to_ascii_lowercase()))
+                .any(|t| lower.contains(t.as_str()))
                 || lower.contains("transaction");
             if lower.contains("firsthand") {
                 // Firsthandness is the genuinely hard judgement: use the
@@ -241,8 +252,7 @@ pub fn register_oracle(llm: &SimLlm) {
                     .map(|v| OracleAnswer::BoolWithDifficulty(v.truthy(), 0.04));
             }
             None
-        },
-    )));
+        })));
 }
 
 #[cfg(test)]

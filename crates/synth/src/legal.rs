@@ -317,8 +317,8 @@ fn readme() -> Document {
 pub fn register_oracle(llm: &SimLlm) {
     llm.oracle().register(Arc::new(FnRule::new(
         "legal-idtheft-filter",
-        |instruction, subject| {
-            let lower = instruction.to_ascii_lowercase();
+        |query, subject| {
+            let lower = query.lower();
             if !lower.contains("identity theft") {
                 return None;
             }
