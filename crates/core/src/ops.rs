@@ -26,6 +26,7 @@ use aida_data::{DataLake, Record, Value};
 use aida_llm::{noise, ModelId, UsageSnapshot};
 use aida_obs::{clip, clipped, Event, SpanKind};
 use aida_script::ScriptValue;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The model the agentic operators plan (and the rewriter chooses) with.
@@ -413,15 +414,20 @@ fn run_op(
     (new_ctx, outcome.answer, trace)
 }
 
+/// The documents of `lake` that are origins of `records` (the same
+/// document, not one of the same name), in name order.
 fn narrowed_lake(lake: &DataLake, records: &[&Record]) -> Option<DataLake> {
-    if records.is_empty() {
-        return None;
-    }
-    let mut names: Vec<&str> = records.iter().map(|r| r.source.as_str()).collect();
-    names.sort_unstable();
-    names.dedup();
-    let narrowed = DataLake::from_arcs(names.iter().filter_map(|name| lake.get(name)).cloned());
-    (!narrowed.is_empty()).then_some(narrowed)
+    let origins: HashSet<_> = records
+        .iter()
+        .filter_map(|r| r.origin().map(Arc::as_ptr))
+        .collect();
+    let mut docs: Vec<_> = lake
+        .docs()
+        .iter()
+        .filter(|d| origins.contains(&Arc::as_ptr(d)))
+        .collect();
+    docs.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+    (!docs.is_empty()).then(|| DataLake::from_arcs(docs.into_iter().cloned()))
 }
 
 fn findings_summary(instruction: &str, records: &[&Record]) -> String {
@@ -433,7 +439,7 @@ fn findings_summary(instruction: &str, records: &[&Record]) -> String {
         records.len()
     );
     for rec in records.iter().take(6) {
-        let mut line = format!("\n- {}: ", rec.source);
+        let mut line = format!("\n- {}: ", rec.source());
         let fields: Vec<String> = rec
             .iter()
             .filter(|(n, _)| *n != "contents")
@@ -661,10 +667,16 @@ mod tests {
         assert!(!search_trace.programs.is_empty());
         assert!(outcome.context.description.contains("FINDINGS"));
         assert!(outcome.context.len() < 132);
-        // Narrowing shares the surviving documents (and their memoized
-        // text, token counts and hashes) instead of copying them.
-        for doc in outcome.context.lake().docs() {
-            assert!(Arc::ptr_eq(doc, ctx.lake().get(&doc.name).unwrap()));
+        // Narrowing keeps the input's own documents (and their memoized
+        // text, token counts and hashes), never a copy or a namesake: the
+        // search's Context narrows `ctx`, and the compute's narrows that.
+        let searched = rt.manager().find_similar(&search_trace.instruction);
+        let searched = searched.unwrap().0.context;
+        for narrowed in [&searched, &outcome.context] {
+            assert!(!narrowed.lake().is_empty());
+            for doc in narrowed.lake().docs() {
+                assert!(ctx.lake().docs().iter().any(|d| Arc::ptr_eq(doc, d)));
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::runtime::Runtime;
 use aida_agents::{FnTool, Tool, ToolSpec};
-use aida_data::{DataLake, Field, Record, Value};
+use aida_data::{DataLake, Field, Record};
 use aida_obs::SpanKind;
 use aida_optimizer::{Optimizer, OptimizerConfig};
 use aida_script::{ScriptError, ScriptValue};
@@ -234,7 +234,7 @@ fn records_to_script(records: &[Record]) -> ScriptValue {
             .iter()
             .map(|rec| {
                 let mut map = BTreeMap::new();
-                map.insert("source".to_string(), ScriptValue::str(rec.source.clone()));
+                map.insert("source".to_string(), ScriptValue::str(rec.source()));
                 for (name, value) in rec.iter() {
                     if name == "contents" {
                         continue;
@@ -253,8 +253,7 @@ pub fn findings_table(records: &[&Record]) -> aida_data::Table {
     let slim: Vec<Record> = records
         .iter()
         .map(|rec| {
-            let mut out = Record::new(rec.source.clone());
-            out.set("source", Value::Str(rec.source.as_str().into()));
+            let mut out = Record::new(rec.source()).with("source", rec.source());
             for (name, value) in rec.iter() {
                 if name != "contents" {
                     out.set(name, value.clone());

@@ -1,15 +1,22 @@
 //! Records and schemas.
 //!
 //! A [`Record`] is the tuple type flowing through semantic-operator plans:
-//! an ordered list of named [`Value`]s plus a lightweight provenance tag
-//! (`source`) identifying the document the record was derived from. Field
-//! order is stable and significant (projection preserves it), but lookup by
-//! name is O(1)-ish via linear scan over small arity — records in this
-//! system rarely exceed a dozen fields.
+//! an ordered list of named [`Value`]s plus its provenance. Field order is
+//! stable and significant (projection preserves it); lookup by name is a
+//! linear scan, as records rarely exceed a dozen fields.
+//!
+//! A record scanned from a document ([`Record::scanned`]), and every record
+//! derived from one, holds that document, its *origin*: the labels and
+//! memoized readings are one pointer away, never a name lookup. Any other
+//! record (an aggregate, a count, one built with [`Record::new`]) holds
+//! only a name, its *tag*. [`Record::source`] reads the name either way,
+//! and `==` compares provenance by that name, never by document identity.
 
+use crate::document::Document;
 use crate::error::DataError;
 use crate::value::Value;
 use std::fmt;
+use std::sync::Arc;
 
 /// A named, typed column in a [`Schema`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,20 +118,71 @@ impl Schema {
 }
 
 /// A tuple of named values with provenance.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     fields: Vec<(String, Value)>,
-    /// Identifier of the source document (or upstream record) this record
-    /// was derived from. Used for lineage and evaluation.
-    pub source: String,
+    source: Source,
+}
+
+/// A record's provenance: its origin document, or a tag.
+#[derive(Clone)]
+enum Source {
+    Origin(Arc<Document>),
+    Tag(String),
+}
+
+impl Source {
+    fn name(&self) -> &str {
+        match self {
+            Source::Origin(doc) => &doc.name,
+            Source::Tag(name) => name,
+        }
+    }
+}
+
+impl PartialEq for Source {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+    }
+}
+
+/// Only the name: a record's debug form never prints a whole document.
+impl fmt::Debug for Source {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.name(), f)
+    }
 }
 
 impl Record {
-    /// Creates an empty record with a source tag.
+    /// Creates an empty record tagged with a source name.
     pub fn new(source: impl Into<String>) -> Self {
         Record {
             fields: Vec::new(),
-            source: source.into(),
+            source: Source::Tag(source.into()),
+        }
+    }
+
+    /// The record a scan emits for a document: its name and its text (shared
+    /// with the document, not copied), with the document as its origin.
+    pub fn scanned(doc: &Arc<Document>) -> Self {
+        Record {
+            fields: Vec::new(),
+            source: Source::Origin(Arc::clone(doc)),
+        }
+        .with("filename", doc.name.as_str())
+        .with("contents", Arc::clone(doc.shared_text()))
+    }
+
+    /// The origin document's name, or the tag.
+    pub fn source(&self) -> &str {
+        self.source.name()
+    }
+
+    /// The document the record was scanned from, if it has one.
+    pub fn origin(&self) -> Option<&Arc<Document>> {
+        match &self.source {
+            Source::Origin(doc) => Some(doc),
+            Source::Tag(_) => None,
         }
     }
 
@@ -172,7 +230,10 @@ impl Record {
     /// Projects the record onto the given columns (missing columns become
     /// `Null`, mirroring SQL outer semantics used by extraction operators).
     pub fn project(&self, names: &[&str]) -> Record {
-        let mut out = Record::new(self.source.clone());
+        let mut out = Record {
+            fields: Vec::new(),
+            source: self.source.clone(),
+        };
         for name in names {
             out.set(*name, self.get_or_null(name));
         }
@@ -226,7 +287,22 @@ mod tests {
         let p = r.project(&["x", "y"]);
         assert_eq!(p.get("x"), Some(&Value::Int(1)));
         assert_eq!(p.get("y"), Some(&Value::Null));
-        assert_eq!(p.source, "d");
+        assert_eq!(p.source(), "d");
+    }
+
+    #[test]
+    fn provenance_survives_projection_and_compares_by_name() {
+        let doc = Arc::new(Document::new("a.txt", "text"));
+        let scanned = Record::scanned(&doc);
+        assert_eq!(scanned.source(), "a.txt");
+        let projected = scanned.project(&["filename"]);
+        assert!(Arc::ptr_eq(projected.origin().unwrap(), &doc));
+        let tagged = Record::new("a.txt")
+            .with("filename", "a.txt")
+            .with("contents", "text");
+        assert!(tagged.origin().is_none());
+        assert_eq!(scanned, tagged);
+        assert!(format!("{scanned:?}").ends_with("source: \"a.txt\" }"));
     }
 
     #[test]

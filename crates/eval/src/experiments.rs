@@ -372,7 +372,7 @@ pub fn ablation_optimizer(seeds: &[u64]) -> ExperimentReport {
             };
             let t0 = env.clock.now();
             let report = Executor::new(&env).execute(&plan);
-            let docs: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
+            let docs: Vec<String> = report.records.iter().map(|r| r.source().into()).collect();
             slot.1.push(enron_prf(&SystemAnswer::Docs(docs), &workload));
             slot.2.push(report.receipt.cost(env.llm.catalog()));
             slot.3.push(env.clock.now() - t0);
@@ -435,7 +435,7 @@ pub fn ablation_sampling(seeds: &[u64], budgets: &[usize]) -> ExperimentReport {
             );
             let report = Executor::new(&env).execute(&optimized.physical);
             let exec_cost = report.receipt.cost(env.llm.catalog());
-            let docs: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
+            let docs: Vec<String> = report.records.iter().map(|r| r.source().into()).collect();
             prfs.push(enron_prf(&SystemAnswer::Docs(docs), &workload));
             costs.push(exec_cost + optimized.matrix.sampling_cost);
             sampling_costs.push(optimized.matrix.sampling_cost);

@@ -137,7 +137,7 @@ pub fn run_semops_handcrafted(workload: &Workload, seed: u64) -> SystemRun {
         let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 4);
         let report = Executor::new(&env).execute(&plan);
         SystemRun {
-            answer: SystemAnswer::Docs(report.records.iter().map(|r| r.source.clone()).collect()),
+            answer: SystemAnswer::Docs(report.records.iter().map(|r| r.source().into()).collect()),
             cost: report.cost(),
             time: report.time(),
             detail: format!("{}\n{}", plan.render(), report.stats.render()),

@@ -239,6 +239,9 @@ pub struct LintReport {
     pub baselined: Vec<Finding>,
     /// How many files were scanned.
     pub files_scanned: usize,
+    /// Non-test lines of the scanned files ([`rules::non_test_lines`]) per
+    /// crate directory (`crates/<name>`, or `src` for the facade).
+    pub non_test_lines: BTreeMap<String, usize>,
 }
 
 impl LintReport {
@@ -249,7 +252,12 @@ impl LintReport {
 
     /// Deterministic JSONL rendering.
     pub fn jsonl(&self) -> String {
-        report::render_jsonl(&self.new, &self.baselined, self.files_scanned)
+        report::render_jsonl(
+            &self.new,
+            &self.baselined,
+            self.files_scanned,
+            &self.non_test_lines,
+        )
     }
 }
 
@@ -274,9 +282,13 @@ pub fn run(root: &Path, cfg: &Config) -> Result<LintReport, LintError> {
     let scanned = loaded(&files);
     let mut findings = Vec::new();
     let mut lock_seqs = Vec::new();
+    let mut non_test_lines = BTreeMap::new();
     for &(rel, src) in &scanned {
         findings.extend(rules::scan_file(rel, src, cfg));
         lock_seqs.extend(rules::lock_sequences(rel, src));
+        *non_test_lines
+            .entry(crate_dir(rel).to_string())
+            .or_default() += rules::non_test_lines(src);
     }
     findings.extend(rules::rule_l1_lock_cycles(&lock_seqs));
     findings.extend(rules::rule_u1_unused_pub(
@@ -289,7 +301,19 @@ pub fn run(root: &Path, cfg: &Config) -> Result<LintReport, LintError> {
         new,
         baselined,
         files_scanned: files.len(),
+        non_test_lines,
     })
+}
+
+/// The crate directory of a workspace-relative path: `crates/<name>`, or
+/// the first component (`src`, the facade crate).
+fn crate_dir(rel: &str) -> &str {
+    let skip = usize::from(rel.starts_with("crates/"));
+    let end = rel
+        .match_indices('/')
+        .nth(skip)
+        .map_or(rel.len(), |(i, _)| i);
+    &rel[..end]
 }
 
 /// Collects workspace-relative `.rs` paths under `roots`, sorted, with

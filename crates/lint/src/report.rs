@@ -7,6 +7,7 @@
 //! `cmp`s two consecutive runs to hold the linter to that.
 
 use crate::rules::Finding;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders the human-readable report.
@@ -45,8 +46,13 @@ pub fn render_text(new: &[Finding], baselined: &[Finding], files_scanned: usize)
 
 /// Renders the JSONL report: one object per finding (new findings carry
 /// `"status":"new"`, baselined ones `"status":"baselined"`), then a
-/// final summary object.
-pub fn render_jsonl(new: &[Finding], baselined: &[Finding], files_scanned: usize) -> String {
+/// final summary object, which carries each crate's non-test line count.
+pub fn render_jsonl(
+    new: &[Finding],
+    baselined: &[Finding],
+    files_scanned: usize,
+    non_test_lines: &BTreeMap<String, usize>,
+) -> String {
     let mut out = String::new();
     for (status, list) in [("new", new), ("baselined", baselined)] {
         for f in list {
@@ -63,12 +69,17 @@ pub fn render_jsonl(new: &[Finding], baselined: &[Finding], files_scanned: usize
             );
         }
     }
+    let crates: Vec<String> = non_test_lines
+        .iter()
+        .map(|(dir, lines)| format!("{}:{lines}", json_str(dir)))
+        .collect();
     let _ = writeln!(
         out,
-        "{{\"summary\":true,\"files_scanned\":{},\"new\":{},\"baselined\":{}}}",
+        "{{\"summary\":true,\"files_scanned\":{},\"new\":{},\"baselined\":{},\"non_test_lines\":{{{}}}}}",
         files_scanned,
         new.len(),
-        baselined.len()
+        baselined.len(),
+        crates.join(",")
     );
     out
 }
@@ -113,7 +124,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_line_per_finding_plus_summary() {
-        let jsonl = render_jsonl(&sample(), &[], 3);
+        let jsonl = render_jsonl(&sample(), &[], 3, &BTreeMap::new());
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"rule\":\"D1\""));
@@ -125,12 +136,29 @@ mod tests {
 
     #[test]
     fn rendering_is_deterministic() {
-        let a = render_jsonl(&sample(), &sample(), 9);
-        let b = render_jsonl(&sample(), &sample(), 9);
+        let a = render_jsonl(&sample(), &sample(), 9, &BTreeMap::new());
+        let b = render_jsonl(&sample(), &sample(), 9, &BTreeMap::new());
         assert_eq!(a, b);
         assert_eq!(
             render_text(&sample(), &[], 1),
             render_text(&sample(), &[], 1)
+        );
+    }
+
+    #[test]
+    fn summary_counts_non_test_lines_per_crate() {
+        // An inline `#[cfg(test)]` field is not where a file's non-test
+        // code ends: lines 1 and 4-6 count, the field (2-3) and the test
+        // module (7-10) do not.
+        let src = "struct S {\n    #[cfg(test)]\n    afresh: bool,\n}\n\nfn f() {}\n\
+                   #[cfg(test)]\nmod tests {\n    // a comment\n}\n";
+        assert_eq!(crate::rules::non_test_lines(src), 4);
+        let counts = BTreeMap::from([("crates/data".to_string(), 6), ("src".to_string(), 40)]);
+        let jsonl = render_jsonl(&[], &[], 2, &counts);
+        assert_eq!(
+            jsonl.lines().last().unwrap(),
+            "{\"summary\":true,\"files_scanned\":2,\"new\":0,\"baselined\":0,\
+             \"non_test_lines\":{\"crates/data\":6,\"src\":40}}"
         );
     }
 

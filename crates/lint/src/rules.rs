@@ -220,7 +220,9 @@ fn match_square(src: &str, toks: &[Tok], open: usize) -> usize {
 
 /// One past the end of the item starting at `start` (skipping any
 /// further attributes): the matching `}` of its first top-level brace,
-/// or the first top-level `;` for brace-less items like `use`.
+/// or the first top-level `;` for brace-less items like `use`. A struct
+/// field or struct-literal field (`name: ..`) ends at its top-level `,`,
+/// and any item ends before a delimiter that closes its enclosing scope.
 fn item_end(src: &str, toks: &[Tok], mut start: usize) -> usize {
     // Skip stacked attributes between the test attr and the item.
     while start < toks.len()
@@ -229,12 +231,17 @@ fn item_end(src: &str, toks: &[Tok], mut start: usize) -> usize {
     {
         start = match_square(src, toks, start + 1) + 1;
     }
-    let (mut paren, mut square, mut brace) = (0i64, 0i64, 0i64);
+    let named = start + usize::from(toks.get(start).is_some_and(|t| t.is_ident(src, "pub")));
+    let field = toks.get(named).is_some_and(|t| t.kind == TokKind::Ident)
+        && toks.get(named + 1).is_some_and(|t| t.text(src) == ":");
+    let (mut paren, mut square, mut brace, mut angle) = (0i64, 0i64, 0i64, 0i64);
     for (j, t) in toks.iter().enumerate().skip(start) {
         if t.kind != TokKind::Punct {
             continue;
         }
+        let top = paren == 0 && square == 0 && brace == 0;
         match t.text(src) {
+            ")" | "]" | "}" if top => return j,
             "(" => paren += 1,
             ")" => paren -= 1,
             "[" => square += 1,
@@ -246,7 +253,10 @@ fn item_end(src: &str, toks: &[Tok], mut start: usize) -> usize {
                     return j + 1;
                 }
             }
-            ";" if paren == 0 && square == 0 && brace == 0 => return j + 1,
+            "<" if top => angle += 1,
+            ">" if top => angle -= 1,
+            ";" if top => return j + 1,
+            "," if top && field && angle == 0 => return j + 1,
             _ => {}
         }
     }
@@ -779,6 +789,27 @@ pub struct LockAcq {
     pub line: usize,
     /// Enclosing function name.
     pub func: String,
+}
+
+/// Lines of `src` outside every `#[cfg(test)]` / `#[test]` item: blank
+/// and comment lines count, the lines from a test item's attribute to its
+/// last token do not. An inline `#[cfg(test)]` field or statement removes
+/// only its own lines, not the rest of the file.
+pub fn non_test_lines(src: &str) -> usize {
+    let view = FileView::new("", src);
+    let (mut test_lines, mut counted_to, mut i) = (0, 0, 0);
+    while i < view.toks.len() {
+        if view.in_test[i] {
+            let first = view.toks[i].line.max(counted_to + 1);
+            while view.in_test.get(i + 1) == Some(&true) {
+                i += 1;
+            }
+            counted_to = view.toks[i].line;
+            test_lines += (counted_to + 1).saturating_sub(first);
+        }
+        i += 1;
+    }
+    src.lines().count() - test_lines
 }
 
 /// Extracts per-function lock-acquisition sequences from one file.

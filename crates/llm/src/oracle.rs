@@ -73,7 +73,7 @@ impl<'a> Subject<'a> {
         let shares_text =
             |doc: &&Document| contents(record).is_some_and(|c| Arc::ptr_eq(c, doc.shared_text()));
         Subject {
-            name: Cow::Borrowed(record.source.as_str()),
+            name: Cow::Borrowed(record.source()),
             text: subject_text(record),
             memo: origin.filter(shares_text),
             origin,

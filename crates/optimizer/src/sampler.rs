@@ -10,12 +10,11 @@
 
 use crate::bandit::Ucb1;
 use crate::memo::{MemoKey, Replay, SampleMemo};
-use aida_data::{DataLake, Record, Value};
+use aida_data::{DataLake, Value};
 use aida_llm::cache::HIT_LATENCY_S;
 use aida_llm::{
     CacheKey, LlmTask, ModelId, ReadingCell, SemanticCache, Subject, TaskHead, UsageSnapshot,
 };
-use aida_semops::exec::{scan_record, subject_of};
 use aida_semops::plan::{LogicalOp, LogicalPlan};
 use aida_semops::ExecEnv;
 use std::collections::BTreeMap;
@@ -148,12 +147,10 @@ impl<'a> Sampler<'a> {
     pub fn sample(&self, plan: &LogicalPlan) -> SampleMatrix {
         let t0 = self.env.clock.now();
         let lake = plan.ops().iter().find_map(|op| match op {
-            LogicalOp::Scan { lake, .. } => Some(Arc::clone(lake)),
+            LogicalOp::Scan { lake, .. } => Some(&**lake),
             _ => None,
         });
-        let lake = lake.as_deref();
-        let sample = self.draw(lake);
-        let subjects: Vec<Subject<'_>> = sample.iter().map(|r| subject_of(r, lake)).collect();
+        let subjects = self.draw(lake);
         // One head per operator, for every call the run makes about it.
         let heads: Vec<TaskHead<'_>> = plan.ops().iter().map(head).collect();
         let sem_indices = plan.semantic_indices();
@@ -242,16 +239,16 @@ impl<'a> Sampler<'a> {
         self.matrix(run.ops, run.avg_record_tokens, run.receipt, t0)
     }
 
-    /// The sample records: `sample_records` documents at an even stride
-    /// through the scanned lake.
-    fn draw(&self, lake: Option<&DataLake>) -> Vec<Record> {
+    /// The sample: `sample_records` documents at an even stride through
+    /// the scanned lake, each read as a scan would emit it.
+    fn draw<'l>(&self, lake: Option<&'l DataLake>) -> Vec<Subject<'l>> {
         match lake {
             Some(lake) if !lake.is_empty() => {
                 let n = lake.len();
                 let k = self.config.sample_records.clamp(1, n);
                 let stride = n / k;
                 (0..k)
-                    .map(|i| scan_record(&lake.docs()[(i * stride).min(n - 1)]))
+                    .map(|i| Subject::doc(&lake.docs()[(i * stride).min(n - 1)]))
                     .collect()
             }
             _ => Vec::new(),

@@ -10,7 +10,7 @@
 use crate::physical::{PhysicalPlan, PhysicalStep};
 use crate::plan::LogicalOp;
 use crate::stats::{OperatorStats, PlanStats};
-use aida_data::{DataLake, Document, Record, Value};
+use aida_data::{Record, Value};
 pub use aida_llm::oracle::subject_text;
 use aida_llm::oracle::Subject;
 use aida_llm::{Embedder, LlmTask, SimClock, SimLlm, TaskHead, UsageSnapshot};
@@ -104,7 +104,6 @@ impl<'a> Executor<'a> {
     /// Runs the plan to completion.
     pub fn execute(&self, plan: &PhysicalPlan) -> ExecutionReport {
         let mut records: Vec<Record> = Vec::new();
-        let mut lake: Option<Arc<DataLake>> = None;
         let mut stats = PlanStats::default();
         let mut warnings: Vec<String> = Vec::new();
         let mut plan_receipt = UsageSnapshot::default();
@@ -123,14 +122,7 @@ impl<'a> Executor<'a> {
             if step.op.is_semantic() {
                 span.attr("model", step.model.name());
             }
-            records = self.run_step(
-                step,
-                records,
-                &mut lake,
-                parallelism,
-                &mut warnings,
-                &mut receipt,
-            );
+            records = self.run_step(step, records, parallelism, &mut warnings, &mut receipt);
             span.rows(rows_in, records.len());
             span.finish(self.env.clock.now());
             let op_stats = OperatorStats {
@@ -163,43 +155,24 @@ impl<'a> Executor<'a> {
         &self,
         step: &PhysicalStep,
         records: Vec<Record>,
-        lake: &mut Option<Arc<DataLake>>,
         parallelism: usize,
         warnings: &mut Vec<String>,
         receipt: &mut UsageSnapshot,
     ) -> Vec<Record> {
         match &step.op {
-            LogicalOp::Scan {
-                lake: source,
-                label: _,
-            } => {
-                *lake = Some(Arc::clone(source));
+            LogicalOp::Scan { lake, .. } => {
                 // Reading files is ~free next to LLM calls; charge a small
                 // fixed I/O latency per wave.
                 self.env.clock.advance_parallel(
-                    0.002 * source.len() as f64,
-                    source.len().max(1),
+                    0.002 * lake.len() as f64,
+                    lake.len().max(1),
                     parallelism,
                 );
-                source.docs().iter().map(|doc| scan_record(doc)).collect()
+                lake.docs().iter().map(Record::scanned).collect()
             }
             LogicalOp::SemFilter { instruction } => {
                 let head = TaskHead::filter(instruction);
-                let verdicts = self.parallel_llm(
-                    &records,
-                    lake.as_deref(),
-                    parallelism,
-                    receipt,
-                    |llm, subject| {
-                        llm.invoke(
-                            step.model,
-                            &LlmTask::Prepared {
-                                head: &head,
-                                subject,
-                            },
-                        )
-                    },
-                );
+                let verdicts = self.parallel_llm(step, &head, &records, parallelism, receipt);
                 records
                     .into_iter()
                     .zip(verdicts)
@@ -215,21 +188,7 @@ impl<'a> Executor<'a> {
                 // One LLM pass per extracted field (documented API shape).
                 for field in fields {
                     let head = TaskHead::extract(instruction, &field.name, &field.desc);
-                    let values = self.parallel_llm(
-                        &out,
-                        lake.as_deref(),
-                        parallelism,
-                        receipt,
-                        |llm, subject| {
-                            llm.invoke(
-                                step.model,
-                                &LlmTask::Prepared {
-                                    head: &head,
-                                    subject,
-                                },
-                            )
-                        },
-                    );
+                    let values = self.parallel_llm(step, &head, &out, parallelism, receipt);
                     for (rec, value) in out.iter_mut().zip(values) {
                         rec.set(field.name.clone(), value);
                     }
@@ -242,21 +201,7 @@ impl<'a> Executor<'a> {
                 target_tokens,
             } => {
                 let head = TaskHead::map(instruction, *target_tokens);
-                let values = self.parallel_llm(
-                    &records,
-                    lake.as_deref(),
-                    parallelism,
-                    receipt,
-                    |llm, subject| {
-                        llm.invoke(
-                            step.model,
-                            &LlmTask::Prepared {
-                                head: &head,
-                                subject,
-                            },
-                        )
-                    },
-                );
+                let values = self.parallel_llm(step, &head, &records, parallelism, receipt);
                 let mut out = records;
                 for (rec, value) in out.iter_mut().zip(values) {
                     rec.set(output.clone(), value);
@@ -436,28 +381,32 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs one LLM call per record across workers, advancing the clock by
-    /// the batch critical path and adding the batch's receipt to
-    /// `receipt`; returns per-record values in input order.
-    fn parallel_llm<F>(
+    /// Asks `head` about every record on the step's model across workers,
+    /// advancing the clock by the batch critical path and adding the
+    /// batch's receipt to `receipt`; returns per-record values in input
+    /// order.
+    fn parallel_llm(
         &self,
+        step: &PhysicalStep,
+        head: &TaskHead<'_>,
         records: &[Record],
-        lake: Option<&DataLake>,
         parallelism: usize,
         receipt: &mut UsageSnapshot,
-        call: F,
-    ) -> Vec<Value>
-    where
-        F: Fn(&SimLlm, Subject<'_>) -> aida_llm::LlmResponse + Sync,
-    {
-        let llm = &self.env.llm;
-        let subjects: Vec<Subject<'_>> = records.iter().map(|rec| subject_of(rec, lake)).collect();
+    ) -> Vec<Value> {
+        let subjects: Vec<Subject<'_>> = records
+            .iter()
+            .map(|rec| Subject::record(rec, rec.origin().map(Arc::as_ref)))
+            .collect();
         let responses = self.coalesced_parallel(
             records.len(),
-            |i| (records[i].source.as_str(), subjects[i].text_hash()),
+            |i| (records[i].source(), subjects[i].text_hash()),
             parallelism,
             receipt,
-            |i| call(llm, subjects[i].clone()),
+            |i| {
+                let subject = subjects[i].clone();
+                let task = LlmTask::Prepared { head, subject };
+                self.env.llm.invoke(step.model, &task)
+            },
         );
         let total_latency: f64 = responses.iter().map(|r| r.latency_s).sum();
         self.env
@@ -538,21 +487,6 @@ fn dedup_indices<K: Eq + std::hash::Hash>(
         }
     }
     (rep, uniques)
-}
-
-/// The record a scan emits for a document: its name and its text, shared
-/// with the document rather than copied.
-pub fn scan_record(doc: &Document) -> Record {
-    Record::new(doc.name.clone())
-        .with("filename", doc.name.clone())
-        .with("contents", Arc::clone(doc.shared_text()))
-}
-
-/// A record as an LLM subject, linked to the document of `lake` it was
-/// scanned from (which carries the labels and the memoized text).
-pub fn subject_of<'a>(rec: &'a Record, lake: Option<&'a DataLake>) -> Subject<'a> {
-    let origin = lake.and_then(|l| l.get(&rec.source)).map(Arc::as_ref);
-    Subject::record(rec, origin)
 }
 
 fn floor_char_boundary(s: &str, mut idx: usize) -> usize {
@@ -683,6 +617,7 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use aida_data::{DataLake, Document, Field};
+    use aida_llm::oracle::{FnRule, OracleAnswer, OracleQuery};
     use aida_llm::ModelId;
 
     fn env() -> ExecEnv {
@@ -749,7 +684,7 @@ mod tests {
         let ds = Dataset::scan(&theft_lake(), "lake").sem_filter("mentions identity theft");
         let plan = PhysicalPlan::default_for(ds.plan());
         let report = Executor::new(&env).execute(&plan);
-        let names: Vec<&str> = report.records.iter().map(|r| r.source.as_str()).collect();
+        let names: Vec<&str> = report.records.iter().map(|r| r.source()).collect();
         assert!(names.contains(&"national.csv"));
         assert!(names.contains(&"trends.txt"));
         assert!(!names.contains(&"pipeline.txt"));
@@ -779,7 +714,7 @@ mod tests {
         let national = report
             .records
             .iter()
-            .find(|r| r.source == "national.csv")
+            .find(|r| r.source() == "national.csv")
             .expect("national file survives filter");
         assert_eq!(national.get("thefts_2024"), Some(&Value::Int(1_135_291)));
     }
@@ -814,7 +749,7 @@ mod tests {
         let before = env.llm.usage();
         let report = Executor::new(&env).execute(&plan);
         assert_eq!(report.records.len(), 1);
-        assert_ne!(report.records[0].source, "pipeline.txt");
+        assert_ne!(report.records[0].source(), "pipeline.txt");
         let delta = env.llm.usage().delta_since(&before);
         assert_eq!(delta.total_calls(), 0, "top-k is proxy scored");
     }
@@ -849,7 +784,7 @@ mod tests {
             report
                 .records
                 .iter()
-                .find(|r| r.source == name)
+                .find(|r| r.source() == name)
                 .and_then(|r| r.get("group"))
                 .cloned()
                 .unwrap()
@@ -918,6 +853,33 @@ mod tests {
     }
 
     #[test]
+    fn a_derived_record_reads_no_namesake_labels() {
+        // A `count` record has no origin: a lake document that happens to
+        // be named `count` must not lend it its labels.
+        for name in ["count", "counted.txt"] {
+            let env = env();
+            env.llm.oracle().register(Arc::new(FnRule::new(
+                "relevant",
+                |_: &OracleQuery<'_>, subject: &Subject<'_>| {
+                    Some(OracleAnswer::Bool(subject.label("relevant").is_some()))
+                },
+            )));
+            let lake = DataLake::from_docs([
+                Document::new(name, "a document")
+                    .with_label("relevant", true)
+                    .with_label("difficulty", 0.0),
+                Document::new("m1.txt", "a memo").with_label("difficulty", 0.0),
+            ]);
+            let ds = Dataset::scan(&lake, "lake")
+                .count()
+                .sem_filter("is it relevant");
+            let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 1);
+            let report = Executor::new(&env).execute(&plan);
+            assert!(report.records.is_empty(), "{name}: {:?}", report.records);
+        }
+    }
+
+    #[test]
     fn parallelism_reduces_virtual_time_not_results() {
         let lake = theft_lake();
         let run = |parallelism: usize| {
@@ -929,7 +891,7 @@ mod tests {
                 report
                     .records
                     .iter()
-                    .map(|r| r.source.clone())
+                    .map(|r| r.source().to_string())
                     .collect::<Vec<_>>(),
                 report.time(),
             )
@@ -984,11 +946,12 @@ mod tests {
                 let ds = Dataset::scan(&lake, "memos").sem_filter("mentions identity theft");
                 let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 4);
                 let report = Executor::new(&env).execute(&plan);
-                let names: std::collections::HashSet<&str> =
-                    lake.names().into_iter().collect();
                 prop_assert!(report.records.len() <= n);
+                // Every output record carries a document of the scanned
+                // lake itself, not a copy or a namesake.
                 for rec in &report.records {
-                    prop_assert!(names.contains(rec.source.as_str()));
+                    let origin = rec.origin().expect("a filtered scan record has its origin");
+                    prop_assert!(lake.docs().iter().any(|doc| Arc::ptr_eq(doc, origin)));
                 }
                 // Stats invariants: filters call once per input record.
                 let filter = &report.stats.operators[1];
@@ -1052,7 +1015,11 @@ mod tests {
             let ds = Dataset::scan(&lake, "lake").sem_filter("mentions identity theft");
             let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, parallelism);
             let report = Executor::new(&env).execute(&plan);
-            let names: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
+            let names: Vec<String> = report
+                .records
+                .iter()
+                .map(|r| r.source().to_string())
+                .collect();
             (names, report.time())
         };
         let (narrow_records, narrow_time) = run(1);
@@ -1115,7 +1082,11 @@ mod tests {
             let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, 4);
             let report = Executor::new(&env).execute(&plan);
             let stats = env.llm.cache().unwrap().stats();
-            let names: Vec<String> = report.records.iter().map(|r| r.source.clone()).collect();
+            let names: Vec<String> = report
+                .records
+                .iter()
+                .map(|r| r.source().to_string())
+                .collect();
             (names, env.llm.usage().total_calls(), stats)
         };
         let (names, billed, stats) = run();

@@ -50,7 +50,7 @@ fn main() {
             .records
             .iter()
             .map(|r| {
-                aida::data::Record::new(r.source.clone())
+                aida::data::Record::new(r.source())
                     .with("filename", r.get_or_null("filename"))
                     .with("bucket", r.get_or_null("group"))
             })

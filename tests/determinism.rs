@@ -78,7 +78,7 @@ fn semops_parallelism_does_not_change_results() {
             .execute(&plan)
             .records
             .iter()
-            .map(|r| r.source.clone())
+            .map(|r| r.source().to_string())
             .collect::<Vec<_>>()
     };
     assert_eq!(run(1), run(16));

@@ -18,7 +18,7 @@ fn run_filter(fault_rate: f64) -> (Vec<String>, f64, f64) {
     );
     let plan = PhysicalPlan::uniform(ds.plan(), aida_llm::ModelId::Flagship, 8);
     let report = Executor::new(&env).execute(&plan);
-    let names = report.records.iter().map(|r| r.source.clone()).collect();
+    let names = report.records.iter().map(|r| r.source().into()).collect();
     (names, report.cost(), report.time())
 }
 
