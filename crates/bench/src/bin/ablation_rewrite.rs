@@ -2,5 +2,4 @@
 fn main() {
     let seeds = aida_eval::experiments::TRIAL_SEEDS;
     aida_bench::emit(&aida_eval::ablation_rewrite(&seeds), seeds[0]);
-    aida_bench::emit_trace("ablation_rewrite", &aida_bench::traces::ablation_rewrite());
 }

@@ -5,8 +5,4 @@ fn main() {
         &aida_eval::ablation_sampling(&seeds, &[0, 12, 36, 72]),
         seeds[0],
     );
-    aida_bench::emit_trace(
-        "ablation_sampling",
-        &aida_bench::traces::ablation_sampling(),
-    );
 }

@@ -1,38 +1,17 @@
 //! Runs every table, figure, and ablation, persisting all reports and
-//! their span traces.
+//! their span traces: the calls the single binaries make, in one process.
 fn main() {
     let seeds = aida_eval::experiments::TRIAL_SEEDS;
     aida_bench::emit(&aida_eval::table1(&seeds), seeds[0]);
-    aida_bench::emit_trace("table1", &aida_bench::traces::table1());
     aida_bench::emit(&aida_eval::table2(&seeds), seeds[0]);
-    aida_bench::emit_trace("table2", &aida_bench::traces::table2());
+    aida_bench::emit_figure("figure1", 1, &aida_eval::figure1(1));
+    aida_bench::emit_figure("figure2", 1, &aida_eval::figure2(1));
     aida_bench::emit(&aida_eval::ablation_reuse(&seeds), seeds[0]);
-    aida_bench::emit_trace("ablation_reuse", &aida_bench::traces::ablation_reuse());
-    aida_bench::emit(&aida_eval::ablation_optimizer(&seeds), seeds[0]);
-    aida_bench::emit_trace(
-        "ablation_optimizer",
-        &aida_bench::traces::ablation_optimizer(),
-    );
-    aida_bench::emit(&aida_eval::ablation_access(&[10, 50, 100, 200], 1), 1);
-    aida_bench::emit_trace("ablation_access", &aida_bench::traces::ablation_access());
     aida_bench::emit(&aida_eval::ablation_rewrite(&seeds), seeds[0]);
-    aida_bench::emit_trace("ablation_rewrite", &aida_bench::traces::ablation_rewrite());
+    aida_bench::emit(&aida_eval::ablation_optimizer(&seeds), seeds[0]);
     aida_bench::emit(
         &aida_eval::ablation_sampling(&seeds, &[0, 12, 36, 72]),
         seeds[0],
     );
-    aida_bench::emit_trace(
-        "ablation_sampling",
-        &aida_bench::traces::ablation_sampling(),
-    );
-    aida_bench::emit_text("figure1", &aida_eval::figure1(1));
-    let fig1 = aida_bench::traces::table2();
-    aida_bench::emit_bench(&aida_bench::BenchResult::from_trace("figure1", 1, &fig1));
-    aida_bench::emit_trace("figure1", &fig1);
-    let (text, recorder) = aida_eval::figure2_traced(1);
-    aida_bench::emit_text("figure2", &text);
-    aida_bench::emit_bench(&aida_bench::BenchResult::from_trace(
-        "figure2", 1, &recorder,
-    ));
-    aida_bench::emit_trace("figure2", &recorder);
+    aida_bench::emit(&aida_eval::ablation_access(&[10, 50, 100, 200], 1), 1);
 }

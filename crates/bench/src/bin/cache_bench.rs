@@ -7,7 +7,7 @@
 //! snapshot on startup and replays the identical instructions: every
 //! semantic call hits the cache, so the warm pass must produce the
 //! byte-identical answers at a fraction of the cold dollars. Numbers
-//! land in `results/BENCH_semcache.json`.
+//! land in `results/BENCH_cache_bench.json`.
 
 use aida_bench::SemcacheBench;
 use aida_core::{Context, Runtime};
@@ -132,7 +132,6 @@ fn main() {
         p50_warm_s: warm.latency.p50(),
         p95_warm_s: warm.latency.p95(),
     };
-    aida_bench::emit_semcache_bench(&bench);
     aida_bench::emit_bench(
         &aida_bench::BenchResult::new("cache_bench", seed)
             .metric("cold_usd", bench.cold_usd)

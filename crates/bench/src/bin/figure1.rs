@@ -1,9 +1,4 @@
 //! Regenerates Figure 1: qualitative traces of both example queries.
 fn main() {
-    aida_bench::emit_text("figure1", &aida_eval::figure1(1));
-    let recorder = aida_bench::traces::table2();
-    aida_bench::emit_bench(&aida_bench::BenchResult::from_trace(
-        "figure1", 1, &recorder,
-    ));
-    aida_bench::emit_trace("figure1", &recorder);
+    aida_bench::emit_figure("figure1", 1, &aida_eval::figure1(1));
 }

@@ -1,9 +1,4 @@
 //! Regenerates Figure 2: the search -> compute pipeline over a Context.
 fn main() {
-    let (text, recorder) = aida_eval::figure2_traced(1);
-    aida_bench::emit_text("figure2", &text);
-    aida_bench::emit_bench(&aida_bench::BenchResult::from_trace(
-        "figure2", 1, &recorder,
-    ));
-    aida_bench::emit_trace("figure2", &recorder);
+    aida_bench::emit_figure("figure2", 1, &aida_eval::figure2(1));
 }

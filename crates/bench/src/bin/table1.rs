@@ -2,5 +2,4 @@
 fn main() {
     let seeds = aida_eval::experiments::TRIAL_SEEDS;
     aida_bench::emit(&aida_eval::table1(&seeds), seeds[0]);
-    aida_bench::emit_trace("table1", &aida_bench::traces::table1());
 }

@@ -2,5 +2,4 @@
 fn main() {
     let seeds = aida_eval::experiments::TRIAL_SEEDS;
     aida_bench::emit(&aida_eval::table2(&seeds), seeds[0]);
-    aida_bench::emit_trace("table2", &aida_bench::traces::table2());
 }

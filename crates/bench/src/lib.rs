@@ -3,9 +3,11 @@
 //! One runnable binary per table/figure/ablation of the paper (see
 //! `src/bin/`). Host time is measured by the separate `perf/` package.
 //!
-//! Binaries print the experiment report and persist it under `results/`.
+//! Binaries print the experiment report and persist it under `results/`,
+//! with the span trace of the experiment's own first-trial run.
 
 use aida_eval::ExperimentReport;
+use aida_obs::Recorder;
 use std::path::PathBuf;
 
 /// Directory reports are saved into (created on demand).
@@ -18,8 +20,9 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Prints a report, writes `<name>.txt` + `<name>.json` under
-/// [`results_dir`], and emits the canonical `BENCH_<name>.json` derived
-/// from the report's rows. `seed` labels the canonical file (the first
+/// [`results_dir`], emits the canonical `BENCH_<name>.json` derived from
+/// the report's rows, and prints and writes the report's trace as
+/// `traces/<name>.jsonl`. `seed` labels the canonical file (the first
 /// trial seed for multi-seed experiments).
 pub fn emit(report: &ExperimentReport, seed: u64) {
     let rendered = report.render();
@@ -38,6 +41,15 @@ pub fn emit(report: &ExperimentReport, seed: u64) {
         ),
     }
     emit_bench(&BenchResult::from_report(report, seed));
+    emit_trace(&report.name, &report.trace);
+}
+
+/// Prints a figure's text and writes `<name>.txt`, the canonical
+/// `BENCH_<name>.json` derived from its trace, and the trace itself.
+pub fn emit_figure(name: &str, seed: u64, (text, recorder): &(String, Recorder)) {
+    emit_text(name, text);
+    emit_bench(&BenchResult::from_trace(name, seed, recorder));
+    emit_trace(name, recorder);
 }
 
 /// One canonical machine-readable benchmark result. Every bench binary
@@ -82,13 +94,9 @@ impl BenchResult {
     }
 
     /// Derives metrics from a traced run's root spans: billed calls,
-    /// tokens, dollars, and the virtual makespan. Used by the figure
-    /// binaries, whose primary output is prose rather than a table.
-    pub fn from_trace(
-        bench: impl Into<String>,
-        seed: u64,
-        recorder: &aida_obs::Recorder,
-    ) -> BenchResult {
+    /// tokens, dollars, and the virtual makespan. Used for the figures,
+    /// whose primary output is prose rather than a table.
+    fn from_trace(bench: &str, seed: u64, recorder: &Recorder) -> BenchResult {
         let trace = recorder.trace();
         let mut calls = 0u64;
         let mut input_tokens = 0u64;
@@ -196,8 +204,8 @@ impl SemcacheBench {
 }
 
 /// Writes `BENCH_semcache.json` under [`results_dir`] and prints the
-/// headline numbers. Both `cache_bench` and `serve_soak` emit the same
-/// schema; the last writer wins.
+/// headline numbers. `serve_soak` is its one writer (`cache_bench` keeps
+/// its numbers in `BENCH_cache_bench.json`).
 pub fn emit_semcache_bench(bench: &SemcacheBench) {
     println!(
         "semantic cache [{}]: cold ${:.4} -> warm ${:.4} ({:.1}% saved, hit rate {:.1}%)",
@@ -240,137 +248,10 @@ pub fn write_trace_jsonl(name: &str, jsonl: &str) -> PathBuf {
 /// Prints a recorder's `EXPLAIN ANALYZE` report and writes the span trace
 /// as `<name>.jsonl` under [`traces_dir`]. Traces carry only virtual time,
 /// so the file is byte-identical across runs at the same seed.
-pub fn emit_trace(name: &str, recorder: &aida_obs::Recorder) {
+fn emit_trace(name: &str, recorder: &Recorder) {
     let trace = recorder.trace();
     println!("{}", trace.explain_analyze());
     write_trace_jsonl(name, &trace.to_jsonl());
-}
-
-/// Traced companion runs for the experiment binaries: each returns the
-/// recorder of one representative seed-1 run of the experiment's system,
-/// for `EXPLAIN ANALYZE` + JSONL export next to the report.
-pub mod traces {
-    use aida_core::{Context, Runtime};
-    use aida_llm::SimLlm;
-    use aida_obs::Recorder;
-    use aida_optimizer::{Optimizer, OptimizerConfig, Policy, SamplerConfig};
-    use aida_semops::{Dataset, ExecEnv, Executor, PhysicalPlan};
-    use aida_synth::{enron, legal};
-
-    /// The Table 1 system under trace: PZ compute on the legal workload.
-    pub fn table1() -> Recorder {
-        let workload = legal::generate(1);
-        aida_eval::run_pz_compute_traced(&workload, 1).1
-    }
-
-    /// The Table 2 system under trace: PZ compute on the Enron workload.
-    pub fn table2() -> Recorder {
-        let workload = enron::generate(1);
-        aida_eval::run_pz_compute_traced(&workload, 1).1
-    }
-
-    /// Figure 2's search → compute pipeline under trace.
-    pub fn figure2() -> Recorder {
-        aida_eval::figure2_traced(1).1
-    }
-
-    /// Ablation A under trace: two computes where the second reuses the
-    /// first's materialized Context (reuse hit/miss events appear).
-    pub fn ablation_reuse() -> Recorder {
-        let rt = Runtime::builder().seed(1).tracing(true).build();
-        let workload = legal::generate(1);
-        workload.install_oracle(&rt.env().llm);
-        let ctx = Context::builder("legal", workload.lake.clone())
-            .description(workload.description.clone())
-            .with_vector_index()
-            .build(&rt);
-        let _ = rt
-            .query(&ctx)
-            .compute("find the number of identity theft reports in 2001")
-            .run();
-        let _ = rt
-            .query(&ctx)
-            .compute("find the number of identity theft reports in 2024")
-            .run();
-        rt.recorder().clone()
-    }
-
-    /// Ablation D under trace: the legal ratio compute with the
-    /// split/merge rewrites on (rewrite events appear).
-    pub fn ablation_rewrite() -> Recorder {
-        let rt = Runtime::builder().seed(1).tracing(true).build();
-        let workload = legal::generate(1);
-        workload.install_oracle(&rt.env().llm);
-        let ctx = Context::builder("legal", workload.lake.clone())
-            .description(workload.description.clone())
-            .with_vector_index()
-            .build(&rt);
-        let _ = rt
-            .query(&ctx)
-            .compute(&workload.query)
-            .with_rewrites(true)
-            .run();
-        rt.recorder().clone()
-    }
-
-    /// Ablation B under trace: the optimizer-chosen Enron plan.
-    pub fn ablation_optimizer() -> Recorder {
-        let recorder = Recorder::new();
-        let env = ExecEnv::new(SimLlm::new(1)).with_recorder(recorder.clone());
-        let workload = enron::generate(1);
-        workload.install_oracle(&env.llm);
-        let ds = aida_core::ProgramSynthesizer::synthesize(&workload.query, &workload.lake);
-        let optimizer = Optimizer::new(&env, OptimizerConfig::default());
-        let optimized = optimizer.optimize(
-            ds.plan(),
-            &Policy::MinCost {
-                quality_floor: 0.85,
-            },
-        );
-        let _ = Executor::new(&env).execute(&optimized.physical);
-        recorder
-    }
-
-    /// Ablation E under trace: a small sampling budget, then execution.
-    pub fn ablation_sampling() -> Recorder {
-        let recorder = Recorder::new();
-        let env = ExecEnv::new(SimLlm::new(1)).with_recorder(recorder.clone());
-        let workload = enron::generate(1);
-        workload.install_oracle(&env.llm);
-        let ds = aida_core::ProgramSynthesizer::synthesize(&workload.query, &workload.lake);
-        let config = OptimizerConfig {
-            sampler: SamplerConfig {
-                sample_records: 10,
-                bandit_pulls: 12,
-            },
-            ..OptimizerConfig::default()
-        };
-        let optimizer = Optimizer::new(&env, config);
-        let optimized = optimizer.optimize(
-            ds.plan(),
-            &Policy::MinCost {
-                quality_floor: 0.85,
-            },
-        );
-        let _ = Executor::new(&env).execute(&optimized.physical);
-        recorder
-    }
-
-    /// Ablation C under trace: the full-scan semantic filter at the
-    /// smallest lake size.
-    pub fn ablation_access() -> Recorder {
-        let recorder = Recorder::new();
-        let env = ExecEnv::new(SimLlm::new(1)).with_recorder(recorder.clone());
-        let workload = legal::generate_scaled(1, 10);
-        workload.install_oracle(&env.llm);
-        let ds = Dataset::scan(&workload.lake, "legal").sem_filter(
-            "the file contains national statistics on the number of identity theft reports, \
-             covering both the years 2001 and 2024",
-        );
-        let plan = PhysicalPlan::uniform(ds.plan(), aida_llm::ModelId::Flagship, 8);
-        let _ = Executor::new(&env).execute(&plan);
-        recorder
-    }
 }
 
 #[cfg(test)]
@@ -411,6 +292,7 @@ mod tests {
             }],
             paper: Vec::new(),
             trials: 1,
+            trace: Recorder::default(),
         };
         let result = BenchResult::from_report(&report, 7);
         assert_eq!(result.bench, "t");

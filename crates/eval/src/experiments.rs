@@ -3,7 +3,7 @@
 use crate::metrics::{self, f1_score, percent_error};
 use crate::systems::{run_code_agent, run_pz_compute, run_semops_handcrafted, SystemAnswer};
 use aida_core::{Context, Runtime};
-use aida_obs::Json;
+use aida_obs::{Json, Recorder};
 use aida_synth::{enron, legal, Workload};
 
 /// One row of an experiment table.
@@ -40,6 +40,9 @@ pub struct ExperimentReport {
     pub paper: Vec<Row>,
     /// Trials averaged.
     pub trials: usize,
+    /// Span trace of one representative run behind the rows, recorded at
+    /// the first trial seed (each experiment's doc names the run).
+    pub trace: Recorder,
 }
 
 impl ExperimentReport {
@@ -141,21 +144,21 @@ type PrfSlots<'a> = Vec<(&'a str, Vec<crate::metrics::Prf>, Vec<f64>, Vec<f64>)>
 
 /// **Table 1**: `compute` vs. handcrafted semantic operators vs. CodeAgent
 /// on the Kramabench `legal-easy-3` ratio query. Columns: mean percent
-/// error (fraction), dollars, virtual seconds.
+/// error (fraction), dollars, virtual seconds. Traced: PZ compute.
 pub fn table1(seeds: &[u64]) -> ExperimentReport {
     let mut systems: ErrSlots = vec![
         ("Sem. Ops", vec![], vec![], vec![]),
         ("CodeAgent", vec![], vec![], vec![]),
         ("PZ compute", vec![], vec![], vec![]),
     ];
+    let mut trace = None;
     for &seed in seeds {
         let workload = legal::generate(seed);
-        let runs = [
-            run_semops_handcrafted(&workload, seed),
-            run_code_agent(&workload, seed, false),
-            run_pz_compute(&workload, seed),
-        ];
-        for (slot, run) in systems.iter_mut().zip(runs) {
+        let semops = run_semops_handcrafted(&workload, seed);
+        let agent = run_code_agent(&workload, seed, false);
+        let (compute, recorder) = run_pz_compute(&workload, seed);
+        trace.get_or_insert(recorder);
+        for (slot, run) in systems.iter_mut().zip([semops, agent, compute]) {
             slot.1.push(legal_error(&run.answer));
             slot.2.push(run.cost);
             slot.3.push(run.time);
@@ -192,26 +195,27 @@ pub fn table1(seeds: &[u64]) -> ExperimentReport {
             ),
         ],
         trials: seeds.len(),
+        trace: trace.unwrap_or_default(),
     }
 }
 
 /// **Table 2**: `compute` vs. CodeAgent vs. CodeAgent+ on the Enron email
 /// filtering task. Columns: F1/recall/precision (fractions), dollars,
-/// virtual seconds.
+/// virtual seconds. Traced: PZ compute.
 pub fn table2(seeds: &[u64]) -> ExperimentReport {
     let mut systems: PrfSlots = vec![
         ("CodeAgent", vec![], vec![], vec![]),
         ("CodeAgent+", vec![], vec![], vec![]),
         ("PZ compute", vec![], vec![], vec![]),
     ];
+    let mut trace = None;
     for &seed in seeds {
         let workload = enron::generate(seed);
-        let runs = [
-            run_code_agent(&workload, seed, false),
-            run_code_agent(&workload, seed, true),
-            run_pz_compute(&workload, seed),
-        ];
-        for (slot, run) in systems.iter_mut().zip(runs) {
+        let agent = run_code_agent(&workload, seed, false);
+        let plus = run_code_agent(&workload, seed, true);
+        let (compute, recorder) = run_pz_compute(&workload, seed);
+        trace.get_or_insert(recorder);
+        for (slot, run) in systems.iter_mut().zip([agent, plus, compute]) {
             slot.1.push(enron_prf(&run.answer, &workload));
             slot.2.push(run.cost);
             slot.3.push(run.time);
@@ -279,18 +283,26 @@ pub fn table2(seeds: &[u64]) -> ExperimentReport {
             ),
         ],
         trials: seeds.len(),
+        trace: trace.unwrap_or_default(),
     }
 }
 
 /// **Ablation A** (§3 physical optimization): the ContextManager's
 /// materialized-Context reuse. Runs "thefts in 2001" then "thefts in 2024"
-/// with reuse on vs. off; reports the second query's cost/time.
+/// with reuse on vs. off; reports the second query's cost/time. Traced:
+/// both queries with reuse on (reuse hit/miss events appear).
 pub fn ablation_reuse(seeds: &[u64]) -> ExperimentReport {
     let mut on = (Vec::new(), Vec::new());
     let mut off = (Vec::new(), Vec::new());
+    let mut trace = None;
     for &seed in seeds {
         for (enable, slot) in [(true, &mut on), (false, &mut off)] {
-            let rt = Runtime::builder().seed(seed).context_reuse(enable).build();
+            let traced = enable && trace.is_none();
+            let rt = Runtime::builder()
+                .seed(seed)
+                .context_reuse(enable)
+                .tracing(traced)
+                .build();
             let workload = legal::generate(seed);
             workload.install_oracle(&rt.env().llm);
             let ctx = Context::builder("legal", workload.lake.clone())
@@ -307,6 +319,9 @@ pub fn ablation_reuse(seeds: &[u64]) -> ExperimentReport {
                 .run();
             slot.0.push(second.cost);
             slot.1.push(second.time);
+            if traced {
+                trace = Some(rt.recorder().clone());
+            }
         }
     }
     ExperimentReport {
@@ -331,13 +346,15 @@ pub fn ablation_reuse(seeds: &[u64]) -> ExperimentReport {
         ],
         paper: Vec::new(),
         trials: seeds.len(),
+        trace: trace.unwrap_or_default(),
     }
 }
 
 /// **Ablation B** (§3 physical optimization): what the cost-based model
 /// selection buys. Executes the synthesized Enron program under three
 /// configurations — optimizer-chosen models, all-flagship, all-nano — and
-/// reports F1/cost/time of each.
+/// reports F1/cost/time of each. Traced: the optimizer-chosen plan,
+/// sampling and execution.
 pub fn ablation_optimizer(seeds: &[u64]) -> ExperimentReport {
     use aida_llm::ModelId;
     use aida_optimizer::{Optimizer, Policy};
@@ -348,11 +365,15 @@ pub fn ablation_optimizer(seeds: &[u64]) -> ExperimentReport {
         ("flagship", vec![], vec![], vec![]),
         ("nano", vec![], vec![], vec![]),
     ];
+    let mut trace = None;
     for &seed in seeds {
         let workload = enron::generate(seed);
         let ds = aida_core::ProgramSynthesizer::synthesize(&workload.query, &workload.lake);
         for (i, slot) in slots.iter_mut().enumerate() {
-            let env = ExecEnv::new(aida_llm::SimLlm::new(seed));
+            let mut env = ExecEnv::new(aida_llm::SimLlm::new(seed));
+            if i == 0 && trace.is_none() {
+                env = env.with_recorder(trace.insert(Recorder::new()).clone());
+            }
             workload.install_oracle(&env.llm);
             let plan = match i {
                 0 => {
@@ -399,17 +420,20 @@ pub fn ablation_optimizer(seeds: &[u64]) -> ExperimentReport {
         rows,
         paper: Vec::new(),
         trials: seeds.len(),
+        trace: trace.unwrap_or_default(),
     }
 }
 
 /// **Ablation E** (Abacus §): how much sampling the optimizer needs.
 /// Sweeps the bandit pull budget (0 = priors only) on the Enron program and
-/// reports quality and total cost (sampling included).
+/// reports quality and total cost (sampling included). Traced: the first
+/// budget that samples, sampling and execution.
 pub fn ablation_sampling(seeds: &[u64], budgets: &[usize]) -> ExperimentReport {
     use aida_optimizer::{Optimizer, OptimizerConfig, Policy, SamplerConfig};
     use aida_semops::{ExecEnv, Executor};
 
     let mut rows = Vec::new();
+    let mut trace = None;
     for &pulls in budgets {
         let mut prfs = Vec::new();
         let mut costs = Vec::new();
@@ -417,7 +441,10 @@ pub fn ablation_sampling(seeds: &[u64], budgets: &[usize]) -> ExperimentReport {
         for &seed in seeds {
             let workload = enron::generate(seed);
             let ds = aida_core::ProgramSynthesizer::synthesize(&workload.query, &workload.lake);
-            let env = ExecEnv::new(aida_llm::SimLlm::new(seed));
+            let mut env = ExecEnv::new(aida_llm::SimLlm::new(seed));
+            if pulls > 0 && trace.is_none() {
+                env = env.with_recorder(trace.insert(Recorder::new()).clone());
+            }
             workload.install_oracle(&env.llm);
             let config = OptimizerConfig {
                 sampler: SamplerConfig {
@@ -459,23 +486,29 @@ pub fn ablation_sampling(seeds: &[u64], budgets: &[usize]) -> ExperimentReport {
         rows,
         paper: Vec::new(),
         trials: seeds.len(),
+        trace: trace.unwrap_or_default(),
     }
 }
 
 /// **Ablation C** (§2.1 motivation): iterator semantics vs. indexed access
 /// as the lake grows. Compares a full semantic-filter scan against
 /// vector-search narrowing + filter on the shortlist, at several lake
-/// sizes. Rows are `scan@N` / `index@N`.
+/// sizes. Rows are `scan@N` / `index@N`. Traced: the full scan at the
+/// first size.
 pub fn ablation_access(sizes: &[usize], seed: u64) -> ExperimentReport {
     use aida_llm::ModelId;
     use aida_semops::{Dataset, ExecEnv, Executor, PhysicalPlan};
 
     let mut rows = Vec::new();
+    let mut trace = None;
     for &n_states in sizes {
         let workload = legal::generate_scaled(seed, n_states);
         let n_files = workload.lake.len();
         // Full scan.
-        let env = ExecEnv::new(aida_llm::SimLlm::new(seed));
+        let mut env = ExecEnv::new(aida_llm::SimLlm::new(seed));
+        if trace.is_none() {
+            env = env.with_recorder(trace.insert(Recorder::new()).clone());
+        }
         workload.install_oracle(&env.llm);
         let ds = Dataset::scan(&workload.lake, "legal").sem_filter(
             "the file contains national statistics on the number of identity theft reports, \
@@ -530,17 +563,21 @@ pub fn ablation_access(sizes: &[usize], seed: u64) -> ExperimentReport {
         rows,
         paper: Vec::new(),
         trials: 1,
+        trace: trace.unwrap_or_default(),
     }
 }
 
 /// **Ablation D** (§3 logical optimization): directive splitting. Runs the
 /// legal ratio compute with and without the split/merge rewrites.
+/// Traced: rewrites on (rewrite events appear).
 pub fn ablation_rewrite(seeds: &[u64]) -> ExperimentReport {
     let mut on = (Vec::new(), Vec::new(), Vec::new());
     let mut off = (Vec::new(), Vec::new(), Vec::new());
+    let mut trace = None;
     for &seed in seeds {
         for (enable, slot) in [(true, &mut on), (false, &mut off)] {
-            let rt = Runtime::builder().seed(seed).build();
+            let traced = enable && trace.is_none();
+            let rt = Runtime::builder().seed(seed).tracing(traced).build();
             let workload = legal::generate(seed);
             workload.install_oracle(&rt.env().llm);
             let ctx = Context::builder("legal", workload.lake.clone())
@@ -556,6 +593,9 @@ pub fn ablation_rewrite(seeds: &[u64]) -> ExperimentReport {
             slot.0.push(err);
             slot.1.push(outcome.cost);
             slot.2.push(outcome.time);
+            if traced {
+                trace = Some(rt.recorder().clone());
+            }
         }
     }
     let row = |name: &str, s: &(Vec<f64>, Vec<f64>, Vec<f64>)| Row {
@@ -573,11 +613,13 @@ pub fn ablation_rewrite(seeds: &[u64]) -> ExperimentReport {
         rows: vec![row("rewrites on", &on), row("rewrites off", &off)],
         paper: Vec::new(),
         trials: seeds.len(),
+        trace: trace.unwrap_or_default(),
     }
 }
 
-/// **Figure 1**: qualitative per-system traces on both workloads.
-pub fn figure1(seed: u64) -> String {
+/// **Figure 1**: qualitative per-system traces on both workloads, with the
+/// span trace of the Enron compute run.
+pub fn figure1(seed: u64) -> (String, Recorder) {
     let mut out = String::from(
         "# Figure 1 — execution traces\n\n\
          ## Left: Kramabench legal-easy-3 (ratio of identity theft reports 2024/2001)\n\n",
@@ -591,7 +633,7 @@ pub fn figure1(seed: u64) -> String {
         semops.time,
         semops.detail
     );
-    let compute = run_pz_compute(&legal_w, seed);
+    let (compute, _) = run_pz_compute(&legal_w, seed);
     out += &format!(
         "### Prototype compute operator (err {:.2}%, ${:.2}, {:.0}s)\n{}\n",
         legal_error(&compute.answer) * 100.0,
@@ -611,7 +653,7 @@ pub fn figure1(seed: u64) -> String {
         agent.time,
         agent.detail
     );
-    let compute = run_pz_compute(&enron_w, seed);
+    let (compute, recorder) = run_pz_compute(&enron_w, seed);
     let prf = enron_prf(&compute.answer, &enron_w);
     out += &format!(
         "### Prototype compute operator (F1 {:.1}%, recall {:.1}%, ${:.2}, {:.0}s)\n{}\n",
@@ -621,19 +663,12 @@ pub fn figure1(seed: u64) -> String {
         compute.time,
         compute.detail
     );
-    out
+    (out, recorder)
 }
 
 /// **Figure 2**: the search → compute pipeline over a Context, with the
-/// Context description before/after each operator.
-pub fn figure2(seed: u64) -> String {
-    figure2_traced(seed).0
-}
-
-/// Like [`figure2`], but with span tracing enabled; returns the recorder
-/// alongside the rendered figure. Recording never touches the clock or
-/// receipts, so the rendered text is identical to the untraced run.
-pub fn figure2_traced(seed: u64) -> (String, aida_obs::Recorder) {
+/// Context description before/after each operator, and its span trace.
+pub fn figure2(seed: u64) -> (String, Recorder) {
     let rt = Runtime::builder().seed(seed).tracing(true).build();
     let workload = legal::generate(seed);
     workload.install_oracle(&rt.env().llm);
@@ -712,6 +747,7 @@ mod tests {
             rows: vec![paper_row("sys", &[("m", 0.5)])],
             paper: vec![paper_row("sys", &[("m", 0.6)])],
             trials: 3,
+            trace: Recorder::default(),
         };
         let text = report.render();
         assert!(text.contains("sys"));
@@ -741,6 +777,15 @@ mod tests {
         assert!(agent.get("cost").unwrap() < semops.get("cost").unwrap());
         // Time: agent fastest.
         assert!(agent.get("time_s").unwrap() < compute.get("time_s").unwrap());
+        // The trace is the run behind the PZ compute row: one query whose
+        // dollars are the row's, bit for bit.
+        let trace = report.trace.trace();
+        let roots = trace.roots();
+        assert_eq!(roots.len(), 1, "one query span: {roots:?}");
+        assert_eq!(
+            receipt_dollars(&trace, roots[0]).to_bits(),
+            compute.get("cost").unwrap().to_bits()
+        );
     }
 
     #[test]
@@ -763,6 +808,44 @@ mod tests {
         let on = report.row("reuse on").unwrap().get("cost").unwrap();
         let off = report.row("reuse off").unwrap().get("cost").unwrap();
         assert!(on < off, "reuse on ${on} vs off ${off}");
+        // The trace is the reuse-on run: its second query's dollars are
+        // the row's, bit for bit.
+        let trace = report.trace.trace();
+        let roots = trace.roots();
+        assert_eq!(roots.len(), 2, "two query spans: {roots:?}");
+        assert_eq!(receipt_dollars(&trace, roots[1]).to_bits(), on.to_bits());
+    }
+
+    /// Dollars the query under `root` billed, priced the way a receipt
+    /// prices them: each model's summed tokens at the catalog's price.
+    /// (A span's `cost_usd` sums per-call dollars, which can differ from
+    /// that in the last bit.)
+    fn receipt_dollars(trace: &aida_obs::Trace, root: usize) -> f64 {
+        use aida_llm::{ModelCatalog, ModelId};
+        let mut tokens = std::collections::BTreeMap::<ModelId, (usize, usize)>::new();
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            stack.extend(trace.children(id));
+            for event in &trace.spans[id].events {
+                if let aida_obs::Event::LlmCall {
+                    model,
+                    input_tokens,
+                    output_tokens,
+                    ..
+                } = event
+                {
+                    let sums = tokens.entry(ModelId::parse(model).unwrap()).or_default();
+                    sums.0 += *input_tokens as usize;
+                    sums.1 += *output_tokens as usize;
+                }
+            }
+        }
+        let catalog = ModelCatalog::default();
+        let total: f64 = tokens
+            .iter()
+            .map(|(id, (input, output))| catalog.spec(*id).cost(*input, *output))
+            .sum();
+        total + 0.0
     }
 }
 
@@ -770,7 +853,7 @@ mod tests {
 mod figure_tests {
     #[test]
     fn figure1_trace_contains_all_four_systems() {
-        let text = super::figure1(1);
+        let (text, _) = super::figure1(1);
         assert!(text.contains("Handcrafted semantic-operator program"));
         assert!(text.contains("Open Deep Research CodeAgent"));
         assert!(text.contains("Prototype compute operator"));
@@ -785,7 +868,7 @@ mod figure_tests {
 
     #[test]
     fn figure2_shows_pipeline_and_enrichment() {
-        let text = super::figure2(1);
+        let (text, _) = super::figure2(1);
         assert!(text.contains("search"));
         assert!(text.contains("compute"));
         assert!(text.contains("FINDINGS"));

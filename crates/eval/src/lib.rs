@@ -16,7 +16,7 @@ pub mod systems;
 
 pub use experiments::{
     ablation_access, ablation_optimizer, ablation_reuse, ablation_rewrite, ablation_sampling,
-    figure1, figure2, figure2_traced, table1, table2, ExperimentReport, Row,
+    figure1, figure2, table1, table2, ExperimentReport, Row,
 };
 pub use metrics::{f1_score, percent_error, Prf};
-pub use systems::{run_pz_compute, run_pz_compute_traced, SystemAnswer, SystemRun};
+pub use systems::{run_pz_compute, SystemAnswer, SystemRun};

@@ -186,25 +186,12 @@ pub fn run_code_agent(workload: &Workload, seed: u64, sem_tools: bool) -> System
     }
 }
 
-/// Runs the prototype's `compute` operator (our system, "PZ compute").
-pub fn run_pz_compute(workload: &Workload, seed: u64) -> SystemRun {
-    run_pz_compute_inner(workload, seed, false).0
-}
-
-/// Like [`run_pz_compute`], but with span tracing enabled; returns the
-/// recorder alongside the run for `EXPLAIN ANALYZE` / JSONL export. The
-/// run itself is unchanged: recording never touches the clock or receipts, so
-/// answers, cost, and time are byte-identical to the untraced run.
-pub fn run_pz_compute_traced(workload: &Workload, seed: u64) -> (SystemRun, aida_obs::Recorder) {
-    run_pz_compute_inner(workload, seed, true)
-}
-
-fn run_pz_compute_inner(
-    workload: &Workload,
-    seed: u64,
-    tracing: bool,
-) -> (SystemRun, aida_obs::Recorder) {
-    let rt = Runtime::builder().seed(seed).tracing(tracing).build();
+/// Runs the prototype's `compute` operator (our system, "PZ compute")
+/// with span tracing on; returns the recorder alongside the run for
+/// `EXPLAIN ANALYZE` / JSONL export. Recording never touches the clock or
+/// receipts, so answers, cost, and time are those of an untraced run.
+pub fn run_pz_compute(workload: &Workload, seed: u64) -> (SystemRun, aida_obs::Recorder) {
+    let rt = Runtime::builder().seed(seed).tracing(true).build();
     workload.install_oracle(&rt.env().llm);
     let ctx = Context::builder(workload.name.clone(), workload.lake.clone())
         .description(workload.description.clone())

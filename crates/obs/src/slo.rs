@@ -153,6 +153,13 @@ impl SloVerdict {
     }
 }
 
+/// Latency burn rate over the trailing `window_s` at `now_s`: the fraction
+/// of samples above the p99 `bound`, over the 1% error budget. A burn of 1
+/// spends the budget exactly.
+pub fn latency_burn(latency: &SlidingWindow, now_s: f64, window_s: f64, bound: f64) -> f64 {
+    latency.fraction_over(now_s, window_s, bound) / P99_BUDGET
+}
+
 /// Evaluates one tenant's declared objectives against its windowed
 /// latency and cost series at virtual instant `now_s`.
 ///
@@ -171,7 +178,7 @@ pub fn evaluate(
     if let Some(bound) = target.p99_latency_s {
         let burn = |window_s: f64| -> f64 {
             latency
-                .map(|w| w.fraction_over(now_s, window_s, bound) / P99_BUDGET)
+                .map(|w| latency_burn(w, now_s, window_s, bound))
                 .unwrap_or(0.0)
         };
         let fast = burn(policy.fast_window_s);

@@ -24,11 +24,8 @@
 //! same scale decisions byte-for-byte.
 
 use aida_obs::json::Json;
-use aida_obs::slo::SloPolicy;
+use aida_obs::slo::{latency_burn, SloPolicy};
 use aida_obs::timeseries::SlidingWindow;
-
-/// Error budget implied by a p99 target (mirrors `obs::slo`).
-const P99_BUDGET: f64 = 0.01;
 
 /// Half-width of the no-action band as a fraction of the target.
 const HYSTERESIS: f64 = 0.25;
@@ -199,9 +196,7 @@ impl Autoscaler {
         }
 
         let p99_s = latency.quantile_in(now_s, self.cfg.window_s, 0.99);
-        let burn = |window_s: f64| {
-            latency.fraction_over(now_s, window_s, self.cfg.target_p99_s) / P99_BUDGET
-        };
+        let burn = |window_s: f64| latency_burn(latency, now_s, window_s, self.cfg.target_p99_s);
         let fast_burn = burn(self.cfg.policy.fast_window_s);
         let slow_burn = burn(self.cfg.policy.slow_window_s);
 

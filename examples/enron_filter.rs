@@ -45,7 +45,7 @@ fn main() {
     println!("{}", score(&plus.answer, &truth));
     println!("cost ${:.3}, {:.0} virtual s\n", plus.cost, plus.time);
 
-    let compute = run_pz_compute(&workload, seed);
+    let (compute, _) = run_pz_compute(&workload, seed);
     println!("== Prototype compute operator (optimized programs) ==");
     println!("{}", score(&compute.answer, &truth));
     println!("cost ${:.3}, {:.0} virtual s\n", compute.cost, compute.time);

@@ -41,7 +41,7 @@ fn main() {
     println!("answer(s): {}", describe(&agent.answer, truth));
     println!("cost ${:.3}, {:.0} virtual s\n", agent.cost, agent.time);
 
-    let compute = run_pz_compute(&workload, seed);
+    let (compute, _) = run_pz_compute(&workload, seed);
     println!("== Prototype compute operator ==");
     println!("answer(s): {}", describe(&compute.answer, truth));
     println!("cost ${:.3}, {:.0} virtual s\n", compute.cost, compute.time);

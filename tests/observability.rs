@@ -13,7 +13,7 @@ use aida_synth::legal;
 #[test]
 fn explain_analyze_totals_reconcile_with_the_run() {
     let workload = legal::generate(1);
-    let (run, recorder) = aida::eval::run_pz_compute_traced(&workload, 1);
+    let (run, recorder) = aida::eval::run_pz_compute(&workload, 1);
     let trace = recorder.trace();
 
     let roots = trace.roots();
@@ -69,8 +69,8 @@ fn explain_analyze_totals_reconcile_with_the_run() {
 #[test]
 fn traces_are_deterministic_across_runs() {
     let workload = legal::generate(1);
-    let (run_a, rec_a) = aida::eval::run_pz_compute_traced(&workload, 1);
-    let (run_b, rec_b) = aida::eval::run_pz_compute_traced(&workload, 1);
+    let (run_a, rec_a) = aida::eval::run_pz_compute(&workload, 1);
+    let (run_b, rec_b) = aida::eval::run_pz_compute(&workload, 1);
     assert_eq!(run_a.answer, run_b.answer);
     let jsonl_a = rec_a.trace().to_jsonl();
     let jsonl_b = rec_b.trace().to_jsonl();
@@ -78,14 +78,25 @@ fn traces_are_deterministic_across_runs() {
     assert_eq!(jsonl_a, jsonl_b, "same seed must export identical traces");
 }
 
-/// Tracing must not perturb the simulation: a traced run and an untraced
-/// run at the same seed produce the same answer, cost, and time.
+/// Tracing must not perturb the simulation: the traced Table 1 run and
+/// the same compute on an untraced runtime at the same seed produce the
+/// same answer, cost, and time.
 #[test]
 fn tracing_never_changes_the_run() {
     let workload = legal::generate(2);
-    let untraced = aida::eval::run_pz_compute(&workload, 2);
-    let (traced, _) = aida::eval::run_pz_compute_traced(&workload, 2);
-    assert_eq!(untraced.answer, traced.answer);
+    let (traced, _) = aida::eval::run_pz_compute(&workload, 2);
+    let rt = Runtime::builder().seed(2).build();
+    workload.install_oracle(&rt.env().llm);
+    let ctx = Context::builder(workload.name.clone(), workload.lake.clone())
+        .description(workload.description.clone())
+        .with_vector_index()
+        .build(&rt);
+    let untraced = rt.query(&ctx).compute(&workload.query).run();
+    assert!(!rt.recorder().is_enabled());
+    assert_eq!(
+        aida::eval::SystemAnswer::from_value(untraced.answer),
+        traced.answer
+    );
     assert_eq!(untraced.cost, traced.cost);
     assert_eq!(untraced.time, traced.time);
 }
