@@ -117,10 +117,15 @@ cargo test -q --release -p aida-script --test differential
 cargo test -q --release -p aida-script --test verdicts
 
 # Generic reading parity: the simulated LLM's memo-backed readers (lowered
-# text, table view) must answer like the test-only line-by-line readers
-# they replaced, for memoized and memo-less subjects. Release runs the
-# property test at its full case count.
+# text, table view, line spans, and the gram set the extractor asks before
+# it bisects a document's lines for a needle) must answer like the
+# test-only line-by-line readers they replaced, for memoized and memo-less
+# subjects. The gram set's soundness property (a needle the text contains
+# is never ruled out) runs next to it. Release runs both properties at
+# their full case counts.
 filtered_test -q --release -p aida-llm --lib sim::reading_differential
+filtered_test -q --release -p aida-data --lib \
+  document::tests::a_gram_set_never_rules_out_a_present_needle
 
 # Tokenizer parity: the 64-byte block pass (masks and mask arithmetic) must
 # count like the char-by-char walk on ASCII-heavy texts up to 600 bytes,

@@ -45,10 +45,10 @@ impl DocKind {
 /// actually reading the text) consults them.
 ///
 /// The content is shared, and what is a pure function of it — the visible
-/// text, its lowered form, its table view, its line spans, its token count
-/// and its hash — is computed on first use and kept (nothing is computed at
-/// load), so `content` and `kind` must not be reassigned once the text has
-/// been read.
+/// text, its lowered form, its table view, its line spans, the gram set of
+/// its lowered form, its token count and its hash — is computed on first
+/// use and kept (nothing is computed at load), so `content` and `kind` must
+/// not be reassigned once the text has been read.
 /// The per-label key hashes are kept the same way; `labels` is private so
 /// that [`Document::with_label`], which drops those hashes, is the only way
 /// to change it.
@@ -68,13 +68,17 @@ pub struct Document {
 }
 
 /// Per-document memo of the pure functions of `content`; each slot is
-/// filled the first time it is asked for.
+/// filled the first time it is asked for. A clone carries the filled
+/// slots.
 #[derive(Debug, Clone, Default)]
 struct TextMemo {
     stripped: OnceLock<Arc<str>>,
     lowered: OnceLock<Arc<str>>,
     table: OnceLock<TableView>,
     lines: OnceLock<Box<[Range<usize>]>>,
+    /// The [`gram_set`] of the lowered text: 512 bytes, boxed so that a
+    /// document no reader asks stays small.
+    grams: OnceLock<Box<GramSet>>,
     tokens: OnceLock<usize>,
     hash: OnceLock<u64>,
     /// Functions of `labels`, not of `content`: cleared when a label is
@@ -182,6 +186,15 @@ impl Document {
             .get_or_init(|| line_spans(self.shared_text()).into())
     }
 
+    /// The [`GramSet`] of [`Document::lowered_text`], computed on first
+    /// use and kept: [`may_contain`] on it rules a lowered needle out of
+    /// the lowered text without scanning it.
+    pub fn grams(&self) -> &GramSet {
+        self.memo
+            .grams
+            .get_or_init(|| Box::new(gram_set(self.lowered_text())))
+    }
+
     /// An owned copy of [`Document::shared_text`].
     pub fn text(&self) -> String {
         self.shared_text().to_string()
@@ -249,9 +262,43 @@ pub fn line_spans(text: &str) -> Vec<Range<usize>> {
         .collect()
 }
 
+/// A text's 4-byte windows, each hashed to one of 4096 bits. It can only
+/// rule a needle out, never in: see [`may_contain`].
+pub type GramSet = [u64; 64];
+
+/// The bit of [`GramSet`] a 4-byte window sets (a multiplicative hash's
+/// top 12 bits).
+fn gram_bit(window: &[u8]) -> usize {
+    let window = u32::from_le_bytes([window[0], window[1], window[2], window[3]]);
+    (window.wrapping_mul(0x9E37_79B1) >> 20) as usize
+}
+
+/// The [`GramSet`] of `text`: the bits of all its 4-byte windows, UTF-8
+/// characters and line breaks straddled alike.
+fn gram_set(text: &str) -> GramSet {
+    let mut set = [0; 64];
+    for window in text.as_bytes().windows(4) {
+        let bit = gram_bit(window);
+        set[bit / 64] |= 1 << (bit % 64);
+    }
+    set
+}
+
+/// False only when some 4-byte window of `needle` has its bit clear in
+/// `set`, so when `set` is the [`GramSet`] of a text that contains
+/// `needle`, this is true. A needle shorter than 4 bytes has no window
+/// and is always a "maybe".
+pub fn may_contain(set: &GramSet, needle: &str) -> bool {
+    needle.as_bytes().windows(4).all(|window| {
+        let bit = gram_bit(window);
+        set[bit / 64] >> (bit % 64) & 1 == 1
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn kind_from_extension() {
@@ -316,6 +363,67 @@ mod tests {
             let doc = Document::new("a.txt", text);
             let lines: Vec<&str> = doc.line_spans().iter().map(|s| &text[s.clone()]).collect();
             assert_eq!(lines, text.lines().collect::<Vec<_>>(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn the_gram_set_is_the_lowered_texts_and_survives_clone_and_relabel() {
+        for (name, text) in [
+            ("a.txt", "Identity THEFT reports, 2024\nStraße é ٣"),
+            ("r.html", "<P>Total &amp; Breakdown</P>"),
+            ("s.txt", "abc"),
+        ] {
+            let doc = Document::new(name, text);
+            assert_eq!(doc.grams(), &gram_set(doc.lowered_text()), "{name}");
+            let filled = |doc: &Document| doc.memo.grams.get().cloned();
+            let copy = doc.clone();
+            assert_eq!(filled(&copy), filled(&doc));
+            assert_eq!(filled(&copy.with_label("relevant", true)), filled(&doc));
+        }
+        assert_eq!(gram_set("abc"), [0; 64]);
+    }
+
+    /// What the soundness property's texts and random needles are made of:
+    /// ASCII words and punctuation, whitespace and line breaks, and two-
+    /// and three-byte characters.
+    const PIECES: &[&str] = &[
+        "theft", "the", "reports", "2024", "a", "é", "٣", "ß", "€", " ", ",", "\n", "\r\n",
+    ];
+
+    fn pieces(len: Range<usize>) -> impl Strategy<Value = String> {
+        prop::collection::vec(0..PIECES.len(), len)
+            .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 512 } else { 8192 }
+        ))]
+        /// Soundness: `text.contains(needle)` implies `may_contain`, for
+        /// needles cut from the text (0 to 12 bytes, on character
+        /// boundaries, non-ASCII included) and drawn at random.
+        #[test]
+        fn a_gram_set_never_rules_out_a_present_needle(
+            text in pieces(0..200),
+            cuts in prop::collection::vec((0usize..4096, 0usize..12), 8..9),
+            random in prop::collection::vec(pieces(1..4), 8..9),
+        ) {
+            let set = gram_set(&text);
+            for (at, len) in cuts {
+                let mut start = at % (text.len() + 1);
+                while !text.is_char_boundary(start) {
+                    start -= 1;
+                }
+                let mut end = (start + len).min(text.len());
+                while !text.is_char_boundary(end) {
+                    end += 1;
+                }
+                let needle = &text[start..end];
+                prop_assert!(may_contain(&set, needle), "{needle:?} in {text:?}");
+            }
+            for needle in &random {
+                prop_assert!(!text.contains(needle.as_str()) || may_contain(&set, needle));
+            }
         }
     }
 

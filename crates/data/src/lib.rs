@@ -28,7 +28,7 @@ pub mod record;
 pub mod table;
 pub mod value;
 
-pub use document::{line_spans, DocKind, Document, TableView};
+pub use document::{line_spans, may_contain, DocKind, Document, GramSet, TableView};
 pub use error::DataError;
 pub use lake::DataLake;
 pub use record::{Field, Record, Schema};

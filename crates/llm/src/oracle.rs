@@ -30,8 +30,8 @@ pub struct Subject<'a> {
     /// Visible text the "model" reads.
     pub text: Cow<'a, str>,
     /// Set when `text` *is* this document's shared text: its memoized
-    /// readings (lowered text, table view, line spans, token count, hash)
-    /// then replace re-walking the text per call.
+    /// readings (lowered text, table view, line spans, gram set, token
+    /// count, hash) then replace re-walking the text per call.
     memo: Option<&'a Document>,
     /// The document the subject was taken from, text shared or not: it
     /// carries the hidden ground-truth labels and their memoized key hashes.
@@ -133,6 +133,15 @@ impl<'a> Subject<'a> {
             Some(doc) => Cow::Borrowed(doc.line_spans()),
             None => Cow::Owned(aida_data::line_spans(&self.text)),
         }
+    }
+
+    /// False only when the document's memoized gram set rules the lowered
+    /// `needle` out of [`Subject::text_lower`]
+    /// ([`aida_data::may_contain`]); true, "maybe", when the subject has
+    /// no document memo.
+    pub(crate) fn may_contain(&self, needle: &str) -> bool {
+        self.memo
+            .is_none_or(|doc| aida_data::may_contain(doc.grams(), needle))
     }
 
     /// `sim::table_view(text)`, from the document's memo when it has one.

@@ -925,8 +925,7 @@ fn generic_extract(head: &TaskHead<'_>, subject: &Subject<'_>) -> Value {
     }
     let text = &*subject.text;
     let spans = subject.line_spans();
-    let best = best_line(&subject.text_lower(), &spans, &needles.weighted)
-        .map(|i| &text[spans[i].clone()]);
+    let best = best_line(subject, &spans, &needles.weighted).map(|i| &text[spans[i].clone()]);
     let want_year = needles.want_year;
     let line = match best {
         Some(line) => line,
@@ -945,14 +944,22 @@ fn generic_extract(head: &TaskHead<'_>, subject: &Subject<'_>) -> Value {
     }
 }
 
-/// The index of the line, among `spans` in `lower`, that contains the most
-/// of `needles` (each needle counting its weight: how often it occurs
-/// among the head's words), the first of them on a tie; `None` when no
-/// line contains any.
-fn best_line(lower: &str, spans: &[Range<usize>], needles: &[(String, usize)]) -> Option<usize> {
+/// The index of the line, among the subject's line `spans`, whose lowered
+/// text contains the most of `needles` (each needle counting its weight:
+/// how often it occurs among the head's words), the first of them on a
+/// tie; `None` when no line contains any. A needle the subject's gram set
+/// rules out is not searched for.
+fn best_line(
+    subject: &Subject<'_>,
+    spans: &[Range<usize>],
+    needles: &[(String, usize)],
+) -> Option<usize> {
+    let lower = subject.text_lower();
     let mut scores = vec![0; spans.len()];
     for (needle, weight) in needles {
-        score_lines(lower, spans, 0, needle, *weight, &mut scores);
+        if subject.may_contain(needle) {
+            score_lines(&lower, spans, 0, needle, *weight, &mut scores);
+        }
     }
     let mut best: Option<(usize, usize)> = None;
     for (i, &score) in scores.iter().enumerate() {

@@ -1,16 +1,20 @@
 //! The generic readers against the line-by-line readers they replaced.
 //!
 //! `reference_*` are the readers as they were before the lowered-text,
-//! table-view and line-span memos: each call lowers the text line by line,
-//! probes every line for every needle and rescans the text for comma
-//! lines. The property test asserts the memo-backed readers (the
-//! extractor merges equal needles and bisects the line range) return
+//! table-view, line-span and gram-set memos: each call lowers the text
+//! line by line, probes every line for every needle and rescans the text
+//! for comma lines. The property test asserts the memo-backed readers
+//! (the extractor merges equal needles, skips the ones a document's gram
+//! set rules out and bisects the line range for the rest) return
 //! identical values, for a document subject (memoized slots) and for a
-//! plain-text subject of the same text (slots computed per call), and that
-//! a document's memoized line spans are its lines. A second property
-//! checks a task head's memo against the derivations each call made
-//! before heads: prompt tokens, content-key parts, oracle query, needles.
-//! `ci.sh` runs both in release at the full case count.
+//! plain-text subject of the same text (slots computed per call, no gram
+//! set), and that a document's memoized line spans are its lines. The
+//! needles run from 2 bytes (`é`, `٣`), which the set always passes, up;
+//! short texts often end in a word with no line break after it, and some
+//! lines are longer than 64 bytes with several hits of one needle. A
+//! second property checks a task head's memo against the derivations each
+//! call made before heads: prompt tokens, content-key parts, oracle query,
+//! needles. `ci.sh` runs both in release at the full case count.
 
 use super::{
     content_words, first_number, generic_extract, generic_filter, table_extract, EXTRACT_PREAMBLE,
@@ -121,7 +125,8 @@ fn reference_extract(instruction: &str, field: &str, field_desc: &str, text: &st
 /// differently (LF, CRLF, a lone CR), ASCII whitespace that
 /// `u8::is_ascii_whitespace` and `char::is_whitespace` disagree on
 /// (U+000B), non-ASCII whitespace and alphanumerics, and table lines:
-/// headers, keyed rows, ragged rows and rows keyed twice.
+/// headers, keyed rows, ragged rows and rows keyed twice. Two pieces are
+/// lines longer than 64 bytes with several hits of one needle.
 const TEXT_PIECES: &[&str] = &[
     "Identity",
     "THEFT",
@@ -166,6 +171,11 @@ const TEXT_PIECES: &[&str] = &[
     "2001,2001,x y\n",
     "2024,1.5,inf\n",
     "row,é٣,THEFT reports",
+    "TAX",
+    "id",
+    "Tax-ID",
+    "Identity theft reports rose; identity THEFT reports fell; theft of tax ids too\n",
+    "fraud fraud fraud and é é ٣ ٣ for 2001 in a line that is longer than sixty-four bytes",
 ];
 
 const INSTRUCTIONS: &[&str] = &[
@@ -181,6 +191,7 @@ const INSTRUCTIONS: &[&str] = &[
     "total Straße é",
     "thefts in 1899 then 2024",
     "٣ reports 2001",
+    "tax é ٣ id",
     "",
 ];
 
@@ -196,8 +207,9 @@ const FIELD_DESCS: &[&str] = &[
     "identity theft theft total total total",
 ];
 
-/// Short texts, and long ones of more than 64 lines, so the extractor's
-/// bisection recurses several levels.
+/// Short texts (which often end in a word, with no line break after it),
+/// and long ones of more than 64 lines, so the extractor's bisection
+/// recurses several levels.
 fn text() -> impl Strategy<Value = String> {
     let piece = 0..TEXT_PIECES.len();
     let line = prop::collection::vec(piece.clone(), 0..6).prop_map(|picks| {
