@@ -28,10 +28,11 @@ filtered_test() {
 # the committed canonical files (the soak is the full one: that is what
 # results/ holds, and it takes seconds). None of the thirty-four carries
 # a byte count of the state files; the soak's durable directory (its
-# Context-store snapshot and the ledger's log, `serve_soak_durable/`) is
-# compared file for file as well. The ten traces are the only pinned
-# record of the traced path: every span, event and counter (cache hits
-# and the `memo.*` counters included) the binaries' traced runs export.
+# Context-store snapshot, the semantic cache's snapshot and the ledger's
+# log, `serve_soak_durable/`) is compared file for file as well. The ten
+# traces are the only pinned record of the traced path: every span,
+# event and counter (cache hits and the `memo.*` counters included) the
+# binaries' traced runs export.
 pinned_bins=(table1 table2 figure1 figure2 serve_soak
   ablation_reuse ablation_rewrite ablation_optimizer ablation_sampling ablation_access)
 pinned_files=(BENCH_table1.json BENCH_table2.json BENCH_figure1.json BENCH_figure2.json
@@ -50,25 +51,18 @@ done
 for f in "${pinned_files[@]}"; do
   cmp "target/ci-results/$f" "results/$f"
 done
-# The soak's durable directory, file for file (names included), but for
-# the semantic cache's snapshot: its entries are in the order the
-# parallel workers admitted them, so two runs write it differently.
+# The soak's durable directory, file for file (names included).
 cmp_durable() {
-  diff <(ls "$1/serve_soak_durable" | grep -vx semcache.bin) <(ls results/serve_soak_durable)
+  diff <(ls "$1/serve_soak_durable") <(ls results/serve_soak_durable)
   for f in results/serve_soak_durable/*; do
     cmp "$1/serve_soak_durable/${f##*/}" "$f"
   done
 }
 cmp_durable target/ci-results
 
-# Fork-join: `parallel_map` runs a batch on as many host threads as the
-# process has CPUs, and inline on one. The same thirty-four files must come
-# out of a run pinned to one CPU, so both paths produce the same bytes.
-# On a one-CPU host both runs are inline; only the fork-join unit test
-# (at 2 and 8 threads) then covers the threaded path.
-if [ "$(nproc)" -le 1 ]; then
-  echo "ci.sh: one CPU; the threaded parallel_map path was not compared with results/" >&2
-fi
+# The set of CPUs the process may use must move no byte: the same
+# thirty-four files and durable directory must come out of a run pinned
+# to one CPU.
 if command -v taskset >/dev/null; then
   for bin in "${pinned_bins[@]}"; do
     AIDA_RESULTS_DIR=target/ci-results-1cpu taskset -c 0 "./target/release/$bin" >/dev/null

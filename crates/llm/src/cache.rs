@@ -12,10 +12,13 @@
 //!    oracle labels). Two calls collide only when the simulator would
 //!    answer them identically, so a hit can return the stored response
 //!    verbatim and replay stays bit-for-bit.
-//! 2. **In-flight dedup** — when concurrent workers issue the same call
-//!    before the first one lands, only the first computes; the rest
-//!    block on a pending marker and share the result, counted as
-//!    `coalesced` (one simulated call billed for the whole group).
+//! 2. **Batch dedup, no in-flight state** — the executor coalesces a
+//!    batch's duplicate calls before dispatch (the first occurrence
+//!    computes; the rest share its response, counted as `coalesced`).
+//!    The cache itself keeps no in-flight state: two threads that share
+//!    it and miss the same key at the same moment each compute and bill
+//!    the call, with identical answers, and the second admit replaces
+//!    the first.
 //! 3. **Disk spill** — [`SemanticCache::save`] writes a versioned,
 //!    checksummed snapshot and [`SemanticCache::load`] restores it, so a
 //!    service restart keeps a warm cache. A truncated or garbled
@@ -38,7 +41,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 pub use crate::snapshot::SnapshotError;
 
@@ -153,8 +156,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Calls that computed and admitted a new entry.
     pub misses: u64,
-    /// Calls that shared another caller's in-flight computation (or a
-    /// batch-deduplicated duplicate).
+    /// Batch duplicates that shared another record's call
+    /// ([`SemanticCache::record_coalesced`]).
     pub coalesced: u64,
     /// The subset of `hits` whose content key was derived from a compiled
     /// plan's bytecode hash rather than the raw program text — two
@@ -175,7 +178,7 @@ impl CacheStats {
         self.hits + self.misses + self.coalesced
     }
 
-    /// Hit rate counting coalesced waiters as hits (they paid nothing).
+    /// Hit rate counting coalesced duplicates as hits (they paid nothing).
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.lookups();
         if lookups == 0 {
@@ -214,7 +217,6 @@ struct Entry {
 #[derive(Debug, Default)]
 struct State {
     entries: HashMap<CacheKey, Entry>,
-    pending: std::collections::HashSet<CacheKey>,
     tick: u64,
     bytes: usize,
     hits: u64,
@@ -240,7 +242,6 @@ pub struct CacheMark {
 #[derive(Debug)]
 struct Inner {
     state: Mutex<State>,
-    cond: Condvar,
     /// Maximum resident entries (0 = unbounded).
     capacity: usize,
     /// This store's [`Residency`] id, shared by its clones.
@@ -257,30 +258,15 @@ pub struct SemanticCache {
 pub enum Lookup {
     /// Exact hit: the stored response, zero marginal cost.
     Hit(LlmResponse),
-    /// Shared an in-flight computation: the freshly admitted response.
-    Coalesced(LlmResponse),
-    /// This caller must compute; admit the result via the guard.
+    /// This caller must compute; admit the result with the key.
     Compute(Pending),
 }
 
-/// Marks a key as in-flight until [`SemanticCache::admit`] lands the
-/// response. Dropping it without admitting (a panic in the computation)
-/// releases the key so waiters retry instead of deadlocking.
+/// The missed key, for [`SemanticCache::admit`]. Dropping it without
+/// admitting (a panic in the computation) leaves the key absent, so the
+/// next [`SemanticCache::begin`] computes.
 pub struct Pending {
-    cache: SemanticCache,
     key: CacheKey,
-    admitted: bool,
-}
-
-impl Drop for Pending {
-    fn drop(&mut self) {
-        if !self.admitted {
-            let mut st = self.cache.inner.state.lock().unwrap();
-            st.pending.remove(&self.key);
-            drop(st);
-            self.cache.inner.cond.notify_all();
-        }
-    }
 }
 
 impl SemanticCache {
@@ -290,7 +276,6 @@ impl SemanticCache {
         SemanticCache {
             inner: Arc::new(Inner {
                 state: Mutex::new(State::default()),
-                cond: Condvar::new(),
                 capacity,
                 store: NEXT_STORE.fetch_add(1, Ordering::Relaxed),
             }),
@@ -298,50 +283,28 @@ impl SemanticCache {
     }
 
     /// Looks `key` up. On a resident entry, bumps recency and returns
-    /// [`Lookup::Hit`]. If another caller is computing the same key,
-    /// blocks until it lands and returns [`Lookup::Coalesced`]. Otherwise
-    /// marks the key in-flight and returns [`Lookup::Compute`] — the
-    /// caller runs the real call and must [`SemanticCache::admit`] it.
+    /// [`Lookup::Hit`]. Otherwise counts a miss and returns
+    /// [`Lookup::Compute`] — the caller runs the real call and must
+    /// [`SemanticCache::admit`] it.
     pub fn begin(&self, key: CacheKey) -> Lookup {
         let mut st = self.inner.state.lock().unwrap();
-        let mut waited = false;
-        loop {
-            let state = &mut *st;
-            if let Some(entry) = state.entries.get_mut(&key) {
-                state.tick += 1;
-                entry.tick = state.tick;
-                let resp = entry.resp.clone();
-                return if waited {
-                    state.coalesced += 1;
-                    Lookup::Coalesced(resp)
-                } else {
-                    state.hits += 1;
-                    Lookup::Hit(resp)
-                };
-            }
-            if st.pending.contains(&key) {
-                waited = true;
-                st = self.inner.cond.wait(st).unwrap();
-                continue;
-            }
-            st.pending.insert(key);
-            st.misses += 1;
-            return Lookup::Compute(Pending {
-                cache: self.clone(),
-                key,
-                admitted: false,
-            });
+        let state = &mut *st;
+        if let Some(entry) = state.entries.get_mut(&key) {
+            state.tick += 1;
+            entry.tick = state.tick;
+            state.hits += 1;
+            return Lookup::Hit(entry.resp.clone());
         }
+        state.misses += 1;
+        Lookup::Compute(Pending { key })
     }
 
-    /// Admits a computed response for the pending key, waking any
-    /// coalesced waiters and evicting LRU entries past the budgets.
-    pub fn admit(&self, mut pending: Pending, resp: LlmResponse) {
-        pending.admitted = true;
+    /// Admits a computed response for the missed key, evicting LRU
+    /// entries past the budgets.
+    pub fn admit(&self, pending: Pending, resp: LlmResponse) {
         let key = pending.key;
         let bytes = approx_bytes(&resp);
         let mut st = self.inner.state.lock().unwrap();
-        st.pending.remove(&key);
         st.tick += 1;
         let tick = st.tick;
         st.bytes += bytes;
@@ -351,14 +314,13 @@ impl SemanticCache {
             tick,
             born: tick,
         };
-        // A `load` may have landed the key while it was in flight.
+        // A `load`, or another thread's miss on the same key, may have
+        // landed it while this call computed.
         if let Some(old) = st.entries.insert(key, entry) {
             st.bytes -= old.bytes;
             st.epoch += 1;
         }
         Self::evict_over_budget(&mut st, self.inner.capacity);
-        drop(st);
-        self.inner.cond.notify_all();
     }
 
     /// Records a hit whose key was derived from a compiled plan's content
@@ -368,9 +330,9 @@ impl SemanticCache {
         self.inner.state.lock().unwrap().plan_hits += 1;
     }
 
-    /// Records `n` batch-deduplicated duplicates that shared one call
-    /// without going through the pending machinery (execution engines
-    /// dedup virtually-simultaneous batches deterministically).
+    /// Records `n` batch duplicates that shared another record's call
+    /// (execution engines dedup virtually-simultaneous batches
+    /// deterministically, before dispatch).
     pub fn record_coalesced(&self, n: u64) {
         self.inner.state.lock().unwrap().coalesced += n;
     }
@@ -808,39 +770,12 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_same_key_charges_once() {
+    fn abandoned_pending_leaves_the_key_absent() {
         let cache = SemanticCache::with_capacity(0);
-        let computed = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let cache = cache.clone();
-                let computed = &computed;
-                scope.spawn(move || match cache.begin(key(9)) {
-                    Lookup::Compute(pending) => {
-                        // Hold the pending marker long enough for the
-                        // other threads to pile up on it.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        computed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        cache.admit(pending, resp("once", Value::Null));
-                    }
-                    Lookup::Hit(r) | Lookup::Coalesced(r) => assert_eq!(r.text, "once"),
-                });
-            }
-        });
-        assert_eq!(computed.load(std::sync::atomic::Ordering::SeqCst), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits + stats.coalesced, 7);
-    }
-
-    #[test]
-    fn abandoned_pending_unblocks_waiters() {
-        let cache = SemanticCache::with_capacity(0);
-        match cache.begin(key(5)) {
-            Lookup::Compute(pending) => drop(pending),
-            _ => panic!("expected compute"),
-        }
-        // The key is free again: a second caller gets to compute.
+        // The computation fails: its key is dropped without an admit.
+        assert!(matches!(cache.begin(key(5)), Lookup::Compute(_)));
+        // Nothing was admitted: the next caller computes.
+        assert!(cache.is_empty());
         assert!(matches!(cache.begin(key(5)), Lookup::Compute(_)));
     }
 

@@ -5,8 +5,8 @@
 //! It lives here, next to [`crate::SemanticCache`], because this is the
 //! lowest crate the three owners (`aida-agents`, `aida-optimizer` and
 //! `aida-serve`) share. The semantic cache and the Context manager keep
-//! their own policies (byte budgets, residency tokens, in-flight
-//! coalescing, cost-aware eviction); a memo has none of those.
+//! their own policies (byte budgets, residency tokens, LRU and
+//! cost-aware eviction); a memo has none of those.
 //!
 //! The rule is one line: an insert of a new key that would take the memo
 //! over its budget clears it first, and a key already present is replaced

@@ -394,19 +394,6 @@ impl SimLlm {
                 }
                 resp
             }
-            // A coalesced waiter shares the in-flight call: nothing is
-            // billed, but it waits out the call's full latency.
-            Lookup::Coalesced(mut resp) => {
-                resp.receipt = UsageSnapshot {
-                    cache_coalesced: 1,
-                    ..UsageSnapshot::default()
-                };
-                if self.recorder.is_enabled() {
-                    self.recorder
-                        .counter_add(aida_obs::registry::CACHE_COALESCED, 1);
-                }
-                resp
-            }
             Lookup::Compute(pending) => {
                 let mut resp = self.respond(model, task, reading);
                 // Stored without its receipt, so a hit's clone of it

@@ -49,8 +49,8 @@ pub struct UsageSnapshot {
     pub(crate) per_model: BTreeMap<ModelId, Usage>,
     /// Calls served from the semantic cache's store.
     pub cache_hits: u64,
-    /// Calls that shared another call's response: an in-flight waiter,
-    /// or a duplicate the executor deduplicated out of a batch.
+    /// Calls that shared another call's response: duplicates the
+    /// executor deduplicated out of a batch.
     pub cache_coalesced: u64,
     /// Calls that missed the cache, computed and admitted their response.
     pub cache_misses: u64,

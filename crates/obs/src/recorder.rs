@@ -4,10 +4,10 @@
 //!
 //! 1. **Determinism.** Spans are created only from sequential
 //!    orchestration code, so span ids and tree shape are identical run to
-//!    run. Leaf LLM calls execute on a deterministic thread pool whose
-//!    interleaving is *not* fixed, so they are recorded as events and
-//!    normalized (sorted by serialized form) when a [`Trace`] snapshot is
-//!    taken. Timestamps are virtual seconds; wall-clock never appears.
+//!    run. Leaf LLM calls are recorded as events and normalized (sorted
+//!    by serialized form) when a [`Trace`] snapshot is taken, so threads
+//!    sharing a recorder cannot reorder it, and the pinned traces keep
+//!    that order. Timestamps are virtual seconds; wall-clock never appears.
 //! 2. **Near-zero cost when disabled.** A disabled recorder is an
 //!    `Option::None` — every method is a branch on a niche-optimized
 //!    pointer and returns immediately, with no allocation and no lock.
@@ -252,7 +252,7 @@ impl Recorder {
 
     /// Takes a deterministic snapshot of the trace. Events inside each
     /// span are sorted by their serialized form so the snapshot is
-    /// byte-stable regardless of worker-thread interleaving.
+    /// byte-stable regardless of the order events arrived in.
     pub fn trace(&self) -> Trace {
         let Some(inner) = &self.inner else {
             return Trace::default();
@@ -264,7 +264,7 @@ impl Recorder {
             // Re-fold the dollar aggregate in sorted order: f64 addition is
             // not associative, so the arrival-order running sum kept by
             // `event()` can differ in the last bits between runs whose
-            // worker threads interleaved differently. The integer
+            // events arrived in different orders. The integer
             // aggregates are order-insensitive and stand as recorded.
             // (Folded from +0.0 explicitly: `Iterator::sum` for f64 starts
             // at -0.0, which call-free spans would then display as "-$0".)

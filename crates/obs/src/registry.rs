@@ -17,7 +17,7 @@ pub const LLM_CALLS: &str = "llm.calls";
 pub const LLM_FAULT_RETRIES: &str = "llm.fault_retries";
 /// Semantic-cache exact/semantic hits.
 pub const CACHE_HIT: &str = "cache.hit";
-/// In-flight duplicate calls coalesced onto one upstream request.
+/// A batch's duplicate calls coalesced onto one upstream request.
 pub const CACHE_COALESCED: &str = "cache.coalesced";
 /// Semantic-cache misses (paid upstream calls).
 pub const CACHE_MISS: &str = "cache.miss";

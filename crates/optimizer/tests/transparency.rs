@@ -306,10 +306,7 @@ fn check(s: &Scenario) -> Result<u64, TestCaseError> {
             Action::Execute { plan, model } => {
                 let plan = plans[plan].plan();
                 let models = vec![ModelId::ALL[model]; plan.len()];
-                // One worker: on more host threads the order in which a
-                // batch's misses are admitted, and so which entry a small
-                // cache evicts, follows thread timing on both sides alike.
-                let physical = PhysicalPlan::with_models(plan, &models, 1);
+                let physical = PhysicalPlan::with_models(plan, &models, 4);
                 let ra = Executor::new(&a).execute(&physical);
                 let rb = Executor::new(&b).execute(&physical);
                 prop_assert_eq!(ra.receipt, rb.receipt);

@@ -2,7 +2,7 @@
 //!
 //! Iterator semantics with batched parallelism: every operator consumes its
 //! full input batch, fanning LLM calls across `parallelism` virtual
-//! workers (run on at most one host thread per CPU: [`parallel_map`]).
+//! workers (run inline on the calling thread: [`parallel_map`]).
 //! Wall time is accounted on the shared virtual clock as the batch's
 //! critical path (`ceil(n / parallelism)` waves); each operator sums the
 //! receipts of its LLM calls, and the plan's receipt is their sum.
@@ -32,9 +32,8 @@ pub struct ExecEnv {
 
 /// Ceiling on per-plan *virtual* fan-out: plans request a level, the
 /// executor caps it, and the virtual clock charges a batch as
-/// `ceil(n / parallelism)` waves. Host threads are a separate, smaller
-/// number — [`parallel_map`] never runs more of them than the CPUs the
-/// process may use — so no simulated second or dollar depends on the
+/// `ceil(n / parallelism)` waves. The host runs every batch on one thread
+/// ([`parallel_map`]), so no simulated second or dollar depends on the
 /// machine.
 const MAX_PARALLELISM: usize = 32;
 
@@ -417,9 +416,9 @@ impl<'a> Executor<'a> {
 
     /// Fans `call` over `0..n` with [`parallel_map`]. With the semantic
     /// cache enabled, duplicate calls inside one virtually-simultaneous
-    /// batch are deduplicated *before* dispatch: whether a record is the
-    /// computing miss or a coalesced duplicate must not depend on thread
-    /// timing, or seeded replay would stop being byte-identical. The
+    /// batch are deduplicated *before* dispatch, by key, so which record
+    /// computes and which is a coalesced duplicate is fixed by the batch's
+    /// order and seeded replay stays byte-identical. The
     /// first occurrence of each key computes; duplicates share its
     /// response and are counted as `coalesced` hits. The batch's receipt
     /// (the computed calls' plus the duplicates' coalesced count, never a
@@ -435,7 +434,7 @@ impl<'a> Executor<'a> {
     where
         K: Eq + std::hash::Hash,
         KF: Fn(usize) -> K,
-        F: Fn(usize) -> aida_llm::LlmResponse + Sync,
+        F: Fn(usize) -> aida_llm::LlmResponse,
     {
         if self.env.llm.cache().is_none() {
             let indices: Vec<usize> = (0..n).collect();
@@ -550,66 +549,16 @@ fn kmeans_assign(vectors: &[Vec<f32>], k: usize) -> Vec<usize> {
     assignments
 }
 
-/// Deterministic fork-join map: applies `f` to every item and returns the
-/// results in input order, on at most `min(parallelism, host CPUs)` host
-/// threads. `parallelism` is the plan's *virtual* fan-out (the executor
-/// clamps it to [`MAX_PARALLELISM`] and charges the clock for
-/// it); host threads past the CPUs the process may use could only take
-/// turns, so they are never spawned.
-pub fn parallel_map<T, R, F>(items: &[T], parallelism: usize, f: F) -> Vec<R>
+/// Applies `f` to every item, in input order, on the calling thread.
+/// The second argument, the plan's *virtual* fan-out, is not read: the
+/// executor clamps it to [`MAX_PARALLELISM`] and charges the clock for
+/// it, and host threads would buy no simulated second or dollar
+/// (DESIGN.md, "Virtual workers vs host threads").
+pub fn parallel_map<T, R, F>(items: &[T], _parallelism: usize, f: F) -> Vec<R>
 where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(&T) -> R,
 {
-    fork_join(items, parallelism.min(host_cpus()), f)
-}
-
-/// The CPUs this process may run on — its affinity mask and cgroup CPU
-/// quota, as `std::thread::available_parallelism` reads them — taken once
-/// per process.
-fn host_cpus() -> usize {
-    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// [`parallel_map`] on exactly `min(threads, items.len())` host threads,
-/// one contiguous chunk each. The calling thread works the first chunk
-/// instead of idling in the join; one thread runs inline.
-fn fork_join<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
-    results.resize_with(items.len(), || None);
-    let fill = |slots: &mut [Option<R>], batch: &[T]| {
-        for (slot, item) in slots.iter_mut().zip(batch) {
-            *slot = Some(f(item));
-        }
-    };
-    let mut chunks = results.chunks_mut(chunk).zip(items.chunks(chunk));
-    let first = chunks.next();
-    // The scope joins every spawned thread and re-raises a worker's panic.
-    std::thread::scope(|scope| {
-        let fill = &fill;
-        for (slots, batch) in chunks {
-            scope.spawn(move || fill(slots, batch));
-        }
-        if let Some((slots, batch)) = first {
-            fill(slots, batch);
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every chunk fills its slots"))
-        .collect()
+    items.iter().map(f).collect()
 }
 
 #[cfg(test)]
@@ -993,21 +942,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_join_is_order_stable_at_every_thread_count() {
-        // Host threads are capped by the CPUs the process may use, so on a
-        // one-CPU machine `parallel_map` never leaves the inline path: the
-        // threaded path is driven here at fixed thread counts instead.
-        for threads in [1, 2, 8] {
-            for n in [0usize, 1, 2, 5, 8, 9, 100] {
-                let items: Vec<usize> = (0..n).collect();
-                let out = fork_join(&items, threads, |x| x * 3 + 1);
-                let want: Vec<usize> = items.iter().map(|x| x * 3 + 1).collect();
-                assert_eq!(out, want, "{threads} threads, {n} items");
-            }
-        }
-    }
-
-    #[test]
     fn ceiling_caps_plan_parallelism() {
         let lake = theft_lake();
         let run = |parallelism: usize| {
@@ -1098,6 +1032,20 @@ mod tests {
         assert_eq!(stats.misses, 4);
         assert_eq!(names.len(), 3, "{names:?}");
         assert_eq!(run(), run(), "replay is byte-identical");
+        // A cache smaller than the batch evicts while the batch runs: what
+        // stays resident, and in which recency order, must not depend on
+        // the plan's fan-out.
+        let snapshot = |parallelism: usize| {
+            let llm = SimLlm::new(7).with_cache(SemanticCache::with_capacity(2));
+            let env = ExecEnv::new(llm);
+            let ds = Dataset::scan(&lake, "docs").sem_filter("mentions identity theft");
+            let plan = PhysicalPlan::uniform(ds.plan(), ModelId::Flagship, parallelism);
+            Executor::new(&env).execute(&plan);
+            let cache = env.llm.cache().unwrap();
+            assert_eq!((cache.stats().misses, cache.len()), (4, 2));
+            cache.encode_snapshot().0
+        };
+        assert_eq!(snapshot(8), snapshot(1));
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub struct TenantReport {
     pub llm_calls: u64,
     /// Semantic-cache hits attributed to the tenant.
     pub cache_hits: u64,
-    /// Semantic-cache coalesced waiters attributed to the tenant.
+    /// Semantic-cache batch duplicates coalesced for the tenant.
     pub cache_coalesced: u64,
     /// Semantic-cache misses attributed to the tenant.
     pub cache_misses: u64,
@@ -160,7 +160,7 @@ pub struct ServiceReport {
     pub evictions: u64,
     /// Semantic-cache hits across the run (zero-spend LLM calls).
     pub cache_hits: u64,
-    /// Semantic-cache coalesced waiters across the run.
+    /// Semantic-cache batch duplicates coalesced across the run.
     pub cache_coalesced: u64,
     /// Semantic-cache misses across the run.
     pub cache_misses: u64,
@@ -236,7 +236,7 @@ impl ServiceReport {
         Self::hit_rate(&self.completions[self.completions.len() / 2..])
     }
 
-    /// Semantic-cache hit rate across the run: hits + coalesced waiters
+    /// Semantic-cache hit rate across the run: hits + coalesced duplicates
     /// over all cache lookups (both avoid a billed LLM call).
     pub fn cache_hit_rate(&self) -> f64 {
         let saved = self.cache_hits + self.cache_coalesced;

@@ -303,8 +303,8 @@ pub struct Completion {
     /// Semantic-cache hits observed during this query (LLM calls served
     /// from the shared cache at zero marginal spend).
     pub cache_hits: u64,
-    /// Semantic-cache coalesced waiters observed during this query
-    /// (duplicate in-flight calls folded into one computation).
+    /// Semantic-cache batch duplicates observed during this query (a
+    /// batch's repeated calls folded into its first one's computation).
     pub cache_coalesced: u64,
     /// Semantic-cache misses observed during this query (calls that went
     /// through to the simulated LLM).

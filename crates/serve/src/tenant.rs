@@ -95,7 +95,7 @@ pub struct Spend {
     /// Semantic-cache hits attributed to this tenant (calls the tenant
     /// issued that were served from the shared cache for free).
     pub cache_hits: u64,
-    /// Semantic-cache coalesced waiters attributed to this tenant.
+    /// Semantic-cache batch duplicates coalesced for this tenant.
     pub cache_coalesced: u64,
 }
 
@@ -243,7 +243,7 @@ pub enum LedgerRecord {
         calls: u64,
         /// Semantic-cache hits credited.
         cache_hits: u64,
-        /// Semantic-cache coalesced waiters credited.
+        /// Semantic-cache batch duplicates credited.
         cache_coalesced: u64,
     },
 }
@@ -319,7 +319,7 @@ impl LedgerRecord {
 
 /// Appends the five spend fields a ledger record and a ledger snapshot
 /// line both end with, each after a tab: dollars by their bits, then
-/// tokens, calls, cache hits and coalesced waiters.
+/// tokens, calls, cache hits and coalesced batch duplicates.
 fn push_spend(out: &mut String, spend: &Spend) {
     out.push('\t');
     push_hex16(out, spend.usd.to_bits());
