@@ -182,28 +182,28 @@ cargo test -q --release --test delta_chain
 # runs the full case count (a few seconds).
 cargo test -q --release --test codecs
 
-# Pyrite VM determinism: the bench's canonical JSON carries only
-# deterministic metrics — two runs must be byte-identical, and equal to
-# the committed one. (`pyrite_vm.txt` carries wall-clock timings and is
-# not pinned; nothing here gates on host speed.)
+# Pyrite VM determinism: the bench's canonical JSON and its per-program
+# table (instructions and fuel) — two runs must be byte-identical, and
+# equal to the committed files. Nothing here gates on host speed.
 AIDA_RESULTS_DIR=target/ci-pyrite-a \
   cargo run -q --release -p aida-bench --bin pyrite_bench >/dev/null
 AIDA_RESULTS_DIR=target/ci-pyrite-b \
   cargo run -q --release -p aida-bench --bin pyrite_bench >/dev/null
-cmp target/ci-pyrite-a/BENCH_pyrite_vm.json target/ci-pyrite-b/BENCH_pyrite_vm.json
-cmp target/ci-pyrite-a/BENCH_pyrite_vm.json results/BENCH_pyrite_vm.json
+for f in BENCH_pyrite_vm.json pyrite_vm.txt; do
+  cmp "target/ci-pyrite-a/$f" "target/ci-pyrite-b/$f"
+  cmp "target/ci-pyrite-a/$f" "results/$f"
+done
 
 # Static cost bounds: the analyzer snapshot over the fixed corpus must
-# be deterministic — two runs byte-identical on both the canonical JSON
-# and the per-program JSONL, both equal to the committed files — and the
-# binary itself asserts every bound survives the plan-cache artifact
-# round-trip (exit nonzero otherwise). `bounds.txt` carries wall-clock
-# timings and is not pinned.
+# be deterministic — two runs byte-identical on the canonical JSON, the
+# per-program JSONL and the table, all equal to the committed files —
+# and the binary itself asserts every bound survives the plan-cache
+# artifact round-trip (exit nonzero otherwise).
 AIDA_RESULTS_DIR=target/ci-bounds-a \
   cargo run -q --release -p aida-bench --bin bounds_bench >/dev/null
 AIDA_RESULTS_DIR=target/ci-bounds-b \
   cargo run -q --release -p aida-bench --bin bounds_bench >/dev/null
-for f in BENCH_bounds.json bounds.jsonl; do
+for f in BENCH_bounds.json bounds.jsonl bounds.txt; do
   cmp "target/ci-bounds-a/$f" "target/ci-bounds-b/$f"
   cmp "target/ci-bounds-a/$f" "results/$f"
 done
@@ -307,12 +307,16 @@ SERVE_SOAK_SMOKE=1 AIDA_RESULTS_DIR=target/ci-kill9 \
 # snapshot once, and an insert frame over known documents defines none
 # — and that group commit cuts ledger fsyncs >= 5x (exit nonzero
 # otherwise). Its canonical JSON carries only deterministic metrics —
-# two runs must be byte-identical.
+# two smoke runs must be byte-identical, and a full run (the 100x rung
+# too, well under a second) must equal the committed file.
 CHECKPOINT_BENCH_SMOKE=1 AIDA_RESULTS_DIR=target/ci-ckpt-a \
   cargo run -q --release -p aida-bench --bin checkpoint_bench >/dev/null
 CHECKPOINT_BENCH_SMOKE=1 AIDA_RESULTS_DIR=target/ci-ckpt-b \
   cargo run -q --release -p aida-bench --bin checkpoint_bench >/dev/null
 cmp target/ci-ckpt-a/BENCH_checkpoint.json target/ci-ckpt-b/BENCH_checkpoint.json
+AIDA_RESULTS_DIR=target/ci-ckpt-full \
+  cargo run -q --release -p aida-bench --bin checkpoint_bench >/dev/null
+cmp target/ci-ckpt-full/BENCH_checkpoint.json results/BENCH_checkpoint.json
 
 # Host-clock benchmark package: its own fmt/clippy/unit tests, the
 # BENCHMARK.json manifest check and a smoke run of every workload. It

@@ -1,4 +1,4 @@
-//! Static cost-bound analyzer benchmark + snapshot.
+//! Static cost-bound analyzer snapshot.
 //!
 //! Runs `aida_script::analyze` over a corpus of policy-shaped programs
 //! (the `pyrite_bench` shapes plus bounded/unbounded exemplars) and
@@ -10,15 +10,17 @@
 //!   across runs, `cmp`'d by ci.sh.
 //! * `results/BENCH_bounds.json` — canonical deterministic metrics
 //!   (program counts by verdict, summed finite bounds).
-//! * `results/bounds.txt` — the table plus wall-clock analyzer timing
-//!   (host time stays out of the canonical files).
+//! * `results/bounds.txt` — the same table, human-readable.
+//!
+//! All three are byte-identical across runs. The analyzer's host time is
+//! measured by the `perf/` benchmark's `script.bounds_us` rung, not here.
 //!
 //! Every program's bound is also round-tripped through the versioned
 //! artifact encoding (`encode` → `decode`) and the binary aborts on any
 //! mismatch — the bound must survive plan caching exactly.
 
 use aida_bench::{emit_bench, emit_text, results_dir, BenchResult};
-use aida_llm::{ModelId, WallStopwatch};
+use aida_llm::ModelId;
 use aida_script::{compile_source, CompiledProgram};
 
 /// Analyzer corpus: the `pyrite_bench` execution shapes plus exemplars
@@ -84,9 +86,6 @@ const CORPUS: &[(&str, &str)] = &[
          total\n",
     ),
 ];
-
-/// Analyzer timing iterations (stdout/txt only).
-const ITERS: u32 = 200;
 
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -165,20 +164,6 @@ fn main() {
             json_str(&bound.render()),
         ));
     }
-
-    // Wall-clock analyzer throughput — never enters the canonical JSON.
-    let sw = WallStopwatch::start();
-    for _ in 0..ITERS {
-        for (_, source) in CORPUS {
-            let _ = compile_source(source).expect("corpus program must compile");
-        }
-    }
-    let elapsed = sw.elapsed_s();
-    report.push_str(&format!(
-        "\ncompile+analyze: {:.2} ms for {} programs x {ITERS} iters\n",
-        elapsed * 1e3,
-        CORPUS.len()
-    ));
 
     let dir = results_dir();
     std::fs::write(dir.join("bounds.jsonl"), &jsonl).expect("write bounds.jsonl");

@@ -25,9 +25,11 @@
 //! Bytes are measured from the files themselves (state-file size per
 //! full rewrite, log growth per frame), so the canonical
 //! metrics in `results/BENCH_checkpoint.json` are byte-identical across
-//! same-seed runs; wall-clock timings are printed for context but never
-//! emitted. A serve-style coda appends the same ledger records
-//! per-record vs group-committed and reports the fsync collapse.
+//! same-seed runs. The host time of a checkpoint is measured by the
+//! `perf/` benchmark's `core.checkpoint.full_ms_at_256` and
+//! `core.checkpoint.delta_ms` rungs, not here. A serve-style coda
+//! appends the same ledger records per-record vs group-committed and
+//! reports the fsync collapse.
 //!
 //! Self-asserts (the paper's scaling claim): delta bytes/checkpoint at
 //! the largest scale stay within 2× of the smallest; full-rewrite
@@ -43,7 +45,6 @@ use aida_bench::BenchResult;
 use aida_core::{Context, Runtime};
 use aida_data::{DataLake, Document, Schema, Table, Value};
 use aida_llm::snapshot::{read_records, StoreId};
-use aida_llm::WallStopwatch;
 use aida_serve::{LedgerRecord, LedgerWal};
 use std::path::Path;
 use std::sync::Arc;
@@ -99,7 +100,6 @@ fn file_len(path: &Path) -> u64 {
 struct ModeRun {
     bytes_per_ckpt: f64,
     frames: u64,
-    wall_s: f64,
     /// Pool lines in the state file of the seeding full snapshot.
     pool_docs: usize,
     /// Delta mode: bytes of one more frame that inserts a Context over
@@ -167,7 +167,6 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
     };
     let mut bytes_written = 0u64;
     let mut frames = 0u64;
-    let watch = WallStopwatch::start();
     let mut last_delta_len = log_len();
     for i in 0..CYCLES {
         let target = (i * 7) % scale;
@@ -185,7 +184,6 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
             bytes_written += file_len(&state);
         }
     }
-    let wall_s = watch.elapsed_s();
 
     // One more frame, this time an insert: the new Context holds three
     // documents, a description and a findings table the log holds, and
@@ -236,7 +234,6 @@ fn run_mode(dir: &Path, scale: usize, delta: bool) -> ModeRun {
     ModeRun {
         bytes_per_ckpt: bytes_written as f64 / CYCLES as f64,
         frames,
-        wall_s,
         pool_docs,
         insert_frame_bytes,
     }
@@ -288,8 +285,8 @@ fn main() {
         let full = run_mode(&scratch, scale, false);
         let delta = run_mode(&scratch, scale, true);
         println!(
-            "scale {scale:>4}x: full {:>8.0} B/ckpt ({:.3}s wall)  delta {:>7.0} B/ckpt, {} frames ({:.3}s wall)",
-            full.bytes_per_ckpt, full.wall_s, delta.bytes_per_ckpt, delta.frames, delta.wall_s,
+            "scale {scale:>4}x: full {:>8.0} B/ckpt  delta {:>7.0} B/ckpt, {} frames",
+            full.bytes_per_ckpt, delta.bytes_per_ckpt, delta.frames,
         );
         bench = bench
             .metric(format!("full_{scale}x/bytes_per_ckpt"), full.bytes_per_ckpt)

@@ -1,28 +1,16 @@
-//! Pyrite execution micro-benchmark: the bytecode VM on a policy-shaped
+//! Pyrite execution snapshot: the bytecode VM on a policy-shaped
 //! program corpus.
 //!
-//! Two measured configurations, matching the real agent paths:
-//!
-//! * **cold VM** — parse + typecheck + compile + execute per iteration:
-//!   the first execution of a freshly planned step.
-//! * **warm VM** — compile once, `run_compiled` per iteration: repeated
-//!   execution of a cached plan (the semantic cache keys plans by the
-//!   compiled program's content hash, so warm re-runs are the common
-//!   case under caching).
-//!
-//! Wall-clock timings go to stdout and `results/pyrite_vm.txt` only —
-//! host time never enters the canonical JSON. `BENCH_pyrite_vm.json`
-//! carries exclusively deterministic metrics (programs, iterations,
-//! instruction counts, fuel burned, an output checksum), so two runs of
-//! this binary produce byte-identical JSON; `ci.sh` runs it twice and
-//! `cmp`s.
+//! Each corpus program is compiled and run once on a fresh VM. The
+//! instruction count and fuel burned per program go to stdout and
+//! `results/pyrite_vm.txt`; `results/BENCH_pyrite_vm.json` carries the
+//! totals and a checksum of the values and output lines. Both files are
+//! byte-identical across runs (`ci.sh` runs the binary twice and `cmp`s
+//! them). The VM's host time is measured by the `perf/` benchmark's
+//! `script.vm_cold_us` and `script.vm_insn_per_s` rungs, not here.
 
 use aida_bench::{emit_bench, emit_text, BenchResult};
-use aida_llm::WallStopwatch;
 use aida_script::{compile_source, CompiledProgram, Interpreter, ScriptValue};
-
-/// Iterations per program per configuration.
-const ITERS: u32 = 200;
 
 /// Fuel budget, matching the agents runtime.
 const FUEL: u64 = 5_000_000;
@@ -84,8 +72,8 @@ const CORPUS: &[(&str, &str)] = &[
 ];
 
 /// Installs the synthetic tool surface every corpus program runs
-/// against. Pure and allocation-cheap so the numbers measure execution
-/// machinery, not tool bodies.
+/// against. Pure, so every run returns the same values and burns the
+/// same fuel.
 fn bind_tools(interp: &mut Interpreter) {
     interp.bind_host_fn("list_files", |_args| {
         Ok(ScriptValue::list(
@@ -165,36 +153,21 @@ fn main() {
     let mut total_fuel = 0u64;
 
     report.push_str(&format!(
-        "pyrite_vm: {} programs x {ITERS} iterations per configuration\n\n",
+        "pyrite_vm: {} programs, one compile and run each\n\n",
         CORPUS.len()
     ));
     report.push_str(&format!(
-        "{:<16} {:>10} {:>12} {:>12}\n",
-        "program", "insns", "cold_vm_ms", "warm_vm_ms"
+        "{:<16} {:>10} {:>10}\n",
+        "program", "insns", "fuel"
     ));
 
     for (name, source) in CORPUS {
         let compiled = compile_source(source).expect("corpus program must compile");
         let outcome = run_vm(&compiled);
-
-        let sw = WallStopwatch::start();
-        for _ in 0..ITERS {
-            let compiled = compile_source(source).expect("corpus program must compile");
-            let _ = run_vm(&compiled);
-        }
-        let cold_s = sw.elapsed_s();
-
-        let sw = WallStopwatch::start();
-        for _ in 0..ITERS {
-            let _ = run_vm(&compiled);
-        }
-        let warm_s = sw.elapsed_s();
-
         report.push_str(&format!(
-            "{name:<16} {:>10} {:>12.2} {:>12.2}\n",
+            "{name:<16} {:>10} {:>10}\n",
             compiled.insn_count(),
-            cold_s * 1e3,
-            warm_s * 1e3,
+            outcome.fuel_used,
         ));
 
         total_insns += compiled.insn_count() as u64;
@@ -204,12 +177,9 @@ fn main() {
 
     emit_text("pyrite_vm", &report);
 
-    // Canonical JSON: deterministic metrics only — no wall-clock values,
-    // so two runs are byte-identical (ci.sh cmps them).
     emit_bench(
         &BenchResult::new("pyrite_vm", 1)
             .metric("programs", CORPUS.len() as f64)
-            .metric("iters_per_config", f64::from(ITERS))
             .metric("total_insns", total_insns as f64)
             .metric("fuel_used", total_fuel as f64)
             .metric("output_checksum", f64::from(checksum(&outcomes))),

@@ -26,8 +26,11 @@
 //! CI. `SERVE_SOAK_CRASH=1` additionally runs a crash-forensics probe: a
 //! `FailPlan` tears a ledger commit mid-record, which must leave a
 //! parseable flight-recorder dump at `results/traces/flight_<seed>.jsonl`.
-//! Recorder overhead (tracing on vs off, wall clock) is printed so
-//! EXPERIMENTS.md can cite a measured number.
+//! The headline workload also runs once with tracing off, and its trace,
+//! health and rendered exports must equal the traced run's byte for
+//! byte: tracing observes the run, it does not perturb it. The
+//! recorder's host-time overhead is measured by the `perf/` benchmark's
+//! `obs.trace_overhead_share`, not here.
 //!
 //! The durable phase runs twice: once with one fsync per ledger record
 //! (the baseline) and once with group commit + a segmented WAL. The
@@ -37,7 +40,7 @@
 
 use aida_bench::{BenchResult, SemcacheBench};
 use aida_core::{Context, Runtime};
-use aida_llm::{CrashPoint, FailPlan, WallStopwatch};
+use aida_llm::{CrashPoint, FailPlan};
 use aida_obs::{SloPolicy, Summary};
 use aida_serve::{
     open_loop, AutoscaleConfig, ClientConfig, LedgerWal, LiveSource, QueryRequest, QueryService,
@@ -488,46 +491,33 @@ fn main() {
     let mut baseline_svc = build_service(seed, false, None, true, None, 0, None);
     let baseline = baseline_svc.run(requests.clone());
 
-    // Recorder-overhead reference: the headline workload with tracing
-    // off. Modes alternate and each keeps its best of two samples, so
-    // one background hiccup can't swing the comparison.
-    let sample = |tracing: bool| {
-        let mut svc = build_service(seed, true, None, tracing, None, 0, None);
-        let watch = WallStopwatch::start();
-        let report = svc.run(requests.clone());
-        (report, watch.elapsed_s())
-    };
-    let (untraced, untraced_wall_a) = sample(false);
-    let (mut report, traced_wall_a) = sample(true);
-    let (_, untraced_wall_b) = sample(false);
-    let (_, traced_wall_b) = sample(true);
-    let untraced_wall_s = untraced_wall_a.min(untraced_wall_b);
-    let traced_wall_s = traced_wall_a.min(traced_wall_b);
-
     // The headline run: shared semantic cache across all four tenants,
-    // tracing on.
+    // tracing on. Tracing must observe the run, not perturb it: the same
+    // run untraced must export the same bytes.
+    let untraced = build_service(seed, true, None, false, None, 0, None).run(requests.clone());
+    let mut report = build_service(seed, true, None, true, None, 0, None).run(requests.clone());
+    let exports = |r: &ServiceReport| {
+        [
+            ("to_jsonl", r.to_jsonl()),
+            ("health_jsonl", r.health_jsonl()),
+            ("render", r.render()),
+        ]
+    };
+    let differs = exports(&untraced)
+        .into_iter()
+        .zip(exports(&report))
+        .find(|(a, b)| a.1 != b.1);
+    if let Some(((name, _), _)) = differs {
+        eprintln!("FAIL: tracing changed the run's {name} export");
+        std::process::exit(1);
+    }
+
     let isolated = build_service(seed, true, None, true, None, 0, None).isolated_cost(&requests);
     report.set_isolated_baseline(isolated);
 
     println!("{}", report.render());
     aida_bench::write_trace_jsonl("serve_soak", &report.to_jsonl());
     aida_bench::emit_text("serve_soak", &report.render());
-
-    // Tracing must observe the run, not perturb it.
-    if untraced.completions.len() != report.completions.len()
-        || untraced.total_cost_usd != report.total_cost_usd
-    {
-        eprintln!("FAIL: tracing changed the run");
-        std::process::exit(1);
-    }
-    let overhead_pct = if untraced_wall_s > 0.0 {
-        100.0 * (traced_wall_s - untraced_wall_s) / untraced_wall_s
-    } else {
-        0.0
-    };
-    println!(
-        "recorder overhead: untraced {untraced_wall_s:.3}s wall, traced {traced_wall_s:.3}s wall ({overhead_pct:+.1}%)"
-    );
 
     // Per-tenant health: windowed percentiles + SLO burn-rate verdicts.
     let health_path = aida_bench::results_dir().join("health.jsonl");

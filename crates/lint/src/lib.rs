@@ -39,8 +39,6 @@ pub struct Config {
     /// Path components that exclude a file when present anywhere in its
     /// relative path (`target`, `vendor`, `fixtures`, …).
     pub exclude: Vec<String>,
-    /// The one file allowed to touch the wall clock (D1).
-    pub clock_file: String,
     /// Modules that serialize output; D3 applies only here.
     pub serializer_modules: Vec<String>,
     /// Durability-critical files; F1 applies only here.
@@ -73,7 +71,6 @@ impl Default for Config {
             exclude: s(&[
                 "target", "vendor", "fixtures", "tests", "benches", "examples",
             ]),
-            clock_file: "crates/llm/src/clock.rs".to_string(),
             serializer_modules: s(&[
                 "crates/obs/src/report.rs",
                 "crates/obs/src/json.rs",
@@ -142,11 +139,6 @@ impl Config {
             "exclude" => {
                 if let Some(v) = as_list(&e.value) {
                     self.exclude = v;
-                }
-            }
-            "clock_file" => {
-                if let Value::Str(s) = &e.value {
-                    self.clock_file = s.clone();
                 }
             }
             "serializer_modules" => {
@@ -364,15 +356,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_point_at_the_virtual_clock() {
+    fn defaults_exclude_vendored_code() {
         let cfg = Config::default();
-        assert_eq!(cfg.clock_file, "crates/llm/src/clock.rs");
         assert!(cfg.exclude.iter().any(|e| e == "vendor"));
     }
 
     #[test]
     fn config_overlay_from_toml_text() {
-        let text = "[lint]\nroots = [\"x\"]\nclock_file = \"y/clock.rs\"\n\n[[allow]]\nrule = \"D1\"\nfile = \"z.rs\"\nreason = \"because\"\n";
+        let text = "[lint]\nroots = [\"x\"]\nmetric_registry_file = \"y/registry.rs\"\n\n[[allow]]\nrule = \"D1\"\nfile = \"z.rs\"\nreason = \"because\"\n";
         let entries = baseline::parse(text).unwrap();
         let mut cfg = Config::default();
         for e in entries.iter().filter(|e| e.table == "lint") {
@@ -380,7 +371,7 @@ mod tests {
         }
         cfg.allows = collect_allows(&entries);
         assert_eq!(cfg.roots, vec!["x"]);
-        assert_eq!(cfg.clock_file, "y/clock.rs");
+        assert_eq!(cfg.metric_registry_file, "y/registry.rs");
         assert_eq!(cfg.allows.len(), 1);
         assert_eq!(cfg.allows[0].rule, "D1");
         assert_eq!(cfg.allows[0].reason, "because");
@@ -389,6 +380,9 @@ mod tests {
     #[test]
     fn missing_config_file_yields_defaults() {
         let cfg = Config::load(Path::new("/nonexistent/lint.toml")).unwrap();
-        assert_eq!(cfg.clock_file, Config::default().clock_file);
+        assert_eq!(
+            cfg.metric_registry_file,
+            Config::default().metric_registry_file
+        );
     }
 }

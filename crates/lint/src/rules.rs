@@ -294,7 +294,7 @@ fn segment_fns(src: &str, toks: &[Tok], in_test: &[bool]) -> Vec<FnSpan> {
 pub fn scan_file(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let view = FileView::new(rel, src);
     let mut out = Vec::new();
-    rule_d1_wall_clock(&view, cfg, &mut out);
+    rule_d1_wall_clock(&view, &mut out);
     rule_d2_unseeded_rng(&view, &mut out);
     if path_in(rel, &cfg.serializer_modules) {
         rule_d3_unsorted_iteration(&view, &mut out);
@@ -318,13 +318,10 @@ fn path_in(rel: &str, paths: &[String]) -> bool {
 
 // ---------------------------------------------------------------- D1
 
-/// D1: wall-clock reads (`Instant`, `SystemTime`, `std::time`) are only
-/// legal inside the virtual-clock module. `std::time::Duration` is an
-/// inert value type and stays allowed everywhere.
-fn rule_d1_wall_clock(view: &FileView, cfg: &Config, out: &mut Vec<Finding>) {
-    if path_in(view.rel, std::slice::from_ref(&cfg.clock_file)) {
-        return;
-    }
+/// D1: wall-clock reads (`Instant`, `SystemTime`, `std::time`) are
+/// illegal in every scanned file: the runtime runs on the virtual clock.
+/// `std::time::Duration` is an inert value type and stays allowed.
+fn rule_d1_wall_clock(view: &FileView, out: &mut Vec<Finding>) {
     for i in 0..view.toks.len() {
         if view.in_test[i] || view.toks[i].kind != TokKind::Ident {
             continue;
@@ -336,10 +333,7 @@ fn rule_d1_wall_clock(view: &FileView, cfg: &Config, out: &mut Vec<Finding>) {
                     "D1",
                     Severity::Error,
                     i,
-                    format!(
-                        "wall-clock type `{what}` outside {}; use the SimClock timeline",
-                        cfg.clock_file
-                    ),
+                    format!("wall-clock type `{what}`; use the SimClock timeline"),
                 ));
             }
             "std"
@@ -352,10 +346,7 @@ fn rule_d1_wall_clock(view: &FileView, cfg: &Config, out: &mut Vec<Finding>) {
                     "D1",
                     Severity::Error,
                     i,
-                    format!(
-                        "`std::time` outside {}; only `std::time::Duration` is exempt",
-                        cfg.clock_file
-                    ),
+                    "`std::time` path; only `std::time::Duration` is exempt".to_string(),
                 ));
             }
             _ => {}
@@ -1200,12 +1191,11 @@ mod tests {
     }
 
     #[test]
-    fn clock_file_is_exempt_from_d1() {
-        let cfg = Config::default();
-        let clock = cfg.clock_file.clone();
+    fn d1_applies_to_the_virtual_clock_module() {
         let src = "fn now() -> Instant { Instant::now() }";
-        assert!(scan_file(&clock, src, &cfg).is_empty());
-        assert_eq!(scan_file("other.rs", src, &cfg).len(), 2);
+        let f = scan_file("crates/llm/src/clock.rs", src, &Config::default());
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert!(f.iter().all(|f| f.rule == "D1"), "{f:?}");
     }
 
     #[test]

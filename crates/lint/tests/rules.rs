@@ -221,7 +221,6 @@ fn config_path_scoping_matches_suffixes() {
         .iter()
         .chain(cfg.durability_files.iter())
         .chain(cfg.recovery_files.iter())
-        .chain(std::iter::once(&cfg.clock_file))
     {
         assert!(
             Path::new(&root).join(rel).is_file(),

@@ -160,36 +160,6 @@ impl Timeline {
     }
 }
 
-/// A wall-clock stopwatch for *measuring the harness itself* (e.g. the
-/// recorder-overhead check in `serve_soak`). This is the only place in
-/// the workspace allowed to touch host time (lint rule D1): wall-clock
-/// readings must never feed a trace, a report, or any simulated result —
-/// only meta-measurements that compare two executions of the harness.
-#[derive(Debug)]
-pub struct WallStopwatch {
-    start: std::time::Instant,
-}
-
-impl Default for WallStopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
-impl WallStopwatch {
-    /// Starts timing now, in host time.
-    pub fn start() -> Self {
-        WallStopwatch {
-            start: std::time::Instant::now(),
-        }
-    }
-
-    /// Host seconds elapsed since `start`.
-    pub fn elapsed_s(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,13 +312,5 @@ mod tests {
         let a = tl.schedule(0.0, 3.0);
         let b = tl.schedule(0.0, 3.0);
         assert_eq!(a.end_s, b.start_s);
-    }
-
-    #[test]
-    fn wall_stopwatch_is_monotone() {
-        let sw = WallStopwatch::start();
-        let a = sw.elapsed_s();
-        let b = sw.elapsed_s();
-        assert!(a >= 0.0 && b >= a);
     }
 }

@@ -38,7 +38,7 @@ pub mod usage;
 pub use cache::{
     CacheKey, CacheMark, CacheReplica, CacheStats, Residency, SemanticCache, SnapshotError,
 };
-pub use clock::{ScheduledSlot, SimClock, Timeline, WallStopwatch};
+pub use clock::{ScheduledSlot, SimClock, Timeline};
 pub use embed::Embedder;
 pub use head::TaskHead;
 pub use memo::{Memo, MemoStats};

@@ -151,13 +151,7 @@ impl Summary {
 
     /// The nearest-rank `q`-quantile (`q` in `[0, 1]`; 0 when empty).
     fn quantile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-        sorted[rank.min(sorted.len()) - 1]
+        nearest_rank(self.samples.clone(), q)
     }
 
     /// Median.
@@ -184,6 +178,17 @@ impl Summary {
             .field("p95", self.p95())
             .field("p99", self.p99())
     }
+}
+
+/// The nearest-rank `q`-quantile of `samples` (`q` in `[0, 1]`; 0 when
+/// empty): the sample at rank `ceil(q * n)`, counting from 1.
+pub(crate) fn nearest_rank(mut samples: Vec<f64>, q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.sort_by(f64::total_cmp);
+    let rank = ((q.clamp(0.0, 1.0) * samples.len() as f64).ceil() as usize).max(1);
+    samples[rank.min(samples.len()) - 1]
 }
 
 /// Default bucket bounds for a histogram name. Centralized so every

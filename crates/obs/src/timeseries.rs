@@ -142,16 +142,10 @@ impl SlidingWindow {
         }
     }
 
-    /// Nearest-rank quantile over the trailing window (0 when empty),
-    /// matching [`crate::Summary::quantile`] semantics.
+    /// Nearest-rank quantile over the trailing window (0 when empty), by
+    /// the same function as [`crate::Summary`]'s percentiles.
     pub fn quantile_in(&self, now_s: f64, window_s: f64, q: f64) -> f64 {
-        let mut sorted = self.samples_in(now_s, window_s);
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        sorted.sort_by(f64::total_cmp);
-        let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-        sorted[rank.min(sorted.len()) - 1]
+        crate::metric::nearest_rank(self.samples_in(now_s, window_s), q)
     }
 
     /// Fraction of windowed samples strictly above `threshold` (0 when
