@@ -141,6 +141,17 @@ cargo test -q --release -p aida-llm --test task_heads
 cargo test -q --release -p aida-llm --test content_keys
 filtered_test -q --release -p aida-llm --lib embed::tests::norm_identity
 
+# Context-build parity: the embedder's one-pass walk must give the bits
+# of the per-word oracle (non-ASCII words and separators, upper-case
+# runs, words over 64 bytes, texts over 2,000 chars), the byte-scanning
+# HTML stripper the text of the char-by-char one, and the index prefix
+# the first 2,000 chars; every legal and Enron document at seeds 1-4
+# must strip and embed as the parent code did. Release runs the full
+# case counts.
+filtered_test -q --release -p aida-llm --lib embed::tests::bigrams
+filtered_test -q --release -p aida-data --lib html::tests
+filtered_test -q --release -p aida-core --lib context::tests
+
 # Sampling-memo transparency: an optimizer replaying all-hit sampling runs
 # from a shared memo must produce the bits of one sampling afresh, call
 # for call (matrices, receipts, clocks, cache counters and the final

@@ -217,26 +217,42 @@ impl ContextBuilder {
     }
 }
 
-/// A flat index over a bounded prefix of every document: enough signal,
-/// bounded work.
+/// How many characters of a document's text its embedding reads.
+const EMBED_PREFIX_CHARS: usize = 2_000;
+
+/// A flat index over a bounded prefix of every document's visible text
+/// (its first [`EMBED_PREFIX_CHARS`] characters): enough signal, bounded
+/// work.
 fn embed_lake(lake: &DataLake, runtime: &Runtime) -> FlatIndex {
     let mut index = FlatIndex::new();
     for doc in lake.docs() {
         let text = doc.shared_text();
-        let end = text
-            .char_indices()
-            .nth(2_000)
-            .map_or(text.len(), |(i, _)| i);
-        index.add(&doc.name, runtime.env().embedder.embed(&text[..end]));
+        let prefix = char_prefix(text, EMBED_PREFIX_CHARS);
+        index.add(&doc.name, runtime.env().embedder.embed(prefix));
     }
     index
 }
+
+/// The first `n` characters of `text`. A text of at most `n` bytes is
+/// its own prefix, and so are `n` ASCII bytes; only a text with a
+/// non-ASCII byte among its first `n` has its characters counted.
+fn char_prefix(text: &str, n: usize) -> &str {
+    match text.as_bytes().get(..n) {
+        None => text,
+        Some(head) if head.is_ascii() => &text[..n],
+        Some(_) => text.char_indices().nth(n).map_or(text, |(i, _)| &text[..i]),
+    }
+}
+
+#[cfg(test)]
+#[path = "../../data/tests/common/html_oracle.rs"]
+mod html_oracle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aida_agents::{FnTool, ToolSpec};
-    use aida_data::Document;
+    use aida_data::{DocKind, Document};
     use aida_script::ScriptValue;
 
     fn lake() -> DataLake {
@@ -350,5 +366,104 @@ mod tests {
         // Un-narrowed materializations keep it.
         let same = ctx.materialize("lake/2", "enriched".into(), None, None);
         assert!(!same.vector_search(&rt, "identity theft", 1).is_empty());
+    }
+
+    /// `embed_lake`'s prefix as it was: the first `n` chars, counted one
+    /// by one.
+    fn parent_prefix(text: &str, n: usize) -> &str {
+        let end = text.char_indices().nth(n).map_or(text.len(), |(i, _)| i);
+        &text[..end]
+    }
+
+    /// `Embedder::embed` as it was before the one-pass walk: the words of
+    /// a `char` split, each hashed on its own and again as the second word
+    /// of a bigram, bucketed with `%`.
+    fn parent_embed(dims: usize, text: &str) -> Vec<f32> {
+        fn fnv1a_lowercase(h: u64, word: &str) -> u64 {
+            word.bytes().fold(h, |h, b| {
+                (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        }
+        let mut v = vec![0f32; dims];
+        let mut bump = |h: u64, weight: f32| {
+            let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+            v[(h % dims as u64) as usize] += sign * weight;
+        };
+        let mut previous = None;
+        for word in text
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|w| !w.is_empty())
+        {
+            let state = fnv1a_lowercase(0xcbf2_9ce4_8422_2325, word);
+            bump(aida_llm::noise::splitmix64(state), 1.0);
+            if let Some(first) = previous {
+                let pair = fnv1a_lowercase(fnv1a_lowercase(first, " "), word);
+                bump(aida_llm::noise::splitmix64(pair), 0.5);
+            }
+            previous = Some(state);
+        }
+        let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 0.0 {
+            for x in v.iter_mut() {
+                *x /= norm;
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn every_real_document_strips_and_embeds_as_before() {
+        use aida_synth::{enron, legal};
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 1..=4 {
+            for lake in [legal::generate(seed).lake, enron::generate(seed).lake] {
+                let rt = Runtime::builder().seed(seed).build();
+                let ctx = Context::builder("lake", lake)
+                    .with_vector_index()
+                    .build(&rt);
+                assert_eq!(ctx.vector_index.as_ref().map(|i| i.len()), Some(ctx.len()));
+                let dims = rt.env().embedder.embed("").len();
+                let index = embed_lake(ctx.lake(), &rt);
+                for doc in ctx.lake().docs() {
+                    if doc.kind == DocKind::Html {
+                        let want = html_oracle::to_text_oracle(&doc.content);
+                        assert_eq!(**doc.shared_text(), *want, "{}", doc.name);
+                    }
+                    let want = parent_embed(dims, parent_prefix(doc.shared_text(), 2_000));
+                    let got = index.get(&doc.name).expect("every document is indexed");
+                    assert_eq!(bits(got), bits(&want), "seed {seed}, {}", doc.name);
+                }
+            }
+        }
+    }
+
+    mod prefix {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CASES: u32 = if cfg!(debug_assertions) { 512 } else { 8192 };
+
+        /// Texts around the prefix's length, all-ASCII or with a few
+        /// multi-byte characters anywhere in them, and short texts for
+        /// small prefixes.
+        fn text() -> impl Strategy<Value = String> {
+            prop_oneof![
+                "[a-z ]{1990,2010}",
+                ("[a-z ]{0,2010}", "[é日—]{1,3}", "[a-z ]{0,40}")
+                    .prop_map(|(a, b, c)| format!("{a}{b}{c}")),
+                "[a-zé日 ]{1990,2010}",
+                "[a-zé日 ]{0,14}",
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(CASES))]
+            #[test]
+            fn the_prefix_is_the_first_chars(text in text(), small in 0usize..12) {
+                for n in [EMBED_PREFIX_CHARS, small] {
+                    prop_assert_eq!(char_prefix(&text, n), parent_prefix(&text, n));
+                }
+            }
+        }
     }
 }

@@ -12,61 +12,128 @@ use crate::value::Value;
 /// Strips tags and decodes the handful of common entities, returning the
 /// visible text with collapsed whitespace. `<script>`/`<style>` bodies are
 /// dropped entirely.
+///
+/// Two passes: tags are cut out into one buffer, then entities are
+/// decoded (an entity may span a cut tag) and whitespace collapsed in
+/// one walk over it.
 pub fn to_text(html: &str) -> String {
-    let mut out = String::with_capacity(html.len() / 2);
-    let mut chars = html.char_indices().peekable();
-    let mut skip_until: Option<&'static str> = None;
-    while let Some((i, c)) = chars.next() {
-        if c == '<' {
-            let rest = &html[i..];
-            if let Some(close) = skip_until {
-                if rest
-                    .get(..close.len())
-                    .is_some_and(|head| head.eq_ignore_ascii_case(close))
-                {
-                    skip_until = None;
-                }
-                // Consume through the end of this tag either way.
-                for (_, tc) in chars.by_ref() {
-                    if tc == '>' {
-                        break;
-                    }
-                }
-                continue;
+    collapse_decoded(&strip_tags_and_scripts(html))
+}
+
+/// The text between tags, with a line break for each block-level tag and
+/// a space for each cell tag; `<script>`/`<style>` bodies are dropped.
+/// A tag runs from `<` through the next `>`, or to the end.
+fn strip_tags_and_scripts(html: &str) -> String {
+    let mut out = String::with_capacity(html.len());
+    // The closing tag a `<script>` or `<style>` body runs to.
+    let mut skip_until: Option<&'static [u8]> = None;
+    let mut i = 0;
+    while let Some(offset) = html[i..].find('<') {
+        let open = i + offset;
+        if skip_until.is_none() {
+            out.push_str(&html[i..open]);
+        }
+        let close = html[open + 1..].find('>').map(|p| open + 1 + p);
+        let rest = &html.as_bytes()[open..];
+        if let Some(end) = skip_until {
+            if starts_with_ignore_case(rest, end) {
+                skip_until = None;
             }
-            let lower = rest.get(..8).unwrap_or(rest).to_ascii_lowercase();
-            if lower.starts_with("<script") {
-                skip_until = Some("</script");
-            } else if lower.starts_with("<style") {
-                skip_until = Some("</style");
+        } else {
+            if starts_with_ignore_case(rest, b"<script") {
+                skip_until = Some(b"</script");
+            } else if starts_with_ignore_case(rest, b"<style") {
+                skip_until = Some(b"</style");
             }
-            let mut tag = String::new();
-            for (_, tc) in chars.by_ref() {
-                if tc == '>' {
-                    break;
-                }
-                tag.push(tc);
+            let tag = &html[open + 1..close.unwrap_or(html.len())];
+            if let Some(sep) = tag_separator(tag) {
+                out.push(sep);
             }
-            // Block-level tags become line breaks so rows stay separated.
-            let name = tag
-                .trim_start_matches('/')
-                .split_whitespace()
-                .next()
-                .unwrap_or("")
-                .to_ascii_lowercase();
-            if matches!(
-                name.as_str(),
-                "p" | "div" | "tr" | "br" | "li" | "h1" | "h2" | "h3" | "h4" | "table"
-            ) {
-                out.push('\n');
-            } else if matches!(name.as_str(), "td" | "th") {
-                out.push(' ');
-            }
-        } else if skip_until.is_none() {
-            out.push(c);
+        }
+        match close {
+            Some(close) => i = close + 1,
+            None => return out,
         }
     }
-    collapse_whitespace(&decode_entities(&out))
+    if skip_until.is_none() {
+        out.push_str(&html[i..]);
+    }
+    out
+}
+
+fn starts_with_ignore_case(bytes: &[u8], prefix: &[u8]) -> bool {
+    bytes
+        .get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+}
+
+/// Block-level tags: each becomes a line break, so rows stay separated.
+const BLOCK_TAGS: [&str; 10] = [
+    "p", "div", "tr", "br", "li", "h1", "h2", "h3", "h4", "table",
+];
+
+/// What a tag (the text between `<` and `>`) leaves in the text: a line
+/// break for a block-level tag and a space for a cell. The tag's name is
+/// its first word after any leading `/`s, compared ASCII-case-insensitively.
+fn tag_separator(tag: &str) -> Option<char> {
+    let name = tag.trim_start_matches('/').split_whitespace().next()?;
+    let is = |names: &[&str]| names.iter().any(|n| name.eq_ignore_ascii_case(n));
+    if is(&BLOCK_TAGS) {
+        Some('\n')
+    } else if is(&["td", "th"]) {
+        Some(' ')
+    } else {
+        None
+    }
+}
+
+/// The six entities decoded, and what each becomes.
+const ENTITIES: [(&str, char); 6] = [
+    ("&amp;", '&'),
+    ("&lt;", '<'),
+    ("&gt;", '>'),
+    ("&quot;", '"'),
+    ("&#39;", '\''),
+    ("&nbsp;", ' '),
+];
+
+/// `text` with its entities decoded, then each line (split as
+/// `str::lines` splits) cut to its words (split as
+/// `str::split_whitespace` splits) joined by one space; empty lines are
+/// dropped and every kept line ends in `\n`. One walk: a decoded
+/// `&nbsp;` is whitespace like any other.
+fn collapse_decoded(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    // Whether the current line has a word yet, and whether whitespace has
+    // come since its last word.
+    let (mut line_has_word, mut space) = (false, false);
+    let mut rest = text;
+    while let Some(c) = rest.chars().next() {
+        let (c, len) = if c == '&' {
+            entity(rest)
+        } else {
+            (c, c.len_utf8())
+        };
+        rest = &rest[len..];
+        if c == '\n' {
+            if line_has_word {
+                out.push('\n');
+            }
+            (line_has_word, space) = (false, false);
+        } else if c.is_whitespace() {
+            space = line_has_word;
+        } else {
+            if space {
+                out.push(' ');
+            }
+            out.push(c);
+            (line_has_word, space) = (true, false);
+        }
+    }
+    if line_has_word {
+        out.push('\n');
+    }
+    out
 }
 
 /// Decodes `&amp; &lt; &gt; &quot; &#39; &nbsp;`.
@@ -75,42 +142,21 @@ fn decode_entities(text: &str) -> String {
     let mut rest = text;
     while let Some(pos) = rest.find('&') {
         out.push_str(&rest[..pos]);
-        rest = &rest[pos..];
-        let replaced = [
-            ("&amp;", "&"),
-            ("&lt;", "<"),
-            ("&gt;", ">"),
-            ("&quot;", "\""),
-            ("&#39;", "'"),
-            ("&nbsp;", " "),
-        ]
-        .iter()
-        .find(|(ent, _)| rest.starts_with(ent));
-        match replaced {
-            Some((ent, rep)) => {
-                out.push_str(rep);
-                rest = &rest[ent.len()..];
-            }
-            None => {
-                out.push('&');
-                rest = &rest[1..];
-            }
-        }
+        let (c, len) = entity(&rest[pos..]);
+        out.push(c);
+        rest = &rest[pos + len..];
     }
     out.push_str(rest);
     out
 }
 
-fn collapse_whitespace(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for line in text.lines() {
-        let line = line.split_whitespace().collect::<Vec<_>>().join(" ");
-        if !line.is_empty() {
-            out.push_str(&line);
-            out.push('\n');
-        }
-    }
-    out
+/// For `rest` starting with `&`: the character its entity decodes to and
+/// the entity's length, or a bare `&`.
+fn entity(rest: &str) -> (char, usize) {
+    ENTITIES
+        .iter()
+        .find(|(entity, _)| rest.starts_with(entity))
+        .map_or(('&', 1), |&(entity, c)| (c, entity.len()))
 }
 
 /// Extracts every `<table>` in the document as a typed [`Table`]. The first
@@ -225,7 +271,12 @@ fn strip_tags(text: &str) -> String {
 }
 
 #[cfg(test)]
+#[path = "../tests/common/html_oracle.rs"]
+mod html_oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::html_oracle::to_text_oracle;
     use super::*;
 
     const PAGE: &str = r#"<html><head><style>body{color:red}</style>
@@ -255,6 +306,63 @@ mod tests {
     }
 
     #[test]
+    fn multibyte_text_after_every_tag_strips_as_the_oracle_does() {
+        // Byte 8 after each `<` falls inside a multi-byte character, which
+        // once made every tag lowercase the whole rest of the document.
+        let tags = if cfg!(debug_assertions) { 2_000 } else { 8_000 };
+        let html: String = (0..tags).map(|n| format!("<b>日本語{n}</b> ")).collect();
+        assert_eq!(to_text(&html), to_text_oracle(&html));
+        assert!(to_text(&html).starts_with("日本語0 日本語1 "));
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CASES: u32 = if cfg!(debug_assertions) { 1024 } else { 16384 };
+
+        /// Pieces of HTML: mixed-case and slashed tags, tags with
+        /// attributes and odd spacing, `<script>`/`<style>` blocks that
+        /// hold `<` and near-miss closers, unclosed tags, whole and
+        /// partial entities, `\r\n`, Unicode whitespace and multi-byte
+        /// text right after `<`.
+        #[rustfmt::skip]
+        const PIECES: &[&str] = &[
+            "<p>", "<P>", "</p>", "<Div class=\"x\">", "</DIV >", "<tr>", "</Tr>", "<bR/>",
+            "<br>", "<li>", "<H1>", "</h4>", "<TABLE border=1>", "<td>", "<TH>", "</td>",
+            "< p>", "</ td>", "<//p>", "<p\u{2003}x>", "<\u{a0}li>", "<tr\tclass=a>",
+            "<b>", "<span>", "<tbody>", "<pre>", "<p/>", "<>", "< >", "<!-- c -->",
+            "<script>var x = '<p>';</script>", "<ScRiPt type=t>a<b && c</SCRIPT >",
+            "<style>p<td{color:red}</style>", "<STYLE>x</stylex>y</style>",
+            "<script>", "</script>", "<style>", "</Style>", "<scriptx>", "<styles>",
+            "<p", "<div class='x'", "<", ">", "&", "&am", "&amp", "&amp;", "&lt;",
+            "&gt;", "&quot;", "&#39;", "&#3", "&nbsp;", "&nbsp", "&amp;lt;",
+            "\r\n", "\n", "\r", " ", "\t", "\u{2003}", "\u{a0}", "\u{85}", "\u{2028}", "\u{b}",
+            "<日本語>", "<é", "<aaaaaaé", "<b>日本語</b>", "<ǅ>", "İ", "—",
+        ];
+
+        fn piece() -> impl Strategy<Value = String> {
+            prop_oneof![
+                (0..PIECES.len()).prop_map(|i| PIECES[i].to_string()),
+                "[a-zA-Z0-9 .,]{1,8}",
+                "[a-z日é &;<>/\n]{1,6}",
+            ]
+        }
+
+        fn html() -> impl Strategy<Value = String> {
+            prop::collection::vec(piece(), 0..40).prop_map(|pieces| pieces.concat())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(CASES))]
+            #[test]
+            fn to_text_is_the_oracles(html in html()) {
+                prop_assert_eq!(to_text(&html), to_text_oracle(&html));
+            }
+        }
+    }
+
+    #[test]
     fn table_extraction_infers_types() {
         let tables = extract_tables(PAGE);
         assert_eq!(tables.len(), 1);
@@ -271,6 +379,10 @@ mod tests {
         );
         assert_eq!(decode_entities("no entities"), "no entities");
         assert_eq!(decode_entities("&unknown;"), "&unknown;");
+        assert_eq!(
+            decode_entities("&quot;x&quot;&nbsp;&amp;lt;&am"),
+            "\"x\" &lt;&am"
+        );
     }
 
     #[test]

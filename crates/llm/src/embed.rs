@@ -1,9 +1,16 @@
 //! Deterministic text embeddings.
 //!
-//! A feature-hashing embedder: lowercase word unigrams and bigrams are
-//! hashed into a fixed-dimension vector with signed contributions, then
-//! L2-normalized. Texts sharing vocabulary land close in cosine space,
-//! which is all the Context-description retrieval and vector indexes need.
+//! A feature-hashing embedder. Its features are defined on words: a word
+//! is a maximal run of `char::is_alphanumeric` characters, lowered by
+//! ASCII case only. Each word adds ±1.0 at `noise::hash_str(word)` and
+//! each adjacent pair of words adds ±0.5 at `noise::hash_str("{a} {b}")`;
+//! a hash's bucket is the hash modulo the dimension and its sign is bit
+//! 32. The vector is then L2-normalized. Texts sharing vocabulary land
+//! close in cosine space, which is all the Context-description retrieval
+//! and vector indexes need.
+//!
+//! [`Embedder::embed`] computes these features in one pass over the
+//! text's bytes, building no word or pair string.
 
 use crate::noise;
 
@@ -19,6 +26,20 @@ impl Default for Embedder {
     }
 }
 
+/// For each ASCII byte: its lowercase form when it is alphanumeric, and
+/// 0 when it separates words (NUL is not alphanumeric, so 0 is free).
+static ASCII_WORD: [u8; 128] = {
+    let mut table = [0u8; 128];
+    let mut b = 0;
+    while b < 128 {
+        if (b as u8).is_ascii_alphanumeric() {
+            table[b] = (b as u8).to_ascii_lowercase();
+        }
+        b += 1;
+    }
+    table
+};
+
 impl Embedder {
     /// Creates an embedder with `dims` dimensions (minimum 8).
     pub fn new(dims: usize) -> Self {
@@ -29,44 +50,81 @@ impl Embedder {
     /// zero vector.
     pub fn embed(&self, text: &str) -> Vec<f32> {
         let mut v = vec![0f32; self.dims];
-        // The previous word's FNV-1a state, so a bigram's hash continues
-        // its first word's instead of hashing a built "a b" string. Every
-        // bump is ±1.0 or ±0.5, so sums are exact and the order in which
-        // unigrams and bigrams land does not change a bit.
-        let mut previous = None;
-        for word in text
-            .split(|c: char| !c.is_alphanumeric())
-            .filter(|w| !w.is_empty())
-        {
-            let state = fnv1a_lowercase(noise::FNV_OFFSET, word);
-            self.bump(&mut v, noise::splitmix64(state), 1.0);
-            if let Some(first) = previous {
-                self.bump(&mut v, bigram_hash(first, word), 0.5);
+        let bytes = text.as_bytes();
+        // The previous word's FNV-1a state. A pair's hash is that state
+        // continued over " " and then over this word, so the word's and
+        // the pair's states advance together, byte by byte. Every bump is
+        // ±1.0 or ±0.5, so sums are exact and the order in which features
+        // land does not change a bit.
+        let mut previous: Option<u64> = None;
+        let mut i = 0;
+        while i < bytes.len() {
+            if let Some(skip) = separator_len(text, i) {
+                i += skip;
+                continue;
             }
-            previous = Some(state);
+            let mut word = noise::FNV_OFFSET;
+            let mut pair = noise::fnv1a(previous.unwrap_or(0), b" ");
+            while let Some(&b) = bytes.get(i) {
+                if b < 0x80 {
+                    let lower = ASCII_WORD[usize::from(b)];
+                    if lower == 0 {
+                        break;
+                    }
+                    word = noise::fnv1a(word, &[lower]);
+                    pair = noise::fnv1a(pair, &[lower]);
+                    i += 1;
+                } else {
+                    let c = char_at(text, i);
+                    if !c.is_alphanumeric() {
+                        break;
+                    }
+                    let char_bytes = &bytes[i..i + c.len_utf8()];
+                    word = noise::fnv1a(word, char_bytes);
+                    pair = noise::fnv1a(pair, char_bytes);
+                    i += c.len_utf8();
+                }
+            }
+            self.bump(&mut v, noise::splitmix64(word), 1.0);
+            if previous.is_some() {
+                self.bump(&mut v, noise::splitmix64(pair), 0.5);
+            }
+            previous = Some(word);
         }
         normalize(&mut v);
         v
     }
 
     fn bump(&self, v: &mut [f32], h: u64, weight: f32) {
-        let idx = (h % self.dims as u64) as usize;
+        // `h % dims` is `h & (dims - 1)` when `dims` is a power of two.
+        let idx = if self.dims.is_power_of_two() {
+            (h & (self.dims as u64 - 1)) as usize
+        } else {
+            (h % self.dims as u64) as usize
+        };
         let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
         v[idx] += sign * weight;
     }
 }
 
-/// Continues an FNV-1a state over `word` lowercased (ASCII letters
-/// only), without building the lowercased string.
-fn fnv1a_lowercase(h: u64, word: &str) -> u64 {
-    word.bytes()
-        .fold(h, |h, b| noise::fnv1a(h, &[b.to_ascii_lowercase()]))
+/// The `char` starting at byte `i` of `text`, a char boundary below its
+/// length.
+fn char_at(text: &str, i: usize) -> char {
+    text[i..]
+        .chars()
+        .next()
+        .expect("i is below the text's length")
 }
 
-/// `noise::hash_str` of `"{first} {second}"` with `second` lowercased,
-/// given `first`'s FNV-1a state.
-fn bigram_hash(first: u64, second: &str) -> u64 {
-    noise::splitmix64(fnv1a_lowercase(noise::fnv1a(first, b" "), second))
+/// The byte length of the character at byte `i` when it separates words,
+/// `None` when it starts one.
+fn separator_len(text: &str, i: usize) -> Option<usize> {
+    let b = text.as_bytes()[i];
+    if b < 0x80 {
+        return (ASCII_WORD[usize::from(b)] == 0).then_some(1);
+    }
+    let c = char_at(text, i);
+    (!c.is_alphanumeric()).then_some(c.len_utf8())
 }
 
 fn normalize(v: &mut [f32]) {
@@ -221,47 +279,65 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// `Embedder::embed` as it was written with a `format!`ed string
-        /// per bigram: the oracle for the in-place hash.
+        const CASES: u32 = if cfg!(debug_assertions) { 1024 } else { 16384 };
+
+        /// `Embedder::embed` as it was written with a lowercased `String`
+        /// per word, a `format!`ed string per bigram and a `%` per bump:
+        /// the oracle for the one-pass walk.
         fn embed_oracle(e: &Embedder, text: &str) -> Vec<f32> {
             let mut v = vec![0f32; e.dims];
+            let mut bump = |h: u64, weight: f32| {
+                let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
+                v[(h % e.dims as u64) as usize] += sign * weight;
+            };
             let words: Vec<String> = text
                 .split(|c: char| !c.is_alphanumeric())
                 .filter(|w| !w.is_empty())
                 .map(|w| w.to_ascii_lowercase())
                 .collect();
             for w in &words {
-                e.bump(&mut v, noise::hash_str(w), 1.0);
+                bump(noise::hash_str(w), 1.0);
             }
             for pair in words.windows(2) {
-                e.bump(
-                    &mut v,
-                    noise::hash_str(&format!("{} {}", pair[0], pair[1])),
-                    0.5,
-                );
+                bump(noise::hash_str(&format!("{} {}", pair[0], pair[1])), 0.5);
             }
             normalize(&mut v);
             v
         }
 
-        /// Mixed-case text, uppercase non-ASCII (which ASCII lowercasing
-        /// leaves alone) included, and words that run digits into letters.
+        /// A word: lower-case, upper-case runs, digits run into letters,
+        /// non-ASCII alphanumerics (an Arabic-Indic digit, a titlecase
+        /// digraph, a capital whose lowercase is longer, CJK) that ASCII
+        /// lowercasing leaves alone, and words over 64 bytes.
+        fn word() -> impl Strategy<Value = String> {
+            prop_oneof![
+                "[a-z]{1,6}",
+                "[A-Z]{2,12}",
+                "[A-Za-zÉé]{1,4}[0-9]{1,3}[A-Za-zÉ]{0,2}",
+                "[a-zA-Z0-9éÉ日ß٣ǅİ]{1,8}",
+                "[a-zA-Z0-9٣ǅİ日]{40,90}",
+            ]
+        }
+
+        /// ASCII separators and non-ASCII ones: a combining accent, a
+        /// no-break space, an em dash.
+        fn separator() -> impl Strategy<Value = String> {
+            prop_oneof!["[ ,.-]{1,2}", "[ \u{301}\u{a0}—]{1,3}", "\u{301}"]
+        }
+
+        /// Mixed text of the pieces above, random character soup, and
+        /// texts over 2,000 characters (the index prefix's length).
         fn text() -> impl Strategy<Value = String> {
             prop_oneof![
-                "[a-zA-Z0-9 ,.éÉ日ß-]{0,60}",
-                "([A-Za-zÉé]{1,4}[0-9]{1,3}[A-Za-zÉ]{0,2}[ ,.-]?){0,10}",
+                "[a-zA-Z0-9 ,.éÉ日ß٣ǅİ\u{301}\u{a0}—-]{0,60}",
+                prop::collection::vec((separator(), word()), 0..12)
+                    .prop_map(|pieces| pieces.into_iter().flat_map(|(s, w)| [s, w]).collect()),
+                "[a-zA-Z0-9 ٣ǅİ日\u{301}\u{a0}—]{1990,2100}",
             ]
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(4096))]
-            #[test]
-            fn a_bigram_hashes_as_its_formatted_string(a in ".{0,12}", b in ".{0,12}") {
-                let first = fnv1a_lowercase(noise::FNV_OFFSET, &a);
-                let pair = format!("{a} {b}").to_ascii_lowercase();
-                prop_assert_eq!(bigram_hash(first, &b), noise::hash_str(&pair));
-            }
-
+            #![proptest_config(ProptestConfig::with_cases(CASES))]
             #[test]
             fn features_are_bit_identical(text in text(), dims in 8usize..200) {
                 let e = Embedder::new(dims);
